@@ -22,9 +22,17 @@
 //!   bit-identical to the serial scenario-major/destination-minor loop
 //!   regardless of thread count. `tests/determinism.rs` enforces this.
 //!
-//! Thread counts come from `--threads N` on the experiment binaries
-//! (see [`threads_from_args`]), the `PR_THREADS` environment variable,
-//! or default to the machine's available parallelism.
+//! The engine takes its thread count as an argument. `pr-cli` reads it
+//! from `--threads N` on `stretch`, `sweep`, `traffic`, `impair` and
+//! `daemon run`,
+//! the experiment binaries through [`threads_from_args`]; both fall
+//! back to [`default_threads`] (`PR_THREADS`, else the machine's
+//! available parallelism).
+//!
+//! Workers only scale if a work closure leaves the allocator alone in
+//! the steady state: per-worker scratch is reset in place and the
+//! unit's result is the only allocation (DESIGN.md, "allocator
+//! discipline", has the measurement that made this a rule).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -1,19 +1,27 @@
-//! The traffic-replay experiment: demand-weighted resilience over a
-//! scenario family.
+//! The traffic-replay experiment behind `pr traffic`: demand-weighted
+//! resilience over a scenario family.
 //!
 //! Where coverage (E5) asks *"what fraction of affected pairs still
 //! deliver"*, this experiment asks the operator's question: *"what
 //! fraction of the **traffic** still delivers, and how hot does the
-//! hottest link run while it detours"*. One work unit per scenario,
-//! fanned over [`crate::engine::run_units`]: each unit replays the
-//! whole [`FlowSet`] through `pr-traffic`'s bit-parallel dataplane
-//! (u64 affected-set classification over the staged dense FIB,
-//! bottom-up subtree demand aggregation, per-flow fallback only for
-//! affected-but-connected sources) and reports a demand-weighted
-//! [`ScenarioTraffic`]. Units merge in scenario order, so [`run`] is
-//! bit-identical to [`run_batched`] and [`run_serial`] at any thread
-//! count (enforced by `tests/determinism.rs` — the demand grid makes
-//! every replay sum exact, hence association-free).
+//! hottest link run while it detours"*.
+//!
+//! [`run`] is the production path: one work unit per scenario, fanned
+//! over [`crate::engine::run_units`]; each unit replays the whole
+//! [`FlowSet`] through `pr-traffic`'s bit-parallel dataplane
+//! ([`replay_scenario_bitparallel`]) with the worker's own
+//! [`ReplayScratch`] and reports a demand-weighted
+//! [`ScenarioTraffic`](pr_traffic::ScenarioTraffic). Inside a unit the
+//! replay never calls the allocator (the unit's failed set and its row
+//! are the only allocations), which is what lets the workers scale:
+//! see DESIGN.md, "allocator discipline". Units merge in scenario
+//! order and the demand grid makes every replay sum exact, so the rows
+//! are bit-identical at any thread count.
+//!
+//! [`run_serial`] is the oracle — [`replay_scenario_naive`], one fresh
+//! `walk_packet` per flow — and [`run_batched`] PR 5's per-flow FIB
+//! path, kept as the denominator of the throughput-ratio gates. Both
+//! must equal [`run`] row for row (`tests/determinism.rs`).
 
 use serde::Serialize;
 

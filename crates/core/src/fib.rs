@@ -16,9 +16,14 @@
 //!   failed link.
 //! * [`walk_flow_with`] — the batch entry point: flows whose FIB path
 //!   is clear are delivered without ever consulting the agent; only
-//!   blocked flows fall back to the full [`walk_packet_with`] machinery
-//!   (and only after the survivor tree confirms the pair is still
-//!   connected).
+//!   blocked flows fall back to the agent (and only after the survivor
+//!   tree confirms the pair is still connected).
+//! * [`recover_flow_with`] — that fallback on its own: the walker's one
+//!   hop loop with the unit's [`SuffixMemo`], so a recovery walk that
+//!   meets a triple an earlier source of the same (failed set,
+//!   destination) unit already resolved splices the rest. Both walk
+//!   through a [`FlowUnit`], the guard that opens the unit on the
+//!   worker's [`FlowScratch`]; nothing here allocates per flow.
 //!
 //! The fast path is sound for every scheme in this workspace because
 //! all of them are **shortest-path confluent**: in the absence of
@@ -32,9 +37,8 @@
 
 use pr_graph::{AllPairs, Dart, Graph, LinkSet, NodeId, SpTree};
 
-use crate::{
-    walk_packet_with, DropReason, ForwardingAgent, RoutingTables, WalkResult, WalkScratch,
-};
+use crate::walker::walk_hops;
+use crate::{DropReason, ForwardingAgent, RoutingTables, SuffixMemo, WalkResult, WalkScratch};
 
 /// A flat, destination-major forwarding table: `next[dest * n + node]`
 /// is the dart `node` uses towards `dest` on the failure-free
@@ -258,7 +262,7 @@ impl DenseFib {
 }
 
 /// Reusable node-indexed buffers of the bit-parallel replay pipeline:
-/// three u64 word bitsets (64 sources per word — the
+/// two u64 word bitsets (64 sources per word — the
 /// [`pr_graph::bits`] helpers drive them) and two dense f64 staging
 /// arrays. Embedded in `pr-traffic`'s `ReplayScratch`; everything is
 /// cleared/resized in place, so the steady state allocates nothing
@@ -268,9 +272,6 @@ pub struct BitScratch {
     /// Sources whose base path crosses a failed link
     /// ([`DenseFib::affected_into`]).
     pub affected: Vec<u64>,
-    /// Sources that still reach the destination in the survivor tree
-    /// ([`SpTree::reach_words_into`](pr_graph::SpTree::reach_words_into)).
-    pub reach: Vec<u64>,
     /// Sources that carry demand in the current destination group.
     pub present: Vec<u64>,
     /// Per-source demand of the current destination group; valid only
@@ -349,20 +350,41 @@ impl FlowWalk {
 }
 
 /// Reusable per-worker state of the batch walker: the livelock
-/// detector for recovery walks plus the dart buffer the fast path
-/// stages a candidate FIB path in (committed to the caller's `on_dart`
-/// hook only once the scan proves the path clear — so the dominant
-/// clear case chases the next-dart chain exactly once).
+/// detector and the per-unit suffix memo of recovery walks, plus the
+/// dart buffer both paths stage a candidate path in (committed to the
+/// caller's `on_dart` hook only once the flow is known to deliver — so
+/// the dominant clear case chases the next-dart chain exactly once,
+/// and a dropped recovery walk leaves no load behind).
+///
+/// Walking goes through [`FlowScratch::unit`].
 #[derive(Debug)]
 pub struct FlowScratch<S> {
     walk: WalkScratch<S>,
+    memo: SuffixMemo<S>,
     path: Vec<Dart>,
 }
 
 impl<S> FlowScratch<S> {
     /// Fresh scratch state; buffers grow to the topology on first use.
     pub fn new() -> FlowScratch<S> {
-        FlowScratch { walk: WalkScratch::new(), path: Vec::new() }
+        FlowScratch { walk: WalkScratch::new(), memo: SuffixMemo::new(), path: Vec::new() }
+    }
+
+    /// Opens the work unit of flows towards `dest` under `failed`,
+    /// forwarded by `agent`: evicts whatever the previous unit
+    /// memoized and returns the guard the flow walkers take. Memoized
+    /// suffixes are valid for exactly one such unit, and the guard is
+    /// the only way to walk, so the function that owns the destination
+    /// loop cannot forget the boundary.
+    pub fn unit<'a, A: ForwardingAgent<State = S>>(
+        &'a mut self,
+        graph: &'a Graph,
+        agent: &'a A,
+        dest: NodeId,
+        failed: &'a LinkSet,
+    ) -> FlowUnit<'a, A> {
+        self.memo.begin_unit();
+        FlowUnit { graph, agent, dest, failed, scratch: self }
     }
 }
 
@@ -372,32 +394,40 @@ impl<S> Default for FlowScratch<S> {
     }
 }
 
-/// The batch walker entry point: walks one flow of a batch, taking the
-/// FIB fast path when the flow's shortest path is clear and falling
-/// back to the full agent walker only for blocked-but-connected flows.
-///
-/// `live` is the survivor shortest-path tree towards `dest` (rebuilt
-/// per scenario via incremental repair); it gates the agent fallback so
-/// disconnected flows never consume a (futile) full walk. `on_dart`
-/// fires for every dart of a *delivered* path, in order — the per-link
-/// load accounting hook; dropped and disconnected flows emit nothing.
-///
-/// Batching is the calling convention: the caller holds `scratch` (and
-/// the repaired `live` tree) across a whole destination group, so the
-/// steady state allocates nothing per flow and touches the livelock
-/// detector only on recovery paths.
-#[allow(clippy::too_many_arguments)]
-pub fn walk_flow_with<A: ForwardingAgent>(
-    graph: &Graph,
-    agent: &A,
-    fib: &Fib,
-    src: NodeId,
+/// One open (failed set, destination) unit on a [`FlowScratch`]: what
+/// every flow of the unit has in common, and therefore everything the
+/// unit's suffix memo is keyed by. Obtained from [`FlowScratch::unit`].
+pub struct FlowUnit<'a, A: ForwardingAgent> {
+    graph: &'a Graph,
+    agent: &'a A,
     dest: NodeId,
-    failed: &LinkSet,
+    failed: &'a LinkSet,
+    scratch: &'a mut FlowScratch<A::State>,
+}
+
+/// The batch walker entry point: walks the unit's flow from `src`,
+/// taking the FIB fast path when the flow's shortest path is clear and
+/// falling back to the full agent walker only for blocked-but-connected
+/// flows.
+///
+/// `live` is the survivor shortest-path tree towards the unit's
+/// destination (rebuilt per scenario via incremental repair); it gates
+/// the agent fallback so disconnected flows never consume a (futile)
+/// full walk. `on_dart` fires for every dart of a *delivered* path, in
+/// order — the per-link load accounting hook; dropped and disconnected
+/// flows emit nothing.
+///
+/// Batching is the calling convention: the caller holds the scratch
+/// (and the repaired `live` tree) across a whole destination group, so
+/// the steady state allocates nothing per flow and touches the
+/// livelock detector only on recovery paths.
+pub fn walk_flow_with<A: ForwardingAgent>(
+    unit: &mut FlowUnit<'_, A>,
+    fib: &Fib,
     live: &SpTree,
+    src: NodeId,
     ttl: usize,
-    scratch: &mut FlowScratch<A::State>,
-    mut on_dart: impl FnMut(Dart),
+    on_dart: impl FnMut(Dart),
 ) -> FlowWalk
 where
     A::State: std::hash::Hash + Eq,
@@ -406,28 +436,19 @@ where
     // the scratch buffer so they are emitted only if the whole path
     // proves clear (a partially emitted blocked path would corrupt the
     // caller's load accounting).
-    scratch.path.clear();
-    let path = &mut scratch.path;
-    if let FibScan::Clear { cost, hops } = fib.chase(graph, src, dest, failed, |d| path.push(d)) {
-        for &d in &*path {
-            on_dart(d);
-        }
+    let path = &mut unit.scratch.path;
+    path.clear();
+    if let FibScan::Clear { cost, hops } =
+        fib.chase(unit.graph, src, unit.dest, unit.failed, |d| path.push(d))
+    {
+        path.iter().copied().for_each(on_dart);
         return FlowWalk::Clear { cost, hops };
     }
 
     if !live.reaches(src) {
         return FlowWalk::Disconnected;
     }
-    let walk = walk_packet_with(graph, agent, src, dest, failed, ttl, &mut scratch.walk);
-    match walk.result {
-        WalkResult::Delivered => {
-            for &d in walk.path.darts() {
-                on_dart(d);
-            }
-            FlowWalk::Recovered { cost: walk.cost(graph), hops: walk.path.hop_count() as u32 }
-        }
-        WalkResult::Dropped(reason) => FlowWalk::Dropped(reason),
-    }
+    recover_flow_with(unit, src, ttl, on_dart)
 }
 
 /// The fallback arm of [`walk_flow_with`] on its own: walks a flow
@@ -438,32 +459,43 @@ where
 /// with word-parallel set algebra first (affected set over the staged
 /// [`DenseFib`], survivor components per scenario) and only then
 /// walks the few affected-but-connected flows — through this entry
-/// point, so the walk (and therefore the recorded cost, hops and
-/// emitted darts) is the identical code path [`walk_flow_with`] takes
-/// after its gate. Never returns [`FlowWalk::Clear`] or
+/// point. The walk is the walker's one hop loop with the unit's suffix
+/// memo: outcome, cost, hops and emitted darts are those of
+/// [`walk_packet`](crate::walk_packet) on the same flow (see
+/// [`walk_packet_spliced`](crate::walk_packet_spliced) for why a
+/// splice is exact), the darts of a spliced tail read off the memoized
+/// chain. Never returns [`FlowWalk::Clear`] or
 /// [`FlowWalk::Disconnected`]; calling it on a flow that is not
 /// actually blocked-but-connected misclassifies it.
-#[allow(clippy::too_many_arguments)]
 pub fn recover_flow_with<A: ForwardingAgent>(
-    graph: &Graph,
-    agent: &A,
+    unit: &mut FlowUnit<'_, A>,
     src: NodeId,
-    dest: NodeId,
-    failed: &LinkSet,
     ttl: usize,
-    scratch: &mut FlowScratch<A::State>,
     mut on_dart: impl FnMut(Dart),
 ) -> FlowWalk
 where
     A::State: std::hash::Hash + Eq,
 {
-    let walk = walk_packet_with(graph, agent, src, dest, failed, ttl, &mut scratch.walk);
-    match walk.result {
+    let FlowScratch { walk, memo, path } = &mut *unit.scratch;
+    path.clear();
+    let hops = walk_hops(
+        unit.graph,
+        unit.agent,
+        src,
+        unit.dest,
+        unit.failed,
+        ttl,
+        walk,
+        Some(&mut *memo),
+        |d| path.push(d),
+    );
+    match hops.result {
         WalkResult::Delivered => {
-            for &d in walk.path.darts() {
-                on_dart(d);
+            path.iter().copied().for_each(&mut on_dart);
+            if let Some(tail) = hops.spliced {
+                memo.tail_darts(tail).for_each(on_dart);
             }
-            FlowWalk::Recovered { cost: walk.cost(graph), hops: walk.path.hop_count() as u32 }
+            FlowWalk::Recovered { cost: hops.cost, hops: hops.steps as u32 }
         }
         WalkResult::Dropped(reason) => FlowWalk::Dropped(reason),
     }
@@ -616,19 +648,9 @@ mod tests {
         let none = LinkSet::empty(g.link_count());
         let live = base.towards(NodeId(0)).clone();
         let mut scratch = FlowScratch::new();
+        let mut unit = scratch.unit(&g, &Panicking, NodeId(0), &none);
         let mut darts = Vec::new();
-        let walk = walk_flow_with(
-            &g,
-            &Panicking,
-            &fib,
-            NodeId(3),
-            NodeId(0),
-            &none,
-            &live,
-            10,
-            &mut scratch,
-            &mut |d| darts.push(d),
-        );
+        let walk = walk_flow_with(&mut unit, &fib, &live, NodeId(3), 10, |d| darts.push(d));
         assert_eq!(walk, FlowWalk::Clear { cost: 3, hops: 3 });
         assert_eq!(darts.len(), 3);
         assert!(walk.is_delivered());
@@ -643,19 +665,10 @@ mod tests {
         let failed = LinkSet::from_links(g.link_count(), [direct]);
         let live = SpTree::towards(&g, NodeId(0), &failed);
         let mut scratch = FlowScratch::new();
+        let mut unit = scratch.unit(&g, &agent, NodeId(0), &failed);
         let mut darts = Vec::new();
-        let walk = walk_flow_with(
-            &g,
-            &agent,
-            &fib,
-            NodeId(1),
-            NodeId(0),
-            &failed,
-            &live,
-            generous_ttl(&g),
-            &mut scratch,
-            &mut |d| darts.push(d),
-        );
+        let walk =
+            walk_flow_with(&mut unit, &fib, &live, NodeId(1), generous_ttl(&g), |d| darts.push(d));
         assert_eq!(walk, FlowWalk::Recovered { cost: 5, hops: 5 }, "the long way around");
         assert_eq!(darts.len(), 5);
         assert!(!darts.iter().any(|d| d.link() == direct));
@@ -671,19 +684,10 @@ mod tests {
         let failed = LinkSet::from_links(g.link_count(), [l01, l50]);
         let live = SpTree::towards(&g, NodeId(0), &failed);
         let mut scratch = FlowScratch::new();
+        let mut unit = scratch.unit(&g, &agent, NodeId(0), &failed);
         let mut emitted = 0usize;
-        let walk = walk_flow_with(
-            &g,
-            &agent,
-            &fib,
-            NodeId(3),
-            NodeId(0),
-            &failed,
-            &live,
-            generous_ttl(&g),
-            &mut scratch,
-            &mut |_| emitted += 1,
-        );
+        let walk =
+            walk_flow_with(&mut unit, &fib, &live, NodeId(3), generous_ttl(&g), |_| emitted += 1);
         assert_eq!(walk, FlowWalk::Disconnected);
         assert_eq!(emitted, 0, "no load accounted for undelivered flows");
         assert_eq!(walk.cost(), None);
@@ -699,22 +703,13 @@ mod tests {
             let failed = LinkSet::from_links(g.link_count(), [link]);
             for dest in g.nodes() {
                 let live = SpTree::towards(&g, dest, &failed);
+                let mut unit = scratch.unit(&g, &agent, dest, &failed);
                 for src in g.nodes() {
                     if src == dest {
                         continue;
                     }
-                    let flow = walk_flow_with(
-                        &g,
-                        &agent,
-                        &fib,
-                        src,
-                        dest,
-                        &failed,
-                        &live,
-                        ttl,
-                        &mut scratch,
-                        &mut |_| {},
-                    );
+                    let mut darts = Vec::new();
+                    let flow = walk_flow_with(&mut unit, &fib, &live, src, ttl, |d| darts.push(d));
                     let reference = crate::walk_packet(&g, &agent, src, dest, &failed, ttl);
                     assert_eq!(
                         flow.is_delivered(),
@@ -723,6 +718,7 @@ mod tests {
                     );
                     if let Some(cost) = flow.cost() {
                         assert_eq!(cost, reference.cost(&g), "{link} {src}->{dest}");
+                        assert_eq!(darts, reference.path.darts(), "{link} {src}->{dest}");
                     }
                     let _ = base.towards(dest);
                 }

@@ -59,7 +59,7 @@ mod walker;
 pub use agent::{DropReason, ForwardDecision, ForwardingAgent, PrAgent, PrMode, PrNetwork};
 pub use fib::{
     recover_flow_with, walk_flow_with, BitScratch, DenseFib, Fib, FibFrame, FibScan, FlowScratch,
-    FlowWalk,
+    FlowUnit, FlowWalk,
 };
 pub use header::{HeaderCodec, HeaderError, PrHeader};
 pub use memo::{MemoStats, SuffixMemo};

@@ -11,15 +11,19 @@
 //! resolved.
 //!
 //! [`SuffixMemo`] caches, per triple, the *remaining* cost and step
-//! count to delivery. A later walk that reaches a memoized triple
-//! splices the tail instead of re-walking it — see
-//! [`walk_packet_spliced`](crate::walk_packet_spliced). Only
-//! **delivered** suffixes are memoized: a delivered trajectory can
-//! never intersect a later walk's prefix (that would make it periodic,
-//! contradicting delivery), so a splice reproduces the plain walk
-//! dart-for-dart and the summed `u64` cost is bit-identical. Dropped
-//! walks seed nothing — their drop step and reason can legitimately
-//! differ per prefix, so they are always walked in full.
+//! count to delivery, plus the dart taken from the triple and the
+//! entry of the triple that dart leads to. A later walk that reaches a
+//! memoized triple splices the tail instead of re-walking it — see
+//! [`walk_packet_spliced`](crate::walk_packet_spliced) — and a caller
+//! that needs the tail's darts (traffic replay credits link loads)
+//! chases the memoized chain, one array read per dart and no agent
+//! decision. Only **delivered** suffixes are memoized: a delivered
+//! trajectory can never intersect a later walk's prefix (that would
+//! make it periodic, contradicting delivery), so a splice reproduces
+//! the plain walk dart-for-dart and the summed `u64` cost is
+//! bit-identical. Dropped walks seed nothing — their drop step and
+//! reason can legitimately differ per prefix, so they are always
+//! walked in full.
 //!
 //! The table mirrors [`WalkScratch`](crate::WalkScratch): open
 //! addressing over packed key words with exact triple verification,
@@ -28,7 +32,7 @@
 
 use std::hash::{Hash, Hasher};
 
-use pr_graph::{Dart, NodeId};
+use pr_graph::{Dart, Graph, NodeId};
 
 use crate::FxHasher64;
 
@@ -80,7 +84,8 @@ impl MemoStats {
     }
 }
 
-/// One memoized triple with its remaining-to-delivery totals.
+/// One memoized triple with its remaining-to-delivery totals and its
+/// link in the delivered chain.
 #[derive(Debug, Clone)]
 struct MemoEntry<S> {
     node: NodeId,
@@ -91,6 +96,26 @@ struct MemoEntry<S> {
     /// Dart count of that suffix (≥ 1: the destination is never
     /// recorded as a triple).
     rem_steps: u32,
+    /// The dart the walk takes from this triple.
+    out: Dart,
+    /// Entry of the triple `out` leads to; [`DELIVERED`] when `out`
+    /// enters the destination.
+    next: u32,
+}
+
+/// Chain terminator: the previous entry's dart entered the destination.
+const DELIVERED: u32 = u32::MAX;
+
+/// A memoized triple a walk reached: where its tail's chain starts and
+/// the tail's totals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MemoHit {
+    /// Head of the tail's chain, for [`SuffixMemo::tail_darts`].
+    pub(crate) entry: u32,
+    /// Weighted cost from the triple to delivery.
+    pub(crate) rem_cost: u64,
+    /// Darts from the triple to delivery.
+    pub(crate) rem_steps: u32,
 }
 
 /// Reusable delivered-suffix cache for one (failure set, destination)
@@ -113,10 +138,6 @@ pub struct SuffixMemo<S> {
     entries: Vec<MemoEntry<S>>,
     /// Current unit's generation (starts at 1; zeroed stamps are stale).
     gen: u32,
-    /// Cumulative prefix cost per triple recorded by the in-flight
-    /// walk, aligned with the walk scratch's entry order; consumed by
-    /// [`seed`](Self::seed).
-    cum: Vec<u64>,
     stats: MemoStats,
 }
 
@@ -135,7 +156,6 @@ impl<S> SuffixMemo<S> {
             slot_entry: Vec::new(),
             entries: Vec::new(),
             gen: 1,
-            cum: Vec::new(),
             stats: MemoStats::default(),
         }
     }
@@ -155,7 +175,6 @@ impl<S> SuffixMemo<S> {
     /// [`take_stats`](Self::take_stats).
     pub fn begin_unit(&mut self) {
         self.entries.clear();
-        self.cum.clear();
         if self.gen == u32::MAX {
             self.slot_gen.fill(0);
             self.gen = 1;
@@ -170,18 +189,18 @@ impl<S> SuffixMemo<S> {
         std::mem::take(&mut self.stats)
     }
 
-    /// Clears per-walk bookkeeping. Called by the walker at walk start.
-    #[inline]
-    pub(crate) fn begin_walk(&mut self) {
-        self.cum.clear();
-    }
-
-    /// Records the cumulative prefix cost of the triple the walker
-    /// just recorded in its scratch (index-aligned with the scratch's
-    /// insertion-ordered entries).
-    #[inline]
-    pub(crate) fn note_prefix(&mut self, cum_cost: u64) {
-        self.cum.push(cum_cost);
+    /// The darts of the memoized tail that starts at `hit`, in walk
+    /// order up to and including the one entering the destination.
+    pub(crate) fn tail_darts(&self, hit: MemoHit) -> impl Iterator<Item = Dart> + '_ {
+        let mut at = hit.entry;
+        std::iter::from_fn(move || {
+            if at == DELIVERED {
+                return None;
+            }
+            let e = &self.entries[at as usize];
+            at = e.next;
+            Some(e.out)
+        })
     }
 
     /// Accounts `steps` darts physically traversed by a finished walk.
@@ -199,11 +218,15 @@ impl<S> SuffixMemo<S> {
 }
 
 impl<S: Clone + Hash + Eq> SuffixMemo<S> {
-    /// Looks up a triple, returning the memoized
-    /// `(remaining cost, remaining steps)` to delivery if this unit
-    /// has already resolved it. Counts one lookup either way.
+    /// Looks up a triple, returning its memoized tail if this unit has
+    /// already resolved it. Counts one lookup either way.
     #[inline]
-    pub fn lookup(&mut self, node: NodeId, ingress: Option<Dart>, state: &S) -> Option<(u64, u32)> {
+    pub(crate) fn lookup(
+        &mut self,
+        node: NodeId,
+        ingress: Option<Dart>,
+        state: &S,
+    ) -> Option<MemoHit> {
         self.stats.lookups += 1;
         if self.entries.is_empty() {
             return None;
@@ -215,7 +238,11 @@ impl<S: Clone + Hash + Eq> SuffixMemo<S> {
             if self.slots[i] == key {
                 let e = &self.entries[self.slot_entry[i] as usize];
                 if e.node == node && e.ingress == ingress && e.state == *state {
-                    return Some((e.rem_cost, e.rem_steps));
+                    return Some(MemoHit {
+                        entry: self.slot_entry[i],
+                        rem_cost: e.rem_cost,
+                        rem_steps: e.rem_steps,
+                    });
                 }
             }
             i = (i + 1) & mask;
@@ -223,70 +250,76 @@ impl<S: Clone + Hash + Eq> SuffixMemo<S> {
         None
     }
 
-    /// Seeds the memo from a delivered walk's visited-triple trail
-    /// (`entries`, in visitation order, from the walk scratch): entry
-    /// `i` was recorded after `i` darts at cumulative cost `cum[i]`,
-    /// so its suffix totals are `total − cum[i]` and `total_steps − i`.
+    /// Seeds the memo from the visited-triple trail of a delivered
+    /// walk (`trail`, in visitation order, from the walk scratch; each
+    /// triple's ingress is the dart its predecessor took). `last` is
+    /// the dart taken from the trail's final triple and `tail` what
+    /// that dart led to: `None` for the destination itself, or the
+    /// memoized triple the walk was spliced onto.
     ///
-    /// Values are unique per triple (the trajectory from a triple is
-    /// deterministic), so insert-if-absent keeps earlier entries.
+    /// Entries are linked back to front, so each one's totals are its
+    /// successor's plus its own dart. Values are unique per triple (the
+    /// trajectory from a triple is deterministic), so insert-if-absent
+    /// keeps earlier entries.
     pub(crate) fn seed(
         &mut self,
+        graph: &Graph,
         trail: &[(NodeId, Option<Dart>, S)],
-        total_cost: u64,
-        total_steps: usize,
+        last: Dart,
+        tail: Option<MemoHit>,
     ) {
-        debug_assert_eq!(self.cum.len(), trail.len(), "cum costs align with the trail");
-        for (i, (node, ingress, state)) in trail.iter().enumerate() {
-            let rem_steps = total_steps - i;
-            if rem_steps > u32::MAX as usize {
-                continue;
+        let mut out = last;
+        let (mut next, mut rem_cost, mut rem_steps) =
+            tail.map_or((DELIVERED, 0, 0), |t| (t.entry, t.rem_cost, t.rem_steps));
+        for (node, ingress, state) in trail.iter().rev() {
+            // Suffixes too long for the step field stay un-memoized,
+            // and so do all the longer ones before them.
+            let Some(steps) = rem_steps.checked_add(1) else { return };
+            rem_steps = steps;
+            rem_cost += u64::from(graph.weight(out.link()));
+            next = self.insert(MemoEntry {
+                node: *node,
+                ingress: *ingress,
+                state: state.clone(),
+                rem_cost,
+                rem_steps,
+                out,
+                next,
+            });
+            if let Some(d) = *ingress {
+                out = d;
             }
-            let rem_cost = total_cost - self.cum[i];
-            self.insert(*node, *ingress, state, rem_cost, rem_steps as u32);
         }
-        self.cum.clear();
     }
 
-    /// Inserts a triple if absent. Existing entries win (their values
-    /// are identical by determinism; debug builds verify that).
-    fn insert(
-        &mut self,
-        node: NodeId,
-        ingress: Option<Dart>,
-        state: &S,
-        rem_cost: u64,
-        rem_steps: u32,
-    ) {
+    /// Inserts a triple if absent and returns its entry index.
+    /// Existing entries win (their values are identical by
+    /// determinism; debug builds verify that).
+    fn insert(&mut self, entry: MemoEntry<S>) -> u32 {
         if (self.entries.len() + 1) * 2 > self.slots.len() {
             self.grow();
         }
-        let key = Self::key(node, ingress, state);
+        let key = Self::key(entry.node, entry.ingress, &entry.state);
         let mask = self.slots.len() - 1;
         let mut i = key as usize & mask;
         loop {
             if self.slot_gen[i] != self.gen {
+                let idx = self.entries.len() as u32;
                 self.slots[i] = key;
                 self.slot_gen[i] = self.gen;
-                self.slot_entry[i] = self.entries.len() as u32;
-                self.entries.push(MemoEntry {
-                    node,
-                    ingress,
-                    state: state.clone(),
-                    rem_cost,
-                    rem_steps,
-                });
-                return;
+                self.slot_entry[i] = idx;
+                self.entries.push(entry);
+                return idx;
             }
             if self.slots[i] == key {
                 let e = &self.entries[self.slot_entry[i] as usize];
-                if e.node == node && e.ingress == ingress && e.state == *state {
+                if e.node == entry.node && e.ingress == entry.ingress && e.state == entry.state {
                     debug_assert_eq!(
-                        (e.rem_cost, e.rem_steps),
-                        (rem_cost, rem_steps),
+                        (e.rem_cost, e.rem_steps, e.out, e.next),
+                        (entry.rem_cost, entry.rem_steps, entry.out, entry.next),
                         "deterministic trajectories memoize one value per triple"
                     );
-                    return;
+                    return self.slot_entry[i];
                 }
             }
             i = (i + 1) & mask;
@@ -329,6 +362,17 @@ impl<S: Clone + Hash + Eq> SuffixMemo<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pr_graph::generators;
+
+    /// Remaining `(cost, steps)` of a triple, if memoized.
+    fn totals<S: Clone + Hash + Eq>(
+        memo: &mut SuffixMemo<S>,
+        node: NodeId,
+        ingress: Option<Dart>,
+        state: &S,
+    ) -> Option<(u64, u32)> {
+        memo.lookup(node, ingress, state).map(|h| (h.rem_cost, h.rem_steps))
+    }
 
     #[test]
     fn lookup_misses_on_empty_and_counts() {
@@ -340,35 +384,50 @@ mod tests {
 
     #[test]
     fn seed_then_lookup_round_trips_remaining_totals() {
+        // A delivered 3-step walk 0 -> 1 -> 2 -> 3 over a path with
+        // link weights 5, 7, 2 (total 14); link `i` joins `i` and
+        // `i + 1`, its forward dart is `Dart(2 * i)`.
+        let mut g = Graph::new();
+        let nodes: Vec<NodeId> = (0..4).map(|i| g.add_node(format!("n{i}"))).collect();
+        for (i, w) in [5, 7, 2].into_iter().enumerate() {
+            g.add_link(nodes[i], nodes[i + 1], w).unwrap();
+        }
         let mut memo: SuffixMemo<u32> = SuffixMemo::new();
-        // A delivered 3-step walk over triples t0, t1, t2 with per-hop
-        // costs 5, 7, 2 (total 14).
         let trail = vec![
             (NodeId(0), None, 9u32),
             (NodeId(1), Some(Dart(0)), 9),
             (NodeId(2), Some(Dart(2)), 9),
         ];
-        memo.begin_walk();
-        memo.note_prefix(0);
-        memo.note_prefix(5);
-        memo.note_prefix(12);
-        memo.seed(&trail, 14, 3);
+        memo.seed(&g, &trail, Dart(4), None);
         assert_eq!(memo.len(), 3);
-        assert_eq!(memo.lookup(NodeId(0), None, &9), Some((14, 3)));
-        assert_eq!(memo.lookup(NodeId(1), Some(Dart(0)), &9), Some((9, 2)));
-        assert_eq!(memo.lookup(NodeId(2), Some(Dart(2)), &9), Some((2, 1)));
+        assert_eq!(totals(&mut memo, NodeId(0), None, &9), Some((14, 3)));
+        assert_eq!(totals(&mut memo, NodeId(1), Some(Dart(0)), &9), Some((9, 2)));
+        assert_eq!(totals(&mut memo, NodeId(2), Some(Dart(2)), &9), Some((2, 1)));
         // Same node, different ingress or state: distinct triples.
         assert_eq!(memo.lookup(NodeId(1), Some(Dart(1)), &9), None);
         assert_eq!(memo.lookup(NodeId(1), Some(Dart(0)), &8), None);
+
+        // Every entry heads the chain of the darts that remain.
+        let head = memo.lookup(NodeId(0), None, &9).unwrap();
+        assert_eq!(memo.tail_darts(head).collect::<Vec<_>>(), [Dart(0), Dart(2), Dart(4)]);
+        let mid = memo.lookup(NodeId(2), Some(Dart(2)), &9).unwrap();
+        assert_eq!(memo.tail_darts(mid).collect::<Vec<_>>(), [Dart(4)]);
+
+        // A second walk, 1 -> 2 with another header state, spliced onto
+        // the first at node 2: totals and chain continue through it.
+        memo.seed(&g, &[(NodeId(1), None, 3u32)], Dart(2), Some(mid));
+        assert_eq!(memo.len(), 4);
+        let joined = memo.lookup(NodeId(1), None, &3).unwrap();
+        assert_eq!((joined.rem_cost, joined.rem_steps), (9, 2));
+        assert_eq!(memo.tail_darts(joined).collect::<Vec<_>>(), [Dart(2), Dart(4)]);
     }
 
     #[test]
     fn begin_unit_evicts_everything() {
+        let g = generators::ring(4, 3);
         let mut memo: SuffixMemo<u32> = SuffixMemo::new();
-        memo.begin_walk();
-        memo.note_prefix(0);
-        memo.seed(&[(NodeId(4), None, 1u32)], 3, 1);
-        assert_eq!(memo.lookup(NodeId(4), None, &1), Some((3, 1)));
+        memo.seed(&g, &[(NodeId(4), None, 1u32)], Dart(0), None);
+        assert_eq!(totals(&mut memo, NodeId(4), None, &1), Some((3, 1)));
         memo.begin_unit();
         assert!(memo.is_empty());
         assert_eq!(memo.lookup(NodeId(4), None, &1), None, "stale unit must not leak");
@@ -376,20 +435,19 @@ mod tests {
 
     #[test]
     fn insert_if_absent_keeps_first_value_and_survives_growth() {
+        let g = generators::ring(4, 3);
         let mut memo: SuffixMemo<u64> = SuffixMemo::new();
         // Grow the table well past its initial capacity.
         for n in 0..2_000u32 {
-            memo.begin_walk();
-            memo.note_prefix(0);
-            memo.seed(&[(NodeId(n), None, u64::from(n))], u64::from(n) + 1, 1);
+            memo.seed(&g, &[(NodeId(n), None, u64::from(n))], Dart(n % 8), None);
         }
         for n in 0..2_000u32 {
-            assert_eq!(memo.lookup(NodeId(n), None, &u64::from(n)), Some((u64::from(n) + 1, 1)));
+            let hit = memo.lookup(NodeId(n), None, &u64::from(n)).expect("seeded");
+            assert_eq!((hit.rem_cost, hit.rem_steps), (3, 1));
+            assert_eq!(memo.tail_darts(hit).collect::<Vec<_>>(), [Dart(n % 8)]);
         }
         // Re-seeding an existing triple with the same value is a no-op.
-        memo.begin_walk();
-        memo.note_prefix(0);
-        memo.seed(&[(NodeId(7), None, 7u64)], 8, 1);
+        memo.seed(&g, &[(NodeId(7), None, 7u64)], Dart(7), None);
         assert_eq!(memo.len(), 2_000);
     }
 

@@ -14,13 +14,26 @@
 //! "basic mode loops under multi-failure" (§4.3's motivation) from
 //! "path is just long".
 //!
-//! The detector state lives in a reusable [`WalkScratch`]: sweep-style
-//! callers hold one per scheme and call [`walk_packet_with`] so the
-//! steady state allocates nothing per walk. [`walk_packet`] remains as
-//! the convenient one-shot entry point.
+//! There is **one hop loop**, private to this module. It is generic
+//! over an optional [`SuffixMemo`] and a dart sink; the public entry
+//! points differ only in what they hand it and what they keep of its
+//! report:
+//!
+//! * [`walk_packet`] / [`walk_packet_with`] — no memo, darts collected
+//!   into the returned [`Walk`]'s `Path`;
+//! * [`walk_packet_spliced`] — the sweep's per-unit memo, darts
+//!   discarded (only cost and step totals are wanted);
+//! * [`recover_flow_with`](crate::recover_flow_with) — the replay
+//!   unit's memo, darts staged in the flow scratch and released to the
+//!   caller's load accounting only once the walk has delivered.
+//!
+//! The detector state lives in a reusable [`WalkScratch`], so the
+//! steady state of every entry point but the `Path`-returning ones
+//! allocates nothing per walk.
 
 use pr_graph::{Dart, Graph, LinkSet, NodeId, Path};
 
+use crate::memo::MemoHit;
 use crate::{DropReason, ForwardDecision, ForwardingAgent, SuffixMemo, WalkScratch};
 
 /// Result of walking one packet.
@@ -116,55 +129,10 @@ pub fn walk_packet_with<A: ForwardingAgent>(
 where
     A::State: std::hash::Hash + Eq,
 {
-    let mut state = A::State::default();
     let mut path = Path::empty();
-    let mut at = src;
-    let mut ingress: Option<Dart> = None;
-    let mut peak_header_bits = agent.header_bits(&state);
-    scratch.reset();
-
-    loop {
-        if at == dest {
-            return Walk { result: WalkResult::Delivered, path, peak_header_bits };
-        }
-        if path.hop_count() >= ttl {
-            return Walk {
-                result: WalkResult::Dropped(DropReason::TtlExpired),
-                path,
-                peak_header_bits,
-            };
-        }
-        if !scratch.record(at, ingress, &state) {
-            return Walk {
-                result: WalkResult::Dropped(DropReason::ForwardingLoop),
-                path,
-                peak_header_bits,
-            };
-        }
-
-        match agent.decide(at, ingress, dest, &mut state, failed) {
-            ForwardDecision::Forward(d) => {
-                let physically_ok = graph.dart_tail(d) == at && !failed.contains_dart(d);
-                if !physically_ok {
-                    return Walk {
-                        result: WalkResult::Dropped(DropReason::ProtocolViolation),
-                        path,
-                        peak_header_bits,
-                    };
-                }
-                path.push(graph, d);
-                at = graph.dart_head(d);
-                ingress = Some(d);
-                peak_header_bits = peak_header_bits.max(agent.header_bits(&state));
-            }
-            ForwardDecision::Drop(reason) => {
-                // The decide call may have grown the header (e.g. FCP
-                // learning failures) before concluding it must drop.
-                peak_header_bits = peak_header_bits.max(agent.header_bits(&state));
-                return Walk { result: WalkResult::Dropped(reason), path, peak_header_bits };
-            }
-        }
-    }
+    let hops =
+        walk_hops(graph, agent, src, dest, failed, ttl, scratch, None, |d| path.push(graph, d));
+    Walk { result: hops.result, path, peak_header_bits: hops.peak_header_bits }
 }
 
 /// A memoized walk's outcome: result plus exact traversal totals,
@@ -223,53 +191,84 @@ pub fn walk_packet_spliced<A: ForwardingAgent>(
 where
     A::State: std::hash::Hash + Eq,
 {
+    let hops = walk_hops(graph, agent, src, dest, failed, ttl, scratch, Some(memo), |_| {});
+    SplicedWalk { result: hops.result, cost: hops.cost, steps: hops.steps }
+}
+
+/// What the hop loop reports: the outcome and the exact totals of the
+/// traversal, spliced tail included.
+#[derive(Debug)]
+pub(crate) struct Traversal {
+    pub(crate) result: WalkResult,
+    /// Weighted cost of every dart traversed.
+    pub(crate) cost: u64,
+    /// Darts traversed.
+    pub(crate) steps: usize,
+    /// Largest `header_bits` the agent reported on the hops walked (a
+    /// spliced tail reports none).
+    pub(crate) peak_header_bits: usize,
+    /// The memoized tail the walk was spliced onto, if it was: its
+    /// darts never reached `on_dart` and are the caller's to fetch
+    /// with [`SuffixMemo::tail_darts`] if it wants them.
+    pub(crate) spliced: Option<MemoHit>,
+}
+
+/// The hop loop every walk entry point runs. Walks one packet,
+/// handing every dart it traverses to `on_dart` as it goes (dropped
+/// walks included, up to the last successful hop).
+///
+/// With a `memo`, every visited triple is looked up first; on a hit
+/// whose remaining steps the TTL still covers, the walk ends there as
+/// `Delivered` with the memoized totals added (see
+/// [`walk_packet_spliced`] for why that is exact). Every delivered
+/// walk, spliced or not, seeds the memo from its trail. Opening the
+/// memo's unit is the caller's job.
+///
+/// Inlined into each entry point, so the `memo` and `on_dart` each one
+/// does not use cost it nothing.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn walk_hops<A: ForwardingAgent>(
+    graph: &Graph,
+    agent: &A,
+    src: NodeId,
+    dest: NodeId,
+    failed: &LinkSet,
+    ttl: usize,
+    scratch: &mut WalkScratch<A::State>,
+    mut memo: Option<&mut SuffixMemo<A::State>>,
+    mut on_dart: impl FnMut(Dart),
+) -> Traversal
+where
+    A::State: std::hash::Hash + Eq,
+{
     let mut state = A::State::default();
     let mut at = src;
     let mut ingress: Option<Dart> = None;
     let mut cost: u64 = 0;
     let mut steps: usize = 0;
+    let mut peak_header_bits = agent.header_bits(&state);
+    let mut spliced = None;
     scratch.reset();
-    memo.begin_walk();
 
-    loop {
+    let result = loop {
         if at == dest {
-            memo.record_walked(steps as u64);
-            memo.seed(scratch.entries(), cost, steps);
-            return SplicedWalk { result: WalkResult::Delivered, cost, steps };
+            break WalkResult::Delivered;
         }
         if steps >= ttl {
-            memo.record_walked(steps as u64);
-            return SplicedWalk {
-                result: WalkResult::Dropped(DropReason::TtlExpired),
-                cost,
-                steps,
-            };
+            break WalkResult::Dropped(DropReason::TtlExpired);
         }
         if !scratch.record(at, ingress, &state) {
-            memo.record_walked(steps as u64);
-            return SplicedWalk {
-                result: WalkResult::Dropped(DropReason::ForwardingLoop),
-                cost,
-                steps,
-            };
+            break WalkResult::Dropped(DropReason::ForwardingLoop);
         }
-        memo.note_prefix(cost);
-        if let Some((rem_cost, rem_steps)) = memo.lookup(at, ingress, &state) {
+        if let Some(hit) = memo.as_deref_mut().and_then(|m| m.lookup(at, ingress, &state)) {
             // Splice only when every intermediate TTL check of the
             // replayed tail would have passed: delivery at exactly
             // `ttl` steps is legal, so `remaining TTL ≥ rem_steps`
             // suffices.
-            if ttl - steps >= rem_steps as usize {
-                let total_cost = cost + rem_cost;
-                let total_steps = steps + rem_steps as usize;
-                memo.record_splice(u64::from(rem_steps));
-                memo.record_walked(steps as u64);
-                memo.seed(scratch.entries(), total_cost, total_steps);
-                return SplicedWalk {
-                    result: WalkResult::Delivered,
-                    cost: total_cost,
-                    steps: total_steps,
-                };
+            if ttl - steps >= hit.rem_steps as usize {
+                spliced = Some(hit);
+                break WalkResult::Delivered;
             }
         }
 
@@ -277,24 +276,41 @@ where
             ForwardDecision::Forward(d) => {
                 let physically_ok = graph.dart_tail(d) == at && !failed.contains_dart(d);
                 if !physically_ok {
-                    memo.record_walked(steps as u64);
-                    return SplicedWalk {
-                        result: WalkResult::Dropped(DropReason::ProtocolViolation),
-                        cost,
-                        steps,
-                    };
+                    break WalkResult::Dropped(DropReason::ProtocolViolation);
                 }
+                on_dart(d);
                 cost += u64::from(graph.weight(d.link()));
                 steps += 1;
                 at = graph.dart_head(d);
                 ingress = Some(d);
+                peak_header_bits = peak_header_bits.max(agent.header_bits(&state));
             }
             ForwardDecision::Drop(reason) => {
-                memo.record_walked(steps as u64);
-                return SplicedWalk { result: WalkResult::Dropped(reason), cost, steps };
+                // The decide call may have grown the header (e.g. FCP
+                // learning failures) before concluding it must drop.
+                peak_header_bits = peak_header_bits.max(agent.header_bits(&state));
+                break WalkResult::Dropped(reason);
             }
         }
+    };
+
+    if let Some(memo) = memo {
+        memo.record_walked(steps as u64);
+        let mut fresh = scratch.entries();
+        if let Some(hit) = spliced {
+            memo.record_splice(u64::from(hit.rem_steps));
+            cost += hit.rem_cost;
+            steps += hit.rem_steps as usize;
+            // The trail ends with the triple the memo already holds.
+            fresh = &fresh[..fresh.len() - 1];
+        }
+        // `ingress` is the dart out of the last fresh triple; a walk
+        // that never left `src` has neither.
+        if let (WalkResult::Delivered, Some(last)) = (&result, ingress) {
+            memo.seed(graph, fresh, last, spliced);
+        }
     }
+    Traversal { result, cost, steps, peak_header_bits, spliced }
 }
 
 #[cfg(test)]

@@ -183,8 +183,18 @@ fn serve_control_conn(
     twin: &Arc<Mutex<Twin>>,
     mut log: Option<&mut EventLog>,
 ) -> std::io::Result<bool> {
+    // Replies are one small segment each and the client waits for every
+    // one: Nagle's algorithm would only add its delayed-ACK stall.
+    stream.set_nodelay(true)?;
     let reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
+    // One `write_all` per reply: a reply split over two segments makes
+    // the second wait for the client's delayed ACK of the first.
+    let mut reply = |resp: &Response| {
+        let mut line = protocol::encode(resp);
+        line.push('\n');
+        writer.write_all(line.as_bytes())
+    };
     for line in reader.lines() {
         let line = line?;
         if line.trim().is_empty() {
@@ -200,7 +210,7 @@ fn serve_control_conn(
                         if let Err(message) = log.record(&req) {
                             // An unrecordable event must not be
                             // acknowledged: a restart would lose it.
-                            writeln!(writer, "{}", protocol::encode(&Response::Error { message }))?;
+                            reply(&Response::Error { message })?;
                             continue;
                         }
                     }
@@ -209,9 +219,8 @@ fn serve_control_conn(
                 resp
             }
         };
-        writeln!(writer, "{}", protocol::encode(&resp))?;
+        reply(&resp)?;
         if quit {
-            writer.flush()?;
             return Ok(true);
         }
     }
@@ -297,6 +306,7 @@ impl Client {
             addr.parse().map_err(|e| format!("bad control address {addr:?}: {e}"))?;
         let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(10))
             .map_err(|e| format!("connect {addr}: {e}"))?;
+        stream.set_nodelay(true).map_err(|e| format!("set TCP_NODELAY: {e}"))?;
         let reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
         Ok(Client { reader, writer: stream })
     }

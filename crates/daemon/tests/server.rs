@@ -136,6 +136,35 @@ fn ephemeral_daemon_serves_control_and_metrics() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A reply leaves in one segment on a no-delay socket: with the reply
+/// split in two (`writeln!` on the raw stream) every round trip waited
+/// ~44 ms for the client's delayed ACK, and this loop took ~4.4 s.
+#[test]
+fn a_hundred_round_trips_on_one_connection_take_under_a_second() {
+    let graph = common::abilene();
+    let dir = common::scratch_dir("round-trips");
+    let addr_file = dir.join("daemon.addr");
+    let twin = common::twin(&graph, DemandSpec::gravity(), 1);
+    let config =
+        DaemonConfig { port: 0, metrics_port: 0, addr_file: addr_file.clone(), event_log: None };
+    let handle = std::thread::spawn(move || serve(twin, &config).expect("serve"));
+    let addrs = wait_for_addr_file(&addr_file, Duration::from_secs(30)).expect("daemon up");
+
+    let mut client = Client::connect(&addrs.control).expect("connect");
+    let started = std::time::Instant::now();
+    for i in 0..100 {
+        let resp = client.request(&Request::Snapshot).expect("snapshot");
+        assert!(matches!(resp, Response::State(_)), "request {i}: {resp:?}");
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "100 round trips took {elapsed:?}");
+
+    let resp = client.request(&Request::Shutdown).expect("shutdown");
+    assert!(matches!(resp, Response::Bye), "{resp:?}");
+    handle.join().expect("clean exit");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn fixed_port_conflict_fails_loudly() {
     let graph = common::abilene();

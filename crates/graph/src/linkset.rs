@@ -23,12 +23,26 @@ use crate::{Dart, LinkId};
 /// assert!(!failed.contains(LinkId(4)));
 /// assert_eq!(failed.len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LinkSet {
     /// One bit per link, little-endian within each word.
     words: Vec<u64>,
     /// Total number of links this set is sized for.
     capacity: usize,
+}
+
+impl Clone for LinkSet {
+    fn clone(&self) -> Self {
+        Self { words: self.words.clone(), capacity: self.capacity }
+    }
+
+    /// Reuses `self`'s buffer (a derived `Clone` would allocate a fresh
+    /// one): per-worker scratch state keeps the failed set it was built
+    /// for with `clone_from`, once per scenario.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.capacity = source.capacity;
+    }
 }
 
 impl LinkSet {
@@ -264,6 +278,16 @@ mod tests {
     fn insert_out_of_range_panics() {
         let mut s = LinkSet::empty(4);
         s.insert(LinkId(4));
+    }
+
+    #[test]
+    fn clone_from_copies_members_and_capacity() {
+        let source = LinkSet::from_links(130, [LinkId(0), LinkId(129)]);
+        for mut target in [LinkSet::empty(3), LinkSet::full(500)] {
+            target.clone_from(&source);
+            assert_eq!(target, source);
+            assert_eq!(target.capacity(), 130);
+        }
     }
 
     #[test]

@@ -1,21 +1,32 @@
-//! The batched flow-replay dataplane.
+//! Flow replay: one [`FlowSet`] priced under one failed set.
 //!
-//! [`replay_scenario`] drives a whole [`FlowSet`] through one failure
-//! scenario the way PR 2/4 drive scenario sweeps: all
-//! failure-invariant state (the [`Fib`], the hoisted failure-free
-//! trees) is compiled once by the caller, all per-scenario state (the
-//! survivor tree, the walk scratch, the link-load accumulator) lives
-//! in a reusable [`ReplayScratch`], and the per-flow work is the
-//! [`pr_core::walk_flow_with`] batch walker — one FIB lookup chain for
-//! the (common) unaffected flows, the full agent machinery only for
-//! flows a failure actually touched.
+//! Three functions compute the same [`ScenarioTraffic`], bit for bit
+//! (tests and the determinism suite assert it; flow demands live on a
+//! power-of-two grid, so every sum is exact however it is grouped):
 //!
-//! [`replay_scenario_naive`] is the per-packet reference: one
-//! [`walk_packet`] per flow with a fresh scratch, the way a sweep
-//! would evaluate flows one at a time. Both produce the identical
-//! [`ScenarioTraffic`] for the shortest-path-confluent schemes in this
-//! workspace (asserted by tests and the determinism suite); the
-//! batched path is what the throughput benchmark measures against.
+//! * [`replay_scenario_bitparallel`] — **the dataplane.** `pr traffic`,
+//!   `pr impair` (through [`replay_timeline`](crate::replay_timeline))
+//!   and the daemon twin all run it. Per destination it classifies
+//!   every source with word-parallel set algebra over the staged
+//!   [`DenseFib`], credits the clear flows' link loads in one bottom-up
+//!   pass over the destination tree, and walks only the
+//!   affected-but-connected flows through the agent
+//!   ([`recover_flow_with`]).
+//! * [`replay_scenario_naive`] — **the oracle.** One [`walk_packet`] per
+//!   flow with a fresh scratch and a from-scratch survivor tree per
+//!   destination: nothing shared, nothing staged, nothing to get wrong.
+//! * [`replay_scenario`] — PR 5's per-flow batched path over the flat
+//!   [`Fib`], kept only as the denominator of the CI throughput-ratio
+//!   gates until those become absolute floors (ROADMAP item 2).
+//!
+//! All per-scenario state lives in a reusable [`ReplayScratch`]; all
+//! failure-invariant state (base trees, FIBs, the compiled agent) is
+//! the caller's to hoist. **Nothing in a replay allocates in the steady
+//! state** — recovery walks included: their darts are staged in the
+//! scratch and their shared tails come out of the per-(failed set,
+//! destination) suffix memo (`tests/alloc_free.rs` counts allocator
+//! calls; DESIGN.md, "allocator discipline", has the reason this is a
+//! rule and not a nicety).
 
 use pr_core::{
     recover_flow_with, walk_flow_with, walk_packet, BitScratch, DenseFib, Fib, FlowScratch,
@@ -27,12 +38,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::FlowSet;
 
-/// Reusable per-worker state of the batched replay: the flow-walk
-/// scratch (livelock detector + staged-path buffer), the Dijkstra
-/// arena and survivor tree for per-scenario SPT repair, the u64
-/// classification frontiers of the bit-parallel dataplane, and the
-/// per-link load accumulator. Everything is reset in place — the
-/// steady state allocates nothing per scenario.
+/// Reusable per-worker state of a replay: the flow-walk scratch
+/// (livelock detector, per-unit suffix memo, staged-path buffer), the
+/// u64 classification frontiers and component labels of the
+/// bit-parallel dataplane, the Dijkstra arena and survivor tree the
+/// batched path repairs per destination, and the per-link load
+/// accumulator. Everything is reset in place — the steady state
+/// allocates nothing.
 #[derive(Debug)]
 pub struct ReplayScratch<S> {
     walk: FlowScratch<S>,
@@ -161,19 +173,11 @@ where
     for (dst, group) in flows.by_destination() {
         let base_tree = base.towards(dst);
         live.repair_refresh(base_tree, graph, failed, sp);
+        let mut unit = walk.unit(graph, agent, dst, failed);
         for flow in group {
-            let outcome = walk_flow_with(
-                graph,
-                agent,
-                fib,
-                flow.src,
-                dst,
-                failed,
-                live,
-                ttl,
-                walk,
-                |d: pr_graph::Dart| loads[d.link().index()] += flow.demand,
-            );
+            let outcome = walk_flow_with(&mut unit, fib, live, flow.src, ttl, |d| {
+                loads[d.link().index()] += flow.demand
+            });
             match outcome {
                 FlowWalk::Clear { .. } => tally.record_clear(flow.demand),
                 FlowWalk::Recovered { cost, .. } => {
@@ -260,9 +264,10 @@ fn survivor_components(
 ///    instead of one per *path link* — O(n) per destination instead
 ///    of O(Σ path lengths).
 /// 4. **Fallback.** Affected-but-connected flows walk the full agent
-///    via [`recover_flow_with`] — the identical code path
-///    [`walk_flow_with`] takes after its gate — in ascending source
-///    order.
+///    via [`recover_flow_with`], in ascending source order, as one
+///    [`FlowScratch::unit`] per destination: detours of one unit
+///    converge, so a walk that meets a triple an earlier source
+///    resolved splices the rest and reads its darts off the memo.
 ///
 /// Produces the **bit-identical** [`ScenarioTraffic`] of
 /// [`replay_scenario`] and [`replay_scenario_naive`]: flow demands
@@ -356,14 +361,14 @@ where
         // Phase 4: affected-but-connected flows through the full
         // agent.
         if any_affected {
+            let mut unit = walk.unit(graph, agent, dst, failed);
             for (w, &r) in reach.iter().enumerate() {
                 let fallback = (bit.present[w] & bit.affected[w]) & r;
                 bits::for_each_in_word(fallback, w * 64, |i| {
                     let (src, demand) = (NodeId(i as u32), bit.demand[i]);
-                    let outcome =
-                        recover_flow_with(graph, agent, src, dst, failed, ttl, walk, |d| {
-                            loads[d.link().index()] += demand;
-                        });
+                    let outcome = recover_flow_with(&mut unit, src, ttl, |d| {
+                        loads[d.link().index()] += demand;
+                    });
                     match outcome {
                         FlowWalk::Recovered { cost, .. } => {
                             let optimal = base_tree.cost(src).expect("connected base graph");

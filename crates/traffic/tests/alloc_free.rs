@@ -1,0 +1,118 @@
+//! Replay allocates nothing in the steady state.
+//!
+//! Once a [`ReplayScratch`] has seen a topology's scenarios, replaying
+//! them again must not call the allocator at all — clear flows,
+//! recovery walks and dropped walks alike. This is a correctness rule
+//! of the parallel engine, not a micro-optimisation: a recovery walk
+//! that grows a fresh `Vec` per flow makes every worker thread queue
+//! on one glibc arena lock (DESIGN.md, "allocator discipline").
+//!
+//! The counter is per thread, so the test harness's own threads cannot
+//! disturb it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use pr_core::{generous_ttl, DenseFib, DiscriminatorKind, Fib, PrMode, PrNetwork};
+use pr_embedding::{heuristics, CellularEmbedding, RotationSystem};
+use pr_graph::{AllPairs, LinkSet};
+use pr_scenarios::{ScenarioFamily, SingleLinkFailures};
+use pr_topologies::{Isp, Weighting};
+use pr_traffic::{
+    replay_scenario, replay_scenario_bitparallel, FlowSet, GravityTraffic, ReplayScratch,
+};
+
+thread_local! {
+    /// Allocator calls (alloc, realloc, dealloc) made by this thread.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count() {
+    // A thread that is tearing down has no counter left; nobody reads it.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a
+// const-initialised `Cell` without a destructor, so touching it never
+// allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are passed on unchanged.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count();
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocator calls this thread makes while `f` runs.
+fn calls_during(f: impl FnOnce()) -> u64 {
+    let before = CALLS.with(Cell::get);
+    f();
+    CALLS.with(Cell::get) - before
+}
+
+#[test]
+fn second_pass_over_geant_single_failures_never_calls_the_allocator() {
+    let g = pr_topologies::load(Isp::Geant, Weighting::Distance);
+    let base = AllPairs::compute_all_live(&g);
+    let dense = DenseFib::from_base(&g, &base);
+    let fib = Fib::from_base(&g, &base);
+    let flows = FlowSet::all_pairs(&GravityTraffic::new(&g));
+    let ttl = generous_ttl(&g);
+    let family = SingleLinkFailures::new(&g);
+    let scenarios: Vec<LinkSet> = (0..family.len()).map(|i| family.scenario(i)).collect();
+
+    // A planar embedding (every recovery walk delivers) and the
+    // identity rotation (positive genus: some walks drop).
+    let rotations = [
+        ("planar", heuristics::thorough(&g, 2010, 4, 10_000)),
+        ("identity", RotationSystem::identity(&g)),
+    ];
+    for (label, rotation) in rotations {
+        let embedding = CellularEmbedding::new(&g, rotation).expect("connected");
+        let net = PrNetwork::compile(
+            &g,
+            embedding,
+            PrMode::DistanceDiscriminator,
+            DiscriminatorKind::Hops,
+        );
+        let agent = net.agent(&g);
+        let mut scratch = ReplayScratch::new();
+        let mut recovered = 0.0;
+        let mut pass = |scratch: &mut ReplayScratch<_>| {
+            for failed in &scenarios {
+                let bp = replay_scenario_bitparallel(
+                    &g, &agent, &dense, &base, &flows, failed, ttl, scratch,
+                );
+                let batched =
+                    replay_scenario(&g, &agent, &fib, &base, &flows, failed, ttl, scratch);
+                assert_eq!(bp, batched);
+                recovered += bp.tally.evaluated_delivered;
+            }
+        };
+        pass(&mut scratch); // warm-up: buffers grow to the topology
+        let calls = calls_during(|| pass(&mut scratch));
+        assert!(recovered > 0.0, "{label}: the passes must exercise recovery walks");
+        assert_eq!(calls, 0, "{label}: steady-state replay called the allocator {calls} times");
+    }
+}
