@@ -26,25 +26,102 @@ use std::hash::BuildHasherDefault;
 use pr_core::{DropReason, ForwardDecision, ForwardingAgent, FxHasher64};
 use pr_graph::{AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, SpScratch, SpTree, TreeChildren};
 
+/// Carried failures a header holds without touching the heap. Sweeps
+/// over single and small multi-failure scenarios never carry more, so
+/// cloning a state into a walk's visited-triple trail or a suffix
+/// memo is a fixed-size copy.
+const INLINE_CARRIED: usize = 6;
+
+/// Storage of the carried list: a fixed array until it overflows, a
+/// `Vec` from then on (so any failure count still works).
+#[derive(Clone)]
+enum Carried {
+    Inline { len: u8, links: [LinkId; INLINE_CARRIED] },
+    Spilled(Vec<LinkId>),
+}
+
 /// Per-packet FCP header: the sorted list of link failures the packet
-/// has learnt about.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+/// has learnt about. Equality and hashing are over that list.
 pub struct FcpState {
-    /// Sorted, deduplicated failed-link list (the FCP header payload).
-    pub carried: Vec<LinkId>,
+    carried: Carried,
 }
 
 impl FcpState {
+    /// The sorted, deduplicated failed-link list (the FCP header
+    /// payload).
+    pub fn carried(&self) -> &[LinkId] {
+        match &self.carried {
+            Carried::Inline { len, links } => &links[..usize::from(*len)],
+            Carried::Spilled(links) => links,
+        }
+    }
+
     /// Adds a failure to the carried list, keeping it sorted.
     pub fn learn(&mut self, link: LinkId) {
-        if let Err(pos) = self.carried.binary_search(&link) {
-            self.carried.insert(pos, link);
+        let Err(pos) = self.carried().binary_search(&link) else { return };
+        match &mut self.carried {
+            Carried::Inline { len, links } => {
+                let held = usize::from(*len);
+                if held < INLINE_CARRIED {
+                    links.copy_within(pos..held, pos + 1);
+                    links[pos] = link;
+                    *len += 1;
+                } else {
+                    let mut spilled = Vec::with_capacity(2 * INLINE_CARRIED);
+                    spilled.extend_from_slice(&links[..pos]);
+                    spilled.push(link);
+                    spilled.extend_from_slice(&links[pos..]);
+                    self.carried = Carried::Spilled(spilled);
+                }
+            }
+            Carried::Spilled(links) => links.insert(pos, link),
         }
     }
 
     /// `true` if the packet already carries this failure.
     pub fn knows(&self, link: LinkId) -> bool {
-        self.carried.binary_search(&link).is_ok()
+        self.carried().binary_search(&link).is_ok()
+    }
+}
+
+impl Default for FcpState {
+    fn default() -> FcpState {
+        FcpState { carried: Carried::Inline { len: 0, links: [LinkId(0); INLINE_CARRIED] } }
+    }
+}
+
+impl Clone for FcpState {
+    fn clone(&self) -> FcpState {
+        FcpState { carried: self.carried.clone() }
+    }
+
+    /// Keeps a spilled destination's buffer, so the route cache's
+    /// probe keys stay allocation-free past the inline capacity too.
+    fn clone_from(&mut self, source: &FcpState) {
+        match (&mut self.carried, &source.carried) {
+            (Carried::Spilled(mine), Carried::Spilled(theirs)) => mine.clone_from(theirs),
+            _ => *self = source.clone(),
+        }
+    }
+}
+
+impl PartialEq for FcpState {
+    fn eq(&self, other: &FcpState) -> bool {
+        self.carried() == other.carried()
+    }
+}
+
+impl Eq for FcpState {}
+
+impl std::hash::Hash for FcpState {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.carried().hash(state);
+    }
+}
+
+impl std::fmt::Debug for FcpState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FcpState").field("carried", &self.carried()).finish()
     }
 }
 
@@ -54,8 +131,8 @@ impl FcpState {
 /// FCP's routing function depends *only* on that key, so the memo
 /// changes constants, never decisions: a hit returns the identical
 /// tree a recompute would produce. The probe key and the failure
-/// bitset are reusable buffers (`Vec::clone_from` keeps allocations),
-/// so cache hits allocate nothing; misses fill via incremental repair
+/// bitset are reusable buffers (`clone_from` keeps allocations), so
+/// cache hits allocate nothing; misses fill via incremental repair
 /// from the hoisted base trees (bit-identical to the recompute) using
 /// the cache's private Dijkstra arena.
 /// One memoised routing answer for a `(dest, carried)` key.
@@ -75,7 +152,7 @@ enum Route {
 struct RouteCache {
     /// Memoised routes, in insertion order; `index` maps keys to slots.
     trees: Vec<Route>,
-    index: HashMap<(NodeId, Vec<LinkId>), usize, BuildHasherDefault<FxHasher64>>,
+    index: HashMap<(NodeId, FcpState), usize, BuildHasherDefault<FxHasher64>>,
     /// Lazily built child index per destination's base tree (kept
     /// across scenarios — it depends only on the base map).
     children: Vec<Option<Box<TreeChildren>>>,
@@ -84,11 +161,12 @@ struct RouteCache {
     stack: Vec<NodeId>,
     /// Key of the most recent decision: consecutive hops of one walk
     /// share their `(dest, carried)` key, so this single-entry fast
-    /// path answers them with one short `Vec` compare — no hashing,
+    /// path answers them with one short slice compare — no hashing,
     /// no key clone.
-    last_key: (NodeId, Vec<LinkId>),
+    last_key: (NodeId, FcpState),
     last: Option<usize>,
-    probe: Vec<LinkId>,
+    /// Reusable lookup key for `index`.
+    probe: (NodeId, FcpState),
     /// Reusable `G \ carried` bitset for miss recomputes.
     failed_buf: LinkSet,
     /// Reusable Dijkstra arena for miss recomputes.
@@ -103,9 +181,9 @@ impl Default for RouteCache {
             children: Vec::new(),
             cone: Vec::new(),
             stack: Vec::new(),
-            last_key: (NodeId(0), Vec::new()),
+            last_key: (NodeId(0), FcpState::default()),
             last: None,
-            probe: Vec::new(),
+            probe: (NodeId(0), FcpState::default()),
             failed_buf: LinkSet::empty(0),
             scratch: SpScratch::new(),
         }
@@ -198,7 +276,7 @@ impl<'a> FcpAgent<'a> {
     /// The effective topology the packet routes on: base map minus
     /// carried failures.
     fn effective_failures(&self, state: &FcpState) -> LinkSet {
-        LinkSet::from_links(self.graph.link_count(), state.carried.iter().copied())
+        LinkSet::from_links(self.graph.link_count(), state.carried().iter().copied())
     }
 
     /// The routing decision FCP's shortest-path computation yields at
@@ -209,7 +287,7 @@ impl<'a> FcpAgent<'a> {
             let tree = SpTree::towards(self.graph, dest, &self.effective_failures(state));
             return (tree.next_dart(at), tree.reaches(at));
         };
-        if state.carried.is_empty() {
+        if state.carried().is_empty() {
             if let Some(base) = self.base {
                 let tree = base.towards(dest);
                 return (tree.next_dart(at), tree.reaches(at));
@@ -243,16 +321,15 @@ impl<'a> FcpAgent<'a> {
         // Single-entry fast path: same key as the previous decision
         // (the common case — consecutive hops of one walk).
         if let Some(i) = *last {
-            if last_key.0 == dest && last_key.1 == state.carried {
+            if last_key.0 == dest && last_key.1 == *state {
                 return answer(&trees[i], at);
             }
         }
-        // Keyed lookup without allocating: the probe buffer keeps its
-        // capacity across decisions; a fresh key Vec is cloned only on
-        // a miss.
-        probe.clone_from(&state.carried);
-        let key = (dest, std::mem::take(probe));
-        let slot = match index.get(&key) {
+        // Keyed lookup without allocating: the probe key is a buffer
+        // refilled in place; a fresh key is cloned only on a miss.
+        probe.0 = dest;
+        probe.1.clone_from(state);
+        let slot = match index.get(&*probe) {
             Some(&i) => i,
             None => {
                 if trees.len() >= ROUTE_CACHE_MAX_ENTRIES {
@@ -269,7 +346,7 @@ impl<'a> FcpAgent<'a> {
                 } else {
                     failed_buf.clear();
                 }
-                for &l in &state.carried {
+                for &l in state.carried() {
                     failed_buf.insert(l);
                 }
                 let route = match self.base {
@@ -296,15 +373,14 @@ impl<'a> FcpAgent<'a> {
                     }
                 };
                 trees.push(route);
-                index.insert((key.0, key.1.clone()), trees.len() - 1);
+                index.insert(probe.clone(), trees.len() - 1);
                 trees.len() - 1
             }
         };
         let decision = answer(&trees[slot], at);
         last_key.0 = dest;
-        last_key.1.clone_from(&key.1);
+        last_key.1.clone_from(&probe.1);
         *last = Some(slot);
-        *probe = key.1;
         decision
     }
 }
@@ -354,7 +430,7 @@ impl<'a> ForwardingAgent for FcpAgent<'a> {
     }
 
     fn header_bits(&self, state: &FcpState) -> usize {
-        Self::LENGTH_FIELD_BITS + state.carried.len() * self.link_id_bits
+        Self::LENGTH_FIELD_BITS + state.carried().len() * self.link_id_bits
     }
 }
 
@@ -435,9 +511,40 @@ mod tests {
         s.learn(LinkId(1));
         s.learn(LinkId(5));
         s.learn(LinkId(3));
-        assert_eq!(s.carried, vec![LinkId(1), LinkId(3), LinkId(5)]);
+        assert_eq!(s.carried(), [LinkId(1), LinkId(3), LinkId(5)]);
         assert!(s.knows(LinkId(3)));
         assert!(!s.knows(LinkId(2)));
+
+        // Past the inline capacity the list spills to the heap and
+        // keeps its meaning: order, dedup, equality and hash are over
+        // the list, whichever way it is stored.
+        let mut big = FcpState::default();
+        let mut reference = Vec::new();
+        for i in (0..3 * INLINE_CARRIED as u32).rev() {
+            big.learn(LinkId(2 * i));
+            big.learn(LinkId(2 * i));
+            reference.insert(0, LinkId(2 * i));
+            assert_eq!(big.carried(), reference);
+        }
+        assert!(big.knows(LinkId(4)) && !big.knows(LinkId(5)));
+        let mut copy = FcpState::default();
+        copy.clone_from(&big);
+        assert_eq!(copy, big);
+        copy.clone_from(&s);
+        assert_eq!(copy, s);
+        assert_ne!(copy, big);
+        let hash = |state: &FcpState| {
+            use std::hash::{Hash, Hasher};
+            let mut h = FxHasher64::default();
+            state.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&big), hash(&big.clone()));
+        let mut same = FcpState::default();
+        for &l in big.carried().iter().rev() {
+            same.learn(l);
+        }
+        assert_eq!(hash(&same), hash(&big));
     }
 
     #[test]

@@ -80,8 +80,9 @@ pub fn embedding_ablation(graph: &Graph, seed: u64, threads: usize) -> Vec<Embed
         .collect()
 }
 
-/// Per-unit partial for the PR-DD-only sweeps: stretch samples in
-/// source order plus (evaluated, delivered) counts.
+/// What the PR-DD-only sweeps fold — a block of work units on a
+/// worker, then the whole sweep on the calling thread: stretch samples
+/// in unit order plus (evaluated, delivered) counts.
 #[derive(Debug, Default)]
 struct PrDdPartial {
     stretches: Vec<f64>,
@@ -112,37 +113,39 @@ fn pr_dd_sweep(
             SpTree::placeholder(),
         )
     };
-    let parts: Vec<PrDdPartial> = sweep.run(worker, |(scratch, memo, sp_scratch, live), unit| {
-        live.repair_refresh(unit.base_tree, graph, unit.failed, sp_scratch);
-        let live_tree = &*live;
-        memo.begin_unit();
-        let mut out = PrDdPartial::default();
-        for src in graph.nodes() {
-            if src == unit.dst {
-                continue;
-            }
-            if !unit.base_tree.path_crosses(graph, src, unit.failed) {
-                continue;
-            }
-            if !live_tree.reaches(src) {
-                continue;
-            }
-            out.evaluated += 1;
-            let w =
-                walk_packet_spliced(graph, &agent, src, unit.dst, unit.failed, ttl, scratch, memo);
-            if let WalkResult::Delivered = w.result {
-                out.delivered += 1;
-                out.stretches.push(w.cost as f64 / unit.base_tree.cost(src).unwrap() as f64);
-            }
-        }
-        out
-    });
     let mut merged = PrDdPartial::default();
-    for part in parts {
-        merged.stretches.extend(part.stretches);
-        merged.evaluated += part.evaluated;
-        merged.delivered += part.delivered;
-    }
+    sweep.fold(
+        worker,
+        |_, _| (),
+        |(scratch, memo, sp_scratch, live), unit, out: &mut PrDdPartial| {
+            live.repair_refresh(unit.base_tree, graph, unit.failed, sp_scratch);
+            let live_tree = &*live;
+            memo.begin_unit();
+            for src in graph.nodes() {
+                if src == unit.dst {
+                    continue;
+                }
+                if !unit.base_tree.path_crosses(graph, src, unit.failed) {
+                    continue;
+                }
+                if !live_tree.reaches(src) {
+                    continue;
+                }
+                out.evaluated += 1;
+                let (dst, failed) = (unit.dst, unit.failed);
+                let w = walk_packet_spliced(graph, &agent, src, dst, failed, ttl, scratch, memo);
+                if let WalkResult::Delivered = w.result {
+                    out.delivered += 1;
+                    out.stretches.push(w.cost as f64 / unit.base_tree.cost(src).unwrap() as f64);
+                }
+            }
+        },
+        |_, block| {
+            merged.stretches.extend(block.stretches);
+            merged.evaluated += block.evaluated;
+            merged.delivered += block.delivered;
+        },
+    );
     merged
 }
 
@@ -288,17 +291,18 @@ pub fn genus_delivery(
                 SpTree::placeholder(),
             )
         };
-        let parts: Vec<(u64, u64)> =
-            sweep.run(worker, |(scratch, memo, sp_scratch, live), unit| {
+        sweep.fold(
+            worker,
+            |_, _| (),
+            |(scratch, memo, sp_scratch, live), unit, (evaluated, delivered): &mut (u64, u64)| {
                 live.repair_refresh(unit.base_tree, graph, unit.failed, sp_scratch);
                 let live_tree = &*live;
                 memo.begin_unit();
-                let (mut evaluated, mut delivered) = (0u64, 0u64);
                 for src in graph.nodes() {
                     if src == unit.dst || !live_tree.reaches(src) {
                         continue;
                     }
-                    evaluated += 1;
+                    *evaluated += 1;
                     let walk = walk_packet_spliced(
                         graph,
                         &agent,
@@ -310,15 +314,15 @@ pub fn genus_delivery(
                         memo,
                     );
                     if walk.result.is_delivered() {
-                        delivered += 1;
+                        *delivered += 1;
                     }
                 }
-                (evaluated, delivered)
-            });
-        for (evaluated, delivered) in parts {
-            row.evaluated += evaluated;
-            row.delivered += delivered;
-        }
+            },
+            |_, (evaluated, delivered)| {
+                row.evaluated += evaluated;
+                row.delivered += delivered;
+            },
+        );
     }
     bins.into_values().collect()
 }

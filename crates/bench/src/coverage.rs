@@ -4,9 +4,9 @@
 //!
 //! The sweep itself routes through [`crate::engine`]: one work unit
 //! per (scenario, destination), per-worker walk scratches and FCP
-//! route caches, and a deterministic merge that makes the output
-//! bit-identical to [`run_serial`] at any thread count (enforced by
-//! `tests/determinism.rs`).
+//! route caches, and an ordered block fold of integer counts that
+//! makes the output bit-identical to [`run_serial`] at any thread
+//! count (enforced by `tests/determinism.rs`).
 
 use serde::Serialize;
 
@@ -108,9 +108,9 @@ impl Compiled {
     }
 }
 
-/// Per-(scenario, destination) partial result: `(evaluated, delivered)`
+/// What a block of work units folds into: `(evaluated, delivered)`
 /// per scheme, in [`CoverageRow`] field order.
-type UnitCells = [(u64, u64); 5];
+type BlockCells = [(u64, u64); 5];
 
 /// Per-worker mutable state: the FCP route cache, one walk scratch per
 /// header-state type, and the Dijkstra arena + reusable live tree for
@@ -154,7 +154,8 @@ pub fn run(
     for k in 1..=max_failures {
         let scenarios = scenarios_for(graph, k, samples_per_count, seed);
         let sweep = ScenarioSweep::new(graph, scenarios.as_ref(), &base, threads);
-        let parts: Vec<UnitCells> = sweep.run_with(
+        let mut row = CoverageRow::empty(k);
+        sweep.fold(
             || WorkerState {
                 fcp: FcpAgent::cached_with_base(graph, sweep.base()),
                 pr_scratch: WalkScratch::new(),
@@ -173,7 +174,7 @@ pub fn run(
             // departing scenario — evict instead of growing the map
             // across the sweep.
             |w, _| w.fcp.begin_scenario(),
-            |w, unit| {
+            |w, unit, cells: &mut BlockCells| {
                 w.live.repair_refresh(unit.base_tree, graph, unit.failed, &mut w.sp_scratch);
                 let live_tree = &w.live;
                 w.basic_memo.begin_unit();
@@ -181,7 +182,6 @@ pub fn run(
                 w.fcp_memo.begin_unit();
                 w.lfa_memo.begin_unit();
                 w.notvia_memo.begin_unit();
-                let mut cells: UnitCells = Default::default();
                 for src in graph.nodes() {
                     if src == unit.dst {
                         continue;
@@ -259,18 +259,15 @@ pub fn run(
                         }
                     }
                 }
-                cells
+            },
+            |_, cells| {
+                row.pr_basic.absorb(cells[0]);
+                row.pr_dd.absorb(cells[1]);
+                row.fcp.absorb(cells[2]);
+                row.lfa.absorb(cells[3]);
+                row.notvia.absorb(cells[4]);
             },
         );
-
-        let mut row = CoverageRow::empty(k);
-        for part in parts {
-            row.pr_basic.absorb(part[0]);
-            row.pr_dd.absorb(part[1]);
-            row.fcp.absorb(part[2]);
-            row.lfa.absorb(part[3]);
-            row.notvia.absorb(part[4]);
-        }
         rows.push(row);
     }
     rows

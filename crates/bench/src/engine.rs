@@ -17,10 +17,16 @@
 //!   [`AtomicUsize`] cursor (the container has no crates.io access, so
 //!   no rayon). Each worker owns private scratch state (walk scratches,
 //!   FCP route caches) created by a caller-supplied factory.
-//! * **Deterministic merge** — every unit result is tagged with its
-//!   unit index and merged in index order, so the output is
-//!   bit-identical to the serial scenario-major/destination-minor loop
-//!   regardless of thread count. `tests/determinism.rs` enforces this.
+//! * **Ordered streaming merge** — a worker folds each *block* of
+//!   consecutive destinations of one scenario into one accumulator and
+//!   hands it to the calling thread, which delivers blocks to the
+//!   caller's sink in unit order through a small reorder buffer while
+//!   the pool is still running. Block boundaries depend on the node
+//!   count only, so the output is bit-identical to the serial
+//!   scenario-major/destination-minor loop regardless of thread count
+//!   (`tests/determinism.rs` enforces this), and nothing of size
+//!   O(units) is ever held: memory is the caller's own result plus the
+//!   blocks in flight.
 //!
 //! The engine takes its thread count as an argument. `pr-cli` reads it
 //! from `--threads N` on `stretch`, `sweep`, `traffic`, `impair` and
@@ -31,23 +37,37 @@
 //!
 //! Workers only scale if a work closure leaves the allocator alone in
 //! the steady state: per-worker scratch is reset in place and the
-//! unit's result is the only allocation (DESIGN.md, "allocator
-//! discipline", has the measurement that made this a rule).
+//! block's accumulator is the only allocation (DESIGN.md, "allocator
+//! discipline", has the measurements that made this a rule).
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 use pr_graph::{AllPairs, Graph, LinkSet, NodeId, SpTree};
 use pr_scenarios::ScenarioFamily;
 
 pub use crate::shards::run_shards;
 
-/// Largest number of work units a worker claims per queue
-/// interaction. Units are coarse (a destination's whole source fan
-/// under one scenario), so a small cap keeps the tail balanced while
-/// the atomic traffic stays negligible.
+/// Largest number of queue items (work units, or blocks of a sweep) a
+/// worker claims per queue interaction. Items are coarse (at least a
+/// destination's whole source fan under one scenario), so a small cap
+/// keeps the tail balanced while the atomic traffic stays negligible.
 const MAX_CHUNK: usize = 4;
 
-/// Chunk size for a queue of `count` units over `workers` workers:
+/// Most destinations a sweep folds into one block.
+const MAX_BLOCK_WIDTH: usize = 32;
+
+/// Destinations per block of a sweep on an `n`-node graph. A function
+/// of `n` alone — never of the thread count — so what a block folds
+/// is the same at any parallelism; and at least sixteen blocks per
+/// scenario (while `n` allows), so a one-scenario sweep still fans
+/// out over destinations.
+fn block_width(n: usize) -> usize {
+    (n / 16).clamp(1, MAX_BLOCK_WIDTH)
+}
+
+/// Chunk size for a queue of `count` items over `workers` workers:
 /// capped so small inputs (e.g. three topologies over eight workers)
 /// still spread one unit per worker instead of letting the first
 /// fetch-add swallow the whole queue.
@@ -118,7 +138,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    run_indexed(items.len(), threads, &|| (), &|(), idx| f(idx, &items[idx]))
+    run_units(items.len(), threads, || (), |(), idx| f(idx, &items[idx]))
 }
 
 /// The generic work-unit entry point: runs `work` over unit indices
@@ -126,16 +146,18 @@ where
 /// `init`, with results merged back in unit order (bit-identical to
 /// the serial loop `(0..count).map(...)` at any thread count).
 ///
-/// [`ScenarioSweep`] specialises this to `(scenario × destination)`
-/// link-sweep units; temporal sweeps use it directly with one unit per
-/// timed scenario; any future experiment shape plugs in the same way.
+/// Temporal and traffic sweeps use it with one unit per scenario;
+/// [`ScenarioSweep::fold`] is the form for `(scenario × destination)`
+/// link sweeps, whose units are too many to keep one result each.
 pub fn run_units<W, R, I, F>(count: usize, threads: usize, init: I, work: F) -> Vec<R>
 where
     R: Send,
     I: Fn() -> W + Sync,
     F: Fn(&mut W, usize) -> R + Sync,
 {
-    run_indexed(count, threads, &init, &|w, idx| work(w, idx))
+    let mut out = Vec::with_capacity(count);
+    run_ordered(count, threads, &init, &work, &mut |r| out.push(r));
+    out
 }
 
 /// One unit of sweep work: every source towards `dst` under scenario
@@ -211,102 +233,142 @@ impl<'a> ScenarioSweep<'a> {
         self.family.len() * self.graph.node_count()
     }
 
-    /// Executes the sweep. `init` builds one worker-local state (walk
-    /// scratches, cached agents, …) per worker thread; `work` maps one
-    /// unit to its partial result. Results come back in unit order —
-    /// scenario-major, destination-minor — exactly as the serial
-    /// nested loop would produce them.
-    pub fn run<W, R, I, F>(&self, init: I, work: F) -> Vec<R>
+    /// Executes the sweep as an ordered streaming reduce. `init`
+    /// builds one worker-local state (walk scratches, cached agents,
+    /// …) per worker thread; `work` folds one unit into the
+    /// accumulator of its **block** — a run of consecutive
+    /// destinations of one scenario, as wide as the node count alone
+    /// decides; `sink` receives every finished block with its scenario
+    /// index, on the calling thread, in unit order — scenario-major,
+    /// destination-minor — exactly as the serial nested loop would
+    /// produce them, and while the workers are still running. A
+    /// caller that concatenates or sums what `sink` is handed gets the
+    /// same bits at any thread count; one that drops it holds nothing.
+    ///
+    /// The engine already tracks when a worker's claimed block crosses
+    /// into a new scenario (to rebuild its cached [`LinkSet`]), so
+    /// `on_scenario` fires exactly there — once per (worker, scenario)
+    /// visit, before any of that scenario's units run on the worker.
+    /// This is where per-scenario worker state gets evicted (e.g. the
+    /// FCP route memo, whose live keys are subsets of the current
+    /// scenario — see `FcpAgent::begin_scenario` in pr-baselines).
+    pub fn fold<W, A, I, B, F, S>(&self, init: I, on_scenario: B, work: F, mut sink: S)
     where
-        R: Send,
-        I: Fn() -> W + Sync,
-        F: Fn(&mut W, SweepUnit<'_>) -> R + Sync,
-    {
-        self.run_with(init, |_, _| (), work)
-    }
-
-    /// [`ScenarioSweep::run`] with a scenario-boundary hook: the engine
-    /// already tracks when a worker's claimed unit crosses into a new
-    /// scenario (to rebuild its cached [`LinkSet`]), so `on_scenario`
-    /// fires exactly there — once per (worker, scenario) visit, before
-    /// any of that scenario's units run on the worker. This is where
-    /// per-scenario worker state gets evicted (e.g. the FCP route
-    /// memo, whose live keys are subsets of the current scenario — see
-    /// `FcpAgent::begin_scenario` in pr-baselines).
-    pub fn run_with<W, R, I, B, F>(&self, init: I, on_scenario: B, work: F) -> Vec<R>
-    where
-        R: Send,
+        A: Default + Send,
         I: Fn() -> W + Sync,
         B: Fn(&mut W, usize) + Sync,
-        F: Fn(&mut W, SweepUnit<'_>) -> R + Sync,
+        F: Fn(&mut W, SweepUnit<'_>, &mut A) + Sync,
+        S: FnMut(usize, A),
     {
         let n = self.graph.node_count();
+        let width = block_width(n);
+        let blocks_per_scenario = n.div_ceil(width);
         // Worker state = caller state + the worker's current scenario
-        // (rebuilt only when the claimed unit crosses a scenario
+        // (rebuilt only when the claimed block crosses a scenario
         // boundary).
         let worker_init = || (init(), usize::MAX, LinkSet::empty(self.family.link_capacity()));
-        run_indexed(self.unit_count(), self.threads, &worker_init, &|state, idx| {
-            let (w, cached_scenario, failed) = state;
-            let (scenario, dst) = (idx / n, NodeId((idx % n) as u32));
-            if *cached_scenario != scenario {
-                *failed = self.family.scenario(scenario);
-                *cached_scenario = scenario;
-                on_scenario(w, scenario);
-            }
-            work(w, SweepUnit { scenario, failed, dst, base_tree: self.base.towards(dst) })
-        })
+        run_ordered(
+            self.family.len() * blocks_per_scenario,
+            self.threads,
+            &worker_init,
+            &|state, block| {
+                let (w, cached_scenario, failed) = state;
+                let scenario = block / blocks_per_scenario;
+                if *cached_scenario != scenario {
+                    *failed = self.family.scenario(scenario);
+                    *cached_scenario = scenario;
+                    on_scenario(w, scenario);
+                }
+                let first = (block % blocks_per_scenario) * width;
+                let mut acc = A::default();
+                for dst in first..(first + width).min(n) {
+                    let dst = NodeId(dst as u32);
+                    let base_tree = self.base.towards(dst);
+                    work(w, SweepUnit { scenario, failed, dst, base_tree }, &mut acc);
+                }
+                (scenario, acc)
+            },
+            &mut |(scenario, acc)| sink(scenario, acc),
+        );
     }
 }
 
-/// The shared work-queue core: `count` indices, `threads` workers with
-/// private `init()` state, results merged back in index order.
-fn run_indexed<W, R>(
+/// The worker-pool core, an ordered streaming reduce: `work` runs over
+/// indices `0..count` on `threads` workers with private `init()`
+/// state, and `sink` receives every result on the calling thread, in
+/// index order, while the pool is still running. One worker is the
+/// plain inline loop: no thread, no channel.
+///
+/// Workers claim contiguous chunks off an atomic cursor and send each
+/// finished chunk to the calling thread, which parks out-of-order
+/// chunks in a reorder buffer until their turn. The buffer holds what
+/// the workers have run ahead of the slowest outstanding chunk — a few
+/// chunks when items cost alike; at worst (the first item outlasts all
+/// the others) every other result, which is what collecting them all
+/// before merging always held.
+fn run_ordered<W, R>(
     count: usize,
     threads: usize,
     init: &(dyn Fn() -> W + Sync),
     work: &(dyn Fn(&mut W, usize) -> R + Sync),
-) -> Vec<R>
-where
+    sink: &mut dyn FnMut(R),
+) where
     R: Send,
 {
     let workers = threads.max(1).min(count.max(1));
     if workers <= 1 {
         let mut w = init();
-        return (0..count).map(|idx| work(&mut w, idx)).collect();
+        for idx in 0..count {
+            sink(work(&mut w, idx));
+        }
+        return;
     }
 
     let cursor = AtomicUsize::new(0);
     let chunk = chunk_size(count, workers);
-    let mut tagged: Vec<(usize, R)> = Vec::with_capacity(count);
+    let (done, finished) = mpsc::channel::<(usize, Vec<R>)>();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|| {
+                let done = done.clone();
+                let cursor = &cursor;
+                scope.spawn(move || {
                     let mut local = init();
-                    let mut out = Vec::new();
                     loop {
                         let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                         if start >= count {
                             break;
                         }
-                        for idx in start..(start + chunk).min(count) {
-                            out.push((idx, work(&mut local, idx)));
+                        let results: Vec<R> = (start..(start + chunk).min(count))
+                            .map(|idx| work(&mut local, idx))
+                            .collect();
+                        if done.send((start, results)).is_err() {
+                            break; // the merging thread is unwinding
                         }
                     }
-                    out
                 })
             })
             .collect();
-        for handle in handles {
-            tagged.extend(handle.join().expect("sweep worker panicked"));
-        }
-    });
+        drop(done);
 
-    // Deterministic merge: unit order, independent of which worker ran
-    // what. Indices are distinct by construction, so the sort is total.
-    tagged.sort_unstable_by_key(|&(idx, _)| idx);
-    debug_assert!(tagged.iter().enumerate().all(|(pos, &(idx, _))| pos == idx));
-    tagged.into_iter().map(|(_, r)| r).collect()
+        // Deterministic merge: index order, independent of which
+        // worker ran what. The loop ends when every worker has dropped
+        // its sender — normally or by unwinding, so a panicking unit
+        // cannot hang it.
+        let mut parked: BTreeMap<usize, Vec<R>> = BTreeMap::new();
+        let mut next = 0;
+        for (start, results) in finished {
+            parked.insert(start, results);
+            while let Some(results) = parked.remove(&next) {
+                next += results.len();
+                results.into_iter().for_each(&mut *sink);
+            }
+        }
+        for handle in handles {
+            handle.join().expect("sweep worker panicked");
+        }
+        debug_assert_eq!(next, count, "every chunk was delivered");
+    });
 }
 
 #[cfg(test)]
@@ -330,6 +392,24 @@ mod tests {
         assert_eq!(parallel_map(&[7u32], 4, |_, &x| x + 1), vec![8]);
     }
 
+    /// One result per unit, in sink order: what the sweeps' callers
+    /// fold away, kept here to observe the order.
+    fn per_unit<W, R: Send>(
+        sweep: &ScenarioSweep<'_>,
+        init: impl Fn() -> W + Sync,
+        on_scenario: impl Fn(&mut W, usize) + Sync,
+        work: impl Fn(&mut W, SweepUnit<'_>) -> R + Sync,
+    ) -> Vec<R> {
+        let mut out = Vec::new();
+        sweep.fold(
+            init,
+            on_scenario,
+            |w, unit, block: &mut Vec<R>| block.push(work(w, unit)),
+            |_, block| out.extend(block),
+        );
+        out
+    }
+
     #[test]
     fn sweep_enumerates_units_in_scenario_major_order() {
         let g = generators::ring(5, 1);
@@ -342,7 +422,7 @@ mod tests {
         for threads in [1, 2, 4] {
             let sweep = ScenarioSweep::new(&g, &scenarios, &base, threads);
             assert_eq!(sweep.unit_count(), expected.len());
-            let got = sweep.run(|| (), |_, u| (u.scenario, u.dst.0));
+            let got = per_unit(&sweep, || (), |_, _| (), |_, u| (u.scenario, u.dst.0));
             assert_eq!(got, expected, "threads={threads}");
         }
     }
@@ -353,7 +433,7 @@ mod tests {
         let base = AllPairs::compute_all_live(&g);
         let scenarios = vec![LinkSet::empty(g.link_count())];
         let sweep = ScenarioSweep::new(&g, &scenarios, &base, 2);
-        let costs = sweep.run(|| (), |_, u| u.base_tree.cost(NodeId(0)));
+        let costs = per_unit(&sweep, || (), |_, _| (), |_, u| u.base_tree.cost(NodeId(0)));
         for (dst, cost) in costs.into_iter().enumerate() {
             assert_eq!(cost, base.towards(NodeId(dst as u32)).cost(NodeId(0)));
         }
@@ -370,13 +450,16 @@ mod tests {
         let base = AllPairs::compute_all_live(&g);
         let scenarios = vec![LinkSet::empty(g.link_count()); 9];
         let sweep = ScenarioSweep::new(&g, &scenarios, &base, 3);
-        let per_unit: Vec<usize> = sweep.run(
+        let per_unit: Vec<usize> = per_unit(
+            &sweep,
             || 0usize,
+            |_, _| (),
             |seen, _| {
                 *seen += 1;
                 *seen
             },
         );
+        assert_eq!(per_unit.len(), sweep.unit_count());
         // Every worker's local counter starts at 1 and never exceeds
         // the unit total.
         assert!(per_unit.iter().all(|&c| c >= 1 && c <= sweep.unit_count()));
@@ -390,7 +473,8 @@ mod tests {
         // Serial worker: contiguous units, so the hook must fire
         // exactly once per scenario, before that scenario's units.
         let sweep = ScenarioSweep::new(&g, &scenarios, &base, 1);
-        let log = sweep.run_with(
+        let log = per_unit(
+            &sweep,
             Vec::new,
             |seen: &mut Vec<usize>, s| seen.push(s),
             |seen, u| (seen.clone(), u.scenario),
@@ -405,7 +489,8 @@ mod tests {
         // of a scenario it claims; unit order is still deterministic.
         for threads in [2, 4] {
             let sweep = ScenarioSweep::new(&g, &scenarios, &base, threads);
-            let got = sweep.run_with(
+            let got = per_unit(
+                &sweep,
                 || None,
                 |current: &mut Option<usize>, s| *current = Some(s),
                 |current, u| (*current, u.scenario),
@@ -414,6 +499,133 @@ mod tests {
             for (seen, scenario) in got {
                 assert_eq!(seen, Some(scenario), "{threads} threads");
             }
+        }
+    }
+
+    /// Thread counts the ordering tests run at: the inline loop, even
+    /// and odd pools, and more workers than this machine has cores.
+    const POOLS: [usize; 5] = [1, 2, 3, 4, 7];
+
+    #[test]
+    fn results_arrive_in_order_when_the_earliest_chunks_finish_last() {
+        // The adversarial schedule, forced rather than slept for: the
+        // first `workers - 1` chunks each hold their worker until every
+        // later unit has completed, so they finish in reverse order and
+        // the one free worker runs the whole rest of the queue ahead of
+        // them. That is also the reorder buffer's worst case: every
+        // result but the first chunk's is parked when the sink first
+        // runs.
+        const COUNT: usize = 203;
+        for threads in POOLS {
+            let workers = threads.min(COUNT);
+            let chunk = chunk_size(COUNT, workers);
+            let completed = AtomicUsize::new(0);
+            let caller = std::thread::current().id();
+            let mut seen = Vec::new();
+            run_ordered(
+                COUNT,
+                threads,
+                &|| (),
+                &|(), idx| {
+                    if workers > 1 && idx % chunk == 0 && idx / chunk < workers - 1 {
+                        let later = COUNT - (idx / chunk + 1) * chunk;
+                        while completed.load(Ordering::SeqCst) < later {
+                            std::thread::yield_now();
+                        }
+                    }
+                    completed.fetch_add(1, Ordering::SeqCst);
+                    idx
+                },
+                &mut |idx| {
+                    assert_eq!(std::thread::current().id(), caller, "sink left the caller");
+                    if workers > 1 && seen.is_empty() {
+                        let parked = completed.load(Ordering::SeqCst) - chunk;
+                        assert!(parked >= COUNT - workers * chunk, "{threads} threads");
+                        assert!(parked < COUNT, "never more than one result per unit");
+                    }
+                    seen.push(idx);
+                },
+            );
+            assert_eq!(seen, (0..COUNT).collect::<Vec<_>>(), "{threads} threads");
+            assert_eq!(run_units(COUNT, threads, || (), |(), idx| idx), seen);
+        }
+    }
+
+    #[test]
+    fn blocks_reach_the_sink_once_in_order_and_never_straddle_a_scenario() {
+        // 37 nodes: blocks of 2 destinations, the last of each scenario
+        // a single one.
+        let g = generators::ring(37, 1);
+        let n = g.node_count();
+        let width = block_width(n);
+        assert_ne!(n % width, 0, "the tail block must be short");
+        let base = AllPairs::compute_all_live(&g);
+        let one = vec![LinkSet::empty(g.link_count())];
+        let five = vec![LinkSet::empty(g.link_count()); 5];
+        let caller = std::thread::current().id();
+        for scenarios in [&one, &five] {
+            for threads in POOLS {
+                let sweep = ScenarioSweep::new(&g, scenarios, &base, threads);
+                let mut blocks = 0;
+                let mut next = 0;
+                sweep.fold(
+                    || (),
+                    |_, _| (),
+                    |_, unit, block: &mut Vec<(usize, usize)>| {
+                        block.push((unit.scenario, unit.dst.index()))
+                    },
+                    |scenario, block| {
+                        assert_eq!(std::thread::current().id(), caller, "sink left the caller");
+                        assert!(!block.is_empty() && block.len() <= width);
+                        for unit in block {
+                            assert_eq!(unit, (scenario, next % n), "{threads} threads");
+                            assert_eq!(next / n, scenario, "block straddles a scenario");
+                            next += 1;
+                        }
+                        blocks += 1;
+                    },
+                );
+                assert_eq!(next, sweep.unit_count(), "{threads} threads");
+                // Also with one scenario (the daemon's `query stretch`)
+                // the queue holds enough blocks to occupy every worker.
+                assert_eq!(blocks, scenarios.len() * n.div_ceil(width));
+                assert!(blocks >= 7);
+            }
+        }
+    }
+
+    #[test]
+    fn block_width_depends_on_the_node_count_alone() {
+        assert_eq!(block_width(0), 1);
+        assert_eq!(block_width(11), 1);
+        assert_eq!(block_width(34), 2);
+        assert_eq!(block_width(500), 31);
+        assert_eq!(block_width(512), MAX_BLOCK_WIDTH);
+        assert_eq!(block_width(100_000), MAX_BLOCK_WIDTH);
+        // At least sixteen blocks per scenario once there are sixteen
+        // destinations to split.
+        for n in 16..2_000usize {
+            assert!(n.div_ceil(block_width(n)) >= 16, "n={n}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_unit_surfaces_and_does_not_hang_the_merge() {
+        for threads in [2, 3, 7] {
+            let outcome = std::panic::catch_unwind(|| {
+                run_units(
+                    64,
+                    threads,
+                    || (),
+                    |(), idx| {
+                        assert_ne!(idx, 5, "unit 5 fails");
+                        idx
+                    },
+                )
+            });
+            let payload = outcome.expect_err("the unit's panic must reach the caller");
+            let message = payload.downcast_ref::<String>().expect("an `expect` message");
+            assert!(message.contains("sweep worker panicked"), "{message}");
         }
     }
 

@@ -7,22 +7,26 @@
 //! failure-free shortest-path cost (§6). Per panel and scheme, the
 //! paper plots the complementary CDF `P(stretch > x | path)`.
 //!
-//! The sweep routes through [`crate::engine`]; partial samples are
-//! concatenated in work-unit order, so [`run`] is bit-identical to
-//! [`run_serial`] at any thread count (enforced by
-//! `tests/determinism.rs`).
+//! The sweep routes through [`crate::engine`]'s ordered block fold:
+//! workers fold blocks of consecutive destinations into
+//! [`StretchBlock`]s, which reach the calling thread in work-unit
+//! order while the pool runs. [`run_with_stats`] appends them straight
+//! into the panel, so [`run`] is bit-identical to [`run_serial`] at
+//! any thread count (enforced by `tests/determinism.rs`) and holds
+//! nothing but the panel and the blocks in flight; [`run_rows`] folds
+//! each scenario's blocks into its [`ScenarioRow`] and drops them.
 
 use serde::{Deserialize, Serialize};
 
 use pr_baselines::FcpAgent;
 use pr_core::{
-    generous_ttl, walk_packet, walk_packet_spliced, walk_packet_with, MemoStats, PrNetwork,
-    SuffixMemo, WalkResult, WalkScratch,
+    generous_ttl, walk_packet, walk_packet_spliced, walk_packet_with, ForwardingAgent, MemoStats,
+    PrAgent, PrNetwork, SuffixMemo, WalkResult, WalkScratch,
 };
 use pr_graph::{AllPairs, Graph, NodeId, RepairStats, SpScratch, SpTree, TreeChildren};
 use pr_scenarios::{ScenarioFamily, ScenarioIter};
 
-use crate::engine::ScenarioSweep;
+use crate::engine::{ScenarioSweep, SweepUnit};
 
 /// Scheme identifiers used in experiment output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -86,10 +90,14 @@ impl StretchSamples {
 
     /// Appends another partial result (work-unit order must be
     /// preserved by the caller for bit-identical output).
-    fn absorb(&mut self, part: StretchSamples) {
-        self.reconvergence.extend(part.reconvergence);
-        self.fcp.extend(part.fcp);
-        self.packet_recycling.extend(part.packet_recycling);
+    fn absorb(&mut self, part: &StretchSamples) {
+        // `extend_from_slice` reserves before it copies, and `Vec`
+        // reserves geometrically: the panel grows by a handful of
+        // large reallocations the allocator serves by remapping pages,
+        // not by one copy per block.
+        self.reconvergence.extend_from_slice(&part.reconvergence);
+        self.fcp.extend_from_slice(&part.fcp);
+        self.packet_recycling.extend_from_slice(&part.packet_recycling);
         self.disconnected_pairs += part.disconnected_pairs;
         self.evaluated_pairs += part.evaluated_pairs;
         self.undelivered += part.undelivered;
@@ -122,26 +130,10 @@ pub fn run(
     run_with_stats(graph, pr, family, threads).0
 }
 
-/// Per-worker mutable state of the stretch sweep.
-struct StretchWorker<'a> {
-    fcp: FcpAgent<'a>,
-    fcp_scratch: WalkScratch<pr_baselines::FcpState>,
-    pr_scratch: WalkScratch<pr_core::PrHeader>,
-    sp_scratch: SpScratch,
-    /// Delivered-suffix memos (FCP, PR), evicted at every unit
-    /// boundary and reused across units like `sp_scratch`. `None`
-    /// walks every source in full — the unmemoized reference path.
-    memos: Option<(SuffixMemo<pr_baselines::FcpState>, SuffixMemo<pr_core::PrHeader>)>,
-    /// Affected-source buffer of the current unit, ascending node id.
-    cone: Vec<NodeId>,
-    /// DFS stack for the cone enumeration.
-    stack: Vec<NodeId>,
-}
-
 /// Auxiliary statistics of one stretch sweep: live-tree incremental
-/// repair counters plus walk-memo counters (FCP and PR memos summed),
-/// merged over work units in unit order so totals are thread-count
-/// invariant. This is what `pr sweep --stats` prints.
+/// repair counters plus walk-memo counters (FCP and PR memos summed).
+/// Integer counters, so totals are thread-count invariant. This is
+/// what `pr sweep --stats` prints.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SweepStats {
     /// Shortest-path-tree repair counters.
@@ -169,166 +161,211 @@ pub fn run_with_stats(
     family: &dyn ScenarioFamily,
     threads: usize,
 ) -> (StretchSamples, SweepStats) {
-    let parts = sweep_parts(graph, pr, family, threads, true);
     let mut out = StretchSamples::default();
     let mut stats = SweepStats::default();
-    for (part, part_stats) in parts {
-        out.absorb(part);
-        stats.merge(&part_stats);
-    }
+    StretchPlan::new(graph, pr).fold(family, threads, true, |_, block| {
+        out.absorb(&block.samples);
+        stats.merge(&block.stats);
+    });
     (out, stats)
 }
 
-/// The engine-parallel sweep, returning one partial result per
-/// (scenario × destination) work unit in unit order. [`run_with_stats`]
-/// folds the units into one panel; [`run_rows`] folds them into
-/// per-scenario aggregates for sharded checkpointing. `memoized`
-/// toggles suffix splicing; both settings produce bit-identical
-/// samples (enforced by `tests/determinism.rs` and the memo proptest).
-fn sweep_parts(
-    graph: &Graph,
-    pr: &PrNetwork,
-    family: &dyn ScenarioFamily,
-    threads: usize,
-    memoized: bool,
-) -> Vec<(StretchSamples, SweepStats)> {
-    let base = AllPairs::compute_all_live(graph);
-    // Child index per destination tree, built once: lets every unit
-    // enumerate its affected sources (the subtrees below failed tree
-    // edges) in O(cone) instead of classifying all n nodes.
-    let children: Vec<TreeChildren> =
-        graph.nodes().map(|d| TreeChildren::build(graph, base.towards(d))).collect();
-    let pr_agent = pr.agent(graph);
-    let ttl = generous_ttl(graph);
+/// What a worker folds one block of the sweep's work units into: the
+/// units' samples in unit order, their summed statistics, and the
+/// scenario's failure count.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct StretchBlock {
+    /// Samples and conditioning counts of the block's units.
+    pub samples: StretchSamples,
+    /// Repair and memo counters of the block's units.
+    pub stats: SweepStats,
+    /// Links the block's scenario fails.
+    pub failures: usize,
+}
 
-    let sweep = ScenarioSweep::new(graph, family, &base, threads);
-    sweep.run_with(
-        || StretchWorker {
-            fcp: FcpAgent::cached_with_base(graph, sweep.base()),
+/// The failure-invariant state of one stretch sweep, hoisted out of
+/// every loop level: the failure-free trees, a child index per
+/// destination tree (lets every unit enumerate its affected sources —
+/// the subtrees below failed tree edges — in O(cone) instead of
+/// classifying all n nodes), the compiled PR agent and the TTL.
+pub struct StretchPlan<'a> {
+    graph: &'a Graph,
+    base: AllPairs,
+    children: Vec<TreeChildren>,
+    pr_agent: PrAgent<'a>,
+    ttl: usize,
+}
+
+impl<'a> StretchPlan<'a> {
+    /// Hoists the sweep's failure-invariant state.
+    pub fn new(graph: &'a Graph, pr: &'a PrNetwork) -> StretchPlan<'a> {
+        let base = AllPairs::compute_all_live(graph);
+        let children = graph.nodes().map(|d| TreeChildren::build(graph, base.towards(d))).collect();
+        StretchPlan { graph, base, children, pr_agent: pr.agent(graph), ttl: generous_ttl(graph) }
+    }
+
+    /// The hoisted failure-free trees.
+    pub fn base(&self) -> &AllPairs {
+        &self.base
+    }
+
+    /// One worker's private state. `memoized` toggles suffix splicing;
+    /// both settings produce bit-identical samples (enforced by
+    /// `tests/determinism.rs` and the memo proptest).
+    pub fn worker(&self, memoized: bool) -> StretchWorker<'_> {
+        StretchWorker {
+            plan: self,
+            fcp: FcpAgent::cached_with_base(self.graph, &self.base),
             fcp_scratch: WalkScratch::new(),
             pr_scratch: WalkScratch::new(),
             sp_scratch: SpScratch::new(),
             memos: memoized.then(|| (SuffixMemo::new(), SuffixMemo::new())),
             cone: Vec::new(),
             stack: Vec::new(),
-        },
-        // Scenario boundary: evict the FCP route memo (its keys are
-        // subsets of the departing scenario's failures).
-        |w, _| w.fcp.begin_scenario(),
-        |w, unit| {
-            let StretchWorker { fcp, fcp_scratch, pr_scratch, sp_scratch, memos, cone, stack } = w;
-            let mut out = StretchSamples::default();
-            // The affected sources, ascending — same set and order as
-            // filtering `graph.nodes()` through `path_crosses`. An
-            // empty cone means no base path towards `dst` crosses a
-            // failure and the unit contributes nothing.
-            unit.base_tree.affected_cone(
-                graph,
-                &children[unit.dst.index()],
-                unit.failed,
-                cone,
-                stack,
-            );
-            if cone.is_empty() {
-                return (out, SweepStats::default());
-            }
-            // Repair only the cone's distance labels: everything the
-            // samples below read (the destination is never in the
-            // cone — it is the tree root).
-            unit.base_tree.repair_cone_labels(graph, unit.failed, cone, sp_scratch);
-            // The debug-build cross-check against the reconvergence
-            // agent's own tables (see `run_serial`) is per scenario
-            // there; here it would recompute per unit, so it lives in
-            // the serial reference only.
-            if let Some((fcp_memo, pr_memo)) = memos {
-                // Memoized path: suffixes are unit-scoped, so evict
-                // before the first walk of this (failed, dst) unit.
+        }
+    }
+
+    /// The engine-parallel sweep: every block of `family`'s work units
+    /// reaches `sink` with its scenario index, in unit order.
+    fn fold(
+        &self,
+        family: &dyn ScenarioFamily,
+        threads: usize,
+        memoized: bool,
+        sink: impl FnMut(usize, StretchBlock),
+    ) {
+        ScenarioSweep::new(self.graph, family, &self.base, threads).fold(
+            || self.worker(memoized),
+            |w, _| w.begin_scenario(),
+            |w, unit, block| w.fold_unit(unit, block),
+            sink,
+        );
+    }
+}
+
+/// Per-worker mutable state of the stretch sweep, reused across every
+/// unit the worker runs.
+pub struct StretchWorker<'a> {
+    plan: &'a StretchPlan<'a>,
+    fcp: FcpAgent<'a>,
+    fcp_scratch: WalkScratch<pr_baselines::FcpState>,
+    pr_scratch: WalkScratch<pr_core::PrHeader>,
+    sp_scratch: SpScratch,
+    /// Delivered-suffix memos (FCP, PR), evicted at every unit
+    /// boundary and reused across units like `sp_scratch`. `None`
+    /// walks every source in full — the unmemoized reference path.
+    memos: Option<(SuffixMemo<pr_baselines::FcpState>, SuffixMemo<pr_core::PrHeader>)>,
+    /// Affected-source buffer of the current unit, ascending node id.
+    cone: Vec<NodeId>,
+    /// DFS stack for the cone enumeration.
+    stack: Vec<NodeId>,
+}
+
+impl StretchWorker<'_> {
+    /// Scenario boundary: evicts the FCP route memo (its keys are
+    /// subsets of the departing scenario's failures).
+    pub fn begin_scenario(&self) {
+        self.fcp.begin_scenario();
+    }
+
+    /// Folds one (scenario, destination) unit — every affected source
+    /// towards `unit.dst` — into `out`, samples in ascending source
+    /// order. Once the worker's buffers have grown to the topology and
+    /// `out` has the room, this does not call the allocator
+    /// (`tests/alloc_sweep.rs`).
+    pub fn fold_unit(&mut self, unit: SweepUnit<'_>, out: &mut StretchBlock) {
+        let StretchWorker { plan, fcp, fcp_scratch, pr_scratch, sp_scratch, memos, cone, stack } =
+            self;
+        let (graph, ttl) = (plan.graph, plan.ttl);
+        out.failures = unit.failed.len();
+        // The affected sources, ascending — same set and order as
+        // filtering `graph.nodes()` through `path_crosses`. An empty
+        // cone means no base path towards `dst` crosses a failure and
+        // the unit contributes nothing.
+        let children = &plan.children[unit.dst.index()];
+        unit.base_tree.affected_cone(graph, children, unit.failed, cone, stack);
+        if cone.is_empty() {
+            return;
+        }
+        // Repair only the cone's distance labels: everything the
+        // samples below read (the destination is never in the cone —
+        // it is the tree root). The debug-build cross-check against
+        // the reconvergence agent's own tables is per scenario in
+        // `run_serial`; here it would recompute per unit, so it lives
+        // in the serial reference only.
+        unit.base_tree.repair_cone_labels(graph, unit.failed, cone, sp_scratch);
+        // Suffixes are unit-scoped, so evict before the first walk of
+        // this (failed, dst) unit.
+        let (mut fcp_memo, mut pr_memo) = match memos {
+            Some((fcp_memo, pr_memo)) => {
                 fcp_memo.begin_unit();
                 pr_memo.begin_unit();
-                for &src in cone.iter() {
-                    debug_assert_ne!(src, unit.dst, "tree root cannot be below a tree edge");
-                    let Some(reconv_cost) = sp_scratch.cone_cost(src) else {
-                        out.disconnected_pairs += 1;
-                        continue;
-                    };
-                    out.evaluated_pairs += 1;
-                    let optimal = unit.base_tree.cost(src).expect("connected");
-
-                    // Reconvergence: the survivor shortest path, by
-                    // definition — no need to walk it.
-                    out.reconvergence.push(reconv_cost as f64 / optimal as f64);
-
-                    // FCP: walk with incremental failure discovery.
-                    let w = walk_packet_spliced(
-                        graph,
-                        fcp,
-                        src,
-                        unit.dst,
-                        unit.failed,
-                        ttl,
-                        fcp_scratch,
-                        fcp_memo,
-                    );
-                    if w.result.is_delivered() {
-                        out.fcp.push(w.cost as f64 / optimal as f64);
-                    } else {
-                        out.drop_fcp();
-                    }
-
-                    // PR: cycle following.
-                    let w = walk_packet_spliced(
-                        graph,
-                        &pr_agent,
-                        src,
-                        unit.dst,
-                        unit.failed,
-                        ttl,
-                        pr_scratch,
-                        pr_memo,
-                    );
-                    match w.result {
-                        WalkResult::Delivered => {
-                            out.packet_recycling.push(w.cost as f64 / optimal as f64)
-                        }
-                        WalkResult::Dropped(_) => out.drop_pr(),
-                    }
-                }
-                let mut memo_stats = fcp_memo.take_stats();
-                memo_stats.merge(&pr_memo.take_stats());
-                return (out, SweepStats { repair: sp_scratch.take_stats(), memo: memo_stats });
+                (Some(fcp_memo), Some(pr_memo))
             }
-            // Plain path: identical walks without splicing — the
-            // reference the determinism tests compare against.
-            for &src in cone.iter() {
-                debug_assert_ne!(src, unit.dst, "tree root cannot be below a tree edge");
-                let Some(reconv_cost) = sp_scratch.cone_cost(src) else {
-                    out.disconnected_pairs += 1;
-                    continue;
-                };
-                out.evaluated_pairs += 1;
-                let optimal = unit.base_tree.cost(src).expect("connected");
+            None => (None, None),
+        };
+        let samples = &mut out.samples;
+        for &src in cone.iter() {
+            debug_assert_ne!(src, unit.dst, "tree root cannot be below a tree edge");
+            let Some(reconv_cost) = sp_scratch.cone_cost(src) else {
+                samples.disconnected_pairs += 1;
+                continue;
+            };
+            samples.evaluated_pairs += 1;
+            let optimal = unit.base_tree.cost(src).expect("connected");
 
-                out.reconvergence.push(reconv_cost as f64 / optimal as f64);
+            // Reconvergence: the survivor shortest path, by
+            // definition — no need to walk it.
+            samples.reconvergence.push(reconv_cost as f64 / optimal as f64);
 
-                match walk_packet_with(graph, fcp, src, unit.dst, unit.failed, ttl, fcp_scratch) {
-                    w if w.result.is_delivered() => {
-                        out.fcp.push(w.cost(graph) as f64 / optimal as f64)
-                    }
-                    _ => out.drop_fcp(),
-                }
-
-                let w =
-                    walk_packet_with(graph, &pr_agent, src, unit.dst, unit.failed, ttl, pr_scratch);
-                match w.result {
-                    WalkResult::Delivered => {
-                        out.packet_recycling.push(w.cost(graph) as f64 / optimal as f64)
-                    }
-                    WalkResult::Dropped(_) => out.drop_pr(),
-                }
+            // FCP: walk with incremental failure discovery.
+            let fcp_memo = fcp_memo.as_deref_mut();
+            match delivered_cost(graph, &*fcp, src, &unit, ttl, fcp_scratch, fcp_memo) {
+                Some(cost) => samples.fcp.push(cost as f64 / optimal as f64),
+                None => samples.drop_fcp(),
             }
-            (out, SweepStats { repair: sp_scratch.take_stats(), memo: MemoStats::default() })
-        },
-    )
+
+            // PR: cycle following.
+            let pr_memo = pr_memo.as_deref_mut();
+            match delivered_cost(graph, &plan.pr_agent, src, &unit, ttl, pr_scratch, pr_memo) {
+                Some(cost) => samples.packet_recycling.push(cost as f64 / optimal as f64),
+                None => samples.drop_pr(),
+            }
+        }
+        out.stats.repair.merge(&sp_scratch.take_stats());
+        if let Some((fcp_memo, pr_memo)) = memos {
+            out.stats.memo.merge(&fcp_memo.take_stats());
+            out.stats.memo.merge(&pr_memo.take_stats());
+        }
+    }
+}
+
+/// Walks one packet of `unit` from `src` and returns the delivered
+/// path's cost (`None` for a drop): spliced through `memo` when there
+/// is one, in full otherwise — the same `u64` either way.
+fn delivered_cost<A: ForwardingAgent>(
+    graph: &Graph,
+    agent: &A,
+    src: NodeId,
+    unit: &SweepUnit<'_>,
+    ttl: usize,
+    scratch: &mut WalkScratch<A::State>,
+    memo: Option<&mut SuffixMemo<A::State>>,
+) -> Option<u64>
+where
+    A::State: std::hash::Hash + Eq,
+{
+    let (dst, failed) = (unit.dst, unit.failed);
+    match memo {
+        Some(memo) => {
+            let w = walk_packet_spliced(graph, agent, src, dst, failed, ttl, scratch, memo);
+            w.result.is_delivered().then_some(w.cost)
+        }
+        None => {
+            let w = walk_packet_with(graph, agent, src, dst, failed, ttl, scratch);
+            w.result.is_delivered().then(|| w.cost(graph))
+        }
+    }
 }
 
 /// Per-scenario aggregate of the stretch sweep — the unit of sharded
@@ -369,35 +406,44 @@ pub struct ScenarioRow {
 }
 
 impl ScenarioRow {
-    /// Aggregates one scenario's samples at the CCDF thresholds `xs`.
-    fn from_samples(scenario: u64, failures: u64, s: &StretchSamples, xs: &[f64]) -> ScenarioRow {
-        let mut samples = [0u64; 3];
-        let mut sum = [0.0f64; 3];
-        let mut max = [0.0f64; 3];
-        let mut above = vec![0u64; 3 * xs.len()];
-        for (i, scheme) in Scheme::ALL.iter().enumerate() {
-            let v = s.of(*scheme);
-            samples[i] = v.len() as u64;
-            for &value in v {
-                sum[i] += value;
-                max[i] = max[i].max(value);
-            }
-            for (j, &x) in xs.iter().enumerate() {
-                above[i * xs.len() + j] = v.iter().filter(|&&s| s > x).count() as u64;
-            }
-        }
+    /// The row of a scenario none of whose blocks has arrived yet.
+    fn empty(scenario: u64, thresholds: usize) -> ScenarioRow {
         ScenarioRow {
             scenario,
-            failures,
-            evaluated_pairs: s.evaluated_pairs as u64,
-            disconnected_pairs: s.disconnected_pairs as u64,
-            undelivered: s.undelivered as u64,
-            undelivered_fcp: s.undelivered_fcp as u64,
-            undelivered_pr: s.undelivered_pr as u64,
-            samples,
-            sum,
-            max,
-            above,
+            failures: 0,
+            evaluated_pairs: 0,
+            disconnected_pairs: 0,
+            undelivered: 0,
+            undelivered_fcp: 0,
+            undelivered_pr: 0,
+            samples: [0; 3],
+            sum: [0.0; 3],
+            max: [0.0; 3],
+            above: vec![0; 3 * thresholds],
+        }
+    }
+
+    /// Folds the scenario's next block in, at the CCDF thresholds
+    /// `xs`. Sums run sample by sample, so a row's bits do not depend
+    /// on where the block boundaries fell.
+    fn absorb(&mut self, block: &StretchBlock, xs: &[f64]) {
+        let s = &block.samples;
+        self.failures = block.failures as u64;
+        self.evaluated_pairs += s.evaluated_pairs as u64;
+        self.disconnected_pairs += s.disconnected_pairs as u64;
+        self.undelivered += s.undelivered as u64;
+        self.undelivered_fcp += s.undelivered_fcp as u64;
+        self.undelivered_pr += s.undelivered_pr as u64;
+        for (i, scheme) in Scheme::ALL.iter().enumerate() {
+            let v = s.of(*scheme);
+            self.samples[i] += v.len() as u64;
+            for &value in v {
+                self.sum[i] += value;
+                self.max[i] = self.max[i].max(value);
+            }
+            for (j, &x) in xs.iter().enumerate() {
+                self.above[i * xs.len() + j] += v.iter().filter(|&&s| s > x).count() as u64;
+            }
         }
     }
 }
@@ -438,21 +484,17 @@ fn run_rows_memoized(
     first_scenario: usize,
     memoized: bool,
 ) -> Vec<ScenarioRow> {
-    let n = graph.node_count().max(1);
     let xs = figure2_xs();
-    let parts = sweep_parts(graph, pr, family, threads, memoized);
-    let mut rows = Vec::with_capacity(family.len());
-    let mut acc = StretchSamples::default();
-    for (idx, (part, _stats)) in parts.into_iter().enumerate() {
-        acc.absorb(part);
-        if (idx + 1) % n == 0 {
-            let scenario = idx / n;
-            let failures = family.scenario(scenario).len() as u64;
-            let absolute = (first_scenario + scenario) as u64;
-            rows.push(ScenarioRow::from_samples(absolute, failures, &acc, &xs));
-            acc = StretchSamples::default();
+    let mut rows: Vec<ScenarioRow> = Vec::with_capacity(family.len());
+    StretchPlan::new(graph, pr).fold(family, threads, memoized, |scenario, block| {
+        // Blocks arrive in unit order: a new scenario index opens the
+        // next row.
+        let absolute = (first_scenario + scenario) as u64;
+        if rows.last().is_none_or(|row| row.scenario != absolute) {
+            rows.push(ScenarioRow::empty(absolute, xs.len()));
         }
-    }
+        rows.last_mut().expect("just pushed").absorb(&block, &xs);
+    });
     rows
 }
 

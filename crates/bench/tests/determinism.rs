@@ -1,15 +1,18 @@
 //! The engine's contract: parallel sweeps are **bit-identical** to the
 //! serial reference, regardless of thread count.
 //!
-//! `coverage::run` / `stretch::run` fan (scenario × destination) work
-//! units over a racing worker pool, use per-worker FCP route caches,
-//! and merge partial results by unit index; `run_serial` is the plain
-//! nested loop with the honest recompute-per-decision FCP agent.
+//! `coverage::run` / `stretch::run_with_stats` / `stretch::run_rows`
+//! fan (scenario × destination) work units over a racing worker pool,
+//! use per-worker FCP route caches, fold blocks of units on the
+//! workers and merge the blocks in unit order while the pool runs;
+//! `run_serial` is the plain nested loop with the honest
+//! recompute-per-decision FCP agent.
 //! `temporal::run` fans one discrete-event simulation pair per timed
 //! scenario with per-scenario derived seeds. Any divergence — a
 //! reordered sample, a cache changing a decision, a shared RNG stream,
 //! a lost unit — fails these tests exactly.
 
+use pr_bench::stretch::{ScenarioRow, StretchSamples};
 use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
 use pr_embedding::{CellularEmbedding, RotationSystem};
 use pr_graph::Graph;
@@ -21,6 +24,10 @@ use pr_sim::SimConfig;
 use pr_topologies::{Isp, Weighting};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
+/// Pool sizes the link sweeps run at: the inline loop, even and odd
+/// pools (blocks and chunks split unevenly), and more workers than
+/// the machine has cores.
+const SWEEP_THREAD_COUNTS: [usize; 5] = [1, 2, 3, 4, 7];
 const SEEDS: [u64; 2] = [7, 2010];
 
 /// A cheap (not necessarily genus-0) embedding: determinism must hold
@@ -38,7 +45,7 @@ fn planar_embedding(graph: &Graph, seed: u64) -> CellularEmbedding {
 fn coverage_is_deterministic_on(graph: &Graph, embedding: &CellularEmbedding) {
     for seed in SEEDS {
         let reference = pr_bench::coverage::run_serial(graph, embedding, 2, 5, seed);
-        for threads in THREAD_COUNTS {
+        for threads in SWEEP_THREAD_COUNTS {
             let rows = pr_bench::coverage::run(graph, embedding, 2, 5, seed, threads);
             assert_eq!(
                 rows, reference,
@@ -48,10 +55,42 @@ fn coverage_is_deterministic_on(graph: &Graph, embedding: &CellularEmbedding) {
     }
 }
 
+/// The [`ScenarioRow`] of scenario `index`, aggregated here from the
+/// serial oracle's samples for that scenario alone.
+fn oracle_row(index: usize, failures: usize, s: &StretchSamples, xs: &[f64]) -> ScenarioRow {
+    let schemes = [&s.reconvergence, &s.fcp, &s.packet_recycling];
+    ScenarioRow {
+        scenario: index as u64,
+        failures: failures as u64,
+        evaluated_pairs: s.evaluated_pairs as u64,
+        disconnected_pairs: s.disconnected_pairs as u64,
+        undelivered: s.undelivered as u64,
+        undelivered_fcp: s.undelivered_fcp as u64,
+        undelivered_pr: s.undelivered_pr as u64,
+        samples: schemes.map(|v| v.len() as u64),
+        sum: schemes.map(|v| v.iter().fold(0.0, |sum, &x| sum + x)),
+        max: schemes.map(|v| v.iter().fold(0.0, |max: f64, &x| max.max(x))),
+        above: schemes
+            .iter()
+            .flat_map(|v| xs.iter().map(|&x| v.iter().filter(|&&s| s > x).count() as u64))
+            .collect(),
+    }
+}
+
 fn stretch_is_deterministic_on(graph: &Graph, pr: &PrNetwork, family: &dyn ScenarioFamily) {
     let reference = pr_bench::stretch::run_serial(graph, pr, family);
-    for threads in THREAD_COUNTS {
-        let samples = pr_bench::stretch::run(graph, pr, family, threads);
+    // Per-scenario rows from the same oracle, one scenario at a time.
+    let xs = pr_bench::stretch::figure2_xs();
+    let reference_rows: Vec<ScenarioRow> = (0..family.len())
+        .map(|i| {
+            let failed = family.scenario(i);
+            let alone = pr_bench::stretch::run_serial(graph, pr, &vec![failed.clone()]);
+            oracle_row(i, failed.len(), &alone, &xs)
+        })
+        .collect();
+    let mut reference_stats = None;
+    for threads in SWEEP_THREAD_COUNTS {
+        let (samples, stats) = pr_bench::stretch::run_with_stats(graph, pr, family, threads);
         // Full struct equality: f64 sample vectors compare bit-for-bit
         // (every value is produced by the identical expression on the
         // identical walk, in the identical order).
@@ -59,6 +98,21 @@ fn stretch_is_deterministic_on(graph: &Graph, pr: &PrNetwork, family: &dyn Scena
             samples,
             reference,
             "stretch samples diverged at {threads} threads ({})",
+            family.label()
+        );
+        // The counters have no serial oracle; they must not depend on
+        // the pool.
+        assert_eq!(
+            *reference_stats.get_or_insert(stats),
+            stats,
+            "sweep statistics diverged at {threads} threads ({})",
+            family.label()
+        );
+        let rows = pr_bench::stretch::run_rows(graph, pr, family, threads, 0);
+        assert_eq!(
+            rows,
+            reference_rows,
+            "scenario rows diverged at {threads} threads ({})",
             family.label()
         );
     }
@@ -105,6 +159,35 @@ fn teleglobe_stretch_parallel_equals_serial() {
     }
 }
 
+/// A generated ISP mesh under the identity rotation: positive genus,
+/// so the §5 guarantee is off, some connected pairs livelock, and the
+/// drop counts have to merge identically too. 24 nodes are one
+/// destination per block, like Abilene and Teleglobe.
+#[test]
+fn positive_genus_mesh_sweeps_parallel_equal_serial() {
+    let g = pr_graph::generators::synth_from_spec("isp:24:7").expect("synth spec");
+    let emb = identity_embedding(&g);
+    assert!(emb.genus() > 0, "the identity rotation must not embed the mesh planar");
+    coverage_is_deterministic_on(&g, &emb);
+    let pr = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+    let singles = SingleLinkFailures::new(&g);
+    stretch_is_deterministic_on(&g, &pr, &singles);
+    let undelivered = pr_bench::stretch::run(&g, &pr, &singles, 3).undelivered_pr;
+    assert!(undelivered > 0, "the fixture must make some connected pairs drop");
+    stretch_is_deterministic_on(&g, &pr, &SampledMultiFailures::new(&g, 3, 6, 2010));
+
+    // The same family at 40 nodes, where a block folds two
+    // destinations: still the serial oracle's bits.
+    let g = pr_graph::generators::synth_from_spec("isp:40:7").expect("synth spec");
+    let pr = PrNetwork::compile(
+        &g,
+        identity_embedding(&g),
+        PrMode::DistanceDiscriminator,
+        DiscriminatorKind::Hops,
+    );
+    stretch_is_deterministic_on(&g, &pr, &SingleLinkFailures::new(&g));
+}
+
 /// The PR 8 acceptance criterion in miniature: per-scenario aggregates
 /// from the suffix-**memoized** walk engine (`run_rows`, what `pr
 /// sweep` ships) must be bit-identical to the unmemoized path
@@ -120,7 +203,7 @@ fn synth_mesh_memoized_rows_equal_plain_rows() {
     let pr = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
     let singles = SingleLinkFailures::new(&g);
     let reference = pr_bench::stretch::run_rows_plain(&g, &pr, &singles, 1, 0);
-    for threads in THREAD_COUNTS {
+    for threads in SWEEP_THREAD_COUNTS {
         let memoized = pr_bench::stretch::run_rows(&g, &pr, &singles, threads, 0);
         assert_eq!(
             memoized, reference,
