@@ -8,30 +8,28 @@
 //!
 //! [`run`] is the production path: one work unit per scenario, fanned
 //! over [`crate::engine::run_units`]; each unit replays the whole
-//! [`FlowSet`] through `pr-traffic`'s bit-parallel dataplane
-//! ([`replay_scenario_bitparallel`]) with the worker's own
-//! [`ReplayScratch`] and reports a demand-weighted
-//! [`ScenarioTraffic`](pr_traffic::ScenarioTraffic). Inside a unit the
-//! replay never calls the allocator (the unit's failed set and its row
-//! are the only allocations), which is what lets the workers scale:
-//! see DESIGN.md, "allocator discipline". Units merge in scenario
-//! order and the demand grid makes every replay sum exact, so the rows
-//! are bit-identical at any thread count.
+//! [`FlowSet`] through `pr-traffic`'s dataplane
+//! ([`replay_scenario_bitparallel`]: a worker's [`ReplayScratch`]
+//! prices the failure-free network once, and every scenario after that
+//! corrects only the cones its failures cut off) and reports a
+//! demand-weighted [`ScenarioTraffic`](pr_traffic::ScenarioTraffic).
+//! Inside a unit the replay never calls the allocator (the unit's
+//! failed set and its row are the only allocations), which is what lets
+//! the workers scale: see DESIGN.md, "allocator discipline". Units
+//! merge in scenario order and the demand grid makes every replay sum
+//! exact, so the rows are bit-identical at any thread count.
 //!
 //! [`run_serial`] is the oracle — [`replay_scenario_naive`], one fresh
-//! `walk_packet` per flow — and [`run_batched`] PR 5's per-flow FIB
-//! path, kept as the denominator of the throughput-ratio gates. Both
-//! must equal [`run`] row for row (`tests/determinism.rs`).
+//! `walk_packet` per flow. It must equal [`run`] row for row
+//! (`tests/determinism.rs`).
 
 use serde::Serialize;
 
-use pr_core::{generous_ttl, DenseFib, Fib, PrNetwork};
+use pr_core::{generous_ttl, DenseFib, PrNetwork};
 use pr_graph::{AllPairs, Graph};
 use pr_scenarios::{ScenarioFamily, ScenarioIter};
 use pr_sim::DemandTally;
-use pr_traffic::{
-    replay_scenario, replay_scenario_bitparallel, replay_scenario_naive, FlowSet, ReplayScratch,
-};
+use pr_traffic::{replay_scenario_bitparallel, replay_scenario_naive, FlowSet, ReplayScratch};
 
 use crate::engine::run_units;
 
@@ -89,10 +87,11 @@ pub fn summarize(rows: &[TrafficRow]) -> TrafficSummary {
 }
 
 /// Replays `flows` through every scenario of `family` on `threads`
-/// workers using the bit-parallel dataplane. Failure-invariant state
-/// — the base trees, the flat FIB, the staged dense FIB, the compiled
-/// PR agent, the TTL — is hoisted once; each worker owns a private
-/// [`ReplayScratch`] reused across its scenarios.
+/// workers. Failure-invariant state — the base trees, the staged dense
+/// FIB, the compiled PR agent, the TTL — is hoisted once; each worker
+/// owns a private [`ReplayScratch`] reused across its scenarios (and
+/// with it its own copy of the failure-free baseline: a load vector
+/// and a tally).
 pub fn run(
     graph: &Graph,
     pr: &PrNetwork,
@@ -119,38 +118,9 @@ pub fn run(
     )
 }
 
-/// The per-flow batched dataplane (PR 5's fast path, kept as the
-/// middle rung of the throughput ladder): every flow walks the flat
-/// FIB individually, survivor trees rebuilt by incremental repair.
-/// Bit-identical to [`run`] and [`run_serial`].
-pub fn run_batched(
-    graph: &Graph,
-    pr: &PrNetwork,
-    family: &dyn ScenarioFamily,
-    flows: &FlowSet,
-    threads: usize,
-) -> Vec<TrafficRow> {
-    let base = AllPairs::compute_all_live(graph);
-    let fib = Fib::from_base(graph, &base);
-    let agent = pr.agent(graph);
-    let ttl = generous_ttl(graph);
-
-    run_units(
-        family.len(),
-        threads,
-        ReplayScratch::new,
-        |scratch: &mut ReplayScratch<pr_core::PrHeader>, scenario| {
-            let failed = family.scenario(scenario);
-            let traffic = replay_scenario(graph, &agent, &fib, &base, flows, &failed, ttl, scratch);
-            TrafficRow { scenario, failures: failed.len(), traffic }
-        },
-    )
-}
-
 /// The serial per-packet reference: every flow walked one packet at a
 /// time with fresh scratch state, no FIB, no repair ([`run`] must be
-/// bit-identical to this at every thread count; the throughput
-/// benchmark measures the batched dataplane against it).
+/// bit-identical to this at every thread count).
 pub fn run_serial(
     graph: &Graph,
     pr: &PrNetwork,

@@ -289,11 +289,11 @@ fn traffic_is_deterministic_on(
     flows: &FlowSet,
 ) {
     // The serial reference replays every flow one packet at a time
-    // (fresh scratch, no FIB, no SPT repair); the bit-parallel engine
-    // run AND the per-flow batched run must both match it bit for bit
-    // — f64 demand sums included (the demand grid makes them exact,
-    // hence independent of how each dataplane groups additions) — at
-    // any thread count.
+    // (fresh scratch, no FIB, no SPT repair); the production engine
+    // run must match it bit for bit — f64 demand sums included (the
+    // demand grid makes them exact, hence independent of how the
+    // dataplane groups additions and subtractions) — at any thread
+    // count.
     let reference = pr_bench::traffic::run_serial(graph, pr, family, flows);
     assert_eq!(reference.len(), family.len());
     for threads in THREAD_COUNTS {
@@ -301,15 +301,7 @@ fn traffic_is_deterministic_on(
         assert_eq!(
             rows,
             reference,
-            "bit-parallel rows diverged from serial at {threads} threads ({}, {})",
-            family.label(),
-            flows.label()
-        );
-        let batched = pr_bench::traffic::run_batched(graph, pr, family, flows, threads);
-        assert_eq!(
-            batched,
-            reference,
-            "batched rows diverged from serial at {threads} threads ({}, {})",
+            "production rows diverged from serial at {threads} threads ({}, {})",
             family.label(),
             flows.label()
         );

@@ -5,7 +5,7 @@
 //! (incremental cone repair against the hoisted base trees, gauges
 //! lazy) must be ≥ 5x faster per event than the cold recompile a batch
 //! invocation pays for the same failed set (base trees + live trees +
-//! both FIBs). Warmup first proves the repaired trees bit-identical to
+//! the staged FIB). Warmup first proves the repaired trees bit-identical to
 //! the cold build on every probed failed set, so the two sides of the
 //! ratio are computing the same answer.
 

@@ -2,9 +2,10 @@
 //!
 //! A [`Twin`] is everything a batch run hoists, kept warm across
 //! events: the graph, the compiled PR network, the failure-free base
-//! trees, the flat and staged FIBs, the resident demand flow set (plus
-//! a uniform-unit companion for the paper's coverage metric), and the
-//! reusable scratch arenas. Link events re-derive the live all-pairs
+//! trees, the staged FIB, the resident demand flow set (plus a
+//! uniform-unit companion for the paper's coverage metric), and the
+//! reusable scratch arenas — one replay scratch per resident flow set,
+//! so each keeps its failure-free baseline across queries. Link events re-derive the live all-pairs
 //! view **incrementally** — [`pr_graph::SpTree::repair_from`] against
 //! the hoisted base trees, never a scratch rebuild — which is
 //! bit-for-bit identical to a cold `AllPairs::compute` by PR 4's
@@ -23,7 +24,7 @@
 //! it at ≥ 5x under a cold recompile).
 
 use pr_bench::stretch::{self, Scheme};
-use pr_core::{generous_ttl, DenseFib, Fib, PrAgent, PrHeader, PrNetwork};
+use pr_core::{generous_ttl, DenseFib, PrAgent, PrHeader, PrNetwork};
 use pr_graph::{AllPairs, Graph, LinkId, LinkSet, NodeId, SpScratch, SpTree};
 use pr_traffic::{
     replay_scenario_bitparallel, FlowSet, GravityTraffic, HotspotTraffic, ReplayScratch,
@@ -123,10 +124,8 @@ pub struct ColdState {
     pub base: AllPairs,
     /// Live all-pairs view under the failed set (scratch Dijkstra).
     pub live: AllPairs,
-    /// The staged dense FIB of the bit-parallel dataplane.
+    /// The staged dense FIB of the replay dataplane.
     pub dense: DenseFib,
-    /// The flat per-flow FIB of the batched dataplane.
-    pub fib: Fib,
 }
 
 /// Recompiles all failure-dependent routing state from scratch, the
@@ -135,8 +134,7 @@ pub fn cold_recompile(graph: &Graph, failed: &LinkSet) -> ColdState {
     let base = AllPairs::compute_all_live(graph);
     let live = AllPairs::compute(graph, failed);
     let dense = DenseFib::from_base(graph, &base);
-    let fib = Fib::from_base(graph, &base);
-    ColdState { base, live, dense, fib }
+    ColdState { base, live, dense }
 }
 
 /// The resident network twin. See the module docs for the state it
@@ -148,14 +146,18 @@ pub struct Twin {
     ttl: usize,
     base: AllPairs,
     dense: DenseFib,
-    fib: Fib,
     live: AllPairs,
     failed: LinkSet,
     demand: DemandSpec,
     flows: FlowSet,
     uniform: FlowSet,
     sp: SpScratch,
-    replay: ReplayScratch<PrHeader>,
+    /// Replay scratch of `flows`. One per resident flow set: a scratch
+    /// keeps the baseline of the set it last replayed, and `gauges`
+    /// replays both sets back to back.
+    replay_demand: ReplayScratch<PrHeader>,
+    /// Replay scratch of `uniform`.
+    replay_uniform: ReplayScratch<PrHeader>,
     repair: pr_graph::RepairStats,
     memo: pr_core::MemoStats,
     counters: EventCounters,
@@ -163,7 +165,7 @@ pub struct Twin {
 }
 
 /// Replays one flow set through the current failed set on the
-/// bit-parallel dataplane — a free function so callers can borrow
+/// production dataplane — a free function so callers can borrow
 /// disjoint [`Twin`] fields without fighting the borrow checker.
 #[allow(clippy::too_many_arguments)] // mirrors replay_scenario_bitparallel's signature
 fn replay(
@@ -181,8 +183,8 @@ fn replay(
 }
 
 impl Twin {
-    /// Compiles the resident state: base trees, both FIBs, the demand
-    /// and uniform flow sets. This is the one-off cold cost the daemon
+    /// Compiles the resident state: base trees, the staged FIB, the
+    /// demand and uniform flow sets. This is the one-off cold cost the daemon
     /// pays so every later event is incremental.
     pub fn new(
         graph: Graph,
@@ -194,7 +196,6 @@ impl Twin {
         let uniform = FlowSet::all_pairs(&UniformTraffic::new(&graph));
         let base = AllPairs::compute_all_live(&graph);
         let dense = DenseFib::from_base(&graph, &base);
-        let fib = Fib::from_base(&graph, &base);
         // The failure-free live view *is* the base view (repair_from
         // over the empty set is the identity) — clone, don't recompute.
         let live = base.clone();
@@ -207,14 +208,14 @@ impl Twin {
             ttl,
             base,
             dense,
-            fib,
             live,
             failed,
             demand,
             flows,
             uniform,
             sp: SpScratch::new(),
-            replay: ReplayScratch::new(),
+            replay_demand: ReplayScratch::new(),
+            replay_uniform: ReplayScratch::new(),
             repair: pr_graph::RepairStats::default(),
             memo: pr_core::MemoStats::default(),
             counters: EventCounters::default(),
@@ -236,12 +237,6 @@ impl Twin {
     /// the equivalence tests compare against a cold scratch build.
     pub fn live_tree(&self, dest: NodeId) -> &SpTree {
         self.live.towards(dest)
-    }
-
-    /// The resident flat FIB (batched-dataplane residency; the
-    /// bit-parallel queries use the staged dense FIB).
-    pub fn fib(&self) -> &Fib {
-        &self.fib
     }
 
     /// The resident demand spec.
@@ -342,6 +337,7 @@ impl Twin {
         };
         self.demand = spec;
         self.flows = flows;
+        self.replay_demand.drop_baseline();
         self.gauges = None;
         self.counters.events += 1;
         self.counters.demand_updates += 1;
@@ -364,7 +360,7 @@ impl Twin {
             &self.flows,
             &self.failed,
             self.ttl,
-            &mut self.replay,
+            &mut self.replay_demand,
         );
         TrafficReport {
             failed_links: self.failed.len(),
@@ -384,7 +380,7 @@ impl Twin {
             &self.uniform,
             &self.failed,
             self.ttl,
-            &mut self.replay,
+            &mut self.replay_uniform,
         );
         CoverageReport {
             failed_links: self.failed.len(),
@@ -437,7 +433,7 @@ impl Twin {
             &self.uniform,
             &self.failed,
             self.ttl,
-            &mut self.replay,
+            &mut self.replay_uniform,
         );
         let traffic = replay(
             &self.graph,
@@ -447,7 +443,7 @@ impl Twin {
             &self.flows,
             &self.failed,
             self.ttl,
-            &mut self.replay,
+            &mut self.replay_demand,
         );
         let g = GaugeReport {
             coverage: uniform.tally.weighted_coverage(),

@@ -1,11 +1,10 @@
 //! u64 word-bitset helpers for dense index sets.
 //!
 //! [`LinkSet`](crate::LinkSet) packs link ids into u64 words so a
-//! failure test is one word load; the bit-parallel replay dataplane
-//! plays the same trick with *node* ids — an affected-source set, a
-//! survivor-reachability set, a sources-with-demand set — and combines
-//! them with word-wise boolean algebra (64 sources per operation).
-//! Those sets are scratch state resized per topology, so instead of a
+//! failure test is one word load; the replay dataplane plays the same
+//! trick with *node* ids — an affected-source set, the cone sources
+//! that carry demand — to mark members in any order and visit them in
+//! ascending id. Those sets are scratch state resized per topology, so instead of a
 //! dedicated owning type they are plain `Vec<u64>` buffers driven by
 //! the free functions here. Everything is `#[inline]` and
 //! branch-light; the iteration helper is the same

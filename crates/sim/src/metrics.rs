@@ -187,22 +187,40 @@ impl DemandTally {
     /// unaffected shortest paths. Equal to `flows` calls of
     /// [`DemandTally::record_clear`] whenever the demand sums are
     /// exact (the grid-quantised demands of `pr-traffic`'s `FlowSet`
-    /// guarantee this) — the constructor the bit-parallel dataplane
-    /// feeds from its word-popcount and subtree-sum aggregates.
+    /// guarantee this) — how the replay dataplane writes down its
+    /// failure-free baseline, which the three `clear_to_*` moves below
+    /// then correct flow by flow.
     pub fn record_clear_batch(&mut self, flows: u64, demand: f64) {
         self.flows += flows;
         self.offered += demand;
         self.delivered += demand;
     }
 
-    /// Records a whole batch of disconnected flows from aggregated
-    /// sums — the batch analogue of
-    /// [`DemandTally::record_disconnected`], same exactness contract
-    /// as [`DemandTally::record_clear_batch`].
-    pub fn record_disconnected_batch(&mut self, flows: u64, demand: f64) {
-        self.flows += flows;
-        self.offered += demand;
+    /// Moves a flow recorded clear to *recovered with this stretch*:
+    /// afterwards the tally is what [`DemandTally::record_recovered`]
+    /// in place of the [`DemandTally::record_clear`] would have left
+    /// (the flow is delivered either way).
+    pub fn clear_to_recovered(&mut self, demand: f64, stretch: f64) {
+        self.evaluated += demand;
+        self.evaluated_delivered += demand;
+        self.stretch_weighted_sum += demand * stretch;
+        self.stretch_weight += demand;
+    }
+
+    /// Moves a flow recorded clear to *disconnected*. Exact under the
+    /// contract of [`DemandTally::record_clear_batch`]: the
+    /// subtraction undoes an exact addition.
+    pub fn clear_to_disconnected(&mut self, demand: f64) {
+        self.delivered -= demand;
         self.disconnected += demand;
+    }
+
+    /// Moves a flow recorded clear to *dropped*; exact like
+    /// [`DemandTally::clear_to_disconnected`].
+    pub fn clear_to_dropped(&mut self, demand: f64) {
+        self.delivered -= demand;
+        self.evaluated += demand;
+        self.dropped += demand;
     }
 
     /// Records a flow whose endpoints the scenario disconnected.
@@ -346,17 +364,20 @@ mod tests {
 
     #[test]
     fn demand_tally_batch_constructors_match_per_flow_records() {
-        // On exactly-summable demands (here: halves), batch records are
-        // bitwise equal to the equivalent per-flow record sequence.
+        // On exactly-summable demands (here: halves), an all-clear
+        // batch corrected flow by flow is bitwise equal to recording
+        // each flow's real outcome in the first place.
         let mut per_flow = DemandTally::default();
         per_flow.record_clear(1.5);
-        per_flow.record_clear(2.0);
+        per_flow.record_recovered(2.0, 1.25);
         per_flow.record_clear(0.5);
         per_flow.record_disconnected(1.0);
-        per_flow.record_disconnected(0.5);
+        per_flow.record_dropped(0.5);
         let mut batch = DemandTally::default();
-        batch.record_clear_batch(3, 1.5 + 2.0 + 0.5);
-        batch.record_disconnected_batch(2, 1.0 + 0.5);
+        batch.record_clear_batch(5, 1.5 + 2.0 + 0.5 + 1.0 + 0.5);
+        batch.clear_to_recovered(2.0, 1.25);
+        batch.clear_to_disconnected(1.0);
+        batch.clear_to_dropped(0.5);
         assert_eq!(batch, per_flow);
     }
 

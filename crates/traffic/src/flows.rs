@@ -19,6 +19,7 @@
 //!   the matrix at any sample count; duplicate draws of a pair
 //!   coalesce into one flow with the summed demand.
 
+use pr_core::Stamp;
 use pr_graph::NodeId;
 use pr_scenarios::scenario_seed;
 use serde::Serialize;
@@ -29,17 +30,18 @@ use crate::TrafficModel;
 /// multiple of a power-of-two quantum scaled to the set's total
 /// demand, `2^(⌊log2 total⌋ − 51)`.
 ///
-/// This is what lets three very different dataplanes (per-packet
-/// naive, per-flow batched, bit-parallel subtree aggregation) produce
+/// This is what lets two very different dataplanes (the per-packet
+/// oracle, and a failure-free baseline corrected cone by cone) produce
 /// **bit-identical** f64 demand sums: with every demand a multiple of
 /// the quantum `q` and every per-scenario accumulator (link loads,
-/// tally fields) bounded by a small multiple of the total `T`, all
+/// tally fields) staying within `[0, 2T]` for the total `T`, all
 /// partial sums stay below `2^53 · q ∈ (2T, 4T]` — i.e. every
-/// intermediate value is exactly representable, every addition is
-/// exact, and f64 addition over the grid is **associative**. Sums may
-/// then be regrouped freely (per-flow, per-path, per-subtree, per
-/// word-popcount batch) without changing a single bit. The snap costs
-/// at most `q/2 ≤ T · 2^−52` per flow — half an ulp *of the total*.
+/// intermediate value is exactly representable, every addition *and
+/// every subtraction* is exact, and f64 arithmetic over the grid is
+/// **associative**. Sums may then be regrouped freely (per flow, per
+/// path, per subtree, added once and withdrawn later) without changing
+/// a single bit. The snap costs at most `q/2 ≤ T · 2^−52` per flow —
+/// half an ulp *of the total*.
 ///
 /// Returns the quantum for a positive finite total.
 fn demand_quantum(total: f64) -> f64 {
@@ -75,7 +77,7 @@ pub struct Flow {
 }
 
 /// A destination-major batch of flows compiled from a traffic model.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FlowSet {
     label: String,
     flows: Vec<Flow>,
@@ -83,6 +85,7 @@ pub struct FlowSet {
     /// at least one flow, in destination order.
     groups: Vec<(NodeId, usize, usize)>,
     offered: f64,
+    stamp: Stamp,
 }
 
 impl FlowSet {
@@ -187,7 +190,7 @@ impl FlowSet {
             }
         }
         let offered = flows.iter().map(|f| f.demand).sum();
-        FlowSet { label, flows, groups, offered }
+        FlowSet { label, flows, groups, offered, stamp: Stamp::fresh() }
     }
 
     /// Human-readable provenance (`model/all-pairs`, `model/sampled(…)`).
@@ -220,11 +223,33 @@ impl FlowSet {
         &self.flows[i]
     }
 
+    /// The stamp of this compilation: differs between any two sets
+    /// built separately, however alike (see [`Stamp`]).
+    pub fn stamp(&self) -> Stamp {
+        self.stamp
+    }
+
     /// Iterates `(destination, flows-towards-it)` groups in
-    /// destination order — the replay dataplane's batching axis.
+    /// destination order, sources ascending within a group — the
+    /// replay dataplane's batching axis.
     pub fn by_destination(&self) -> impl Iterator<Item = (NodeId, &[Flow])> {
         self.groups.iter().map(move |&(dst, start, end)| (dst, &self.flows[start..end]))
     }
+}
+
+/// The demand `src` sends in `group`, one destination's flows as
+/// [`FlowSet::by_destination`] yields them (`None`: no such flow). A
+/// group that holds every other node — any all-pairs matrix — has the
+/// flow at the source's own rank, so the search is only ever run on
+/// sparse groups.
+pub(crate) fn demand_from(group: &[Flow], src: NodeId) -> Option<f64> {
+    let dst = group.first()?.dst;
+    let rank = src.index() - usize::from(src > dst);
+    let flow = match group.get(rank) {
+        Some(flow) if flow.src == src => flow,
+        _ => &group[group.binary_search_by_key(&src, |f| f.src).ok()?],
+    };
+    Some(flow.demand)
 }
 
 #[cfg(test)]
@@ -310,6 +335,26 @@ mod tests {
         assert!((set.offered() - raw).abs() <= set.len() as f64 * quantum);
         // Snapping tiny positive demands keeps them positive.
         assert_eq!(snap_to_grid(quantum / 8.0, quantum), quantum);
+    }
+
+    #[test]
+    fn demand_lookup_finds_every_flow_of_full_and_sparse_groups() {
+        let g = generators::ring(9, 1);
+        let hot = crate::HotspotTraffic::new(&g, 2, 8.0, 5);
+        let full = FlowSet::all_pairs(&hot);
+        let sparse = FlowSet::sampled(&hot, 12, 5);
+        assert!(sparse.by_destination().any(|(_, group)| group.len() < 8));
+        for set in [&full, &sparse] {
+            assert_ne!(set.stamp(), FlowSet::all_pairs(&hot).stamp());
+            assert_eq!(set.stamp(), set.clone().stamp());
+            for (dst, group) in set.by_destination() {
+                for src in g.nodes() {
+                    let listed = group.iter().find(|f| f.src == src).map(|f| f.demand);
+                    assert_eq!(demand_from(group, src), listed, "{src}->{dst}");
+                }
+            }
+        }
+        assert_eq!(demand_from(&[], NodeId(0)), None);
     }
 
     #[test]

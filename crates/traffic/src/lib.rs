@@ -14,16 +14,15 @@
 //! * [`FlowSet`] — destination-major batches of `(src, dst, demand)`
 //!   flows: the whole matrix ([`FlowSet::all_pairs`]) or a seeded
 //!   sample drawn proportionally to demand ([`FlowSet::sampled`]).
-//! * [`replay_scenario_bitparallel`] — the bit-parallel
-//!   destination-major dataplane: affected sources classified 64 at a
-//!   time through u64 frontiers over the staged dense FIB, clear
-//!   demand aggregated bottom-up per subtree (one add per tree dart),
-//!   only the affected-but-connected remainder walked per flow.
-//!   [`replay_scenario`] is the per-flow batched dataplane it
-//!   superseded, [`replay_scenario_naive`] the one-packet-at-a-time
-//!   reference; all three produce bit-identical results because flow
-//!   demands live on a power-of-two grid that makes every replay sum
-//!   exact (association-free).
+//! * [`replay_scenario_bitparallel`] — the production dataplane, a
+//!   cone delta: the failure-free loads and tally of a flow set are
+//!   computed once, and a scenario corrects only the subtrees that hang
+//!   below a failed tree edge — their demand withdrawn bottom-up (one
+//!   subtraction per tree dart), only their still-connected sources
+//!   walked per flow. [`replay_scenario_naive`] is the
+//!   one-packet-at-a-time oracle; the two produce bit-identical results
+//!   because flow demands live on a power-of-two grid that makes every
+//!   replay sum and difference exact (association-free).
 //! * [`ScenarioTraffic`] / [`DemandTally`] — demand-weighted
 //!   resilience metrics: weighted coverage, % demand lost, per-link
 //!   peak load and max-link-utilisation under failure.
@@ -38,27 +37,31 @@
 //! ## Example
 //!
 //! ```
-//! use pr_core::{generous_ttl, DiscriminatorKind, Fib, PrMode, PrNetwork};
+//! use pr_core::{generous_ttl, DenseFib, DiscriminatorKind, PrMode, PrNetwork};
 //! use pr_embedding::{heuristics, CellularEmbedding};
 //! use pr_graph::{AllPairs, LinkSet};
-//! use pr_traffic::{replay_scenario, FlowSet, GravityTraffic, ReplayScratch};
+//! use pr_traffic::{
+//!     replay_scenario_bitparallel, replay_scenario_naive, FlowSet, GravityTraffic, ReplayScratch,
+//! };
 //!
 //! let g = pr_topologies::load(pr_topologies::Isp::Abilene, pr_topologies::Weighting::Distance);
 //! let emb = CellularEmbedding::new(&g, heuristics::thorough(&g, 2010, 4, 10_000)).unwrap();
 //! let net = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
 //!
 //! let base = AllPairs::compute_all_live(&g);
-//! let fib = Fib::from_base(&g, &base);
+//! let dense = DenseFib::from_base(&g, &base);
 //! let flows = FlowSet::all_pairs(&GravityTraffic::new(&g));
 //!
 //! // Fail one link and replay the whole matrix through it.
 //! let failed = LinkSet::from_links(g.link_count(), [g.links().next().unwrap()]);
+//! let (agent, ttl) = (net.agent(&g), generous_ttl(&g));
 //! let mut scratch = ReplayScratch::new();
-//! let out = replay_scenario(
-//!     &g, &net.agent(&g), &fib, &base, &flows, &failed, generous_ttl(&g), &mut scratch,
-//! );
+//! let out =
+//!     replay_scenario_bitparallel(&g, &agent, &dense, &base, &flows, &failed, ttl, &mut scratch);
 //! assert_eq!(out.tally.lost(), 0.0); // PR-DD loses no demand to a single failure
 //! assert!(out.max_link_utilisation() > 0.0);
+//! // The production path against the oracle, bit for bit.
+//! assert_eq!(out, replay_scenario_naive(&g, &agent, &base, &flows, &failed, ttl));
 //! ```
 
 #![warn(missing_docs)]
@@ -72,8 +75,7 @@ mod timeline;
 pub use flows::{Flow, FlowSet};
 pub use model::{GravityTraffic, HotspotTraffic, TrafficMatrix, TrafficModel, UniformTraffic};
 pub use replay::{
-    replay_scenario, replay_scenario_bitparallel, replay_scenario_naive, ReplayScratch,
-    ScenarioTraffic,
+    replay_scenario_bitparallel, replay_scenario_naive, ReplayScratch, ReplayStats, ScenarioTraffic,
 };
 pub use timeline::{replay_timeline, TimelineTraffic};
 

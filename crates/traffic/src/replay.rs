@@ -1,63 +1,136 @@
 //! Flow replay: one [`FlowSet`] priced under one failed set.
 //!
-//! Three functions compute the same [`ScenarioTraffic`], bit for bit
-//! (tests and the determinism suite assert it; flow demands live on a
-//! power-of-two grid, so every sum is exact however it is grouped):
+//! Two functions compute the same [`ScenarioTraffic`], bit for bit
+//! (tests and the determinism suite assert it — the whole load vector,
+//! not only its peak):
 //!
 //! * [`replay_scenario_bitparallel`] — **the dataplane.** `pr traffic`,
 //!   `pr impair` (through [`replay_timeline`](crate::replay_timeline))
-//!   and the daemon twin all run it. Per destination it classifies
-//!   every source with word-parallel set algebra over the staged
-//!   [`DenseFib`], credits the clear flows' link loads in one bottom-up
-//!   pass over the destination tree, and walks only the
-//!   affected-but-connected flows through the agent
-//!   ([`recover_flow_with`]).
+//!   and the daemon twin all run it. It is a *delta*: the failure-free
+//!   outcome of a `(DenseFib, FlowSet)` pair — every link's load, an
+//!   all-clear tally — is computed once and kept in the scratch; a
+//!   scenario starts from a copy and corrects only the **cones**, the
+//!   subtrees of each destination's tree that hang below a failed
+//!   edge. Their demand is withdrawn from the links it no longer takes,
+//!   and the cone sources still connected to the destination are
+//!   walked through the agent ([`recover_flow_with`]). A failure that
+//!   disturbs 3 % of the pairs costs about 3 % of a full pass.
 //! * [`replay_scenario_naive`] — **the oracle.** One [`walk_packet`] per
 //!   flow with a fresh scratch and a from-scratch survivor tree per
 //!   destination: nothing shared, nothing staged, nothing to get wrong.
-//! * [`replay_scenario`] — PR 5's per-flow batched path over the flat
-//!   [`Fib`], kept only as the denominator of the CI throughput-ratio
-//!   gates until those become absolute floors (ROADMAP item 2).
+//!
+//! Why a result assembled by subtraction equals one summed from
+//! nothing: flow demands live on a power-of-two grid and every
+//! accumulator stays within `[0, 2T]` for total demand `T`, where the
+//! grid is exactly representable — additions and subtractions are
+//! exact, so `baseline − withdrawn + detoured` is the same number as
+//! the oracle's plain sum, in any grouping (see `FlowSet`'s demand
+//! grid). The one inexact field, `stretch_weighted_sum`, gets its terms
+//! from recovery walks only, which run in the oracle's (destination,
+//! source) order.
 //!
 //! All per-scenario state lives in a reusable [`ReplayScratch`]; all
-//! failure-invariant state (base trees, FIBs, the compiled agent) is
-//! the caller's to hoist. **Nothing in a replay allocates in the steady
-//! state** — recovery walks included: their darts are staged in the
-//! scratch and their shared tails come out of the per-(failed set,
-//! destination) suffix memo (`tests/alloc_free.rs` counts allocator
-//! calls; DESIGN.md, "allocator discipline", has the reason this is a
-//! rule and not a nicety).
+//! failure-invariant state (base trees, the staged FIB, the compiled
+//! agent) is the caller's to hoist. **Nothing in a replay allocates in
+//! the steady state** — recovery walks included: their darts are staged
+//! in the scratch and their shared tails come out of the per-(failed
+//! set, destination) suffix memo (`tests/alloc_free.rs` counts
+//! allocator calls; DESIGN.md, "allocator discipline", has the reason
+//! this is a rule and not a nicety). Only building a baseline may
+//! allocate, and that happens when a scratch first meets a
+//! `(DenseFib, FlowSet)` pair, not per scenario.
 
 use pr_core::{
-    recover_flow_with, walk_flow_with, walk_packet, BitScratch, DenseFib, Fib, FlowScratch,
-    FlowWalk, ForwardingAgent,
+    recover_flow_with, walk_packet, DenseFib, FlowScratch, FlowWalk, ForwardingAgent, Stamp,
 };
-use pr_graph::{bits, AllPairs, Graph, LinkId, LinkSet, NodeId, SpScratch, SpTree};
+use pr_graph::{bits, AllPairs, Graph, LinkId, LinkSet, NodeId, SpTree};
 use pr_sim::DemandTally;
 use serde::{Deserialize, Serialize};
 
+use crate::flows::demand_from;
 use crate::FlowSet;
 
-/// Reusable per-worker state of a replay: the flow-walk scratch
+/// How much of the network a scratch's replays had to look at — the
+/// work the cone delta does instead of visiting every (source,
+/// destination) pair. Plain counters, merged like `MemoStats`; nothing
+/// here ever feeds a result.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReplayStats {
+    /// Replays run.
+    pub replays: u64,
+    /// Failure-free baselines built (one per `(DenseFib, FlowSet)`
+    /// pair a scratch serves in a row; a full pass each).
+    pub baselines: u64,
+    /// Destinations whose tree lost an edge, summed over replays.
+    pub destinations: u64,
+    /// Tree nodes inside the cones of those destinations — with an
+    /// all-pairs flow set, exactly the affected (source, destination)
+    /// pairs.
+    pub cone_sources: u64,
+    /// Recovery walks made: cone sources that carry demand and can
+    /// still reach their destination.
+    pub walks: u64,
+}
+
+impl ReplayStats {
+    /// Adds another scratch's (or another period's) counts.
+    pub fn merge(&mut self, other: &ReplayStats) {
+        self.replays += other.replays;
+        self.baselines += other.baselines;
+        self.destinations += other.destinations;
+        self.cone_sources += other.cone_sources;
+        self.walks += other.walks;
+    }
+}
+
+/// The failure-free outcome of one `(DenseFib, FlowSet)` pair: what
+/// every scenario's replay starts from.
+#[derive(Debug)]
+struct Baseline {
+    /// The pair this was computed for.
+    key: (Stamp, Stamp),
+    /// Per-link load with every flow on its shortest path.
+    loads: Vec<f64>,
+    /// Every flow recorded clear.
+    tally: DemandTally,
+    /// Longest failure-free path in hops: the least TTL under which
+    /// the clear flows, which are never walked, all arrive.
+    hop_diameter: usize,
+}
+
+/// Reusable per-worker state of a replay: the failure-free baseline of
+/// the `(DenseFib, FlowSet)` pair it last served, the flow-walk scratch
 /// (livelock detector, per-unit suffix memo, staged-path buffer), the
-/// u64 classification frontiers and component labels of the
-/// bit-parallel dataplane, the Dijkstra arena and survivor tree the
-/// batched path repairs per destination, and the per-link load
-/// accumulator. Everything is reset in place — the steady state
-/// allocates nothing.
+/// per-scenario survivor components, the node-indexed staging of the
+/// cone passes and the per-link load accumulator. Everything is reset
+/// in place — the steady state allocates nothing, and all of it is
+/// O(nodes + links).
+///
+/// The baseline is keyed by the **construction stamps** of the FIB and
+/// the flow set, never by an address or a length: a flow set dropped
+/// and rebuilt between two calls is a different flow set even if the
+/// allocator hands it the same memory. A scratch that is handed
+/// alternating pairs rebuilds on every switch (a full pass each time) —
+/// callers with several resident flow sets keep one scratch per set.
 #[derive(Debug)]
 pub struct ReplayScratch<S> {
     walk: FlowScratch<S>,
-    sp: SpScratch,
-    live: SpTree,
-    bits: BitScratch,
+    baseline: Option<Baseline>,
     /// Survivor-graph component labels, one per node (per scenario).
     comp: Vec<u32>,
-    /// Component membership bitsets, flattened `component × word`.
-    comp_words: Vec<u64>,
     /// BFS worklist for the component labelling.
     queue: Vec<NodeId>,
+    /// The cones of the destination in hand, as frame ranges.
+    cones: Vec<(u32, u32)>,
+    /// Cone sources of the destination in hand that carry demand.
+    sources: Vec<u64>,
+    /// Their demands; valid only where the `sources` bit is set.
+    demand: Vec<f64>,
+    /// Per-node subtree sums of the bottom-up passes; all zero between
+    /// passes.
+    subtree: Vec<f64>,
     loads: Vec<f64>,
+    stats: ReplayStats,
 }
 
 impl<S> ReplayScratch<S> {
@@ -65,22 +138,36 @@ impl<S> ReplayScratch<S> {
     pub fn new() -> ReplayScratch<S> {
         ReplayScratch {
             walk: FlowScratch::new(),
-            sp: SpScratch::new(),
-            live: SpTree::placeholder(),
-            bits: BitScratch::new(),
+            baseline: None,
             comp: Vec::new(),
-            comp_words: Vec::new(),
             queue: Vec::new(),
+            cones: Vec::new(),
+            sources: Vec::new(),
+            demand: Vec::new(),
+            subtree: Vec::new(),
             loads: Vec::new(),
+            stats: ReplayStats::default(),
         }
     }
 
     /// Per-link demand accumulated by the most recent replay through
     /// this scratch (indexed by [`LinkId`]). Exposed so property tests
-    /// can compare the full load vector across dataplanes, not just
+    /// can compare the full load vector with the oracle's, not just
     /// its peak.
     pub fn link_loads(&self) -> &[f64] {
         &self.loads
+    }
+
+    /// Work counters since the scratch was made or last asked.
+    pub fn take_stats(&mut self) -> ReplayStats {
+        std::mem::take(&mut self.stats)
+    }
+
+    /// Forgets the baseline, so the next replay builds one. The stamps
+    /// already make a stale baseline impossible; this is for the owner
+    /// of a resident flow set who replaces it and would rather say so.
+    pub fn drop_baseline(&mut self) {
+        self.baseline = None;
     }
 }
 
@@ -142,70 +229,18 @@ fn peak_load(loads: &[f64], delivered: f64) -> (f64, Option<LinkId>) {
     (max, arg)
 }
 
-/// Replays `flows` under the static failure set `failed` using the
-/// batched dataplane: per destination group, the survivor tree is
-/// rebuilt by incremental repair from the hoisted `base` trees, then
-/// every flow takes the FIB fast path or falls back to the full agent
-/// walk. Delivered flows add their demand to each link they traverse.
-///
-/// `fib` must be compiled from the same `base` trees
-/// ([`Fib::from_base`]) so the affected/unaffected classification
-/// matches the canonical shortest paths.
-#[allow(clippy::too_many_arguments)]
-pub fn replay_scenario<A: ForwardingAgent>(
-    graph: &Graph,
-    agent: &A,
-    fib: &Fib,
-    base: &AllPairs,
-    flows: &FlowSet,
-    failed: &LinkSet,
-    ttl: usize,
-    scratch: &mut ReplayScratch<A::State>,
-) -> ScenarioTraffic
-where
-    A::State: std::hash::Hash + Eq,
-{
-    let ReplayScratch { walk, sp, live, loads, .. } = scratch;
-    loads.clear();
-    loads.resize(graph.link_count(), 0.0);
-
-    let mut tally = DemandTally::default();
-    for (dst, group) in flows.by_destination() {
-        let base_tree = base.towards(dst);
-        live.repair_refresh(base_tree, graph, failed, sp);
-        let mut unit = walk.unit(graph, agent, dst, failed);
-        for flow in group {
-            let outcome = walk_flow_with(&mut unit, fib, live, flow.src, ttl, |d| {
-                loads[d.link().index()] += flow.demand
-            });
-            match outcome {
-                FlowWalk::Clear { .. } => tally.record_clear(flow.demand),
-                FlowWalk::Recovered { cost, .. } => {
-                    let optimal = base_tree.cost(flow.src).expect("connected base graph");
-                    tally.record_recovered(flow.demand, cost as f64 / optimal as f64);
-                }
-                FlowWalk::Disconnected => tally.record_disconnected(flow.demand),
-                FlowWalk::Dropped(_) => tally.record_dropped(flow.demand),
-            }
-        }
-    }
-
-    let (max_link_load, peak_link) = peak_load(loads, tally.delivered);
-    ScenarioTraffic { tally, max_link_load, peak_link }
-}
-
 /// Labels the survivor graph's connected components — failed links
-/// removed — returning the component count. One O(n + m) pass per
-/// scenario, **destination-independent**: the survivor shortest-path
-/// tree towards any destination reaches exactly the destination's
-/// component, so a label compare replaces per-destination SPT repair
-/// for the reachability classification.
+/// removed. One O(n + m) pass per scenario,
+/// **destination-independent**: the survivor shortest-path tree towards
+/// any destination reaches exactly the destination's component, so a
+/// label compare replaces per-destination SPT repair for the
+/// reachability classification.
 fn survivor_components(
     graph: &Graph,
     failed: &LinkSet,
     comp: &mut Vec<u32>,
     queue: &mut Vec<NodeId>,
-) -> usize {
+) {
     comp.clear();
     comp.resize(graph.node_count(), u32::MAX);
     let mut next = 0u32;
@@ -230,52 +265,96 @@ fn survivor_components(
         }
         next += 1;
     }
-    next as usize
 }
 
-/// Replays `flows` under `failed` using the **bit-parallel
-/// destination-major dataplane** — the fast path of this workspace.
+/// Computes the failure-free outcome of `flows` over `dense`: one
+/// bottom-up pass per destination tree, crediting each tree dart its
+/// subtree's demand — one add per *tree dart* instead of one per *path
+/// link*. Reverse pre-order visits children before their parent, so a
+/// node's sum is complete when the node is reached; `subtree` is all
+/// zero on entry and on return.
+fn build_baseline(
+    dense: &DenseFib,
+    base: &AllPairs,
+    flows: &FlowSet,
+    links: usize,
+    subtree: &mut Vec<f64>,
+) -> Baseline {
+    let mut loads = vec![0.0; links];
+    subtree.clear();
+    subtree.resize(dense.node_count(), 0.0);
+    for (dst, group) in flows.by_destination() {
+        for flow in group {
+            subtree[flow.src.index()] = flow.demand;
+        }
+        for f in dense.frames(dst).iter().rev() {
+            let sum = std::mem::take(&mut subtree[f.node as usize]);
+            if sum != 0.0 {
+                loads[f.link().index()] += sum;
+                subtree[f.parent as usize] += sum;
+            }
+        }
+        subtree[dst.index()] = 0.0; // where the tree delivered it all
+    }
+    let mut tally = DemandTally::default();
+    tally.record_clear_batch(flows.len() as u64, flows.offered());
+    Baseline {
+        key: (dense.stamp(), flows.stamp()),
+        loads,
+        tally,
+        hop_diameter: base.hop_diameter() as usize,
+    }
+}
+
+/// Replays `flows` under `failed` as a **cone delta against the
+/// failure-free baseline** — the one production dataplane of this
+/// workspace (the name is PR 6's; callers outside the workspace
+/// compile against it).
 ///
-/// Where [`replay_scenario`] still walks every flow (one FIB chase
-/// per clear flow) and repairs a survivor tree per destination, this
-/// dataplane touches no per-flow state for clear flows and no
-/// shortest-path machinery at all:
+/// The baseline — every link's load and an all-clear tally with no
+/// link failed — is built on the first call a scratch sees a
+/// `(dense, flows)` pair and reused until it sees another. A scenario
+/// then costs O(Σ cone + depth + walks), not O(n²):
 ///
-/// 1. **Survivor components.** One O(n + m) labelling of the failed
-///    graph per *scenario* ([`survivor_components`]); reachability
-///    towards every destination is then a component-bitset lookup —
-///    per-destination SPT repair is gone entirely.
-/// 2. **Classification.** The destination's *affected set* — sources
-///    whose base shortest path crosses a failed link — is computed in
-///    one pass over the staged [`DenseFib`] frames
-///    ([`DenseFib::affected_into`]), propagating affectedness from
-///    parent to child through a u64 node bitset, 64 sources per word.
-///    The destination's component bitset splits the affected sources
-///    into *disconnected* (`affected ∧ ¬reach`) and *fallback*
-///    (`affected ∧ reach`); clear sources are `present ∧ ¬affected`.
-///    Clear and disconnected tallies are recorded per 64-source word
-///    via the popcount batch constructors.
-/// 3. **Subtree demand aggregation.** Clear flows all follow the base
-///    tree, so their link loads are a bottom-up sum: seed
-///    `subtree[src] = demand(src)` for clear sources, then walk the
-///    canonical frame order *in reverse* (children before parents),
-///    crediting each tree dart with its tail's completed subtree sum
-///    and folding that sum into the parent. One add per *tree dart*
-///    instead of one per *path link* — O(n) per destination instead
-///    of O(Σ path lengths).
-/// 4. **Fallback.** Affected-but-connected flows walk the full agent
-///    via [`recover_flow_with`], in ascending source order, as one
-///    [`FlowScratch::unit`] per destination: detours of one unit
-///    converge, so a walk that meets a triple an earlier source
-///    resolved splices the rest and reads its darts off the memo.
+/// 1. **Start from the baseline** (one copy of the load vector) and
+///    label the **survivor components**, one O(n + m) pass per
+///    *scenario* ([`survivor_components`]): whether a source can still
+///    reach a destination is a label compare.
+/// 2. **Cones.** Per destination, the failed links that are tree edges
+///    are found in two reads each and their subtrees come out as
+///    contiguous frame slices, outermost only
+///    ([`DenseFib::cones_into`]). A destination without one is done:
+///    none of its flows changed.
+/// 3. **Withdraw.** Each cone is walked once bottom-up, summing
+///    per-subtree demand and taking it off the tree dart above every
+///    cone node; the cone's total then comes off every link from the
+///    cone's root to the destination (that stretch is failure-free, or
+///    the root would not be outermost). The load vector now carries
+///    exactly the unaffected flows.
+/// 4. **Reclassify.** Cone sources with demand, in ascending source
+///    order over all cones of the destination: one in another survivor
+///    component is moved from clear to disconnected; the rest walk the
+///    agent via [`recover_flow_with`] as one [`FlowScratch::unit`] per
+///    destination — detours of one unit converge, so a walk that meets
+///    a triple an earlier source resolved splices the rest — and are
+///    moved to recovered (their darts load the links they took) or
+///    dropped.
 ///
 /// Produces the **bit-identical** [`ScenarioTraffic`] of
-/// [`replay_scenario`] and [`replay_scenario_naive`]: flow demands
-/// live on the power-of-two demand grid (see `FlowSet`), so every
-/// per-scenario f64 sum here is exact and therefore independent of
-/// how this dataplane regroups the additions.
+/// [`replay_scenario_naive`], and the same [`ReplayScratch::link_loads`]
+/// as summing the oracle's paths: see the module docs for why
+/// subtracting is as exact as adding here.
 ///
-/// `dense` must be compiled from `base` ([`DenseFib::from_base`]).
+/// `dense` must be compiled from `base` ([`DenseFib::from_base`]), on a
+/// connected `graph`.
+///
+/// # Panics
+///
+/// Panics if `ttl` is below the hop diameter of `base`. Unaffected
+/// flows are delivered without being walked, hence without counting
+/// hops; under a smaller budget the oracle would drop the longest of
+/// them and the two would silently disagree. Every caller in the
+/// workspace passes [`generous_ttl`](pr_core::generous_ttl).
 #[allow(clippy::too_many_arguments)]
 pub fn replay_scenario_bitparallel<A: ForwardingAgent>(
     graph: &Graph,
@@ -290,98 +369,98 @@ pub fn replay_scenario_bitparallel<A: ForwardingAgent>(
 where
     A::State: std::hash::Hash + Eq,
 {
-    let ReplayScratch { walk, bits: bit, comp, comp_words, queue, loads, .. } = scratch;
-    loads.clear();
-    loads.resize(graph.link_count(), 0.0);
-    let n = graph.node_count();
-    let words = bits::words_for(n);
-
-    // Phase 1: survivor components, once per scenario.
-    let ncomp = survivor_components(graph, failed, comp, queue);
-    comp_words.clear();
-    comp_words.resize(ncomp * words, 0);
-    for u in 0..n {
-        bits::set(&mut comp_words[comp[u] as usize * words..], u);
+    let ReplayScratch {
+        walk,
+        baseline,
+        comp,
+        queue,
+        cones,
+        sources,
+        demand,
+        subtree,
+        loads,
+        stats,
+    } = scratch;
+    let key = (dense.stamp(), flows.stamp());
+    if baseline.as_ref().is_none_or(|b| b.key != key) {
+        *baseline = Some(build_baseline(dense, base, flows, graph.link_count(), subtree));
+        stats.baselines += 1;
     }
+    let baseline = baseline.as_ref().expect("built above");
+    assert!(
+        ttl >= baseline.hop_diameter,
+        "replay needs a ttl of at least the base hop diameter ({}), got {ttl}: \
+         unaffected flows are delivered without counting hops",
+        baseline.hop_diameter
+    );
+    stats.replays += 1;
 
-    let mut tally = DemandTally::default();
+    loads.clone_from(&baseline.loads);
+    let mut tally = baseline.tally;
+    survivor_components(graph, failed, comp, queue);
+    let n = graph.node_count();
+    demand.resize(n, 0.0);
+
     for (dst, group) in flows.by_destination() {
-        let base_tree = base.towards(dst);
-        bit.begin_group(n);
-        for flow in group {
-            bit.stage_demand(flow.src, flow.demand);
+        dense.cones_into(graph, dst, failed, cones);
+        if cones.is_empty() {
+            continue;
         }
-        dense.affected_into(dst, failed, &mut bit.affected);
-        let reach = &comp_words[comp[dst.index()] as usize * words..][..words];
+        stats.destinations += 1;
+        let frames = dense.frames(dst);
+        bits::clear_and_resize(sources, n);
 
-        let any_affected = bit.present.iter().zip(&bit.affected).any(|(&p, &a)| p & a != 0);
-
-        // Phase 2: word-parallel classification — tally clear and
-        // disconnected demand 64 sources at a time, seed the subtree
-        // sums for the clear sources. Fallback sources are walked
-        // afterwards so the recovered stretch terms accumulate in
-        // ascending source order, exactly as the per-flow dataplanes
-        // do.
-        let (mut clear_flows, mut clear_demand) = (0u64, 0.0);
-        let (mut disc_flows, mut disc_demand) = (0u64, 0.0);
-        for (w, &r) in reach.iter().enumerate() {
-            let clear = bit.present[w] & !bit.affected[w];
-            clear_flows += u64::from(clear.count_ones());
-            bits::for_each_in_word(clear, w * 64, |i| {
-                clear_demand += bit.demand[i];
-                bit.subtree[i] = bit.demand[i];
-            });
-            if any_affected {
-                let disc = (bit.present[w] & bit.affected[w]) & !r;
-                disc_flows += u64::from(disc.count_ones());
-                bits::for_each_in_word(disc, w * 64, |i| disc_demand += bit.demand[i]);
-            }
-        }
-        if clear_flows > 0 {
-            tally.record_clear_batch(clear_flows, clear_demand);
-        }
-        if disc_flows > 0 {
-            tally.record_disconnected_batch(disc_flows, disc_demand);
-        }
-
-        // Phase 3: bottom-up subtree aggregation over the reversed
-        // canonical frame order — children complete before their
-        // parent is visited, so each tree dart is credited its whole
-        // subtree's clear demand in a single add.
-        if clear_flows > 0 {
-            for f in dense.frames(dst).iter().rev() {
-                let sum = bit.subtree[f.node as usize];
+        // Withdraw the cones' demand, children before parents, from the
+        // tree darts inside each cone and then from its root's path.
+        for &(start, end) in cones.iter() {
+            stats.cone_sources += u64::from(end - start);
+            let cone = &frames[start as usize..end as usize];
+            let mut total = 0.0;
+            for (i, f) in cone.iter().enumerate().rev() {
+                let mut sum = std::mem::take(&mut subtree[f.node as usize]);
+                if let Some(d) = demand_from(group, NodeId(f.node)) {
+                    bits::set(sources, f.node as usize);
+                    demand[f.node as usize] = d;
+                    sum += d;
+                }
                 if sum != 0.0 {
-                    loads[f.link as usize] += sum;
-                    bit.subtree[f.parent as usize] += sum;
+                    loads[f.link().index()] -= sum;
+                    match i {
+                        0 => total = sum,
+                        _ => subtree[f.parent as usize] += sum,
+                    }
+                }
+            }
+            if total != 0.0 {
+                let mut at = NodeId(cone[0].parent);
+                while let Some(f) = dense.frame(at, dst) {
+                    loads[f.link().index()] -= total;
+                    at = NodeId(f.parent);
                 }
             }
         }
 
-        // Phase 4: affected-but-connected flows through the full
-        // agent.
-        if any_affected {
-            let mut unit = walk.unit(graph, agent, dst, failed);
-            for (w, &r) in reach.iter().enumerate() {
-                let fallback = (bit.present[w] & bit.affected[w]) & r;
-                bits::for_each_in_word(fallback, w * 64, |i| {
-                    let (src, demand) = (NodeId(i as u32), bit.demand[i]);
-                    let outcome = recover_flow_with(&mut unit, src, ttl, |d| {
-                        loads[d.link().index()] += demand;
-                    });
-                    match outcome {
-                        FlowWalk::Recovered { cost, .. } => {
-                            let optimal = base_tree.cost(src).expect("connected base graph");
-                            tally.record_recovered(demand, cost as f64 / optimal as f64);
-                        }
-                        FlowWalk::Dropped(_) => tally.record_dropped(demand),
-                        FlowWalk::Clear { .. } | FlowWalk::Disconnected => {
-                            unreachable!("recover_flow_with only recovers or drops")
-                        }
-                    }
-                });
+        // Reclassify the cone sources in ascending order — the order
+        // the oracle meets them in, which `stretch_weighted_sum` (the
+        // one inexact accumulator) depends on.
+        let base_tree = base.towards(dst);
+        let here = comp[dst.index()];
+        let mut unit = walk.unit(graph, agent, dst, failed);
+        bits::for_each_set(sources, |i| {
+            let (src, demand) = (NodeId(i as u32), demand[i]);
+            if comp[i] != here {
+                tally.clear_to_disconnected(demand);
+                return;
             }
-        }
+            stats.walks += 1;
+            match recover_flow_with(&mut unit, src, ttl, |d| loads[d.link().index()] += demand) {
+                FlowWalk::Recovered { cost, .. } => {
+                    let optimal = base_tree.cost(src).expect("connected base graph");
+                    tally.clear_to_recovered(demand, cost as f64 / optimal as f64);
+                }
+                FlowWalk::Dropped(_) => tally.clear_to_dropped(demand),
+            }
+        });
     }
 
     let (max_link_load, peak_link) = peak_load(loads, tally.delivered);
@@ -390,10 +469,10 @@ where
 
 /// The per-packet reference dataplane: one [`walk_packet`] per flow
 /// with a fresh scratch and a from-scratch survivor tree per
-/// destination — no FIB, no batching, no repair. Produces the
+/// destination — no FIB, no baseline, no repair. Produces the
 /// identical [`ScenarioTraffic`] for the shortest-path-confluent
-/// schemes in this workspace; benchmarks measure [`replay_scenario`]
-/// against it.
+/// schemes in this workspace; everything
+/// [`replay_scenario_bitparallel`] does is held against it.
 pub fn replay_scenario_naive<A: ForwardingAgent>(
     graph: &Graph,
     agent: &A,
@@ -440,31 +519,96 @@ where
 mod tests {
     use super::*;
     use crate::{FlowSet, GravityTraffic, UniformTraffic};
-    use pr_core::{generous_ttl, DiscriminatorKind, PrMode, PrNetwork};
+    use pr_core::{
+        generous_ttl, DiscriminatorKind, ForwardDecision, PrAgent, PrHeader, PrMode, PrNetwork,
+    };
     use pr_embedding::CellularEmbedding;
+    use pr_graph::{generators, Dart};
     use pr_topologies::{Isp, Weighting};
 
-    fn abilene_setup() -> (Graph, PrNetwork, AllPairs, Fib) {
-        let g = pr_topologies::load(Isp::Abilene, Weighting::Distance);
-        let rot = pr_embedding::heuristics::thorough(&g, 2010, 4, 10_000);
-        let emb = CellularEmbedding::new(&g, rot).unwrap();
-        assert_eq!(emb.genus(), 0);
-        let net =
-            PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
-        let base = AllPairs::compute_all_live(&g);
-        let fib = Fib::from_base(&g, &base);
-        (g, net, base, fib)
+    struct Abilene {
+        g: Graph,
+        net: PrNetwork,
+        base: AllPairs,
+        dense: DenseFib,
+        scratch: ReplayScratch<PrHeader>,
+    }
+
+    impl Abilene {
+        fn new() -> Abilene {
+            let g = pr_topologies::load(Isp::Abilene, Weighting::Distance);
+            let rot = pr_embedding::heuristics::thorough(&g, 2010, 4, 10_000);
+            let emb = CellularEmbedding::new(&g, rot).unwrap();
+            assert_eq!(emb.genus(), 0);
+            let net =
+                PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+            let base = AllPairs::compute_all_live(&g);
+            let dense = DenseFib::from_base(&g, &base);
+            Abilene { g, net, base, dense, scratch: ReplayScratch::new() }
+        }
+
+        fn agent(&self) -> PrAgent<'_> {
+            self.net.agent(&self.g)
+        }
+
+        fn replay(&mut self, flows: &FlowSet, failed: &LinkSet) -> ScenarioTraffic {
+            let Abilene { g, net, base, dense, scratch } = self;
+            replay_scenario_bitparallel(
+                g,
+                &net.agent(g),
+                dense,
+                base,
+                flows,
+                failed,
+                generous_ttl(g),
+                scratch,
+            )
+        }
+
+        fn naive(&self, flows: &FlowSet, failed: &LinkSet) -> ScenarioTraffic {
+            let ttl = generous_ttl(&self.g);
+            replay_scenario_naive(&self.g, &self.agent(), &self.base, flows, failed, ttl)
+        }
+
+        /// Every link at a node of degree 2: its traffic row and
+        /// column are cut off, everything else must still deliver.
+        fn isolate_a_degree_two_pop(&self) -> LinkSet {
+            let g = &self.g;
+            let victim = g.nodes().find(|&v| g.degree(v) == 2).expect("Abilene has degree-2 PoPs");
+            LinkSet::from_links(g.link_count(), g.darts_from(victim).iter().map(|d| d.link()))
+        }
+    }
+
+    /// An agent that panics on every decision: whatever delivers under
+    /// it was priced without a walk.
+    struct Panicking;
+
+    impl ForwardingAgent for Panicking {
+        type State = ();
+        fn label(&self) -> &'static str {
+            "panicking"
+        }
+        fn decide(
+            &self,
+            _: NodeId,
+            _: Option<Dart>,
+            _: NodeId,
+            _: &mut (),
+            _: &LinkSet,
+        ) -> ForwardDecision {
+            panic!("agent consulted")
+        }
+        fn header_bits(&self, _: &()) -> usize {
+            0
+        }
     }
 
     #[test]
     fn no_failure_replay_delivers_everything_on_shortest_paths() {
-        let (g, net, base, fib) = abilene_setup();
-        let agent = net.agent(&g);
-        let flows = FlowSet::all_pairs(&UniformTraffic::new(&g));
-        let none = LinkSet::empty(g.link_count());
-        let mut scratch = ReplayScratch::new();
-        let out =
-            replay_scenario(&g, &agent, &fib, &base, &flows, &none, generous_ttl(&g), &mut scratch);
+        let mut a = Abilene::new();
+        let flows = FlowSet::all_pairs(&UniformTraffic::new(&a.g));
+        let none = LinkSet::empty(a.g.link_count());
+        let out = a.replay(&flows, &none);
         assert_eq!(out.tally.flows as usize, flows.len());
         assert_eq!(out.tally.delivered, out.tally.offered);
         assert_eq!(out.tally.evaluated, 0.0, "nothing affected without failures");
@@ -472,50 +616,114 @@ mod tests {
         assert!(out.max_link_load > 0.0);
         assert!(out.peak_link.is_some());
         assert!(out.max_link_utilisation() > 0.0 && out.max_link_utilisation() < 1.0);
+        assert_eq!(out, a.naive(&flows, &none));
     }
 
     #[test]
-    fn batched_matches_naive_on_every_single_failure() {
-        let (g, net, base, fib) = abilene_setup();
-        let agent = net.agent(&g);
-        let ttl = generous_ttl(&g);
-        let flows = FlowSet::all_pairs(&GravityTraffic::new(&g));
+    fn clear_flows_never_consult_the_agent() {
+        // The flows a failure does not touch are priced off the
+        // baseline: on a ring with no link down, and on a path graph
+        // where the only flows touched are cut off, a panicking agent
+        // is never asked.
+        for g in [generators::ring(6, 1), generators::path(5, 1)] {
+            let base = AllPairs::compute_all_live(&g);
+            let dense = DenseFib::from_base(&g, &base);
+            let flows = FlowSet::all_pairs(&UniformTraffic::new(&g));
+            let none = LinkSet::empty(g.link_count());
+            let mut scratch = ReplayScratch::new();
+            let out = replay_scenario_bitparallel(
+                &g,
+                &Panicking,
+                &dense,
+                &base,
+                &flows,
+                &none,
+                g.node_count(),
+                &mut scratch,
+            );
+            assert_eq!(out.tally.delivered, flows.offered());
+            assert_eq!(scratch.take_stats().walks, 0);
+        }
+    }
+
+    #[test]
+    fn disconnected_flows_are_classified_without_walking() {
+        // Every link of a path graph is a bridge: the flows that
+        // crossed the failed one are all cut off, and a cut-off flow is
+        // told by its survivor component, not by a (futile) walk.
+        let g = generators::path(5, 1);
+        let base = AllPairs::compute_all_live(&g);
+        let dense = DenseFib::from_base(&g, &base);
+        let flows = FlowSet::all_pairs(&UniformTraffic::new(&g));
         let mut scratch = ReplayScratch::new();
-        for link in g.links() {
+        for (i, link) in g.links().enumerate() {
             let failed = LinkSet::from_links(g.link_count(), [link]);
-            let batched =
-                replay_scenario(&g, &agent, &fib, &base, &flows, &failed, ttl, &mut scratch);
-            let naive = replay_scenario_naive(&g, &agent, &base, &flows, &failed, ttl);
-            assert_eq!(batched, naive, "link {link}");
-            assert!(batched.tally.evaluated > 0.0, "every link carries some shortest path");
-            assert_eq!(batched.tally.lost(), 0.0, "PR-DD delivers on genus 0 (2EC, k=1)");
+            let out = replay_scenario_bitparallel(
+                &g,
+                &Panicking,
+                &dense,
+                &base,
+                &flows,
+                &failed,
+                g.node_count(),
+                &mut scratch,
+            );
+            // i + 1 nodes on one side, the rest on the other; both
+            // directions of every pair across are lost.
+            let across = 2 * (i + 1) * (g.node_count() - i - 1);
+            assert_eq!(out.tally.disconnected, across as f64, "{link}");
+            assert_eq!(out.tally.delivered, flows.offered() - across as f64);
+            assert_eq!(out.tally.evaluated, 0.0);
+            assert_eq!(scratch.link_loads()[link.index()], 0.0, "nothing crosses a dead link");
+        }
+        let stats = scratch.take_stats();
+        assert_eq!(stats.walks, 0);
+        assert!(stats.cone_sources > 0);
+    }
+
+    #[test]
+    fn bitparallel_matches_naive_on_every_single_failure() {
+        let mut a = Abilene::new();
+        let flows = FlowSet::all_pairs(&GravityTraffic::new(&a.g));
+        for link in a.g.links() {
+            let failed = LinkSet::from_links(a.g.link_count(), [link]);
+            let out = a.replay(&flows, &failed);
+            assert_eq!(out, a.naive(&flows, &failed), "link {link}");
+            assert!(out.tally.evaluated > 0.0, "every link carries some shortest path");
+            assert_eq!(out.tally.lost(), 0.0, "PR-DD delivers on genus 0 (2EC, k=1)");
+        }
+        assert_eq!(a.scratch.take_stats().baselines, 1, "one baseline serves every scenario");
+    }
+
+    #[test]
+    fn bitparallel_load_vector_matches_the_oracles_paths_on_every_single_failure() {
+        // Not just the peak: the whole load vector is that of adding
+        // up one `walk_packet` path per flow.
+        let mut a = Abilene::new();
+        let flows = FlowSet::all_pairs(&GravityTraffic::new(&a.g));
+        let ttl = generous_ttl(&a.g);
+        for link in a.g.links() {
+            let failed = LinkSet::from_links(a.g.link_count(), [link]);
+            a.replay(&flows, &failed);
+            let mut loads = vec![0.0; a.g.link_count()];
+            for flow in flows.flows() {
+                let walk = walk_packet(&a.g, &a.agent(), flow.src, flow.dst, &failed, ttl);
+                assert!(walk.result.is_delivered());
+                for d in walk.path.darts() {
+                    loads[d.link().index()] += flow.demand;
+                }
+            }
+            assert_eq!(a.scratch.link_loads(), loads, "link {link}");
         }
     }
 
     #[test]
     fn disconnecting_failures_lose_exactly_the_cut_demand() {
-        let (g, net, base, fib) = abilene_setup();
-        let agent = net.agent(&g);
-        // Fail every link at a node of degree 2: its traffic row and
-        // column are lost, everything else must still deliver.
-        let victim = g.nodes().find(|&v| g.degree(v) == 2).expect("Abilene has degree-2 PoPs");
-        let mut failed = LinkSet::empty(g.link_count());
-        for d in g.darts_from(victim) {
-            failed.insert(d.link());
-        }
-        let flows = FlowSet::all_pairs(&UniformTraffic::new(&g));
-        let mut scratch = ReplayScratch::new();
-        let out = replay_scenario(
-            &g,
-            &agent,
-            &fib,
-            &base,
-            &flows,
-            &failed,
-            generous_ttl(&g),
-            &mut scratch,
-        );
-        let n = g.node_count() as f64;
+        let mut a = Abilene::new();
+        let failed = a.isolate_a_degree_two_pop();
+        let flows = FlowSet::all_pairs(&UniformTraffic::new(&a.g));
+        let out = a.replay(&flows, &failed);
+        let n = a.g.node_count() as f64;
         assert_eq!(out.tally.disconnected, 2.0 * (n - 1.0), "victim's row + column");
         assert_eq!(out.tally.dropped, 0.0);
         assert_eq!(out.tally.delivered, out.tally.offered - out.tally.disconnected);
@@ -532,104 +740,43 @@ mod tests {
     }
 
     #[test]
-    fn bitparallel_matches_batched_and_naive_on_every_single_failure() {
-        let (g, net, base, fib) = abilene_setup();
-        let dense = pr_core::DenseFib::from_base(&g, &base);
-        let agent = net.agent(&g);
-        let ttl = generous_ttl(&g);
-        let flows = FlowSet::all_pairs(&GravityTraffic::new(&g));
-        let mut scratch = ReplayScratch::new();
-        let mut bp_scratch = ReplayScratch::new();
-        for link in g.links() {
-            let failed = LinkSet::from_links(g.link_count(), [link]);
-            let batched =
-                replay_scenario(&g, &agent, &fib, &base, &flows, &failed, ttl, &mut scratch);
-            let bitparallel = replay_scenario_bitparallel(
-                &g,
-                &agent,
-                &dense,
-                &base,
-                &flows,
-                &failed,
-                ttl,
-                &mut bp_scratch,
-            );
-            assert_eq!(bitparallel, batched, "link {link}");
-            // Not just the peak: the whole load vector is bit-equal.
-            assert_eq!(bp_scratch.link_loads(), scratch.link_loads(), "link {link}");
-            let naive = replay_scenario_naive(&g, &agent, &base, &flows, &failed, ttl);
-            assert_eq!(bitparallel, naive, "link {link}");
-        }
-    }
-
-    #[test]
     fn bitparallel_handles_disconnection_and_no_failure_scenarios() {
-        let (g, net, base, fib) = abilene_setup();
-        let dense = pr_core::DenseFib::from_base(&g, &base);
-        let agent = net.agent(&g);
-        let ttl = generous_ttl(&g);
-        let flows = FlowSet::all_pairs(&UniformTraffic::new(&g));
-        let mut scratch = ReplayScratch::new();
-
-        // No failures: everything clear via subtree aggregation only.
-        let none = LinkSet::empty(g.link_count());
-        let out = replay_scenario_bitparallel(
-            &g,
-            &agent,
-            &dense,
-            &base,
-            &flows,
-            &none,
-            ttl,
-            &mut scratch,
-        );
-        assert_eq!(out.tally.flows as usize, flows.len());
-        assert_eq!(out.tally.delivered, out.tally.offered);
-        assert_eq!(out.tally.evaluated, 0.0);
-
-        // Cut off a degree-2 PoP: its row and column disconnect.
-        let victim = g.nodes().find(|&v| g.degree(v) == 2).expect("Abilene has degree-2 PoPs");
-        let mut failed = LinkSet::empty(g.link_count());
-        for d in g.darts_from(victim) {
-            failed.insert(d.link());
+        // Through one scratch, back to back: a cut, then nothing
+        // failed (the baseline untouched by what the cut withdrew),
+        // then the cut again.
+        let mut a = Abilene::new();
+        let flows = FlowSet::all_pairs(&UniformTraffic::new(&a.g));
+        let cut = a.isolate_a_degree_two_pop();
+        let none = LinkSet::empty(a.g.link_count());
+        for failed in [&cut, &none, &cut] {
+            let out = a.replay(&flows, failed);
+            assert_eq!(out, a.naive(&flows, failed));
+            assert_eq!(out.tally.flows as usize, flows.len());
         }
-        let cut = replay_scenario_bitparallel(
-            &g,
-            &agent,
-            &dense,
-            &base,
-            &flows,
-            &failed,
-            ttl,
-            &mut scratch,
-        );
-        let n = g.node_count() as f64;
-        assert_eq!(cut.tally.disconnected, 2.0 * (n - 1.0));
-        assert_eq!(cut.tally.dropped, 0.0);
-        let mut batched = ReplayScratch::new();
-        let reference =
-            replay_scenario(&g, &agent, &fib, &base, &flows, &failed, ttl, &mut batched);
-        assert_eq!(cut, reference);
     }
 
     #[test]
     fn sampled_flows_replay_and_conserve_demand() {
-        let (g, net, base, fib) = abilene_setup();
-        let agent = net.agent(&g);
-        let flows = FlowSet::sampled(&GravityTraffic::new(&g), 200, 7);
-        let failed = LinkSet::from_links(g.link_count(), [g.links().next().unwrap()]);
-        let mut scratch = ReplayScratch::new();
-        let out = replay_scenario(
-            &g,
-            &agent,
-            &fib,
-            &base,
-            &flows,
-            &failed,
-            generous_ttl(&g),
-            &mut scratch,
-        );
+        let mut a = Abilene::new();
+        let flows = FlowSet::sampled(&GravityTraffic::new(&a.g), 200, 7);
+        let failed = LinkSet::from_links(a.g.link_count(), [a.g.links().next().unwrap()]);
+        let out = a.replay(&flows, &failed);
         assert_eq!(out.tally.flows as usize, flows.len());
         assert!((out.tally.offered - flows.offered()).abs() < 1e-9);
+        assert_eq!(out, a.naive(&flows, &failed));
+    }
+
+    #[test]
+    #[should_panic(expected = "base hop diameter")]
+    fn a_ttl_below_the_hop_diameter_is_refused() {
+        // Clear flows are never walked, so a budget the longest of them
+        // does not fit in cannot be honoured — say so instead of
+        // delivering what the oracle would drop.
+        let mut a = Abilene::new();
+        let flows = FlowSet::all_pairs(&UniformTraffic::new(&a.g));
+        let Abilene { g, net, base, dense, scratch } = &mut a;
+        let ttl = base.hop_diameter() as usize - 1;
+        let none = LinkSet::empty(g.link_count());
+        replay_scenario_bitparallel(g, &net.agent(g), dense, base, &flows, &none, ttl, scratch);
     }
 }

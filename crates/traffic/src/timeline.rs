@@ -55,7 +55,7 @@ pub struct TimelineTraffic {
 /// and convergence splits), clipped to the flow's active window.
 ///
 /// Consecutive intervals with the same down set reuse the previous
-/// interval's replay, so the cost is one bit-parallel replay per
+/// interval's replay, so the cost is one cone-delta replay per
 /// *distinct* failed-set episode, not per boundary.
 #[allow(clippy::too_many_arguments)]
 pub fn replay_timeline<A: ForwardingAgent>(

@@ -12,15 +12,16 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use pr_core::{
-    generous_ttl, recover_flow_with, walk_flow_with, walk_packet, DenseFib, DiscriminatorKind,
-    DropReason, Fib, FlowScratch, FlowWalk, PrMode, PrNetwork, WalkResult,
+    generous_ttl, recover_flow_with, walk_packet, DenseFib, DiscriminatorKind, DropReason,
+    FlowScratch, FlowWalk, PrHeader, PrMode, PrNetwork, WalkResult,
 };
 use pr_embedding::{CellularEmbedding, RotationSystem};
-use pr_graph::{bits, generators, AllPairs, Dart, Graph, LinkSet, NodeId, SpTree};
-use pr_scenarios::{ExhaustiveKFailures, ScenarioFamily, SingleLinkFailures};
+use pr_graph::algo::components;
+use pr_graph::{bits, generators, AllPairs, Dart, Graph, LinkSet, NodeId, SpTree, TreeChildren};
+use pr_scenarios::{ExhaustiveKFailures, SampledMultiFailures, ScenarioFamily, SingleLinkFailures};
 use pr_traffic::{
-    replay_scenario, replay_scenario_bitparallel, replay_scenario_naive, FlowSet, HotspotTraffic,
-    ReplayScratch, TrafficMatrix, TrafficModel, UniformTraffic,
+    replay_scenario_bitparallel, replay_scenario_naive, FlowSet, GravityTraffic, HotspotTraffic,
+    ReplayScratch, ReplayStats, TrafficMatrix, TrafficModel, UniformTraffic,
 };
 
 /// A reproducible random 2-edge-connected graph.
@@ -31,11 +32,410 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
-/// PR-DD over the identity rotation (any genus — drops are legitimate
-/// outcomes and must be weighted like any other).
-fn compile_net(g: &Graph) -> PrNetwork {
-    let emb = CellularEmbedding::new(g, RotationSystem::identity(g)).expect("connected");
-    PrNetwork::compile(g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops)
+/// Everything a replay hoists, for one topology and rotation system.
+struct Net {
+    g: Graph,
+    pr: PrNetwork,
+    base: AllPairs,
+    dense: DenseFib,
+}
+
+impl Net {
+    fn new(g: Graph, rotation: RotationSystem) -> Net {
+        let emb = CellularEmbedding::new(&g, rotation).expect("connected");
+        let pr =
+            PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+        let base = AllPairs::compute_all_live(&g);
+        let dense = DenseFib::from_base(&g, &base);
+        Net { g, pr, base, dense }
+    }
+
+    /// PR-DD over the identity rotation (any genus — drops are
+    /// legitimate outcomes and must be weighted like any other).
+    fn identity(g: Graph) -> Net {
+        let rotation = RotationSystem::identity(&g);
+        Net::new(g, rotation)
+    }
+
+    fn searched(g: Graph) -> Net {
+        let rotation = pr_embedding::heuristics::thorough(&g, 2010, 4, 10_000);
+        Net::new(g, rotation)
+    }
+
+    fn figure1() -> Net {
+        let (g, orders) = pr_topologies::figure1();
+        let rotation = RotationSystem::from_neighbor_orders(&g, &orders).expect("paper orders");
+        Net::new(g, rotation)
+    }
+
+    fn abilene() -> Net {
+        Net::searched(pr_topologies::load(
+            pr_topologies::Isp::Abilene,
+            pr_topologies::Weighting::Distance,
+        ))
+    }
+
+    fn synth(spec: &str) -> Graph {
+        generators::synth_from_spec(spec).expect("synth spec")
+    }
+
+    fn hotspot(&self, seed: u64) -> HotspotTraffic {
+        HotspotTraffic::new(&self.g, (self.g.node_count() / 4).max(1), 4.0, seed)
+    }
+
+    fn production(
+        &self,
+        flows: &FlowSet,
+        failed: &LinkSet,
+        ttl: usize,
+        scratch: &mut ReplayScratch<PrHeader>,
+    ) -> pr_traffic::ScenarioTraffic {
+        let Net { g, pr, base, dense } = self;
+        replay_scenario_bitparallel(g, &pr.agent(g), dense, base, flows, failed, ttl, scratch)
+    }
+
+    /// Replays `failed` through the production path and holds all of it
+    /// against the oracle: the result (tally, peak load, peak link),
+    /// the **whole load vector** against one `walk_packet` per flow
+    /// added up link by link, and the cones the replay enumerated
+    /// against the full-tree pass of `affected_into`, bit for bit.
+    /// `ttl` must cover every failure-free shortest path.
+    fn check(
+        &self,
+        flows: &FlowSet,
+        failed: &LinkSet,
+        ttl: usize,
+        scratch: &mut ReplayScratch<PrHeader>,
+    ) -> pr_traffic::ScenarioTraffic {
+        let Net { g, pr, base, dense } = self;
+        let agent = pr.agent(g);
+        let label = format!("failed {failed:?} flows {} ttl {ttl}", flows.label());
+        let out = self.production(flows, failed, ttl, scratch);
+        assert_eq!(out, replay_scenario_naive(g, &agent, base, flows, failed, ttl), "{label}");
+
+        let mut loads = vec![0.0; g.link_count()];
+        for flow in flows.flows() {
+            let walk = walk_packet(g, &agent, flow.src, flow.dst, failed, ttl);
+            if walk.result.is_delivered() {
+                for d in walk.path.darts() {
+                    loads[d.link().index()] += flow.demand;
+                }
+            }
+        }
+        assert_eq!(scratch.link_loads(), loads, "{label}");
+
+        let (mut cones, mut affected, mut in_cone) = (Vec::new(), Vec::new(), Vec::new());
+        for dst in g.nodes() {
+            dense.cones_into(g, dst, failed, &mut cones);
+            bits::clear_and_resize(&mut in_cone, g.node_count());
+            for &(start, end) in &cones {
+                for f in &dense.frames(dst)[start as usize..end as usize] {
+                    assert!(!bits::test(&in_cone, f.node as usize), "{label}: cones overlap");
+                    bits::set(&mut in_cone, f.node as usize);
+                }
+            }
+            dense.affected_into(dst, failed, &mut affected);
+            assert_eq!(in_cone, affected, "{label}: cones of {dst} are not its affected set");
+        }
+        out
+    }
+}
+
+/// The branches of the cone delta a failed set drives, read off the
+/// base trees (not off the code under test), OR-ed over destinations.
+#[derive(Debug, Default)]
+struct Shapes {
+    /// A failed tree edge inside the cone of one with a larger link id:
+    /// the scan meets the nested root first.
+    nested_found_first: bool,
+    /// … inside the cone of one with a smaller link id: met second.
+    nested_found_second: bool,
+    /// Two failed tree edges of one tree, neither above the other.
+    disjoint_cones: bool,
+    /// A cone root whose failed dart leads straight to the destination.
+    root_at_destination: bool,
+    /// The failed set cuts one node off from everything.
+    isolates_a_node: bool,
+    /// The failed set splits the graph into parts of two or more nodes.
+    splits_the_graph: bool,
+}
+
+impl Shapes {
+    fn observe(&mut self, net: &Net, failed: &LinkSet) {
+        let g = &net.g;
+        for dst in g.nodes() {
+            let tree = net.base.towards(dst);
+            let mut outermost = 0;
+            for link in failed.iter() {
+                let (a, b) = g.endpoints(link);
+                let Some(root) = [a, b]
+                    .into_iter()
+                    .find(|&u| tree.next_dart(u).is_some_and(|d| d.link() == link))
+                else {
+                    continue;
+                };
+                // The failed links on the way from above the root to
+                // the destination; the last one is the enclosing cone's.
+                let above = tree.path_darts(g, root).expect("connected base graph");
+                let enclosing = above[1..].iter().rev().find(|d| failed.contains(d.link()));
+                match enclosing {
+                    Some(outer) if link < outer.link() => self.nested_found_first = true,
+                    Some(_) => self.nested_found_second = true,
+                    None => {
+                        outermost += 1;
+                        self.root_at_destination |= above.len() == 1;
+                    }
+                }
+            }
+            self.disjoint_cones |= outermost >= 2;
+        }
+        let parts = components(g, failed);
+        let mut sizes = vec![0; parts.count];
+        for &label in &parts.label {
+            sizes[label] += 1;
+        }
+        if parts.count > 1 {
+            self.isolates_a_node |= sizes.contains(&1);
+            self.splits_the_graph |= sizes.iter().filter(|&&s| s >= 2).count() >= 2;
+        }
+    }
+}
+
+/// Every scenario of the exhaustive families k ∈ {1, 2, 3}.
+fn exhaustive_up_to_three(g: &Graph) -> Vec<LinkSet> {
+    (1..=3)
+        .flat_map(|k| {
+            let family = ExhaustiveKFailures::new(g, k);
+            (0..family.len()).map(|i| family.scenario(i)).collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// `count` sampled failure sets of every size k ∈ 1..=6.
+fn sampled_up_to_six(g: &Graph, count: usize, seed: u64) -> Vec<LinkSet> {
+    (1..=6)
+        .flat_map(|k| {
+            let family = SampledMultiFailures::new(g, k, count, seed);
+            (0..family.len()).map(|i| family.scenario(i)).collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+#[test]
+fn production_equals_the_oracle_on_every_small_failure_set_of_the_paper_topologies() {
+    for net in [Net::figure1(), Net::abilene()] {
+        assert_eq!(net.pr.embedding().genus(), 0);
+        let dense_flows = FlowSet::all_pairs(&net.hotspot(2010));
+        let sparse_flows = FlowSet::sampled(&net.hotspot(2010), net.g.node_count() / 2, 2010);
+        let ttl = generous_ttl(&net.g);
+        let (mut dense_scratch, mut sparse_scratch) = (ReplayScratch::new(), ReplayScratch::new());
+        let mut shapes = Shapes::default();
+
+        let mut sets = exhaustive_up_to_three(&net.g);
+        sets.push(LinkSet::empty(net.g.link_count()));
+        // One scratch sees them in an order that is not the family's.
+        sets.shuffle(&mut StdRng::seed_from_u64(2010));
+        for failed in &sets {
+            shapes.observe(&net, failed);
+            net.check(&dense_flows, failed, ttl, &mut dense_scratch);
+            net.check(&sparse_flows, failed, ttl, &mut sparse_scratch);
+        }
+
+        // The families must have driven every branch of the delta.
+        assert!(shapes.nested_found_first, "{shapes:?}");
+        assert!(shapes.nested_found_second, "{shapes:?}");
+        assert!(shapes.disjoint_cones, "{shapes:?}");
+        assert!(shapes.root_at_destination, "{shapes:?}");
+        assert!(shapes.isolates_a_node, "{shapes:?}");
+        assert!(shapes.splits_the_graph, "{shapes:?}");
+        for scratch in [&mut dense_scratch, &mut sparse_scratch] {
+            assert_eq!(scratch.take_stats().baselines, 1, "one baseline per (fib, flow set)");
+        }
+        // Sparse groups: some destination has no flow towards it, and
+        // some group lacks sources.
+        assert!(sparse_flows.by_destination().count() < net.g.node_count());
+        assert!(sparse_flows
+            .by_destination()
+            .any(|(_, group)| group.len() < net.g.node_count() - 1));
+    }
+}
+
+#[test]
+fn production_equals_the_oracle_on_sampled_failure_sets_up_to_six_links() {
+    // A positive-genus rotation (walks drop although a path survives)
+    // and a mesh large enough for deep trees and many-word bitsets.
+    let small = Net::identity(Net::synth("isp:24:7"));
+    assert!(small.pr.embedding().genus() > 0, "the identity rotation must not embed it planar");
+    let large = Net::searched(Net::synth("isp:120:2010"));
+    for (net, count) in [(small, 12), (large, 3)] {
+        let ttl = generous_ttl(&net.g);
+        let dense_flows = FlowSet::all_pairs(&GravityTraffic::new(&net.g));
+        let sparse_flows = FlowSet::sampled(&net.hotspot(7), 96, 7);
+        assert!(sparse_flows.by_destination().count() < net.g.node_count());
+        let (mut dense_scratch, mut sparse_scratch) = (ReplayScratch::new(), ReplayScratch::new());
+        let mut shapes = Shapes::default();
+        let (mut dropped, mut disconnected) = (0.0, 0.0);
+        for failed in &sampled_up_to_six(&net.g, count, 7) {
+            shapes.observe(&net, failed);
+            let out = net.check(&dense_flows, failed, ttl, &mut dense_scratch);
+            dropped += out.tally.dropped;
+            disconnected += out.tally.disconnected;
+            net.check(&sparse_flows, failed, ttl, &mut sparse_scratch);
+        }
+        assert!(shapes.nested_found_first && shapes.nested_found_second, "{shapes:?}");
+        assert!(shapes.disjoint_cones && shapes.root_at_destination, "{shapes:?}");
+        if net.pr.embedding().genus() > 0 {
+            assert!(dropped > 0.0, "the fixture must make some connected flows drop");
+        }
+        let _ = disconnected;
+    }
+}
+
+#[test]
+fn disconnecting_sets_are_priced_like_the_oracle_prices_them() {
+    let net = Net::abilene();
+    let g = &net.g;
+    let flows = FlowSet::all_pairs(&GravityTraffic::new(g));
+    let ttl = generous_ttl(g);
+    let mut scratch = ReplayScratch::new();
+
+    // A degree-2 PoP cut off: its row and column are lost.
+    let victim = g.nodes().find(|&v| g.degree(v) == 2).expect("Abilene has degree-2 PoPs");
+    let cut = LinkSet::from_links(g.link_count(), g.darts_from(victim).iter().map(|d| d.link()));
+    let out = net.check(&flows, &cut, ttl, &mut scratch);
+    let lost: f64 =
+        flows.flows().iter().filter(|f| f.src == victim || f.dst == victim).map(|f| f.demand).sum();
+    assert_eq!(out.tally.disconnected, lost);
+    assert_eq!(out.tally.dropped, 0.0);
+
+    // A bridge after the first failure: Abilene is 2-edge-connected,
+    // so every second link that splits it is one.
+    let links: Vec<_> = g.links().collect();
+    let mut splits = 0;
+    for &first in &links {
+        let one = LinkSet::from_links(g.link_count(), [first]);
+        assert_eq!(components(g, &one).count, 1);
+        for &second in links.iter().filter(|&&l| l > first) {
+            let two = LinkSet::from_links(g.link_count(), [first, second]);
+            if components(g, &two).count == 1 {
+                continue;
+            }
+            splits += 1;
+            let out = net.check(&flows, &two, ttl, &mut scratch);
+            assert!(out.tally.disconnected > 0.0);
+            assert_eq!(out.tally.dropped, 0.0, "PR delivers inside each part (genus 0)");
+        }
+    }
+    assert!(splits > 0);
+}
+
+#[test]
+fn one_scratch_serves_alternating_flow_sets_and_fibs() {
+    // Two topologies (so two FIBs, two link counts) and two flow sets
+    // each, taken in turns through ONE scratch: every switch must
+    // rebuild the baseline, and no replay may see the previous pair's.
+    let nets = [Net::figure1(), Net::abilene()];
+    let flow_sets: Vec<[FlowSet; 2]> = nets
+        .iter()
+        .map(|net| {
+            [FlowSet::all_pairs(&UniformTraffic::new(&net.g)), FlowSet::all_pairs(&net.hotspot(3))]
+        })
+        .collect();
+    let mut scratch = ReplayScratch::new();
+    let mut stats = ReplayStats::default();
+    for round in 0..3 {
+        for (net, sets) in nets.iter().zip(&flow_sets) {
+            let failed = SingleLinkFailures::new(&net.g).scenario(round);
+            for flows in sets {
+                net.check(flows, &failed, generous_ttl(&net.g), &mut scratch);
+                net.check(flows, &failed, generous_ttl(&net.g), &mut scratch);
+                stats.merge(&scratch.take_stats());
+            }
+        }
+    }
+    assert_eq!(stats.replays, 3 * 2 * 2 * 2);
+    assert_eq!(stats.baselines, 3 * 2 * 2, "one per switch, none for the repeat");
+
+    // A second FIB of the same trees is a different FIB. (The scratch
+    // comes out of the loop holding this net's last pair.)
+    let net = &nets[1];
+    let restaged = Net { dense: DenseFib::from_base(&net.g, &net.base), ..Net::abilene() };
+    let failed = SingleLinkFailures::new(&net.g).scenario(5);
+    for fib_owner in [net, &restaged, net] {
+        fib_owner.check(&flow_sets[1][1], &failed, generous_ttl(&net.g), &mut scratch);
+    }
+    assert_eq!(scratch.take_stats().baselines, 2);
+}
+
+#[test]
+fn a_flow_set_dropped_and_rebuilt_between_calls_is_a_new_flow_set() {
+    // Same node count, same flow count, very likely the same heap
+    // block: only the construction stamp tells the second set from the
+    // first. A baseline kept by address or by length would price the
+    // hotspot matrix with the uniform one's loads.
+    let net = Net::abilene();
+    let ttl = generous_ttl(&net.g);
+    let failed = SingleLinkFailures::new(&net.g).scenario(3);
+    let mut scratch = ReplayScratch::new();
+    let mut outcomes = Vec::new();
+    for round in 0..6u64 {
+        let flows = match round % 2 {
+            0 => FlowSet::all_pairs(&UniformTraffic::new(&net.g)),
+            _ => FlowSet::all_pairs(&net.hotspot(round)),
+        };
+        outcomes.push(net.check(&flows, &failed, ttl, &mut scratch));
+    }
+    assert_eq!(scratch.take_stats().baselines, 6);
+    assert_eq!(outcomes[0], outcomes[2], "the same matrix prices the same");
+    assert_ne!(outcomes[1], outcomes[3], "different hotspot seeds do not");
+
+    // A clone is the same compilation and keeps the baseline.
+    let flows = FlowSet::all_pairs(&UniformTraffic::new(&net.g));
+    net.check(&flows, &failed, ttl, &mut scratch);
+    net.check(&flows.clone(), &failed, ttl, &mut scratch);
+    assert_eq!(scratch.take_stats().baselines, 1);
+}
+
+#[test]
+fn a_replay_looks_at_the_cones_and_at_nothing_else() {
+    // The algorithmic claim without a clock: per scenario the scratch
+    // touched exactly the destinations whose tree lost an edge, visited
+    // exactly their affected cones, and walked exactly the affected
+    // flows that are still connected — far fewer than n² pairs.
+    let net = Net::searched(Net::synth("isp:120:2010"));
+    let g = &net.g;
+    let n = g.node_count() as u64;
+    let flows = FlowSet::all_pairs(&GravityTraffic::new(g));
+    let ttl = generous_ttl(g);
+    let children: Vec<TreeChildren> =
+        g.nodes().map(|d| TreeChildren::build(g, net.base.towards(d))).collect();
+    let singles = SingleLinkFailures::new(g);
+    let mut scratch = ReplayScratch::new();
+    let mut total = ReplayStats::default();
+    let (mut cone, mut stack) = (Vec::new(), Vec::new());
+    for i in 0..singles.len() {
+        let failed = singles.scenario(i);
+        net.production(&flows, &failed, ttl, &mut scratch);
+        let stats = scratch.take_stats();
+
+        let parts = components(g, &failed);
+        let mut expected =
+            ReplayStats { replays: 1, baselines: u64::from(i == 0), ..Default::default() };
+        for dst in g.nodes() {
+            let tree = net.base.towards(dst);
+            tree.affected_cone(g, &children[dst.index()], &failed, &mut cone, &mut stack);
+            expected.destinations += u64::from(!cone.is_empty());
+            expected.cone_sources += cone.len() as u64;
+            expected.walks += cone.iter().filter(|&&src| parts.same(src, dst)).count() as u64;
+        }
+        assert_eq!(stats, expected, "scenario {i}");
+        assert!(stats.cone_sources < n * n / 4, "scenario {i}: {stats:?}");
+        total.merge(&stats);
+    }
+    let pairs = n * (n - 1) * singles.len() as u64;
+    assert!(total.cone_sources * 10 < pairs, "{total:?} of {pairs} pairs");
+    assert!(total.walks <= total.cone_sources);
+    assert_eq!(total.baselines, 1);
 }
 
 proptest! {
@@ -47,27 +447,26 @@ proptest! {
     /// bit for bit.
     #[test]
     fn uniform_unit_weighted_coverage_is_bitwise_unweighted(g in arb_graph()) {
-        let net = compile_net(&g);
-        let agent = net.agent(&g);
-        let base = AllPairs::compute_all_live(&g);
-        let fib = Fib::from_base(&g, &base);
-        let flows = FlowSet::all_pairs(&UniformTraffic::new(&g));
-        let ttl = generous_ttl(&g);
+        let net = Net::identity(g);
+        let g = &net.g;
+        let agent = net.pr.agent(g);
+        let flows = FlowSet::all_pairs(&UniformTraffic::new(g));
+        let ttl = generous_ttl(g);
         let mut scratch = ReplayScratch::new();
-        let singles = SingleLinkFailures::new(&g);
+        let singles = SingleLinkFailures::new(g);
 
         for i in 0..singles.len() {
             let failed = singles.scenario(i);
-            let out = replay_scenario(&g, &agent, &fib, &base, &flows, &failed, ttl, &mut scratch);
+            let out = net.production(&flows, &failed, ttl, &mut scratch);
 
             // The unweighted reference: exactly the coverage
             // experiment's conditioning and counters.
             let (mut evaluated, mut delivered) = (0u64, 0u64);
             for dst in g.nodes() {
-                let base_tree = base.towards(dst);
-                let live = SpTree::towards(&g, dst, &failed);
+                let base_tree = net.base.towards(dst);
+                let live = SpTree::towards(g, dst, &failed);
                 for src in g.nodes() {
-                    if src == dst || !base_tree.path_crosses(&g, src, &failed) {
+                    if src == dst || !base_tree.path_crosses(g, src, &failed) {
                         continue;
                     }
                     if !live.reaches(src) {
@@ -75,7 +474,7 @@ proptest! {
                     }
                     evaluated += 1;
                     if matches!(
-                        walk_packet(&g, &agent, src, dst, &failed, ttl).result,
+                        walk_packet(g, &agent, src, dst, &failed, ttl).result,
                         WalkResult::Delivered
                     ) {
                         delivered += 1;
@@ -90,118 +489,86 @@ proptest! {
         }
     }
 
-    /// The batched dataplane and the per-packet reference agree
-    /// bit-for-bit on arbitrary graphs and failure scenarios (the
-    /// confluence contract of the FIB fast path).
+    /// The production dataplane and the per-packet reference agree
+    /// bit-for-bit on arbitrary graphs, sparse sampled flow sets and
+    /// failure scenarios (the confluence contract of pricing clear
+    /// flows off the tree).
     #[test]
-    fn batched_replay_equals_naive_reference(g in arb_graph(), seed in 0u64..1024) {
-        let net = compile_net(&g);
-        let agent = net.agent(&g);
-        let base = AllPairs::compute_all_live(&g);
-        let fib = Fib::from_base(&g, &base);
-        let n = g.node_count();
-        let hot = HotspotTraffic::new(&g, (n / 4).max(1), 4.0, seed);
-        let flows = FlowSet::sampled(&hot, 64, seed);
-        let ttl = generous_ttl(&g);
+    fn production_replay_equals_naive_reference(g in arb_graph(), seed in 0u64..1024) {
+        let net = Net::identity(g);
+        let flows = FlowSet::sampled(&net.hotspot(seed), 64, seed);
+        let ttl = generous_ttl(&net.g);
         let mut scratch = ReplayScratch::new();
-        let singles = SingleLinkFailures::new(&g);
+        let singles = SingleLinkFailures::new(&net.g);
         for i in 0..singles.len() {
-            let failed = singles.scenario(i);
-            let batched =
-                replay_scenario(&g, &agent, &fib, &base, &flows, &failed, ttl, &mut scratch);
-            let naive = replay_scenario_naive(&g, &agent, &base, &flows, &failed, ttl);
-            prop_assert_eq!(&batched, &naive, "scenario {}", i);
+            net.check(&flows, &singles.scenario(i), ttl, &mut scratch);
         }
     }
 
-    /// The u64-frontier affected-set classification agrees with the
-    /// per-flow machinery on every source of every destination group:
-    /// the affected bit is exactly `path_crosses`, a clear bit is
-    /// exactly a [`FlowWalk::Clear`] outcome of the batched walker,
-    /// and `affected ∧ ¬reach` is exactly [`FlowWalk::Disconnected`].
+    /// The affected-set classification agrees with the per-flow
+    /// machinery on every source of every destination group: the
+    /// affected bit is exactly `path_crosses`, and an affected source
+    /// the survivor tree still reaches is walked by the unit walker
+    /// exactly as `walk_packet` walks it.
     #[test]
     fn bitset_classification_matches_per_flow_walks(g in arb_graph(), seed in 0u64..1024) {
-        let net = compile_net(&g);
-        let agent = net.agent(&g);
-        let base = AllPairs::compute_all_live(&g);
-        let fib = Fib::from_base(&g, &base);
-        let dense = DenseFib::from_base(&g, &base);
-        let n = g.node_count();
-        let hot = HotspotTraffic::new(&g, (n / 4).max(1), 4.0, seed);
-        let flows = FlowSet::sampled(&hot, 48, seed);
-        let ttl = generous_ttl(&g);
-        let (mut affected, mut reach) = (Vec::new(), Vec::new());
+        let net = Net::identity(g);
+        let g = &net.g;
+        let agent = net.pr.agent(g);
+        let flows = FlowSet::sampled(&net.hotspot(seed), 48, seed);
+        let ttl = generous_ttl(g);
+        let mut affected = Vec::new();
         let mut walk = FlowScratch::new();
-        let singles = SingleLinkFailures::new(&g);
+        let singles = SingleLinkFailures::new(g);
         for i in 0..singles.len() {
             let failed = singles.scenario(i);
             for (dst, group) in flows.by_destination() {
-                let base_tree = base.towards(dst);
-                dense.affected_into(dst, &failed, &mut affected);
-                let live = SpTree::towards(&g, dst, &failed);
-                live.reach_words_into(&mut reach);
-                let mut unit = walk.unit(&g, &agent, dst, &failed);
+                let base_tree = net.base.towards(dst);
+                net.dense.affected_into(dst, &failed, &mut affected);
+                let live = SpTree::towards(g, dst, &failed);
+                let mut unit = walk.unit(g, &agent, dst, &failed);
                 for flow in group {
                     let hit = bits::test(&affected, flow.src.index());
                     prop_assert_eq!(
                         hit,
-                        base_tree.path_crosses(&g, flow.src, &failed),
+                        base_tree.path_crosses(g, flow.src, &failed),
                         "affected bit vs path_crosses: scenario {} dst {} src {}",
                         i, dst, flow.src
                     );
-                    let outcome = walk_flow_with(&mut unit, &fib, &live, flow.src, ttl, |_| {});
-                    prop_assert_eq!(
-                        matches!(outcome, FlowWalk::Clear { .. }),
-                        !hit,
-                        "clear bit vs walker: scenario {} dst {} src {}",
-                        i, dst, flow.src
-                    );
-                    prop_assert_eq!(
-                        matches!(outcome, FlowWalk::Disconnected),
-                        hit && !bits::test(&reach, flow.src.index()),
-                        "disconnected class vs walker: scenario {} dst {} src {}",
-                        i, dst, flow.src
-                    );
+                    if hit && live.reaches(flow.src) {
+                        let outcome = recover_flow_with(&mut unit, flow.src, ttl, |_| {});
+                        let reference = walk_packet(g, &agent, flow.src, dst, &failed, ttl);
+                        prop_assert_eq!(
+                            outcome.cost(),
+                            reference.result.is_delivered().then(|| reference.cost(g)),
+                            "unit walker vs walk_packet: scenario {} dst {} src {}",
+                            i, dst, flow.src
+                        );
+                    }
                 }
             }
         }
     }
 
-    /// Subtree demand aggregation reproduces per-path accumulation
-    /// **exactly**: the bit-parallel dataplane's full link-load vector
-    /// — not just the peak — equals the batched per-flow dataplane's,
-    /// f64-for-f64, and the whole result equals the per-packet
-    /// reference (the demand grid at work: every replay sum is exact,
-    /// so regrouping per subtree cannot move a bit).
+    /// Withdrawing per-subtree sums from a per-subtree baseline
+    /// reproduces per-path accumulation **exactly**: the production
+    /// dataplane's full link-load vector — not just the peak — equals
+    /// one `walk_packet` per flow added up link by link, f64-for-f64,
+    /// under one and under two failed links (the demand grid at work:
+    /// every replay sum and difference is exact, so regrouping per
+    /// subtree cannot move a bit).
     #[test]
     fn subtree_aggregated_loads_equal_per_path_accumulation(g in arb_graph(), seed in 0u64..1024) {
-        let net = compile_net(&g);
-        let agent = net.agent(&g);
-        let base = AllPairs::compute_all_live(&g);
-        let fib = Fib::from_base(&g, &base);
-        let dense = DenseFib::from_base(&g, &base);
-        let n = g.node_count();
-        let flows = FlowSet::all_pairs(&HotspotTraffic::new(&g, (n / 4).max(1), 4.0, seed));
-        let ttl = generous_ttl(&g);
+        let net = Net::identity(g);
+        let flows = FlowSet::all_pairs(&net.hotspot(seed));
+        let ttl = generous_ttl(&net.g);
         let mut scratch = ReplayScratch::new();
-        let mut bp_scratch = ReplayScratch::new();
-        let singles = SingleLinkFailures::new(&g);
+        let singles = SingleLinkFailures::new(&net.g);
         for i in 0..singles.len() {
-            let failed = singles.scenario(i);
-            let batched =
-                replay_scenario(&g, &agent, &fib, &base, &flows, &failed, ttl, &mut scratch);
-            let bp = replay_scenario_bitparallel(
-                &g, &agent, &dense, &base, &flows, &failed, ttl, &mut bp_scratch,
-            );
-            prop_assert_eq!(&bp, &batched, "scenario {}", i);
-            prop_assert_eq!(
-                bp_scratch.link_loads(),
-                scratch.link_loads(),
-                "load vectors diverged in scenario {}",
-                i
-            );
-            let naive = replay_scenario_naive(&g, &agent, &base, &flows, &failed, ttl);
-            prop_assert_eq!(&bp, &naive, "scenario {} (naive)", i);
+            let mut failed = singles.scenario(i);
+            net.check(&flows, &failed, ttl, &mut scratch);
+            failed.insert(singles.scenario((i + 1 + seed as usize) % singles.len()).iter().next().unwrap());
+            net.check(&flows, &failed, ttl, &mut scratch);
         }
     }
 
@@ -302,75 +669,35 @@ fn check_walks_against_walk_packet(
     (delivered, dropped)
 }
 
-/// Replays every failed set through the bit-parallel dataplane —
-/// shuffled, one scratch for all of them — against the per-packet
-/// oracle and against the load vector of one `walk_packet` per flow.
-/// `ttl` must cover every failure-free shortest path (the dataplane
-/// delivers clear flows without counting their hops).
-fn check_loads_against_walk_packet(
-    g: &Graph,
-    net: &PrNetwork,
-    sets: &[LinkSet],
-    ttl: usize,
-    seed: u64,
-) {
-    assert!(ttl >= g.node_count());
-    let agent = net.agent(g);
-    let base = AllPairs::compute_all_live(g);
-    let dense = DenseFib::from_base(g, &base);
-    let flows = FlowSet::all_pairs(&HotspotTraffic::new(g, (g.node_count() / 4).max(1), 4.0, seed));
+/// Replays every failed set through the production dataplane —
+/// shuffled, one scratch for all of them — against the oracle
+/// ([`Net::check`]).
+fn check_loads_against_walk_packet(net: &Net, sets: &[LinkSet], ttl: usize, seed: u64) {
+    let flows = FlowSet::all_pairs(&net.hotspot(seed));
     let mut order: Vec<&LinkSet> = sets.iter().collect();
     order.shuffle(&mut StdRng::seed_from_u64(seed));
     let mut scratch = ReplayScratch::new();
     for failed in order {
-        let out = replay_scenario_bitparallel(
-            g,
-            &agent,
-            &dense,
-            &base,
-            &flows,
-            failed,
-            ttl,
-            &mut scratch,
-        );
-        let naive = replay_scenario_naive(g, &agent, &base, &flows, failed, ttl);
-        assert_eq!(out, naive, "failed {failed:?} ttl {ttl}");
-        // The oracle's load accounting, kept whole: every delivered
-        // flow adds its demand to each link of its `walk_packet` path.
-        let mut loads = vec![0.0; g.link_count()];
-        for flow in flows.flows() {
-            let walk = walk_packet(g, &agent, flow.src, flow.dst, failed, ttl);
-            if walk.result.is_delivered() {
-                for d in walk.path.darts() {
-                    loads[d.link().index()] += flow.demand;
-                }
-            }
-        }
-        assert_eq!(scratch.link_loads(), loads, "failed {failed:?} ttl {ttl}");
+        net.check(&flows, failed, ttl, &mut scratch);
     }
 }
 
 #[test]
 fn shuffled_units_through_one_scratch_equal_walk_packet_on_planar_embeddings() {
-    let (figure1, orders) = pr_topologies::figure1();
-    let rotation = RotationSystem::from_neighbor_orders(&figure1, &orders).expect("paper orders");
-    let abilene =
-        pr_topologies::load(pr_topologies::Isp::Abilene, pr_topologies::Weighting::Distance);
-    let searched = pr_embedding::heuristics::thorough(&abilene, 2010, 4, 10_000);
-    for (g, rotation) in [(figure1, rotation), (abilene, searched)] {
-        let emb = CellularEmbedding::new(&g, rotation).expect("connected");
-        assert_eq!(emb.genus(), 0);
-        let net =
-            PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
-        let sets = failure_sets(&g, 120);
+    for net in [Net::figure1(), Net::abilene()] {
+        assert_eq!(net.pr.embedding().genus(), 0);
+        let g = &net.g;
+        let sets = failure_sets(g, 120);
         // A generous budget, then budgets short enough that some
         // detours fit and longer ones through the same suffix do not.
-        for ttl in [generous_ttl(&g), g.node_count(), 4] {
-            let (delivered, _) = check_walks_against_walk_packet(&g, &net, &sets, ttl, 2010);
+        for ttl in [generous_ttl(g), g.node_count(), 4] {
+            let (delivered, _) = check_walks_against_walk_packet(g, &net.pr, &sets, ttl, 2010);
             assert!(delivered > 0);
         }
-        for ttl in [generous_ttl(&g), g.node_count()] {
-            check_loads_against_walk_packet(&g, &net, &sets, ttl, 2010);
+        // Replay refuses budgets below the hop diameter; the node
+        // count is the tightest one that is always above it.
+        for ttl in [generous_ttl(g), g.node_count()] {
+            check_loads_against_walk_packet(&net, &sets, ttl, 2010);
         }
     }
 }
@@ -381,15 +708,15 @@ fn shuffled_units_through_one_scratch_equal_walk_packet_where_walks_drop() {
     // §5 guarantee is off and some connected pairs livelock. Dropped
     // walks must seed nothing — a later source of the unit whose walk
     // crosses one's trail still has to be walked in full.
-    let g = generators::synth_from_spec("isp:24:7").expect("synth spec");
-    let net = compile_net(&g);
-    assert!(net.embedding().genus() > 0, "the identity rotation must not embed the mesh planar");
-    let sets = failure_sets(&g, 40);
-    for ttl in [generous_ttl(&g), g.node_count()] {
-        let (delivered, dropped) = check_walks_against_walk_packet(&g, &net, &sets, ttl, 7);
+    let net = Net::identity(Net::synth("isp:24:7"));
+    let g = &net.g;
+    assert!(net.pr.embedding().genus() > 0, "the identity rotation must not embed the mesh planar");
+    let sets = failure_sets(g, 40);
+    for ttl in [generous_ttl(g), g.node_count()] {
+        let (delivered, dropped) = check_walks_against_walk_packet(g, &net.pr, &sets, ttl, 7);
         assert!(delivered > 0);
         assert!(dropped > 0, "the fixture must make some connected pairs drop (ttl {ttl})");
-        check_loads_against_walk_packet(&g, &net, &sets, ttl, 7);
+        check_loads_against_walk_packet(&net, &sets, ttl, 7);
     }
 }
 
@@ -399,9 +726,9 @@ fn a_splice_the_ttl_cannot_cover_is_walked_hop_by_hop() {
     // long way round in exactly 5 hops and seeds the unit's memo.
     // Source 2 first runs into the failure (2 -> 1 -> 2) and then
     // stands on a triple of that detour with 4 hops still to go.
-    let g = generators::ring(6, 1);
-    let net = compile_net(&g);
-    let agent = net.agent(&g);
+    let net = Net::identity(generators::ring(6, 1));
+    let g = &net.g;
+    let agent = net.pr.agent(g);
     let failed = LinkSet::from_links(g.link_count(), [g.find_link(NodeId(1), NodeId(0)).unwrap()]);
     let mut scratch = FlowScratch::new();
     for (ttl, expected) in [
@@ -411,13 +738,13 @@ fn a_splice_the_ttl_cannot_cover_is_walked_hop_by_hop() {
         // 6 - 2 >= 4: spliced.
         (6, FlowWalk::Recovered { cost: 6, hops: 6 }),
     ] {
-        let mut unit = scratch.unit(&g, &agent, NodeId(0), &failed);
+        let mut unit = scratch.unit(g, &agent, NodeId(0), &failed);
         let mut darts = Vec::new();
         let first = recover_flow_with(&mut unit, NodeId(1), ttl, |_| {});
         assert_eq!(first, FlowWalk::Recovered { cost: 5, hops: 5 });
         let second = recover_flow_with(&mut unit, NodeId(2), ttl, |d| darts.push(d));
         assert_eq!(second, expected, "ttl {ttl}");
-        let reference = walk_packet(&g, &agent, NodeId(2), NodeId(0), &failed, ttl);
+        let reference = walk_packet(g, &agent, NodeId(2), NodeId(0), &failed, ttl);
         assert_eq!(second.is_delivered(), reference.result.is_delivered(), "ttl {ttl}");
         if second.is_delivered() {
             assert_eq!(darts, reference.path.darts(), "ttl {ttl}");

@@ -1,7 +1,7 @@
 //! The traffic-workload subsystem in one tour: demand matrices
-//! (gravity / uniform / hot-spot), batched flow replay through the
-//! FIB fast path, and the demand-weighted resilience metrics — all on
-//! GÉANT.
+//! (gravity / uniform / hot-spot), flow replay as a cone delta against
+//! the failure-free baseline, and the demand-weighted resilience
+//! metrics — all on GÉANT.
 //!
 //! ```sh
 //! cargo run --release --example traffic_replay [threads]
@@ -88,14 +88,13 @@ fn main() {
         flows.offered(),
     );
 
-    // --- The throughput ladder: flows/s per dataplane ---------------
-    // All three produce the identical rows (the demand grid makes
-    // every replay sum exact); only the time per replayed flow
-    // differs. Serial on purpose — this compares dataplanes, not
-    // thread counts.
+    // --- Production against the oracle: flows/s ---------------------
+    // Both produce the identical rows (the demand grid makes every
+    // replay sum exact); only the time per replayed flow differs.
+    // Serial on purpose — this compares dataplanes, not thread counts.
     let per_sweep = (flows.len() * singles.len()) as f64;
     let ladder = |label: &str, sweep: &mut dyn FnMut() -> Vec<pr_bench::traffic::TrafficRow>| {
-        sweep(); // warmup
+        let reference = sweep(); // warmup
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let t = std::time::Instant::now();
@@ -103,13 +102,16 @@ fn main() {
             best = best.min(t.elapsed().as_secs_f64());
         }
         println!("  {label:<13} {:>6.1}M flows/s", per_sweep / best / 1e6);
+        reference
     };
     println!(
-        "\nthroughput ladder, gravity x single failures ({} flows x {} scenarios, serial):",
+        "\nthroughput, gravity x single failures ({} flows x {} scenarios, serial):",
         flows.len(),
         singles.len()
     );
-    ladder("bit-parallel", &mut || pr_bench::traffic::run(&graph, &net, &singles, &flows, 1));
-    ladder("batched", &mut || pr_bench::traffic::run_batched(&graph, &net, &singles, &flows, 1));
-    ladder("naive", &mut || pr_bench::traffic::run_serial(&graph, &net, &singles, &flows));
+    let production =
+        ladder("production", &mut || pr_bench::traffic::run(&graph, &net, &singles, &flows, 1));
+    let oracle =
+        ladder("oracle", &mut || pr_bench::traffic::run_serial(&graph, &net, &singles, &flows));
+    assert_eq!(production, oracle, "production rows must equal the oracle's, bit for bit");
 }
