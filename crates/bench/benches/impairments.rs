@@ -62,18 +62,18 @@ fn impair_overhead_gate() {
     // Warmup both paths; a rate-0 decorator that changes the rows
     // would make the timing comparison meaningless (and break the
     // identity contract the proptests pin).
-    let plain_rows = impair::run_serial(&g, &net, &plain, &flows);
-    let identity_rows = impair::run_serial(&g, &net, &identity, &flows);
+    let plain_rows = impair::run(&g, &net, &plain, &flows, 1);
+    let identity_rows = impair::run(&g, &net, &identity, &flows, 1);
     assert_eq!(plain_rows, identity_rows, "rate-0 decorator must be the identity");
     assert!(!plain_rows.is_empty(), "the gate needs a non-trivial sweep");
 
     let (mut plain_secs, mut decorated_secs) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..20 {
         let t = Instant::now();
-        black_box(impair::run_serial(&g, &net, &plain, &flows));
+        black_box(impair::run(&g, &net, &plain, &flows, 1));
         plain_secs = plain_secs.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        black_box(impair::run_serial(&g, &net, &identity, &flows));
+        black_box(impair::run(&g, &net, &identity, &flows, 1));
         decorated_secs = decorated_secs.min(t.elapsed().as_secs_f64());
     }
 
@@ -106,10 +106,10 @@ fn bench_impairments(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("impair_sweep");
     group.bench_function(BenchmarkId::new("undecorated", "abilene"), |b| {
-        b.iter(|| black_box(impair::run_serial(&g, &net, &plain, &flows)))
+        b.iter(|| black_box(impair::run(&g, &net, &plain, &flows, 1)))
     });
     group.bench_function(BenchmarkId::new("gilbert_live", "abilene"), |b| {
-        b.iter(|| black_box(impair::run_serial(&g, &net, &gilbert, &flows)))
+        b.iter(|| black_box(impair::run(&g, &net, &gilbert, &flows, 1)))
     });
     group.finish();
 

@@ -10,8 +10,8 @@
 //! * `towards_with` — from-scratch through a reusable [`SpScratch`]
 //!   arena (no per-call label/heap allocations);
 //! * `repair` — incremental repair from the hoisted failure-free base
-//!   tree (`repair_refresh`: zero-allocation steady state, only the
-//!   affected cone re-labelled).
+//!   tree (`repair_from`, as the daemon runs it per link event: only
+//!   the affected cone re-labelled).
 //!
 //! Each iteration sweeps every destination under a fixed k-failure
 //! scenario — the exact shape of one scenario's work in the engine.
@@ -61,13 +61,7 @@ fn bench_spt_repair(c: &mut Criterion) {
 
             group.bench_with_input(BenchmarkId::new("repair", &label), &graph, |b, g| {
                 let mut scratch = SpScratch::new();
-                let mut live = SpTree::placeholder();
-                b.iter(|| {
-                    for dest in g.nodes() {
-                        live.repair_refresh(base.towards(dest), g, &failed, &mut scratch);
-                        black_box(&live);
-                    }
-                })
+                b.iter(|| black_box(base.repair_from(g, &failed, &mut scratch)))
             });
         }
     }

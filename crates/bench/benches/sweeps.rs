@@ -1,8 +1,9 @@
 //! End-to-end scenario-sweep benchmarks — the numbers behind
 //! `BENCH_pr2.json`.
 //!
-//! Three variants per experiment, same scenario space and identical
-//! output (see `tests/determinism.rs`):
+//! Three variants per topological experiment, same scenario space and
+//! identical output (see `tests/determinism.rs`); the temporal sweep
+//! has no separate serial form — `engine1` is its plain loop:
 //!
 //! * `serial` — the seed harness's nested loop (`run_serial`): honest
 //!   recompute-per-decision FCP, one-shot walker allocations. This is
@@ -18,11 +19,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::OnceLock;
 
-use pr_bench::{engine, paper_topology, scenario, EXPERIMENT_SEED};
+use pr_bench::{engine, paper_topology, EXPERIMENT_SEED};
 use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
 use pr_embedding::CellularEmbedding;
 use pr_graph::{Graph, LinkSet};
-use pr_scenarios::{OutageParams, OutageSweep};
+use pr_scenarios::{OutageParams, OutageSweep, ScenarioFamily, SingleLinkFailures};
 use pr_sim::SimConfig;
 use pr_topologies::Isp;
 
@@ -48,7 +49,7 @@ fn geant_pr() -> &'static PrNetwork {
 
 fn geant_singles() -> &'static Vec<LinkSet> {
     static CELL: OnceLock<Vec<LinkSet>> = OnceLock::new();
-    CELL.get_or_init(|| scenario::all_single_failures(&geant().0))
+    CELL.get_or_init(|| SingleLinkFailures::new(&geant().0).scenarios().collect())
 }
 
 /// Coverage sweep (E5 shape): all five schemes over every exhaustive
@@ -108,9 +109,6 @@ fn sweep_temporal(c: &mut Criterion) {
     let family = OutageSweep::new(graph, params);
     let config = SimConfig::default();
     let mut group = c.benchmark_group("sweep_temporal");
-    group.bench_function("serial/geant", |b| {
-        b.iter(|| pr_bench::temporal::run_serial(graph, pr, &family, &config, EXPERIMENT_SEED))
-    });
     group.bench_function("engine1/geant", |b| {
         b.iter(|| pr_bench::temporal::run(graph, pr, &family, &config, EXPERIMENT_SEED, 1))
     });

@@ -3,11 +3,11 @@
 //! **The gate** (runs even under `--test`, so CI's bench smoke step
 //! enforces it): on a 500-node synthetic ISP mesh, sweeping every
 //! affected source of a set of (failure, destination) units through
-//! `walk_packet_spliced` must be ≥ 1.5x the plain per-source
-//! `walk_packet_with` sweep, and must stay under an absolute ns/walk
-//! ceiling. Shared suffixes dominate these units (all sources converge
-//! downstream of the detour), so the expected margin is well above 2x;
-//! 1.5x is the hard floor against regressions.
+//! `walk_packet_spliced` must stay under an absolute ns/walk ceiling,
+//! after reproducing the plain per-source `walk_packet_with` sweep's
+//! tallies. Shared suffixes dominate these units (all sources converge
+//! downstream of the detour), so losing the memo shows as a multiple
+//! of the ceiling, not a few percent.
 
 use std::time::Instant;
 
@@ -22,10 +22,10 @@ use pr_graph::generators::{self, MeshParams};
 use pr_graph::{AllPairs, Graph, LinkId, LinkSet, NodeId};
 
 /// Absolute ceiling on the memoized sweep's time per walk on the
-/// mesh-500 fixture. Recorded from a dev-container measurement
-/// (~140ns/walk at 86% spliced share) with ~35x headroom for slower
-/// CI hardware.
-const NS_PER_WALK_CEILING: f64 = 5_000.0;
+/// mesh-500 fixture: 4x the dev-container reading (107-190 ns/walk
+/// over four runs, median 113, at 86% spliced share). The plain sweep
+/// reads 620 ns/walk there, so a lost memo fails the gate.
+const NS_PER_WALK_CEILING: f64 = 450.0;
 
 /// One (failure, destination) unit with its affected sources.
 struct Unit {
@@ -113,13 +113,9 @@ fn mesh500() -> (Graph, PrNetwork) {
 
 /// The suffix-memo regression gate on the 500-node mesh. Panics
 /// (failing the bench run, `--test` smoke mode included) when the
-/// memoized unit sweep loses its 1.5x margin over plain per-source
-/// walks, or exceeds the absolute ns/walk ceiling.
-///
-/// Measurement discipline matches the embedding gate: both sweeps are
-/// timed **interleaved** and each takes its best (minimum) of 20
-/// rounds, so shared-machine throttling hits both sides of the ratio
-/// alike.
+/// memoized unit sweep exceeds the absolute ns/walk ceiling — no
+/// in-tree denominator. The sweep takes its best (minimum) of 20
+/// rounds, which is what a shared machine's throttling leaves alone.
 fn walk_memo_gate() {
     let (graph, net) = mesh500();
     let agent = net.agent(&graph);
@@ -131,37 +127,26 @@ fn walk_memo_gate() {
     let mut scratch = WalkScratch::new();
     let mut memo = SuffixMemo::new();
 
-    // Warmup both paths; the tallies must agree or the comparison is
-    // meaningless (and the memo would be unsound).
+    // Warmup; the tallies must agree with the plain walker's or the
+    // memo is unsound and its timing meaningless.
     let plain = sweep_plain(&graph, &agent, &units, ttl, &mut scratch);
     let memoized = sweep_memoized(&graph, &agent, &units, ttl, &mut scratch, &mut memo);
     assert_eq!(plain, memoized, "memoized sweep must reproduce plain deliveries and costs");
     let stats = memo.take_stats();
     assert!(stats.hits > 0, "the mesh-500 unit set must actually splice");
 
-    let (mut plain_secs, mut memo_secs) = (f64::INFINITY, f64::INFINITY);
+    let mut memo_secs = f64::INFINITY;
     for _ in 0..20 {
-        let t = Instant::now();
-        black_box(sweep_plain(&graph, &agent, &units, ttl, &mut scratch));
-        plain_secs = plain_secs.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
         black_box(sweep_memoized(&graph, &agent, &units, ttl, &mut scratch, &mut memo));
         memo_secs = memo_secs.min(t.elapsed().as_secs_f64());
     }
 
-    let speedup = plain_secs / memo_secs;
     let ns_per_walk = memo_secs * 1e9 / walks as f64;
     println!(
-        "gate: mesh500 memoized sweep {ns_per_walk:.0}ns/walk, plain {:.0}ns/walk, \
-         speedup {speedup:.2}x (floor 1.5x, ceiling {NS_PER_WALK_CEILING:.0}ns/walk, \
-         {walks} walks, spliced share {:.1}%)",
-        plain_secs * 1e9 / walks as f64,
+        "gate: mesh500 memoized sweep {ns_per_walk:.0}ns/walk \
+         (ceiling {NS_PER_WALK_CEILING:.0}ns/walk, {walks} walks, spliced share {:.1}%)",
         100.0 * stats.spliced_share(),
-    );
-    assert!(
-        speedup >= 1.5,
-        "walk gate: memoized unit sweep must be >= 1.5x plain per-source walks on the \
-         500-node mesh, got {speedup:.2}x"
     );
     assert!(
         ns_per_walk <= NS_PER_WALK_CEILING,

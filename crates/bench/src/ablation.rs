@@ -5,21 +5,21 @@
 //! * **E11** — delivery rate as a function of embedding genus (the
 //!   reproduction finding: §5's guarantee is a genus-0 statement).
 //!
-//! All three sweeps route through [`crate::engine`].
+//! All three sweeps are the engine's unit kernel ([`crate::engine`])
+//! with one PR-DD lane.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use pr_core::{
-    generous_ttl, walk_packet_spliced, DiscriminatorKind, PrHeader, PrMode, PrNetwork, SuffixMemo,
-    WalkResult, WalkScratch,
-};
+use pr_core::{DiscriminatorKind, FlowScratch, PrHeader, PrMode, PrNetwork};
 use pr_embedding::{genus, CellularEmbedding, FaceStructure, RotationSystem};
-use pr_graph::{AllPairs, Graph, LinkSet, SpScratch, SpTree};
-use pr_scenarios::{SampledMultiFailures, ScenarioFamily, SingleLinkFailures};
+use pr_graph::{Graph, LinkSet};
+use pr_scenarios::{
+    random_connected_failures, SampledMultiFailures, ScenarioFamily, SingleLinkFailures,
+};
 
-use crate::engine::ScenarioSweep;
+use crate::engine::ConePlan;
 
 /// E6: one embedding heuristic's quality and its stretch consequences.
 #[derive(Debug, Clone, Serialize)]
@@ -57,7 +57,7 @@ pub fn embedding_ablation(graph: &Graph, seed: u64, threads: usize) -> Vec<Embed
     // Candidate-invariant state, hoisted out of the per-heuristic loop
     // (the single-link family streams — nothing to materialise).
     let scenarios = SingleLinkFailures::new(graph);
-    let base = AllPairs::compute_all_live(graph);
+    let plan = ConePlan::new(graph);
 
     candidates
         .into_iter()
@@ -65,8 +65,7 @@ pub fn embedding_ablation(graph: &Graph, seed: u64, threads: usize) -> Vec<Embed
             let faces = FaceStructure::trace(graph, &rot);
             let g = genus(graph, &faces).expect("connected topology");
             let emb = CellularEmbedding::new(graph, rot).expect("validated rotation");
-            let (mean, max, delivery) =
-                single_failure_stretch(graph, &emb, &scenarios, &base, threads);
+            let (mean, max, delivery) = single_failure_stretch(&plan, &emb, &scenarios, threads);
             EmbeddingAblationRow {
                 heuristic: name,
                 genus: g,
@@ -91,50 +90,30 @@ struct PrDdPartial {
 }
 
 /// Sweeps one compiled PR-DD network over `scenarios`, collecting
-/// stretch samples and delivery counts (the shared core of E6/E7).
-/// `base` is caller-hoisted: E6/E7 sweep the same graph once per
-/// candidate network, so the failure-free trees are shared across
-/// calls.
+/// stretch samples and delivery counts over the affected, connected
+/// pairs (the shared core of E6/E7). `plan` is caller-hoisted: E6/E7
+/// sweep the same graph once per candidate network.
 fn pr_dd_sweep(
-    graph: &Graph,
+    plan: &ConePlan<'_>,
     net: &PrNetwork,
     scenarios: &dyn ScenarioFamily,
-    base: &AllPairs,
     threads: usize,
 ) -> PrDdPartial {
+    let graph = plan.graph();
     let agent = net.agent(graph);
-    let ttl = generous_ttl(graph);
-    let sweep = ScenarioSweep::new(graph, scenarios, base, threads);
-    let worker = || {
-        (
-            WalkScratch::<PrHeader>::new(),
-            SuffixMemo::<PrHeader>::new(),
-            SpScratch::new(),
-            SpTree::placeholder(),
-        )
-    };
     let mut merged = PrDdPartial::default();
-    sweep.fold(
-        worker,
+    plan.sweep(scenarios, threads).fold(
+        || (plan.opener(), FlowScratch::<PrHeader>::new()),
         |_, _| (),
-        |(scratch, memo, sp_scratch, live), unit, out: &mut PrDdPartial| {
-            live.repair_refresh(unit.base_tree, graph, unit.failed, sp_scratch);
-            let live_tree = &*live;
-            memo.begin_unit();
-            for src in graph.nodes() {
-                if src == unit.dst {
-                    continue;
-                }
-                if !unit.base_tree.path_crosses(graph, src, unit.failed) {
-                    continue;
-                }
-                if !live_tree.reaches(src) {
+        |(opener, walks), unit, out: &mut PrDdPartial| {
+            let mut dd = walks.unit(graph, &agent, unit.dst, unit.failed);
+            for (src, survivor) in opener.open(&unit) {
+                if survivor.is_none() {
                     continue;
                 }
                 out.evaluated += 1;
-                let (dst, failed) = (unit.dst, unit.failed);
-                let w = walk_packet_spliced(graph, &agent, src, dst, failed, ttl, scratch, memo);
-                if let WalkResult::Delivered = w.result {
+                let w = dd.walk(src, plan.ttl());
+                if w.result.is_delivered() {
                     out.delivered += 1;
                     out.stretches.push(w.cost as f64 / unit.base_tree.cost(src).unwrap() as f64);
                 }
@@ -150,27 +129,22 @@ fn pr_dd_sweep(
 }
 
 /// Mean/max PR-DD stretch and delivery ratio over all single-failure
-/// affected pairs. `scenarios`/`base` are hoisted by the caller
+/// affected pairs. `plan`/`scenarios` are hoisted by the caller
 /// (identical for every heuristic candidate on one graph).
 fn single_failure_stretch(
-    graph: &Graph,
+    plan: &ConePlan<'_>,
     embedding: &CellularEmbedding,
     scenarios: &dyn ScenarioFamily,
-    base: &AllPairs,
     threads: usize,
 ) -> (f64, f64, f64) {
     let net = PrNetwork::compile(
-        graph,
+        plan.graph(),
         embedding.clone(),
         PrMode::DistanceDiscriminator,
         DiscriminatorKind::Hops,
     );
-    let r = pr_dd_sweep(graph, &net, scenarios, base, threads);
-    let mean = if r.stretches.is_empty() {
-        f64::NAN
-    } else {
-        r.stretches.iter().sum::<f64>() / r.stretches.len() as f64
-    };
+    let r = pr_dd_sweep(plan, &net, scenarios, threads);
+    let mean = crate::stretch::mean(&r.stretches);
     let max = r.stretches.iter().copied().fold(f64::NAN, f64::max);
     let delivery = if r.evaluated == 0 { 1.0 } else { r.delivered as f64 / r.evaluated as f64 };
     (mean, max, delivery)
@@ -200,13 +174,13 @@ pub fn discriminator_ablation(
     threads: usize,
 ) -> Vec<DiscriminatorAblationRow> {
     let scenarios = SampledMultiFailures::new(graph, failures, samples, seed);
-    let base = AllPairs::compute_all_live(graph);
+    let plan = ConePlan::new(graph);
     [DiscriminatorKind::Hops, DiscriminatorKind::WeightedCost]
         .into_iter()
         .map(|kind| {
             let net =
                 PrNetwork::compile(graph, embedding.clone(), PrMode::DistanceDiscriminator, kind);
-            let r = pr_dd_sweep(graph, &net, &scenarios, &base, threads);
+            let r = pr_dd_sweep(&plan, &net, &scenarios, threads);
             DiscriminatorAblationRow {
                 discriminator: kind.to_string(),
                 header_bits: net.codec().total_bits(),
@@ -215,11 +189,7 @@ pub fn discriminator_ablation(
                 } else {
                     r.delivered as f64 / r.evaluated as f64
                 },
-                mean_stretch: if r.stretches.is_empty() {
-                    f64::NAN
-                } else {
-                    r.stretches.iter().sum::<f64>() / r.stretches.len() as f64
-                },
+                mean_stretch: crate::stretch::mean(&r.stretches),
             }
         })
         .collect()
@@ -251,8 +221,7 @@ pub fn genus_delivery(
 ) -> Vec<GenusDeliveryRow> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut bins: std::collections::BTreeMap<u32, GenusDeliveryRow> = Default::default();
-    let ttl = generous_ttl(graph);
-    let base = AllPairs::compute_all_live(graph);
+    let plan = ConePlan::new(graph);
     for i in 0..rotations {
         let rot = RotationSystem::random(graph, &mut rng);
         let emb = CellularEmbedding::new(graph, rot).expect("connected topology");
@@ -265,11 +234,8 @@ pub fn genus_delivery(
         row.embeddings += 1;
         let scenarios: Vec<LinkSet> = (0..scenarios_per_rotation)
             .map(|s| {
-                let draw = crate::scenario::random_connected_failures(
-                    graph,
-                    failures,
-                    seed ^ (i as u64) << 20 ^ s as u64,
-                );
+                let draw =
+                    random_connected_failures(graph, failures, seed ^ (i as u64) << 20 ^ s as u64);
                 // A shortfall here means the caller asked for more
                 // concurrent failures than the graph's cycle space
                 // admits — the per-genus bins would silently mix
@@ -282,40 +248,24 @@ pub fn genus_delivery(
                 draw.links
             })
             .collect();
-        let sweep = ScenarioSweep::new(graph, &scenarios, &base, threads);
-        let worker = || {
-            (
-                WalkScratch::<PrHeader>::new(),
-                SuffixMemo::<PrHeader>::new(),
-                SpScratch::new(),
-                SpTree::placeholder(),
-            )
-        };
-        sweep.fold(
-            worker,
+        plan.sweep(&scenarios, threads).fold(
+            || (plan.opener(), FlowScratch::<PrHeader>::new()),
             |_, _| (),
-            |(scratch, memo, sp_scratch, live), unit, (evaluated, delivered): &mut (u64, u64)| {
-                live.repair_refresh(unit.base_tree, graph, unit.failed, sp_scratch);
-                let live_tree = &*live;
-                memo.begin_unit();
-                for src in graph.nodes() {
-                    if src == unit.dst || !live_tree.reaches(src) {
+            |(opener, walks), unit, (evaluated, delivered): &mut (u64, u64)| {
+                let mut dd = walks.unit(graph, &agent, unit.dst, unit.failed);
+                let cone = opener.open(&unit);
+                // A source outside the cone keeps its shortest path,
+                // which PR follows to delivery while it meets no
+                // failure: counted, not walked.
+                let unaffected = (graph.node_count() - 1 - cone.len()) as u64;
+                *evaluated += unaffected;
+                *delivered += unaffected;
+                for (src, survivor) in cone {
+                    if survivor.is_none() {
                         continue;
                     }
                     *evaluated += 1;
-                    let walk = walk_packet_spliced(
-                        graph,
-                        &agent,
-                        src,
-                        unit.dst,
-                        unit.failed,
-                        ttl,
-                        scratch,
-                        memo,
-                    );
-                    if walk.result.is_delivered() {
-                        *delivered += 1;
-                    }
+                    *delivered += u64::from(dd.walk(src, plan.ttl()).result.is_delivered());
                 }
             },
             |_, (evaluated, delivered)| {
@@ -330,7 +280,115 @@ pub fn genus_delivery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pr_graph::generators;
+    use pr_core::{generous_ttl, walk_packet};
+    use pr_graph::{generators, AllPairs, SpTree};
+    use pr_scenarios::{NodeFailures, ScenarioIter};
+
+    /// What the plain loop finds: every source of every (scenario,
+    /// destination) classified by materialising its base path and a
+    /// scratch Dijkstra, each connected one walked by the one-shot
+    /// walker — nothing of the unit kernel.
+    #[derive(Debug, Default)]
+    struct Oracle {
+        /// Stretch of the delivered affected pairs, in loop order.
+        stretches: Vec<f64>,
+        /// (evaluated, delivered) over affected connected pairs.
+        affected: (u64, u64),
+        /// (evaluated, delivered) over all connected pairs.
+        connected: (u64, u64),
+    }
+
+    fn oracle(graph: &Graph, net: &PrNetwork, scenarios: &dyn ScenarioFamily) -> Oracle {
+        let base = AllPairs::compute_all_live(graph);
+        let agent = net.agent(graph);
+        let ttl = generous_ttl(graph);
+        let mut out = Oracle::default();
+        for failed in ScenarioIter::new(scenarios) {
+            for dst in graph.nodes() {
+                let live = SpTree::towards(graph, dst, &failed);
+                for src in graph.nodes().filter(|&src| src != dst && live.reaches(src)) {
+                    let walk = walk_packet(graph, &agent, src, dst, &failed, ttl);
+                    let delivered = u64::from(walk.result.is_delivered());
+                    out.connected.0 += 1;
+                    out.connected.1 += delivered;
+                    let base_path = base.towards(dst).path_darts(graph, src).expect("connected");
+                    if base_path.iter().any(|d| failed.contains_dart(*d)) {
+                        out.affected.0 += 1;
+                        out.affected.1 += delivered;
+                        if delivered == 1 {
+                            let optimal = base.cost(src, dst).expect("connected");
+                            out.stretches.push(walk.cost(graph) as f64 / optimal as f64);
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The 24-node mesh `tests/determinism.rs` livelocks on.
+    fn mesh() -> Graph {
+        generators::synth_from_spec("isp:24:7").expect("synth spec")
+    }
+
+    #[test]
+    fn pr_dd_sweep_matches_the_plain_walk_loop() {
+        let g = mesh();
+        let emb = CellularEmbedding::new(&g, RotationSystem::identity(&g)).unwrap();
+        assert!(emb.genus() > 0, "the identity rotation must not embed the mesh planar");
+        let net =
+            PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+        // Singles, sampled triples, and a node failure: a cut, so some
+        // affected sources are disconnected.
+        let mut scenarios: Vec<LinkSet> = SingleLinkFailures::new(&g).scenarios().collect();
+        scenarios.extend(SampledMultiFailures::new(&g, 3, 6, 2010).into_vec());
+        scenarios.push(NodeFailures::new(&g).scenario(0));
+        let expected = oracle(&g, &net, &scenarios);
+        assert!(expected.affected.1 < expected.affected.0, "some walks must drop");
+        assert!(expected.affected.1 > 0);
+        let plan = ConePlan::new(&g);
+        for threads in [1, 3] {
+            let got = pr_dd_sweep(&plan, &net, &scenarios, threads);
+            assert_eq!(got.stretches, expected.stretches, "{threads} threads");
+            assert_eq!((got.evaluated, got.delivered), expected.affected, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn genus_delivery_matches_the_plain_walk_loop_over_all_sources() {
+        // Every source walked, affected or not: what proves that the
+        // sweep may count the unaffected ones instead.
+        let g = mesh();
+        let (rotations, failures, per_rotation, seed) = (5, 3, 3, 99u64);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut expected = std::collections::BTreeMap::<u32, (u64, u64, u64)>::new();
+        for i in 0..rotations {
+            let rot = RotationSystem::random(&g, &mut rng);
+            let emb = CellularEmbedding::new(&g, rot).unwrap();
+            let bin = expected.entry(emb.genus()).or_default();
+            let net =
+                PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+            let scenarios: Vec<LinkSet> = (0..per_rotation)
+                .map(|s| {
+                    random_connected_failures(&g, failures, seed ^ (i as u64) << 20 ^ s as u64)
+                        .links
+                })
+                .collect();
+            let walked = oracle(&g, &net, &scenarios);
+            assert!(walked.affected.0 < walked.connected.0, "most sources are unaffected");
+            bin.0 += 1;
+            bin.1 += walked.connected.0;
+            bin.2 += walked.connected.1;
+        }
+        for threads in [1, 3] {
+            let rows = genus_delivery(&g, rotations, failures, per_rotation, seed, threads);
+            let got: std::collections::BTreeMap<u32, (u64, u64, u64)> =
+                rows.iter().map(|r| (r.genus, (r.embeddings, r.evaluated, r.delivered))).collect();
+            assert_eq!(got, expected, "{threads} threads");
+        }
+        assert!(expected.keys().all(|&genus| genus > 0), "random rotations of a mesh");
+        assert!(expected.values().any(|bin| bin.2 < bin.1), "some walks must drop");
+    }
 
     #[test]
     fn embedding_ablation_orders_heuristics() {

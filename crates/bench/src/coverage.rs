@@ -2,24 +2,26 @@
 //! concurrent failures — quantifying §4.2/§4.3's claims and RFC 5286's
 //! partial protection.
 //!
-//! The sweep itself routes through [`crate::engine`]: one work unit
-//! per (scenario, destination), per-worker walk scratches and FCP
-//! route caches, and an ordered block fold of integer counts that
-//! makes the output bit-identical to [`run_serial`] at any thread
-//! count (enforced by `tests/determinism.rs`).
+//! The sweep is the engine's unit kernel ([`crate::engine`]) with five
+//! lanes: per (scenario, destination) unit a worker's cone opener
+//! yields the affected sources, and every connected one is walked
+//! through each scheme's `pr_core::FlowScratch` unit. The ordered block
+//! fold of integer counts makes the output bit-identical to
+//! [`run_serial`] — the independent oracle: plain `walk_packet`,
+//! scratch Dijkstra, all n sources classified — at any thread count
+//! (enforced by `tests/determinism.rs`).
 
 use serde::Serialize;
 
 use pr_baselines::{FcpAgent, LfaAgent, NotViaAgent};
 use pr_core::{
-    generous_ttl, walk_packet, walk_packet_spliced, DiscriminatorKind, PrMode, PrNetwork,
-    SuffixMemo, WalkResult, WalkScratch,
+    generous_ttl, walk_packet, DiscriminatorKind, FlowScratch, PrMode, PrNetwork, WalkResult,
 };
 use pr_embedding::CellularEmbedding;
-use pr_graph::{AllPairs, Graph, SpScratch, SpTree};
+use pr_graph::{AllPairs, Graph, SpTree};
 use pr_scenarios::{SampledMultiFailures, ScenarioFamily, ScenarioIter, SingleLinkFailures};
 
-use crate::engine::ScenarioSweep;
+use crate::engine::{ConeOpener, ConePlan};
 
 /// Delivery statistics for one scheme at one failure count.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
@@ -112,26 +114,18 @@ impl Compiled {
 /// per scheme, in [`CoverageRow`] field order.
 type BlockCells = [(u64, u64); 5];
 
-/// Per-worker mutable state: the FCP route cache, one walk scratch per
-/// header-state type, and the Dijkstra arena + reusable live tree for
-/// the per-unit incremental SPT repair — all reused across every walk
-/// the worker runs.
-struct WorkerState<'a> {
+/// Per-worker mutable state: the cone opener, the FCP route cache and
+/// one flow scratch per scheme (basic and DD share a header type but
+/// not a memo: their trajectories differ) — all reused across every
+/// unit the worker runs.
+struct Worker<'a> {
+    opener: ConeOpener<'a>,
     fcp: FcpAgent<'a>,
-    pr_scratch: WalkScratch<pr_core::PrHeader>,
-    fcp_scratch: WalkScratch<pr_baselines::FcpState>,
-    unit_scratch: WalkScratch<()>,
-    notvia_scratch: WalkScratch<pr_baselines::NotViaState>,
-    // One delivered-suffix memo per scheme, evicted at unit
-    // boundaries. Basic and DD share a scratch (same header type) but
-    // must not share a memo: their trajectories differ.
-    basic_memo: SuffixMemo<pr_core::PrHeader>,
-    dd_memo: SuffixMemo<pr_core::PrHeader>,
-    fcp_memo: SuffixMemo<pr_baselines::FcpState>,
-    lfa_memo: SuffixMemo<()>,
-    notvia_memo: SuffixMemo<pr_baselines::NotViaState>,
-    sp_scratch: SpScratch,
-    live: SpTree,
+    basic_walks: FlowScratch<pr_core::PrHeader>,
+    dd_walks: FlowScratch<pr_core::PrHeader>,
+    fcp_walks: FlowScratch<pr_baselines::FcpState>,
+    lfa_walks: FlowScratch<()>,
+    notvia_walks: FlowScratch<pr_baselines::NotViaState>,
 }
 
 /// Runs coverage for failure counts `1..=max_failures`, with
@@ -146,117 +140,50 @@ pub fn run(
     threads: usize,
 ) -> Vec<CoverageRow> {
     let compiled = Compiled::new(graph, embedding);
-    let base = AllPairs::compute_all_live(graph);
+    let plan = ConePlan::new(graph);
     let basic_agent = compiled.basic_net.agent(graph);
     let dd_agent = compiled.dd_net.agent(graph);
+    let ttl = plan.ttl();
 
     let mut rows = Vec::new();
     for k in 1..=max_failures {
         let scenarios = scenarios_for(graph, k, samples_per_count, seed);
-        let sweep = ScenarioSweep::new(graph, scenarios.as_ref(), &base, threads);
         let mut row = CoverageRow::empty(k);
-        sweep.fold(
-            || WorkerState {
-                fcp: FcpAgent::cached_with_base(graph, sweep.base()),
-                pr_scratch: WalkScratch::new(),
-                fcp_scratch: WalkScratch::new(),
-                unit_scratch: WalkScratch::new(),
-                notvia_scratch: WalkScratch::new(),
-                basic_memo: SuffixMemo::new(),
-                dd_memo: SuffixMemo::new(),
-                fcp_memo: SuffixMemo::new(),
-                lfa_memo: SuffixMemo::new(),
-                notvia_memo: SuffixMemo::new(),
-                sp_scratch: SpScratch::new(),
-                live: SpTree::placeholder(),
+        plan.sweep(scenarios.as_ref(), threads).fold(
+            || Worker {
+                opener: plan.opener(),
+                fcp: FcpAgent::cached_with_base(graph, plan.base()),
+                basic_walks: FlowScratch::new(),
+                dd_walks: FlowScratch::new(),
+                fcp_walks: FlowScratch::new(),
+                lfa_walks: FlowScratch::new(),
+                notvia_walks: FlowScratch::new(),
             },
             // Scenario boundary: the FCP memo's keys are subsets of the
             // departing scenario — evict instead of growing the map
             // across the sweep.
             |w, _| w.fcp.begin_scenario(),
             |w, unit, cells: &mut BlockCells| {
-                w.live.repair_refresh(unit.base_tree, graph, unit.failed, &mut w.sp_scratch);
-                let live_tree = &w.live;
-                w.basic_memo.begin_unit();
-                w.dd_memo.begin_unit();
-                w.fcp_memo.begin_unit();
-                w.lfa_memo.begin_unit();
-                w.notvia_memo.begin_unit();
-                for src in graph.nodes() {
-                    if src == unit.dst {
-                        continue;
-                    }
-                    if !unit.base_tree.path_crosses(graph, src, unit.failed) {
-                        continue;
-                    }
-                    if !live_tree.reaches(src) {
+                let (dst, failed) = (unit.dst, unit.failed);
+                let mut basic = w.basic_walks.unit(graph, &basic_agent, dst, failed);
+                let mut dd = w.dd_walks.unit(graph, &dd_agent, dst, failed);
+                let mut fcp = w.fcp_walks.unit(graph, &w.fcp, dst, failed);
+                let mut lfa = w.lfa_walks.unit(graph, &compiled.lfa, dst, failed);
+                let mut notvia = w.notvia_walks.unit(graph, &compiled.notvia, dst, failed);
+                for (src, survivor) in w.opener.open(&unit) {
+                    if survivor.is_none() {
                         continue; // "| path" conditioning
                     }
-                    let ttl = compiled.ttl;
-                    let failed = unit.failed;
-                    let dst = unit.dst;
-                    let walks = [
-                        walk_packet_spliced(
-                            graph,
-                            &basic_agent,
-                            src,
-                            dst,
-                            failed,
-                            ttl,
-                            &mut w.pr_scratch,
-                            &mut w.basic_memo,
-                        )
-                        .result,
-                        walk_packet_spliced(
-                            graph,
-                            &dd_agent,
-                            src,
-                            dst,
-                            failed,
-                            ttl,
-                            &mut w.pr_scratch,
-                            &mut w.dd_memo,
-                        )
-                        .result,
-                        walk_packet_spliced(
-                            graph,
-                            &w.fcp,
-                            src,
-                            dst,
-                            failed,
-                            ttl,
-                            &mut w.fcp_scratch,
-                            &mut w.fcp_memo,
-                        )
-                        .result,
-                        walk_packet_spliced(
-                            graph,
-                            &compiled.lfa,
-                            src,
-                            dst,
-                            failed,
-                            ttl,
-                            &mut w.unit_scratch,
-                            &mut w.lfa_memo,
-                        )
-                        .result,
-                        walk_packet_spliced(
-                            graph,
-                            &compiled.notvia,
-                            src,
-                            dst,
-                            failed,
-                            ttl,
-                            &mut w.notvia_scratch,
-                            &mut w.notvia_memo,
-                        )
-                        .result,
+                    let delivered = [
+                        basic.walk(src, ttl).result.is_delivered(),
+                        dd.walk(src, ttl).result.is_delivered(),
+                        fcp.walk(src, ttl).result.is_delivered(),
+                        lfa.walk(src, ttl).result.is_delivered(),
+                        notvia.walk(src, ttl).result.is_delivered(),
                     ];
-                    for (cell, delivered) in cells.iter_mut().zip(walks) {
+                    for (cell, delivered) in cells.iter_mut().zip(delivered) {
                         cell.0 += 1;
-                        if matches!(delivered, WalkResult::Delivered) {
-                            cell.1 += 1;
-                        }
+                        cell.1 += u64::from(delivered);
                     }
                 }
             },

@@ -3,28 +3,40 @@
 //! Every quantitative experiment in this harness is the same shape: a
 //! huge loop over (failure scenario × destination × source) triples,
 //! walking packets under several schemes. This module factors that
-//! shape out once, so every experiment gets the same three
-//! optimisations:
+//! shape out once, so every experiment gets the same optimisations:
 //!
 //! * **Failure-invariant hoisting** — the failure-free shortest-path
-//!   trees ([`AllPairs`]), compiled agents and the TTL do not depend on
-//!   the scenario, so the engine computes them once per sweep instead
-//!   of once per scenario (the seed harness rebuilt
-//!   `SpTree::towards_all_live` inside the scenario loop).
-//! * **Work-unit parallelism** — the sweep decomposes into independent
-//!   `(scenario, destination)` units, fanned out over a hand-rolled
+//!   trees ([`AllPairs`]), a child index per destination tree and the
+//!   TTL do not depend on the scenario, so a [`ConePlan`] computes them
+//!   once per topology and every sweep over it shares them.
+//! * **The unit kernel** — a `(scenario, destination)` unit is the
+//!   same three steps in every topological sweep. A worker's
+//!   [`ConeOpener`] yields the unit's *affected* sources — the
+//!   subtrees below failed tree edges, O(cone) instead of classifying
+//!   all n nodes — in ascending node order, each with its survivor
+//!   cost (`None`: the failure disconnected it). The sweep opens one
+//!   `pr_core::FlowScratch::unit` per scheme, which evicts that
+//!   scheme's suffix memo at the only place it can be evicted, and
+//!   walks each connected source through it. Sources outside the cone
+//!   are never walked: their shortest path survives and every scheme
+//!   here delivers along it (`pr_core`'s `fib` module has the
+//!   argument).
+//! * **Work-unit parallelism** — units fan out over a hand-rolled
 //!   [`std::thread::scope`] worker pool: a chunked work queue over an
 //!   [`AtomicUsize`] cursor (the container has no crates.io access, so
-//!   no rayon). Each worker owns private scratch state (walk scratches,
-//!   FCP route caches) created by a caller-supplied factory.
+//!   no rayon). Each worker owns private scratch state (a cone opener,
+//!   flow scratches, FCP route caches) created by a caller-supplied
+//!   factory.
 //! * **Ordered streaming merge** — a worker folds each *block* of
 //!   consecutive destinations of one scenario into one accumulator and
 //!   hands it to the calling thread, which delivers blocks to the
 //!   caller's sink in unit order through a small reorder buffer while
 //!   the pool is still running. Block boundaries depend on the node
-//!   count only, so the output is bit-identical to the serial
-//!   scenario-major/destination-minor loop regardless of thread count
-//!   (`tests/determinism.rs` enforces this), and nothing of size
+//!   count only and a cone is enumerated in node order, so what a
+//!   block folds — and in which order — is the same on any worker: the
+//!   output is bit-identical to the serial scenario-major,
+//!   destination-minor, source-ascending loop regardless of thread
+//!   count (`tests/determinism.rs` enforces this), and nothing of size
 //!   O(units) is ever held: memory is the caller's own result plus the
 //!   blocks in flight.
 //!
@@ -33,7 +45,9 @@
 //! `daemon run`,
 //! the experiment binaries through [`threads_from_args`]; both fall
 //! back to [`default_threads`] (`PR_THREADS`, else the machine's
-//! available parallelism).
+//! available parallelism). One thread is the plain inline loop — no
+//! spawn, no channel — so `run(…, 1)` of any sweep *is* its serial
+//! form.
 //!
 //! Workers only scale if a work closure leaves the allocator alone in
 //! the steady state: per-worker scratch is reset in place and the
@@ -44,7 +58,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-use pr_graph::{AllPairs, Graph, LinkSet, NodeId, SpTree};
+use pr_core::generous_ttl;
+use pr_graph::{AllPairs, Graph, LinkSet, NodeId, RepairStats, SpScratch, SpTree, TreeChildren};
 use pr_scenarios::ScenarioFamily;
 
 pub use crate::shards::run_shards;
@@ -175,6 +190,100 @@ pub struct SweepUnit<'a> {
     pub base_tree: &'a SpTree,
 }
 
+/// The failure-invariant state of a topological sweep, hoisted out of
+/// every loop level: the failure-free trees, a child index per
+/// destination tree (what lets a unit enumerate its affected sources
+/// in O(cone)) and the TTL. Built once per topology; sweeps that share
+/// the topology share the plan.
+pub struct ConePlan<'a> {
+    graph: &'a Graph,
+    base: AllPairs,
+    children: Vec<TreeChildren>,
+    ttl: usize,
+}
+
+impl<'a> ConePlan<'a> {
+    /// Hoists the failure-invariant state of sweeps over `graph`.
+    pub fn new(graph: &'a Graph) -> ConePlan<'a> {
+        let base = AllPairs::compute_all_live(graph);
+        let children = graph.nodes().map(|d| TreeChildren::build(graph, base.towards(d))).collect();
+        ConePlan { graph, base, children, ttl: generous_ttl(graph) }
+    }
+
+    /// The topology under sweep.
+    pub fn graph(&self) -> &'a Graph {
+        self.graph
+    }
+
+    /// The hoisted failure-free trees.
+    pub fn base(&self) -> &AllPairs {
+        &self.base
+    }
+
+    /// The hop budget of every walk of the sweep.
+    pub fn ttl(&self) -> usize {
+        self.ttl
+    }
+
+    /// The sweep of `family`'s scenarios over this plan's trees on
+    /// `threads` workers.
+    pub fn sweep<'s>(
+        &'s self,
+        family: &'s dyn ScenarioFamily,
+        threads: usize,
+    ) -> ScenarioSweep<'s> {
+        ScenarioSweep::new(self.graph, family, &self.base, threads)
+    }
+
+    /// One worker's cone opener; its buffers grow to the topology on
+    /// first use and are reused across every unit the worker runs.
+    pub fn opener(&self) -> ConeOpener<'_> {
+        ConeOpener { plan: self, cone: Vec::new(), stack: Vec::new(), labels: SpScratch::new() }
+    }
+}
+
+/// Per-worker state of the unit kernel's first step: the affected
+/// sources of the current unit and the arena their survivor distances
+/// are repaired in.
+pub struct ConeOpener<'a> {
+    plan: &'a ConePlan<'a>,
+    /// Affected sources of the current unit, ascending node id.
+    cone: Vec<NodeId>,
+    /// DFS stack of the cone enumeration.
+    stack: Vec<NodeId>,
+    labels: SpScratch,
+}
+
+impl ConeOpener<'_> {
+    /// Opens `unit`: yields every source whose failure-free path
+    /// towards `unit.dst` crosses a failed link, in ascending node
+    /// order, with the cost of its shortest surviving path — `None`
+    /// when the failure cut it off from the destination. The
+    /// destination is never among them (it is the tree root), and an
+    /// empty cone — no base path crosses a failure — yields nothing
+    /// and repairs nothing. Only the cone's distance labels are
+    /// repaired, O(cone) per unit; a warm opener does not call the
+    /// allocator.
+    pub fn open(
+        &mut self,
+        unit: &SweepUnit<'_>,
+    ) -> impl ExactSizeIterator<Item = (NodeId, Option<u64>)> + '_ {
+        let ConeOpener { plan, cone, stack, labels } = self;
+        let children = &plan.children[unit.dst.index()];
+        unit.base_tree.affected_cone(plan.graph, children, unit.failed, cone, stack);
+        if !cone.is_empty() {
+            unit.base_tree.repair_cone_labels(plan.graph, unit.failed, cone, labels);
+        }
+        let labels = &*labels;
+        cone.iter().map(move |&src| (src, labels.cone_cost(src)))
+    }
+
+    /// The repair counters since they were last taken.
+    pub fn take_stats(&mut self) -> RepairStats {
+        self.labels.take_stats()
+    }
+}
+
 /// A sweep over (scenario × destination) work units, **streaming** its
 /// scenarios from a [`ScenarioFamily`]: scenario `s` is constructed on
 /// the worker that claims its units (and cached while that worker
@@ -184,9 +293,10 @@ pub struct SweepUnit<'a> {
 /// k≥3 spaces and large generated topologies sweep at O(workers)
 /// scenario memory.
 ///
-/// Construction hoists nothing by itself — the caller supplies the
-/// [`AllPairs`] base trees so sweeps sharing a topology can also share
-/// the hoisted state (e.g. coverage's per-failure-count rounds).
+/// Construction hoists nothing by itself — the base trees are the
+/// caller's, normally a [`ConePlan`]'s ([`ConePlan::sweep`]), so sweeps
+/// sharing a topology also share the hoisted state (e.g. coverage's
+/// per-failure-count rounds).
 #[derive(Clone, Copy)]
 pub struct ScenarioSweep<'a> {
     graph: &'a Graph,
@@ -206,26 +316,6 @@ impl<'a> ScenarioSweep<'a> {
         threads: usize,
     ) -> ScenarioSweep<'a> {
         ScenarioSweep { graph, family, base, threads: threads.max(1) }
-    }
-
-    /// The topology under sweep.
-    pub fn graph(&self) -> &'a Graph {
-        self.graph
-    }
-
-    /// The scenario family under sweep.
-    pub fn family(&self) -> &'a dyn ScenarioFamily {
-        self.family
-    }
-
-    /// The hoisted failure-free trees.
-    pub fn base(&self) -> &'a AllPairs {
-        self.base
-    }
-
-    /// Worker count this sweep fans out to.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Total number of (scenario × destination) work units.

@@ -13,9 +13,10 @@
 //! **Determinism.** An impaired family's timeline is pure in
 //! `(scenario index, seed)`; the timeline replay is exact on the
 //! demand grid; units merge in scenario order through
-//! [`engine::run_units`]. [`run`] is therefore bit-identical to
-//! [`run_serial`] at any thread count and across runs
-//! (`tests/determinism.rs`).
+//! [`engine::run_units`]. [`run`] is therefore bit-identical at any
+//! thread count — one thread being the plain scenario loop — and
+//! across runs (`tests/determinism.rs`; `tests/golden_impair.rs` pins
+//! the bytes independently).
 
 use serde::Serialize;
 
@@ -66,29 +67,6 @@ pub fn run(
             ImpairRow { scenario: i, label: scenario.label, events: scenario.events.len(), traffic }
         },
     )
-}
-
-/// The serial reference: the plain scenario loop. [`run`] must be
-/// bit-identical to this at every thread count.
-pub fn run_serial(
-    graph: &Graph,
-    pr: &PrNetwork,
-    family: &dyn TemporalFamily,
-    flows: &FlowSet,
-) -> Vec<ImpairRow> {
-    let base = AllPairs::compute_all_live(graph);
-    let dense = DenseFib::from_base(graph, &base);
-    let agent = pr.agent(graph);
-    let ttl = generous_ttl(graph);
-    let mut scratch = ReplayScratch::new();
-    (0..family.len())
-        .map(|i| {
-            let scenario = family.scenario(i);
-            let traffic =
-                replay_timeline(graph, &agent, &dense, &base, flows, &scenario, ttl, &mut scratch);
-            ImpairRow { scenario: i, label: scenario.label, events: scenario.events.len(), traffic }
-        })
-        .collect()
 }
 
 /// Aggregate of an impairment sweep: time integrals folded over every

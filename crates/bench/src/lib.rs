@@ -38,7 +38,6 @@ pub mod coverage;
 pub mod engine;
 pub mod impair;
 pub mod overheads;
-pub mod scenario;
 pub mod shards;
 pub mod stretch;
 pub mod temporal;

@@ -7,26 +7,28 @@
 //! failure-free shortest-path cost (§6). Per panel and scheme, the
 //! paper plots the complementary CDF `P(stretch > x | path)`.
 //!
-//! The sweep routes through [`crate::engine`]'s ordered block fold:
-//! workers fold blocks of consecutive destinations into
-//! [`StretchBlock`]s, which reach the calling thread in work-unit
-//! order while the pool runs. [`run_with_stats`] appends them straight
-//! into the panel, so [`run`] is bit-identical to [`run_serial`] at
-//! any thread count (enforced by `tests/determinism.rs`) and holds
-//! nothing but the panel and the blocks in flight; [`run_rows`] folds
-//! each scenario's blocks into its [`ScenarioRow`] and drops them.
+//! The sweep is the engine's unit kernel ([`crate::engine`]) with three
+//! lanes: a worker's cone opener yields a unit's affected sources with
+//! their survivor cost — which *is* the reconvergence sample — and the
+//! FCP and PR lanes walk each connected one through their
+//! `pr_core::FlowScratch` unit. Workers fold blocks of consecutive
+//! destinations into [`StretchBlock`]s, which reach the calling thread
+//! in work-unit order while the pool runs. [`run_with_stats`] appends
+//! them straight into the panel, so [`run`] is bit-identical to
+//! [`run_serial`] — the independent oracle: plain `walk_packet`,
+//! scratch Dijkstra, all n sources classified — at any thread count
+//! (enforced by `tests/determinism.rs`) and holds nothing but the
+//! panel and the blocks in flight; [`run_rows`] folds each scenario's
+//! blocks into its [`ScenarioRow`] and drops them.
 
 use serde::{Deserialize, Serialize};
 
 use pr_baselines::FcpAgent;
-use pr_core::{
-    generous_ttl, walk_packet, walk_packet_spliced, walk_packet_with, ForwardingAgent, MemoStats,
-    PrAgent, PrNetwork, SuffixMemo, WalkResult, WalkScratch,
-};
-use pr_graph::{AllPairs, Graph, NodeId, RepairStats, SpScratch, SpTree, TreeChildren};
+use pr_core::{generous_ttl, walk_packet, FlowScratch, MemoStats, PrAgent, PrNetwork, WalkResult};
+use pr_graph::{AllPairs, Graph, RepairStats, SpTree};
 use pr_scenarios::{ScenarioFamily, ScenarioIter};
 
-use crate::engine::{ScenarioSweep, SweepUnit};
+use crate::engine::{ConeOpener, ConePlan, SweepUnit};
 
 /// Scheme identifiers used in experiment output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -86,6 +88,12 @@ impl StretchSamples {
             Scheme::Fcp => &self.fcp,
             Scheme::PacketRecycling => &self.packet_recycling,
         }
+    }
+
+    /// Mean stretch per scheme ([`Scheme::ALL`] order), not-a-number
+    /// for a scheme without samples — [`SweepReport::mean`]'s answer.
+    pub fn mean(&self) -> [f64; 3] {
+        Scheme::ALL.map(|scheme| mean(self.of(scheme)))
     }
 
     /// Appends another partial result (work-unit order must be
@@ -163,7 +171,7 @@ pub fn run_with_stats(
 ) -> (StretchSamples, SweepStats) {
     let mut out = StretchSamples::default();
     let mut stats = SweepStats::default();
-    StretchPlan::new(graph, pr).fold(family, threads, true, |_, block| {
+    StretchPlan::new(graph, pr).fold(family, threads, |_, block| {
         out.absorb(&block.samples);
         stats.merge(&block.stats);
     });
@@ -183,45 +191,32 @@ pub struct StretchBlock {
     pub failures: usize,
 }
 
-/// The failure-invariant state of one stretch sweep, hoisted out of
-/// every loop level: the failure-free trees, a child index per
-/// destination tree (lets every unit enumerate its affected sources —
-/// the subtrees below failed tree edges — in O(cone) instead of
-/// classifying all n nodes), the compiled PR agent and the TTL.
+/// The failure-invariant state of one stretch sweep: the engine's
+/// hoisted [`ConePlan`] plus the compiled PR agent.
 pub struct StretchPlan<'a> {
-    graph: &'a Graph,
-    base: AllPairs,
-    children: Vec<TreeChildren>,
+    cones: ConePlan<'a>,
     pr_agent: PrAgent<'a>,
-    ttl: usize,
 }
 
 impl<'a> StretchPlan<'a> {
     /// Hoists the sweep's failure-invariant state.
     pub fn new(graph: &'a Graph, pr: &'a PrNetwork) -> StretchPlan<'a> {
-        let base = AllPairs::compute_all_live(graph);
-        let children = graph.nodes().map(|d| TreeChildren::build(graph, base.towards(d))).collect();
-        StretchPlan { graph, base, children, pr_agent: pr.agent(graph), ttl: generous_ttl(graph) }
+        StretchPlan { cones: ConePlan::new(graph), pr_agent: pr.agent(graph) }
     }
 
     /// The hoisted failure-free trees.
     pub fn base(&self) -> &AllPairs {
-        &self.base
+        self.cones.base()
     }
 
-    /// One worker's private state. `memoized` toggles suffix splicing;
-    /// both settings produce bit-identical samples (enforced by
-    /// `tests/determinism.rs` and the memo proptest).
-    pub fn worker(&self, memoized: bool) -> StretchWorker<'_> {
+    /// One worker's private state.
+    pub fn worker(&self) -> StretchWorker<'_> {
         StretchWorker {
             plan: self,
-            fcp: FcpAgent::cached_with_base(self.graph, &self.base),
-            fcp_scratch: WalkScratch::new(),
-            pr_scratch: WalkScratch::new(),
-            sp_scratch: SpScratch::new(),
-            memos: memoized.then(|| (SuffixMemo::new(), SuffixMemo::new())),
-            cone: Vec::new(),
-            stack: Vec::new(),
+            opener: self.cones.opener(),
+            fcp: FcpAgent::cached_with_base(self.cones.graph(), self.cones.base()),
+            fcp_walks: FlowScratch::new(),
+            pr_walks: FlowScratch::new(),
         }
     }
 
@@ -231,11 +226,10 @@ impl<'a> StretchPlan<'a> {
         &self,
         family: &dyn ScenarioFamily,
         threads: usize,
-        memoized: bool,
         sink: impl FnMut(usize, StretchBlock),
     ) {
-        ScenarioSweep::new(self.graph, family, &self.base, threads).fold(
-            || self.worker(memoized),
+        self.cones.sweep(family, threads).fold(
+            || self.worker(),
             |w, _| w.begin_scenario(),
             |w, unit, block| w.fold_unit(unit, block),
             sink,
@@ -244,21 +238,14 @@ impl<'a> StretchPlan<'a> {
 }
 
 /// Per-worker mutable state of the stretch sweep, reused across every
-/// unit the worker runs.
+/// unit the worker runs: the cone opener and, per walked scheme, the
+/// flow scratch (livelock detector + unit-scoped suffix memo).
 pub struct StretchWorker<'a> {
     plan: &'a StretchPlan<'a>,
+    opener: ConeOpener<'a>,
     fcp: FcpAgent<'a>,
-    fcp_scratch: WalkScratch<pr_baselines::FcpState>,
-    pr_scratch: WalkScratch<pr_core::PrHeader>,
-    sp_scratch: SpScratch,
-    /// Delivered-suffix memos (FCP, PR), evicted at every unit
-    /// boundary and reused across units like `sp_scratch`. `None`
-    /// walks every source in full — the unmemoized reference path.
-    memos: Option<(SuffixMemo<pr_baselines::FcpState>, SuffixMemo<pr_core::PrHeader>)>,
-    /// Affected-source buffer of the current unit, ascending node id.
-    cone: Vec<NodeId>,
-    /// DFS stack for the cone enumeration.
-    stack: Vec<NodeId>,
+    fcp_walks: FlowScratch<pr_baselines::FcpState>,
+    pr_walks: FlowScratch<pr_core::PrHeader>,
 }
 
 impl StretchWorker<'_> {
@@ -274,40 +261,18 @@ impl StretchWorker<'_> {
     /// `out` has the room, this does not call the allocator
     /// (`tests/alloc_sweep.rs`).
     pub fn fold_unit(&mut self, unit: SweepUnit<'_>, out: &mut StretchBlock) {
-        let StretchWorker { plan, fcp, fcp_scratch, pr_scratch, sp_scratch, memos, cone, stack } =
-            self;
-        let (graph, ttl) = (plan.graph, plan.ttl);
+        let StretchWorker { plan, opener, fcp, fcp_walks, pr_walks } = self;
+        let (graph, ttl) = (plan.cones.graph(), plan.cones.ttl());
         out.failures = unit.failed.len();
-        // The affected sources, ascending — same set and order as
-        // filtering `graph.nodes()` through `path_crosses`. An empty
-        // cone means no base path towards `dst` crosses a failure and
-        // the unit contributes nothing.
-        let children = &plan.children[unit.dst.index()];
-        unit.base_tree.affected_cone(graph, children, unit.failed, cone, stack);
-        if cone.is_empty() {
-            return;
-        }
-        // Repair only the cone's distance labels: everything the
-        // samples below read (the destination is never in the cone —
-        // it is the tree root). The debug-build cross-check against
+        let mut fcp = fcp_walks.unit(graph, &*fcp, unit.dst, unit.failed);
+        let mut pr = pr_walks.unit(graph, &plan.pr_agent, unit.dst, unit.failed);
+        let samples = &mut out.samples;
+        // The debug-build cross-check of the survivor costs against
         // the reconvergence agent's own tables is per scenario in
         // `run_serial`; here it would recompute per unit, so it lives
         // in the serial reference only.
-        unit.base_tree.repair_cone_labels(graph, unit.failed, cone, sp_scratch);
-        // Suffixes are unit-scoped, so evict before the first walk of
-        // this (failed, dst) unit.
-        let (mut fcp_memo, mut pr_memo) = match memos {
-            Some((fcp_memo, pr_memo)) => {
-                fcp_memo.begin_unit();
-                pr_memo.begin_unit();
-                (Some(fcp_memo), Some(pr_memo))
-            }
-            None => (None, None),
-        };
-        let samples = &mut out.samples;
-        for &src in cone.iter() {
-            debug_assert_ne!(src, unit.dst, "tree root cannot be below a tree edge");
-            let Some(reconv_cost) = sp_scratch.cone_cost(src) else {
+        for (src, survivor) in opener.open(&unit) {
+            let Some(reconv_cost) = survivor else {
                 samples.disconnected_pairs += 1;
                 continue;
             };
@@ -319,52 +284,22 @@ impl StretchWorker<'_> {
             samples.reconvergence.push(reconv_cost as f64 / optimal as f64);
 
             // FCP: walk with incremental failure discovery.
-            let fcp_memo = fcp_memo.as_deref_mut();
-            match delivered_cost(graph, &*fcp, src, &unit, ttl, fcp_scratch, fcp_memo) {
-                Some(cost) => samples.fcp.push(cost as f64 / optimal as f64),
-                None => samples.drop_fcp(),
+            match fcp.walk(src, ttl) {
+                w if w.result.is_delivered() => samples.fcp.push(w.cost as f64 / optimal as f64),
+                _ => samples.drop_fcp(),
             }
 
             // PR: cycle following.
-            let pr_memo = pr_memo.as_deref_mut();
-            match delivered_cost(graph, &plan.pr_agent, src, &unit, ttl, pr_scratch, pr_memo) {
-                Some(cost) => samples.packet_recycling.push(cost as f64 / optimal as f64),
-                None => samples.drop_pr(),
+            match pr.walk(src, ttl) {
+                w if w.result.is_delivered() => {
+                    samples.packet_recycling.push(w.cost as f64 / optimal as f64)
+                }
+                _ => samples.drop_pr(),
             }
         }
-        out.stats.repair.merge(&sp_scratch.take_stats());
-        if let Some((fcp_memo, pr_memo)) = memos {
-            out.stats.memo.merge(&fcp_memo.take_stats());
-            out.stats.memo.merge(&pr_memo.take_stats());
-        }
-    }
-}
-
-/// Walks one packet of `unit` from `src` and returns the delivered
-/// path's cost (`None` for a drop): spliced through `memo` when there
-/// is one, in full otherwise — the same `u64` either way.
-fn delivered_cost<A: ForwardingAgent>(
-    graph: &Graph,
-    agent: &A,
-    src: NodeId,
-    unit: &SweepUnit<'_>,
-    ttl: usize,
-    scratch: &mut WalkScratch<A::State>,
-    memo: Option<&mut SuffixMemo<A::State>>,
-) -> Option<u64>
-where
-    A::State: std::hash::Hash + Eq,
-{
-    let (dst, failed) = (unit.dst, unit.failed);
-    match memo {
-        Some(memo) => {
-            let w = walk_packet_spliced(graph, agent, src, dst, failed, ttl, scratch, memo);
-            w.result.is_delivered().then_some(w.cost)
-        }
-        None => {
-            let w = walk_packet_with(graph, agent, src, dst, failed, ttl, scratch);
-            w.result.is_delivered().then(|| w.cost(graph))
-        }
+        out.stats.repair.merge(&opener.take_stats());
+        out.stats.memo.merge(&fcp.take_stats());
+        out.stats.memo.merge(&pr.take_stats());
     }
 }
 
@@ -459,34 +394,9 @@ pub fn run_rows(
     threads: usize,
     first_scenario: usize,
 ) -> Vec<ScenarioRow> {
-    run_rows_memoized(graph, pr, family, threads, first_scenario, true)
-}
-
-/// [`run_rows`] with suffix memoization disabled: every source is
-/// walked in full. This is the reference the determinism tests (and
-/// the recorded isp-1000 before/after numbers) compare the memoized
-/// sweep against — the rows must be bit-identical.
-pub fn run_rows_plain(
-    graph: &Graph,
-    pr: &PrNetwork,
-    family: &dyn ScenarioFamily,
-    threads: usize,
-    first_scenario: usize,
-) -> Vec<ScenarioRow> {
-    run_rows_memoized(graph, pr, family, threads, first_scenario, false)
-}
-
-fn run_rows_memoized(
-    graph: &Graph,
-    pr: &PrNetwork,
-    family: &dyn ScenarioFamily,
-    threads: usize,
-    first_scenario: usize,
-    memoized: bool,
-) -> Vec<ScenarioRow> {
     let xs = figure2_xs();
     let mut rows: Vec<ScenarioRow> = Vec::with_capacity(family.len());
-    StretchPlan::new(graph, pr).fold(family, threads, memoized, |scenario, block| {
+    StretchPlan::new(graph, pr).fold(family, threads, |scenario, block| {
         // Blocks arrive in unit order: a new scenario index opens the
         // next row.
         let absolute = (first_scenario + scenario) as u64;
@@ -675,6 +585,16 @@ pub fn run_serial(graph: &Graph, pr: &PrNetwork, family: &dyn ScenarioFamily) ->
     out
 }
 
+/// The mean of `samples`, summed in order; not-a-number when there are
+/// none (an empty sweep has no mean stretch, and `0.000` would read as
+/// one).
+pub fn mean(samples: &[f64]) -> f64 {
+    if samples.is_empty() {
+        return f64::NAN;
+    }
+    samples.iter().sum::<f64>() / samples.len() as f64
+}
+
 /// Evaluates `P(sample > x)` at each of `xs` — the paper's CCDF.
 pub fn ccdf(samples: &[f64], xs: &[f64]) -> Vec<(f64, f64)> {
     if samples.is_empty() {
@@ -755,7 +675,6 @@ pub fn summarize(samples: &StretchSamples) -> PanelSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario;
     use pr_core::{DiscriminatorKind, PrMode};
     use pr_embedding::CellularEmbedding;
 
@@ -770,7 +689,7 @@ mod tests {
         let g =
             pr_topologies::load(pr_topologies::Isp::Abilene, pr_topologies::Weighting::Distance);
         let pr = compile_pr(&g);
-        let scenarios = scenario::all_single_failures(&g);
+        let scenarios: Vec<_> = pr_scenarios::SingleLinkFailures::new(&g).scenarios().collect();
         let samples = run(&g, &pr, &scenarios, 2);
 
         assert_eq!(samples.undelivered, 0, "all three schemes must deliver");
@@ -781,7 +700,6 @@ mod tests {
         assert_eq!(samples.reconvergence.len(), samples.packet_recycling.len());
 
         // Shape: reconvergence ≤ FCP ≤ PR in the mean.
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         let (mr, mf, mp) =
             (mean(&samples.reconvergence), mean(&samples.fcp), mean(&samples.packet_recycling));
         assert!(mr <= mf + 1e-12, "reconvergence {mr} > fcp {mf}");
@@ -851,9 +769,6 @@ mod tests {
         assert_eq!(report.undelivered, samples.undelivered as u64);
         assert_eq!(report.undelivered_fcp + report.undelivered_pr, report.undelivered);
 
-        // The unmemoized reference path folds to bit-identical rows.
-        assert_eq!(run_rows_plain(&g, &pr, &family, 2, 0), rows);
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         assert!((report.mean[2] - mean(&samples.packet_recycling)).abs() < 1e-12);
 
         // Rows survive the JSON checkpoint round-trip bit-for-bit

@@ -12,9 +12,10 @@
 //! **Determinism.** Scenario `i` runs with the RNG seed
 //! [`TemporalFamily::seed_for`]`(base_seed, i)` — a pure hash of
 //! `(base_seed, i)`, never a shared RNG stream — and the engine merges
-//! results in unit order. [`run`] is therefore bit-identical to
-//! [`run_serial`] at any thread count (`tests/determinism.rs` asserts
-//! this for all three shipped families at 1/2/4 threads).
+//! results in unit order. [`run`] is therefore bit-identical at any
+//! thread count, one thread being the plain scenario loop
+//! (`tests/determinism.rs` asserts this for all three shipped families
+//! at 1/2/4 threads).
 //!
 //! **Hoisting.** The compiled PR network, its agent and the
 //! failure-free all-pairs trees (the reconverging IGP's *stale* view)
@@ -45,7 +46,10 @@ pub struct TemporalRow {
     pub igp: Metrics,
 }
 
-/// Sweeps every scenario of `family` on `threads` workers.
+/// Sweeps every scenario of `family` on `threads` workers. One work
+/// unit replays scenario `i` under PR and under the reconverging IGP
+/// (tables repaired from the stale trees through the worker's arena),
+/// with the per-scenario derived seed.
 pub fn run(
     graph: &Graph,
     net: &PrNetwork,
@@ -62,47 +66,15 @@ pub fn run(
         // One Dijkstra arena per worker: each unit's IGP tables are
         // incrementally repaired from the hoisted stale trees.
         SpScratch::new,
-        |scratch, i| run_one(graph, &agent, &stale, family, config, base_seed, i, scratch),
+        |scratch, i| {
+            let scenario = family.scenario(i);
+            let seed = family.seed_for(base_seed, i);
+            let pr = run_scenario(graph, &agent, &scenario, config, seed);
+            let igp_agent = igp_for_with(graph, &scenario, &stale, scratch);
+            let igp = run_scenario(graph, &igp_agent, &scenario, config, seed);
+            TemporalRow { scenario: i, label: scenario.label, pr, igp }
+        },
     )
-}
-
-/// The serial reference: the plain scenario loop. [`run`] must be
-/// bit-identical to this at every thread count.
-pub fn run_serial(
-    graph: &Graph,
-    net: &PrNetwork,
-    family: &dyn TemporalFamily,
-    config: &SimConfig,
-    base_seed: u64,
-) -> Vec<TemporalRow> {
-    let agent = Static(net.agent(graph));
-    let stale = Arc::new(AllPairs::compute_all_live(graph));
-    let mut scratch = SpScratch::new();
-    (0..family.len())
-        .map(|i| run_one(graph, &agent, &stale, family, config, base_seed, i, &mut scratch))
-        .collect()
-}
-
-/// One work unit: replay scenario `i` under PR and under the
-/// reconverging IGP (tables repaired from the stale trees through the
-/// worker's arena), with the per-scenario derived seed.
-#[allow(clippy::too_many_arguments)]
-fn run_one(
-    graph: &Graph,
-    agent: &Static<pr_core::PrAgent<'_>>,
-    stale: &Arc<AllPairs>,
-    family: &dyn TemporalFamily,
-    config: &SimConfig,
-    base_seed: u64,
-    i: usize,
-    scratch: &mut SpScratch,
-) -> TemporalRow {
-    let scenario = family.scenario(i);
-    let seed = family.seed_for(base_seed, i);
-    let pr = run_scenario(graph, agent, &scenario, config, seed);
-    let igp_agent = igp_for_with(graph, &scenario, stale, scratch);
-    let igp = run_scenario(graph, &igp_agent, &scenario, config, seed);
-    TemporalRow { scenario: i, label: scenario.label, pr, igp }
 }
 
 /// Aggregate of a temporal sweep for reports: totals across scenarios.
@@ -196,8 +168,8 @@ mod tests {
         let (g, net) = ring_net(4);
         let fam = OutageSweep::new(&g, OutageParams::default());
         let config = SimConfig::default();
-        let reference = run_serial(&g, &net, &fam, &config, 7);
-        for threads in [1, 2, 4] {
+        let reference = run(&g, &net, &fam, &config, 7, 1);
+        for threads in [2, 4] {
             assert_eq!(run(&g, &net, &fam, &config, 7, threads), reference, "{threads} threads");
         }
     }

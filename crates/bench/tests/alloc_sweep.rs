@@ -121,7 +121,7 @@ fn second_pass_over_a_scenario_never_calls_the_allocator() {
     for (label, rotation) in rotations {
         let net = compile(&g, rotation);
         let plan = StretchPlan::new(&g, &net);
-        let mut worker = plan.worker(true);
+        let mut worker = plan.worker();
         let (mut evaluated, mut undelivered) = (0, 0);
         for scenario in (0..family.len()).step_by(family.len() / 12) {
             let failed = family.scenario(scenario);

@@ -6,9 +6,13 @@
 //! use per-worker FCP route caches, fold blocks of units on the
 //! workers and merge the blocks in unit order while the pool runs;
 //! `run_serial` is the plain nested loop with the honest
-//! recompute-per-decision FCP agent.
+//! recompute-per-decision FCP agent, plain `walk_packet` and scratch
+//! Dijkstra — nothing of the unit kernel.
 //! `temporal::run` fans one discrete-event simulation pair per timed
-//! scenario with per-scenario derived seeds. Any divergence — a
+//! scenario with per-scenario derived seeds; it and `impair::run` are
+//! held against their own one-thread run, which is the plain inline
+//! loop (`tests/golden_impair.rs` pins the impaired bytes
+//! independently). Any divergence — a
 //! reordered sample, a cache changing a decision, a shared RNG stream,
 //! a lost unit — fails these tests exactly.
 
@@ -24,6 +28,9 @@ use pr_sim::SimConfig;
 use pr_topologies::{Isp, Weighting};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
+/// Pools held against their sweep's own one-thread run (the inline
+/// loop: no thread, no channel).
+const POOLED_THREAD_COUNTS: [usize; 2] = [2, 4];
 /// Pool sizes the link sweeps run at: the inline loop, even and odd
 /// pools (blocks and chunks split unevenly), and more workers than
 /// the machine has cores.
@@ -77,17 +84,21 @@ fn oracle_row(index: usize, failures: usize, s: &StretchSamples, xs: &[f64]) -> 
     }
 }
 
-fn stretch_is_deterministic_on(graph: &Graph, pr: &PrNetwork, family: &dyn ScenarioFamily) {
-    let reference = pr_bench::stretch::run_serial(graph, pr, family);
-    // Per-scenario rows from the same oracle, one scenario at a time.
+/// Per-scenario rows from the serial oracle, one scenario at a time.
+fn oracle_rows(graph: &Graph, pr: &PrNetwork, family: &dyn ScenarioFamily) -> Vec<ScenarioRow> {
     let xs = pr_bench::stretch::figure2_xs();
-    let reference_rows: Vec<ScenarioRow> = (0..family.len())
+    (0..family.len())
         .map(|i| {
             let failed = family.scenario(i);
             let alone = pr_bench::stretch::run_serial(graph, pr, &vec![failed.clone()]);
             oracle_row(i, failed.len(), &alone, &xs)
         })
-        .collect();
+        .collect()
+}
+
+fn stretch_is_deterministic_on(graph: &Graph, pr: &PrNetwork, family: &dyn ScenarioFamily) {
+    let reference = pr_bench::stretch::run_serial(graph, pr, family);
+    let reference_rows = oracle_rows(graph, pr, family);
     let mut reference_stats = None;
     for threads in SWEEP_THREAD_COUNTS {
         let (samples, stats) = pr_bench::stretch::run_with_stats(graph, pr, family, threads);
@@ -190,10 +201,12 @@ fn positive_genus_mesh_sweeps_parallel_equal_serial() {
 
 /// The PR 8 acceptance criterion in miniature: per-scenario aggregates
 /// from the suffix-**memoized** walk engine (`run_rows`, what `pr
-/// sweep` ships) must be bit-identical to the unmemoized path
-/// (`run_rows_plain`) at 1/2/4 threads. The isp-1000 exhaustive sweep
-/// this gates is too slow for tier-1, so a 120-node instance of the
-/// same synthetic ISP family stands in; the equivalence argument
+/// sweep` ships) must be bit-identical to rows aggregated from the
+/// plain `walk_packet` oracle (`run_serial`) at every pool size. The
+/// isp-1000 exhaustive sweep this gates is too slow for tier-1, so a
+/// 120-node instance of the same synthetic ISP family stands in — and
+/// of its single failures every eighth, because the oracle's honest
+/// FCP agent runs a Dijkstra per hop; the equivalence argument
 /// (DESIGN.md §14) is size-independent.
 #[test]
 fn synth_mesh_memoized_rows_equal_plain_rows() {
@@ -202,17 +215,14 @@ fn synth_mesh_memoized_rows_equal_plain_rows() {
     let emb = CellularEmbedding::new(&g, rot).expect("connected topology");
     let pr = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
     let singles = SingleLinkFailures::new(&g);
-    let reference = pr_bench::stretch::run_rows_plain(&g, &pr, &singles, 1, 0);
+    let sampled: Vec<_> = (0..singles.len()).step_by(8).map(|i| singles.scenario(i)).collect();
+    let reference = oracle_rows(&g, &pr, &sampled);
+    assert!(reference.iter().all(|row| row.evaluated_pairs > 0 && row.undelivered == 0));
     for threads in SWEEP_THREAD_COUNTS {
-        let memoized = pr_bench::stretch::run_rows(&g, &pr, &singles, threads, 0);
+        let memoized = pr_bench::stretch::run_rows(&g, &pr, &sampled, threads, 0);
         assert_eq!(
             memoized, reference,
             "memoized ScenarioRows diverged from the plain walker at {threads} threads"
-        );
-        let plain = pr_bench::stretch::run_rows_plain(&g, &pr, &singles, threads, 0);
-        assert_eq!(
-            plain, reference,
-            "plain ScenarioRows diverged across thread counts at {threads} threads"
         );
     }
 }
@@ -242,9 +252,9 @@ fn quick_params() -> OutageParams {
 fn temporal_is_deterministic_on(graph: &Graph, pr: &PrNetwork, family: &dyn TemporalFamily) {
     let config = SimConfig::default();
     for seed in SEEDS {
-        let reference = pr_bench::temporal::run_serial(graph, pr, family, &config, seed);
+        let reference = pr_bench::temporal::run(graph, pr, family, &config, seed, 1);
         assert_eq!(reference.len(), family.len());
-        for threads in THREAD_COUNTS {
+        for threads in POOLED_THREAD_COUNTS {
             let rows = pr_bench::temporal::run(graph, pr, family, &config, seed, threads);
             assert_eq!(
                 rows,
@@ -377,9 +387,9 @@ fn impair_is_deterministic_on(
     family: &dyn TemporalFamily,
     flows: &FlowSet,
 ) {
-    let reference = pr_bench::impair::run_serial(graph, pr, family, flows);
+    let reference = pr_bench::impair::run(graph, pr, family, flows, 1);
     assert_eq!(reference.len(), family.len());
-    for threads in THREAD_COUNTS {
+    for threads in POOLED_THREAD_COUNTS {
         let rows = pr_bench::impair::run(graph, pr, family, flows, threads);
         assert_eq!(
             rows,
@@ -389,7 +399,7 @@ fn impair_is_deterministic_on(
         );
     }
     // Same family, same seed, fresh run: byte-identical artefact.
-    let again = pr_bench::impair::run_serial(graph, pr, family, flows);
+    let again = pr_bench::impair::run(graph, pr, family, flows, 1);
     assert_eq!(
         pr_bench::impair::rows_csv(&again),
         pr_bench::impair::rows_csv(&reference),

@@ -56,7 +56,7 @@ fn exhaustive_k3_geant_sweeps_through_the_engine_without_materializing() {
 fn streaming_single_family_matches_the_historical_list() {
     let g = pr_topologies::load(Isp::Geant, Weighting::Distance);
     let fam = SingleLinkFailures::new(&g);
-    let list = pr_bench::scenario::all_single_failures(&g);
+    let list: Vec<LinkSet> = fam.scenarios().collect();
     assert_eq!(fam.len(), list.len());
     for (i, expected) in list.into_iter().enumerate() {
         assert_eq!(fam.scenario(i), expected);

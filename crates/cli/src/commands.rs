@@ -8,7 +8,7 @@ use pr_scenarios::{
     OutageSweep, SampledMultiFailures, ScenarioFamily, SingleLinkFailures, SrlgFailures,
     TemporalFamily,
 };
-use pr_traffic::{FlowSet, GravityTraffic, HotspotTraffic, TrafficModel, UniformTraffic};
+use pr_traffic::FlowSet;
 
 use crate::args::Args;
 
@@ -496,7 +496,6 @@ pub fn stretch(args: &Args) -> CmdResult {
     };
 
     let s = pr_bench::stretch::run(&graph, &net, family.as_ref(), threads.max(1));
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     println!(
         "affected pairs: {} ({} scenarios, {} failures each, {} threads), undelivered: {}",
         s.evaluated_pairs,
@@ -505,12 +504,7 @@ pub fn stretch(args: &Args) -> CmdResult {
         threads.max(1),
         s.undelivered
     );
-    println!(
-        "mean stretch:  reconvergence {:.3}  fcp {:.3}  packet-recycling {:.3}",
-        mean(&s.reconvergence),
-        mean(&s.fcp),
-        mean(&s.packet_recycling)
-    );
+    print_mean_stretch(s.mean());
     for x in [1.0, 2.0, 3.0, 5.0, 10.0, 15.0] {
         let p = |v: &[f64]| v.iter().filter(|&&s| s > x).count() as f64 / v.len().max(1) as f64;
         println!(
@@ -521,6 +515,16 @@ pub fn stretch(args: &Args) -> CmdResult {
         );
     }
     Ok(())
+}
+
+/// The mean-stretch line of `pr stretch` and `pr sweep`, sharded or
+/// not ([`pr_bench::stretch::Scheme::ALL`] order). A scheme without a
+/// sample prints `NaN`, as the JSON report says `null`.
+fn print_mean_stretch(mean: [f64; 3]) {
+    println!(
+        "mean stretch:  reconvergence {:.3}  fcp {:.3}  packet-recycling {:.3}",
+        mean[0], mean[1], mean[2]
+    );
 }
 
 /// The sharded, checkpointable variant of a topological `pr sweep`:
@@ -584,10 +588,7 @@ fn run_sharded_sweep(
                 report.undelivered_fcp,
                 report.undelivered_pr
             );
-            println!(
-                "mean stretch:  reconvergence {:.3}  fcp {:.3}  packet-recycling {:.3}",
-                report.mean[0], report.mean[1], report.mean[2]
-            );
+            print_mean_stretch(report.mean);
             if let Some(format) = format {
                 emit(
                     format,
@@ -748,13 +749,7 @@ pub fn sweep(args: &Args) -> CmdResult {
                 s.undelivered_fcp,
                 s.undelivered_pr
             );
-            let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-            println!(
-                "mean stretch:  reconvergence {:.3}  fcp {:.3}  packet-recycling {:.3}",
-                mean(&s.reconvergence),
-                mean(&s.fcp),
-                mean(&s.packet_recycling)
-            );
+            print_mean_stretch(s.mean());
             if args.flag("stats") {
                 let repair = &stats.repair;
                 println!(
@@ -788,10 +783,27 @@ pub fn sweep(args: &Args) -> CmdResult {
     Ok(())
 }
 
+/// The demand specification the `--model/--flows/--hotspots/--boost`
+/// flags describe, for `pr traffic`, `pr impair` and `pr daemon run`.
+fn demand_spec(
+    args: &Args,
+    model_name: &str,
+    seed: u64,
+) -> Result<pr_daemon::DemandSpec, Box<dyn std::error::Error>> {
+    let mut spec = pr_daemon::DemandSpec::named(model_name);
+    spec.flows = args.option_or("flows", 0usize)?;
+    spec.hotspots = optional(args, "hotspots")?;
+    spec.boost = args.option_or("boost", spec.boost)?;
+    spec.seed = seed;
+    Ok(spec)
+}
+
 /// Builds the demand workload shared by `pr traffic` and `pr impair`:
 /// the `--model` matrix, then the whole matrix or `--flows N` flows
-/// sampled proportionally to demand. Model-specific knobs given with
-/// the wrong `--model` are hard errors.
+/// sampled proportionally to demand ([`pr_daemon::DemandSpec::build`],
+/// the daemon's builder). What is the command line's own stays here:
+/// model-specific knobs given with the wrong `--model` and an explicit
+/// `--flows 0` are hard errors.
 fn build_flow_set(
     graph: &Graph,
     model_name: &str,
@@ -807,42 +819,13 @@ fn build_flow_set(
             .into());
         }
     }
-    let model: Box<dyn TrafficModel> = match model_name {
-        "uniform" => Box::new(UniformTraffic::new(graph)),
-        "gravity" => {
-            if !graph.fully_located() {
-                return Err("the gravity model needs PoP coordinates on every node \
-                            (use a shipped ISP topology, or --model uniform|hotspot)"
-                    .into());
-            }
-            Box::new(GravityTraffic::new(graph))
-        }
-        "hotspot" => {
-            let n = graph.node_count();
-            let hotspots: usize = args.option_or("hotspots", (n / 8).max(1))?;
-            let boost: f64 = args.option_or("boost", 8.0)?;
-            if hotspots == 0 || hotspots >= n {
-                return Err(format!(
-                    "--hotspots wants a value in 1..{n} (the node count), got {hotspots}"
-                )
-                .into());
-            }
-            if boost <= 0.0 {
-                return Err(format!("--boost wants a positive factor, got {boost}").into());
-            }
-            Box::new(HotspotTraffic::new(graph, hotspots, boost, seed))
-        }
-        other => return Err(format!("--model wants gravity|uniform|hotspot, got {other:?}").into()),
-    };
-    Ok(match args.option_or("flows", 0usize)? {
-        0 if args.option("flows").is_some() => {
-            return Err("--flows wants a positive sample count \
-                        (omit it to replay the full matrix)"
-                .into())
-        }
-        0 => FlowSet::all_pairs(model.as_ref()),
-        n => FlowSet::sampled(model.as_ref(), n, seed),
-    })
+    let spec = demand_spec(args, model_name, seed)?;
+    if spec.flows == 0 && args.option("flows").is_some() {
+        return Err("--flows wants a positive sample count \
+                    (omit it to replay the full matrix)"
+            .into());
+    }
+    Ok(spec.build(graph)?)
 }
 
 /// `pr traffic <topology> [--model gravity|uniform|hotspot] [--flows N]
@@ -1211,11 +1194,11 @@ fn daemon_run(args: &Args) -> CmdResult {
     let (graph, canonical) = load_topology(&topo_spec)?;
     let threads = args.option_or("threads", pr_bench::engine::default_threads())?.max(1);
     let default_model = if graph.fully_located() { "gravity" } else { "uniform" };
-    let mut spec = pr_daemon::DemandSpec::named(args.option("model").unwrap_or(default_model));
-    spec.flows = args.option_or("flows", 0usize)?;
-    spec.hotspots = optional(args, "hotspots")?;
-    spec.boost = args.option_or("boost", spec.boost)?;
-    spec.seed = args.option_or("seed", spec.seed)?;
+    let spec = demand_spec(
+        args,
+        args.option("model").unwrap_or(default_model),
+        args.option_or("seed", 2010)?,
+    )?;
     let emb = resolve_embedding(&graph, canonical, args)?;
     println!("embedding genus {}", emb.genus());
     let net =

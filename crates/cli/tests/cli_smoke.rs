@@ -109,6 +109,31 @@ fn sweep_stats_reports_repair_and_walk_memo() {
 }
 
 #[test]
+fn a_sweep_without_samples_has_no_mean_stretch_sharded_or_not() {
+    // On a path every link is a bridge: each single failure
+    // disconnects every pair it affects, so no scheme gets a sample.
+    // (A fixed name: the sharded run's checkpoint directory under
+    // results/ is named after it and is cleared by the next run.)
+    let topo = std::env::temp_dir().join("pr-cli-smoke-path3.topo");
+    std::fs::write(&topo, "node A\nnode B\nnode C\nlink A B 1\nlink B C 1\n").unwrap();
+    let topo = topo.to_str().unwrap();
+    for command in [
+        vec!["sweep", topo, "--family", "single"],
+        vec!["sweep", topo, "--family", "single", "--shards", "2"],
+        vec!["stretch", topo],
+    ] {
+        let out = run(&command);
+        assert!(out.status.success(), "{command:?} failed: {}", stderr(&out));
+        let text = stdout(&out);
+        assert!(
+            text.contains("mean stretch:  reconvergence NaN  fcp NaN  packet-recycling NaN"),
+            "{command:?} must not print a mean it does not have:\n{text}"
+        );
+    }
+    std::fs::remove_file(topo).unwrap();
+}
+
+#[test]
 fn sweep_rejects_unknown_family_and_srlg_without_coordinates() {
     let out = run(&["sweep", "figure1", "--family", "cosmic-rays"]);
     assert_eq!(out.status.code(), Some(1));

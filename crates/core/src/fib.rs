@@ -19,6 +19,8 @@
 //!   (failed set, destination) unit already resolved splices the rest.
 //!   It walks through a [`FlowUnit`], the guard that opens the unit on
 //!   the worker's [`FlowScratch`]; nothing here allocates per flow.
+//!   Scenario sweeps walk through the same guard
+//!   ([`FlowUnit::walk`]): they want a walk's totals, not its darts.
 //!
 //! Delivering the unaffected flows along their tree paths without ever
 //! consulting the agent is sound for every scheme in this workspace
@@ -36,7 +38,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use pr_graph::{AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, TreeChildren};
 
 use crate::walker::walk_hops;
-use crate::{DropReason, ForwardingAgent, SuffixMemo, WalkResult, WalkScratch};
+use crate::{
+    DropReason, ForwardingAgent, MemoStats, SplicedWalk, SuffixMemo, WalkResult, WalkScratch,
+};
 
 /// Identity of one construction of a value that is expensive to
 /// compare: every [`Stamp::fresh`] is different from every other in
@@ -282,10 +286,12 @@ impl FlowWalk {
     }
 }
 
-/// Reusable per-worker state of recovery walks: the livelock detector
-/// and the per-unit suffix memo, plus the dart buffer a walk stages its
-/// path in (committed to the caller's `on_dart` hook only once the flow
-/// is known to deliver, so a dropped walk leaves no load behind).
+/// Reusable per-worker state of one scheme's walks — replay's recovery
+/// walks and the sweeps' per-source walks alike: the livelock detector
+/// and the per-unit suffix memo, plus the dart buffer a recovery walk
+/// stages its path in (committed to the caller's `on_dart` hook only
+/// once the flow is known to deliver, so a dropped walk leaves no load
+/// behind).
 ///
 /// Walking goes through [`FlowScratch::unit`].
 #[derive(Debug)]
@@ -334,6 +340,37 @@ pub struct FlowUnit<'a, A: ForwardingAgent> {
     dest: NodeId,
     failed: &'a LinkSet,
     scratch: &'a mut FlowScratch<A::State>,
+}
+
+impl<A: ForwardingAgent> FlowUnit<'_, A>
+where
+    A::State: std::hash::Hash + Eq,
+{
+    /// Walks one packet of the unit from `src` and reports outcome,
+    /// cost and steps without its darts — what a sweep wants of a
+    /// walk. The same hop loop and unit memo as [`recover_flow_with`],
+    /// so the totals are [`walk_packet`](crate::walk_packet)'s.
+    pub fn walk(&mut self, src: NodeId, ttl: usize) -> SplicedWalk {
+        let FlowScratch { walk, memo, .. } = &mut *self.scratch;
+        let hops = walk_hops(
+            self.graph,
+            self.agent,
+            src,
+            self.dest,
+            self.failed,
+            ttl,
+            walk,
+            Some(memo),
+            |_| {},
+        );
+        SplicedWalk { result: hops.result, cost: hops.cost, steps: hops.steps }
+    }
+
+    /// The unit memo's counters since they were last taken (see
+    /// [`SuffixMemo::take_stats`]).
+    pub fn take_stats(&mut self) -> MemoStats {
+        self.scratch.memo.take_stats()
+    }
 }
 
 /// Walks one flow of the unit from `src` through the agent — the

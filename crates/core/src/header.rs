@@ -14,7 +14,6 @@
 //! accounting in the experiments is measured on real encoded bits, not
 //! estimated.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 /// The in-packet PR state: the PR bit and the distance-discriminator
@@ -61,6 +60,28 @@ impl std::fmt::Display for HeaderError {
 }
 
 impl std::error::Error for HeaderError {}
+
+/// An encoded PR header field: the whole bytes [`HeaderCodec::encode`]
+/// packed, held inline (the widest field, 1 + 64 bits, is nine bytes)
+/// and read as a byte slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EncodedHeader {
+    bytes: [u8; EncodedHeader::CAPACITY],
+    len: u8,
+}
+
+impl EncodedHeader {
+    /// Bytes of the widest field: ⌈(1 + 64) / 8⌉.
+    const CAPACITY: usize = 9;
+}
+
+impl std::ops::Deref for EncodedHeader {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
 
 /// Encoder/decoder for the PR header field at a fixed DD width.
 ///
@@ -121,7 +142,7 @@ impl HeaderCodec {
     ///
     /// [`HeaderError::DdOverflow`] if `header.dd` needs more than
     /// [`dd_bits`](Self::dd_bits) bits.
-    pub fn encode(self, header: PrHeader) -> Result<Bytes, HeaderError> {
+    pub fn encode(self, header: PrHeader) -> Result<EncodedHeader, HeaderError> {
         if self.dd_bits < 64 && header.dd >> self.dd_bits != 0 {
             return Err(HeaderError::DdOverflow { dd: header.dd, bits: self.dd_bits });
         }
@@ -135,11 +156,12 @@ impl HeaderCodec {
         acc = (acc << self.dd_bits) | u128::from(header.dd);
         let pad = self.encoded_len() as u32 * 8 - total;
         acc <<= pad;
-        let mut out = BytesMut::with_capacity(self.encoded_len());
-        for i in (0..self.encoded_len()).rev() {
-            out.put_u8((acc >> (i * 8)) as u8);
+        let len = self.encoded_len();
+        let mut bytes = [0; EncodedHeader::CAPACITY];
+        for (byte, i) in bytes.iter_mut().zip((0..len).rev()) {
+            *byte = (acc >> (i * 8)) as u8;
         }
-        Ok(out.freeze())
+        Ok(EncodedHeader { bytes, len: len as u8 })
     }
 
     /// Unpacks a header previously produced by [`encode`](Self::encode).

@@ -58,7 +58,7 @@ mod walker;
 
 pub use agent::{DropReason, ForwardDecision, ForwardingAgent, PrAgent, PrMode, PrNetwork};
 pub use fib::{recover_flow_with, DenseFib, FibFrame, FlowScratch, FlowUnit, FlowWalk, Stamp};
-pub use header::{HeaderCodec, HeaderError, PrHeader};
+pub use header::{EncodedHeader, HeaderCodec, HeaderError, PrHeader};
 pub use memo::{MemoStats, SuffixMemo};
 pub use scratch::{FxHasher64, WalkScratch};
 pub use tables::{

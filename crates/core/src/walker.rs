@@ -21,8 +21,9 @@
 //!
 //! * [`walk_packet`] / [`walk_packet_with`] — no memo, darts collected
 //!   into the returned [`Walk`]'s `Path`;
-//! * [`walk_packet_spliced`] — the sweep's per-unit memo, darts
-//!   discarded (only cost and step totals are wanted);
+//! * [`walk_packet_spliced`], and [`FlowUnit::walk`](crate::FlowUnit)
+//!   behind the unit guard (the sweeps' entry) — a per-unit memo,
+//!   darts discarded (only cost and step totals are wanted);
 //! * [`recover_flow_with`](crate::recover_flow_with) — the replay
 //!   unit's memo, darts staged in the flow scratch and released to the
 //!   caller's load accounting only once the walk has delivered.

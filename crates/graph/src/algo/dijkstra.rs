@@ -116,73 +116,6 @@ impl SpTree {
         false
     }
 
-    /// Memoised [`SpTree::path_crosses`]: same answer, amortised O(1)
-    /// per source instead of O(path length).
-    ///
-    /// Sweep workers ask "does `src`'s tree path traverse a failed
-    /// link?" for **every** source against one `(tree, failed)` pair.
-    /// The naive walk re-traverses shared path suffixes, making the
-    /// all-sources test O(n · depth). This variant records the answer
-    /// at every node it visits (stamped with the scratch's current
-    /// unit generation), so each tree dart is walked at most once per
-    /// unit: the frontier of a walk is either the destination, a
-    /// failed dart, or a node whose answer is already known, and the
-    /// whole stacked prefix inherits that answer.
-    ///
-    /// Callers must invoke [`CrossingScratch::begin_unit`] whenever
-    /// the `(tree, failed)` pair changes; answers are only reused
-    /// within one unit.
-    pub fn path_crosses_memo(
-        &self,
-        graph: &Graph,
-        from: NodeId,
-        failed: &LinkSet,
-        scratch: &mut CrossingScratch,
-    ) -> bool {
-        debug_assert!(scratch.stamp.len() >= self.next.len(), "begin_unit not called");
-        let generation = scratch.generation;
-        let mut at = from.index();
-        let result = loop {
-            if scratch.stamp[at] == generation {
-                break scratch.crosses[at];
-            }
-            match self.next[at] {
-                // Destination or unreachable: nothing (more) to cross.
-                None => break false,
-                Some(d) => {
-                    scratch.stack.push(at);
-                    if failed.contains_dart(d) {
-                        break true;
-                    }
-                    at = graph.dart_head(d).index();
-                }
-            }
-        };
-        // Every stacked node's path runs through the frontier (or
-        // *is* the failed hop), so they all share its answer.
-        for &u in &scratch.stack {
-            scratch.stamp[u] = generation;
-            scratch.crosses[u] = result;
-        }
-        scratch.stack.clear();
-        result
-    }
-
-    /// `true` if the tree routes over `link` (i.e. `link` is one of
-    /// the tree's parent darts). O(1): only the two endpoints can
-    /// have a parent dart on `link`.
-    ///
-    /// Lets sweep workers dismiss a failure scenario against a
-    /// destination tree in O(failed links) — if no failed link is a
-    /// tree edge, no source's path crosses and the repaired tree is
-    /// the base tree itself.
-    #[inline]
-    pub fn uses_link(&self, graph: &Graph, link: crate::LinkId) -> bool {
-        let (a, b) = graph.endpoints(link);
-        self.next[a.index()].is_some_and(|d| d.link() == link)
-            || self.next[b.index()].is_some_and(|d| d.link() == link)
-    }
-
     /// Materialises the dart sequence `from → … → dest` using the graph.
     pub fn path_darts(&self, graph: &Graph, from: NodeId) -> Option<Vec<Dart>> {
         self.dist[from.index()]?;
@@ -198,64 +131,6 @@ impl SpTree {
     /// Links used by the tree (the union of all `next` darts' links).
     pub fn tree_links(&self) -> impl Iterator<Item = crate::LinkId> + '_ {
         self.next.iter().flatten().map(|d| d.link())
-    }
-
-    /// Fills `out` with the reachable nodes in the **canonical tree
-    /// order**: increasing `(dist, node id)`. This is exactly the
-    /// Dijkstra finalisation order of [`SpTree::towards`] (weights are
-    /// ≥ 1, so every parent sorts strictly before its children), which
-    /// makes the order a topological order of the tree — the
-    /// destination first, then each node after its parent. One pass
-    /// over it suffices to push any per-node property down (root to
-    /// leaves) or sum it up (leaves to root, iterated in reverse).
-    pub fn canonical_order_into(&self, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend((0..self.dist.len() as u32).map(NodeId).filter(|u| self.reaches(*u)));
-        out.sort_unstable_by_key(|u| (self.dist[u.index()], u.0));
-    }
-
-    /// Fills `out` (cleared and resized to one bit per node) with the
-    /// reachability bitset: bit `u` is set iff `u` can reach the
-    /// destination. The word form of [`SpTree::reaches`], built in one
-    /// pass so callers can classify 64 sources per boolean operation
-    /// against other node sets (see [`crate::bits`]).
-    pub fn reach_words_into(&self, out: &mut Vec<u64>) {
-        crate::bits::clear_and_resize(out, self.dist.len());
-        for (i, d) in self.dist.iter().enumerate() {
-            if d.is_some() {
-                crate::bits::set(out, i);
-            }
-        }
-    }
-}
-
-/// Reusable memo arena for [`SpTree::path_crosses_memo`].
-///
-/// Generation-stamped so starting the next `(tree, failed)` unit is
-/// O(1) — no clearing; stale entries are simply ignored because their
-/// stamp no longer matches.
-#[derive(Debug, Default, Clone)]
-pub struct CrossingScratch {
-    stamp: Vec<u64>,
-    crosses: Vec<bool>,
-    generation: u64,
-    stack: Vec<usize>,
-}
-
-impl CrossingScratch {
-    /// An empty arena; sized lazily by [`CrossingScratch::begin_unit`].
-    pub fn new() -> CrossingScratch {
-        CrossingScratch::default()
-    }
-
-    /// Starts a new memo unit for a graph with `nodes` nodes,
-    /// invalidating all previous answers.
-    pub fn begin_unit(&mut self, nodes: usize) {
-        if self.stamp.len() < nodes {
-            self.stamp.resize(nodes, 0);
-            self.crosses.resize(nodes, false);
-        }
-        self.generation += 1;
     }
 }
 
@@ -331,12 +206,6 @@ impl AllPairs {
     /// DD field needs `ceil(log2(diameter + 1))` bits (§6).
     pub fn hop_diameter(&self) -> u32 {
         self.trees.iter().flat_map(|t| t.hops.iter().flatten().copied()).max().unwrap_or(0)
-    }
-
-    /// Maximum weighted cost over all connected pairs, bounding the
-    /// weighted-cost distance discriminator.
-    pub fn cost_diameter(&self) -> u64 {
-        self.trees.iter().flat_map(|t| t.dist.iter().flatten().copied()).max().unwrap_or(0)
     }
 }
 
@@ -452,8 +321,7 @@ mod tests {
         let (g, _) = figure1_like();
         let ap = AllPairs::compute_all_live(&g);
         assert_eq!(ap.hop_diameter(), 3); // A is 3 hops from F
-        assert_eq!(ap.cost_diameter(), 3);
-        // Symmetry of costs on an undirected graph.
+                                          // Symmetry of costs on an undirected graph.
         for s in g.nodes() {
             for d in g.nodes() {
                 assert_eq!(ap.cost(s, d), ap.cost(d, s));
@@ -509,52 +377,5 @@ mod tests {
     fn graph_error_display_is_stable() {
         let err = GraphError::ZeroWeight;
         assert!(err.to_string().contains(">= 1"));
-    }
-
-    #[test]
-    fn memoised_path_crosses_matches_walk() {
-        let g = crate::generators::isp_mesh(&crate::generators::MeshParams::new(30, 4));
-        let mut scratch = CrossingScratch::new();
-        for dest in g.nodes().take(6) {
-            let t = SpTree::towards_all_live(&g, dest);
-            for failed_link in g.links() {
-                let failed = LinkSet::from_links(g.link_count(), [failed_link]);
-                scratch.begin_unit(g.node_count());
-                for src in g.nodes() {
-                    assert_eq!(
-                        t.path_crosses_memo(&g, src, &failed, &mut scratch),
-                        t.path_crosses(&g, src, &failed),
-                        "dest={dest} failed={failed_link} src={src}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn memoised_path_crosses_handles_disconnection() {
-        let mut g = Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
-        let ab = g.add_link(a, b, 1).unwrap();
-        let failed = LinkSet::from_links(g.link_count(), [ab]);
-        let t = SpTree::towards(&g, b, &failed);
-        let mut scratch = CrossingScratch::new();
-        scratch.begin_unit(g.node_count());
-        assert!(!t.path_crosses_memo(&g, a, &failed, &mut scratch));
-        // Second query hits the memo and must agree.
-        assert!(!t.path_crosses_memo(&g, a, &failed, &mut scratch));
-    }
-
-    #[test]
-    fn uses_link_identifies_tree_edges() {
-        let (g, ids) = figure1_like();
-        let t = SpTree::towards_all_live(&g, ids[5]);
-        for link in g.links() {
-            let expected = t.tree_links().any(|l| l == link);
-            assert_eq!(t.uses_link(&g, link), expected, "{link}");
-        }
-        // A tree uses exactly node_count - 1 links on a connected graph.
-        assert_eq!(g.links().filter(|&l| t.uses_link(&g, l)).count(), g.node_count() - 1);
     }
 }

@@ -11,6 +11,6 @@ pub use connectivity::{
     components, connected_after, cut_analysis, is_biconnected, is_connected, is_two_edge_connected,
     Components, CutAnalysis,
 };
-pub use dijkstra::{AllPairs, CrossingScratch, SpTree};
+pub use dijkstra::{AllPairs, SpTree};
 pub use paths::{stretch, Path};
 pub use repair::{RepairStats, SpScratch, TreeChildren};

@@ -16,10 +16,10 @@
 //!   edge.
 //! * [`SpTree::towards_with`] — the full Dijkstra, allocation-free in
 //!   the scratch (only the returned tree is allocated).
-//! * [`SpTree::repair_from`] / [`SpTree::repair_refresh`] — incremental
-//!   repair: classify the affected cone by a memoised
-//!   `path_crosses`-style descent of the base tree, seed Dijkstra from
-//!   the intact frontier labels, and re-run it over the cone only.
+//! * [`SpTree::repair_from`] — incremental repair: classify the
+//!   affected cone by a memoised `path_crosses`-style descent of the
+//!   base tree, seed Dijkstra from the intact frontier labels, and
+//!   re-run it over the cone only.
 //!
 //! # Bit-for-bit equivalence
 //!
@@ -66,8 +66,8 @@ use crate::{Dart, Graph, LinkSet, NodeId};
 pub struct RepairStats {
     /// Full Dijkstra rebuilds ([`SpTree::towards_with`] calls).
     pub full_rebuilds: u64,
-    /// Incremental repairs ([`SpTree::repair_from`] /
-    /// [`SpTree::repair_refresh`] calls).
+    /// Incremental repairs ([`SpTree::repair_from`] and the cone
+    /// kernels).
     pub repairs: u64,
     /// Total affected-cone size across all repairs (nodes whose labels
     /// had to be recomputed).
@@ -370,33 +370,6 @@ impl SpTree {
         out
     }
 
-    /// In-place [`SpTree::repair_from`]: overwrites `self` with the
-    /// repaired tree, reusing its buffers. Together with a per-worker
-    /// [`SpScratch`] this makes the per-work-unit live-tree rebuild in
-    /// scenario sweeps allocation-free.
-    ///
-    /// `self`'s previous contents are irrelevant (a
-    /// [`SpTree::placeholder`] works); only its capacity is reused.
-    pub fn repair_refresh(
-        &mut self,
-        base: &SpTree,
-        graph: &Graph,
-        failed: &LinkSet,
-        scratch: &mut SpScratch,
-    ) {
-        self.dest = base.dest;
-        self.dist.clone_from(&base.dist);
-        self.hops.clone_from(&base.hops);
-        self.next.clone_from(&base.next);
-        repair_into(self, base, graph, failed, scratch);
-    }
-
-    /// An empty tree to use as the reusable slot for
-    /// [`SpTree::repair_refresh`] in worker-local state.
-    pub fn placeholder() -> SpTree {
-        SpTree { dest: NodeId(0), dist: Vec::new(), hops: Vec::new(), next: Vec::new() }
-    }
-
     /// Collects into `out` every source whose canonical tree path to
     /// the destination crosses a failed link, in **ascending node id
     /// order** — the same set (and iteration order) as filtering
@@ -442,7 +415,7 @@ impl SpTree {
     /// [`SpTree::affected_cone`]), leaving results in `scratch` for
     /// [`SpScratch::cone_cost`] queries.
     ///
-    /// This is [`SpTree::repair_refresh`] for callers that never read
+    /// This is [`SpTree::repair_from`] for callers that never read
     /// the repaired tree outside the cone and need no parent darts:
     /// it skips the O(n) base-tree copy, the O(n) affected/clean
     /// classification (the cone is given) and the canonical
@@ -831,21 +804,6 @@ mod tests {
         assert_eq!(s.cone_nodes, 0);
         assert_eq!(s.repairs, 1);
         assert_eq!(s.hit_rate(), 1.0);
-    }
-
-    #[test]
-    fn repair_refresh_reuses_buffers_and_matches() {
-        let g = generators::ring(8, 1);
-        let mut scratch = SpScratch::new();
-        let mut live = SpTree::placeholder();
-        for dest in [NodeId(0), NodeId(3)] {
-            let base = SpTree::towards_all_live(&g, dest);
-            for l in g.links() {
-                let failed = single(&g, l);
-                live.repair_refresh(&base, &g, &failed, &mut scratch);
-                assert_eq!(live, SpTree::towards(&g, dest, &failed), "dest {dest} failed {l}");
-            }
-        }
     }
 
     #[test]

@@ -69,9 +69,7 @@ mod ids;
 mod linkset;
 pub mod parser;
 
-pub use algo::{
-    stretch, AllPairs, CrossingScratch, Path, RepairStats, SpScratch, SpTree, TreeChildren,
-};
+pub use algo::{stretch, AllPairs, Path, RepairStats, SpScratch, SpTree, TreeChildren};
 pub use error::{GraphError, ParseError};
 pub use graph::{Coordinates, Graph};
 pub use ids::{Dart, LinkId, NodeId};
