@@ -41,13 +41,10 @@
 //!   blocks in flight.
 //!
 //! The engine takes its thread count as an argument. `pr-cli` reads it
-//! from `--threads N` on `stretch`, `sweep`, `traffic`, `impair` and
-//! `daemon run`,
-//! the experiment binaries through [`threads_from_args`]; both fall
-//! back to [`default_threads`] (`PR_THREADS`, else the machine's
-//! available parallelism). One thread is the plain inline loop — no
-//! spawn, no channel — so `run(…, 1)` of any sweep *is* its serial
-//! form.
+//! from `--threads N` on every subcommand that sweeps and falls back
+//! to [`default_threads`], the machine's available parallelism. One
+//! thread is the plain inline loop — no spawn, no channel — so
+//! `run(…, 1)` of any sweep *is* its serial form.
 //!
 //! Workers only scale if a work closure leaves the allocator alone in
 //! the steady state: per-worker scratch is reset in place and the
@@ -90,70 +87,10 @@ fn chunk_size(count: usize, workers: usize) -> usize {
     (count / (workers * 4)).clamp(1, MAX_CHUNK)
 }
 
-/// The machine's parallelism, overridable via `PR_THREADS`. A
-/// malformed `PR_THREADS` is reported on stderr (and ignored) rather
-/// than silently changing the thread count a benchmark was meant to
-/// run at.
+/// The machine's available parallelism: the thread count every front
+/// door falls back to when `--threads` is not given.
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("PR_THREADS") {
-        match v.trim().parse::<usize>() {
-            Ok(n) => return n.max(1),
-            Err(_) => eprintln!(
-                "warning: ignoring invalid PR_THREADS={v:?} (expected a positive integer)"
-            ),
-        }
-    }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Parses `--threads N` from an argument stream (`--threads=N` also
-/// accepted). `Ok(None)` when absent; `Err` on a missing or
-/// non-numeric value — callers must not guess a thread count the user
-/// visibly tried to pin.
-pub fn parse_threads(args: impl IntoIterator<Item = String>) -> Result<Option<usize>, String> {
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        let value = if arg == "--threads" {
-            Some(iter.next().ok_or("option --threads needs a value".to_string())?)
-        } else {
-            arg.strip_prefix("--threads=").map(str::to_string)
-        };
-        if let Some(v) = value {
-            return match v.trim().parse::<usize>() {
-                Ok(n) => Ok(Some(n.max(1))),
-                Err(_) => {
-                    Err(format!("bad value {v:?} for --threads: expected a positive integer"))
-                }
-            };
-        }
-    }
-    Ok(None)
-}
-
-/// Thread count for an experiment binary: `--threads` from the process
-/// arguments, else [`default_threads`]. Exits with usage status 2 on a
-/// malformed `--threads` (benchmark numbers recorded at a silently
-/// wrong thread count are worse than no numbers).
-pub fn threads_from_args() -> usize {
-    match parse_threads(std::env::args().skip(1)) {
-        Ok(Some(n)) => n,
-        Ok(None) => default_threads(),
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Runs `f` over every item of `items` on `threads` workers, returning
-/// the results in item order (bit-identical to a serial `map`).
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_units(items.len(), threads, || (), |(), idx| f(idx, &items[idx]))
 }
 
 /// The generic work-unit entry point: runs `work` over unit indices
@@ -467,19 +404,17 @@ mod tests {
     use pr_graph::generators;
 
     #[test]
-    fn parallel_map_is_order_preserving_for_any_thread_count() {
-        let items: Vec<u64> = (0..103).collect();
-        let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
+    fn run_units_is_order_preserving_for_any_thread_count() {
+        let expected: Vec<usize> = (0..103).map(|x| x * x).collect();
         for threads in [1, 2, 3, 8, 64] {
-            assert_eq!(parallel_map(&items, threads, |_, &x| x * x), expected, "{threads}");
+            assert_eq!(run_units(103, threads, || (), |(), x| x * x), expected, "{threads}");
         }
     }
 
     #[test]
-    fn parallel_map_handles_empty_and_tiny_inputs() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(parallel_map(&empty, 4, |_, &x| x).is_empty());
-        assert_eq!(parallel_map(&[7u32], 4, |_, &x| x + 1), vec![8]);
+    fn run_units_handles_empty_and_tiny_inputs() {
+        assert!(run_units(0, 4, || (), |(), x| x).is_empty());
+        assert_eq!(run_units(1, 4, || (), |(), x| x + 8), vec![8]);
     }
 
     /// One result per unit, in sink order: what the sweeps' callers
@@ -533,9 +468,7 @@ mod tests {
     fn worker_local_state_is_threaded_through() {
         // Each worker counts the units it ran; the counts must sum to
         // the unit total even though workers race on the queue.
-        let items: Vec<u32> = (0..57).collect();
-        let results = parallel_map(&items, 3, |idx, _| idx);
-        assert_eq!(results.len(), 57);
+        assert_eq!(run_units(57, 3, || (), |(), idx| idx).len(), 57);
         let g = generators::ring(4, 1);
         let base = AllPairs::compute_all_live(&g);
         let scenarios = vec![LinkSet::empty(g.link_count()); 9];
@@ -727,22 +660,5 @@ mod tests {
         assert_eq!(chunk_size(1, 2), 1);
         // Large queues amortise queue traffic up to the cap.
         assert_eq!(chunk_size(10_000, 8), MAX_CHUNK);
-    }
-
-    #[test]
-    fn parse_threads_accepts_both_spellings_and_rejects_garbage() {
-        fn args(s: &str) -> Vec<String> {
-            s.split_whitespace().map(String::from).collect()
-        }
-        assert_eq!(parse_threads(args("--threads 3")), Ok(Some(3)));
-        assert_eq!(parse_threads(args("--seed 1 --threads=5")), Ok(Some(5)));
-        assert_eq!(parse_threads(args("--threads 0")), Ok(Some(1)), "clamped to 1");
-        assert_eq!(parse_threads(args("--seed 1")), Ok(None));
-        // A user who visibly tried to pin the count must get an error,
-        // not a silent all-cores fallback.
-        assert!(parse_threads(args("--threads banana")).is_err());
-        assert!(parse_threads(args("--threads=1x")).is_err());
-        assert!(parse_threads(args("--threads")).is_err(), "missing value");
-        assert!(default_threads() >= 1);
     }
 }

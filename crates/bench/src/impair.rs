@@ -6,7 +6,7 @@
 //! **timeline** with the traffic dataplane instead: one work unit per
 //! scenario of a (typically [`Impaired`](pr_scenarios::Impaired))
 //! [`TemporalFamily`], each unit replaying the [`FlowSet`] through
-//! `pr_traffic::replay_timeline` to get a [`TallySeries`] — the
+//! `pr_traffic::replay_timeline` to get a [`pr_traffic::TallySeries`] — the
 //! demand-weighted loss-over-time and stretch-over-time curves the
 //! `pr impair` subcommand emits.
 //!

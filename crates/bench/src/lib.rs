@@ -1,33 +1,33 @@
-//! # pr-bench — the experiment harness
+//! # pr-bench — the experiment library
 //!
 //! Regenerates every table and figure of the Packet Re-cycling paper
-//! (and the ablations this reproduction adds). The mapping from paper
-//! artefact to binary lives in `DESIGN.md` §4; in short:
+//! (and the ablations this reproduction adds). It has no binary of its
+//! own: `pr-cli` runs it, one `pr experiment <name>` row per artefact
+//! (the map lives in `DESIGN.md` §4); in short:
 //!
-//! | artefact | binary |
-//! |---|---|
-//! | Table 1 | `table1` |
-//! | Figure 1(b)/(c) walkthroughs | `fig1` |
-//! | Figure 2(a)–(f) stretch CCDFs | `fig2` |
-//! | §4.2/§4.3 coverage claims (E5) | `coverage` |
-//! | §6 header/memory overheads (E8) | `overheads` |
-//! | §1 OC-192 loss arithmetic (E10) | `oc192_loss` |
-//! | impaired loss-over-time (E13) | `impair_loss` |
-//! | embedding-heuristic ablation (E6) | `ablation_embedding` |
-//! | discriminator ablation (E7) | `ablation_dd` |
-//! | genus-vs-delivery finding (E11) | `ablation_genus` |
+//! | artefact | `pr experiment` | library |
+//! |---|---|---|
+//! | Table 1 | `table1` | (`pr embed` + `pr tables`) |
+//! | Figure 1(b)/(c) walkthroughs | `fig1` | (`pr walk`) |
+//! | Figure 2(a)–(f) stretch CCDFs | `fig2` | [`stretch`] |
+//! | §4.2/§4.3 coverage claims (E5) | `coverage` | [`coverage`] |
+//! | §6 header/memory overheads (E8) | `overheads` | [`overheads`] |
+//! | §1 OC-192 loss arithmetic (E10) | `oc192` | (`pr_sim::run_scenario`) |
+//! | impaired loss-over-time (E13) | `impair-loss` | [`impair`] |
+//! | embedding-heuristic ablation (E6) | `ablation-embedding` | [`ablation`] |
+//! | discriminator ablation (E7) | `ablation-dd` | [`ablation`] |
+//! | genus-vs-delivery finding (E11) | `ablation-genus` | [`ablation`] |
 //!
 //! Criterion micro-benchmarks (experiment E9: forwarding decision
 //! latency, table compilation, embedding search, FCP recompute cost)
-//! live under `benches/`, plus the end-to-end sweep benchmarks that
-//! back `BENCH_*.json`.
+//! and the regression gates live under `benches/`.
 //!
 //! Every scenario sweep routes through [`engine`] — the shared
-//! work-unit decomposition, hoisting and worker-pool layer. Binaries
-//! accept `--threads N` (default: all cores; see
-//! [`engine::threads_from_args`]).
+//! work-unit decomposition, hoisting and worker-pool layer — and takes
+//! its thread count as an argument (`--threads N` on the command line;
+//! default [`engine::default_threads`]).
 //!
-//! All binaries print a human-readable summary to stdout and write
+//! The rows print a human-readable summary to stdout and write
 //! machine-readable CSV/JSON under `results/` (created on demand).
 
 #![warn(missing_docs)]
@@ -49,7 +49,7 @@ use pr_embedding::CellularEmbedding;
 use pr_graph::Graph;
 use pr_topologies::{Isp, Weighting};
 
-/// Seed used by every experiment binary, so published numbers are
+/// Seed used by every experiment row, so published numbers are
 /// reproducible byte for byte.
 pub const EXPERIMENT_SEED: u64 = 2010; // HotNets year
 

@@ -46,10 +46,11 @@ pub struct OverheadReport {
 /// the expensive part). Output order follows `isps` regardless of
 /// thread count, via the engine's deterministic merge.
 pub fn reports_for(isps: &[Isp], threads: usize) -> Vec<OverheadReport> {
-    crate::engine::parallel_map(isps, threads, |_, &isp| {
-        let (graph, embedding) = crate::paper_topology(isp);
-        report(isp.name(), &graph, &embedding)
-    })
+    let one = |(): &mut (), i: usize| {
+        let (graph, embedding) = crate::paper_topology(isps[i]);
+        report(isps[i].name(), &graph, &embedding)
+    };
+    crate::engine::run_units(isps.len(), threads, || (), one)
 }
 
 /// Builds the overhead report for one topology.

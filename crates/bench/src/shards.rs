@@ -15,11 +15,12 @@
 //! ## Manifest format
 //!
 //! `manifest.json` holds a [`ShardManifest`]: the [`ShardKey`]
-//! identity (topology fingerprint + node/link counts, family label,
-//! seed, scenario total, shard count) and the sorted list of completed
-//! shard indices. A resume against a manifest whose key differs —
-//! different topology bytes, family parameters, seed or shard plan —
-//! is a hard error rather than a silently mixed result. Each shard
+//! identity (topology fingerprint + node/link counts, embedding
+//! fingerprint, family label, seed, scenario total, shard count) and
+//! the sorted list of completed shard indices. A resume against a
+//! manifest whose key differs — different topology bytes, embedding,
+//! family parameters, seed or shard plan — is a hard error rather than
+//! a silently mixed result. Each shard
 //! file holds a [`ShardPayload`]: its index range plus one
 //! [`ScenarioRow`] per scenario (O(1) size per scenario — integer
 //! CCDF counts, sums and maxima — so checkpoints stay kilobytes at any
@@ -48,6 +49,10 @@ pub struct ShardKey {
     pub nodes: u64,
     /// Link count (ditto).
     pub links: u64,
+    /// [`pr_embedding::RotationSystem::fingerprint`] of the embedding
+    /// the sweep walks on: on a graph without a canonical embedding the
+    /// search parameters decide it, and with it every PR walk.
+    pub embedding: u64,
     /// Scenario-family label, including its parameters.
     pub family: String,
     /// Experiment seed the sweep ran under.
@@ -56,6 +61,16 @@ pub struct ShardKey {
     pub scenarios: u64,
     /// Number of shards the scenario range is split into.
     pub shards: u64,
+}
+
+impl ShardKey {
+    /// The identity as the mismatch error prints it.
+    fn describe(&self) -> String {
+        format!(
+            "topology {:#018x}, embedding {:#018x}, family {:?}, seed {}, {} scenarios / {} shards",
+            self.topology, self.embedding, self.family, self.seed, self.scenarios, self.shards
+        )
+    }
 }
 
 /// `manifest.json`: the sweep identity plus the completed shard set.
@@ -162,8 +177,8 @@ fn clear_checkpoint(dir: &Path) -> Result<(), String> {
 /// * `resume = false`: any existing checkpoint under `dir` is cleared
 ///   and every shard runs.
 /// * `resume = true`: a matching manifest's completed shards are
-///   skipped; a manifest for a *different* sweep (topology, family,
-///   seed or shard plan changed) is a hard error.
+///   skipped; a manifest for a *different* sweep (topology,
+///   embedding, family, seed or shard plan changed) is a hard error.
 /// * `stop_after = Some(k)`: stop after `k` newly computed shards (the
 ///   checkpoint stays resumable) — this is the kill-injection hook the
 ///   resume tests and the CI smoke use.
@@ -196,21 +211,11 @@ pub fn run_shards(
         })?;
         if manifest.key != *key {
             return Err(format!(
-                "checkpoint at {} belongs to a different sweep (recorded: topology {:#018x}, \
-                 family {:?}, seed {}, {} scenarios / {} shards; requested: topology {:#018x}, \
-                 family {:?}, seed {}, {} scenarios / {} shards) — rerun without --resume to \
-                 start fresh",
+                "checkpoint at {} belongs to a different sweep (recorded: {}; requested: {}) — \
+                 rerun without --resume to start fresh",
                 dir.display(),
-                manifest.key.topology,
-                manifest.key.family,
-                manifest.key.seed,
-                manifest.key.scenarios,
-                manifest.key.shards,
-                key.topology,
-                key.family,
-                key.seed,
-                key.scenarios,
-                key.shards,
+                manifest.key.describe(),
+                key.describe(),
             ));
         }
         done.extend(manifest.completed.iter().copied().filter(|&s| s < key.shards));
@@ -305,6 +310,7 @@ mod tests {
                 topology: 0xDEAD_BEEF,
                 nodes: 11,
                 links: 14,
+                embedding: 0xFACE,
                 family: "single-link".into(),
                 seed: 2010,
                 scenarios: 14,

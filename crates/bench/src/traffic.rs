@@ -28,8 +28,9 @@ use serde::Serialize;
 use pr_core::{generous_ttl, DenseFib, PrNetwork};
 use pr_graph::{AllPairs, Graph};
 use pr_scenarios::{ScenarioFamily, ScenarioIter};
-use pr_sim::DemandTally;
-use pr_traffic::{replay_scenario_bitparallel, replay_scenario_naive, FlowSet, ReplayScratch};
+use pr_traffic::{
+    replay_scenario_bitparallel, replay_scenario_naive, DemandTally, FlowSet, ReplayScratch,
+};
 
 use crate::engine::run_units;
 

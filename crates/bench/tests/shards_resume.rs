@@ -26,11 +26,12 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn key_for(graph: &Graph, family: &dyn ScenarioFamily, shards: u64) -> ShardKey {
+fn key_for(graph: &Graph, pr: &PrNetwork, family: &dyn ScenarioFamily, shards: u64) -> ShardKey {
     ShardKey {
         topology: graph.fingerprint(),
         nodes: graph.node_count() as u64,
         links: graph.link_count() as u64,
+        embedding: pr.embedding().rotation().fingerprint(),
         family: family.label(),
         seed: 2010,
         scenarios: family.len() as u64,
@@ -54,7 +55,7 @@ fn kill_and_resume_is_byte_identical(graph: &Graph, name: &str) {
 
     // Clean sharded run.
     let clean_dir = scratch_dir(&format!("{name}-clean"));
-    let key = key_for(graph, &family, 3);
+    let key = key_for(graph, &pr, &family, 3);
     let clean = match run_shards(&clean_dir, &key, false, None, run_slice).unwrap() {
         ShardOutcome::Complete(rows) => rows,
         partial => panic!("clean run stopped early: {partial:?}"),
@@ -119,7 +120,7 @@ fn merged_rows_are_shard_count_invariant() {
     let mut merged: Vec<Vec<ScenarioRow>> = Vec::new();
     for shards in [1u64, 4, 7] {
         let dir = scratch_dir(&format!("abilene-{shards}shards"));
-        let key = key_for(&g, &family, shards);
+        let key = key_for(&g, &pr, &family, shards);
         match run_shards(&dir, &key, false, None, run_slice).unwrap() {
             ShardOutcome::Complete(rows) => merged.push(rows),
             partial => panic!("{partial:?}"),
@@ -139,7 +140,7 @@ fn resume_rejects_a_mismatched_checkpoint() {
         stretch::run_rows(&g, &pr, &slice, 1, start)
     };
     let dir = scratch_dir("abilene-mismatch");
-    let key = key_for(&g, &family, 3);
+    let key = key_for(&g, &pr, &family, 3);
     match run_shards(&dir, &key, false, Some(1), run_slice).unwrap() {
         ShardOutcome::Partial { .. } => {}
         done => panic!("{done:?}"),
@@ -152,6 +153,21 @@ fn resume_rejects_a_mismatched_checkpoint() {
     let other = ShardKey { topology: key.topology ^ 1, ..key.clone() };
     let err = run_shards(&dir, &other, true, None, run_slice).unwrap_err();
     assert!(err.contains("different sweep"), "{err}");
+    // …different embedding (on an unlocated graph `--restarts` and
+    // `--iterations` pick it, and every PR walk follows from it):
+    // shards walked on two embeddings merge into neither's answer.
+    let other = ShardKey { embedding: key.embedding ^ 1, ..key.clone() };
+    let err = run_shards(&dir, &other, true, None, run_slice).unwrap_err();
+    assert!(err.contains("different sweep") && err.contains("embedding"), "{err}");
+    // A manifest from before the embedding was recorded cannot vouch
+    // for its shards: the error names the missing field.
+    let manifest = dir.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let legacy: String = text.lines().filter(|l| !l.contains("\"embedding\"")).collect();
+    assert_ne!(legacy.len(), text.len());
+    std::fs::write(&manifest, legacy).unwrap();
+    let err = run_shards(&dir, &key, true, None, run_slice).unwrap_err();
+    assert!(err.contains("missing field `embedding`"), "{err}");
     // Without resume the stale checkpoint is cleared, not mixed in.
     let other = ShardKey { shards: 5, ..key };
     match run_shards(&dir, &other, false, None, run_slice).unwrap() {
@@ -170,7 +186,7 @@ fn resume_recovers_from_a_lost_shard_file() {
         stretch::run_rows(&g, &pr, &slice, 1, start)
     };
     let dir = scratch_dir("abilene-lostfile");
-    let key = key_for(&g, &family, 3);
+    let key = key_for(&g, &pr, &family, 3);
     let clean = match run_shards(&dir, &key, false, None, run_slice).unwrap() {
         ShardOutcome::Complete(rows) => rows,
         partial => panic!("{partial:?}"),

@@ -1,0 +1,251 @@
+//! `pr stretch | sweep`: the scenario-sweep front doors, sharded and
+//! checkpointed on request.
+
+use pr_core::PrNetwork;
+use pr_graph::Graph;
+use pr_scenarios::{FlapSweep, OutageParams, OutageSweep, ScenarioFamily, TemporalFamily};
+
+use super::{
+    compile, emit, load_topology, parse_format, slug, threads, topological_family, CmdResult,
+};
+use crate::args::Args;
+
+/// `pr stretch`: `pr sweep`'s unsharded topological run under its older
+/// spelling — `--failures 1` is the `single` family, `--failures K` the
+/// `multi` family at `--k K` — reporting the stretch CCDF at a few points.
+pub fn stretch(args: &Args) -> CmdResult {
+    let (graph, canonical) = load_topology(args.positional(0, "topology")?)?;
+    let failures: usize = args.option_or("failures", 1)?;
+    let seed: u64 = args.option_or("seed", 2010)?;
+    let threads = threads(args)?;
+    let net = compile(&graph, canonical, args)?;
+    let name = if failures <= 1 { "single" } else { "multi" };
+    let family = topological_family(&graph, name, failures, seed, args)?;
+    let (s, _) = pr_bench::stretch::run_with_stats(&graph, &net, family.as_ref(), threads);
+    println!(
+        "affected pairs: {} ({} scenarios, {failures} failures each, {threads} threads), \
+         undelivered: {}",
+        s.evaluated_pairs,
+        family.len(),
+        s.undelivered
+    );
+    print_mean_stretch(s.mean());
+    for x in [1.0, 2.0, 3.0, 5.0, 10.0, 15.0] {
+        let p = |v: &[f64]| v.iter().filter(|&&s| s > x).count() as f64 / v.len().max(1) as f64;
+        println!(
+            "P(stretch>{x:>4}): {:>12.4}  {:>8.4}  {:>8.4}",
+            p(&s.reconvergence),
+            p(&s.fcp),
+            p(&s.packet_recycling)
+        );
+    }
+    Ok(())
+}
+
+/// The pair-count line of `pr sweep`, sharded or not.
+fn print_pairs<T: std::fmt::Display>(evaluated: T, disconnected: T, undelivered: [T; 3]) {
+    println!(
+        "affected connected pairs: {evaluated}, disconnected (excluded): {disconnected}, \
+         undelivered: {} (fcp {}, packet-recycling {})",
+        undelivered[0], undelivered[1], undelivered[2]
+    );
+}
+
+/// The mean-stretch line of `pr stretch` and `pr sweep`, sharded or
+/// not ([`pr_bench::stretch::Scheme::ALL`] order). A scheme without a
+/// sample prints `NaN`, as the JSON report says `null`.
+fn print_mean_stretch(mean: [f64; 3]) {
+    println!(
+        "mean stretch:  reconvergence {:.3}  fcp {:.3}  packet-recycling {:.3}",
+        mean[0], mean[1], mean[2]
+    );
+}
+
+/// The sharded, checkpointable variant of a topological `pr sweep`:
+/// splits the scenario range into `--shards` chunks (default 8),
+/// persists each finished chunk under `results/<stem>/`, and on
+/// completion merges the per-scenario rows into the CSV/JSON artefact
+/// — bit-identical at any thread or shard count, resumable after a
+/// kill with `--resume`.
+#[allow(clippy::too_many_arguments)]
+fn run_sharded_sweep(
+    graph: &Graph,
+    net: &PrNetwork,
+    family: &dyn ScenarioFamily,
+    threads: usize,
+    seed: u64,
+    stem: &str,
+    format: Option<&str>,
+    args: &Args,
+) -> CmdResult {
+    use pr_bench::shards::{ShardKey, ShardOutcome};
+
+    let shards = args.option_or("shards", 8usize)?.clamp(1, family.len().max(1));
+    let stop_after = args.optional::<usize>("max-shards")?;
+    let dir = pr_bench::results_dir().join(stem);
+    let key = ShardKey {
+        topology: graph.fingerprint(),
+        nodes: graph.node_count() as u64,
+        links: graph.link_count() as u64,
+        embedding: net.embedding().rotation().fingerprint(),
+        family: family.label(),
+        seed,
+        scenarios: family.len() as u64,
+        shards: shards as u64,
+    };
+    let run_slice = |shard: usize, start: usize, len: usize| {
+        println!("  shard {}/{shards}: scenarios [{start}..{})", shard + 1, start + len);
+        let slice = pr_scenarios::ScenarioSlice::new(family, start, len);
+        pr_bench::stretch::run_rows(graph, net, &slice, threads, start)
+    };
+    match pr_bench::engine::run_shards(&dir, &key, args.flag("resume"), stop_after, run_slice)? {
+        ShardOutcome::Partial { completed, total } => {
+            println!(
+                "checkpoint: {completed}/{total} shards complete under {}; \
+                 rerun with --resume to continue",
+                dir.display()
+            );
+        }
+        ShardOutcome::Complete(rows) => {
+            let xs = pr_bench::stretch::figure2_xs();
+            let report = pr_bench::stretch::report_from_rows(&rows, &xs);
+            print_pairs(
+                report.evaluated_pairs,
+                report.disconnected_pairs,
+                [report.undelivered, report.undelivered_fcp, report.undelivered_pr],
+            );
+            print_mean_stretch(report.mean);
+            emit(
+                format,
+                stem,
+                || pr_bench::stretch::panel_csv_from_rows(&rows, &xs),
+                || serde_json::to_string_pretty(&report).expect("serializable report"),
+            );
+        }
+    }
+    Ok(())
+}
+
+/// `pr sweep`: one front door to the scenario subsystem — picks a
+/// failure family, fans it over the `pr-bench` work-unit engine on
+/// `--threads` workers, and prints a per-scheme summary. Topological
+/// families run the walker-based stretch/delivery sweep; temporal ones
+/// replay each timed scenario through the discrete-event simulator
+/// under PR and a reconverging IGP.
+pub fn sweep(args: &Args) -> CmdResult {
+    let topo_spec = args.positional(0, "topology")?;
+    let (graph, canonical) = load_topology(topo_spec)?;
+    let family_name = args.option("family").unwrap_or("single");
+    args.check_owned("family", &[family_name])?;
+    let format = parse_format(args)?;
+    let threads = threads(args)?;
+    let seed: u64 = args.option_or("seed", 2010)?;
+
+    // Sharded, checkpointable mode: any of the shard flags selects it.
+    let resume = args.flag("resume");
+    let sharded = resume || args.option("shards").is_some() || args.option("max-shards").is_some();
+    if resume && format.is_none() {
+        return Err("--resume requires --format csv|json \
+                    (resume merges persisted shards into an artefact)"
+            .into());
+    }
+    if sharded {
+        if matches!(family_name, "outage" | "flap") {
+            return Err(format!(
+                "--shards/--resume apply to topological sweeps only \
+                 (--family {family_name} is temporal)"
+            )
+            .into());
+        }
+        if args.flag("stats") {
+            return Err("--stats is not recorded in shard checkpoints; \
+                        run without --shards/--resume to collect repair statistics"
+                .into());
+        }
+    }
+    let net = compile(&graph, canonical, args)?;
+    let stem = format!("sweep_{}_{family_name}{}", slug(topo_spec), args.stem());
+
+    match family_name {
+        "outage" | "flap" => {
+            let params = OutageParams::default();
+            let family: Box<dyn TemporalFamily + '_> = match family_name {
+                "outage" => Box::new(OutageSweep::new(&graph, params)),
+                _ => {
+                    let holddown_ms: u64 = args.option_or("holddown-ms", 50)?;
+                    Box::new(FlapSweep::new(&graph, params).with_holddown(holddown_ms * 1_000_000))
+                }
+            };
+            let config = pr_sim::SimConfig::default();
+            let rows =
+                pr_bench::temporal::run(&graph, &net, family.as_ref(), &config, seed, threads);
+            let s = pr_bench::temporal::summarize(&rows);
+            println!(
+                "family {} ({} timed scenarios, {threads} threads)",
+                family.label(),
+                s.scenarios
+            );
+            println!("scheme              injected   delivered   lost   delivery");
+            for (scheme, delivered, dropped) in [
+                ("packet-recycling", s.pr_delivered, s.pr_dropped),
+                ("reconvergence", s.igp_delivered, s.igp_dropped),
+            ] {
+                let ratio = delivered as f64 / s.injected.max(1) as f64;
+                println!(
+                    "{scheme:<18} {:>9}  {delivered:>9}  {dropped:>6}  {ratio:>8.4}",
+                    s.injected
+                );
+            }
+            if let Some(worst) = rows.iter().max_by_key(|r| r.pr.total_dropped()) {
+                let (lost, injected) = (worst.pr.total_dropped(), worst.pr.injected);
+                println!("worst PR scenario: {} ({lost} lost of {injected})", worst.label);
+            }
+            emit(
+                format,
+                &stem,
+                || pr_bench::temporal::rows_csv(&rows),
+                || serde_json::to_string_pretty(&rows).expect("serializable rows"),
+            );
+        }
+        topological => {
+            let k = args.option_or("k", 2)?;
+            let family = topological_family(&graph, topological, k, seed, args)?;
+            let label = family.label();
+            println!("family {label} ({} scenarios, streamed, {threads} threads)", family.len());
+            if sharded {
+                let family = family.as_ref();
+                return run_sharded_sweep(&graph, &net, family, threads, seed, &stem, format, args);
+            }
+            let (s, stats) =
+                pr_bench::stretch::run_with_stats(&graph, &net, family.as_ref(), threads);
+            print_pairs(
+                s.evaluated_pairs,
+                s.disconnected_pairs,
+                [s.undelivered, s.undelivered_fcp, s.undelivered_pr],
+            );
+            print_mean_stretch(s.mean());
+            if args.flag("stats") {
+                let (repair, memo) = (&stats.repair, &stats.memo);
+                let (cone, hit) = (100.0 * repair.cone_fraction(), 100.0 * repair.hit_rate());
+                println!(
+                    "spt repair:    {} repairs, cone {cone:.1}% of nodes (hit rate {hit:.1}%), \
+                     {} full rebuilds",
+                    repair.repairs, repair.full_rebuilds
+                );
+                let (hit, spliced) = (100.0 * memo.hit_rate(), 100.0 * memo.spliced_share());
+                println!(
+                    "walk memo:     hit rate {hit:.1}% ({} splices / {} lookups), \
+                     spliced steps {spliced:.1}% of walk work",
+                    memo.hits, memo.lookups
+                );
+            }
+            emit(
+                format,
+                &stem,
+                || pr_bench::stretch::panel_csv(&s, &pr_bench::stretch::figure2_xs()),
+                || serde_json::to_string_pretty(&s).expect("serializable samples"),
+            );
+        }
+    }
+    Ok(())
+}

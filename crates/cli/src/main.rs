@@ -1,67 +1,23 @@
 //! `pr` — command-line interface to the Packet Re-cycling
-//! reproduction.
-//!
-//! ```text
-//! pr info    <topology>
-//! pr gen     <family> --nodes N [--seed N] [--out file.topo]
-//! pr embed   <topology> [--seed N] [--restarts N] [--iterations N]
-//! pr tables  <topology> <node> [--seed N]
-//! pr walk    <topology> <src> <dst> [--fail A-B]... [--mode basic|dd] [--seed N]
-//! pr stretch <topology> [--failures K] [--samples N] [--seed N]
-//! pr sweep   <topology> --family <single|multi|node|srlg|exhaustive|outage|flap> [--threads N]
-//!            [--shards N] [--resume] [--max-shards N]
-//! pr traffic <topology> [--model gravity|uniform|hotspot] [--flows N] [--family <...>]
-//! pr impair  <topology> [--process gilbert|storm|maintenance|jitter]... [--model <...>]
-//! pr daemon  start|run|stop|status|metrics [<topology>] [--port N] [--metrics-port N]
-//! pr ctl     <command> [--addr-file PATH] [--format json]
-//! ```
-//!
-//! `<topology>` is `abilene`, `teleglobe`, `geant`, `figure1`, a
-//! seeded synthetic spec `synth:<family>:<nodes>[:<seed>]`, or a path
-//! to a `.topo` file in the `pr-graph` plain-text format.
+//! reproduction. `pr help` prints the subcommands, which are the rows
+//! of [`commands::COMMANDS`].
 
 mod args;
 mod commands;
 
-use args::Args;
-
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.is_empty() {
-        eprintln!("{}", commands::USAGE);
-        std::process::exit(2);
-    }
-    let subcommand = raw.remove(0);
-    let parsed = match Args::parse(raw) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{}", commands::USAGE);
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    match raw.first().map(String::as_str) {
+        None => {
+            eprintln!("{}", commands::usage());
             std::process::exit(2);
         }
-    };
-    let result = match subcommand.as_str() {
-        "info" => commands::info(&parsed),
-        "gen" => commands::gen(&parsed),
-        "embed" => commands::embed(&parsed),
-        "tables" => commands::tables(&parsed),
-        "walk" => commands::walk(&parsed),
-        "stretch" => commands::stretch(&parsed),
-        "sweep" => commands::sweep(&parsed),
-        "traffic" => commands::traffic(&parsed),
-        "impair" => commands::impair(&parsed),
-        "daemon" => commands::daemon(&parsed),
-        "ctl" => commands::ctl(&parsed),
-        "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
-            Ok(())
+        Some("help" | "--help" | "-h") => println!("{}", commands::usage()),
+        Some(_) => {
+            if let Err(e) = commands::invoke(raw) {
+                eprintln!("error: {e}\n\n{}", commands::usage());
+                std::process::exit(if e.is::<commands::Usage>() { 2 } else { 1 });
+            }
         }
-        other => {
-            eprintln!("error: unknown subcommand {other:?}\n\n{}", commands::USAGE);
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = result {
-        eprintln!("error: {e}\n\n{}", commands::USAGE);
-        std::process::exit(1);
     }
 }

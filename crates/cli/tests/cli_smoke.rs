@@ -177,3 +177,51 @@ fn walk_delivers_around_a_failure_end_to_end() {
     assert!(text.contains("DELIVERED at F"), "packet must be delivered:\n{text}");
     assert!(text.contains("stretch:"), "stretch must be reported:\n{text}");
 }
+
+#[test]
+fn experiment_without_a_known_name_lists_the_rows_and_exits_2() {
+    let rows = [
+        "table1",
+        "fig1",
+        "fig2",
+        "coverage",
+        "overheads",
+        "oc192",
+        "impair-loss",
+        "ablation-embedding",
+        "ablation-dd",
+        "ablation-genus",
+    ];
+    for command in [vec!["experiment"], vec!["experiment", "fig3"]] {
+        let out = run(&command);
+        assert_eq!(out.status.code(), Some(2), "{command:?}");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("experiment wants {}", rows.join("|"))), "{err}");
+        assert!(err.contains("EXPERIMENTS"), "usage must list the rows:\n{err}");
+    }
+    // The second argv parser let `--thread 4` through in silence.
+    let out = run(&["experiment", "overheads", "--thread", "4"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("unknown option --thread"), "{}", stderr(&out));
+}
+
+#[test]
+fn experiment_rows_run_and_leave_their_artefacts() {
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    for (row, says, artefact) in [
+        ("table1", "I_BD       I_DF (c0)          I_DE (c4)", None),
+        ("fig1", "link D-E down: set PR, stamp DD=2", None),
+        ("overheads", "E8: header & state overheads", Some("overheads.json")),
+        ("ablation-dd", "E7: distance-discriminator", Some("ablation_dd.json")),
+    ] {
+        if let Some(artefact) = artefact {
+            let _ = std::fs::remove_file(results.join(artefact));
+        }
+        let out = run(&["experiment", row, "--threads", "2"]);
+        assert!(out.status.success(), "experiment {row} failed: {}", stderr(&out));
+        assert!(stdout(&out).contains(says), "experiment {row}:\n{}", stdout(&out));
+        if let Some(artefact) = artefact {
+            assert!(results.join(artefact).is_file(), "experiment {row} must write {artefact}");
+        }
+    }
+}

@@ -11,8 +11,7 @@
 //! same grammar as the CLI's `--fail` option; the daemon resolves them
 //! against its resident graph so clients never need link ids.
 
-use pr_sim::DemandTally;
-use pr_traffic::ScenarioTraffic;
+use pr_traffic::{DemandTally, ScenarioTraffic};
 use serde::{Deserialize, Serialize};
 
 /// A control request.

@@ -11,8 +11,7 @@ use pr_daemon::{
     CounterReport, CoverageReport, DaemonAddrs, GaugeReport, QueryKind, Request, Response,
     SchemeStretch, SnapshotReport, StretchReport, TrafficReport,
 };
-use pr_sim::DemandTally;
-use pr_traffic::ScenarioTraffic;
+use pr_traffic::{DemandTally, ScenarioTraffic};
 
 fn roundtrip<T>(value: &T)
 where

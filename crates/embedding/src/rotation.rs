@@ -204,6 +204,21 @@ impl RotationSystem {
         self.next.len()
     }
 
+    /// A stable fingerprint of the per-node dart orders: FNV-1a over
+    /// the successor of every dart, in dart order — the companion of
+    /// [`Graph::fingerprint`]. Two rotation systems of one graph share
+    /// it exactly when they are the same embedding, so a sweep
+    /// checkpoint can tell which embedding its shards were walked on.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for successor in &self.next {
+            for b in successor.0.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
     /// The darts around `node` in cyclic order, starting from its
     /// lowest-id dart. Empty for isolated nodes.
     pub fn order_at(&self, graph: &Graph, node: NodeId) -> Vec<Dart> {
@@ -353,6 +368,15 @@ mod tests {
             let rot = RotationSystem::identity(&g);
             rot.validate(&g).unwrap();
         }
+    }
+
+    #[test]
+    fn fingerprint_tells_embeddings_of_one_graph_apart() {
+        let g = generators::complete(5, 1);
+        let rot = RotationSystem::identity(&g);
+        assert_eq!(rot.fingerprint(), rot.clone().fingerprint());
+        let dart = g.darts().next().unwrap();
+        assert_ne!(rot.fingerprint(), rot.with_dart_moved(&g, dart, 1).fingerprint());
     }
 
     #[test]

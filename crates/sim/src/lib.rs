@@ -43,16 +43,13 @@
 mod driver;
 mod event;
 mod metrics;
-mod sampling;
-pub mod scenarios;
 mod simulator;
 mod time;
 mod timed;
 
 pub use driver::{igp_for, igp_for_with, run_scenario};
 pub use event::EventQueue;
-pub use metrics::{DemandTally, Metrics, SimDropReason};
-pub use sampling::{TallySample, TallySeries};
+pub use metrics::{Metrics, SimDropReason};
 pub use simulator::{SimConfig, Simulator};
 pub use time::{transmission_nanos, SimTime};
 pub use timed::{ReconvergingIgp, Static, TimedForwarding};

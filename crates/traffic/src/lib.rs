@@ -29,7 +29,7 @@
 //! * [`replay_timeline`] — the temporal entry: drives a [`FlowSet`]
 //!   through a whole (possibly impaired) link-event timeline and
 //!   returns the demand-weighted loss-over-time curve as a
-//!   [`pr_sim::TallySeries`], one replay per distinct failed set.
+//!   [`TallySeries`], one replay per distinct failed set.
 //!
 //! The parallel experiment over scenario families lives in
 //! `pr_bench::traffic`; the CLI front door is `pr traffic`.
@@ -68,18 +68,17 @@
 #![warn(rust_2018_idioms)]
 
 mod flows;
+mod metrics;
 mod model;
 mod replay;
+mod sampling;
 mod timeline;
 
 pub use flows::{Flow, FlowSet};
+pub use metrics::DemandTally;
 pub use model::{GravityTraffic, HotspotTraffic, TrafficMatrix, TrafficModel, UniformTraffic};
 pub use replay::{
     replay_scenario_bitparallel, replay_scenario_naive, ReplayScratch, ReplayStats, ScenarioTraffic,
 };
+pub use sampling::{TallySample, TallySeries};
 pub use timeline::{replay_timeline, TimelineTraffic};
-
-// The demand-weighted tally lives with the other run metrics in
-// `pr-sim`; re-exported here because it is this crate's primary
-// result type.
-pub use pr_sim::DemandTally;

@@ -44,11 +44,10 @@ use pr_core::{
     recover_flow_with, walk_packet, DenseFib, FlowScratch, FlowWalk, ForwardingAgent, Stamp,
 };
 use pr_graph::{bits, AllPairs, Graph, LinkId, LinkSet, NodeId, SpTree};
-use pr_sim::DemandTally;
 use serde::{Deserialize, Serialize};
 
 use crate::flows::demand_from;
-use crate::FlowSet;
+use crate::{DemandTally, FlowSet};
 
 /// How much of the network a scratch's replays had to look at — the
 /// work the cone delta does instead of visiting every (source,

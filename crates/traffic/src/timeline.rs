@@ -33,11 +33,11 @@ use std::collections::BTreeSet;
 use pr_core::{DenseFib, ForwardingAgent};
 use pr_graph::{AllPairs, Graph, LinkSet};
 use pr_scenarios::TemporalScenario;
-use pr_sim::{TallySample, TallySeries};
 use serde::Serialize;
 
 use crate::flows::FlowSet;
 use crate::replay::{replay_scenario_bitparallel, ReplayScratch, ScenarioTraffic};
+use crate::sampling::{TallySample, TallySeries};
 
 /// Outcome of replaying a demand matrix through a whole timeline.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]

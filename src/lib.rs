@@ -49,12 +49,13 @@
 //! | [`core`] (`pr-core`) | PR protocol: header, tables, forwarding agent, packet walker |
 //! | [`baselines`] (`pr-baselines`) | FCP, reconvergence, LFA |
 //! | [`scenarios`] (`pr-scenarios`) | streaming failure families (single/multi/node/SRLG/exhaustive-k) + temporal traces + seeded impairment decorators |
-//! | [`sim`] (`pr-sim`) | deterministic discrete-event simulator, loss scenarios, timed tally sampling |
+//! | [`sim`] (`pr-sim`) | deterministic discrete-event packet simulator, temporal-scenario driver |
 //! | [`topologies`] (`pr-topologies`) | Abilene / GÉANT / Teleglobe + the Figure 1 fixture |
-//! | [`traffic`] (`pr-traffic`) | gravity/uniform/hot-spot matrices, flow sets, cone-delta replay, timeline replay |
+//! | [`traffic`] (`pr-traffic`) | gravity/uniform/hot-spot matrices, flow sets, cone-delta replay, timeline replay, demand tallies |
 //!
-//! The experiment harness (`pr-bench`) is binary-only and not
-//! re-exported; see `DESIGN.md` §4 for the experiment-to-binary map.
+//! The experiment library (`pr-bench`) is not re-exported; `pr-cli`
+//! runs it (`pr experiment <name>`, see `DESIGN.md` §4 for the
+//! experiment-to-command map).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -84,11 +85,11 @@ pub mod prelude {
     pub use pr_scenarios::{
         Impaired, ImpairmentProcess, ScenarioFamily, ScenarioIter, TemporalFamily, TemporalScenario,
     };
-    pub use pr_sim::{
-        DemandTally, SimConfig, SimTime, Simulator, Static, TallySample, TallySeries,
-        TimedForwarding,
+    pub use pr_sim::{SimConfig, SimTime, Simulator, Static, TimedForwarding};
+    pub use pr_traffic::{
+        replay_timeline, DemandTally, FlowSet, TallySample, TallySeries, TimelineTraffic,
+        TrafficMatrix, TrafficModel,
     };
-    pub use pr_traffic::{replay_timeline, FlowSet, TimelineTraffic, TrafficMatrix, TrafficModel};
 
     /// Re-exported under a named module to avoid clashing with user
     /// identifiers: `use packet_recycling::prelude::*;` then
