@@ -135,23 +135,16 @@ impl std::fmt::Debug for FcpState {
 /// cache hits allocate nothing; misses fill via incremental repair
 /// from the hoisted base trees (bit-identical to the recompute) using
 /// the cache's private Dijkstra arena.
-/// One memoised routing answer for a `(dest, carried)` key.
-#[derive(Debug, Clone)]
-enum Route {
-    /// A full repaired tree (agents without a hoisted base map).
-    Tree(SpTree),
-    /// Sorted `(node, next dart)` patches over the hoisted base tree:
-    /// outside the affected cone the repaired tree *is* the base tree,
-    /// so patches answer every query at O(cone) build cost instead of
-    /// the O(n) tree materialisation (`None` = cut off by the carried
-    /// failures).
-    Patch(Vec<(NodeId, Option<Dart>)>),
-}
-
+///
+/// A memoised route is its sorted `(node, next dart)` patch list over
+/// the hoisted base tree: outside the affected cone the repaired tree
+/// *is* the base tree, so patches answer every query at O(cone) build
+/// cost instead of the O(n) tree materialisation (`None` = cut off by
+/// the carried failures).
 #[derive(Debug, Clone)]
 struct RouteCache {
     /// Memoised routes, in insertion order; `index` maps keys to slots.
-    trees: Vec<Route>,
+    trees: Vec<Vec<(NodeId, Option<Dart>)>>,
     index: HashMap<(NodeId, FcpState), usize, BuildHasherDefault<FxHasher64>>,
     /// Lazily built child index per destination's base tree (kept
     /// across scenarios — it depends only on the base map).
@@ -199,8 +192,8 @@ const ROUTE_CACHE_MAX_ENTRIES: usize = 1 << 16;
 ///
 /// [`FcpAgent::new`] recomputes shortest paths per decision — the
 /// honest *router cost* model that experiment E9 measures against PR's
-/// table lookups. [`FcpAgent::cached`] adds a route memo for
-/// *experiment harness* use: scenario sweeps only observe FCP's
+/// table lookups. [`FcpAgent::cached_with_base`] adds a route memo
+/// for *experiment harness* use: scenario sweeps only observe FCP's
 /// decisions (which the memo provably does not change), so they need
 /// not pay the recompute cost millions of times.
 #[derive(Debug, Clone)]
@@ -209,13 +202,12 @@ pub struct FcpAgent<'a> {
     /// Bits charged per carried link id in the header accounting:
     /// `ceil(log2(link_count))`, plus [`Self::LENGTH_FIELD_BITS`] once.
     link_id_bits: usize,
-    /// Hoisted failure-free trees: with an empty carried list the
-    /// effective topology is the base map, so the all-live tree answers
-    /// without touching the memo.
-    base: Option<&'a AllPairs>,
-    /// `Some` enables the route memo (interior mutability keeps
-    /// [`ForwardingAgent::decide`]'s `&self` signature).
-    routes: Option<RefCell<RouteCache>>,
+    /// `Some` enables the route memo over the hoisted failure-free
+    /// trees: with an empty carried list the effective topology is the
+    /// base map, so the all-live tree answers without touching the
+    /// memo (interior mutability keeps [`ForwardingAgent::decide`]'s
+    /// `&self` signature).
+    routes: Option<(&'a AllPairs, RefCell<RouteCache>)>,
 }
 
 impl<'a> FcpAgent<'a> {
@@ -227,20 +219,15 @@ impl<'a> FcpAgent<'a> {
     pub fn new(graph: &'a Graph) -> FcpAgent<'a> {
         let m = graph.link_count().max(1) as u64;
         let link_id_bits = (64 - (m - 1).leading_zeros() as usize).max(1);
-        FcpAgent { graph, link_id_bits, base: None, routes: None }
+        FcpAgent { graph, link_id_bits, routes: None }
     }
 
     /// An agent with the route memo enabled (identical decisions,
-    /// recompute cost paid once per distinct `(dest, carried)` key).
-    pub fn cached(graph: &'a Graph) -> FcpAgent<'a> {
-        FcpAgent { routes: Some(RefCell::new(RouteCache::default())), ..FcpAgent::new(graph) }
-    }
-
-    /// [`FcpAgent::cached`], additionally answering empty-carried
-    /// decisions straight from precomputed failure-free trees (the
+    /// recompute cost paid once per distinct `(dest, carried)` key,
+    /// by cone repair of the precomputed failure-free trees — the
     /// scenario engine hoists exactly these).
     pub fn cached_with_base(graph: &'a Graph, base: &'a AllPairs) -> FcpAgent<'a> {
-        FcpAgent { base: Some(base), ..FcpAgent::cached(graph) }
+        FcpAgent { routes: Some((base, RefCell::default())), ..FcpAgent::new(graph) }
     }
 
     /// Bits one carried link id occupies in the header.
@@ -259,7 +246,7 @@ impl<'a> FcpAgent<'a> {
     /// recompute cost of at most one scenario's keys is re-paid.
     /// No-op on uncached agents.
     pub fn begin_scenario(&self) {
-        if let Some(routes) = &self.routes {
+        if let Some((_, routes)) = &self.routes {
             let mut cache = routes.borrow_mut();
             cache.trees.clear(); // keeps capacities
             cache.index.clear();
@@ -270,7 +257,7 @@ impl<'a> FcpAgent<'a> {
     /// Number of memoised `(dest, carried)` route entries (0 for
     /// uncached agents) — observability for the eviction policy.
     pub fn cached_routes(&self) -> usize {
-        self.routes.as_ref().map_or(0, |r| r.borrow().trees.len())
+        self.routes.as_ref().map_or(0, |(_, r)| r.borrow().trees.len())
     }
 
     /// The effective topology the packet routes on: base map minus
@@ -283,15 +270,13 @@ impl<'a> FcpAgent<'a> {
     /// `at` for this `(dest, carried)` key: the next dart and whether
     /// `at` reaches `dest` at all in `G \ carried`.
     fn route(&self, at: NodeId, dest: NodeId, state: &FcpState) -> (Option<Dart>, bool) {
-        let Some(routes) = &self.routes else {
+        let Some((base, routes)) = &self.routes else {
             let tree = SpTree::towards(self.graph, dest, &self.effective_failures(state));
             return (tree.next_dart(at), tree.reaches(at));
         };
+        let tree = base.towards(dest);
         if state.carried().is_empty() {
-            if let Some(base) = self.base {
-                let tree = base.towards(dest);
-                return (tree.next_dart(at), tree.reaches(at));
-            }
+            return (tree.next_dart(at), tree.reaches(at));
         }
         let mut cache = routes.borrow_mut();
         let RouteCache {
@@ -306,23 +291,17 @@ impl<'a> FcpAgent<'a> {
             failed_buf,
             scratch,
         } = &mut *cache;
-        let answer = |route: &Route, at: NodeId| -> (Option<Dart>, bool) {
-            match route {
-                Route::Tree(tree) => (tree.next_dart(at), tree.reaches(at)),
-                Route::Patch(patches) => match patches.binary_search_by_key(&at, |p| p.0) {
-                    Ok(i) => (patches[i].1, patches[i].1.is_some()),
-                    Err(_) => {
-                        let base = self.base.expect("patches exist only with a base").towards(dest);
-                        (base.next_dart(at), base.reaches(at))
-                    }
-                },
+        let answer = |patches: &[(NodeId, Option<Dart>)]| -> (Option<Dart>, bool) {
+            match patches.binary_search_by_key(&at, |p| p.0) {
+                Ok(i) => (patches[i].1, patches[i].1.is_some()),
+                Err(_) => (tree.next_dart(at), tree.reaches(at)),
             }
         };
         // Single-entry fast path: same key as the previous decision
         // (the common case — consecutive hops of one walk).
         if let Some(i) = *last {
             if last_key.0 == dest && last_key.1 == *state {
-                return answer(&trees[i], at);
+                return answer(&trees[i]);
             }
         }
         // Keyed lookup without allocating: the probe key is a buffer
@@ -337,10 +316,10 @@ impl<'a> FcpAgent<'a> {
                     index.clear();
                 }
                 // Rebuild the carried-failure bitset in place, then
-                // fill the miss: with a hoisted base tree, cone-patch
-                // repair (O(cone) — see `SpTree::repair_cone_routes`);
-                // without one, an arena-backed full Dijkstra. Both are
-                // bit-identical to the full recompute.
+                // fill the miss by cone-patch repair of the hoisted
+                // base tree (O(cone) — see
+                // `SpTree::repair_cone_routes`), bit-identical to the
+                // full recompute.
                 if failed_buf.capacity() != self.graph.link_count() {
                     *failed_buf = LinkSet::empty(self.graph.link_count());
                 } else {
@@ -349,35 +328,20 @@ impl<'a> FcpAgent<'a> {
                 for &l in state.carried() {
                     failed_buf.insert(l);
                 }
-                let route = match self.base {
-                    Some(base) => {
-                        let tree = base.towards(dest);
-                        if children.is_empty() {
-                            children.resize(self.graph.node_count(), None);
-                        }
-                        let kids = children[dest.index()]
-                            .get_or_insert_with(|| Box::new(TreeChildren::build(self.graph, tree)));
-                        tree.affected_cone(self.graph, kids, failed_buf, cone, stack);
-                        let mut patches = Vec::new();
-                        tree.repair_cone_routes(
-                            self.graph,
-                            failed_buf,
-                            cone,
-                            scratch,
-                            &mut patches,
-                        );
-                        Route::Patch(patches)
-                    }
-                    None => {
-                        Route::Tree(SpTree::towards_with(self.graph, dest, failed_buf, scratch))
-                    }
-                };
-                trees.push(route);
+                if children.is_empty() {
+                    children.resize(self.graph.node_count(), None);
+                }
+                let kids = children[dest.index()]
+                    .get_or_insert_with(|| Box::new(TreeChildren::build(self.graph, tree)));
+                tree.affected_cone(self.graph, kids, failed_buf, cone, stack);
+                let mut patches = Vec::new();
+                tree.repair_cone_routes(self.graph, failed_buf, cone, scratch, &mut patches);
+                trees.push(patches);
                 index.insert(probe.clone(), trees.len() - 1);
                 trees.len() - 1
             }
         };
-        let decision = answer(&trees[slot], at);
+        let decision = answer(&trees[slot]);
         last_key.0 = dest;
         last_key.1.clone_from(&probe.1);
         *last = Some(slot);
@@ -556,8 +520,7 @@ mod tests {
         g.add_link(NodeId(2), NodeId(6), 1).unwrap();
         let base = pr_graph::AllPairs::compute_all_live(&g);
         let honest = FcpAgent::new(&g);
-        let cached = FcpAgent::cached(&g);
-        let seeded = FcpAgent::cached_with_base(&g, &base);
+        let cached = FcpAgent::cached_with_base(&g, &base);
         let ttl = generous_ttl(&g);
         for (la, lb) in [(0u32, 4), (1, 5), (2, 9), (3, 8)] {
             let failed =
@@ -566,9 +529,7 @@ mod tests {
                 for dst in g.nodes() {
                     let w0 = walk_packet(&g, &honest, src, dst, &failed, ttl);
                     let w1 = walk_packet(&g, &cached, src, dst, &failed, ttl);
-                    let w2 = walk_packet(&g, &seeded, src, dst, &failed, ttl);
                     assert_eq!(w0, w1, "cached diverged on l{la},l{lb} {src}->{dst}");
-                    assert_eq!(w0, w2, "seeded diverged on l{la},l{lb} {src}->{dst}");
                 }
             }
         }

@@ -3,7 +3,7 @@
 //! Regenerates every table and figure of the Packet Re-cycling paper
 //! (and the ablations this reproduction adds). It has no binary of its
 //! own: `pr-cli` runs it, one `pr experiment <name>` row per artefact
-//! (the map lives in `DESIGN.md` §4); in short:
+//! (the map lives in `DESIGN.md` §13); in short:
 //!
 //! | artefact | `pr experiment` | library |
 //! |---|---|---|

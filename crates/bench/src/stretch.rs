@@ -13,13 +13,21 @@
 //! FCP and PR lanes walk each connected one through their
 //! `pr_core::FlowScratch` unit. Workers fold blocks of consecutive
 //! destinations into [`StretchBlock`]s, which reach the calling thread
-//! in work-unit order while the pool runs. [`run_with_stats`] appends
-//! them straight into the panel, so [`run`] is bit-identical to
+//! in work-unit order while the pool runs.
+//!
+//! The **result form** is the per-scenario [`ScenarioRow`]:
+//! [`run_rows`] folds each scenario's blocks into its row and drops
+//! them, holding O(1) per scenario, and every front door (`pr sweep`,
+//! `pr stretch`, the daemon's `query stretch`, shard checkpoints)
+//! reads rows through [`report_from_rows`] / [`panel_csv_from_rows`].
+//! Raw samples are the **library and oracle form**:
+//! [`run_with_stats`] appends the same blocks straight into a
+//! [`StretchSamples`] panel, so [`run`] is bit-identical to
 //! [`run_serial`] — the independent oracle: plain `walk_packet`,
 //! scratch Dijkstra, all n sources classified — at any thread count
-//! (enforced by `tests/determinism.rs`) and holds nothing but the
-//! panel and the blocks in flight; [`run_rows`] folds each scenario's
-//! blocks into its [`ScenarioRow`] and drops them.
+//! (enforced by `tests/determinism.rs`). Quantiles need it
+//! ([`summarize`], for `pr experiment fig2`); no sweep front door
+//! holds it.
 
 use serde::{Deserialize, Serialize};
 
@@ -56,7 +64,7 @@ impl Scheme {
 }
 
 /// Raw stretch samples per scheme, plus bookkeeping on conditioning.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StretchSamples {
     /// Delivered-path stretch values, one per (scenario, affected pair).
     pub reconvergence: Vec<f64>,
@@ -88,12 +96,6 @@ impl StretchSamples {
             Scheme::Fcp => &self.fcp,
             Scheme::PacketRecycling => &self.packet_recycling,
         }
-    }
-
-    /// Mean stretch per scheme ([`Scheme::ALL`] order), not-a-number
-    /// for a scheme without samples — [`SweepReport::mean`]'s answer.
-    pub fn mean(&self) -> [f64; 3] {
-        Scheme::ALL.map(|scheme| mean(self.of(scheme)))
     }
 
     /// Appends another partial result (work-unit order must be
@@ -386,16 +388,18 @@ impl ScenarioRow {
 /// Runs the stretch sweep over `family` and folds it into one
 /// [`ScenarioRow`] per scenario, with row indices offset by
 /// `first_scenario` (pass a [`pr_scenarios::ScenarioSlice`] plus its
-/// start to sweep one shard of a larger family).
+/// start to sweep one shard of a larger family), plus the sweep's
+/// auxiliary statistics.
 pub fn run_rows(
     graph: &Graph,
     pr: &PrNetwork,
     family: &dyn ScenarioFamily,
     threads: usize,
     first_scenario: usize,
-) -> Vec<ScenarioRow> {
+) -> (Vec<ScenarioRow>, SweepStats) {
     let xs = figure2_xs();
     let mut rows: Vec<ScenarioRow> = Vec::with_capacity(family.len());
+    let mut stats = SweepStats::default();
     StretchPlan::new(graph, pr).fold(family, threads, |scenario, block| {
         // Blocks arrive in unit order: a new scenario index opens the
         // next row.
@@ -404,8 +408,9 @@ pub fn run_rows(
             rows.push(ScenarioRow::empty(absolute, xs.len()));
         }
         rows.last_mut().expect("just pushed").absorb(&block, &xs);
+        stats.merge(&block.stats);
     });
-    rows
+    (rows, stats)
 }
 
 /// [`panel_csv`] reconstructed from per-scenario rows: byte-identical
@@ -439,10 +444,11 @@ pub fn panel_csv_from_rows(rows: &[ScenarioRow], xs: &[f64]) -> String {
     out
 }
 
-/// The merged result of a sharded sweep: totals, per-scheme means and
-/// maxima, and the CCDF curves — everything `pr sweep --format json`
-/// reports for a sharded run. Derived from rows in scenario order, so
-/// it is bit-identical at any thread or shard count.
+/// The merged result of a sweep: totals, per-scheme means and maxima,
+/// and the CCDF curves — what `pr sweep --format json` writes and what
+/// `pr stretch` and the daemon's `query stretch` read. Derived from
+/// rows in scenario order, so it is bit-identical at any thread or
+/// shard count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepReport {
     /// Scenarios swept.
@@ -752,7 +758,7 @@ mod tests {
         let xs = figure2_xs();
 
         let samples = run(&g, &pr, &family, 2);
-        let rows = run_rows(&g, &pr, &family, 2, 0);
+        let (rows, _) = run_rows(&g, &pr, &family, 2, 0);
         assert_eq!(rows.len(), family.len());
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(row.scenario, i as u64);
@@ -784,13 +790,13 @@ mod tests {
             pr_topologies::load(pr_topologies::Isp::Abilene, pr_topologies::Weighting::Distance);
         let pr = compile_pr(&g);
         let family = pr_scenarios::SingleLinkFailures::new(&g);
-        let whole = run_rows(&g, &pr, &family, 1, 0);
+        let whole = run_rows(&g, &pr, &family, 1, 0).0;
         // Sweeping two slices and concatenating gives the same rows.
         let mid = family.len() / 2;
         let left = pr_scenarios::ScenarioSlice::new(&family, 0, mid);
         let right = pr_scenarios::ScenarioSlice::new(&family, mid, family.len() - mid);
-        let mut stitched = run_rows(&g, &pr, &left, 2, 0);
-        stitched.extend(run_rows(&g, &pr, &right, 2, mid));
+        let mut stitched = run_rows(&g, &pr, &left, 2, 0).0;
+        stitched.extend(run_rows(&g, &pr, &right, 2, mid).0);
         assert_eq!(stitched, whole);
     }
 

@@ -9,13 +9,12 @@
 //! replays the scenario through `pr_sim` under two schemes (PR and a
 //! reconverging IGP) and returns their [`Metrics`].
 //!
-//! **Determinism.** Scenario `i` runs with the RNG seed
-//! [`TemporalFamily::seed_for`]`(base_seed, i)` — a pure hash of
-//! `(base_seed, i)`, never a shared RNG stream — and the engine merges
-//! results in unit order. [`run`] is therefore bit-identical at any
-//! thread count, one thread being the plain scenario loop
-//! (`tests/determinism.rs` asserts this for all three shipped families
-//! at 1/2/4 threads).
+//! **Determinism.** Scenario `i` is pure data replayed with no shared
+//! state (its CBR flow draws nothing from the simulator's RNG), and
+//! the engine merges results in unit order. [`run`] is therefore
+//! bit-identical at any thread count, one thread being the plain
+//! scenario loop (`tests/determinism.rs` asserts this for all three
+//! shipped families at 1/2/4 threads).
 //!
 //! **Hoisting.** The compiled PR network, its agent and the
 //! failure-free all-pairs trees (the reconverging IGP's *stale* view)
@@ -29,7 +28,7 @@ use std::sync::Arc;
 use pr_core::PrNetwork;
 use pr_graph::{AllPairs, Graph, SpScratch};
 use pr_scenarios::TemporalFamily;
-use pr_sim::{igp_for_with, run_scenario, Metrics, SimConfig, Static};
+use pr_sim::{igp_for, run_scenario, Metrics, SimConfig, Static};
 
 use crate::engine;
 
@@ -48,14 +47,12 @@ pub struct TemporalRow {
 
 /// Sweeps every scenario of `family` on `threads` workers. One work
 /// unit replays scenario `i` under PR and under the reconverging IGP
-/// (tables repaired from the stale trees through the worker's arena),
-/// with the per-scenario derived seed.
+/// (tables repaired from the stale trees through the worker's arena).
 pub fn run(
     graph: &Graph,
     net: &PrNetwork,
     family: &dyn TemporalFamily,
     config: &SimConfig,
-    base_seed: u64,
     threads: usize,
 ) -> Vec<TemporalRow> {
     let agent = Static(net.agent(graph));
@@ -68,10 +65,9 @@ pub fn run(
         SpScratch::new,
         |scratch, i| {
             let scenario = family.scenario(i);
-            let seed = family.seed_for(base_seed, i);
-            let pr = run_scenario(graph, &agent, &scenario, config, seed);
-            let igp_agent = igp_for_with(graph, &scenario, &stale, scratch);
-            let igp = run_scenario(graph, &igp_agent, &scenario, config, seed);
+            let pr = run_scenario(graph, &agent, &scenario, config);
+            let igp_agent = igp_for(graph, &scenario, &stale, scratch);
+            let igp = run_scenario(graph, &igp_agent, &scenario, config);
             TemporalRow { scenario: i, label: scenario.label, pr, igp }
         },
     )
@@ -146,7 +142,7 @@ mod tests {
     fn outage_sweep_shows_pr_beating_reconvergence_on_every_link() {
         let (g, net) = ring_net(5);
         let fam = OutageSweep::new(&g, OutageParams::default());
-        let rows = run(&g, &net, &fam, &SimConfig::default(), 2010, 2);
+        let rows = run(&g, &net, &fam, &SimConfig::default(), 2);
         assert_eq!(rows.len(), 5);
         for r in &rows {
             assert_eq!(r.pr.injected, r.igp.injected, "same CBR schedule");
@@ -168,9 +164,9 @@ mod tests {
         let (g, net) = ring_net(4);
         let fam = OutageSweep::new(&g, OutageParams::default());
         let config = SimConfig::default();
-        let reference = run(&g, &net, &fam, &config, 7, 1);
+        let reference = run(&g, &net, &fam, &config, 1);
         for threads in [2, 4] {
-            assert_eq!(run(&g, &net, &fam, &config, 7, threads), reference, "{threads} threads");
+            assert_eq!(run(&g, &net, &fam, &config, threads), reference, "{threads} threads");
         }
     }
 }

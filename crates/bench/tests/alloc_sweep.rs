@@ -12,7 +12,8 @@
 //!   queue on each other's arenas.
 //! * **Memory is the result, not the units.** `run_with_stats` holds
 //!   the panel it returns plus the blocks in flight — never one
-//!   partial result per (scenario, destination) unit.
+//!   partial result per (scenario, destination) unit — and `run_rows`
+//!   holds the blocks in flight and O(1) per scenario.
 //!
 //! The call counter is per thread and the byte gauge is process-wide,
 //! so the two tests take turns.
@@ -188,6 +189,21 @@ fn run_with_stats_holds_its_result_and_the_blocks_in_flight() {
             peak <= bound,
             "{threads} threads: peak {peak} B of live heap for {returned} B of samples \
              (bound {bound} B)"
+        );
+
+        // The row fold — what every front door runs — returns O(1) per
+        // scenario and holds nothing O(pairs): its peak sits below the
+        // panel's by at least the samples the panel returns.
+        drop(samples);
+        let before = LIVE.load(Ordering::Relaxed);
+        PEAK.store(before, Ordering::Relaxed);
+        let (rows, _) = stretch::run_rows(&g, &net, &family, threads, 0);
+        let rows_peak = PEAK.load(Ordering::Relaxed) - before;
+        assert_eq!(rows.len(), family.len());
+        assert!(
+            rows_peak + returned <= peak,
+            "{threads} threads: run_rows peaked at {rows_peak} B, run_with_stats at {peak} B \
+             for {returned} B of samples"
         );
     }
 }

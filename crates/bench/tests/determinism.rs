@@ -9,7 +9,7 @@
 //! recompute-per-decision FCP agent, plain `walk_packet` and scratch
 //! Dijkstra — nothing of the unit kernel.
 //! `temporal::run` fans one discrete-event simulation pair per timed
-//! scenario with per-scenario derived seeds; it and `impair::run` are
+//! scenario; it and `impair::run` are
 //! held against their own one-thread run, which is the plain inline
 //! loop (`tests/golden_impair.rs` pins the impaired bytes
 //! independently). Any divergence — a
@@ -119,11 +119,18 @@ fn stretch_is_deterministic_on(graph: &Graph, pr: &PrNetwork, family: &dyn Scena
             "sweep statistics diverged at {threads} threads ({})",
             family.label()
         );
-        let rows = pr_bench::stretch::run_rows(graph, pr, family, threads, 0);
+        let (rows, row_stats) = pr_bench::stretch::run_rows(graph, pr, family, threads, 0);
         assert_eq!(
             rows,
             reference_rows,
             "scenario rows diverged at {threads} threads ({})",
+            family.label()
+        );
+        // The row fold sees the blocks the panel sees: same counters.
+        assert_eq!(
+            row_stats,
+            stats,
+            "row-path statistics diverged at {threads} threads ({})",
             family.label()
         );
     }
@@ -207,7 +214,7 @@ fn positive_genus_mesh_sweeps_parallel_equal_serial() {
 /// 120-node instance of the same synthetic ISP family stands in — and
 /// of its single failures every eighth, because the oracle's honest
 /// FCP agent runs a Dijkstra per hop; the equivalence argument
-/// (DESIGN.md §14) is size-independent.
+/// (DESIGN.md §6) is size-independent.
 #[test]
 fn synth_mesh_memoized_rows_equal_plain_rows() {
     let g = pr_graph::generators::isp_mesh(&pr_graph::generators::MeshParams::new(120, 2010));
@@ -219,7 +226,7 @@ fn synth_mesh_memoized_rows_equal_plain_rows() {
     let reference = oracle_rows(&g, &pr, &sampled);
     assert!(reference.iter().all(|row| row.evaluated_pairs > 0 && row.undelivered == 0));
     for threads in SWEEP_THREAD_COUNTS {
-        let memoized = pr_bench::stretch::run_rows(&g, &pr, &sampled, threads, 0);
+        let (memoized, _) = pr_bench::stretch::run_rows(&g, &pr, &sampled, threads, 0);
         assert_eq!(
             memoized, reference,
             "memoized ScenarioRows diverged from the plain walker at {threads} threads"
@@ -251,18 +258,16 @@ fn quick_params() -> OutageParams {
 
 fn temporal_is_deterministic_on(graph: &Graph, pr: &PrNetwork, family: &dyn TemporalFamily) {
     let config = SimConfig::default();
-    for seed in SEEDS {
-        let reference = pr_bench::temporal::run(graph, pr, family, &config, seed, 1);
-        assert_eq!(reference.len(), family.len());
-        for threads in POOLED_THREAD_COUNTS {
-            let rows = pr_bench::temporal::run(graph, pr, family, &config, seed, threads);
-            assert_eq!(
-                rows,
-                reference,
-                "temporal rows diverged from serial at seed {seed}, {threads} threads ({})",
-                family.label()
-            );
-        }
+    let reference = pr_bench::temporal::run(graph, pr, family, &config, 1);
+    assert_eq!(reference.len(), family.len());
+    for threads in POOLED_THREAD_COUNTS {
+        let rows = pr_bench::temporal::run(graph, pr, family, &config, threads);
+        assert_eq!(
+            rows,
+            reference,
+            "temporal rows diverged from serial at {threads} threads ({})",
+            family.label()
+        );
     }
 }
 

@@ -28,7 +28,7 @@ fn isp1000_exhaustive_singles_memoized() {
     let singles = SingleLinkFailures::new(&g);
 
     let t = Instant::now();
-    let memoized = pr_bench::stretch::run_rows(&g, &pr, &singles, 1, 0);
+    let (memoized, _) = pr_bench::stretch::run_rows(&g, &pr, &singles, 1, 0);
     let memo_secs = t.elapsed().as_secs_f64();
 
     println!(

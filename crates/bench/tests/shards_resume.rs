@@ -47,7 +47,7 @@ fn kill_and_resume_is_byte_identical(graph: &Graph, name: &str) {
     let xs = stretch::figure2_xs();
     let run_slice = |_shard: usize, start: usize, len: usize| {
         let slice = ScenarioSlice::new(&family, start, len);
-        stretch::run_rows(graph, &pr, &slice, 2, start)
+        stretch::run_rows(graph, &pr, &slice, 2, start).0
     };
 
     // The reference: a plain, unsharded sweep over raw samples.
@@ -115,7 +115,7 @@ fn merged_rows_are_shard_count_invariant() {
     let family = SingleLinkFailures::new(&g);
     let run_slice = |_shard: usize, start: usize, len: usize| {
         let slice = ScenarioSlice::new(&family, start, len);
-        stretch::run_rows(&g, &pr, &slice, 2, start)
+        stretch::run_rows(&g, &pr, &slice, 2, start).0
     };
     let mut merged: Vec<Vec<ScenarioRow>> = Vec::new();
     for shards in [1u64, 4, 7] {
@@ -137,7 +137,7 @@ fn resume_rejects_a_mismatched_checkpoint() {
     let family = SingleLinkFailures::new(&g);
     let run_slice = |_shard: usize, start: usize, len: usize| {
         let slice = ScenarioSlice::new(&family, start, len);
-        stretch::run_rows(&g, &pr, &slice, 1, start)
+        stretch::run_rows(&g, &pr, &slice, 1, start).0
     };
     let dir = scratch_dir("abilene-mismatch");
     let key = key_for(&g, &pr, &family, 3);
@@ -183,7 +183,7 @@ fn resume_recovers_from_a_lost_shard_file() {
     let family = SingleLinkFailures::new(&g);
     let run_slice = |_shard: usize, start: usize, len: usize| {
         let slice = ScenarioSlice::new(&family, start, len);
-        stretch::run_rows(&g, &pr, &slice, 1, start)
+        stretch::run_rows(&g, &pr, &slice, 1, start).0
     };
     let dir = scratch_dir("abilene-lostfile");
     let key = key_for(&g, &pr, &family, 3);

@@ -10,7 +10,7 @@ use pr_bench::{ablation, coverage, impair, overheads, stretch};
 use pr_bench::{paper_topology, paper_topology_with, write_result, EXPERIMENT_SEED};
 use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
 use pr_embedding::CellularEmbedding;
-use pr_graph::{generators, AllPairs, Graph, LinkId};
+use pr_graph::{generators, AllPairs, Graph, LinkId, SpScratch};
 use pr_scenarios::ImpairmentProcess::{FlapStorm, GilbertElliott};
 use pr_scenarios::{
     Impaired, OutageParams, OutageSweep, SampledMultiFailures, ScenarioFamily, SingleLinkFailures,
@@ -27,7 +27,7 @@ use crate::args::Args;
 /// the thread count).
 type Experiment = (&'static str, &'static str, fn(usize) -> CmdResult);
 
-/// The experiment-to-command map (DESIGN.md §4).
+/// The experiment-to-command map (DESIGN.md §13).
 pub const EXPERIMENTS: &[Experiment] = &[
     ("table1", "Table 1: cycle following table at node D", table1),
     ("fig1", "Figure 1(b)/(c): the §4.2/§4.3 walkthroughs", fig1),
@@ -97,8 +97,11 @@ fn fig2(threads: usize) -> CmdResult {
     let xs = stretch::figure2_xs();
     let panel =
         |name: &str, kind: &str, graph: &Graph, pr: &PrNetwork, family: &dyn ScenarioFamily| {
+            // The artefact comes from rows, like `pr sweep`'s; only the
+            // quantiles of the table below need the raw samples.
+            let (rows, _) = stretch::run_rows(graph, pr, family, threads, 0);
+            write_result(name, &stretch::panel_csv_from_rows(&rows, &xs));
             let samples = stretch::run(graph, pr, family, threads);
-            write_result(name, &stretch::panel_csv(&samples, &xs));
             let summary = stretch::summarize(&samples);
             println!(
                 "  [{kind}] pairs evaluated: {}, disconnected (excluded): {}, undelivered: {}",
@@ -240,10 +243,11 @@ fn run_oc192(g: &Graph, scenario: &TemporalScenario, seed: u64) -> [(&'static st
     let net = PrNetwork::compile(g, emb, PrMode::Basic, DiscriminatorKind::Hops);
     let config =
         SimConfig { bandwidth_bps: OC192_BPS, queue_capacity: 1024, ..SimConfig::default() };
-    let igp = igp_for(g, scenario, &Arc::new(AllPairs::compute_all_live(g)));
+    let stale = Arc::new(AllPairs::compute_all_live(g));
+    let igp = igp_for(g, scenario, &stale, &mut SpScratch::new());
     [
-        ("pr", run_scenario(g, &Static(net.agent(g)), scenario, &config, seed)),
-        ("reconvergence", run_scenario(g, &igp, scenario, &config, seed)),
+        ("pr", run_scenario(g, &Static(net.agent(g)), scenario, &config)),
+        ("reconvergence", run_scenario(g, &igp, scenario, &config)),
     ]
 }
 

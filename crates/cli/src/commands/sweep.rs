@@ -1,9 +1,9 @@
 //! `pr stretch | sweep`: the scenario-sweep front doors, sharded and
 //! checkpointed on request.
 
-use pr_core::PrNetwork;
-use pr_graph::Graph;
-use pr_scenarios::{FlapSweep, OutageParams, OutageSweep, ScenarioFamily, TemporalFamily};
+use pr_bench::shards::{ShardKey, ShardOutcome};
+use pr_bench::stretch::{self, SweepStats};
+use pr_scenarios::{FlapSweep, OutageParams, OutageSweep, ScenarioSlice, TemporalFamily};
 
 use super::{
     compile, emit, load_topology, parse_format, slug, threads, topological_family, CmdResult,
@@ -12,7 +12,8 @@ use crate::args::Args;
 
 /// `pr stretch`: `pr sweep`'s unsharded topological run under its older
 /// spelling — `--failures 1` is the `single` family, `--failures K` the
-/// `multi` family at `--k K` — reporting the stretch CCDF at a few points.
+/// `multi` family at `--k K` — reporting the stretch CCDF at a few of
+/// the report's thresholds.
 pub fn stretch(args: &Args) -> CmdResult {
     let (graph, canonical) = load_topology(args.positional(0, "topology")?)?;
     let failures: usize = args.option_or("failures", 1)?;
@@ -21,38 +22,26 @@ pub fn stretch(args: &Args) -> CmdResult {
     let net = compile(&graph, canonical, args)?;
     let name = if failures <= 1 { "single" } else { "multi" };
     let family = topological_family(&graph, name, failures, seed, args)?;
-    let (s, _) = pr_bench::stretch::run_with_stats(&graph, &net, family.as_ref(), threads);
+    let (rows, _) = stretch::run_rows(&graph, &net, family.as_ref(), threads, 0);
+    let report = stretch::report_from_rows(&rows, &stretch::figure2_xs());
     println!(
         "affected pairs: {} ({} scenarios, {failures} failures each, {threads} threads), \
          undelivered: {}",
-        s.evaluated_pairs,
-        family.len(),
-        s.undelivered
+        report.evaluated_pairs, report.scenarios, report.undelivered
     );
-    print_mean_stretch(s.mean());
+    print_mean_stretch(report.mean);
     for x in [1.0, 2.0, 3.0, 5.0, 10.0, 15.0] {
-        let p = |v: &[f64]| v.iter().filter(|&&s| s > x).count() as f64 / v.len().max(1) as f64;
+        let i = report.xs.iter().position(|&t| t == x).expect("a Figure 2 threshold");
         println!(
             "P(stretch>{x:>4}): {:>12.4}  {:>8.4}  {:>8.4}",
-            p(&s.reconvergence),
-            p(&s.fcp),
-            p(&s.packet_recycling)
+            report.ccdf[0][i], report.ccdf[1][i], report.ccdf[2][i]
         );
     }
     Ok(())
 }
 
-/// The pair-count line of `pr sweep`, sharded or not.
-fn print_pairs<T: std::fmt::Display>(evaluated: T, disconnected: T, undelivered: [T; 3]) {
-    println!(
-        "affected connected pairs: {evaluated}, disconnected (excluded): {disconnected}, \
-         undelivered: {} (fcp {}, packet-recycling {})",
-        undelivered[0], undelivered[1], undelivered[2]
-    );
-}
-
-/// The mean-stretch line of `pr stretch` and `pr sweep`, sharded or
-/// not ([`pr_bench::stretch::Scheme::ALL`] order). A scheme without a
+/// The mean-stretch line of `pr stretch` and `pr sweep`
+/// ([`pr_bench::stretch::Scheme::ALL`] order). A scheme without a
 /// sample prints `NaN`, as the JSON report says `null`.
 fn print_mean_stretch(mean: [f64; 3]) {
     println!(
@@ -61,75 +50,12 @@ fn print_mean_stretch(mean: [f64; 3]) {
     );
 }
 
-/// The sharded, checkpointable variant of a topological `pr sweep`:
-/// splits the scenario range into `--shards` chunks (default 8),
-/// persists each finished chunk under `results/<stem>/`, and on
-/// completion merges the per-scenario rows into the CSV/JSON artefact
-/// — bit-identical at any thread or shard count, resumable after a
-/// kill with `--resume`.
-#[allow(clippy::too_many_arguments)]
-fn run_sharded_sweep(
-    graph: &Graph,
-    net: &PrNetwork,
-    family: &dyn ScenarioFamily,
-    threads: usize,
-    seed: u64,
-    stem: &str,
-    format: Option<&str>,
-    args: &Args,
-) -> CmdResult {
-    use pr_bench::shards::{ShardKey, ShardOutcome};
-
-    let shards = args.option_or("shards", 8usize)?.clamp(1, family.len().max(1));
-    let stop_after = args.optional::<usize>("max-shards")?;
-    let dir = pr_bench::results_dir().join(stem);
-    let key = ShardKey {
-        topology: graph.fingerprint(),
-        nodes: graph.node_count() as u64,
-        links: graph.link_count() as u64,
-        embedding: net.embedding().rotation().fingerprint(),
-        family: family.label(),
-        seed,
-        scenarios: family.len() as u64,
-        shards: shards as u64,
-    };
-    let run_slice = |shard: usize, start: usize, len: usize| {
-        println!("  shard {}/{shards}: scenarios [{start}..{})", shard + 1, start + len);
-        let slice = pr_scenarios::ScenarioSlice::new(family, start, len);
-        pr_bench::stretch::run_rows(graph, net, &slice, threads, start)
-    };
-    match pr_bench::engine::run_shards(&dir, &key, args.flag("resume"), stop_after, run_slice)? {
-        ShardOutcome::Partial { completed, total } => {
-            println!(
-                "checkpoint: {completed}/{total} shards complete under {}; \
-                 rerun with --resume to continue",
-                dir.display()
-            );
-        }
-        ShardOutcome::Complete(rows) => {
-            let xs = pr_bench::stretch::figure2_xs();
-            let report = pr_bench::stretch::report_from_rows(&rows, &xs);
-            print_pairs(
-                report.evaluated_pairs,
-                report.disconnected_pairs,
-                [report.undelivered, report.undelivered_fcp, report.undelivered_pr],
-            );
-            print_mean_stretch(report.mean);
-            emit(
-                format,
-                stem,
-                || pr_bench::stretch::panel_csv_from_rows(&rows, &xs),
-                || serde_json::to_string_pretty(&report).expect("serializable report"),
-            );
-        }
-    }
-    Ok(())
-}
-
 /// `pr sweep`: one front door to the scenario subsystem — picks a
 /// failure family, fans it over the `pr-bench` work-unit engine on
 /// `--threads` workers, and prints a per-scheme summary. Topological
-/// families run the walker-based stretch/delivery sweep; temporal ones
+/// families run the walker-based stretch/delivery sweep, folded into
+/// one row per scenario (checkpointed shard by shard on request) and
+/// from there into the report and the CSV/JSON artefact; temporal ones
 /// replay each timed scenario through the discrete-event simulator
 /// under PR and a reconverging IGP.
 pub fn sweep(args: &Args) -> CmdResult {
@@ -141,7 +67,8 @@ pub fn sweep(args: &Args) -> CmdResult {
     let threads = threads(args)?;
     let seed: u64 = args.option_or("seed", 2010)?;
 
-    // Sharded, checkpointable mode: any of the shard flags selects it.
+    // Any of the shard flags checkpoints a topological sweep's rows on
+    // their way to the artefact.
     let resume = args.flag("resume");
     let sharded = resume || args.option("shards").is_some() || args.option("max-shards").is_some();
     if resume && format.is_none() {
@@ -177,8 +104,7 @@ pub fn sweep(args: &Args) -> CmdResult {
                 }
             };
             let config = pr_sim::SimConfig::default();
-            let rows =
-                pr_bench::temporal::run(&graph, &net, family.as_ref(), &config, seed, threads);
+            let rows = pr_bench::temporal::run(&graph, &net, family.as_ref(), &config, threads);
             let s = pr_bench::temporal::summarize(&rows);
             println!(
                 "family {} ({} timed scenarios, {threads} threads)",
@@ -210,20 +136,68 @@ pub fn sweep(args: &Args) -> CmdResult {
         topological => {
             let k = args.option_or("k", 2)?;
             let family = topological_family(&graph, topological, k, seed, args)?;
-            let label = family.label();
-            println!("family {label} ({} scenarios, streamed, {threads} threads)", family.len());
-            if sharded {
-                let family = family.as_ref();
-                return run_sharded_sweep(&graph, &net, family, threads, seed, &stem, format, args);
-            }
-            let (s, stats) =
-                pr_bench::stretch::run_with_stats(&graph, &net, family.as_ref(), threads);
-            print_pairs(
-                s.evaluated_pairs,
-                s.disconnected_pairs,
-                [s.undelivered, s.undelivered_fcp, s.undelivered_pr],
+            let family = family.as_ref();
+            println!(
+                "family {} ({} scenarios, streamed, {threads} threads)",
+                family.label(),
+                family.len()
             );
-            print_mean_stretch(s.mean());
+            let (rows, stats) = if sharded {
+                // Splits the scenario range into `--shards` chunks
+                // (default 8) and persists each finished chunk under
+                // `results/<stem>/`: resumable after a kill with
+                // `--resume`, the merged rows bit-identical at any
+                // thread or shard count.
+                let shards = args.option_or("shards", 8usize)?.clamp(1, family.len().max(1));
+                let dir = pr_bench::results_dir().join(&stem);
+                let key = ShardKey {
+                    topology: graph.fingerprint(),
+                    nodes: graph.node_count() as u64,
+                    links: graph.link_count() as u64,
+                    embedding: net.embedding().rotation().fingerprint(),
+                    family: family.label(),
+                    seed,
+                    scenarios: family.len() as u64,
+                    shards: shards as u64,
+                };
+                let stop_after = args.optional::<usize>("max-shards")?;
+                let run_slice = |shard: usize, start: usize, len: usize| {
+                    println!(
+                        "  shard {}/{shards}: scenarios [{start}..{})",
+                        shard + 1,
+                        start + len
+                    );
+                    let slice = ScenarioSlice::new(family, start, len);
+                    stretch::run_rows(&graph, &net, &slice, threads, start).0
+                };
+                match pr_bench::engine::run_shards(&dir, &key, resume, stop_after, run_slice)? {
+                    ShardOutcome::Partial { completed, total } => {
+                        println!(
+                            "checkpoint: {completed}/{total} shards complete under {}; \
+                             rerun with --resume to continue",
+                            dir.display()
+                        );
+                        return Ok(());
+                    }
+                    // `--stats` was refused above: checkpoints do not
+                    // record the counters.
+                    ShardOutcome::Complete(rows) => (rows, SweepStats::default()),
+                }
+            } else {
+                stretch::run_rows(&graph, &net, family, threads, 0)
+            };
+            let xs = stretch::figure2_xs();
+            let report = stretch::report_from_rows(&rows, &xs);
+            println!(
+                "affected connected pairs: {}, disconnected (excluded): {}, \
+                 undelivered: {} (fcp {}, packet-recycling {})",
+                report.evaluated_pairs,
+                report.disconnected_pairs,
+                report.undelivered,
+                report.undelivered_fcp,
+                report.undelivered_pr
+            );
+            print_mean_stretch(report.mean);
             if args.flag("stats") {
                 let (repair, memo) = (&stats.repair, &stats.memo);
                 let (cone, hit) = (100.0 * repair.cone_fraction(), 100.0 * repair.hit_rate());
@@ -242,8 +216,8 @@ pub fn sweep(args: &Args) -> CmdResult {
             emit(
                 format,
                 &stem,
-                || pr_bench::stretch::panel_csv(&s, &pr_bench::stretch::figure2_xs()),
-                || serde_json::to_string_pretty(&s).expect("serializable samples"),
+                || stretch::panel_csv_from_rows(&rows, &xs),
+                || serde_json::to_string_pretty(&report).expect("serializable report"),
             );
         }
     }

@@ -109,6 +109,61 @@ fn sweep_stats_reports_repair_and_walk_memo() {
 }
 
 #[test]
+fn plain_and_sharded_sweeps_leave_the_same_artefacts_and_stats_lines() {
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    // A seed of its own: no other test writes this stem.
+    let sweep = ["sweep", "figure1", "--family", "exhaustive", "--k", "2", "--seed", "17"];
+    let stem = "sweep_figure1_exhaustive_k2_seed17";
+    let artefact = |extra: &[&str], ext: &str| {
+        let out = run(&[&sweep[..], extra, &["--format", ext]].concat());
+        assert!(out.status.success(), "sweep {extra:?} {ext} failed: {}", stderr(&out));
+        std::fs::read_to_string(results.join(format!("{stem}.{ext}"))).unwrap()
+    };
+    for ext in ["csv", "json"] {
+        let plain = artefact(&[], ext);
+        let sharded = artefact(&["--shards", "3"], ext);
+        assert_eq!(plain, sharded, "plain vs --shards 3, {ext}");
+        std::fs::remove_file(results.join(format!("{stem}.{ext}"))).unwrap();
+        // One JSON schema: the report, never the raw samples.
+        assert_eq!(ext == "json", plain.contains("\"ccdf\""), "{plain}");
+        assert!(!plain.contains("\"reconvergence\""), "{plain}");
+    }
+    std::fs::remove_dir_all(results.join(stem)).unwrap();
+
+    // The statistics ride along with the rows: the lines the
+    // raw-sample run printed, to the digit.
+    let out = run(&[&sweep[..], &["--stats", "--threads", "2"]].concat());
+    assert!(out.status.success(), "sweep --stats failed: {}", stderr(&out));
+    let text = stdout(&out);
+    let tail = "\
+affected connected pairs: 398, disconnected (excluded): 0, undelivered: 0 (fcp 0, packet-recycling 0)
+mean stretch:  reconvergence 2.274  fcp 2.590  packet-recycling 3.612
+spt repair:    180 repairs, cone 36.9% of nodes (hit rate 63.1%), 0 full rebuilds
+walk memo:     hit rate 13.8% (323 splices / 2336 lookups), spliced steps 28.0% of walk work
+";
+    assert!(text.ends_with(tail), "{text}");
+}
+
+#[test]
+fn stretch_reads_the_sweep_report() {
+    let out =
+        run(&["stretch", "teleglobe", "--failures", "2", "--samples", "200", "--threads", "2"]);
+    assert!(out.status.success(), "stretch failed: {}", stderr(&out));
+    let expected = "\
+embedding genus 0
+affected pairs: 19714 (200 scenarios, 2 failures each, 2 threads), undelivered: 0
+mean stretch:  reconvergence 1.401  fcp 1.475  packet-recycling 3.921
+P(stretch>   1):       1.0000    1.0000    1.0000
+P(stretch>   2):       0.0765    0.1029    0.3956
+P(stretch>   3):       0.0398    0.0448    0.2525
+P(stretch>   5):       0.0239    0.0247    0.1466
+P(stretch>  10):       0.0092    0.0099    0.0670
+P(stretch>  15):       0.0017    0.0017    0.0391
+";
+    assert_eq!(stdout(&out), expected);
+}
+
+#[test]
 fn a_sweep_without_samples_has_no_mean_stretch_sharded_or_not() {
     // On a path every link is a bridge: each single failure
     // disconnects every pair it affects, so no scheme gets a sample.

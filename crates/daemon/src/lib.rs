@@ -18,7 +18,7 @@
 //! incremental event-apply ≥ 5x faster than the cold recompile a
 //! batch invocation would pay.
 //!
-//! Architecture and protocol grammar: `DESIGN.md` §16. The thin
+//! Architecture and protocol grammar: `DESIGN.md` §12. The thin
 //! client lives in `pr-cli` (`pr daemon …`, `pr ctl …`).
 
 #![warn(missing_docs)]

@@ -144,9 +144,11 @@ pub struct SchemeStretch {
     pub scheme: String,
     /// Delivered affected-pair samples.
     pub samples: usize,
-    /// Mean stretch over the samples (0 when none).
+    /// Mean stretch over the samples (`null` on the wire, not-a-number
+    /// here, when none: an idle network has no stretch, not a stretch
+    /// of zero).
     pub mean: f64,
-    /// Worst stretch over the samples (0 when none).
+    /// Worst stretch over the samples (`null` when none).
     pub max: f64,
 }
 

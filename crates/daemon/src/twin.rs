@@ -12,7 +12,7 @@
 //! repair contract (the base is computed over the empty failed set, a
 //! subset of every event state). Queries ride the same primitives the
 //! batch harness uses (`replay_scenario_bitparallel`,
-//! `pr_bench::stretch::run_with_stats`) with the same hoisted inputs,
+//! `pr_bench::stretch::run_rows`) with the same hoisted inputs,
 //! so every answer is bit-identical to a cold batch run on the same
 //! failed set and demand model — the equivalence suite enforces this
 //! at 1, 2 and 4 worker threads.
@@ -392,29 +392,26 @@ impl Twin {
 
     fn query_stretch(&mut self) -> StretchReport {
         let family = vec![self.failed.clone()];
-        let (samples, stats) =
-            stretch::run_with_stats(&self.graph, &self.net, &family, self.threads);
+        let (rows, stats) = stretch::run_rows(&self.graph, &self.net, &family, self.threads, 0);
         self.repair.merge(&stats.repair);
         self.memo.merge(&stats.memo);
+        let report = stretch::report_from_rows(&rows, &stretch::figure2_xs());
         let schemes = Scheme::ALL
             .iter()
-            .map(|&scheme| {
-                let xs = samples.of(scheme);
-                let (mut sum, mut max) = (0.0, 0.0f64);
-                for &x in xs {
-                    sum += x;
-                    max = max.max(x);
-                }
-                let mean = if xs.is_empty() { 0.0 } else { sum / xs.len() as f64 };
-                SchemeStretch { scheme: scheme.label().to_string(), samples: xs.len(), mean, max }
+            .enumerate()
+            .map(|(i, scheme)| SchemeStretch {
+                scheme: scheme.label().to_string(),
+                samples: report.samples[i] as usize,
+                mean: report.mean[i],
+                max: report.max[i],
             })
             .collect();
         StretchReport {
             failed_links: self.failed.len(),
-            evaluated_pairs: samples.evaluated_pairs,
-            disconnected_pairs: samples.disconnected_pairs,
-            undelivered_fcp: samples.undelivered_fcp,
-            undelivered_pr: samples.undelivered_pr,
+            evaluated_pairs: report.evaluated_pairs as usize,
+            disconnected_pairs: report.disconnected_pairs as usize,
+            undelivered_fcp: report.undelivered_fcp as usize,
+            undelivered_pr: report.undelivered_pr as usize,
             schemes,
         }
     }

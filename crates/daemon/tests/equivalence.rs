@@ -6,7 +6,9 @@
 
 mod common;
 
+use pr_bench::stretch;
 use pr_core::PrNetwork;
+use pr_daemon::protocol::encode;
 use pr_daemon::{cold_recompile, DemandSpec, QueryKind, Request, Response, Twin};
 use pr_graph::Graph;
 
@@ -25,14 +27,15 @@ fn up(graph: &Graph, i: usize) -> Request {
 
 /// Drives `events` into a fresh twin, then checks every warm answer
 /// against a cold batch recomputation at this thread count. Returns
-/// the three query responses so callers can assert thread invariance.
+/// the three query responses as encoded lines (a report may hold a
+/// not-a-number) so callers can assert thread invariance.
 fn assert_equivalent(
     graph: &Graph,
     net: &PrNetwork,
     demand: &DemandSpec,
     events: &[Request],
     threads: usize,
-) -> Vec<Response> {
+) -> Vec<String> {
     let mut twin =
         Twin::new(graph.clone(), net.clone(), demand.clone(), threads).expect("twin compiles");
     for req in events {
@@ -78,29 +81,34 @@ fn assert_equivalent(
         other => panic!("expected a coverage report, got {other:?}"),
     }
 
-    // Stretch: warm answer == the batch stretch sweep on the scenario.
-    let (samples, _) = pr_bench::stretch::run_with_stats(graph, net, &family, threads);
-    let stretch = twin.handle(&Request::Query { what: QueryKind::Stretch });
-    match &stretch {
+    // Stretch: warm answer == the batch report of the one-scenario
+    // family, bit for bit (a scheme without samples has a NaN mean, so
+    // floats compare by bits) — and, one row being summed in sample
+    // order, == the mean of the raw-sample oracle form.
+    let (rows, _) = stretch::run_rows(graph, net, &family, threads, 0);
+    let report = stretch::report_from_rows(&rows, &stretch::figure2_xs());
+    let samples = stretch::run(graph, net, &family, threads);
+    let warm = twin.handle(&Request::Query { what: QueryKind::Stretch });
+    match &warm {
         Response::Stretch(r) => {
-            assert_eq!(r.evaluated_pairs, samples.evaluated_pairs);
-            assert_eq!(r.disconnected_pairs, samples.disconnected_pairs);
-            assert_eq!(r.undelivered_fcp, samples.undelivered_fcp);
-            assert_eq!(r.undelivered_pr, samples.undelivered_pr);
-            for (agg, &scheme) in r.schemes.iter().zip(pr_bench::stretch::Scheme::ALL.iter()) {
-                let xs = samples.of(scheme);
+            assert_eq!(r.evaluated_pairs as u64, report.evaluated_pairs);
+            assert_eq!(r.disconnected_pairs as u64, report.disconnected_pairs);
+            assert_eq!(r.undelivered_fcp as u64, report.undelivered_fcp);
+            assert_eq!(r.undelivered_pr as u64, report.undelivered_pr);
+            assert_eq!(r.schemes.len(), 3);
+            for (i, (agg, scheme)) in r.schemes.iter().zip(stretch::Scheme::ALL).enumerate() {
                 assert_eq!(agg.scheme, scheme.label());
-                assert_eq!(agg.samples, xs.len());
-                let sum: f64 = xs.iter().sum();
-                let mean = if xs.is_empty() { 0.0 } else { sum / xs.len() as f64 };
-                assert_eq!(agg.mean, mean, "{} mean", agg.scheme);
-                assert_eq!(agg.max, xs.iter().fold(0.0f64, |m, &x| m.max(x)), "{} max", agg.scheme);
+                assert_eq!(agg.samples as u64, report.samples[i]);
+                assert_eq!(agg.mean.to_bits(), report.mean[i].to_bits(), "{} mean", agg.scheme);
+                assert_eq!(agg.max.to_bits(), report.max[i].to_bits(), "{} max", agg.scheme);
+                let raw = stretch::mean(samples.of(scheme));
+                assert_eq!(agg.mean.to_bits(), raw.to_bits(), "{} raw mean", agg.scheme);
             }
         }
         other => panic!("expected a stretch report, got {other:?}"),
     }
 
-    vec![traffic, coverage, stretch]
+    [traffic, coverage, warm].iter().map(encode).collect()
 }
 
 /// Full suite on one graph: equivalence at each thread count, plus
@@ -120,6 +128,16 @@ fn equivalence_suite(graph: &Graph, demand: DemandSpec, events: &[Request]) {
             [1, 2, 4][i]
         );
     }
+}
+
+#[test]
+fn a_twin_without_a_failed_link_has_no_mean_stretch() {
+    let graph = common::abilene();
+    let net = common::network(&graph);
+    let answers = assert_equivalent(&graph, &net, &DemandSpec::gravity(), &[], 1);
+    // Not `"mean":0`: that would read as a stretch of zero.
+    let idle = r#"{"scheme":"packet-recycling","samples":0,"mean":null,"max":null}"#;
+    assert!(answers[2].contains(idle), "{}", answers[2]);
 }
 
 #[test]

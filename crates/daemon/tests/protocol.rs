@@ -23,6 +23,15 @@ where
     assert_eq!(&back, value, "lossy round-trip through {line}");
 }
 
+/// [`roundtrip`] for a message that may hold a non-finite float, which
+/// never equals itself: the re-encoded line must be the line.
+fn roundtrip_line<T: serde::Serialize + serde::Deserialize>(value: &T) -> String {
+    let line = encode(value);
+    let back: T = decode(&line).expect("decode what we encoded");
+    assert_eq!(encode(&back), line, "lossy round-trip");
+    line
+}
+
 /// A tally with awkward (non-terminating binary) float content.
 fn tally() -> DemandTally {
     let mut t = DemandTally::default();
@@ -140,8 +149,27 @@ fn every_response_variant_round_trips() {
 }
 
 #[test]
+fn a_scheme_without_samples_reports_null_not_zero() {
+    let idle = Response::Stretch(StretchReport {
+        failed_links: 0,
+        evaluated_pairs: 0,
+        disconnected_pairs: 0,
+        undelivered_fcp: 0,
+        undelivered_pr: 0,
+        schemes: vec![SchemeStretch {
+            scheme: "fcp".to_string(),
+            samples: 0,
+            mean: f64::NAN,
+            max: f64::NAN,
+        }],
+    });
+    let line = roundtrip_line(&idle);
+    assert!(line.contains(r#""samples":0,"mean":null,"max":null"#), "{line}");
+}
+
+#[test]
 fn wire_grammar_is_externally_tagged_json() {
-    // The grammar documented in DESIGN.md §16: unit variants are bare
+    // The grammar documented in DESIGN.md §12: unit variants are bare
     // strings, data variants are single-key objects. Hand-written
     // client lines must keep parsing forever.
     let down: Request = decode(r#"{"LinkDown":{"link":"A-B"}}"#).expect("hand-written link-down");

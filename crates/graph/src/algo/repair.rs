@@ -305,25 +305,61 @@ impl SpScratch {
             }
         }
     }
+
+    /// Re-labels `cone` — the nodes classified affected this class
+    /// epoch — by a Dijkstra seeded from the intact frontier: every
+    /// live dart from a cone node to a clean, `base`-reachable
+    /// neighbour yields a tentative label (clean labels are already
+    /// exact under the failure, so they act as settled sources), and
+    /// the run admits cone nodes only (link removal cannot shorten a
+    /// clean node's already-exact path).
+    fn relabel_cone(&mut self, graph: &Graph, base: &SpTree, cone: &[NodeId]) {
+        self.next_epoch();
+        self.heap.clear();
+        self.order.clear();
+        for &u in cone {
+            for &dart in graph.darts_from(u) {
+                if self.dart_failed(dart) {
+                    continue;
+                }
+                let v = graph.dart_head(dart);
+                if self.class_affected(v) {
+                    continue;
+                }
+                let Some(dv) = base.dist[v.index()] else { continue };
+                self.relax(u, dv + u64::from(graph.weight(dart.link())));
+            }
+        }
+        self.drain_heap(graph, |s, v| s.class_affected(v));
+    }
 }
 
-/// Canonical parent selection for `u` against finalised labels in
-/// `out`: the minimum `(hops(parent) + 1, parent id, dart id)` over
-/// live darts on shortest paths. Identical to the selection the
-/// from-scratch [`SpTree::towards`] performs.
-fn select_parent(out: &SpTree, graph: &Graph, scratch: &SpScratch, u: NodeId) -> (u32, Dart) {
-    let du = out.dist[u.index()].expect("parent selection runs on reachable nodes");
+/// Canonical parent selection for `u`, finalised at distance `du`:
+/// the minimum `(hops(parent) + 1, parent id, dart id)` over live
+/// darts on shortest paths — the one spelling of the tie-break, shared
+/// by the full rebuild, the tree repair and the cone patches, so all
+/// three agree with the from-scratch [`SpTree::towards`] bit for bit.
+/// `labels` gives a neighbour's finalised `(dist, hops)`, `None` where
+/// it has none (cut off, or not finalised yet: a parent settles before
+/// its child, so such a neighbour is no candidate).
+#[inline]
+fn select_parent(
+    graph: &Graph,
+    scratch: &SpScratch,
+    u: NodeId,
+    du: u64,
+    labels: impl Fn(NodeId) -> Option<(u64, u32)>,
+) -> (u32, Dart) {
     let mut best: Option<(u32, u32, u32, Dart)> = None;
     for &dart in graph.darts_from(u) {
         if scratch.dart_failed(dart) {
             continue;
         }
         let v = graph.dart_head(dart);
-        let Some(dv) = out.dist[v.index()] else { continue };
+        let Some((dv, hv)) = labels(v) else { continue };
         if dv + u64::from(graph.weight(dart.link())) != du {
             continue; // not on a shortest path
         }
-        let hv = out.hops[v.index()].expect("parent candidate finalised before child");
         let key = (hv + 1, v.0, dart.0, dart);
         if best.is_none_or(|b| (key.0, key.1, key.2) < (b.0, b.1, b.2)) {
             best = Some(key);
@@ -331,6 +367,22 @@ fn select_parent(out: &SpTree, graph: &Graph, scratch: &SpScratch, u: NodeId) ->
     }
     let (h, _, _, dart) = best.expect("reachable node must have a shortest-path parent");
     (h, dart)
+}
+
+/// [`select_parent`] for every node of the last run's finalisation
+/// order against the labels already written to `out`, in that order.
+fn select_parents(out: &mut SpTree, graph: &Graph, scratch: &SpScratch) {
+    for &u in &scratch.order {
+        if u == out.dest {
+            out.hops[u.index()] = Some(0);
+            continue;
+        }
+        let (h, dart) = select_parent(graph, scratch, u, scratch.dist[u.index()], |v| {
+            out.dist[v.index()].zip(out.hops[v.index()])
+        });
+        out.hops[u.index()] = Some(h);
+        out.next[u.index()] = Some(dart);
+    }
 }
 
 impl SpTree {
@@ -442,25 +494,7 @@ impl SpTree {
         for &u in cone {
             scratch.set_class(u, true);
         }
-        scratch.next_epoch();
-        scratch.heap.clear();
-        scratch.order.clear();
-        // Seed from the intact frontier exactly as `repair_into` does:
-        // clean labels are already exact under `failed`.
-        for &u in cone {
-            for &dart in graph.darts_from(u) {
-                if scratch.dart_failed(dart) {
-                    continue;
-                }
-                let v = graph.dart_head(dart);
-                if scratch.class_affected(v) {
-                    continue;
-                }
-                let Some(dv) = self.dist[v.index()] else { continue };
-                scratch.relax(u, dv + u64::from(graph.weight(dart.link())));
-            }
-        }
-        scratch.drain_heap(graph, |s, v| s.class_affected(v));
+        scratch.relabel_cone(graph, self, cone);
     }
 
     /// [`SpTree::repair_cone_labels`] plus the canonical parent
@@ -486,37 +520,18 @@ impl SpTree {
         self.repair_cone_labels(graph, failed, cone, scratch);
         for i in 0..scratch.order.len() {
             let u = scratch.order[i];
-            let du = scratch.dist[u.index()];
-            let mut best: Option<(u32, u32, u32, Dart)> = None;
-            for &dart in graph.darts_from(u) {
-                if scratch.dart_failed(dart) {
-                    continue;
-                }
-                let v = graph.dart_head(dart);
-                // A cone neighbour's labels live in the scratch (its
-                // parent settles first: dv < du keeps the pass
-                // well-founded); a clean neighbour keeps its base
-                // labels under `failed`.
-                let (dv, hv) = if scratch.class_affected(v) {
-                    if scratch.stamp[v.index()] != scratch.epoch {
-                        continue; // cut off: not a parent candidate
-                    }
-                    (scratch.dist[v.index()], scratch.hops_patch[v.index()])
+            // A cone neighbour's labels live in the scratch (its
+            // parent settles first: dv < du keeps the pass
+            // well-founded; cut off, it is no candidate); a clean
+            // neighbour keeps its base labels under `failed`.
+            let (h, dart) = select_parent(graph, scratch, u, scratch.dist[u.index()], |v| {
+                if scratch.class_affected(v) {
+                    (scratch.stamp[v.index()] == scratch.epoch)
+                        .then(|| (scratch.dist[v.index()], scratch.hops_patch[v.index()]))
                 } else {
-                    match (self.dist[v.index()], self.hops[v.index()]) {
-                        (Some(d), Some(h)) => (d, h),
-                        _ => continue,
-                    }
-                };
-                if dv + u64::from(graph.weight(dart.link())) != du {
-                    continue; // not on a shortest path
+                    self.dist[v.index()].zip(self.hops[v.index()])
                 }
-                let key = (hv + 1, v.0, dart.0, dart);
-                if best.is_none_or(|b| (key.0, key.1, key.2) < (b.0, b.1, b.2)) {
-                    best = Some(key);
-                }
-            }
-            let (h, _, _, dart) = best.expect("reachable node must have a shortest-path parent");
+            });
             scratch.hops_patch[u.index()] = h;
             scratch.next_patch[u.index()] = dart;
         }
@@ -603,15 +618,7 @@ fn rebuild_into(
     for &u in &scratch.order {
         out.dist[u.index()] = Some(scratch.dist[u.index()]);
     }
-    for &u in &scratch.order {
-        if u == dest {
-            out.hops[u.index()] = Some(0);
-            continue;
-        }
-        let (h, dart) = select_parent(out, graph, scratch, u);
-        out.hops[u.index()] = Some(h);
-        out.next[u.index()] = Some(dart);
-    }
+    select_parents(out, graph, scratch);
 }
 
 /// The incremental core: `out` already equals `base`; re-label only
@@ -681,47 +688,23 @@ fn repair_into(
         return; // no base path crosses a failure: out == base already
     }
 
-    // 2. Seed Dijkstra from the intact frontier: every live dart from
-    //    an affected node to a clean, base-reachable neighbour yields a
-    //    tentative label (clean labels are already exact under
-    //    `failed`, so they act as settled sources).
-    scratch.next_epoch();
-    scratch.heap.clear();
-    scratch.order.clear();
-    for i in 0..scratch.cone.len() {
-        let u = scratch.cone[i];
-        for &dart in graph.darts_from(u) {
-            if scratch.dart_failed(dart) {
-                continue;
-            }
-            let v = graph.dart_head(dart);
-            if scratch.class_affected(v) {
-                continue;
-            }
-            let Some(dv) = base.dist[v.index()] else { continue };
-            scratch.relax(u, dv + u64::from(graph.weight(dart.link())));
-        }
-    }
-    // 3. Run it over the cone only (clean labels never improve: link
-    //    removal cannot shorten a clean node's already-exact path).
-    scratch.drain_heap(graph, |s, v| s.class_affected(v));
+    // 2. Re-label the cone from its intact frontier.
+    let cone = std::mem::take(&mut scratch.cone);
+    scratch.relabel_cone(graph, base, &cone);
 
-    // 4. Write back: cone labels reset, reached cone nodes re-labelled
+    // 3. Write back: cone labels reset, reached cone nodes re-labelled
     //    and re-parented in canonical (dist, id) order — which is the
     //    heap finalisation order.
-    for &u in &scratch.cone {
+    for &u in &cone {
         out.dist[u.index()] = None;
         out.hops[u.index()] = None;
         out.next[u.index()] = None;
     }
+    scratch.cone = cone;
     for &u in &scratch.order {
         out.dist[u.index()] = Some(scratch.dist[u.index()]);
     }
-    for &u in &scratch.order {
-        let (h, dart) = select_parent(out, graph, scratch, u);
-        out.hops[u.index()] = Some(h);
-        out.next[u.index()] = Some(dart);
-    }
+    select_parents(out, graph, scratch);
 }
 
 #[cfg(test)]

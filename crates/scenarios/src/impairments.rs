@@ -335,13 +335,6 @@ impl<F: TemporalFamily> TemporalFamily for Impaired<'_, F> {
         self.impair(index, &mut scenario);
         scenario
     }
-
-    /// Delegates to the inner family: decorating must not change the
-    /// *run* seeds, only the timeline — so an impaired sweep stays
-    /// packet-for-packet comparable with its clean counterpart.
-    fn seed_for(&self, base_seed: u64, index: usize) -> u64 {
-        self.inner.seed_for(base_seed, index)
-    }
 }
 
 #[cfg(test)]
@@ -505,8 +498,6 @@ mod tests {
             assert_eq!(a.scenario(i), b.scenario(i), "stack is pure in (index, seeds)");
             assert_eq!(a.scenario(i), a.scenario(i), "re-enumeration is stable");
         }
-        // The run-seed discipline tunnels through the stack unchanged.
-        assert_eq!(a.seed_for(7, 3), inner.seed_for(7, 3));
     }
 
     #[test]

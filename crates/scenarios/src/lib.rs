@@ -13,9 +13,10 @@
 //!   matter how large the topology.
 //! * [`TemporalFamily`] — the analogous enumeration of **timed**
 //!   scenarios ([`TemporalScenario`]: a link-event trace plus the flow
-//!   it disturbs) for the discrete-event simulator, with per-scenario
-//!   deterministic seeding ([`TemporalFamily::seed_for`]) so parallel
-//!   temporal sweeps are bit-identical to serial at any thread count.
+//!   it disturbs) for the discrete-event simulator, pure in the
+//!   scenario index ([`scenario_seed`] where a family draws), so
+//!   parallel temporal sweeps are bit-identical to serial at any
+//!   thread count.
 //!
 //! ## Family taxonomy
 //!

@@ -64,11 +64,10 @@ pub struct TemporalScenario {
 /// timed counterpart of [`ScenarioFamily`](crate::ScenarioFamily).
 ///
 /// `scenario(i)` must be deterministic in `i` alone, and any
-/// randomness a run needs (Poisson gaps, jitter) must come from
-/// [`TemporalFamily::seed_for`], which derives a per-scenario seed
-/// from `(base_seed, index)` only. Together these make a parallel
-/// sweep's unit `i` compute exactly what a serial loop's iteration `i`
-/// computes, at any thread count.
+/// randomness a family draws (impairment processes, jitter) must come
+/// from [`scenario_seed`], a hash of `(seed, index)` only. Together
+/// these make a parallel sweep's unit `i` compute exactly what a
+/// serial loop's iteration `i` computes, at any thread count.
 pub trait TemporalFamily: Sync {
     /// Human-readable family name for reports.
     fn label(&self) -> String;
@@ -83,14 +82,6 @@ pub trait TemporalFamily: Sync {
 
     /// Constructs the `i`-th timed scenario (`i < len()`).
     fn scenario(&self, index: usize) -> TemporalScenario;
-
-    /// The RNG seed scenario `index` must run with: a splitmix64 hash
-    /// of `(base_seed, index)`, never shared state — so workers
-    /// claiming scenarios in any order still run identical
-    /// simulations.
-    fn seed_for(&self, base_seed: u64, index: usize) -> u64 {
-        scenario_seed(base_seed, index)
-    }
 }
 
 /// References delegate, so family combinators (the `Impaired`
@@ -108,15 +99,11 @@ impl<F: TemporalFamily + ?Sized> TemporalFamily for &F {
     fn scenario(&self, index: usize) -> TemporalScenario {
         (**self).scenario(index)
     }
-
-    fn seed_for(&self, base_seed: u64, index: usize) -> u64 {
-        (**self).seed_for(base_seed, index)
-    }
 }
 
 /// Boxes delegate too — `Box<dyn TemporalFamily>` is what the CLI
 /// builds, and wrapping it in an impairment stack must preserve the
-/// inner family's behaviour (including any overridden `seed_for`).
+/// inner family's behaviour.
 impl<F: TemporalFamily + ?Sized> TemporalFamily for Box<F> {
     fn label(&self) -> String {
         (**self).label()
@@ -129,15 +116,12 @@ impl<F: TemporalFamily + ?Sized> TemporalFamily for Box<F> {
     fn scenario(&self, index: usize) -> TemporalScenario {
         (**self).scenario(index)
     }
-
-    fn seed_for(&self, base_seed: u64, index: usize) -> u64 {
-        (**self).seed_for(base_seed, index)
-    }
 }
 
-/// Splitmix64 hash of `(base, index)` — the per-scenario seeding
-/// discipline of [`TemporalFamily::seed_for`], exposed for serial
-/// reference loops that must match the parallel engine bit for bit.
+/// Splitmix64 hash of `(base, index)` — the per-index seeding
+/// discipline of everything seeded here (impairment processes, flow
+/// sampling, hotspot picks): never shared state, so workers claiming
+/// indices in any order still draw identical streams.
 pub fn scenario_seed(base: u64, index: usize) -> u64 {
     let mut z = base ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -465,6 +449,5 @@ mod tests {
         let fam = OutageSweep::new(&g, OutageParams::default());
         assert_eq!(fam.scenario(3), fam.scenario(3));
         assert!(!fam.is_empty());
-        assert_eq!(fam.seed_for(9, 3), scenario_seed(9, 3));
     }
 }

@@ -3,10 +3,10 @@
 //!
 //! This is the bridge the parallel temporal sweeps stand on: a
 //! scenario is pure data (events + flow + timing knobs), the agent is
-//! compiled once per sweep, and this module turns `(scenario, agent,
-//! seed)` into [`Metrics`] with no hidden state — so a sweep engine
-//! can replay scenario `i` on any worker thread and get the bytes a
-//! serial loop would have produced.
+//! compiled once per sweep, and this module turns `(scenario, agent)`
+//! into [`Metrics`] with no hidden state — so a sweep engine can
+//! replay scenario `i` on any worker thread and get the bytes a serial
+//! loop would have produced.
 
 use pr_graph::{Graph, LinkSet};
 use pr_scenarios::TemporalScenario;
@@ -19,22 +19,21 @@ use crate::{Metrics, ReconvergingIgp, SimConfig, SimTime, Simulator, TimedForwar
 /// queue sizes); the scenario's own control-plane timing
 /// (`detection_delay_ns`, `up_holddown_ns`) overrides the
 /// corresponding `config` fields, because those knobs are part of what
-/// a temporal family varies. `seed` drives the simulator's RNG — pass
-/// [`pr_scenarios::TemporalFamily::seed_for`]`(base, index)` so
-/// parallel sweeps stay deterministic.
+/// a temporal family varies.
 pub fn run_scenario<T: TimedForwarding>(
     graph: &Graph,
     agent: &T,
     scenario: &TemporalScenario,
     config: &SimConfig,
-    seed: u64,
 ) -> Metrics {
     let config = SimConfig {
         detection_delay_ns: scenario.detection_delay_ns,
         up_holddown_ns: scenario.up_holddown_ns,
         ..config.clone()
     };
-    let mut sim = Simulator::new(graph, agent, config, seed);
+    // The simulator's RNG draws Poisson gaps only; a scenario's flow is
+    // CBR and never reads it, so the seed is a constant.
+    let mut sim = Simulator::new(graph, agent, config, 0);
     let f = &scenario.flow;
     sim.add_cbr_flow(
         f.src,
@@ -58,23 +57,14 @@ pub fn run_scenario<T: TimedForwarding>(
 /// steady-state failure view, sharing caller-hoisted pre-failure
 /// tables (`stale`) — those are failure-invariant, so a sweep computes
 /// them once and each scenario pays one `Arc` bump, never an all-pairs
-/// copy.
-pub fn igp_for(
-    graph: &Graph,
-    scenario: &TemporalScenario,
-    stale: &std::sync::Arc<pr_graph::AllPairs>,
-) -> ReconvergingIgp {
-    igp_for_with(graph, scenario, stale, &mut pr_graph::SpScratch::new())
-}
-
-/// [`igp_for`] with a caller-held Dijkstra arena: the post-failure
-/// tables are incrementally repaired from `stale` (bit-identical to a
+/// copy. The post-failure tables are incrementally repaired from
+/// `stale` through the caller-held Dijkstra arena (bit-identical to a
 /// full recompute), so a temporal sweep worker builds one IGP per
 /// scenario at affected-cone cost with zero arena allocations.
 ///
 /// `stale` must be the failure-free base map (as sweeps hoist it) —
 /// the repair precondition of [`pr_graph::SpTree::repair_from`].
-pub fn igp_for_with(
+pub fn igp_for(
     graph: &Graph,
     scenario: &TemporalScenario,
     stale: &std::sync::Arc<pr_graph::AllPairs>,
@@ -96,7 +86,7 @@ mod tests {
     use crate::Static;
     use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
     use pr_embedding::{CellularEmbedding, RotationSystem};
-    use pr_graph::{generators, AllPairs};
+    use pr_graph::{generators, AllPairs, SpScratch};
     use pr_scenarios::{OutageParams, OutageSweep, TemporalFamily};
 
     #[test]
@@ -109,17 +99,16 @@ mod tests {
         let fam = OutageSweep::new(&g, OutageParams::default());
         let sc = fam.scenario(0);
         let config = SimConfig::default();
-        let seed = fam.seed_for(2010, 0);
 
-        let pr = run_scenario(&g, &agent, &sc, &config, seed);
+        let pr = run_scenario(&g, &agent, &sc, &config);
         assert!(pr.injected > 0);
         // PR loses at most the detection window (~1 ms at 10 kpps ≈ 10
         // packets + in-flight).
         assert!(pr.delivery_ratio() > 0.99, "PR delivered {}", pr.delivery_ratio());
 
         let stale = std::sync::Arc::new(AllPairs::compute_all_live(&g));
-        let igp = igp_for(&g, &sc, &stale);
-        let m = run_scenario(&g, &igp, &sc, &config, seed);
+        let igp = igp_for(&g, &sc, &stale, &mut SpScratch::new());
+        let m = run_scenario(&g, &igp, &sc, &config);
         assert_eq!(m.injected, pr.injected, "same CBR schedule");
         // The IGP blackholes for the whole convergence window: 200 ms
         // at 10 kpps ≈ 2000 packets.
@@ -128,7 +117,7 @@ mod tests {
     }
 
     #[test]
-    fn driver_is_deterministic_in_seed() {
+    fn driver_replay_is_deterministic() {
         let g = generators::ring(4, 1);
         let emb = CellularEmbedding::new(&g, RotationSystem::identity(&g)).unwrap();
         let net =
@@ -137,8 +126,8 @@ mod tests {
         let fam = OutageSweep::new(&g, OutageParams::default());
         let sc = fam.scenario(1);
         let config = SimConfig::default();
-        let a = run_scenario(&g, &agent, &sc, &config, 7);
-        let b = run_scenario(&g, &agent, &sc, &config, 7);
-        assert_eq!(a, b, "identical scenario + seed must replay identically");
+        let a = run_scenario(&g, &agent, &sc, &config);
+        let b = run_scenario(&g, &agent, &sc, &config);
+        assert_eq!(a, b, "an identical scenario must replay identically");
     }
 }

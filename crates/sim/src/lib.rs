@@ -47,7 +47,7 @@ mod simulator;
 mod time;
 mod timed;
 
-pub use driver::{igp_for, igp_for_with, run_scenario};
+pub use driver::{igp_for, run_scenario};
 pub use event::EventQueue;
 pub use metrics::{Metrics, SimDropReason};
 pub use simulator::{SimConfig, Simulator};

@@ -97,48 +97,18 @@ impl ReconvergingIgp {
     /// tables take effect network-wide (failure time + detection +
     /// flooding + SPF + FIB install, collapsed into one number as in
     /// the paper's reconvergence discussion).
-    pub fn new(graph: &Graph, failed: &LinkSet, converged_at: SimTime) -> ReconvergingIgp {
-        Self::with_stale(
-            Arc::new(AllPairs::compute(graph, &LinkSet::empty(graph.link_count()))),
-            graph,
-            failed,
-            converged_at,
-        )
-    }
-
-    /// [`ReconvergingIgp::new`] with caller-supplied pre-failure
-    /// tables. The stale tables are failure-invariant, so a sweep over
-    /// many scenarios computes them once and shares them here at one
-    /// `Arc` bump per scenario, instead of re-running (or copying)
-    /// all-pairs Dijkstra each time.
     ///
-    /// The converged tables are recomputed from scratch, so `stale`
-    /// may be *any* routing state (e.g. tables that had already
-    /// converged around an earlier, different failure). When `stale`
-    /// is the failure-free map — the common sweep case — prefer
-    /// [`ReconvergingIgp::with_stale_repaired`], which derives the
-    /// converged tables by incremental repair instead.
-    pub fn with_stale(
-        stale: Arc<AllPairs>,
-        graph: &Graph,
-        failed: &LinkSet,
-        converged_at: SimTime,
-    ) -> ReconvergingIgp {
-        ReconvergingIgp { converged: AllPairs::compute(graph, failed), stale, converged_at }
-    }
-
-    /// [`ReconvergingIgp::with_stale`] with a caller-held Dijkstra
-    /// arena: the converged (post-failure) tables are produced by
-    /// **incremental repair** of the stale trees — bit-identical to
-    /// the full `AllPairs::compute`, but touching only the cones the
-    /// failure actually perturbs. Sweep workers hold one scratch and
-    /// build thousands of scenarios' IGPs through it.
+    /// The pre-failure tables are failure-invariant, so a sweep over
+    /// many scenarios computes them once and shares them here at one
+    /// `Arc` bump per scenario. The converged (post-failure) tables
+    /// are produced by **incremental repair** of the stale trees
+    /// through the caller-held Dijkstra arena — bit-identical to the
+    /// full `AllPairs::compute`, but touching only the cones the
+    /// failure actually perturbs.
     ///
     /// **Precondition** (inherited from [`pr_graph::SpTree::repair_from`]):
     /// `stale` must have been computed over a *subset* of `failed` —
-    /// in practice the failure-free base map. For stale tables that
-    /// already routed around other failures, use
-    /// [`ReconvergingIgp::with_stale`], which recomputes from scratch.
+    /// in practice the failure-free base map.
     pub fn with_stale_repaired(
         stale: Arc<AllPairs>,
         graph: &Graph,
@@ -191,6 +161,11 @@ mod tests {
     use super::*;
     use pr_graph::generators;
 
+    fn igp(g: &Graph, failed: &LinkSet, converged_at: SimTime) -> ReconvergingIgp {
+        let stale = Arc::new(AllPairs::compute_all_live(g));
+        ReconvergingIgp::with_stale_repaired(stale, g, failed, converged_at, &mut SpScratch::new())
+    }
+
     #[test]
     fn static_adapter_passes_through() {
         use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
@@ -212,7 +187,7 @@ mod tests {
         let g = generators::ring(5, 1);
         let direct = g.find_link(NodeId(1), NodeId(0)).unwrap();
         let failed = LinkSet::from_links(g.link_count(), [direct]);
-        let igp = ReconvergingIgp::new(&g, &failed, SimTime::from_millis(500));
+        let igp = igp(&g, &failed, SimTime::from_millis(500));
 
         let before =
             igp.decide_at(SimTime::from_millis(100), NodeId(1), None, NodeId(0), &mut (), &failed);
@@ -238,7 +213,7 @@ mod tests {
         let l01 = g.find_link(NodeId(0), NodeId(1)).unwrap();
         let l30 = g.find_link(NodeId(3), NodeId(0)).unwrap();
         let failed = LinkSet::from_links(g.link_count(), [l01, l30]);
-        let igp = ReconvergingIgp::new(&g, &failed, SimTime::ZERO);
+        let igp = igp(&g, &failed, SimTime::ZERO);
         let d = igp.decide_at(SimTime(1), NodeId(2), None, NodeId(0), &mut (), &failed);
         assert_eq!(d, ForwardDecision::Drop(DropReason::Unreachable));
     }

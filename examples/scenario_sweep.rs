@@ -51,8 +51,7 @@ fn main() {
 
     // --- A temporal family: timed outage of every link --------------
     let outages = OutageSweep::new(&graph, OutageParams::default());
-    let rows =
-        pr_bench::temporal::run(&graph, &net, &outages, &SimConfig::default(), 2010, threads);
+    let rows = pr_bench::temporal::run(&graph, &net, &outages, &SimConfig::default(), threads);
     let s = pr_bench::temporal::summarize(&rows);
     println!(
         "\ntimed outages ({} scenarios): PR lost {} of {} packets; \

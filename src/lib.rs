@@ -54,7 +54,7 @@
 //! | [`traffic`] (`pr-traffic`) | gravity/uniform/hot-spot matrices, flow sets, cone-delta replay, timeline replay, demand tallies |
 //!
 //! The experiment library (`pr-bench`) is not re-exported; `pr-cli`
-//! runs it (`pr experiment <name>`, see `DESIGN.md` §4 for the
+//! runs it (`pr experiment <name>`, see `DESIGN.md` §13 for the
 //! experiment-to-command map).
 
 #![warn(missing_docs)]
