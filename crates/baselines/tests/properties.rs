@@ -12,8 +12,12 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use pr_baselines::{FcpAgent, LfaAgent, NotViaAgent, ReconvergenceAgent};
-use pr_core::{generous_ttl, walk_packet, DropReason, WalkResult};
-use pr_graph::{algo, generators, Graph, LinkId, LinkSet, SpTree};
+use pr_core::{
+    generous_ttl, walk_packet, DiscriminatorKind, DropReason, ForwardingAgent, PrMode, PrNetwork,
+    WalkResult,
+};
+use pr_embedding::{CellularEmbedding, RotationSystem};
+use pr_graph::{algo, generators, AllPairs, Graph, LinkId, LinkSet, SpTree};
 
 fn arb_graph_and_failures() -> impl Strategy<Value = (Graph, LinkSet)> {
     (3usize..16, 0usize..10, 0u64..u64::MAX, 0usize..6).prop_map(|(n, chords, seed, failures)| {
@@ -34,8 +38,57 @@ fn arb_graph_and_failures() -> impl Strategy<Value = (Graph, LinkSet)> {
     })
 }
 
+/// The [`ForwardingAgent::decide`] contract the unit walker rests on:
+/// asked with a default header, `agent` decides the same and leaves
+/// the same header whichever interface the packet came in by — at
+/// every router, towards every destination.
+fn ignores_the_ingress_of_an_unmarked_packet<A: ForwardingAgent>(
+    g: &Graph,
+    agent: &A,
+    failed: &LinkSet,
+) -> Result<(), TestCaseError>
+where
+    A::State: PartialEq,
+{
+    for dest in g.nodes() {
+        for at in g.nodes().filter(|&at| at != dest) {
+            let mut fresh = A::State::default();
+            let at_the_source = agent.decide(at, None, dest, &mut fresh, failed);
+            for out in g.darts_from(at) {
+                let mut arrived = A::State::default();
+                let in_transit = agent.decide(at, Some(out.twin()), dest, &mut arrived, failed);
+                let label =
+                    format!("{} at {at} towards {dest}, in by {}", agent.label(), out.twin());
+                prop_assert_eq!(in_transit, at_the_source, "{}", label);
+                prop_assert!(arrived == fresh, "{}: {:?} vs {:?}", label, arrived, fresh);
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every scheme of the workspace forwards a packet nobody has
+    /// marked yet by where it is and where it is going alone.
+    #[test]
+    fn default_header_decisions_ignore_the_ingress((g, failed) in arb_graph_and_failures()) {
+        for mode in [PrMode::Basic, PrMode::DistanceDiscriminator] {
+            let emb = CellularEmbedding::new(&g, RotationSystem::identity(&g)).expect("connected");
+            let net = PrNetwork::compile(&g, emb, mode, DiscriminatorKind::Hops);
+            ignores_the_ingress_of_an_unmarked_packet(&g, &net.agent(&g), &failed)?;
+        }
+        let base = AllPairs::compute_all_live(&g);
+        ignores_the_ingress_of_an_unmarked_packet(&g, &FcpAgent::new(&g), &failed)?;
+        let cached = FcpAgent::cached_with_base(&g, &base);
+        ignores_the_ingress_of_an_unmarked_packet(&g, &cached, &failed)?;
+        ignores_the_ingress_of_an_unmarked_packet(&g, &LfaAgent::compute(&g), &failed)?;
+        let notvia = NotViaAgent::compute(&g);
+        ignores_the_ingress_of_an_unmarked_packet(&g, &notvia, &failed)?;
+        let reconverged = ReconvergenceAgent::converged_on(&g, &failed);
+        ignores_the_ingress_of_an_unmarked_packet(&g, &reconverged, &failed)?;
+    }
 
     /// FCP delivers every connected pair under every failure set —
     /// no embedding, no planarity, no exceptions.

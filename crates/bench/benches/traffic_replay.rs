@@ -8,7 +8,7 @@
 //! * `bitparallel` — the production dataplane
 //!   (`replay_scenario_bitparallel`): a failure-free baseline per
 //!   (FIB, flow set), corrected per scenario over the affected cones
-//!   only, per-flow walks for affected-but-connected sources.
+//!   only, one walk per failure point for the sources behind it.
 //!
 //! Both produce the identical `ScenarioTraffic` (asserted by the
 //! pr-traffic tests, proptests and the determinism suite); only the

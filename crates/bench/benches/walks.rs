@@ -1,31 +1,32 @@
-//! The walk-engine micro-benchmarks, plus the suffix-memo gate.
+//! The walk-engine micro-benchmarks, plus the unit-walk gate.
 //!
 //! **The gate** (runs even under `--test`, so CI's bench smoke step
-//! enforces it): on a 500-node synthetic ISP mesh, sweeping every
+//! enforces it): on a 500-node synthetic ISP mesh, answering every
 //! affected source of a set of (failure, destination) units through
-//! `walk_packet_spliced` must stay under an absolute ns/walk ceiling,
-//! after reproducing the plain per-source `walk_packet_with` sweep's
-//! tallies. Shared suffixes dominate these units (all sources converge
-//! downstream of the detour), so losing the memo shows as a multiple
-//! of the ceiling, not a few percent.
+//! `FlowUnit::walk` — what the sweeps run: one walk per failure point,
+//! every source behind it by arithmetic — must stay under an absolute
+//! ns/source ceiling, after reproducing the plain per-source
+//! `walk_packet_with` sweep's tallies. A unit that walks per source
+//! again shows as a multiple of the ceiling, not a few percent.
 
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pr_core::{
-    generous_ttl, walk_packet_spliced, walk_packet_with, DiscriminatorKind, PrAgent, PrMode,
-    PrNetwork, SuffixMemo, WalkScratch,
+    generous_ttl, walk_packet_with, DiscriminatorKind, FlowScratch, PrAgent, PrMode, PrNetwork,
+    WalkScratch,
 };
 use pr_embedding::{CellularEmbedding, RotationSystem};
 use pr_graph::generators::{self, MeshParams};
 use pr_graph::{AllPairs, Graph, LinkId, LinkSet, NodeId};
 
-/// Absolute ceiling on the memoized sweep's time per walk on the
-/// mesh-500 fixture: 4x the dev-container reading (107-190 ns/walk
-/// over four runs, median 113, at 86% spliced share). The plain sweep
-/// reads 620 ns/walk there, so a lost memo fails the gate.
-const NS_PER_WALK_CEILING: f64 = 450.0;
+/// Absolute ceiling on the unit sweep's time per affected source on
+/// the mesh-500 fixture: 4x the dev-container reading (55-56 ns per
+/// source over four runs; 1 272 sources behind 45 points). The plain
+/// sweep reads 718 ns per source there, so a unit that walks every
+/// source fails the gate.
+const NS_PER_SOURCE_CEILING: f64 = 220.0;
 
 /// One (failure, destination) unit with its affected sources.
 struct Unit {
@@ -78,24 +79,23 @@ fn sweep_plain(
     (delivered, cost)
 }
 
-/// The memoized unit sweep: identical walks, suffixes spliced.
-fn sweep_memoized(
+/// The unit sweep, as the scenario sweeps run it: each unit's points
+/// walked once, every source answered from its point.
+fn sweep_units(
     graph: &Graph,
     agent: &PrAgent<'_>,
+    base: &AllPairs,
     units: &[Unit],
     ttl: usize,
-    scratch: &mut WalkScratch<pr_core::PrHeader>,
-    memo: &mut SuffixMemo<pr_core::PrHeader>,
+    scratch: &mut FlowScratch<pr_core::PrHeader>,
 ) -> (u64, u64) {
     let (mut delivered, mut cost) = (0u64, 0u64);
     for unit in units {
-        memo.begin_unit();
+        let mut flows = scratch.unit(graph, agent, base.towards(unit.dst), &unit.failed);
         for &src in &unit.sources {
-            let w =
-                walk_packet_spliced(graph, agent, src, unit.dst, &unit.failed, ttl, scratch, memo);
-            if w.result.is_delivered() {
+            if let Some(c) = flows.walk(src, ttl).cost() {
                 delivered += 1;
-                cost += w.cost;
+                cost += c;
             }
         }
     }
@@ -111,52 +111,49 @@ fn mesh500() -> (Graph, PrNetwork) {
     (graph, net)
 }
 
-/// The suffix-memo regression gate on the 500-node mesh. Panics
-/// (failing the bench run, `--test` smoke mode included) when the
-/// memoized unit sweep exceeds the absolute ns/walk ceiling — no
-/// in-tree denominator. The sweep takes its best (minimum) of 20
-/// rounds, which is what a shared machine's throttling leaves alone.
-fn walk_memo_gate() {
+/// The unit-walk regression gate on the 500-node mesh. Panics (failing
+/// the bench run, `--test` smoke mode included) when the unit sweep
+/// exceeds the absolute ns/source ceiling — no in-tree denominator.
+/// The sweep takes its best (minimum) of 20 rounds, which is what a
+/// shared machine's throttling leaves alone.
+fn unit_walk_gate() {
     let (graph, net) = mesh500();
     let agent = net.agent(&graph);
     let base = AllPairs::compute_all_live(&graph);
     let units = build_units(&graph, &base);
-    let walks: usize = units.iter().map(|u| u.sources.len()).sum();
-    assert!(walks > 1_000, "mesh-500 gate needs a meaningful unit set, got {walks} walks");
+    let sources: usize = units.iter().map(|u| u.sources.len()).sum();
+    assert!(sources > 1_000, "mesh-500 gate needs a meaningful unit set, got {sources} sources");
     let ttl = generous_ttl(&graph);
-    let mut scratch = WalkScratch::new();
-    let mut memo = SuffixMemo::new();
+    let mut scratch = FlowScratch::new();
 
     // Warmup; the tallies must agree with the plain walker's or the
-    // memo is unsound and its timing meaningless.
-    let plain = sweep_plain(&graph, &agent, &units, ttl, &mut scratch);
-    let memoized = sweep_memoized(&graph, &agent, &units, ttl, &mut scratch, &mut memo);
-    assert_eq!(plain, memoized, "memoized sweep must reproduce plain deliveries and costs");
-    let stats = memo.take_stats();
-    assert!(stats.hits > 0, "the mesh-500 unit set must actually splice");
+    // unit is unsound and its timing meaningless.
+    let plain = sweep_plain(&graph, &agent, &units, ttl, &mut WalkScratch::new());
+    let shared = sweep_units(&graph, &agent, &base, &units, ttl, &mut scratch);
+    assert_eq!(plain, shared, "the unit sweep must reproduce plain deliveries and costs");
 
-    let mut memo_secs = f64::INFINITY;
+    let mut secs = f64::INFINITY;
     for _ in 0..20 {
         let t = Instant::now();
-        black_box(sweep_memoized(&graph, &agent, &units, ttl, &mut scratch, &mut memo));
-        memo_secs = memo_secs.min(t.elapsed().as_secs_f64());
+        black_box(sweep_units(&graph, &agent, &base, &units, ttl, &mut scratch));
+        secs = secs.min(t.elapsed().as_secs_f64());
     }
 
-    let ns_per_walk = memo_secs * 1e9 / walks as f64;
+    let ns_per_source = secs * 1e9 / sources as f64;
     println!(
-        "gate: mesh500 memoized sweep {ns_per_walk:.0}ns/walk \
-         (ceiling {NS_PER_WALK_CEILING:.0}ns/walk, {walks} walks, spliced share {:.1}%)",
-        100.0 * stats.spliced_share(),
+        "gate: mesh500 unit sweep {ns_per_source:.0}ns/source \
+         (ceiling {NS_PER_SOURCE_CEILING:.0}ns/source, {sources} sources of {} units)",
+        units.len(),
     );
     assert!(
-        ns_per_walk <= NS_PER_WALK_CEILING,
-        "walk gate: memoized sweep exceeded the ns/walk ceiling: \
-         {ns_per_walk:.0}ns > {NS_PER_WALK_CEILING:.0}ns"
+        ns_per_source <= NS_PER_SOURCE_CEILING,
+        "walk gate: the unit sweep exceeded the ns/source ceiling: \
+         {ns_per_source:.0}ns > {NS_PER_SOURCE_CEILING:.0}ns"
     );
 }
 
 fn bench_walks(c: &mut Criterion) {
-    walk_memo_gate();
+    unit_walk_gate();
 
     let (graph, net) = mesh500();
     let agent = net.agent(&graph);
@@ -169,10 +166,9 @@ fn bench_walks(c: &mut Criterion) {
         let mut scratch = WalkScratch::new();
         b.iter(|| black_box(sweep_plain(&graph, &agent, &units, ttl, &mut scratch)))
     });
-    group.bench_function(BenchmarkId::new("memoized", "mesh500"), |b| {
-        let mut scratch = WalkScratch::new();
-        let mut memo = SuffixMemo::new();
-        b.iter(|| black_box(sweep_memoized(&graph, &agent, &units, ttl, &mut scratch, &mut memo)))
+    group.bench_function(BenchmarkId::new("unit", "mesh500"), |b| {
+        let mut scratch = FlowScratch::new();
+        b.iter(|| black_box(sweep_units(&graph, &agent, &base, &units, ttl, &mut scratch)))
     });
     group.finish();
 }

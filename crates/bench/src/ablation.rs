@@ -106,16 +106,15 @@ fn pr_dd_sweep(
         || (plan.opener(), FlowScratch::<PrHeader>::new()),
         |_, _| (),
         |(opener, walks), unit, out: &mut PrDdPartial| {
-            let mut dd = walks.unit(graph, &agent, unit.dst, unit.failed);
+            let mut dd = walks.unit(graph, &agent, unit.base_tree, unit.failed);
             for (src, survivor) in opener.open(&unit) {
                 if survivor.is_none() {
                     continue;
                 }
                 out.evaluated += 1;
-                let w = dd.walk(src, plan.ttl());
-                if w.result.is_delivered() {
+                if let Some(cost) = dd.walk(src, plan.ttl()).cost() {
                     out.delivered += 1;
-                    out.stretches.push(w.cost as f64 / unit.base_tree.cost(src).unwrap() as f64);
+                    out.stretches.push(cost as f64 / unit.base_tree.cost(src).unwrap() as f64);
                 }
             }
         },
@@ -252,7 +251,7 @@ pub fn genus_delivery(
             || (plan.opener(), FlowScratch::<PrHeader>::new()),
             |_, _| (),
             |(opener, walks), unit, (evaluated, delivered): &mut (u64, u64)| {
-                let mut dd = walks.unit(graph, &agent, unit.dst, unit.failed);
+                let mut dd = walks.unit(graph, &agent, unit.base_tree, unit.failed);
                 let cone = opener.open(&unit);
                 // A source outside the cone keeps its shortest path,
                 // which PR follows to delivery while it meets no
@@ -265,7 +264,7 @@ pub fn genus_delivery(
                         continue;
                     }
                     *evaluated += 1;
-                    *delivered += u64::from(dd.walk(src, plan.ttl()).result.is_delivered());
+                    *delivered += u64::from(dd.walk(src, plan.ttl()).is_delivered());
                 }
             },
             |_, (evaluated, delivered)| {

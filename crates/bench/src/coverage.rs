@@ -164,22 +164,22 @@ pub fn run(
             // across the sweep.
             |w, _| w.fcp.begin_scenario(),
             |w, unit, cells: &mut BlockCells| {
-                let (dst, failed) = (unit.dst, unit.failed);
-                let mut basic = w.basic_walks.unit(graph, &basic_agent, dst, failed);
-                let mut dd = w.dd_walks.unit(graph, &dd_agent, dst, failed);
-                let mut fcp = w.fcp_walks.unit(graph, &w.fcp, dst, failed);
-                let mut lfa = w.lfa_walks.unit(graph, &compiled.lfa, dst, failed);
-                let mut notvia = w.notvia_walks.unit(graph, &compiled.notvia, dst, failed);
+                let (tree, failed) = (unit.base_tree, unit.failed);
+                let mut basic = w.basic_walks.unit(graph, &basic_agent, tree, failed);
+                let mut dd = w.dd_walks.unit(graph, &dd_agent, tree, failed);
+                let mut fcp = w.fcp_walks.unit(graph, &w.fcp, tree, failed);
+                let mut lfa = w.lfa_walks.unit(graph, &compiled.lfa, tree, failed);
+                let mut notvia = w.notvia_walks.unit(graph, &compiled.notvia, tree, failed);
                 for (src, survivor) in w.opener.open(&unit) {
                     if survivor.is_none() {
                         continue; // "| path" conditioning
                     }
                     let delivered = [
-                        basic.walk(src, ttl).result.is_delivered(),
-                        dd.walk(src, ttl).result.is_delivered(),
-                        fcp.walk(src, ttl).result.is_delivered(),
-                        lfa.walk(src, ttl).result.is_delivered(),
-                        notvia.walk(src, ttl).result.is_delivered(),
+                        basic.walk(src, ttl).is_delivered(),
+                        dd.walk(src, ttl).is_delivered(),
+                        fcp.walk(src, ttl).is_delivered(),
+                        lfa.walk(src, ttl).is_delivered(),
+                        notvia.walk(src, ttl).is_delivered(),
                     ];
                     for (cell, delivered) in cells.iter_mut().zip(delivered) {
                         cell.0 += 1;

@@ -17,9 +17,12 @@
 //!   cost (`None`: the failure disconnected it). The sweep opens one
 //!   `pr_core::FlowScratch::unit` per scheme, which evicts that
 //!   scheme's suffix memo at the only place it can be evicted, and
-//!   walks each connected source through it. Sources outside the cone
-//!   are never walked: their shortest path survives and every scheme
-//!   here delivers along it (`pr_core`'s `fib` module has the
+//!   asks it for each connected source. The unit walks once per
+//!   **failure point** — the router where the scheme first does
+//!   anything but forward along the failure-free tree — and answers
+//!   every source behind a point by arithmetic. Sources outside the
+//!   cone are never asked: their shortest path survives and every
+//!   scheme here delivers along it (`pr_core`'s `fib` module has the
 //!   argument).
 //! * **Work-unit parallelism** — units fan out over a hand-rolled
 //!   [`std::thread::scope`] worker pool: a chunked work queue over an

@@ -10,10 +10,11 @@
 //! The sweep is the engine's unit kernel ([`crate::engine`]) with three
 //! lanes: a worker's cone opener yields a unit's affected sources with
 //! their survivor cost — which *is* the reconvergence sample — and the
-//! FCP and PR lanes walk each connected one through their
-//! `pr_core::FlowScratch` unit. Workers fold blocks of consecutive
-//! destinations into [`StretchBlock`]s, which reach the calling thread
-//! in work-unit order while the pool runs.
+//! FCP and PR lanes answer each connected one from their
+//! `pr_core::FlowScratch` unit, one walk per failure point. Workers
+//! fold blocks of consecutive destinations into [`StretchBlock`]s,
+//! which reach the calling thread in work-unit order while the pool
+//! runs.
 //!
 //! The **result form** is the per-scenario [`ScenarioRow`]:
 //! [`run_rows`] folds each scenario's blocks into its row and drops
@@ -266,8 +267,8 @@ impl StretchWorker<'_> {
         let StretchWorker { plan, opener, fcp, fcp_walks, pr_walks } = self;
         let (graph, ttl) = (plan.cones.graph(), plan.cones.ttl());
         out.failures = unit.failed.len();
-        let mut fcp = fcp_walks.unit(graph, &*fcp, unit.dst, unit.failed);
-        let mut pr = pr_walks.unit(graph, &plan.pr_agent, unit.dst, unit.failed);
+        let mut fcp = fcp_walks.unit(graph, &*fcp, unit.base_tree, unit.failed);
+        let mut pr = pr_walks.unit(graph, &plan.pr_agent, unit.base_tree, unit.failed);
         let samples = &mut out.samples;
         // The debug-build cross-check of the survivor costs against
         // the reconvergence agent's own tables is per scenario in
@@ -286,17 +287,15 @@ impl StretchWorker<'_> {
             samples.reconvergence.push(reconv_cost as f64 / optimal as f64);
 
             // FCP: walk with incremental failure discovery.
-            match fcp.walk(src, ttl) {
-                w if w.result.is_delivered() => samples.fcp.push(w.cost as f64 / optimal as f64),
-                _ => samples.drop_fcp(),
+            match fcp.walk(src, ttl).cost() {
+                Some(cost) => samples.fcp.push(cost as f64 / optimal as f64),
+                None => samples.drop_fcp(),
             }
 
             // PR: cycle following.
-            match pr.walk(src, ttl) {
-                w if w.result.is_delivered() => {
-                    samples.packet_recycling.push(w.cost as f64 / optimal as f64)
-                }
-                _ => samples.drop_pr(),
+            match pr.walk(src, ttl).cost() {
+                Some(cost) => samples.packet_recycling.push(cost as f64 / optimal as f64),
+                None => samples.drop_pr(),
             }
         }
         out.stats.repair.merge(&opener.take_stats());

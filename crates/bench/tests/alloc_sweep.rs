@@ -5,8 +5,10 @@
 //! * **Walks leave the allocator alone.** Once a [`StretchWorker`]'s
 //!   buffers have grown to the topology, folding a scenario's units
 //!   again into an accumulator that already has the room makes no
-//!   allocator call at all — cone enumeration, label repair, FCP and
-//!   PR walks, delivered and dropped alike. A walk that clones a heap
+//!   allocator call at all — cone enumeration, label repair, the
+//!   climbs to the points (the two point tables of a flow scratch are
+//!   sized to the topology once), FCP and PR point walks, delivered
+//!   and dropped alike. A walk that clones a heap
 //!   header into every visited triple (what `FcpState` did as a
 //!   `Vec`) costs millions of calls per sweep and makes the workers
 //!   queue on each other's arenas.

@@ -1,5 +1,6 @@
-//! The unit kernel's first step against its definition.
+//! The unit kernel against its definitions.
 //!
+//! **First step.**
 //! Every topological sweep gets its sources from
 //! [`ConeOpener::open`](pr_bench::engine::ConeOpener::open). For each
 //! (failed set, destination) unit the opener must yield exactly the
@@ -9,8 +10,21 @@
 //! (`None` when the failure cut it off), and nothing for a unit no
 //! path of which crosses a failure. One opener serves every unit of a
 //! fixture, as a sweep worker's does.
+//!
+//! **Lanes.** Every scheme a sweep walks — PR basic and DD, FCP,
+//! LFA, not-via — answers a source through
+//! [`FlowUnit::walk`](pr_core::FlowUnit::walk): one walk per failure
+//! point, every source behind it by arithmetic. Each answer must be
+//! plain `walk_packet`'s on the same flow, over fixtures that drive
+//! every shape a unit's groups take ([`Groups`]).
 
+use pr_baselines::{FcpAgent, LfaAgent, NotViaAgent};
 use pr_bench::engine::{ConeOpener, ConePlan, SweepUnit};
+use pr_core::{
+    generous_ttl, walk_packet, DiscriminatorKind, FlowScratch, FlowWalk, ForwardingAgent, PrMode,
+    PrNetwork,
+};
+use pr_embedding::{CellularEmbedding, RotationSystem};
 use pr_graph::{algo, Graph, LinkId, LinkSet, NodeId, SpTree};
 use pr_scenarios::{ExhaustiveKFailures, ScenarioFamily};
 use pr_topologies::{Isp, Weighting};
@@ -89,4 +103,164 @@ fn positive_genus_mesh_sampled_sets_open_to_their_definition() {
     assert!(seen.empty_cones > 0);
     assert!(seen.disconnecting_sets > 0, "the sample must include cuts");
     assert!(seen.cut_off_sources > 0);
+}
+
+/// The shapes the groups of a unit took, OR-ed over every unit and
+/// lane of a fixture, so a vacuous pass cannot hide.
+#[derive(Debug, Default)]
+struct Groups {
+    /// A point that is the root of an outermost cone.
+    point_at_cone_root: bool,
+    /// A point on the tree path of another point of the unit.
+    nested_points: bool,
+    /// A point whose own tree dart is live — FCP learning a failure
+    /// next to the path, not on it.
+    point_off_the_failed_tree: bool,
+    /// Two points of a unit whose sources interleave in source order.
+    interleaved_points: bool,
+    /// A point the survivor graph connects whose walk is dropped.
+    dropped_point: bool,
+    /// A source walked on its own because its prefix plus the point's
+    /// walk does not fit the budget.
+    ttl_fallback: bool,
+    /// An unaffected source: its point is the destination.
+    point_at_destination: bool,
+}
+
+/// Holds one scheme's lane to plain `walk_packet`: every source of
+/// every destination under `failed`, through one unit per destination.
+fn check_lane<A: ForwardingAgent>(
+    plan: &ConePlan<'_>,
+    agent: &A,
+    scratch: &mut FlowScratch<A::State>,
+    failed: &LinkSet,
+    ttl: usize,
+    seen: &mut Groups,
+) where
+    A::State: std::hash::Hash + Eq,
+{
+    let g = plan.graph();
+    for dst in g.nodes() {
+        let tree = plan.base().towards(dst);
+        let live = SpTree::towards(g, dst, failed);
+        let mut unit = scratch.unit(g, agent, tree, failed);
+        let mut points = Vec::new();
+        for src in g.nodes().filter(|&src| src != dst) {
+            let label = format!("{} failed {failed:?} {src}->{dst} ttl {ttl}", agent.label());
+            let want = walk_packet(g, agent, src, dst, failed, ttl);
+            let got = unit.walk(src, ttl);
+            assert_eq!(got.is_delivered(), want.result.is_delivered(), "{label}");
+            if let FlowWalk::Recovered { cost, hops } = got {
+                assert_eq!(cost, want.cost(g), "{label}");
+                assert_eq!(hops as usize, want.path.hop_count(), "{label}");
+            }
+            let point = unit.point_of(src);
+            seen.point_at_destination |= point == dst;
+            if point != dst {
+                points.push(point);
+                let reached = walk_packet(g, agent, point, dst, failed, ttl);
+                seen.dropped_point |= live.reaches(point) && !reached.result.is_delivered();
+                seen.ttl_fallback |= reached.result.is_delivered() && !got.is_delivered();
+            }
+        }
+        seen.interleaved_points |= points.iter().enumerate().any(|(i, point)| {
+            let last = points.iter().rposition(|other| other == point).unwrap();
+            points[i..last].iter().any(|other| other != point)
+        });
+        points.sort_unstable();
+        points.dedup();
+        for &point in &points {
+            let above = tree.path_darts(g, point).expect("connected base graph");
+            let below_a_failed_edge = failed.contains_dart(above[0]);
+            let outermost = !above[1..].iter().any(|d| failed.contains_dart(*d));
+            seen.point_at_cone_root |= below_a_failed_edge && outermost;
+            seen.point_off_the_failed_tree |= !below_a_failed_edge;
+            seen.nested_points |=
+                above.iter().any(|d| points.binary_search(&g.dart_head(*d)).is_ok());
+        }
+    }
+}
+
+/// All five lanes of the coverage sweep (the stretch sweep's two are
+/// among them) under each failed set.
+fn check_lanes(g: &Graph, rotation: RotationSystem, sets: &[LinkSet], ttl: usize) -> Groups {
+    let plan = ConePlan::new(g);
+    let embedding = CellularEmbedding::new(g, rotation).expect("connected");
+    let compile = |mode| PrNetwork::compile(g, embedding.clone(), mode, DiscriminatorKind::Hops);
+    let (basic, dd) = (compile(PrMode::Basic), compile(PrMode::DistanceDiscriminator));
+    let fcp = FcpAgent::cached_with_base(g, plan.base());
+    let (lfa, notvia) = (LfaAgent::compute(g), NotViaAgent::compute(g));
+    let (mut basic_walks, mut dd_walks) = (FlowScratch::new(), FlowScratch::new());
+    let (mut fcp_walks, mut lfa_walks, mut notvia_walks) =
+        (FlowScratch::new(), FlowScratch::new(), FlowScratch::new());
+    let mut seen = Groups::default();
+    for failed in sets {
+        fcp.begin_scenario();
+        check_lane(&plan, &basic.agent(g), &mut basic_walks, failed, ttl, &mut seen);
+        check_lane(&plan, &dd.agent(g), &mut dd_walks, failed, ttl, &mut seen);
+        check_lane(&plan, &fcp, &mut fcp_walks, failed, ttl, &mut seen);
+        check_lane(&plan, &lfa, &mut lfa_walks, failed, ttl, &mut seen);
+        check_lane(&plan, &notvia, &mut notvia_walks, failed, ttl, &mut seen);
+    }
+    seen
+}
+
+#[test]
+fn every_lane_answers_as_walk_packet_on_abilene_singles_and_pairs() {
+    let g = pr_topologies::load(Isp::Abilene, Weighting::Distance);
+    let rotation = pr_embedding::heuristics::thorough(&g, 2010, 4, 10_000);
+    let sets: Vec<LinkSet> = [1, 2]
+        .into_iter()
+        .flat_map(|k| {
+            let family = ExhaustiveKFailures::new(&g, k);
+            (0..family.len()).map(|i| family.scenario(i)).collect::<Vec<_>>()
+        })
+        .collect();
+    let seen = check_lanes(&g, rotation.clone(), &sets, generous_ttl(&g));
+    assert!(seen.point_at_cone_root && seen.nested_points, "{seen:?}");
+    assert!(seen.point_off_the_failed_tree && seen.interleaved_points, "{seen:?}");
+    assert!(seen.point_at_destination, "{seen:?}");
+    assert!(seen.dropped_point, "LFA does not protect every pair: {seen:?}");
+    assert!(!seen.ttl_fallback, "{seen:?}");
+    // A budget most detours fit and the longest do not: sources far
+    // behind a point run out where the point itself still arrives.
+    let seen = check_lanes(&g, rotation, &sets, g.node_count() / 2);
+    assert!(seen.ttl_fallback, "{seen:?}");
+}
+
+#[test]
+fn every_lane_answers_as_walk_packet_where_pr_walks_livelock() {
+    // Identity rotation: positive genus, so connected PR points drop.
+    let g = pr_graph::generators::synth_from_spec("isp:24:7").expect("synth spec");
+    let mut rng = StdRng::seed_from_u64(7);
+    let sets: Vec<LinkSet> = (0..60)
+        .map(|scenario| {
+            let mut failed = LinkSet::empty(g.link_count());
+            while failed.len() < 1 + scenario % 4 {
+                failed.insert(LinkId(rng.gen_range(0..g.link_count() as u32)));
+            }
+            failed
+        })
+        .collect();
+    for ttl in [generous_ttl(&g), g.node_count()] {
+        let seen = check_lanes(&g, RotationSystem::identity(&g), &sets, ttl);
+        assert!(seen.dropped_point && seen.nested_points, "ttl {ttl}: {seen:?}");
+        assert!(seen.interleaved_points, "ttl {ttl}: {seen:?}");
+    }
+}
+
+#[test]
+fn the_fcp_lane_groups_by_where_a_failure_is_learnt() {
+    // The pair `crates/traffic/tests/properties.rs` pins: p3x0 learns
+    // its own dead link before its path breaks at p2x0, and pays 43
+    // where first-failed-tree-link grouping would price 8 + 42.
+    let g = pr_graph::generators::synth_from_spec("isp:40:7").expect("synth spec");
+    let link = |a: &str, b: &str| {
+        let (a, b) = (g.node_by_name(a).unwrap(), g.node_by_name(b).unwrap());
+        g.find_link(a, b).unwrap()
+    };
+    let failed = LinkSet::from_links(g.link_count(), [link("p2x0", "p2x1"), link("p3x0", "p3x1")]);
+    let rotation = RotationSystem::geometric(&g).expect("mesh has coordinates");
+    let seen = check_lanes(&g, rotation, &[failed], generous_ttl(&g));
+    assert!(seen.point_off_the_failed_tree, "{seen:?}");
 }

@@ -208,9 +208,9 @@ pub fn sweep(args: &Args) -> CmdResult {
                 );
                 let (hit, spliced) = (100.0 * memo.hit_rate(), 100.0 * memo.spliced_share());
                 println!(
-                    "walk memo:     hit rate {hit:.1}% ({} splices / {} lookups), \
-                     spliced steps {spliced:.1}% of walk work",
-                    memo.hits, memo.lookups
+                    "walk memo:     {} walks for {} sources, hit rate {hit:.1}% \
+                     ({} splices / {} lookups), spliced steps {spliced:.1}% of walk work",
+                    memo.walks, memo.shared, memo.hits, memo.lookups
                 );
             }
             emit(

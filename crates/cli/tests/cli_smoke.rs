@@ -139,7 +139,7 @@ fn plain_and_sharded_sweeps_leave_the_same_artefacts_and_stats_lines() {
 affected connected pairs: 398, disconnected (excluded): 0, undelivered: 0 (fcp 0, packet-recycling 0)
 mean stretch:  reconvergence 2.274  fcp 2.590  packet-recycling 3.612
 spt repair:    180 repairs, cone 36.9% of nodes (hit rate 63.1%), 0 full rebuilds
-walk memo:     hit rate 13.8% (323 splices / 2336 lookups), spliced steps 28.0% of walk work
+walk memo:     528 walks for 796 sources, hit rate 3.8% (59 splices / 1546 lookups), spliced steps 6.1% of walk work
 ";
     assert!(text.ends_with(tail), "{text}");
 }
@@ -167,11 +167,16 @@ P(stretch>  15):       0.0017    0.0017    0.0391
 fn a_sweep_without_samples_has_no_mean_stretch_sharded_or_not() {
     // On a path every link is a bridge: each single failure
     // disconnects every pair it affects, so no scheme gets a sample.
-    // (A fixed name: the sharded run's checkpoint directory under
-    // results/ is named after it and is cleared by the next run.)
     let topo = std::env::temp_dir().join("pr-cli-smoke-path3.topo");
     std::fs::write(&topo, "node A\nnode B\nnode C\nlink A B 1\nlink B C 1\n").unwrap();
     let topo = topo.to_str().unwrap();
+    // The sharded run's checkpoint directory under results/ is named
+    // after the topology path.
+    let slug: String =
+        topo.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '-' }).collect();
+    let checkpoints = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../results")
+        .join(format!("sweep_{slug}_single"));
     for command in [
         vec!["sweep", topo, "--family", "single"],
         vec!["sweep", topo, "--family", "single", "--shards", "2"],
@@ -186,6 +191,7 @@ fn a_sweep_without_samples_has_no_mean_stretch_sharded_or_not() {
         );
     }
     std::fs::remove_file(topo).unwrap();
+    std::fs::remove_dir_all(checkpoints).unwrap();
 }
 
 #[test]

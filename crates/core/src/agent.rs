@@ -82,6 +82,17 @@ pub trait ForwardingAgent {
     /// engine delivers before consulting the agent) that arrived over
     /// `ingress` (`None` at the source) and is headed for `dest`,
     /// given the currently failed links.
+    ///
+    /// **Contract: a default-header decision does not depend on
+    /// `ingress`.** Called with `*state == Self::State::default()`, an
+    /// agent must return the same decision and leave the same header
+    /// whatever `ingress` is: a packet no router has marked yet is
+    /// forwarded by where it is and where it is going alone (the
+    /// paper's §4 "conventional" forwarding until a failure is met).
+    /// [`FlowUnit`](crate::FlowUnit) rests on it — every source whose
+    /// failure-free path reaches a router with the header still
+    /// default shares that router's one walk — and debug builds assert
+    /// it on every router a unit climbs through.
     fn decide(
         &self,
         at: NodeId,

@@ -13,14 +13,16 @@
 //!   — the *cones* — and in pre-order a cone is one contiguous slice:
 //!   [`DenseFib::cones_into`] finds them in two reads per failed link,
 //!   and everything replay does per scenario streams over those slices.
-//! * [`recover_flow_with`] — the walk of one affected-but-connected
-//!   flow: the walker's one hop loop with the unit's [`SuffixMemo`], so
-//!   a recovery walk that meets a triple an earlier source of the same
-//!   (failed set, destination) unit already resolved splices the rest.
-//!   It walks through a [`FlowUnit`], the guard that opens the unit on
-//!   the worker's [`FlowScratch`]; nothing here allocates per flow.
-//!   Scenario sweeps walk through the same guard
-//!   ([`FlowUnit::walk`]): they want a walk's totals, not its darts.
+//! * [`FlowUnit`] — one open (failed set, destination) unit on a
+//!   worker's [`FlowScratch`], and the only way to walk. A unit climbs
+//!   each source's failure-free path to its **point**, the first
+//!   router that does anything but forward a still-unmarked packet
+//!   along the tree, walks each point **once** through the walker's
+//!   one hop loop and the unit's [`SuffixMemo`], and answers every
+//!   source behind a point by arithmetic ([`FlowUnit::walk`], what the
+//!   scenario sweeps call). Replay walks the points itself through
+//!   [`recover_flow_with`], which also hands it the darts to load.
+//!   Nothing here allocates per flow.
 //!
 //! Delivering the unaffected flows along their tree paths without ever
 //! consulting the agent is sound for every scheme in this workspace
@@ -35,11 +37,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pr_graph::{AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, TreeChildren};
+use pr_graph::{AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, SpTree, TreeChildren};
 
-use crate::walker::walk_hops;
+use crate::memo::MemoHit;
+use crate::walker::{walk_hops, Seed};
 use crate::{
-    DropReason, ForwardingAgent, MemoStats, SplicedWalk, SuffixMemo, WalkResult, WalkScratch,
+    DropReason, ForwardDecision, ForwardingAgent, MemoStats, SuffixMemo, WalkResult, WalkScratch,
 };
 
 /// Identity of one construction of a value that is expensive to
@@ -257,7 +260,8 @@ impl DenseFib {
     }
 }
 
-/// Outcome of one recovery walk ([`recover_flow_with`]).
+/// Outcome of one flow of a unit ([`FlowUnit::walk`],
+/// [`recover_flow_with`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowWalk {
     /// The agent delivered the flow over a detour.
@@ -286,12 +290,21 @@ impl FlowWalk {
     }
 }
 
-/// Reusable per-worker state of one scheme's walks — replay's recovery
-/// walks and the sweeps' per-source walks alike: the livelock detector
-/// and the per-unit suffix memo, plus the dart buffer a recovery walk
-/// stages its path in (committed to the caller's `on_dart` hook only
-/// once the flow is known to deliver, so a dropped walk leaves no load
-/// behind).
+/// A table entry that is live only while `unit` is the open unit's
+/// stamp, so opening a unit forgets every entry in O(1).
+#[derive(Debug, Clone, Copy)]
+struct Stamped<T> {
+    unit: u32,
+    value: T,
+}
+
+/// Reusable per-worker state of one scheme's walks, replay's and the
+/// sweeps' alike: the livelock detector and the per-unit suffix memo,
+/// the dart buffer a walk stages its path in (released to a caller's
+/// `on_dart` hook only once the flow is known to deliver, so a dropped
+/// walk leaves no load behind), and the unit's two node-indexed tables
+/// — where each climbed router's **point** is, and what each point's
+/// one walk came to. All of it is sized to the topology once.
 ///
 /// Walking goes through [`FlowScratch::unit`].
 #[derive(Debug)]
@@ -299,29 +312,62 @@ pub struct FlowScratch<S> {
     walk: WalkScratch<S>,
     memo: SuffixMemo<S>,
     path: Vec<Dart>,
+    /// Per router, the point the climb from it ends at.
+    point: Vec<Stamped<u32>>,
+    /// Per point, the outcome of its walk.
+    outcome: Vec<Stamped<FlowWalk>>,
+    /// Stamp of the open unit (starts at 1: zeroed entries are stale).
+    unit: u32,
+    /// What the unit's latest delivered walk has to teach the memo. It
+    /// is planted when the unit walks again — most units have a single
+    /// point, and a memo nobody will read is not worth building.
+    unplanted: Option<Seed>,
 }
 
 impl<S> FlowScratch<S> {
     /// Fresh scratch state; buffers grow to the topology on first use.
     pub fn new() -> FlowScratch<S> {
-        FlowScratch { walk: WalkScratch::new(), memo: SuffixMemo::new(), path: Vec::new() }
+        FlowScratch {
+            walk: WalkScratch::new(),
+            memo: SuffixMemo::new(),
+            path: Vec::new(),
+            point: Vec::new(),
+            outcome: Vec::new(),
+            unit: 1,
+            unplanted: None,
+        }
     }
 
-    /// Opens the work unit of flows towards `dest` under `failed`,
-    /// forwarded by `agent`: evicts whatever the previous unit
-    /// memoized and returns the guard the flow walkers take. Memoized
-    /// suffixes are valid for exactly one such unit, and the guard is
-    /// the only way to walk, so the function that owns the destination
-    /// loop cannot forget the boundary.
+    /// Opens the work unit of flows towards `tree.dest` under `failed`,
+    /// forwarded by `agent` — `tree` being the destination's
+    /// failure-free tree, the one the agent forwards along while it
+    /// meets no failure. Evicts whatever the previous unit memoized
+    /// and returns the guard the flow walkers take. Memoized suffixes
+    /// and point outcomes are valid for exactly one such unit, and the
+    /// guard is the only way to walk, so the function that owns the
+    /// destination loop cannot forget the boundary.
     pub fn unit<'a, A: ForwardingAgent<State = S>>(
         &'a mut self,
         graph: &'a Graph,
         agent: &'a A,
-        dest: NodeId,
+        tree: &'a SpTree,
         failed: &'a LinkSet,
     ) -> FlowUnit<'a, A> {
         self.memo.begin_unit();
-        FlowUnit { graph, agent, dest, failed, scratch: self }
+        self.unplanted = None;
+        let n = graph.node_count();
+        if self.unit == u32::MAX || self.point.len() != n {
+            // A new topology, or stamp wrap-around (once per 2^32
+            // units): no old entry may alias the restarted counter.
+            self.point.clear();
+            self.point.resize(n, Stamped { unit: 0, value: 0 });
+            self.outcome.clear();
+            let never = FlowWalk::Dropped(DropReason::NoRoute);
+            self.outcome.resize(n, Stamped { unit: 0, value: never });
+            self.unit = 0;
+        }
+        self.unit += 1;
+        FlowUnit { graph, agent, tree, failed, scratch: self }
     }
 }
 
@@ -333,11 +379,31 @@ impl<S> Default for FlowScratch<S> {
 
 /// One open (failed set, destination) unit on a [`FlowScratch`]: what
 /// every flow of the unit has in common, and therefore everything the
-/// unit's suffix memo is keyed by. Obtained from [`FlowScratch::unit`].
+/// unit's suffix memo and point tables are keyed by. Obtained from
+/// [`FlowScratch::unit`].
+///
+/// # One walk per failure point
+///
+/// A packet is forwarded along the destination's failure-free tree,
+/// header untouched, until some router does anything else. That router
+/// is the source's **point** ([`FlowUnit::point_of`]), and by the
+/// [`ForwardingAgent::decide`] contract — a default-header decision
+/// does not depend on `ingress` — what happens from there on is the
+/// same for every source whose tree path reaches the point, and the
+/// same as for a packet *starting* there. So a unit walks each point
+/// once and answers every source behind it by arithmetic: tree cost to
+/// the point plus the point's walk ([`FlowUnit::walk`]).
+///
+/// Why that is exact, for any deterministic agent obeying the contract:
+/// from the point on, the visited triples of the source's walk are
+/// those of the point's own; a delivered trajectory never re-enters
+/// the clear prefix with a default header (it would meet the point
+/// again in the state it left it in, and cycle); and a point that
+/// drops, drops every source behind it.
 pub struct FlowUnit<'a, A: ForwardingAgent> {
     graph: &'a Graph,
     agent: &'a A,
-    dest: NodeId,
+    tree: &'a SpTree,
     failed: &'a LinkSet,
     scratch: &'a mut FlowScratch<A::State>,
 }
@@ -346,24 +412,144 @@ impl<A: ForwardingAgent> FlowUnit<'_, A>
 where
     A::State: std::hash::Hash + Eq,
 {
-    /// Walks one packet of the unit from `src` and reports outcome,
-    /// cost and steps without its darts — what a sweep wants of a
-    /// walk. The same hop loop and unit memo as [`recover_flow_with`],
-    /// so the totals are [`walk_packet`](crate::walk_packet)'s.
-    pub fn walk(&mut self, src: NodeId, ttl: usize) -> SplicedWalk {
-        let FlowScratch { walk, memo, .. } = &mut *self.scratch;
+    /// The **point** of `src`: the first router on its failure-free
+    /// path — `src` itself included — where the agent, asked with a
+    /// default header, does anything but forward on the live tree dart
+    /// and leave the header default. The destination if there is none
+    /// (no failure touches the path). Not "the first failed tree link":
+    /// FCP marks the header at any router *incident* to a failed link,
+    /// on the tree path or not.
+    ///
+    /// Each router is asked once per unit: the climb stops at the first
+    /// router an earlier climb passed and marks every router it passes.
+    pub fn point_of(&mut self, src: NodeId) -> NodeId {
+        let unit = self.scratch.unit;
+        let (mut at, mut ingress) = (src, None);
+        let point = loop {
+            let known = self.scratch.point[at.index()];
+            if known.unit == unit {
+                break NodeId(known.value);
+            }
+            let Some(dart) = self.clear_dart(at, ingress) else { break at };
+            (at, ingress) = (self.graph.dart_head(dart), Some(dart));
+        };
+        let mut at = src;
+        loop {
+            let slot = &mut self.scratch.point[at.index()];
+            if slot.unit == unit {
+                break;
+            }
+            *slot = Stamped { unit, value: point.0 };
+            if at == point {
+                break;
+            }
+            let dart = self.tree.next_dart(at).expect("the climb went over this router");
+            at = self.graph.dart_head(dart);
+        }
+        point
+    }
+
+    /// The tree dart of `at` if `at` is **clear**: the dart is live
+    /// and the agent, asked with a default header, forwards on it and
+    /// leaves the header default. `ingress` is the dart the climb came
+    /// in by; only the debug-build contract check reads it.
+    fn clear_dart(&self, at: NodeId, ingress: Option<Dart>) -> Option<Dart> {
+        let dart = self.tree.next_dart(at).filter(|&d| !self.failed.contains_dart(d))?;
+        let dest = self.tree.dest;
+        let mut header = A::State::default();
+        let decision = self.agent.decide(at, None, dest, &mut header, self.failed);
+        if cfg!(debug_assertions) && ingress.is_some() {
+            let mut arrived = A::State::default();
+            let again = self.agent.decide(at, ingress, dest, &mut arrived, self.failed);
+            debug_assert!(
+                again == decision && arrived == header,
+                "{}: a default-header decision at {at} depends on the ingress",
+                self.agent.label()
+            );
+        }
+        let clear = decision == ForwardDecision::Forward(dart) && header == A::State::default();
+        clear.then_some(dart)
+    }
+
+    /// Answers one packet of the unit from `src`: outcome, cost and
+    /// hops of [`walk_packet`](crate::walk_packet) on the same flow,
+    /// without its darts — what a sweep wants of a walk. The source's
+    /// point is walked if this unit has not walked it yet, and `src`
+    /// is the tree path to the point plus that walk. A dropped point
+    /// drops `src` with the point's reason (the walker's own may be
+    /// another one: a loop the point's walk detects can be a spent TTL
+    /// from further away).
+    ///
+    /// Per-source walking is the **TTL fallback**: a source whose
+    /// prefix plus the point's steps does not fit `ttl` is walked from
+    /// where it starts.
+    pub fn walk(&mut self, src: NodeId, ttl: usize) -> FlowWalk {
+        let point = self.point_of(src);
+        let recorded = self.scratch.outcome[point.index()];
+        let settled = if recorded.unit == self.scratch.unit {
+            recorded.value
+        } else {
+            self.hop_walk(point, ttl, true).0
+        };
+        let answer = match settled {
+            FlowWalk::Recovered { cost, hops } => {
+                let (ahead_cost, ahead_hops) = self.ahead(src, point);
+                if ahead_hops as usize + hops as usize > ttl {
+                    return self.hop_walk(src, ttl, false).0;
+                }
+                FlowWalk::Recovered { cost: ahead_cost + cost, hops: ahead_hops + hops }
+            }
+            dropped => dropped,
+        };
+        self.scratch.memo.record_shared();
+        answer
+    }
+
+    /// Cost and hops of the tree path from `src` to its `point`.
+    fn ahead(&self, src: NodeId, point: NodeId) -> (u64, u32) {
+        if src == point {
+            return (0, 0);
+        }
+        let base =
+            |v| self.tree.cost(v).zip(self.tree.hops(v)).expect("a climbed router is in the tree");
+        let ((cost, hops), (point_cost, point_hops)) = (base(src), base(point));
+        (cost - point_cost, hops - point_hops)
+    }
+
+    /// Runs the walker's one hop loop from `src` with the unit's memo,
+    /// staging the darts it takes, and reports the flow with the
+    /// memoized tail it was spliced onto, if it was. When `src` is its
+    /// own point (`is_point`) the outcome is recorded for the sources
+    /// behind it — unless the budget ran out, which says nothing about
+    /// a larger one.
+    fn hop_walk(&mut self, src: NodeId, ttl: usize, is_point: bool) -> (FlowWalk, Option<MemoHit>) {
+        let FlowScratch { walk, memo, path, outcome, unit, unplanted, .. } = &mut *self.scratch;
+        if let Some(seed) = unplanted.take() {
+            seed.plant(self.graph, walk, memo);
+        }
+        path.clear();
         let hops = walk_hops(
             self.graph,
             self.agent,
             src,
-            self.dest,
+            self.tree.dest,
             self.failed,
             ttl,
             walk,
             Some(memo),
-            |_| {},
+            |d| path.push(d),
         );
-        SplicedWalk { result: hops.result, cost: hops.cost, steps: hops.steps }
+        *unplanted = hops.seed;
+        let flow = match hops.result {
+            WalkResult::Delivered => {
+                FlowWalk::Recovered { cost: hops.cost, hops: hops.steps as u32 }
+            }
+            WalkResult::Dropped(reason) => FlowWalk::Dropped(reason),
+        };
+        if is_point && flow != FlowWalk::Dropped(DropReason::TtlExpired) {
+            outcome[src.index()] = Stamped { unit: *unit, value: flow };
+        }
+        (flow, hops.spliced)
     }
 
     /// The unit memo's counters since they were last taken (see
@@ -373,11 +559,11 @@ where
     }
 }
 
-/// Walks one flow of the unit from `src` through the agent — the
-/// replay dataplane calls it for exactly the flows that are **blocked
-/// but connected**: in a cone of the destination's tree
-/// ([`DenseFib::cones_into`]) and in the destination's survivor
-/// component. Everything else is priced without a walk.
+/// Walks one flow of the unit from `src` itself through the agent and
+/// hands its darts to `on_dart` — the per-link load accounting hook of
+/// the replay dataplane, which calls it once per **point** of a
+/// destination's cones, carrying the summed demand of the sources
+/// behind the point, and per source only as its TTL fallback.
 ///
 /// The walk is the walker's one hop loop with the unit's suffix memo:
 /// outcome, cost, hops and emitted darts are those of
@@ -385,8 +571,10 @@ where
 /// [`walk_packet_spliced`](crate::walk_packet_spliced) for why a
 /// splice is exact), the darts of a spliced tail read off the memoized
 /// chain. `on_dart` fires for every dart of a *delivered* path, in
-/// order — the per-link load accounting hook; a dropped walk emits
-/// nothing.
+/// order; a dropped walk emits nothing. When `src` is its own point
+/// ([`FlowUnit::point_of`]) the outcome is recorded as the point's, so
+/// [`FlowUnit::walk`] answers every source behind it without another
+/// walk — except a spent `ttl`, which is no verdict under a larger one.
 pub fn recover_flow_with<A: ForwardingAgent>(
     unit: &mut FlowUnit<'_, A>,
     src: NodeId,
@@ -396,29 +584,16 @@ pub fn recover_flow_with<A: ForwardingAgent>(
 where
     A::State: std::hash::Hash + Eq,
 {
-    let FlowScratch { walk, memo, path } = &mut *unit.scratch;
-    path.clear();
-    let hops = walk_hops(
-        unit.graph,
-        unit.agent,
-        src,
-        unit.dest,
-        unit.failed,
-        ttl,
-        walk,
-        Some(&mut *memo),
-        |d| path.push(d),
-    );
-    match hops.result {
-        WalkResult::Delivered => {
-            path.iter().copied().for_each(&mut on_dart);
-            if let Some(tail) = hops.spliced {
-                memo.tail_darts(tail).for_each(on_dart);
-            }
-            FlowWalk::Recovered { cost: hops.cost, hops: hops.steps as u32 }
+    let is_point = unit.point_of(src) == src;
+    let (flow, spliced) = unit.hop_walk(src, ttl, is_point);
+    if flow.is_delivered() {
+        let FlowScratch { memo, path, .. } = &*unit.scratch;
+        path.iter().copied().for_each(&mut on_dart);
+        if let Some(tail) = spliced {
+            memo.tail_darts(tail).for_each(on_dart);
         }
-        WalkResult::Dropped(reason) => FlowWalk::Dropped(reason),
     }
+    flow
 }
 
 #[cfg(test)]
@@ -589,7 +764,8 @@ mod tests {
         let direct = g.find_link(NodeId(1), NodeId(0)).unwrap();
         let failed = LinkSet::from_links(g.link_count(), [direct]);
         let mut scratch = FlowScratch::new();
-        let mut unit = scratch.unit(&g, &agent, NodeId(0), &failed);
+        let tree = SpTree::towards_all_live(&g, NodeId(0));
+        let mut unit = scratch.unit(&g, &agent, &tree, &failed);
         let mut darts = Vec::new();
         let walk = recover_flow_with(&mut unit, NodeId(1), generous_ttl(&g), |d| darts.push(d));
         assert_eq!(walk, FlowWalk::Recovered { cost: 5, hops: 5 }, "the long way around");
@@ -605,7 +781,7 @@ mod tests {
         // scratch for all of them: the unit walker prices each flow as
         // the one-shot `walk_packet` does, dart for dart — flows that
         // are cut off included (both drop, and emit nothing).
-        let (g, net, _, _) = ring_setup();
+        let (g, net, base, _) = ring_setup();
         let agent = net.agent(&g);
         let ttl = generous_ttl(&g);
         let mut scratch = FlowScratch::new();
@@ -615,7 +791,7 @@ mod tests {
                 let failed = LinkSet::from_links(g.link_count(), failed);
                 for dest in g.nodes() {
                     let live = SpTree::towards(&g, dest, &failed);
-                    let mut unit = scratch.unit(&g, &agent, dest, &failed);
+                    let mut unit = scratch.unit(&g, &agent, base.towards(dest), &failed);
                     for src in g.nodes().filter(|&src| src != dest) {
                         let mut darts = Vec::new();
                         let flow = recover_flow_with(&mut unit, src, ttl, |d| darts.push(d));

@@ -3,12 +3,13 @@
 //! Within one (failure set, destination) work unit the walker is a
 //! deterministic function of the visited triple
 //! `(router, ingress, header state)`: two walks that ever coincide on
-//! a triple traverse identical darts from that point on. Sweeps walk
-//! every affected source of a unit, and those trajectories converge
-//! onto shared suffixes (downstream of the re-cycling detour all
-//! sources follow the same darts toward the destination), so most of a
-//! unit's per-source work re-walks tails an earlier walk already
-//! resolved.
+//! a triple traverse identical darts from that point on. A unit walks
+//! once per failure point ([`FlowUnit`](crate::FlowUnit)), and the
+//! trajectories of its points converge onto shared suffixes
+//! (downstream of their detours they follow the same darts toward the
+//! destination), so a unit with several points — nested failures, or
+//! FCP learning a failure at more than one router — would re-walk
+//! tails an earlier point already resolved.
 //!
 //! [`SuffixMemo`] caches, per triple, the *remaining* cost and step
 //! count to delivery, plus the dart taken from the triple and the
@@ -52,6 +53,13 @@ pub struct MemoStats {
     pub spliced_steps: u64,
     /// Steps physically walked (darts actually traversed).
     pub walked_steps: u64,
+    /// Walks run through the hop loop with this memo — in a sweep, one
+    /// per failure point plus the TTL fallbacks.
+    pub walks: u64,
+    /// Sources answered from their point's one walk by arithmetic
+    /// ([`FlowUnit::walk`](crate::FlowUnit::walk)), the point itself
+    /// included.
+    pub shared: u64,
 }
 
 impl MemoStats {
@@ -81,6 +89,8 @@ impl MemoStats {
         self.hits += other.hits;
         self.spliced_steps += other.spliced_steps;
         self.walked_steps += other.walked_steps;
+        self.walks += other.walks;
+        self.shared += other.shared;
     }
 }
 
@@ -203,10 +213,18 @@ impl<S> SuffixMemo<S> {
         })
     }
 
-    /// Accounts `steps` darts physically traversed by a finished walk.
+    /// Accounts one finished walk and the `steps` darts it physically
+    /// traversed.
     #[inline]
     pub(crate) fn record_walked(&mut self, steps: u64) {
+        self.stats.walks += 1;
         self.stats.walked_steps += steps;
+    }
+
+    /// Accounts one source answered from its point's walk.
+    #[inline]
+    pub(crate) fn record_shared(&mut self) {
+        self.stats.shared += 1;
     }
 
     /// Accounts one splice that answered `steps` darts from the memo.
@@ -453,7 +471,14 @@ mod tests {
 
     #[test]
     fn stats_ratios() {
-        let stats = MemoStats { lookups: 10, hits: 4, spliced_steps: 30, walked_steps: 10 };
+        let stats = MemoStats {
+            lookups: 10,
+            hits: 4,
+            spliced_steps: 30,
+            walked_steps: 10,
+            walks: 2,
+            shared: 7,
+        };
         assert!((stats.hit_rate() - 0.4).abs() < 1e-12);
         assert!((stats.spliced_share() - 0.75).abs() < 1e-12);
         let mut merged = MemoStats::default();
@@ -463,5 +488,6 @@ mod tests {
         merged.merge(&stats);
         assert_eq!(merged.lookups, 20);
         assert_eq!(merged.spliced_steps, 60);
+        assert_eq!((merged.walks, merged.shared), (4, 14));
     }
 }

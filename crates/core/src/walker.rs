@@ -21,12 +21,14 @@
 //!
 //! * [`walk_packet`] / [`walk_packet_with`] — no memo, darts collected
 //!   into the returned [`Walk`]'s `Path`;
-//! * [`walk_packet_spliced`], and [`FlowUnit::walk`](crate::FlowUnit)
-//!   behind the unit guard (the sweeps' entry) — a per-unit memo,
-//!   darts discarded (only cost and step totals are wanted);
-//! * [`recover_flow_with`](crate::recover_flow_with) — the replay
-//!   unit's memo, darts staged in the flow scratch and released to the
-//!   caller's load accounting only once the walk has delivered.
+//! * [`walk_packet_spliced`] — a caller-held per-unit memo, darts
+//!   discarded (only cost and step totals are wanted);
+//! * [`FlowUnit`](crate::FlowUnit) behind the unit guard — the entry
+//!   of the sweeps and of replay. It runs the loop once per **point**
+//!   of a unit, not once per source, with the unit's memo, staging the
+//!   darts in the flow scratch; [`recover_flow_with`](crate::recover_flow_with)
+//!   releases them to the caller's load accounting only once the walk
+//!   has delivered.
 //!
 //! The detector state lives in a reusable [`WalkScratch`], so the
 //! steady state of every entry point but the `Path`-returning ones
@@ -192,7 +194,10 @@ pub fn walk_packet_spliced<A: ForwardingAgent>(
 where
     A::State: std::hash::Hash + Eq,
 {
-    let hops = walk_hops(graph, agent, src, dest, failed, ttl, scratch, Some(memo), |_| {});
+    let hops = walk_hops(graph, agent, src, dest, failed, ttl, scratch, Some(&mut *memo), |_| {});
+    if let Some(seed) = hops.seed {
+        seed.plant(graph, scratch, memo);
+    }
     SplicedWalk { result: hops.result, cost: hops.cost, steps: hops.steps }
 }
 
@@ -212,6 +217,33 @@ pub(crate) struct Traversal {
     /// darts never reached `on_dart` and are the caller's to fetch
     /// with [`SuffixMemo::tail_darts`] if it wants them.
     pub(crate) spliced: Option<MemoHit>,
+    /// What a delivered walk with a memo has to teach it; the caller
+    /// decides when ([`Seed::plant`]).
+    pub(crate) seed: Option<Seed>,
+}
+
+/// The memo entries a delivered walk is worth, not yet made: the first
+/// `fresh` triples of the walk scratch's trail, the dart taken from
+/// the last of them, and the memoized tail the walk was spliced onto
+/// (`None`: that dart entered the destination). Valid until the
+/// scratch is reset — that is, until the next walk through it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Seed {
+    fresh: usize,
+    last: Dart,
+    tail: Option<MemoHit>,
+}
+
+impl Seed {
+    /// Seeds `memo` from the trail still in `scratch`.
+    pub(crate) fn plant<S: Clone + std::hash::Hash + Eq>(
+        self,
+        graph: &Graph,
+        scratch: &WalkScratch<S>,
+        memo: &mut SuffixMemo<S>,
+    ) {
+        memo.seed(graph, &scratch.entries()[..self.fresh], self.last, self.tail);
+    }
 }
 
 /// The hop loop every walk entry point runs. Walks one packet,
@@ -222,8 +254,10 @@ pub(crate) struct Traversal {
 /// whose remaining steps the TTL still covers, the walk ends there as
 /// `Delivered` with the memoized totals added (see
 /// [`walk_packet_spliced`] for why that is exact). Every delivered
-/// walk, spliced or not, seeds the memo from its trail. Opening the
-/// memo's unit is the caller's job.
+/// walk, spliced or not, comes back with the [`Seed`] of its trail,
+/// which the caller plants in the memo before the next walk of the
+/// unit looks anything up. Opening the memo's unit is the caller's job
+/// too.
 ///
 /// Inlined into each entry point, so the `memo` and `on_dart` each one
 /// does not use cost it nothing.
@@ -295,23 +329,24 @@ where
         }
     };
 
+    let mut seed = None;
     if let Some(memo) = memo {
         memo.record_walked(steps as u64);
-        let mut fresh = scratch.entries();
+        let mut fresh = scratch.len();
         if let Some(hit) = spliced {
             memo.record_splice(u64::from(hit.rem_steps));
             cost += hit.rem_cost;
             steps += hit.rem_steps as usize;
             // The trail ends with the triple the memo already holds.
-            fresh = &fresh[..fresh.len() - 1];
+            fresh -= 1;
         }
         // `ingress` is the dart out of the last fresh triple; a walk
         // that never left `src` has neither.
         if let (WalkResult::Delivered, Some(last)) = (&result, ingress) {
-            memo.seed(graph, fresh, last, spliced);
+            seed = Some(Seed { fresh, last, tail: spliced });
         }
     }
-    Traversal { result, cost, steps, peak_header_bits, spliced }
+    Traversal { result, cost, steps, peak_header_bits, spliced, seed }
 }
 
 #[cfg(test)]

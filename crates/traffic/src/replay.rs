@@ -11,10 +11,14 @@
 //!   all-clear tally — is computed once and kept in the scratch; a
 //!   scenario starts from a copy and corrects only the **cones**, the
 //!   subtrees of each destination's tree that hang below a failed
-//!   edge. Their demand is withdrawn from the links it no longer takes,
-//!   and the cone sources still connected to the destination are
-//!   walked through the agent ([`recover_flow_with`]). A failure that
-//!   disturbs 3 % of the pairs costs about 3 % of a full pass.
+//!   edge. Inside a cone every source still follows the tree up to its
+//!   **point**, the first router that does anything else
+//!   ([`FlowUnit::point_of`](pr_core::FlowUnit::point_of)); each point
+//!   is walked through the agent **once** ([`recover_flow_with`]),
+//!   carrying the summed demand of the sources behind it, and that sum
+//!   is withdrawn from the tree path it no longer takes. A failure that
+//!   disturbs 3 % of the pairs costs about 3 % of a full pass, and one
+//!   walk per failure point, not per source.
 //! * [`replay_scenario_naive`] — **the oracle.** One [`walk_packet`] per
 //!   flow with a fresh scratch and a from-scratch survivor tree per
 //!   destination: nothing shared, nothing staged, nothing to get wrong.
@@ -26,8 +30,9 @@
 //! exact, so `baseline − withdrawn + detoured` is the same number as
 //! the oracle's plain sum, in any grouping (see `FlowSet`'s demand
 //! grid). The one inexact field, `stretch_weighted_sum`, gets its terms
-//! from recovery walks only, which run in the oracle's (destination,
-//! source) order.
+//! from recovered flows only — `(tree cost to the point + the point's
+//! walk) / optimal`, integer sums the oracle's walk adds up to as well —
+//! tallied in the oracle's (destination, source) order.
 //!
 //! All per-scenario state lives in a reusable [`ReplayScratch`]; all
 //! failure-invariant state (base trees, the staged FIB, the compiled
@@ -41,9 +46,10 @@
 //! `(DenseFib, FlowSet)` pair, not per scenario.
 
 use pr_core::{
-    recover_flow_with, walk_packet, DenseFib, FlowScratch, FlowWalk, ForwardingAgent, Stamp,
+    recover_flow_with, walk_packet, DenseFib, DropReason, FlowScratch, FlowWalk, ForwardingAgent,
+    Stamp,
 };
-use pr_graph::{bits, AllPairs, Graph, LinkId, LinkSet, NodeId, SpTree};
+use pr_graph::{bits, AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, SpTree};
 use serde::{Deserialize, Serialize};
 
 use crate::flows::demand_from;
@@ -66,8 +72,9 @@ pub struct ReplayStats {
     /// all-pairs flow set, exactly the affected (source, destination)
     /// pairs.
     pub cone_sources: u64,
-    /// Recovery walks made: cone sources that carry demand and can
-    /// still reach their destination.
+    /// Recovery walks made: one per point of a cone that carries
+    /// demand and can still reach the destination, plus one per source
+    /// of a group on the TTL fallback.
     pub walks: u64,
 }
 
@@ -97,11 +104,25 @@ struct Baseline {
     hop_diameter: usize,
 }
 
+/// What the one walk of a point settled for the sources behind it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    /// Delivered within the group budget: every source is its tree
+    /// path to the point plus the point's walk, whose darts carry the
+    /// group's demand.
+    Shared,
+    /// Cut off from the destination, or dropped: so is every source.
+    Lost,
+    /// The group budget ran out (the TTL fallback): every source is
+    /// walked from where it starts.
+    PerSource,
+}
+
 /// Reusable per-worker state of a replay: the failure-free baseline of
 /// the `(DenseFib, FlowSet)` pair it last served, the flow-walk scratch
 /// (livelock detector, per-unit suffix memo, staged-path buffer), the
 /// per-scenario survivor components, the node-indexed staging of the
-/// cone passes and the per-link load accumulator. Everything is reset
+/// cone and point passes and the per-link load accumulator. Everything is reset
 /// in place — the steady state allocates nothing, and all of it is
 /// O(nodes + links).
 ///
@@ -128,6 +149,13 @@ pub struct ReplayScratch<S> {
     /// Per-node subtree sums of the bottom-up passes; all zero between
     /// passes.
     subtree: Vec<f64>,
+    /// The points of the destination in hand, as found.
+    points: Vec<u32>,
+    /// Per point, the summed demand of the sources behind it; all zero
+    /// between destinations.
+    group: Vec<f64>,
+    /// Per point of the destination in hand, what its walk settled.
+    fate: Vec<Fate>,
     loads: Vec<f64>,
     stats: ReplayStats,
 }
@@ -144,6 +172,9 @@ impl<S> ReplayScratch<S> {
             sources: Vec::new(),
             demand: Vec::new(),
             subtree: Vec::new(),
+            points: Vec::new(),
+            group: Vec::new(),
+            fate: Vec::new(),
             loads: Vec::new(),
             stats: ReplayStats::default(),
         }
@@ -313,7 +344,7 @@ fn build_baseline(
 /// The baseline — every link's load and an all-clear tally with no
 /// link failed — is built on the first call a scratch sees a
 /// `(dense, flows)` pair and reused until it sees another. A scenario
-/// then costs O(Σ cone + depth + walks), not O(n²):
+/// then costs O(Σ cone + Σ depth of points + walks), not O(n²):
 ///
 /// 1. **Start from the baseline** (one copy of the load vector) and
 ///    label the **survivor components**, one O(n + m) pass per
@@ -324,20 +355,30 @@ fn build_baseline(
 ///    contiguous frame slices, outermost only
 ///    ([`DenseFib::cones_into`]). A destination without one is done:
 ///    none of its flows changed.
-/// 3. **Withdraw.** Each cone is walked once bottom-up, summing
-///    per-subtree demand and taking it off the tree dart above every
-///    cone node; the cone's total then comes off every link from the
-///    cone's root to the destination (that stretch is failure-free, or
-///    the root would not be outermost). The load vector now carries
-///    exactly the unaffected flows.
-/// 4. **Reclassify.** Cone sources with demand, in ascending source
-///    order over all cones of the destination: one in another survivor
-///    component is moved from clear to disconnected; the rest walk the
-///    agent via [`recover_flow_with`] as one [`FlowScratch::unit`] per
-///    destination — detours of one unit converge, so a walk that meets
-///    a triple an earlier source resolved splices the rest — and are
-///    moved to recovered (their darts load the links they took) or
-///    dropped.
+/// 3. **Points.** One pass over the cones, as one [`FlowScratch::unit`]
+///    per destination, finds each source's point
+///    ([`FlowUnit::point_of`](pr_core::FlowUnit::point_of)) and sums
+///    each point's demand. A source's load on its tree path *up to*
+///    its point is what it was in the baseline and is not touched.
+/// 4. **Withdraw and walk.** Each point's sum comes off the tree path
+///    from the point to the destination, and a point the survivor
+///    graph still connects is walked **once** ([`recover_flow_with`]),
+///    its darts loading the links they take with the whole sum. The
+///    walk's budget is `ttl` less the base hop diameter, so a walk
+///    that fits it fits every source behind the point.
+/// 5. **Reclassify.** Cone sources with demand, in ascending source
+///    order over all cones of the destination — the oracle's order,
+///    which `stretch_weighted_sum` depends on: one in another survivor
+///    component is moved from clear to disconnected; the rest are
+///    moved to recovered, at `(tree cost to the point + the point's
+///    cost) / optimal`, or to dropped, as their point was
+///    ([`FlowUnit::walk`](pr_core::FlowUnit::walk)). Only a group
+///    whose point ran out of budget walks per source — the TTL
+///    fallback.
+/// 6. **Dead prefixes.** The sources of a point that is cut off,
+///    dropped or on the fallback do not load their tree path up to the
+///    point either; when a destination has any, one bottom-up pass
+///    over its cones takes those loads off.
 ///
 /// Produces the **bit-identical** [`ScenarioTraffic`] of
 /// [`replay_scenario_naive`], and the same [`ReplayScratch::link_loads`]
@@ -377,6 +418,9 @@ where
         sources,
         demand,
         subtree,
+        points,
+        group,
+        fate,
         loads,
         stats,
     } = scratch;
@@ -392,6 +436,9 @@ where
          unaffected flows are delivered without counting hops",
         baseline.hop_diameter
     );
+    // What a point's walk may spend and still leave the longest tree
+    // prefix of any source behind it within `ttl`.
+    let group_ttl = ttl - baseline.hop_diameter;
     stats.replays += 1;
 
     loads.clone_from(&baseline.loads);
@@ -399,60 +446,85 @@ where
     survivor_components(graph, failed, comp, queue);
     let n = graph.node_count();
     demand.resize(n, 0.0);
+    group.resize(n, 0.0);
+    fate.resize(n, Fate::Shared);
+    // Every node can be a point: room for all of them, once.
+    points.clear();
+    points.reserve(n);
 
-    for (dst, group) in flows.by_destination() {
+    for (dst, flows_to) in flows.by_destination() {
         dense.cones_into(graph, dst, failed, cones);
         if cones.is_empty() {
             continue;
         }
         stats.destinations += 1;
         let frames = dense.frames(dst);
+        let base_tree = base.towards(dst);
+        let here = comp[dst.index()];
+        let mut unit = walk.unit(graph, agent, base_tree, failed);
         bits::clear_and_resize(sources, n);
 
-        // Withdraw the cones' demand, children before parents, from the
-        // tree darts inside each cone and then from its root's path.
+        // The cone sources that carry demand, and each one's point.
+        points.clear();
         for &(start, end) in cones.iter() {
             stats.cone_sources += u64::from(end - start);
-            let cone = &frames[start as usize..end as usize];
-            let mut total = 0.0;
-            for (i, f) in cone.iter().enumerate().rev() {
-                let mut sum = std::mem::take(&mut subtree[f.node as usize]);
-                if let Some(d) = demand_from(group, NodeId(f.node)) {
-                    bits::set(sources, f.node as usize);
-                    demand[f.node as usize] = d;
-                    sum += d;
-                }
-                if sum != 0.0 {
-                    loads[f.link().index()] -= sum;
-                    match i {
-                        0 => total = sum,
-                        _ => subtree[f.parent as usize] += sum,
+            for f in &frames[start as usize..end as usize] {
+                let src = NodeId(f.node);
+                if let Some(d) = demand_from(flows_to, src) {
+                    bits::set(sources, src.index());
+                    demand[src.index()] = d;
+                    let point = unit.point_of(src);
+                    if group[point.index()] == 0.0 {
+                        points.push(point.0);
                     }
+                    group[point.index()] += d;
                 }
             }
-            if total != 0.0 {
-                let mut at = NodeId(cone[0].parent);
-                while let Some(f) = dense.frame(at, dst) {
-                    loads[f.link().index()] -= total;
-                    at = NodeId(f.parent);
-                }
+        }
+
+        // Each point's demand leaves the tree path from the point on,
+        // and takes the darts of the point's one walk instead.
+        let (mut dead_prefixes, mut fallback) = (false, false);
+        for &point in points.iter() {
+            let point = NodeId(point);
+            let total = std::mem::take(&mut group[point.index()]);
+            let mut at = point;
+            while let Some(d) = base_tree.next_dart(at) {
+                loads[d.link().index()] -= total;
+                at = graph.dart_head(d);
             }
+            fate[point.index()] = if comp[point.index()] != here {
+                Fate::Lost
+            } else {
+                stats.walks += 1;
+                let on_dart = |d: Dart| loads[d.link().index()] += total;
+                match recover_flow_with(&mut unit, point, group_ttl, on_dart) {
+                    FlowWalk::Recovered { .. } => Fate::Shared,
+                    FlowWalk::Dropped(DropReason::TtlExpired) => Fate::PerSource,
+                    FlowWalk::Dropped(_) => Fate::Lost,
+                }
+            };
+            dead_prefixes |= fate[point.index()] != Fate::Shared;
+            fallback |= fate[point.index()] == Fate::PerSource;
         }
 
         // Reclassify the cone sources in ascending order — the order
         // the oracle meets them in, which `stretch_weighted_sum` (the
         // one inexact accumulator) depends on.
-        let base_tree = base.towards(dst);
-        let here = comp[dst.index()];
-        let mut unit = walk.unit(graph, agent, dst, failed);
         bits::for_each_set(sources, |i| {
             let (src, demand) = (NodeId(i as u32), demand[i]);
             if comp[i] != here {
                 tally.clear_to_disconnected(demand);
                 return;
             }
-            stats.walks += 1;
-            match recover_flow_with(&mut unit, src, ttl, |d| loads[d.link().index()] += demand) {
+            let flow = if fallback && fate[unit.point_of(src).index()] == Fate::PerSource {
+                stats.walks += 1;
+                recover_flow_with(&mut unit, src, ttl, |d| loads[d.link().index()] += demand)
+            } else {
+                // Answered from the point's walk, delivered or dropped.
+                unit.walk(src, ttl)
+            };
+            match flow {
                 FlowWalk::Recovered { cost, .. } => {
                     let optimal = base_tree.cost(src).expect("connected base graph");
                     tally.clear_to_recovered(demand, cost as f64 / optimal as f64);
@@ -460,6 +532,31 @@ where
                 FlowWalk::Dropped(_) => tally.clear_to_dropped(demand),
             }
         });
+
+        // A group that did not share its point's walk does not take the
+        // tree up to the point either: sum its demand bottom-up within
+        // the group, children before parents, off each tree dart below
+        // the point (the point's own path is withdrawn already).
+        if dead_prefixes {
+            for &(start, end) in cones.iter() {
+                for f in frames[start as usize..end as usize].iter().rev() {
+                    let node = NodeId(f.node);
+                    let mut sum = std::mem::take(&mut subtree[node.index()]);
+                    let is_source = bits::test(sources, node.index());
+                    if !is_source && sum == 0.0 {
+                        continue;
+                    }
+                    let point = unit.point_of(node);
+                    if is_source && fate[point.index()] != Fate::Shared {
+                        sum += demand[node.index()];
+                    }
+                    if sum != 0.0 && point != node {
+                        loads[f.link().index()] -= sum;
+                        subtree[f.parent as usize] += sum;
+                    }
+                }
+            }
+        }
     }
 
     let (max_link_load, peak_link) = peak_load(loads, tally.delivered);
@@ -645,11 +742,40 @@ mod tests {
         }
     }
 
+    /// An agent that forwards on the failure-free tree and panics where
+    /// the tree dart is down. A unit's climb asks only routers whose
+    /// tree dart is live; a walk would begin at a point, where it is
+    /// not.
+    struct TreeOrPanic<'a>(&'a AllPairs);
+
+    impl ForwardingAgent for TreeOrPanic<'_> {
+        type State = ();
+        fn label(&self) -> &'static str {
+            "tree-or-panic"
+        }
+        fn decide(
+            &self,
+            at: NodeId,
+            _: Option<Dart>,
+            dest: NodeId,
+            _: &mut (),
+            failed: &LinkSet,
+        ) -> ForwardDecision {
+            let dart = self.0.towards(dest).next_dart(at).expect("connected base graph");
+            assert!(!failed.contains_dart(dart), "a walk began at {at}");
+            ForwardDecision::Forward(dart)
+        }
+        fn header_bits(&self, _: &()) -> usize {
+            0
+        }
+    }
+
     #[test]
     fn disconnected_flows_are_classified_without_walking() {
         // Every link of a path graph is a bridge: the flows that
         // crossed the failed one are all cut off, and a cut-off flow is
-        // told by its survivor component, not by a (futile) walk.
+        // told by its survivor component, not by a (futile) walk from
+        // its point.
         let g = generators::path(5, 1);
         let base = AllPairs::compute_all_live(&g);
         let dense = DenseFib::from_base(&g, &base);
@@ -659,7 +785,7 @@ mod tests {
             let failed = LinkSet::from_links(g.link_count(), [link]);
             let out = replay_scenario_bitparallel(
                 &g,
-                &Panicking,
+                &TreeOrPanic(&base),
                 &dense,
                 &base,
                 &flows,

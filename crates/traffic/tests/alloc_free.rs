@@ -1,9 +1,11 @@
 //! Replay allocates nothing in the steady state.
 //!
 //! Once a [`ReplayScratch`] has seen a topology's scenarios, replaying
-//! them again must not call the allocator at all — cone withdrawal,
-//! recovery walks and dropped walks alike. Only the very first replay
-//! of a (FIB, flow set) pair may: it builds the failure-free baseline. This is a correctness rule
+//! them again must not call the allocator at all — the climbs to the
+//! points, the withdrawal, point walks delivered and dropped alike.
+//! Only the very first replay of a (FIB, flow set) pair may: it builds
+//! the failure-free baseline and sizes the node-indexed tables of the
+//! replay and of its flow unit, once. This is a correctness rule
 //! of the parallel engine, not a micro-optimisation: a recovery walk
 //! that grows a fresh `Vec` per flow makes every worker thread queue
 //! on one glibc arena lock (DESIGN.md, "allocator discipline").

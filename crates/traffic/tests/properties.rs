@@ -11,9 +11,11 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use pr_baselines::FcpAgent;
 use pr_core::{
     generous_ttl, recover_flow_with, walk_packet, DenseFib, DiscriminatorKind, DropReason,
-    FlowScratch, FlowWalk, PrHeader, PrMode, PrNetwork, WalkResult,
+    FlowScratch, FlowWalk, ForwardDecision, ForwardingAgent, PrHeader, PrMode, PrNetwork,
+    WalkResult,
 };
 use pr_embedding::{CellularEmbedding, RotationSystem};
 use pr_graph::algo::components;
@@ -94,12 +96,7 @@ impl Net {
         replay_scenario_bitparallel(g, &pr.agent(g), dense, base, flows, failed, ttl, scratch)
     }
 
-    /// Replays `failed` through the production path and holds all of it
-    /// against the oracle: the result (tally, peak load, peak link),
-    /// the **whole load vector** against one `walk_packet` per flow
-    /// added up link by link, and the cones the replay enumerated
-    /// against the full-tree pass of `affected_into`, bit for bit.
-    /// `ttl` must cover every failure-free shortest path.
+    /// [`Net::check_with`] under this net's PR-DD agent.
     fn check(
         &self,
         flows: &FlowSet,
@@ -107,15 +104,36 @@ impl Net {
         ttl: usize,
         scratch: &mut ReplayScratch<PrHeader>,
     ) -> pr_traffic::ScenarioTraffic {
-        let Net { g, pr, base, dense } = self;
-        let agent = pr.agent(g);
-        let label = format!("failed {failed:?} flows {} ttl {ttl}", flows.label());
-        let out = self.production(flows, failed, ttl, scratch);
-        assert_eq!(out, replay_scenario_naive(g, &agent, base, flows, failed, ttl), "{label}");
+        self.check_with(&self.pr.agent(&self.g), flows, failed, ttl, scratch)
+    }
+
+    /// Replays `failed` through the production path under `agent` and
+    /// holds all of it against the oracle: the result (tally, peak
+    /// load, peak link),
+    /// the **whole load vector** against one `walk_packet` per flow
+    /// added up link by link, and the cones the replay enumerated
+    /// against the full-tree pass of `affected_into`, bit for bit.
+    /// `ttl` must cover every failure-free shortest path.
+    fn check_with<A: ForwardingAgent>(
+        &self,
+        agent: &A,
+        flows: &FlowSet,
+        failed: &LinkSet,
+        ttl: usize,
+        scratch: &mut ReplayScratch<A::State>,
+    ) -> pr_traffic::ScenarioTraffic
+    where
+        A::State: std::hash::Hash + Eq,
+    {
+        let Net { g, base, dense, .. } = self;
+        let label =
+            format!("{} failed {failed:?} flows {} ttl {ttl}", agent.label(), flows.label());
+        let out = replay_scenario_bitparallel(g, agent, dense, base, flows, failed, ttl, scratch);
+        assert_eq!(out, replay_scenario_naive(g, agent, base, flows, failed, ttl), "{label}");
 
         let mut loads = vec![0.0; g.link_count()];
         for flow in flows.flows() {
-            let walk = walk_packet(g, &agent, flow.src, flow.dst, failed, ttl);
+            let walk = walk_packet(g, agent, flow.src, flow.dst, failed, ttl);
             if walk.result.is_delivered() {
                 for d in walk.path.darts() {
                     loads[d.link().index()] += flow.demand;
@@ -158,6 +176,52 @@ struct Shapes {
     isolates_a_node: bool,
     /// The failed set splits the graph into parts of two or more nodes.
     splits_the_graph: bool,
+
+    // The group shapes of one walk per failure point
+    // ([`Shapes::observe_points`]), by the point's definition.
+    /// A point that is the root of an outermost cone.
+    point_at_cone_root: bool,
+    /// A point on the tree path of another point of the destination.
+    nested_points: bool,
+    /// A point whose own tree dart is live: not below a failed tree
+    /// edge at all, so no grouping by failed tree links finds it.
+    point_off_the_failed_tree: bool,
+    /// Two points of one destination whose sources interleave in
+    /// ascending source order, the order the tally runs in.
+    interleaved_points: bool,
+    /// A point the survivor graph connects whose walk is dropped.
+    dropped_point: bool,
+    /// A point whose walk does not end within the group budget: its
+    /// sources are walked one by one.
+    ttl_fallback: bool,
+}
+
+/// `src`'s point towards `tree.dest` by its definition: the first
+/// router of the failure-free path, `src` first, where `agent`, asked
+/// with a default header, does anything but forward on the live tree
+/// dart and leave the header default.
+fn point_by_definition<A: ForwardingAgent>(
+    g: &Graph,
+    agent: &A,
+    tree: &SpTree,
+    src: NodeId,
+    failed: &LinkSet,
+) -> NodeId
+where
+    A::State: PartialEq,
+{
+    let mut at = src;
+    while let Some(dart) = tree.next_dart(at) {
+        let mut header = A::State::default();
+        let forwards_on_the_tree = !failed.contains_dart(dart)
+            && agent.decide(at, None, tree.dest, &mut header, failed)
+                == ForwardDecision::Forward(dart);
+        if !forwards_on_the_tree || header != A::State::default() {
+            break;
+        }
+        at = g.dart_head(dart);
+    }
+    at
 }
 
 impl Shapes {
@@ -199,6 +263,54 @@ impl Shapes {
             self.splits_the_graph |= sizes.iter().filter(|&&s| s >= 2).count() >= 2;
         }
     }
+
+    /// The shapes of the groups `agent`'s points split the cones into
+    /// under `failed`, with every node a source and `ttl` the budget.
+    fn observe_points<A: ForwardingAgent>(
+        &mut self,
+        net: &Net,
+        agent: &A,
+        failed: &LinkSet,
+        ttl: usize,
+    ) where
+        A::State: std::hash::Hash + Eq,
+    {
+        let g = &net.g;
+        let parts = components(g, failed);
+        let group_ttl = ttl - net.base.hop_diameter() as usize;
+        for dst in g.nodes() {
+            let tree = net.base.towards(dst);
+            // (source, its point), sources ascending.
+            let groups: Vec<(NodeId, NodeId)> = g
+                .nodes()
+                .filter(|&src| tree.path_crosses(g, src, failed))
+                .map(|src| (src, point_by_definition(g, agent, tree, src, failed)))
+                .collect();
+            let mut points: Vec<NodeId> = groups.iter().map(|&(_, point)| point).collect();
+            self.interleaved_points |= points.iter().enumerate().any(|(i, point)| {
+                let last = points.iter().rposition(|other| other == point).unwrap();
+                points[i..last].iter().any(|other| other != point)
+            });
+            points.sort_unstable();
+            points.dedup();
+            for &point in &points {
+                let above = tree.path_darts(g, point).expect("connected base graph");
+                let below_a_failed_edge = failed.contains_dart(above[0]);
+                let outermost = !above[1..].iter().any(|d| failed.contains_dart(*d));
+                self.point_at_cone_root |= below_a_failed_edge && outermost;
+                self.point_off_the_failed_tree |= !below_a_failed_edge;
+                self.nested_points |=
+                    above.iter().any(|d| points.binary_search(&g.dart_head(*d)).is_ok());
+                if parts.same(point, dst) {
+                    match walk_packet(g, agent, point, dst, failed, group_ttl).result {
+                        WalkResult::Delivered => {}
+                        WalkResult::Dropped(DropReason::TtlExpired) => self.ttl_fallback = true,
+                        WalkResult::Dropped(_) => self.dropped_point = true,
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Every scenario of the exhaustive families k ∈ {1, 2, 3}.
@@ -237,11 +349,16 @@ fn production_equals_the_oracle_on_every_small_failure_set_of_the_paper_topologi
         sets.shuffle(&mut StdRng::seed_from_u64(2010));
         for failed in &sets {
             shapes.observe(&net, failed);
+            shapes.observe_points(&net, &net.pr.agent(&net.g), failed, ttl);
             net.check(&dense_flows, failed, ttl, &mut dense_scratch);
             net.check(&sparse_flows, failed, ttl, &mut sparse_scratch);
         }
 
-        // The families must have driven every branch of the delta.
+        // The families must have driven every branch of the delta, and
+        // every group shape a generous budget and genus 0 allow.
+        assert!(shapes.point_at_cone_root && shapes.nested_points, "{shapes:?}");
+        assert!(shapes.interleaved_points, "{shapes:?}");
+        assert!(!shapes.dropped_point && !shapes.ttl_fallback, "{shapes:?}");
         assert!(shapes.nested_found_first, "{shapes:?}");
         assert!(shapes.nested_found_second, "{shapes:?}");
         assert!(shapes.disjoint_cones, "{shapes:?}");
@@ -277,6 +394,7 @@ fn production_equals_the_oracle_on_sampled_failure_sets_up_to_six_links() {
         let (mut dropped, mut disconnected) = (0.0, 0.0);
         for failed in &sampled_up_to_six(&net.g, count, 7) {
             shapes.observe(&net, failed);
+            shapes.observe_points(&net, &net.pr.agent(&net.g), failed, ttl);
             let out = net.check(&dense_flows, failed, ttl, &mut dense_scratch);
             dropped += out.tally.dropped;
             disconnected += out.tally.disconnected;
@@ -284,6 +402,8 @@ fn production_equals_the_oracle_on_sampled_failure_sets_up_to_six_links() {
         }
         assert!(shapes.nested_found_first && shapes.nested_found_second, "{shapes:?}");
         assert!(shapes.disjoint_cones && shapes.root_at_destination, "{shapes:?}");
+        assert!(shapes.nested_points && shapes.interleaved_points, "{shapes:?}");
+        assert_eq!(shapes.dropped_point, net.pr.embedding().genus() > 0, "{shapes:?}");
         if net.pr.embedding().genus() > 0 {
             assert!(dropped > 0.0, "the fixture must make some connected flows drop");
         }
@@ -400,8 +520,9 @@ fn a_flow_set_dropped_and_rebuilt_between_calls_is_a_new_flow_set() {
 fn a_replay_looks_at_the_cones_and_at_nothing_else() {
     // The algorithmic claim without a clock: per scenario the scratch
     // touched exactly the destinations whose tree lost an edge, visited
-    // exactly their affected cones, and walked exactly the affected
-    // flows that are still connected — far fewer than n² pairs.
+    // exactly their affected cones, and walked once per failure point
+    // that is still connected — under PR the router above each failed
+    // tree edge — however many sources sit behind it.
     let net = Net::searched(Net::synth("isp:120:2010"));
     let g = &net.g;
     let n = g.node_count() as u64;
@@ -426,7 +547,11 @@ fn a_replay_looks_at_the_cones_and_at_nothing_else() {
             tree.affected_cone(g, &children[dst.index()], &failed, &mut cone, &mut stack);
             expected.destinations += u64::from(!cone.is_empty());
             expected.cone_sources += cone.len() as u64;
-            expected.walks += cone.iter().filter(|&&src| parts.same(src, dst)).count() as u64;
+            let points = failed.iter().filter_map(|link| {
+                let (a, b) = g.endpoints(link);
+                [a, b].into_iter().find(|&u| tree.next_dart(u).is_some_and(|d| d.link() == link))
+            });
+            expected.walks += points.filter(|&point| parts.same(point, dst)).count() as u64;
         }
         assert_eq!(stats, expected, "scenario {i}");
         assert!(stats.cone_sources < n * n / 4, "scenario {i}: {stats:?}");
@@ -434,8 +559,60 @@ fn a_replay_looks_at_the_cones_and_at_nothing_else() {
     }
     let pairs = n * (n - 1) * singles.len() as u64;
     assert!(total.cone_sources * 10 < pairs, "{total:?} of {pairs} pairs");
-    assert!(total.walks <= total.cone_sources);
+    assert_eq!(total.walks, total.destinations, "one failed tree edge, one point, one walk");
+    assert!(total.walks * 4 < total.cone_sources, "{total:?}");
     assert_eq!(total.baselines, 1);
+}
+
+#[test]
+fn an_fcp_point_is_where_a_failure_is_learnt_not_where_the_tree_breaks() {
+    // FCP marks the header at any router *incident* to a failed link.
+    // On `isp:40:7` with p2x0-p2x1 and p3x0-p3x1 down, the path of
+    // p3x0 towards p2x1 first breaks at p2x0 — but p3x0 has already
+    // learnt its own dead link, and with both in the header it detours
+    // at 43 where a packet that starts at p2x0 knows one failure and
+    // pays 8 + 42. Grouping by first failed tree link misprices it.
+    let net = Net::searched(Net::synth("isp:40:7"));
+    let g = &net.g;
+    let link = |a: &str, b: &str| {
+        let (a, b) = (g.node_by_name(a).unwrap(), g.node_by_name(b).unwrap());
+        g.find_link(a, b).unwrap()
+    };
+    let failed = LinkSet::from_links(g.link_count(), [link("p2x0", "p2x1"), link("p3x0", "p3x1")]);
+    let (src, dst) = (g.node_by_name("p3x0").unwrap(), g.node_by_name("p2x1").unwrap());
+    let tree_break = g.node_by_name("p2x0").unwrap();
+    let ttl = generous_ttl(g);
+    let tree = net.base.towards(dst);
+    let first_failed =
+        tree.path_darts(g, src).unwrap().into_iter().find(|d| failed.contains_dart(*d));
+    assert_eq!(first_failed, tree.next_dart(tree_break));
+    for fcp in [FcpAgent::new(g), FcpAgent::cached_with_base(g, &net.base)] {
+        let from_the_break = walk_packet(g, &fcp, tree_break, dst, &failed, ttl).cost(g);
+        let prefix = tree.cost(src).unwrap() - tree.cost(tree_break).unwrap();
+        assert_eq!((prefix, from_the_break), (8, 42));
+        assert_eq!(walk_packet(g, &fcp, src, dst, &failed, ttl).cost(g), 43);
+
+        assert_eq!(point_by_definition(g, &fcp, tree, src, &failed), src);
+        let mut scratch = FlowScratch::new();
+        let mut unit = scratch.unit(g, &fcp, tree, &failed);
+        assert_eq!(unit.point_of(src), src);
+        assert_eq!(unit.walk(src, ttl).cost(), Some(43));
+        assert_eq!(unit.walk(tree_break, ttl).cost(), Some(42));
+
+        // The whole scenario, every load, under FCP.
+        let mut shapes = Shapes::default();
+        shapes.observe_points(&net, &fcp, &failed, ttl);
+        assert!(shapes.point_off_the_failed_tree, "{shapes:?}");
+        let flows = FlowSet::all_pairs(&GravityTraffic::new(g));
+        net.check_with(&fcp, &flows, &failed, ttl, &mut ReplayScratch::new());
+    }
+
+    // Under PR a point is always the router above a failed tree edge.
+    let mut shapes = Shapes::default();
+    for failed in &sampled_up_to_six(g, 4, 7) {
+        shapes.observe_points(&net, &net.pr.agent(g), failed, ttl);
+    }
+    assert!(shapes.point_at_cone_root && !shapes.point_off_the_failed_tree, "{shapes:?}");
 }
 
 proptest! {
@@ -526,7 +703,7 @@ proptest! {
                 let base_tree = net.base.towards(dst);
                 net.dense.affected_into(dst, &failed, &mut affected);
                 let live = SpTree::towards(g, dst, &failed);
-                let mut unit = walk.unit(g, &agent, dst, &failed);
+                let mut unit = walk.unit(g, &agent, base_tree, &failed);
                 for flow in group {
                     let hit = bits::test(&affected, flow.src.index());
                     prop_assert_eq!(
@@ -634,6 +811,7 @@ fn check_walks_against_walk_packet(
     seed: u64,
 ) -> (usize, usize) {
     let agent = net.agent(g);
+    let base = AllPairs::compute_all_live(g);
     let (mut delivered, mut dropped) = (0, 0);
     let mut units: Vec<(&LinkSet, NodeId)> =
         sets.iter().flat_map(|failed| g.nodes().map(move |dst| (failed, dst))).collect();
@@ -642,7 +820,7 @@ fn check_walks_against_walk_packet(
     let mut darts: Vec<Dart> = Vec::new();
     for (failed, dst) in units {
         let live = SpTree::towards(g, dst, failed);
-        let mut unit = scratch.unit(g, &agent, dst, failed);
+        let mut unit = scratch.unit(g, &agent, base.towards(dst), failed);
         for src in g.nodes().filter(|&src| src != dst) {
             let label = format!("failed {failed:?} {src}->{dst} ttl {ttl}");
             darts.clear();
@@ -671,15 +849,18 @@ fn check_walks_against_walk_packet(
 
 /// Replays every failed set through the production dataplane —
 /// shuffled, one scratch for all of them — against the oracle
-/// ([`Net::check`]).
-fn check_loads_against_walk_packet(net: &Net, sets: &[LinkSet], ttl: usize, seed: u64) {
+/// ([`Net::check`]). Returns the group shapes the sets drove.
+fn check_loads_against_walk_packet(net: &Net, sets: &[LinkSet], ttl: usize, seed: u64) -> Shapes {
     let flows = FlowSet::all_pairs(&net.hotspot(seed));
     let mut order: Vec<&LinkSet> = sets.iter().collect();
     order.shuffle(&mut StdRng::seed_from_u64(seed));
     let mut scratch = ReplayScratch::new();
+    let mut shapes = Shapes::default();
     for failed in order {
+        shapes.observe_points(net, &net.pr.agent(&net.g), failed, ttl);
         net.check(&flows, failed, ttl, &mut scratch);
     }
+    shapes
 }
 
 #[test]
@@ -695,9 +876,12 @@ fn shuffled_units_through_one_scratch_equal_walk_packet_on_planar_embeddings() {
             assert!(delivered > 0);
         }
         // Replay refuses budgets below the hop diameter; the node
-        // count is the tightest one that is always above it.
+        // count is the tightest one that is always above it, and what
+        // it leaves a point's walk — the node count less the hop
+        // diameter — sends groups to the per-source fallback.
         for ttl in [generous_ttl(g), g.node_count()] {
-            check_loads_against_walk_packet(&net, &sets, ttl, 2010);
+            let shapes = check_loads_against_walk_packet(&net, &sets, ttl, 2010);
+            assert_eq!(shapes.ttl_fallback, ttl == g.node_count(), "ttl {ttl}: {shapes:?}");
         }
     }
 }
@@ -716,7 +900,8 @@ fn shuffled_units_through_one_scratch_equal_walk_packet_where_walks_drop() {
         let (delivered, dropped) = check_walks_against_walk_packet(g, &net.pr, &sets, ttl, 7);
         assert!(delivered > 0);
         assert!(dropped > 0, "the fixture must make some connected pairs drop (ttl {ttl})");
-        check_loads_against_walk_packet(&net, &sets, ttl, 7);
+        let shapes = check_loads_against_walk_packet(&net, &sets, ttl, 7);
+        assert!(shapes.dropped_point, "ttl {ttl}: {shapes:?}");
     }
 }
 
@@ -738,7 +923,7 @@ fn a_splice_the_ttl_cannot_cover_is_walked_hop_by_hop() {
         // 6 - 2 >= 4: spliced.
         (6, FlowWalk::Recovered { cost: 6, hops: 6 }),
     ] {
-        let mut unit = scratch.unit(g, &agent, NodeId(0), &failed);
+        let mut unit = scratch.unit(g, &agent, net.base.towards(NodeId(0)), &failed);
         let mut darts = Vec::new();
         let first = recover_flow_with(&mut unit, NodeId(1), ttl, |_| {});
         assert_eq!(first, FlowWalk::Recovered { cost: 5, hops: 5 });
