@@ -125,6 +125,39 @@ impl std::fmt::Debug for FcpState {
     }
 }
 
+/// One routing patch over a hoisted base tree: the node's next dart
+/// under the key's failures, `None` where they cut it off.
+type Patch = (NodeId, Option<Dart>);
+
+/// Where one memoised route's patches sit in the arena.
+type Span = std::ops::Range<usize>;
+
+/// What filling the route memo cost: how many cones a sweep handed
+/// over from a repair it had already done ([`FcpAgent::seed`]) and how
+/// many entries the memo had to repair itself. Plain counters, taken per
+/// unit and merged like `MemoStats`; nothing reads them on the hot
+/// path.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RouteStats {
+    /// Cones handed over through [`FcpAgent::seed`] (empty ones, which
+    /// plant nothing, not counted).
+    pub seeded: u64,
+    /// Entries filled by a miss: a cone enumeration and a cone repair
+    /// of the memo's own.
+    pub repaired: u64,
+    /// Total cone size over those repairs.
+    pub cone_nodes: u64,
+}
+
+impl RouteStats {
+    /// Accumulates another stats record.
+    pub fn merge(&mut self, other: &RouteStats) {
+        self.seeded += other.seeded;
+        self.repaired += other.repaired;
+        self.cone_nodes += other.cone_nodes;
+    }
+}
+
 /// Memoised shortest-path trees keyed by `(destination, carried
 /// failure list)`, shared by every decision an agent makes.
 ///
@@ -139,13 +172,16 @@ impl std::fmt::Debug for FcpState {
 /// A memoised route is its sorted `(node, next dart)` patch list over
 /// the hoisted base tree: outside the affected cone the repaired tree
 /// *is* the base tree, so patches answer every query at O(cone) build
-/// cost instead of the O(n) tree materialisation (`None` = cut off by
-/// the carried failures).
+/// cost instead of the O(n) tree materialisation. Every route's
+/// patches live back to back in **one arena**, emptied with its
+/// capacity kept at a scenario boundary or a flush, so a warm memo
+/// fills an entry — repaired or seeded — without calling the
+/// allocator.
 #[derive(Debug, Clone)]
 struct RouteCache {
-    /// Memoised routes, in insertion order; `index` maps keys to slots.
-    trees: Vec<Vec<(NodeId, Option<Dart>)>>,
-    index: HashMap<(NodeId, FcpState), usize, BuildHasherDefault<FxHasher64>>,
+    /// The patch arena; `index` maps a key to its span.
+    patches: Vec<Patch>,
+    index: HashMap<(NodeId, FcpState), Span, BuildHasherDefault<FxHasher64>>,
     /// Lazily built child index per destination's base tree (kept
     /// across scenarios — it depends only on the base map).
     children: Vec<Option<Box<TreeChildren>>>,
@@ -157,19 +193,20 @@ struct RouteCache {
     /// path answers them with one short slice compare — no hashing,
     /// no key clone.
     last_key: (NodeId, FcpState),
-    last: Option<usize>,
+    last: Option<Span>,
     /// Reusable lookup key for `index`.
     probe: (NodeId, FcpState),
     /// Reusable `G \ carried` bitset for miss recomputes.
     failed_buf: LinkSet,
     /// Reusable Dijkstra arena for miss recomputes.
     scratch: SpScratch,
+    stats: RouteStats,
 }
 
 impl Default for RouteCache {
     fn default() -> Self {
         RouteCache {
-            trees: Vec::new(),
+            patches: Vec::new(),
             index: HashMap::default(),
             children: Vec::new(),
             cone: Vec::new(),
@@ -179,7 +216,77 @@ impl Default for RouteCache {
             probe: (NodeId(0), FcpState::default()),
             failed_buf: LinkSet::empty(0),
             scratch: SpScratch::new(),
+            stats: RouteStats::default(),
         }
+    }
+}
+
+impl RouteCache {
+    /// Drops every entry; arena and index keep their capacity.
+    fn clear(&mut self) {
+        self.patches.clear();
+        self.index.clear();
+        self.last = None;
+    }
+
+    /// Where a new entry's patches start: the arena's end — after the
+    /// wholesale flush, when the memo is at its bound.
+    fn next_start(&mut self) -> usize {
+        if self.index.len() >= ROUTE_CACHE_MAX_ENTRIES {
+            self.clear();
+        }
+        self.patches.len()
+    }
+
+    /// Files the arena's tail from `start` as the entry of the key in
+    /// `probe`.
+    fn file(&mut self, start: usize) -> Span {
+        let span = start..self.patches.len();
+        self.index.insert(self.probe.clone(), span.clone());
+        span
+    }
+
+    /// Makes the key in `probe`, whose entry is `span`, the last-key
+    /// fast path.
+    fn remember(&mut self, span: Span) {
+        self.last_key.0 = self.probe.0;
+        self.last_key.1.clone_from(&self.probe.1);
+        self.last = Some(span);
+    }
+
+    /// The miss path: appends to the arena the patches of the key in
+    /// `probe` — `tree` being the base tree towards its destination —
+    /// by cone repair (O(cone): [`SpTree::repair_cone_labels`], then
+    /// [`SpTree::cone_routes`]), bit-identical to the full recompute.
+    fn repair(&mut self, graph: &Graph, tree: &SpTree) {
+        let RouteCache { patches, children, cone, stack, probe, failed_buf, scratch, .. } = self;
+        // Rebuild the carried-failure bitset in place.
+        if failed_buf.capacity() != graph.link_count() {
+            *failed_buf = LinkSet::empty(graph.link_count());
+        } else {
+            failed_buf.clear();
+        }
+        for &l in probe.1.carried() {
+            failed_buf.insert(l);
+        }
+        if children.is_empty() {
+            children.resize(graph.node_count(), None);
+        }
+        let kids = children[probe.0.index()]
+            .get_or_insert_with(|| Box::new(TreeChildren::build(graph, tree)));
+        tree.affected_cone(graph, kids, failed_buf, cone, stack);
+        tree.repair_cone_labels(graph, failed_buf, cone, scratch);
+        tree.cone_routes(graph, cone, scratch, patches);
+    }
+
+    /// Whether the miss path's own repair of the key in `probe` gives
+    /// the patches at `span` — the debug-build check of a seeded entry.
+    fn rederives(&mut self, graph: &Graph, tree: &SpTree, span: Span) -> bool {
+        let start = self.patches.len();
+        self.repair(graph, tree);
+        let same = self.patches[start..] == self.patches[span];
+        self.patches.truncate(start);
+        same
     }
 }
 
@@ -247,17 +354,63 @@ impl<'a> FcpAgent<'a> {
     /// No-op on uncached agents.
     pub fn begin_scenario(&self) {
         if let Some((_, routes)) = &self.routes {
-            let mut cache = routes.borrow_mut();
-            cache.trees.clear(); // keeps capacities
-            cache.index.clear();
-            cache.last = None;
+            routes.borrow_mut().clear();
         }
+    }
+
+    /// Plants `routes` — the `(node, next dart)` patches of `dest`'s
+    /// affected cone under `failed`, as [`SpTree::cone_routes`] gives
+    /// them — as the memo's entry of key `(dest, failed)` and as its
+    /// last-key fast path, so decisions under that key hit without a
+    /// cone enumeration, a repair or a hash probe. A sweep that has
+    /// just repaired the cone for its own purposes hands the repair
+    /// over this way instead of letting the first decision redo it.
+    ///
+    /// The entry is the one a miss would have built, patch for patch
+    /// (debug builds re-derive it through the miss path and compare),
+    /// so seeding never changes a decision; a key the memo already
+    /// holds keeps its entry. An empty list plants nothing: the base
+    /// tree already answers as that entry would. No-op on uncached
+    /// agents.
+    pub fn seed(&self, dest: NodeId, failed: &LinkSet, routes: &[(NodeId, Option<Dart>)]) {
+        let Some((base, cache)) = &self.routes else { return };
+        if routes.is_empty() {
+            return;
+        }
+        let cache = &mut *cache.borrow_mut();
+        cache.probe.0 = dest;
+        cache.probe.1 = FcpState::default();
+        for link in failed.iter() {
+            cache.probe.1.learn(link);
+        }
+        let span = match cache.index.get(&cache.probe) {
+            Some(span) => span.clone(),
+            None => {
+                let start = cache.next_start();
+                cache.patches.extend_from_slice(routes);
+                cache.file(start)
+            }
+        };
+        cache.stats.seeded += 1;
+        debug_assert!(
+            cache.rederives(self.graph, base.towards(dest), span.clone()),
+            "seeded routes of {dest} under {failed:?} are not the miss path's"
+        );
+        cache.remember(span);
+    }
+
+    /// The route memo's counters since they were last taken (all zero
+    /// for uncached agents).
+    pub fn take_route_stats(&self) -> RouteStats {
+        self.routes.as_ref().map_or_else(RouteStats::default, |(_, cache)| {
+            std::mem::take(&mut cache.borrow_mut().stats)
+        })
     }
 
     /// Number of memoised `(dest, carried)` route entries (0 for
     /// uncached agents) — observability for the eviction policy.
     pub fn cached_routes(&self) -> usize {
-        self.routes.as_ref().map_or(0, |(_, r)| r.borrow().trees.len())
+        self.routes.as_ref().map_or(0, |(_, r)| r.borrow().index.len())
     }
 
     /// The effective topology the packet routes on: base map minus
@@ -278,74 +431,37 @@ impl<'a> FcpAgent<'a> {
         if state.carried().is_empty() {
             return (tree.next_dart(at), tree.reaches(at));
         }
-        let mut cache = routes.borrow_mut();
-        let RouteCache {
-            trees,
-            index,
-            children,
-            cone,
-            stack,
-            last_key,
-            last,
-            probe,
-            failed_buf,
-            scratch,
-        } = &mut *cache;
-        let answer = |patches: &[(NodeId, Option<Dart>)]| -> (Option<Dart>, bool) {
-            match patches.binary_search_by_key(&at, |p| p.0) {
-                Ok(i) => (patches[i].1, patches[i].1.is_some()),
-                Err(_) => (tree.next_dart(at), tree.reaches(at)),
+        let cache = &mut *routes.borrow_mut();
+        let span = match &cache.last {
+            // Single-entry fast path: same key as the previous
+            // decision (the common case — consecutive hops of one
+            // walk, or the key a sweep has just seeded).
+            Some(span) if cache.last_key.0 == dest && cache.last_key.1 == *state => span.clone(),
+            _ => {
+                // Keyed lookup without allocating: the probe key is a
+                // buffer refilled in place; a fresh key is cloned only
+                // on a miss.
+                cache.probe.0 = dest;
+                cache.probe.1.clone_from(state);
+                let span = match cache.index.get(&cache.probe) {
+                    Some(span) => span.clone(),
+                    None => {
+                        let start = cache.next_start();
+                        cache.repair(self.graph, tree);
+                        cache.stats.repaired += 1;
+                        cache.stats.cone_nodes += cache.cone.len() as u64;
+                        cache.file(start)
+                    }
+                };
+                cache.remember(span.clone());
+                span
             }
         };
-        // Single-entry fast path: same key as the previous decision
-        // (the common case — consecutive hops of one walk).
-        if let Some(i) = *last {
-            if last_key.0 == dest && last_key.1 == *state {
-                return answer(&trees[i]);
-            }
+        let patches = &cache.patches[span];
+        match patches.binary_search_by_key(&at, |p| p.0) {
+            Ok(i) => (patches[i].1, patches[i].1.is_some()),
+            Err(_) => (tree.next_dart(at), tree.reaches(at)),
         }
-        // Keyed lookup without allocating: the probe key is a buffer
-        // refilled in place; a fresh key is cloned only on a miss.
-        probe.0 = dest;
-        probe.1.clone_from(state);
-        let slot = match index.get(&*probe) {
-            Some(&i) => i,
-            None => {
-                if trees.len() >= ROUTE_CACHE_MAX_ENTRIES {
-                    trees.clear();
-                    index.clear();
-                }
-                // Rebuild the carried-failure bitset in place, then
-                // fill the miss by cone-patch repair of the hoisted
-                // base tree (O(cone) — see
-                // `SpTree::repair_cone_routes`), bit-identical to the
-                // full recompute.
-                if failed_buf.capacity() != self.graph.link_count() {
-                    *failed_buf = LinkSet::empty(self.graph.link_count());
-                } else {
-                    failed_buf.clear();
-                }
-                for &l in state.carried() {
-                    failed_buf.insert(l);
-                }
-                if children.is_empty() {
-                    children.resize(self.graph.node_count(), None);
-                }
-                let kids = children[dest.index()]
-                    .get_or_insert_with(|| Box::new(TreeChildren::build(self.graph, tree)));
-                tree.affected_cone(self.graph, kids, failed_buf, cone, stack);
-                let mut patches = Vec::new();
-                tree.repair_cone_routes(self.graph, failed_buf, cone, scratch, &mut patches);
-                trees.push(patches);
-                index.insert(probe.clone(), trees.len() - 1);
-                trees.len() - 1
-            }
-        };
-        let decision = answer(&trees[slot]);
-        last_key.0 = dest;
-        last_key.1.clone_from(&probe.1);
-        *last = Some(slot);
-        decision
     }
 }
 
@@ -572,6 +688,94 @@ mod tests {
         // Uncached agents take the call as a no-op.
         FcpAgent::new(&g).begin_scenario();
         assert_eq!(FcpAgent::new(&g).cached_routes(), 0);
+    }
+
+    /// The patches of `dest`'s cone under `failed`, as a sweep's cone
+    /// opener hands them to [`FcpAgent::seed`].
+    fn cone_routes(g: &Graph, base: &AllPairs, dest: NodeId, failed: &LinkSet) -> Vec<Patch> {
+        let tree = base.towards(dest);
+        let (mut cone, mut stack, mut routes) = (Vec::new(), Vec::new(), Vec::new());
+        tree.affected_cone(g, &TreeChildren::build(g, tree), failed, &mut cone, &mut stack);
+        tree.repair_cone_routes(g, failed, &cone, &mut SpScratch::new(), &mut routes);
+        routes
+    }
+
+    #[test]
+    fn seeding_survives_the_wholesale_flush_on_either_side_of_it() {
+        // K12: 66 links, so triples of links × 12 destinations give
+        // several times more distinct keys than the bound.
+        let g = generators::complete(12, 1);
+        let base = AllPairs::compute_all_live(&g);
+        let honest = FcpAgent::new(&g);
+        let cached = FcpAgent::cached_with_base(&g, &base);
+        let ttl = generous_ttl(&g);
+        let walks_agree = |failed: &LinkSet, dest: NodeId| {
+            for src in g.nodes() {
+                assert_eq!(
+                    walk_packet(&g, &cached, src, dest, failed, ttl),
+                    walk_packet(&g, &honest, src, dest, failed, ttl),
+                    "{failed:?} {src}->{dest}"
+                );
+            }
+        };
+        // Asks for the key `(dest, {a, b, c})`: one miss each.
+        let m = g.link_count() as u32;
+        let mut keys = (0..m)
+            .flat_map(|a| (a + 1..m).flat_map(move |b| (b + 1..m).map(move |c| [a, b, c])))
+            .flat_map(|triple| g.nodes().map(move |dest| (triple, dest)));
+        let mut fill_to = |entries: usize| {
+            while cached.cached_routes() < entries {
+                let (triple, dest) = keys.next().expect("more keys than the bound");
+                let mut state = FcpState::default();
+                triple.into_iter().for_each(|l| state.learn(LinkId(l)));
+                let at = g.nodes().find(|&at| at != dest).unwrap();
+                cached.decide(at, None, dest, &mut state, &LinkSet::empty(g.link_count()));
+            }
+        };
+
+        // An early seeded key is flushed with everything else and
+        // comes back through the miss path, the same.
+        let early = LinkSet::from_links(g.link_count(), [LinkId(0)]);
+        let dest = NodeId(1);
+        assert!(g.endpoints(LinkId(0)) == (NodeId(0), dest), "the link's cone is not empty");
+        cached.seed(dest, &early, &cone_routes(&g, &base, dest, &early));
+        walks_agree(&early, dest);
+        fill_to(ROUTE_CACHE_MAX_ENTRIES);
+        assert_eq!(cached.take_route_stats().seeded, 1);
+
+        // A key seeded into the full memo triggers the flush itself
+        // and is the one entry left.
+        let spoke = |v| g.find_link(dest, NodeId(v)).unwrap();
+        let late = LinkSet::from_links(g.link_count(), [spoke(2), spoke(3)]);
+        let routes = cone_routes(&g, &base, dest, &late);
+        assert!(!routes.is_empty());
+        cached.seed(dest, &late, &routes);
+        assert_eq!(cached.cached_routes(), 1);
+        walks_agree(&late, dest);
+        walks_agree(&early, dest);
+        let stats = cached.take_route_stats();
+        assert_eq!((stats.seeded, stats.repaired > 0), (1, true));
+
+        // And a miss on the full memo flushes a seeded key away.
+        fill_to(ROUTE_CACHE_MAX_ENTRIES);
+        let mut state = FcpState::default();
+        state.learn(spoke(4));
+        cached.decide(NodeId(0), None, dest, &mut state, &LinkSet::empty(g.link_count()));
+        assert_eq!(cached.cached_routes(), 1);
+        walks_agree(&late, dest);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "are not the miss path's")]
+    fn a_debug_build_refuses_routes_that_are_not_the_cones() {
+        let g = generators::ring(6, 1);
+        let base = AllPairs::compute_all_live(&g);
+        let failed =
+            LinkSet::from_links(g.link_count(), [g.find_link(NodeId(1), NodeId(0)).unwrap()]);
+        let mut routes = cone_routes(&g, &base, NodeId(0), &failed);
+        routes.pop();
+        FcpAgent::cached_with_base(&g, &base).seed(NodeId(0), &failed, &routes);
     }
 
     #[test]

@@ -27,7 +27,7 @@ mod lfa;
 mod notvia;
 mod reconvergence;
 
-pub use fcp::{FcpAgent, FcpState};
+pub use fcp::{FcpAgent, FcpState, RouteStats};
 pub use lfa::LfaAgent;
 pub use notvia::{NotViaAgent, NotViaState, ENCAP_BITS};
 pub use reconvergence::ReconvergenceAgent;

@@ -17,7 +17,10 @@ use pr_core::{
     WalkResult,
 };
 use pr_embedding::{CellularEmbedding, RotationSystem};
-use pr_graph::{algo, generators, AllPairs, Graph, LinkId, LinkSet, SpTree};
+use pr_graph::{
+    algo, generators, AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, SpScratch, SpTree,
+    TreeChildren,
+};
 
 fn arb_graph_and_failures() -> impl Strategy<Value = (Graph, LinkSet)> {
     (3usize..16, 0usize..10, 0u64..u64::MAX, 0usize..6).prop_map(|(n, chords, seed, failures)| {
@@ -67,8 +70,105 @@ where
     Ok(())
 }
 
+/// The `(node, next dart)` routes of `dest`'s affected cone under
+/// `failed`, the way a sweep's cone opener gets them: the cone's label
+/// repair, then the selection pass over those labels.
+fn cone_routes(
+    g: &Graph,
+    base: &AllPairs,
+    dest: NodeId,
+    failed: &LinkSet,
+    sp: &mut SpScratch,
+) -> Vec<(NodeId, Option<Dart>)> {
+    let tree = base.towards(dest);
+    let (mut cone, mut stack, mut routes) = (Vec::new(), Vec::new(), Vec::new());
+    tree.affected_cone(g, &TreeChildren::build(g, tree), failed, &mut cone, &mut stack);
+    tree.repair_cone_labels(g, failed, &cone, sp);
+    tree.cone_routes(g, &cone, sp, &mut routes);
+    routes
+}
+
+/// Every single link of `g`, and a seeded sample of pairs and triples
+/// (cuts included: a seeded entry holds cut-off nodes too).
+fn failure_sets(g: &Graph, rng: &mut StdRng) -> Vec<LinkSet> {
+    let mut links: Vec<LinkId> = g.links().collect();
+    let mut sets: Vec<LinkSet> =
+        links.iter().map(|&l| LinkSet::from_links(g.link_count(), [l])).collect();
+    for k in [2, 2, 2, 3, 3] {
+        links.shuffle(rng);
+        sets.push(LinkSet::from_links(g.link_count(), links[..k].iter().copied()));
+    }
+    sets
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A memo seeded with the routes of a cone repaired elsewhere
+    /// decides as the honest agent and as the memo left to its miss
+    /// path do, walk for walk — in hostile orders too: seeded twice,
+    /// seeded over an entry a miss has built, seeded and then evicted,
+    /// seeded on an agent without a memo.
+    #[test]
+    fn a_seeded_memo_walks_as_the_honest_agent(
+        n in 4usize..13,
+        chords in 0usize..8,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = generators::random_two_edge_connected(n, chords, 1..=6, &mut rng);
+        let base = AllPairs::compute_all_live(&g);
+        let ttl = generous_ttl(&g);
+        let honest = FcpAgent::new(&g);
+        let unseeded = FcpAgent::cached_with_base(&g, &base);
+        let seeded = FcpAgent::cached_with_base(&g, &base);
+        let reseeded = FcpAgent::cached_with_base(&g, &base);
+        let late = FcpAgent::cached_with_base(&g, &base);
+        let evicted = FcpAgent::cached_with_base(&g, &base);
+        let mut sp = SpScratch::new();
+        for failed in failure_sets(&g, &mut rng) {
+            for agent in [&unseeded, &seeded, &reseeded, &late, &evicted] {
+                agent.begin_scenario();
+            }
+            for dst in g.nodes() {
+                let routes = cone_routes(&g, &base, dst, &failed, &mut sp);
+                seeded.seed(dst, &failed, &routes);
+                reseeded.seed(dst, &failed, &routes);
+                reseeded.seed(dst, &failed, &routes);
+                evicted.seed(dst, &failed, &routes);
+                evicted.begin_scenario();
+                honest.seed(dst, &failed, &routes);
+                prop_assert_eq!(honest.cached_routes(), 0);
+                for (i, src) in g.nodes().enumerate() {
+                    let want = walk_packet(&g, &honest, src, dst, &failed, ttl);
+                    for (label, agent) in [
+                        ("unseeded", &unseeded),
+                        ("seeded", &seeded),
+                        ("seeded twice", &reseeded),
+                        ("seeded late", &late),
+                        ("seeded, then evicted", &evicted),
+                    ] {
+                        let got = walk_packet(&g, agent, src, dst, &failed, ttl);
+                        prop_assert_eq!(&got, &want, "{}: {:?} {}->{}", label, failed, src, dst);
+                    }
+                    if i == 0 {
+                        // Over whatever the first walk's misses built.
+                        late.seed(dst, &failed, &routes);
+                    }
+                }
+            }
+            // Every cone handed over is counted, and only where there
+            // was something to plant.
+            let cones = g
+                .nodes()
+                .filter(|&d| g.nodes().any(|s| base.towards(d).path_crosses(&g, s, &failed)))
+                .count() as u64;
+            prop_assert_eq!(seeded.take_route_stats().seeded, cones);
+            prop_assert_eq!(reseeded.take_route_stats().seeded, 2 * cones);
+            prop_assert_eq!(unseeded.take_route_stats().seeded, 0);
+            prop_assert_eq!(honest.take_route_stats().seeded, 0);
+        }
+    }
 
     /// Every scheme of the workspace forwards a packet nobody has
     /// marked yet by where it is and where it is going alone.

@@ -1,32 +1,48 @@
-//! The walk-engine micro-benchmarks, plus the unit-walk gate.
+//! The walk-engine micro-benchmarks, plus the unit-walk gates.
 //!
-//! **The gate** (runs even under `--test`, so CI's bench smoke step
-//! enforces it): on a 500-node synthetic ISP mesh, answering every
+//! **The gates** (run even under `--test`, so CI's bench smoke step
+//! enforces them): on a 500-node synthetic ISP mesh, answering every
 //! affected source of a set of (failure, destination) units through
 //! `FlowUnit::walk` — what the sweeps run: one walk per failure point,
 //! every source behind it by arithmetic — must stay under an absolute
 //! ns/source ceiling, after reproducing the plain per-source
 //! `walk_packet_with` sweep's tallies. A unit that walks per source
-//! again shows as a multiple of the ceiling, not a few percent.
+//! again shows as a multiple of the ceiling, not a few percent. One
+//! gate per lane of the stretch sweep: PR, and FCP as the sweep runs
+//! it — cone opened, its routes seeded into the lane's route memo,
+//! then the walks — against the honest recompute-per-decision agent's
+//! tallies.
 
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use pr_baselines::FcpAgent;
+use pr_bench::engine::{ConePlan, SweepUnit};
+use pr_bench::stretch::seed_fcp_lane;
 use pr_core::{
-    generous_ttl, walk_packet_with, DiscriminatorKind, FlowScratch, PrAgent, PrMode, PrNetwork,
-    WalkScratch,
+    generous_ttl, walk_packet_with, DiscriminatorKind, FlowScratch, ForwardingAgent, PrMode,
+    PrNetwork, WalkScratch,
 };
 use pr_embedding::{CellularEmbedding, RotationSystem};
 use pr_graph::generators::{self, MeshParams};
 use pr_graph::{AllPairs, Graph, LinkId, LinkSet, NodeId};
 
-/// Absolute ceiling on the unit sweep's time per affected source on
-/// the mesh-500 fixture: 4x the dev-container reading (55-56 ns per
+/// Absolute ceiling on the PR lane's time per affected source on the
+/// mesh-500 fixture: 4x the dev-container reading (55-56 ns per
 /// source over four runs; 1 272 sources behind 45 points). The plain
 /// sweep reads 718 ns per source there, so a unit that walks every
 /// source fails the gate.
-const NS_PER_SOURCE_CEILING: f64 = 220.0;
+const PR_NS_PER_SOURCE_CEILING: f64 = 220.0;
+
+/// The same for the FCP lane, which is timed from the opening of the
+/// unit's cone: 4x the dev-container reading (145-149 ns per source
+/// over four runs, of which the cone's enumeration and repair are the
+/// larger part). Left to its miss path — the cone enumerated and
+/// repaired a second time inside the route memo — the lane reads
+/// 208-212 ns per source on the same units, and a lane that walks per
+/// source with the honest agent several microseconds.
+const FCP_NS_PER_SOURCE_CEILING: f64 = 590.0;
 
 /// One (failure, destination) unit with its affected sources.
 struct Unit {
@@ -59,13 +75,16 @@ fn build_units(graph: &Graph, base: &AllPairs) -> Vec<Unit> {
 }
 
 /// Plain per-source walks: `(delivered, total cost)` over all units.
-fn sweep_plain(
+fn sweep_plain<A: ForwardingAgent>(
     graph: &Graph,
-    agent: &PrAgent<'_>,
+    agent: &A,
     units: &[Unit],
     ttl: usize,
-    scratch: &mut WalkScratch<pr_core::PrHeader>,
-) -> (u64, u64) {
+    scratch: &mut WalkScratch<A::State>,
+) -> (u64, u64)
+where
+    A::State: std::hash::Hash + Eq,
+{
     let (mut delivered, mut cost) = (0u64, 0u64);
     for unit in units {
         for &src in &unit.sources {
@@ -80,18 +99,25 @@ fn sweep_plain(
 }
 
 /// The unit sweep, as the scenario sweeps run it: each unit's points
-/// walked once, every source answered from its point.
-fn sweep_units(
+/// walked once, every source answered from its point. `open` is what
+/// the sweep does for the lane before it walks a unit.
+fn sweep_units<A: ForwardingAgent>(
     graph: &Graph,
-    agent: &PrAgent<'_>,
+    agent: &A,
     base: &AllPairs,
     units: &[Unit],
     ttl: usize,
-    scratch: &mut FlowScratch<pr_core::PrHeader>,
-) -> (u64, u64) {
+    scratch: &mut FlowScratch<A::State>,
+    mut open: impl FnMut(SweepUnit<'_>),
+) -> (u64, u64)
+where
+    A::State: std::hash::Hash + Eq,
+{
     let (mut delivered, mut cost) = (0u64, 0u64);
     for unit in units {
-        let mut flows = scratch.unit(graph, agent, base.towards(unit.dst), &unit.failed);
+        let base_tree = base.towards(unit.dst);
+        open(SweepUnit { scenario: 0, failed: &unit.failed, dst: unit.dst, base_tree });
+        let mut flows = scratch.unit(graph, agent, base_tree, &unit.failed);
         for &src in &unit.sources {
             if let Some(c) = flows.walk(src, ttl).cost() {
                 delivered += 1;
@@ -111,55 +137,74 @@ fn mesh500() -> (Graph, PrNetwork) {
     (graph, net)
 }
 
-/// The unit-walk regression gate on the 500-node mesh. Panics (failing
-/// the bench run, `--test` smoke mode included) when the unit sweep
-/// exceeds the absolute ns/source ceiling — no in-tree denominator.
-/// The sweep takes its best (minimum) of 20 rounds, which is what a
-/// shared machine's throttling leaves alone.
-fn unit_walk_gate() {
-    let (graph, net) = mesh500();
-    let agent = net.agent(&graph);
-    let base = AllPairs::compute_all_live(&graph);
-    let units = build_units(&graph, &base);
+/// One lane's unit-walk regression gate on the 500-node mesh. Panics
+/// (failing the bench run, `--test` smoke mode included) when `lane` —
+/// the unit sweep — does not reproduce the `plain` tallies or exceeds
+/// its absolute ns/source ceiling — no in-tree denominator. The sweep
+/// takes its best (minimum) of 20 rounds, which is what a shared
+/// machine's throttling leaves alone.
+fn lane_gate(
+    label: &str,
+    units: &[Unit],
+    ceiling: f64,
+    plain: (u64, u64),
+    mut lane: impl FnMut() -> (u64, u64),
+) {
     let sources: usize = units.iter().map(|u| u.sources.len()).sum();
     assert!(sources > 1_000, "mesh-500 gate needs a meaningful unit set, got {sources} sources");
-    let ttl = generous_ttl(&graph);
-    let mut scratch = FlowScratch::new();
 
     // Warmup; the tallies must agree with the plain walker's or the
     // unit is unsound and its timing meaningless.
-    let plain = sweep_plain(&graph, &agent, &units, ttl, &mut WalkScratch::new());
-    let shared = sweep_units(&graph, &agent, &base, &units, ttl, &mut scratch);
-    assert_eq!(plain, shared, "the unit sweep must reproduce plain deliveries and costs");
+    assert_eq!(lane(), plain, "the {label} unit sweep must reproduce plain deliveries and costs");
 
     let mut secs = f64::INFINITY;
     for _ in 0..20 {
         let t = Instant::now();
-        black_box(sweep_units(&graph, &agent, &base, &units, ttl, &mut scratch));
+        black_box(lane());
         secs = secs.min(t.elapsed().as_secs_f64());
     }
 
     let ns_per_source = secs * 1e9 / sources as f64;
     println!(
-        "gate: mesh500 unit sweep {ns_per_source:.0}ns/source \
-         (ceiling {NS_PER_SOURCE_CEILING:.0}ns/source, {sources} sources of {} units)",
+        "gate: mesh500 {label} unit sweep {ns_per_source:.0}ns/source \
+         (ceiling {ceiling:.0}ns/source, {sources} sources of {} units)",
         units.len(),
     );
     assert!(
-        ns_per_source <= NS_PER_SOURCE_CEILING,
-        "walk gate: the unit sweep exceeded the ns/source ceiling: \
-         {ns_per_source:.0}ns > {NS_PER_SOURCE_CEILING:.0}ns"
+        ns_per_source <= ceiling,
+        "walk gate: the {label} unit sweep exceeded the ns/source ceiling: \
+         {ns_per_source:.0}ns > {ceiling:.0}ns"
     );
 }
 
 fn bench_walks(c: &mut Criterion) {
-    unit_walk_gate();
-
     let (graph, net) = mesh500();
     let agent = net.agent(&graph);
-    let base = AllPairs::compute_all_live(&graph);
-    let units = build_units(&graph, &base);
+    let plan = ConePlan::new(&graph);
+    let base = plan.base();
+    let units = build_units(&graph, base);
     let ttl = generous_ttl(&graph);
+
+    let plain = sweep_plain(&graph, &agent, &units, ttl, &mut WalkScratch::new());
+    let mut scratch = FlowScratch::new();
+    lane_gate("pr", &units, PR_NS_PER_SOURCE_CEILING, plain, || {
+        sweep_units(&graph, &agent, base, &units, ttl, &mut scratch, |_| ())
+    });
+
+    // The FCP lane as the stretch sweep runs it: the memo evicted at
+    // the scenario boundary, the unit's cone opened and its routes
+    // handed to the memo, then the walks.
+    let fcp = FcpAgent::cached_with_base(&graph, base);
+    let mut opener = plan.opener();
+    let mut fcp_scratch = FlowScratch::new();
+    let mut fcp_lane = || {
+        sweep_units(&graph, &fcp, base, &units, ttl, &mut fcp_scratch, |unit| {
+            fcp.begin_scenario();
+            seed_fcp_lane(&fcp, &unit, &mut opener.open(&unit));
+        })
+    };
+    let honest = sweep_plain(&graph, &FcpAgent::new(&graph), &units, ttl, &mut WalkScratch::new());
+    lane_gate("fcp", &units, FCP_NS_PER_SOURCE_CEILING, honest, &mut fcp_lane);
 
     let mut group = c.benchmark_group("walk_sweep");
     group.bench_function(BenchmarkId::new("plain", "mesh500"), |b| {
@@ -167,8 +212,10 @@ fn bench_walks(c: &mut Criterion) {
         b.iter(|| black_box(sweep_plain(&graph, &agent, &units, ttl, &mut scratch)))
     });
     group.bench_function(BenchmarkId::new("unit", "mesh500"), |b| {
-        let mut scratch = FlowScratch::new();
-        b.iter(|| black_box(sweep_units(&graph, &agent, &base, &units, ttl, &mut scratch)))
+        b.iter(|| black_box(sweep_units(&graph, &agent, base, &units, ttl, &mut scratch, |_| ())))
+    });
+    group.bench_function(BenchmarkId::new("unit_fcp", "mesh500"), |b| {
+        b.iter(|| black_box(fcp_lane()))
     });
     group.finish();
 }

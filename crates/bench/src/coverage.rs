@@ -22,6 +22,7 @@ use pr_graph::{AllPairs, Graph, SpTree};
 use pr_scenarios::{SampledMultiFailures, ScenarioFamily, ScenarioIter, SingleLinkFailures};
 
 use crate::engine::{ConeOpener, ConePlan};
+use crate::stretch::seed_fcp_lane;
 
 /// Delivery statistics for one scheme at one failure count.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
@@ -170,7 +171,9 @@ pub fn run(
                 let mut fcp = w.fcp_walks.unit(graph, &w.fcp, tree, failed);
                 let mut lfa = w.lfa_walks.unit(graph, &compiled.lfa, tree, failed);
                 let mut notvia = w.notvia_walks.unit(graph, &compiled.notvia, tree, failed);
-                for (src, survivor) in w.opener.open(&unit) {
+                let mut cone = w.opener.open(&unit);
+                seed_fcp_lane(&w.fcp, &unit, &mut cone);
+                for (src, survivor) in cone {
                     if survivor.is_none() {
                         continue; // "| path" conditioning
                     }

@@ -14,7 +14,12 @@
 //!   [`ConeOpener`] yields the unit's *affected* sources — the
 //!   subtrees below failed tree edges, O(cone) instead of classifying
 //!   all n nodes — in ascending node order, each with its survivor
-//!   cost (`None`: the failure disconnected it). The sweep opens one
+//!   cost (`None`: the failure disconnected it). That is the unit's
+//!   one cone repair: the opener repairs distance labels only, and a
+//!   lane that routes on the repaired tree (FCP) gets the cone's
+//!   `(node, next dart)` routes from the opened cone on request — a
+//!   selection pass over the labels already there — instead of
+//!   repairing the cone again. The sweep opens one
 //!   `pr_core::FlowScratch::unit` per scheme, which evicts that
 //!   scheme's suffix memo at the only place it can be evicted, and
 //!   asks it for each connected source. The unit walks once per
@@ -59,7 +64,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use pr_core::generous_ttl;
-use pr_graph::{AllPairs, Graph, LinkSet, NodeId, RepairStats, SpScratch, SpTree, TreeChildren};
+use pr_graph::{
+    AllPairs, Dart, Graph, LinkSet, NodeId, RepairStats, SpScratch, SpTree, TreeChildren,
+};
 use pr_scenarios::ScenarioFamily;
 
 pub use crate::shards::run_shards;
@@ -178,13 +185,20 @@ impl<'a> ConePlan<'a> {
     /// One worker's cone opener; its buffers grow to the topology on
     /// first use and are reused across every unit the worker runs.
     pub fn opener(&self) -> ConeOpener<'_> {
-        ConeOpener { plan: self, cone: Vec::new(), stack: Vec::new(), labels: SpScratch::new() }
+        ConeOpener {
+            plan: self,
+            cone: Vec::new(),
+            stack: Vec::new(),
+            labels: SpScratch::new(),
+            routes: Vec::new(),
+        }
     }
 }
 
 /// Per-worker state of the unit kernel's first step: the affected
-/// sources of the current unit and the arena their survivor distances
-/// are repaired in.
+/// sources of the current unit, the arena their survivor distances are
+/// repaired in, and the buffer their repaired routes are handed out
+/// from.
 pub struct ConeOpener<'a> {
     plan: &'a ConePlan<'a>,
     /// Affected sources of the current unit, ascending node id.
@@ -192,30 +206,36 @@ pub struct ConeOpener<'a> {
     /// DFS stack of the cone enumeration.
     stack: Vec<NodeId>,
     labels: SpScratch,
+    routes: Vec<(NodeId, Option<Dart>)>,
 }
 
 impl ConeOpener<'_> {
-    /// Opens `unit`: yields every source whose failure-free path
-    /// towards `unit.dst` crosses a failed link, in ascending node
-    /// order, with the cost of its shortest surviving path — `None`
-    /// when the failure cut it off from the destination. The
-    /// destination is never among them (it is the tree root), and an
-    /// empty cone — no base path crosses a failure — yields nothing
-    /// and repairs nothing. Only the cone's distance labels are
-    /// repaired, O(cone) per unit; a warm opener does not call the
-    /// allocator.
-    pub fn open(
-        &mut self,
-        unit: &SweepUnit<'_>,
-    ) -> impl ExactSizeIterator<Item = (NodeId, Option<u64>)> + '_ {
-        let ConeOpener { plan, cone, stack, labels } = self;
+    /// Opens `unit`: the cone it returns yields every source whose
+    /// failure-free path towards `unit.dst` crosses a failed link, in
+    /// ascending node order, with the cost of its shortest surviving
+    /// path — `None` when the failure cut it off from the destination.
+    /// The destination is never among them (it is the tree root), and
+    /// an empty cone — no base path crosses a failure — yields nothing
+    /// and repairs nothing. The unit's cone is repaired **once**, here:
+    /// only its distance labels, O(cone) per unit, and a lane that
+    /// routes on the repaired tree asks the cone for
+    /// [`OpenCone::routes`] instead of repairing it again. A warm
+    /// opener does not call the allocator.
+    pub fn open<'o>(&'o mut self, unit: &SweepUnit<'o>) -> OpenCone<'o> {
+        let ConeOpener { plan, cone, stack, labels, routes } = self;
         let children = &plan.children[unit.dst.index()];
         unit.base_tree.affected_cone(plan.graph, children, unit.failed, cone, stack);
         if !cone.is_empty() {
             unit.base_tree.repair_cone_labels(plan.graph, unit.failed, cone, labels);
         }
-        let labels = &*labels;
-        cone.iter().map(move |&src| (src, labels.cone_cost(src)))
+        OpenCone {
+            graph: plan.graph,
+            tree: unit.base_tree,
+            cone,
+            sources: cone.iter(),
+            labels,
+            routes,
+        }
     }
 
     /// The repair counters since they were last taken.
@@ -223,6 +243,51 @@ impl ConeOpener<'_> {
         self.labels.take_stats()
     }
 }
+
+/// The opened cone of one unit ([`ConeOpener::open`]): an iterator
+/// over its `(affected source, survivor cost)` pairs that can also
+/// hand out the repaired routes of the same cone.
+pub struct OpenCone<'a> {
+    graph: &'a Graph,
+    tree: &'a SpTree,
+    cone: &'a [NodeId],
+    sources: std::slice::Iter<'a, NodeId>,
+    labels: &'a mut SpScratch,
+    routes: &'a mut Vec<(NodeId, Option<Dart>)>,
+}
+
+impl OpenCone<'_> {
+    /// The cone's `(node, next dart)` patches over the unit's base
+    /// tree under the unit's failures, in node order (`None`: cut
+    /// off) — what `FcpAgent::seed` (pr-baselines) plants. Computed
+    /// when asked, by the canonical selection pass over the labels the
+    /// opener has just repaired ([`SpTree::cone_routes`]), so a sweep
+    /// with no lane that routes on the repaired tree never pays it.
+    pub fn routes(&mut self) -> &[(NodeId, Option<Dart>)] {
+        self.routes.clear();
+        // An empty cone repaired nothing: the arena's labels are an
+        // earlier unit's.
+        if !self.cone.is_empty() {
+            self.tree.cone_routes(self.graph, self.cone, self.labels, self.routes);
+        }
+        self.routes
+    }
+}
+
+impl Iterator for OpenCone<'_> {
+    type Item = (NodeId, Option<u64>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let &src = self.sources.next()?;
+        Some((src, self.labels.cone_cost(src)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.sources.size_hint()
+    }
+}
+
+impl ExactSizeIterator for OpenCone<'_> {}
 
 /// A sweep over (scenario × destination) work units, **streaming** its
 /// scenarios from a [`ScenarioFamily`]: scenario `s` is constructed on

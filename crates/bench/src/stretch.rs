@@ -11,7 +11,10 @@
 //! lanes: a worker's cone opener yields a unit's affected sources with
 //! their survivor cost — which *is* the reconvergence sample — and the
 //! FCP and PR lanes answer each connected one from their
-//! `pr_core::FlowScratch` unit, one walk per failure point. Workers
+//! `pr_core::FlowScratch` unit, one walk per failure point; a
+//! single-failure unit seeds the FCP agent's route memo with the
+//! opened cone's routes ([`seed_fcp_lane`]), so its cone is repaired
+//! once. Workers
 //! fold blocks of consecutive destinations into [`StretchBlock`]s,
 //! which reach the calling thread in work-unit order while the pool
 //! runs.
@@ -32,12 +35,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use pr_baselines::FcpAgent;
+use pr_baselines::{FcpAgent, RouteStats};
 use pr_core::{generous_ttl, walk_packet, FlowScratch, MemoStats, PrAgent, PrNetwork, WalkResult};
 use pr_graph::{AllPairs, Graph, RepairStats, SpTree};
 use pr_scenarios::{ScenarioFamily, ScenarioIter};
 
-use crate::engine::{ConeOpener, ConePlan, SweepUnit};
+use crate::engine::{ConeOpener, ConePlan, OpenCone, SweepUnit};
 
 /// Scheme identifiers used in experiment output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -141,16 +144,19 @@ pub fn run(
     run_with_stats(graph, pr, family, threads).0
 }
 
-/// Auxiliary statistics of one stretch sweep: live-tree incremental
-/// repair counters plus walk-memo counters (FCP and PR memos summed).
-/// Integer counters, so totals are thread-count invariant. This is
-/// what `pr sweep --stats` prints.
+/// Auxiliary statistics of one stretch sweep: the cone opener's repair
+/// counters, walk-memo counters (FCP and PR memos summed) and the FCP
+/// route memo's — seeded from the opener's repairs, or repaired on its
+/// own. Integer counters, so totals are thread-count invariant. This
+/// is what `pr sweep --stats` prints.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SweepStats {
     /// Shortest-path-tree repair counters.
     pub repair: RepairStats,
     /// Suffix-memo counters of the walk engine.
     pub memo: MemoStats,
+    /// Fill counters of the FCP route memo.
+    pub routes: RouteStats,
 }
 
 impl SweepStats {
@@ -158,6 +164,7 @@ impl SweepStats {
     pub fn merge(&mut self, other: &SweepStats) {
         self.repair.merge(&other.repair);
         self.memo.merge(&other.memo);
+        self.routes.merge(&other.routes);
     }
 }
 
@@ -267,14 +274,16 @@ impl StretchWorker<'_> {
         let StretchWorker { plan, opener, fcp, fcp_walks, pr_walks } = self;
         let (graph, ttl) = (plan.cones.graph(), plan.cones.ttl());
         out.failures = unit.failed.len();
-        let mut fcp = fcp_walks.unit(graph, &*fcp, unit.base_tree, unit.failed);
+        let mut cone = opener.open(&unit);
+        seed_fcp_lane(fcp, &unit, &mut cone);
+        let mut fcp_unit = fcp_walks.unit(graph, &*fcp, unit.base_tree, unit.failed);
         let mut pr = pr_walks.unit(graph, &plan.pr_agent, unit.base_tree, unit.failed);
         let samples = &mut out.samples;
         // The debug-build cross-check of the survivor costs against
         // the reconvergence agent's own tables is per scenario in
         // `run_serial`; here it would recompute per unit, so it lives
         // in the serial reference only.
-        for (src, survivor) in opener.open(&unit) {
+        for (src, survivor) in cone {
             let Some(reconv_cost) = survivor else {
                 samples.disconnected_pairs += 1;
                 continue;
@@ -287,7 +296,7 @@ impl StretchWorker<'_> {
             samples.reconvergence.push(reconv_cost as f64 / optimal as f64);
 
             // FCP: walk with incremental failure discovery.
-            match fcp.walk(src, ttl).cost() {
+            match fcp_unit.walk(src, ttl).cost() {
                 Some(cost) => samples.fcp.push(cost as f64 / optimal as f64),
                 None => samples.drop_fcp(),
             }
@@ -299,8 +308,26 @@ impl StretchWorker<'_> {
             }
         }
         out.stats.repair.merge(&opener.take_stats());
-        out.stats.memo.merge(&fcp.take_stats());
+        out.stats.routes.merge(&fcp.take_route_stats());
+        out.stats.memo.merge(&fcp_unit.take_stats());
         out.stats.memo.merge(&pr.take_stats());
+    }
+}
+
+/// Hands a unit's FCP lane the routes of the cone its opener has just
+/// repaired, so the lane's route memo does not repair that cone again
+/// — where the lane is certain to ask for them: under a **single**
+/// failure the first list a packet carries is the unit's whole failed
+/// set, and the point walk's first decision hits the planted entry.
+/// Under k ≥ 2 failures that key is asked for only by a walk that
+/// learns every one of them, and the selection pass over the unit's
+/// largest cone costs more than the hits return (`synth:isp:300:7
+/// multi --k 4 --samples 300`, 1 thread: seeding every unit 1.077 s,
+/// singles only 1.022 s, no seeding 1.041 s), so those units leave the
+/// memo to its miss path.
+pub fn seed_fcp_lane(fcp: &FcpAgent<'_>, unit: &SweepUnit<'_>, cone: &mut OpenCone<'_>) {
+    if unit.failed.len() == 1 {
+        fcp.seed(unit.dst, unit.failed, cone.routes());
     }
 }
 

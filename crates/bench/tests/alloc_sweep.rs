@@ -11,14 +11,17 @@
 //!   and dropped alike. A walk that clones a heap
 //!   header into every visited triple (what `FcpState` did as a
 //!   `Vec`) costs millions of calls per sweep and makes the workers
-//!   queue on each other's arenas.
+//!   queue on each other's arenas. Nor does a scenario the FCP route
+//!   memo has just been evicted for: seeded or repaired, its entries
+//!   go into one arena that keeps its capacity (a `Vec` per entry
+//!   was one allocation per busy unit, freed at the next scenario).
 //! * **Memory is the result, not the units.** `run_with_stats` holds
 //!   the panel it returns plus the blocks in flight — never one
 //!   partial result per (scenario, destination) unit — and `run_rows`
 //!   holds the blocks in flight and O(1) per scenario.
 //!
 //! The call counter is per thread and the byte gauge is process-wide,
-//! so the two tests take turns.
+//! so the tests take turns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -30,8 +33,8 @@ use pr_bench::stretch::{self, StretchBlock, StretchPlan, StretchSamples};
 use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
 use pr_embedding::{CellularEmbedding, RotationSystem};
 use pr_graph::generators::{isp_mesh, MeshParams};
-use pr_graph::Graph;
-use pr_scenarios::{ScenarioFamily, SingleLinkFailures};
+use pr_graph::{Graph, LinkSet};
+use pr_scenarios::{ExhaustiveKFailures, ScenarioFamily, SingleLinkFailures};
 
 thread_local! {
     /// Allocator calls (alloc, realloc, dealloc) made by this thread.
@@ -110,6 +113,23 @@ fn compile(graph: &Graph, rotation: RotationSystem) -> PrNetwork {
     PrNetwork::compile(graph, embedding, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops)
 }
 
+/// `block`, emptied in place: the same accumulator with its room.
+fn emptied(block: StretchBlock) -> StretchBlock {
+    let mut kept = block.samples;
+    kept.reconvergence.clear();
+    kept.fcp.clear();
+    kept.packet_recycling.clear();
+    StretchBlock {
+        samples: StretchSamples {
+            reconvergence: kept.reconvergence,
+            fcp: kept.fcp,
+            packet_recycling: kept.packet_recycling,
+            ..StretchSamples::default()
+        },
+        ..StretchBlock::default()
+    }
+}
+
 #[test]
 fn second_pass_over_a_scenario_never_calls_the_allocator() {
     let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -141,17 +161,7 @@ fn second_pass_over_a_scenario_never_calls_the_allocator() {
             let mut block = StretchBlock::default();
             pass(&mut block);
             let warm = block.clone();
-            // The same accumulator, emptied in place.
-            let mut kept = std::mem::take(&mut block).samples;
-            kept.reconvergence.clear();
-            kept.fcp.clear();
-            kept.packet_recycling.clear();
-            block.samples = StretchSamples {
-                reconvergence: kept.reconvergence,
-                fcp: kept.fcp,
-                packet_recycling: kept.packet_recycling,
-                ..StretchSamples::default()
-            };
+            let mut block = emptied(block);
             let calls = calls_during(|| pass(&mut block));
             assert_eq!(
                 calls, 0,
@@ -163,6 +173,56 @@ fn second_pass_over_a_scenario_never_calls_the_allocator() {
         }
         assert!(evaluated > 0, "{label}: the passes must exercise the walks");
         assert_eq!(undelivered > 0, label == "identity", "{label}: {undelivered} PR drops");
+    }
+}
+
+#[test]
+fn a_scenario_new_to_the_route_memo_never_calls_the_allocator() {
+    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let g = mesh();
+    let net = compile(&g, RotationSystem::geometric(&g).expect("mesh has coordinates"));
+    let plan = StretchPlan::new(&g, &net);
+    // Single failures go through the seeded entry, pairs through the
+    // memo's own repairs into the arena.
+    let singles = SingleLinkFailures::new(&g);
+    let pairs = ExhaustiveKFailures::new(&g, 2);
+    let families: [(&str, &dyn ScenarioFamily); 2] = [("singles", &singles), ("pairs", &pairs)];
+    for (label, family) in families {
+        let mut worker = plan.worker();
+        let scenarios: Vec<(usize, LinkSet)> = (0..family.len())
+            .step_by(family.len() / 5)
+            .map(|scenario| (scenario, family.scenario(scenario)))
+            .collect();
+        let mut fold = |(scenario, failed): &(usize, LinkSet), block: &mut StretchBlock| {
+            worker.begin_scenario();
+            for dst in g.nodes() {
+                let base_tree = plan.base().towards(dst);
+                let unit = SweepUnit { scenario: *scenario, failed, dst, base_tree };
+                worker.fold_unit(unit, block);
+            }
+        };
+        // Warm-up: each scenario once, the memo evicted in between, so
+        // every buffer, the arena and the index grow to the largest.
+        let mut block = StretchBlock::default();
+        let mut warm = Vec::new();
+        for scenario in &scenarios {
+            block = emptied(block);
+            fold(scenario, &mut block);
+            warm.push(block.clone());
+        }
+        // Each scenario again: the memo starts empty and is refilled
+        // inside the counted region.
+        for (scenario, warm) in scenarios.iter().zip(&warm) {
+            block = emptied(block);
+            let calls = calls_during(|| fold(scenario, &mut block));
+            let at = format!("{label}, scenario {}", scenario.0);
+            assert_eq!(calls, 0, "{at}: a fresh scenario called the allocator {calls} times");
+            assert_eq!(block, *warm, "{at}: the passes must agree");
+            assert!(block.samples.evaluated_pairs > 0, "{at}");
+            let routes = block.stats.routes;
+            assert_eq!(routes.seeded > 0, label == "singles", "{at}: {routes:?}");
+            assert_eq!(routes.repaired > 0, label == "pairs", "{at}: {routes:?}");
+        }
     }
 }
 

@@ -234,6 +234,44 @@ fn synth_mesh_memoized_rows_equal_plain_rows() {
     }
 }
 
+/// The sweep's work, as counts: a single-failure unit repairs its cone
+/// once — the opener's repair, handed to the FCP lane's route memo —
+/// so the memo repairs nothing, and one cone is seeded per busy unit
+/// (a unit some source's failure-free path of which crosses the failed
+/// link). Under two failures nothing is seeded and the memo repairs
+/// on its own.
+#[test]
+fn synth_mesh_single_failure_units_repair_their_cone_once() {
+    let g = pr_graph::generators::isp_mesh(&pr_graph::generators::MeshParams::new(120, 2010));
+    let rot = pr_embedding::RotationSystem::geometric(&g).expect("mesh has coordinates");
+    let emb = CellularEmbedding::new(&g, rot).expect("connected topology");
+    let pr = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+    let singles = SingleLinkFailures::new(&g);
+    let base = pr_graph::AllPairs::compute_all_live(&g);
+    let on_tree = |dst, link| {
+        g.nodes().any(|u| base.towards(dst).next_dart(u).is_some_and(|d| d.link() == link))
+    };
+    let busy: usize = g.links().map(|l| g.nodes().filter(|&dst| on_tree(dst, l)).count()).sum();
+    assert!(busy > 10_000, "{busy} busy units");
+    for threads in [1, 4] {
+        let (_, stats) = pr_bench::stretch::run_rows(&g, &pr, &singles, threads, 0);
+        assert_eq!(stats.repair.repairs, busy as u64, "{threads} threads");
+        let routes = stats.routes;
+        assert_eq!(
+            (routes.seeded, routes.repaired, routes.cone_nodes),
+            (busy as u64, 0, 0),
+            "{threads} threads"
+        );
+        // One FCP and one PR point walk per busy unit.
+        assert_eq!(stats.memo.walks, 2 * busy as u64, "{threads} threads");
+    }
+    let pairs = SampledMultiFailures::new(&g, 2, 12, 2010);
+    let (_, stats) = pr_bench::stretch::run_rows(&g, &pr, &pairs, 2, 0);
+    assert_eq!(stats.routes.seeded, 0);
+    assert!(stats.routes.repaired >= stats.repair.repairs, "{stats:?}");
+    assert!(stats.routes.cone_nodes > 0);
+}
+
 // ---- temporal sweeps ---------------------------------------------------
 
 /// Abilene with its certified embedding, cheap search budget.

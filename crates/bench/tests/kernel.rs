@@ -16,10 +16,13 @@
 //! [`FlowUnit::walk`](pr_core::FlowUnit::walk): one walk per failure
 //! point, every source behind it by arithmetic. Each answer must be
 //! plain `walk_packet`'s on the same flow, over fixtures that drive
-//! every shape a unit's groups take ([`Groups`]).
+//! every shape a unit's groups take ([`Groups`]). The FCP lane runs
+//! as the sweeps run it: its route memo seeded from the opened cone
+//! wherever `stretch::seed_fcp_lane` hands the routes over.
 
 use pr_baselines::{FcpAgent, LfaAgent, NotViaAgent};
 use pr_bench::engine::{ConeOpener, ConePlan, SweepUnit};
+use pr_bench::stretch::seed_fcp_lane;
 use pr_core::{
     generous_ttl, walk_packet, DiscriminatorKind, FlowScratch, FlowWalk, ForwardingAgent, PrMode,
     PrNetwork,
@@ -128,7 +131,9 @@ struct Groups {
 }
 
 /// Holds one scheme's lane to plain `walk_packet`: every source of
-/// every destination under `failed`, through one unit per destination.
+/// every destination under `failed`, through one unit per destination,
+/// `before_unit` being what the sweep does for the lane when it opens
+/// the unit's cone.
 fn check_lane<A: ForwardingAgent>(
     plan: &ConePlan<'_>,
     agent: &A,
@@ -136,6 +141,7 @@ fn check_lane<A: ForwardingAgent>(
     failed: &LinkSet,
     ttl: usize,
     seen: &mut Groups,
+    mut before_unit: impl FnMut(SweepUnit<'_>),
 ) where
     A::State: std::hash::Hash + Eq,
 {
@@ -143,6 +149,7 @@ fn check_lane<A: ForwardingAgent>(
     for dst in g.nodes() {
         let tree = plan.base().towards(dst);
         let live = SpTree::towards(g, dst, failed);
+        before_unit(SweepUnit { scenario: 0, failed, dst, base_tree: tree });
         let mut unit = scratch.unit(g, agent, tree, failed);
         let mut points = Vec::new();
         for src in g.nodes().filter(|&src| src != dst) {
@@ -193,15 +200,23 @@ fn check_lanes(g: &Graph, rotation: RotationSystem, sets: &[LinkSet], ttl: usize
     let (mut basic_walks, mut dd_walks) = (FlowScratch::new(), FlowScratch::new());
     let (mut fcp_walks, mut lfa_walks, mut notvia_walks) =
         (FlowScratch::new(), FlowScratch::new(), FlowScratch::new());
+    let mut opener = plan.opener();
     let mut seen = Groups::default();
     for failed in sets {
         fcp.begin_scenario();
-        check_lane(&plan, &basic.agent(g), &mut basic_walks, failed, ttl, &mut seen);
-        check_lane(&plan, &dd.agent(g), &mut dd_walks, failed, ttl, &mut seen);
-        check_lane(&plan, &fcp, &mut fcp_walks, failed, ttl, &mut seen);
-        check_lane(&plan, &lfa, &mut lfa_walks, failed, ttl, &mut seen);
-        check_lane(&plan, &notvia, &mut notvia_walks, failed, ttl, &mut seen);
+        check_lane(&plan, &basic.agent(g), &mut basic_walks, failed, ttl, &mut seen, |_| ());
+        check_lane(&plan, &dd.agent(g), &mut dd_walks, failed, ttl, &mut seen, |_| ());
+        // The FCP lane as the sweeps run it: on the routes of the cone
+        // the opener has repaired, where the sweeps hand them over.
+        check_lane(&plan, &fcp, &mut fcp_walks, failed, ttl, &mut seen, |unit| {
+            seed_fcp_lane(&fcp, &unit, &mut opener.open(&unit))
+        });
+        check_lane(&plan, &lfa, &mut lfa_walks, failed, ttl, &mut seen, |_| ());
+        check_lane(&plan, &notvia, &mut notvia_walks, failed, ttl, &mut seen, |_| ());
     }
+    let routes = fcp.take_route_stats();
+    let singles = sets.iter().any(|failed| failed.len() == 1);
+    assert_eq!(routes.seeded > 0, singles, "{routes:?}");
     seen
 }
 

@@ -212,6 +212,11 @@ pub fn sweep(args: &Args) -> CmdResult {
                      ({} splices / {} lookups), spliced steps {spliced:.1}% of walk work",
                     memo.walks, memo.shared, memo.hits, memo.lookups
                 );
+                let routes = &stats.routes;
+                println!(
+                    "fcp routes:    {} seeded, {} repaired (cone nodes {})",
+                    routes.seeded, routes.repaired, routes.cone_nodes
+                );
             }
             emit(
                 format,

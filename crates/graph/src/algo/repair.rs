@@ -143,8 +143,7 @@ pub struct SpScratch {
     failed_darts: Vec<u64>,
     failed_key: LinkSet,
     /// Repaired hop/parent labels of the cone-restricted selection
-    /// pass ([`SpTree::repair_cone_routes`]); valid where
-    /// `stamp == epoch`.
+    /// pass ([`SpTree::cone_routes`]); valid where `stamp == epoch`.
     hops_patch: Vec<u32>,
     next_patch: Vec<Dart>,
     stats: RepairStats,
@@ -497,27 +496,29 @@ impl SpTree {
         scratch.relabel_cone(graph, self, cone);
     }
 
-    /// [`SpTree::repair_cone_labels`] plus the canonical parent
-    /// selection, emitting `(node, next dart)` patches for every cone
-    /// node — `None` marking nodes the failure cuts off. Outside the
-    /// cone the repaired tree equals `self` (the base tree), so a
-    /// patch list plus the base answers any routing query the full
-    /// repaired tree could, at O(cone) cost per repair instead of
-    /// O(n).
+    /// The canonical parent selection over the labels the last
+    /// [`SpTree::repair_cone_labels`] call on `self` left in `scratch`
+    /// for `cone`: **appends** one `(node, next dart)` patch per cone
+    /// node to `out`, in cone order — `None` marking nodes the failure
+    /// cuts off. Outside the cone the repaired tree equals `self` (the
+    /// base tree), so a patch list plus the base answers any routing
+    /// query the full repaired tree could, at O(cone) cost per repair
+    /// instead of O(n).
     ///
     /// The selection pass is the one `repair_from` runs — same
     /// finalisation order, same `(hops, parent id, dart id)`
     /// tie-break, with clean neighbours' labels read from the base —
-    /// so patched decisions are bit-identical to the full repair's.
-    pub fn repair_cone_routes(
+    /// so patched decisions are bit-identical to the full repair's. It
+    /// reads the failed-dart mask, the cone classification and the
+    /// finalisation order of that label repair, so no other repair may
+    /// have gone through `scratch` in between.
+    pub fn cone_routes(
         &self,
         graph: &Graph,
-        failed: &LinkSet,
         cone: &[NodeId],
         scratch: &mut SpScratch,
         out: &mut Vec<(NodeId, Option<Dart>)>,
     ) {
-        self.repair_cone_labels(graph, failed, cone, scratch);
         for i in 0..scratch.order.len() {
             let u = scratch.order[i];
             // A cone neighbour's labels live in the scratch (its
@@ -535,12 +536,27 @@ impl SpTree {
             scratch.hops_patch[u.index()] = h;
             scratch.next_patch[u.index()] = dart;
         }
-        out.clear();
         out.extend(cone.iter().map(|&u| {
             let next =
                 (scratch.stamp[u.index()] == scratch.epoch).then(|| scratch.next_patch[u.index()]);
             (u, next)
         }));
+    }
+
+    /// [`SpTree::repair_cone_labels`], then [`SpTree::cone_routes`]
+    /// into a cleared `out`: the sorted patch list of `cone` under
+    /// `failed`.
+    pub fn repair_cone_routes(
+        &self,
+        graph: &Graph,
+        failed: &LinkSet,
+        cone: &[NodeId],
+        scratch: &mut SpScratch,
+        out: &mut Vec<(NodeId, Option<Dart>)>,
+    ) {
+        self.repair_cone_labels(graph, failed, cone, scratch);
+        out.clear();
+        self.cone_routes(graph, cone, scratch, out);
     }
 }
 
@@ -841,6 +857,11 @@ mod tests {
                 // The patches plus the base tree answer every routing
                 // query the full repaired tree answers.
                 assert_eq!(patches.len(), cone.len());
+                // The selection pass alone, over the labels still in
+                // the scratch, appends the same list again.
+                let mut twice = patches.clone();
+                base.cone_routes(&g, &cone, &mut scratch, &mut twice);
+                assert_eq!(twice, [&patches[..], &patches[..]].concat(), "dest {dest}");
                 for u in g.nodes() {
                     let patched = match patches.binary_search_by_key(&u, |p| p.0) {
                         Ok(i) => patches[i].1,
