@@ -2,11 +2,15 @@
 //!
 //! PR's precomputation happens once per topology change (§4.3: on a
 //! designated server); this bench quantifies "relatively expensive
-//! computations offline" for the three paper topologies.
+//! computations offline" for the three paper topologies. The routing
+//! table has no row of its own: `RoutingTables` is a view of the
+//! all-pairs trees and copies nothing, so `full_pr_network`
+//! (`PrNetwork::compile`: the all-pairs pass plus the cycle table) is
+//! what compiling it costs.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use pr_core::{CycleFollowingTable, DiscriminatorKind, PrMode, PrNetwork, RoutingTables};
+use pr_core::{CycleFollowingTable, DiscriminatorKind, PrMode, PrNetwork};
 use pr_embedding::CellularEmbedding;
 use pr_graph::AllPairs;
 use pr_topologies::{Isp, Weighting};
@@ -20,11 +24,6 @@ fn bench_tables(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("all_pairs_dijkstra", isp), &graph, |b, g| {
             b.iter(|| black_box(AllPairs::compute_all_live(g)))
-        });
-
-        let ap = AllPairs::compute_all_live(&graph);
-        group.bench_with_input(BenchmarkId::new("routing_tables", isp), &graph, |b, g| {
-            b.iter(|| black_box(RoutingTables::compile(g, &ap)))
         });
 
         group.bench_with_input(BenchmarkId::new("cycle_following_table", isp), &graph, |b, g| {

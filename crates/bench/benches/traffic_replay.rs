@@ -25,7 +25,6 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pr_core::{generous_ttl, DenseFib, DiscriminatorKind, PrMode, PrNetwork};
-use pr_graph::AllPairs;
 use pr_scenarios::{ScenarioFamily, SingleLinkFailures};
 use pr_topologies::{Isp, Weighting};
 use pr_traffic::{
@@ -39,7 +38,6 @@ const PR5_BATCHED_FLOWS_PER_SEC: f64 = 19.0e6;
 struct Setup {
     graph: pr_graph::Graph,
     net: PrNetwork,
-    base: AllPairs,
     dense: DenseFib,
     flows: FlowSet,
     singles: SingleLinkFailures,
@@ -52,12 +50,11 @@ fn setup(isp: Isp) -> Setup {
     let emb = pr_embedding::CellularEmbedding::new(&graph, rot).expect("connected");
     let net =
         PrNetwork::compile(&graph, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
-    let base = AllPairs::compute_all_live(&graph);
-    let dense = DenseFib::from_base(&graph, &base);
+    let dense = DenseFib::from_base(&graph, net.base());
     let flows = FlowSet::all_pairs(&GravityTraffic::new(&graph));
     let singles = SingleLinkFailures::new(&graph);
     let ttl = generous_ttl(&graph);
-    Setup { graph, net, base, dense, flows, singles, ttl }
+    Setup { graph, net, dense, flows, singles, ttl }
 }
 
 /// One full single-failure sweep through the production dataplane.
@@ -69,7 +66,14 @@ fn sweep_bitparallel(
     for i in 0..s.singles.len() {
         let failed = s.singles.scenario(i);
         black_box(replay_scenario_bitparallel(
-            &s.graph, agent, &s.dense, &s.base, &s.flows, &failed, s.ttl, scratch,
+            &s.graph,
+            agent,
+            &s.dense,
+            s.net.base(),
+            &s.flows,
+            &failed,
+            s.ttl,
+            scratch,
         ));
     }
 }
@@ -132,7 +136,12 @@ fn bench_traffic_replay(c: &mut Criterion) {
                 for i in 0..s.singles.len() {
                     let failed = s.singles.scenario(i);
                     black_box(replay_scenario_naive(
-                        &s.graph, &agent, &s.base, &s.flows, &failed, s.ttl,
+                        &s.graph,
+                        &agent,
+                        s.net.base(),
+                        &s.flows,
+                        &failed,
+                        s.ttl,
                     ));
                 }
             })

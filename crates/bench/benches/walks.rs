@@ -180,7 +180,7 @@ fn lane_gate(
 fn bench_walks(c: &mut Criterion) {
     let (graph, net) = mesh500();
     let agent = net.agent(&graph);
-    let plan = ConePlan::new(&graph);
+    let plan = ConePlan::new(&graph, net.base());
     let base = plan.base();
     let units = build_units(&graph, base);
     let ttl = generous_ttl(&graph);

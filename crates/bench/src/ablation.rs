@@ -57,7 +57,6 @@ pub fn embedding_ablation(graph: &Graph, seed: u64, threads: usize) -> Vec<Embed
     // Candidate-invariant state, hoisted out of the per-heuristic loop
     // (the single-link family streams — nothing to materialise).
     let scenarios = SingleLinkFailures::new(graph);
-    let plan = ConePlan::new(graph);
 
     candidates
         .into_iter()
@@ -65,7 +64,7 @@ pub fn embedding_ablation(graph: &Graph, seed: u64, threads: usize) -> Vec<Embed
             let faces = FaceStructure::trace(graph, &rot);
             let g = genus(graph, &faces).expect("connected topology");
             let emb = CellularEmbedding::new(graph, rot).expect("validated rotation");
-            let (mean, max, delivery) = single_failure_stretch(&plan, &emb, &scenarios, threads);
+            let (mean, max, delivery) = single_failure_stretch(graph, &emb, &scenarios, threads);
             EmbeddingAblationRow {
                 heuristic: name,
                 genus: g,
@@ -91,15 +90,15 @@ struct PrDdPartial {
 
 /// Sweeps one compiled PR-DD network over `scenarios`, collecting
 /// stretch samples and delivery counts over the affected, connected
-/// pairs (the shared core of E6/E7). `plan` is caller-hoisted: E6/E7
-/// sweep the same graph once per candidate network.
+/// pairs (the shared core of E6/E7). The cone plan is per network: it
+/// borrows the trees that network routes on.
 fn pr_dd_sweep(
-    plan: &ConePlan<'_>,
+    graph: &Graph,
     net: &PrNetwork,
     scenarios: &dyn ScenarioFamily,
     threads: usize,
 ) -> PrDdPartial {
-    let graph = plan.graph();
+    let plan = ConePlan::new(graph, net.base());
     let agent = net.agent(graph);
     let mut merged = PrDdPartial::default();
     plan.sweep(scenarios, threads).fold(
@@ -128,21 +127,21 @@ fn pr_dd_sweep(
 }
 
 /// Mean/max PR-DD stretch and delivery ratio over all single-failure
-/// affected pairs. `plan`/`scenarios` are hoisted by the caller
-/// (identical for every heuristic candidate on one graph).
+/// affected pairs. `scenarios` is hoisted by the caller (identical for
+/// every heuristic candidate on one graph).
 fn single_failure_stretch(
-    plan: &ConePlan<'_>,
+    graph: &Graph,
     embedding: &CellularEmbedding,
     scenarios: &dyn ScenarioFamily,
     threads: usize,
 ) -> (f64, f64, f64) {
     let net = PrNetwork::compile(
-        plan.graph(),
+        graph,
         embedding.clone(),
         PrMode::DistanceDiscriminator,
         DiscriminatorKind::Hops,
     );
-    let r = pr_dd_sweep(plan, &net, scenarios, threads);
+    let r = pr_dd_sweep(graph, &net, scenarios, threads);
     let mean = crate::stretch::mean(&r.stretches);
     let max = r.stretches.iter().copied().fold(f64::NAN, f64::max);
     let delivery = if r.evaluated == 0 { 1.0 } else { r.delivered as f64 / r.evaluated as f64 };
@@ -173,13 +172,12 @@ pub fn discriminator_ablation(
     threads: usize,
 ) -> Vec<DiscriminatorAblationRow> {
     let scenarios = SampledMultiFailures::new(graph, failures, samples, seed);
-    let plan = ConePlan::new(graph);
     [DiscriminatorKind::Hops, DiscriminatorKind::WeightedCost]
         .into_iter()
         .map(|kind| {
             let net =
                 PrNetwork::compile(graph, embedding.clone(), PrMode::DistanceDiscriminator, kind);
-            let r = pr_dd_sweep(&plan, &net, &scenarios, threads);
+            let r = pr_dd_sweep(graph, &net, &scenarios, threads);
             DiscriminatorAblationRow {
                 discriminator: kind.to_string(),
                 header_bits: net.codec().total_bits(),
@@ -220,7 +218,6 @@ pub fn genus_delivery(
 ) -> Vec<GenusDeliveryRow> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut bins: std::collections::BTreeMap<u32, GenusDeliveryRow> = Default::default();
-    let plan = ConePlan::new(graph);
     for i in 0..rotations {
         let rot = RotationSystem::random(graph, &mut rng);
         let emb = CellularEmbedding::new(graph, rot).expect("connected topology");
@@ -228,6 +225,7 @@ pub fn genus_delivery(
         let net =
             PrNetwork::compile(graph, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
         let agent = net.agent(graph);
+        let plan = ConePlan::new(graph, net.base());
         let row =
             bins.entry(g).or_insert_with(|| GenusDeliveryRow { genus: g, ..Default::default() });
         row.embeddings += 1;
@@ -345,9 +343,8 @@ mod tests {
         let expected = oracle(&g, &net, &scenarios);
         assert!(expected.affected.1 < expected.affected.0, "some walks must drop");
         assert!(expected.affected.1 > 0);
-        let plan = ConePlan::new(&g);
         for threads in [1, 3] {
-            let got = pr_dd_sweep(&plan, &net, &scenarios, threads);
+            let got = pr_dd_sweep(&g, &net, &scenarios, threads);
             assert_eq!(got.stretches, expected.stretches, "{threads} threads");
             assert_eq!((got.evaluated, got.delivered), expected.affected, "{threads} threads");
         }

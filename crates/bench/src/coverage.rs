@@ -141,7 +141,8 @@ pub fn run(
     threads: usize,
 ) -> Vec<CoverageRow> {
     let compiled = Compiled::new(graph, embedding);
-    let plan = ConePlan::new(graph);
+    // Both PR networks route on equal trees; the plan reads the DD's.
+    let plan = ConePlan::new(graph, compiled.dd_net.base());
     let basic_agent = compiled.basic_net.agent(graph);
     let dd_agent = compiled.dd_net.agent(graph);
     let ttl = plan.ttl();

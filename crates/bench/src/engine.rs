@@ -7,8 +7,9 @@
 //!
 //! * **Failure-invariant hoisting** — the failure-free shortest-path
 //!   trees ([`AllPairs`]), a child index per destination tree and the
-//!   TTL do not depend on the scenario, so a [`ConePlan`] computes them
-//!   once per topology and every sweep over it shares them.
+//!   TTL do not depend on the scenario: a [`ConePlan`] borrows the
+//!   network's own trees (`PrNetwork::base`), builds the rest once per
+//!   topology, and every sweep over it shares them.
 //! * **The unit kernel** — a `(scenario, destination)` unit is the
 //!   same three steps in every topological sweep. A worker's
 //!   [`ConeOpener`] yields the unit's *affected* sources — the
@@ -138,21 +139,21 @@ pub struct SweepUnit<'a> {
 }
 
 /// The failure-invariant state of a topological sweep, hoisted out of
-/// every loop level: the failure-free trees, a child index per
-/// destination tree (what lets a unit enumerate its affected sources
-/// in O(cone)) and the TTL. Built once per topology; sweeps that share
-/// the topology share the plan.
+/// every loop level: the failure-free trees (the network's, borrowed),
+/// a child index per destination tree (what lets a unit enumerate its
+/// affected sources in O(cone)) and the TTL. Built once per topology;
+/// sweeps that share the topology share the plan.
 pub struct ConePlan<'a> {
     graph: &'a Graph,
-    base: AllPairs,
+    base: &'a AllPairs,
     children: Vec<TreeChildren>,
     ttl: usize,
 }
 
 impl<'a> ConePlan<'a> {
-    /// Hoists the failure-invariant state of sweeps over `graph`.
-    pub fn new(graph: &'a Graph) -> ConePlan<'a> {
-        let base = AllPairs::compute_all_live(graph);
+    /// Hoists the failure-invariant state of sweeps over `graph`,
+    /// whose failure-free trees are `base`.
+    pub fn new(graph: &'a Graph, base: &'a AllPairs) -> ConePlan<'a> {
         let children = graph.nodes().map(|d| TreeChildren::build(graph, base.towards(d))).collect();
         ConePlan { graph, base, children, ttl: generous_ttl(graph) }
     }
@@ -162,9 +163,9 @@ impl<'a> ConePlan<'a> {
         self.graph
     }
 
-    /// The hoisted failure-free trees.
-    pub fn base(&self) -> &AllPairs {
-        &self.base
+    /// The failure-free trees the plan was given.
+    pub fn base(&self) -> &'a AllPairs {
+        self.base
     }
 
     /// The hop budget of every walk of the sweep.
@@ -179,7 +180,7 @@ impl<'a> ConePlan<'a> {
         family: &'s dyn ScenarioFamily,
         threads: usize,
     ) -> ScenarioSweep<'s> {
-        ScenarioSweep::new(self.graph, family, &self.base, threads)
+        ScenarioSweep::new(self.graph, family, self.base, threads)
     }
 
     /// One worker's cone opener; its buffers grow to the topology on

@@ -20,12 +20,13 @@
 
 use serde::Serialize;
 
-use pr_core::{generous_ttl, DenseFib, PrNetwork};
-use pr_graph::{AllPairs, Graph};
+use pr_core::PrNetwork;
+use pr_graph::Graph;
 use pr_scenarios::TemporalFamily;
 use pr_traffic::{replay_timeline, FlowSet, ReplayScratch, TimelineTraffic};
 
 use crate::engine;
+use crate::traffic::replay_plan;
 
 /// One scenario timeline's demand-weighted outcome.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -41,9 +42,10 @@ pub struct ImpairRow {
 }
 
 /// Replays `flows` through every scenario timeline of `family` on
-/// `threads` workers. Failure-invariant state — base trees, staged
-/// dense FIB, compiled agent, TTL — is hoisted once; each worker owns
-/// a private [`ReplayScratch`] reused across its scenarios.
+/// `threads` workers. Failure-invariant state — the network's own base
+/// trees, the FIB staged from them, compiled agent, TTL — is hoisted
+/// once; each worker owns a private [`ReplayScratch`] reused across
+/// its scenarios.
 pub fn run(
     graph: &Graph,
     pr: &PrNetwork,
@@ -51,11 +53,7 @@ pub fn run(
     flows: &FlowSet,
     threads: usize,
 ) -> Vec<ImpairRow> {
-    let base = AllPairs::compute_all_live(graph);
-    let dense = DenseFib::from_base(graph, &base);
-    let agent = pr.agent(graph);
-    let ttl = generous_ttl(graph);
-
+    let (base, dense, agent, ttl) = replay_plan(graph, pr);
     engine::run_units(
         family.len(),
         threads.max(1),
@@ -63,7 +61,7 @@ pub fn run(
         |scratch: &mut ReplayScratch<pr_core::PrHeader>, i| {
             let scenario = family.scenario(i);
             let traffic =
-                replay_timeline(graph, &agent, &dense, &base, flows, &scenario, ttl, scratch);
+                replay_timeline(graph, &agent, &dense, base, flows, &scenario, ttl, scratch);
             ImpairRow { scenario: i, label: scenario.label, events: scenario.events.len(), traffic }
         },
     )

@@ -202,7 +202,7 @@ pub struct StretchBlock {
 }
 
 /// The failure-invariant state of one stretch sweep: the engine's
-/// hoisted [`ConePlan`] plus the compiled PR agent.
+/// [`ConePlan`] over the network's own trees, plus the compiled PR agent.
 pub struct StretchPlan<'a> {
     cones: ConePlan<'a>,
     pr_agent: PrAgent<'a>,
@@ -211,11 +211,11 @@ pub struct StretchPlan<'a> {
 impl<'a> StretchPlan<'a> {
     /// Hoists the sweep's failure-invariant state.
     pub fn new(graph: &'a Graph, pr: &'a PrNetwork) -> StretchPlan<'a> {
-        StretchPlan { cones: ConePlan::new(graph), pr_agent: pr.agent(graph) }
+        StretchPlan { cones: ConePlan::new(graph, pr.base()), pr_agent: pr.agent(graph) }
     }
 
-    /// The hoisted failure-free trees.
-    pub fn base(&self) -> &AllPairs {
+    /// The failure-free trees every lane reads: `pr`'s, not a copy.
+    pub fn base(&self) -> &'a AllPairs {
         self.cones.base()
     }
 
@@ -737,6 +737,16 @@ mod tests {
         assert!(mr <= mf + 1e-12, "reconvergence {mr} > fcp {mf}");
         assert!(mf <= mp + 1e-12, "fcp {mf} > pr {mp}");
         assert!(mr >= 1.0);
+    }
+
+    #[test]
+    fn the_plan_borrows_the_networks_trees() {
+        // One failure-free map per process: a plan that computed trees
+        // of its own would hand out another address.
+        let g =
+            pr_topologies::load(pr_topologies::Isp::Abilene, pr_topologies::Weighting::Distance);
+        let pr = compile_pr(&g);
+        assert!(std::ptr::eq(StretchPlan::new(&g, &pr).base(), pr.base()));
     }
 
     #[test]

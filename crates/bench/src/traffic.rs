@@ -25,7 +25,7 @@
 
 use serde::Serialize;
 
-use pr_core::{generous_ttl, DenseFib, PrNetwork};
+use pr_core::{generous_ttl, DenseFib, PrAgent, PrNetwork};
 use pr_graph::{AllPairs, Graph};
 use pr_scenarios::{ScenarioFamily, ScenarioIter};
 use pr_traffic::{
@@ -87,12 +87,22 @@ pub fn summarize(rows: &[TrafficRow]) -> TrafficSummary {
     s
 }
 
+/// What a replay sweep (`pr traffic`, `pr impair`) hoists: the
+/// network's own failure-free trees, **borrowed** — the agent's
+/// decisions and the replay's climbs read the same memory — the dense
+/// FIB staged from them, the compiled PR agent and the TTL.
+pub(crate) fn replay_plan<'a>(
+    graph: &'a Graph,
+    pr: &'a PrNetwork,
+) -> (&'a AllPairs, DenseFib, PrAgent<'a>, usize) {
+    (pr.base(), DenseFib::from_base(graph, pr.base()), pr.agent(graph), generous_ttl(graph))
+}
+
 /// Replays `flows` through every scenario of `family` on `threads`
-/// workers. Failure-invariant state — the base trees, the staged dense
-/// FIB, the compiled PR agent, the TTL — is hoisted once; each worker
-/// owns a private [`ReplayScratch`] reused across its scenarios (and
-/// with it its own copy of the failure-free baseline: a load vector
-/// and a tally).
+/// workers. Failure-invariant state is hoisted once ([`replay_plan`]);
+/// each worker owns a private [`ReplayScratch`] reused across its
+/// scenarios (and with it its own copy of the failure-free baseline:
+/// a load vector and a tally).
 pub fn run(
     graph: &Graph,
     pr: &PrNetwork,
@@ -100,11 +110,7 @@ pub fn run(
     flows: &FlowSet,
     threads: usize,
 ) -> Vec<TrafficRow> {
-    let base = AllPairs::compute_all_live(graph);
-    let dense = DenseFib::from_base(graph, &base);
-    let agent = pr.agent(graph);
-    let ttl = generous_ttl(graph);
-
+    let (base, dense, agent, ttl) = replay_plan(graph, pr);
     run_units(
         family.len(),
         threads,
@@ -112,7 +118,7 @@ pub fn run(
         |scratch: &mut ReplayScratch<pr_core::PrHeader>, scenario| {
             let failed = family.scenario(scenario);
             let traffic = replay_scenario_bitparallel(
-                graph, &agent, &dense, &base, flows, &failed, ttl, scratch,
+                graph, &agent, &dense, base, flows, &failed, ttl, scratch,
             );
             TrafficRow { scenario, failures: failed.len(), traffic }
         },
@@ -120,8 +126,9 @@ pub fn run(
 }
 
 /// The serial per-packet reference: every flow walked one packet at a
-/// time with fresh scratch state, no FIB, no repair ([`run`] must be
-/// bit-identical to this at every thread count).
+/// time with fresh scratch state, no FIB, no repair, and base trees of
+/// its own ([`run`] must be bit-identical to this at every thread
+/// count, which also checks the network's trees).
 pub fn run_serial(
     graph: &Graph,
     pr: &PrNetwork,
@@ -194,6 +201,20 @@ mod tests {
         let csv = rows_csv(&rows);
         assert_eq!(csv.lines().count(), rows.len() + 1);
         assert!(csv.starts_with("scenario,failures,"));
+    }
+
+    #[test]
+    fn the_plan_borrows_the_networks_trees() {
+        // What `run` and `impair::run` replay over: a plan that computed
+        // trees of its own would hand out another address.
+        let (g, emb) = crate::paper_topology(Isp::Abilene);
+        let pr = PrNetwork::compile(
+            &g,
+            emb,
+            pr_core::PrMode::DistanceDiscriminator,
+            pr_core::DiscriminatorKind::Hops,
+        );
+        assert!(std::ptr::eq(replay_plan(&g, &pr).0, pr.base()));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use pr_core::{
     PrNetwork,
 };
 use pr_embedding::{CellularEmbedding, RotationSystem};
-use pr_graph::{algo, Graph, LinkId, LinkSet, NodeId, SpTree};
+use pr_graph::{algo, AllPairs, Graph, LinkId, LinkSet, NodeId, SpTree};
 use pr_scenarios::{ExhaustiveKFailures, ScenarioFamily};
 use pr_topologies::{Isp, Weighting};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -71,7 +71,8 @@ fn check_scenario(
 #[test]
 fn abilene_exhaustive_singles_and_pairs_open_to_their_definition() {
     let g = pr_topologies::load(Isp::Abilene, Weighting::Distance);
-    let plan = ConePlan::new(&g);
+    let base = AllPairs::compute_all_live(&g);
+    let plan = ConePlan::new(&g, &base);
     let mut opener = plan.opener();
     let mut seen = Seen::default();
     for k in [1, 2] {
@@ -90,7 +91,8 @@ fn positive_genus_mesh_sampled_sets_open_to_their_definition() {
     // The mesh `tests/determinism.rs` sweeps under the identity
     // rotation; the opener itself never sees an embedding.
     let g = pr_graph::generators::synth_from_spec("isp:24:7").expect("synth spec");
-    let plan = ConePlan::new(&g);
+    let base = AllPairs::compute_all_live(&g);
+    let plan = ConePlan::new(&g, &base);
     let mut opener = plan.opener();
     let mut rng = StdRng::seed_from_u64(2010);
     let mut seen = Seen::default();
@@ -191,10 +193,10 @@ fn check_lane<A: ForwardingAgent>(
 /// All five lanes of the coverage sweep (the stretch sweep's two are
 /// among them) under each failed set.
 fn check_lanes(g: &Graph, rotation: RotationSystem, sets: &[LinkSet], ttl: usize) -> Groups {
-    let plan = ConePlan::new(g);
     let embedding = CellularEmbedding::new(g, rotation).expect("connected");
     let compile = |mode| PrNetwork::compile(g, embedding.clone(), mode, DiscriminatorKind::Hops);
     let (basic, dd) = (compile(PrMode::Basic), compile(PrMode::DistanceDiscriminator));
+    let plan = ConePlan::new(g, dd.base());
     let fcp = FcpAgent::cached_with_base(g, plan.base());
     let (lfa, notvia) = (LfaAgent::compute(g), NotViaAgent::compute(g));
     let (mut basic_walks, mut dd_walks) = (FlowScratch::new(), FlowScratch::new());

@@ -147,7 +147,6 @@ pub struct PrNetwork {
     routing: RoutingTables,
     cycle: CycleFollowingTable,
     codec: HeaderCodec,
-    node_count: usize,
 }
 
 impl PrNetwork {
@@ -164,8 +163,7 @@ impl PrNetwork {
         mode: PrMode,
         discriminator: DiscriminatorKind,
     ) -> PrNetwork {
-        let all_pairs = AllPairs::compute_all_live(graph);
-        let routing = RoutingTables::compile(graph, &all_pairs);
+        let routing = RoutingTables::compile(graph, AllPairs::compute_all_live(graph));
         let cycle = CycleFollowingTable::compile(graph, &embedding);
         let codec = match mode {
             PrMode::Basic => HeaderCodec::for_max_dd(0),
@@ -173,15 +171,7 @@ impl PrNetwork {
                 HeaderCodec::for_max_dd(routing.max_discriminator(discriminator))
             }
         };
-        PrNetwork {
-            mode,
-            discriminator,
-            embedding,
-            routing,
-            cycle,
-            codec,
-            node_count: graph.node_count(),
-        }
+        PrNetwork { mode, discriminator, embedding, routing, cycle, codec }
     }
 
     /// The protocol variant this network runs.
@@ -204,6 +194,13 @@ impl PrNetwork {
         &self.routing
     }
 
+    /// The failure-free shortest-path trees the network routes on: the
+    /// process's **one** failure-free map. The staged FIB, a sweep's
+    /// cone plan and the daemon twin borrow it, nobody recomputes it.
+    pub fn base(&self) -> &AllPairs {
+        &self.routing.base
+    }
+
     /// The compiled cycle following tables.
     pub fn cycle_table(&self) -> &CycleFollowingTable {
         &self.cycle
@@ -223,13 +220,22 @@ impl PrNetwork {
 
     /// Per-router memory footprint (experiment E9).
     pub fn memory_footprint(&self, graph: &Graph, node: NodeId) -> MemoryFootprint {
-        MemoryFootprint::per_router(graph.degree(node), self.node_count.saturating_sub(1))
+        MemoryFootprint::per_router(graph.degree(node), graph.node_count().saturating_sub(1))
     }
 
     /// Binds the compiled state to a graph, yielding the runnable
-    /// forwarding agent.
+    /// forwarding agent. Panics if the tables are not of `graph`'s
+    /// shape: a network can arrive through serde, compiled for another
+    /// topology or cut short, and would index out of range mid-walk.
     pub fn agent<'a>(&'a self, graph: &'a Graph) -> PrAgent<'a> {
-        debug_assert_eq!(graph.node_count(), self.node_count, "graph/tables mismatch");
+        let (nodes, darts, rows) = (graph.node_count(), graph.dart_count(), self.cycle.len());
+        let trees = self.base().check_shape(nodes);
+        assert!(
+            trees.is_ok() && rows == darts,
+            "graph/tables mismatch: a graph of {nodes} nodes and {darts} darts, routing tables \
+             of {}, a cycle following table of {rows} rows",
+            trees.err().unwrap_or(format!("{nodes} trees"))
+        );
         PrAgent { net: self, graph }
     }
 }

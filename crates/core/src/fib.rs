@@ -11,8 +11,10 @@
 //!   carrying the extent of its subtree. The sources whose path crosses
 //!   a failed link are the subtrees hanging below the failed tree edges
 //!   — the *cones* — and in pre-order a cone is one contiguous slice:
-//!   [`DenseFib::cones_into`] finds them in two reads per failed link,
-//!   and everything replay does per scenario streams over those slices.
+//!   an index from each link to the tree edges over it names the
+//!   destinations a failed set touches and where their cones start
+//!   ([`DenseFib::roots_into`]), and everything replay does per
+//!   scenario streams over those slices.
 //! * [`FlowUnit`] — one open (failed set, destination) unit on a
 //!   worker's [`FlowScratch`], and the only way to walk. A unit climbs
 //!   each source's failure-free path to its **point**, the first
@@ -87,8 +89,18 @@ impl FibFrame {
     }
 }
 
-/// [`DenseFib`]'s position entry of a node without a frame (the
-/// destination itself, or a node the base graph cannot reach it from).
+/// One entry of [`DenseFib`]'s link index: the frame at `at` of
+/// `dest`'s run routes over the link — a cone's root when it fails.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct TreeEdge {
+    /// The destination whose tree holds the edge.
+    pub dest: u32,
+    /// Index of the edge's frame in the destination's run.
+    pub at: u32,
+}
+
+/// Staging position of a node without a frame (the destination
+/// itself, or a node the base graph cannot reach it from).
 const NO_FRAME: u32 = u32::MAX;
 
 /// Dense per-destination FIB staging for the replay dataplane.
@@ -96,16 +108,17 @@ const NO_FRAME: u32 = u32::MAX;
 /// Each destination's whole tree is a flat run of [`FibFrame`]s in
 /// **DFS pre-order**, children in ascending node id: every parent
 /// appears before its children and every subtree is the contiguous
-/// slice `frames[i..frames[i].end]`. A position index (4 bytes per
-/// (destination, node)) finds a node's frame in one read. With these,
-/// the sources a failed set cuts off from their shortest path are
-/// enumerated in O(subtree) ([`DenseFib::cones_into`]), and one
-/// backward pass over a slice sums per-subtree demand and credits each
-/// tree dart its subtree's load — children always sit behind their
-/// parent.
+/// slice `frames[i..frames[i].end]`. A link index in CSR form lists,
+/// per link, the [`TreeEdge`]s over it in ascending destination (a
+/// tree crosses a link in one direction: one per destination at most).
+/// With these, the sources a failed set cuts off from their shortest
+/// path are enumerated in O(subtree) ([`DenseFib::roots_into`]), and
+/// one backward pass over a slice sums per-subtree demand and credits
+/// each tree dart its subtree's load — children always sit behind
+/// their parent.
 ///
-/// Compiled once per topology from the hoisted base trees and shared
-/// read-only by every replay worker.
+/// Compiled once per topology from the network's failure-free trees
+/// and shared read-only by every replay worker.
 #[derive(Debug, Clone)]
 pub struct DenseFib {
     /// All destinations' frames, destination-major; within one
@@ -114,9 +127,10 @@ pub struct DenseFib {
     frames: Vec<FibFrame>,
     /// `frames[offsets[d] .. offsets[d + 1]]` stages destination `d`.
     offsets: Vec<u32>,
-    /// `pos[d * nodes + u]` is `u`'s index in `d`'s run, or
-    /// [`NO_FRAME`].
-    pos: Vec<u32>,
+    /// Every frame once more, grouped by the link of its dart.
+    edges: Vec<TreeEdge>,
+    /// `edges[link_offsets[l] .. link_offsets[l + 1]]` cross link `l`.
+    link_offsets: Vec<u32>,
     nodes: usize,
     stamp: Stamp,
 }
@@ -128,13 +142,13 @@ impl DenseFib {
         let mut frames = Vec::with_capacity(n.saturating_sub(1) * n);
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
-        let mut pos = vec![NO_FRAME; n * n];
+        let mut pos = vec![NO_FRAME; n];
         let mut stack: Vec<NodeId> = Vec::new();
         for dest in graph.nodes() {
             let tree = base.towards(dest);
             let children = TreeChildren::build(graph, tree);
             let start = frames.len();
-            let pos = &mut pos[dest.index() * n..][..n];
+            pos.fill(NO_FRAME);
             // Children are pushed in descending id so they pop — and
             // are staged — in ascending id.
             stack.extend(children.of(dest).iter().rev());
@@ -162,7 +176,25 @@ impl DenseFib {
             }
             offsets.push(frames.len() as u32);
         }
-        DenseFib { frames, offsets, pos, nodes: n, stamp: Stamp::fresh() }
+
+        // The link index, by counting sort over ascending destinations.
+        let mut link_offsets = vec![0u32; graph.link_count() + 1];
+        for f in &frames {
+            link_offsets[f.link().index() + 1] += 1;
+        }
+        for l in 0..graph.link_count() {
+            link_offsets[l + 1] += link_offsets[l];
+        }
+        let mut cursor = link_offsets.clone();
+        let mut edges = vec![TreeEdge { dest: 0, at: 0 }; frames.len()];
+        for (dest, run) in offsets.windows(2).enumerate() {
+            for (at, f) in frames[run[0] as usize..run[1] as usize].iter().enumerate() {
+                let slot = &mut cursor[f.link().index()];
+                edges[*slot as usize] = TreeEdge { dest: dest as u32, at: at as u32 };
+                *slot += 1;
+            }
+        }
+        DenseFib { frames, offsets, edges, link_offsets, nodes: n, stamp: Stamp::fresh() }
     }
 
     /// Number of nodes (= destinations) staged.
@@ -183,56 +215,46 @@ impl DenseFib {
         &self.frames[s..e]
     }
 
-    /// `node`'s frame in `dest`'s tree (`None` when `node == dest`).
+    /// The tree edges over `link`, in ascending destination.
     #[inline]
-    pub fn frame(&self, node: NodeId, dest: NodeId) -> Option<&FibFrame> {
-        match self.pos[dest.index() * self.nodes + node.index()] {
-            NO_FRAME => None,
-            p => Some(&self.frames[self.offsets[dest.index()] as usize + p as usize]),
-        }
+    pub fn tree_edges(&self, link: LinkId) -> &[TreeEdge] {
+        let (s, e) = (self.link_offsets[link.index()], self.link_offsets[link.index() + 1]);
+        &self.edges[s as usize..e as usize]
     }
 
-    /// Finds the **cones** of `dest` under `failed`: the maximal
-    /// subtrees hanging below a failed tree edge, as ascending,
-    /// disjoint index ranges `(start, end)` into
-    /// [`DenseFib::frames`]`(dest)` — `frames[start]` is the cone's
-    /// root, the node whose own next dart failed. Their union is
-    /// exactly the set of sources whose base-tree path towards `dest`
-    /// crosses a failed link ([`DenseFib::affected_into`] computes the
-    /// same set in O(n)).
+    /// Finds the **cones** of every destination under `failed`: the
+    /// maximal subtrees hanging below a failed tree edge, as their
+    /// roots — the frame of the node whose own next dart failed — in
+    /// ascending `(destination, frame)` order. The cone of a root `r`
+    /// is `frames(r.dest)[r.at..frames(r.dest)[r.at].end]`; a
+    /// destination's cones are disjoint, and their union is exactly the
+    /// set of sources whose base-tree path towards it crosses a failed
+    /// link ([`DenseFib::affected_into`] computes the same set in
+    /// O(n)). A destination without a root is not looked at.
     ///
-    /// A failed link is a tree edge iff one of its endpoints routes
-    /// over it, so each costs two position reads. A root found inside
-    /// another root's subtree is dropped — its cone is already covered
-    /// — whichever of the two the failed set lists first.
-    pub fn cones_into(
-        &self,
-        graph: &Graph,
-        dest: NodeId,
-        failed: &LinkSet,
-        cones: &mut Vec<(u32, u32)>,
-    ) {
-        cones.clear();
-        let run = self.frames(dest);
-        let pos = &self.pos[dest.index() * self.nodes..][..self.nodes];
+    /// The roots are the failed links' index entries, sorted when there
+    /// are several links; a root inside another root's subtree is
+    /// dropped — its cone is covered — whichever of the two the failed
+    /// set lists first. `roots` is sized once: warm, nothing allocates.
+    pub fn roots_into(&self, failed: &LinkSet, roots: &mut Vec<TreeEdge>) {
+        roots.clear();
+        // No link has more entries than there are destinations.
+        roots.reserve(failed.len() * self.nodes);
         for link in failed.iter() {
-            let (a, b) = graph.endpoints(link);
-            for u in [a, b] {
-                let p = pos[u.index()];
-                if p != NO_FRAME && run[p as usize].link() == link {
-                    cones.push((p, run[p as usize].end));
-                }
-            }
+            roots.extend_from_slice(self.tree_edges(link));
         }
-        if cones.len() > 1 {
+        if failed.len() > 1 {
             // Outermost first: pre-order puts an enclosing root before
             // everything nested in it.
-            cones.sort_unstable();
-            let mut covered = 0;
-            cones.retain(|&(start, end)| {
-                let outermost = start >= covered;
+            roots.sort_unstable();
+            let (mut dest, mut covered) = (u32::MAX, 0);
+            roots.retain(|r| {
+                if r.dest != dest {
+                    (dest, covered) = (r.dest, 0);
+                }
+                let outermost = r.at >= covered;
                 if outermost {
-                    covered = end;
+                    covered = self.frames(NodeId(r.dest))[r.at as usize].end;
                 }
                 outermost
             });
@@ -248,7 +270,7 @@ impl DenseFib {
     /// frame ORs its parent's bit with its own dart's failure bit;
     /// pre-order guarantees the parent's bit is final by the time a
     /// child reads it. Replay enumerates the same set through
-    /// [`DenseFib::cones_into`] without visiting the unaffected nodes;
+    /// [`DenseFib::roots_into`] without visiting the unaffected nodes;
     /// this full pass is what the tests hold that against.
     pub fn affected_into(&self, dest: NodeId, failed: &LinkSet, affected: &mut Vec<u64>) {
         pr_graph::bits::clear_and_resize(affected, self.nodes);
@@ -604,37 +626,41 @@ mod tests {
     use pr_graph::{bits, generators, SpTree};
     use rand::{rngs::StdRng, SeedableRng};
 
-    fn compile(g: &Graph) -> (PrNetwork, AllPairs, DenseFib) {
+    /// A compiled network and the FIB staged from its trees.
+    fn compile(g: &Graph) -> (PrNetwork, DenseFib) {
         let emb = CellularEmbedding::new(g, RotationSystem::identity(g)).unwrap();
         let net =
             PrNetwork::compile(g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
-        let base = AllPairs::compute_all_live(g);
-        let dense = DenseFib::from_base(g, &base);
-        (net, base, dense)
+        let dense = DenseFib::from_base(g, net.base());
+        (net, dense)
     }
 
-    fn ring_setup() -> (Graph, PrNetwork, AllPairs, DenseFib) {
+    fn ring_setup() -> (Graph, PrNetwork, DenseFib) {
         let g = generators::ring(6, 1);
-        let (net, base, dense) = compile(&g);
-        (g, net, base, dense)
+        let (net, dense) = compile(&g);
+        (g, net, dense)
     }
 
     #[test]
     fn compile_and_from_base_agree() {
         // The staged FIB holds the next darts of the compiled routing
-        // tables, which are those of the base trees.
-        let (g, net, base, dense) = ring_setup();
+        // tables, which are those of a tree computed from nothing.
+        let (g, net, dense) = ring_setup();
         for dest in g.nodes() {
+            let tree = SpTree::towards_all_live(&g, dest);
+            let mut staged = vec![None; g.node_count()];
+            for f in dense.frames(dest) {
+                staged[f.node as usize] = Some(Dart(f.dart));
+            }
             for node in g.nodes() {
-                let staged = dense.frame(node, dest).map(|f| Dart(f.dart));
-                assert_eq!(staged, net.routing().next_dart(node, dest));
-                assert_eq!(staged, base.towards(dest).next_dart(node));
+                assert_eq!(staged[node.index()], net.routing().next_dart(node, dest));
+                assert_eq!(staged[node.index()], tree.next_dart(node));
             }
         }
         assert_eq!(dense.node_count(), g.node_count());
         assert_ne!(
             dense.stamp(),
-            DenseFib::from_base(&g, &base).stamp(),
+            DenseFib::from_base(&g, net.base()).stamp(),
             "a rebuild is a new stamp"
         );
         assert_eq!(dense.stamp(), dense.clone().stamp());
@@ -647,9 +673,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mesh = generators::random_two_edge_connected(14, 6, 1..=8, &mut rng);
         for g in [generators::ring(6, 1), mesh] {
-            let (_, base, dense) = compile(&g);
+            let (net, dense) = compile(&g);
             for dest in g.nodes() {
-                let tree = base.towards(dest);
+                let tree = net.base().towards(dest);
                 let frames = dense.frames(dest);
                 // Every reachable non-destination node appears exactly
                 // once, with the tree's next dart, parents staged
@@ -664,7 +690,9 @@ mod tests {
                     assert!(seen[f.parent as usize], "parent must be staged before its children");
                     assert_eq!(Some(Dart(f.dart)), tree.next_dart(u));
                     assert_eq!(g.dart_head(Dart(f.dart)), NodeId(f.parent));
-                    assert_eq!(dense.frame(u, dest), Some(f));
+                    // The link index finds the frame from its link.
+                    let edge = TreeEdge { dest: dest.0, at: i as u32 };
+                    assert!(dense.tree_edges(f.link()).contains(&edge));
                     // The subtree is exactly frames[i..end]: the nodes
                     // whose tree path passes through `u`.
                     let end = f.end as usize;
@@ -686,19 +714,32 @@ mod tests {
                     }
                 }
                 assert!(seen.iter().all(|&s| s));
-                assert_eq!(dense.frame(dest, dest), None);
+            }
+            // The index holds every frame once, each link's entries in
+            // ascending destination, one per destination at most.
+            let indexed: usize = g.links().map(|l| dense.tree_edges(l).len()).sum();
+            assert_eq!(indexed, g.node_count() * (g.node_count() - 1));
+            for link in g.links() {
+                assert!(dense.tree_edges(link).windows(2).all(|w| w[0].dest < w[1].dest));
             }
         }
     }
 
+    /// Fails when padding comes back into the staged hop.
+    #[test]
+    fn a_frame_is_sixteen_bytes_and_an_index_entry_eight() {
+        assert_eq!(std::mem::size_of::<FibFrame>(), 16);
+        assert_eq!(std::mem::size_of::<TreeEdge>(), 8);
+    }
+
     #[test]
     fn affected_set_matches_path_crosses_per_source() {
-        let (g, _, base, dense) = ring_setup();
+        let (g, net, dense) = ring_setup();
         let mut affected = Vec::new();
         for link in g.links() {
             let failed = LinkSet::from_links(g.link_count(), [link]);
             for dest in g.nodes() {
-                let tree = base.towards(dest);
+                let tree = net.base().towards(dest);
                 dense.affected_into(dest, &failed, &mut affected);
                 for src in g.nodes() {
                     assert_eq!(
@@ -718,19 +759,24 @@ mod tests {
         // failed tree edges included, in either listing order.
         let mut rng = StdRng::seed_from_u64(11);
         let g = generators::random_two_edge_connected(12, 5, 1..=8, &mut rng);
-        let (_, base, dense) = compile(&g);
+        let (net, dense) = compile(&g);
         let links: Vec<LinkId> = g.links().collect();
-        let mut cones = Vec::new();
+        let mut roots = Vec::new();
         let mut nested = 0;
         for (i, &a) in links.iter().enumerate() {
             for &b in &links[i..] {
                 let failed = LinkSet::from_links(g.link_count(), [a, b]);
+                dense.roots_into(&failed, &mut roots);
+                assert!(roots.windows(2).all(|w| w[0] < w[1]), "ascending (destination, frame)");
+                // Sized for any pair by the first: no later one grows it.
+                assert!(roots.capacity() >= failed.len() * g.node_count());
                 for dest in g.nodes() {
-                    let tree = base.towards(dest);
-                    dense.cones_into(&g, dest, &failed, &mut cones);
+                    let tree = net.base().towards(dest);
                     let mut covered = 0;
                     let mut in_cone = vec![false; g.node_count()];
-                    for &(start, end) in &cones {
+                    for root in roots.iter().filter(|r| r.dest == dest.0) {
+                        let start = root.at;
+                        let end = dense.frames(dest)[start as usize].end;
                         assert!(covered <= start && start < end, "ascending and disjoint");
                         covered = end;
                         let frames = &dense.frames(dest)[start as usize..end as usize];
@@ -738,7 +784,6 @@ mod tests {
                             failed.contains(frames[0].link()),
                             "a cone starts at a failed edge"
                         );
-                        assert_eq!(frames[0].end, end);
                         nested += frames[1..].iter().filter(|f| failed.contains(f.link())).count();
                         for f in frames {
                             in_cone[f.node as usize] = true;
@@ -759,7 +804,7 @@ mod tests {
 
     #[test]
     fn blocked_flows_recover_through_the_agent() {
-        let (g, net, _, _) = ring_setup();
+        let (g, net, _) = ring_setup();
         let agent = net.agent(&g);
         let direct = g.find_link(NodeId(1), NodeId(0)).unwrap();
         let failed = LinkSet::from_links(g.link_count(), [direct]);
@@ -781,8 +826,8 @@ mod tests {
         // scratch for all of them: the unit walker prices each flow as
         // the one-shot `walk_packet` does, dart for dart — flows that
         // are cut off included (both drop, and emit nothing).
-        let (g, net, base, _) = ring_setup();
-        let agent = net.agent(&g);
+        let (g, net, _) = ring_setup();
+        let (agent, base) = (net.agent(&g), net.base());
         let ttl = generous_ttl(&g);
         let mut scratch = FlowScratch::new();
         for link in g.links() {

@@ -9,8 +9,9 @@
 //!   (§4.3, §6), with the DSCP-pool-2 feasibility check the paper's
 //!   deployment story relies on.
 //! * [`RoutingTables`] — conventional shortest-path next hops extended
-//!   with the **distance discriminator** column (§4.3), compiled once
-//!   from the failure-free topology.
+//!   with the **distance discriminator** column (§4.3): a view of the
+//!   failure-free shortest-path trees, computed once per network and
+//!   lent to everything else that needs them ([`PrNetwork::base`]).
 //! * [`CycleFollowingTable`] — the paper's Table 1: per incoming
 //!   interface, the outgoing interface under cycle following and under
 //!   failure avoidance, both read off the cellular embedding.
@@ -57,7 +58,9 @@ pub mod trace;
 mod walker;
 
 pub use agent::{DropReason, ForwardDecision, ForwardingAgent, PrAgent, PrMode, PrNetwork};
-pub use fib::{recover_flow_with, DenseFib, FibFrame, FlowScratch, FlowUnit, FlowWalk, Stamp};
+pub use fib::{
+    recover_flow_with, DenseFib, FibFrame, FlowScratch, FlowUnit, FlowWalk, Stamp, TreeEdge,
+};
 pub use header::{EncodedHeader, HeaderCodec, HeaderError, PrHeader};
 pub use memo::{MemoStats, SuffixMemo};
 pub use scratch::{FxHasher64, WalkScratch};

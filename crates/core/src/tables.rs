@@ -39,85 +39,61 @@ impl std::fmt::Display for DiscriminatorKind {
     }
 }
 
-/// All routers' routing state, destination-major: for each destination
-/// and node, the next dart along the canonical shortest path plus both
-/// discriminator columns.
+/// All routers' routing state, as a **view** of the failure-free
+/// shortest-path trees: destination `d`'s next-hop column is the
+/// next-dart column of the tree towards `d`, §4.3's "additional
+/// column" that tree's hop or cost column. Nothing is copied: the table
+/// PR forwards on is the map every sweep and replay reads.
 ///
 /// Built from the **failure-free** topology: PR never recomputes these
 /// at failure time.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RoutingTables {
-    /// `next[dest][node]` — dart towards `dest`; `None` at `dest`.
-    next: Vec<Vec<Option<Dart>>>,
-    /// `hops[dest][node]` — hop-count discriminator column.
-    hops: Vec<Vec<u32>>,
-    /// `cost[dest][node]` — weighted-cost discriminator column.
-    cost: Vec<Vec<u64>>,
+    pub(crate) base: AllPairs,
 }
 
 impl RoutingTables {
-    /// Compiles routing tables from all-pairs shortest paths on the
-    /// failure-free graph.
+    /// Takes all-pairs shortest paths on the failure-free graph as the
+    /// routing tables.
     ///
     /// # Panics
     ///
     /// Panics if the graph is disconnected: conventional routing (and
     /// the protocol's guarantees) presuppose a connected base topology.
-    pub fn compile(graph: &Graph, all_pairs: &AllPairs) -> RoutingTables {
-        let n = graph.node_count();
-        let mut next = vec![vec![None; n]; n];
-        let mut hops = vec![vec![0u32; n]; n];
-        let mut cost = vec![vec![0u64; n]; n];
-        for dest in graph.nodes() {
-            let tree = all_pairs.towards(dest);
-            for node in graph.nodes() {
-                if node == dest {
-                    continue;
-                }
-                next[dest.index()][node.index()] =
-                    Some(tree.next_dart(node).unwrap_or_else(|| {
-                        panic!(
-                            "routing tables require a connected graph: {node} cannot reach {dest}"
-                        )
-                    }));
-                hops[dest.index()][node.index()] = tree.hops(node).expect("reachable");
-                cost[dest.index()][node.index()] = tree.cost(node).expect("reachable");
+    pub fn compile(graph: &Graph, all_pairs: AllPairs) -> RoutingTables {
+        for tree in all_pairs.iter() {
+            if let Some(node) = graph.nodes().find(|&node| !tree.reaches(node)) {
+                let dest = tree.dest;
+                panic!("routing tables require a connected graph: {node} cannot reach {dest}");
             }
         }
-        RoutingTables { next, hops, cost }
+        RoutingTables { base: all_pairs }
     }
 
     /// Next dart from `node` towards `dest` (`None` when `node == dest`).
     #[inline]
     pub fn next_dart(&self, node: NodeId, dest: NodeId) -> Option<Dart> {
-        self.next[dest.index()][node.index()]
+        self.base.towards(dest).next_dart(node)
     }
 
     /// The distance discriminator of `node` for `dest` under `kind`.
     #[inline]
     pub fn discriminator(&self, kind: DiscriminatorKind, node: NodeId, dest: NodeId) -> u64 {
+        let tree = self.base.towards(dest);
         match kind {
-            DiscriminatorKind::Hops => u64::from(self.hops[dest.index()][node.index()]),
-            DiscriminatorKind::WeightedCost => self.cost[dest.index()][node.index()],
+            DiscriminatorKind::Hops => tree.hops(node).map(u64::from),
+            DiscriminatorKind::WeightedCost => tree.cost(node),
         }
+        .expect("routing tables are total: compile checked connectivity")
     }
 
     /// The largest discriminator value in the network under `kind` —
     /// what sizes the DD header field.
     pub fn max_discriminator(&self, kind: DiscriminatorKind) -> u64 {
         match kind {
-            DiscriminatorKind::Hops => {
-                self.hops.iter().flatten().map(|&h| u64::from(h)).max().unwrap_or(0)
-            }
-            DiscriminatorKind::WeightedCost => {
-                self.cost.iter().flatten().copied().max().unwrap_or(0)
-            }
+            DiscriminatorKind::Hops => u64::from(self.base.hop_diameter()),
+            DiscriminatorKind::WeightedCost => self.base.cost_diameter(),
         }
-    }
-
-    /// Number of destinations (= nodes).
-    pub fn destination_count(&self) -> usize {
-        self.next.len()
     }
 }
 
@@ -285,7 +261,7 @@ mod tests {
         let g = generators::ring(5, 1);
         let emb = CellularEmbedding::new(&g, RotationSystem::identity(&g)).unwrap();
         let ap = AllPairs::compute(&g, &LinkSet::empty(g.link_count()));
-        let rt = RoutingTables::compile(&g, &ap);
+        let rt = RoutingTables::compile(&g, ap);
         (g, emb, rt)
     }
 
@@ -333,7 +309,7 @@ mod tests {
         g.add_node("a");
         g.add_node("b");
         let ap = AllPairs::compute(&g, &LinkSet::empty(0));
-        let _ = RoutingTables::compile(&g, &ap);
+        let _ = RoutingTables::compile(&g, ap);
     }
 
     #[test]

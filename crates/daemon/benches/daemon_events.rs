@@ -2,7 +2,7 @@
 //!
 //! **The gate** (runs even under `--test`, so CI's bench smoke step
 //! enforces it): on geant, applying a link event to the resident twin
-//! (incremental cone repair against the hoisted base trees, gauges
+//! (incremental cone repair against its network's base trees, gauges
 //! lazy) must be ≥ 5x faster per event than the cold recompile a batch
 //! invocation pays for the same failed set (base trees + live trees +
 //! the staged FIB). Warmup first proves the repaired trees bit-identical to

@@ -5,9 +5,10 @@
 //! implies — a long-running process that compiles the routing state
 //! **once**, then applies link up/down and demand updates
 //! *incrementally* (PR 4's `SpTree::repair_from` applied online
-//! against the hoisted base trees) and answers coverage / stretch /
-//! traffic queries from warm state over a line-delimited JSON control
-//! protocol, with a Prometheus `/metrics` sidecar for live gauges.
+//! against the compiled network's base trees) and answers coverage /
+//! stretch / traffic queries from warm state over a line-delimited
+//! JSON control protocol, with a Prometheus `/metrics` sidecar for
+//! live gauges.
 //!
 //! The determinism contract of the batch harness carries over
 //! unchanged: after **any** sequence of events, every answer is

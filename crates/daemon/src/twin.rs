@@ -1,13 +1,15 @@
 //! The resident network twin.
 //!
 //! A [`Twin`] is everything a batch run hoists, kept warm across
-//! events: the graph, the compiled PR network, the failure-free base
-//! trees, the staged FIB, the resident demand flow set (plus a
-//! uniform-unit companion for the paper's coverage metric), and the
-//! reusable scratch arenas — one replay scratch per resident flow set,
-//! so each keeps its failure-free baseline across queries. Link events re-derive the live all-pairs
-//! view **incrementally** — [`pr_graph::SpTree::repair_from`] against
-//! the hoisted base trees, never a scratch rebuild — which is
+//! events: the graph, the compiled PR network (its routing tables are
+//! the failure-free base trees: the twin borrows [`PrNetwork::base`]
+//! and holds no copy), the staged FIB, the resident demand flow set
+//! (plus a uniform-unit companion for the paper's coverage metric), and
+//! the reusable scratch arenas — one replay scratch per resident flow
+//! set, so each keeps its failure-free baseline across queries. Link
+//! events re-derive `live`, the twin's own all-pairs view,
+//! **incrementally** — [`pr_graph::SpTree::repair_from`] against the
+//! base trees, never a scratch rebuild — which is
 //! bit-for-bit identical to a cold `AllPairs::compute` by PR 4's
 //! repair contract (the base is computed over the empty failed set, a
 //! subset of every event state). Queries ride the same primitives the
@@ -144,7 +146,6 @@ pub struct Twin {
     net: PrNetwork,
     threads: usize,
     ttl: usize,
-    base: AllPairs,
     dense: DenseFib,
     live: AllPairs,
     failed: LinkSet,
@@ -164,28 +165,17 @@ pub struct Twin {
     gauges: Option<GaugeReport>,
 }
 
-/// Replays one flow set through the current failed set on the
-/// production dataplane — a free function so callers can borrow
-/// disjoint [`Twin`] fields without fighting the borrow checker.
-#[allow(clippy::too_many_arguments)] // mirrors replay_scenario_bitparallel's signature
-fn replay(
-    graph: &Graph,
-    net: &PrNetwork,
-    dense: &DenseFib,
-    base: &AllPairs,
-    flows: &FlowSet,
-    failed: &LinkSet,
-    ttl: usize,
-    scratch: &mut ReplayScratch<PrHeader>,
-) -> ScenarioTraffic {
-    let agent: PrAgent<'_> = net.agent(graph);
-    replay_scenario_bitparallel(graph, &agent, dense, base, flows, failed, ttl, scratch)
+/// One of the twin's two resident flow sets.
+#[derive(Clone, Copy)]
+enum Resident {
+    Demand,
+    Uniform,
 }
 
 impl Twin {
-    /// Compiles the resident state: base trees, the staged FIB, the
-    /// demand and uniform flow sets. This is the one-off cold cost the daemon
-    /// pays so every later event is incremental.
+    /// Compiles the resident state: the FIB staged from `net`'s base
+    /// trees, the demand and uniform flow sets. This is the one-off
+    /// cold cost the daemon pays so every later event is incremental.
     pub fn new(
         graph: Graph,
         net: PrNetwork,
@@ -194,11 +184,10 @@ impl Twin {
     ) -> Result<Twin, String> {
         let flows = demand.build(&graph)?;
         let uniform = FlowSet::all_pairs(&UniformTraffic::new(&graph));
-        let base = AllPairs::compute_all_live(&graph);
-        let dense = DenseFib::from_base(&graph, &base);
+        let dense = DenseFib::from_base(&graph, net.base());
         // The failure-free live view *is* the base view (repair_from
         // over the empty set is the identity) — clone, don't recompute.
-        let live = base.clone();
+        let live = net.base().clone();
         let failed = LinkSet::empty(graph.link_count());
         let ttl = generous_ttl(&graph);
         Ok(Twin {
@@ -206,7 +195,6 @@ impl Twin {
             net,
             threads: threads.max(1),
             ttl,
-            base,
             dense,
             live,
             failed,
@@ -237,6 +225,12 @@ impl Twin {
     /// the equivalence tests compare against a cold scratch build.
     pub fn live_tree(&self, dest: NodeId) -> &SpTree {
         self.live.towards(dest)
+    }
+
+    /// The failure-free trees the twin repairs from and replays over:
+    /// its network's own — the twin holds no copy.
+    pub fn base(&self) -> &AllPairs {
+        self.net.base()
     }
 
     /// The resident demand spec.
@@ -278,6 +272,26 @@ impl Twin {
         }
     }
 
+    /// Replays a resident flow set through the current failed set on
+    /// the production dataplane, over the network's own base trees.
+    fn replay(&mut self, set: Resident) -> ScenarioTraffic {
+        let (flows, scratch) = match set {
+            Resident::Demand => (&self.flows, &mut self.replay_demand),
+            Resident::Uniform => (&self.uniform, &mut self.replay_uniform),
+        };
+        let agent: PrAgent<'_> = self.net.agent(&self.graph);
+        replay_scenario_bitparallel(
+            &self.graph,
+            &agent,
+            &self.dense,
+            self.net.base(),
+            flows,
+            &self.failed,
+            self.ttl,
+            scratch,
+        )
+    }
+
     fn resolve_link(&self, spec: &str) -> Result<LinkId, String> {
         let (a, b) = spec.split_once('-').ok_or_else(|| format!("link wants A-B, got {spec:?}"))?;
         let na = self.graph.node_by_name(a).ok_or_else(|| format!("unknown node {a:?}"))?;
@@ -290,10 +304,10 @@ impl Twin {
         format!("{}-{}", self.graph.node_name(a), self.graph.node_name(b))
     }
 
-    /// Re-derives the live all-pairs view from the hoisted base trees
-    /// by incremental cone repair — never a scratch rebuild.
+    /// Re-derives the live all-pairs view from the network's base
+    /// trees by incremental cone repair — never a scratch rebuild.
     fn relabel(&mut self) {
-        self.live = self.base.repair_from(&self.graph, &self.failed, &mut self.sp);
+        self.live = self.net.base().repair_from(&self.graph, &self.failed, &mut self.sp);
         self.repair.merge(&self.sp.take_stats());
         self.gauges = None;
     }
@@ -352,16 +366,7 @@ impl Twin {
     }
 
     fn query_traffic(&mut self) -> TrafficReport {
-        let traffic = replay(
-            &self.graph,
-            &self.net,
-            &self.dense,
-            &self.base,
-            &self.flows,
-            &self.failed,
-            self.ttl,
-            &mut self.replay_demand,
-        );
+        let traffic = self.replay(Resident::Demand);
         TrafficReport {
             failed_links: self.failed.len(),
             max_link_utilisation: traffic.max_link_utilisation(),
@@ -372,16 +377,7 @@ impl Twin {
     }
 
     fn query_coverage(&mut self) -> CoverageReport {
-        let traffic = replay(
-            &self.graph,
-            &self.net,
-            &self.dense,
-            &self.base,
-            &self.uniform,
-            &self.failed,
-            self.ttl,
-            &mut self.replay_uniform,
-        );
+        let traffic = self.replay(Resident::Uniform);
         CoverageReport {
             failed_links: self.failed.len(),
             coverage: traffic.tally.weighted_coverage(),
@@ -422,26 +418,8 @@ impl Twin {
         if let Some(g) = self.gauges {
             return g;
         }
-        let uniform = replay(
-            &self.graph,
-            &self.net,
-            &self.dense,
-            &self.base,
-            &self.uniform,
-            &self.failed,
-            self.ttl,
-            &mut self.replay_uniform,
-        );
-        let traffic = replay(
-            &self.graph,
-            &self.net,
-            &self.dense,
-            &self.base,
-            &self.flows,
-            &self.failed,
-            self.ttl,
-            &mut self.replay_demand,
-        );
+        let uniform = self.replay(Resident::Uniform);
+        let traffic = self.replay(Resident::Demand);
         let g = GaugeReport {
             coverage: uniform.tally.weighted_coverage(),
             weighted_coverage: traffic.tally.weighted_coverage(),

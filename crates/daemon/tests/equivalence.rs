@@ -10,7 +10,7 @@ use pr_bench::stretch;
 use pr_core::PrNetwork;
 use pr_daemon::protocol::encode;
 use pr_daemon::{cold_recompile, DemandSpec, QueryKind, Request, Response, Twin};
-use pr_graph::Graph;
+use pr_graph::{Graph, NodeId, SpTree};
 
 fn apply(twin: &mut Twin, req: &Request) {
     let resp = twin.handle(req);
@@ -42,9 +42,12 @@ fn assert_equivalent(
         apply(&mut twin, req);
     }
 
-    // Live trees: incremental repair == scratch Dijkstra, tree for tree.
+    // Live trees: incremental repair == scratch Dijkstra, tree for tree
+    // — and the base trees the twin borrows from its network are the
+    // failure-free map a cold run computes for itself.
     let cold = cold_recompile(graph, twin.failed_set());
     for dest in graph.nodes() {
+        assert_eq!(twin.base().towards(dest), cold.base.towards(dest), "base tree of {dest:?}");
         assert_eq!(
             twin.live_tree(dest),
             cold.live.towards(dest),
@@ -164,6 +167,20 @@ fn synth_isp_hotspot_equivalence() {
         },
     ];
     equivalence_suite(&graph, DemandSpec::uniform(), &events);
+}
+
+#[test]
+fn the_twin_borrows_its_networks_trees() {
+    // One failure-free map per process: the twin's base trees are the
+    // allocation its network compiled, before and after events.
+    let graph = common::abilene();
+    let net = common::network(&graph);
+    let compiled: *const SpTree = net.base().towards(NodeId(0));
+    let mut twin = Twin::new(graph.clone(), net, DemandSpec::gravity(), 1).expect("twin");
+    assert!(std::ptr::eq(twin.base().towards(NodeId(0)), compiled));
+    apply(&mut twin, &down(&graph, 0));
+    assert!(std::ptr::eq(twin.base().towards(NodeId(0)), compiled));
+    assert_ne!(twin.live_tree(NodeId(0)), twin.base().towards(NodeId(0)), "live is the twin's own");
 }
 
 #[test]

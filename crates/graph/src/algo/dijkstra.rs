@@ -12,7 +12,15 @@
 //! therefore broken canonically (fewest hops, then lowest parent node id,
 //! then lowest dart id) rather than by heap pop order.
 
+use serde::{Deserialize, Serialize};
+
 use crate::{Dart, Graph, LinkSet, NodeId};
+
+/// The labels of a node that cannot reach the destination (`NO_DART`
+/// also that of the destination itself, which has no parent).
+pub(crate) const NO_DIST: u64 = u64::MAX;
+pub(crate) const NO_HOPS: u32 = u32::MAX;
+pub(crate) const NO_DART: Dart = Dart(u32::MAX);
 
 /// A destination-rooted shortest-path tree over the live links.
 ///
@@ -23,15 +31,18 @@ use crate::{Dart, Graph, LinkSet, NodeId};
 ///   canonical tie-broken one), which strictly decreases hop by hop;
 /// * `next[u]` — the dart `u → parent` to follow towards `dest`.
 ///
-/// Unreachable nodes have `None` everywhere; the destination itself has
-/// `dist = Some(0)`, `hops = Some(0)`, `next = None`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The labels are **three packed columns**, 16 bytes per node: an
+/// unreachable node holds the sentinels `u64::MAX` / `u32::MAX` /
+/// `Dart(u32::MAX)`, not an `Option`'s tag and padding, the destination
+/// `0`, `0` and the dart sentinel. One record per node was measured and
+/// is slower (DESIGN.md §3): a climb reads `next` alone.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpTree {
     /// The destination this tree routes towards.
     pub dest: NodeId,
-    pub(crate) dist: Vec<Option<u64>>,
-    pub(crate) hops: Vec<Option<u32>>,
-    pub(crate) next: Vec<Option<Dart>>,
+    pub(crate) dist: Vec<u64>,
+    pub(crate) hops: Vec<u32>,
+    pub(crate) next: Vec<Dart>,
 }
 
 impl SpTree {
@@ -62,37 +73,37 @@ impl SpTree {
     /// Weighted cost from `node` to the destination, if reachable.
     #[inline]
     pub fn cost(&self, node: NodeId) -> Option<u64> {
-        self.dist[node.index()]
+        Some(self.dist[node.index()]).filter(|&d| d != NO_DIST)
     }
 
     /// Hop count from `node` to the destination along the selected
     /// shortest path, if reachable.
     #[inline]
     pub fn hops(&self, node: NodeId) -> Option<u32> {
-        self.hops[node.index()]
+        Some(self.hops[node.index()]).filter(|&h| h != NO_HOPS)
     }
 
     /// The dart `node → parent` towards the destination. `None` for the
     /// destination itself and for unreachable nodes.
     #[inline]
     pub fn next_dart(&self, node: NodeId) -> Option<Dart> {
-        self.next[node.index()]
+        Some(self.next[node.index()]).filter(|&d| d != NO_DART)
     }
 
     /// `true` if `node` can reach the destination.
     #[inline]
     pub fn reaches(&self, node: NodeId) -> bool {
-        self.dist[node.index()].is_some()
+        self.dist[node.index()] != NO_DIST
     }
 
     /// Materialises the node sequence `from, …, dest` using the graph.
     ///
     /// Returns `None` if `from` cannot reach the destination.
     pub fn path_nodes(&self, graph: &Graph, from: NodeId) -> Option<Vec<NodeId>> {
-        self.dist[from.index()]?;
+        self.cost(from)?;
         let mut nodes = vec![from];
         let mut at = from;
-        while let Some(d) = self.next[at.index()] {
+        while let Some(d) = self.next_dart(at) {
             at = graph.dart_head(d);
             nodes.push(at);
         }
@@ -107,7 +118,7 @@ impl SpTree {
     /// is no path to cross anything).
     pub fn path_crosses(&self, graph: &Graph, from: NodeId, failed: &LinkSet) -> bool {
         let mut at = from;
-        while let Some(d) = self.next[at.index()] {
+        while let Some(d) = self.next_dart(at) {
             if failed.contains_dart(d) {
                 return true;
             }
@@ -118,28 +129,23 @@ impl SpTree {
 
     /// Materialises the dart sequence `from → … → dest` using the graph.
     pub fn path_darts(&self, graph: &Graph, from: NodeId) -> Option<Vec<Dart>> {
-        self.dist[from.index()]?;
+        self.cost(from)?;
         let mut darts = Vec::new();
         let mut at = from;
-        while let Some(d) = self.next[at.index()] {
+        while let Some(d) = self.next_dart(at) {
             darts.push(d);
             at = graph.dart_head(d);
         }
         Some(darts)
     }
-
-    /// Links used by the tree (the union of all `next` darts' links).
-    pub fn tree_links(&self) -> impl Iterator<Item = crate::LinkId> + '_ {
-        self.next.iter().flatten().map(|d| d.link())
-    }
 }
 
 /// Shortest-path trees towards *every* destination over the live links.
 ///
-/// This is the all-pairs view a link-state IGP would converge to. For the
-/// topologies in this workspace (tens of nodes) the dense representation
-/// is the right trade-off.
-#[derive(Debug, Clone)]
+/// This is the all-pairs view a link-state IGP would converge to, held
+/// densely: 16 bytes per (destination, node), 4 MB on 500 nodes. A
+/// process keeps **one** failure-free map, `pr_core::PrNetwork::base`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AllPairs {
     trees: Vec<SpTree>,
 }
@@ -205,7 +211,31 @@ impl AllPairs {
     /// This bounds the hop-count distance discriminator, so the paper's
     /// DD field needs `ceil(log2(diameter + 1))` bits (§6).
     pub fn hop_diameter(&self) -> u32 {
-        self.trees.iter().flat_map(|t| t.hops.iter().flatten().copied()).max().unwrap_or(0)
+        let hops = self.trees.iter().flat_map(|t| t.hops.iter().copied());
+        hops.filter(|&h| h != NO_HOPS).max().unwrap_or(0)
+    }
+
+    /// Maximum weighted cost over all connected `(src, dst)` pairs: the
+    /// bound of the weighted-cost distance discriminator.
+    pub fn cost_diameter(&self) -> u64 {
+        let costs = self.trees.iter().flat_map(|t| t.dist.iter().copied());
+        costs.filter(|&d| d != NO_DIST).max().unwrap_or(0)
+    }
+
+    /// `Ok` if this is the map of an `n`-node graph (`n` trees, the
+    /// `d`-th towards `d`, `n` labels per column), or what it is instead.
+    pub fn check_shape(&self, n: usize) -> Result<(), String> {
+        if self.trees.len() != n {
+            return Err(format!("{} trees", self.trees.len()));
+        }
+        for (d, t) in self.trees.iter().enumerate() {
+            let widths = [t.dist.len(), t.hops.len(), t.next.len()];
+            if t.dest.index() != d || widths != [n; 3] {
+                let dest = t.dest;
+                return Err(format!("{n} trees, tree {d} towards {dest} with {widths:?} labels"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -301,6 +331,17 @@ mod tests {
         assert!(!t.reaches(c));
         assert_eq!(t.path_nodes(&g, a), None);
         assert!(t.reaches(b));
+    }
+
+    /// Fails when padding comes back: an `Option` column would read 32
+    /// bytes per node here.
+    #[test]
+    fn labels_cost_sixteen_bytes_per_node() {
+        use std::mem::size_of_val;
+        let (g, ids) = figure1_like();
+        let t = SpTree::towards_all_live(&g, ids[5]);
+        let bytes = size_of_val(&t.dist[..]) + size_of_val(&t.hops[..]) + size_of_val(&t.next[..]);
+        assert_eq!(bytes, 16 * g.node_count());
     }
 
     #[test]

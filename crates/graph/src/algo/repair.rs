@@ -48,15 +48,14 @@
 //! The finalisation order of a Dijkstra over ≥1 weights *is* the
 //! canonical `(dist, id)` order — every label that settles at distance
 //! `d` was pushed before the first pop at `d`, and the heap breaks
-//! distance ties by node id — so the old per-call `order` Vec + sort
-//! is gone entirely (a debug assertion keeps the claim honest).
+//! distance ties by node id (a debug assertion keeps the claim honest).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use serde::Serialize;
 
-use super::dijkstra::SpTree;
+use super::dijkstra::{SpTree, NO_DART, NO_DIST, NO_HOPS};
 use crate::{Dart, Graph, LinkSet, NodeId};
 
 /// Counters accumulated by a [`SpScratch`] across its lifetime, so
@@ -325,7 +324,7 @@ impl SpScratch {
                 if self.class_affected(v) {
                     continue;
                 }
-                let Some(dv) = base.dist[v.index()] else { continue };
+                let Some(dv) = base.cost(v) else { continue };
                 self.relax(u, dv + u64::from(graph.weight(dart.link())));
             }
         }
@@ -373,14 +372,14 @@ fn select_parent(
 fn select_parents(out: &mut SpTree, graph: &Graph, scratch: &SpScratch) {
     for &u in &scratch.order {
         if u == out.dest {
-            out.hops[u.index()] = Some(0);
+            out.hops[u.index()] = 0;
             continue;
         }
         let (h, dart) = select_parent(graph, scratch, u, scratch.dist[u.index()], |v| {
-            out.dist[v.index()].zip(out.hops[v.index()])
+            out.cost(v).zip(out.hops(v))
         });
-        out.hops[u.index()] = Some(h);
-        out.next[u.index()] = Some(dart);
+        out.hops[u.index()] = h;
+        out.next[u.index()] = dart;
     }
 }
 
@@ -396,9 +395,22 @@ impl SpTree {
         scratch: &mut SpScratch,
     ) -> SpTree {
         let n = graph.node_count();
+        scratch.ensure(n);
+        scratch.refresh_failed_mask(graph, failed);
+        scratch.stats.full_rebuilds += 1;
+        scratch.next_epoch();
+        scratch.heap.clear();
+        scratch.order.clear();
+
+        scratch.relax(dest, 0);
+        scratch.drain_heap(graph, |_, _| true);
+
         let mut out =
-            SpTree { dest, dist: vec![None; n], hops: vec![None; n], next: vec![None; n] };
-        rebuild_into(&mut out, graph, dest, failed, scratch);
+            SpTree { dest, dist: vec![NO_DIST; n], hops: vec![NO_HOPS; n], next: vec![NO_DART; n] };
+        for &u in &scratch.order {
+            out.dist[u.index()] = scratch.dist[u.index()];
+        }
+        select_parents(&mut out, graph, scratch);
         out
     }
 
@@ -417,7 +429,82 @@ impl SpTree {
     ) -> SpTree {
         assert_eq!(dest, base.dest, "repair_from must target the base tree's destination");
         let mut out = base.clone();
-        repair_into(&mut out, base, graph, failed, scratch);
+        let n = graph.node_count();
+        scratch.ensure(n);
+        scratch.stats.repairs += 1;
+        scratch.stats.repaired_slots += n as u64;
+        if failed.is_empty() {
+            return out;
+        }
+        scratch.refresh_failed_mask(graph, failed);
+
+        // 1. Classify: a node is affected iff its canonical base path
+        //    to the destination crosses a failed link. Memoised
+        //    descent: walk the base `next` chain until a node of known
+        //    class (or a terminal), then mark the whole chain with the
+        //    answer. O(n) total across all starts.
+        scratch.next_class_epoch();
+        for u in graph.nodes() {
+            if scratch.class_known(u) {
+                continue;
+            }
+            scratch.chain.clear();
+            let mut at = u;
+            let affected = loop {
+                if scratch.class_known(at) {
+                    break scratch.class_affected(at);
+                }
+                match base.next_dart(at) {
+                    Some(d) if scratch.dart_failed(d) => {
+                        scratch.set_class(at, true);
+                        break true;
+                    }
+                    Some(d) => {
+                        scratch.chain.push(at);
+                        at = graph.dart_head(d);
+                    }
+                    // The destination, or a node already unreachable
+                    // in `base` (it stays unreachable: repair only
+                    // removes links). Either way its labels carry over
+                    // unchanged.
+                    None => {
+                        scratch.set_class(at, false);
+                        break false;
+                    }
+                }
+            };
+            while let Some(c) = scratch.chain.pop() {
+                scratch.set_class(c, affected);
+            }
+        }
+        scratch.cone.clear();
+        for u in graph.nodes() {
+            if scratch.class_affected(u) {
+                scratch.cone.push(u);
+            }
+        }
+        scratch.stats.cone_nodes += scratch.cone.len() as u64;
+        if scratch.cone.is_empty() {
+            return out; // no base path crosses a failure: out == base
+        }
+
+        // 2. Re-label the cone from its intact frontier.
+        let cone = std::mem::take(&mut scratch.cone);
+        scratch.relabel_cone(graph, base, &cone);
+
+        // 3. Write back: cone labels reset, reached cone nodes
+        //    re-labelled and re-parented in canonical (dist, id) order
+        //    — which is the heap finalisation order.
+        for &u in &cone {
+            out.dist[u.index()] = NO_DIST;
+            out.hops[u.index()] = NO_HOPS;
+            out.next[u.index()] = NO_DART;
+        }
+        scratch.cone = cone;
+        for &u in &scratch.order {
+            out.dist[u.index()] = scratch.dist[u.index()];
+        }
+        select_parents(&mut out, graph, scratch);
         out
     }
 
@@ -445,7 +532,7 @@ impl SpTree {
         for link in failed.iter() {
             let (a, b) = graph.endpoints(link);
             for u in [a, b] {
-                if self.next[u.index()].is_some_and(|d| d.link() == link) {
+                if self.next_dart(u).is_some_and(|d| d.link() == link) {
                     stack.push(u);
                 }
             }
@@ -530,7 +617,7 @@ impl SpTree {
                     (scratch.stamp[v.index()] == scratch.epoch)
                         .then(|| (scratch.dist[v.index()], scratch.hops_patch[v.index()]))
                 } else {
-                    self.dist[v.index()].zip(self.hops[v.index()])
+                    self.cost(v).zip(self.hops(v))
                 }
             });
             scratch.hops_patch[u.index()] = h;
@@ -578,7 +665,7 @@ impl TreeChildren {
         let n = graph.node_count();
         let mut start = vec![0u32; n + 1];
         for u in graph.nodes() {
-            if let Some(d) = tree.next[u.index()] {
+            if let Some(d) = tree.next_dart(u) {
                 start[graph.dart_head(d).index() + 1] += 1;
             }
         }
@@ -588,7 +675,7 @@ impl TreeChildren {
         let mut cursor = start.clone();
         let mut kids = vec![NodeId(0); start[n] as usize];
         for u in graph.nodes() {
-            if let Some(d) = tree.next[u.index()] {
+            if let Some(d) = tree.next_dart(u) {
                 let p = graph.dart_head(d).index();
                 kids[cursor[p] as usize] = u;
                 cursor[p] += 1;
@@ -602,125 +689,6 @@ impl TreeChildren {
     pub fn of(&self, u: NodeId) -> &[NodeId] {
         &self.kids[self.start[u.index()] as usize..self.start[u.index() + 1] as usize]
     }
-}
-
-/// Full Dijkstra + canonical parent selection into `out`, through the
-/// arena.
-fn rebuild_into(
-    out: &mut SpTree,
-    graph: &Graph,
-    dest: NodeId,
-    failed: &LinkSet,
-    scratch: &mut SpScratch,
-) {
-    let n = graph.node_count();
-    scratch.ensure(n);
-    scratch.refresh_failed_mask(graph, failed);
-    scratch.stats.full_rebuilds += 1;
-    scratch.next_epoch();
-    scratch.heap.clear();
-    scratch.order.clear();
-
-    scratch.relax(dest, 0);
-    scratch.drain_heap(graph, |_, _| true);
-
-    out.dest = dest;
-    out.dist.clear();
-    out.dist.resize(n, None);
-    out.hops.clear();
-    out.hops.resize(n, None);
-    out.next.clear();
-    out.next.resize(n, None);
-    for &u in &scratch.order {
-        out.dist[u.index()] = Some(scratch.dist[u.index()]);
-    }
-    select_parents(out, graph, scratch);
-}
-
-/// The incremental core: `out` already equals `base`; re-label only
-/// the affected cone.
-fn repair_into(
-    out: &mut SpTree,
-    base: &SpTree,
-    graph: &Graph,
-    failed: &LinkSet,
-    scratch: &mut SpScratch,
-) {
-    let n = graph.node_count();
-    scratch.ensure(n);
-    scratch.stats.repairs += 1;
-    scratch.stats.repaired_slots += n as u64;
-    if failed.is_empty() {
-        return;
-    }
-    scratch.refresh_failed_mask(graph, failed);
-
-    // 1. Classify: a node is affected iff its canonical base path to
-    //    the destination crosses a failed link. Memoised descent: walk
-    //    the base `next` chain until a node of known class (or a
-    //    terminal), then mark the whole chain with the answer. O(n)
-    //    total across all starts.
-    scratch.next_class_epoch();
-    for u in graph.nodes() {
-        if scratch.class_known(u) {
-            continue;
-        }
-        scratch.chain.clear();
-        let mut at = u;
-        let affected = loop {
-            if scratch.class_known(at) {
-                break scratch.class_affected(at);
-            }
-            match base.next[at.index()] {
-                Some(d) if scratch.dart_failed(d) => {
-                    scratch.set_class(at, true);
-                    break true;
-                }
-                Some(d) => {
-                    scratch.chain.push(at);
-                    at = graph.dart_head(d);
-                }
-                // The destination, or a node already unreachable in
-                // `base` (it stays unreachable: repair only removes
-                // links). Either way its labels carry over unchanged.
-                None => {
-                    scratch.set_class(at, false);
-                    break false;
-                }
-            }
-        };
-        while let Some(c) = scratch.chain.pop() {
-            scratch.set_class(c, affected);
-        }
-    }
-    scratch.cone.clear();
-    for u in graph.nodes() {
-        if scratch.class_affected(u) {
-            scratch.cone.push(u);
-        }
-    }
-    scratch.stats.cone_nodes += scratch.cone.len() as u64;
-    if scratch.cone.is_empty() {
-        return; // no base path crosses a failure: out == base already
-    }
-
-    // 2. Re-label the cone from its intact frontier.
-    let cone = std::mem::take(&mut scratch.cone);
-    scratch.relabel_cone(graph, base, &cone);
-
-    // 3. Write back: cone labels reset, reached cone nodes re-labelled
-    //    and re-parented in canonical (dist, id) order — which is the
-    //    heap finalisation order.
-    for &u in &cone {
-        out.dist[u.index()] = None;
-        out.hops[u.index()] = None;
-        out.next[u.index()] = None;
-    }
-    scratch.cone = cone;
-    for &u in &scratch.order {
-        out.dist[u.index()] = Some(scratch.dist[u.index()]);
-    }
-    select_parents(out, graph, scratch);
 }
 
 #[cfg(test)]

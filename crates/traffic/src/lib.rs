@@ -39,7 +39,7 @@
 //! ```
 //! use pr_core::{generous_ttl, DenseFib, DiscriminatorKind, PrMode, PrNetwork};
 //! use pr_embedding::{heuristics, CellularEmbedding};
-//! use pr_graph::{AllPairs, LinkSet};
+//! use pr_graph::LinkSet;
 //! use pr_traffic::{
 //!     replay_scenario_bitparallel, replay_scenario_naive, FlowSet, GravityTraffic, ReplayScratch,
 //! };
@@ -48,8 +48,9 @@
 //! let emb = CellularEmbedding::new(&g, heuristics::thorough(&g, 2010, 4, 10_000)).unwrap();
 //! let net = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
 //!
-//! let base = AllPairs::compute_all_live(&g);
-//! let dense = DenseFib::from_base(&g, &base);
+//! // The failure-free trees are the network's own: borrowed, not recomputed.
+//! let base = net.base();
+//! let dense = DenseFib::from_base(&g, base);
 //! let flows = FlowSet::all_pairs(&GravityTraffic::new(&g));
 //!
 //! // Fail one link and replay the whole matrix through it.
@@ -57,11 +58,11 @@
 //! let (agent, ttl) = (net.agent(&g), generous_ttl(&g));
 //! let mut scratch = ReplayScratch::new();
 //! let out =
-//!     replay_scenario_bitparallel(&g, &agent, &dense, &base, &flows, &failed, ttl, &mut scratch);
+//!     replay_scenario_bitparallel(&g, &agent, &dense, base, &flows, &failed, ttl, &mut scratch);
 //! assert_eq!(out.tally.lost(), 0.0); // PR-DD loses no demand to a single failure
 //! assert!(out.max_link_utilisation() > 0.0);
 //! // The production path against the oracle, bit for bit.
-//! assert_eq!(out, replay_scenario_naive(&g, &agent, &base, &flows, &failed, ttl));
+//! assert_eq!(out, replay_scenario_naive(&g, &agent, base, &flows, &failed, ttl));
 //! ```
 
 #![warn(missing_docs)]

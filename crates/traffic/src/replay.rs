@@ -47,7 +47,7 @@
 
 use pr_core::{
     recover_flow_with, walk_packet, DenseFib, DropReason, FlowScratch, FlowWalk, ForwardingAgent,
-    Stamp,
+    Stamp, TreeEdge,
 };
 use pr_graph::{bits, AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, SpTree};
 use serde::{Deserialize, Serialize};
@@ -66,7 +66,8 @@ pub struct ReplayStats {
     /// Failure-free baselines built (one per `(DenseFib, FlowSet)`
     /// pair a scratch serves in a row; a full pass each).
     pub baselines: u64,
-    /// Destinations whose tree lost an edge, summed over replays.
+    /// Destinations visited, summed over replays: those with a flow
+    /// group whose tree lost an edge, read off the FIB's link index.
     pub destinations: u64,
     /// Tree nodes inside the cones of those destinations — with an
     /// all-pairs flow set, exactly the affected (source, destination)
@@ -140,8 +141,9 @@ pub struct ReplayScratch<S> {
     comp: Vec<u32>,
     /// BFS worklist for the component labelling.
     queue: Vec<NodeId>,
-    /// The cones of the destination in hand, as frame ranges.
-    cones: Vec<(u32, u32)>,
+    /// The cone roots of the scenario in hand, every destination's, in
+    /// `(destination, frame)` order.
+    roots: Vec<TreeEdge>,
     /// Cone sources of the destination in hand that carry demand.
     sources: Vec<u64>,
     /// Their demands; valid only where the `sources` bit is set.
@@ -168,7 +170,7 @@ impl<S> ReplayScratch<S> {
             baseline: None,
             comp: Vec::new(),
             queue: Vec::new(),
-            cones: Vec::new(),
+            roots: Vec::new(),
             sources: Vec::new(),
             demand: Vec::new(),
             subtree: Vec::new(),
@@ -338,8 +340,7 @@ fn build_baseline(
 
 /// Replays `flows` under `failed` as a **cone delta against the
 /// failure-free baseline** — the one production dataplane of this
-/// workspace (the name is PR 6's; callers outside the workspace
-/// compile against it).
+/// workspace (`benchmark/` compiles against the name).
 ///
 /// The baseline — every link's load and an all-clear tally with no
 /// link failed — is built on the first call a scratch sees a
@@ -350,10 +351,11 @@ fn build_baseline(
 ///    label the **survivor components**, one O(n + m) pass per
 ///    *scenario* ([`survivor_components`]): whether a source can still
 ///    reach a destination is a label compare.
-/// 2. **Cones.** Per destination, the failed links that are tree edges
-///    are found in two reads each and their subtrees come out as
-///    contiguous frame slices, outermost only
-///    ([`DenseFib::cones_into`]). A destination without one is done:
+/// 2. **Cones.** The FIB's link index lists, per failed link, the
+///    destinations whose tree routes over it and the frame each cone
+///    starts at; gathered, outermost only, in destination order
+///    ([`DenseFib::roots_into`]), they are merged against the flow
+///    set's groups. A destination without a root is never looked at:
 ///    none of its flows changed.
 /// 3. **Points.** One pass over the cones, as one [`FlowScratch::unit`]
 ///    per destination, finds each source's point
@@ -414,7 +416,7 @@ where
         baseline,
         comp,
         queue,
-        cones,
+        roots,
         sources,
         demand,
         subtree,
@@ -452,13 +454,17 @@ where
     points.clear();
     points.reserve(n);
 
-    for (dst, flows_to) in flows.by_destination() {
-        dense.cones_into(graph, dst, failed, cones);
-        if cones.is_empty() {
-            continue;
-        }
+    dense.roots_into(failed, roots);
+    let mut groups = flows.by_destination().peekable();
+    for cones in roots.chunk_by(|a, b| a.dest == b.dest) {
+        let dst = NodeId(cones[0].dest);
+        // The destination's flow group, if it has one: groups ascend as
+        // roots do, and a later destination's stays where it is.
+        while groups.next_if(|&(d, _)| d < dst).is_some() {}
+        let Some((_, flows_to)) = groups.next_if(|&(d, _)| d == dst) else { continue };
         stats.destinations += 1;
         let frames = dense.frames(dst);
+        let cones = cones.iter().map(|r| (r.at as usize, frames[r.at as usize].end as usize));
         let base_tree = base.towards(dst);
         let here = comp[dst.index()];
         let mut unit = walk.unit(graph, agent, base_tree, failed);
@@ -466,9 +472,9 @@ where
 
         // The cone sources that carry demand, and each one's point.
         points.clear();
-        for &(start, end) in cones.iter() {
-            stats.cone_sources += u64::from(end - start);
-            for f in &frames[start as usize..end as usize] {
+        for (start, end) in cones.clone() {
+            stats.cone_sources += (end - start) as u64;
+            for f in &frames[start..end] {
                 let src = NodeId(f.node);
                 if let Some(d) = demand_from(flows_to, src) {
                     bits::set(sources, src.index());
@@ -538,8 +544,8 @@ where
         // the group, children before parents, off each tree dart below
         // the point (the point's own path is withdrawn already).
         if dead_prefixes {
-            for &(start, end) in cones.iter() {
-                for f in frames[start as usize..end as usize].iter().rev() {
+            for (start, end) in cones {
+                for f in frames[start..end].iter().rev() {
                     let node = NodeId(f.node);
                     let mut sum = std::mem::take(&mut subtree[node.index()]);
                     let is_source = bits::test(sources, node.index());
@@ -889,6 +895,33 @@ mod tests {
         assert_eq!(out.tally.flows as usize, flows.len());
         assert!((out.tally.offered - flows.offered()).abs() < 1e-9);
         assert_eq!(out, a.naive(&flows, &failed));
+    }
+
+    #[test]
+    fn roots_of_a_destination_without_flows_leave_the_next_group_unconsumed() {
+        // A handful of flows under every pair of failed links: most
+        // destinations the link index names have no flow group, and
+        // skipping one must not swallow the group of the next
+        // destination that has both roots and flows.
+        let mut a = Abilene::new();
+        let flows = FlowSet::sampled(&GravityTraffic::new(&a.g), 6, 2010);
+        let with_flows: Vec<NodeId> = flows.by_destination().map(|(dst, _)| dst).collect();
+        assert!(with_flows.len() < a.g.node_count() / 2, "the groups must be sparse");
+        let links: Vec<LinkId> = a.g.links().collect();
+        let (mut roots, mut met) = (Vec::new(), 0);
+        for (i, &first) in links.iter().enumerate() {
+            for &second in &links[i + 1..] {
+                let failed = LinkSet::from_links(a.g.link_count(), [first, second]);
+                assert_eq!(a.replay(&flows, &failed), a.naive(&flows, &failed), "{failed:?}");
+                // The shape: a rooted destination without a group,
+                // then a rooted destination with one.
+                a.dense.roots_into(&failed, &mut roots);
+                let has_group = |r: &TreeEdge| with_flows.contains(&NodeId(r.dest));
+                let skipped = roots.iter().position(|r| !has_group(r));
+                met += usize::from(skipped.is_some_and(|at| roots[at..].iter().any(has_group)));
+            }
+        }
+        assert!(met > 0, "no failed pair met the shape");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::cell::Cell;
 use pr_core::{generous_ttl, DenseFib, DiscriminatorKind, PrMode, PrNetwork};
 use pr_embedding::{heuristics, CellularEmbedding, RotationSystem};
 use pr_graph::{AllPairs, LinkSet};
-use pr_scenarios::{ScenarioFamily, SingleLinkFailures};
+use pr_scenarios::{ExhaustiveKFailures, ScenarioFamily, SingleLinkFailures};
 use pr_topologies::{Isp, Weighting};
 use pr_traffic::{
     replay_scenario_bitparallel, replay_scenario_naive, FlowSet, GravityTraffic, ReplayScratch,
@@ -131,5 +131,44 @@ fn second_pass_over_geant_single_failures_never_calls_the_allocator() {
         };
         assert!(calls_during(|| once(&mut fresh)) > 0, "{label}: the first replay builds things");
         assert_eq!(calls_during(|| once(&mut fresh)), 0, "{label}: second replay of a scratch");
+    }
+}
+
+#[test]
+fn a_warm_scratch_replays_scenarios_it_has_not_seen_without_the_allocator() {
+    // Not a second pass: single and double failures the scratch meets
+    // for the first time. The cone roots of a scenario are gathered
+    // into a list the scratch sized when it first replayed as many
+    // failed links, and sorted in place; nothing else is per scenario.
+    let g = pr_topologies::load(Isp::Geant, Weighting::Distance);
+    let embedding =
+        CellularEmbedding::new(&g, heuristics::thorough(&g, 2010, 4, 10_000)).expect("connected");
+    let net =
+        PrNetwork::compile(&g, embedding, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+    let (agent, base, ttl) = (net.agent(&g), net.base(), generous_ttl(&g));
+    let dense = DenseFib::from_base(&g, base);
+    let (singles, pairs) = (SingleLinkFailures::new(&g), ExhaustiveKFailures::new(&g, 2));
+    let scenarios: Vec<LinkSet> = (0..singles.len())
+        .map(|i| singles.scenario(i))
+        .chain((0..pairs.len()).step_by(7).map(|i| pairs.scenario(i)))
+        .collect();
+    let gravity = GravityTraffic::new(&g);
+    for flows in [FlowSet::all_pairs(&gravity), FlowSet::sampled(&gravity, 200, 2010)] {
+        let mut scratch = ReplayScratch::new();
+        let mut replay = |failed: &LinkSet| {
+            replay_scenario_bitparallel(&g, &agent, &dense, base, &flows, failed, ttl, &mut scratch)
+        };
+        // Warm-up on every other scenario; the rest are new to the
+        // scratch when they are counted.
+        for failed in scenarios.iter().step_by(2) {
+            replay(failed);
+        }
+        for failed in scenarios.iter().skip(1).step_by(2) {
+            let mut out = None;
+            let calls = calls_during(|| out = Some(replay(failed)));
+            assert_eq!(calls, 0, "{}: {failed:?} called the allocator", flows.label());
+            let expected = replay_scenario_naive(&g, &agent, base, &flows, failed, ttl);
+            assert_eq!(out, Some(expected), "{}: {failed:?}", flows.label());
+        }
     }
 }

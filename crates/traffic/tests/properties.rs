@@ -111,8 +111,9 @@ impl Net {
     /// holds all of it against the oracle: the result (tally, peak
     /// load, peak link),
     /// the **whole load vector** against one `walk_packet` per flow
-    /// added up link by link, and the cones the replay enumerated
-    /// against the full-tree pass of `affected_into`, bit for bit.
+    /// added up link by link, and the cones of the roots the replay
+    /// gathers off the link index against the full-tree pass of
+    /// `affected_into`, bit for bit, destination by destination.
     /// `ttl` must cover every failure-free shortest path.
     fn check_with<A: ForwardingAgent>(
         &self,
@@ -142,12 +143,14 @@ impl Net {
         }
         assert_eq!(scratch.link_loads(), loads, "{label}");
 
-        let (mut cones, mut affected, mut in_cone) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut roots, mut affected, mut in_cone) = (Vec::new(), Vec::new(), Vec::new());
+        dense.roots_into(failed, &mut roots);
+        assert!(roots.windows(2).all(|w| w[0] < w[1]), "{label}: roots out of order");
         for dst in g.nodes() {
-            dense.cones_into(g, dst, failed, &mut cones);
             bits::clear_and_resize(&mut in_cone, g.node_count());
-            for &(start, end) in &cones {
-                for f in &dense.frames(dst)[start as usize..end as usize] {
+            let frames = dense.frames(dst);
+            for root in roots.iter().filter(|r| r.dest == dst.0) {
+                for f in &frames[root.at as usize..frames[root.at as usize].end as usize] {
                     assert!(!bits::test(&in_cone, f.node as usize), "{label}: cones overlap");
                     bits::set(&mut in_cone, f.node as usize);
                 }
@@ -519,10 +522,11 @@ fn a_flow_set_dropped_and_rebuilt_between_calls_is_a_new_flow_set() {
 #[test]
 fn a_replay_looks_at_the_cones_and_at_nothing_else() {
     // The algorithmic claim without a clock: per scenario the scratch
-    // touched exactly the destinations whose tree lost an edge, visited
-    // exactly their affected cones, and walked once per failure point
-    // that is still connected — under PR the router above each failed
-    // tree edge — however many sources sit behind it.
+    // touched exactly the destinations whose tree lost an edge — those
+    // the FIB's link index names for the failed link, none probed and
+    // skipped — visited exactly their affected cones, and walked once
+    // per failure point that is still connected — under PR the router
+    // above each failed tree edge — however many sources sit behind it.
     let net = Net::searched(Net::synth("isp:120:2010"));
     let g = &net.g;
     let n = g.node_count() as u64;
@@ -554,11 +558,14 @@ fn a_replay_looks_at_the_cones_and_at_nothing_else() {
             expected.walks += points.filter(|&point| parts.same(point, dst)).count() as u64;
         }
         assert_eq!(stats, expected, "scenario {i}");
+        let link = failed.iter().next().expect("a single failure");
+        assert_eq!(stats.destinations, net.dense.tree_edges(link).len() as u64, "scenario {i}");
         assert!(stats.cone_sources < n * n / 4, "scenario {i}: {stats:?}");
         total.merge(&stats);
     }
     let pairs = n * (n - 1) * singles.len() as u64;
     assert!(total.cone_sources * 10 < pairs, "{total:?} of {pairs} pairs");
+    assert_eq!(total.destinations, n * (n - 1), "every edge of every tree fails in one scenario");
     assert_eq!(total.walks, total.destinations, "one failed tree edge, one point, one walk");
     assert!(total.walks * 4 < total.cone_sources, "{total:?}");
     assert_eq!(total.baselines, 1);

@@ -44,7 +44,7 @@ fn main() {
         let mut lfa_ok = 0u64;
         let mut total = 0u64;
         let mut stretches = Vec::new();
-        let base = AllPairs::compute_all_live(&graph);
+        let base = net.base();
         for dst in graph.nodes() {
             let live = SpTree::towards(&graph, dst, &failed);
             for src in graph.nodes() {

@@ -33,7 +33,7 @@ fn main() {
     let pr = net.agent(&graph);
     let fcp = FcpAgent::new(&graph);
     let ttl = generous_ttl(&graph);
-    let base = AllPairs::compute_all_live(&graph);
+    let base = net.base();
 
     let mut samples: [Vec<f64>; 3] = [vec![], vec![], vec![]]; // reconv, fcp, pr
     for link in graph.links() {

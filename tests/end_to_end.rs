@@ -160,3 +160,57 @@ fn compiled_state_serializes() {
     let w2 = walk_packet(&graph, &back.agent(&graph), n("A"), n("F"), &failed, ttl);
     assert_eq!(w1.path, w2.path);
 }
+
+/// The figure-1 network of [`compiled_state_serializes`].
+fn figure1_network() -> (Graph, PrNetwork) {
+    let (graph, orders) = topologies::figure1();
+    let rot = RotationSystem::from_neighbor_orders(&graph, &orders).unwrap();
+    let emb = CellularEmbedding::new(&graph, rot).unwrap();
+    let net =
+        PrNetwork::compile(&graph, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+    (graph, net)
+}
+
+/// The message of the panic binding `net` to `graph` ends in.
+fn bind_panic(net: &PrNetwork, graph: &Graph) -> String {
+    let payload = std::panic::catch_unwind(|| {
+        let _ = net.agent(graph);
+    })
+    .expect_err("a mismatched network must not bind");
+    payload.downcast_ref::<String>().expect("a formatted panic message").clone()
+}
+
+/// A network binds to graphs of its own shape only — in release builds
+/// too: bound to another, it would index out of range mid-walk.
+#[test]
+fn a_network_does_not_bind_to_a_graph_of_another_shape() {
+    let (graph, net) = figure1_network();
+    let abilene = topologies::load(topologies::Isp::Abilene, topologies::Weighting::Distance);
+    let message = bind_panic(&net, &abilene);
+    assert!(message.contains("graph/tables mismatch"), "{message}");
+    assert!(message.contains("a graph of 11 nodes"), "{message}");
+    assert!(message.contains("6 trees"), "{message}");
+
+    // Figure 1 with one more link: the trees fit, the cycle table does not.
+    let mut extra = graph.clone();
+    extra.add_link(NodeId(0), NodeId(5), 9).unwrap();
+    let message = bind_panic(&net, &extra);
+    assert!(message.contains("6 nodes and 20 darts"), "{message}");
+    assert!(message.contains("18 rows"), "{message}");
+}
+
+/// … and a network that came through serde with a column cut short is
+/// caught where it is bound, not where a walk first reads past the end.
+#[test]
+fn a_truncated_tree_does_not_bind() {
+    let (graph, net) = figure1_network();
+    let json = serde_json::to_string(&net).unwrap();
+    // Tree 2 loses the last label of its hop column.
+    let whole = r#"{"dest":2,"dist":[2,2,0,3,2,3],"hops":[1,1,0,2,1,2],"#;
+    let cut = r#"{"dest":2,"dist":[2,2,0,3,2,3],"hops":[1,1,0,2,1],"#;
+    assert!(json.contains(whole), "fixture: {json}");
+    let revived: PrNetwork = serde_json::from_str(&json.replace(whole, cut)).expect("well-formed");
+    let message = bind_panic(&revived, &graph);
+    assert!(message.contains("a graph of 6 nodes"), "{message}");
+    assert!(message.contains("tree 2 towards n2 with [6, 5, 6] labels"), "{message}");
+}
