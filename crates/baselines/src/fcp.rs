@@ -132,16 +132,10 @@ type Patch = (NodeId, Option<Dart>);
 /// Where one memoised route's patches sit in the arena.
 type Span = std::ops::Range<usize>;
 
-/// What filling the route memo cost: how many cones a sweep handed
-/// over from a repair it had already done ([`FcpAgent::seed`]) and how
-/// many entries the memo had to repair itself. Plain counters, taken per
-/// unit and merged like `MemoStats`; nothing reads them on the hot
-/// path.
+/// What filling the route memo cost. Plain counters, taken per unit
+/// and merged like `MemoStats`; nothing reads them on the hot path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteStats {
-    /// Cones handed over through [`FcpAgent::seed`] (empty ones, which
-    /// plant nothing, not counted).
-    pub seeded: u64,
     /// Entries filled by a miss: a cone enumeration and a cone repair
     /// of the memo's own.
     pub repaired: u64,
@@ -152,7 +146,6 @@ pub struct RouteStats {
 impl RouteStats {
     /// Accumulates another stats record.
     pub fn merge(&mut self, other: &RouteStats) {
-        self.seeded += other.seeded;
         self.repaired += other.repaired;
         self.cone_nodes += other.cone_nodes;
     }
@@ -175,8 +168,7 @@ impl RouteStats {
 /// cost instead of the O(n) tree materialisation. Every route's
 /// patches live back to back in **one arena**, emptied with its
 /// capacity kept at a scenario boundary or a flush, so a warm memo
-/// fills an entry — repaired or seeded — without calling the
-/// allocator.
+/// fills an entry without calling the allocator.
 #[derive(Debug, Clone)]
 struct RouteCache {
     /// The patch arena; `index` maps a key to its span.
@@ -229,31 +221,6 @@ impl RouteCache {
         self.last = None;
     }
 
-    /// Where a new entry's patches start: the arena's end — after the
-    /// wholesale flush, when the memo is at its bound.
-    fn next_start(&mut self) -> usize {
-        if self.index.len() >= ROUTE_CACHE_MAX_ENTRIES {
-            self.clear();
-        }
-        self.patches.len()
-    }
-
-    /// Files the arena's tail from `start` as the entry of the key in
-    /// `probe`.
-    fn file(&mut self, start: usize) -> Span {
-        let span = start..self.patches.len();
-        self.index.insert(self.probe.clone(), span.clone());
-        span
-    }
-
-    /// Makes the key in `probe`, whose entry is `span`, the last-key
-    /// fast path.
-    fn remember(&mut self, span: Span) {
-        self.last_key.0 = self.probe.0;
-        self.last_key.1.clone_from(&self.probe.1);
-        self.last = Some(span);
-    }
-
     /// The miss path: appends to the arena the patches of the key in
     /// `probe` — `tree` being the base tree towards its destination —
     /// by cone repair (O(cone): [`SpTree::repair_cone_labels`], then
@@ -277,16 +244,6 @@ impl RouteCache {
         tree.affected_cone(graph, kids, failed_buf, cone, stack);
         tree.repair_cone_labels(graph, failed_buf, cone, scratch);
         tree.cone_routes(graph, cone, scratch, patches);
-    }
-
-    /// Whether the miss path's own repair of the key in `probe` gives
-    /// the patches at `span` — the debug-build check of a seeded entry.
-    fn rederives(&mut self, graph: &Graph, tree: &SpTree, span: Span) -> bool {
-        let start = self.patches.len();
-        self.repair(graph, tree);
-        let same = self.patches[start..] == self.patches[span];
-        self.patches.truncate(start);
-        same
     }
 }
 
@@ -358,47 +315,6 @@ impl<'a> FcpAgent<'a> {
         }
     }
 
-    /// Plants `routes` — the `(node, next dart)` patches of `dest`'s
-    /// affected cone under `failed`, as [`SpTree::cone_routes`] gives
-    /// them — as the memo's entry of key `(dest, failed)` and as its
-    /// last-key fast path, so decisions under that key hit without a
-    /// cone enumeration, a repair or a hash probe. A sweep that has
-    /// just repaired the cone for its own purposes hands the repair
-    /// over this way instead of letting the first decision redo it.
-    ///
-    /// The entry is the one a miss would have built, patch for patch
-    /// (debug builds re-derive it through the miss path and compare),
-    /// so seeding never changes a decision; a key the memo already
-    /// holds keeps its entry. An empty list plants nothing: the base
-    /// tree already answers as that entry would. No-op on uncached
-    /// agents.
-    pub fn seed(&self, dest: NodeId, failed: &LinkSet, routes: &[(NodeId, Option<Dart>)]) {
-        let Some((base, cache)) = &self.routes else { return };
-        if routes.is_empty() {
-            return;
-        }
-        let cache = &mut *cache.borrow_mut();
-        cache.probe.0 = dest;
-        cache.probe.1 = FcpState::default();
-        for link in failed.iter() {
-            cache.probe.1.learn(link);
-        }
-        let span = match cache.index.get(&cache.probe) {
-            Some(span) => span.clone(),
-            None => {
-                let start = cache.next_start();
-                cache.patches.extend_from_slice(routes);
-                cache.file(start)
-            }
-        };
-        cache.stats.seeded += 1;
-        debug_assert!(
-            cache.rederives(self.graph, base.towards(dest), span.clone()),
-            "seeded routes of {dest} under {failed:?} are not the miss path's"
-        );
-        cache.remember(span);
-    }
-
     /// The route memo's counters since they were last taken (all zero
     /// for uncached agents).
     pub fn take_route_stats(&self) -> RouteStats {
@@ -434,8 +350,8 @@ impl<'a> FcpAgent<'a> {
         let cache = &mut *routes.borrow_mut();
         let span = match &cache.last {
             // Single-entry fast path: same key as the previous
-            // decision (the common case — consecutive hops of one
-            // walk, or the key a sweep has just seeded).
+            // decision (the common case: consecutive hops of one
+            // walk).
             Some(span) if cache.last_key.0 == dest && cache.last_key.1 == *state => span.clone(),
             _ => {
                 // Keyed lookup without allocating: the probe key is a
@@ -446,14 +362,23 @@ impl<'a> FcpAgent<'a> {
                 let span = match cache.index.get(&cache.probe) {
                     Some(span) => span.clone(),
                     None => {
-                        let start = cache.next_start();
+                        // The wholesale flush, when the memo is at its
+                        // bound; then the arena's tail is the entry.
+                        if cache.index.len() >= ROUTE_CACHE_MAX_ENTRIES {
+                            cache.clear();
+                        }
+                        let start = cache.patches.len();
                         cache.repair(self.graph, tree);
                         cache.stats.repaired += 1;
                         cache.stats.cone_nodes += cache.cone.len() as u64;
-                        cache.file(start)
+                        let span = start..cache.patches.len();
+                        cache.index.insert(cache.probe.clone(), span.clone());
+                        span
                     }
                 };
-                cache.remember(span.clone());
+                cache.last_key.0 = dest;
+                cache.last_key.1.clone_from(state);
+                cache.last = Some(span.clone());
                 span
             }
         };
@@ -690,18 +615,8 @@ mod tests {
         assert_eq!(FcpAgent::new(&g).cached_routes(), 0);
     }
 
-    /// The patches of `dest`'s cone under `failed`, as a sweep's cone
-    /// opener hands them to [`FcpAgent::seed`].
-    fn cone_routes(g: &Graph, base: &AllPairs, dest: NodeId, failed: &LinkSet) -> Vec<Patch> {
-        let tree = base.towards(dest);
-        let (mut cone, mut stack, mut routes) = (Vec::new(), Vec::new(), Vec::new());
-        tree.affected_cone(g, &TreeChildren::build(g, tree), failed, &mut cone, &mut stack);
-        tree.repair_cone_routes(g, failed, &cone, &mut SpScratch::new(), &mut routes);
-        routes
-    }
-
     #[test]
-    fn seeding_survives_the_wholesale_flush_on_either_side_of_it() {
+    fn the_wholesale_flush_keeps_decisions_identical() {
         // K12: 66 links, so triples of links × 12 destinations give
         // several times more distinct keys than the bound.
         let g = generators::complete(12, 1);
@@ -733,49 +648,21 @@ mod tests {
             }
         };
 
-        // An early seeded key is flushed with everything else and
-        // comes back through the miss path, the same.
-        let early = LinkSet::from_links(g.link_count(), [LinkId(0)]);
+        // An early key is flushed with everything else and comes back
+        // through the miss path, the same.
         let dest = NodeId(1);
-        assert!(g.endpoints(LinkId(0)) == (NodeId(0), dest), "the link's cone is not empty");
-        cached.seed(dest, &early, &cone_routes(&g, &base, dest, &early));
-        walks_agree(&early, dest);
-        fill_to(ROUTE_CACHE_MAX_ENTRIES);
-        assert_eq!(cached.take_route_stats().seeded, 1);
-
-        // A key seeded into the full memo triggers the flush itself
-        // and is the one entry left.
         let spoke = |v| g.find_link(dest, NodeId(v)).unwrap();
-        let late = LinkSet::from_links(g.link_count(), [spoke(2), spoke(3)]);
-        let routes = cone_routes(&g, &base, dest, &late);
-        assert!(!routes.is_empty());
-        cached.seed(dest, &late, &routes);
-        assert_eq!(cached.cached_routes(), 1);
-        walks_agree(&late, dest);
+        let early = LinkSet::from_links(g.link_count(), [spoke(2), spoke(3)]);
         walks_agree(&early, dest);
-        let stats = cached.take_route_stats();
-        assert_eq!((stats.seeded, stats.repaired > 0), (1, true));
-
-        // And a miss on the full memo flushes a seeded key away.
         fill_to(ROUTE_CACHE_MAX_ENTRIES);
+
+        // A miss on the full memo flushes it and is the one entry left.
         let mut state = FcpState::default();
         state.learn(spoke(4));
         cached.decide(NodeId(0), None, dest, &mut state, &LinkSet::empty(g.link_count()));
         assert_eq!(cached.cached_routes(), 1);
-        walks_agree(&late, dest);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "are not the miss path's")]
-    fn a_debug_build_refuses_routes_that_are_not_the_cones() {
-        let g = generators::ring(6, 1);
-        let base = AllPairs::compute_all_live(&g);
-        let failed =
-            LinkSet::from_links(g.link_count(), [g.find_link(NodeId(1), NodeId(0)).unwrap()]);
-        let mut routes = cone_routes(&g, &base, NodeId(0), &failed);
-        routes.pop();
-        FcpAgent::cached_with_base(&g, &base).seed(NodeId(0), &failed, &routes);
+        walks_agree(&early, dest);
+        assert!(cached.take_route_stats().repaired > ROUTE_CACHE_MAX_ENTRIES as u64);
     }
 
     #[test]

@@ -17,10 +17,7 @@ use pr_core::{
     WalkResult,
 };
 use pr_embedding::{CellularEmbedding, RotationSystem};
-use pr_graph::{
-    algo, generators, AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, SpScratch, SpTree,
-    TreeChildren,
-};
+use pr_graph::{algo, generators, AllPairs, Graph, LinkId, LinkSet, NodeId, SpTree};
 
 fn arb_graph_and_failures() -> impl Strategy<Value = (Graph, LinkSet)> {
     (3usize..16, 0usize..10, 0u64..u64::MAX, 0usize..6).prop_map(|(n, chords, seed, failures)| {
@@ -70,104 +67,107 @@ where
     Ok(())
 }
 
-/// The `(node, next dart)` routes of `dest`'s affected cone under
-/// `failed`, the way a sweep's cone opener gets them: the cone's label
-/// repair, then the selection pass over those labels.
-fn cone_routes(
+/// FCP's single-failure closed form, checked against the honest
+/// recompute-per-decision agent: towards every destination of `g`
+/// under the one failed `link`, every source whose failure-free path
+/// crosses it pays `base(src) − base(p) + dist_{G−link}(p, dst)` — `p`
+/// being the endpoint of `link` whose tree dart is `link` — and is
+/// delivered iff `p` still reaches the destination. Returns how many
+/// sources were delivered and how many dropped.
+fn closed_form_prices_the_honest_walk(
     g: &Graph,
-    base: &AllPairs,
-    dest: NodeId,
-    failed: &LinkSet,
-    sp: &mut SpScratch,
-) -> Vec<(NodeId, Option<Dart>)> {
-    let tree = base.towards(dest);
-    let (mut cone, mut stack, mut routes) = (Vec::new(), Vec::new(), Vec::new());
-    tree.affected_cone(g, &TreeChildren::build(g, tree), failed, &mut cone, &mut stack);
-    tree.repair_cone_labels(g, failed, &cone, sp);
-    tree.cone_routes(g, &cone, sp, &mut routes);
-    routes
+    link: LinkId,
+) -> Result<(usize, usize), TestCaseError> {
+    let failed = LinkSet::from_links(g.link_count(), [link]);
+    let honest = FcpAgent::new(g);
+    let ttl = generous_ttl(g);
+    let (a, b) = g.endpoints(link);
+    let (mut delivered, mut dropped) = (0, 0);
+    for dst in g.nodes() {
+        let tree = SpTree::towards_all_live(g, dst);
+        let on_tree = |v| tree.next_dart(v).is_some_and(|d| d.link() == link);
+        let point = [a, b].into_iter().find(|&v| on_tree(v));
+        let affected: Vec<NodeId> =
+            g.nodes().filter(|&src| tree.path_crosses(g, src, &failed)).collect();
+        prop_assert_eq!(point.is_some(), !affected.is_empty(), "{}: towards {}", link, dst);
+        let Some(point) = point else { continue };
+        let beyond = SpTree::towards(g, dst, &failed).cost(point);
+        for src in affected {
+            let ahead = tree.cost(src).unwrap() - tree.cost(point).unwrap();
+            let priced = beyond.map(|beyond| ahead + beyond);
+            let walk = walk_packet(g, &honest, src, dst, &failed, ttl);
+            let walked = walk.result.is_delivered().then(|| walk.cost(g));
+            prop_assert_eq!(priced, walked, "{} down, {}->{} by {}", link, src, dst, point);
+            delivered += usize::from(priced.is_some());
+            dropped += usize::from(priced.is_none());
+        }
+    }
+    Ok((delivered, dropped))
 }
 
-/// Every single link of `g`, and a seeded sample of pairs and triples
-/// (cuts included: a seeded entry holds cut-off nodes too).
-fn failure_sets(g: &Graph, rng: &mut StdRng) -> Vec<LinkSet> {
-    let mut links: Vec<LinkId> = g.links().collect();
-    let mut sets: Vec<LinkSet> =
-        links.iter().map(|&l| LinkSet::from_links(g.link_count(), [l])).collect();
-    for k in [2, 2, 2, 3, 3] {
-        links.shuffle(rng);
-        sets.push(LinkSet::from_links(g.link_count(), links[..k].iter().copied()));
+/// A bridge: every affected source is cut off with the point.
+#[test]
+fn closed_form_drops_every_source_behind_a_bridge() {
+    // Two triangles, 0-1-2 and 3-4-5, joined by 2-3.
+    let mut g = Graph::with_nodes(6);
+    for (a, b) in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)] {
+        g.add_link(NodeId(a), NodeId(b), 1).unwrap();
     }
-    sets
+    let bridge = g.add_link(NodeId(2), NodeId(3), 1).unwrap();
+    let (delivered, dropped) = closed_form_prices_the_honest_walk(&g, bridge).unwrap();
+    assert_eq!((delivered, dropped), (0, 18), "three sources per destination across the bridge");
+}
+
+/// The failed link is the destination's own: the point is its
+/// neighbour and the whole detour is the survivor leg.
+#[test]
+fn closed_form_holds_where_the_point_is_the_destinations_neighbour() {
+    let g = generators::ring(6, 1);
+    let link = g.find_link(NodeId(1), NodeId(0)).unwrap();
+    let (delivered, dropped) = closed_form_prices_the_honest_walk(&g, link).unwrap();
+    assert!(delivered > 0 && dropped == 0);
+    // 2 -> 0: one hop to the point 1, then the long way round.
+    let failed = LinkSet::from_links(g.link_count(), [link]);
+    let walk = walk_packet(&g, &FcpAgent::new(&g), NodeId(2), NodeId(0), &failed, generous_ttl(&g));
+    assert_eq!(walk.cost(&g), 2 - 1 + 5);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A memo seeded with the routes of a cone repaired elsewhere
-    /// decides as the honest agent and as the memo left to its miss
-    /// path do, walk for walk — in hostile orders too: seeded twice,
-    /// seeded over an entry a miss has built, seeded and then evicted,
-    /// seeded on an agent without a memo.
+    /// FCP under one failed link is arithmetic on two shortest-path
+    /// labels — on any connected graph, bridges included.
     #[test]
-    fn a_seeded_memo_walks_as_the_honest_agent(
-        n in 4usize..13,
-        chords in 0usize..8,
+    fn fcp_under_one_failure_is_tree_prefix_plus_survivor_leg(
+        n in 3usize..13,
+        chords in 0usize..6,
         seed in 0u64..u64::MAX,
     ) {
+        // A random tree plus a few chords: every link a bridge when
+        // there are none.
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = generators::random_two_edge_connected(n, chords, 1..=6, &mut rng);
-        let base = AllPairs::compute_all_live(&g);
-        let ttl = generous_ttl(&g);
-        let honest = FcpAgent::new(&g);
-        let unseeded = FcpAgent::cached_with_base(&g, &base);
-        let seeded = FcpAgent::cached_with_base(&g, &base);
-        let reseeded = FcpAgent::cached_with_base(&g, &base);
-        let late = FcpAgent::cached_with_base(&g, &base);
-        let evicted = FcpAgent::cached_with_base(&g, &base);
-        let mut sp = SpScratch::new();
-        for failed in failure_sets(&g, &mut rng) {
-            for agent in [&unseeded, &seeded, &reseeded, &late, &evicted] {
-                agent.begin_scenario();
-            }
-            for dst in g.nodes() {
-                let routes = cone_routes(&g, &base, dst, &failed, &mut sp);
-                seeded.seed(dst, &failed, &routes);
-                reseeded.seed(dst, &failed, &routes);
-                reseeded.seed(dst, &failed, &routes);
-                evicted.seed(dst, &failed, &routes);
-                evicted.begin_scenario();
-                honest.seed(dst, &failed, &routes);
-                prop_assert_eq!(honest.cached_routes(), 0);
-                for (i, src) in g.nodes().enumerate() {
-                    let want = walk_packet(&g, &honest, src, dst, &failed, ttl);
-                    for (label, agent) in [
-                        ("unseeded", &unseeded),
-                        ("seeded", &seeded),
-                        ("seeded twice", &reseeded),
-                        ("seeded late", &late),
-                        ("seeded, then evicted", &evicted),
-                    ] {
-                        let got = walk_packet(&g, agent, src, dst, &failed, ttl);
-                        prop_assert_eq!(&got, &want, "{}: {:?} {}->{}", label, failed, src, dst);
-                    }
-                    if i == 0 {
-                        // Over whatever the first walk's misses built.
-                        late.seed(dst, &failed, &routes);
-                    }
-                }
-            }
-            // Every cone handed over is counted, and only where there
-            // was something to plant.
-            let cones = g
-                .nodes()
-                .filter(|&d| g.nodes().any(|s| base.towards(d).path_crosses(&g, s, &failed)))
-                .count() as u64;
-            prop_assert_eq!(seeded.take_route_stats().seeded, cones);
-            prop_assert_eq!(reseeded.take_route_stats().seeded, 2 * cones);
-            prop_assert_eq!(unseeded.take_route_stats().seeded, 0);
-            prop_assert_eq!(honest.take_route_stats().seeded, 0);
+        let mut g = Graph::with_nodes(n);
+        for v in 1..n as u32 {
+            let parent = NodeId(rng.gen_range(0..v));
+            g.add_link(NodeId(v), parent, rng.gen_range(1..=6)).unwrap();
         }
+        for _ in 0..chords {
+            let (a, b) = (NodeId(rng.gen_range(0..n as u32)), NodeId(rng.gen_range(0..n as u32)));
+            if a != b && g.find_link(a, b).is_none() {
+                g.add_link(a, b, rng.gen_range(1..=6)).unwrap();
+            }
+        }
+        let (mut delivered, mut dropped) = (0, 0);
+        for link in g.links() {
+            let (d, x) = closed_form_prices_the_honest_walk(&g, link)?;
+            delivered += d;
+            dropped += x;
+            // Cut off or not, behind one link together.
+            let bridge = !algo::connected_after(&g, &LinkSet::empty(g.link_count()), link);
+            prop_assert_eq!(bridge, x > 0, "{}", link);
+            prop_assert!(!bridge || d == 0, "{}", link);
+        }
+        prop_assert!(delivered + dropped > 0);
     }
 
     /// Every scheme of the workspace forwards a packet nobody has

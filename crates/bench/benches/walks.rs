@@ -9,9 +9,9 @@
 //! `walk_packet_with` sweep's tallies. A unit that walks per source
 //! again shows as a multiple of the ceiling, not a few percent. One
 //! gate per lane of the stretch sweep: PR, and FCP as the sweep runs
-//! it — cone opened, its routes seeded into the lane's route memo,
-//! then the walks — against the honest recompute-per-decision agent's
-//! tallies.
+//! it under single failures — cone opened, every source priced from
+//! the repaired labels in closed form (`pr_bench::fcp_lane`) — against
+//! the honest recompute-per-decision agent's tallies.
 
 use std::time::Instant;
 
@@ -19,7 +19,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use pr_baselines::FcpAgent;
 use pr_bench::engine::{ConePlan, SweepUnit};
-use pr_bench::stretch::seed_fcp_lane;
+use pr_bench::fcp_lane::FcpLane;
 use pr_core::{
     generous_ttl, walk_packet_with, DiscriminatorKind, FlowScratch, ForwardingAgent, PrMode,
     PrNetwork, WalkScratch,
@@ -36,13 +36,14 @@ use pr_graph::{AllPairs, Graph, LinkId, LinkSet, NodeId};
 const PR_NS_PER_SOURCE_CEILING: f64 = 220.0;
 
 /// The same for the FCP lane, which is timed from the opening of the
-/// unit's cone: 4x the dev-container reading (145-149 ns per source
-/// over four runs, of which the cone's enumeration and repair are the
-/// larger part). Left to its miss path — the cone enumerated and
-/// repaired a second time inside the route memo — the lane reads
-/// 208-212 ns per source on the same units, and a lane that walks per
+/// unit's cone: 4x the dev-container reading (68 ns per source, the PR
+/// lane reading 46 beside it; 96-98 and 69-75 over four runs on a
+/// busier day) — the cone's enumeration and label repair are nearly
+/// all of it. A lane that walks its points through the route memo
+/// again reads 145-179 ns per source on the same units, one that
+/// repairs the cone a second time over 200, and one that walks per
 /// source with the honest agent several microseconds.
-const FCP_NS_PER_SOURCE_CEILING: f64 = 590.0;
+const FCP_NS_PER_SOURCE_CEILING: f64 = 270.0;
 
 /// One (failure, destination) unit with its affected sources.
 struct Unit {
@@ -99,8 +100,7 @@ where
 }
 
 /// The unit sweep, as the scenario sweeps run it: each unit's points
-/// walked once, every source answered from its point. `open` is what
-/// the sweep does for the lane before it walks a unit.
+/// walked once, every source answered from its point.
 fn sweep_units<A: ForwardingAgent>(
     graph: &Graph,
     agent: &A,
@@ -108,16 +108,13 @@ fn sweep_units<A: ForwardingAgent>(
     units: &[Unit],
     ttl: usize,
     scratch: &mut FlowScratch<A::State>,
-    mut open: impl FnMut(SweepUnit<'_>),
 ) -> (u64, u64)
 where
     A::State: std::hash::Hash + Eq,
 {
     let (mut delivered, mut cost) = (0u64, 0u64);
     for unit in units {
-        let base_tree = base.towards(unit.dst);
-        open(SweepUnit { scenario: 0, failed: &unit.failed, dst: unit.dst, base_tree });
-        let mut flows = scratch.unit(graph, agent, base_tree, &unit.failed);
+        let mut flows = scratch.unit(graph, agent, base.towards(unit.dst), &unit.failed);
         for &src in &unit.sources {
             if let Some(c) = flows.walk(src, ttl).cost() {
                 delivered += 1;
@@ -188,20 +185,28 @@ fn bench_walks(c: &mut Criterion) {
     let plain = sweep_plain(&graph, &agent, &units, ttl, &mut WalkScratch::new());
     let mut scratch = FlowScratch::new();
     lane_gate("pr", &units, PR_NS_PER_SOURCE_CEILING, plain, || {
-        sweep_units(&graph, &agent, base, &units, ttl, &mut scratch, |_| ())
+        sweep_units(&graph, &agent, base, &units, ttl, &mut scratch)
     });
 
-    // The FCP lane as the stretch sweep runs it: the memo evicted at
-    // the scenario boundary, the unit's cone opened and its routes
-    // handed to the memo, then the walks.
-    let fcp = FcpAgent::cached_with_base(&graph, base);
+    // The FCP lane as the stretch sweep runs it: the unit's cone
+    // opened, the lane opened on it, every source of the cone asked.
+    let mut lane = FcpLane::new(&plan);
     let mut opener = plan.opener();
-    let mut fcp_scratch = FlowScratch::new();
     let mut fcp_lane = || {
-        sweep_units(&graph, &fcp, base, &units, ttl, &mut fcp_scratch, |unit| {
-            fcp.begin_scenario();
-            seed_fcp_lane(&fcp, &unit, &mut opener.open(&unit));
-        })
+        let (mut delivered, mut cost) = (0u64, 0u64);
+        for unit in &units {
+            let base_tree = base.towards(unit.dst);
+            let unit = SweepUnit { scenario: 0, failed: &unit.failed, dst: unit.dst, base_tree };
+            let cone = opener.open(&unit);
+            let mut fcp = lane.unit(&unit, &cone);
+            for (src, _) in cone {
+                if let Some(c) = fcp.cost(src) {
+                    delivered += 1;
+                    cost += c;
+                }
+            }
+        }
+        (delivered, cost)
     };
     let honest = sweep_plain(&graph, &FcpAgent::new(&graph), &units, ttl, &mut WalkScratch::new());
     lane_gate("fcp", &units, FCP_NS_PER_SOURCE_CEILING, honest, &mut fcp_lane);
@@ -212,7 +217,7 @@ fn bench_walks(c: &mut Criterion) {
         b.iter(|| black_box(sweep_plain(&graph, &agent, &units, ttl, &mut scratch)))
     });
     group.bench_function(BenchmarkId::new("unit", "mesh500"), |b| {
-        b.iter(|| black_box(sweep_units(&graph, &agent, base, &units, ttl, &mut scratch, |_| ())))
+        b.iter(|| black_box(sweep_units(&graph, &agent, base, &units, ttl, &mut scratch)))
     });
     group.bench_function(BenchmarkId::new("unit_fcp", "mesh500"), |b| {
         b.iter(|| black_box(fcp_lane()))

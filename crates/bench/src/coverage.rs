@@ -5,11 +5,12 @@
 //! The sweep is the engine's unit kernel ([`crate::engine`]) with five
 //! lanes: per (scenario, destination) unit a worker's cone opener
 //! yields the affected sources, and every connected one is walked
-//! through each scheme's `pr_core::FlowScratch` unit. The ordered block
-//! fold of integer counts makes the output bit-identical to
-//! [`run_serial`] — the independent oracle: plain `walk_packet`,
-//! scratch Dijkstra, all n sources classified — at any thread count
-//! (enforced by `tests/determinism.rs`).
+//! through each scheme's `pr_core::FlowScratch` unit (FCP through its
+//! lane, [`crate::fcp_lane`]). The ordered block fold of integer
+//! counts makes the output bit-identical to [`run_serial`] — the
+//! independent oracle: plain `walk_packet`, scratch Dijkstra, all n
+//! sources classified — at any thread count (enforced by
+//! `tests/determinism.rs`).
 
 use serde::Serialize;
 
@@ -22,7 +23,7 @@ use pr_graph::{AllPairs, Graph, SpTree};
 use pr_scenarios::{SampledMultiFailures, ScenarioFamily, ScenarioIter, SingleLinkFailures};
 
 use crate::engine::{ConeOpener, ConePlan};
-use crate::stretch::seed_fcp_lane;
+use crate::fcp_lane::FcpLane;
 
 /// Delivery statistics for one scheme at one failure count.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
@@ -115,16 +116,15 @@ impl Compiled {
 /// per scheme, in [`CoverageRow`] field order.
 type BlockCells = [(u64, u64); 5];
 
-/// Per-worker mutable state: the cone opener, the FCP route cache and
-/// one flow scratch per scheme (basic and DD share a header type but
+/// Per-worker mutable state: the cone opener, the FCP lane and one
+/// flow scratch per other scheme (basic and DD share a header type but
 /// not a memo: their trajectories differ) — all reused across every
 /// unit the worker runs.
 struct Worker<'a> {
     opener: ConeOpener<'a>,
-    fcp: FcpAgent<'a>,
+    fcp: FcpLane<'a>,
     basic_walks: FlowScratch<pr_core::PrHeader>,
     dd_walks: FlowScratch<pr_core::PrHeader>,
-    fcp_walks: FlowScratch<pr_baselines::FcpState>,
     lfa_walks: FlowScratch<()>,
     notvia_walks: FlowScratch<pr_baselines::NotViaState>,
 }
@@ -154,10 +154,9 @@ pub fn run(
         plan.sweep(scenarios.as_ref(), threads).fold(
             || Worker {
                 opener: plan.opener(),
-                fcp: FcpAgent::cached_with_base(graph, plan.base()),
+                fcp: FcpLane::new(&plan),
                 basic_walks: FlowScratch::new(),
                 dd_walks: FlowScratch::new(),
-                fcp_walks: FlowScratch::new(),
                 lfa_walks: FlowScratch::new(),
                 notvia_walks: FlowScratch::new(),
             },
@@ -169,11 +168,10 @@ pub fn run(
                 let (tree, failed) = (unit.base_tree, unit.failed);
                 let mut basic = w.basic_walks.unit(graph, &basic_agent, tree, failed);
                 let mut dd = w.dd_walks.unit(graph, &dd_agent, tree, failed);
-                let mut fcp = w.fcp_walks.unit(graph, &w.fcp, tree, failed);
                 let mut lfa = w.lfa_walks.unit(graph, &compiled.lfa, tree, failed);
                 let mut notvia = w.notvia_walks.unit(graph, &compiled.notvia, tree, failed);
-                let mut cone = w.opener.open(&unit);
-                seed_fcp_lane(&w.fcp, &unit, &mut cone);
+                let cone = w.opener.open(&unit);
+                let mut fcp = w.fcp.unit(&unit, &cone);
                 for (src, survivor) in cone {
                     if survivor.is_none() {
                         continue; // "| path" conditioning
@@ -181,7 +179,7 @@ pub fn run(
                     let delivered = [
                         basic.walk(src, ttl).is_delivered(),
                         dd.walk(src, ttl).is_delivered(),
-                        fcp.walk(src, ttl).is_delivered(),
+                        fcp.cost(src).is_some(),
                         lfa.walk(src, ttl).is_delivered(),
                         notvia.walk(src, ttl).is_delivered(),
                     ];

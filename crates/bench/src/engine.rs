@@ -16,14 +16,12 @@
 //!   subtrees below failed tree edges, O(cone) instead of classifying
 //!   all n nodes — in ascending node order, each with its survivor
 //!   cost (`None`: the failure disconnected it). That is the unit's
-//!   one cone repair: the opener repairs distance labels only, and a
-//!   lane that routes on the repaired tree (FCP) gets the cone's
-//!   `(node, next dart)` routes from the opened cone on request — a
-//!   selection pass over the labels already there — instead of
-//!   repairing the cone again. The sweep opens one
-//!   `pr_core::FlowScratch::unit` per scheme, which evicts that
-//!   scheme's suffix memo at the only place it can be evicted, and
-//!   asks it for each connected source. The unit walks once per
+//!   one cone repair — distance labels only — and the opened cone
+//!   answers for any of its nodes ([`OpenCone::survivor`]), which is
+//!   all the single-failure FCP lane needs ([`crate::fcp_lane`]). The
+//!   sweep opens one `pr_core::FlowScratch::unit` per walked scheme,
+//!   which evicts that scheme's suffix memo at the only place it can
+//!   be evicted, and asks it for each connected source. It walks once per
 //!   **failure point** — the router where the scheme first does
 //!   anything but forward along the failure-free tree — and answers
 //!   every source behind a point by arithmetic. Sources outside the
@@ -34,7 +32,7 @@
 //!   [`std::thread::scope`] worker pool: a chunked work queue over an
 //!   [`AtomicUsize`] cursor (the container has no crates.io access, so
 //!   no rayon). Each worker owns private scratch state (a cone opener,
-//!   flow scratches, FCP route caches) created by a caller-supplied
+//!   flow scratches, an FCP lane) created by a caller-supplied
 //!   factory.
 //! * **Ordered streaming merge** — a worker folds each *block* of
 //!   consecutive destinations of one scenario into one accumulator and
@@ -65,9 +63,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use pr_core::generous_ttl;
-use pr_graph::{
-    AllPairs, Dart, Graph, LinkSet, NodeId, RepairStats, SpScratch, SpTree, TreeChildren,
-};
+use pr_graph::{AllPairs, Graph, LinkSet, NodeId, RepairStats, SpScratch, SpTree, TreeChildren};
 use pr_scenarios::ScenarioFamily;
 
 pub use crate::shards::run_shards;
@@ -186,20 +182,13 @@ impl<'a> ConePlan<'a> {
     /// One worker's cone opener; its buffers grow to the topology on
     /// first use and are reused across every unit the worker runs.
     pub fn opener(&self) -> ConeOpener<'_> {
-        ConeOpener {
-            plan: self,
-            cone: Vec::new(),
-            stack: Vec::new(),
-            labels: SpScratch::new(),
-            routes: Vec::new(),
-        }
+        ConeOpener { plan: self, cone: Vec::new(), stack: Vec::new(), labels: SpScratch::new() }
     }
 }
 
 /// Per-worker state of the unit kernel's first step: the affected
-/// sources of the current unit, the arena their survivor distances are
-/// repaired in, and the buffer their repaired routes are handed out
-/// from.
+/// sources of the current unit and the arena their survivor distances
+/// are repaired in.
 pub struct ConeOpener<'a> {
     plan: &'a ConePlan<'a>,
     /// Affected sources of the current unit, ascending node id.
@@ -207,7 +196,6 @@ pub struct ConeOpener<'a> {
     /// DFS stack of the cone enumeration.
     stack: Vec<NodeId>,
     labels: SpScratch,
-    routes: Vec<(NodeId, Option<Dart>)>,
 }
 
 impl ConeOpener<'_> {
@@ -218,25 +206,16 @@ impl ConeOpener<'_> {
     /// The destination is never among them (it is the tree root), and
     /// an empty cone — no base path crosses a failure — yields nothing
     /// and repairs nothing. The unit's cone is repaired **once**, here:
-    /// only its distance labels, O(cone) per unit, and a lane that
-    /// routes on the repaired tree asks the cone for
-    /// [`OpenCone::routes`] instead of repairing it again. A warm
-    /// opener does not call the allocator.
+    /// only its distance labels, O(cone) per unit. A warm opener does
+    /// not call the allocator.
     pub fn open<'o>(&'o mut self, unit: &SweepUnit<'o>) -> OpenCone<'o> {
-        let ConeOpener { plan, cone, stack, labels, routes } = self;
+        let ConeOpener { plan, cone, stack, labels } = self;
         let children = &plan.children[unit.dst.index()];
         unit.base_tree.affected_cone(plan.graph, children, unit.failed, cone, stack);
         if !cone.is_empty() {
             unit.base_tree.repair_cone_labels(plan.graph, unit.failed, cone, labels);
         }
-        OpenCone {
-            graph: plan.graph,
-            tree: unit.base_tree,
-            cone,
-            sources: cone.iter(),
-            labels,
-            routes,
-        }
+        OpenCone { sources: cone.iter(), labels }
     }
 
     /// The repair counters since they were last taken.
@@ -246,32 +225,19 @@ impl ConeOpener<'_> {
 }
 
 /// The opened cone of one unit ([`ConeOpener::open`]): an iterator
-/// over its `(affected source, survivor cost)` pairs that can also
-/// hand out the repaired routes of the same cone.
+/// over its `(affected source, survivor cost)` pairs that also answers
+/// for any one of them by node.
 pub struct OpenCone<'a> {
-    graph: &'a Graph,
-    tree: &'a SpTree,
-    cone: &'a [NodeId],
     sources: std::slice::Iter<'a, NodeId>,
-    labels: &'a mut SpScratch,
-    routes: &'a mut Vec<(NodeId, Option<Dart>)>,
+    labels: &'a SpScratch,
 }
 
 impl OpenCone<'_> {
-    /// The cone's `(node, next dart)` patches over the unit's base
-    /// tree under the unit's failures, in node order (`None`: cut
-    /// off) — what `FcpAgent::seed` (pr-baselines) plants. Computed
-    /// when asked, by the canonical selection pass over the labels the
-    /// opener has just repaired ([`SpTree::cone_routes`]), so a sweep
-    /// with no lane that routes on the repaired tree never pays it.
-    pub fn routes(&mut self) -> &[(NodeId, Option<Dart>)] {
-        self.routes.clear();
-        // An empty cone repaired nothing: the arena's labels are an
-        // earlier unit's.
-        if !self.cone.is_empty() {
-            self.tree.cone_routes(self.graph, self.cone, self.labels, self.routes);
-        }
-        self.routes
+    /// The survivor cost of `node`, which must be in this cone (an
+    /// empty one repaired nothing: the arena's labels are an earlier
+    /// unit's): what the iterator yields beside it.
+    pub fn survivor(&self, node: NodeId) -> Option<u64> {
+        self.labels.cone_cost(node)
     }
 }
 

@@ -36,6 +36,7 @@
 pub mod ablation;
 pub mod coverage;
 pub mod engine;
+pub mod fcp_lane;
 pub mod impair;
 pub mod overheads;
 pub mod shards;

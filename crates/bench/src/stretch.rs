@@ -10,11 +10,9 @@
 //! The sweep is the engine's unit kernel ([`crate::engine`]) with three
 //! lanes: a worker's cone opener yields a unit's affected sources with
 //! their survivor cost — which *is* the reconvergence sample — and the
-//! FCP and PR lanes answer each connected one from their
-//! `pr_core::FlowScratch` unit, one walk per failure point; a
-//! single-failure unit seeds the FCP agent's route memo with the
-//! opened cone's routes ([`seed_fcp_lane`]), so its cone is repaired
-//! once. Workers
+//! FCP ([`crate::fcp_lane`]) and PR lanes answer each connected one:
+//! one walk per failure point, and no walk at all for FCP under a
+//! single failure. Workers
 //! fold blocks of consecutive destinations into [`StretchBlock`]s,
 //! which reach the calling thread in work-unit order while the pool
 //! runs.
@@ -40,7 +38,8 @@ use pr_core::{generous_ttl, walk_packet, FlowScratch, MemoStats, PrAgent, PrNetw
 use pr_graph::{AllPairs, Graph, RepairStats, SpTree};
 use pr_scenarios::{ScenarioFamily, ScenarioIter};
 
-use crate::engine::{ConeOpener, ConePlan, OpenCone, SweepUnit};
+use crate::engine::{ConeOpener, ConePlan, SweepUnit};
+use crate::fcp_lane::FcpLane;
 
 /// Scheme identifiers used in experiment output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -146,9 +145,9 @@ pub fn run(
 
 /// Auxiliary statistics of one stretch sweep: the cone opener's repair
 /// counters, walk-memo counters (FCP and PR memos summed) and the FCP
-/// route memo's — seeded from the opener's repairs, or repaired on its
-/// own. Integer counters, so totals are thread-count invariant. This
-/// is what `pr sweep --stats` prints.
+/// route memo's, which fills under two or more failures only. Integer
+/// counters, so totals are thread-count invariant. This is what
+/// `pr sweep --stats` prints.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SweepStats {
     /// Shortest-path-tree repair counters.
@@ -224,8 +223,7 @@ impl<'a> StretchPlan<'a> {
         StretchWorker {
             plan: self,
             opener: self.cones.opener(),
-            fcp: FcpAgent::cached_with_base(self.cones.graph(), self.cones.base()),
-            fcp_walks: FlowScratch::new(),
+            fcp: FcpLane::new(&self.cones),
             pr_walks: FlowScratch::new(),
         }
     }
@@ -248,13 +246,12 @@ impl<'a> StretchPlan<'a> {
 }
 
 /// Per-worker mutable state of the stretch sweep, reused across every
-/// unit the worker runs: the cone opener and, per walked scheme, the
-/// flow scratch (livelock detector + unit-scoped suffix memo).
+/// unit the worker runs: the cone opener, the FCP lane and PR's flow
+/// scratch (livelock detector + unit-scoped suffix memo).
 pub struct StretchWorker<'a> {
     plan: &'a StretchPlan<'a>,
     opener: ConeOpener<'a>,
-    fcp: FcpAgent<'a>,
-    fcp_walks: FlowScratch<pr_baselines::FcpState>,
+    fcp: FcpLane<'a>,
     pr_walks: FlowScratch<pr_core::PrHeader>,
 }
 
@@ -271,12 +268,11 @@ impl StretchWorker<'_> {
     /// `out` has the room, this does not call the allocator
     /// (`tests/alloc_sweep.rs`).
     pub fn fold_unit(&mut self, unit: SweepUnit<'_>, out: &mut StretchBlock) {
-        let StretchWorker { plan, opener, fcp, fcp_walks, pr_walks } = self;
+        let StretchWorker { plan, opener, fcp, pr_walks } = self;
         let (graph, ttl) = (plan.cones.graph(), plan.cones.ttl());
         out.failures = unit.failed.len();
-        let mut cone = opener.open(&unit);
-        seed_fcp_lane(fcp, &unit, &mut cone);
-        let mut fcp_unit = fcp_walks.unit(graph, &*fcp, unit.base_tree, unit.failed);
+        let cone = opener.open(&unit);
+        let mut fcp_unit = fcp.unit(&unit, &cone);
         let mut pr = pr_walks.unit(graph, &plan.pr_agent, unit.base_tree, unit.failed);
         let samples = &mut out.samples;
         // The debug-build cross-check of the survivor costs against
@@ -295,8 +291,8 @@ impl StretchWorker<'_> {
             // definition — no need to walk it.
             samples.reconvergence.push(reconv_cost as f64 / optimal as f64);
 
-            // FCP: walk with incremental failure discovery.
-            match fcp_unit.walk(src, ttl).cost() {
+            // FCP: incremental failure discovery.
+            match fcp_unit.cost(src) {
                 Some(cost) => samples.fcp.push(cost as f64 / optimal as f64),
                 None => samples.drop_fcp(),
             }
@@ -308,26 +304,9 @@ impl StretchWorker<'_> {
             }
         }
         out.stats.repair.merge(&opener.take_stats());
-        out.stats.routes.merge(&fcp.take_route_stats());
         out.stats.memo.merge(&fcp_unit.take_stats());
+        out.stats.routes.merge(&fcp.take_route_stats());
         out.stats.memo.merge(&pr.take_stats());
-    }
-}
-
-/// Hands a unit's FCP lane the routes of the cone its opener has just
-/// repaired, so the lane's route memo does not repair that cone again
-/// — where the lane is certain to ask for them: under a **single**
-/// failure the first list a packet carries is the unit's whole failed
-/// set, and the point walk's first decision hits the planted entry.
-/// Under k ≥ 2 failures that key is asked for only by a walk that
-/// learns every one of them, and the selection pass over the unit's
-/// largest cone costs more than the hits return (`synth:isp:300:7
-/// multi --k 4 --samples 300`, 1 thread: seeding every unit 1.077 s,
-/// singles only 1.022 s, no seeding 1.041 s), so those units leave the
-/// memo to its miss path.
-pub fn seed_fcp_lane(fcp: &FcpAgent<'_>, unit: &SweepUnit<'_>, cone: &mut OpenCone<'_>) {
-    if unit.failed.len() == 1 {
-        fcp.seed(unit.dst, unit.failed, cone.routes());
     }
 }
 

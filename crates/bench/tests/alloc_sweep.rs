@@ -12,9 +12,9 @@
 //!   header into every visited triple (what `FcpState` did as a
 //!   `Vec`) costs millions of calls per sweep and makes the workers
 //!   queue on each other's arenas. Nor does a scenario the FCP route
-//!   memo has just been evicted for: seeded or repaired, its entries
-//!   go into one arena that keeps its capacity (a `Vec` per entry
-//!   was one allocation per busy unit, freed at the next scenario).
+//!   memo has just been evicted for: its entries go into one arena
+//!   that keeps its capacity (a `Vec` per entry was one allocation per
+//!   busy unit, freed at the next scenario).
 //! * **Memory is the result, not the units.** `run_with_stats` holds
 //!   the panel it returns plus the blocks in flight — never one
 //!   partial result per (scenario, destination) unit — and `run_rows`
@@ -182,8 +182,8 @@ fn a_scenario_new_to_the_route_memo_never_calls_the_allocator() {
     let g = mesh();
     let net = compile(&g, RotationSystem::geometric(&g).expect("mesh has coordinates"));
     let plan = StretchPlan::new(&g, &net);
-    // Single failures go through the seeded entry, pairs through the
-    // memo's own repairs into the arena.
+    // Single failures price the FCP lane without the memo, pairs fill
+    // it by its own repairs into the arena.
     let singles = SingleLinkFailures::new(&g);
     let pairs = ExhaustiveKFailures::new(&g, 2);
     let families: [(&str, &dyn ScenarioFamily); 2] = [("singles", &singles), ("pairs", &pairs)];
@@ -220,7 +220,6 @@ fn a_scenario_new_to_the_route_memo_never_calls_the_allocator() {
             assert_eq!(block, *warm, "{at}: the passes must agree");
             assert!(block.samples.evaluated_pairs > 0, "{at}");
             let routes = block.stats.routes;
-            assert_eq!(routes.seeded > 0, label == "singles", "{at}: {routes:?}");
             assert_eq!(routes.repaired > 0, label == "pairs", "{at}: {routes:?}");
         }
     }
@@ -255,7 +254,13 @@ fn run_with_stats_holds_its_result_and_the_blocks_in_flight() {
 
         // The row fold — what every front door runs — returns O(1) per
         // scenario and holds nothing O(pairs): its peak sits below the
-        // panel's by at least the samples the panel returns.
+        // panel's by at least the samples the panel returns. Held at
+        // one thread, where both peaks are deterministic: with more,
+        // each also carries what its workers ran ahead of the merge,
+        // and two schedules do not compare.
+        if threads > 1 {
+            continue;
+        }
         drop(samples);
         let before = LIVE.load(Ordering::Relaxed);
         PEAK.store(before, Ordering::Relaxed);

@@ -16,16 +16,16 @@
 //! [`FlowUnit::walk`](pr_core::FlowUnit::walk): one walk per failure
 //! point, every source behind it by arithmetic. Each answer must be
 //! plain `walk_packet`'s on the same flow, over fixtures that drive
-//! every shape a unit's groups take ([`Groups`]). The FCP lane runs
-//! as the sweeps run it: its route memo seeded from the opened cone
-//! wherever `stretch::seed_fcp_lane` hands the routes over.
+//! every shape a unit's groups take ([`Groups`]). The FCP lane is the
+//! sweeps' own [`FcpLane`] — closed form under one failure, walked
+//! under more — held to the honest recompute-per-decision agent.
 
 use pr_baselines::{FcpAgent, LfaAgent, NotViaAgent};
 use pr_bench::engine::{ConeOpener, ConePlan, SweepUnit};
-use pr_bench::stretch::seed_fcp_lane;
+use pr_bench::fcp_lane::{FcpLane, FcpUnit};
 use pr_core::{
-    generous_ttl, walk_packet, DiscriminatorKind, FlowScratch, FlowWalk, ForwardingAgent, PrMode,
-    PrNetwork,
+    generous_ttl, walk_packet, DiscriminatorKind, FlowScratch, FlowUnit, FlowWalk, ForwardingAgent,
+    PrMode, PrNetwork,
 };
 use pr_embedding::{CellularEmbedding, RotationSystem};
 use pr_graph::{algo, AllPairs, Graph, LinkId, LinkSet, NodeId, SpTree};
@@ -133,9 +133,7 @@ struct Groups {
 }
 
 /// Holds one scheme's lane to plain `walk_packet`: every source of
-/// every destination under `failed`, through one unit per destination,
-/// `before_unit` being what the sweep does for the lane when it opens
-/// the unit's cone.
+/// every destination under `failed`, through one unit per destination.
 fn check_lane<A: ForwardingAgent>(
     plan: &ConePlan<'_>,
     agent: &A,
@@ -143,51 +141,102 @@ fn check_lane<A: ForwardingAgent>(
     failed: &LinkSet,
     ttl: usize,
     seen: &mut Groups,
-    mut before_unit: impl FnMut(SweepUnit<'_>),
 ) where
     A::State: std::hash::Hash + Eq,
 {
-    let g = plan.graph();
-    for dst in g.nodes() {
+    for dst in plan.graph().nodes() {
         let tree = plan.base().towards(dst);
-        let live = SpTree::towards(g, dst, failed);
-        before_unit(SweepUnit { scenario: 0, failed, dst, base_tree: tree });
-        let mut unit = scratch.unit(g, agent, tree, failed);
-        let mut points = Vec::new();
-        for src in g.nodes().filter(|&src| src != dst) {
-            let label = format!("{} failed {failed:?} {src}->{dst} ttl {ttl}", agent.label());
-            let want = walk_packet(g, agent, src, dst, failed, ttl);
-            let got = unit.walk(src, ttl);
-            assert_eq!(got.is_delivered(), want.result.is_delivered(), "{label}");
-            if let FlowWalk::Recovered { cost, hops } = got {
-                assert_eq!(cost, want.cost(g), "{label}");
-                assert_eq!(hops as usize, want.path.hop_count(), "{label}");
-            }
-            let point = unit.point_of(src);
-            seen.point_at_destination |= point == dst;
-            if point != dst {
-                points.push(point);
-                let reached = walk_packet(g, agent, point, dst, failed, ttl);
-                seen.dropped_point |= live.reaches(point) && !reached.result.is_delivered();
-                seen.ttl_fallback |= reached.result.is_delivered() && !got.is_delivered();
-            }
+        let mut unit = scratch.unit(plan.graph(), agent, tree, failed);
+        check_unit(plan.graph(), agent, &mut unit, tree, failed, ttl, seen);
+    }
+}
+
+/// Every source towards `tree.dest` through the open `unit`, against
+/// `walk_packet` under `reference` — the unit's own agent, or one that
+/// must decide as it does.
+fn check_unit<A: ForwardingAgent>(
+    g: &Graph,
+    reference: &A,
+    unit: &mut FlowUnit<'_, A>,
+    tree: &SpTree,
+    failed: &LinkSet,
+    ttl: usize,
+    seen: &mut Groups,
+) where
+    A::State: std::hash::Hash + Eq,
+{
+    let dst = tree.dest;
+    let live = SpTree::towards(g, dst, failed);
+    let mut points = Vec::new();
+    for src in g.nodes().filter(|&src| src != dst) {
+        let label = format!("{} failed {failed:?} {src}->{dst} ttl {ttl}", reference.label());
+        let want = walk_packet(g, reference, src, dst, failed, ttl);
+        let got = unit.walk(src, ttl);
+        assert_eq!(got.is_delivered(), want.result.is_delivered(), "{label}");
+        if let FlowWalk::Recovered { cost, hops } = got {
+            assert_eq!(cost, want.cost(g), "{label}");
+            assert_eq!(hops as usize, want.path.hop_count(), "{label}");
         }
-        seen.interleaved_points |= points.iter().enumerate().any(|(i, point)| {
-            let last = points.iter().rposition(|other| other == point).unwrap();
-            points[i..last].iter().any(|other| other != point)
-        });
-        points.sort_unstable();
-        points.dedup();
-        for &point in &points {
-            let above = tree.path_darts(g, point).expect("connected base graph");
-            let below_a_failed_edge = failed.contains_dart(above[0]);
-            let outermost = !above[1..].iter().any(|d| failed.contains_dart(*d));
-            seen.point_at_cone_root |= below_a_failed_edge && outermost;
-            seen.point_off_the_failed_tree |= !below_a_failed_edge;
-            seen.nested_points |=
-                above.iter().any(|d| points.binary_search(&g.dart_head(*d)).is_ok());
+        let point = unit.point_of(src);
+        seen.point_at_destination |= point == dst;
+        if point != dst {
+            points.push(point);
+            let reached = walk_packet(g, reference, point, dst, failed, ttl);
+            seen.dropped_point |= live.reaches(point) && !reached.result.is_delivered();
+            seen.ttl_fallback |= reached.result.is_delivered() && !got.is_delivered();
         }
     }
+    seen.interleaved_points |= points.iter().enumerate().any(|(i, point)| {
+        let last = points.iter().rposition(|other| other == point).unwrap();
+        points[i..last].iter().any(|other| other != point)
+    });
+    points.sort_unstable();
+    points.dedup();
+    for &point in &points {
+        let above = tree.path_darts(g, point).expect("connected base graph");
+        let below_a_failed_edge = failed.contains_dart(above[0]);
+        let outermost = !above[1..].iter().any(|d| failed.contains_dart(*d));
+        seen.point_at_cone_root |= below_a_failed_edge && outermost;
+        seen.point_off_the_failed_tree |= !below_a_failed_edge;
+        seen.nested_points |= above.iter().any(|d| points.binary_search(&g.dart_head(*d)).is_ok());
+    }
+}
+
+/// Holds the sweeps' FCP lane, opened as they open it, to the honest
+/// agent under `failed` at the plan's ttl: a priced unit for every
+/// source of its cone (cut-off ones too), a walked one as any lane.
+/// Returns how many sources were priced.
+fn check_fcp_lane<'a>(
+    plan: &ConePlan<'a>,
+    lane: &mut FcpLane<'a>,
+    opener: &mut ConeOpener<'_>,
+    failed: &LinkSet,
+    seen: &mut Groups,
+) -> usize {
+    let (g, ttl) = (plan.graph(), plan.ttl());
+    let honest = FcpAgent::new(g);
+    let mut priced_sources = 0;
+    lane.begin_scenario();
+    for dst in g.nodes() {
+        let base_tree = plan.base().towards(dst);
+        let unit = SweepUnit { scenario: 0, failed, dst, base_tree };
+        let cone = opener.open(&unit);
+        match lane.unit(&unit, &cone) {
+            FcpUnit::Walked(mut walks, _) => {
+                assert!(failed.len() > 1, "one failure is priced, not walked");
+                check_unit(g, &honest, &mut walks, base_tree, failed, ttl, seen);
+            }
+            mut priced => {
+                for (src, _) in cone {
+                    let want = walk_packet(g, &honest, src, dst, failed, ttl);
+                    let want = want.result.is_delivered().then(|| want.cost(g));
+                    assert_eq!(priced.cost(src), want, "fcp failed {failed:?} {src}->{dst}");
+                    priced_sources += 1;
+                }
+            }
+        }
+    }
+    priced_sources
 }
 
 /// All five lanes of the coverage sweep (the stretch sweep's two are
@@ -198,6 +247,7 @@ fn check_lanes(g: &Graph, rotation: RotationSystem, sets: &[LinkSet], ttl: usize
     let (basic, dd) = (compile(PrMode::Basic), compile(PrMode::DistanceDiscriminator));
     let plan = ConePlan::new(g, dd.base());
     let fcp = FcpAgent::cached_with_base(g, plan.base());
+    let mut fcp_lane = FcpLane::new(&plan);
     let (lfa, notvia) = (LfaAgent::compute(g), NotViaAgent::compute(g));
     let (mut basic_walks, mut dd_walks) = (FlowScratch::new(), FlowScratch::new());
     let (mut fcp_walks, mut lfa_walks, mut notvia_walks) =
@@ -205,20 +255,23 @@ fn check_lanes(g: &Graph, rotation: RotationSystem, sets: &[LinkSet], ttl: usize
     let mut opener = plan.opener();
     let mut seen = Groups::default();
     for failed in sets {
-        fcp.begin_scenario();
-        check_lane(&plan, &basic.agent(g), &mut basic_walks, failed, ttl, &mut seen, |_| ());
-        check_lane(&plan, &dd.agent(g), &mut dd_walks, failed, ttl, &mut seen, |_| ());
-        // The FCP lane as the sweeps run it: on the routes of the cone
-        // the opener has repaired, where the sweeps hand them over.
-        check_lane(&plan, &fcp, &mut fcp_walks, failed, ttl, &mut seen, |unit| {
-            seed_fcp_lane(&fcp, &unit, &mut opener.open(&unit))
-        });
-        check_lane(&plan, &lfa, &mut lfa_walks, failed, ttl, &mut seen, |_| ());
-        check_lane(&plan, &notvia, &mut notvia_walks, failed, ttl, &mut seen, |_| ());
+        check_lane(&plan, &basic.agent(g), &mut basic_walks, failed, ttl, &mut seen);
+        check_lane(&plan, &dd.agent(g), &mut dd_walks, failed, ttl, &mut seen);
+        if ttl == plan.ttl() {
+            check_fcp_lane(&plan, &mut fcp_lane, &mut opener, failed, &mut seen);
+        } else {
+            // The closed form holds under the plan's budget only, and a
+            // tight one is here for `FlowUnit::walk`'s TTL fallback,
+            // which only a walked unit has: FCP walks like the others.
+            fcp.begin_scenario();
+            check_lane(&plan, &fcp, &mut fcp_walks, failed, ttl, &mut seen);
+        }
+        check_lane(&plan, &lfa, &mut lfa_walks, failed, ttl, &mut seen);
+        check_lane(&plan, &notvia, &mut notvia_walks, failed, ttl, &mut seen);
     }
-    let routes = fcp.take_route_stats();
-    let singles = sets.iter().any(|failed| failed.len() == 1);
-    assert_eq!(routes.seeded > 0, singles, "{routes:?}");
+    // The lane's route memo fills for walked units alone.
+    let walked = ttl == plan.ttl() && sets.iter().any(|failed| failed.len() > 1);
+    assert_eq!(fcp_lane.take_route_stats().repaired > 0, walked);
     seen
 }
 
@@ -263,6 +316,26 @@ fn every_lane_answers_as_walk_packet_where_pr_walks_livelock() {
         let seen = check_lanes(&g, RotationSystem::identity(&g), &sets, ttl);
         assert!(seen.dropped_point && seen.nested_points, "ttl {ttl}: {seen:?}");
         assert!(seen.interleaved_points, "ttl {ttl}: {seen:?}");
+    }
+}
+
+#[test]
+fn the_fcp_lane_prices_every_single_failure_as_the_honest_agent_walks() {
+    let abilene = pr_topologies::load(Isp::Abilene, Weighting::Distance);
+    let mesh = pr_graph::generators::synth_from_spec("isp:24:7").expect("synth spec");
+    for g in [&abilene, &mesh] {
+        let base = AllPairs::compute_all_live(g);
+        let plan = ConePlan::new(g, &base);
+        let (mut lane, mut opener) = (FcpLane::new(&plan), plan.opener());
+        let mut priced = 0;
+        for link in g.links() {
+            let failed = LinkSet::from_links(g.link_count(), [link]);
+            priced +=
+                check_fcp_lane(&plan, &mut lane, &mut opener, &failed, &mut Groups::default());
+        }
+        // Every link is on some tree, and nothing was walked for it.
+        assert!(priced >= 2 * g.link_count(), "{priced} sources priced");
+        assert_eq!(lane.take_route_stats(), pr_baselines::RouteStats::default());
     }
 }
 

@@ -214,8 +214,8 @@ pub fn sweep(args: &Args) -> CmdResult {
                 );
                 let routes = &stats.routes;
                 println!(
-                    "fcp routes:    {} seeded, {} repaired (cone nodes {})",
-                    routes.seeded, routes.repaired, routes.cone_nodes
+                    "fcp routes:    {} repaired (cone nodes {})",
+                    routes.repaired, routes.cone_nodes
                 );
             }
             emit(

@@ -105,9 +105,10 @@ fn sweep_stats_reports_repair_and_walk_memo() {
     assert!(text.contains("hit rate"), "memo hit rate missing:\n{text}");
     assert!(text.contains("spliced steps"), "spliced-steps share missing:\n{text}");
     // Single failures: every busy unit's cone is repaired once, by the
-    // opener, and handed to the FCP route memo.
+    // opener, and the FCP lane is priced from those labels.
     assert!(
-        text.contains("spt repair:    30 repairs") && text.contains("30 seeded, 0 repaired"),
+        text.contains("spt repair:    30 repairs")
+            && text.contains("fcp routes:    0 repaired (cone nodes 0)"),
         "route memo line missing or the memo repaired a cone again:\n{text}"
     );
     // Per-scheme undelivered attribution rides along on the summary.
@@ -146,7 +147,7 @@ affected connected pairs: 398, disconnected (excluded): 0, undelivered: 0 (fcp 0
 mean stretch:  reconvergence 2.274  fcp 2.590  packet-recycling 3.612
 spt repair:    180 repairs, cone 36.9% of nodes (hit rate 63.1%), 0 full rebuilds
 walk memo:     528 walks for 796 sources, hit rate 3.8% (59 splices / 1546 lookups), spliced steps 6.1% of walk work
-fcp routes:    0 seeded, 357 repaired (cone nodes 662)
+fcp routes:    357 repaired (cone nodes 662)
 ";
     assert!(text.ends_with(tail), "{text}");
 }

@@ -13,7 +13,10 @@
 //! to the event log (one JSON line, flushed) *after* it succeeded, and
 //! replayed on the next start — a restarted daemon reaches the
 //! identical twin state, which the restart tests assert snapshot- and
-//! tree-exactly.
+//! tree-exactly. A record torn by a crash mid-write is cut off the
+//! log's tail at the next start ([`EventLog::replay`]), and a request
+//! that panics inside the twin answers an error and leaves the twin as
+//! it was ([`guarded`]).
 
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
@@ -74,26 +77,37 @@ impl EventLog {
     /// ever records *successful* mutations, so an error here means the
     /// log does not belong to this topology (or was corrupted), and
     /// starting from it would silently diverge.
+    ///
+    /// The exception is a **torn tail**. A record is written with its
+    /// newline in one go and acknowledged afterwards, so bytes after
+    /// the last newline are what a daemon killed mid-write leaves, of
+    /// an event nobody was told about: they are truncated off the
+    /// file, loudly, and the daemon starts from the prefix.
     pub fn replay(path: &Path, twin: &mut Twin) -> Result<usize, String> {
-        let text = match fs::read_to_string(path) {
-            Ok(text) => text,
+        let at = path.display();
+        let mut bytes = match fs::read(path) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(format!("read event log {}: {e}", path.display())),
+            Err(e) => return Err(format!("read event log {at}: {e}")),
         };
+        let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |end| end + 1);
+        if whole < bytes.len() {
+            let file = fs::OpenOptions::new().write(true).open(path);
+            file.and_then(|file| file.set_len(whole as u64))
+                .map_err(|e| format!("truncate event log {at}: {e}"))?;
+            let torn = bytes.len() - whole;
+            eprintln!("pr-daemon: event log {at}: truncated {torn} bytes of a torn final record");
+            bytes.truncate(whole);
+        }
         let mut replayed = 0;
-        for (i, line) in text.lines().enumerate() {
+        for (i, line) in String::from_utf8_lossy(&bytes).lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            let req: Request = protocol::decode(line)
-                .map_err(|e| format!("event log {} line {}: {e}", path.display(), i + 1))?;
-            let resp = twin.handle(&req);
-            if let Response::Error { message } = resp {
-                return Err(format!(
-                    "event log {} line {} does not apply: {message}",
-                    path.display(),
-                    i + 1
-                ));
+            let at = || format!("event log {at} line {}", i + 1);
+            let req: Request = protocol::decode(line).map_err(|e| format!("{}: {e}", at()))?;
+            if let Response::Error { message } = twin.handle(&req) {
+                return Err(format!("{} does not apply: {message}", at()));
             }
             replayed += 1;
         }
@@ -177,6 +191,35 @@ pub fn serve(mut twin: Twin, config: &DaemonConfig) -> Result<(), String> {
     Ok(())
 }
 
+/// Runs `f` on the twin — how both listeners reach it — so that a
+/// panic inside it costs one request, not the daemon: the twin is put
+/// back as it was ([`Twin::surviving`]) while the guard is still held,
+/// so the mutex is never poisoned.
+fn guarded<R>(twin: &Mutex<Twin>, f: impl FnOnce(&mut Twin) -> R) -> Result<R, String> {
+    let mut twin = twin.lock().expect("no request unwinds past its guard");
+    twin.surviving(f).map_err(|panic| {
+        let what = panic.downcast_ref::<String>().map(String::as_str);
+        let what = what.or(panic.downcast_ref::<&str>().copied()).unwrap_or("?");
+        format!("request panicked, twin restored: {what}")
+    })
+}
+
+/// Answers one decoded request: handled under [`guarded`], and — a
+/// mutation that succeeded — appended to the event log before it is
+/// acknowledged.
+fn answer(twin: &Mutex<Twin>, log: Option<&mut EventLog>, req: &Request) -> Response {
+    let resp = guarded(twin, |twin| twin.handle(req))
+        .unwrap_or_else(|message| Response::Error { message });
+    if let (true, Some(log)) = (req.mutates() && !resp.is_error(), log) {
+        if let Err(message) = log.record(req) {
+            // An unrecordable event must not be acknowledged: a
+            // restart would lose it.
+            return Response::Error { message };
+        }
+    }
+    resp
+}
+
 /// Serves one control connection; returns `true` on `Shutdown`.
 fn serve_control_conn(
     stream: TcpStream,
@@ -200,27 +243,12 @@ fn serve_control_conn(
         if line.trim().is_empty() {
             continue;
         }
-        let mut quit = false;
         let resp = match protocol::decode::<Request>(&line) {
             Err(message) => Response::Error { message },
-            Ok(req) => {
-                let resp = twin.lock().expect("twin lock").handle(&req);
-                if req.mutates() && !resp.is_error() {
-                    if let Some(log) = log.as_deref_mut() {
-                        if let Err(message) = log.record(&req) {
-                            // An unrecordable event must not be
-                            // acknowledged: a restart would lose it.
-                            reply(&Response::Error { message })?;
-                            continue;
-                        }
-                    }
-                }
-                quit = matches!(req, Request::Shutdown);
-                resp
-            }
+            Ok(req) => answer(twin, log.as_deref_mut(), &req),
         };
         reply(&resp)?;
-        if quit {
+        if matches!(resp, Response::Bye) {
             return Ok(true);
         }
     }
@@ -245,10 +273,12 @@ fn serve_metrics_conn(stream: TcpStream, twin: &Arc<Mutex<Twin>>) -> std::io::Re
     let mut parts = request_line.split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
     match (method, path) {
-        ("GET", "/metrics") => {
-            let body = crate::metrics::render(&mut twin.lock().expect("twin lock"));
-            http_respond(&mut writer, "200 OK", "text/plain; version=0.0.4", &body)
-        }
+        ("GET", "/metrics") => match guarded(twin, crate::metrics::render) {
+            Ok(body) => http_respond(&mut writer, "200 OK", "text/plain; version=0.0.4", &body),
+            Err(message) => {
+                http_respond(&mut writer, "500 Internal Server Error", "text/plain", &message)
+            }
+        },
         ("GET", _) => http_respond(&mut writer, "404 Not Found", "text/plain", "not found\n"),
         _ => http_respond(&mut writer, "405 Method Not Allowed", "text/plain", "GET only\n"),
     }
@@ -353,4 +383,69 @@ pub fn scrape_metrics(addr: &str) -> Result<String, String> {
         return Err(format!("metrics scrape failed: {status}"));
     }
     Ok(body.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::twin::{cold_recompile, DemandSpec, PANIC_IN_NEXT_RELABEL};
+    use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
+
+    #[test]
+    fn a_request_that_panics_costs_one_answer_and_nothing_else() {
+        let graph =
+            pr_topologies::load(pr_topologies::Isp::Abilene, pr_topologies::Weighting::Distance);
+        let rot = pr_embedding::heuristics::thorough(&graph, 2010, 4, 10_000);
+        let emb = pr_embedding::CellularEmbedding::new(&graph, rot).expect("embedding");
+        let net =
+            PrNetwork::compile(&graph, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+        let twin = Twin::new(graph.clone(), net, DemandSpec::gravity(), 1).expect("twin");
+        let twin = Mutex::new(twin);
+        let path = std::env::temp_dir().join(format!("pr-daemon-panic-{}.log", std::process::id()));
+        let _ = fs::remove_file(&path);
+        let mut log = EventLog::open(&path).expect("open log");
+        let link = |i| {
+            let (a, b) = graph.endpoints(graph.links().nth(i).expect("link"));
+            format!("{}-{}", graph.node_name(a), graph.node_name(b))
+        };
+        let mut ask = |req: &Request| answer(&twin, Some(&mut log), req);
+
+        assert!(!ask(&Request::LinkDown { link: link(0) }).is_error());
+        ask(&Request::Query { what: crate::protocol::QueryKind::Traffic });
+        let before = ask(&Request::Snapshot);
+
+        // The failed set has the link, `live` does not know yet.
+        PANIC_IN_NEXT_RELABEL.set(true);
+        let down = Request::LinkDown { link: link(4) };
+        match ask(&down) {
+            Response::Error { message } => assert!(message.contains("injected"), "{message}"),
+            other => panic!("expected an error, got {other:?}"),
+        }
+        assert!(!twin.is_poisoned());
+        assert_eq!(ask(&Request::Snapshot), before, "state, gauges and counters as they were");
+        {
+            let twin = twin.lock().unwrap();
+            assert_eq!(twin.failed_set().len(), 1);
+            let cold = cold_recompile(&graph, twin.failed_set());
+            for dest in graph.nodes() {
+                assert_eq!(twin.live_tree(dest), cold.live.towards(dest), "tree towards {dest}");
+            }
+        }
+        // The scrape side goes through the same guard.
+        PANIC_IN_NEXT_RELABEL.set(true);
+        let scraped = guarded(&twin, |twin| {
+            twin.handle(&down);
+            crate::metrics::render(twin)
+        });
+        assert!(scraped.is_err() && !twin.is_poisoned());
+        assert_eq!(ask(&Request::Snapshot), before);
+
+        // The same request again succeeds, and is the only one of the
+        // three attempts the log holds.
+        assert!(!ask(&down).is_error());
+        let logged = fs::read_to_string(&path).expect("log");
+        let want = [Request::LinkDown { link: link(0) }, down];
+        assert_eq!(logged, want.map(|req| protocol::encode(&req) + "\n").concat());
+        fs::remove_file(&path).ok();
+    }
 }

@@ -33,6 +33,7 @@ use pr_traffic::{
     ScenarioTraffic, TrafficModel, UniformTraffic,
 };
 use serde::{Deserialize, Serialize};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::protocol::{
     CounterReport, CoverageReport, GaugeReport, QueryKind, Request, Response, SchemeStretch,
@@ -238,6 +239,28 @@ impl Twin {
         &self.demand
     }
 
+    /// Runs `f` so that a panic inside it — returned as the error —
+    /// leaves the twin as it was: the failed set and the demand spec
+    /// (its whole state) and the counters are put back, and the flow
+    /// set, `live` and the gauges derived from them again, on fresh
+    /// scratch arenas: one a panic went through may hold half a repair.
+    pub(crate) fn surviving<R>(
+        &mut self,
+        f: impl FnOnce(&mut Twin) -> R,
+    ) -> std::thread::Result<R> {
+        let (failed, demand) = (self.failed.clone(), self.demand.clone());
+        let counters = (self.repair, self.memo, self.counters);
+        catch_unwind(AssertUnwindSafe(|| f(self))).inspect_err(|_| {
+            self.flows = demand.build(&self.graph).expect("the resident spec has built before");
+            (self.failed, self.demand) = (failed, demand);
+            self.sp = SpScratch::new();
+            self.replay_demand = ReplayScratch::new();
+            self.replay_uniform = ReplayScratch::new();
+            self.relabel();
+            (self.repair, self.memo, self.counters) = counters;
+        })
+    }
+
     /// Handles one protocol request. Errors leave twin state
     /// untouched; `Shutdown` answers [`Response::Bye`] and leaves the
     /// process exit to the server loop.
@@ -307,6 +330,8 @@ impl Twin {
     /// Re-derives the live all-pairs view from the network's base
     /// trees by incremental cone repair — never a scratch rebuild.
     fn relabel(&mut self) {
+        #[cfg(test)]
+        assert!(!PANIC_IN_NEXT_RELABEL.take(), "injected: relabel panics");
         self.live = self.net.base().repair_from(&self.graph, &self.failed, &mut self.sp);
         self.repair.merge(&self.sp.take_stats());
         self.gauges = None;
@@ -466,4 +491,12 @@ impl Twin {
             counters: self.counters(),
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Makes this thread's next [`Twin::relabel`] panic before it
+    /// re-derives `live`.
+    pub(crate) static PANIC_IN_NEXT_RELABEL: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
 }

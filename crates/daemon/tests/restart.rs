@@ -70,6 +70,54 @@ fn event_log_replay_reaches_identical_state() {
 }
 
 #[test]
+fn a_torn_tail_is_cut_off_and_anything_else_undecodable_refuses() {
+    let graph = common::abilene();
+    let dir = common::scratch_dir("torn-tail");
+    let log_path = dir.join("events.log");
+    let down = |i| Request::LinkDown { link: common::link_name(&graph, i) };
+    let line = |req: &Request| pr_daemon::protocol::encode(req) + "\n";
+    let whole = line(&down(0)) + &line(&down(4));
+    let replay = |twin: &mut Twin| EventLog::replay(&log_path, twin);
+
+    // The prefix alone: what every surviving start must reach.
+    std::fs::write(&log_path, &whole).unwrap();
+    let mut prefix = common::twin(&graph, DemandSpec::gravity(), 1);
+    assert_eq!(replay(&mut prefix), Ok(2));
+
+    // Killed mid-write: half a record and no newline after the prefix.
+    let third = line(&down(8));
+    std::fs::write(&log_path, whole.clone() + &third[..third.len() / 2]).unwrap();
+    let mut survivor = common::twin(&graph, DemandSpec::gravity(), 1);
+    assert_eq!(replay(&mut survivor), Ok(2), "the prefix replays, the torn record does not");
+    assert_eq!(survivor.snapshot(), prefix.snapshot());
+    assert_eq!(std::fs::read_to_string(&log_path).unwrap(), whole, "cut at the last newline");
+    // The next event lands on a line of its own, and the log replays.
+    EventLog::open(&log_path).unwrap().record(&down(8)).unwrap();
+    assert_eq!(std::fs::read_to_string(&log_path).unwrap(), whole.clone() + &third);
+    assert_eq!(replay(&mut common::twin(&graph, DemandSpec::gravity(), 1)), Ok(3));
+
+    // Whole but for its newline: no more acknowledged than half of it.
+    std::fs::write(&log_path, whole.clone() + third.trim_end()).unwrap();
+    assert_eq!(replay(&mut common::twin(&graph, DemandSpec::gravity(), 1)), Ok(2));
+    assert_eq!(std::fs::read_to_string(&log_path).unwrap(), whole);
+
+    // A terminated line that does not decode is not a crash's doing,
+    // last or in the middle, torn bytes included.
+    for (damaged, at) in [
+        (whole.clone() + "{\"LinkDown\":\n", "line 3"),
+        (line(&down(0)) + "garbage\n" + &line(&down(4)), "line 2"),
+        (line(&down(0)) + &third[..third.len() / 2] + "\n" + &line(&down(4)), "line 2"),
+    ] {
+        std::fs::write(&log_path, &damaged).unwrap();
+        let err = replay(&mut common::twin(&graph, DemandSpec::gravity(), 1)).unwrap_err();
+        assert!(err.contains(at), "{err}");
+        assert_eq!(std::fs::read_to_string(&log_path).unwrap(), damaged, "left as found");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn daemon_restart_over_tcp_resumes_bit_identically() {
     let graph = common::abilene();
     let net = common::network(&graph);

@@ -629,22 +629,6 @@ impl SpTree {
             (u, next)
         }));
     }
-
-    /// [`SpTree::repair_cone_labels`], then [`SpTree::cone_routes`]
-    /// into a cleared `out`: the sorted patch list of `cone` under
-    /// `failed`.
-    pub fn repair_cone_routes(
-        &self,
-        graph: &Graph,
-        failed: &LinkSet,
-        cone: &[NodeId],
-        scratch: &mut SpScratch,
-        out: &mut Vec<(NodeId, Option<Dart>)>,
-    ) {
-        self.repair_cone_labels(graph, failed, cone, scratch);
-        out.clear();
-        self.cone_routes(graph, cone, scratch, out);
-    }
 }
 
 /// Children lists of one shortest-path tree in CSR form, built once so
@@ -817,7 +801,8 @@ mod tests {
                     g.nodes().filter(|&u| base.path_crosses(&g, u, failed)).collect();
                 assert_eq!(cone, expected, "dest {dest}");
                 let mut patches = Vec::new();
-                base.repair_cone_routes(&g, failed, &cone, &mut scratch, &mut patches);
+                base.repair_cone_labels(&g, failed, &cone, &mut scratch);
+                base.cone_routes(&g, &cone, &mut scratch, &mut patches);
                 let full = SpTree::towards(&g, dest, failed);
                 for &u in &cone {
                     assert_eq!(scratch.cone_cost(u), full.cost(u), "dest {dest} node {u}");
