@@ -8,7 +8,6 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use pr_baselines::{FcpAgent, LfaAgent, NotViaAgent, ReconvergenceAgent};
@@ -18,24 +17,12 @@ use pr_core::{
 };
 use pr_embedding::{CellularEmbedding, RotationSystem};
 use pr_graph::{algo, generators, AllPairs, Graph, LinkId, LinkSet, NodeId, SpTree};
+use pr_testkit::strategies::{two_edge_connected, with_failures};
 
-fn arb_graph_and_failures() -> impl Strategy<Value = (Graph, LinkSet)> {
-    (3usize..16, 0usize..10, 0u64..u64::MAX, 0usize..6).prop_map(|(n, chords, seed, failures)| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = generators::random_two_edge_connected(n, chords, 1..=6, &mut rng);
-        let mut failed = LinkSet::empty(g.link_count());
-        let mut candidates: Vec<LinkId> = g.links().collect();
-        candidates.shuffle(&mut rng);
-        for l in candidates {
-            if failed.len() >= failures {
-                break;
-            }
-            if algo::connected_after(&g, &failed, l) {
-                failed.insert(l);
-            }
-        }
-        (g, failed)
-    })
+/// A random 2-edge-connected graph with up to five links failed that
+/// leave it connected.
+fn graphs_with_failures() -> impl Strategy<Value = (Graph, LinkSet)> {
+    with_failures(two_edge_connected(3..16, 0..10, 1..=6), 5, true)
 }
 
 /// The [`ForwardingAgent::decide`] contract the unit walker rests on:
@@ -173,7 +160,7 @@ proptest! {
     /// Every scheme of the workspace forwards a packet nobody has
     /// marked yet by where it is and where it is going alone.
     #[test]
-    fn default_header_decisions_ignore_the_ingress((g, failed) in arb_graph_and_failures()) {
+    fn default_header_decisions_ignore_the_ingress((g, failed) in graphs_with_failures()) {
         for mode in [PrMode::Basic, PrMode::DistanceDiscriminator] {
             let emb = CellularEmbedding::new(&g, RotationSystem::identity(&g)).expect("connected");
             let net = PrNetwork::compile(&g, emb, mode, DiscriminatorKind::Hops);
@@ -193,7 +180,7 @@ proptest! {
     /// FCP delivers every connected pair under every failure set —
     /// no embedding, no planarity, no exceptions.
     #[test]
-    fn fcp_delivers_whenever_connected((g, failed) in arb_graph_and_failures()) {
+    fn fcp_delivers_whenever_connected((g, failed) in graphs_with_failures()) {
         let fcp = FcpAgent::new(&g);
         let ttl = generous_ttl(&g);
         for dst in g.nodes() {
@@ -215,7 +202,7 @@ proptest! {
     /// FCP's header bound: never more than the length field plus one
     /// link id per *distinct failed link in the scenario*.
     #[test]
-    fn fcp_header_is_bounded_by_scenario_failures((g, failed) in arb_graph_and_failures()) {
+    fn fcp_header_is_bounded_by_scenario_failures((g, failed) in graphs_with_failures()) {
         let fcp = FcpAgent::new(&g);
         let ttl = generous_ttl(&g);
         let bound = FcpAgent::LENGTH_FIELD_BITS + failed.len() * fcp.link_id_bits();
@@ -237,10 +224,11 @@ proptest! {
     /// FCP proves disconnection (drops with `Unreachable`, never loops),
     /// exercised by cutting one node off entirely.
     #[test]
-    fn fcp_proves_unreachability(seed in 0u64..u64::MAX, n in 4usize..12) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = generators::random_two_edge_connected(n, 3, 1..=4, &mut rng);
-        let victim = pr_graph::NodeId(rng.gen_range(0..n as u32));
+    fn fcp_proves_unreachability(
+        g in two_edge_connected(4..12, 3..4, 1..=4),
+        pick in 0u32..u32::MAX,
+    ) {
+        let victim = NodeId(pick % g.node_count() as u32);
         let mut failed = LinkSet::empty(g.link_count());
         for &d in g.darts_from(victim) {
             failed.insert(d.link());
@@ -264,7 +252,7 @@ proptest! {
 
     /// Reconvergence walks are exactly the survivor shortest paths.
     #[test]
-    fn reconvergence_is_survivor_optimal((g, failed) in arb_graph_and_failures()) {
+    fn reconvergence_is_survivor_optimal((g, failed) in graphs_with_failures()) {
         let agent = ReconvergenceAgent::converged_on(&g, &failed);
         let ttl = generous_ttl(&g);
         for dst in g.nodes() {
@@ -288,7 +276,7 @@ proptest! {
     /// LFA and Not-via never loop (they may drop, never cycle): their
     /// repairs are one-shot and tunnel-scoped respectively.
     #[test]
-    fn single_shot_schemes_never_loop((g, failed) in arb_graph_and_failures()) {
+    fn single_shot_schemes_never_loop((g, failed) in graphs_with_failures()) {
         let lfa = LfaAgent::compute(&g);
         let notvia = NotViaAgent::compute(&g);
         let ttl = generous_ttl(&g);
@@ -316,9 +304,7 @@ proptest! {
     /// Not-via covers every single failure on 2-edge-connected graphs
     /// (like PR basic, at 160 bits instead of 1).
     #[test]
-    fn notvia_covers_single_failures(seed in 0u64..u64::MAX, n in 3usize..14, chords in 0usize..8) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = generators::random_two_edge_connected(n, chords, 1..=5, &mut rng);
+    fn notvia_covers_single_failures(g in two_edge_connected(3..14, 0..8, 1..=5)) {
         let agent = NotViaAgent::compute(&g);
         prop_assert_eq!(agent.protection_coverage(&g), 1.0);
         let ttl = generous_ttl(&g);

@@ -5,6 +5,11 @@
 //! measures PR's decision (failure-free and during cycle following)
 //! against LFA (also table-driven) and FCP (which runs Dijkstra per
 //! decision once failures are carried).
+//!
+//! Kept although it gates nothing: the cost of **one decision** is the
+//! paper's claim, and no traced probe of `benchmark/` reports it
+//! (`core.walk_pr_ns` is a whole walk). The other ungated harnesses
+//! went where their numbers already were.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 

@@ -14,28 +14,15 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pr_bench::impair;
-use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
+use pr_core::PrNetwork;
 use pr_graph::Graph;
-use pr_scenarios::{Impaired, ImpairmentProcess, OutageParams, OutageSweep};
-use pr_topologies::Isp;
+use pr_scenarios::{Impaired, ImpairmentProcess, OutageSweep};
+use pr_testkit::fixtures::quick_outage;
+use pr_testkit::nets::Net;
 use pr_traffic::{FlowSet, GravityTraffic};
 
-/// Sweep-friendly timings: 80 ms flows, 40 ms IGP convergence —
-/// the same shape the determinism suite and the golden CSV pin use.
-fn quick_params() -> OutageParams {
-    OutageParams {
-        interval_ns: 500_000,
-        fail_at_ns: 10_000_000,
-        down_for_ns: 40_000_000,
-        igp_convergence_ns: 40_000_000,
-        duration_ns: 80_000_000,
-        ..OutageParams::default()
-    }
-}
-
 fn abilene() -> (Graph, PrNetwork, FlowSet) {
-    let (g, emb) = pr_bench::paper_topology(Isp::Abilene);
-    let net = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+    let Net { g, pr: net, .. } = Net::abilene();
     let flows = FlowSet::all_pairs(&GravityTraffic::new(&g));
     (g, net, flows)
 }
@@ -51,10 +38,10 @@ fn abilene() -> (Graph, PrNetwork, FlowSet) {
 /// alike.
 fn impair_overhead_gate() {
     let (g, net, flows) = abilene();
-    let plain = OutageSweep::new(&g, quick_params());
+    let plain = OutageSweep::new(&g, quick_outage());
     let identity = Impaired::new(
         &g,
-        OutageSweep::new(&g, quick_params()),
+        OutageSweep::new(&g, quick_outage()),
         ImpairmentProcess::GilbertElliott { fail_rate_per_s: 0.0, mean_down_ns: 1 },
         pr_bench::EXPERIMENT_SEED,
     );
@@ -96,10 +83,10 @@ fn bench_impairments(c: &mut Criterion) {
     impair_overhead_gate();
 
     let (g, net, flows) = abilene();
-    let plain = OutageSweep::new(&g, quick_params());
+    let plain = OutageSweep::new(&g, quick_outage());
     let gilbert = Impaired::new(
         &g,
-        OutageSweep::new(&g, quick_params()),
+        OutageSweep::new(&g, quick_outage()),
         ImpairmentProcess::GilbertElliott { fail_rate_per_s: 25.0, mean_down_ns: 8_000_000 },
         pr_bench::EXPERIMENT_SEED,
     );

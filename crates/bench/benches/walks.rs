@@ -20,13 +20,9 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use pr_baselines::FcpAgent;
 use pr_bench::engine::{ConePlan, SweepUnit};
 use pr_bench::fcp_lane::FcpLane;
-use pr_core::{
-    generous_ttl, walk_packet_with, DiscriminatorKind, FlowScratch, ForwardingAgent, PrMode,
-    PrNetwork, WalkScratch,
-};
-use pr_embedding::{CellularEmbedding, RotationSystem};
-use pr_graph::generators::{self, MeshParams};
+use pr_core::{generous_ttl, walk_packet_with, FlowScratch, ForwardingAgent, WalkScratch};
 use pr_graph::{AllPairs, Graph, LinkId, LinkSet, NodeId};
+use pr_testkit::nets::{synth, Net};
 
 /// Absolute ceiling on the PR lane's time per affected source on the
 /// mesh-500 fixture: 4x the dev-container reading (55-56 ns per
@@ -125,15 +121,6 @@ where
     (delivered, cost)
 }
 
-fn mesh500() -> (Graph, PrNetwork) {
-    let graph = generators::isp_mesh(&MeshParams::new(500, 2010));
-    let rot = RotationSystem::geometric(&graph).expect("mesh has coordinates");
-    let emb = CellularEmbedding::new(&graph, rot).expect("connected");
-    let net =
-        PrNetwork::compile(&graph, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
-    (graph, net)
-}
-
 /// One lane's unit-walk regression gate on the 500-node mesh. Panics
 /// (failing the bench run, `--test` smoke mode included) when `lane` —
 /// the unit sweep — does not reproduce the `plain` tallies or exceeds
@@ -175,7 +162,7 @@ fn lane_gate(
 }
 
 fn bench_walks(c: &mut Criterion) {
-    let (graph, net) = mesh500();
+    let Net { g: graph, pr: net, .. } = Net::geometric(synth("isp:500:2010"));
     let agent = net.agent(&graph);
     let plan = ConePlan::new(&graph, net.base());
     let base = plan.base();

@@ -7,20 +7,18 @@
 //! yields the affected sources, and every connected one is walked
 //! through each scheme's `pr_core::FlowScratch` unit (FCP through its
 //! lane, [`crate::fcp_lane`]). The ordered block fold of integer
-//! counts makes the output bit-identical to [`run_serial`] — the
-//! independent oracle: plain `walk_packet`, scratch Dijkstra, all n
-//! sources classified — at any thread count (enforced by
-//! `tests/determinism.rs`).
+//! counts makes the output bit-identical to the independent oracle
+//! (`pr_testkit::oracle::coverage_serial`: plain `walk_packet`,
+//! scratch Dijkstra, all n sources classified) at any thread count
+//! (enforced by `tests/determinism.rs`).
 
 use serde::Serialize;
 
-use pr_baselines::{FcpAgent, LfaAgent, NotViaAgent};
-use pr_core::{
-    generous_ttl, walk_packet, DiscriminatorKind, FlowScratch, PrMode, PrNetwork, WalkResult,
-};
+use pr_baselines::{LfaAgent, NotViaAgent};
+use pr_core::{DiscriminatorKind, FlowScratch, PrMode, PrNetwork};
 use pr_embedding::CellularEmbedding;
-use pr_graph::{AllPairs, Graph, SpTree};
-use pr_scenarios::{SampledMultiFailures, ScenarioFamily, ScenarioIter, SingleLinkFailures};
+use pr_graph::Graph;
+use pr_scenarios::{SampledMultiFailures, ScenarioFamily, SingleLinkFailures};
 
 use crate::engine::{ConeOpener, ConePlan};
 use crate::fcp_lane::FcpLane;
@@ -51,7 +49,7 @@ impl CoverageCell {
 }
 
 /// One row of the coverage table: failure count → per-scheme cells.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct CoverageRow {
     /// Number of concurrent link failures in the scenarios of this row.
     pub failures: usize,
@@ -67,19 +65,6 @@ pub struct CoverageRow {
     pub notvia: CoverageCell,
 }
 
-impl CoverageRow {
-    fn empty(failures: usize) -> CoverageRow {
-        CoverageRow {
-            failures,
-            pr_basic: CoverageCell::default(),
-            pr_dd: CoverageCell::default(),
-            fcp: CoverageCell::default(),
-            lfa: CoverageCell::default(),
-            notvia: CoverageCell::default(),
-        }
-    }
-}
-
 /// The five schemes' compiled, failure-invariant state, hoisted out of
 /// every loop level.
 struct Compiled {
@@ -87,7 +72,6 @@ struct Compiled {
     dd_net: PrNetwork,
     lfa: LfaAgent,
     notvia: NotViaAgent,
-    ttl: usize,
 }
 
 impl Compiled {
@@ -107,7 +91,6 @@ impl Compiled {
             ),
             lfa: LfaAgent::compute(graph),
             notvia: NotViaAgent::compute(graph),
-            ttl: generous_ttl(graph),
         }
     }
 }
@@ -150,7 +133,7 @@ pub fn run(
     let mut rows = Vec::new();
     for k in 1..=max_failures {
         let scenarios = scenarios_for(graph, k, samples_per_count, seed);
-        let mut row = CoverageRow::empty(k);
+        let mut row = CoverageRow { failures: k, ..CoverageRow::default() };
         plan.sweep(scenarios.as_ref(), threads).fold(
             || Worker {
                 opener: plan.opener(),
@@ -202,81 +185,10 @@ pub fn run(
     rows
 }
 
-/// The serial reference implementation: the plain nested loop the seed
-/// harness ran (with the base-tree recompute hoisted out of the
-/// scenario loop — it never depended on the scenario) and the honest
-/// recompute-per-decision FCP agent. `run` must produce bit-identical
-/// rows at every thread count; benchmarks measure `run` against this.
-pub fn run_serial(
-    graph: &Graph,
-    embedding: &CellularEmbedding,
-    max_failures: usize,
-    samples_per_count: usize,
-    seed: u64,
-) -> Vec<CoverageRow> {
-    let compiled = Compiled::new(graph, embedding);
-    let base = AllPairs::compute_all_live(graph);
-    let basic_agent = compiled.basic_net.agent(graph);
-    let dd_agent = compiled.dd_net.agent(graph);
-    let fcp = FcpAgent::new(graph);
-    let ttl = compiled.ttl;
-
-    let mut rows = Vec::new();
-    for k in 1..=max_failures {
-        let scenarios = scenarios_for(graph, k, samples_per_count, seed);
-        let mut row = CoverageRow::empty(k);
-        for failed in ScenarioIter::new(scenarios.as_ref()) {
-            let failed = &failed;
-            for dst in graph.nodes() {
-                let base_tree = base.towards(dst);
-                let live_tree = SpTree::towards(graph, dst, failed);
-                for src in graph.nodes() {
-                    if src == dst {
-                        continue;
-                    }
-                    let base_path = base_tree.path_darts(graph, src).expect("connected base graph");
-                    if !base_path.iter().any(|d| failed.contains_dart(*d)) {
-                        continue;
-                    }
-                    if !live_tree.reaches(src) {
-                        continue; // "| path" conditioning
-                    }
-                    for (cell, delivered) in [
-                        (
-                            &mut row.pr_basic,
-                            walk_packet(graph, &basic_agent, src, dst, failed, ttl).result,
-                        ),
-                        (
-                            &mut row.pr_dd,
-                            walk_packet(graph, &dd_agent, src, dst, failed, ttl).result,
-                        ),
-                        (&mut row.fcp, walk_packet(graph, &fcp, src, dst, failed, ttl).result),
-                        (
-                            &mut row.lfa,
-                            walk_packet(graph, &compiled.lfa, src, dst, failed, ttl).result,
-                        ),
-                        (
-                            &mut row.notvia,
-                            walk_packet(graph, &compiled.notvia, src, dst, failed, ttl).result,
-                        ),
-                    ] {
-                        cell.evaluated += 1;
-                        if matches!(delivered, WalkResult::Delivered) {
-                            cell.delivered += 1;
-                        }
-                    }
-                }
-            }
-        }
-        rows.push(row);
-    }
-    rows
-}
-
 /// Scenario family for one failure count: exhaustive singles
-/// (streaming), sampled multis (shared by the engine and serial paths
-/// so they sweep the identical space).
-fn scenarios_for(
+/// (streaming), sampled multis. Public so that the serial oracle
+/// (`pr_testkit::oracle::coverage_serial`) sweeps the identical space.
+pub fn scenarios_for(
     graph: &Graph,
     k: usize,
     samples_per_count: usize,

@@ -18,9 +18,9 @@
 //! | discriminator ablation (E7) | `ablation-dd` | [`ablation`] |
 //! | genus-vs-delivery finding (E11) | `ablation-genus` | [`ablation`] |
 //!
-//! Criterion micro-benchmarks (experiment E9: forwarding decision
-//! latency, table compilation, embedding search, FCP recompute cost)
-//! and the regression gates live under `benches/`.
+//! The criterion harnesses under `benches/` are experiment E9
+//! (forwarding decision latency) and the regression gates; the serial
+//! oracles the sweeps are held to live in `pr-testkit`.
 //!
 //! Every scenario sweep routes through [`engine`] — the shared
 //! work-unit decomposition, hoisting and worker-pool layer — and takes

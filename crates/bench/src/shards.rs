@@ -254,7 +254,9 @@ pub fn run_shards(
         return Ok(ShardOutcome::Partial { completed: done.len(), total: ranges.len() });
     }
 
-    // Merge in index order, validating every payload against the plan.
+    // Merge in index order, validating every payload against the plan
+    // and the row shape every reader of the merged rows asserts.
+    let thresholds = 3 * crate::stretch::figure2_xs().len();
     let mut rows = Vec::with_capacity(key.scenarios as usize);
     for (i, &(start, len)) in ranges.iter().enumerate() {
         let path = shard_file(dir, i);
@@ -267,7 +269,11 @@ pub fn run_shards(
             || payload.start != start as u64
             || payload.len != len as u64
             || payload.rows.len() != len
-            || payload.rows.iter().enumerate().any(|(j, r)| r.scenario != (start + j) as u64)
+            || payload
+                .rows
+                .iter()
+                .enumerate()
+                .any(|(j, r)| r.scenario != (start + j) as u64 || r.above.len() != thresholds)
         {
             return Err(format!(
                 "shard file {} does not match the shard plan (expected shard {i} covering \

@@ -24,19 +24,19 @@
 //! reads rows through [`report_from_rows`] / [`panel_csv_from_rows`].
 //! Raw samples are the **library and oracle form**:
 //! [`run_with_stats`] appends the same blocks straight into a
-//! [`StretchSamples`] panel, so [`run`] is bit-identical to
-//! [`run_serial`] — the independent oracle: plain `walk_packet`,
-//! scratch Dijkstra, all n sources classified — at any thread count
-//! (enforced by `tests/determinism.rs`). Quantiles need it
+//! [`StretchSamples`] panel, so [`run`] is bit-identical to the
+//! independent oracle (`pr_testkit::oracle::stretch_serial`: plain
+//! `walk_packet`, scratch Dijkstra, all n sources classified) at any
+//! thread count (enforced by `tests/determinism.rs`). Quantiles need it
 //! ([`summarize`], for `pr experiment fig2`); no sweep front door
 //! holds it.
 
 use serde::{Deserialize, Serialize};
 
-use pr_baselines::{FcpAgent, RouteStats};
-use pr_core::{generous_ttl, walk_packet, FlowScratch, MemoStats, PrAgent, PrNetwork, WalkResult};
-use pr_graph::{AllPairs, Graph, RepairStats, SpTree};
-use pr_scenarios::{ScenarioFamily, ScenarioIter};
+use pr_baselines::RouteStats;
+use pr_core::{FlowScratch, MemoStats, PrAgent, PrNetwork};
+use pr_graph::{AllPairs, Graph, RepairStats};
+use pr_scenarios::ScenarioFamily;
 
 use crate::engine::{ConeOpener, ConePlan, SweepUnit};
 use crate::fcp_lane::FcpLane;
@@ -276,9 +276,8 @@ impl StretchWorker<'_> {
         let mut pr = pr_walks.unit(graph, &plan.pr_agent, unit.base_tree, unit.failed);
         let samples = &mut out.samples;
         // The debug-build cross-check of the survivor costs against
-        // the reconvergence agent's own tables is per scenario in
-        // `run_serial`; here it would recompute per unit, so it lives
-        // in the serial reference only.
+        // the reconvergence agent's own tables is per scenario in the
+        // serial oracle; here it would recompute per unit.
         for (src, survivor) in cone {
             let Some(reconv_cost) = survivor else {
                 samples.disconnected_pairs += 1;
@@ -531,69 +530,6 @@ pub fn report_from_rows(rows: &[ScenarioRow], xs: &[f64]) -> SweepReport {
             .collect();
     }
     report
-}
-
-/// The serial reference implementation: the seed harness's nested loop
-/// with the honest recompute-per-decision FCP agent. [`run`] must be
-/// bit-identical to this at every thread count.
-pub fn run_serial(graph: &Graph, pr: &PrNetwork, family: &dyn ScenarioFamily) -> StretchSamples {
-    let base = AllPairs::compute_all_live(graph);
-    let fcp = FcpAgent::new(graph);
-    let pr_agent = pr.agent(graph);
-    let ttl = generous_ttl(graph);
-    let mut out = StretchSamples::default();
-
-    for failed in ScenarioIter::new(family) {
-        let failed = &failed;
-        #[cfg(debug_assertions)]
-        let reconv = pr_baselines::ReconvergenceAgent::converged_on(graph, failed);
-        for dst in graph.nodes() {
-            let base_tree = base.towards(dst);
-            let live_tree = SpTree::towards(graph, dst, failed);
-            for src in graph.nodes() {
-                if src == dst {
-                    continue;
-                }
-                // Affected = the canonical failure-free path crosses a
-                // failed link.
-                let base_path = base_tree.path_darts(graph, src).expect("connected base graph");
-                if !base_path.iter().any(|d| failed.contains_dart(*d)) {
-                    continue;
-                }
-                if !live_tree.reaches(src) {
-                    out.disconnected_pairs += 1;
-                    continue;
-                }
-                out.evaluated_pairs += 1;
-                let optimal = base_tree.cost(src).expect("connected");
-
-                // Reconvergence: the survivor shortest path, by
-                // definition — no need to walk it.
-                let reconv_cost = live_tree.cost(src).expect("connected");
-                out.reconvergence.push(reconv_cost as f64 / optimal as f64);
-                #[cfg(debug_assertions)]
-                debug_assert_eq!(reconv.converged_cost(src, dst), Some(reconv_cost));
-
-                // FCP: walk with incremental failure discovery.
-                match walk_packet(graph, &fcp, src, dst, failed, ttl) {
-                    w if w.result.is_delivered() => {
-                        out.fcp.push(w.cost(graph) as f64 / optimal as f64)
-                    }
-                    _ => out.drop_fcp(),
-                }
-
-                // PR: cycle following.
-                let w = walk_packet(graph, &pr_agent, src, dst, failed, ttl);
-                match w.result {
-                    WalkResult::Delivered => {
-                        out.packet_recycling.push(w.cost(graph) as f64 / optimal as f64)
-                    }
-                    WalkResult::Dropped(_) => out.drop_pr(),
-                }
-            }
-        }
-    }
-    out
 }
 
 /// The mean of `samples`, summed in order; not-a-number when there are

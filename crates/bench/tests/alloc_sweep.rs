@@ -23,95 +23,15 @@
 //! The call counter is per thread and the byte gauge is process-wide,
 //! so the tests take turns.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use pr_bench::engine::SweepUnit;
 use pr_bench::stretch::{self, StretchBlock, StretchPlan, StretchSamples};
-use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
-use pr_embedding::{CellularEmbedding, RotationSystem};
-use pr_graph::generators::{isp_mesh, MeshParams};
-use pr_graph::{Graph, LinkSet};
+use pr_graph::LinkSet;
 use pr_scenarios::{ExhaustiveKFailures, ScenarioFamily, SingleLinkFailures};
-
-thread_local! {
-    /// Allocator calls (alloc, realloc, dealloc) made by this thread.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Heap bytes currently allocated by the whole process, and their
-/// high-water mark since it was last reset.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-/// Serialises the tests: the gauge must not see the other test's heap.
-static TURN: Mutex<()> = Mutex::new(());
-
-struct Gauged;
-
-fn count() {
-    // A thread that is tearing down has no counter left; nobody reads it.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the bookkeeping touches
-// only atomics and a const-initialised `Cell` without a destructor, so
-// it never allocates or re-enters the allocator.
-unsafe impl GlobalAlloc for Gauged {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        grew(layout.size());
-        // SAFETY: the caller's obligations are passed on unchanged.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count();
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        grew(layout.size());
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        grew(new_size);
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use pr_testkit::alloc::{calls_during, peak_during, turn, Counting};
+use pr_testkit::nets::Net;
 
 #[global_allocator]
-static ALLOCATOR: Gauged = Gauged;
-
-/// Allocator calls this thread makes while `f` runs.
-fn calls_during(f: impl FnOnce()) -> u64 {
-    let before = CALLS.with(Cell::get);
-    f();
-    CALLS.with(Cell::get) - before
-}
-
-/// The 120-node synthetic ISP mesh of `tests/determinism.rs`.
-fn mesh() -> Graph {
-    isp_mesh(&MeshParams::new(120, 2010))
-}
-
-fn compile(graph: &Graph, rotation: RotationSystem) -> PrNetwork {
-    let embedding = CellularEmbedding::new(graph, rotation).expect("connected topology");
-    PrNetwork::compile(graph, embedding, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops)
-}
+static ALLOCATOR: Counting = Counting;
 
 /// `block`, emptied in place: the same accumulator with its room.
 fn emptied(block: StretchBlock) -> StretchBlock {
@@ -132,17 +52,12 @@ fn emptied(block: StretchBlock) -> StretchBlock {
 
 #[test]
 fn second_pass_over_a_scenario_never_calls_the_allocator() {
-    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    let g = mesh();
-    let family = SingleLinkFailures::new(&g);
+    let _turn = turn();
     // The geometric rotation (every walk delivers) and the identity
     // rotation (positive genus: some PR walks end in loop drops).
-    let rotations = [
-        ("geometric", RotationSystem::geometric(&g).expect("mesh has coordinates")),
-        ("identity", RotationSystem::identity(&g)),
-    ];
-    for (label, rotation) in rotations {
-        let net = compile(&g, rotation);
+    let nets = [("geometric", Net::mesh120()), ("identity", Net::identity(Net::mesh120().g))];
+    for (label, Net { g, pr: net, .. }) in nets {
+        let family = SingleLinkFailures::new(&g);
         let plan = StretchPlan::new(&g, &net);
         let mut worker = plan.worker();
         let (mut evaluated, mut undelivered) = (0, 0);
@@ -178,9 +93,8 @@ fn second_pass_over_a_scenario_never_calls_the_allocator() {
 
 #[test]
 fn a_scenario_new_to_the_route_memo_never_calls_the_allocator() {
-    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    let g = mesh();
-    let net = compile(&g, RotationSystem::geometric(&g).expect("mesh has coordinates"));
+    let _turn = turn();
+    let Net { g, pr: net, .. } = Net::mesh120();
     let plan = StretchPlan::new(&g, &net);
     // Single failures price the FCP lane without the memo, pairs fill
     // it by its own repairs into the arena.
@@ -227,9 +141,8 @@ fn a_scenario_new_to_the_route_memo_never_calls_the_allocator() {
 
 #[test]
 fn run_with_stats_holds_its_result_and_the_blocks_in_flight() {
-    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    let g = mesh();
-    let net = compile(&g, RotationSystem::geometric(&g).expect("mesh has coordinates"));
+    let _turn = turn();
+    let Net { g, pr: net, .. } = Net::mesh120();
     let family = SingleLinkFailures::new(&g);
     const MB: usize = 1 << 20;
     // One thread: the panel with its growth slack (a `Vec` doubles)
@@ -238,10 +151,8 @@ fn run_with_stats_holds_its_result_and_the_blocks_in_flight() {
     // factor is loose — the one-result-per-unit merge overshot it all
     // the same (9.6 MB and 17.9 MB for these 2.2 MB of samples).
     for (threads, factor_halves) in [(1, 3), (4, 6)] {
-        let before = LIVE.load(Ordering::Relaxed);
-        PEAK.store(before, Ordering::Relaxed);
-        let (samples, _) = stretch::run_with_stats(&g, &net, &family, threads);
-        let peak = PEAK.load(Ordering::Relaxed) - before;
+        let ((samples, _), peak) =
+            peak_during(|| stretch::run_with_stats(&g, &net, &family, threads));
         let returned = std::mem::size_of::<f64>()
             * (samples.reconvergence.len() + samples.fcp.len() + samples.packet_recycling.len());
         assert!(returned > 2 * MB, "the sweep must be big enough to tell");
@@ -262,10 +173,8 @@ fn run_with_stats_holds_its_result_and_the_blocks_in_flight() {
             continue;
         }
         drop(samples);
-        let before = LIVE.load(Ordering::Relaxed);
-        PEAK.store(before, Ordering::Relaxed);
-        let (rows, _) = stretch::run_rows(&g, &net, &family, threads, 0);
-        let rows_peak = PEAK.load(Ordering::Relaxed) - before;
+        let ((rows, _), rows_peak) =
+            peak_during(|| stretch::run_rows(&g, &net, &family, threads, 0));
         assert_eq!(rows.len(), family.len());
         assert!(
             rows_peak + returned <= peak,

@@ -5,9 +5,9 @@
 //! fan (scenario × destination) work units over a racing worker pool,
 //! use per-worker FCP route caches, fold blocks of units on the
 //! workers and merge the blocks in unit order while the pool runs;
-//! `run_serial` is the plain nested loop with the honest
-//! recompute-per-decision FCP agent, plain `walk_packet` and scratch
-//! Dijkstra — nothing of the unit kernel.
+//! the kit's `coverage_serial` / `stretch_serial` are the plain nested
+//! loop with the honest recompute-per-decision FCP agent, plain
+//! `walk_packet` and scratch Dijkstra — nothing of the unit kernel.
 //! `temporal::run` fans one discrete-event simulation pair per timed
 //! scenario; it and `impair::run` are
 //! held against their own one-thread run, which is the plain inline
@@ -17,15 +17,18 @@
 //! a lost unit — fails these tests exactly.
 
 use pr_bench::stretch::{ScenarioRow, StretchSamples};
-use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
-use pr_embedding::{CellularEmbedding, RotationSystem};
+use pr_core::PrNetwork;
+use pr_embedding::CellularEmbedding;
 use pr_graph::Graph;
 use pr_scenarios::{
-    DetectionDelaySweep, FlapSweep, NodeFailures, OutageParams, OutageSweep, SampledMultiFailures,
+    DetectionDelaySweep, FlapSweep, NodeFailures, OutageSweep, SampledMultiFailures,
     ScenarioFamily, SingleLinkFailures, TemporalFamily,
 };
 use pr_sim::SimConfig;
-use pr_topologies::{Isp, Weighting};
+use pr_testkit::fixtures::quick_outage;
+use pr_testkit::nets::{isp, synth, Net};
+use pr_testkit::oracle::{coverage_serial, stretch_serial};
+use pr_topologies::Isp;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 /// Pools held against their sweep's own one-thread run (the inline
@@ -37,28 +40,25 @@ const POOLED_THREAD_COUNTS: [usize; 2] = [2, 4];
 const SWEEP_THREAD_COUNTS: [usize; 5] = [1, 2, 3, 4, 7];
 const SEEDS: [u64; 2] = [7, 2010];
 
-/// A cheap (not necessarily genus-0) embedding: determinism must hold
-/// on livelock-prone embeddings too, where walks end in loop drops.
-fn identity_embedding(graph: &Graph) -> CellularEmbedding {
-    CellularEmbedding::new(graph, RotationSystem::identity(graph)).expect("connected topology")
-}
-
-/// A genus-0 embedding like the experiments use (cheap search budget).
-fn planar_embedding(graph: &Graph, seed: u64) -> CellularEmbedding {
-    let rot = pr_embedding::heuristics::thorough(graph, seed, 4, 10_000);
-    CellularEmbedding::new(graph, rot).expect("connected topology")
+/// `run(threads)` must be `reference`, whatever the pool size.
+fn same_at_every_pool_size<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    reference: &T,
+    pools: &[usize],
+    run: impl Fn(usize) -> T,
+) {
+    for &threads in pools {
+        assert_eq!(&run(threads), reference, "{what} diverged at {threads} threads");
+    }
 }
 
 fn coverage_is_deterministic_on(graph: &Graph, embedding: &CellularEmbedding) {
     for seed in SEEDS {
-        let reference = pr_bench::coverage::run_serial(graph, embedding, 2, 5, seed);
-        for threads in SWEEP_THREAD_COUNTS {
-            let rows = pr_bench::coverage::run(graph, embedding, 2, 5, seed, threads);
-            assert_eq!(
-                rows, reference,
-                "coverage rows diverged from serial at seed {seed}, {threads} threads"
-            );
-        }
+        let reference = coverage_serial(graph, embedding, 2, 5, seed);
+        let what = format!("coverage rows (seed {seed})");
+        same_at_every_pool_size(&what, &reference, &SWEEP_THREAD_COUNTS, |threads| {
+            pr_bench::coverage::run(graph, embedding, 2, 5, seed, threads)
+        });
     }
 }
 
@@ -90,71 +90,49 @@ fn oracle_rows(graph: &Graph, pr: &PrNetwork, family: &dyn ScenarioFamily) -> Ve
     (0..family.len())
         .map(|i| {
             let failed = family.scenario(i);
-            let alone = pr_bench::stretch::run_serial(graph, pr, &vec![failed.clone()]);
+            let alone = stretch_serial(graph, pr, &vec![failed.clone()]);
             oracle_row(i, failed.len(), &alone, &xs)
         })
         .collect()
 }
 
 fn stretch_is_deterministic_on(graph: &Graph, pr: &PrNetwork, family: &dyn ScenarioFamily) {
-    let reference = pr_bench::stretch::run_serial(graph, pr, family);
-    let reference_rows = oracle_rows(graph, pr, family);
-    let mut reference_stats = None;
-    for threads in SWEEP_THREAD_COUNTS {
-        let (samples, stats) = pr_bench::stretch::run_with_stats(graph, pr, family, threads);
-        // Full struct equality: f64 sample vectors compare bit-for-bit
-        // (every value is produced by the identical expression on the
-        // identical walk, in the identical order).
-        assert_eq!(
-            samples,
-            reference,
-            "stretch samples diverged at {threads} threads ({})",
-            family.label()
-        );
-        // The counters have no serial oracle; they must not depend on
-        // the pool.
-        assert_eq!(
-            *reference_stats.get_or_insert(stats),
-            stats,
-            "sweep statistics diverged at {threads} threads ({})",
-            family.label()
-        );
-        let (rows, row_stats) = pr_bench::stretch::run_rows(graph, pr, family, threads, 0);
-        assert_eq!(
-            rows,
-            reference_rows,
-            "scenario rows diverged at {threads} threads ({})",
-            family.label()
-        );
-        // The row fold sees the blocks the panel sees: same counters.
-        assert_eq!(
-            row_stats,
-            stats,
-            "row-path statistics diverged at {threads} threads ({})",
-            family.label()
-        );
-    }
+    use pr_bench::stretch::{run_rows, run_with_stats};
+    // Full struct equality: f64 sample vectors compare bit-for-bit
+    // (every value is produced by the identical expression on the
+    // identical walk, in the identical order). The counters have no
+    // serial oracle; they must not depend on the pool, and the row
+    // fold sees the blocks the panel sees: same counters.
+    let (_, stats) = run_with_stats(graph, pr, family, 1);
+    let panel = (stretch_serial(graph, pr, family), stats);
+    let what = format!("stretch samples and statistics ({})", family.label());
+    same_at_every_pool_size(&what, &panel, &SWEEP_THREAD_COUNTS, |threads| {
+        run_with_stats(graph, pr, family, threads)
+    });
+    let rows = (oracle_rows(graph, pr, family), stats);
+    let what = format!("scenario rows and statistics ({})", family.label());
+    same_at_every_pool_size(&what, &rows, &SWEEP_THREAD_COUNTS, |threads| {
+        run_rows(graph, pr, family, threads, 0)
+    });
 }
 
 #[test]
 fn abilene_coverage_parallel_equals_serial() {
-    let g = pr_topologies::load(Isp::Abilene, Weighting::Distance);
-    coverage_is_deterministic_on(&g, &planar_embedding(&g, 2010));
+    let net = Net::abilene();
+    coverage_is_deterministic_on(&net.g, net.pr.embedding());
 }
 
 #[test]
 fn teleglobe_coverage_parallel_equals_serial() {
-    let g = pr_topologies::load(Isp::Teleglobe, Weighting::Distance);
     // Identity embedding: positive genus, so PR-basic (and possibly
     // PR-DD) livelock on some pairs — drops must merge identically too.
-    coverage_is_deterministic_on(&g, &identity_embedding(&g));
+    let net = Net::identity(isp(Isp::Teleglobe));
+    coverage_is_deterministic_on(&net.g, net.pr.embedding());
 }
 
 #[test]
 fn abilene_stretch_parallel_equals_serial() {
-    let g = pr_topologies::load(Isp::Abilene, Weighting::Distance);
-    let emb = planar_embedding(&g, 2010);
-    let pr = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+    let Net { g, pr, .. } = Net::abilene();
     // Exhaustive single failures, streamed…
     stretch_is_deterministic_on(&g, &pr, &SingleLinkFailures::new(&g));
     // …node failures, streamed…
@@ -168,9 +146,7 @@ fn abilene_stretch_parallel_equals_serial() {
 
 #[test]
 fn teleglobe_stretch_parallel_equals_serial() {
-    let g = pr_topologies::load(Isp::Teleglobe, Weighting::Distance);
-    let emb = planar_embedding(&g, 2010);
-    let pr = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+    let Net { g, pr, .. } = Net::searched(isp(Isp::Teleglobe));
     for seed in SEEDS {
         let multi = SampledMultiFailures::new(&g, 2, 5, seed);
         stretch_is_deterministic_on(&g, &pr, &multi);
@@ -183,11 +159,9 @@ fn teleglobe_stretch_parallel_equals_serial() {
 /// destination per block, like Abilene and Teleglobe.
 #[test]
 fn positive_genus_mesh_sweeps_parallel_equal_serial() {
-    let g = pr_graph::generators::synth_from_spec("isp:24:7").expect("synth spec");
-    let emb = identity_embedding(&g);
-    assert!(emb.genus() > 0, "the identity rotation must not embed the mesh planar");
-    coverage_is_deterministic_on(&g, &emb);
-    let pr = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+    let Net { g, pr, .. } = Net::identity(synth("isp:24:7"));
+    assert!(pr.embedding().genus() > 0, "the identity rotation must not embed the mesh planar");
+    coverage_is_deterministic_on(&g, pr.embedding());
     let singles = SingleLinkFailures::new(&g);
     stretch_is_deterministic_on(&g, &pr, &singles);
     let undelivered = pr_bench::stretch::run(&g, &pr, &singles, 3).undelivered_pr;
@@ -196,20 +170,14 @@ fn positive_genus_mesh_sweeps_parallel_equal_serial() {
 
     // The same family at 40 nodes, where a block folds two
     // destinations: still the serial oracle's bits.
-    let g = pr_graph::generators::synth_from_spec("isp:40:7").expect("synth spec");
-    let pr = PrNetwork::compile(
-        &g,
-        identity_embedding(&g),
-        PrMode::DistanceDiscriminator,
-        DiscriminatorKind::Hops,
-    );
+    let Net { g, pr, .. } = Net::identity(synth("isp:40:7"));
     stretch_is_deterministic_on(&g, &pr, &SingleLinkFailures::new(&g));
 }
 
 /// The PR 8 acceptance criterion in miniature: per-scenario aggregates
 /// from the suffix-**memoized** walk engine (`run_rows`, what `pr
 /// sweep` ships) must be bit-identical to rows aggregated from the
-/// plain `walk_packet` oracle (`run_serial`) at every pool size. The
+/// plain `walk_packet` oracle (`stretch_serial`) at every pool size. The
 /// isp-1000 exhaustive sweep this gates is too slow for tier-1, so a
 /// 120-node instance of the same synthetic ISP family stands in — and
 /// of its single failures every eighth, because the oracle's honest
@@ -217,10 +185,7 @@ fn positive_genus_mesh_sweeps_parallel_equal_serial() {
 /// (DESIGN.md §6) is size-independent.
 #[test]
 fn synth_mesh_memoized_rows_equal_plain_rows() {
-    let g = pr_graph::generators::isp_mesh(&pr_graph::generators::MeshParams::new(120, 2010));
-    let rot = pr_embedding::RotationSystem::geometric(&g).expect("mesh has coordinates");
-    let emb = CellularEmbedding::new(&g, rot).expect("connected topology");
-    let pr = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+    let Net { g, pr, .. } = Net::mesh120();
     let singles = SingleLinkFailures::new(&g);
     let sampled: Vec<_> = (0..singles.len()).step_by(8).map(|i| singles.scenario(i)).collect();
     let reference = oracle_rows(&g, &pr, &sampled);
@@ -242,12 +207,8 @@ fn synth_mesh_memoized_rows_equal_plain_rows() {
 /// its memo repairs on its own.
 #[test]
 fn synth_mesh_single_failure_units_repair_their_cone_once() {
-    let g = pr_graph::generators::isp_mesh(&pr_graph::generators::MeshParams::new(120, 2010));
-    let rot = pr_embedding::RotationSystem::geometric(&g).expect("mesh has coordinates");
-    let emb = CellularEmbedding::new(&g, rot).expect("connected topology");
-    let pr = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+    let Net { g, pr, base, .. } = Net::mesh120();
     let singles = SingleLinkFailures::new(&g);
-    let base = pr_graph::AllPairs::compute_all_live(&g);
     let on_tree = |dst, link| {
         g.nodes().any(|u| base.towards(dst).next_dart(u).is_some_and(|d| d.link() == link))
     };
@@ -269,60 +230,35 @@ fn synth_mesh_single_failure_units_repair_their_cone_once() {
 
 // ---- temporal sweeps ---------------------------------------------------
 
-/// Abilene with its certified embedding, cheap search budget.
-fn abilene_net() -> (Graph, PrNetwork) {
-    let g = pr_topologies::load(Isp::Abilene, Weighting::Distance);
-    let emb = planar_embedding(&g, 2010);
-    let pr = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
-    (g, pr)
-}
-
-/// Sweep-friendly outage parameters (short flows keep the test quick).
-fn quick_params() -> OutageParams {
-    OutageParams {
-        interval_ns: 500_000, // 2 kpps
-        fail_at_ns: 10_000_000,
-        down_for_ns: 40_000_000,
-        igp_convergence_ns: 40_000_000,
-        duration_ns: 80_000_000,
-        ..OutageParams::default()
-    }
-}
-
 fn temporal_is_deterministic_on(graph: &Graph, pr: &PrNetwork, family: &dyn TemporalFamily) {
     let config = SimConfig::default();
     let reference = pr_bench::temporal::run(graph, pr, family, &config, 1);
     assert_eq!(reference.len(), family.len());
-    for threads in POOLED_THREAD_COUNTS {
-        let rows = pr_bench::temporal::run(graph, pr, family, &config, threads);
-        assert_eq!(
-            rows,
-            reference,
-            "temporal rows diverged from serial at {threads} threads ({})",
-            family.label()
-        );
-    }
+    let what = format!("temporal rows ({})", family.label());
+    same_at_every_pool_size(&what, &reference, &POOLED_THREAD_COUNTS, |threads| {
+        pr_bench::temporal::run(graph, pr, family, &config, threads)
+    });
 }
 
 #[test]
 fn abilene_outage_sweep_parallel_equals_serial() {
-    let (g, pr) = abilene_net();
-    temporal_is_deterministic_on(&g, &pr, &OutageSweep::new(&g, quick_params()));
+    let Net { g, pr, .. } = Net::abilene();
+    temporal_is_deterministic_on(&g, &pr, &OutageSweep::new(&g, quick_outage()));
 }
 
 #[test]
 fn abilene_flap_sweep_parallel_equals_serial() {
-    let (g, pr) = abilene_net();
-    let fam = FlapSweep::new(&g, quick_params()).with_holddown(8_000_000);
+    let Net { g, pr, .. } = Net::abilene();
+    let fam = FlapSweep::new(&g, quick_outage()).with_holddown(8_000_000);
     temporal_is_deterministic_on(&g, &pr, &fam);
 }
 
 #[test]
 fn abilene_detection_delay_sweep_parallel_equals_serial() {
-    let (g, pr) = abilene_net();
+    let Net { g, pr, .. } = Net::abilene();
     let link = g.links().next().unwrap();
     let fam =
-        DetectionDelaySweep::new(&g, link, vec![0, 100_000, 1_000_000, 10_000_000], quick_params());
+        DetectionDelaySweep::new(&g, link, vec![0, 100_000, 1_000_000, 10_000_000], quick_outage());
     temporal_is_deterministic_on(&g, &pr, &fam);
 }
 
@@ -342,28 +278,19 @@ fn traffic_is_deterministic_on(
     // demand grid makes them exact, hence independent of how the
     // dataplane groups additions and subtractions) — at any thread
     // count.
-    let reference = pr_bench::traffic::run_serial(graph, pr, family, flows);
-    assert_eq!(reference.len(), family.len());
-    for threads in THREAD_COUNTS {
+    let rows = pr_bench::traffic::run_serial(graph, pr, family, flows);
+    assert_eq!(rows.len(), family.len());
+    let reference = (pr_bench::traffic::summarize(&rows), rows);
+    let what = format!("traffic rows and summary ({}, {})", family.label(), flows.label());
+    same_at_every_pool_size(&what, &reference, &THREAD_COUNTS, |threads| {
         let rows = pr_bench::traffic::run(graph, pr, family, flows, threads);
-        assert_eq!(
-            rows,
-            reference,
-            "production rows diverged from serial at {threads} threads ({}, {})",
-            family.label(),
-            flows.label()
-        );
-        assert_eq!(
-            pr_bench::traffic::summarize(&rows),
-            pr_bench::traffic::summarize(&reference),
-            "summaries diverged at {threads} threads"
-        );
-    }
+        (pr_bench::traffic::summarize(&rows), rows)
+    });
 }
 
 #[test]
 fn abilene_traffic_replay_parallel_equals_serial() {
-    let (g, pr) = abilene_net();
+    let Net { g, pr, .. } = Net::abilene();
     let singles = SingleLinkFailures::new(&g);
     traffic_is_deterministic_on(&g, &pr, &singles, &FlowSet::all_pairs(&GravityTraffic::new(&g)));
     for seed in SEEDS {
@@ -379,13 +306,7 @@ fn geant_gravity_traffic_replay_parallel_equals_serial() {
     // --family single --threads 4` must report weighted coverage, %
     // demand lost and max-link-utilisation bit-identically at 1/2/4
     // threads.
-    let g = pr_topologies::load(Isp::Geant, Weighting::Distance);
-    let pr = PrNetwork::compile(
-        &g,
-        planar_embedding(&g, 2010),
-        PrMode::DistanceDiscriminator,
-        DiscriminatorKind::Hops,
-    );
+    let Net { g, pr, .. } = Net::geant();
     let flows = FlowSet::all_pairs(&GravityTraffic::new(&g));
     traffic_is_deterministic_on(&g, &pr, &SingleLinkFailures::new(&g), &flows);
 }
@@ -394,13 +315,7 @@ fn geant_gravity_traffic_replay_parallel_equals_serial() {
 fn teleglobe_traffic_replay_parallel_equals_serial() {
     // Identity embedding: positive genus, so some walks end in drops —
     // lost demand must merge identically too.
-    let g = pr_topologies::load(Isp::Teleglobe, Weighting::Distance);
-    let pr = PrNetwork::compile(
-        &g,
-        identity_embedding(&g),
-        PrMode::DistanceDiscriminator,
-        DiscriminatorKind::Hops,
-    );
+    let Net { g, pr, .. } = Net::identity(isp(Isp::Teleglobe));
     let flows = FlowSet::all_pairs(&GravityTraffic::new(&g));
     traffic_is_deterministic_on(&g, &pr, &SingleLinkFailures::new(&g), &flows);
 }
@@ -413,7 +328,7 @@ use pr_scenarios::{Impaired, ImpairmentProcess};
 fn quick_gilbert(graph: &Graph, seed: u64) -> Impaired<'_, OutageSweep<'_>> {
     Impaired::new(
         graph,
-        OutageSweep::new(graph, quick_params()),
+        OutageSweep::new(graph, quick_outage()),
         ImpairmentProcess::GilbertElliott { fail_rate_per_s: 25.0, mean_down_ns: 8_000_000 },
         seed,
     )
@@ -427,15 +342,10 @@ fn impair_is_deterministic_on(
 ) {
     let reference = pr_bench::impair::run(graph, pr, family, flows, 1);
     assert_eq!(reference.len(), family.len());
-    for threads in POOLED_THREAD_COUNTS {
-        let rows = pr_bench::impair::run(graph, pr, family, flows, threads);
-        assert_eq!(
-            rows,
-            reference,
-            "impaired timeline rows diverged from serial at {threads} threads ({})",
-            family.label()
-        );
-    }
+    let what = format!("impaired timeline rows ({})", family.label());
+    same_at_every_pool_size(&what, &reference, &POOLED_THREAD_COUNTS, |threads| {
+        pr_bench::impair::run(graph, pr, family, flows, threads)
+    });
     // Same family, same seed, fresh run: byte-identical artefact.
     let again = pr_bench::impair::run(graph, pr, family, flows, 1);
     assert_eq!(
@@ -447,7 +357,7 @@ fn impair_is_deterministic_on(
 
 #[test]
 fn abilene_impaired_sweep_parallel_equals_serial() {
-    let (g, pr) = abilene_net();
+    let Net { g, pr, .. } = Net::abilene();
     let flows = FlowSet::all_pairs(&GravityTraffic::new(&g));
     for seed in SEEDS {
         impair_is_deterministic_on(&g, &pr, &quick_gilbert(&g, seed), &flows);
@@ -456,7 +366,7 @@ fn abilene_impaired_sweep_parallel_equals_serial() {
             &g,
             Impaired::new(
                 &g,
-                OutageSweep::new(&g, quick_params()),
+                OutageSweep::new(&g, quick_outage()),
                 ImpairmentProcess::FlapStorm {
                     storms: 2,
                     radius_km: 800.0,
@@ -476,13 +386,7 @@ fn geant_impaired_sweep_parallel_equals_serial() {
     // The acceptance scenario: `pr impair geant --process gilbert
     // --model gravity --format csv` must be bit-identical at 1/2/4
     // threads and across two same-seed runs.
-    let g = pr_topologies::load(Isp::Geant, Weighting::Distance);
-    let pr = PrNetwork::compile(
-        &g,
-        planar_embedding(&g, 2010),
-        PrMode::DistanceDiscriminator,
-        DiscriminatorKind::Hops,
-    );
+    let Net { g, pr, .. } = Net::geant();
     let flows = FlowSet::all_pairs(&GravityTraffic::new(&g));
     impair_is_deterministic_on(&g, &pr, &quick_gilbert(&g, 2010), &flows);
 }
@@ -492,12 +396,9 @@ fn geant_impaired_sweep_parallel_equals_serial() {
 /// PR-DD cell, scenario family and conditioning held equal.
 #[test]
 fn uniform_unit_traffic_matches_unweighted_coverage_bitwise() {
-    let g = pr_topologies::load(Isp::Abilene, Weighting::Distance);
-    let emb = planar_embedding(&g, 2010);
-    let pr =
-        PrNetwork::compile(&g, emb.clone(), PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+    let Net { g, pr, .. } = Net::abilene();
     // Coverage row k=1 sweeps exactly the single-link family.
-    let coverage = pr_bench::coverage::run(&g, &emb, 1, 0, 7, 2);
+    let coverage = pr_bench::coverage::run(&g, pr.embedding(), 1, 0, 7, 2);
     let dd = &coverage[0].pr_dd;
 
     let flows = FlowSet::all_pairs(&UniformTraffic::new(&g));

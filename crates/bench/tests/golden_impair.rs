@@ -6,33 +6,19 @@
 //! shape of every row; a change to any of them is a breaking change to
 //! the artefact format and must be made consciously.
 
-use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
-use pr_embedding::CellularEmbedding;
-use pr_scenarios::{Impaired, ImpairmentProcess, OutageParams, OutageSweep};
-use pr_topologies::{Isp, Weighting};
+use pr_scenarios::{Impaired, ImpairmentProcess, OutageSweep};
+use pr_testkit::fixtures::quick_outage;
+use pr_testkit::nets::Net;
 use pr_traffic::{FlowSet, GravityTraffic};
 
 const HEADER: &str = "scenario,label,from_ms,to_ms,links_down,offered,pr_lost,igp_lost,\
                       pr_loss_fraction,igp_loss_fraction,weighted_coverage,mean_stretch";
 
 fn fixed_seed_rows() -> Vec<pr_bench::impair::ImpairRow> {
-    let g = pr_topologies::load(Isp::Abilene, Weighting::Distance);
-    let rot = pr_embedding::heuristics::thorough(&g, 2010, 4, 10_000);
-    let emb = CellularEmbedding::new(&g, rot).expect("abilene is connected");
-    let pr = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+    let Net { g, pr, .. } = Net::abilene();
     let family = Impaired::new(
         &g,
-        OutageSweep::new(
-            &g,
-            OutageParams {
-                interval_ns: 500_000,
-                fail_at_ns: 10_000_000,
-                down_for_ns: 40_000_000,
-                igp_convergence_ns: 40_000_000,
-                duration_ns: 80_000_000,
-                ..OutageParams::default()
-            },
-        ),
+        OutageSweep::new(&g, quick_outage()),
         ImpairmentProcess::GilbertElliott { fail_rate_per_s: 25.0, mean_down_ns: 8_000_000 },
         2010,
     );

@@ -16,7 +16,8 @@
 //! [`FlowUnit::walk`](pr_core::FlowUnit::walk): one walk per failure
 //! point, every source behind it by arithmetic. Each answer must be
 //! plain `walk_packet`'s on the same flow, over fixtures that drive
-//! every shape a unit's groups take ([`Groups`]). The FCP lane is the
+//! every shape a unit's groups take ([`GroupShapes`]), the named ones
+//! of the kit's table among them. The FCP lane is the
 //! sweeps' own [`FcpLane`] — closed form under one failure, walked
 //! under more — held to the honest recompute-per-decision agent.
 
@@ -27,11 +28,12 @@ use pr_core::{
     generous_ttl, walk_packet, DiscriminatorKind, FlowScratch, FlowUnit, FlowWalk, ForwardingAgent,
     PrMode, PrNetwork,
 };
-use pr_embedding::{CellularEmbedding, RotationSystem};
-use pr_graph::{algo, AllPairs, Graph, LinkId, LinkSet, NodeId, SpTree};
-use pr_scenarios::{ExhaustiveKFailures, ScenarioFamily};
-use pr_topologies::{Isp, Weighting};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use pr_graph::{algo, Graph, LinkSet, NodeId, SpTree};
+use pr_testkit::fixtures;
+use pr_testkit::nets::{self, Net};
+use pr_testkit::shapes::{point_by_definition, GroupShapes};
+use pr_testkit::strategies::random_links;
+use rand::{rngs::StdRng, SeedableRng};
 
 /// What the fixture exercised, so a vacuous pass cannot hide.
 #[derive(Default)]
@@ -70,16 +72,12 @@ fn check_scenario(
 
 #[test]
 fn abilene_exhaustive_singles_and_pairs_open_to_their_definition() {
-    let g = pr_topologies::load(Isp::Abilene, Weighting::Distance);
-    let base = AllPairs::compute_all_live(&g);
+    let Net { g, base, .. } = Net::abilene();
     let plan = ConePlan::new(&g, &base);
     let mut opener = plan.opener();
     let mut seen = Seen::default();
-    for k in [1, 2] {
-        let family = ExhaustiveKFailures::new(&g, k);
-        for i in 0..family.len() {
-            check_scenario(&plan, &mut opener, i, &family.scenario(i), &mut seen);
-        }
+    for (scenario, failed) in fixtures::exhaustive(&g, 1..=2).iter().enumerate() {
+        check_scenario(&plan, &mut opener, scenario, failed, &mut seen);
     }
     assert!(seen.empty_cones > 0, "some unit must be untouched by its failure");
     assert!(seen.disconnecting_sets > 0, "some pair of Abilene's links is a cut");
@@ -90,70 +88,50 @@ fn abilene_exhaustive_singles_and_pairs_open_to_their_definition() {
 fn positive_genus_mesh_sampled_sets_open_to_their_definition() {
     // The mesh `tests/determinism.rs` sweeps under the identity
     // rotation; the opener itself never sees an embedding.
-    let g = pr_graph::generators::synth_from_spec("isp:24:7").expect("synth spec");
-    let base = AllPairs::compute_all_live(&g);
+    let Net { g, base, .. } = Net::identity(nets::synth("isp:24:7"));
     let plan = ConePlan::new(&g, &base);
     let mut opener = plan.opener();
-    let mut rng = StdRng::seed_from_u64(2010);
     let mut seen = Seen::default();
-    for scenario in 0..160 {
-        // Any k-subset of the links, cuts included.
-        let k = 1 + scenario % 4;
-        let mut failed = LinkSet::empty(g.link_count());
-        while failed.len() < k {
-            failed.insert(LinkId(rng.gen_range(0..g.link_count() as u32)));
-        }
-        check_scenario(&plan, &mut opener, scenario, &failed, &mut seen);
+    for (scenario, failed) in any_subsets(&g, 160, 2010).iter().enumerate() {
+        check_scenario(&plan, &mut opener, scenario, failed, &mut seen);
     }
     assert!(seen.empty_cones > 0);
     assert!(seen.disconnecting_sets > 0, "the sample must include cuts");
     assert!(seen.cut_off_sources > 0);
 }
 
-/// The shapes the groups of a unit took, OR-ed over every unit and
-/// lane of a fixture, so a vacuous pass cannot hide.
-#[derive(Debug, Default)]
-struct Groups {
-    /// A point that is the root of an outermost cone.
-    point_at_cone_root: bool,
-    /// A point on the tree path of another point of the unit.
-    nested_points: bool,
-    /// A point whose own tree dart is live — FCP learning a failure
-    /// next to the path, not on it.
-    point_off_the_failed_tree: bool,
-    /// Two points of a unit whose sources interleave in source order.
-    interleaved_points: bool,
-    /// A point the survivor graph connects whose walk is dropped.
-    dropped_point: bool,
-    /// A source walked on its own because its prefix plus the point's
-    /// walk does not fit the budget.
-    ttl_fallback: bool,
-    /// An unaffected source: its point is the destination.
-    point_at_destination: bool,
+/// `count` subsets of 1 to 4 of `g`'s links, cuts included.
+fn any_subsets(g: &Graph, count: usize, seed: u64) -> Vec<LinkSet> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..count).map(|scenario| random_links(g, 1 + scenario % 4, &mut rng)).collect()
 }
 
 /// Holds one scheme's lane to plain `walk_packet`: every source of
 /// every destination under `failed`, through one unit per destination.
+/// The shapes its groups take are read off `net.base`, the oracle's
+/// trees, by the points' definition.
 fn check_lane<A: ForwardingAgent>(
+    net: &Net,
     plan: &ConePlan<'_>,
     agent: &A,
     scratch: &mut FlowScratch<A::State>,
     failed: &LinkSet,
     ttl: usize,
-    seen: &mut Groups,
+    seen: &mut GroupShapes,
 ) where
     A::State: std::hash::Hash + Eq,
 {
+    seen.observe(&net.g, &net.base, agent, failed, ttl, ttl);
     for dst in plan.graph().nodes() {
         let tree = plan.base().towards(dst);
         let mut unit = scratch.unit(plan.graph(), agent, tree, failed);
-        check_unit(plan.graph(), agent, &mut unit, tree, failed, ttl, seen);
+        check_unit(plan.graph(), agent, &mut unit, tree, failed, ttl);
     }
 }
 
 /// Every source towards `tree.dest` through the open `unit`, against
 /// `walk_packet` under `reference` — the unit's own agent, or one that
-/// must decide as it does.
+/// must decide as it does — and its point against the definition.
 fn check_unit<A: ForwardingAgent>(
     g: &Graph,
     reference: &A,
@@ -161,13 +139,10 @@ fn check_unit<A: ForwardingAgent>(
     tree: &SpTree,
     failed: &LinkSet,
     ttl: usize,
-    seen: &mut Groups,
 ) where
     A::State: std::hash::Hash + Eq,
 {
     let dst = tree.dest;
-    let live = SpTree::towards(g, dst, failed);
-    let mut points = Vec::new();
     for src in g.nodes().filter(|&src| src != dst) {
         let label = format!("{} failed {failed:?} {src}->{dst} ttl {ttl}", reference.label());
         let want = walk_packet(g, reference, src, dst, failed, ttl);
@@ -177,28 +152,8 @@ fn check_unit<A: ForwardingAgent>(
             assert_eq!(cost, want.cost(g), "{label}");
             assert_eq!(hops as usize, want.path.hop_count(), "{label}");
         }
-        let point = unit.point_of(src);
-        seen.point_at_destination |= point == dst;
-        if point != dst {
-            points.push(point);
-            let reached = walk_packet(g, reference, point, dst, failed, ttl);
-            seen.dropped_point |= live.reaches(point) && !reached.result.is_delivered();
-            seen.ttl_fallback |= reached.result.is_delivered() && !got.is_delivered();
-        }
-    }
-    seen.interleaved_points |= points.iter().enumerate().any(|(i, point)| {
-        let last = points.iter().rposition(|other| other == point).unwrap();
-        points[i..last].iter().any(|other| other != point)
-    });
-    points.sort_unstable();
-    points.dedup();
-    for &point in &points {
-        let above = tree.path_darts(g, point).expect("connected base graph");
-        let below_a_failed_edge = failed.contains_dart(above[0]);
-        let outermost = !above[1..].iter().any(|d| failed.contains_dart(*d));
-        seen.point_at_cone_root |= below_a_failed_edge && outermost;
-        seen.point_off_the_failed_tree |= !below_a_failed_edge;
-        seen.nested_points |= above.iter().any(|d| points.binary_search(&g.dart_head(*d)).is_ok());
+        let point = point_by_definition(g, reference, tree, src, failed);
+        assert_eq!(unit.point_of(src), point, "{label}");
     }
 }
 
@@ -207,14 +162,18 @@ fn check_unit<A: ForwardingAgent>(
 /// source of its cone (cut-off ones too), a walked one as any lane.
 /// Returns how many sources were priced.
 fn check_fcp_lane<'a>(
+    net: &Net,
     plan: &ConePlan<'a>,
     lane: &mut FcpLane<'a>,
     opener: &mut ConeOpener<'_>,
     failed: &LinkSet,
-    seen: &mut Groups,
+    seen: &mut GroupShapes,
 ) -> usize {
     let (g, ttl) = (plan.graph(), plan.ttl());
     let honest = FcpAgent::new(g);
+    if failed.len() > 1 {
+        seen.observe(g, &net.base, &honest, failed, ttl, ttl);
+    }
     let mut priced_sources = 0;
     lane.begin_scenario();
     for dst in g.nodes() {
@@ -224,7 +183,7 @@ fn check_fcp_lane<'a>(
         match lane.unit(&unit, &cone) {
             FcpUnit::Walked(mut walks, _) => {
                 assert!(failed.len() > 1, "one failure is priced, not walked");
-                check_unit(g, &honest, &mut walks, base_tree, failed, ttl, seen);
+                check_unit(g, &honest, &mut walks, base_tree, failed, ttl);
             }
             mut priced => {
                 for (src, _) in cone {
@@ -240,11 +199,12 @@ fn check_fcp_lane<'a>(
 }
 
 /// All five lanes of the coverage sweep (the stretch sweep's two are
-/// among them) under each failed set.
-fn check_lanes(g: &Graph, rotation: RotationSystem, sets: &[LinkSet], ttl: usize) -> Groups {
-    let embedding = CellularEmbedding::new(g, rotation).expect("connected");
-    let compile = |mode| PrNetwork::compile(g, embedding.clone(), mode, DiscriminatorKind::Hops);
-    let (basic, dd) = (compile(PrMode::Basic), compile(PrMode::DistanceDiscriminator));
+/// among them) over `net`'s topology and embedding under each failed
+/// set, on the trees the network lends out as the sweeps run them.
+fn check_lanes(net: &Net, sets: &[LinkSet], ttl: usize) -> GroupShapes {
+    let (g, dd) = (&net.g, &net.pr);
+    let basic =
+        PrNetwork::compile(g, dd.embedding().clone(), PrMode::Basic, DiscriminatorKind::Hops);
     let plan = ConePlan::new(g, dd.base());
     let fcp = FcpAgent::cached_with_base(g, plan.base());
     let mut fcp_lane = FcpLane::new(&plan);
@@ -253,21 +213,21 @@ fn check_lanes(g: &Graph, rotation: RotationSystem, sets: &[LinkSet], ttl: usize
     let (mut fcp_walks, mut lfa_walks, mut notvia_walks) =
         (FlowScratch::new(), FlowScratch::new(), FlowScratch::new());
     let mut opener = plan.opener();
-    let mut seen = Groups::default();
+    let mut seen = GroupShapes::default();
     for failed in sets {
-        check_lane(&plan, &basic.agent(g), &mut basic_walks, failed, ttl, &mut seen);
-        check_lane(&plan, &dd.agent(g), &mut dd_walks, failed, ttl, &mut seen);
+        check_lane(net, &plan, &basic.agent(g), &mut basic_walks, failed, ttl, &mut seen);
+        check_lane(net, &plan, &dd.agent(g), &mut dd_walks, failed, ttl, &mut seen);
         if ttl == plan.ttl() {
-            check_fcp_lane(&plan, &mut fcp_lane, &mut opener, failed, &mut seen);
+            check_fcp_lane(net, &plan, &mut fcp_lane, &mut opener, failed, &mut seen);
         } else {
             // The closed form holds under the plan's budget only, and a
             // tight one is here for `FlowUnit::walk`'s TTL fallback,
             // which only a walked unit has: FCP walks like the others.
             fcp.begin_scenario();
-            check_lane(&plan, &fcp, &mut fcp_walks, failed, ttl, &mut seen);
+            check_lane(net, &plan, &fcp, &mut fcp_walks, failed, ttl, &mut seen);
         }
-        check_lane(&plan, &lfa, &mut lfa_walks, failed, ttl, &mut seen);
-        check_lane(&plan, &notvia, &mut notvia_walks, failed, ttl, &mut seen);
+        check_lane(net, &plan, &lfa, &mut lfa_walks, failed, ttl, &mut seen);
+        check_lane(net, &plan, &notvia, &mut notvia_walks, failed, ttl, &mut seen);
     }
     // The lane's route memo fills for walked units alone.
     let walked = ttl == plan.ttl() && sets.iter().any(|failed| failed.len() > 1);
@@ -277,16 +237,10 @@ fn check_lanes(g: &Graph, rotation: RotationSystem, sets: &[LinkSet], ttl: usize
 
 #[test]
 fn every_lane_answers_as_walk_packet_on_abilene_singles_and_pairs() {
-    let g = pr_topologies::load(Isp::Abilene, Weighting::Distance);
-    let rotation = pr_embedding::heuristics::thorough(&g, 2010, 4, 10_000);
-    let sets: Vec<LinkSet> = [1, 2]
-        .into_iter()
-        .flat_map(|k| {
-            let family = ExhaustiveKFailures::new(&g, k);
-            (0..family.len()).map(|i| family.scenario(i)).collect::<Vec<_>>()
-        })
-        .collect();
-    let seen = check_lanes(&g, rotation.clone(), &sets, generous_ttl(&g));
+    let net = Net::abilene();
+    let g = &net.g;
+    let sets = fixtures::exhaustive(g, 1..=2);
+    let seen = check_lanes(&net, &sets, generous_ttl(g));
     assert!(seen.point_at_cone_root && seen.nested_points, "{seen:?}");
     assert!(seen.point_off_the_failed_tree && seen.interleaved_points, "{seen:?}");
     assert!(seen.point_at_destination, "{seen:?}");
@@ -294,26 +248,17 @@ fn every_lane_answers_as_walk_packet_on_abilene_singles_and_pairs() {
     assert!(!seen.ttl_fallback, "{seen:?}");
     // A budget most detours fit and the longest do not: sources far
     // behind a point run out where the point itself still arrives.
-    let seen = check_lanes(&g, rotation, &sets, g.node_count() / 2);
+    let seen = check_lanes(&net, &sets, g.node_count() / 2);
     assert!(seen.ttl_fallback, "{seen:?}");
 }
 
 #[test]
 fn every_lane_answers_as_walk_packet_where_pr_walks_livelock() {
     // Identity rotation: positive genus, so connected PR points drop.
-    let g = pr_graph::generators::synth_from_spec("isp:24:7").expect("synth spec");
-    let mut rng = StdRng::seed_from_u64(7);
-    let sets: Vec<LinkSet> = (0..60)
-        .map(|scenario| {
-            let mut failed = LinkSet::empty(g.link_count());
-            while failed.len() < 1 + scenario % 4 {
-                failed.insert(LinkId(rng.gen_range(0..g.link_count() as u32)));
-            }
-            failed
-        })
-        .collect();
-    for ttl in [generous_ttl(&g), g.node_count()] {
-        let seen = check_lanes(&g, RotationSystem::identity(&g), &sets, ttl);
+    let net = Net::identity(nets::synth("isp:24:7"));
+    let sets = any_subsets(&net.g, 60, 7);
+    for ttl in [generous_ttl(&net.g), net.g.node_count()] {
+        let seen = check_lanes(&net, &sets, ttl);
         assert!(seen.dropped_point && seen.nested_points, "ttl {ttl}: {seen:?}");
         assert!(seen.interleaved_points, "ttl {ttl}: {seen:?}");
     }
@@ -321,17 +266,15 @@ fn every_lane_answers_as_walk_packet_where_pr_walks_livelock() {
 
 #[test]
 fn the_fcp_lane_prices_every_single_failure_as_the_honest_agent_walks() {
-    let abilene = pr_topologies::load(Isp::Abilene, Weighting::Distance);
-    let mesh = pr_graph::generators::synth_from_spec("isp:24:7").expect("synth spec");
-    for g in [&abilene, &mesh] {
-        let base = AllPairs::compute_all_live(g);
-        let plan = ConePlan::new(g, &base);
+    for net in [Net::abilene(), Net::identity(nets::synth("isp:24:7"))] {
+        let g = &net.g;
+        let plan = ConePlan::new(g, &net.base);
         let (mut lane, mut opener) = (FcpLane::new(&plan), plan.opener());
         let mut priced = 0;
         for link in g.links() {
             let failed = LinkSet::from_links(g.link_count(), [link]);
-            priced +=
-                check_fcp_lane(&plan, &mut lane, &mut opener, &failed, &mut Groups::default());
+            let seen = &mut GroupShapes::default();
+            priced += check_fcp_lane(&net, &plan, &mut lane, &mut opener, &failed, seen);
         }
         // Every link is on some tree, and nothing was walked for it.
         assert!(priced >= 2 * g.link_count(), "{priced} sources priced");
@@ -341,16 +284,12 @@ fn the_fcp_lane_prices_every_single_failure_as_the_honest_agent_walks() {
 
 #[test]
 fn the_fcp_lane_groups_by_where_a_failure_is_learnt() {
-    // The pair `crates/traffic/tests/properties.rs` pins: p3x0 learns
-    // its own dead link before its path breaks at p2x0, and pays 43
-    // where first-failed-tree-link grouping would price 8 + 42.
-    let g = pr_graph::generators::synth_from_spec("isp:40:7").expect("synth spec");
-    let link = |a: &str, b: &str| {
-        let (a, b) = (g.node_by_name(a).unwrap(), g.node_by_name(b).unwrap());
-        g.find_link(a, b).unwrap()
-    };
-    let failed = LinkSet::from_links(g.link_count(), [link("p2x0", "p2x1"), link("p3x0", "p3x1")]);
-    let rotation = RotationSystem::geometric(&g).expect("mesh has coordinates");
-    let seen = check_lanes(&g, rotation, &[failed], generous_ttl(&g));
-    assert!(seen.point_off_the_failed_tree, "{seen:?}");
+    // Every named case of the kit's table through all five lanes —
+    // the pair that told "where a failure is learnt" from "where the
+    // tree breaks" among them.
+    for fixture in fixtures::TABLE {
+        let net = (fixture.net)();
+        let seen = check_lanes(&net, &(fixture.failed_sets)(&net.g), generous_ttl(&net.g));
+        assert!((fixture.drives)(&seen), "{}: {seen:?}", fixture.name);
+    }
 }

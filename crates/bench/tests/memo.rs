@@ -14,26 +14,11 @@ use rand::{Rng, SeedableRng};
 
 use pr_baselines::FcpAgent;
 use pr_core::{
-    generous_ttl, walk_packet_spliced, walk_packet_with, DiscriminatorKind, ForwardingAgent,
-    PrMode, PrNetwork, SuffixMemo, WalkScratch,
+    generous_ttl, walk_packet_spliced, walk_packet_with, ForwardingAgent, SuffixMemo, WalkScratch,
 };
-use pr_embedding::{CellularEmbedding, RotationSystem};
-use pr_graph::{generators, AllPairs, Graph, LinkId, LinkSet, NodeId};
-
-/// A reproducible random 2-edge-connected graph.
-fn arb_graph() -> impl Strategy<Value = Graph> {
-    (4usize..16, 0usize..8, 0u64..u64::MAX).prop_map(|(n, chords, seed)| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        generators::random_two_edge_connected(n, chords, 1..=8, &mut rng)
-    })
-}
-
-/// PR-DD over the identity rotation (any genus — livelock drops are
-/// legitimate outcomes and must agree between the two walkers too).
-fn compile_net(g: &Graph) -> PrNetwork {
-    let emb = CellularEmbedding::new(g, RotationSystem::identity(g)).expect("connected");
-    PrNetwork::compile(g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops)
-}
+use pr_graph::{Graph, LinkSet, NodeId};
+use pr_testkit::nets::Net;
+use pr_testkit::strategies::{random_links, two_edge_connected};
 
 /// Walks every affected source of one unit both ways and asserts
 /// bit-identical projections. Returns the longest delivered plain walk
@@ -76,12 +61,17 @@ proptest! {
     /// tight enough (longest−1, half, 1) that memo entries seeded by
     /// the generous pass fail the remaining-steps guard mid-walk.
     #[test]
-    fn memoized_walks_equal_plain_walks(g in arb_graph(), seed in 0u64..u64::MAX) {
-        let net = compile_net(&g);
-        let pr_agent = net.agent(&g);
+    fn memoized_walks_equal_plain_walks(
+        g in two_edge_connected(4..16, 0..8, 1..=8),
+        seed in 0u64..u64::MAX,
+    ) {
+        // PR-DD over the identity rotation (any genus — livelock drops
+        // are legitimate outcomes and must agree between the two
+        // walkers too).
+        let Net { g, pr, base, .. } = Net::identity(g);
+        let pr_agent = pr.agent(&g);
         let fcp = FcpAgent::new(&g);
         let generous = generous_ttl(&g);
-        let base = AllPairs::compute_all_live(&g);
         let mut rng = StdRng::seed_from_u64(seed);
 
         let mut pr_scratch = WalkScratch::new();
@@ -92,11 +82,7 @@ proptest! {
 
         for _ in 0..6 {
             // One random unit: 1–2 failed links, one destination.
-            let k = rng.gen_range(1..=2usize);
-            let mut failed = LinkSet::empty(g.link_count());
-            for _ in 0..k {
-                failed.insert(LinkId(rng.gen_range(0..g.link_count() as u32)));
-            }
+            let failed = random_links(&g, rng.gen_range(1..=2), &mut rng);
             let dst = NodeId(rng.gen_range(0..g.node_count() as u32));
             let base_tree = base.towards(dst);
             let sources: Vec<NodeId> = g

@@ -7,17 +7,10 @@ use std::path::PathBuf;
 
 use pr_bench::shards::{run_shards, shard_file, ShardKey, ShardOutcome};
 use pr_bench::stretch::{self, ScenarioRow};
-use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
-use pr_embedding::CellularEmbedding;
-use pr_graph::{generators, Graph};
+use pr_core::PrNetwork;
+use pr_graph::Graph;
 use pr_scenarios::{ScenarioFamily, ScenarioSlice, SingleLinkFailures};
-use pr_topologies::{Isp, Weighting};
-
-fn compile_pr(graph: &Graph) -> PrNetwork {
-    let rot = pr_embedding::heuristics::thorough(graph, 2010, 4, 10_000);
-    let emb = CellularEmbedding::new(graph, rot).unwrap();
-    PrNetwork::compile(graph, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops)
-}
+use pr_testkit::nets::{synth, Net};
 
 /// A scratch checkpoint directory under the test-private tmp dir.
 fn scratch_dir(name: &str) -> PathBuf {
@@ -41,21 +34,20 @@ fn key_for(graph: &Graph, pr: &PrNetwork, family: &dyn ScenarioFamily, shards: u
 
 /// Kill-after-k-shards on one topology: every merged output (rows, CSV
 /// artefact, JSON report) must be byte-identical to the clean run's.
-fn kill_and_resume_is_byte_identical(graph: &Graph, name: &str) {
-    let pr = compile_pr(graph);
+fn kill_and_resume_is_byte_identical(Net { g: graph, pr, .. }: &Net, name: &str) {
     let family = SingleLinkFailures::new(graph);
     let xs = stretch::figure2_xs();
     let run_slice = |_shard: usize, start: usize, len: usize| {
         let slice = ScenarioSlice::new(&family, start, len);
-        stretch::run_rows(graph, &pr, &slice, 2, start).0
+        stretch::run_rows(graph, pr, &slice, 2, start).0
     };
 
     // The reference: a plain, unsharded sweep over raw samples.
-    let plain_csv = stretch::panel_csv(&stretch::run(graph, &pr, &family, 2), &xs);
+    let plain_csv = stretch::panel_csv(&stretch::run(graph, pr, &family, 2), &xs);
 
     // Clean sharded run.
     let clean_dir = scratch_dir(&format!("{name}-clean"));
-    let key = key_for(graph, &pr, &family, 3);
+    let key = key_for(graph, pr, &family, 3);
     let clean = match run_shards(&clean_dir, &key, false, None, run_slice).unwrap() {
         ShardOutcome::Complete(rows) => rows,
         partial => panic!("clean run stopped early: {partial:?}"),
@@ -98,20 +90,17 @@ fn kill_and_resume_is_byte_identical(graph: &Graph, name: &str) {
 
 #[test]
 fn abilene_kill_and_resume_is_byte_identical() {
-    let g = pr_topologies::load(Isp::Abilene, Weighting::Distance);
-    kill_and_resume_is_byte_identical(&g, "abilene");
+    kill_and_resume_is_byte_identical(&Net::abilene(), "abilene");
 }
 
 #[test]
 fn synthetic_mesh_kill_and_resume_is_byte_identical() {
-    let g = generators::isp_mesh(&generators::MeshParams::new(24, 2010));
-    kill_and_resume_is_byte_identical(&g, "mesh24");
+    kill_and_resume_is_byte_identical(&Net::searched(synth("isp:24:2010")), "mesh24");
 }
 
 #[test]
 fn merged_rows_are_shard_count_invariant() {
-    let g = pr_topologies::load(Isp::Abilene, Weighting::Distance);
-    let pr = compile_pr(&g);
+    let Net { g, pr, .. } = Net::abilene();
     let family = SingleLinkFailures::new(&g);
     let run_slice = |_shard: usize, start: usize, len: usize| {
         let slice = ScenarioSlice::new(&family, start, len);
@@ -132,8 +121,7 @@ fn merged_rows_are_shard_count_invariant() {
 
 #[test]
 fn resume_rejects_a_mismatched_checkpoint() {
-    let g = pr_topologies::load(Isp::Abilene, Weighting::Distance);
-    let pr = compile_pr(&g);
+    let Net { g, pr, .. } = Net::abilene();
     let family = SingleLinkFailures::new(&g);
     let run_slice = |_shard: usize, start: usize, len: usize| {
         let slice = ScenarioSlice::new(&family, start, len);
@@ -178,8 +166,7 @@ fn resume_rejects_a_mismatched_checkpoint() {
 
 #[test]
 fn resume_recovers_from_a_lost_shard_file() {
-    let g = pr_topologies::load(Isp::Abilene, Weighting::Distance);
-    let pr = compile_pr(&g);
+    let Net { g, pr, .. } = Net::abilene();
     let family = SingleLinkFailures::new(&g);
     let run_slice = |_shard: usize, start: usize, len: usize| {
         let slice = ScenarioSlice::new(&family, start, len);

@@ -97,11 +97,12 @@ fn fig2(threads: usize) -> CmdResult {
     let xs = stretch::figure2_xs();
     let panel =
         |name: &str, kind: &str, graph: &Graph, pr: &PrNetwork, family: &dyn ScenarioFamily| {
-            // The artefact comes from rows, like `pr sweep`'s; only the
-            // quantiles of the table below need the raw samples.
-            let (rows, _) = stretch::run_rows(graph, pr, family, threads, 0);
-            write_result(name, &stretch::panel_csv_from_rows(&rows, &xs));
-            let samples = stretch::run(graph, pr, family, threads);
+            // One sweep per panel: the quantiles of the table below
+            // need the raw samples, and the CSV rendered from them is
+            // byte for byte the one `pr sweep` renders from rows
+            // (`rows_reproduce_the_raw_sample_panel_byte_for_byte`).
+            let (samples, _) = stretch::run_with_stats(graph, pr, family, threads);
+            write_result(name, &stretch::panel_csv(&samples, &xs));
             let summary = stretch::summarize(&samples);
             println!(
                 "  [{kind}] pairs evaluated: {}, disconnected (excluded): {}, undelivered: {}",

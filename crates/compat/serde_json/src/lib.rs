@@ -142,10 +142,18 @@ fn write_json_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
+/// Deepest nesting [`from_str`] accepts. The parser recurses per
+/// level, so without a bound a few hundred kilobytes of `[` overflow
+/// the stack — an abort, not an error. Nothing this workspace writes
+/// nests deeper than ten.
+const MAX_DEPTH: usize = 128;
+
 fn parse_value(text: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -194,6 +202,16 @@ impl<'a> Parser<'a> {
     }
 
     fn value(&mut self) -> Result<Value, Error> {
+        if matches!(self.peek(), Some(b'[' | b'{')) && self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = self.value_at_depth();
+        self.depth -= 1;
+        value
+    }
+
+    fn value_at_depth(&mut self) -> Result<Value, Error> {
         match self.peek() {
             None => Err(self.err("unexpected end of input")),
             Some(b'n') => {
@@ -354,10 +372,13 @@ impl<'a> Parser<'a> {
         if is_float {
             text.parse::<f64>().map(Value::Float).map_err(|_| self.err("invalid float"))
         } else if let Some(negative) = text.strip_prefix('-') {
+            // `checked_sub_unsigned`: -2^127 is an `i128`, 2^127 is not.
             negative
                 .parse::<u128>()
-                .map(|u| Value::Int(-(u as i128)))
-                .map_err(|_| self.err("integer overflow"))
+                .ok()
+                .and_then(|u| 0i128.checked_sub_unsigned(u))
+                .map(Value::Int)
+                .ok_or_else(|| self.err("integer overflow"))
         } else {
             text.parse::<u128>().map(Value::UInt).map_err(|_| self.err("integer overflow"))
         }
@@ -376,6 +397,19 @@ fn utf8_len(first: u8) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hostile_documents_are_errors_with_a_position() {
+        let deep = "[".repeat(1 << 20);
+        let err = from_str::<Value>(&deep).unwrap_err().to_string();
+        assert_eq!(err, "nesting deeper than 128 at byte 128");
+        let nested = format!("{}1{}", "[".repeat(128), "]".repeat(128));
+        assert!(from_str::<Value>(&nested).is_ok(), "128 levels are within the bound");
+        let lowest = "-170141183460469231731687303715884105728";
+        assert_eq!(from_str::<i128>(lowest).unwrap(), i128::MIN);
+        let err = from_str::<Value>("-170141183460469231731687303715884105729").unwrap_err();
+        assert_eq!(err.to_string(), "integer overflow at byte 40");
+    }
 
     #[test]
     fn scalar_roundtrips() {

@@ -25,37 +25,27 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use pr_core::{
     generous_ttl, walk_packet, DiscriminatorKind, DropReason, PrMode, PrNetwork, WalkResult,
 };
 use pr_embedding::{planar, CellularEmbedding, RotationSystem};
 use pr_graph::{algo, Graph, LinkId, LinkSet, NodeId, SpTree};
+use pr_testkit::strategies::{failure_set, picks, two_edge_connected, with_rotation};
 
 /// Random planar-embedded graph (two families) + non-disconnecting
-/// failure set.
+/// failure set of up to six links.
 fn arb_planar_scenario() -> impl Strategy<Value = (Graph, RotationSystem, LinkSet)> {
-    (0u64..u64::MAX, any::<bool>(), 0usize..20, 3usize..16, 0usize..7).prop_map(
-        |(seed, dense, size, ring_n, failures)| {
+    (0u64..u64::MAX, any::<bool>(), 0usize..20, 3usize..16, picks(6)).prop_map(
+        |(seed, dense, size, ring_n, picks)| {
             let mut rng = StdRng::seed_from_u64(seed);
             let (g, rot) = if dense {
                 planar::random_triangulation(size, 1..=6, &mut rng)
             } else {
-                planar::random_outerplanar(ring_n.max(3), 0.6, 1..=6, &mut rng)
+                planar::random_outerplanar(ring_n, 0.6, 1..=6, &mut rng)
             };
-            let mut failed = LinkSet::empty(g.link_count());
-            let mut candidates: Vec<LinkId> = g.links().collect();
-            candidates.shuffle(&mut rng);
-            for l in candidates {
-                if failed.len() >= failures {
-                    break;
-                }
-                if algo::connected_after(&g, &failed, l) {
-                    failed.insert(l);
-                }
-            }
+            let failed = failure_set(&g, &picks, true);
             (g, rot, failed)
         },
     )
@@ -158,11 +148,8 @@ proptest! {
     /// runs on arbitrary random rotation systems, not just planar.
     #[test]
     fn no_failures_means_plain_shortest_paths(
-        seed in 0u64..u64::MAX, n in 3usize..14, chords in 0usize..8
+        (g, rot) in with_rotation(two_edge_connected(3..14, 0..8, 1..=6))
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = pr_graph::generators::random_two_edge_connected(n, chords, 1..=6, &mut rng);
-        let rot = RotationSystem::random(&g, &mut rng);
         let emb = CellularEmbedding::new(&g, rot).unwrap();
         let net = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
         let agent = net.agent(&g);
@@ -189,10 +176,11 @@ proptest! {
     /// the cut and never claims success: packets end in a detected
     /// loop or isolation (embedding-independent).
     #[test]
-    fn disconnection_is_detected_not_miracled(seed in 0u64..u64::MAX, n in 4usize..12) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = pr_graph::generators::random_two_edge_connected(n, 2, 1..=4, &mut rng);
-        let victim = NodeId(rng.gen_range(0..n as u32));
+    fn disconnection_is_detected_not_miracled(
+        g in two_edge_connected(4..12, 2..3, 1..=4),
+        pick in 0u32..u32::MAX,
+    ) {
+        let victim = NodeId(pick % g.node_count() as u32);
         let mut failed = LinkSet::empty(g.link_count());
         for &d in g.darts_from(victim) {
             failed.insert(d.link());

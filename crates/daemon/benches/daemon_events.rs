@@ -13,10 +13,9 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
 use pr_daemon::{cold_recompile, DemandSpec, Request, Twin};
 use pr_graph::{Graph, LinkId, LinkSet};
-use pr_topologies::Isp;
+use pr_testkit::nets::{link_name, Net};
 
 /// Links probed by the gate (each contributes one down + one up event
 /// to the warm side and one cold recompile to the reference side).
@@ -26,24 +25,15 @@ const EVENT_LINKS: usize = 16;
 const SPEEDUP_FLOOR: f64 = 5.0;
 
 fn geant() -> (Graph, Twin) {
-    let (graph, emb) = pr_bench::paper_topology(Isp::Geant);
-    let net =
-        PrNetwork::compile(&graph, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
-    let twin = Twin::new(graph.clone(), net, DemandSpec::gravity(), 2).expect("twin compiles");
+    let Net { g: graph, pr, .. } = Net::geant();
+    let twin = Twin::new(graph.clone(), pr, DemandSpec::gravity(), 2).expect("twin compiles");
     (graph, twin)
 }
 
 /// `"A-B"` names of the probed links, in id order.
 fn event_links(graph: &Graph) -> Vec<String> {
     assert!(graph.link_count() >= EVENT_LINKS, "geant has enough links");
-    graph
-        .links()
-        .take(EVENT_LINKS)
-        .map(|l| {
-            let (a, b) = graph.endpoints(l);
-            format!("{}-{}", graph.node_name(a), graph.node_name(b))
-        })
-        .collect()
+    graph.links().take(EVENT_LINKS).map(|l| link_name(graph, l)).collect()
 }
 
 /// One warm round: a down + up event per probed link, through the same

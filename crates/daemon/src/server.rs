@@ -19,7 +19,7 @@
 //! it was ([`guarded`]).
 
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -220,7 +220,14 @@ fn answer(twin: &Mutex<Twin>, log: Option<&mut EventLog>, req: &Request) -> Resp
     resp
 }
 
-/// Serves one control connection; returns `true` on `Shutdown`.
+/// The longest request line a control client may send. The largest
+/// request in the protocol is under 200 bytes; a client that streams
+/// bytes without a newline must not grow the daemon's buffer with them.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// Serves one control connection; returns `true` on `Shutdown`. A
+/// request line over [`MAX_REQUEST_LINE`] is answered with an error
+/// and the connection closed: what follows it cannot be framed.
 fn serve_control_conn(
     stream: TcpStream,
     twin: &Arc<Mutex<Twin>>,
@@ -229,7 +236,7 @@ fn serve_control_conn(
     // Replies are one small segment each and the client waits for every
     // one: Nagle's algorithm would only add its delayed-ACK stall.
     stream.set_nodelay(true)?;
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     // One `write_all` per reply: a reply split over two segments makes
     // the second wait for the client's delayed ACK of the first.
@@ -238,21 +245,33 @@ fn serve_control_conn(
         line.push('\n');
         writer.write_all(line.as_bytes())
     };
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        if (&mut reader).take(limit).read_until(b'\n', &mut line)? == 0 {
+            return Ok(false);
         }
-        let resp = match protocol::decode::<Request>(&line) {
-            Err(message) => Response::Error { message },
-            Ok(req) => answer(twin, log.as_deref_mut(), &req),
+        if line.len() > MAX_REQUEST_LINE && !line.ends_with(b"\n") {
+            let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+            reply(&Response::Error { message })?;
+            return Ok(false);
+        }
+        let resp = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => match protocol::decode::<Request>(text) {
+                Err(message) => Response::Error { message },
+                Ok(req) => answer(twin, log.as_deref_mut(), &req),
+            },
+            Err(e) => Response::Error {
+                message: format!("request is not UTF-8 at byte {}", e.valid_up_to()),
+            },
         };
         reply(&resp)?;
         if matches!(resp, Response::Bye) {
             return Ok(true);
         }
     }
-    Ok(false)
 }
 
 /// Serves one metrics connection: `GET /metrics` renders the page,

@@ -1,40 +1,21 @@
 //! Shared helpers for the daemon integration tests.
 #![allow(dead_code)]
 
-use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
 use pr_daemon::{DemandSpec, Twin};
-use pr_embedding::{heuristics, CellularEmbedding};
 use pr_graph::Graph;
+use pr_testkit::nets::{self, Net};
 
-/// Compiles the PR network deterministically (a cheap embedding search
-/// — both sides of every comparison call this same function, so cold
-/// and warm answers are built from identical tables).
-pub fn network(graph: &Graph) -> PrNetwork {
-    let rot = heuristics::thorough(graph, 2010, 4, 10_000);
-    let emb = CellularEmbedding::new(graph, rot).expect("embedding");
-    PrNetwork::compile(graph, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops)
-}
-
-/// The shipped Abilene topology (distance weights, fully located).
-pub fn abilene() -> Graph {
-    pr_topologies::load(pr_topologies::Isp::Abilene, pr_topologies::Weighting::Distance)
-}
-
-/// A seeded synthetic ISP mesh (`synth:isp:24:7`).
-pub fn synth_isp() -> Graph {
-    pr_graph::generators::synth_from_spec("isp:24:7").expect("synth spec")
-}
-
-/// Builds a twin over a fresh compile of `graph`.
+/// Builds a twin over a fresh compile of `graph` (the kit's searched
+/// embedding — both sides of every comparison compile through it, so
+/// cold and warm answers are built from identical tables).
 pub fn twin(graph: &Graph, demand: DemandSpec, threads: usize) -> Twin {
-    Twin::new(graph.clone(), network(graph), demand, threads).expect("twin")
+    let Net { g, pr, .. } = Net::searched(graph.clone());
+    Twin::new(g, pr, demand, threads).expect("twin")
 }
 
 /// `"A-B"` endpoint names of the `i`-th link in id order.
 pub fn link_name(graph: &Graph, i: usize) -> String {
-    let link = graph.links().nth(i).expect("link index in range");
-    let (a, b) = graph.endpoints(link);
-    format!("{}-{}", graph.node_name(a), graph.node_name(b))
+    nets::link_name(graph, graph.links().nth(i).expect("link index in range"))
 }
 
 /// A unique scratch directory for one test (cleaned by the caller).

@@ -11,6 +11,8 @@ use pr_core::PrNetwork;
 use pr_daemon::protocol::encode;
 use pr_daemon::{cold_recompile, DemandSpec, QueryKind, Request, Response, Twin};
 use pr_graph::{Graph, NodeId, SpTree};
+use pr_testkit::nets::{isp, synth, Net};
+use pr_topologies::Isp;
 
 fn apply(twin: &mut Twin, req: &Request) {
     let resp = twin.handle(req);
@@ -117,7 +119,7 @@ fn assert_equivalent(
 /// Full suite on one graph: equivalence at each thread count, plus
 /// thread-count invariance of the query answers themselves.
 fn equivalence_suite(graph: &Graph, demand: DemandSpec, events: &[Request]) {
-    let net = common::network(graph);
+    let net = Net::searched(graph.clone()).pr;
     let mut per_threads = Vec::new();
     for threads in [1, 2, 4] {
         per_threads.push(assert_equivalent(graph, &net, &demand, events, threads));
@@ -135,8 +137,8 @@ fn equivalence_suite(graph: &Graph, demand: DemandSpec, events: &[Request]) {
 
 #[test]
 fn a_twin_without_a_failed_link_has_no_mean_stretch() {
-    let graph = common::abilene();
-    let net = common::network(&graph);
+    let graph = isp(Isp::Abilene);
+    let net = Net::searched(graph.clone()).pr;
     let answers = assert_equivalent(&graph, &net, &DemandSpec::gravity(), &[], 1);
     // Not `"mean":0`: that would read as a stretch of zero.
     let idle = r#"{"scheme":"packet-recycling","samples":0,"mean":null,"max":null}"#;
@@ -145,14 +147,14 @@ fn a_twin_without_a_failed_link_has_no_mean_stretch() {
 
 #[test]
 fn abilene_gravity_equivalence() {
-    let graph = common::abilene();
+    let graph = isp(Isp::Abilene);
     let events = [down(&graph, 0), down(&graph, 3), up(&graph, 0), down(&graph, 5)];
     equivalence_suite(&graph, DemandSpec::gravity(), &events);
 }
 
 #[test]
 fn synth_isp_hotspot_equivalence() {
-    let graph = common::synth_isp();
+    let graph = synth("isp:24:7");
     let events = [
         down(&graph, 1),
         down(&graph, 7),
@@ -173,8 +175,8 @@ fn synth_isp_hotspot_equivalence() {
 fn the_twin_borrows_its_networks_trees() {
     // One failure-free map per process: the twin's base trees are the
     // allocation its network compiled, before and after events.
-    let graph = common::abilene();
-    let net = common::network(&graph);
+    let graph = isp(Isp::Abilene);
+    let net = Net::searched(graph.clone()).pr;
     let compiled: *const SpTree = net.base().towards(NodeId(0));
     let mut twin = Twin::new(graph.clone(), net, DemandSpec::gravity(), 1).expect("twin");
     assert!(std::ptr::eq(twin.base().towards(NodeId(0)), compiled));
@@ -185,8 +187,8 @@ fn the_twin_borrows_its_networks_trees() {
 
 #[test]
 fn strict_event_semantics_reject_noop_transitions() {
-    let graph = common::abilene();
-    let net = common::network(&graph);
+    let graph = isp(Isp::Abilene);
+    let net = Net::searched(graph.clone()).pr;
     let mut twin = Twin::new(graph.clone(), net, DemandSpec::gravity(), 1).expect("twin");
     let link = common::link_name(&graph, 2);
     apply(&mut twin, &Request::LinkDown { link: link.clone() });

@@ -11,6 +11,8 @@ use pr_daemon::{
     serve, wait_for_addr_file, Client, DaemonConfig, DemandSpec, EventLog, QueryKind, Request,
     Response, Twin,
 };
+use pr_testkit::nets::{isp, synth, Net};
+use pr_topologies::Isp;
 
 fn apply(twin: &mut Twin, req: &Request) {
     let resp = twin.handle(req);
@@ -19,7 +21,7 @@ fn apply(twin: &mut Twin, req: &Request) {
 
 #[test]
 fn event_log_replay_reaches_identical_state() {
-    let graph = common::abilene();
+    let graph = isp(Isp::Abilene);
     let dir = common::scratch_dir("replay");
     let log_path = dir.join("events.log");
 
@@ -57,7 +59,7 @@ fn event_log_replay_reaches_identical_state() {
 
     // A log from a different topology fails the restart loudly instead
     // of silently diverging.
-    let other = common::synth_isp();
+    let other = synth("isp:24:7");
     let mut wrong = common::twin(&other, DemandSpec::uniform(), 1);
     let err = EventLog::replay(&log_path, &mut wrong).unwrap_err();
     assert!(err.contains("line 1"), "error names the offending line: {err}");
@@ -71,7 +73,7 @@ fn event_log_replay_reaches_identical_state() {
 
 #[test]
 fn a_torn_tail_is_cut_off_and_anything_else_undecodable_refuses() {
-    let graph = common::abilene();
+    let graph = isp(Isp::Abilene);
     let dir = common::scratch_dir("torn-tail");
     let log_path = dir.join("events.log");
     let down = |i| Request::LinkDown { link: common::link_name(&graph, i) };
@@ -119,8 +121,8 @@ fn a_torn_tail_is_cut_off_and_anything_else_undecodable_refuses() {
 
 #[test]
 fn daemon_restart_over_tcp_resumes_bit_identically() {
-    let graph = common::abilene();
-    let net = common::network(&graph);
+    let graph = isp(Isp::Abilene);
+    let net = Net::searched(graph.clone()).pr;
     let dir = common::scratch_dir("restart-tcp");
     let log_path = dir.join("events.log");
     let addr_file = dir.join("daemon.addr");

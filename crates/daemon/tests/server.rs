@@ -8,10 +8,13 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use pr_daemon::server::MAX_REQUEST_LINE;
 use pr_daemon::{
     scrape_metrics, serve, wait_for_addr_file, Client, DaemonConfig, DemandSpec, QueryKind,
     Request, Response,
 };
+use pr_testkit::nets::isp;
+use pr_topologies::Isp;
 
 /// Parses a metrics page into `(name, value)` samples — the
 /// "parseable text exposition" contract: every non-comment line is
@@ -48,7 +51,7 @@ fn sample(samples: &[(String, f64)], name: &str) -> f64 {
 
 #[test]
 fn ephemeral_daemon_serves_control_and_metrics() {
-    let graph = common::abilene();
+    let graph = isp(Isp::Abilene);
     let dir = common::scratch_dir("server");
     let addr_file = dir.join("daemon.addr");
     let twin = common::twin(&graph, DemandSpec::gravity(), 2);
@@ -113,7 +116,20 @@ fn ephemeral_daemon_serves_control_and_metrics() {
     line.clear();
     reader.read_line(&mut line).expect("snapshot reply after error");
     assert!(line.contains("State"), "the connection survives bad lines: {line}");
-    drop(reader);
+    // The longest line the cap admits is a bad line like any other;
+    // one byte more, its newline still outstanding, is refused and the
+    // connection closed — the daemon buffers no line without bound.
+    let longest = [vec![b'a'; MAX_REQUEST_LINE - 1], vec![b'\n']].concat();
+    writer.write_all(&longest).expect("send");
+    line.clear();
+    reader.read_line(&mut line).expect("error reply");
+    assert!(line.contains("bad protocol line"), "{line}");
+    writer.write_all(&vec![b'a'; MAX_REQUEST_LINE + 1]).expect("send");
+    line.clear();
+    reader.read_line(&mut line).expect("refusal");
+    assert!(line.contains("request line exceeds 65536 bytes"), "{line}");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).expect("end of stream"), 0, "closed: {line}");
     drop(writer);
 
     // Non-/metrics paths and non-GET methods are rejected politely.
@@ -141,7 +157,7 @@ fn ephemeral_daemon_serves_control_and_metrics() {
 /// ~44 ms for the client's delayed ACK, and this loop took ~4.4 s.
 #[test]
 fn a_hundred_round_trips_on_one_connection_take_under_a_second() {
-    let graph = common::abilene();
+    let graph = isp(Isp::Abilene);
     let dir = common::scratch_dir("round-trips");
     let addr_file = dir.join("daemon.addr");
     let twin = common::twin(&graph, DemandSpec::gravity(), 1);
@@ -167,7 +183,7 @@ fn a_hundred_round_trips_on_one_connection_take_under_a_second() {
 
 #[test]
 fn fixed_port_conflict_fails_loudly() {
-    let graph = common::abilene();
+    let graph = isp(Isp::Abilene);
     let dir = common::scratch_dir("port-conflict");
     // Occupy a port, then ask the daemon for exactly it.
     let occupied = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("occupy");

@@ -12,25 +12,13 @@
 //!    `deflection`) always emit a dart leaving the expected router.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use pr_embedding::{genus, CellularEmbedding, FaceStructure, RotationSystem};
-use pr_graph::{generators, Graph};
+use pr_graph::Graph;
+use pr_testkit::strategies::{two_edge_connected, with_rotation};
 
-fn arb_graph_and_rotation() -> impl Strategy<Value = (Graph, RotationSystem)> {
-    (3usize..20, 0usize..14, 0u64..u64::MAX, any::<bool>()).prop_map(
-        |(n, chords, seed, shuffle)| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let g = generators::random_two_edge_connected(n, chords, 1..=6, &mut rng);
-            let rot = if shuffle {
-                RotationSystem::random(&g, &mut rng)
-            } else {
-                RotationSystem::identity(&g)
-            };
-            (g, rot)
-        },
-    )
+fn rotated_graphs() -> impl Strategy<Value = (Graph, RotationSystem)> {
+    with_rotation(two_edge_connected(3..20, 0..14, 1..=6))
 }
 
 proptest! {
@@ -39,7 +27,7 @@ proptest! {
     /// Every dart lies on exactly one face boundary, and boundaries are
     /// consistent closed walks under `face_next`.
     #[test]
-    fn face_tracing_partitions_darts((g, rot) in arb_graph_and_rotation()) {
+    fn face_tracing_partitions_darts((g, rot) in rotated_graphs()) {
         let faces = FaceStructure::trace(&g, &rot);
         let mut count = vec![0u32; g.dart_count()];
         for (fid, boundary) in faces.iter() {
@@ -59,7 +47,7 @@ proptest! {
     /// Every link is traversed by exactly two oriented boundary cycles,
     /// in opposite directions (they may be the same cycle twice).
     #[test]
-    fn every_link_on_two_opposite_cycles((g, rot) in arb_graph_and_rotation()) {
+    fn every_link_on_two_opposite_cycles((g, rot) in rotated_graphs()) {
         let faces = FaceStructure::trace(&g, &rot);
         for l in g.links() {
             let fwd = faces.face_of(l.forward());
@@ -74,7 +62,7 @@ proptest! {
     /// Euler's formula gives an integer genus ≥ 0 for every rotation
     /// system on every connected graph.
     #[test]
-    fn genus_is_well_defined((g, rot) in arb_graph_and_rotation()) {
+    fn genus_is_well_defined((g, rot) in rotated_graphs()) {
         let faces = FaceStructure::trace(&g, &rot);
         let gn = genus(&g, &faces).expect("generator yields connected graphs");
         let v = g.node_count() as i64;
@@ -87,7 +75,7 @@ proptest! {
     /// the packet at the failure-detecting node, cycle continuation
     /// moves it from the head of the incoming dart.
     #[test]
-    fn forwarding_operations_are_locally_sane((g, rot) in arb_graph_and_rotation()) {
+    fn forwarding_operations_are_locally_sane((g, rot) in rotated_graphs()) {
         let emb = CellularEmbedding::new(&g, rot).unwrap();
         for d in g.darts() {
             prop_assert_eq!(g.dart_tail(emb.deflection(d)), g.dart_tail(d));
@@ -99,7 +87,7 @@ proptest! {
     /// Following `cycle_continuation` from any dart returns to it after
     /// exactly the face size — cycles really are cycles.
     #[test]
-    fn cycle_following_closes((g, rot) in arb_graph_and_rotation()) {
+    fn cycle_following_closes((g, rot) in rotated_graphs()) {
         let emb = CellularEmbedding::new(&g, rot).unwrap();
         for start in g.darts() {
             let size = emb.faces().boundary(emb.main_cycle(start)).len();
@@ -115,9 +103,7 @@ proptest! {
     /// least as many faces as its identity starting point, and
     /// `best_effort` output always validates.
     #[test]
-    fn heuristics_monotone(seed in 0u64..u64::MAX, n in 4usize..12, chords in 0usize..8) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = generators::random_two_edge_connected(n, chords, 1..=3, &mut rng);
+    fn heuristics_monotone(g in two_edge_connected(4..12, 0..8, 1..=3), seed in 0u64..u64::MAX) {
         let id = RotationSystem::identity(&g);
         let f0 = FaceStructure::trace(&g, &id).face_count();
         let climbed = pr_embedding::heuristics::hill_climb(&g, id);

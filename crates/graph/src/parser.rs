@@ -50,11 +50,14 @@ pub fn parse(text: &str) -> Result<Graph, ParseError> {
                 match (tokens.next(), tokens.next()) {
                     (None, _) => {}
                     (Some(lon), Some(lat)) => {
-                        let (lon, lat) = (lon.parse::<f64>(), lat.parse::<f64>());
-                        let (Ok(lon), Ok(lat)) = (lon, lat) else {
+                        // `"nan".parse::<f64>()` succeeds: a coordinate
+                        // must be a number one can sort and subtract.
+                        let finite =
+                            |text: &str| text.parse::<f64>().ok().filter(|v| v.is_finite());
+                        let (Some(lon), Some(lat)) = (finite(lon), finite(lat)) else {
                             return Err(ParseError::BadArguments {
                                 line,
-                                expected: "node NAME [LON LAT] with numeric coordinates",
+                                expected: "node NAME [LON LAT] with finite numeric coordinates",
                             });
                         };
                         g.set_coordinates(id, Coordinates { lon, lat });

@@ -9,28 +9,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pr_graph::{algo, generators, AllPairs, Graph, LinkId, LinkSet, SpTree};
+use pr_testkit::strategies::{two_edge_connected, with_failures};
 
 /// A reproducible random 2-edge-connected graph.
-fn arb_graph() -> impl Strategy<Value = Graph> {
-    (3usize..24, 0usize..12, 0u64..u64::MAX).prop_map(|(n, chords, seed)| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        generators::random_two_edge_connected(n, chords, 1..=8, &mut rng)
-    })
+fn graphs() -> impl Strategy<Value = Graph> {
+    two_edge_connected(3..24, 0..12, 1..=8)
 }
 
-/// A graph plus a random subset of links to fail.
-fn arb_graph_and_failures() -> impl Strategy<Value = (Graph, LinkSet)> {
-    (arb_graph(), 0u64..u64::MAX).prop_map(|(g, seed)| {
-        use rand::Rng;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut failed = LinkSet::empty(g.link_count());
-        for l in g.links() {
-            if rng.gen_bool(0.2) {
-                failed.insert(l);
-            }
-        }
-        (g, failed)
-    })
+/// A graph plus up to eight of its links failed, cuts included.
+fn graphs_with_failures() -> impl Strategy<Value = (Graph, LinkSet)> {
+    with_failures(graphs(), 8, false)
 }
 
 proptest! {
@@ -39,7 +27,7 @@ proptest! {
     /// Dijkstra distances satisfy the triangle inequality over links and
     /// are symmetric on undirected graphs.
     #[test]
-    fn dijkstra_is_metric((g, failed) in arb_graph_and_failures()) {
+    fn dijkstra_is_metric((g, failed) in graphs_with_failures()) {
         let ap = AllPairs::compute(&g, &failed);
         for l in g.links() {
             if failed.contains(l) {
@@ -71,7 +59,7 @@ proptest! {
     /// Following `next_dart` from any reachable node reaches the
     /// destination in exactly `hops` steps with exactly `cost` weight.
     #[test]
-    fn sptree_paths_are_consistent((g, failed) in arb_graph_and_failures()) {
+    fn sptree_paths_are_consistent((g, failed) in graphs_with_failures()) {
         for dest in g.nodes() {
             let t = SpTree::towards(&g, dest, &failed);
             for src in g.nodes() {
@@ -95,7 +83,7 @@ proptest! {
     /// the tree towards the destination — the property §4.3 needs from
     /// any distance discriminator.
     #[test]
-    fn discriminators_strictly_decrease(g in arb_graph()) {
+    fn discriminators_strictly_decrease(g in graphs()) {
         let none = LinkSet::empty(g.link_count());
         for dest in g.nodes() {
             let t = SpTree::towards(&g, dest, &none);
@@ -112,7 +100,7 @@ proptest! {
     /// Bridges found by the cut analysis are exactly the links whose
     /// individual removal disconnects the graph.
     #[test]
-    fn bridges_match_bruteforce((g, failed) in arb_graph_and_failures()) {
+    fn bridges_match_bruteforce((g, failed) in graphs_with_failures()) {
         if !algo::is_connected(&g, &failed) {
             return Ok(());
         }
@@ -135,7 +123,7 @@ proptest! {
     /// Articulation points are exactly the nodes whose removal (dropping
     /// all incident links) disconnects the remaining live graph.
     #[test]
-    fn articulation_points_match_bruteforce(g in arb_graph()) {
+    fn articulation_points_match_bruteforce(g in graphs()) {
         let none = LinkSet::empty(g.link_count());
         let cuts = algo::cut_analysis(&g, &none);
         for v in g.nodes() {
@@ -164,7 +152,7 @@ proptest! {
     /// The random 2-edge-connected generator lives up to its name, and
     /// single link failures never disconnect its output.
     #[test]
-    fn two_edge_connected_generator_survives_any_single_failure(g in arb_graph()) {
+    fn two_edge_connected_generator_survives_any_single_failure(g in graphs()) {
         let none = LinkSet::empty(g.link_count());
         prop_assert!(algo::is_two_edge_connected(&g, &none));
         for l in g.links() {
@@ -174,7 +162,7 @@ proptest! {
 
     /// Parser round-trip: write then parse preserves the topology.
     #[test]
-    fn parser_roundtrip(g in arb_graph()) {
+    fn parser_roundtrip(g in graphs()) {
         let text = pr_graph::parser::write(&g);
         let g2 = pr_graph::parser::parse(&text).unwrap();
         prop_assert_eq!(g.node_count(), g2.node_count());
@@ -210,7 +198,7 @@ proptest! {
     /// labels and canonical parent darts — for arbitrary failure sets
     /// (including disconnecting ones), every destination.
     #[test]
-    fn repair_from_equals_towards((g, failed) in arb_graph_and_failures()) {
+    fn repair_from_equals_towards((g, failed) in graphs_with_failures()) {
         let mut scratch = pr_graph::SpScratch::new();
         let none = LinkSet::empty(g.link_count());
         for dest in g.nodes() {
@@ -227,7 +215,7 @@ proptest! {
     /// The arena-based full rebuild is bit-identical to the one-shot
     /// entry point (which now wraps it with a fresh scratch).
     #[test]
-    fn towards_with_matches_towards_under_failures((g, failed) in arb_graph_and_failures()) {
+    fn towards_with_matches_towards_under_failures((g, failed) in graphs_with_failures()) {
         let mut scratch = pr_graph::SpScratch::new();
         for dest in g.nodes() {
             prop_assert_eq!(
@@ -240,9 +228,7 @@ proptest! {
 
     /// BFS hop distances agree with Dijkstra on unit-weight graphs.
     #[test]
-    fn bfs_agrees_with_unit_dijkstra(seed in 0u64..u64::MAX, n in 3usize..20, chords in 0usize..10) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = generators::random_two_edge_connected(n, chords, 1..=1, &mut rng);
+    fn bfs_agrees_with_unit_dijkstra(g in two_edge_connected(3..20, 0..10, 1..=1)) {
         let none = LinkSet::empty(g.link_count());
         for dest in g.nodes() {
             let t = SpTree::towards(&g, dest, &none);

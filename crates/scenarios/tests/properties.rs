@@ -1,8 +1,6 @@
 //! Property-based tests for the scenario families.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use pr_graph::{algo, generators, Graph, LinkSet};
 use pr_scenarios::{
@@ -12,11 +10,8 @@ use pr_scenarios::{
 };
 
 /// A reproducible random 2-edge-connected graph.
-fn arb_graph() -> impl Strategy<Value = Graph> {
-    (3usize..24, 0usize..12, 0u64..u64::MAX).prop_map(|(n, chords, seed)| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        generators::random_two_edge_connected(n, chords, 1..=8, &mut rng)
-    })
+fn graphs() -> impl Strategy<Value = Graph> {
+    pr_testkit::strategies::two_edge_connected(3..24, 0..12, 1..=8)
 }
 
 proptest! {
@@ -26,7 +21,7 @@ proptest! {
     /// failures of its incident links — the set-algebra identity the
     /// family's documentation promises.
     #[test]
-    fn node_failure_is_union_of_incident_single_failures(g in arb_graph()) {
+    fn node_failure_is_union_of_incident_single_failures(g in graphs()) {
         let nodes = NodeFailures::new(&g);
         let singles = SingleLinkFailures::new(&g);
         prop_assert_eq!(nodes.len(), g.node_count());
@@ -47,7 +42,7 @@ proptest! {
     /// scenario has k links, all scenarios are distinct, and the count
     /// matches C(m, k).
     #[test]
-    fn exhaustive_k_is_a_bijection(g in arb_graph(), k in 1usize..4) {
+    fn exhaustive_k_is_a_bijection(g in graphs(), k in 1usize..4) {
         let fam = ExhaustiveKFailures::new(&g, k);
         let m = g.link_count();
         let expected: usize = {
@@ -68,7 +63,7 @@ proptest! {
     /// The connectivity-filtered exhaustive family keeps exactly the
     /// subsets whose removal leaves the graph connected.
     #[test]
-    fn connected_only_agrees_with_a_direct_filter(g in arb_graph()) {
+    fn connected_only_agrees_with_a_direct_filter(g in graphs()) {
         let all = ExhaustiveKFailures::new(&g, 2);
         let conn = ExhaustiveKFailures::connected_only(&g, 2);
         let direct = (0..all.len())
@@ -85,7 +80,7 @@ proptest! {
     /// disconnect the graph, and all draws are deterministic in the seed.
     #[test]
     fn sampled_families_are_distinct_connected_and_deterministic(
-        g in arb_graph(),
+        g in graphs(),
         k in 1usize..4,
         seed in 0u64..u64::MAX,
     ) {

@@ -9,20 +9,16 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use pr_graph::{AllPairs, LinkSet, SpScratch, SpTree};
+use pr_testkit::strategies::random_links;
 use pr_topologies::{load, Isp, Weighting};
 
 /// Draws `k` distinct links of `graph` (disconnecting sets allowed —
 /// repair must agree with from-scratch on unreachable labels too).
 fn random_failures(graph: &pr_graph::Graph, k: usize, seed: u64) -> LinkSet {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut failed = LinkSet::empty(graph.link_count());
-    while failed.len() < k.min(graph.link_count()) {
-        failed.insert(pr_graph::LinkId(rng.gen_range(0..graph.link_count() as u32)));
-    }
-    failed
+    random_links(graph, k, &mut StdRng::seed_from_u64(seed))
 }
 
 fn repair_matches_everywhere(isp: Isp, k: usize, seed: u64) {

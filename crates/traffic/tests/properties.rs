@@ -13,159 +13,107 @@ use rand::SeedableRng;
 
 use pr_baselines::FcpAgent;
 use pr_core::{
-    generous_ttl, recover_flow_with, walk_packet, DenseFib, DiscriminatorKind, DropReason,
-    FlowScratch, FlowWalk, ForwardDecision, ForwardingAgent, PrHeader, PrMode, PrNetwork,
-    WalkResult,
+    generous_ttl, recover_flow_with, walk_packet, DenseFib, DropReason, FlowScratch, FlowWalk,
+    ForwardingAgent, PrHeader, WalkResult,
 };
-use pr_embedding::{CellularEmbedding, RotationSystem};
 use pr_graph::algo::components;
-use pr_graph::{bits, generators, AllPairs, Dart, Graph, LinkSet, NodeId, SpTree, TreeChildren};
-use pr_scenarios::{ExhaustiveKFailures, SampledMultiFailures, ScenarioFamily, SingleLinkFailures};
+use pr_graph::{bits, generators, Dart, Graph, LinkSet, NodeId, SpTree, TreeChildren};
+use pr_scenarios::{ExhaustiveKFailures, ScenarioFamily, SingleLinkFailures};
+use pr_testkit::fixtures;
+use pr_testkit::nets::{self, Net};
+use pr_testkit::oracle::affected_pairs;
+use pr_testkit::shapes::{point_by_definition, GroupShapes};
+use pr_testkit::strategies;
 use pr_traffic::{
     replay_scenario_bitparallel, replay_scenario_naive, FlowSet, GravityTraffic, HotspotTraffic,
-    ReplayScratch, ReplayStats, TrafficMatrix, TrafficModel, UniformTraffic,
+    ReplayScratch, ReplayStats, ScenarioTraffic, TrafficMatrix, TrafficModel, UniformTraffic,
 };
 
 /// A reproducible random 2-edge-connected graph.
-fn arb_graph() -> impl Strategy<Value = Graph> {
-    (4usize..16, 0usize..8, 0u64..u64::MAX).prop_map(|(n, chords, seed)| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        generators::random_two_edge_connected(n, chords, 1..=8, &mut rng)
-    })
+fn small_graphs() -> impl Strategy<Value = Graph> {
+    strategies::two_edge_connected(4..16, 0..8, 1..=8)
 }
 
-/// Everything a replay hoists, for one topology and rotation system.
-struct Net {
-    g: Graph,
-    pr: PrNetwork,
-    base: AllPairs,
-    dense: DenseFib,
+/// `failed` through the production path under `net`'s PR-DD agent.
+fn production(
+    net: &Net,
+    flows: &FlowSet,
+    failed: &LinkSet,
+    ttl: usize,
+    scratch: &mut ReplayScratch<PrHeader>,
+) -> ScenarioTraffic {
+    let Net { g, pr, base, dense } = net;
+    replay_scenario_bitparallel(g, &pr.agent(g), dense, base, flows, failed, ttl, scratch)
 }
 
-impl Net {
-    fn new(g: Graph, rotation: RotationSystem) -> Net {
-        let emb = CellularEmbedding::new(&g, rotation).expect("connected");
-        let pr =
-            PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
-        let base = AllPairs::compute_all_live(&g);
-        let dense = DenseFib::from_base(&g, &base);
-        Net { g, pr, base, dense }
-    }
+/// [`check_with`] under `net`'s PR-DD agent.
+fn check(
+    net: &Net,
+    flows: &FlowSet,
+    failed: &LinkSet,
+    ttl: usize,
+    scratch: &mut ReplayScratch<PrHeader>,
+) -> ScenarioTraffic {
+    check_with(net, &net.pr.agent(&net.g), flows, failed, ttl, scratch)
+}
 
-    /// PR-DD over the identity rotation (any genus — drops are
-    /// legitimate outcomes and must be weighted like any other).
-    fn identity(g: Graph) -> Net {
-        let rotation = RotationSystem::identity(&g);
-        Net::new(g, rotation)
-    }
+/// Replays `failed` through the production path under `agent` and
+/// holds all of it against the oracle: the result (tally, peak
+/// load, peak link),
+/// the **whole load vector** against one `walk_packet` per flow
+/// added up link by link, and the cones of the roots the replay
+/// gathers off the link index against the full-tree pass of
+/// `affected_into`, bit for bit, destination by destination.
+/// `ttl` must cover every failure-free shortest path.
+fn check_with<A: ForwardingAgent>(
+    net: &Net,
+    agent: &A,
+    flows: &FlowSet,
+    failed: &LinkSet,
+    ttl: usize,
+    scratch: &mut ReplayScratch<A::State>,
+) -> ScenarioTraffic
+where
+    A::State: std::hash::Hash + Eq,
+{
+    let Net { g, base, dense, .. } = net;
+    let label = format!("{} failed {failed:?} flows {} ttl {ttl}", agent.label(), flows.label());
+    let out = replay_scenario_bitparallel(g, agent, dense, base, flows, failed, ttl, scratch);
+    assert_eq!(out, replay_scenario_naive(g, agent, base, flows, failed, ttl), "{label}");
 
-    fn searched(g: Graph) -> Net {
-        let rotation = pr_embedding::heuristics::thorough(&g, 2010, 4, 10_000);
-        Net::new(g, rotation)
-    }
-
-    fn figure1() -> Net {
-        let (g, orders) = pr_topologies::figure1();
-        let rotation = RotationSystem::from_neighbor_orders(&g, &orders).expect("paper orders");
-        Net::new(g, rotation)
-    }
-
-    fn abilene() -> Net {
-        Net::searched(pr_topologies::load(
-            pr_topologies::Isp::Abilene,
-            pr_topologies::Weighting::Distance,
-        ))
-    }
-
-    fn synth(spec: &str) -> Graph {
-        generators::synth_from_spec(spec).expect("synth spec")
-    }
-
-    fn hotspot(&self, seed: u64) -> HotspotTraffic {
-        HotspotTraffic::new(&self.g, (self.g.node_count() / 4).max(1), 4.0, seed)
-    }
-
-    fn production(
-        &self,
-        flows: &FlowSet,
-        failed: &LinkSet,
-        ttl: usize,
-        scratch: &mut ReplayScratch<PrHeader>,
-    ) -> pr_traffic::ScenarioTraffic {
-        let Net { g, pr, base, dense } = self;
-        replay_scenario_bitparallel(g, &pr.agent(g), dense, base, flows, failed, ttl, scratch)
-    }
-
-    /// [`Net::check_with`] under this net's PR-DD agent.
-    fn check(
-        &self,
-        flows: &FlowSet,
-        failed: &LinkSet,
-        ttl: usize,
-        scratch: &mut ReplayScratch<PrHeader>,
-    ) -> pr_traffic::ScenarioTraffic {
-        self.check_with(&self.pr.agent(&self.g), flows, failed, ttl, scratch)
-    }
-
-    /// Replays `failed` through the production path under `agent` and
-    /// holds all of it against the oracle: the result (tally, peak
-    /// load, peak link),
-    /// the **whole load vector** against one `walk_packet` per flow
-    /// added up link by link, and the cones of the roots the replay
-    /// gathers off the link index against the full-tree pass of
-    /// `affected_into`, bit for bit, destination by destination.
-    /// `ttl` must cover every failure-free shortest path.
-    fn check_with<A: ForwardingAgent>(
-        &self,
-        agent: &A,
-        flows: &FlowSet,
-        failed: &LinkSet,
-        ttl: usize,
-        scratch: &mut ReplayScratch<A::State>,
-    ) -> pr_traffic::ScenarioTraffic
-    where
-        A::State: std::hash::Hash + Eq,
-    {
-        let Net { g, base, dense, .. } = self;
-        let label =
-            format!("{} failed {failed:?} flows {} ttl {ttl}", agent.label(), flows.label());
-        let out = replay_scenario_bitparallel(g, agent, dense, base, flows, failed, ttl, scratch);
-        assert_eq!(out, replay_scenario_naive(g, agent, base, flows, failed, ttl), "{label}");
-
-        let mut loads = vec![0.0; g.link_count()];
-        for flow in flows.flows() {
-            let walk = walk_packet(g, agent, flow.src, flow.dst, failed, ttl);
-            if walk.result.is_delivered() {
-                for d in walk.path.darts() {
-                    loads[d.link().index()] += flow.demand;
-                }
+    let mut loads = vec![0.0; g.link_count()];
+    for flow in flows.flows() {
+        let walk = walk_packet(g, agent, flow.src, flow.dst, failed, ttl);
+        if walk.result.is_delivered() {
+            for d in walk.path.darts() {
+                loads[d.link().index()] += flow.demand;
             }
         }
-        assert_eq!(scratch.link_loads(), loads, "{label}");
-
-        let (mut roots, mut affected, mut in_cone) = (Vec::new(), Vec::new(), Vec::new());
-        dense.roots_into(failed, &mut roots);
-        assert!(roots.windows(2).all(|w| w[0] < w[1]), "{label}: roots out of order");
-        for dst in g.nodes() {
-            bits::clear_and_resize(&mut in_cone, g.node_count());
-            let frames = dense.frames(dst);
-            for root in roots.iter().filter(|r| r.dest == dst.0) {
-                for f in &frames[root.at as usize..frames[root.at as usize].end as usize] {
-                    assert!(!bits::test(&in_cone, f.node as usize), "{label}: cones overlap");
-                    bits::set(&mut in_cone, f.node as usize);
-                }
-            }
-            dense.affected_into(dst, failed, &mut affected);
-            assert_eq!(in_cone, affected, "{label}: cones of {dst} are not its affected set");
-        }
-        out
     }
+    assert_eq!(scratch.link_loads(), loads, "{label}");
+
+    let (mut roots, mut affected, mut in_cone) = (Vec::new(), Vec::new(), Vec::new());
+    dense.roots_into(failed, &mut roots);
+    assert!(roots.windows(2).all(|w| w[0] < w[1]), "{label}: roots out of order");
+    for dst in g.nodes() {
+        bits::clear_and_resize(&mut in_cone, g.node_count());
+        let frames = dense.frames(dst);
+        for root in roots.iter().filter(|r| r.dest == dst.0) {
+            for f in &frames[root.at as usize..frames[root.at as usize].end as usize] {
+                assert!(!bits::test(&in_cone, f.node as usize), "{label}: cones overlap");
+                bits::set(&mut in_cone, f.node as usize);
+            }
+        }
+        dense.affected_into(dst, failed, &mut affected);
+        assert_eq!(in_cone, affected, "{label}: cones of {dst} are not its affected set");
+    }
+    out
 }
 
 /// The branches of the cone delta a failed set drives, read off the
 /// base trees (not off the code under test), OR-ed over destinations.
 #[derive(Debug, Default)]
-struct Shapes {
+struct ConeDelta {
     /// A failed tree edge inside the cone of one with a larger link id:
     /// the scan meets the nested root first.
     nested_found_first: bool,
@@ -179,55 +127,9 @@ struct Shapes {
     isolates_a_node: bool,
     /// The failed set splits the graph into parts of two or more nodes.
     splits_the_graph: bool,
-
-    // The group shapes of one walk per failure point
-    // ([`Shapes::observe_points`]), by the point's definition.
-    /// A point that is the root of an outermost cone.
-    point_at_cone_root: bool,
-    /// A point on the tree path of another point of the destination.
-    nested_points: bool,
-    /// A point whose own tree dart is live: not below a failed tree
-    /// edge at all, so no grouping by failed tree links finds it.
-    point_off_the_failed_tree: bool,
-    /// Two points of one destination whose sources interleave in
-    /// ascending source order, the order the tally runs in.
-    interleaved_points: bool,
-    /// A point the survivor graph connects whose walk is dropped.
-    dropped_point: bool,
-    /// A point whose walk does not end within the group budget: its
-    /// sources are walked one by one.
-    ttl_fallback: bool,
 }
 
-/// `src`'s point towards `tree.dest` by its definition: the first
-/// router of the failure-free path, `src` first, where `agent`, asked
-/// with a default header, does anything but forward on the live tree
-/// dart and leave the header default.
-fn point_by_definition<A: ForwardingAgent>(
-    g: &Graph,
-    agent: &A,
-    tree: &SpTree,
-    src: NodeId,
-    failed: &LinkSet,
-) -> NodeId
-where
-    A::State: PartialEq,
-{
-    let mut at = src;
-    while let Some(dart) = tree.next_dart(at) {
-        let mut header = A::State::default();
-        let forwards_on_the_tree = !failed.contains_dart(dart)
-            && agent.decide(at, None, tree.dest, &mut header, failed)
-                == ForwardDecision::Forward(dart);
-        if !forwards_on_the_tree || header != A::State::default() {
-            break;
-        }
-        at = g.dart_head(dart);
-    }
-    at
-}
-
-impl Shapes {
+impl ConeDelta {
     fn observe(&mut self, net: &Net, failed: &LinkSet) {
         let g = &net.g;
         for dst in g.nodes() {
@@ -266,74 +168,22 @@ impl Shapes {
             self.splits_the_graph |= sizes.iter().filter(|&&s| s >= 2).count() >= 2;
         }
     }
-
-    /// The shapes of the groups `agent`'s points split the cones into
-    /// under `failed`, with every node a source and `ttl` the budget.
-    fn observe_points<A: ForwardingAgent>(
-        &mut self,
-        net: &Net,
-        agent: &A,
-        failed: &LinkSet,
-        ttl: usize,
-    ) where
-        A::State: std::hash::Hash + Eq,
-    {
-        let g = &net.g;
-        let parts = components(g, failed);
-        let group_ttl = ttl - net.base.hop_diameter() as usize;
-        for dst in g.nodes() {
-            let tree = net.base.towards(dst);
-            // (source, its point), sources ascending.
-            let groups: Vec<(NodeId, NodeId)> = g
-                .nodes()
-                .filter(|&src| tree.path_crosses(g, src, failed))
-                .map(|src| (src, point_by_definition(g, agent, tree, src, failed)))
-                .collect();
-            let mut points: Vec<NodeId> = groups.iter().map(|&(_, point)| point).collect();
-            self.interleaved_points |= points.iter().enumerate().any(|(i, point)| {
-                let last = points.iter().rposition(|other| other == point).unwrap();
-                points[i..last].iter().any(|other| other != point)
-            });
-            points.sort_unstable();
-            points.dedup();
-            for &point in &points {
-                let above = tree.path_darts(g, point).expect("connected base graph");
-                let below_a_failed_edge = failed.contains_dart(above[0]);
-                let outermost = !above[1..].iter().any(|d| failed.contains_dart(*d));
-                self.point_at_cone_root |= below_a_failed_edge && outermost;
-                self.point_off_the_failed_tree |= !below_a_failed_edge;
-                self.nested_points |=
-                    above.iter().any(|d| points.binary_search(&g.dart_head(*d)).is_ok());
-                if parts.same(point, dst) {
-                    match walk_packet(g, agent, point, dst, failed, group_ttl).result {
-                        WalkResult::Delivered => {}
-                        WalkResult::Dropped(DropReason::TtlExpired) => self.ttl_fallback = true,
-                        WalkResult::Dropped(_) => self.dropped_point = true,
-                    }
-                }
-            }
-        }
-    }
 }
 
-/// Every scenario of the exhaustive families k ∈ {1, 2, 3}.
-fn exhaustive_up_to_three(g: &Graph) -> Vec<LinkSet> {
-    (1..=3)
-        .flat_map(|k| {
-            let family = ExhaustiveKFailures::new(g, k);
-            (0..family.len()).map(|i| family.scenario(i)).collect::<Vec<_>>()
-        })
-        .collect()
-}
-
-/// `count` sampled failure sets of every size k ∈ 1..=6.
-fn sampled_up_to_six(g: &Graph, count: usize, seed: u64) -> Vec<LinkSet> {
-    (1..=6)
-        .flat_map(|k| {
-            let family = SampledMultiFailures::new(g, k, count, seed);
-            (0..family.len()).map(|i| family.scenario(i)).collect::<Vec<_>>()
-        })
-        .collect()
+/// The shapes of the groups `agent`'s points split the cones into
+/// under `failed`, as replay budgets them: a point walks under `ttl`
+/// less the hop diameter.
+fn observe_groups<A: ForwardingAgent>(
+    seen: &mut GroupShapes,
+    net: &Net,
+    agent: &A,
+    failed: &LinkSet,
+    ttl: usize,
+) where
+    A::State: std::hash::Hash + Eq,
+{
+    let point_ttl = ttl - net.base.hop_diameter() as usize;
+    seen.observe(&net.g, &net.base, agent, failed, ttl, point_ttl);
 }
 
 #[test]
@@ -344,30 +194,27 @@ fn production_equals_the_oracle_on_every_small_failure_set_of_the_paper_topologi
         let sparse_flows = FlowSet::sampled(&net.hotspot(2010), net.g.node_count() / 2, 2010);
         let ttl = generous_ttl(&net.g);
         let (mut dense_scratch, mut sparse_scratch) = (ReplayScratch::new(), ReplayScratch::new());
-        let mut shapes = Shapes::default();
+        let (mut delta, mut groups) = (ConeDelta::default(), GroupShapes::default());
 
-        let mut sets = exhaustive_up_to_three(&net.g);
+        let mut sets = fixtures::exhaustive(&net.g, 1..=3);
         sets.push(LinkSet::empty(net.g.link_count()));
         // One scratch sees them in an order that is not the family's.
         sets.shuffle(&mut StdRng::seed_from_u64(2010));
         for failed in &sets {
-            shapes.observe(&net, failed);
-            shapes.observe_points(&net, &net.pr.agent(&net.g), failed, ttl);
-            net.check(&dense_flows, failed, ttl, &mut dense_scratch);
-            net.check(&sparse_flows, failed, ttl, &mut sparse_scratch);
+            delta.observe(&net, failed);
+            observe_groups(&mut groups, &net, &net.pr.agent(&net.g), failed, ttl);
+            check(&net, &dense_flows, failed, ttl, &mut dense_scratch);
+            check(&net, &sparse_flows, failed, ttl, &mut sparse_scratch);
         }
 
         // The families must have driven every branch of the delta, and
         // every group shape a generous budget and genus 0 allow.
-        assert!(shapes.point_at_cone_root && shapes.nested_points, "{shapes:?}");
-        assert!(shapes.interleaved_points, "{shapes:?}");
-        assert!(!shapes.dropped_point && !shapes.ttl_fallback, "{shapes:?}");
-        assert!(shapes.nested_found_first, "{shapes:?}");
-        assert!(shapes.nested_found_second, "{shapes:?}");
-        assert!(shapes.disjoint_cones, "{shapes:?}");
-        assert!(shapes.root_at_destination, "{shapes:?}");
-        assert!(shapes.isolates_a_node, "{shapes:?}");
-        assert!(shapes.splits_the_graph, "{shapes:?}");
+        assert!(groups.point_at_cone_root && groups.nested_points, "{groups:?}");
+        assert!(groups.interleaved_points, "{groups:?}");
+        assert!(!groups.dropped_point && !groups.ttl_fallback, "{groups:?}");
+        assert!(delta.nested_found_first && delta.nested_found_second, "{delta:?}");
+        assert!(delta.disjoint_cones && delta.root_at_destination, "{delta:?}");
+        assert!(delta.isolates_a_node && delta.splits_the_graph, "{delta:?}");
         for scratch in [&mut dense_scratch, &mut sparse_scratch] {
             assert_eq!(scratch.take_stats().baselines, 1, "one baseline per (fib, flow set)");
         }
@@ -384,29 +231,29 @@ fn production_equals_the_oracle_on_every_small_failure_set_of_the_paper_topologi
 fn production_equals_the_oracle_on_sampled_failure_sets_up_to_six_links() {
     // A positive-genus rotation (walks drop although a path survives)
     // and a mesh large enough for deep trees and many-word bitsets.
-    let small = Net::identity(Net::synth("isp:24:7"));
+    let small = Net::identity(nets::synth("isp:24:7"));
     assert!(small.pr.embedding().genus() > 0, "the identity rotation must not embed it planar");
-    let large = Net::searched(Net::synth("isp:120:2010"));
+    let large = Net::searched(nets::synth("isp:120:2010"));
     for (net, count) in [(small, 12), (large, 3)] {
         let ttl = generous_ttl(&net.g);
         let dense_flows = FlowSet::all_pairs(&GravityTraffic::new(&net.g));
         let sparse_flows = FlowSet::sampled(&net.hotspot(7), 96, 7);
         assert!(sparse_flows.by_destination().count() < net.g.node_count());
         let (mut dense_scratch, mut sparse_scratch) = (ReplayScratch::new(), ReplayScratch::new());
-        let mut shapes = Shapes::default();
+        let (mut delta, mut groups) = (ConeDelta::default(), GroupShapes::default());
         let (mut dropped, mut disconnected) = (0.0, 0.0);
-        for failed in &sampled_up_to_six(&net.g, count, 7) {
-            shapes.observe(&net, failed);
-            shapes.observe_points(&net, &net.pr.agent(&net.g), failed, ttl);
-            let out = net.check(&dense_flows, failed, ttl, &mut dense_scratch);
+        for failed in &fixtures::sampled(&net.g, 1..=6, count, 7) {
+            delta.observe(&net, failed);
+            observe_groups(&mut groups, &net, &net.pr.agent(&net.g), failed, ttl);
+            let out = check(&net, &dense_flows, failed, ttl, &mut dense_scratch);
             dropped += out.tally.dropped;
             disconnected += out.tally.disconnected;
-            net.check(&sparse_flows, failed, ttl, &mut sparse_scratch);
+            check(&net, &sparse_flows, failed, ttl, &mut sparse_scratch);
         }
-        assert!(shapes.nested_found_first && shapes.nested_found_second, "{shapes:?}");
-        assert!(shapes.disjoint_cones && shapes.root_at_destination, "{shapes:?}");
-        assert!(shapes.nested_points && shapes.interleaved_points, "{shapes:?}");
-        assert_eq!(shapes.dropped_point, net.pr.embedding().genus() > 0, "{shapes:?}");
+        assert!(delta.nested_found_first && delta.nested_found_second, "{delta:?}");
+        assert!(delta.disjoint_cones && delta.root_at_destination, "{delta:?}");
+        assert!(groups.nested_points && groups.interleaved_points, "{groups:?}");
+        assert_eq!(groups.dropped_point, net.pr.embedding().genus() > 0, "{groups:?}");
         if net.pr.embedding().genus() > 0 {
             assert!(dropped > 0.0, "the fixture must make some connected flows drop");
         }
@@ -425,7 +272,7 @@ fn disconnecting_sets_are_priced_like_the_oracle_prices_them() {
     // A degree-2 PoP cut off: its row and column are lost.
     let victim = g.nodes().find(|&v| g.degree(v) == 2).expect("Abilene has degree-2 PoPs");
     let cut = LinkSet::from_links(g.link_count(), g.darts_from(victim).iter().map(|d| d.link()));
-    let out = net.check(&flows, &cut, ttl, &mut scratch);
+    let out = check(&net, &flows, &cut, ttl, &mut scratch);
     let lost: f64 =
         flows.flows().iter().filter(|f| f.src == victim || f.dst == victim).map(|f| f.demand).sum();
     assert_eq!(out.tally.disconnected, lost);
@@ -444,7 +291,7 @@ fn disconnecting_sets_are_priced_like_the_oracle_prices_them() {
                 continue;
             }
             splits += 1;
-            let out = net.check(&flows, &two, ttl, &mut scratch);
+            let out = check(&net, &flows, &two, ttl, &mut scratch);
             assert!(out.tally.disconnected > 0.0);
             assert_eq!(out.tally.dropped, 0.0, "PR delivers inside each part (genus 0)");
         }
@@ -470,8 +317,8 @@ fn one_scratch_serves_alternating_flow_sets_and_fibs() {
         for (net, sets) in nets.iter().zip(&flow_sets) {
             let failed = SingleLinkFailures::new(&net.g).scenario(round);
             for flows in sets {
-                net.check(flows, &failed, generous_ttl(&net.g), &mut scratch);
-                net.check(flows, &failed, generous_ttl(&net.g), &mut scratch);
+                check(net, flows, &failed, generous_ttl(&net.g), &mut scratch);
+                check(net, flows, &failed, generous_ttl(&net.g), &mut scratch);
                 stats.merge(&scratch.take_stats());
             }
         }
@@ -485,7 +332,7 @@ fn one_scratch_serves_alternating_flow_sets_and_fibs() {
     let restaged = Net { dense: DenseFib::from_base(&net.g, &net.base), ..Net::abilene() };
     let failed = SingleLinkFailures::new(&net.g).scenario(5);
     for fib_owner in [net, &restaged, net] {
-        fib_owner.check(&flow_sets[1][1], &failed, generous_ttl(&net.g), &mut scratch);
+        check(fib_owner, &flow_sets[1][1], &failed, generous_ttl(&net.g), &mut scratch);
     }
     assert_eq!(scratch.take_stats().baselines, 2);
 }
@@ -506,7 +353,7 @@ fn a_flow_set_dropped_and_rebuilt_between_calls_is_a_new_flow_set() {
             0 => FlowSet::all_pairs(&UniformTraffic::new(&net.g)),
             _ => FlowSet::all_pairs(&net.hotspot(round)),
         };
-        outcomes.push(net.check(&flows, &failed, ttl, &mut scratch));
+        outcomes.push(check(&net, &flows, &failed, ttl, &mut scratch));
     }
     assert_eq!(scratch.take_stats().baselines, 6);
     assert_eq!(outcomes[0], outcomes[2], "the same matrix prices the same");
@@ -514,8 +361,8 @@ fn a_flow_set_dropped_and_rebuilt_between_calls_is_a_new_flow_set() {
 
     // A clone is the same compilation and keeps the baseline.
     let flows = FlowSet::all_pairs(&UniformTraffic::new(&net.g));
-    net.check(&flows, &failed, ttl, &mut scratch);
-    net.check(&flows.clone(), &failed, ttl, &mut scratch);
+    check(&net, &flows, &failed, ttl, &mut scratch);
+    check(&net, &flows.clone(), &failed, ttl, &mut scratch);
     assert_eq!(scratch.take_stats().baselines, 1);
 }
 
@@ -527,7 +374,7 @@ fn a_replay_looks_at_the_cones_and_at_nothing_else() {
     // skipped — visited exactly their affected cones, and walked once
     // per failure point that is still connected — under PR the router
     // above each failed tree edge — however many sources sit behind it.
-    let net = Net::searched(Net::synth("isp:120:2010"));
+    let net = Net::searched(nets::synth("isp:120:2010"));
     let g = &net.g;
     let n = g.node_count() as u64;
     let flows = FlowSet::all_pairs(&GravityTraffic::new(g));
@@ -540,7 +387,7 @@ fn a_replay_looks_at_the_cones_and_at_nothing_else() {
     let (mut cone, mut stack) = (Vec::new(), Vec::new());
     for i in 0..singles.len() {
         let failed = singles.scenario(i);
-        net.production(&flows, &failed, ttl, &mut scratch);
+        production(&net, &flows, &failed, ttl, &mut scratch);
         let stats = scratch.take_stats();
 
         let parts = components(g, &failed);
@@ -573,53 +420,51 @@ fn a_replay_looks_at_the_cones_and_at_nothing_else() {
 
 #[test]
 fn an_fcp_point_is_where_a_failure_is_learnt_not_where_the_tree_breaks() {
-    // FCP marks the header at any router *incident* to a failed link.
-    // On `isp:40:7` with p2x0-p2x1 and p3x0-p3x1 down, the path of
-    // p3x0 towards p2x1 first breaks at p2x0 — but p3x0 has already
-    // learnt its own dead link, and with both in the header it detours
-    // at 43 where a packet that starts at p2x0 knows one failure and
-    // pays 8 + 42. Grouping by first failed tree link misprices it.
-    let net = Net::searched(Net::synth("isp:40:7"));
-    let g = &net.g;
-    let link = |a: &str, b: &str| {
-        let (a, b) = (g.node_by_name(a).unwrap(), g.node_by_name(b).unwrap());
-        g.find_link(a, b).unwrap()
-    };
-    let failed = LinkSet::from_links(g.link_count(), [link("p2x0", "p2x1"), link("p3x0", "p3x1")]);
-    let (src, dst) = (g.node_by_name("p3x0").unwrap(), g.node_by_name("p2x1").unwrap());
-    let tree_break = g.node_by_name("p2x0").unwrap();
-    let ttl = generous_ttl(g);
-    let tree = net.base.towards(dst);
-    let first_failed =
-        tree.path_darts(g, src).unwrap().into_iter().find(|d| failed.contains_dart(*d));
-    assert_eq!(first_failed, tree.next_dart(tree_break));
-    for fcp in [FcpAgent::new(g), FcpAgent::cached_with_base(g, &net.base)] {
-        let from_the_break = walk_packet(g, &fcp, tree_break, dst, &failed, ttl).cost(g);
-        let prefix = tree.cost(src).unwrap() - tree.cost(tree_break).unwrap();
-        assert_eq!((prefix, from_the_break), (8, 42));
-        assert_eq!(walk_packet(g, &fcp, src, dst, &failed, ttl).cost(g), 43);
+    // Every named case of the kit's table, every load, under PR and
+    // under FCP — which marks the header at any router *incident* to a
+    // failed link, so a source may have learnt a failure before its
+    // path breaks. Grouping by first failed tree link misprices the
+    // flow the first case pins.
+    for fixture in fixtures::TABLE {
+        let net = (fixture.net)();
+        let g = &net.g;
+        let (flows, ttl) = ((fixture.flows)(&net), generous_ttl(g));
+        let sets = (fixture.failed_sets)(g);
+        let mut seen = GroupShapes::default();
+        let mut pr_scratch = ReplayScratch::new();
+        for failed in &sets {
+            observe_groups(&mut seen, &net, &net.pr.agent(g), failed, ttl);
+            check(&net, &flows, failed, ttl, &mut pr_scratch);
+        }
+        // Under PR a point is always the router above a failed tree edge.
+        assert!(seen.point_at_cone_root && !seen.point_off_the_failed_tree, "{seen:?}");
+        for fcp in [FcpAgent::new(g), FcpAgent::cached_with_base(g, &net.base)] {
+            let mut scratch = ReplayScratch::new();
+            for failed in &sets {
+                observe_groups(&mut seen, &net, &fcp, failed, ttl);
+                check_with(&net, &fcp, &flows, failed, ttl, &mut scratch);
+            }
+            let Some(pin) = &fixture.pinned else { continue };
+            let node = |name| g.node_by_name(name).expect("fixture node");
+            let (src, dst, tree_break) = (node(pin.src), node(pin.dst), node(pin.tree_break));
+            let (tree, failed) = (net.base.towards(dst), &sets[0]);
+            let first_failed =
+                tree.path_darts(g, src).unwrap().into_iter().find(|d| failed.contains_dart(*d));
+            assert_eq!(first_failed, tree.next_dart(tree_break));
+            let from_the_break = walk_packet(g, &fcp, tree_break, dst, failed, ttl).cost(g);
+            let prefix = tree.cost(src).unwrap() - tree.cost(tree_break).unwrap();
+            assert_eq!((prefix, from_the_break), (pin.prefix, pin.cost_from_break));
+            assert_eq!(walk_packet(g, &fcp, src, dst, failed, ttl).cost(g), pin.cost);
 
-        assert_eq!(point_by_definition(g, &fcp, tree, src, &failed), src);
-        let mut scratch = FlowScratch::new();
-        let mut unit = scratch.unit(g, &fcp, tree, &failed);
-        assert_eq!(unit.point_of(src), src);
-        assert_eq!(unit.walk(src, ttl).cost(), Some(43));
-        assert_eq!(unit.walk(tree_break, ttl).cost(), Some(42));
-
-        // The whole scenario, every load, under FCP.
-        let mut shapes = Shapes::default();
-        shapes.observe_points(&net, &fcp, &failed, ttl);
-        assert!(shapes.point_off_the_failed_tree, "{shapes:?}");
-        let flows = FlowSet::all_pairs(&GravityTraffic::new(g));
-        net.check_with(&fcp, &flows, &failed, ttl, &mut ReplayScratch::new());
+            assert_eq!(point_by_definition(g, &fcp, tree, src, failed), src);
+            let mut scratch = FlowScratch::new();
+            let mut unit = scratch.unit(g, &fcp, tree, failed);
+            assert_eq!(unit.point_of(src), src);
+            assert_eq!(unit.walk(src, ttl).cost(), Some(pin.cost));
+            assert_eq!(unit.walk(tree_break, ttl).cost(), Some(pin.cost_from_break));
+        }
+        assert!((fixture.drives)(&seen), "{}: {seen:?}", fixture.name);
     }
-
-    // Under PR a point is always the router above a failed tree edge.
-    let mut shapes = Shapes::default();
-    for failed in &sampled_up_to_six(g, 4, 7) {
-        shapes.observe_points(&net, &net.pr.agent(g), failed, ttl);
-    }
-    assert!(shapes.point_at_cone_root && !shapes.point_off_the_failed_tree, "{shapes:?}");
 }
 
 proptest! {
@@ -630,7 +475,7 @@ proptest! {
     /// delivered/evaluated computed by a plain per-pair walk loop,
     /// bit for bit.
     #[test]
-    fn uniform_unit_weighted_coverage_is_bitwise_unweighted(g in arb_graph()) {
+    fn uniform_unit_weighted_coverage_is_bitwise_unweighted(g in small_graphs()) {
         let net = Net::identity(g);
         let g = &net.g;
         let agent = net.pr.agent(g);
@@ -641,30 +486,19 @@ proptest! {
 
         for i in 0..singles.len() {
             let failed = singles.scenario(i);
-            let out = net.production(&flows, &failed, ttl, &mut scratch);
+            let out = production(&net, &flows, &failed, ttl, &mut scratch);
 
             // The unweighted reference: exactly the coverage
             // experiment's conditioning and counters.
             let (mut evaluated, mut delivered) = (0u64, 0u64);
-            for dst in g.nodes() {
-                let base_tree = net.base.towards(dst);
-                let live = SpTree::towards(g, dst, &failed);
-                for src in g.nodes() {
-                    if src == dst || !base_tree.path_crosses(g, src, &failed) {
-                        continue;
-                    }
-                    if !live.reaches(src) {
-                        continue; // "| path" conditioning
-                    }
-                    evaluated += 1;
-                    if matches!(
-                        walk_packet(g, &agent, src, dst, &failed, ttl).result,
-                        WalkResult::Delivered
-                    ) {
-                        delivered += 1;
-                    }
+            affected_pairs(g, &vec![failed.clone()], |failed, dst, src, _, live| {
+                if !live.reaches(src) {
+                    return; // "| path" conditioning
                 }
-            }
+                evaluated += 1;
+                let walk = walk_packet(g, &agent, src, dst, failed, ttl);
+                delivered += u64::from(walk.result.is_delivered());
+            });
             prop_assert_eq!(out.tally.evaluated, evaluated as f64, "scenario {}", i);
             prop_assert_eq!(out.tally.evaluated_delivered, delivered as f64, "scenario {}", i);
             let unweighted =
@@ -678,14 +512,14 @@ proptest! {
     /// failure scenarios (the confluence contract of pricing clear
     /// flows off the tree).
     #[test]
-    fn production_replay_equals_naive_reference(g in arb_graph(), seed in 0u64..1024) {
+    fn production_replay_equals_naive_reference(g in small_graphs(), seed in 0u64..1024) {
         let net = Net::identity(g);
         let flows = FlowSet::sampled(&net.hotspot(seed), 64, seed);
         let ttl = generous_ttl(&net.g);
         let mut scratch = ReplayScratch::new();
         let singles = SingleLinkFailures::new(&net.g);
         for i in 0..singles.len() {
-            net.check(&flows, &singles.scenario(i), ttl, &mut scratch);
+            check(&net, &flows, &singles.scenario(i), ttl, &mut scratch);
         }
     }
 
@@ -695,7 +529,7 @@ proptest! {
     /// the survivor tree still reaches is walked by the unit walker
     /// exactly as `walk_packet` walks it.
     #[test]
-    fn bitset_classification_matches_per_flow_walks(g in arb_graph(), seed in 0u64..1024) {
+    fn bitset_classification_matches_per_flow_walks(g in small_graphs(), seed in 0u64..1024) {
         let net = Net::identity(g);
         let g = &net.g;
         let agent = net.pr.agent(g);
@@ -742,7 +576,7 @@ proptest! {
     /// every replay sum and difference is exact, so regrouping per
     /// subtree cannot move a bit).
     #[test]
-    fn subtree_aggregated_loads_equal_per_path_accumulation(g in arb_graph(), seed in 0u64..1024) {
+    fn subtree_aggregated_loads_equal_per_path_accumulation(g in small_graphs(), seed in 0u64..1024) {
         let net = Net::identity(g);
         let flows = FlowSet::all_pairs(&net.hotspot(seed));
         let ttl = generous_ttl(&net.g);
@@ -750,9 +584,9 @@ proptest! {
         let singles = SingleLinkFailures::new(&net.g);
         for i in 0..singles.len() {
             let mut failed = singles.scenario(i);
-            net.check(&flows, &failed, ttl, &mut scratch);
+            check(&net, &flows, &failed, ttl, &mut scratch);
             failed.insert(singles.scenario((i + 1 + seed as usize) % singles.len()).iter().next().unwrap());
-            net.check(&flows, &failed, ttl, &mut scratch);
+            check(&net, &flows, &failed, ttl, &mut scratch);
         }
     }
 
@@ -761,7 +595,7 @@ proptest! {
     /// model.
     #[test]
     fn sampling_is_conservative_and_snapshot_stable(
-        g in arb_graph(),
+        g in small_graphs(),
         samples in 1usize..256,
         seed in 0u64..u64::MAX,
     ) {
@@ -811,14 +645,13 @@ fn failure_sets(g: &Graph, cap: usize) -> Vec<LinkSet> {
 /// the darts handed to the load hook. Returns how many walks delivered
 /// and how many dropped although a live path existed.
 fn check_walks_against_walk_packet(
-    g: &Graph,
-    net: &PrNetwork,
+    net: &Net,
     sets: &[LinkSet],
     ttl: usize,
     seed: u64,
 ) -> (usize, usize) {
-    let agent = net.agent(g);
-    let base = AllPairs::compute_all_live(g);
+    let Net { g, pr, base, .. } = net;
+    let agent = pr.agent(g);
     let (mut delivered, mut dropped) = (0, 0);
     let mut units: Vec<(&LinkSet, NodeId)> =
         sets.iter().flat_map(|failed| g.nodes().map(move |dst| (failed, dst))).collect();
@@ -857,15 +690,20 @@ fn check_walks_against_walk_packet(
 /// Replays every failed set through the production dataplane —
 /// shuffled, one scratch for all of them — against the oracle
 /// ([`Net::check`]). Returns the group shapes the sets drove.
-fn check_loads_against_walk_packet(net: &Net, sets: &[LinkSet], ttl: usize, seed: u64) -> Shapes {
+fn check_loads_against_walk_packet(
+    net: &Net,
+    sets: &[LinkSet],
+    ttl: usize,
+    seed: u64,
+) -> GroupShapes {
     let flows = FlowSet::all_pairs(&net.hotspot(seed));
     let mut order: Vec<&LinkSet> = sets.iter().collect();
     order.shuffle(&mut StdRng::seed_from_u64(seed));
     let mut scratch = ReplayScratch::new();
-    let mut shapes = Shapes::default();
+    let mut shapes = GroupShapes::default();
     for failed in order {
-        shapes.observe_points(net, &net.pr.agent(&net.g), failed, ttl);
-        net.check(&flows, failed, ttl, &mut scratch);
+        observe_groups(&mut shapes, net, &net.pr.agent(&net.g), failed, ttl);
+        check(net, &flows, failed, ttl, &mut scratch);
     }
     shapes
 }
@@ -879,7 +717,7 @@ fn shuffled_units_through_one_scratch_equal_walk_packet_on_planar_embeddings() {
         // A generous budget, then budgets short enough that some
         // detours fit and longer ones through the same suffix do not.
         for ttl in [generous_ttl(g), g.node_count(), 4] {
-            let (delivered, _) = check_walks_against_walk_packet(g, &net.pr, &sets, ttl, 2010);
+            let (delivered, _) = check_walks_against_walk_packet(&net, &sets, ttl, 2010);
             assert!(delivered > 0);
         }
         // Replay refuses budgets below the hop diameter; the node
@@ -899,12 +737,12 @@ fn shuffled_units_through_one_scratch_equal_walk_packet_where_walks_drop() {
     // §5 guarantee is off and some connected pairs livelock. Dropped
     // walks must seed nothing — a later source of the unit whose walk
     // crosses one's trail still has to be walked in full.
-    let net = Net::identity(Net::synth("isp:24:7"));
+    let net = Net::identity(nets::synth("isp:24:7"));
     let g = &net.g;
     assert!(net.pr.embedding().genus() > 0, "the identity rotation must not embed the mesh planar");
     let sets = failure_sets(g, 40);
     for ttl in [generous_ttl(g), g.node_count()] {
-        let (delivered, dropped) = check_walks_against_walk_packet(g, &net.pr, &sets, ttl, 7);
+        let (delivered, dropped) = check_walks_against_walk_packet(&net, &sets, ttl, 7);
         assert!(delivered > 0);
         assert!(dropped > 0, "the fixture must make some connected pairs drop (ttl {ttl})");
         let shapes = check_loads_against_walk_packet(&net, &sets, ttl, 7);

@@ -44,11 +44,7 @@ fn full_pipeline_on_all_isp_topologies() {
 /// a downstream router decodes.
 #[test]
 fn header_roundtrip_through_codec() {
-    let (graph, orders) = topologies::figure1();
-    let rot = RotationSystem::from_neighbor_orders(&graph, &orders).unwrap();
-    let emb = CellularEmbedding::new(&graph, rot).unwrap();
-    let net =
-        PrNetwork::compile(&graph, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+    let (_, net) = figure1_network();
     let codec = net.codec();
 
     // Simulate D stamping the Figure 1(c) header.
@@ -143,11 +139,7 @@ fn scheme_comparison_through_facade() {
 /// routers" step).
 #[test]
 fn compiled_state_serializes() {
-    let (graph, orders) = topologies::figure1();
-    let rot = RotationSystem::from_neighbor_orders(&graph, &orders).unwrap();
-    let emb = CellularEmbedding::new(&graph, rot).unwrap();
-    let net =
-        PrNetwork::compile(&graph, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+    let (graph, net) = figure1_network();
     let json = serde_json::to_string(&net).expect("PrNetwork serializes");
     let back: PrNetwork = serde_json::from_str(&json).expect("PrNetwork deserializes");
     assert_eq!(back.codec(), net.codec());
@@ -161,7 +153,7 @@ fn compiled_state_serializes() {
     assert_eq!(w1.path, w2.path);
 }
 
-/// The figure-1 network of [`compiled_state_serializes`].
+/// The paper's Figure 1 under the paper's neighbour orders.
 fn figure1_network() -> (Graph, PrNetwork) {
     let (graph, orders) = topologies::figure1();
     let rot = RotationSystem::from_neighbor_orders(&graph, &orders).unwrap();
