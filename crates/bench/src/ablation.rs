@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use pr_core::{DiscriminatorKind, FlowScratch, PrHeader, PrMode, PrNetwork};
+use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
 use pr_embedding::{genus, CellularEmbedding, FaceStructure, RotationSystem};
 use pr_graph::{Graph, LinkSet};
 use pr_scenarios::{
@@ -20,6 +20,7 @@ use pr_scenarios::{
 };
 
 use crate::engine::ConePlan;
+use crate::pr_lane::PrLane;
 
 /// E6: one embedding heuristic's quality and its stretch consequences.
 #[derive(Debug, Clone, Serialize)]
@@ -102,10 +103,10 @@ fn pr_dd_sweep(
     let agent = net.agent(graph);
     let mut merged = PrDdPartial::default();
     plan.sweep(scenarios, threads).fold(
-        || (plan.opener(), FlowScratch::<PrHeader>::new()),
+        || (plan.opener(), PrLane::new(&plan, agent)),
         |_, _| (),
-        |(opener, walks), unit, out: &mut PrDdPartial| {
-            let mut dd = walks.unit(graph, &agent, unit.base_tree, unit.failed);
+        |(opener, lane), unit, out: &mut PrDdPartial| {
+            let mut dd = lane.unit(&unit);
             for (src, survivor) in opener.open(&unit) {
                 if survivor.is_none() {
                     continue;
@@ -246,10 +247,10 @@ pub fn genus_delivery(
             })
             .collect();
         plan.sweep(&scenarios, threads).fold(
-            || (plan.opener(), FlowScratch::<PrHeader>::new()),
+            || (plan.opener(), PrLane::new(&plan, agent)),
             |_, _| (),
-            |(opener, walks), unit, (evaluated, delivered): &mut (u64, u64)| {
-                let mut dd = walks.unit(graph, &agent, unit.base_tree, unit.failed);
+            |(opener, lane), unit, (evaluated, delivered): &mut (u64, u64)| {
+                let mut dd = lane.unit(&unit);
                 let cone = opener.open(&unit);
                 // A source outside the cone keeps its shortest path,
                 // which PR follows to delivery while it meets no

@@ -4,9 +4,11 @@
 //!
 //! The sweep is the engine's unit kernel ([`crate::engine`]) with five
 //! lanes: per (scenario, destination) unit a worker's cone opener
-//! yields the affected sources, and every connected one is walked
-//! through each scheme's `pr_core::FlowScratch` unit (FCP through its
-//! lane, [`crate::fcp_lane`]). The ordered block fold of integer
+//! yields the affected sources, and every connected one is answered by
+//! each scheme — FCP and both PR modes through their lanes
+//! ([`crate::fcp_lane`], [`crate::pr_lane`]: arithmetic under one
+//! failure), LFA and not-via through a `pr_core::FlowScratch` unit
+//! each. The ordered block fold of integer
 //! counts makes the output bit-identical to the independent oracle
 //! (`pr_testkit::oracle::coverage_serial`: plain `walk_packet`,
 //! scratch Dijkstra, all n sources classified) at any thread count
@@ -22,6 +24,7 @@ use pr_scenarios::{SampledMultiFailures, ScenarioFamily, SingleLinkFailures};
 
 use crate::engine::{ConeOpener, ConePlan};
 use crate::fcp_lane::FcpLane;
+use crate::pr_lane::PrLane;
 
 /// Delivery statistics for one scheme at one failure count.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
@@ -99,15 +102,15 @@ impl Compiled {
 /// per scheme, in [`CoverageRow`] field order.
 type BlockCells = [(u64, u64); 5];
 
-/// Per-worker mutable state: the cone opener, the FCP lane and one
-/// flow scratch per other scheme (basic and DD share a header type but
-/// not a memo: their trajectories differ) — all reused across every
-/// unit the worker runs.
+/// Per-worker mutable state: the cone opener, the FCP lane, one PR
+/// lane per mode (basic and DD share a header type but not a memo:
+/// their trajectories differ) and one flow scratch per other scheme —
+/// all reused across every unit the worker runs.
 struct Worker<'a> {
     opener: ConeOpener<'a>,
     fcp: FcpLane<'a>,
-    basic_walks: FlowScratch<pr_core::PrHeader>,
-    dd_walks: FlowScratch<pr_core::PrHeader>,
+    basic: PrLane<'a>,
+    dd: PrLane<'a>,
     lfa_walks: FlowScratch<()>,
     notvia_walks: FlowScratch<pr_baselines::NotViaState>,
 }
@@ -138,8 +141,8 @@ pub fn run(
             || Worker {
                 opener: plan.opener(),
                 fcp: FcpLane::new(&plan),
-                basic_walks: FlowScratch::new(),
-                dd_walks: FlowScratch::new(),
+                basic: PrLane::new(&plan, basic_agent),
+                dd: PrLane::new(&plan, dd_agent),
                 lfa_walks: FlowScratch::new(),
                 notvia_walks: FlowScratch::new(),
             },
@@ -148,12 +151,15 @@ pub fn run(
             // across the sweep.
             |w, _| w.fcp.begin_scenario(),
             |w, unit, cells: &mut BlockCells| {
+                let cone = w.opener.open(&unit);
+                if cone.len() == 0 {
+                    return;
+                }
                 let (tree, failed) = (unit.base_tree, unit.failed);
-                let mut basic = w.basic_walks.unit(graph, &basic_agent, tree, failed);
-                let mut dd = w.dd_walks.unit(graph, &dd_agent, tree, failed);
+                let mut basic = w.basic.unit(&unit);
+                let mut dd = w.dd.unit(&unit);
                 let mut lfa = w.lfa_walks.unit(graph, &compiled.lfa, tree, failed);
                 let mut notvia = w.notvia_walks.unit(graph, &compiled.notvia, tree, failed);
-                let cone = w.opener.open(&unit);
                 let mut fcp = w.fcp.unit(&unit, &cone);
                 for (src, survivor) in cone {
                     if survivor.is_none() {

@@ -17,13 +17,18 @@
 //!   all n nodes — in ascending node order, each with its survivor
 //!   cost (`None`: the failure disconnected it). That is the unit's
 //!   one cone repair — distance labels only — and the opened cone
-//!   answers for any of its nodes ([`OpenCone::survivor`]), which is
-//!   all the single-failure FCP lane needs ([`crate::fcp_lane`]). The
-//!   sweep opens one `pr_core::FlowScratch::unit` per walked scheme,
-//!   which evicts that scheme's suffix memo at the only place it can
-//!   be evicted, and asks it for each connected source. It walks once per
+//!   answers for any of its nodes ([`OpenCone::survivor`]). Then the
+//!   sweep opens one lane per scheme and asks it for each connected
+//!   source. Under **one** failed link FCP and PR are priced, not
+//!   walked: a cone has one failure point, and what either scheme pays
+//!   from there is known without a hop loop — the survivor label the
+//!   opener has just repaired ([`crate::fcp_lane`]), the failed dart's
+//!   cycle-following episode ([`crate::pr_lane`]). Under two or more,
+//!   and for every other scheme, a lane is a
+//!   `pr_core::FlowScratch::unit`, which evicts that scheme's suffix
+//!   memo at the only place it can be evicted and walks once per
 //!   **failure point** — the router where the scheme first does
-//!   anything but forward along the failure-free tree — and answers
+//!   anything but forward along the failure-free tree — answering
 //!   every source behind a point by arithmetic. Sources outside the
 //!   cone are never asked: their shortest path survives and every
 //!   scheme here delivers along it (`pr_core`'s `fib` module has the
@@ -32,7 +37,7 @@
 //!   [`std::thread::scope`] worker pool: a chunked work queue over an
 //!   [`AtomicUsize`] cursor (the container has no crates.io access, so
 //!   no rayon). Each worker owns private scratch state (a cone opener,
-//!   flow scratches, an FCP lane) created by a caller-supplied
+//!   its scheme lanes and flow scratches) created by a caller-supplied
 //!   factory.
 //! * **Ordered streaming merge** — a worker folds each *block* of
 //!   consecutive destinations of one scenario into one accumulator and
@@ -63,7 +68,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use pr_core::generous_ttl;
-use pr_graph::{AllPairs, Graph, LinkSet, NodeId, RepairStats, SpScratch, SpTree, TreeChildren};
+use pr_graph::{
+    AllPairs, Dart, Graph, LinkSet, NodeId, RepairStats, SpScratch, SpTree, TreeChildren,
+};
 use pr_scenarios::ScenarioFamily;
 
 pub use crate::shards::run_shards;
@@ -127,11 +134,30 @@ pub struct SweepUnit<'a> {
     pub scenario: usize,
     /// The scenario's failed links.
     pub failed: &'a LinkSet,
+    /// How many they are: `failed.len()`, counted once per scenario,
+    /// not once per unit.
+    pub failures: usize,
     /// The destination this unit covers.
     pub dst: NodeId,
     /// Failure-free shortest-path tree towards `dst` (hoisted: shared
     /// by every scenario).
     pub base_tree: &'a SpTree,
+}
+
+impl SweepUnit<'_> {
+    /// Under exactly **one** failed link, the tree dart that crosses
+    /// it: its tail is the failure point of every source of the unit's
+    /// cone, its head the link's far end. `None` under any other
+    /// failure count, and when neither endpoint routes over the link —
+    /// the cone is empty and no lane is asked.
+    pub fn broken_tree_dart(&self, graph: &Graph) -> Option<Dart> {
+        if self.failures != 1 {
+            return None;
+        }
+        let link = self.failed.iter().next().expect("one failed link");
+        let (a, b) = graph.endpoints(link);
+        [a, b].into_iter().filter_map(|v| self.base_tree.next_dart(v)).find(|d| d.link() == link)
+    }
 }
 
 /// The failure-invariant state of a topological sweep, hoisted out of
@@ -328,16 +354,17 @@ impl<'a> ScenarioSweep<'a> {
         // Worker state = caller state + the worker's current scenario
         // (rebuilt only when the claimed block crosses a scenario
         // boundary).
-        let worker_init = || (init(), usize::MAX, LinkSet::empty(self.family.link_capacity()));
+        let worker_init = || (init(), usize::MAX, LinkSet::empty(self.family.link_capacity()), 0);
         run_ordered(
             self.family.len() * blocks_per_scenario,
             self.threads,
             &worker_init,
             &|state, block| {
-                let (w, cached_scenario, failed) = state;
+                let (w, cached_scenario, failed, failures) = state;
                 let scenario = block / blocks_per_scenario;
                 if *cached_scenario != scenario {
                     *failed = self.family.scenario(scenario);
+                    *failures = failed.len();
                     *cached_scenario = scenario;
                     on_scenario(w, scenario);
                 }
@@ -346,7 +373,8 @@ impl<'a> ScenarioSweep<'a> {
                 for dst in first..(first + width).min(n) {
                     let dst = NodeId(dst as u32);
                     let base_tree = self.base.towards(dst);
-                    work(w, SweepUnit { scenario, failed, dst, base_tree }, &mut acc);
+                    let failures = *failures;
+                    work(w, SweepUnit { scenario, failed, failures, dst, base_tree }, &mut acc);
                 }
                 (scenario, acc)
             },

@@ -43,16 +43,13 @@ impl<'a> FcpLane<'a> {
     /// Opens the lane on `unit`, whose opened cone is `cone`.
     pub fn unit<'u>(&'u mut self, unit: &SweepUnit<'u>, cone: &OpenCone<'_>) -> FcpUnit<'u, 'a> {
         let (graph, tree) = (self.plan.graph(), unit.base_tree);
-        let mut failed = unit.failed.iter();
-        let (Some(link), None) = (failed.next(), failed.next()) else {
+        if unit.failures != 1 {
             let walks = self.walks.unit(graph, &self.agent, tree, unit.failed);
             return FcpUnit::Walked(walks, self.plan.ttl());
-        };
-        let (a, b) = graph.endpoints(link);
-        let on_tree = |v| tree.next_dart(v).is_some_and(|d| d.link() == link);
+        }
         // No endpoint routes over the link: the cone is empty and the
         // lane is not asked.
-        let point = [a, b].into_iter().find(|&v| on_tree(v));
+        let point = unit.broken_tree_dart(graph).map(|out| graph.dart_tail(out));
         FcpUnit::Priced(tree, point.and_then(|p| Some(cone.survivor(p)? - tree.cost(p)?)))
     }
 

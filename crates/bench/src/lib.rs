@@ -39,6 +39,7 @@ pub mod engine;
 pub mod fcp_lane;
 pub mod impair;
 pub mod overheads;
+pub mod pr_lane;
 pub mod shards;
 pub mod stretch;
 pub mod temporal;

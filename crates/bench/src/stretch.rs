@@ -10,12 +10,12 @@
 //! The sweep is the engine's unit kernel ([`crate::engine`]) with three
 //! lanes: a worker's cone opener yields a unit's affected sources with
 //! their survivor cost — which *is* the reconvergence sample — and the
-//! FCP ([`crate::fcp_lane`]) and PR lanes answer each connected one:
-//! one walk per failure point, and no walk at all for FCP under a
-//! single failure. Workers
-//! fold blocks of consecutive destinations into [`StretchBlock`]s,
-//! which reach the calling thread in work-unit order while the pool
-//! runs.
+//! FCP ([`crate::fcp_lane`]) and PR ([`crate::pr_lane`]) lanes answer
+//! each connected one: by arithmetic under a single failure, where
+//! neither lane walks, and by one walk per failure point under two or
+//! more. Workers fold blocks of consecutive destinations into
+//! [`StretchBlock`]s, which reach the calling thread in work-unit order
+//! while the pool runs.
 //!
 //! The **result form** is the per-scenario [`ScenarioRow`]:
 //! [`run_rows`] folds each scenario's blocks into its row and drops
@@ -34,12 +34,13 @@
 use serde::{Deserialize, Serialize};
 
 use pr_baselines::RouteStats;
-use pr_core::{FlowScratch, MemoStats, PrAgent, PrNetwork};
+use pr_core::{MemoStats, PrAgent, PrNetwork};
 use pr_graph::{AllPairs, Graph, RepairStats};
 use pr_scenarios::ScenarioFamily;
 
 use crate::engine::{ConeOpener, ConePlan, SweepUnit};
-use crate::fcp_lane::FcpLane;
+use crate::fcp_lane::{FcpLane, FcpUnit};
+use crate::pr_lane::{PrLane, PrUnit};
 
 /// Scheme identifiers used in experiment output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -144,9 +145,10 @@ pub fn run(
 }
 
 /// Auxiliary statistics of one stretch sweep: the cone opener's repair
-/// counters, walk-memo counters (FCP and PR memos summed) and the FCP
-/// route memo's, which fills under two or more failures only. Integer
-/// counters, so totals are thread-count invariant. This is what
+/// counters, walk-memo counters (FCP and PR memos summed), the FCP
+/// route memo's, which fills under two or more failures only, and what
+/// the lanes priced instead of walking, which is every unit under one.
+/// Integer counters, so totals are thread-count invariant. This is what
 /// `pr sweep --stats` prints.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SweepStats {
@@ -156,6 +158,8 @@ pub struct SweepStats {
     pub memo: MemoStats,
     /// Fill counters of the FCP route memo.
     pub routes: RouteStats,
+    /// Closed-form counters of the two scheme lanes.
+    pub lanes: LaneStats,
 }
 
 impl SweepStats {
@@ -164,6 +168,31 @@ impl SweepStats {
         self.repair.merge(&other.repair);
         self.memo.merge(&other.memo);
         self.routes.merge(&other.routes);
+        self.lanes.merge(&other.lanes);
+    }
+}
+
+/// What the scheme lanes answered by arithmetic where they used to
+/// walk — the counters that say why a single-failure sweep reports no
+/// walk. They count units with a cone: an empty one opens no lane.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LaneStats {
+    /// Units the FCP lane priced from the opener's repaired labels.
+    pub fcp_priced: u64,
+    /// Units the PR lane priced from their failed dart's episode.
+    pub pr_priced: u64,
+    /// Episodes the PR lane read: one per unit of one failed link. An
+    /// episode that prices nothing (it does not reach the link's far
+    /// end) leaves its unit to the walker.
+    pub pr_episodes: u64,
+}
+
+impl LaneStats {
+    /// Accumulates another stats record.
+    pub fn merge(&mut self, other: &LaneStats) {
+        self.fcp_priced += other.fcp_priced;
+        self.pr_priced += other.pr_priced;
+        self.pr_episodes += other.pr_episodes;
     }
 }
 
@@ -224,7 +253,7 @@ impl<'a> StretchPlan<'a> {
             plan: self,
             opener: self.cones.opener(),
             fcp: FcpLane::new(&self.cones),
-            pr_walks: FlowScratch::new(),
+            pr: PrLane::new(&self.cones, self.pr_agent),
         }
     }
 
@@ -246,13 +275,12 @@ impl<'a> StretchPlan<'a> {
 }
 
 /// Per-worker mutable state of the stretch sweep, reused across every
-/// unit the worker runs: the cone opener, the FCP lane and PR's flow
-/// scratch (livelock detector + unit-scoped suffix memo).
+/// unit the worker runs: the cone opener and the two scheme lanes.
 pub struct StretchWorker<'a> {
     plan: &'a StretchPlan<'a>,
     opener: ConeOpener<'a>,
     fcp: FcpLane<'a>,
-    pr_walks: FlowScratch<pr_core::PrHeader>,
+    pr: PrLane<'a>,
 }
 
 impl StretchWorker<'_> {
@@ -264,16 +292,24 @@ impl StretchWorker<'_> {
 
     /// Folds one (scenario, destination) unit — every affected source
     /// towards `unit.dst` — into `out`, samples in ascending source
-    /// order. Once the worker's buffers have grown to the topology and
-    /// `out` has the room, this does not call the allocator
+    /// order. A unit no path of which crosses a failure, more than half
+    /// of a single-failure sweep's, opens no lane and counts nothing.
+    /// Once the worker's buffers have grown to the topology and `out`
+    /// has the room, this does not call the allocator
     /// (`tests/alloc_sweep.rs`).
     pub fn fold_unit(&mut self, unit: SweepUnit<'_>, out: &mut StretchBlock) {
-        let StretchWorker { plan, opener, fcp, pr_walks } = self;
-        let (graph, ttl) = (plan.cones.graph(), plan.cones.ttl());
-        out.failures = unit.failed.len();
+        let StretchWorker { plan, opener, fcp, pr } = self;
+        let ttl = plan.cones.ttl();
+        out.failures = unit.failures;
         let cone = opener.open(&unit);
+        if cone.len() == 0 {
+            return;
+        }
         let mut fcp_unit = fcp.unit(&unit, &cone);
-        let mut pr = pr_walks.unit(graph, &plan.pr_agent, unit.base_tree, unit.failed);
+        let mut pr_unit = pr.unit(&unit);
+        let lanes = &mut out.stats.lanes;
+        lanes.fcp_priced += u64::from(matches!(fcp_unit, FcpUnit::Priced(..)));
+        lanes.pr_priced += u64::from(matches!(pr_unit, PrUnit::Priced(..)));
         let samples = &mut out.samples;
         // The debug-build cross-check of the survivor costs against
         // the reconvergence agent's own tables is per scenario in the
@@ -297,7 +333,7 @@ impl StretchWorker<'_> {
             }
 
             // PR: cycle following.
-            match pr.walk(src, ttl).cost() {
+            match pr_unit.walk(src, ttl).cost() {
                 Some(cost) => samples.packet_recycling.push(cost as f64 / optimal as f64),
                 None => samples.drop_pr(),
             }
@@ -305,7 +341,8 @@ impl StretchWorker<'_> {
         out.stats.repair.merge(&opener.take_stats());
         out.stats.memo.merge(&fcp_unit.take_stats());
         out.stats.routes.merge(&fcp.take_route_stats());
-        out.stats.memo.merge(&pr.take_stats());
+        out.stats.memo.merge(&pr_unit.take_stats());
+        out.stats.lanes.pr_episodes += pr.take_episodes();
     }
 }
 
@@ -364,9 +401,12 @@ impl ScenarioRow {
         }
     }
 
-    /// Folds the scenario's next block in, at the CCDF thresholds
-    /// `xs`. Sums run sample by sample, so a row's bits do not depend
-    /// on where the block boundaries fell.
+    /// Folds the scenario's next block in, at the ascending CCDF
+    /// thresholds `xs`. Sums run sample by sample, so a row's bits do
+    /// not depend on where the block boundaries fell. Each sample is
+    /// read once: it is binned by how many thresholds lie strictly
+    /// below it, and the count above threshold `j` is the bins past
+    /// `j` summed.
     fn absorb(&mut self, block: &StretchBlock, xs: &[f64]) {
         let s = &block.samples;
         self.failures = block.failures as u64;
@@ -375,17 +415,60 @@ impl ScenarioRow {
         self.undelivered += s.undelivered as u64;
         self.undelivered_fcp += s.undelivered_fcp as u64;
         self.undelivered_pr += s.undelivered_pr as u64;
+        let grid = Grid::of(xs);
+        let mut bins = vec![0u64; xs.len() + 1];
         for (i, scheme) in Scheme::ALL.iter().enumerate() {
             let v = s.of(*scheme);
             self.samples[i] += v.len() as u64;
+            bins.fill(0);
             for &value in v {
                 self.sum[i] += value;
                 self.max[i] = self.max[i].max(value);
+                bins[grid.below(value)] += 1;
             }
-            for (j, &x) in xs.iter().enumerate() {
-                self.above[i * xs.len() + j] += v.iter().filter(|&&s| s > x).count() as u64;
+            let mut above = 0;
+            for (j, count) in self.above[i * xs.len()..][..xs.len()].iter_mut().enumerate().rev() {
+                above += bins[j + 1];
+                *count += above;
             }
         }
+    }
+}
+
+/// Ascending thresholds with a first guess at where a value falls among
+/// them: exact on any ascending grid, one step on an evenly spaced one
+/// ([`figure2_xs`]).
+struct Grid<'a> {
+    xs: &'a [f64],
+    /// Reciprocal of the grid's first step (0 when it has none).
+    per_step: f64,
+}
+
+impl Grid<'_> {
+    fn of(xs: &[f64]) -> Grid<'_> {
+        let per_step = match xs {
+            [first, second, ..] if second > first => 1.0 / (second - first),
+            _ => 0.0,
+        };
+        Grid { xs, per_step }
+    }
+
+    /// How many thresholds lie strictly below `value`: the `k` with
+    /// `xs[k − 1] < value ≤ xs[k]`. The arithmetic guess only decides
+    /// where the search starts (a float-to-integer cast saturates, and
+    /// sends not-a-number to 0); the two loops settle it against the
+    /// thresholds themselves.
+    fn below(&self, value: f64) -> usize {
+        let xs = self.xs;
+        let guess = xs.first().map_or(0.0, |first| ((value - first) * self.per_step).ceil());
+        let mut k = (guess as usize).min(xs.len());
+        while k > 0 && xs[k - 1] >= value {
+            k -= 1;
+        }
+        while k < xs.len() && xs[k] < value {
+            k += 1;
+        }
+        k
     }
 }
 
@@ -733,6 +816,53 @@ mod tests {
         let text = serde_json::to_string_pretty(&rows).unwrap();
         let back: Vec<ScenarioRow> = serde_json::from_str(&text).unwrap();
         assert_eq!(back, rows);
+    }
+
+    #[test]
+    fn a_row_folds_its_samples_in_one_pass_as_thirty_passes_would() {
+        // The thirty-pass form: per scheme, one count per threshold.
+        fn above_by_definition(block: &StretchBlock, xs: &[f64]) -> Vec<u64> {
+            let mut above = Vec::new();
+            for scheme in Scheme::ALL {
+                let v = block.samples.of(scheme);
+                above.extend(xs.iter().map(|&x| v.iter().filter(|&&s| s > x).count() as u64));
+            }
+            above
+        }
+        // Samples on every threshold, just beside each, below the first
+        // and beyond the last; an even grid, an uneven one (the guess
+        // from the first step is wrong nearly everywhere), a flat step,
+        // one threshold and none.
+        let grids: [Vec<f64>; 5] = [
+            figure2_xs(),
+            vec![1.0, 1.1, 1.5, 4.0, 4.0, 9.0, 100.0],
+            vec![2.0, 2.0, 3.0],
+            vec![1.5],
+            vec![],
+        ];
+        for xs in grids {
+            let mut on_and_beside: Vec<f64> = xs
+                .iter()
+                .flat_map(|&x| [x, x - 1e-9, x + 1e-9, x - 0.25, x + 0.25])
+                .chain([0.0, 0.5, 1.0, 15.0, 16.0, 1e9, f64::INFINITY])
+                .collect();
+            let reconvergence = on_and_beside.clone();
+            on_and_beside.reverse();
+            let fcp = on_and_beside.clone();
+            let packet_recycling = on_and_beside.iter().map(|v| v * 1.5).collect();
+            let samples =
+                StretchSamples { reconvergence, fcp, packet_recycling, ..Default::default() };
+            let block = StretchBlock { samples, ..Default::default() };
+            let mut row = ScenarioRow::empty(0, xs.len());
+            // Twice: counts accumulate across a scenario's blocks.
+            row.absorb(&block, &xs);
+            row.absorb(&block, &xs);
+            let once = above_by_definition(&block, &xs);
+            assert_eq!(row.above, once.iter().map(|n| 2 * n).collect::<Vec<_>>(), "{xs:?}");
+            let n = block.samples.reconvergence.len() as u64;
+            assert_eq!(row.samples, [2 * n; 3]);
+            assert_eq!(row.max[0], f64::INFINITY);
+        }
     }
 
     #[test]

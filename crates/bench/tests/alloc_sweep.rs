@@ -5,10 +5,12 @@
 //! * **Walks leave the allocator alone.** Once a [`StretchWorker`]'s
 //!   buffers have grown to the topology, folding a scenario's units
 //!   again into an accumulator that already has the room makes no
-//!   allocator call at all — cone enumeration, label repair, the
-//!   climbs to the points (the two point tables of a flow scratch are
-//!   sized to the topology once), FCP and PR point walks, delivered
-//!   and dropped alike. A walk that clones a heap
+//!   allocator call at all — cone enumeration, label repair, both
+//!   lanes' closed forms (a PR episode is read dart by dart and kept
+//!   nowhere), and for the units they do not cover the climbs to the
+//!   points (the two point tables of a flow scratch are sized to the
+//!   topology once) and the point walks, delivered and dropped alike.
+//!   A walk that clones a heap
 //!   header into every visited triple (what `FcpState` did as a
 //!   `Vec`) costs millions of calls per sweep and makes the workers
 //!   queue on each other's arenas. Nor does a scenario the FCP route
@@ -53,8 +55,9 @@ fn emptied(block: StretchBlock) -> StretchBlock {
 #[test]
 fn second_pass_over_a_scenario_never_calls_the_allocator() {
     let _turn = turn();
-    // The geometric rotation (every walk delivers) and the identity
-    // rotation (positive genus: some PR walks end in loop drops).
+    // The geometric rotation (every unit is priced and delivers) and
+    // the identity rotation (positive genus: some episodes come back to
+    // where they started, and those units' PR walks end in loop drops).
     let nets = [("geometric", Net::mesh120()), ("identity", Net::identity(Net::mesh120().g))];
     for (label, Net { g, pr: net, .. }) in nets {
         let family = SingleLinkFailures::new(&g);
@@ -67,8 +70,8 @@ fn second_pass_over_a_scenario_never_calls_the_allocator() {
             let mut pass = |block: &mut StretchBlock| {
                 for dst in g.nodes() {
                     let base_tree = plan.base().towards(dst);
-                    worker
-                        .fold_unit(SweepUnit { scenario, failed: &failed, dst, base_tree }, block);
+                    let unit = SweepUnit { scenario, failed: &failed, failures: 1, dst, base_tree };
+                    worker.fold_unit(unit, block);
                 }
             };
             // Warm-up: the worker's buffers grow to the scenario, the
@@ -111,7 +114,8 @@ fn a_scenario_new_to_the_route_memo_never_calls_the_allocator() {
             worker.begin_scenario();
             for dst in g.nodes() {
                 let base_tree = plan.base().towards(dst);
-                let unit = SweepUnit { scenario: *scenario, failed, dst, base_tree };
+                let failures = failed.len();
+                let unit = SweepUnit { scenario: *scenario, failed, failures, dst, base_tree };
                 worker.fold_unit(unit, block);
             }
         };

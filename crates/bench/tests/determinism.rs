@@ -214,18 +214,27 @@ fn synth_mesh_single_failure_units_repair_their_cone_once() {
     };
     let busy: usize = g.links().map(|l| g.nodes().filter(|&dst| on_tree(dst, l)).count()).sum();
     assert!(busy > 10_000, "{busy} busy units");
+    let busy = busy as u64;
     for threads in [1, 4] {
         let (_, stats) = pr_bench::stretch::run_rows(&g, &pr, &singles, threads, 0);
-        assert_eq!(stats.repair.repairs, busy as u64, "{threads} threads");
+        assert_eq!(stats.repair.repairs, busy, "{threads} threads");
         let routes = stats.routes;
         assert_eq!((routes.repaired, routes.cone_nodes), (0, 0), "{threads} threads");
-        // One PR point walk per busy unit, and no FCP walk at all.
-        assert_eq!(stats.memo.walks, busy as u64, "{threads} threads");
+        // Under one failure neither lane walks: every busy unit is
+        // priced, FCP from the repaired labels and PR from one episode,
+        // and the walk memo is never opened.
+        let lanes = stats.lanes;
+        let priced = (lanes.fcp_priced, lanes.pr_priced, lanes.pr_episodes);
+        assert_eq!(priced, (busy, busy, busy), "{threads} threads");
+        assert_eq!(stats.memo, pr_core::MemoStats::default(), "{threads} threads");
     }
+    // Under two the walks return, and the counters say so.
     let pairs = SampledMultiFailures::new(&g, 2, 12, 2010);
     let (_, stats) = pr_bench::stretch::run_rows(&g, &pr, &pairs, 2, 0);
     assert_eq!(stats.repair.repairs, 1_031);
     assert_eq!((stats.routes.repaired, stats.routes.cone_nodes), (1_748, 10_599));
+    assert_eq!(stats.lanes, pr_bench::stretch::LaneStats::default());
+    assert_eq!(stats.memo.walks, 2_822, "{:?}", stats.memo);
 }
 
 // ---- temporal sweeps ---------------------------------------------------

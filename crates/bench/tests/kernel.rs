@@ -19,20 +19,28 @@
 //! every shape a unit's groups take ([`GroupShapes`]), the named ones
 //! of the kit's table among them. The FCP lane is the
 //! sweeps' own [`FcpLane`] — closed form under one failure, walked
-//! under more — held to the honest recompute-per-decision agent.
+//! under more — held to the honest recompute-per-decision agent, and
+//! the PR lanes are the sweeps' own [`PrLane`]: a single failure priced
+//! from its failed dart's episode, anything else walked, under either
+//! mode, either discriminator and any hop budget.
 
 use pr_baselines::{FcpAgent, LfaAgent, NotViaAgent};
 use pr_bench::engine::{ConeOpener, ConePlan, SweepUnit};
 use pr_bench::fcp_lane::{FcpLane, FcpUnit};
+use pr_bench::pr_lane::{PrLane, PrUnit};
 use pr_core::{
-    generous_ttl, walk_packet, DiscriminatorKind, FlowScratch, FlowUnit, FlowWalk, ForwardingAgent,
-    PrMode, PrNetwork,
+    generous_ttl, walk_packet, DiscriminatorKind, DropReason, FlowScratch, FlowUnit, FlowWalk,
+    ForwardingAgent, PrAgent, PrMode, PrNetwork, WalkResult,
 };
+use pr_embedding::CellularEmbedding;
 use pr_graph::{algo, Graph, LinkSet, NodeId, SpTree};
 use pr_testkit::fixtures;
 use pr_testkit::nets::{self, Net};
 use pr_testkit::shapes::{point_by_definition, GroupShapes};
-use pr_testkit::strategies::random_links;
+use pr_testkit::strategies::{
+    random_links, two_edge_connected, with_bridge_or_parallel, with_rotation,
+};
+use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
 /// What the fixture exercised, so a vacuous pass cannot hide.
@@ -60,7 +68,7 @@ fn check_scenario(
             .filter(|&src| base_tree.path_crosses(g, src, failed))
             .map(|src| (src, live.cost(src)))
             .collect();
-        let unit = SweepUnit { scenario, failed, dst, base_tree };
+        let unit = SweepUnit { scenario, failed, failures: failed.len(), dst, base_tree };
         let yielded: Vec<(NodeId, Option<u64>)> = opener.open(&unit).collect();
         assert_eq!(yielded, expected, "failed {failed:?}, destination {dst}");
         let repairs = opener.take_stats().repairs;
@@ -178,7 +186,7 @@ fn check_fcp_lane<'a>(
     lane.begin_scenario();
     for dst in g.nodes() {
         let base_tree = plan.base().towards(dst);
-        let unit = SweepUnit { scenario: 0, failed, dst, base_tree };
+        let unit = SweepUnit { scenario: 0, failed, failures: failed.len(), dst, base_tree };
         let cone = opener.open(&unit);
         match lane.unit(&unit, &cone) {
             FcpUnit::Walked(mut walks, _) => {
@@ -196,6 +204,129 @@ fn check_fcp_lane<'a>(
         }
     }
     priced_sources
+}
+
+/// What the PR lane's checks saw of its closed form, so a vacuous pass
+/// cannot hide. Told from `walk_packet`'s path and the tree, never from
+/// the lane.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct PrSeen {
+    /// Units of one failed link the lane priced.
+    priced_units: usize,
+    /// Priced sources delivered inside the detour: the packet never
+    /// came to the failed link's far end.
+    inside_deliveries: usize,
+    /// Priced sources whose destination is the far end itself.
+    far_end_deliveries: usize,
+    /// Units of one failed link the lane walked all the same: their
+    /// episode does not reach the far end.
+    fallback_units: usize,
+    /// Priced sources the hop budget ran out on.
+    spent_budgets: usize,
+}
+
+/// Holds a sweep's PR lane, opened as the sweeps open it, to plain
+/// `walk_packet` under the lane's own agent: every source of every
+/// unit's cone under `failed` — outcome, cost and hops — at `ttl`.
+fn check_pr_lane<'a>(
+    plan: &ConePlan<'a>,
+    agent: PrAgent<'a>,
+    lane: &mut PrLane<'a>,
+    opener: &mut ConeOpener<'_>,
+    failed: &LinkSet,
+    ttl: usize,
+    seen: &mut PrSeen,
+) {
+    let g = plan.graph();
+    for dst in g.nodes() {
+        let base_tree = plan.base().towards(dst);
+        let unit = SweepUnit { scenario: 0, failed, failures: failed.len(), dst, base_tree };
+        let sources: Vec<NodeId> = opener.open(&unit).map(|(src, _)| src).collect();
+        if sources.is_empty() {
+            continue;
+        }
+        let mut pr = lane.unit(&unit);
+        let priced = matches!(pr, PrUnit::Priced(..));
+        assert!(!priced || failed.len() == 1, "only one failure has a closed form");
+        seen.priced_units += usize::from(priced);
+        seen.fallback_units += usize::from(!priced && failed.len() == 1);
+        // The far end of the one failed link: the head of the tree dart
+        // that crosses it.
+        let far = g.links().find(|&l| failed.contains(l)).map(|link| {
+            let (a, b) = g.endpoints(link);
+            if base_tree.next_dart(a).is_some_and(|d| d.link() == link) {
+                b
+            } else {
+                a
+            }
+        });
+        for src in sources {
+            let label = format!("{} failed {failed:?} {src}->{dst} ttl {ttl}", agent.label());
+            let want = walk_packet(g, &agent, src, dst, failed, ttl);
+            let got = pr.walk(src, ttl);
+            assert_eq!(got.is_delivered(), want.result.is_delivered(), "{label}");
+            if let FlowWalk::Recovered { cost, hops } = got {
+                assert_eq!(cost, want.cost(g), "{label}");
+                assert_eq!(hops as usize, want.path.hop_count(), "{label}");
+            }
+            if !priced {
+                continue;
+            }
+            let far = far.expect("a priced unit has one failed link");
+            match want.result {
+                WalkResult::Delivered if dst == far => seen.far_end_deliveries += 1,
+                WalkResult::Delivered => {
+                    let through_far = want.path.darts().iter().any(|d| g.dart_head(*d) == far);
+                    seen.inside_deliveries += usize::from(!through_far);
+                }
+                WalkResult::Dropped(reason) => {
+                    assert_eq!(reason, DropReason::TtlExpired, "{label}: a priced path is simple");
+                    seen.spent_budgets += 1;
+                }
+            }
+        }
+    }
+}
+
+/// The three protocol configurations of a PR network over `net`'s
+/// embedding: DD with either discriminator, and basic.
+fn pr_configurations(net: &Net) -> [PrNetwork; 3] {
+    let compile = |mode, kind| {
+        let embedding: CellularEmbedding = net.pr.embedding().clone();
+        PrNetwork::compile(&net.g, embedding, mode, kind)
+    };
+    [
+        compile(PrMode::DistanceDiscriminator, DiscriminatorKind::Hops),
+        compile(PrMode::DistanceDiscriminator, DiscriminatorKind::WeightedCost),
+        compile(PrMode::Basic, DiscriminatorKind::Hops),
+    ]
+}
+
+/// [`check_pr_lane`] over every configuration of `net` under each
+/// failed set, at a budget nothing exhausts and at a tight one.
+fn check_pr_lanes(net: &Net, sets: &[LinkSet]) -> PrSeen {
+    let g = &net.g;
+    let mut total = PrSeen::default();
+    for configuration in pr_configurations(net) {
+        let plan = ConePlan::new(g, configuration.base());
+        let agent = configuration.agent(g);
+        let (mut lane, mut opener) = (PrLane::new(&plan, agent), plan.opener());
+        let mut seen = PrSeen::default();
+        for failed in sets {
+            for ttl in [plan.ttl(), g.node_count() / 2] {
+                check_pr_lane(&plan, agent, &mut lane, &mut opener, failed, ttl, &mut seen);
+            }
+        }
+        // One episode per unit of one failed link, priced or not, at
+        // either budget.
+        assert_eq!(lane.take_episodes(), (seen.priced_units + seen.fallback_units) as u64);
+        total.priced_units += seen.priced_units;
+        total.inside_deliveries += seen.inside_deliveries;
+        total.far_end_deliveries += seen.far_end_deliveries;
+        total.fallback_units += seen.fallback_units;
+        total.spent_budgets += seen.spent_budgets;
+    }
+    total
 }
 
 /// All five lanes of the coverage sweep (the stretch sweep's two are
@@ -291,5 +422,100 @@ fn the_fcp_lane_groups_by_where_a_failure_is_learnt() {
         let net = (fixture.net)();
         let seen = check_lanes(&net, &(fixture.failed_sets)(&net.g), generous_ttl(&net.g));
         assert!((fixture.drives)(&seen), "{}: {seen:?}", fixture.name);
+    }
+}
+
+/// Every single-link failure of `g`, one set each.
+fn single_links(g: &Graph) -> Vec<LinkSet> {
+    g.links().map(|link| LinkSet::from_links(g.link_count(), [link])).collect()
+}
+
+#[test]
+fn the_pr_lane_prices_every_single_failure_as_walk_packet_walks() {
+    // Planar embeddings of 2-edge-connected maps: every unit is priced.
+    for net in [Net::abilene(), Net::figure1(), Net::searched(nets::synth("isp:24:7"))] {
+        let seen = check_pr_lanes(&net, &single_links(&net.g));
+        // Three configurations at two budgets, and every link is on the
+        // tree of either endpoint at least.
+        assert!(seen.priced_units >= 3 * 2 * 2 * net.g.link_count(), "{seen:?}");
+        assert!(seen.inside_deliveries > 0 && seen.far_end_deliveries > 0, "{seen:?}");
+        assert_eq!(seen.fallback_units, 0, "genus 0, no bridge: {seen:?}");
+        assert!(seen.spent_budgets > 0, "the tight budget must run out somewhere: {seen:?}");
+    }
+    // Positive genus: some episodes come back to where they started,
+    // and those units are walked — to a drop.
+    let net = Net::identity(nets::synth("isp:24:7"));
+    let seen = check_pr_lanes(&net, &single_links(&net.g));
+    assert!(seen.priced_units > 0 && seen.fallback_units > 0, "{seen:?}");
+}
+
+#[test]
+fn the_pr_lane_walks_what_it_cannot_price() {
+    // Two or more failures, cuts included, on a positive-genus mesh:
+    // nothing is priced, and the lane answers as the walker does.
+    let net = Net::identity(nets::synth("isp:24:7"));
+    let sets: Vec<LinkSet> =
+        any_subsets(&net.g, 40, 2010).into_iter().filter(|failed| failed.len() > 1).collect();
+    let seen = check_pr_lanes(&net, &sets);
+    assert_eq!(seen, PrSeen::default());
+}
+
+#[test]
+fn the_pr_lane_meets_each_named_case_of_its_closed_form() {
+    // The kit's three PR rows, each for the case it is named after; a
+    // pass that saw no priced unit, no delivery inside a detour and no
+    // fallback checked nothing.
+    let case = |name: &str| {
+        let fixture = fixtures::TABLE.iter().find(|f| f.name == name).expect("a named fixture");
+        let net = (fixture.net)();
+        check_pr_lanes(&net, &(fixture.failed_sets)(&net.g))
+    };
+    let inside = case("pr-delivers-inside-the-detour");
+    assert!(inside.priced_units > 0 && inside.inside_deliveries > 0, "{inside:?}");
+    let far_end = case("pr-destination-is-the-far-end");
+    assert!(far_end.priced_units > 0 && far_end.far_end_deliveries > 0, "{far_end:?}");
+    let returns = case("pr-episode-returns-to-the-point");
+    assert!(returns.fallback_units > 0, "{returns:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Wherever the lane prices — any genus, parallel links, bridges,
+    /// either mode, either discriminator, a generous budget or a tight
+    /// one — a source is answered as the unit's walker answers it.
+    #[test]
+    fn a_priced_pr_unit_answers_as_the_walked_one(
+        (g, rot) in with_rotation(with_bridge_or_parallel(two_edge_connected(3..11, 0..6, 1..=6))),
+        basic in any::<bool>(),
+        weighted in any::<bool>(),
+        tight in any::<bool>(),
+    ) {
+        let emb = CellularEmbedding::new(&g, rot).unwrap();
+        let mode = if basic { PrMode::Basic } else { PrMode::DistanceDiscriminator };
+        let kind = if weighted { DiscriminatorKind::WeightedCost } else { DiscriminatorKind::Hops };
+        let net = PrNetwork::compile(&g, emb, mode, kind);
+        let plan = ConePlan::new(&g, net.base());
+        let agent = net.agent(&g);
+        let ttl = if tight { g.node_count() / 2 } else { plan.ttl() };
+        let (mut lane, mut opener, mut walks) =
+            (PrLane::new(&plan, agent), plan.opener(), FlowScratch::new());
+        for failed in single_links(&g) {
+            for dst in g.nodes() {
+                let base_tree = plan.base().towards(dst);
+                let unit = SweepUnit { scenario: 0, failed: &failed, failures: 1, dst, base_tree };
+                let sources: Vec<NodeId> = opener.open(&unit).map(|(src, _)| src).collect();
+                let mut priced = lane.unit(&unit);
+                if sources.is_empty() || matches!(priced, PrUnit::Walked(_)) {
+                    continue;
+                }
+                let mut walked = walks.unit(&g, &agent, base_tree, &failed);
+                for src in sources {
+                    // A spent budget has one reason on either side; a
+                    // priced unit knows no other drop.
+                    prop_assert_eq!(priced.walk(src, ttl), walked.walk(src, ttl), "{} -> {}", src, dst);
+                }
+            }
+        }
     }
 }

@@ -217,6 +217,14 @@ pub fn sweep(args: &Args) -> CmdResult {
                     "fcp routes:    {} repaired (cone nodes {})",
                     routes.repaired, routes.cone_nodes
                 );
+                // Why a single-failure sweep reports no walk: every
+                // unit with a cone — one repair each — was priced.
+                let lanes = &stats.lanes;
+                println!(
+                    "closed forms:  fcp {} units priced, packet-recycling {} units priced \
+                     ({} episodes), of {} with a cone",
+                    lanes.fcp_priced, lanes.pr_priced, lanes.pr_episodes, repair.repairs
+                );
             }
             emit(
                 format,

@@ -148,6 +148,7 @@ mean stretch:  reconvergence 2.274  fcp 2.590  packet-recycling 3.612
 spt repair:    180 repairs, cone 36.9% of nodes (hit rate 63.1%), 0 full rebuilds
 walk memo:     528 walks for 796 sources, hit rate 3.8% (59 splices / 1546 lookups), spliced steps 6.1% of walk work
 fcp routes:    357 repaired (cone nodes 662)
+closed forms:  fcp 0 units priced, packet-recycling 0 units priced (0 episodes), of 180 with a cone
 ";
     assert!(text.ends_with(tail), "{text}");
 }

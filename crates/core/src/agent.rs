@@ -264,6 +264,23 @@ impl<'a> PrAgent<'a> {
         None
     }
 
+    /// The cycle-following **episode** the dead routing dart
+    /// `failed_out` opens at its tail, whatever the packet's
+    /// destination: §4.2's detour is a function of the failed interface
+    /// alone, and this is that function. See [`Episode`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `failed_out` is live: only a failed dart is sure to
+    /// have a failed dart — its twin — on the face the episode follows.
+    pub fn episode<'e>(&self, failed_out: Dart, failed: &'e LinkSet) -> Episode<'e>
+    where
+        'a: 'e,
+    {
+        assert!(failed.contains_dart(failed_out), "an episode starts at a failed dart");
+        Episode { agent: *self, failed, out: self.rotate_live(failed_out, failed), ended_by: None }
+    }
+
     /// Starts (or restarts) a cycle-following episode at `at` after its
     /// routing dart `failed_out` was found dead: sets the PR bit, in DD
     /// mode stamps the router's own discriminator (§4.3: "the first
@@ -309,6 +326,52 @@ impl<'a> PrAgent<'a> {
             return ForwardDecision::Forward(out);
         }
         self.start_episode(at, dest, out, state, failed)
+    }
+}
+
+/// One cycle-following episode ([`PrAgent::episode`]): the darts a
+/// packet takes from the router that deflects it off a dead routing
+/// dart — onto its next live interface counter-clockwise — through
+/// every router that forwards it on the cycle following of its
+/// ingress, up to the first router whose cycle-following dart is
+/// failed. There [`decide`](ForwardingAgent::decide) runs the
+/// §4.2/§4.3 termination check, the only step of an episode that reads
+/// the destination; everything this iterator yields is the same for
+/// every destination. Empty when every interface of the deflecting
+/// router is failed.
+///
+/// A packet on the episode is delivered by the first router that is
+/// its destination; telling is the caller's job.
+#[derive(Debug, Clone)]
+pub struct Episode<'a> {
+    agent: PrAgent<'a>,
+    failed: &'a LinkSet,
+    /// The dart to yield next.
+    out: Option<Dart>,
+    ended_by: Option<Dart>,
+}
+
+impl Episode<'_> {
+    /// The failed cycle-following dart that ended the episode, once
+    /// the iterator is exhausted: its tail is the router the episode
+    /// ends at. `None` before that, and for an empty episode.
+    pub fn ended_by(&self) -> Option<Dart> {
+        self.ended_by
+    }
+}
+
+impl Iterator for Episode<'_> {
+    type Item = Dart;
+
+    fn next(&mut self) -> Option<Dart> {
+        let out = self.out?;
+        let following = self.agent.net.cycle.cycle_following(out);
+        if self.failed.contains_dart(following) {
+            (self.out, self.ended_by) = (None, Some(following));
+        } else {
+            self.out = Some(following);
+        }
+        Some(out)
     }
 }
 
@@ -462,6 +525,38 @@ mod tests {
             agent.decide(NodeId(1), None, NodeId(0), &mut state, &failed),
             ForwardDecision::Drop(DropReason::Isolated)
         );
+    }
+
+    #[test]
+    fn an_episode_is_the_detour_of_its_failed_dart_whatever_the_destination() {
+        let (g, net) = ring_net(PrMode::DistanceDiscriminator);
+        let agent = net.agent(&g);
+        // 1 -> 0 is down: node 1 deflects onto 1 -> 2 and the packet
+        // follows the outer face round to node 0, whose cycle-following
+        // dart is the failed link's other direction.
+        let out = g.find_dart(NodeId(1), NodeId(0)).unwrap();
+        let failed = LinkSet::from_links(g.link_count(), [out.link()]);
+        let mut episode = agent.episode(out, &failed);
+        assert_eq!(episode.ended_by(), None, "not before the episode has run");
+        let routers: Vec<NodeId> = episode.by_ref().map(|d| g.dart_head(d)).collect();
+        assert_eq!(routers, [2, 3, 4, 0].map(NodeId));
+        assert_eq!(episode.ended_by(), Some(out.twin()));
+        // It is what `decide` does hop by hop towards node 0.
+        let walk = crate::walk_packet(&g, &agent, NodeId(1), NodeId(0), &failed, 10);
+        assert_eq!(walk.path.darts(), agent.episode(out, &failed).collect::<Vec<_>>());
+
+        // An isolated router deflects nowhere.
+        let all = LinkSet::full(g.link_count());
+        let mut nowhere = agent.episode(out, &all);
+        assert_eq!((nowhere.next(), nowhere.ended_by()), (None, None));
+    }
+
+    #[test]
+    #[should_panic(expected = "an episode starts at a failed dart")]
+    fn an_episode_of_a_live_dart_is_refused() {
+        let (g, net) = ring_net(PrMode::Basic);
+        let out = g.find_dart(NodeId(1), NodeId(0)).unwrap();
+        let _ = net.agent(&g).episode(out, &LinkSet::empty(g.link_count()));
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   failure avoidance, both read off the cellular embedding.
 //! * [`PrNetwork`] / [`PrAgent`] — the forwarding engine, in both
 //!   protocol variants ([`PrMode::Basic`] of §4.2 and
-//!   [`PrMode::DistanceDiscriminator`] of §4.3).
+//!   [`PrMode::DistanceDiscriminator`] of §4.3); [`Episode`] is §4.2's
+//!   detour as a function of the failed interface alone.
 //! * [`walk_packet`] — the execution engine used by experiments:
 //!   walks single packets under static failure sets with exact
 //!   livelock detection.
@@ -57,7 +58,9 @@ mod tables;
 pub mod trace;
 mod walker;
 
-pub use agent::{DropReason, ForwardDecision, ForwardingAgent, PrAgent, PrMode, PrNetwork};
+pub use agent::{
+    DropReason, Episode, ForwardDecision, ForwardingAgent, PrAgent, PrMode, PrNetwork,
+};
 pub use fib::{
     recover_flow_with, DenseFib, FibFrame, FlowScratch, FlowUnit, FlowWalk, Stamp, TreeEdge,
 };

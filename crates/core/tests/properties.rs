@@ -21,7 +21,9 @@
 //!    construction);
 //! 2. the basic-mode single-failure guarantee, same setting;
 //! 3. stretch / header invariants;
-//! 4. a **pinned counterexample** documenting the genus dependence.
+//! 4. §4.2's single-failure detour as a function of the failed
+//!    interface alone (`PrAgent::episode`), on any embedding;
+//! 5. a **pinned counterexample** documenting the genus dependence.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -32,7 +34,9 @@ use pr_core::{
 };
 use pr_embedding::{planar, CellularEmbedding, RotationSystem};
 use pr_graph::{algo, Graph, LinkId, LinkSet, NodeId, SpTree};
-use pr_testkit::strategies::{failure_set, picks, two_edge_connected, with_rotation};
+use pr_testkit::strategies::{
+    failure_set, picks, two_edge_connected, with_bridge_or_parallel, with_rotation,
+};
 
 /// Random planar-embedded graph (two families) + non-disconnecting
 /// failure set of up to six links.
@@ -168,6 +172,59 @@ proptest! {
                     canonical.as_slice(),
                     "failure-free PR must equal the canonical shortest path"
                 );
+            }
+        }
+    }
+
+    /// §4.2 under one failed link, embedding-independent (any genus,
+    /// parallel links, bridges): from the router behind the link a
+    /// packet takes the darts of the failed dart's episode — the same
+    /// for every destination — up to the destination if it sits on the
+    /// episode, and otherwise to the link's far end, where it resumes
+    /// along the failure-free tree; an episode that does not get there
+    /// (it comes back to the deflecting router, or that router is
+    /// isolated) is a drop. Both modes, both discriminators.
+    #[test]
+    fn one_failure_is_the_failed_darts_episode_then_the_far_ends_tree_path(
+        (g, rot) in with_rotation(with_bridge_or_parallel(two_edge_connected(3..11, 0..6, 1..=6))),
+        basic in any::<bool>(),
+        weighted in any::<bool>(),
+    ) {
+        let emb = CellularEmbedding::new(&g, rot).unwrap();
+        let mode = if basic { PrMode::Basic } else { PrMode::DistanceDiscriminator };
+        let kind = if weighted { DiscriminatorKind::WeightedCost } else { DiscriminatorKind::Hops };
+        let net = PrNetwork::compile(&g, emb, mode, kind);
+        let agent = net.agent(&g);
+        for out in g.darts() {
+            let failed = LinkSet::from_links(g.link_count(), [out.link()]);
+            let (point, far) = (g.dart_tail(out), g.dart_head(out));
+            let episode: Vec<_> = agent.episode(out, &failed).collect();
+            let mut rest = agent.episode(out, &failed);
+            let ended_by = rest.by_ref().last().and(rest.ended_by());
+            prop_assert_eq!(ended_by.is_none(), episode.is_empty());
+            prop_assert!(ended_by.is_none_or(|d| d.link() == out.link()));
+            let ends_at_far = ended_by.is_some_and(|d| g.dart_tail(d) == far);
+            for dst in g.nodes() {
+                let tree = net.base().towards(dst);
+                if tree.next_dart(point) != Some(out) {
+                    continue; // `point` does not route towards `dst` over the link
+                }
+                let walk = walk_packet(&g, &agent, point, dst, &failed, generous_ttl(&g));
+                let inside = episode.iter().position(|d| g.dart_head(*d) == dst);
+                let expected = match inside {
+                    Some(last) => Some(episode[..=last].to_vec()),
+                    None if ends_at_far => {
+                        Some([&episode[..], &tree.path_darts(&g, far).unwrap()].concat())
+                    }
+                    None => None,
+                };
+                match expected {
+                    Some(darts) => {
+                        prop_assert!(walk.result.is_delivered(), "{} -> {}: {:?}", point, dst, walk);
+                        prop_assert_eq!(walk.path.darts(), darts.as_slice());
+                    }
+                    None => prop_assert!(!walk.result.is_delivered(), "{} -> {}", point, dst),
+                }
             }
         }
     }

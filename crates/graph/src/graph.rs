@@ -27,11 +27,36 @@ impl Coordinates {
     ///
     /// [`Weighting`]: https://docs.rs/pr-topologies
     pub fn haversine_km(self, other: Coordinates) -> f64 {
-        let (lat1, lon1) = (self.lat.to_radians(), self.lon.to_radians());
-        let (lat2, lon2) = (other.lat.to_radians(), other.lon.to_radians());
-        let dlat = lat2 - lat1;
-        let dlon = lon2 - lon1;
-        let h = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+        self.on_sphere().haversine_km(other.on_sphere())
+    }
+
+    /// What the haversine reads of a position, taken once: a caller
+    /// that measures every pair of n positions converts n times, not
+    /// n² times.
+    pub fn on_sphere(self) -> SpherePoint {
+        let (lat, lon) = (self.lat.to_radians(), self.lon.to_radians());
+        SpherePoint { lat, lon, cos_lat: lat.cos() }
+    }
+}
+
+/// [`Coordinates`] in radians, with the cosine of the latitude
+/// ([`Coordinates::on_sphere`]).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+pub struct SpherePoint {
+    lat: f64,
+    lon: f64,
+    cos_lat: f64,
+}
+
+impl SpherePoint {
+    /// Great-circle distance to `other` in kilometres: the one
+    /// haversine of the workspace, so [`Coordinates::haversine_km`]
+    /// and a caller holding points agree to the bit.
+    pub fn haversine_km(self, other: SpherePoint) -> f64 {
+        let dlat = other.lat - self.lat;
+        let dlon = other.lon - self.lon;
+        let h =
+            (dlat / 2.0).sin().powi(2) + self.cos_lat * other.cos_lat * (dlon / 2.0).sin().powi(2);
         2.0 * 6371.0 * h.sqrt().asin()
     }
 }

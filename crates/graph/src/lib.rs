@@ -71,6 +71,6 @@ pub mod parser;
 
 pub use algo::{stretch, AllPairs, Path, RepairStats, SpScratch, SpTree, TreeChildren};
 pub use error::{GraphError, ParseError};
-pub use graph::{Coordinates, Graph};
+pub use graph::{Coordinates, Graph, SpherePoint};
 pub use ids::{Dart, LinkId, NodeId};
 pub use linkset::LinkSet;

@@ -3,9 +3,9 @@
 //! equivalence harness now replays on every run. A search that finds a
 //! new worst case adds a row here, not a test somewhere.
 
-use pr_graph::{Graph, LinkSet};
+use pr_graph::{generators, Graph, LinkSet};
 use pr_scenarios::{ExhaustiveKFailures, OutageParams, SampledMultiFailures, ScenarioIter};
-use pr_traffic::{FlowSet, GravityTraffic};
+use pr_traffic::{FlowSet, GravityTraffic, UniformTraffic};
 
 use crate::nets::{self, Net};
 use crate::shapes::GroupShapes;
@@ -92,6 +92,22 @@ fn links(g: &Graph, names: &[(&str, &str)]) -> Vec<LinkSet> {
     vec![LinkSet::from_links(g.link_count(), names.iter().map(link))]
 }
 
+/// Three routers, the direct link A–C five times either leg of A–B–C.
+fn lopsided_triangle() -> Graph {
+    let mut g = Graph::new();
+    let [a, b, c] = ["A", "B", "C"].map(|name| g.add_node(name));
+    for (u, v, weight) in [(a, b, 1), (b, c, 1), (a, c, 5)] {
+        g.add_link(u, v, weight).expect("fixture link");
+    }
+    g
+}
+
+/// Unit demand on every ordered pair: the flows of a case that is about
+/// paths, on a graph with no coordinates for gravity to read.
+fn every_pair(net: &Net) -> FlowSet {
+    FlowSet::all_pairs(&UniformTraffic::new(&net.g))
+}
+
 /// Every named case.
 pub const TABLE: &[Fixture] = &[
     // Found by exhaustive k = 2 on isp:40:7. FCP marks the header at
@@ -128,5 +144,42 @@ pub const TABLE: &[Fixture] = &[
         flows: |net| FlowSet::sampled(&net.hotspot(2010), net.g.node_count() / 2, 2010),
         pinned: None,
         drives: |seen| seen.point_at_cone_root && seen.nested_points,
+    },
+    // The three cases of the single-failure PR closed form
+    // (`pr_bench::pr_lane`), which prices a unit from the failed dart's
+    // cycle-following episode. With A–B down, A deflects A → C towards
+    // C onto the detour A–C–B and the packet is delivered at C, *inside*
+    // the detour, at 5; the whole episode plus the far end's tree path
+    // would read 5 + 1 + 1.
+    Fixture {
+        name: "pr-delivers-inside-the-detour",
+        net: || Net::identity(lopsided_triangle()),
+        failed_sets: |g| links(g, &[("A", "B")]),
+        flows: every_pair,
+        pinned: None,
+        drives: |seen| seen.point_at_cone_root,
+    },
+    // With 0–1 down on a ring, 1 → 0 is delivered by the router where
+    // cycle following meets the failed link again: the destination *is*
+    // the link's far end, and nothing is left to route.
+    Fixture {
+        name: "pr-destination-is-the-far-end",
+        net: || Net::identity(generators::ring(5, 1)),
+        failed_sets: |g| links(g, &[("0", "1")]),
+        flows: every_pair,
+        pinned: None,
+        drives: |seen| seen.point_at_cone_root,
+    },
+    // K4 under the identity rotation has genus 1, and both darts of 0–2
+    // lie on one face: the episode 0 deflects 0 → 2 onto comes back to
+    // 0 before it reaches 2, and PR livelocks although 0–1–2 survives.
+    // No closed form covers it; the unit is walked.
+    Fixture {
+        name: "pr-episode-returns-to-the-point",
+        net: || Net::identity(generators::complete(4, 1)),
+        failed_sets: |g| links(g, &[("0", "2")]),
+        flows: every_pair,
+        pinned: None,
+        drives: |seen| seen.point_at_cone_root && seen.dropped_point,
     },
 ];

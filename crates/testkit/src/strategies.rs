@@ -3,7 +3,8 @@
 //!
 //! Everything shrinks (`proptest`'s tape): node and chord counts
 //! towards the low end of their ranges, a failure set by dropping its
-//! picks, a rotation system to the identity.
+//! picks, a rotation system to the identity, a bridge or a parallel
+//! link to none.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -26,6 +27,30 @@ pub fn two_edge_connected(
         let mut rng = StdRng::seed_from_u64(seed);
         generators::random_two_edge_connected(n, chords, weights.clone(), &mut rng)
     })
+}
+
+/// A graph of `graphs`, with or without a pendant node hung off it by
+/// a **bridge**, with or without one of its links **doubled** by a
+/// parallel one of another weight: what a 2-edge-connected ring with
+/// chords never has.
+pub fn with_bridge_or_parallel(
+    graphs: impl Strategy<Value = Graph>,
+) -> impl Strategy<Value = Graph> {
+    (graphs, any::<bool>(), any::<bool>(), 0u32..u32::MAX).prop_map(
+        |(mut g, bridge, parallel, pick)| {
+            if parallel {
+                let link = LinkId(pick % g.link_count() as u32);
+                let (a, b) = g.endpoints(link);
+                g.add_link(a, b, g.weight(link) + 1 + pick % 3).expect("distinct endpoints");
+            }
+            if bridge {
+                let at = pr_graph::NodeId(pick % g.node_count() as u32);
+                let pendant = g.add_node("pendant");
+                g.add_link(at, pendant, 1 + pick % 9).expect("distinct endpoints");
+            }
+            g
+        },
+    )
 }
 
 /// `k` distinct links of `g` drawn from `rng`, cuts included — for the

@@ -45,10 +45,12 @@ fn every_fixture_drives_the_shapes_it_names() {
             seen.observe(g, &net.base, &FcpAgent::new(g), failed, ttl, ttl);
         }
         assert!((fixture.drives)(&seen), "{}: {seen:?}", fixture.name);
-        // A generous budget and a planar embedding: nothing drops,
-        // nothing falls back — and an observer that said so anyway
-        // would be lying about the other shapes too.
-        assert!(!seen.dropped_point && !seen.ttl_fallback, "{}: {seen:?}", fixture.name);
+        // A generous budget: nothing falls back; a planar embedding:
+        // nothing drops — and an observer that said so anyway would be
+        // lying about the other shapes too.
+        let planar = net.pr.embedding().genus() == 0;
+        assert!(!seen.ttl_fallback, "{}: {seen:?}", fixture.name);
+        assert!(!planar || !seen.dropped_point, "{}: {seen:?}", fixture.name);
         assert!(seen.point_at_destination, "{}: {seen:?}", fixture.name);
     }
 }

@@ -27,7 +27,7 @@
 //! demand equals `n · (n − 1)` — the same total as the uniform unit
 //! matrix — which makes weighted metrics comparable across models.
 
-use pr_graph::{Coordinates, Graph, NodeId};
+use pr_graph::{Graph, NodeId, SpherePoint};
 use pr_scenarios::scenario_seed;
 use serde::Serialize;
 
@@ -110,7 +110,9 @@ impl TrafficModel for UniformTraffic {
 #[derive(Debug, Clone, Serialize)]
 pub struct GravityTraffic {
     masses: Vec<f64>,
-    coords: Vec<Coordinates>,
+    /// Each PoP's position as the haversine reads it: radians and the
+    /// latitude's cosine are per node, not per pair.
+    points: Vec<SpherePoint>,
     /// Normalisation factor making the total demand `n · (n − 1)`.
     norm: f64,
 }
@@ -137,9 +139,11 @@ impl GravityTraffic {
             masses[a.index()] += w;
             masses[b.index()] += w;
         }
-        let coords: Vec<Coordinates> =
-            graph.nodes().map(|v| graph.coordinates(v).expect("fully located")).collect();
-        let mut model = GravityTraffic { masses, coords, norm: 1.0 };
+        let points: Vec<SpherePoint> = graph
+            .nodes()
+            .map(|v| graph.coordinates(v).expect("fully located").on_sphere())
+            .collect();
+        let mut model = GravityTraffic { masses, points, norm: 1.0 };
         let raw = model.total_demand();
         assert!(raw > 0.0, "gravity masses are all zero");
         model.norm = (n * (n - 1)) as f64 / raw;
@@ -160,7 +164,7 @@ impl TrafficModel for GravityTraffic {
         if src == dst {
             return 0.0;
         }
-        let km = self.coords[src.index()].haversine_km(self.coords[dst.index()]);
+        let km = self.points[src.index()].haversine_km(self.points[dst.index()]);
         let friction = 1.0 + (km / GRAVITY_SCALE_KM) * (km / GRAVITY_SCALE_KM);
         self.norm * self.masses[src.index()] * self.masses[dst.index()] / friction
     }
@@ -303,6 +307,49 @@ mod tests {
         assert_eq!(m.demand(NodeId(0), NodeId(1)), 1.0);
         assert_eq!(m.demand(NodeId(3), NodeId(3)), 0.0);
         assert_eq!(m.total_demand(), (n * (n - 1)) as f64, "unit sums are exact");
+    }
+
+    #[test]
+    fn gravity_demand_keeps_the_bits_of_the_per_pair_haversine() {
+        // The haversine as it was spelled per pair — four conversions
+        // and two cosines each time — is the reference: hoisting them
+        // per node must not move a bit of any distance or demand.
+        fn per_pair_km(a: pr_graph::Coordinates, b: pr_graph::Coordinates) -> f64 {
+            let (lat1, lon1) = (a.lat.to_radians(), a.lon.to_radians());
+            let (lat2, lon2) = (b.lat.to_radians(), b.lon.to_radians());
+            let (dlat, dlon) = (lat2 - lat1, lon2 - lon1);
+            let h =
+                (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+            2.0 * 6371.0 * h.sqrt().asin()
+        }
+        let graphs = [
+            geant(),
+            pr_topologies::load(Isp::Teleglobe, Weighting::Distance),
+            pr_graph::generators::synth_from_spec("isp:40:7").unwrap(),
+        ];
+        for g in graphs {
+            let m = GravityTraffic::new(&g);
+            let at = |v| g.coordinates(v).unwrap();
+            let mass = |v: NodeId| m.masses[v.index()];
+            let mut raw = 0.0;
+            for dst in g.nodes() {
+                for src in g.nodes() {
+                    let km = per_pair_km(at(src), at(dst));
+                    assert_eq!(at(src).haversine_km(at(dst)).to_bits(), km.to_bits());
+                    let friction = 1.0 + (km / GRAVITY_SCALE_KM) * (km / GRAVITY_SCALE_KM);
+                    // As `demand` spells it, the factor first: 1 while
+                    // `new` takes the total, the norm afterwards.
+                    let demand = |norm: f64| match src == dst {
+                        true => 0.0,
+                        false => norm * mass(src) * mass(dst) / friction,
+                    };
+                    raw += demand(1.0);
+                    assert_eq!(m.demand(src, dst).to_bits(), demand(m.norm).to_bits());
+                }
+            }
+            let n = g.node_count();
+            assert_eq!(m.norm.to_bits(), ((n * (n - 1)) as f64 / raw).to_bits());
+        }
     }
 
     #[test]
