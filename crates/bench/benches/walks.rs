@@ -8,19 +8,18 @@
 //! stay under an absolute ns/source ceiling, after reproducing the
 //! plain per-source `walk_packet_with` sweep's tallies. A lane that
 //! walks again shows as a multiple of the ceiling, not a few percent.
-//! One gate per lane: PR, priced from the failed dart's episode
-//! (`pr_bench::pr_lane`), and FCP, priced from the repaired labels
-//! (`pr_bench::fcp_lane`) against the honest recompute-per-decision
-//! agent's tallies.
+//! One gate per lane (`pr_bench::lanes`), both driven by one function:
+//! PR, priced from the failed dart's episode, and FCP, priced from the
+//! repaired labels against the honest recompute-per-decision agent's
+//! tallies.
 
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pr_baselines::FcpAgent;
-use pr_bench::engine::{ConePlan, SweepUnit};
-use pr_bench::fcp_lane::FcpLane;
-use pr_bench::pr_lane::PrLane;
+use pr_bench::engine::{ConeOpener, ConePlan, SweepUnit};
+use pr_bench::lanes::{Lane, LaneScratch};
 use pr_core::{generous_ttl, walk_packet_with, FlowScratch, ForwardingAgent, WalkScratch};
 use pr_graph::{AllPairs, Graph, LinkId, LinkSet, NodeId};
 use pr_testkit::nets::{synth, Net};
@@ -135,6 +134,29 @@ fn sweep_unit<'a>(base: &'a AllPairs, unit: &'a Unit) -> SweepUnit<'a> {
     SweepUnit { scenario: 0, failed: &unit.failed, failures: 1, dst: unit.dst, base_tree }
 }
 
+/// One lane as the stretch sweep runs it: the unit's cone opened, the
+/// lane opened on the unit, every source of the cone asked.
+fn sweep_lane<L: Lane>(
+    base: &AllPairs,
+    units: &[Unit],
+    opener: &mut ConeOpener<'_>,
+    lane: &mut LaneScratch<'_, L>,
+) -> (u64, u64) {
+    let (mut delivered, mut cost) = (0u64, 0u64);
+    for unit in units {
+        let unit = sweep_unit(base, unit);
+        let cone = opener.open(&unit);
+        let mut answers = lane.unit(&unit, &cone);
+        for (src, _) in cone {
+            if let Some(c) = answers.cost(src) {
+                delivered += 1;
+                cost += c;
+            }
+        }
+    }
+    (delivered, cost)
+}
+
 /// One lane's unit-walk regression gate on the 500-node mesh. Panics
 /// (failing the bench run, `--test` smoke mode included) when `lane` —
 /// the unit sweep — does not reproduce the `plain` tallies or exceeds
@@ -183,43 +205,15 @@ fn bench_walks(c: &mut Criterion) {
     let units = build_units(&graph, base);
     let ttl = generous_ttl(&graph);
 
-    // Each lane as the stretch sweep runs it: the unit's cone opened,
-    // the lane opened on the unit, every source of the cone asked.
-    let (mut lane, mut opener) = (PrLane::new(&plan, agent), plan.opener());
-    let mut pr_lane = || {
-        let (mut delivered, mut cost) = (0u64, 0u64);
-        for unit in &units {
-            let unit = sweep_unit(base, unit);
-            let cone = opener.open(&unit);
-            let mut pr = lane.unit(&unit);
-            for (src, _) in cone {
-                if let Some(c) = pr.walk(src, ttl).cost() {
-                    delivered += 1;
-                    cost += c;
-                }
-            }
-        }
-        (delivered, cost)
-    };
+    let mut opener = plan.opener();
+    let mut pr = LaneScratch::new(&plan, agent);
+    let mut pr_lane = || sweep_lane(base, &units, &mut opener, &mut pr);
     let plain = sweep_plain(&graph, &agent, &units, ttl, &mut WalkScratch::new());
     lane_gate("pr", &units, PR_NS_PER_SOURCE_CEILING, plain, &mut pr_lane);
 
-    let (mut lane, mut opener) = (FcpLane::new(&plan), plan.opener());
-    let mut fcp_lane = || {
-        let (mut delivered, mut cost) = (0u64, 0u64);
-        for unit in &units {
-            let unit = sweep_unit(base, unit);
-            let cone = opener.open(&unit);
-            let mut fcp = lane.unit(&unit, &cone);
-            for (src, _) in cone {
-                if let Some(c) = fcp.cost(src) {
-                    delivered += 1;
-                    cost += c;
-                }
-            }
-        }
-        (delivered, cost)
-    };
+    let mut opener = plan.opener();
+    let mut fcp = LaneScratch::new(&plan, FcpAgent::cached_with_base(&graph, base));
+    let mut fcp_lane = || sweep_lane(base, &units, &mut opener, &mut fcp);
     let honest = sweep_plain(&graph, &FcpAgent::new(&graph), &units, ttl, &mut WalkScratch::new());
     lane_gate("fcp", &units, FCP_NS_PER_SOURCE_CEILING, honest, &mut fcp_lane);
 

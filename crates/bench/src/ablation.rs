@@ -6,7 +6,7 @@
 //!   reproduction finding: §5's guarantee is a genus-0 statement).
 //!
 //! All three sweeps are the engine's unit kernel ([`crate::engine`])
-//! with one PR-DD lane.
+//! with one PR-DD lane ([`crate::lanes`]).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,7 +20,7 @@ use pr_scenarios::{
 };
 
 use crate::engine::ConePlan;
-use crate::pr_lane::PrLane;
+use crate::lanes::LaneScratch;
 
 /// E6: one embedding heuristic's quality and its stretch consequences.
 #[derive(Debug, Clone, Serialize)]
@@ -103,16 +103,17 @@ fn pr_dd_sweep(
     let agent = net.agent(graph);
     let mut merged = PrDdPartial::default();
     plan.sweep(scenarios, threads).fold(
-        || (plan.opener(), PrLane::new(&plan, agent)),
+        || (plan.opener(), LaneScratch::new(&plan, agent)),
         |_, _| (),
         |(opener, lane), unit, out: &mut PrDdPartial| {
-            let mut dd = lane.unit(&unit);
-            for (src, survivor) in opener.open(&unit) {
+            let cone = opener.open(&unit);
+            let mut dd = lane.unit(&unit, &cone);
+            for (src, survivor) in cone {
                 if survivor.is_none() {
                     continue;
                 }
                 out.evaluated += 1;
-                if let Some(cost) = dd.walk(src, plan.ttl()).cost() {
+                if let Some(cost) = dd.cost(src) {
                     out.delivered += 1;
                     out.stretches.push(cost as f64 / unit.base_tree.cost(src).unwrap() as f64);
                 }
@@ -247,11 +248,11 @@ pub fn genus_delivery(
             })
             .collect();
         plan.sweep(&scenarios, threads).fold(
-            || (plan.opener(), PrLane::new(&plan, agent)),
+            || (plan.opener(), LaneScratch::new(&plan, agent)),
             |_, _| (),
             |(opener, lane), unit, (evaluated, delivered): &mut (u64, u64)| {
-                let mut dd = lane.unit(&unit);
                 let cone = opener.open(&unit);
+                let mut dd = lane.unit(&unit, &cone);
                 // A source outside the cone keeps its shortest path,
                 // which PR follows to delivery while it meets no
                 // failure: counted, not walked.
@@ -263,7 +264,7 @@ pub fn genus_delivery(
                         continue;
                     }
                     *evaluated += 1;
-                    *delivered += u64::from(dd.walk(src, plan.ttl()).is_delivered());
+                    *delivered += u64::from(dd.cost(src).is_some());
                 }
             },
             |_, (evaluated, delivered)| {

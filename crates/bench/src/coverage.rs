@@ -3,12 +3,11 @@
 //! partial protection.
 //!
 //! The sweep is the engine's unit kernel ([`crate::engine`]) with five
-//! lanes: per (scenario, destination) unit a worker's cone opener
-//! yields the affected sources, and every connected one is answered by
-//! each scheme — FCP and both PR modes through their lanes
-//! ([`crate::fcp_lane`], [`crate::pr_lane`]: arithmetic under one
-//! failure), LFA and not-via through a `pr_core::FlowScratch` unit
-//! each. The ordered block fold of integer
+//! lanes ([`crate::lanes`]): per (scenario, destination) unit a
+//! worker's cone opener yields the affected sources, and every lane —
+//! both PR modes and FCP, arithmetic under one failure, and LFA and
+//! not-via, which walk — answers every connected one, in
+//! [`CoverageRow`] field order. The ordered block fold of integer
 //! counts makes the output bit-identical to the independent oracle
 //! (`pr_testkit::oracle::coverage_serial`: plain `walk_packet`,
 //! scratch Dijkstra, all n sources classified) at any thread count
@@ -16,15 +15,14 @@
 
 use serde::Serialize;
 
-use pr_baselines::{LfaAgent, NotViaAgent};
-use pr_core::{DiscriminatorKind, FlowScratch, PrMode, PrNetwork};
+use pr_baselines::{FcpAgent, LfaAgent, NotViaAgent};
+use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
 use pr_embedding::CellularEmbedding;
 use pr_graph::Graph;
 use pr_scenarios::{SampledMultiFailures, ScenarioFamily, SingleLinkFailures};
 
-use crate::engine::{ConeOpener, ConePlan};
-use crate::fcp_lane::FcpLane;
-use crate::pr_lane::PrLane;
+use crate::engine::{ConePlan, OpenCone, SweepUnit};
+use crate::lanes::{Lane, LaneScratch};
 
 /// Delivery statistics for one scheme at one failure count.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
@@ -68,52 +66,9 @@ pub struct CoverageRow {
     pub notvia: CoverageCell,
 }
 
-/// The five schemes' compiled, failure-invariant state, hoisted out of
-/// every loop level.
-struct Compiled {
-    basic_net: PrNetwork,
-    dd_net: PrNetwork,
-    lfa: LfaAgent,
-    notvia: NotViaAgent,
-}
-
-impl Compiled {
-    fn new(graph: &Graph, embedding: &CellularEmbedding) -> Compiled {
-        Compiled {
-            basic_net: PrNetwork::compile(
-                graph,
-                embedding.clone(),
-                PrMode::Basic,
-                DiscriminatorKind::Hops,
-            ),
-            dd_net: PrNetwork::compile(
-                graph,
-                embedding.clone(),
-                PrMode::DistanceDiscriminator,
-                DiscriminatorKind::Hops,
-            ),
-            lfa: LfaAgent::compute(graph),
-            notvia: NotViaAgent::compute(graph),
-        }
-    }
-}
-
 /// What a block of work units folds into: `(evaluated, delivered)`
 /// per scheme, in [`CoverageRow`] field order.
 type BlockCells = [(u64, u64); 5];
-
-/// Per-worker mutable state: the cone opener, the FCP lane, one PR
-/// lane per mode (basic and DD share a header type but not a memo:
-/// their trajectories differ) and one flow scratch per other scheme —
-/// all reused across every unit the worker runs.
-struct Worker<'a> {
-    opener: ConeOpener<'a>,
-    fcp: FcpLane<'a>,
-    basic: PrLane<'a>,
-    dd: PrLane<'a>,
-    lfa_walks: FlowScratch<()>,
-    notvia_walks: FlowScratch<pr_baselines::NotViaState>,
-}
 
 /// Runs coverage for failure counts `1..=max_failures`, with
 /// `samples_per_count` sampled scenarios each (failure count 1 runs
@@ -126,56 +81,51 @@ pub fn run(
     seed: u64,
     threads: usize,
 ) -> Vec<CoverageRow> {
-    let compiled = Compiled::new(graph, embedding);
+    let compile =
+        |mode| PrNetwork::compile(graph, embedding.clone(), mode, DiscriminatorKind::Hops);
+    let (basic, dd) = (compile(PrMode::Basic), compile(PrMode::DistanceDiscriminator));
+    let (lfa, notvia) = (LfaAgent::compute(graph), NotViaAgent::compute(graph));
     // Both PR networks route on equal trees; the plan reads the DD's.
-    let plan = ConePlan::new(graph, compiled.dd_net.base());
-    let basic_agent = compiled.basic_net.agent(graph);
-    let dd_agent = compiled.dd_net.agent(graph);
-    let ttl = plan.ttl();
+    let plan = ConePlan::new(graph, dd.base());
+    let (basic, dd) = (basic.agent(graph), dd.agent(graph));
 
     let mut rows = Vec::new();
     for k in 1..=max_failures {
         let scenarios = scenarios_for(graph, k, samples_per_count, seed);
         let mut row = CoverageRow { failures: k, ..CoverageRow::default() };
         plan.sweep(scenarios.as_ref(), threads).fold(
-            || Worker {
-                opener: plan.opener(),
-                fcp: FcpLane::new(&plan),
-                basic: PrLane::new(&plan, basic_agent),
-                dd: PrLane::new(&plan, dd_agent),
-                lfa_walks: FlowScratch::new(),
-                notvia_walks: FlowScratch::new(),
+            || {
+                let fcp = FcpAgent::cached_with_base(graph, plan.base());
+                let (basic, dd) = (LaneScratch::new(&plan, basic), LaneScratch::new(&plan, dd));
+                let (lfa, notvia) =
+                    (LaneScratch::new(&plan, &lfa), LaneScratch::new(&plan, &notvia));
+                (plan.opener(), basic, dd, LaneScratch::new(&plan, fcp), lfa, notvia)
             },
             // Scenario boundary: the FCP memo's keys are subsets of the
             // departing scenario — evict instead of growing the map
             // across the sweep.
-            |w, _| w.fcp.begin_scenario(),
-            |w, unit, cells: &mut BlockCells| {
-                let cone = w.opener.open(&unit);
+            |(_, basic, dd, fcp, lfa, notvia), _| {
+                basic.begin_scenario();
+                dd.begin_scenario();
+                fcp.begin_scenario();
+                lfa.begin_scenario();
+                notvia.begin_scenario();
+            },
+            |(opener, basic, dd, fcp, lfa, notvia), unit, cells: &mut BlockCells| {
+                let cone = opener.open(&unit);
                 if cone.len() == 0 {
                     return;
                 }
-                let (tree, failed) = (unit.base_tree, unit.failed);
-                let mut basic = w.basic.unit(&unit);
-                let mut dd = w.dd.unit(&unit);
-                let mut lfa = w.lfa_walks.unit(graph, &compiled.lfa, tree, failed);
-                let mut notvia = w.notvia_walks.unit(graph, &compiled.notvia, tree, failed);
-                let mut fcp = w.fcp.unit(&unit, &cone);
-                for (src, survivor) in cone {
-                    if survivor.is_none() {
-                        continue; // "| path" conditioning
-                    }
-                    let delivered = [
-                        basic.walk(src, ttl).is_delivered(),
-                        dd.walk(src, ttl).is_delivered(),
-                        fcp.cost(src).is_some(),
-                        lfa.walk(src, ttl).is_delivered(),
-                        notvia.walk(src, ttl).is_delivered(),
-                    ];
-                    for (cell, delivered) in cells.iter_mut().zip(delivered) {
-                        cell.0 += 1;
-                        cell.1 += u64::from(delivered);
-                    }
+                let counts = [
+                    tally(basic, &unit, &cone),
+                    tally(dd, &unit, &cone),
+                    tally(fcp, &unit, &cone),
+                    tally(lfa, &unit, &cone),
+                    tally(notvia, &unit, &cone),
+                ];
+                for (cell, (evaluated, delivered)) in cells.iter_mut().zip(counts) {
+                    cell.0 += evaluated;
+                    cell.1 += delivered;
                 }
             },
             |_, cells| {
@@ -189,6 +139,20 @@ pub fn run(
         rows.push(row);
     }
     rows
+}
+
+/// `(evaluated, delivered)` of one lane over the connected sources of
+/// `unit`'s opened cone ("| path" conditioning).
+fn tally<L: Lane>(
+    lane: &mut LaneScratch<'_, L>,
+    unit: &SweepUnit<'_>,
+    cone: &OpenCone<'_>,
+) -> (u64, u64) {
+    let mut answers = lane.unit(unit, cone);
+    let connected = cone.clone().filter(|(_, survivor)| survivor.is_some());
+    connected.fold((0, 0), |(evaluated, delivered), (src, _)| {
+        (evaluated + 1, delivered + u64::from(answers.cost(src).is_some()))
+    })
 }
 
 /// Scenario family for one failure count: exhaustive singles

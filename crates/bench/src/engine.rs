@@ -18,27 +18,24 @@
 //!   cost (`None`: the failure disconnected it). That is the unit's
 //!   one cone repair — distance labels only — and the opened cone
 //!   answers for any of its nodes ([`OpenCone::survivor`]). Then the
-//!   sweep opens one lane per scheme and asks it for each connected
-//!   source. Under **one** failed link FCP and PR are priced, not
-//!   walked: a cone has one failure point, and what either scheme pays
-//!   from there is known without a hop loop — the survivor label the
-//!   opener has just repaired ([`crate::fcp_lane`]), the failed dart's
-//!   cycle-following episode ([`crate::pr_lane`]). Under two or more,
-//!   and for every other scheme, a lane is a
-//!   `pr_core::FlowScratch::unit`, which evicts that scheme's suffix
-//!   memo at the only place it can be evicted and walks once per
-//!   **failure point** — the router where the scheme first does
-//!   anything but forward along the failure-free tree — answering
-//!   every source behind a point by arithmetic. Sources outside the
-//!   cone are never asked: their shortest path survives and every
-//!   scheme here delivers along it (`pr_core`'s `fib` module has the
-//!   argument).
+//!   sweep opens each scheme's lane on the unit and asks it the cost
+//!   of every connected source — one shape for every scheme
+//!   ([`crate::lanes`]). Under **one** failed link FCP and PR are
+//!   priced, not walked: a cone has one failure point, and what either
+//!   scheme pays from there is known without a hop loop. Under two or
+//!   more, and for every other scheme, a lane walks through
+//!   `pr_core`'s flow unit, which evicts that scheme's suffix memo at
+//!   the only place it can be evicted and walks once per **failure
+//!   point** — the router where the scheme first does anything but
+//!   forward along the failure-free tree — answering every source
+//!   behind a point by arithmetic. Sources outside the cone are never
+//!   asked: their shortest path survives and every scheme here
+//!   delivers along it (`pr_core`'s `fib` module has the argument).
 //! * **Work-unit parallelism** — units fan out over a hand-rolled
 //!   [`std::thread::scope`] worker pool: a chunked work queue over an
 //!   [`AtomicUsize`] cursor (the container has no crates.io access, so
-//!   no rayon). Each worker owns private scratch state (a cone opener,
-//!   its scheme lanes and flow scratches) created by a caller-supplied
-//!   factory.
+//!   no rayon). Each worker owns private scratch state (a cone opener
+//!   and its scheme lanes) created by a caller-supplied factory.
 //! * **Ordered streaming merge** — a worker folds each *block* of
 //!   consecutive destinations of one scenario into one accumulator and
 //!   hands it to the calling thread, which delivers blocks to the
@@ -253,6 +250,7 @@ impl ConeOpener<'_> {
 /// The opened cone of one unit ([`ConeOpener::open`]): an iterator
 /// over its `(affected source, survivor cost)` pairs that also answers
 /// for any one of them by node.
+#[derive(Clone)]
 pub struct OpenCone<'a> {
     sources: std::slice::Iter<'a, NodeId>,
     labels: &'a SpScratch,

@@ -36,10 +36,9 @@
 pub mod ablation;
 pub mod coverage;
 pub mod engine;
-pub mod fcp_lane;
 pub mod impair;
+pub mod lanes;
 pub mod overheads;
-pub mod pr_lane;
 pub mod shards;
 pub mod stretch;
 pub mod temporal;

@@ -7,13 +7,13 @@
 //! failure-free shortest-path cost (§6). Per panel and scheme, the
 //! paper plots the complementary CDF `P(stretch > x | path)`.
 //!
-//! The sweep is the engine's unit kernel ([`crate::engine`]) with three
-//! lanes: a worker's cone opener yields a unit's affected sources with
-//! their survivor cost — which *is* the reconvergence sample — and the
-//! FCP ([`crate::fcp_lane`]) and PR ([`crate::pr_lane`]) lanes answer
-//! each connected one: by arithmetic under a single failure, where
-//! neither lane walks, and by one walk per failure point under two or
-//! more. Workers fold blocks of consecutive destinations into
+//! The sweep is the engine's unit kernel ([`crate::engine`]): a worker's
+//! cone opener yields a unit's affected sources with their survivor
+//! cost — which *is* the reconvergence sample — and the FCP and PR
+//! lanes ([`crate::lanes`]) answer each connected one: by arithmetic
+//! under a single failure, where neither lane walks, and by one walk
+//! per failure point under two or more. Workers fold blocks of
+//! consecutive destinations into
 //! [`StretchBlock`]s, which reach the calling thread in work-unit order
 //! while the pool runs.
 //!
@@ -33,14 +33,13 @@
 
 use serde::{Deserialize, Serialize};
 
-use pr_baselines::RouteStats;
+use pr_baselines::{FcpAgent, RouteStats};
 use pr_core::{MemoStats, PrAgent, PrNetwork};
 use pr_graph::{AllPairs, Graph, RepairStats};
 use pr_scenarios::ScenarioFamily;
 
 use crate::engine::{ConeOpener, ConePlan, SweepUnit};
-use crate::fcp_lane::{FcpLane, FcpUnit};
-use crate::pr_lane::{PrLane, PrUnit};
+use crate::lanes::LaneScratch;
 
 /// Scheme identifiers used in experiment output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -249,11 +248,11 @@ impl<'a> StretchPlan<'a> {
 
     /// One worker's private state.
     pub fn worker(&self) -> StretchWorker<'_> {
+        let fcp = FcpAgent::cached_with_base(self.cones.graph(), self.base());
         StretchWorker {
-            plan: self,
             opener: self.cones.opener(),
-            fcp: FcpLane::new(&self.cones),
-            pr: PrLane::new(&self.cones, self.pr_agent),
+            fcp: LaneScratch::new(&self.cones, fcp),
+            pr: LaneScratch::new(&self.cones, self.pr_agent),
         }
     }
 
@@ -277,17 +276,17 @@ impl<'a> StretchPlan<'a> {
 /// Per-worker mutable state of the stretch sweep, reused across every
 /// unit the worker runs: the cone opener and the two scheme lanes.
 pub struct StretchWorker<'a> {
-    plan: &'a StretchPlan<'a>,
     opener: ConeOpener<'a>,
-    fcp: FcpLane<'a>,
-    pr: PrLane<'a>,
+    fcp: LaneScratch<'a, FcpAgent<'a>>,
+    pr: LaneScratch<'a, PrAgent<'a>>,
 }
 
 impl StretchWorker<'_> {
-    /// Scenario boundary: evicts the FCP route memo (its keys are
-    /// subsets of the departing scenario's failures).
+    /// Scenario boundary for both lanes: evicts the FCP route memo
+    /// (its keys are subsets of the departing scenario's failures).
     pub fn begin_scenario(&self) {
         self.fcp.begin_scenario();
+        self.pr.begin_scenario();
     }
 
     /// Folds one (scenario, destination) unit — every affected source
@@ -298,18 +297,14 @@ impl StretchWorker<'_> {
     /// has the room, this does not call the allocator
     /// (`tests/alloc_sweep.rs`).
     pub fn fold_unit(&mut self, unit: SweepUnit<'_>, out: &mut StretchBlock) {
-        let StretchWorker { plan, opener, fcp, pr } = self;
-        let ttl = plan.cones.ttl();
+        let StretchWorker { opener, fcp, pr } = self;
         out.failures = unit.failures;
         let cone = opener.open(&unit);
         if cone.len() == 0 {
             return;
         }
         let mut fcp_unit = fcp.unit(&unit, &cone);
-        let mut pr_unit = pr.unit(&unit);
-        let lanes = &mut out.stats.lanes;
-        lanes.fcp_priced += u64::from(matches!(fcp_unit, FcpUnit::Priced(..)));
-        lanes.pr_priced += u64::from(matches!(pr_unit, PrUnit::Priced(..)));
+        let mut pr_unit = pr.unit(&unit, &cone);
         let samples = &mut out.samples;
         // The debug-build cross-check of the survivor costs against
         // the reconvergence agent's own tables is per scenario in the
@@ -333,16 +328,14 @@ impl StretchWorker<'_> {
             }
 
             // PR: cycle following.
-            match pr_unit.walk(src, ttl).cost() {
+            match pr_unit.cost(src) {
                 Some(cost) => samples.packet_recycling.push(cost as f64 / optimal as f64),
                 None => samples.drop_pr(),
             }
         }
         out.stats.repair.merge(&opener.take_stats());
-        out.stats.memo.merge(&fcp_unit.take_stats());
-        out.stats.routes.merge(&fcp.take_route_stats());
-        out.stats.memo.merge(&pr_unit.take_stats());
-        out.stats.lanes.pr_episodes += pr.take_episodes();
+        fcp_unit.take_stats(&mut out.stats);
+        pr_unit.take_stats(&mut out.stats);
     }
 }
 

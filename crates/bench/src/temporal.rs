@@ -3,8 +3,8 @@
 //!
 //! PR 2 gave the *topological* experiments (coverage, stretch) the
 //! work-unit engine; this module ports the *temporal* ones — §1's
-//! OC-192 outage arithmetic, detection-delay sensitivity, and §7 link
-//! flapping — onto the same machinery. A [`TemporalFamily`] enumerates
+//! OC-192 outage arithmetic and §7 link flapping — onto the same
+//! machinery. A [`TemporalFamily`] enumerates
 //! timed scenarios by index; each index is one engine work unit that
 //! replays the scenario through `pr_sim` under two schemes (PR and a
 //! reconverging IGP) and returns their [`Metrics`].
@@ -13,7 +13,7 @@
 //! state (its CBR flow draws nothing from the simulator's RNG), and
 //! the engine merges results in unit order. [`run`] is therefore
 //! bit-identical at any thread count, one thread being the plain
-//! scenario loop (`tests/determinism.rs` asserts this for all three
+//! scenario loop (`tests/determinism.rs` asserts this for both
 //! shipped families at 1/2/4 threads).
 //!
 //! **Hoisting.** The compiled PR network, its agent and the

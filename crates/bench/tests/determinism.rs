@@ -21,8 +21,8 @@ use pr_core::PrNetwork;
 use pr_embedding::CellularEmbedding;
 use pr_graph::Graph;
 use pr_scenarios::{
-    DetectionDelaySweep, FlapSweep, NodeFailures, OutageSweep, SampledMultiFailures,
-    ScenarioFamily, SingleLinkFailures, TemporalFamily,
+    FlapSweep, NodeFailures, OutageSweep, SampledMultiFailures, ScenarioFamily, SingleLinkFailures,
+    TemporalFamily,
 };
 use pr_sim::SimConfig;
 use pr_testkit::fixtures::quick_outage;
@@ -259,15 +259,6 @@ fn abilene_outage_sweep_parallel_equals_serial() {
 fn abilene_flap_sweep_parallel_equals_serial() {
     let Net { g, pr, .. } = Net::abilene();
     let fam = FlapSweep::new(&g, quick_outage()).with_holddown(8_000_000);
-    temporal_is_deterministic_on(&g, &pr, &fam);
-}
-
-#[test]
-fn abilene_detection_delay_sweep_parallel_equals_serial() {
-    let Net { g, pr, .. } = Net::abilene();
-    let link = g.links().next().unwrap();
-    let fam =
-        DetectionDelaySweep::new(&g, link, vec![0, 100_000, 1_000_000, 10_000_000], quick_outage());
     temporal_is_deterministic_on(&g, &pr, &fam);
 }
 

@@ -11,29 +11,36 @@
 //! path of which crosses a failure. One opener serves every unit of a
 //! fixture, as a sweep worker's does.
 //!
-//! **Lanes.** Every scheme a sweep walks — PR basic and DD, FCP,
-//! LFA, not-via — answers a source through
+//! **Lanes.** Every scheme a sweep asks — PR basic and DD, FCP, LFA,
+//! not-via — is a [`Lane`], opened per unit as the sweeps open it and
+//! asked the cost of every source of the unit's cone. One checker,
+//! [`check_lane`], holds every registered lane ([`check_lanes`]) to
+//! plain `walk_packet` on the same flow at the plan's budget — FCP to
+//! the honest recompute-per-decision agent, the others to their own —
+//! whether the lane prices the unit (one failure, FCP and PR under
+//! either mode and either discriminator) or walks it; that is the
+//! registry's conformance test. The fixtures drive every shape a unit's
+//! groups take ([`GroupShapes`]) and every case of the closed forms
+//! ([`PrSeen`]), the named ones of the kit's table among them.
+//!
+//! **Walks.** What a lane walks goes through
 //! [`FlowUnit::walk`](pr_core::FlowUnit::walk): one walk per failure
-//! point, every source behind it by arithmetic. Each answer must be
-//! plain `walk_packet`'s on the same flow, over fixtures that drive
-//! every shape a unit's groups take ([`GroupShapes`]), the named ones
-//! of the kit's table among them. The FCP lane is the
-//! sweeps' own [`FcpLane`] — closed form under one failure, walked
-//! under more — held to the honest recompute-per-decision agent, and
-//! the PR lanes are the sweeps' own [`PrLane`]: a single failure priced
-//! from its failed dart's episode, anything else walked, under either
-//! mode, either discriminator and any hop budget.
+//! point, every source behind it by arithmetic, and a source whose
+//! prefix does not leave the point's walk room in its budget walked on
+//! its own. [`check_walks`] holds it directly — every source, its hops
+//! and its point — at any budget, the tight ones no lane is asked at
+//! included.
 
-use pr_baselines::{FcpAgent, LfaAgent, NotViaAgent};
+use pr_baselines::{FcpAgent, LfaAgent, NotViaAgent, RouteStats};
 use pr_bench::engine::{ConeOpener, ConePlan, SweepUnit};
-use pr_bench::fcp_lane::{FcpLane, FcpUnit};
-use pr_bench::pr_lane::{PrLane, PrUnit};
+use pr_bench::lanes::{Lane, LaneScratch};
+use pr_bench::stretch::SweepStats;
 use pr_core::{
-    generous_ttl, walk_packet, DiscriminatorKind, DropReason, FlowScratch, FlowUnit, FlowWalk,
-    ForwardingAgent, PrAgent, PrMode, PrNetwork, WalkResult,
+    generous_ttl, walk_packet, DiscriminatorKind, FlowScratch, FlowUnit, FlowWalk, ForwardingAgent,
+    PrMode, PrNetwork, WalkResult,
 };
-use pr_embedding::CellularEmbedding;
-use pr_graph::{algo, Graph, LinkSet, NodeId, SpTree};
+use pr_embedding::{CellularEmbedding, FaceStructure};
+use pr_graph::{algo, Dart, Graph, LinkSet, NodeId, SpTree};
 use pr_testkit::fixtures;
 use pr_testkit::nets::{self, Net};
 use pr_testkit::shapes::{point_by_definition, GroupShapes};
@@ -114,11 +121,11 @@ fn any_subsets(g: &Graph, count: usize, seed: u64) -> Vec<LinkSet> {
     (0..count).map(|scenario| random_links(g, 1 + scenario % 4, &mut rng)).collect()
 }
 
-/// Holds one scheme's lane to plain `walk_packet`: every source of
-/// every destination under `failed`, through one unit per destination.
-/// The shapes its groups take are read off `net.base`, the oracle's
-/// trees, by the points' definition.
-fn check_lane<A: ForwardingAgent>(
+/// Holds `agent`'s flow units to plain `walk_packet`: every source of
+/// every destination under `failed` at `ttl`, through one unit per
+/// destination. The shapes its groups take are read off `net.base`,
+/// the oracle's trees, by the points' definition.
+fn check_flow_units<A: ForwardingAgent>(
     net: &Net,
     plan: &ConePlan<'_>,
     agent: &A,
@@ -165,127 +172,125 @@ fn check_unit<A: ForwardingAgent>(
     }
 }
 
-/// Holds the sweeps' FCP lane, opened as they open it, to the honest
-/// agent under `failed` at the plan's ttl: a priced unit for every
-/// source of its cone (cut-off ones too), a walked one as any lane.
-/// Returns how many sources were priced.
-fn check_fcp_lane<'a>(
-    net: &Net,
-    plan: &ConePlan<'a>,
-    lane: &mut FcpLane<'a>,
-    opener: &mut ConeOpener<'_>,
-    failed: &LinkSet,
-    seen: &mut GroupShapes,
-) -> usize {
-    let (g, ttl) = (plan.graph(), plan.ttl());
-    let honest = FcpAgent::new(g);
-    if failed.len() > 1 {
-        seen.observe(g, &net.base, &honest, failed, ttl, ttl);
+/// The flow units of every lane's agent — PR basic and DD, FCP with its
+/// route memo, LFA, not-via — under each failed set at `ttl`
+/// ([`check_flow_units`]), on the trees the network lends out.
+fn check_walks(net: &Net, sets: &[LinkSet], ttl: usize) -> GroupShapes {
+    let (g, dd) = (&net.g, &net.pr);
+    let basic =
+        PrNetwork::compile(g, dd.embedding().clone(), PrMode::Basic, DiscriminatorKind::Hops);
+    let plan = ConePlan::new(g, dd.base());
+    let fcp = FcpAgent::cached_with_base(g, plan.base());
+    let (lfa, notvia) = (LfaAgent::compute(g), NotViaAgent::compute(g));
+    let (mut basic_walks, mut dd_walks) = (FlowScratch::new(), FlowScratch::new());
+    let (mut fcp_walks, mut lfa_walks, mut notvia_walks) =
+        (FlowScratch::new(), FlowScratch::new(), FlowScratch::new());
+    let mut seen = GroupShapes::default();
+    for failed in sets {
+        check_flow_units(net, &plan, &basic.agent(g), &mut basic_walks, failed, ttl, &mut seen);
+        check_flow_units(net, &plan, &dd.agent(g), &mut dd_walks, failed, ttl, &mut seen);
+        fcp.begin_scenario();
+        check_flow_units(net, &plan, &fcp, &mut fcp_walks, failed, ttl, &mut seen);
+        check_flow_units(net, &plan, &lfa, &mut lfa_walks, failed, ttl, &mut seen);
+        check_flow_units(net, &plan, &notvia, &mut notvia_walks, failed, ttl, &mut seen);
     }
-    let mut priced_sources = 0;
-    lane.begin_scenario();
-    for dst in g.nodes() {
-        let base_tree = plan.base().towards(dst);
-        let unit = SweepUnit { scenario: 0, failed, failures: failed.len(), dst, base_tree };
-        let cone = opener.open(&unit);
-        match lane.unit(&unit, &cone) {
-            FcpUnit::Walked(mut walks, _) => {
-                assert!(failed.len() > 1, "one failure is priced, not walked");
-                check_unit(g, &honest, &mut walks, base_tree, failed, ttl);
-            }
-            mut priced => {
-                for (src, _) in cone {
-                    let want = walk_packet(g, &honest, src, dst, failed, ttl);
-                    let want = want.result.is_delivered().then(|| want.cost(g));
-                    assert_eq!(priced.cost(src), want, "fcp failed {failed:?} {src}->{dst}");
-                    priced_sources += 1;
-                }
-            }
-        }
-    }
-    priced_sources
+    seen
 }
 
-/// What the PR lane's checks saw of its closed form, so a vacuous pass
+/// What a lane's checks saw of its closed form, so a vacuous pass
 /// cannot hide. Told from `walk_packet`'s path and the tree, never from
 /// the lane.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct PrSeen {
     /// Units of one failed link the lane priced.
     priced_units: usize,
+    /// The sources of those units.
+    priced_sources: usize,
     /// Priced sources delivered inside the detour: the packet never
     /// came to the failed link's far end.
     inside_deliveries: usize,
     /// Priced sources whose destination is the far end itself.
     far_end_deliveries: usize,
-    /// Units of one failed link the lane walked all the same: their
-    /// episode does not reach the far end.
+    /// Units of one failed link the lane walked all the same: its
+    /// closed form does not cover them.
     fallback_units: usize,
-    /// Priced sources the hop budget ran out on.
-    spent_budgets: usize,
 }
 
-/// Holds a sweep's PR lane, opened as the sweeps open it, to plain
-/// `walk_packet` under the lane's own agent: every source of every
-/// unit's cone under `failed` — outcome, cost and hops — at `ttl`.
-fn check_pr_lane<'a>(
-    plan: &ConePlan<'a>,
-    agent: PrAgent<'a>,
-    lane: &mut PrLane<'a>,
-    opener: &mut ConeOpener<'_>,
-    failed: &LinkSet,
-    ttl: usize,
-    seen: &mut PrSeen,
-) {
-    let g = plan.graph();
-    for dst in g.nodes() {
-        let base_tree = plan.base().towards(dst);
-        let unit = SweepUnit { scenario: 0, failed, failures: failed.len(), dst, base_tree };
-        let sources: Vec<NodeId> = opener.open(&unit).map(|(src, _)| src).collect();
-        if sources.is_empty() {
-            continue;
-        }
-        let mut pr = lane.unit(&unit);
-        let priced = matches!(pr, PrUnit::Priced(..));
-        assert!(!priced || failed.len() == 1, "only one failure has a closed form");
-        seen.priced_units += usize::from(priced);
-        seen.fallback_units += usize::from(!priced && failed.len() == 1);
-        // The far end of the one failed link: the head of the tree dart
-        // that crosses it.
-        let far = g.links().find(|&l| failed.contains(l)).map(|link| {
-            let (a, b) = g.endpoints(link);
-            if base_tree.next_dart(a).is_some_and(|d| d.link() == link) {
-                b
-            } else {
-                a
-            }
-        });
-        for src in sources {
-            let label = format!("{} failed {failed:?} {src}->{dst} ttl {ttl}", agent.label());
-            let want = walk_packet(g, &agent, src, dst, failed, ttl);
-            let got = pr.walk(src, ttl);
-            assert_eq!(got.is_delivered(), want.result.is_delivered(), "{label}");
-            if let FlowWalk::Recovered { cost, hops } = got {
-                assert_eq!(cost, want.cost(g), "{label}");
-                assert_eq!(hops as usize, want.path.hop_count(), "{label}");
-            }
-            if !priced {
+impl PrSeen {
+    fn add(&mut self, other: PrSeen) {
+        self.priced_units += other.priced_units;
+        self.priced_sources += other.priced_sources;
+        self.inside_deliveries += other.inside_deliveries;
+        self.far_end_deliveries += other.far_end_deliveries;
+        self.fallback_units += other.fallback_units;
+    }
+}
+
+/// The one lane checker. Holds `lane`, opened on every unit with a cone
+/// as the sweeps open it, to plain `walk_packet` under `reference` —
+/// the lane's own agent, or one that must decide as it does — for every
+/// source of the cone under each of `sets`, at the plan's budget, and
+/// observes `reference`'s group shapes on the same sets. Returns what
+/// the lane's closed form met and the counters the lane fed.
+fn check_lane<L: Lane, R: ForwardingAgent>(
+    net: &Net,
+    plan: &ConePlan<'_>,
+    lane: L,
+    reference: &R,
+    sets: &[LinkSet],
+    shapes: &mut GroupShapes,
+) -> (PrSeen, SweepStats)
+where
+    R::State: std::hash::Hash + Eq,
+{
+    let (g, ttl) = (plan.graph(), plan.ttl());
+    let (mut lane, mut opener) = (LaneScratch::new(plan, lane), plan.opener());
+    let (mut seen, mut stats) = (PrSeen::default(), SweepStats::default());
+    for failed in sets {
+        shapes.observe(g, &net.base, reference, failed, ttl, ttl);
+        lane.begin_scenario();
+        for dst in g.nodes() {
+            let base_tree = plan.base().towards(dst);
+            let unit = SweepUnit { scenario: 0, failed, failures: failed.len(), dst, base_tree };
+            let cone = opener.open(&unit);
+            if cone.len() == 0 {
                 continue;
             }
-            let far = far.expect("a priced unit has one failed link");
-            match want.result {
-                WalkResult::Delivered if dst == far => seen.far_end_deliveries += 1,
-                WalkResult::Delivered => {
-                    let through_far = want.path.darts().iter().any(|d| g.dart_head(*d) == far);
-                    seen.inside_deliveries += usize::from(!through_far);
+            let mut answers = lane.unit(&unit, &cone);
+            let priced = answers.is_priced();
+            assert!(!priced || failed.len() == 1, "only one failure has a closed form");
+            seen.priced_units += usize::from(priced);
+            seen.fallback_units += usize::from(!priced && failed.len() == 1);
+            // The far end of the one failed link: the head of the tree
+            // dart that crosses it.
+            let far = g.links().find(|&l| failed.contains(l)).map(|link| {
+                let (a, b) = g.endpoints(link);
+                if base_tree.next_dart(a).is_some_and(|d| d.link() == link) {
+                    b
+                } else {
+                    a
                 }
-                WalkResult::Dropped(reason) => {
-                    assert_eq!(reason, DropReason::TtlExpired, "{label}: a priced path is simple");
-                    seen.spent_budgets += 1;
+            });
+            for (src, _) in cone {
+                let label = format!("{} failed {failed:?} {src}->{dst}", reference.label());
+                let want = walk_packet(g, reference, src, dst, failed, ttl);
+                let delivered = want.result.is_delivered();
+                assert_eq!(answers.cost(src), delivered.then(|| want.cost(g)), "{label}");
+                if !priced {
+                    continue;
+                }
+                seen.priced_sources += 1;
+                let far = far.expect("a priced unit has one failed link");
+                if let WalkResult::Delivered = want.result {
+                    let through_far = want.path.darts().iter().any(|d| g.dart_head(*d) == far);
+                    seen.far_end_deliveries += usize::from(dst == far);
+                    seen.inside_deliveries += usize::from(dst != far && !through_far);
                 }
             }
+            answers.take_stats(&mut stats);
         }
     }
+    (seen, stats)
 }
 
 /// The three protocol configurations of a PR network over `net`'s
@@ -302,67 +307,51 @@ fn pr_configurations(net: &Net) -> [PrNetwork; 3] {
     ]
 }
 
-/// [`check_pr_lane`] over every configuration of `net` under each
-/// failed set, at a budget nothing exhausts and at a tight one.
-fn check_pr_lanes(net: &Net, sets: &[LinkSet]) -> PrSeen {
-    let g = &net.g;
-    let mut total = PrSeen::default();
-    for configuration in pr_configurations(net) {
-        let plan = ConePlan::new(g, configuration.base());
-        let agent = configuration.agent(g);
-        let (mut lane, mut opener) = (PrLane::new(&plan, agent), plan.opener());
-        let mut seen = PrSeen::default();
-        for failed in sets {
-            for ttl in [plan.ttl(), g.node_count() / 2] {
-                check_pr_lane(&plan, agent, &mut lane, &mut opener, failed, ttl, &mut seen);
-            }
-        }
-        // One episode per unit of one failed link, priced or not, at
-        // either budget.
-        assert_eq!(lane.take_episodes(), (seen.priced_units + seen.fallback_units) as u64);
-        total.priced_units += seen.priced_units;
-        total.inside_deliveries += seen.inside_deliveries;
-        total.far_end_deliveries += seen.far_end_deliveries;
-        total.fallback_units += seen.fallback_units;
-        total.spent_budgets += seen.spent_budgets;
-    }
-    total
+/// What the registry's conformance run saw.
+#[derive(Debug, Default)]
+struct LanesSeen {
+    /// Every agent's group shapes, OR-ed.
+    shapes: GroupShapes,
+    /// The PR lanes' closed-form cases, summed over the configurations.
+    pr: PrSeen,
+    /// The FCP lane's.
+    fcp: PrSeen,
+    /// The FCP lane's route memo.
+    routes: RouteStats,
 }
 
-/// All five lanes of the coverage sweep (the stretch sweep's two are
-/// among them) over `net`'s topology and embedding under each failed
-/// set, on the trees the network lends out as the sweeps run them.
-fn check_lanes(net: &Net, sets: &[LinkSet], ttl: usize) -> GroupShapes {
-    let (g, dd) = (&net.g, &net.pr);
-    let basic =
-        PrNetwork::compile(g, dd.embedding().clone(), PrMode::Basic, DiscriminatorKind::Hops);
-    let plan = ConePlan::new(g, dd.base());
-    let fcp = FcpAgent::cached_with_base(g, plan.base());
-    let mut fcp_lane = FcpLane::new(&plan);
-    let (lfa, notvia) = (LfaAgent::compute(g), NotViaAgent::compute(g));
-    let (mut basic_walks, mut dd_walks) = (FlowScratch::new(), FlowScratch::new());
-    let (mut fcp_walks, mut lfa_walks, mut notvia_walks) =
-        (FlowScratch::new(), FlowScratch::new(), FlowScratch::new());
-    let mut opener = plan.opener();
-    let mut seen = GroupShapes::default();
-    for failed in sets {
-        check_lane(net, &plan, &basic.agent(g), &mut basic_walks, failed, ttl, &mut seen);
-        check_lane(net, &plan, &dd.agent(g), &mut dd_walks, failed, ttl, &mut seen);
-        if ttl == plan.ttl() {
-            check_fcp_lane(net, &plan, &mut fcp_lane, &mut opener, failed, &mut seen);
-        } else {
-            // The closed form holds under the plan's budget only, and a
-            // tight one is here for `FlowUnit::walk`'s TTL fallback,
-            // which only a walked unit has: FCP walks like the others.
-            fcp.begin_scenario();
-            check_lane(net, &plan, &fcp, &mut fcp_walks, failed, ttl, &mut seen);
-        }
-        check_lane(net, &plan, &lfa, &mut lfa_walks, failed, ttl, &mut seen);
-        check_lane(net, &plan, &notvia, &mut notvia_walks, failed, ttl, &mut seen);
+/// Every lane a sweep registers — PR in each configuration, FCP, LFA
+/// and not-via — through the one checker under each failed set of
+/// `net`'s topology and embedding, on the trees the network lends out.
+fn check_lanes(net: &Net, sets: &[LinkSet]) -> LanesSeen {
+    let g = &net.g;
+    let plan = ConePlan::new(g, net.pr.base());
+    let mut seen = LanesSeen::default();
+    let shapes = &mut seen.shapes;
+    for configuration in pr_configurations(net) {
+        let agent = configuration.agent(g);
+        let (pr, stats) = check_lane(net, &plan, agent, &agent, sets, shapes);
+        // One episode per unit of one failed link with a cone, priced
+        // or not.
+        assert_eq!(stats.lanes.pr_episodes, (pr.priced_units + pr.fallback_units) as u64);
+        assert_eq!(stats.lanes.pr_priced, pr.priced_units as u64);
+        seen.pr.add(pr);
     }
-    // The lane's route memo fills for walked units alone.
-    let walked = ttl == plan.ttl() && sets.iter().any(|failed| failed.len() > 1);
-    assert_eq!(fcp_lane.take_route_stats().repaired > 0, walked);
+    let fcp = FcpAgent::cached_with_base(g, plan.base());
+    let (fcp, stats) = check_lane(net, &plan, fcp, &FcpAgent::new(g), sets, shapes);
+    assert_eq!(fcp.fallback_units, 0, "the FCP closed form covers every single failure");
+    assert_eq!(stats.lanes.fcp_priced, fcp.priced_units as u64);
+    // The route memo fills for walked units alone.
+    let walked = sets.iter().any(|failed| failed.len() > 1);
+    assert_eq!(stats.routes.repaired > 0, walked, "{:?}", stats.routes);
+    (seen.fcp, seen.routes) = (fcp, stats.routes);
+    let (lfa, notvia) = (LfaAgent::compute(g), NotViaAgent::compute(g));
+    for (walked, _) in [
+        check_lane(net, &plan, &lfa, &lfa, sets, shapes),
+        check_lane(net, &plan, &notvia, &notvia, sets, shapes),
+    ] {
+        assert_eq!(walked.priced_units, 0, "no closed form");
+    }
     seen
 }
 
@@ -371,15 +360,17 @@ fn every_lane_answers_as_walk_packet_on_abilene_singles_and_pairs() {
     let net = Net::abilene();
     let g = &net.g;
     let sets = fixtures::exhaustive(g, 1..=2);
-    let seen = check_lanes(&net, &sets, generous_ttl(g));
-    assert!(seen.point_at_cone_root && seen.nested_points, "{seen:?}");
-    assert!(seen.point_off_the_failed_tree && seen.interleaved_points, "{seen:?}");
-    assert!(seen.point_at_destination, "{seen:?}");
-    assert!(seen.dropped_point, "LFA does not protect every pair: {seen:?}");
-    assert!(!seen.ttl_fallback, "{seen:?}");
+    let lanes = check_lanes(&net, &sets).shapes;
+    for seen in [lanes, check_walks(&net, &sets, generous_ttl(g))] {
+        assert!(seen.point_at_cone_root && seen.nested_points, "{seen:?}");
+        assert!(seen.point_off_the_failed_tree && seen.interleaved_points, "{seen:?}");
+        assert!(seen.point_at_destination, "{seen:?}");
+        assert!(seen.dropped_point, "LFA does not protect every pair: {seen:?}");
+        assert!(!seen.ttl_fallback, "{seen:?}");
+    }
     // A budget most detours fit and the longest do not: sources far
     // behind a point run out where the point itself still arrives.
-    let seen = check_lanes(&net, &sets, g.node_count() / 2);
+    let seen = check_walks(&net, &sets, g.node_count() / 2);
     assert!(seen.ttl_fallback, "{seen:?}");
 }
 
@@ -388,40 +379,37 @@ fn every_lane_answers_as_walk_packet_where_pr_walks_livelock() {
     // Identity rotation: positive genus, so connected PR points drop.
     let net = Net::identity(nets::synth("isp:24:7"));
     let sets = any_subsets(&net.g, 60, 7);
-    for ttl in [generous_ttl(&net.g), net.g.node_count()] {
-        let seen = check_lanes(&net, &sets, ttl);
-        assert!(seen.dropped_point && seen.nested_points, "ttl {ttl}: {seen:?}");
-        assert!(seen.interleaved_points, "ttl {ttl}: {seen:?}");
+    let lanes = check_lanes(&net, &sets).shapes;
+    let tight = check_walks(&net, &sets, net.g.node_count());
+    for seen in [lanes, check_walks(&net, &sets, generous_ttl(&net.g)), tight] {
+        assert!(seen.dropped_point && seen.nested_points, "{seen:?}");
+        assert!(seen.interleaved_points, "{seen:?}");
     }
 }
 
 #[test]
 fn the_fcp_lane_prices_every_single_failure_as_the_honest_agent_walks() {
     for net in [Net::abilene(), Net::identity(nets::synth("isp:24:7"))] {
-        let g = &net.g;
-        let plan = ConePlan::new(g, &net.base);
-        let (mut lane, mut opener) = (FcpLane::new(&plan), plan.opener());
-        let mut priced = 0;
-        for link in g.links() {
-            let failed = LinkSet::from_links(g.link_count(), [link]);
-            let seen = &mut GroupShapes::default();
-            priced += check_fcp_lane(&net, &plan, &mut lane, &mut opener, &failed, seen);
-        }
+        let seen = check_lanes(&net, &single_links(&net.g));
         // Every link is on some tree, and nothing was walked for it.
-        assert!(priced >= 2 * g.link_count(), "{priced} sources priced");
-        assert_eq!(lane.take_route_stats(), pr_baselines::RouteStats::default());
+        let priced = seen.fcp.priced_sources;
+        assert!(priced >= 2 * net.g.link_count(), "{priced} sources priced");
+        assert_eq!(seen.routes, RouteStats::default());
     }
 }
 
 #[test]
 fn the_fcp_lane_groups_by_where_a_failure_is_learnt() {
-    // Every named case of the kit's table through all five lanes —
-    // the pair that told "where a failure is learnt" from "where the
-    // tree breaks" among them.
+    // Every named case of the kit's table through every lane and every
+    // agent's flow units — the pair that told "where a failure is
+    // learnt" from "where the tree breaks" among them.
     for fixture in fixtures::TABLE {
         let net = (fixture.net)();
-        let seen = check_lanes(&net, &(fixture.failed_sets)(&net.g), generous_ttl(&net.g));
-        assert!((fixture.drives)(&seen), "{}: {seen:?}", fixture.name);
+        let sets = (fixture.failed_sets)(&net.g);
+        let lanes = check_lanes(&net, &sets).shapes;
+        for seen in [lanes, check_walks(&net, &sets, generous_ttl(&net.g))] {
+            assert!((fixture.drives)(&seen), "{}: {seen:?}", fixture.name);
+        }
     }
 }
 
@@ -434,18 +422,17 @@ fn single_links(g: &Graph) -> Vec<LinkSet> {
 fn the_pr_lane_prices_every_single_failure_as_walk_packet_walks() {
     // Planar embeddings of 2-edge-connected maps: every unit is priced.
     for net in [Net::abilene(), Net::figure1(), Net::searched(nets::synth("isp:24:7"))] {
-        let seen = check_pr_lanes(&net, &single_links(&net.g));
-        // Three configurations at two budgets, and every link is on the
-        // tree of either endpoint at least.
-        assert!(seen.priced_units >= 3 * 2 * 2 * net.g.link_count(), "{seen:?}");
+        let seen = check_lanes(&net, &single_links(&net.g)).pr;
+        // Three configurations, and every link is on the tree of either
+        // endpoint at least.
+        assert!(seen.priced_units >= 3 * 2 * net.g.link_count(), "{seen:?}");
         assert!(seen.inside_deliveries > 0 && seen.far_end_deliveries > 0, "{seen:?}");
         assert_eq!(seen.fallback_units, 0, "genus 0, no bridge: {seen:?}");
-        assert!(seen.spent_budgets > 0, "the tight budget must run out somewhere: {seen:?}");
     }
     // Positive genus: some episodes come back to where they started,
     // and those units are walked — to a drop.
     let net = Net::identity(nets::synth("isp:24:7"));
-    let seen = check_pr_lanes(&net, &single_links(&net.g));
+    let seen = check_lanes(&net, &single_links(&net.g)).pr;
     assert!(seen.priced_units > 0 && seen.fallback_units > 0, "{seen:?}");
 }
 
@@ -456,7 +443,7 @@ fn the_pr_lane_walks_what_it_cannot_price() {
     let net = Net::identity(nets::synth("isp:24:7"));
     let sets: Vec<LinkSet> =
         any_subsets(&net.g, 40, 2010).into_iter().filter(|failed| failed.len() > 1).collect();
-    let seen = check_pr_lanes(&net, &sets);
+    let seen = check_lanes(&net, &sets).pr;
     assert_eq!(seen, PrSeen::default());
 }
 
@@ -468,7 +455,7 @@ fn the_pr_lane_meets_each_named_case_of_its_closed_form() {
     let case = |name: &str| {
         let fixture = fixtures::TABLE.iter().find(|f| f.name == name).expect("a named fixture");
         let net = (fixture.net)();
-        check_pr_lanes(&net, &(fixture.failed_sets)(&net.g))
+        check_lanes(&net, &(fixture.failed_sets)(&net.g)).pr
     };
     let inside = case("pr-delivers-inside-the-detour");
     assert!(inside.priced_units > 0 && inside.inside_deliveries > 0, "{inside:?}");
@@ -478,18 +465,77 @@ fn the_pr_lane_meets_each_named_case_of_its_closed_form() {
     assert!(returns.fallback_units > 0, "{returns:?}");
 }
 
+/// What the face structure alone says of the unit whose one failed
+/// link carries the tree dart `out` (`p → far`) towards `dst`: walked
+/// from the dart after `far → p` — where `p` deflects a packet — the
+/// face of `far → p` comes back to `far → p` (`reaches_far`) or first
+/// to `p → far`; and whether `dst` is the head of a dart on the way.
+fn face_walk(g: &Graph, faces: &FaceStructure, out: Dart, dst: NodeId) -> (bool, bool) {
+    let back = out.twin();
+    let boundary = faces.boundary(faces.face_of(back));
+    let at = boundary.iter().position(|&d| d == back).expect("a face holds its darts");
+    let mut meets_dst = false;
+    for &dart in boundary.iter().cycle().skip(at + 1) {
+        if dart == back || dart == out {
+            return (dart == back, meets_dst);
+        }
+        meets_dst |= g.dart_head(dart) == dst;
+    }
+    unreachable!("the boundary is a cycle through `back`")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// The single-failure certificate (DESIGN.md §8) on any rotation of
+    /// a 2-edge-connected graph: a link's episode reaches its far end
+    /// exactly when the link is not one of
+    /// `CellularEmbedding::single_face_links`, and a busy unit of one
+    /// failed link is priced by the PR lane exactly when its episode
+    /// reaches the far end or meets the destination first — so with no
+    /// single-face link every busy unit is priced.
+    #[test]
+    fn a_single_failure_is_priced_unless_its_link_is_single_face(
+        (g, rot) in with_rotation(two_edge_connected(3..11, 0..6, 1..=6)),
+        basic in any::<bool>(),
+    ) {
+        let emb = CellularEmbedding::new(&g, rot).unwrap();
+        let (single_face, faces) = (emb.single_face_links(), emb.faces().clone());
+        let mode = if basic { PrMode::Basic } else { PrMode::DistanceDiscriminator };
+        let net = PrNetwork::compile(&g, emb, mode, DiscriminatorKind::Hops);
+        let plan = ConePlan::new(&g, net.base());
+        let (mut lane, mut opener) = (LaneScratch::new(&plan, net.agent(&g)), plan.opener());
+        for link in g.links() {
+            let failed = LinkSet::from_links(g.link_count(), [link]);
+            for dst in g.nodes() {
+                let base_tree = plan.base().towards(dst);
+                let unit = SweepUnit { scenario: 0, failed: &failed, failures: 1, dst, base_tree };
+                let cone = opener.open(&unit);
+                if cone.len() == 0 {
+                    continue;
+                }
+                let (a, b) = g.endpoints(link);
+                let out = [a, b]
+                    .into_iter()
+                    .filter_map(|v| base_tree.next_dart(v))
+                    .find(|d| d.link() == link)
+                    .expect("a busy unit routes over its link");
+                let (reaches_far, meets_dst) = face_walk(&g, &faces, out, dst);
+                prop_assert_eq!(reaches_far, !single_face.contains(&link), "{}", link);
+                let priced = lane.unit(&unit, &cone).is_priced();
+                prop_assert_eq!(priced, reaches_far || meets_dst, "{} towards {}", link, dst);
+            }
+        }
+    }
+
     /// Wherever the lane prices — any genus, parallel links, bridges,
-    /// either mode, either discriminator, a generous budget or a tight
-    /// one — a source is answered as the unit's walker answers it.
+    /// either mode, either discriminator — a source is answered as the
+    /// unit's walker answers it.
     #[test]
     fn a_priced_pr_unit_answers_as_the_walked_one(
         (g, rot) in with_rotation(with_bridge_or_parallel(two_edge_connected(3..11, 0..6, 1..=6))),
         basic in any::<bool>(),
         weighted in any::<bool>(),
-        tight in any::<bool>(),
     ) {
         let emb = CellularEmbedding::new(&g, rot).unwrap();
         let mode = if basic { PrMode::Basic } else { PrMode::DistanceDiscriminator };
@@ -497,23 +543,22 @@ proptest! {
         let net = PrNetwork::compile(&g, emb, mode, kind);
         let plan = ConePlan::new(&g, net.base());
         let agent = net.agent(&g);
-        let ttl = if tight { g.node_count() / 2 } else { plan.ttl() };
         let (mut lane, mut opener, mut walks) =
-            (PrLane::new(&plan, agent), plan.opener(), FlowScratch::new());
+            (LaneScratch::new(&plan, agent), plan.opener(), FlowScratch::new());
         for failed in single_links(&g) {
             for dst in g.nodes() {
                 let base_tree = plan.base().towards(dst);
                 let unit = SweepUnit { scenario: 0, failed: &failed, failures: 1, dst, base_tree };
-                let sources: Vec<NodeId> = opener.open(&unit).map(|(src, _)| src).collect();
-                let mut priced = lane.unit(&unit);
-                if sources.is_empty() || matches!(priced, PrUnit::Walked(_)) {
+                let cone = opener.open(&unit);
+                let sources: Vec<NodeId> = cone.clone().map(|(src, _)| src).collect();
+                let mut priced = lane.unit(&unit, &cone);
+                if sources.is_empty() || !priced.is_priced() {
                     continue;
                 }
                 let mut walked = walks.unit(&g, &agent, base_tree, &failed);
                 for src in sources {
-                    // A spent budget has one reason on either side; a
-                    // priced unit knows no other drop.
-                    prop_assert_eq!(priced.walk(src, ttl), walked.walk(src, ttl), "{} -> {}", src, dst);
+                    let want = walked.walk(src, plan.ttl()).cost();
+                    prop_assert_eq!(priced.cost(src), want, "{} -> {}", src, dst);
                 }
             }
         }

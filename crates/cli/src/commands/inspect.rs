@@ -63,6 +63,17 @@ pub fn embed(args: &Args) -> CmdResult {
     println!("genus:     {}", emb.genus());
     println!("faces:     {}", emb.faces().face_count());
     println!("max face:  {} darts", emb.faces().max_face_size());
+    let name = |link| {
+        let (a, b) = graph.endpoints(link);
+        format!("{}-{}", graph.node_name(a), graph.node_name(b))
+    };
+    let single_face: Vec<String> = emb.single_face_links().into_iter().map(name).collect();
+    let named = if single_face.is_empty() {
+        String::new()
+    } else {
+        format!(" ({})", single_face.join(", "))
+    };
+    println!("single-face links: {}{named}", single_face.len());
     let planar = match emb.genus() {
         0 => "yes (delivery guarantee applies)",
         _ => "no (see DESIGN.md findings)",

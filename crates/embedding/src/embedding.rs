@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use pr_graph::{Dart, Graph, LinkSet};
+use pr_graph::{Dart, Graph, LinkId, LinkSet};
 
 use crate::{genus, EmbeddingError, FaceId, FaceStructure, RotationSystem};
 
@@ -51,6 +51,20 @@ impl CellularEmbedding {
     /// The orientable genus of the embedding surface (0 = sphere).
     pub fn genus(&self) -> u32 {
         self.genus
+    }
+
+    /// The links whose two darts lie on one face, ascending: a packet
+    /// deflected onto the face of a failed link's twin dart comes back
+    /// to the router it left before it reaches the far end. A bridge is
+    /// always one; a genus-0 embedding of a 2-edge-connected graph has
+    /// none. With none, Packet Re-cycling delivers every pair a single
+    /// failure leaves connected (DESIGN.md §8, "The single-failure
+    /// certificate"). Read off the face structure on each call.
+    pub fn single_face_links(&self) -> Vec<LinkId> {
+        let links = (0..self.dart_count / 2).map(|l| LinkId(l as u32));
+        links
+            .filter(|l| self.faces.face_of(l.forward()) == self.faces.face_of(l.reverse()))
+            .collect()
     }
 
     /// One step of cycle following (§4.1/§4.2): a packet that arrived
@@ -207,6 +221,30 @@ mod tests {
         let all = LinkSet::from_links(g.link_count(), [LinkId(0), LinkId(1)]);
         let d = g.find_dart(NodeId(1), NodeId(0)).unwrap();
         assert_eq!(emb.boundary_walk(&g, d, &all, 100), None);
+    }
+
+    #[test]
+    fn single_face_links_are_the_links_whose_darts_share_a_face() {
+        // A ring on the sphere: two faces, every link between them.
+        let ring = generators::ring(5, 1);
+        let emb = CellularEmbedding::new(&ring, RotationSystem::identity(&ring)).unwrap();
+        assert!(emb.single_face_links().is_empty());
+        // A path is all bridges: one face, every link on it twice.
+        let path = generators::path(4, 1);
+        let emb = CellularEmbedding::new(&path, RotationSystem::identity(&path)).unwrap();
+        assert_eq!(emb.single_face_links(), path.links().collect::<Vec<_>>());
+        // K4 under the identity rotation has genus 1; 0–2 is one of its
+        // single-face links.
+        let k4 = generators::complete(4, 1);
+        let emb = CellularEmbedding::new(&k4, RotationSystem::identity(&k4)).unwrap();
+        let faces = emb.faces();
+        let single: Vec<LinkId> = k4
+            .links()
+            .filter(|l| faces.face_of(l.forward()) == faces.face_of(l.reverse()))
+            .collect();
+        assert_eq!(emb.single_face_links(), single);
+        let l02 = k4.find_link(NodeId(0), NodeId(2)).unwrap();
+        assert!(single.contains(&l02), "{single:?}");
     }
 
     #[test]

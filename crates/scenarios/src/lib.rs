@@ -29,7 +29,6 @@
 //! | [`SampledMultiFailures`] | topological | sampled (deduplicated, backfilled) |
 //! | `Vec<LinkSet>` | topological | explicit list (adapter impl) |
 //! | [`OutageSweep`] | temporal | one outage per link |
-//! | [`DetectionDelaySweep`] | temporal | one outage per detection delay |
 //! | [`FlapSweep`] | temporal | one flap trace per link |
 //! | [`Impaired`] | temporal decorator | wraps any temporal family with a seeded fault process |
 //!
@@ -57,6 +56,6 @@ pub use families::{
 pub use family::{ScenarioFamily, ScenarioIter, ScenarioSlice};
 pub use impairments::{Impaired, ImpairmentProcess};
 pub use temporal::{
-    scenario_seed, DetectionDelaySweep, FlapSweep, FlowSpec, LinkEvent, OutageParams, OutageSweep,
-    TemporalFamily, TemporalScenario,
+    scenario_seed, FlapSweep, FlowSpec, LinkEvent, OutageParams, OutageSweep, TemporalFamily,
+    TemporalScenario,
 };

@@ -235,56 +235,6 @@ impl TemporalFamily for OutageSweep<'_> {
     }
 }
 
-/// Detection-delay sensitivity: the same single-link outage replayed
-/// under a ladder of detection delays — how fast must local detection
-/// be before PR's loss window beats IGP reconvergence? Scenario `i`
-/// uses `delays_ns[i]`.
-#[derive(Debug, Clone)]
-pub struct DetectionDelaySweep<'a> {
-    graph: &'a Graph,
-    link: LinkId,
-    delays_ns: Vec<u64>,
-    params: OutageParams,
-}
-
-impl<'a> DetectionDelaySweep<'a> {
-    /// An outage of `link` replayed once per entry of `delays_ns`.
-    pub fn new(
-        graph: &'a Graph,
-        link: LinkId,
-        delays_ns: Vec<u64>,
-        params: OutageParams,
-    ) -> DetectionDelaySweep<'a> {
-        assert!(link.index() < graph.link_count(), "unknown link {link}");
-        DetectionDelaySweep { graph, link, delays_ns, params }
-    }
-
-    /// The detection delay of scenario `index`.
-    pub fn delay_ns(&self, index: usize) -> u64 {
-        self.delays_ns[index]
-    }
-}
-
-impl TemporalFamily for DetectionDelaySweep<'_> {
-    fn label(&self) -> String {
-        "detection-delay".into()
-    }
-
-    fn len(&self) -> usize {
-        self.delays_ns.len()
-    }
-
-    fn scenario(&self, index: usize) -> TemporalScenario {
-        let delay = self.delays_ns[index];
-        let base = OutageSweep::new(self.graph, self.params).scenario(self.link.index());
-        TemporalScenario {
-            label: format!("{}@{}us", base.label, delay / 1_000),
-            detection_delay_ns: delay,
-            ..base
-        }
-    }
-}
-
 /// Link flapping (§7): **one flap trace per link** — `cycles`
 /// down/up transitions with the given periods — observed by a flow
 /// between the flapping link's endpoints, with the hold-down knob the
@@ -411,21 +361,6 @@ mod tests {
             assert_eq!((sc.flow.src, sc.flow.dst), (a, b));
             assert!(sc.horizon_ns > sc.flow.end_ns);
         }
-    }
-
-    #[test]
-    fn detection_delay_family_varies_only_the_delay() {
-        let g = generators::ring(4, 1);
-        let fam =
-            DetectionDelaySweep::new(&g, LinkId(1), vec![0, 1_000_000], OutageParams::default());
-        assert_eq!(fam.len(), 2);
-        let a = fam.scenario(0);
-        let b = fam.scenario(1);
-        assert_eq!(a.detection_delay_ns, 0);
-        assert_eq!(b.detection_delay_ns, 1_000_000);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.flow, b.flow);
-        assert_eq!(fam.delay_ns(1), 1_000_000);
     }
 
     #[test]

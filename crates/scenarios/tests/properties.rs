@@ -4,9 +4,8 @@ use proptest::prelude::*;
 
 use pr_graph::{algo, generators, Graph, LinkSet};
 use pr_scenarios::{
-    DetectionDelaySweep, ExhaustiveKFailures, FlapSweep, Impaired, ImpairmentProcess, NodeFailures,
-    OutageParams, OutageSweep, SampledMultiFailures, ScenarioFamily, SingleLinkFailures,
-    TemporalFamily,
+    ExhaustiveKFailures, FlapSweep, Impaired, ImpairmentProcess, NodeFailures, OutageParams,
+    OutageSweep, SampledMultiFailures, ScenarioFamily, SingleLinkFailures, TemporalFamily,
 };
 
 /// A reproducible random 2-edge-connected graph.
@@ -128,11 +127,9 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let params = OutageParams::default();
-        let link = g.links().next().unwrap();
-        let inners: [Box<dyn TemporalFamily>; 3] = [
+        let inners: [Box<dyn TemporalFamily>; 2] = [
             Box::new(OutageSweep::new(&g, params)),
             Box::new(FlapSweep::new(&g, params).with_holddown(10_000_000)),
-            Box::new(DetectionDelaySweep::new(&g, link, vec![0, 1_000_000], params)),
         ];
         for inner in inners {
             let plain: Vec<_> = (0..inner.len()).map(|i| inner.scenario(i)).collect();

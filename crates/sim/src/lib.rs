@@ -5,9 +5,10 @@
 //!
 //! * **stretch** (topological) experiments use the synchronous walker
 //!   in `pr-core` — timing is irrelevant to path-cost ratios;
-//! * **loss** (temporal) experiments — §1's OC-192 arithmetic, link
-//!   flapping (§7), detection-delay sensitivity — need queues, delays
-//!   and failure timing, which is what this crate provides.
+//! * **loss** (temporal) experiments — §1's OC-192 arithmetic, the
+//!   loss window of a detection delay, link flapping (§7) — need
+//!   queues, delays and failure timing, which is what this crate
+//!   provides.
 //!
 //! Design goals, in order: determinism (same seed ⇒ identical trace),
 //! simplicity, and honest accounting of *why* every packet died

@@ -145,9 +145,9 @@ pub const TABLE: &[Fixture] = &[
         pinned: None,
         drives: |seen| seen.point_at_cone_root && seen.nested_points,
     },
-    // The three cases of the single-failure PR closed form
-    // (`pr_bench::pr_lane`), which prices a unit from the failed dart's
-    // cycle-following episode. With A–B down, A deflects A → C towards
+    // The three cases of the single-failure PR closed form (the PR
+    // lane of `pr_bench::lanes`), which prices a unit from the failed
+    // dart's cycle-following episode. With A–B down, A deflects A → C towards
     // C onto the detour A–C–B and the packet is delivered at C, *inside*
     // the detour, at 5; the whole episode plus the far end's tree path
     // would read 5 + 1 + 1.

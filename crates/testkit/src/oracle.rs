@@ -3,7 +3,7 @@
 //!
 //! | oracle | the production path it checks | held equal by |
 //! |---|---|---|
-//! | `pr_core::walk_packet` (one packet, hop by hop, fresh scratch) | `FlowUnit::walk`, `recover_flow_with`, `walk_packet_spliced`, `pr_bench::fcp_lane::FcpLane`, `pr_bench::pr_lane::PrLane` | `bench/tests/kernel.rs`, `bench/tests/memo.rs`, `traffic/tests/properties.rs` |
+//! | `pr_core::walk_packet` (one packet, hop by hop, fresh scratch) | `FlowUnit::walk`, `recover_flow_with`, `walk_packet_spliced`, every `pr_bench::lanes::Lane` | `bench/tests/kernel.rs`, `bench/tests/memo.rs`, `traffic/tests/properties.rs` |
 //! | `pr_traffic::replay_scenario_naive` (one `walk_packet` per flow, a scratch survivor tree per destination) | `replay_scenario_bitparallel` | `traffic/tests/properties.rs`, `traffic/tests/alloc_free.rs` |
 //! | `DenseFib::affected_into` (one pass over a whole tree) | `DenseFib::roots_into` and the cones replay walks off it | `traffic/tests/properties.rs` |
 //! | `SpTree::towards` (Dijkstra from scratch) | `ConeOpener::open` (cone enumeration + label repair), `SpTree::repair_from` | `bench/tests/kernel.rs`, `topologies/tests/spt_repair.rs` |
