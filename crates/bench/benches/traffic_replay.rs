@@ -8,7 +8,9 @@
 //! * `bitparallel` — the production dataplane
 //!   (`replay_scenario_bitparallel`): a failure-free baseline per
 //!   (FIB, flow set), corrected per scenario over the affected cones
-//!   only, one walk per failure point for the sources behind it.
+//!   only. Under these single failures every cone is priced off its
+//!   failed dart's episode, staged once per scenario: nothing is
+//!   walked (a multi-failure scenario walks one point per group).
 //!
 //! Both produce the identical `ScenarioTraffic` (asserted by the
 //! pr-traffic tests, proptests and the determinism suite); only the

@@ -20,12 +20,14 @@
 //!   drops the cone.
 //! * **Packet Re-cycling** (either mode) — what a packet does from `p`
 //!   is §4.2's detour, a function of the failed interface alone: the
-//!   **episode** `pr_core::PrAgent::episode` reads (the protocol's
-//!   moves are spelled in `pr-core` only) up to the destination if the
-//!   destination sits on it, else the whole episode plus `base(far)`
-//!   for the link's far end `far`. An episode that does not end at
-//!   `far` — it comes back to `p` when both darts of `l` lie on one
-//!   face, and is empty when `l` was `p`'s only link — prices nothing.
+//!   **episode** of `p → far`, staged once per failed dart a lane meets
+//!   and priced per unit by `pr_core::StagedEpisode::recycle` (the
+//!   protocol's moves and its closed form are spelled in `pr-core`
+//!   only, and the replay dataplane asks the same one): up to the
+//!   destination if the destination sits on it, else the whole episode
+//!   plus `base(far)`. An episode that does not end at `far` — it comes
+//!   back to `p` when both darts of `l` lie on one face, and is empty
+//!   when `l` was `p`'s only link — prices no destination off it.
 //! * **LFA, not-via** — none: any agent by reference is a lane whose
 //!   every unit is walked.
 //!
@@ -34,7 +36,7 @@
 use std::hash::Hash;
 
 use pr_baselines::FcpAgent;
-use pr_core::{FlowScratch, FlowUnit, ForwardingAgent, PrAgent};
+use pr_core::{FlowScratch, FlowUnit, ForwardingAgent, PrAgent, StagedEpisode};
 use pr_graph::{Dart, Graph, NodeId, SpTree};
 
 use crate::engine::{ConePlan, OpenCone, SweepUnit};
@@ -55,13 +57,15 @@ pub trait Lane {
 
     /// The closed form of a unit whose failed set is one link, `out`
     /// the tree dart crossing it (`p → far`); `None` to walk the unit.
-    /// A scheme without one walks every unit.
+    /// `episode` is the worker's staging of the last episode the lane
+    /// read, kept across units. A scheme without one walks every unit.
     fn detour(
         &self,
         _graph: &Graph,
         _unit: &SweepUnit<'_>,
         _out: Dart,
         _cone: &OpenCone<'_>,
+        _episode: &mut StagedEpisode,
     ) -> Option<Detour> {
         None
     }
@@ -97,6 +101,7 @@ impl<'a> Lane for FcpAgent<'a> {
         unit: &SweepUnit<'_>,
         out: Dart,
         cone: &OpenCone<'_>,
+        _episode: &mut StagedEpisode,
     ) -> Option<Detour> {
         let p = graph.dart_tail(out);
         let base = unit.base_tree.cost(p).expect("connected");
@@ -126,25 +131,16 @@ impl<'a> Lane for PrAgent<'a> {
         unit: &SweepUnit<'_>,
         out: Dart,
         _cone: &OpenCone<'_>,
+        episode: &mut StagedEpisode,
     ) -> Option<Detour> {
-        let tree = unit.base_tree;
-        let base = |v| tree.cost(v).expect("connected");
-        let (point, far) = (base(graph.dart_tail(out)), graph.dart_head(out));
-        let mut episode = self.episode(out, unit.failed);
-        let mut cost = 0u64;
-        for dart in &mut episode {
-            cost += u64::from(graph.weight(dart.link()));
-            if graph.dart_head(dart) == tree.dest {
-                return Some(Some(cost - point));
-            }
+        // Under one failed link the episode is a function of `out`
+        // alone: a staging of the same dart is the same episode.
+        if episode.out() != Some(out) {
+            self.stage_episode(out, unit.failed, episode);
         }
-        // Cycle following met the failed link again. At `far` — `p`'s
-        // tree parent, strictly closer under either discriminator — the
-        // packet resumes routing on a tree path that cannot cross the
-        // link; anywhere else (`p` itself) it livelocks or is isolated,
-        // which the walker tells apart.
-        let ends_at_far = episode.ended_by().is_some_and(|d| graph.dart_tail(d) == far);
-        ends_at_far.then(|| Some(cost + base(far) - point))
+        let base = |v| unit.base_tree.cost(v).expect("connected");
+        let walk = episode.recycle(unit.dst)?.cost(base(graph.dart_head(out)));
+        Some(Some(walk - base(graph.dart_tail(out))))
     }
 
     fn count(&self, asked: bool, priced: bool, stats: &mut SweepStats) {
@@ -153,11 +149,13 @@ impl<'a> Lane for PrAgent<'a> {
     }
 }
 
-/// One worker's lane over a [`ConePlan`]: the scheme, and the flow
-/// scratch only the units its closed form does not price reach.
+/// One worker's lane over a [`ConePlan`]: the scheme, the episode its
+/// closed form last staged, and the flow scratch only the units that
+/// closed form does not price reach.
 pub struct LaneScratch<'a, L: Lane> {
     plan: &'a ConePlan<'a>,
     lane: L,
+    episode: StagedEpisode,
     walks: FlowScratch<<L::Agent as ForwardingAgent>::State>,
 }
 
@@ -171,7 +169,7 @@ impl<'a, L: Lane> LaneScratch<'a, L> {
         let graph = plan.graph();
         let longest = 2 * graph.node_count().saturating_sub(1) + graph.dart_count();
         assert!(longest <= plan.ttl(), "a priced path of {longest} hops must fit the ttl");
-        LaneScratch { plan, lane, walks: FlowScratch::new() }
+        LaneScratch { plan, lane, episode: StagedEpisode::new(), walks: FlowScratch::new() }
     }
 
     /// Scenario boundary ([`Lane::begin_scenario`]).
@@ -183,10 +181,10 @@ impl<'a, L: Lane> LaneScratch<'a, L> {
     /// its failed set is one link and the scheme's closed form covers
     /// it, walked otherwise.
     pub fn unit<'u>(&'u mut self, unit: &SweepUnit<'u>, cone: &OpenCone<'_>) -> LaneUnit<'u, L> {
-        let LaneScratch { plan, lane, walks } = self;
+        let LaneScratch { plan, lane, episode, walks } = self;
         let (graph, tree, lane) = (plan.graph(), unit.base_tree, &*lane);
         let out = unit.broken_tree_dart(graph);
-        let answer = match out.and_then(|out| lane.detour(graph, unit, out, cone)) {
+        let answer = match out.and_then(|out| lane.detour(graph, unit, out, cone, episode)) {
             Some(detour) => Answer::Priced(tree, detour),
             None => Answer::Walked(walks.unit(graph, lane.agent(), tree, unit.failed), plan.ttl()),
         };

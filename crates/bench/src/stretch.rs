@@ -178,11 +178,15 @@ impl SweepStats {
 pub struct LaneStats {
     /// Units the FCP lane priced from the opener's repaired labels.
     pub fcp_priced: u64,
-    /// Units the PR lane priced from their failed dart's episode.
+    /// Units the PR lane priced from their failed dart's episode
+    /// (`pr_core::StagedEpisode::recycle`).
     pub pr_priced: u64,
-    /// Episodes the PR lane read: one per unit of one failed link. An
-    /// episode that prices nothing (it does not reach the link's far
-    /// end) leaves its unit to the walker.
+    /// Units the PR lane asked its failed dart's episode: one per unit
+    /// of one failed link (a worker stages each dart's episode once and
+    /// asks it for every destination, so this does not depend on how
+    /// units fall to workers). An episode that does not reach the
+    /// unit's destination or the link's far end leaves the unit to the
+    /// walker.
     pub pr_episodes: u64,
 }
 

@@ -30,6 +30,7 @@ use pr_graph::{AllPairs, Graph};
 use pr_scenarios::{ScenarioFamily, ScenarioIter};
 use pr_traffic::{
     replay_scenario_bitparallel, replay_scenario_naive, DemandTally, FlowSet, ReplayScratch,
+    ReplayStats,
 };
 
 use crate::engine::run_units;
@@ -99,10 +100,7 @@ pub(crate) fn replay_plan<'a>(
 }
 
 /// Replays `flows` through every scenario of `family` on `threads`
-/// workers. Failure-invariant state is hoisted once ([`replay_plan`]);
-/// each worker owns a private [`ReplayScratch`] reused across its
-/// scenarios (and with it its own copy of the failure-free baseline:
-/// a load vector and a tally).
+/// workers ([`run_with_stats`] without the counters).
 pub fn run(
     graph: &Graph,
     pr: &PrNetwork,
@@ -110,8 +108,27 @@ pub fn run(
     flows: &FlowSet,
     threads: usize,
 ) -> Vec<TrafficRow> {
+    run_with_stats(graph, pr, family, flows, threads).0
+}
+
+/// Replays `flows` through every scenario of `family` on `threads`
+/// workers, and sums what the replays looked at. Failure-invariant
+/// state is hoisted once ([`replay_plan`]); each worker owns a private
+/// [`ReplayScratch`] reused across its scenarios (and with it its own
+/// copy of the failure-free baseline: a load vector and a tally). The
+/// counters are taken per scenario, so every one but
+/// [`ReplayStats::baselines`] — one per worker — is thread-count
+/// invariant. This is what `pr traffic --stats` prints.
+pub fn run_with_stats(
+    graph: &Graph,
+    pr: &PrNetwork,
+    family: &dyn ScenarioFamily,
+    flows: &FlowSet,
+    threads: usize,
+) -> (Vec<TrafficRow>, ReplayStats) {
     let (base, dense, agent, ttl) = replay_plan(graph, pr);
-    run_units(
+    let mut stats = ReplayStats::default();
+    let rows = run_units(
         family.len(),
         threads,
         ReplayScratch::new,
@@ -120,9 +137,16 @@ pub fn run(
             let traffic = replay_scenario_bitparallel(
                 graph, &agent, &dense, base, flows, &failed, ttl, scratch,
             );
-            TrafficRow { scenario, failures: failed.len(), traffic }
+            (TrafficRow { scenario, failures: failed.len(), traffic }, scratch.take_stats())
         },
     )
+    .into_iter()
+    .map(|(row, scenario)| {
+        stats.merge(&scenario);
+        row
+    })
+    .collect();
+    (rows, stats)
 }
 
 /// The serial per-packet reference: every flow walked one packet at a
@@ -190,8 +214,12 @@ mod tests {
         );
         let flows = FlowSet::all_pairs(&GravityTraffic::new(&g));
         let singles = SingleLinkFailures::new(&g);
-        let rows = run(&g, &pr, &singles, &flows, 2);
+        let (rows, stats) = run_with_stats(&g, &pr, &singles, &flows, 2);
+        assert_eq!(rows, run(&g, &pr, &singles, &flows, 1));
         assert_eq!(rows.len(), g.link_count());
+        // Every busy destination priced off its episode, none walked.
+        assert_eq!(stats.replays, g.link_count() as u64);
+        assert_eq!((stats.priced, stats.walks), (stats.destinations, 0), "{stats:?}");
         let s = summarize(&rows);
         assert_eq!(s.scenarios, g.link_count());
         assert_eq!(s.weighted_coverage(), 1.0, "PR-DD delivers all single-failure demand");

@@ -94,7 +94,8 @@ pub fn traffic(args: &Args) -> CmdResult {
     };
     print_workload(&flows, &family.label(), &format!("{} scenarios", family.len()), threads);
 
-    let rows = pr_bench::traffic::run(&graph, &net, family.as_ref(), &flows, threads);
+    let (rows, stats) =
+        pr_bench::traffic::run_with_stats(&graph, &net, family.as_ref(), &flows, threads);
     let s = pr_bench::traffic::summarize(&rows);
     let (coverage, lost_pct) = (s.weighted_coverage(), 100.0 * s.demand_lost_fraction());
     println!(
@@ -115,6 +116,15 @@ pub fn traffic(args: &Args) -> CmdResult {
     }
     if let Some(stretch) = s.tally.mean_weighted_stretch() {
         println!("mean weighted stretch: {stretch:.4} (over delivered affected demand)");
+    }
+    if args.flag("stats") {
+        // Why a single-failure replay walks nothing: every destination
+        // it visits is priced off its failed dart's episode.
+        println!(
+            "replay:                replays {}, destinations {}, cone sources {}, priced {}, \
+             walks {}",
+            stats.replays, stats.destinations, stats.cone_sources, stats.priced, stats.walks
+        );
     }
     emit(
         format,

@@ -106,6 +106,17 @@ pub trait ForwardingAgent {
     /// packet, for overhead accounting (experiment E8). Constant for
     /// PR; grows with carried failures for FCP.
     fn header_bits(&self, state: &Self::State) -> usize;
+
+    /// The scheme's **single-failure closed form**, if it has one: what
+    /// a packet does from the tail of the routing dart `out`, whose
+    /// link is the one link of `failed`, whatever its destination,
+    /// staged into `staged` — then `true`, and
+    /// [`StagedEpisode::recycle`] prices any destination from it. The
+    /// default has none and returns `false`: such packets are walked.
+    /// Only [`PrAgent`] has one, §4.2's [`Episode`].
+    fn stage_episode(&self, _out: Dart, _failed: &LinkSet, _staged: &mut StagedEpisode) -> bool {
+        false
+    }
 }
 
 /// Which protocol variant of the paper a [`PrAgent`] runs.
@@ -341,7 +352,8 @@ impl<'a> PrAgent<'a> {
 /// router is failed.
 ///
 /// A packet on the episode is delivered by the first router that is
-/// its destination; telling is the caller's job.
+/// its destination: [`StagedEpisode::recycle`] tells, for every
+/// destination at once.
 #[derive(Debug, Clone)]
 pub struct Episode<'a> {
     agent: PrAgent<'a>,
@@ -372,6 +384,125 @@ impl Iterator for Episode<'_> {
             self.out = Some(following);
         }
         Some(out)
+    }
+}
+
+/// One [`Episode`] read once for every destination
+/// ([`ForwardingAgent::stage_episode`]): its darts, what each prefix of
+/// them costs, the first dart each router heads, and whether it ended
+/// at the failed link's far end — all Packet Re-cycling's
+/// single-failure closed form, [`StagedEpisode::recycle`], reads.
+/// Sized to the topology when it first stages an episode: an episode
+/// holds each dart at most once, so staging again allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct StagedEpisode {
+    /// The failed dart the staged episode deflects off.
+    out: Option<Dart>,
+    darts: Vec<Dart>,
+    /// `cost[i]`: the weight of `darts[..=i]`.
+    cost: Vec<u64>,
+    /// Per router, the index of the first dart it heads, valid where
+    /// the entry's stamp is the staging's.
+    first: Vec<(u32, u32)>,
+    /// Stamp of the staging in hand (0: none; zeroed entries are stale).
+    stamp: u32,
+    ends_at_far: bool,
+}
+
+/// Where Packet Re-cycling's single-failure closed form takes a packet
+/// deflected at `p` off the dead tree dart `p → far`
+/// ([`StagedEpisode::recycle`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Recycled {
+    /// The destination heads the episode's dart `at`, the first dart
+    /// it heads: the packet is delivered there, `cost` after `p`.
+    Inside {
+        /// Index of the delivering dart in [`StagedEpisode::darts`].
+        at: usize,
+        /// Weight of the episode up to and including it.
+        cost: u64,
+    },
+    /// The destination is not on the episode, which ends at `far`
+    /// after `cost`: the packet resumes routing there, on `far`'s
+    /// failure-free path.
+    AtFar {
+        /// Weight of the whole episode.
+        cost: u64,
+    },
+}
+
+impl Recycled {
+    /// What the packet pays from `p` to its destination, `base_far`
+    /// being the failure-free cost of `far`'s path to it.
+    pub fn cost(self, base_far: u64) -> u64 {
+        match self {
+            Recycled::Inside { cost, .. } => cost,
+            Recycled::AtFar { cost } => cost + base_far,
+        }
+    }
+}
+
+impl StagedEpisode {
+    /// An empty staging; it grows to the topology on first use.
+    pub fn new() -> StagedEpisode {
+        StagedEpisode::default()
+    }
+
+    /// Reads `episode`, the episode of the failed dart `out`, in full.
+    fn stage(&mut self, graph: &Graph, out: Dart, mut episode: Episode<'_>) {
+        if self.stamp == u32::MAX || self.first.len() != graph.node_count() {
+            // A new topology, or stamp wrap-around: no old entry may
+            // alias the restarted counter.
+            self.first.clear();
+            self.first.resize(graph.node_count(), (0, 0));
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.darts.clear();
+        self.cost.clear();
+        self.darts.reserve(graph.dart_count());
+        self.cost.reserve(graph.dart_count());
+        let mut cost = 0;
+        for dart in &mut episode {
+            cost += u64::from(graph.weight(dart.link()));
+            let first = &mut self.first[graph.dart_head(dart).index()];
+            if first.0 != self.stamp {
+                *first = (self.stamp, self.darts.len() as u32);
+            }
+            self.darts.push(dart);
+            self.cost.push(cost);
+        }
+        let far = graph.dart_head(out);
+        self.ends_at_far = episode.ended_by().is_some_and(|d| graph.dart_tail(d) == far);
+        self.out = Some(out);
+    }
+
+    /// The failed dart of the episode staged last, if any.
+    pub fn out(&self) -> Option<Dart> {
+        self.out
+    }
+
+    /// The staged episode's darts, in the order the packet takes them.
+    pub fn darts(&self) -> &[Dart] {
+        &self.darts
+    }
+
+    /// **Packet Re-cycling's single-failure closed form** (DESIGN.md
+    /// §8) for a packet towards `dest` deflected off the staged dart
+    /// `p → far`: delivered at the first dart whose head is `dest`; else,
+    /// if the episode ends at `far`, the whole episode and then `far`'s
+    /// failure-free path; else none — the episode came back to `p`, or
+    /// never left it, and the packet must be walked.
+    pub fn recycle(&self, dest: NodeId) -> Option<Recycled> {
+        match self.first[dest.index()] {
+            (stamp, at) if stamp == self.stamp => {
+                Some(Recycled::Inside { at: at as usize, cost: self.cost[at as usize] })
+            }
+            _ if self.ends_at_far => {
+                Some(Recycled::AtFar { cost: *self.cost.last().expect("an ended episode") })
+            }
+            _ => None,
+        }
     }
 }
 
@@ -435,6 +566,11 @@ impl<'a> ForwardingAgent for PrAgent<'a> {
         // PR's header cost is constant by design: the PR bit plus the
         // DD field, regardless of how many failures the packet has met.
         usize::from(self.net.codec.total_bits())
+    }
+
+    fn stage_episode(&self, out: Dart, failed: &LinkSet, staged: &mut StagedEpisode) -> bool {
+        staged.stage(self.graph, out, self.episode(out, failed));
+        true
     }
 }
 
@@ -549,6 +685,40 @@ mod tests {
         let all = LinkSet::full(g.link_count());
         let mut nowhere = agent.episode(out, &all);
         assert_eq!((nowhere.next(), nowhere.ended_by()), (None, None));
+    }
+
+    #[test]
+    fn a_staged_episode_prices_every_destination_the_walker_delivers() {
+        let (g, net) = ring_net(PrMode::DistanceDiscriminator);
+        let agent = net.agent(&g);
+        let out = g.find_dart(NodeId(1), NodeId(0)).unwrap();
+        let failed = LinkSet::from_links(g.link_count(), [out.link()]);
+        let mut staged = StagedEpisode::new();
+        assert!(agent.stage_episode(out, &failed, &mut staged));
+        assert_eq!((staged.out(), staged.darts().len()), (Some(out), 4));
+        // Routers 2, 3 and 4 head the episode's first three darts; node
+        // 0 heads its last, and is also the far end.
+        for (dest, at) in [(2, 0), (3, 1), (4, 2), (0, 3)] {
+            let recycled = staged.recycle(NodeId(dest));
+            assert_eq!(recycled, Some(Recycled::Inside { at, cost: at as u64 + 1 }), "{dest}");
+            let walk = crate::walk_packet(&g, &agent, NodeId(1), NodeId(dest), &failed, 10);
+            assert_eq!(walk.cost(&g), recycled.unwrap().cost(0), "{dest}");
+        }
+        // Past the far end, the far end's failure-free path is paid on
+        // top of the whole episode.
+        assert_eq!(Recycled::AtFar { cost: 4 }.cost(3), 7);
+
+        // A pendant router cut off by its only link deflects nowhere:
+        // no closed form, for any destination.
+        let mut g = generators::ring(5, 1);
+        let pendant = g.add_node("5");
+        g.add_link(NodeId(0), pendant, 3).unwrap();
+        let emb = CellularEmbedding::new(&g, RotationSystem::identity(&g)).unwrap();
+        let net = PrNetwork::compile(&g, emb, PrMode::Basic, DiscriminatorKind::Hops);
+        let bridge = g.find_dart(pendant, NodeId(0)).unwrap();
+        let failed = LinkSet::from_links(g.link_count(), [bridge.link()]);
+        net.agent(&g).stage_episode(bridge, &failed, &mut staged);
+        assert_eq!((staged.darts(), staged.recycle(NodeId(2))), (&[][..], None));
     }
 
     #[test]

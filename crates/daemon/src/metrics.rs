@@ -4,12 +4,14 @@
 //! followed by a sample per metric. Gauges are the live resilience
 //! read-outs (refreshing them replays the uniform and resident demand
 //! sets if a link event dirtied them); counters reuse the repair and
-//! walk-memo statistics the sweep engine already tracks.
+//! walk-memo statistics the sweep engine already tracks, plus the
+//! control plane's count of connections closed for idling.
 
 use crate::twin::Twin;
 
-/// Renders the whole metrics page for one scrape.
-pub fn render(twin: &mut Twin) -> String {
+/// Renders the whole metrics page for one scrape; `idle_closed` is the
+/// server's count of control connections closed by its idle timeout.
+pub fn render(twin: &mut Twin, idle_closed: u64) -> String {
     let g = twin.gauges();
     let c = twin.counters();
     let mut out = String::with_capacity(2048);
@@ -58,6 +60,11 @@ pub fn render(twin: &mut Twin) -> String {
         c.memo_spliced_steps,
     );
     counter("pr_memo_walked_steps_total", "Walk steps physically walked.", c.memo_walked_steps);
+    counter(
+        "pr_control_idle_closed_total",
+        "Control connections closed after staying silent past the idle timeout.",
+        idle_closed,
+    );
     out
 }
 

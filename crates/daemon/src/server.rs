@@ -5,9 +5,17 @@
 //! line-delimited JSON control protocol and a minimal HTTP responder
 //! for `GET /metrics` — writes both addresses to the addr file
 //! (atomically, tmp + rename, so a polling client never reads a torn
-//! write), and blocks until a `Shutdown` request. `--port 0` works:
-//! the kernel picks an ephemeral port and the addr file is how clients
-//! learn it, so parallel daemons (CI!) never collide.
+//! write), and blocks until a `Shutdown` request on any connection.
+//! `--port 0` works: the kernel picks an ephemeral port and the addr
+//! file is how clients learn it, so parallel daemons (CI!) never
+//! collide.
+//!
+//! Every control connection is served on a thread of its own and is
+//! closed after [`CONTROL_IDLE_TIMEOUT`] of silence, so a client that
+//! connects and says nothing costs a thread for a while, never another
+//! client's turn. The requests of all connections still form one total
+//! order: the twin and the event log sit behind one lock, and a request
+//! is applied, recorded and answered under it.
 //!
 //! Durability: every successfully applied mutating request is appended
 //! to the event log (one JSON line, flushed) *after* it succeeded, and
@@ -18,12 +26,13 @@
 //! that panics inside the twin answers an error and leaves the twin as
 //! it was ([`guarded`]).
 
+use std::collections::HashMap;
 use std::fs;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::protocol::{self, DaemonAddrs, Request, Response};
@@ -126,10 +135,41 @@ fn write_addr_file(path: &Path, addrs: &DaemonAddrs) -> Result<(), String> {
     fs::rename(&tmp, path).map_err(|e| format!("publish {}: {e}", path.display()))
 }
 
+/// How long a control connection may stay silent — no byte of a
+/// request arriving — before the daemon closes it. `pr ctl` and the
+/// daemon's own clients send their request as soon as they connect; a
+/// client that holds a connection across a longer pause reconnects.
+pub const CONTROL_IDLE_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// The idle timeout in force.
+fn idle_timeout() -> Duration {
+    #[cfg(test)]
+    if let ms @ 1.. = IDLE_TIMEOUT_MS.load(Ordering::SeqCst) {
+        return Duration::from_millis(ms);
+    }
+    CONTROL_IDLE_TIMEOUT
+}
+
+/// What the connections share, behind one lock: the twin, the log of
+/// the events applied to it — so an event is applied and recorded in
+/// one step, and the log holds events in the order clients were
+/// answered — and the control plane's own counters.
+struct Plane {
+    twin: Twin,
+    log: Option<EventLog>,
+    /// Control connections closed for staying silent past the idle
+    /// timeout.
+    idle_closed: u64,
+    /// Set once a `Shutdown` is answered: what any connection asks
+    /// after it is refused, so no event lands after the daemon stops.
+    closing: bool,
+}
+
 /// Runs the daemon: replays the event log, binds both listeners,
-/// publishes the addr file, then serves control connections until a
-/// `Shutdown` request. Returns after a clean shutdown (addr file
-/// removed, metrics thread joined).
+/// publishes the addr file, then serves control connections, each on
+/// its own thread, until a `Shutdown` request on any of them. Returns
+/// after a clean shutdown (addr file removed, every connection closed,
+/// every thread joined).
 pub fn serve(mut twin: Twin, config: &DaemonConfig) -> Result<(), String> {
     let mut log = None;
     if let Some(path) = &config.event_log {
@@ -153,50 +193,67 @@ pub fn serve(mut twin: Twin, config: &DaemonConfig) -> Result<(), String> {
     println!("pr-daemon: metrics http://{metrics_addr}/metrics");
     println!("pr-daemon: ready ({})", config.addr_file.display());
 
-    let twin = Arc::new(Mutex::new(twin));
-    let stop = Arc::new(AtomicBool::new(false));
-    let metrics_thread = {
-        let twin = Arc::clone(&twin);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
+    let plane = Mutex::new(Plane { twin, log, idle_closed: 0, closing: false });
+    let stop = AtomicBool::new(false);
+    // The control connections being served, by accept order: what
+    // shutdown closes, so that no thread outlives `serve`.
+    let open = Mutex::new(HashMap::new());
+    let registry = || open.lock().expect("the connection registry is never held across a panic");
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
             for stream in metrics.incoming() {
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
                 if let Ok(stream) = stream {
-                    let _ = serve_metrics_conn(stream, &twin);
+                    let _ = serve_metrics_conn(stream, &plane);
                 }
             }
-        })
-    };
+        });
 
-    let mut shutdown = false;
-    while !shutdown {
-        let stream = match control.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => continue,
-        };
-        // One connection at a time: the control plane is a serial
-        // event stream by design (events and queries must interleave
-        // in a client-visible total order for determinism).
-        shutdown = serve_control_conn(stream, &twin, log.as_mut()).unwrap_or(false);
-    }
+        for (id, stream) in control.incoming().enumerate() {
+            if stop.load(Ordering::SeqCst) {
+                break;
+            }
+            let Ok(stream) = stream else { continue };
+            let Ok(handle) = stream.try_clone() else { continue };
+            registry().insert(id, handle);
+            let (plane, stop, registry) = (&plane, &stop, &registry);
+            scope.spawn(move || {
+                let bye = serve_control_conn(stream, plane).unwrap_or(false);
+                registry().remove(&id);
+                if bye {
+                    stop.store(true, Ordering::SeqCst);
+                    // Unblock the accept loop so it can observe stop.
+                    let _ = TcpStream::connect(control_addr);
+                }
+            });
+        }
 
-    stop.store(true, Ordering::SeqCst);
-    // Unblock the metrics accept loop so the thread can observe stop.
-    let _ = TcpStream::connect(metrics_addr);
-    let _ = metrics_thread.join();
+        // A connection still open — an idle client's — is closed now,
+        // not at its timeout; the metrics accept loop is woken like the
+        // control one. The scope joins every thread.
+        for stream in registry().values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        let _ = TcpStream::connect(metrics_addr);
+    });
     let _ = fs::remove_file(&config.addr_file);
     println!("pr-daemon: bye");
     Ok(())
 }
 
-/// Runs `f` on the twin — how both listeners reach it — so that a
-/// panic inside it costs one request, not the daemon: the twin is put
-/// back as it was ([`Twin::surviving`]) while the guard is still held,
-/// so the mutex is never poisoned.
-fn guarded<R>(twin: &Mutex<Twin>, f: impl FnOnce(&mut Twin) -> R) -> Result<R, String> {
-    let mut twin = twin.lock().expect("no request unwinds past its guard");
+/// Locks the shared state. Nothing unwinds while holding it: every
+/// request runs under [`guarded`].
+fn lock(plane: &Mutex<Plane>) -> std::sync::MutexGuard<'_, Plane> {
+    plane.lock().expect("no request unwinds past its guard")
+}
+
+/// Runs `f` on the twin — how both listeners reach it, under the lock
+/// — so that a panic inside it costs one request, not the daemon: the
+/// twin is put back as it was ([`Twin::surviving`]) while the lock is
+/// still held, so the mutex is never poisoned.
+fn guarded<R>(twin: &mut Twin, f: impl FnOnce(&mut Twin) -> R) -> Result<R, String> {
     twin.surviving(f).map_err(|panic| {
         let what = panic.downcast_ref::<String>().map(String::as_str);
         let what = what.or(panic.downcast_ref::<&str>().copied()).unwrap_or("?");
@@ -204,10 +261,15 @@ fn guarded<R>(twin: &Mutex<Twin>, f: impl FnOnce(&mut Twin) -> R) -> Result<R, S
     })
 }
 
-/// Answers one decoded request: handled under [`guarded`], and — a
-/// mutation that succeeded — appended to the event log before it is
-/// acknowledged.
-fn answer(twin: &Mutex<Twin>, log: Option<&mut EventLog>, req: &Request) -> Response {
+/// Answers one decoded request under the lock: handled under
+/// [`guarded`], and — a mutation that succeeded — appended to the event
+/// log before it is acknowledged.
+fn answer(plane: &Mutex<Plane>, req: &Request) -> Response {
+    let mut plane = lock(plane);
+    let Plane { twin, log, closing, .. } = &mut *plane;
+    if *closing {
+        return Response::Error { message: "the daemon is shutting down".into() };
+    }
     let resp = guarded(twin, |twin| twin.handle(req))
         .unwrap_or_else(|message| Response::Error { message });
     if let (true, Some(log)) = (req.mutates() && !resp.is_error(), log) {
@@ -217,6 +279,7 @@ fn answer(twin: &Mutex<Twin>, log: Option<&mut EventLog>, req: &Request) -> Resp
             return Response::Error { message };
         }
     }
+    *closing = matches!(resp, Response::Bye);
     resp
 }
 
@@ -227,15 +290,13 @@ pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Serves one control connection; returns `true` on `Shutdown`. A
 /// request line over [`MAX_REQUEST_LINE`] is answered with an error
-/// and the connection closed: what follows it cannot be framed.
-fn serve_control_conn(
-    stream: TcpStream,
-    twin: &Arc<Mutex<Twin>>,
-    mut log: Option<&mut EventLog>,
-) -> std::io::Result<bool> {
+/// and the connection closed: what follows it cannot be framed. A
+/// connection silent for the idle timeout is closed and counted.
+fn serve_control_conn(stream: TcpStream, plane: &Mutex<Plane>) -> std::io::Result<bool> {
     // Replies are one small segment each and the client waits for every
     // one: Nagle's algorithm would only add its delayed-ACK stall.
     stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(idle_timeout()))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     // One `write_all` per reply: a reply split over two segments makes
@@ -249,8 +310,16 @@ fn serve_control_conn(
     loop {
         line.clear();
         let limit = MAX_REQUEST_LINE as u64 + 1;
-        if (&mut reader).take(limit).read_until(b'\n', &mut line)? == 0 {
-            return Ok(false);
+        match (&mut reader).take(limit).read_until(b'\n', &mut line) {
+            Ok(0) => return Ok(false),
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                // Counted while the socket is still open: a client that
+                // reads the close finds it counted.
+                lock(plane).idle_closed += 1;
+                return Ok(false);
+            }
+            Err(e) => return Err(e),
         }
         if line.len() > MAX_REQUEST_LINE && !line.ends_with(b"\n") {
             let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
@@ -261,7 +330,7 @@ fn serve_control_conn(
             Ok(text) if text.trim().is_empty() => continue,
             Ok(text) => match protocol::decode::<Request>(text) {
                 Err(message) => Response::Error { message },
-                Ok(req) => answer(twin, log.as_deref_mut(), &req),
+                Ok(req) => answer(plane, &req),
             },
             Err(e) => Response::Error {
                 message: format!("request is not UTF-8 at byte {}", e.valid_up_to()),
@@ -274,10 +343,18 @@ fn serve_control_conn(
     }
 }
 
+/// Renders the metrics page under the lock, the twin's read-outs and
+/// the control plane's counter.
+fn page(plane: &Mutex<Plane>) -> Result<String, String> {
+    let mut plane = lock(plane);
+    let idle_closed = plane.idle_closed;
+    guarded(&mut plane.twin, |twin| crate::metrics::render(twin, idle_closed))
+}
+
 /// Serves one metrics connection: `GET /metrics` renders the page,
 /// anything else is 404/405. HTTP/1.0-level framing with
 /// `Connection: close` — exactly what a Prometheus scraper needs.
-fn serve_metrics_conn(stream: TcpStream, twin: &Arc<Mutex<Twin>>) -> std::io::Result<()> {
+fn serve_metrics_conn(stream: TcpStream, plane: &Mutex<Plane>) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut request_line = String::new();
@@ -292,7 +369,7 @@ fn serve_metrics_conn(stream: TcpStream, twin: &Arc<Mutex<Twin>>) -> std::io::Re
     let mut parts = request_line.split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
     match (method, path) {
-        ("GET", "/metrics") => match guarded(twin, crate::metrics::render) {
+        ("GET", "/metrics") => match page(plane) {
             Ok(body) => http_respond(&mut writer, "200 OK", "text/plain; version=0.0.4", &body),
             Err(message) => {
                 http_respond(&mut writer, "500 Internal Server Error", "text/plain", &message)
@@ -404,14 +481,20 @@ pub fn scrape_metrics(addr: &str) -> Result<String, String> {
     Ok(body.to_string())
 }
 
+/// A shorter idle timeout in milliseconds for this crate's unit tests
+/// (0: [`CONTROL_IDLE_TIMEOUT`]).
+#[cfg(test)]
+static IDLE_TIMEOUT_MS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::QueryKind;
     use crate::twin::{cold_recompile, DemandSpec, PANIC_IN_NEXT_RELABEL};
     use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
+    use pr_graph::Graph;
 
-    #[test]
-    fn a_request_that_panics_costs_one_answer_and_nothing_else() {
+    fn abilene_twin() -> (Graph, Twin) {
         let graph =
             pr_topologies::load(pr_topologies::Isp::Abilene, pr_topologies::Weighting::Distance);
         let rot = pr_embedding::heuristics::thorough(&graph, 2010, 4, 10_000);
@@ -419,18 +502,27 @@ mod tests {
         let net =
             PrNetwork::compile(&graph, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
         let twin = Twin::new(graph.clone(), net, DemandSpec::gravity(), 1).expect("twin");
-        let twin = Mutex::new(twin);
+        (graph, twin)
+    }
+
+    /// The `"A-B"` name of the `i`-th link.
+    fn link(graph: &Graph, i: usize) -> String {
+        let (a, b) = graph.endpoints(graph.links().nth(i).expect("link"));
+        format!("{}-{}", graph.node_name(a), graph.node_name(b))
+    }
+
+    #[test]
+    fn a_request_that_panics_costs_one_answer_and_nothing_else() {
+        let (graph, twin) = abilene_twin();
         let path = std::env::temp_dir().join(format!("pr-daemon-panic-{}.log", std::process::id()));
         let _ = fs::remove_file(&path);
-        let mut log = EventLog::open(&path).expect("open log");
-        let link = |i| {
-            let (a, b) = graph.endpoints(graph.links().nth(i).expect("link"));
-            format!("{}-{}", graph.node_name(a), graph.node_name(b))
-        };
-        let mut ask = |req: &Request| answer(&twin, Some(&mut log), req);
+        let log = Some(EventLog::open(&path).expect("open log"));
+        let plane = Mutex::new(Plane { twin, log, idle_closed: 0, closing: false });
+        let link = |i| link(&graph, i);
+        let ask = |req: &Request| answer(&plane, req);
 
         assert!(!ask(&Request::LinkDown { link: link(0) }).is_error());
-        ask(&Request::Query { what: crate::protocol::QueryKind::Traffic });
+        ask(&Request::Query { what: QueryKind::Traffic });
         let before = ask(&Request::Snapshot);
 
         // The failed set has the link, `live` does not know yet.
@@ -440,10 +532,10 @@ mod tests {
             Response::Error { message } => assert!(message.contains("injected"), "{message}"),
             other => panic!("expected an error, got {other:?}"),
         }
-        assert!(!twin.is_poisoned());
+        assert!(!plane.is_poisoned());
         assert_eq!(ask(&Request::Snapshot), before, "state, gauges and counters as they were");
         {
-            let twin = twin.lock().unwrap();
+            let twin = &plane.lock().unwrap().twin;
             assert_eq!(twin.failed_set().len(), 1);
             let cold = cold_recompile(&graph, twin.failed_set());
             for dest in graph.nodes() {
@@ -452,11 +544,11 @@ mod tests {
         }
         // The scrape side goes through the same guard.
         PANIC_IN_NEXT_RELABEL.set(true);
-        let scraped = guarded(&twin, |twin| {
+        let scraped = guarded(&mut lock(&plane).twin, |twin| {
             twin.handle(&down);
-            crate::metrics::render(twin)
+            crate::metrics::render(twin, 0)
         });
-        assert!(scraped.is_err() && !twin.is_poisoned());
+        assert!(scraped.is_err() && !plane.is_poisoned());
         assert_eq!(ask(&Request::Snapshot), before);
 
         // The same request again succeeds, and is the only one of the
@@ -466,5 +558,64 @@ mod tests {
         let want = [Request::LinkDown { link: link(0) }, down];
         assert_eq!(logged, want.map(|req| protocol::encode(&req) + "\n").concat());
         fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn an_idle_control_client_is_cut_off_and_blocks_nobody() {
+        const TIMEOUT: Duration = Duration::from_millis(1500);
+        IDLE_TIMEOUT_MS.store(TIMEOUT.as_millis() as u64, Ordering::SeqCst);
+        let (graph, twin) = abilene_twin();
+        let dir = std::env::temp_dir().join(format!("pr-daemon-idle-{}", std::process::id()));
+        let addr_file = dir.join("daemon.addr");
+        let config = DaemonConfig {
+            port: 0,
+            metrics_port: 0,
+            addr_file: addr_file.clone(),
+            event_log: None,
+        };
+        let daemon = std::thread::spawn(move || serve(twin, &config).expect("serve"));
+        let addrs = wait_for_addr_file(&addr_file, Duration::from_secs(30)).expect("daemon up");
+
+        // A connects first and says nothing.
+        let mut silent = TcpStream::connect(&addrs.control).expect("connect A");
+        let connected = std::time::Instant::now();
+        // B is answered all the same, within the time A is allowed: a
+        // daemon that waited on A would fail this, not hang it.
+        let busy = TcpStream::connect(&addrs.control).expect("connect B");
+        busy.set_read_timeout(Some(TIMEOUT)).expect("client timeout");
+        let mut replies = BufReader::new(busy.try_clone().expect("clone"));
+        let mut busy = busy;
+        for req in [
+            Request::LinkDown { link: link(&graph, 3) },
+            Request::Query { what: QueryKind::Traffic },
+            Request::LinkUp { link: link(&graph, 3) },
+        ] {
+            busy.write_all(format!("{}\n", protocol::encode(&req)).as_bytes()).expect("send");
+            let mut reply = String::new();
+            replies.read_line(&mut reply).expect("B is answered while A sits idle");
+            let resp: Response = protocol::decode(&reply).expect("a reply");
+            assert!(!resp.is_error(), "{req:?}: {resp:?}");
+        }
+        assert!(connected.elapsed() < TIMEOUT, "B was answered while A sat idle and open");
+        drop((busy, replies));
+
+        // After the timeout, A reads the end of the stream.
+        silent.set_read_timeout(Some(10 * TIMEOUT)).expect("client timeout");
+        let mut byte = [0u8; 1];
+        assert_eq!(silent.read(&mut byte).expect("A reads the close"), 0);
+        assert!(connected.elapsed() >= TIMEOUT);
+        let page = scrape_metrics(&addrs.metrics).expect("scrape");
+        assert!(page.contains("\npr_control_idle_closed_total 1\n"), "{page}");
+
+        // A client still idle at shutdown is closed by it, not left to
+        // its timeout: `serve` returns with no connection thread alive.
+        let mut lingering = TcpStream::connect(&addrs.control).expect("connect C");
+        let connected = std::time::Instant::now();
+        let bye = request_via(&addr_file, &Request::Shutdown).expect("shutdown");
+        assert!(matches!(bye, Response::Bye), "{bye:?}");
+        daemon.join().expect("clean exit");
+        assert!(connected.elapsed() < TIMEOUT, "serve waited for C's timeout");
+        assert_eq!(lingering.read(&mut byte).expect("C reads the close"), 0);
+        fs::remove_dir_all(&dir).ok();
     }
 }

@@ -100,10 +100,8 @@ fn ephemeral_daemon_serves_control_and_metrics() {
     assert_eq!(sample(&samples, "pr_link_down_total"), 1.0);
     assert!(sample(&samples, "pr_repairs_total") >= 1.0);
 
-    // The control plane serves one connection at a time — release ours
-    // before opening the raw one, or the accept loop never reaches it.
-    drop(client);
-
+    // Every control connection has a thread of its own: the raw one
+    // below is served while ours stays open.
     // A raw malformed control line answers an Error without killing
     // the connection.
     let stream = TcpStream::connect(&addrs.control).expect("raw connect");

@@ -12,13 +12,22 @@
 //!   scenario starts from a copy and corrects only the **cones**, the
 //!   subtrees of each destination's tree that hang below a failed
 //!   edge. Inside a cone every source still follows the tree up to its
-//!   **point**, the first router that does anything else
-//!   ([`FlowUnit::point_of`](pr_core::FlowUnit::point_of)); each point
-//!   is walked through the agent **once** ([`recover_flow_with`]),
-//!   carrying the summed demand of the sources behind it, and that sum
-//!   is withdrawn from the tree path it no longer takes. A failure that
-//!   disturbs 3 % of the pairs costs about 3 % of a full pass, and one
-//!   walk per failure point, not per source.
+//!   **point**, the first router that does anything else. Under **one**
+//!   failed link the point of every source of a cone is the router `p`
+//!   above the dead tree dart `p → far`, and an agent with a
+//!   single-failure closed form (Packet Re-cycling's:
+//!   [`ForwardingAgent::stage_episode`], [`StagedEpisode::recycle`])
+//!   prices the whole cone by arithmetic off the failed dart's
+//!   **episode**, staged once per scenario for every destination: no
+//!   point is climbed, withdrawn point by point or walked. Everything
+//!   else — two or more failed links, an agent without a closed form,
+//!   an episode that prices nothing — finds each source's point
+//!   ([`FlowUnit::point_of`](pr_core::FlowUnit::point_of)) and walks
+//!   each point through the agent **once** ([`recover_flow_with`]),
+//!   carrying the summed demand of the sources behind it, withdrawn
+//!   from the tree path it no longer takes. A failure that disturbs 3 %
+//!   of the pairs costs about 3 % of a full pass, and at most one walk
+//!   per failure point, not per source.
 //! * [`replay_scenario_naive`] — **the oracle.** One [`walk_packet`] per
 //!   flow with a fresh scratch and a from-scratch survivor tree per
 //!   destination: nothing shared, nothing staged, nothing to get wrong.
@@ -28,26 +37,32 @@
 //! accumulator stays within `[0, 2T]` for total demand `T`, where the
 //! grid is exactly representable — additions and subtractions are
 //! exact, so `baseline − withdrawn + detoured` is the same number as
-//! the oracle's plain sum, in any grouping (see `FlowSet`'s demand
-//! grid). The one inexact field, `stretch_weighted_sum`, gets its terms
-//! from recovered flows only — `(tree cost to the point + the point's
-//! walk) / optimal`, integer sums the oracle's walk adds up to as well —
-//! tallied in the oracle's (destination, source) order.
+//! the oracle's plain sum, in any grouping and in any order (see
+//! `FlowSet`'s demand grid). That is what lets a priced cone's demand
+//! ride its episode to the far end in one running total per episode,
+//! moved onto the episode once, after the scenario's last destination:
+//! the same additions, regrouped. The one inexact field,
+//! `stretch_weighted_sum`, gets its terms from recovered flows only —
+//! `(tree cost to the point + the point's walk) / optimal`, integer
+//! sums the oracle's walk adds up to as well, which a priced cone reads
+//! as `(base(src) + detour) / base(src)` — tallied in the oracle's
+//! (destination, source) order.
 //!
 //! All per-scenario state lives in a reusable [`ReplayScratch`]; all
 //! failure-invariant state (base trees, the staged FIB, the compiled
 //! agent) is the caller's to hoist. **Nothing in a replay allocates in
 //! the steady state** — recovery walks included: their darts are staged
 //! in the scratch and their shared tails come out of the per-(failed
-//! set, destination) suffix memo (`tests/alloc_free.rs` counts
-//! allocator calls; DESIGN.md, "allocator discipline", has the reason
-//! this is a rule and not a nicety). Only building a baseline may
-//! allocate, and that happens when a scratch first meets a
-//! `(DenseFib, FlowSet)` pair, not per scenario.
+//! set, destination) suffix memo, and a staged episode is sized to the
+//! topology once (`tests/alloc_free.rs` counts allocator calls;
+//! DESIGN.md, "allocator discipline", has the reason this is a rule and
+//! not a nicety). Only building a baseline may allocate, and that
+//! happens when a scratch first meets a `(DenseFib, FlowSet)` pair, not
+//! per scenario.
 
 use pr_core::{
     recover_flow_with, walk_packet, DenseFib, DropReason, FlowScratch, FlowWalk, ForwardingAgent,
-    Stamp, TreeEdge,
+    Recycled, StagedEpisode, Stamp, TreeEdge,
 };
 use pr_graph::{bits, AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, SpTree};
 use serde::{Deserialize, Serialize};
@@ -73,9 +88,12 @@ pub struct ReplayStats {
     /// all-pairs flow set, exactly the affected (source, destination)
     /// pairs.
     pub cone_sources: u64,
-    /// Recovery walks made: one per point of a cone that carries
-    /// demand and can still reach the destination, plus one per source
-    /// of a group on the TTL fallback.
+    /// Of those destinations, the ones the agent's single-failure
+    /// closed form answered: no point climbed, none walked.
+    pub priced: u64,
+    /// Recovery walks made for the rest: one per point of a cone that
+    /// carries demand and can still reach the destination, plus one per
+    /// source of a group on the TTL fallback.
     pub walks: u64,
 }
 
@@ -86,6 +104,7 @@ impl ReplayStats {
         self.baselines += other.baselines;
         self.destinations += other.destinations;
         self.cone_sources += other.cone_sources;
+        self.priced += other.priced;
         self.walks += other.walks;
     }
 }
@@ -120,8 +139,9 @@ enum Fate {
 }
 
 /// Reusable per-worker state of a replay: the failure-free baseline of
-/// the `(DenseFib, FlowSet)` pair it last served, the flow-walk scratch
-/// (livelock detector, per-unit suffix memo, staged-path buffer), the
+/// the `(DenseFib, FlowSet)` pair it last served, the two staged
+/// episodes of a single failure, the flow-walk scratch (livelock
+/// detector, per-unit suffix memo, staged-path buffer), the
 /// per-scenario survivor components, the node-indexed staging of the
 /// cone and point passes and the per-link load accumulator. Everything is reset
 /// in place — the steady state allocates nothing, and all of it is
@@ -137,6 +157,9 @@ enum Fate {
 pub struct ReplayScratch<S> {
     walk: FlowScratch<S>,
     baseline: Option<Baseline>,
+    /// Under one failed link, the episodes of its two darts, staged
+    /// when a destination first needs one (per scenario).
+    episodes: [StagedEpisode; 2],
     /// Survivor-graph component labels, one per node (per scenario).
     comp: Vec<u32>,
     /// BFS worklist for the component labelling.
@@ -168,6 +191,7 @@ impl<S> ReplayScratch<S> {
         ReplayScratch {
             walk: FlowScratch::new(),
             baseline: None,
+            episodes: [StagedEpisode::new(), StagedEpisode::new()],
             comp: Vec::new(),
             queue: Vec::new(),
             roots: Vec::new(),
@@ -262,7 +286,7 @@ fn peak_load(loads: &[f64], delivered: f64) -> (f64, Option<LinkId>) {
 }
 
 /// Labels the survivor graph's connected components — failed links
-/// removed. One O(n + m) pass per scenario,
+/// removed. One O(n + m) pass per scenario that walks a destination,
 /// **destination-independent**: the survivor shortest-path tree towards
 /// any destination reaches exactly the destination's component, so a
 /// label compare replaces per-destination SPT repair for the
@@ -345,30 +369,53 @@ fn build_baseline(
 /// The baseline — every link's load and an all-clear tally with no
 /// link failed — is built on the first call a scratch sees a
 /// `(dense, flows)` pair and reused until it sees another. A scenario
-/// then costs O(Σ cone + Σ depth of points + walks), not O(n²):
+/// then costs O(Σ cone) under one failed link and an agent with a
+/// closed form, O(Σ cone + Σ depth of points + walks) otherwise, never
+/// O(n²):
 ///
-/// 1. **Start from the baseline** (one copy of the load vector) and
-///    label the **survivor components**, one O(n + m) pass per
-///    *scenario* ([`survivor_components`]): whether a source can still
-///    reach a destination is a label compare.
+/// 1. **Start from the baseline** (one copy of the load vector).
 /// 2. **Cones.** The FIB's link index lists, per failed link, the
 ///    destinations whose tree routes over it and the frame each cone
 ///    starts at; gathered, outermost only, in destination order
 ///    ([`DenseFib::roots_into`]), they are merged against the flow
 ///    set's groups. A destination without a root is never looked at:
 ///    none of its flows changed.
-/// 3. **Points.** One pass over the cones, as one [`FlowScratch::unit`]
-///    per destination, finds each source's point
-///    ([`FlowUnit::point_of`](pr_core::FlowUnit::point_of)) and sums
-///    each point's demand. A source's load on its tree path *up to*
-///    its point is what it was in the baseline and is not touched.
-/// 4. **Withdraw and walk.** Each point's sum comes off the tree path
+/// 3. **Priced.** Under one failed link `l`, a destination has one cone,
+///    rooted at `p` with the dead tree dart `out = p → far`, and `p` is
+///    the point of every source in it. If the agent has a closed form
+///    ([`ForwardingAgent::stage_episode`]), `out`'s episode is staged on
+///    first need — at most two per scenario, one per direction of `l` —
+///    and asked for the destination ([`StagedEpisode::recycle`]). One
+///    gather pass over the cone sets the sources, their demands and
+///    their sum `T`. Delivered **inside** the episode at dart `i`: `T`
+///    comes off the tree path from `p` and onto darts `0..=i`, and the
+///    detour is `cost(i) − base(p)`. **At `far`**: `far`'s tree path is
+///    the same before and after, so the change is `−T` on `l` and `+T`
+///    on every episode dart — `T` joins the episode's running total,
+///    moved once at the end of the scenario — and the detour is the
+///    episode's cost `+ base(far) − base(p)`. Both prove the survivor
+///    graph connected (`p` reaches the destination, or `l` has a way
+///    round), so no source is cut off; each is moved to recovered at
+///    `(base(src) + detour) / base(src)`, in ascending order. Priced
+///    paths count no hops, so this step runs only when `ttl` covers the
+///    longest, `2 · hop diameter + darts`.
+/// 4. **Points.** Every other destination — two or more failed links,
+///    no closed form, an episode that comes back to `p` or never leaves
+///    it — is walked. The **survivor components** are labelled first,
+///    one O(n + m) pass per *scenario*, and only if some destination
+///    gets here ([`survivor_components`]): whether a source can still
+///    reach a destination is a label compare. One pass over the cones,
+///    as one [`FlowScratch::unit`] per destination, finds each source's
+///    point ([`FlowUnit::point_of`](pr_core::FlowUnit::point_of)) and
+///    sums each point's demand. A source's load on its tree path *up
+///    to* its point is what it was in the baseline and is not touched.
+/// 5. **Withdraw and walk.** Each point's sum comes off the tree path
 ///    from the point to the destination, and a point the survivor
 ///    graph still connects is walked **once** ([`recover_flow_with`]),
 ///    its darts loading the links they take with the whole sum. The
 ///    walk's budget is `ttl` less the base hop diameter, so a walk
 ///    that fits it fits every source behind the point.
-/// 5. **Reclassify.** Cone sources with demand, in ascending source
+/// 6. **Reclassify.** Cone sources with demand, in ascending source
 ///    order over all cones of the destination — the oracle's order,
 ///    which `stretch_weighted_sum` depends on: one in another survivor
 ///    component is moved from clear to disconnected; the rest are
@@ -377,7 +424,7 @@ fn build_baseline(
 ///    ([`FlowUnit::walk`](pr_core::FlowUnit::walk)). Only a group
 ///    whose point ran out of budget walks per source — the TTL
 ///    fallback.
-/// 6. **Dead prefixes.** The sources of a point that is cut off,
+/// 7. **Dead prefixes.** The sources of a point that is cut off,
 ///    dropped or on the fallback do not load their tree path up to the
 ///    point either; when a destination has any, one bottom-up pass
 ///    over its cones takes those loads off.
@@ -385,7 +432,9 @@ fn build_baseline(
 /// Produces the **bit-identical** [`ScenarioTraffic`] of
 /// [`replay_scenario_naive`], and the same [`ReplayScratch::link_loads`]
 /// as summing the oracle's paths: see the module docs for why
-/// subtracting is as exact as adding here.
+/// subtracting, and adding a priced cone's demand late, is as exact as
+/// adding here; DESIGN.md §8 has the proof that a priced path is the
+/// walk's.
 ///
 /// `dense` must be compiled from `base` ([`DenseFib::from_base`]), on a
 /// connected `graph`.
@@ -414,6 +463,7 @@ where
     let ReplayScratch {
         walk,
         baseline,
+        episodes,
         comp,
         queue,
         roots,
@@ -445,7 +495,6 @@ where
 
     loads.clone_from(&baseline.loads);
     let mut tally = baseline.tally;
-    survivor_components(graph, failed, comp, queue);
     let n = graph.node_count();
     demand.resize(n, 0.0);
     group.resize(n, 0.0);
@@ -453,6 +502,16 @@ where
     // Every node can be a point: room for all of them, once.
     points.clear();
     points.reserve(n);
+    // Under one failed link, the agent's closed form: per direction of
+    // the link, whether it has been staged, and the demand that rides
+    // its whole episode to the far end. A priced path counts no hops,
+    // so it is asked only under a budget the longest fits: a tree
+    // prefix and a tree suffix around an episode, which follows one
+    // face.
+    let closed_form = failed.len() == 1 && ttl >= 2 * baseline.hop_diameter + graph.dart_count();
+    let mut staged: [Option<bool>; 2] = [None; 2];
+    let mut to_far = [0.0; 2];
+    let mut labelled = false;
 
     dense.roots_into(failed, roots);
     let mut groups = flows.by_destination().peekable();
@@ -464,11 +523,67 @@ where
         let Some((_, flows_to)) = groups.next_if(|&(d, _)| d == dst) else { continue };
         stats.destinations += 1;
         let frames = dense.frames(dst);
-        let cones = cones.iter().map(|r| (r.at as usize, frames[r.at as usize].end as usize));
         let base_tree = base.towards(dst);
+        bits::clear_and_resize(sources, n);
+
+        // Priced: one cone below the dead tree dart `p → far`, whose
+        // episode reaches the destination or ends at `far`.
+        let root = frames[cones[0].at as usize];
+        let out = Dart(root.dart);
+        let side = usize::from(!out.is_forward());
+        let priced = closed_form
+            && *staged[side]
+                .get_or_insert_with(|| agent.stage_episode(out, failed, &mut episodes[side]));
+        if let Some(recycled) = priced.then(|| episodes[side].recycle(dst)).flatten() {
+            stats.priced += 1;
+            let cone = &frames[cones[0].at as usize..root.end as usize];
+            stats.cone_sources += cone.len() as u64;
+            // Every source's point is `p`: gather the group's demand.
+            let mut total = 0.0;
+            for f in cone {
+                if let Some(d) = demand_from(flows_to, NodeId(f.node)) {
+                    bits::set(sources, f.node as usize);
+                    demand[f.node as usize] = d;
+                    total += d;
+                }
+            }
+            let cost = |v: NodeId| base_tree.cost(v).expect("connected base graph");
+            let p = NodeId(root.node);
+            let detour = recycled.cost(cost(NodeId(root.parent))) - cost(p);
+            match recycled {
+                // Off the tree path from `p`, onto the episode up to the
+                // destination.
+                Recycled::Inside { at, .. } => {
+                    let mut at_node = p;
+                    while let Some(d) = base_tree.next_dart(at_node) {
+                        loads[d.link().index()] -= total;
+                        at_node = graph.dart_head(d);
+                    }
+                    for d in &episodes[side].darts()[..=at] {
+                        loads[d.link().index()] += total;
+                    }
+                }
+                // Off `p → far`, onto the whole episode; `far`'s path is
+                // the same before and after. Every destination of the
+                // episode is moved at once, after the last.
+                Recycled::AtFar { .. } => to_far[side] += total,
+            }
+            bits::for_each_set(sources, |i| {
+                let optimal = cost(NodeId(i as u32));
+                tally.clear_to_recovered(demand[i], (optimal + detour) as f64 / optimal as f64);
+            });
+            continue;
+        }
+
+        // Walked: an episode that prices nothing is proof of nothing,
+        // so reachability is a label compare after all.
+        if !labelled {
+            survivor_components(graph, failed, comp, queue);
+            labelled = true;
+        }
+        let cones = cones.iter().map(|r| (r.at as usize, frames[r.at as usize].end as usize));
         let here = comp[dst.index()];
         let mut unit = walk.unit(graph, agent, base_tree, failed);
-        bits::clear_and_resize(sources, n);
 
         // The cone sources that carry demand, and each one's point.
         points.clear();
@@ -562,6 +677,15 @@ where
                     }
                 }
             }
+        }
+    }
+
+    // The demand that rode an episode to the far end, per direction.
+    for (episode, total) in episodes.iter().zip(to_far).filter(|&(_, total)| total != 0.0) {
+        let out = episode.out().expect("priced off a staged episode");
+        loads[out.link().index()] -= total;
+        for d in episode.darts() {
+            loads[d.link().index()] += total;
         }
     }
 

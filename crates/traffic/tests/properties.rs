@@ -371,11 +371,14 @@ fn a_replay_looks_at_the_cones_and_at_nothing_else() {
     // The algorithmic claim without a clock: per scenario the scratch
     // touched exactly the destinations whose tree lost an edge — those
     // the FIB's link index names for the failed link, none probed and
-    // skipped — visited exactly their affected cones, and walked once
-    // per failure point that is still connected — under PR the router
-    // above each failed tree edge — however many sources sit behind it.
+    // skipped — visited exactly their affected cones, and priced every
+    // one of them off its failed dart's episode: with no single-face
+    // link every episode reaches the destination or the far end, so no
+    // point is climbed and none walked, however many sources sit behind
+    // it.
     let net = Net::searched(nets::synth("isp:120:2010"));
     let g = &net.g;
+    assert!(net.pr.embedding().single_face_links().is_empty());
     let n = g.node_count() as u64;
     let flows = FlowSet::all_pairs(&GravityTraffic::new(g));
     let ttl = generous_ttl(g);
@@ -390,7 +393,6 @@ fn a_replay_looks_at_the_cones_and_at_nothing_else() {
         production(&net, &flows, &failed, ttl, &mut scratch);
         let stats = scratch.take_stats();
 
-        let parts = components(g, &failed);
         let mut expected =
             ReplayStats { replays: 1, baselines: u64::from(i == 0), ..Default::default() };
         for dst in g.nodes() {
@@ -398,12 +400,8 @@ fn a_replay_looks_at_the_cones_and_at_nothing_else() {
             tree.affected_cone(g, &children[dst.index()], &failed, &mut cone, &mut stack);
             expected.destinations += u64::from(!cone.is_empty());
             expected.cone_sources += cone.len() as u64;
-            let points = failed.iter().filter_map(|link| {
-                let (a, b) = g.endpoints(link);
-                [a, b].into_iter().find(|&u| tree.next_dart(u).is_some_and(|d| d.link() == link))
-            });
-            expected.walks += points.filter(|&point| parts.same(point, dst)).count() as u64;
         }
+        expected.priced = expected.destinations;
         assert_eq!(stats, expected, "scenario {i}");
         let link = failed.iter().next().expect("a single failure");
         assert_eq!(stats.destinations, net.dense.tree_edges(link).len() as u64, "scenario {i}");
@@ -413,9 +411,79 @@ fn a_replay_looks_at_the_cones_and_at_nothing_else() {
     let pairs = n * (n - 1) * singles.len() as u64;
     assert!(total.cone_sources * 10 < pairs, "{total:?} of {pairs} pairs");
     assert_eq!(total.destinations, n * (n - 1), "every edge of every tree fails in one scenario");
-    assert_eq!(total.walks, total.destinations, "one failed tree edge, one point, one walk");
-    assert!(total.walks * 4 < total.cone_sources, "{total:?}");
+    assert_eq!((total.priced, total.walks), (total.destinations, 0), "{total:?}");
     assert_eq!(total.baselines, 1);
+}
+
+/// Which branch of the single-failure closed form each busy unit takes,
+/// read off the failed dart's episode by its definition — its darts in
+/// order and the router it ends at — OR-ed over every unit observed.
+#[derive(Debug, Default)]
+struct Recyclings {
+    /// The destination heads a dart of the episode.
+    inside: bool,
+    /// It does not, and the episode ends at the failed link's far end.
+    at_far: bool,
+    /// Neither: the episode comes back to the router it left (or never
+    /// leaves it), and the unit is walked.
+    walked: bool,
+}
+
+impl Recyclings {
+    fn observe(&mut self, net: &Net, failed: &LinkSet) {
+        let g = &net.g;
+        let agent = net.pr.agent(g);
+        let link = failed.iter().next().expect("one failed link");
+        for dst in g.nodes() {
+            let tree = net.base.towards(dst);
+            let (a, b) = g.endpoints(link);
+            let Some(out) =
+                [a, b].into_iter().filter_map(|v| tree.next_dart(v)).find(|d| d.link() == link)
+            else {
+                continue;
+            };
+            let mut episode = agent.episode(out, failed);
+            if episode.by_ref().any(|d| g.dart_head(d) == dst) {
+                self.inside = true;
+            } else if episode.ended_by().is_some_and(|d| g.dart_tail(d) == g.dart_head(out)) {
+                self.at_far = true;
+            } else {
+                self.walked = true;
+            }
+        }
+    }
+}
+
+/// Replays every single failure of `net` under PR-DD through one
+/// scratch against the oracle ([`check`]), observing the branches;
+/// returns the scratch's counters.
+fn check_single_failures(net: &Net, flows: &FlowSet, seen: &mut Recyclings) -> ReplayStats {
+    let ttl = generous_ttl(&net.g);
+    let singles = SingleLinkFailures::new(&net.g);
+    let mut scratch = ReplayScratch::new();
+    for i in 0..singles.len() {
+        let failed = singles.scenario(i);
+        seen.observe(net, &failed);
+        check(net, flows, &failed, ttl, &mut scratch);
+    }
+    scratch.take_stats()
+}
+
+#[test]
+fn every_fixture_prices_its_single_failures_like_the_oracle() {
+    // Every named case of the kit's table, under every single failure
+    // of its network: the three branches of the closed form, including
+    // the episode that comes back to its start and must be walked.
+    let mut seen = Recyclings::default();
+    for fixture in fixtures::TABLE {
+        let net = (fixture.net)();
+        let stats = check_single_failures(&net, &(fixture.flows)(&net), &mut seen);
+        assert!(stats.priced > 0, "{}: {stats:?}", fixture.name);
+        if net.pr.embedding().single_face_links().is_empty() {
+            assert_eq!(stats.walks, 0, "{}: {stats:?}", fixture.name);
+        }
+    }
+    assert!(seen.inside && seen.at_far && seen.walked, "{seen:?}");
 }
 
 #[test]
@@ -565,6 +633,23 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    /// The single-failure closed form against the oracle on random
+    /// rotations, of any genus: an episode that comes back to where it
+    /// started is walked, every other destination is priced.
+    #[test]
+    fn single_failures_on_any_rotation_price_like_the_oracle(
+        (g, rotation) in strategies::with_rotation(small_graphs()),
+        seed in 0u64..1024,
+    ) {
+        let net = Net::new(g, rotation);
+        let flows = FlowSet::all_pairs(&net.hotspot(seed));
+        let stats = check_single_failures(&net, &flows, &mut Recyclings::default());
+        prop_assert!(stats.priced + stats.walks > 0, "{:?}", stats);
+        if net.pr.embedding().single_face_links().is_empty() {
+            prop_assert_eq!(stats.walks, 0, "{:?}", stats);
         }
     }
 
