@@ -23,7 +23,7 @@ use serde::Serialize;
 use pr_core::PrNetwork;
 use pr_graph::Graph;
 use pr_scenarios::TemporalFamily;
-use pr_traffic::{replay_timeline, FlowSet, ReplayScratch, TimelineTraffic};
+use pr_traffic::{replay_timeline, FlowSet, ReplayScratch, ReplayStats, TimelineTraffic};
 
 use crate::engine;
 use crate::traffic::replay_plan;
@@ -42,10 +42,7 @@ pub struct ImpairRow {
 }
 
 /// Replays `flows` through every scenario timeline of `family` on
-/// `threads` workers. Failure-invariant state — the network's own base
-/// trees, the FIB staged from them, compiled agent, TTL — is hoisted
-/// once; each worker owns a private [`ReplayScratch`] reused across
-/// its scenarios.
+/// `threads` workers ([`run_with_stats`] without the counters).
 pub fn run(
     graph: &Graph,
     pr: &PrNetwork,
@@ -53,8 +50,27 @@ pub fn run(
     flows: &FlowSet,
     threads: usize,
 ) -> Vec<ImpairRow> {
+    run_with_stats(graph, pr, family, flows, threads).0
+}
+
+/// Replays `flows` through every scenario timeline of `family` on
+/// `threads` workers, and sums what the replays looked at.
+/// Failure-invariant state — the network's own base trees, the FIB
+/// staged from them, compiled agent, TTL — is hoisted once; each worker
+/// owns a private [`ReplayScratch`] reused across its scenarios. The
+/// counters are taken per timeline, so every one but
+/// [`ReplayStats::baselines`] — one per worker — is thread-count
+/// invariant. This is what `pr impair --stats` prints.
+pub fn run_with_stats(
+    graph: &Graph,
+    pr: &PrNetwork,
+    family: &dyn TemporalFamily,
+    flows: &FlowSet,
+    threads: usize,
+) -> (Vec<ImpairRow>, ReplayStats) {
     let (base, dense, agent, ttl) = replay_plan(graph, pr);
-    engine::run_units(
+    let mut stats = ReplayStats::default();
+    let rows = engine::run_units(
         family.len(),
         threads.max(1),
         ReplayScratch::new,
@@ -62,9 +78,20 @@ pub fn run(
             let scenario = family.scenario(i);
             let traffic =
                 replay_timeline(graph, &agent, &dense, base, flows, &scenario, ttl, scratch);
-            ImpairRow { scenario: i, label: scenario.label, events: scenario.events.len(), traffic }
+            let events = scenario.events.len();
+            (
+                ImpairRow { scenario: i, label: scenario.label, events, traffic },
+                scratch.take_stats(),
+            )
         },
     )
+    .into_iter()
+    .map(|(row, timeline)| {
+        stats.merge(&timeline);
+        row
+    })
+    .collect();
+    (rows, stats)
 }
 
 /// Aggregate of an impairment sweep: time integrals folded over every

@@ -10,8 +10,9 @@
 //! budget. What a lane prices is one shared answer, the unit's
 //! failure-free tree plus one [`Detour`] from the failure point `p` —
 //! the endpoint of the failed link `l` whose tree dart *is* `l`, the
-//! point of every source of the cone — and what it does not price is
-//! walked, one walk per failure point, through `pr_core`'s flow unit.
+//! point of every source of the cone — and what it does not price goes
+//! through `pr_core`'s flow unit, once per failure point: a PR point
+//! priced as an episode chain where it delivers, any other walked.
 //! DESIGN.md §8 has the proofs; the closed forms are:
 //!
 //! * **FCP** — at `p` the packet learns `l`, the unit's whole failed
@@ -31,7 +32,7 @@
 //! * **LFA, not-via** — none: any agent by reference is a lane whose
 //!   every unit is walked.
 //!
-//! Two or more failures are walked in every lane.
+//! Two or more failures go through the flow unit in every lane.
 
 use std::hash::Hash;
 
@@ -139,8 +140,9 @@ impl<'a> Lane for PrAgent<'a> {
             self.stage_episode(out, unit.failed, episode);
         }
         let base = |v| unit.base_tree.cost(v).expect("connected");
-        let walk = episode.recycle(unit.dst)?.cost(base(graph.dart_head(out)));
-        Some(Some(walk - base(graph.dart_tail(out))))
+        let far = graph.dart_head(out);
+        let recycled = episode.recycle(unit.dst).filter(|r| r.resumes_at_far(graph, far))?;
+        Some(Some(recycled.cost(base(far)) - base(graph.dart_tail(out))))
     }
 
     fn count(&self, asked: bool, priced: bool, stats: &mut SweepStats) {

@@ -11,8 +11,9 @@
 //! cone opener yields a unit's affected sources with their survivor
 //! cost — which *is* the reconvergence sample — and the FCP and PR
 //! lanes ([`crate::lanes`]) answer each connected one: by arithmetic
-//! under a single failure, where neither lane walks, and by one walk
-//! per failure point under two or more. Workers fold blocks of
+//! under a single failure, where neither lane walks, and once per
+//! failure point under two or more — PR's points priced as episode
+//! chains where they deliver, the rest walked. Workers fold blocks of
 //! consecutive destinations into
 //! [`StretchBlock`]s, which reach the calling thread in work-unit order
 //! while the pool runs.

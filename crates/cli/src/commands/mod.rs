@@ -142,7 +142,7 @@ pub const COMMANDS: &[Command] = &[
          [--links N] [--jitter-ms N]\n\
          [--model gravity|uniform|hotspot] [--flows N] [--hotspots N] [--boost X]\n\
          [--seed N] [--restarts N] [--iterations N] [--threads N]\n\
-         [--format csv|json]",
+         [--format csv|json] [--stats]",
         &[
             &[
                 Opt::new("process"),
@@ -157,6 +157,7 @@ pub const COMMANDS: &[Command] = &[
             DEMAND,
             EMBED,
             RUN,
+            &[Opt::new("stats").flag()],
         ],
         traffic::impair,
     ),

@@ -206,11 +206,13 @@ pub fn sweep(args: &Args) -> CmdResult {
                      {} full rebuilds",
                     repair.repairs, repair.full_rebuilds
                 );
+                // Under two or more failures a PR point is priced as an
+                // episode chain where it delivers, and walked otherwise.
                 let (hit, spliced) = (100.0 * memo.hit_rate(), 100.0 * memo.spliced_share());
                 println!(
-                    "walk memo:     {} walks for {} sources, hit rate {hit:.1}% \
+                    "walk memo:     {} walks, {} chains for {} sources, hit rate {hit:.1}% \
                      ({} splices / {} lookups), spliced steps {spliced:.1}% of walk work",
-                    memo.walks, memo.shared, memo.hits, memo.lookups
+                    memo.walks, memo.chained, memo.shared, memo.hits, memo.lookups
                 );
                 let routes = &stats.routes;
                 println!(

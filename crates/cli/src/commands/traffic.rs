@@ -44,6 +44,23 @@ fn print_workload(flows: &pr_traffic::FlowSet, family: &str, scenarios: &str, th
     );
 }
 
+/// The `replay:` line of `pr traffic --stats` and `pr impair --stats`:
+/// why a replay walks little or nothing — a single failure's
+/// destinations priced off their failed dart's episode, the points of
+/// several failures priced as episode chains.
+fn print_replay_stats(stats: &pr_traffic::ReplayStats) {
+    println!(
+        "replay:                replays {}, destinations {}, cone sources {}, priced {}, \
+         chained {}, walks {}",
+        stats.replays,
+        stats.destinations,
+        stats.cone_sources,
+        stats.priced,
+        stats.chained,
+        stats.walks
+    );
+}
+
 /// `pr traffic`, the traffic-weighted front door: builds a demand
 /// matrix, compiles a flow set, and replays it through every scenario
 /// of a topological failure family on the replay dataplane — reporting
@@ -118,13 +135,7 @@ pub fn traffic(args: &Args) -> CmdResult {
         println!("mean weighted stretch: {stretch:.4} (over delivered affected demand)");
     }
     if args.flag("stats") {
-        // Why a single-failure replay walks nothing: every destination
-        // it visits is priced off its failed dart's episode.
-        println!(
-            "replay:                replays {}, destinations {}, cone sources {}, priced {}, \
-             walks {}",
-            stats.replays, stats.destinations, stats.cone_sources, stats.priced, stats.walks
-        );
+        print_replay_stats(&stats);
     }
     emit(
         format,
@@ -211,7 +222,8 @@ pub fn impair(args: &Args) -> CmdResult {
     let net = compile(&graph, canonical, args)?;
     print_workload(&flows, &family.label(), &format!("{} timed scenarios", family.len()), threads);
 
-    let rows = pr_bench::impair::run(&graph, &net, family.as_ref(), &flows, threads);
+    let (rows, stats) =
+        pr_bench::impair::run_with_stats(&graph, &net, family.as_ref(), &flows, threads);
     let s = pr_bench::impair::summarize(&rows);
     println!("link events:           {} across {} timelines", s.events, s.scenarios);
     println!("offered demand:        {:.3} demand-seconds", s.offered_demand_seconds);
@@ -227,6 +239,9 @@ pub fn impair(args: &Args) -> CmdResult {
             s.peak_pr_loss_fraction
         ),
         None => println!("peak PR loss:          0 (no scenarios)"),
+    }
+    if args.flag("stats") {
+        print_replay_stats(&stats);
     }
     emit(
         format,

@@ -107,16 +107,55 @@ pub trait ForwardingAgent {
     /// PR; grows with carried failures for FCP.
     fn header_bits(&self, state: &Self::State) -> usize;
 
-    /// The scheme's **single-failure closed form**, if it has one: what
-    /// a packet does from the tail of the routing dart `out`, whose
-    /// link is the one link of `failed`, whatever its destination,
-    /// staged into `staged` — then `true`, and
+    /// The scheme's **episode**, if it has one: what a packet does from
+    /// the tail of the failed dart `out` it deflects off, whatever its
+    /// destination, up to the first router whose cycle-following dart
+    /// is failed too, staged into `staged` — then `true`, and
     /// [`StagedEpisode::recycle`] prices any destination from it. The
     /// default has none and returns `false`: such packets are walked.
     /// Only [`PrAgent`] has one, §4.2's [`Episode`].
     fn stage_episode(&self, _out: Dart, _failed: &LinkSet, _staged: &mut StagedEpisode) -> bool {
         false
     }
+
+    /// The scheme's **episode chain** step (DESIGN.md §8, "The episode
+    /// chain"), if it has one: the episode a packet towards `dest`
+    /// follows from router `at`.
+    ///
+    /// * `cycling` is `None` for a packet that reaches `at` with a
+    ///   default header: the episode its failed routing dart opens, or
+    ///   `None` if `at` does anything else with it.
+    /// * `cycling` is `Some(leg)` for a packet cycle following under
+    ///   `leg.stamp` whose cycle-following dart at `at`, `leg.out`, is
+    ///   failed — the end of an episode: `Some(leg)` if the packet
+    ///   carries on along `leg.out`'s episode under the same stamp,
+    ///   `None` if it resumes routing at `at`.
+    ///
+    /// With [`ForwardingAgent::stage_episode`] this prices a whole walk
+    /// as a chain of staged episodes and tree segments
+    /// ([`FlowUnit`](crate::FlowUnit)). The default has none: such
+    /// packets are walked. Only [`PrAgent`] has one.
+    fn next_episode(
+        &self,
+        _at: NodeId,
+        _dest: NodeId,
+        _cycling: Option<Leg>,
+        _failed: &LinkSet,
+    ) -> Option<Leg> {
+        None
+    }
+}
+
+/// One episode of a chain ([`ForwardingAgent::next_episode`]): the
+/// failed dart a packet deflects off, and the stamp its header carries
+/// along the episode that opens.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Leg {
+    /// The failed dart deflected off.
+    pub out: Dart,
+    /// The header's distance discriminator along the episode (0 in
+    /// basic mode).
+    pub stamp: u64,
 }
 
 /// Which protocol variant of the paper a [`PrAgent`] runs.
@@ -238,6 +277,12 @@ impl PrNetwork {
     /// forwarding agent. Panics if the tables are not of `graph`'s
     /// shape: a network can arrive through serde, compiled for another
     /// topology or cut short, and would index out of range mid-walk.
+    /// Panics too, naming the tree or row, if a table of the right
+    /// shape has no route from a router, holds a dart that does not
+    /// leave the router it is filed under, or holds a rotation or cycle
+    /// following row that is not the embedding's: a staged episode
+    /// follows those tables without the walker's check that each dart
+    /// leaves the router it is at, and must take the walker's darts.
     pub fn agent<'a>(&'a self, graph: &'a Graph) -> PrAgent<'a> {
         let (nodes, darts, rows) = (graph.node_count(), graph.dart_count(), self.cycle.len());
         let trees = self.base().check_shape(nodes);
@@ -247,7 +292,42 @@ impl PrNetwork {
              of {}, a cycle following table of {rows} rows",
             trees.err().unwrap_or(format!("{nodes} trees"))
         );
+        if let Err(why) = self.check_darts(graph) {
+            panic!("tables refused: {why}");
+        }
         PrAgent { net: self, graph }
+    }
+
+    /// `Ok` if every router has a labelled route to every destination,
+    /// every dart the tables hold is one of `graph`'s and leaves the
+    /// router it is filed under, and the rotation and cycle following
+    /// rows are the embedding's; else what is wrong, and where. The
+    /// tables are of `graph`'s shape.
+    fn check_darts(&self, graph: &Graph) -> Result<(), String> {
+        self.base().check_routes(graph)?;
+        let leaves =
+            |d: Dart, node: NodeId| d.index() < graph.dart_count() && graph.dart_tail(d) == node;
+        let rotation = self.embedding.rotation();
+        rotation.validate(graph).map_err(|e| format!("rotation: {e}"))?;
+        for incoming in graph.darts() {
+            let at = graph.dart_head(incoming);
+            let (cf, comp) =
+                (self.cycle.cycle_following(incoming), self.cycle.complementary(incoming));
+            if let Some(d) = [cf, comp].into_iter().find(|&d| !leaves(d, at)) {
+                return Err(format!(
+                    "cycle following row {} (into {at}) sends packets over dart {d}, \
+                     which does not leave {at}",
+                    incoming.index()
+                ));
+            }
+            if cf != rotation.face_next(incoming) || comp != rotation.next_around(cf) {
+                return Err(format!(
+                    "cycle following row {} (into {at}) is not the embedding's",
+                    incoming.index()
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -292,13 +372,31 @@ impl<'a> PrAgent<'a> {
         Episode { agent: *self, failed, out: self.rotate_live(failed_out, failed), ended_by: None }
     }
 
+    /// The discriminator `at` stamps on a packet towards `dest` when it
+    /// starts an episode (§4.3: "the first router that detects a
+    /// failure ... will mark the packet header with the distance
+    /// discriminator to the destination, as calculated by the router
+    /// behind the link failure"); 0 in basic mode.
+    fn stamp(&self, at: NodeId, dest: NodeId) -> u64 {
+        match self.net.mode {
+            PrMode::Basic => 0,
+            PrMode::DistanceDiscriminator => self.net.dd(at, dest),
+        }
+    }
+
+    /// The §4.2/§4.3 termination check at `at`, whose cycle-following
+    /// dart is failed under a header stamped `stamp`: `true` to keep
+    /// following the boundary, `false` to resume routing. Basic mode
+    /// always resumes; DD mode resumes strictly closer than the
+    /// stamping router.
+    fn keeps_cycling(&self, at: NodeId, dest: NodeId, stamp: u64) -> bool {
+        self.net.mode == PrMode::DistanceDiscriminator && self.net.dd(at, dest) >= stamp
+    }
+
     /// Starts (or restarts) a cycle-following episode at `at` after its
     /// routing dart `failed_out` was found dead: sets the PR bit, in DD
-    /// mode stamps the router's own discriminator (§4.3: "the first
-    /// router that detects a failure ... will mark the packet header
-    /// with the distance discriminator to the destination, as
-    /// calculated by the router behind the link failure"), and deflects
-    /// onto the failed dart's complementary cycle.
+    /// mode stamps the router's own discriminator, and deflects onto
+    /// the failed dart's complementary cycle.
     fn start_episode(
         &self,
         at: NodeId,
@@ -308,10 +406,13 @@ impl<'a> PrAgent<'a> {
         failed: &LinkSet,
     ) -> ForwardDecision {
         state.pr = true;
-        state.dd = match self.net.mode {
-            PrMode::Basic => 0,
-            PrMode::DistanceDiscriminator => self.net.dd(at, dest),
-        };
+        state.dd = self.stamp(at, dest);
+        self.deflect(failed_out, failed)
+    }
+
+    /// Deflects off the failed dart `failed_out` onto its complementary
+    /// cycle, or drops the packet if the router has no live interface.
+    fn deflect(&self, failed_out: Dart, failed: &LinkSet) -> ForwardDecision {
         match self.rotate_live(failed_out, failed) {
             Some(out) => ForwardDecision::Forward(out),
             None => ForwardDecision::Drop(DropReason::Isolated),
@@ -389,11 +490,10 @@ impl Iterator for Episode<'_> {
 
 /// One [`Episode`] read once for every destination
 /// ([`ForwardingAgent::stage_episode`]): its darts, what each prefix of
-/// them costs, the first dart each router heads, and whether it ended
-/// at the failed link's far end — all Packet Re-cycling's
-/// single-failure closed form, [`StagedEpisode::recycle`], reads.
-/// Sized to the topology when it first stages an episode: an episode
-/// holds each dart at most once, so staging again allocates nothing.
+/// them costs, the first dart each router heads, and the failed dart
+/// that ends it — all [`StagedEpisode::recycle`] reads. Sized to the
+/// topology when it first stages an episode: an episode holds each
+/// dart at most once, so staging again allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct StagedEpisode {
     /// The failed dart the staged episode deflects off.
@@ -406,12 +506,12 @@ pub struct StagedEpisode {
     first: Vec<(u32, u32)>,
     /// Stamp of the staging in hand (0: none; zeroed entries are stale).
     stamp: u32,
-    ends_at_far: bool,
+    /// The failed cycle-following dart the episode ends at.
+    checkpoint: Option<Dart>,
 }
 
-/// Where Packet Re-cycling's single-failure closed form takes a packet
-/// deflected at `p` off the dead tree dart `p → far`
-/// ([`StagedEpisode::recycle`]).
+/// Where a staged episode takes a packet towards one destination
+/// ([`StagedEpisode::recycle`]), from the router `p` that deflects it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Recycled {
     /// The destination heads the episode's dart `at`, the first dart
@@ -422,22 +522,36 @@ pub enum Recycled {
         /// Weight of the episode up to and including it.
         cost: u64,
     },
-    /// The destination is not on the episode, which ends at `far`
-    /// after `cost`: the packet resumes routing there, on `far`'s
-    /// failure-free path.
-    AtFar {
+    /// The destination is not on the episode: the packet takes all of
+    /// it, `cost`, to the tail of its `checkpoint` — the failed
+    /// cycle-following dart where `decide` runs the termination check.
+    Through {
         /// Weight of the whole episode.
         cost: u64,
+        /// The failed dart that ends the episode.
+        checkpoint: Dart,
     },
 }
 
 impl Recycled {
-    /// What the packet pays from `p` to its destination, `base_far`
-    /// being the failure-free cost of `far`'s path to it.
-    pub fn cost(self, base_far: u64) -> u64 {
+    /// What the packet pays from `p` to its destination, `beyond` being
+    /// what it pays from the checkpoint on.
+    pub fn cost(self, beyond: u64) -> u64 {
         match self {
             Recycled::Inside { cost, .. } => cost,
-            Recycled::AtFar { cost } => cost + base_far,
+            Recycled::Through { cost, .. } => cost + beyond,
+        }
+    }
+
+    /// Under **one** failed link `p → far`, whether the packet is
+    /// priced: delivered inside, or through to `far`, which resumes
+    /// routing on a path that does not cross the link (DESIGN.md §8,
+    /// "The PR lane under one failure"). An episode back at `p` prices
+    /// nothing.
+    pub fn resumes_at_far(self, graph: &Graph, far: NodeId) -> bool {
+        match self {
+            Recycled::Inside { .. } => true,
+            Recycled::Through { checkpoint, .. } => graph.dart_tail(checkpoint) == far,
         }
     }
 }
@@ -472,8 +586,7 @@ impl StagedEpisode {
             self.darts.push(dart);
             self.cost.push(cost);
         }
-        let far = graph.dart_head(out);
-        self.ends_at_far = episode.ended_by().is_some_and(|d| graph.dart_tail(d) == far);
+        self.checkpoint = episode.ended_by();
         self.out = Some(out);
     }
 
@@ -487,21 +600,20 @@ impl StagedEpisode {
         &self.darts
     }
 
-    /// **Packet Re-cycling's single-failure closed form** (DESIGN.md
-    /// §8) for a packet towards `dest` deflected off the staged dart
-    /// `p → far`: delivered at the first dart whose head is `dest`; else,
-    /// if the episode ends at `far`, the whole episode and then `far`'s
-    /// failure-free path; else none — the episode came back to `p`, or
-    /// never left it, and the packet must be walked.
+    /// **Packet Re-cycling's one closed form** (DESIGN.md §8) for a
+    /// packet towards `dest` deflected off the staged dart: delivered
+    /// at the first dart whose head is `dest`; else the whole episode,
+    /// up to its checkpoint. `None` for an empty episode — the
+    /// deflecting router has no live interface, and the packet must be
+    /// walked. Under one failed link it prices a whole unit (with
+    /// [`Recycled::resumes_at_far`]); under any failed set it is each
+    /// step of an episode chain ([`FlowUnit`](crate::FlowUnit)).
     pub fn recycle(&self, dest: NodeId) -> Option<Recycled> {
         match self.first[dest.index()] {
             (stamp, at) if stamp == self.stamp => {
                 Some(Recycled::Inside { at: at as usize, cost: self.cost[at as usize] })
             }
-            _ if self.ends_at_far => {
-                Some(Recycled::AtFar { cost: *self.cost.last().expect("an ended episode") })
-            }
-            _ => None,
+            _ => Some(Recycled::Through { cost: *self.cost.last()?, checkpoint: self.checkpoint? }),
         }
     }
 }
@@ -541,24 +653,15 @@ impl<'a> ForwardingAgent for PrAgent<'a> {
         }
 
         // The cycle's next link is down: §4.2/§4.3 termination check.
-        match self.net.mode {
-            // §4.2: meeting the failure again ends cycle following.
-            PrMode::Basic => self.resume_routing(at, dest, state, failed),
-            PrMode::DistanceDiscriminator => {
-                let own = self.net.dd(at, dest);
-                if own < state.dd {
-                    // §4.3: strictly closer than the stamping router —
-                    // safe to resume shortest-path routing.
-                    self.resume_routing(at, dest, state, failed)
-                } else {
-                    // Keep following the boundary: deflect onto the
-                    // complementary cycle of the failed interface.
-                    match self.rotate_live(cf, failed) {
-                        Some(out) => ForwardDecision::Forward(out),
-                        None => ForwardDecision::Drop(DropReason::Isolated),
-                    }
-                }
-            }
+        if self.keeps_cycling(at, dest, state.dd) {
+            // Keep following the boundary: deflect onto the
+            // complementary cycle of the failed interface.
+            self.deflect(cf, failed)
+        } else {
+            // §4.2: meeting the failure again ends cycle following;
+            // §4.3: strictly closer than the stamping router, it is
+            // safe to resume shortest-path routing.
+            self.resume_routing(at, dest, state, failed)
         }
     }
 
@@ -571,6 +674,27 @@ impl<'a> ForwardingAgent for PrAgent<'a> {
     fn stage_episode(&self, out: Dart, failed: &LinkSet, staged: &mut StagedEpisode) -> bool {
         staged.stage(self.graph, out, self.episode(out, failed));
         true
+    }
+
+    /// `decide`'s two ways into an episode: a dead routing dart under a
+    /// clear header (`start_episode`, stamped on the spot), and the
+    /// termination check saying *continue* (`keeps_cycling`, same
+    /// stamp).
+    fn next_episode(
+        &self,
+        at: NodeId,
+        dest: NodeId,
+        cycling: Option<Leg>,
+        failed: &LinkSet,
+    ) -> Option<Leg> {
+        match cycling {
+            Some(leg) => self.keeps_cycling(at, dest, leg.stamp).then_some(leg),
+            None => {
+                let out =
+                    self.net.routing.next_dart(at, dest).filter(|&d| failed.contains_dart(d))?;
+                Some(Leg { out, stamp: self.stamp(at, dest) })
+            }
+        }
     }
 }
 
@@ -705,11 +829,15 @@ mod tests {
             assert_eq!(walk.cost(&g), recycled.unwrap().cost(0), "{dest}");
         }
         // Past the far end, the far end's failure-free path is paid on
-        // top of the whole episode.
-        assert_eq!(Recycled::AtFar { cost: 4 }.cost(3), 7);
+        // top of the whole episode; under one failure that is where a
+        // packet the episode does not deliver resumes.
+        let through = Recycled::Through { cost: 4, checkpoint: out.twin() };
+        assert_eq!(through.cost(3), 7);
+        assert!(through.resumes_at_far(&g, NodeId(0)));
+        assert!(!Recycled::Through { cost: 4, checkpoint: out }.resumes_at_far(&g, NodeId(0)));
 
         // A pendant router cut off by its only link deflects nowhere:
-        // no closed form, for any destination.
+        // an empty episode prices no destination.
         let mut g = generators::ring(5, 1);
         let pendant = g.add_node("5");
         g.add_link(NodeId(0), pendant, 3).unwrap();

@@ -19,12 +19,15 @@
 //!   worker's [`FlowScratch`], and the only way to walk. A unit climbs
 //!   each source's failure-free path to its **point**, the first
 //!   router that does anything but forward a still-unmarked packet
-//!   along the tree, walks each point **once** through the walker's
-//!   one hop loop and the unit's [`SuffixMemo`], and answers every
-//!   source behind a point by arithmetic ([`FlowUnit::walk`], what the
-//!   scenario sweeps call). Replay walks the points itself through
-//!   [`recover_flow_with`], which also hands it the darts to load.
-//!   Nothing here allocates per flow.
+//!   along the tree, settles each point **once** — **priced, or
+//!   walked**: priced as a chain of staged episodes and tree segments
+//!   when the agent has one and the chain delivers within the budget,
+//!   else walked through the walker's one hop loop and the unit's
+//!   [`SuffixMemo`] — and answers every source behind a point by
+//!   arithmetic ([`FlowUnit::walk`], what the scenario sweeps call).
+//!   Replay settles the points itself through [`recover_flow_with`],
+//!   which also hands it the darts to load. Nothing here allocates per
+//!   flow.
 //!
 //! Delivering the unaffected flows along their tree paths without ever
 //! consulting the agent is sound for every scheme in this workspace
@@ -44,7 +47,8 @@ use pr_graph::{AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, SpTree, TreeChild
 use crate::memo::MemoHit;
 use crate::walker::{walk_hops, Seed};
 use crate::{
-    DropReason, ForwardDecision, ForwardingAgent, MemoStats, SuffixMemo, WalkResult, WalkScratch,
+    DropReason, ForwardDecision, ForwardingAgent, Leg, MemoStats, Recycled, StagedEpisode,
+    SuffixMemo, WalkResult, WalkScratch,
 };
 
 /// Identity of one construction of a value that is expensive to
@@ -324,9 +328,15 @@ struct Stamped<T> {
 /// sweeps' alike: the livelock detector and the per-unit suffix memo,
 /// the dart buffer a walk stages its path in (released to a caller's
 /// `on_dart` hook only once the flow is known to deliver, so a dropped
-/// walk leaves no load behind), and the unit's two node-indexed tables
+/// walk leaves no load behind), the unit's two node-indexed tables
 /// — where each climbed router's **point** is, and what each point's
-/// one walk came to. All of it is sized to the topology once.
+/// one walk came to — and the episodes of the failed set in hand,
+/// which every unit under that set chains. All of it is sized to the
+/// topology once.
+///
+/// A scratch serves one agent on one topology, as a worker's does:
+/// the staged episodes are kept across units while the failed set
+/// stays the same, and [`FlowScratch::begin_scenario`] forgets them.
 ///
 /// Walking goes through [`FlowScratch::unit`].
 #[derive(Debug)]
@@ -344,6 +354,7 @@ pub struct FlowScratch<S> {
     /// is planted when the unit walks again — most units have a single
     /// point, and a memo nobody will read is not worth building.
     unplanted: Option<Seed>,
+    episodes: Episodes,
 }
 
 impl<S> FlowScratch<S> {
@@ -357,7 +368,14 @@ impl<S> FlowScratch<S> {
             outcome: Vec::new(),
             unit: 1,
             unplanted: None,
+            episodes: Episodes::new(),
         }
+    }
+
+    /// Scenario boundary: forgets the staged episodes, so the next
+    /// chain stages its own whatever failed set it is under.
+    pub fn begin_scenario(&mut self) {
+        self.episodes.forget();
     }
 
     /// Opens the work unit of flows towards `tree.dest` under `failed`,
@@ -393,6 +411,113 @@ impl<S> FlowScratch<S> {
     }
 }
 
+/// A dart whose episode is not staged.
+const UNSTAGED: u32 = u32::MAX;
+
+/// The episodes of one failed set, staged on first need and shared by
+/// every unit under that set — each one is a function of its failed
+/// dart alone, whatever the destination — plus the bookkeeping of the
+/// chain in hand ([`FlowUnit`], "Chains").
+#[derive(Debug)]
+struct Episodes {
+    /// The failed set the staging is for.
+    failed: LinkSet,
+    /// Per dart, the slot of its staged episode, or [`UNSTAGED`].
+    slot: Vec<u32>,
+    /// The staged episodes; the first `used` are live.
+    staged: Vec<StagedEpisode>,
+    used: usize,
+    /// Per slot, the chain and the stamp that last entered it.
+    entered: Vec<(u32, u64)>,
+    /// Counter of the chain in hand (0: none yet).
+    chain: u32,
+    /// The chain in hand, piece by piece, for its darts.
+    pieces: Vec<Piece>,
+}
+
+/// One piece of a chain.
+#[derive(Debug, Clone, Copy)]
+enum Piece {
+    /// The first `len` darts of the episode staged in `slot`.
+    Episode { slot: u32, len: u32 },
+    /// The tree path from `from` up to `to`.
+    Tree { from: NodeId, to: NodeId },
+}
+
+impl Episodes {
+    fn new() -> Episodes {
+        Episodes {
+            failed: LinkSet::empty(0),
+            slot: Vec::new(),
+            staged: Vec::new(),
+            used: 0,
+            entered: Vec::new(),
+            chain: 0,
+            pieces: Vec::new(),
+        }
+    }
+
+    /// Un-stages every staged episode.
+    fn forget(&mut self) {
+        for staged in &self.staged[..self.used] {
+            self.slot[staged.out().expect("a used slot holds an episode").index()] = UNSTAGED;
+        }
+        self.used = 0;
+    }
+
+    /// Opens a chain under `failed`: the staging is kept if it is of
+    /// `failed`, and forgotten otherwise.
+    fn open(&mut self, graph: &Graph, failed: &LinkSet) {
+        self.pieces.clear();
+        if self.slot.len() != graph.dart_count() {
+            self.slot.clear();
+            self.slot.resize(graph.dart_count(), UNSTAGED);
+            self.used = 0;
+        }
+        if self.failed != *failed {
+            self.forget();
+            self.failed.clone_from(failed);
+        }
+        if self.chain == u32::MAX {
+            self.entered.fill((0, 0));
+            self.chain = 0;
+        }
+        self.chain += 1;
+    }
+
+    /// The slot of `out`'s episode, staged on first need; `None` if the
+    /// agent stages none.
+    fn slot<A: ForwardingAgent>(
+        &mut self,
+        agent: &A,
+        out: Dart,
+        failed: &LinkSet,
+    ) -> Option<usize> {
+        let slot = self.slot[out.index()];
+        if slot != UNSTAGED {
+            return Some(slot as usize);
+        }
+        if self.used == self.staged.len() {
+            self.staged.push(StagedEpisode::new());
+            self.entered.push((0, 0));
+        }
+        if !agent.stage_episode(out, failed, &mut self.staged[self.used]) {
+            return None;
+        }
+        self.slot[out.index()] = self.used as u32;
+        self.used += 1;
+        Some(self.used - 1)
+    }
+
+    /// Enters `slot`'s episode under `stamp` in the chain in hand;
+    /// `false` if the chain entered it under that stamp before.
+    fn enter(&mut self, slot: usize, stamp: u64) -> bool {
+        let fresh = self.entered[slot] != (self.chain, stamp);
+        self.entered[slot] = (self.chain, stamp);
+        fresh
+    }
+}
+
 impl<S> Default for FlowScratch<S> {
     fn default() -> Self {
         FlowScratch::new()
@@ -422,6 +547,27 @@ impl<S> Default for FlowScratch<S> {
 /// the clear prefix with a default header (it would meet the point
 /// again in the state it left it in, and cycle); and a point that
 /// drops, drops every source behind it.
+///
+/// # Chains: a point's walk, priced
+///
+/// An agent with episodes ([`ForwardingAgent::stage_episode`],
+/// [`ForwardingAgent::next_episode`]: Packet Re-cycling) does not walk
+/// a point hop by hop. From the point its packet follows an episode,
+/// staged once per failed set on the scratch and asked for the
+/// destination ([`StagedEpisode::recycle`]): delivered inside it, or
+/// through it to its checkpoint, where the agent either carries on
+/// along the next episode under the same stamp or resumes routing — on
+/// the tree, up to the next router whose point it is
+/// ([`FlowUnit::point_of`]): the destination, or a router whose tree
+/// dart is failed, which opens a fresh episode. The walk is that chain
+/// of episodes and tree segments, its cost and hops summed from the
+/// staged prefixes and the tree's labels. Only a chain that delivers
+/// within the budget is priced: a delivered trajectory never repeats a
+/// (router, ingress, header) triple, so the hop loop would take exactly
+/// its darts. Anything else — an (episode, stamp) the chain entered
+/// before, an empty episode, a budget the chain outgrows, a router the
+/// agent has no episode for — is walked (DESIGN.md §8, "The episode
+/// chain").
 pub struct FlowUnit<'a, A: ForwardingAgent> {
     graph: &'a Graph,
     agent: &'a A,
@@ -496,11 +642,11 @@ where
     /// Answers one packet of the unit from `src`: outcome, cost and
     /// hops of [`walk_packet`](crate::walk_packet) on the same flow,
     /// without its darts — what a sweep wants of a walk. The source's
-    /// point is walked if this unit has not walked it yet, and `src`
-    /// is the tree path to the point plus that walk. A dropped point
-    /// drops `src` with the point's reason (the walker's own may be
-    /// another one: a loop the point's walk detects can be a spent TTL
-    /// from further away).
+    /// point is settled — priced as a chain, or walked — if this unit
+    /// has not settled it yet, and `src` is the tree path to the point
+    /// plus that walk. A dropped point drops `src` with the point's
+    /// reason (the walker's own may be another one: a loop the point's
+    /// walk detects can be a spent TTL from further away).
     ///
     /// Per-source walking is the **TTL fallback**: a source whose
     /// prefix plus the point's steps does not fit `ttl` is walked from
@@ -510,6 +656,8 @@ where
         let recorded = self.scratch.outcome[point.index()];
         let settled = if recorded.unit == self.scratch.unit {
             recorded.value
+        } else if let Some(priced) = self.chain(point, ttl) {
+            priced
         } else {
             self.hop_walk(point, ttl, true).0
         };
@@ -536,6 +684,88 @@ where
             |v| self.tree.cost(v).zip(self.tree.hops(v)).expect("a climbed router is in the tree");
         let ((cost, hops), (point_cost, point_hops)) = (base(src), base(point));
         (cost - point_cost, hops - point_hops)
+    }
+
+    /// Prices the walk from `point`, a router its packet reaches with a
+    /// default header, as a chain of episodes and tree segments (see
+    /// "Chains" above), records the outcome as the point's and leaves
+    /// the pieces for [`FlowUnit::chained_darts`]. `None` unless the
+    /// chain delivers within `ttl`: the point is then walked.
+    fn chain(&mut self, point: NodeId, ttl: usize) -> Option<FlowWalk> {
+        let (graph, agent, failed, dest) = (self.graph, self.agent, self.failed, self.tree.dest);
+        let mut leg = agent.next_episode(point, dest, None, failed)?;
+        self.scratch.episodes.open(graph, failed);
+        let (mut cost, mut hops) = (0, 0);
+        loop {
+            let episodes = &mut self.scratch.episodes;
+            let slot = episodes.slot(agent, leg.out, failed)?;
+            if !episodes.enter(slot, leg.stamp) {
+                return None;
+            }
+            let staged = &episodes.staged[slot];
+            let (len, checkpoint) = match staged.recycle(dest)? {
+                Recycled::Inside { at, cost: prefix } => {
+                    cost += prefix;
+                    (at + 1, None)
+                }
+                Recycled::Through { cost: whole, checkpoint } => {
+                    cost += whole;
+                    (staged.darts().len(), Some(checkpoint))
+                }
+            };
+            hops += len;
+            if hops > ttl {
+                return None;
+            }
+            episodes.pieces.push(Piece::Episode { slot: slot as u32, len: len as u32 });
+            let Some(checkpoint) = checkpoint else { break };
+            let at = graph.dart_tail(checkpoint);
+            let cycling = Leg { out: checkpoint, stamp: leg.stamp };
+            if let Some(next) = agent.next_episode(at, dest, Some(cycling), failed) {
+                leg = next;
+                continue;
+            }
+            // Resumed: on the tree up to the next point.
+            let next = self.point_of(at);
+            let (tree_cost, tree_hops) = self.ahead(at, next);
+            (cost, hops) = (cost + tree_cost, hops + tree_hops as usize);
+            if hops > ttl {
+                return None;
+            }
+            if next != at {
+                self.scratch.episodes.pieces.push(Piece::Tree { from: at, to: next });
+            }
+            if next == dest {
+                break;
+            }
+            leg = agent.next_episode(next, dest, None, failed)?;
+        }
+        let flow = FlowWalk::Recovered { cost, hops: hops as u32 };
+        self.scratch.outcome[point.index()] = Stamped { unit: self.scratch.unit, value: flow };
+        self.scratch.memo.record_chained();
+        Some(flow)
+    }
+
+    /// Hands the darts of the chain [`FlowUnit::chain`] priced last to
+    /// `on_dart`, in the order the packet takes them.
+    fn chained_darts(&self, mut on_dart: impl FnMut(Dart)) {
+        let episodes = &self.scratch.episodes;
+        for &piece in &episodes.pieces {
+            match piece {
+                Piece::Episode { slot, len } => {
+                    let darts = &episodes.staged[slot as usize].darts()[..len as usize];
+                    darts.iter().copied().for_each(&mut on_dart);
+                }
+                Piece::Tree { from, to } => {
+                    let mut at = from;
+                    while at != to {
+                        let d = self.tree.next_dart(at).expect("the chain climbed this router");
+                        on_dart(d);
+                        at = self.graph.dart_head(d);
+                    }
+                }
+            }
+        }
     }
 
     /// Runs the walker's one hop loop from `src` with the unit's memo,
@@ -581,19 +811,22 @@ where
     }
 }
 
-/// Walks one flow of the unit from `src` itself through the agent and
-/// hands its darts to `on_dart` — the per-link load accounting hook of
-/// the replay dataplane, which calls it once per **point** of a
-/// destination's cones, carrying the summed demand of the sources
-/// behind the point, and per source only as its TTL fallback.
+/// Settles one flow of the unit from `src` itself and hands its darts
+/// to `on_dart` — the per-link load accounting hook of the replay
+/// dataplane, which calls it once per **point** of a destination's
+/// cones, carrying the summed demand of the sources behind the point,
+/// and per source only as its TTL fallback.
 ///
-/// The walk is the walker's one hop loop with the unit's suffix memo:
-/// outcome, cost, hops and emitted darts are those of
-/// [`walk_packet`](crate::walk_packet) on the same flow (see
+/// A point is priced as a chain if its agent has one and it delivers
+/// within `ttl` ([`FlowUnit`], "Chains"), its darts read off the
+/// staged episodes and the tree; anything else is the walker's one hop
+/// loop with the unit's suffix memo (see
 /// [`walk_packet_spliced`](crate::walk_packet_spliced) for why a
 /// splice is exact), the darts of a spliced tail read off the memoized
-/// chain. `on_dart` fires for every dart of a *delivered* path, in
-/// order; a dropped walk emits nothing. When `src` is its own point
+/// chain. Either way outcome, cost, hops and emitted darts are those
+/// of [`walk_packet`](crate::walk_packet) on the same flow. `on_dart`
+/// fires for every dart of a *delivered* path, in order; a dropped
+/// walk emits nothing. When `src` is its own point
 /// ([`FlowUnit::point_of`]) the outcome is recorded as the point's, so
 /// [`FlowUnit::walk`] answers every source behind it without another
 /// walk — except a spent `ttl`, which is no verdict under a larger one.
@@ -607,6 +840,10 @@ where
     A::State: std::hash::Hash + Eq,
 {
     let is_point = unit.point_of(src) == src;
+    if let Some(priced) = is_point.then(|| unit.chain(src, ttl)).flatten() {
+        unit.chained_darts(on_dart);
+        return priced;
+    }
     let (flow, spliced) = unit.hop_walk(src, ttl, is_point);
     if flow.is_delivered() {
         let FlowScratch { memo, path, .. } = &*unit.scratch;
@@ -818,6 +1055,59 @@ mod tests {
         assert_eq!(walk.cost(), Some(5));
         assert_eq!(darts.len(), 5);
         assert!(!darts.iter().any(|d| d.link() == direct));
+    }
+
+    #[test]
+    fn a_chain_is_the_walk_from_its_point() {
+        // Figure 1 under the paper's rotation (genus 0) and K4 under the
+        // identity one (genus 1: walks livelock although a path
+        // survives), every pair and triple of failed links, both modes:
+        // a point's chain is priced exactly when `walk_packet` from the
+        // point delivers, and then as it walks it, dart for dart.
+        let (fig1, orders) = pr_topologies::figure1();
+        let paper = RotationSystem::from_neighbor_orders(&fig1, &orders).unwrap();
+        let k4 = generators::complete(4, 1);
+        let identity = RotationSystem::identity(&k4);
+        for (g, rotation) in [(fig1, paper), (k4, identity)] {
+            let emb = CellularEmbedding::new(&g, rotation).unwrap();
+            let links: Vec<LinkId> = g.links().collect();
+            let mut sets = Vec::new();
+            for (i, &a) in links.iter().enumerate() {
+                for (j, &b) in links.iter().enumerate().skip(i + 1) {
+                    sets.push(vec![a, b]);
+                    sets.extend(links[j + 1..].iter().map(|&c| vec![a, b, c]));
+                }
+            }
+            let (ttl, mut seen) = (generous_ttl(&g), [0; 2]);
+            for mode in [PrMode::Basic, PrMode::DistanceDiscriminator] {
+                let net = PrNetwork::compile(&g, emb.clone(), mode, DiscriminatorKind::Hops);
+                let agent = net.agent(&g);
+                let mut scratch = FlowScratch::new();
+                for failed in &sets {
+                    let failed = LinkSet::from_links(g.link_count(), failed.iter().copied());
+                    for dest in g.nodes() {
+                        let mut unit = scratch.unit(&g, &agent, net.base().towards(dest), &failed);
+                        for v in g.nodes().filter(|&v| v != dest) {
+                            if unit.point_of(v) != v {
+                                continue;
+                            }
+                            let walk = crate::walk_packet(&g, &agent, v, dest, &failed, ttl);
+                            let label = format!("{mode:?} {failed:?} {v}->{dest}");
+                            let chain = unit.chain(v, ttl);
+                            assert_eq!(chain.is_some(), walk.result.is_delivered(), "{label}");
+                            seen[usize::from(chain.is_some())] += 1;
+                            let Some(flow) = chain else { continue };
+                            let hops = walk.path.hop_count() as u32;
+                            assert_eq!(flow, FlowWalk::Recovered { cost: walk.cost(&g), hops });
+                            let mut darts = Vec::new();
+                            unit.chained_darts(|d| darts.push(d));
+                            assert_eq!(darts, walk.path.darts(), "{label}");
+                        }
+                    }
+                }
+            }
+            assert!(seen[0] > 0 && seen[1] > 0, "walked and priced points: {seen:?}");
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!   protocol variants ([`PrMode::Basic`] of §4.2 and
 //!   [`PrMode::DistanceDiscriminator`] of §4.3); [`Episode`] is §4.2's
 //!   detour as a function of the failed interface alone, and
-//!   [`StagedEpisode::recycle`] the single-failure closed form the
-//!   sweeps and the replay price it by.
+//!   [`StagedEpisode::recycle`] the one closed form the sweeps and the
+//!   replay price it by — a whole unit under one failure, each step of
+//!   a [`FlowUnit`]'s episode chain under any failed set.
 //! * [`walk_packet`] — the execution engine used by experiments:
 //!   walks single packets under static failure sets with exact
 //!   livelock detection.
@@ -61,8 +62,8 @@ pub mod trace;
 mod walker;
 
 pub use agent::{
-    DropReason, Episode, ForwardDecision, ForwardingAgent, PrAgent, PrMode, PrNetwork, Recycled,
-    StagedEpisode,
+    DropReason, Episode, ForwardDecision, ForwardingAgent, Leg, PrAgent, PrMode, PrNetwork,
+    Recycled, StagedEpisode,
 };
 pub use fib::{
     recover_flow_with, DenseFib, FibFrame, FlowScratch, FlowUnit, FlowWalk, Stamp, TreeEdge,

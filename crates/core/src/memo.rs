@@ -60,6 +60,9 @@ pub struct MemoStats {
     /// ([`FlowUnit::walk`](crate::FlowUnit::walk)), the point itself
     /// included.
     pub shared: u64,
+    /// Points priced by an episode chain instead of walked (not among
+    /// `walks`).
+    pub chained: u64,
 }
 
 impl MemoStats {
@@ -91,6 +94,7 @@ impl MemoStats {
         self.walked_steps += other.walked_steps;
         self.walks += other.walks;
         self.shared += other.shared;
+        self.chained += other.chained;
     }
 }
 
@@ -225,6 +229,12 @@ impl<S> SuffixMemo<S> {
     #[inline]
     pub(crate) fn record_shared(&mut self) {
         self.stats.shared += 1;
+    }
+
+    /// Accounts one point priced by an episode chain.
+    #[inline]
+    pub(crate) fn record_chained(&mut self) {
+        self.stats.chained += 1;
     }
 
     /// Accounts one splice that answered `steps` darts from the memo.
@@ -478,6 +488,7 @@ mod tests {
             walked_steps: 10,
             walks: 2,
             shared: 7,
+            chained: 3,
         };
         assert!((stats.hit_rate() - 0.4).abs() < 1e-12);
         assert!((stats.spliced_share() - 0.75).abs() < 1e-12);
@@ -488,6 +499,6 @@ mod tests {
         merged.merge(&stats);
         assert_eq!(merged.lookups, 20);
         assert_eq!(merged.spliced_steps, 60);
-        assert_eq!((merged.walks, merged.shared), (4, 14));
+        assert_eq!((merged.walks, merged.shared, merged.chained), (4, 14, 6));
     }
 }

@@ -203,9 +203,11 @@ impl CycleFollowingTable {
         out
     }
 
-    /// Number of rows network-wide (one per dart).
+    /// Number of rows network-wide (one per dart): of a table that came
+    /// through serde with a column cut short, the rows both columns
+    /// fill.
     pub fn len(&self) -> usize {
-        self.cf_out.len()
+        self.cf_out.len().min(self.comp_out.len())
     }
 
     /// `true` for an empty (linkless) network.

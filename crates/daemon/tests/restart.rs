@@ -120,6 +120,57 @@ fn a_torn_tail_is_cut_off_and_anything_else_undecodable_refuses() {
 }
 
 #[test]
+fn a_log_cut_at_any_byte_restarts_to_the_events_it_holds_whole() {
+    // A kill can leave the log cut at any byte. Restarted from every
+    // cut, the daemon replays exactly the complete lines — the events
+    // whose record reached its newline — reaches the state of applying
+    // them directly, and leaves the file cut at its last newline.
+    let graph = isp(Isp::Abilene);
+    let Net { g, pr, .. } = Net::searched(graph.clone());
+    let twin = || Twin::new(g.clone(), pr.clone(), DemandSpec::gravity(), 1).expect("twin");
+    let down = |i| Request::LinkDown { link: common::link_name(&graph, i) };
+    let up = |i| Request::LinkUp { link: common::link_name(&graph, i) };
+    let demand = |model: &str, seed| Request::SetDemand {
+        model: model.to_string(),
+        flows: Some(40),
+        hotspots: None,
+        boost: None,
+        seed: Some(seed),
+    };
+    let events =
+        [down(0), down(4), demand("uniform", 3), up(0), down(8), demand("gravity", 5), up(4)];
+    let dir = common::scratch_dir("every-cut");
+    let log_path = dir.join("events.log");
+
+    // The state after each prefix, applied directly, as the log records it.
+    let mut log = EventLog::open(&log_path).expect("open log");
+    let mut direct = twin();
+    let mut states = vec![direct.snapshot()];
+    for req in &events {
+        apply(&mut direct, req);
+        log.record(req).expect("record");
+        states.push(direct.snapshot());
+    }
+    drop(log);
+    let whole = std::fs::read(&log_path).expect("the log");
+    let newlines = |bytes: &[u8]| bytes.iter().filter(|&&b| b == b'\n').count();
+    assert_eq!(newlines(&whole), events.len(), "one line per event");
+
+    for cut in 0..=whole.len() {
+        std::fs::write(&log_path, &whole[..cut]).expect("cut the log");
+        let complete = newlines(&whole[..cut]);
+        let mut restarted = twin();
+        assert_eq!(EventLog::replay(&log_path, &mut restarted), Ok(complete), "cut at byte {cut}");
+        assert_eq!(restarted.snapshot(), states[complete], "cut at byte {cut}");
+        let kept = whole[..cut].iter().rposition(|&b| b == b'\n').map_or(0, |at| at + 1);
+        let left = std::fs::read(&log_path).expect("the log");
+        assert_eq!(left, &whole[..kept], "cut at byte {cut}: left cut at its last newline");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn daemon_restart_over_tcp_resumes_bit_identically() {
     let graph = isp(Isp::Abilene);
     let net = Net::searched(graph.clone()).pr;

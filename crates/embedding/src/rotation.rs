@@ -240,38 +240,40 @@ impl RotationSystem {
 
     /// Checks internal consistency against the graph: `next` restricted
     /// to each node's darts is a single cycle covering all of them.
+    /// Safe on tables that came through serde: every entry is range
+    /// checked before it is followed, and no cycle is followed further
+    /// than the node's degree.
     pub fn validate(&self, graph: &Graph) -> Result<(), EmbeddingError> {
-        if self.next.len() != graph.dart_count() {
+        let darts = graph.dart_count();
+        if self.next.len() != darts || self.prev.len() != darts {
             return Err(EmbeddingError::Corrupt {
                 dart: Dart(self.next.len() as u32),
                 detail: "dart count mismatch".into(),
             });
         }
+        let corrupt = |dart, detail| Err(EmbeddingError::Corrupt { dart, detail });
         for node in graph.nodes() {
-            let order = self.order_at(graph, node);
-            if order.len() != graph.degree(node) {
-                return Err(EmbeddingError::Corrupt {
-                    dart: *graph.darts_from(node).first().unwrap_or(&Dart(0)),
-                    detail: format!(
-                        "rotation at {node} covers {} of {} darts",
-                        order.len(),
-                        graph.degree(node)
-                    ),
-                });
+            let Some(&start) = graph.darts_from(node).iter().min() else { continue };
+            let (mut d, mut covered) = (start, 0);
+            loop {
+                let next = self.next[d.index()];
+                if next.index() >= darts || graph.dart_tail(next) != node {
+                    return corrupt(next, format!("dart in {node}'s rotation does not leave it"));
+                }
+                if self.prev[next.index()] != d {
+                    return corrupt(d, "next/prev tables disagree".into());
+                }
+                (d, covered) = (next, covered + 1);
+                if d == start || covered > graph.degree(node) {
+                    break;
+                }
             }
-            for &d in &order {
-                if graph.dart_tail(d) != node {
-                    return Err(EmbeddingError::Corrupt {
-                        dart: d,
-                        detail: format!("dart in {node}'s rotation does not leave it"),
-                    });
-                }
-                if self.prev[self.next[d.index()].index()] != d {
-                    return Err(EmbeddingError::Corrupt {
-                        dart: d,
-                        detail: "next/prev tables disagree".into(),
-                    });
-                }
+            if covered != graph.degree(node) {
+                let degree = graph.degree(node);
+                return corrupt(
+                    start,
+                    format!("rotation at {node} covers {covered} of {degree} darts"),
+                );
             }
         }
         Ok(())

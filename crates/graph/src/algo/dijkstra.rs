@@ -237,6 +237,33 @@ impl AllPairs {
         }
         Ok(())
     }
+
+    /// `Ok` if every tree routes every other node of `graph` over a dart
+    /// that leaves it, with both labels — what a router forwards by —
+    /// or the first tree and node that does not. The map is of
+    /// `graph`'s shape ([`AllPairs::check_shape`]).
+    pub fn check_routes(&self, graph: &Graph) -> Result<(), String> {
+        let darts = graph.dart_count();
+        for (d, t) in self.trees.iter().enumerate() {
+            let dest = t.dest;
+            let labels = t.next.iter().zip(&t.dist).zip(&t.hops);
+            for (u, ((&next, &dist), &hops)) in labels.enumerate() {
+                let node = NodeId(u as u32);
+                if node == dest {
+                    continue;
+                }
+                if next == NO_DART || dist == NO_DIST || hops == NO_HOPS {
+                    return Err(format!("tree {d} towards {dest} has no route from {node}"));
+                }
+                if next.index() >= darts || graph.dart_tail(next) != node {
+                    return Err(format!(
+                        "tree {d} towards {dest} routes {node} over dart {next}, which does not leave it"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

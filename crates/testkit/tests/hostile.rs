@@ -4,22 +4,29 @@
 //! 1 MiB line, deep nesting, numbers at the edge of their types —
 //! grown from a valid document of each format that enters the programs
 //! from outside: the `.topo` parser, the JSON stand-in, the daemon's
-//! wire protocol, the shard checkpoint and the event log. Every mutant
-//! is accepted or refused with an error that says where: a syntax
-//! error names its byte or line, a well-formed document of the wrong
-//! shape the field, variant or type that was expected (the JSON
-//! stand-in keeps no spans), under the file and line its loader adds.
+//! wire protocol, the shard checkpoint, the event log and a compiled
+//! network. Every mutant is accepted or refused with an error that
+//! says where: a syntax error names its byte or line, a well-formed
+//! document of the wrong shape the field, variant or type that was
+//! expected (the JSON stand-in keeps no spans), under the file and line
+//! its loader adds. A network is the one exception that panics: it is
+//! refused where it is bound to a graph, by a panic that says why.
 
 use std::path::PathBuf;
 
 use pr_bench::shards::{run_shards, shard_file, ShardKey, ShardOutcome};
 use pr_bench::stretch::{self, ScenarioRow};
+use pr_core::{generous_ttl, PrNetwork};
 use pr_daemon::protocol::{decode, encode};
 use pr_daemon::{DemandSpec, EventLog, Request, Twin};
-use pr_graph::parser;
+use pr_graph::{parser, LinkSet};
 use pr_scenarios::{ScenarioFamily, ScenarioSlice, SingleLinkFailures};
 use pr_testkit::alloc::{peak_during, turn, Counting};
+use pr_testkit::fixtures;
 use pr_testkit::nets::{link_name, Net};
+use pr_traffic::{
+    replay_scenario_bitparallel, replay_scenario_naive, FlowSet, ReplayScratch, UniformTraffic,
+};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -136,6 +143,61 @@ fn json_and_the_wire_protocol_refuse_with_a_byte() {
             }
         }
     }
+}
+
+#[test]
+fn a_network_binds_and_replays_as_the_oracle_or_is_refused_where_it_is_bound() {
+    // A compiled network that arrives through serde: every mutant that
+    // deserialises either binds — and then its episode chains price
+    // what its walks deliver, against trees of the replay's own — or is
+    // refused where it is bound, by a panic that names the tree or row.
+    let _turn = turn();
+    let net = Net::figure1();
+    let valid = serde_json::to_string(&net.pr).expect("serialises");
+    let flows = FlowSet::all_pairs(&UniformTraffic::new(&net.g));
+    let sets: Vec<LinkSet> = fixtures::exhaustive(&net.g, 2..=3).into_iter().step_by(11).collect();
+    let ttl = generous_ttl(&net.g);
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let (mut bound, mut refused) = (0, [0, 0]);
+    for input in &mutants(&valid) {
+        let Ok(hostile) = bounded("network", input, || serde_json::from_str::<PrNetwork>(input))
+        else {
+            continue;
+        };
+        let agent = match std::panic::catch_unwind(|| hostile.agent(&net.g)) {
+            Ok(agent) => agent,
+            Err(payload) => {
+                // A column of the wrong width, or a value no router
+                // can forward by.
+                let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+                let by_value = message.starts_with("tables refused: ");
+                let refusal = by_value || message.starts_with("graph/tables mismatch: ");
+                assert!(refusal, "{message:.300} for {:?}", head(input));
+                refused[usize::from(by_value)] += 1;
+                continue;
+            }
+        };
+        bound += 1;
+        let mut scratch = ReplayScratch::new();
+        for failed in &sets {
+            let Net { g, base, dense, .. } = &net;
+            let replayed = replay_scenario_bitparallel(
+                g,
+                &agent,
+                dense,
+                base,
+                &flows,
+                failed,
+                ttl,
+                &mut scratch,
+            );
+            let oracle = replay_scenario_naive(g, &agent, base, &flows, failed, ttl);
+            assert_eq!(replayed, oracle, "{failed:?} under {:?}", head(input));
+        }
+    }
+    std::panic::set_hook(hook);
+    assert!(bound > 1 && refused[0] > 0 && refused[1] > 0, "{bound} bound, {refused:?} refused");
 }
 
 #[test]

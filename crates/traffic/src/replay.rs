@@ -22,12 +22,15 @@
 //!   point is climbed, withdrawn point by point or walked. Everything
 //!   else — two or more failed links, an agent without a closed form,
 //!   an episode that prices nothing — finds each source's point
-//!   ([`FlowUnit::point_of`](pr_core::FlowUnit::point_of)) and walks
-//!   each point through the agent **once** ([`recover_flow_with`]),
+//!   ([`FlowUnit::point_of`](pr_core::FlowUnit::point_of)) and settles
+//!   each point **once** ([`recover_flow_with`]), **priced, or
+//!   walked**: priced as a chain of the failed set's staged episodes
+//!   and tree segments where the agent has episodes and the chain
+//!   delivers within the budget, walked through the agent otherwise —
 //!   carrying the summed demand of the sources behind it, withdrawn
 //!   from the tree path it no longer takes. A failure that disturbs 3 %
-//!   of the pairs costs about 3 % of a full pass, and at most one walk
-//!   per failure point, not per source.
+//!   of the pairs costs about 3 % of a full pass, and at most one chain
+//!   or walk per failure point, not per source.
 //! * [`replay_scenario_naive`] — **the oracle.** One [`walk_packet`] per
 //!   flow with a fresh scratch and a from-scratch survivor tree per
 //!   destination: nothing shared, nothing staged, nothing to get wrong.
@@ -54,7 +57,8 @@
 //! the steady state** — recovery walks included: their darts are staged
 //! in the scratch and their shared tails come out of the per-(failed
 //! set, destination) suffix memo, and a staged episode is sized to the
-//! topology once (`tests/alloc_free.rs` counts allocator calls;
+//! topology once and kept for the next replay's chains
+//! (`tests/alloc_free.rs` counts allocator calls;
 //! DESIGN.md, "allocator discipline", has the reason this is a rule and
 //! not a nicety). Only building a baseline may allocate, and that
 //! happens when a scratch first meets a `(DenseFib, FlowSet)` pair, not
@@ -91,9 +95,12 @@ pub struct ReplayStats {
     /// Of those destinations, the ones the agent's single-failure
     /// closed form answered: no point climbed, none walked.
     pub priced: u64,
-    /// Recovery walks made for the rest: one per point of a cone that
-    /// carries demand and can still reach the destination, plus one per
-    /// source of a group on the TTL fallback.
+    /// Points of the rest priced by an episode chain: a point of a cone
+    /// that carries demand and can still reach the destination, whose
+    /// walk the agent's episodes deliver within the budget.
+    pub chained: u64,
+    /// Walks through the hop loop: every other such point, plus one
+    /// per source of a group on the TTL fallback.
     pub walks: u64,
 }
 
@@ -105,6 +112,7 @@ impl ReplayStats {
         self.destinations += other.destinations;
         self.cone_sources += other.cone_sources;
         self.priced += other.priced;
+        self.chained += other.chained;
         self.walks += other.walks;
     }
 }
@@ -141,7 +149,8 @@ enum Fate {
 /// Reusable per-worker state of a replay: the failure-free baseline of
 /// the `(DenseFib, FlowSet)` pair it last served, the two staged
 /// episodes of a single failure, the flow-walk scratch (livelock
-/// detector, per-unit suffix memo, staged-path buffer), the
+/// detector, per-unit suffix memo, staged-path buffer, the staged
+/// episodes the points' chains follow), the
 /// per-scenario survivor components, the node-indexed staging of the
 /// cone and point passes and the per-link load accumulator. Everything is reset
 /// in place — the steady state allocates nothing, and all of it is
@@ -370,8 +379,8 @@ fn build_baseline(
 /// link failed — is built on the first call a scratch sees a
 /// `(dense, flows)` pair and reused until it sees another. A scenario
 /// then costs O(Σ cone) under one failed link and an agent with a
-/// closed form, O(Σ cone + Σ depth of points + walks) otherwise, never
-/// O(n²):
+/// closed form, O(Σ cone + Σ depth of points + chains and walks)
+/// otherwise, never O(n²):
 ///
 /// 1. **Start from the baseline** (one copy of the load vector).
 /// 2. **Cones.** The FIB's link index lists, per failed link, the
@@ -401,7 +410,8 @@ fn build_baseline(
 ///    longest, `2 · hop diameter + darts`.
 /// 4. **Points.** Every other destination — two or more failed links,
 ///    no closed form, an episode that comes back to `p` or never leaves
-///    it — is walked. The **survivor components** are labelled first,
+///    it — is settled point by point. The **survivor components** are
+///    labelled first,
 ///    one O(n + m) pass per *scenario*, and only if some destination
 ///    gets here ([`survivor_components`]): whether a source can still
 ///    reach a destination is a label compare. One pass over the cones,
@@ -409,12 +419,16 @@ fn build_baseline(
 ///    point ([`FlowUnit::point_of`](pr_core::FlowUnit::point_of)) and
 ///    sums each point's demand. A source's load on its tree path *up
 ///    to* its point is what it was in the baseline and is not touched.
-/// 5. **Withdraw and walk.** Each point's sum comes off the tree path
+/// 5. **Withdraw and settle.** Each point's sum comes off the tree path
 ///    from the point to the destination, and a point the survivor
-///    graph still connects is walked **once** ([`recover_flow_with`]),
-///    its darts loading the links they take with the whole sum. The
-///    walk's budget is `ttl` less the base hop diameter, so a walk
-///    that fits it fits every source behind the point.
+///    graph still connects is settled **once** ([`recover_flow_with`]),
+///    priced or walked: priced as a chain of the failed set's staged
+///    episodes and tree segments when the agent has episodes
+///    ([`ForwardingAgent::next_episode`]) and the chain delivers within
+///    the budget, walked hop by hop otherwise. Either way its darts
+///    load the links they take with the whole sum. The budget is `ttl`
+///    less the base hop diameter, so a path that fits it fits every
+///    source behind the point.
 /// 6. **Reclassify.** Cone sources with demand, in ascending source
 ///    order over all cones of the destination — the oracle's order,
 ///    which `stretch_weighted_sum` depends on: one in another survivor
@@ -433,8 +447,8 @@ fn build_baseline(
 /// [`replay_scenario_naive`], and the same [`ReplayScratch::link_loads`]
 /// as summing the oracle's paths: see the module docs for why
 /// subtracting, and adding a priced cone's demand late, is as exact as
-/// adding here; DESIGN.md §8 has the proof that a priced path is the
-/// walk's.
+/// adding here; DESIGN.md §8 has the proofs that a priced path — a
+/// single failure's cone or a point's chain — is the walk's.
 ///
 /// `dense` must be compiled from `base` ([`DenseFib::from_base`]), on a
 /// connected `graph`.
@@ -492,6 +506,8 @@ where
     // prefix of any source behind it within `ttl`.
     let group_ttl = ttl - baseline.hop_diameter;
     stats.replays += 1;
+    // The episode chains of this replay stage their own failed set's.
+    walk.begin_scenario();
 
     loads.clone_from(&baseline.loads);
     let mut tally = baseline.tally;
@@ -534,7 +550,9 @@ where
         let priced = closed_form
             && *staged[side]
                 .get_or_insert_with(|| agent.stage_episode(out, failed, &mut episodes[side]));
-        if let Some(recycled) = priced.then(|| episodes[side].recycle(dst)).flatten() {
+        let far = NodeId(root.parent);
+        let recycled = priced.then(|| episodes[side].recycle(dst)).flatten();
+        if let Some(recycled) = recycled.filter(|r| r.resumes_at_far(graph, far)) {
             stats.priced += 1;
             let cone = &frames[cones[0].at as usize..root.end as usize];
             stats.cone_sources += cone.len() as u64;
@@ -549,7 +567,7 @@ where
             }
             let cost = |v: NodeId| base_tree.cost(v).expect("connected base graph");
             let p = NodeId(root.node);
-            let detour = recycled.cost(cost(NodeId(root.parent))) - cost(p);
+            let detour = recycled.cost(cost(far)) - cost(p);
             match recycled {
                 // Off the tree path from `p`, onto the episode up to the
                 // destination.
@@ -566,7 +584,7 @@ where
                 // Off `p → far`, onto the whole episode; `far`'s path is
                 // the same before and after. Every destination of the
                 // episode is moved at once, after the last.
-                Recycled::AtFar { .. } => to_far[side] += total,
+                Recycled::Through { .. } => to_far[side] += total,
             }
             bits::for_each_set(sources, |i| {
                 let optimal = cost(NodeId(i as u32));
@@ -617,7 +635,6 @@ where
             fate[point.index()] = if comp[point.index()] != here {
                 Fate::Lost
             } else {
-                stats.walks += 1;
                 let on_dart = |d: Dart| loads[d.link().index()] += total;
                 match recover_flow_with(&mut unit, point, group_ttl, on_dart) {
                     FlowWalk::Recovered { .. } => Fate::Shared,
@@ -639,7 +656,6 @@ where
                 return;
             }
             let flow = if fallback && fate[unit.point_of(src).index()] == Fate::PerSource {
-                stats.walks += 1;
                 recover_flow_with(&mut unit, src, ttl, |d| loads[d.link().index()] += demand)
             } else {
                 // Answered from the point's walk, delivered or dropped.
@@ -678,6 +694,9 @@ where
                 }
             }
         }
+        let settled = unit.take_stats();
+        (stats.chained, stats.walks) =
+            (stats.chained + settled.chained, stats.walks + settled.walks);
     }
 
     // The demand that rode an episode to the far end, per direction.

@@ -3,7 +3,8 @@
 //! Once a [`ReplayScratch`] has seen a topology's scenarios, replaying
 //! them again must not call the allocator at all — the episodes a
 //! single failure is priced off, the climbs to the points, the
-//! withdrawal, point walks delivered and dropped alike. Only the very
+//! withdrawal, the episode chains points are priced by, point walks
+//! delivered and dropped alike. Only the very
 //! first replay of a (FIB, flow set) pair may: it builds the
 //! failure-free baseline and sizes the node-indexed tables of the
 //! replay, of its staged episodes and of its flow unit, once. This is a correctness rule
@@ -18,6 +19,7 @@ use pr_core::{generous_ttl, DenseFib};
 use pr_graph::LinkSet;
 use pr_scenarios::{ExhaustiveKFailures, ScenarioFamily, SingleLinkFailures};
 use pr_testkit::alloc::{calls_during, Counting};
+use pr_testkit::fixtures;
 use pr_testkit::nets::{isp, Net};
 use pr_topologies::Isp;
 use pr_traffic::{
@@ -107,5 +109,42 @@ fn a_warm_scratch_replays_scenarios_it_has_not_seen_without_the_allocator() {
             let expected = replay_scenario_naive(&g, &agent, base, &flows, failed, ttl);
             assert_eq!(out, Some(expected), "{}: {failed:?}", flows.label());
         }
+    }
+}
+
+#[test]
+fn a_warm_multi_failure_replay_never_calls_the_allocator() {
+    // Two to six links down at once: on the planar embedding every
+    // connected point is priced as an episode chain, on the identity
+    // rotation some chains livelock and fall back to the hop loop. A
+    // second pass stages the chains' episodes, prices and walks the
+    // points without the allocator.
+    for (label, net) in [("planar", Net::geant()), ("identity", Net::identity(isp(Isp::Geant)))] {
+        let Net { g, pr, base, dense } = &net;
+        let flows = FlowSet::all_pairs(&GravityTraffic::new(g));
+        let ttl = generous_ttl(g);
+        let scenarios = fixtures::sampled(g, 2..=6, 6, 2010);
+        let agent = pr.agent(g);
+        let mut scratch = ReplayScratch::new();
+        let pass = |scratch: &mut ReplayScratch<_>| {
+            for failed in &scenarios {
+                replay_scenario_bitparallel(g, &agent, dense, base, &flows, failed, ttl, scratch);
+            }
+        };
+        pass(&mut scratch);
+        let stats = scratch.take_stats();
+        assert!(stats.chained > 0, "{label}: {stats:?}");
+        assert_eq!(stats.walks > 0, label == "identity", "{label}: {stats:?}");
+        let last = scenarios.last().expect("sampled sets");
+        assert_eq!(
+            replay_scenario_bitparallel(g, &agent, dense, base, &flows, last, ttl, &mut scratch),
+            replay_scenario_naive(g, &agent, base, &flows, last, ttl),
+            "{label}"
+        );
+        let calls = calls_during(|| pass(&mut scratch));
+        assert_eq!(
+            calls, 0,
+            "{label}: a warm multi-failure replay called the allocator {calls} times"
+        );
     }
 }

@@ -6,15 +6,19 @@
 //! graphs, and again end-to-end against `pr_bench::coverage` in
 //! `crates/bench/tests/determinism.rs`.
 
+use std::cell::RefCell;
+
 use proptest::prelude::*;
+use proptest::test_runner::run;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use pr_baselines::FcpAgent;
 use pr_core::{
-    generous_ttl, recover_flow_with, walk_packet, DenseFib, DropReason, FlowScratch, FlowWalk,
-    ForwardingAgent, PrHeader, WalkResult,
+    generous_ttl, recover_flow_with, trace_packet, walk_packet, DenseFib, DiscriminatorKind,
+    DropReason, FlowScratch, FlowWalk, ForwardingAgent, HopRule, PrHeader, PrMode, PrNetwork,
+    TraceOutcome, WalkResult,
 };
 use pr_graph::algo::components;
 use pr_graph::{bits, generators, Dart, Graph, LinkSet, NodeId, SpTree, TreeChildren};
@@ -335,6 +339,17 @@ fn one_scratch_serves_alternating_flow_sets_and_fibs() {
         check(fib_owner, &flow_sets[1][1], &failed, generous_ttl(&net.g), &mut scratch);
     }
     assert_eq!(scratch.take_stats().baselines, 2);
+
+    // Two embeddings of one graph in turns, under the same pairs of
+    // failed links: each replay chains its own network's episodes, not
+    // the ones the scratch staged for the other.
+    let identity = Net::identity(net.g.clone());
+    for failed in fixtures::exhaustive(&net.g, 2..=2).iter().step_by(9) {
+        for embedded in [net, &identity, net] {
+            check(embedded, &flow_sets[1][1], failed, generous_ttl(&net.g), &mut scratch);
+        }
+    }
+    assert!(scratch.take_stats().chained > 0);
 }
 
 #[test]
@@ -484,6 +499,135 @@ fn every_fixture_prices_its_single_failures_like_the_oracle() {
         }
     }
     assert!(seen.inside && seen.at_far && seen.walked, "{seen:?}");
+}
+
+#[test]
+fn every_fixture_prices_every_pair_of_failures_like_the_oracle() {
+    // Every named case of the kit's table under every pair of failed
+    // links of its network, through the three-way check: the points a
+    // chain prices, the ones it leaves to the hop loop, and the cuts.
+    let mut total = ReplayStats::default();
+    for fixture in fixtures::TABLE {
+        let net = (fixture.net)();
+        let (flows, ttl) = ((fixture.flows)(&net), generous_ttl(&net.g));
+        let mut scratch = ReplayScratch::new();
+        for failed in &fixtures::exhaustive(&net.g, 2..=2) {
+            check(&net, &flows, failed, ttl, &mut scratch);
+        }
+        total.merge(&scratch.take_stats());
+    }
+    assert!(total.chained > 0 && total.walks > 0, "{total:?}");
+}
+
+/// How each point's chain ends, read off the trace of the point's walk
+/// — the protocol rule behind every hop — and not off the code under
+/// test, OR-ed over every unit observed. The chain follows the walk's
+/// episodes, each opened by a failure detected or by cycle following
+/// carried on past a failed dart, and is priced when the walk delivers
+/// within the point's budget.
+#[derive(Debug, Default)]
+struct ChainEnds {
+    /// Delivered with the PR bit set: inside an episode.
+    inside: bool,
+    /// Delivered on the tree, after the episodes.
+    after_a_tree_segment: bool,
+    /// An episode entered twice under one stamp within the budget: the
+    /// chain falls back there.
+    stamp_repeat: bool,
+    /// The budget runs out first, delivered or not: so does the chain.
+    budget: bool,
+}
+
+impl ChainEnds {
+    /// Observes every point of every destination the survivor graph
+    /// still connects, under `pr` and `failed`, with `point_ttl` the
+    /// budget replay gives a point's walk.
+    fn observe(&mut self, net: &Net, pr: &PrNetwork, failed: &LinkSet, point_ttl: usize) {
+        let g = &net.g;
+        let agent = pr.agent(g);
+        let parts = components(g, failed);
+        for dst in g.nodes() {
+            let tree = net.base.towards(dst);
+            let mut points: Vec<NodeId> = g
+                .nodes()
+                .filter(|&src| src != dst)
+                .map(|src| point_by_definition(g, &agent, tree, src, failed))
+                .filter(|&point| point != dst && parts.same(point, dst))
+                .collect();
+            points.sort_unstable();
+            points.dedup();
+            for point in points {
+                let trace = trace_packet(g, pr, point, dst, failed, generous_ttl(g));
+                let mut entered = Vec::new();
+                // The hop count at which the walk enters an (episode,
+                // stamp) it entered before.
+                let repeat = trace.steps.iter().enumerate().find_map(|(hops, step)| {
+                    let episode = step.rules.iter().find_map(|rule| match *rule {
+                        HopRule::FailureDetected { failed, stamped_dd } => {
+                            Some((failed, stamped_dd))
+                        }
+                        HopRule::ContinueCycleFollowing { failed, header_dd, .. } => {
+                            Some((failed, header_dd))
+                        }
+                        _ => None,
+                    })?;
+                    let again = entered.contains(&episode);
+                    entered.push(episode);
+                    again.then_some(hops)
+                });
+                let hops = trace.steps.len();
+                match (trace.outcome, repeat) {
+                    (_, Some(at)) if at <= point_ttl => self.stamp_repeat = true,
+                    (TraceOutcome::Delivered, _) if hops <= point_ttl => {
+                        match trace.steps.last().expect("a point is not its destination").header.pr
+                        {
+                            true => self.inside = true,
+                            false => self.after_a_tree_segment = true,
+                        }
+                    }
+                    (TraceOutcome::Delivered, _) | (_, Some(_)) => self.budget = true,
+                    _ => {}
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn multi_failure_chains_on_any_rotation_price_like_the_oracle() {
+    // Two to four failed links, cuts included, on random rotations of
+    // any genus, in both modes, under a generous budget and under the
+    // hop diameter + 3 — which leaves a point's walk 3 hops: the
+    // replay against the oracle (the result and the whole load
+    // vector), and every way a chain ends must occur.
+    let seen = RefCell::new(ChainEnds::default());
+    let cases = (strategies::with_rotation(small_graphs()), 2usize..=4, 0u64..u64::MAX);
+    let outcome = run(&ProptestConfig::with_cases(24), &cases, |((g, rotation), k, seed)| {
+        let net = Net::new(g, rotation);
+        let embedding = net.pr.embedding().clone();
+        let basic = PrNetwork::compile(&net.g, embedding, PrMode::Basic, DiscriminatorKind::Hops);
+        let flows = FlowSet::all_pairs(&net.hotspot(seed));
+        let diameter = net.base.hop_diameter() as usize;
+        let mut rng = StdRng::seed_from_u64(seed);
+        for pr in [&basic, &net.pr] {
+            let agent = pr.agent(&net.g);
+            for ttl in [generous_ttl(&net.g), diameter + 3] {
+                let mut scratch = ReplayScratch::new();
+                for _ in 0..3 {
+                    let failed = strategies::random_links(&net.g, k, &mut rng);
+                    check_with(&net, &agent, &flows, &failed, ttl, &mut scratch);
+                    seen.borrow_mut().observe(&net, pr, &failed, ttl - diameter);
+                }
+            }
+        }
+        Ok(())
+    });
+    if let Err(failure) = outcome {
+        panic!("case {} failed: {}", failure.case, failure.message);
+    }
+    let seen = seen.into_inner();
+    assert!(seen.inside && seen.after_a_tree_segment, "{seen:?}");
+    assert!(seen.stamp_repeat && seen.budget, "{seen:?}");
 }
 
 #[test]
@@ -837,29 +981,31 @@ fn shuffled_units_through_one_scratch_equal_walk_packet_where_walks_drop() {
 
 #[test]
 fn a_splice_the_ttl_cannot_cover_is_walked_hop_by_hop() {
-    // Ring of 6, destination 0, link 1-0 down. Source 1 detours the
-    // long way round in exactly 5 hops and seeds the unit's memo.
-    // Source 2 first runs into the failure (2 -> 1 -> 2) and then
-    // stands on a triple of that detour with 4 hops still to go.
+    // Ring of 6, destination 0, link 1-0 down. Source 2 runs into the
+    // failure at 1 and detours the long way round, 2 -> 1 -> 2 -> … -> 0
+    // in 6 hops; it is not a point (1 is), so it goes through the hop
+    // loop and seeds the unit's memo. Source 3 reaches the triple of
+    // that walk at 1 two hops in, with 5 hops still to go.
     let net = Net::identity(generators::ring(6, 1));
     let g = &net.g;
     let agent = net.pr.agent(g);
     let failed = LinkSet::from_links(g.link_count(), [g.find_link(NodeId(1), NodeId(0)).unwrap()]);
     let mut scratch = FlowScratch::new();
-    for (ttl, expected) in [
-        // 5 - 2 < 4: the guard refuses the splice, the walk goes on hop
+    for (ttl, expected, splices) in [
+        // 6 - 2 < 5: the guard refuses the splice, the walk goes on hop
         // by hop and runs out of budget exactly where `walk_packet` does.
-        (5, FlowWalk::Dropped(DropReason::TtlExpired)),
-        // 6 - 2 >= 4: spliced.
-        (6, FlowWalk::Recovered { cost: 6, hops: 6 }),
+        (6, FlowWalk::Dropped(DropReason::TtlExpired), 0),
+        // 7 - 2 >= 5: spliced.
+        (7, FlowWalk::Recovered { cost: 7, hops: 7 }, 1),
     ] {
         let mut unit = scratch.unit(g, &agent, net.base.towards(NodeId(0)), &failed);
         let mut darts = Vec::new();
-        let first = recover_flow_with(&mut unit, NodeId(1), ttl, |_| {});
-        assert_eq!(first, FlowWalk::Recovered { cost: 5, hops: 5 });
-        let second = recover_flow_with(&mut unit, NodeId(2), ttl, |d| darts.push(d));
+        let first = recover_flow_with(&mut unit, NodeId(2), ttl, |_| {});
+        assert_eq!(first, FlowWalk::Recovered { cost: 6, hops: 6 });
+        let second = recover_flow_with(&mut unit, NodeId(3), ttl, |d| darts.push(d));
         assert_eq!(second, expected, "ttl {ttl}");
-        let reference = walk_packet(g, &agent, NodeId(2), NodeId(0), &failed, ttl);
+        assert_eq!(unit.take_stats().hits, splices, "ttl {ttl}");
+        let reference = walk_packet(g, &agent, NodeId(3), NodeId(0), &failed, ttl);
         assert_eq!(second.is_delivered(), reference.result.is_delivered(), "ttl {ttl}");
         if second.is_delivered() {
             assert_eq!(darts, reference.path.darts(), "ttl {ttl}");

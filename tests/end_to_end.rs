@@ -206,3 +206,68 @@ fn a_truncated_tree_does_not_bind() {
     assert!(message.contains("a graph of 6 nodes"), "{message}");
     assert!(message.contains("tree 2 towards n2 with [6, 5, 6] labels"), "{message}");
 }
+
+/// `json` with entry `i` of the first array under `key` after `from`
+/// set to `value`.
+fn with_entry(json: &str, from: &str, key: &str, i: usize, value: u32) -> String {
+    let after = json.find(from).expect("fixture");
+    let key = format!("\"{key}\":[");
+    let open = after + json[after..].find(&key).expect("fixture") + key.len();
+    let close = open + json[open..].find(']').expect("fixture");
+    let mut entries: Vec<String> = json[open..close].split(',').map(String::from).collect();
+    entries[i] = value.to_string();
+    format!("{}{}{}", &json[..open], entries.join(","), &json[close..])
+}
+
+/// A network whose columns have the right width but whose tables hold
+/// a dart of another router, or of no router, or no route at all, does
+/// not bind either: a staged episode would follow such a table where
+/// the walker refuses to.
+#[test]
+fn a_tree_dart_of_another_router_does_not_bind() {
+    let (graph, net) = figure1_network();
+    let json = serde_json::to_string(&net).unwrap();
+    let revive = |json: String| serde_json::from_str::<PrNetwork>(&json).expect("well-formed");
+    // Tree 2 routes n0 over a dart of n5's, over a dart the graph does
+    // not have, and not at all.
+    let of_n5 = graph.darts_from(NodeId(5))[0];
+    for (value, says) in [
+        (of_n5.0, format!("routes n0 over dart {of_n5}, which does not leave it")),
+        (999, "routes n0 over dart d999, which does not leave it".into()),
+        (u32::MAX, "has no route from n0".into()),
+    ] {
+        let hostile = revive(with_entry(&json, r#"{"dest":2,"#, "next", 0, value));
+        let message = bind_panic(&hostile, &graph);
+        assert!(
+            message.contains(&format!("tables refused: tree 2 towards n2 {says}")),
+            "{message}"
+        );
+    }
+}
+
+/// … nor one whose cycle following table sends a packet out of a
+/// router it did not enter, or along another face than the
+/// embedding's, or whose rotation does.
+#[test]
+fn a_cycle_following_row_that_is_not_the_embeddings_does_not_bind() {
+    let (graph, net) = figure1_network();
+    let json = serde_json::to_string(&net).unwrap();
+    let revive = |json: String| serde_json::from_str::<PrNetwork>(&json).expect("well-formed");
+    let (row, at) = (Dart(0), graph.dart_head(Dart(0)));
+    let elsewhere = graph.darts().find(|&d| graph.dart_tail(d) != at).expect("another router");
+    let cf = net.cycle_table().cycle_following(row);
+    let off_face = *graph.darts_from(at).iter().find(|&&d| d != cf).expect("degree 2 or more");
+    for (value, says) in [
+        (elsewhere.0, format!("sends packets over dart {elsewhere}, which does not leave {at}")),
+        (off_face.0, "is not the embedding's".to_string()),
+    ] {
+        let hostile = revive(with_entry(&json, r#""cf_out""#, "cf_out", 0, value));
+        let message = bind_panic(&hostile, &graph);
+        let expected = format!("tables refused: cycle following row 0 (into {at}) {says}");
+        assert!(message.contains(&expected), "{message}");
+    }
+    let not_at_tail = graph.darts().find(|&d| graph.dart_tail(d) != graph.dart_tail(row)).unwrap();
+    let hostile = revive(with_entry(&json, r#""rotation""#, "next", 0, not_at_tail.0));
+    let message = bind_panic(&hostile, &graph);
+    assert!(message.contains("tables refused: rotation: rotation system corrupt"), "{message}");
+}
