@@ -103,8 +103,8 @@ fn pr_dd_sweep(
     let agent = net.agent(graph);
     let mut merged = PrDdPartial::default();
     plan.sweep(scenarios, threads).fold(
-        || (plan.opener(), LaneScratch::new(&plan, agent)),
-        |_, _| (),
+        || (plan.sweep_opener(), LaneScratch::new(&plan, agent)),
+        |_, _| PrDdPartial::default(),
         |(opener, lane), unit, out: &mut PrDdPartial| {
             let cone = opener.open(&unit);
             let mut dd = lane.unit(&unit, &cone);
@@ -248,8 +248,8 @@ pub fn genus_delivery(
             })
             .collect();
         plan.sweep(&scenarios, threads).fold(
-            || (plan.opener(), LaneScratch::new(&plan, agent)),
-            |_, _| (),
+            || (plan.sweep_opener(), LaneScratch::new(&plan, agent)),
+            |_, _| (0, 0),
             |(opener, lane), unit, (evaluated, delivered): &mut (u64, u64)| {
                 let cone = opener.open(&unit);
                 let mut dd = lane.unit(&unit, &cone);

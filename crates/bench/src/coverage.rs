@@ -99,7 +99,7 @@ pub fn run(
                 let (basic, dd) = (LaneScratch::new(&plan, basic), LaneScratch::new(&plan, dd));
                 let (lfa, notvia) =
                     (LaneScratch::new(&plan, &lfa), LaneScratch::new(&plan, &notvia));
-                (plan.opener(), basic, dd, LaneScratch::new(&plan, fcp), lfa, notvia)
+                (plan.sweep_opener(), basic, dd, LaneScratch::new(&plan, fcp), lfa, notvia)
             },
             // Scenario boundary: the FCP memo's keys are subsets of the
             // departing scenario — evict instead of growing the map
@@ -110,6 +110,7 @@ pub fn run(
                 fcp.begin_scenario();
                 lfa.begin_scenario();
                 notvia.begin_scenario();
+                BlockCells::default()
             },
             |(opener, basic, dd, fcp, lfa, notvia), unit, cells: &mut BlockCells| {
                 let cone = opener.open(&unit);

@@ -16,8 +16,11 @@
 //!   subtrees below failed tree edges, O(cone) instead of classifying
 //!   all n nodes — in ascending node order, each with its survivor
 //!   cost (`None`: the failure disconnected it). That is the unit's
-//!   one cone repair — distance labels only — and the opened cone
-//!   answers for any of its nodes ([`OpenCone::survivor`]). Then the
+//!   one cone repair — distance labels only — or, under one failed
+//!   link, its **mirror**: survivor distances are symmetric, so only
+//!   the units whose tree crosses the link one way run a repair, and
+//!   the others read theirs off those. The opened cone answers for any
+//!   of its nodes ([`OpenCone::survivor`]). Then the
 //!   sweep opens each scheme's lane on the unit and asks it the cost
 //!   of every connected source — one shape for every scheme
 //!   ([`crate::lanes`]). Under **one** failed link FCP and PR are
@@ -35,19 +38,22 @@
 //!   [`std::thread::scope`] worker pool: a chunked work queue over an
 //!   [`AtomicUsize`] cursor (the container has no crates.io access, so
 //!   no rayon). Each worker owns private scratch state (a cone opener
-//!   and its scheme lanes) created by a caller-supplied factory.
-//! * **Ordered streaming merge** — a worker folds each *block* of
-//!   consecutive destinations of one scenario into one accumulator and
-//!   hands it to the calling thread, which delivers blocks to the
-//!   caller's sink in unit order through a small reorder buffer while
-//!   the pool is still running. Block boundaries depend on the node
-//!   count only and a cone is enumerated in node order, so what a
-//!   block folds — and in which order — is the same on any worker: the
-//!   output is bit-identical to the serial scenario-major,
-//!   destination-minor, source-ascending loop regardless of thread
-//!   count (`tests/determinism.rs` enforces this), and nothing of size
-//!   O(units) is ever held: memory is the caller's own result plus the
-//!   blocks in flight.
+//!   and its scheme lanes) created by a caller-supplied factory. A
+//!   sweep's queue item is a **block**: one whole scenario, every
+//!   destination of it, so each scenario meets one worker once and its
+//!   mirror is built once.
+//! * **Ordered streaming merge** — a worker folds each block into one
+//!   accumulator and hands it to the calling thread, which delivers
+//!   blocks to the caller's sink in scenario order through a small
+//!   reorder buffer while the pool is still running. A block is a
+//!   scenario whatever the thread count, and a cone is enumerated in
+//!   node order, so what a block folds — and in which order — is the
+//!   same on any worker: the output is bit-identical to the serial
+//!   scenario-major, destination-minor, source-ascending loop
+//!   regardless of thread count (`tests/determinism.rs` enforces
+//!   this), and nothing of size O(units) is ever held: memory is the
+//!   caller's own result plus the blocks in flight, which the stretch
+//!   sweep folds into a per-scenario row on the worker.
 //!
 //! The engine takes its thread count as an argument. `pr-cli` reads it
 //! from `--threads N` on every subcommand that sweeps and falls back
@@ -66,29 +72,18 @@ use std::sync::mpsc;
 
 use pr_core::generous_ttl;
 use pr_graph::{
-    AllPairs, Dart, Graph, LinkSet, NodeId, RepairStats, SpScratch, SpTree, TreeChildren,
+    AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, RepairStats, SpScratch, SpTree, TreeChildren,
 };
 use pr_scenarios::ScenarioFamily;
 
 pub use crate::shards::run_shards;
 
-/// Largest number of queue items (work units, or blocks of a sweep) a
-/// worker claims per queue interaction. Items are coarse (at least a
-/// destination's whole source fan under one scenario), so a small cap
-/// keeps the tail balanced while the atomic traffic stays negligible.
+/// Largest number of queue items (work units, or scenarios of a
+/// sweep) a worker claims per queue interaction. Items are coarse (at
+/// least a destination's whole source fan under one scenario), so a
+/// small cap keeps the tail balanced while the atomic traffic stays
+/// negligible.
 const MAX_CHUNK: usize = 4;
-
-/// Most destinations a sweep folds into one block.
-const MAX_BLOCK_WIDTH: usize = 32;
-
-/// Destinations per block of a sweep on an `n`-node graph. A function
-/// of `n` alone — never of the thread count — so what a block folds
-/// is the same at any parallelism; and at least sixteen blocks per
-/// scenario (while `n` allows), so a one-scenario sweep still fans
-/// out over destinations.
-fn block_width(n: usize) -> usize {
-    (n / 16).clamp(1, MAX_BLOCK_WIDTH)
-}
 
 /// Chunk size for a queue of `count` items over `workers` workers:
 /// capped so small inputs (e.g. three topologies over eight workers)
@@ -202,16 +197,40 @@ impl<'a> ConePlan<'a> {
         ScenarioSweep::new(self.graph, family, self.base, threads)
     }
 
-    /// One worker's cone opener; its buffers grow to the topology on
-    /// first use and are reused across every unit the worker runs.
+    /// A cone opener that repairs every unit it opens on its own: for
+    /// a caller that opens a few units of many failed sets. Its buffers
+    /// grow to the topology on first use and are reused across every
+    /// unit it opens.
     pub fn opener(&self) -> ConeOpener<'_> {
-        ConeOpener { plan: self, cone: Vec::new(), stack: Vec::new(), labels: SpScratch::new() }
+        ConeOpener {
+            plan: self,
+            cone: Vec::new(),
+            stack: Vec::new(),
+            labels: SpScratch::new(),
+            opened: Vec::new(),
+            mirror: None,
+            stats: RepairStats::default(),
+        }
+    }
+
+    /// One sweep worker's cone opener, for a caller that opens every
+    /// unit of each scenario it meets (a sweep's block): under one
+    /// failed link it repairs only the units whose tree crosses the
+    /// link forward, and answers the others from those (`Mirror`).
+    /// Opening a few units of a link instead pays for all of that
+    /// link's forward units; [`ConePlan::opener`] does not.
+    pub fn sweep_opener(&self) -> ConeOpener<'_> {
+        ConeOpener { mirror: Some(Mirror::default()), ..self.opener() }
     }
 }
 
+/// An affected source with its survivor cost: `None` when the failure
+/// cut it off from the destination.
+type Survivor = (NodeId, Option<u64>);
+
 /// Per-worker state of the unit kernel's first step: the affected
-/// sources of the current unit and the arena their survivor distances
-/// are repaired in.
+/// sources of the current unit, the arena their survivor distances are
+/// repaired in, and a sweep's mirror of the last single failed link.
 pub struct ConeOpener<'a> {
     plan: &'a ConePlan<'a>,
     /// Affected sources of the current unit, ascending node id.
@@ -219,6 +238,14 @@ pub struct ConeOpener<'a> {
     /// DFS stack of the cone enumeration.
     stack: Vec<NodeId>,
     labels: SpScratch,
+    /// The current unit's pairs, where the mirror does not hold them.
+    opened: Vec<Survivor>,
+    /// A sweep opener's mirror ([`ConePlan::sweep_opener`]).
+    mirror: Option<Mirror>,
+    /// Counted per unit opened, never per mirror built: what a unit
+    /// counts does not depend on which worker opens it or how often a
+    /// mirror is rebuilt.
+    stats: RepairStats,
 }
 
 impl ConeOpener<'_> {
@@ -228,22 +255,159 @@ impl ConeOpener<'_> {
     /// path — `None` when the failure cut it off from the destination.
     /// The destination is never among them (it is the tree root), and
     /// an empty cone — no base path crosses a failure — yields nothing
-    /// and repairs nothing. The unit's cone is repaired **once**, here:
-    /// only its distance labels, O(cone) per unit. A warm opener does
-    /// not call the allocator.
+    /// and repairs nothing.
+    ///
+    /// The unit's cone is repaired here: only its distance labels,
+    /// O(cone). A sweep opener ([`ConePlan::sweep_opener`]) does that
+    /// under **one** failed link `l` only for the units whose tree
+    /// crosses `l` as `l.forward()`, all of them when it first meets
+    /// `l`; a unit whose tree crosses it as `l.reverse()` is read off
+    /// their transpose (`Mirror`). A warm opener does not call the
+    /// allocator.
     pub fn open<'o>(&'o mut self, unit: &SweepUnit<'o>) -> OpenCone<'o> {
-        let ConeOpener { plan, cone, stack, labels } = self;
+        let ConeOpener { plan, cone, stack, labels, opened, mirror, stats } = self;
+        let (graph, tree) = (plan.graph, unit.base_tree);
         let children = &plan.children[unit.dst.index()];
-        unit.base_tree.affected_cone(plan.graph, children, unit.failed, cone, stack);
-        if !cone.is_empty() {
-            unit.base_tree.repair_cone_labels(plan.graph, unit.failed, cone, labels);
+        let pairs: &[Survivor] = match (unit.broken_tree_dart(graph), mirror) {
+            (Some(out), Some(mirror)) => {
+                mirror.build(plan, out.link(), unit.failed, cone, stack, labels);
+                if out.is_forward() {
+                    mirror.cone_of(unit.dst)
+                } else {
+                    tree.affected_cone(graph, children, unit.failed, cone, stack);
+                    mirror.gather(tree, cone, opened);
+                    stats.mirrored += 1;
+                    opened
+                }
+            }
+            // One failed link no tree dart crosses: an empty cone.
+            (None, _) if unit.failures == 1 => &[],
+            _ => {
+                tree.affected_cone(graph, children, unit.failed, cone, stack);
+                opened.clear();
+                if !cone.is_empty() {
+                    tree.repair_cone_labels(graph, unit.failed, cone, labels);
+                    opened.extend(cone.iter().map(|&src| (src, labels.cone_cost(src))));
+                }
+                opened
+            }
+        };
+        if !pairs.is_empty() {
+            stats.repairs += 1;
+            stats.cone_nodes += pairs.len() as u64;
+            stats.repaired_slots += graph.node_count() as u64;
         }
-        OpenCone { sources: cone.iter(), labels }
+        OpenCone { cone: pairs, pairs: pairs.iter() }
     }
 
-    /// The repair counters since they were last taken.
+    /// The repair counters since they were last taken: one repair per
+    /// unit with a cone, `mirrored` the ones read off a mirror.
     pub fn take_stats(&mut self) -> RepairStats {
-        self.labels.take_stats()
+        std::mem::take(&mut self.stats)
+    }
+}
+
+/// The repaired cones of one failed link `l`'s **forward units** — the
+/// destinations whose tree crosses `l` as `l.forward()` — and their
+/// transpose, which answers every **reverse unit**. Link weights are
+/// undirected, so `dist_{G−l}(x, d) = dist_{G−l}(d, x)`; and for a
+/// source `x` of reverse unit `d`, either forward unit `x` holds `d` as
+/// a source, or `x`'s tree path from `d` avoids `l` and survives, so
+/// the distance is the failure-free one (DESIGN.md §8 has the proof).
+/// O(the link's forward affected pairs); a warm rebuild does not call
+/// the allocator.
+#[derive(Default)]
+struct Mirror {
+    /// The failed link mirrored, once there is one.
+    link: Option<LinkId>,
+    /// Forward unit `d`'s pairs, ascending source, at
+    /// `cones[cone_start[d]..cone_start[d + 1]]`.
+    cones: Vec<Survivor>,
+    cone_start: Vec<usize>,
+    /// The transpose: source `s`'s `(destination, survivor)` pairs,
+    /// one per forward unit whose cone holds `s`, ascending destination,
+    /// at `rows[row_start[s]..row_start[s + 1]]`.
+    rows: Vec<Survivor>,
+    row_start: Vec<usize>,
+}
+
+impl Mirror {
+    /// Mirrors `link`, the one link of `failed`: repairs each of its
+    /// forward units once, in destination order, and transposes them.
+    /// Nothing to do if `link` is mirrored already.
+    fn build(
+        &mut self,
+        plan: &ConePlan<'_>,
+        link: LinkId,
+        failed: &LinkSet,
+        cone: &mut Vec<NodeId>,
+        stack: &mut Vec<NodeId>,
+        labels: &mut SpScratch,
+    ) {
+        if self.link == Some(link) {
+            return;
+        }
+        let (graph, forward) = (plan.graph, link.forward());
+        let (n, tail) = (graph.node_count(), graph.dart_tail(forward));
+        let Mirror { cones, cone_start, rows, row_start, .. } = self;
+        cones.clear();
+        cone_start.clear();
+        cone_start.push(0);
+        row_start.clear();
+        row_start.resize(n + 1, 0);
+        for dst in graph.nodes() {
+            let tree = plan.base.towards(dst);
+            if tree.next_dart(tail) == Some(forward) {
+                tree.affected_cone(graph, &plan.children[dst.index()], failed, cone, stack);
+                tree.repair_cone_labels(graph, failed, cone, labels);
+                for &src in cone.iter() {
+                    cones.push((src, labels.cone_cost(src)));
+                    row_start[src.index() + 1] += 1;
+                }
+            }
+            cone_start.push(cones.len());
+        }
+        // A counting sort by source. The prefix sums are the rows'
+        // starts; filling moves each to its row's end, which is the
+        // next row's start, so one shift restores them. Destinations
+        // are dealt in ascending order, so every row is ascending.
+        for s in 1..=n {
+            row_start[s] += row_start[s - 1];
+        }
+        rows.resize(cones.len(), (NodeId(0), None));
+        for dst in graph.nodes() {
+            for &(src, survivor) in &cones[cone_start[dst.index()]..cone_start[dst.index() + 1]] {
+                let at = &mut row_start[src.index()];
+                rows[*at] = (dst, survivor);
+                *at += 1;
+            }
+        }
+        row_start.copy_within(0..n, 1);
+        row_start[0] = 0;
+        self.link = Some(link);
+    }
+
+    /// Forward unit `dst`'s pairs.
+    fn cone_of(&self, dst: NodeId) -> &[Survivor] {
+        &self.cones[self.cone_start[dst.index()]..self.cone_start[dst.index() + 1]]
+    }
+
+    /// Reverse unit `tree.dest`'s pairs into `out`, for its `cone`
+    /// (ascending), merged with `tree.dest`'s row: source `x` costs
+    /// what forward unit `x` repaired for source `tree.dest`. A source
+    /// the row lacks is one whose own tree path from `tree.dest` avoids
+    /// the link, and costs its failure-free distance.
+    fn gather(&self, tree: &SpTree, cone: &[NodeId], out: &mut Vec<Survivor>) {
+        let d = tree.dest.index();
+        let mut row = self.rows[self.row_start[d]..self.row_start[d + 1]].iter().peekable();
+        out.clear();
+        out.extend(cone.iter().map(|&x| {
+            while row.next_if(|&&(y, _)| y < x).is_some() {}
+            match row.next_if(|&&(y, _)| y == x) {
+                Some(&(_, survivor)) => (x, survivor),
+                None => (x, tree.cost(x)),
+            }
+        }));
     }
 }
 
@@ -252,29 +416,29 @@ impl ConeOpener<'_> {
 /// for any one of them by node.
 #[derive(Clone)]
 pub struct OpenCone<'a> {
-    sources: std::slice::Iter<'a, NodeId>,
-    labels: &'a SpScratch,
+    /// Every pair of the unit, ascending source.
+    cone: &'a [Survivor],
+    pairs: std::slice::Iter<'a, Survivor>,
 }
 
 impl OpenCone<'_> {
-    /// The survivor cost of `node`, which must be in this cone (an
-    /// empty one repaired nothing: the arena's labels are an earlier
-    /// unit's): what the iterator yields beside it.
+    /// The survivor cost of `node`, which must be in this cone: what
+    /// the iterator yields beside it.
     pub fn survivor(&self, node: NodeId) -> Option<u64> {
-        self.labels.cone_cost(node)
+        let at = self.cone.binary_search_by_key(&node, |&(src, _)| src);
+        self.cone[at.expect("a node of the cone")].1
     }
 }
 
 impl Iterator for OpenCone<'_> {
-    type Item = (NodeId, Option<u64>);
+    type Item = Survivor;
 
-    fn next(&mut self) -> Option<Self::Item> {
-        let &src = self.sources.next()?;
-        Some((src, self.labels.cone_cost(src)))
+    fn next(&mut self) -> Option<Survivor> {
+        self.pairs.next().copied()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.sources.size_hint()
+        self.pairs.size_hint()
     }
 }
 
@@ -282,12 +446,10 @@ impl ExactSizeIterator for OpenCone<'_> {}
 
 /// A sweep over (scenario × destination) work units, **streaming** its
 /// scenarios from a [`ScenarioFamily`]: scenario `s` is constructed on
-/// the worker that claims its units (and cached while that worker
-/// stays on `s` — the chunked queue hands out contiguous unit ranges,
-/// so a scenario is typically built once per worker, not once per
-/// unit). No `Vec<LinkSet>` ever exists, which is what lets exhaustive
-/// k≥3 spaces and large generated topologies sweep at O(workers)
-/// scenario memory.
+/// the worker that claims it, once, and every unit of it runs there.
+/// No `Vec<LinkSet>` ever exists, which is what lets exhaustive k≥3
+/// spaces and large generated topologies sweep at O(workers) scenario
+/// memory.
 ///
 /// Construction hoists nothing by itself — the base trees are the
 /// caller's, normally a [`ConePlan`]'s ([`ConePlan::sweep`]), so sweeps
@@ -321,58 +483,39 @@ impl<'a> ScenarioSweep<'a> {
 
     /// Executes the sweep as an ordered streaming reduce. `init`
     /// builds one worker-local state (walk scratches, cached agents,
-    /// …) per worker thread; `work` folds one unit into the
-    /// accumulator of its **block** — a run of consecutive
-    /// destinations of one scenario, as wide as the node count alone
-    /// decides; `sink` receives every finished block with its scenario
-    /// index, on the calling thread, in unit order — scenario-major,
-    /// destination-minor — exactly as the serial nested loop would
-    /// produce them, and while the workers are still running. A
-    /// caller that concatenates or sums what `sink` is handed gets the
-    /// same bits at any thread count; one that drops it holds nothing.
-    ///
-    /// The engine already tracks when a worker's claimed block crosses
-    /// into a new scenario (to rebuild its cached [`LinkSet`]), so
-    /// `on_scenario` fires exactly there — once per (worker, scenario)
-    /// visit, before any of that scenario's units run on the worker.
-    /// This is where per-scenario worker state gets evicted (e.g. the
-    /// FCP route memo, whose live keys are subsets of the current
-    /// scenario — see `FcpAgent::begin_scenario` in pr-baselines).
-    pub fn fold<W, A, I, B, F, S>(&self, init: I, on_scenario: B, work: F, mut sink: S)
+    /// …) per worker thread. A queue item is a **block**: one whole
+    /// scenario, so a worker meets each scenario once and whatever it
+    /// builds per scenario (the cone opener's mirror) is built once.
+    /// `start` begins a block on its worker — it is where per-scenario
+    /// worker state gets evicted (e.g. the FCP route memo, whose live
+    /// keys are subsets of the current scenario — see
+    /// `FcpAgent::begin_scenario` in pr-baselines) — and returns the
+    /// block's accumulator; `work` folds each unit of the scenario into
+    /// it, destination-ascending; `sink` receives every finished block
+    /// with its scenario index, on the calling thread, in scenario
+    /// order, while the workers are still running. A caller that
+    /// concatenates or sums what `sink` is handed gets the same bits at
+    /// any thread count; one that drops it holds nothing.
+    pub fn fold<W, A, I, B, F, S>(&self, init: I, start: B, work: F, mut sink: S)
     where
-        A: Default + Send,
+        A: Send,
         I: Fn() -> W + Sync,
-        B: Fn(&mut W, usize) + Sync,
+        B: Fn(&mut W, usize) -> A + Sync,
         F: Fn(&mut W, SweepUnit<'_>, &mut A) + Sync,
         S: FnMut(usize, A),
     {
-        let n = self.graph.node_count();
-        let width = block_width(n);
-        let blocks_per_scenario = n.div_ceil(width);
-        // Worker state = caller state + the worker's current scenario
-        // (rebuilt only when the claimed block crosses a scenario
-        // boundary).
-        let worker_init = || (init(), usize::MAX, LinkSet::empty(self.family.link_capacity()), 0);
         run_ordered(
-            self.family.len() * blocks_per_scenario,
+            self.family.len(),
             self.threads,
-            &worker_init,
-            &|state, block| {
-                let (w, cached_scenario, failed, failures) = state;
-                let scenario = block / blocks_per_scenario;
-                if *cached_scenario != scenario {
-                    *failed = self.family.scenario(scenario);
-                    *failures = failed.len();
-                    *cached_scenario = scenario;
-                    on_scenario(w, scenario);
-                }
-                let first = (block % blocks_per_scenario) * width;
-                let mut acc = A::default();
-                for dst in first..(first + width).min(n) {
-                    let dst = NodeId(dst as u32);
+            &init,
+            &|w, scenario| {
+                let failed = self.family.scenario(scenario);
+                let failures = failed.len();
+                let mut acc = start(w, scenario);
+                for dst in self.graph.nodes() {
                     let base_tree = self.base.towards(dst);
-                    let failures = *failures;
-                    work(w, SweepUnit { scenario, failed, failures, dst, base_tree }, &mut acc);
+                    let unit = SweepUnit { scenario, failed: &failed, failures, dst, base_tree };
+                    work(w, unit, &mut acc);
                 }
                 (scenario, acc)
             },
@@ -489,7 +632,10 @@ mod tests {
         let mut out = Vec::new();
         sweep.fold(
             init,
-            on_scenario,
+            |w, scenario| {
+                on_scenario(w, scenario);
+                Vec::new()
+            },
             |w, unit, block: &mut Vec<R>| block.push(work(w, unit)),
             |_, block| out.extend(block),
         );
@@ -637,12 +783,8 @@ mod tests {
 
     #[test]
     fn blocks_reach_the_sink_once_in_order_and_never_straddle_a_scenario() {
-        // 37 nodes: blocks of 2 destinations, the last of each scenario
-        // a single one.
         let g = generators::ring(37, 1);
         let n = g.node_count();
-        let width = block_width(n);
-        assert_ne!(n % width, 0, "the tail block must be short");
         let base = AllPairs::compute_all_live(&g);
         let one = vec![LinkSet::empty(g.link_count())];
         let five = vec![LinkSet::empty(g.link_count()); 5];
@@ -650,46 +792,55 @@ mod tests {
         for scenarios in [&one, &five] {
             for threads in POOLS {
                 let sweep = ScenarioSweep::new(&g, scenarios, &base, threads);
-                let mut blocks = 0;
                 let mut next = 0;
                 sweep.fold(
                     || (),
-                    |_, _| (),
+                    |_, _| Vec::new(),
                     |_, unit, block: &mut Vec<(usize, usize)>| {
                         block.push((unit.scenario, unit.dst.index()))
                     },
                     |scenario, block| {
                         assert_eq!(std::thread::current().id(), caller, "sink left the caller");
-                        assert!(!block.is_empty() && block.len() <= width);
                         for unit in block {
                             assert_eq!(unit, (scenario, next % n), "{threads} threads");
                             assert_eq!(next / n, scenario, "block straddles a scenario");
                             next += 1;
                         }
-                        blocks += 1;
                     },
                 );
                 assert_eq!(next, sweep.unit_count(), "{threads} threads");
-                // Also with one scenario (the daemon's `query stretch`)
-                // the queue holds enough blocks to occupy every worker.
-                assert_eq!(blocks, scenarios.len() * n.div_ceil(width));
-                assert!(blocks >= 7);
             }
         }
     }
 
     #[test]
-    fn block_width_depends_on_the_node_count_alone() {
-        assert_eq!(block_width(0), 1);
-        assert_eq!(block_width(11), 1);
-        assert_eq!(block_width(34), 2);
-        assert_eq!(block_width(500), 31);
-        assert_eq!(block_width(512), MAX_BLOCK_WIDTH);
-        assert_eq!(block_width(100_000), MAX_BLOCK_WIDTH);
-        // At least sixteen blocks per scenario once there are sixteen
-        // destinations to split.
-        for n in 16..2_000usize {
-            assert!(n.div_ceil(block_width(n)) >= 16, "n={n}");
+    fn a_block_is_one_whole_scenario() {
+        // One scenario (the daemon's `query stretch`) and several, on
+        // every pool: the sink sees one block per scenario, in order,
+        // each with every destination of it, ascending.
+        let g = generators::ring(37, 1);
+        let base = AllPairs::compute_all_live(&g);
+        let every_destination: Vec<u32> = (0..g.node_count() as u32).collect();
+        for scenarios in [1, 5, 13] {
+            let family = vec![LinkSet::empty(g.link_count()); scenarios];
+            for threads in POOLS {
+                let sweep = ScenarioSweep::new(&g, &family, &base, threads);
+                let mut blocks = Vec::new();
+                sweep.fold(
+                    || (),
+                    |_, scenario| (scenario, Vec::new()),
+                    |_, unit, (scenario, block): &mut (usize, Vec<u32>)| {
+                        assert_eq!(unit.scenario, *scenario, "{threads} threads");
+                        block.push(unit.dst.0);
+                    },
+                    |scenario, (started, block)| {
+                        assert_eq!(started, scenario, "{threads} threads");
+                        assert_eq!(block, every_destination, "{threads} threads");
+                        blocks.push(scenario);
+                    },
+                );
+                assert_eq!(blocks, (0..family.len()).collect::<Vec<_>>(), "{threads} threads");
+            }
         }
     }
 

@@ -13,19 +13,21 @@
 //! lanes ([`crate::lanes`]) answer each connected one: by arithmetic
 //! under a single failure, where neither lane walks, and once per
 //! failure point under two or more — PR's points priced as episode
-//! chains where they deliver, the rest walked. Workers fold blocks of
-//! consecutive destinations into
-//! [`StretchBlock`]s, which reach the calling thread in work-unit order
+//! chains where they deliver, the rest walked. A block of the sweep is
+//! one whole scenario, folded on the worker that claims it through
+//! [`StretchFold`]; blocks reach the calling thread in scenario order
 //! while the pool runs.
 //!
 //! The **result form** is the per-scenario [`ScenarioRow`]:
-//! [`run_rows`] folds each scenario's blocks into its row and drops
-//! them, holding O(1) per scenario, and every front door (`pr sweep`,
-//! `pr stretch`, the daemon's `query stretch`, shard checkpoints)
-//! reads rows through [`report_from_rows`] / [`panel_csv_from_rows`].
-//! Raw samples are the **library and oracle form**:
-//! [`run_with_stats`] appends the same blocks straight into a
-//! [`StretchSamples`] panel, so [`run`] is bit-identical to the
+//! [`run_rows`] has each worker fold its scenario's samples into the
+//! scenario's row as the units produce them (`RowFold`), so no raw
+//! sample leaves a worker and the sweep holds O(1) per scenario; every
+//! front door (`pr sweep`, `pr stretch`, the daemon's `query stretch`,
+//! shard checkpoints) reads rows through [`report_from_rows`] /
+//! [`panel_csv_from_rows`]. Raw samples are the **library and oracle
+//! form**: [`run_with_stats`] folds each scenario into a
+//! [`StretchBlock`] and appends it to a [`StretchSamples`] panel, so
+//! [`run`] is bit-identical to the
 //! independent oracle (`pr_testkit::oracle::stretch_serial`: plain
 //! `walk_packet`, scratch Dijkstra, all n sources classified) at any
 //! thread count (enforced by `tests/determinism.rs`). Quantiles need it
@@ -213,11 +215,31 @@ pub fn run_with_stats(
 ) -> (StretchSamples, SweepStats) {
     let mut out = StretchSamples::default();
     let mut stats = SweepStats::default();
-    StretchPlan::new(graph, pr).fold(family, threads, |_, block| {
-        out.absorb(&block.samples);
-        stats.merge(&block.stats);
-    });
+    StretchPlan::new(graph, pr).fold(
+        family,
+        threads,
+        |_| StretchBlock::default(),
+        |_, block| {
+            out.absorb(&block.samples);
+            stats.merge(&block.stats);
+        },
+    );
     (out, stats)
+}
+
+/// What a worker folds a unit's pairs into, one at a time: a block of
+/// raw samples ([`StretchBlock`], the library and oracle form) or a
+/// scenario's growing row (`RowFold`, what [`run_rows`] ships).
+pub trait StretchFold {
+    /// Records that the unit's scenario fails `failures` links.
+    fn failures(&mut self, failures: usize);
+    /// One affected source the failure cut off.
+    fn disconnected(&mut self);
+    /// One affected, connected source: its reconvergence stretch and
+    /// what FCP and PR deliver it at (`None`: the scheme dropped it).
+    fn evaluated(&mut self, reconvergence: f64, fcp: Option<f64>, pr: Option<f64>);
+    /// The counters the unit adds to.
+    fn stats(&mut self) -> &mut SweepStats;
 }
 
 /// What a worker folds one block of the sweep's work units into: the
@@ -231,6 +253,34 @@ pub struct StretchBlock {
     pub stats: SweepStats,
     /// Links the block's scenario fails.
     pub failures: usize,
+}
+
+impl StretchFold for StretchBlock {
+    fn failures(&mut self, failures: usize) {
+        self.failures = failures;
+    }
+
+    fn disconnected(&mut self) {
+        self.samples.disconnected_pairs += 1;
+    }
+
+    fn evaluated(&mut self, reconvergence: f64, fcp: Option<f64>, pr: Option<f64>) {
+        let samples = &mut self.samples;
+        samples.evaluated_pairs += 1;
+        samples.reconvergence.push(reconvergence);
+        match fcp {
+            Some(stretch) => samples.fcp.push(stretch),
+            None => samples.drop_fcp(),
+        }
+        match pr {
+            Some(stretch) => samples.packet_recycling.push(stretch),
+            None => samples.drop_pr(),
+        }
+    }
+
+    fn stats(&mut self) -> &mut SweepStats {
+        &mut self.stats
+    }
 }
 
 /// The failure-invariant state of one stretch sweep: the engine's
@@ -255,24 +305,29 @@ impl<'a> StretchPlan<'a> {
     pub fn worker(&self) -> StretchWorker<'_> {
         let fcp = FcpAgent::cached_with_base(self.cones.graph(), self.base());
         StretchWorker {
-            opener: self.cones.opener(),
+            opener: self.cones.sweep_opener(),
             fcp: LaneScratch::new(&self.cones, fcp),
             pr: LaneScratch::new(&self.cones, self.pr_agent),
         }
     }
 
-    /// The engine-parallel sweep: every block of `family`'s work units
-    /// reaches `sink` with its scenario index, in unit order.
-    fn fold(
+    /// The engine-parallel sweep: each scenario of `family` is folded
+    /// on a worker into the accumulator `start` gives it, which reaches
+    /// `sink` with its scenario index, in scenario order.
+    fn fold<A: StretchFold + Send>(
         &self,
         family: &dyn ScenarioFamily,
         threads: usize,
-        sink: impl FnMut(usize, StretchBlock),
+        start: impl Fn(usize) -> A + Sync,
+        sink: impl FnMut(usize, A),
     ) {
         self.cones.sweep(family, threads).fold(
             || self.worker(),
-            |w, _| w.begin_scenario(),
-            |w, unit, block| w.fold_unit(unit, block),
+            |w, scenario| {
+                w.begin_scenario();
+                start(scenario)
+            },
+            |w, unit, acc| w.fold_unit(unit, acc),
             sink,
         );
     }
@@ -301,46 +356,35 @@ impl StretchWorker<'_> {
     /// Once the worker's buffers have grown to the topology and `out`
     /// has the room, this does not call the allocator
     /// (`tests/alloc_sweep.rs`).
-    pub fn fold_unit(&mut self, unit: SweepUnit<'_>, out: &mut StretchBlock) {
+    pub fn fold_unit(&mut self, unit: SweepUnit<'_>, out: &mut impl StretchFold) {
         let StretchWorker { opener, fcp, pr } = self;
-        out.failures = unit.failures;
+        out.failures(unit.failures);
         let cone = opener.open(&unit);
         if cone.len() == 0 {
             return;
         }
         let mut fcp_unit = fcp.unit(&unit, &cone);
         let mut pr_unit = pr.unit(&unit, &cone);
-        let samples = &mut out.samples;
         // The debug-build cross-check of the survivor costs against
         // the reconvergence agent's own tables is per scenario in the
         // serial oracle; here it would recompute per unit.
         for (src, survivor) in cone {
-            let Some(reconv_cost) = survivor else {
-                samples.disconnected_pairs += 1;
-                continue;
-            };
-            samples.evaluated_pairs += 1;
-            let optimal = unit.base_tree.cost(src).expect("connected");
-
             // Reconvergence: the survivor shortest path, by
             // definition — no need to walk it.
-            samples.reconvergence.push(reconv_cost as f64 / optimal as f64);
-
-            // FCP: incremental failure discovery.
-            match fcp_unit.cost(src) {
-                Some(cost) => samples.fcp.push(cost as f64 / optimal as f64),
-                None => samples.drop_fcp(),
-            }
-
-            // PR: cycle following.
-            match pr_unit.cost(src) {
-                Some(cost) => samples.packet_recycling.push(cost as f64 / optimal as f64),
-                None => samples.drop_pr(),
-            }
+            let Some(reconv_cost) = survivor else {
+                out.disconnected();
+                continue;
+            };
+            let optimal = unit.base_tree.cost(src).expect("connected") as f64;
+            let stretch = |cost: u64| cost as f64 / optimal;
+            // FCP: incremental failure discovery; PR: cycle following.
+            let (fcp_cost, pr_cost) = (fcp_unit.cost(src), pr_unit.cost(src));
+            out.evaluated(stretch(reconv_cost), fcp_cost.map(stretch), pr_cost.map(stretch));
         }
-        out.stats.repair.merge(&opener.take_stats());
-        fcp_unit.take_stats(&mut out.stats);
-        pr_unit.take_stats(&mut out.stats);
+        let stats = out.stats();
+        stats.repair.merge(&opener.take_stats());
+        fcp_unit.take_stats(stats);
+        pr_unit.take_stats(stats);
     }
 }
 
@@ -352,8 +396,9 @@ impl StretchWorker<'_> {
 /// vectors would be hundreds of megabytes.
 ///
 /// Determinism: a row is folded from its scenario's work units in unit
-/// order, entirely within one shard (shards split on scenario
-/// boundaries), so rows are invariant to thread *and* shard counts.
+/// order, on one worker, entirely within one shard (shards split on
+/// scenario boundaries), so rows are invariant to thread *and* shard
+/// counts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioRow {
     /// Index of the scenario in the (unsliced) family.
@@ -381,10 +426,26 @@ pub struct ScenarioRow {
     pub above: Vec<u64>,
 }
 
-impl ScenarioRow {
-    /// The row of a scenario none of whose blocks has arrived yet.
-    fn empty(scenario: u64, thresholds: usize) -> ScenarioRow {
-        ScenarioRow {
+/// A scenario's [`ScenarioRow`], folded on the worker that sweeps the
+/// scenario, sample by sample as the units produce them: per scheme
+/// the count, the sum in sample order and the maximum, and a histogram
+/// of how many thresholds lie strictly below each sample, which
+/// `RowFold::finish` turns into the CCDF counts. Its bits are those
+/// of one pass over the scenario's samples in unit order.
+struct RowFold<'x> {
+    row: ScenarioRow,
+    grid: Grid<'x>,
+    /// `bins[s * (xs + 1) + k]`: scheme-`s` samples with `k` thresholds
+    /// strictly below them.
+    bins: Vec<u64>,
+    stats: SweepStats,
+}
+
+impl<'x> RowFold<'x> {
+    /// The empty row of scenario `scenario`, at the ascending CCDF
+    /// thresholds `xs`.
+    fn new(scenario: u64, xs: &'x [f64]) -> RowFold<'x> {
+        let row = ScenarioRow {
             scenario,
             failures: 0,
             evaluated_pairs: 0,
@@ -395,41 +456,71 @@ impl ScenarioRow {
             samples: [0; 3],
             sum: [0.0; 3],
             max: [0.0; 3],
-            above: vec![0; 3 * thresholds],
+            above: vec![0; 3 * xs.len()],
+        };
+        RowFold {
+            row,
+            grid: Grid::of(xs),
+            bins: vec![0; 3 * (xs.len() + 1)],
+            stats: SweepStats::default(),
         }
     }
 
-    /// Folds the scenario's next block in, at the ascending CCDF
-    /// thresholds `xs`. Sums run sample by sample, so a row's bits do
-    /// not depend on where the block boundaries fell. Each sample is
-    /// read once: it is binned by how many thresholds lie strictly
-    /// below it, and the count above threshold `j` is the bins past
-    /// `j` summed.
-    fn absorb(&mut self, block: &StretchBlock, xs: &[f64]) {
-        let s = &block.samples;
-        self.failures = block.failures as u64;
-        self.evaluated_pairs += s.evaluated_pairs as u64;
-        self.disconnected_pairs += s.disconnected_pairs as u64;
-        self.undelivered += s.undelivered as u64;
-        self.undelivered_fcp += s.undelivered_fcp as u64;
-        self.undelivered_pr += s.undelivered_pr as u64;
-        let grid = Grid::of(xs);
-        let mut bins = vec![0u64; xs.len() + 1];
-        for (i, scheme) in Scheme::ALL.iter().enumerate() {
-            let v = s.of(*scheme);
-            self.samples[i] += v.len() as u64;
-            bins.fill(0);
-            for &value in v {
-                self.sum[i] += value;
-                self.max[i] = self.max[i].max(value);
-                bins[grid.below(value)] += 1;
-            }
-            let mut above = 0;
-            for (j, count) in self.above[i * xs.len()..][..xs.len()].iter_mut().enumerate().rev() {
-                above += bins[j + 1];
-                *count += above;
+    /// One sample of scheme `scheme` ([`Scheme::ALL`] order).
+    fn add(&mut self, scheme: usize, value: f64) {
+        let row = &mut self.row;
+        row.samples[scheme] += 1;
+        row.sum[scheme] += value;
+        row.max[scheme] = row.max[scheme].max(value);
+        self.bins[scheme * (self.grid.xs.len() + 1) + self.grid.below(value)] += 1;
+    }
+
+    /// The finished row and the counters of the scenario's units. The
+    /// count above threshold `j` is the bins past `j` summed.
+    fn finish(self) -> (ScenarioRow, SweepStats) {
+        let RowFold { mut row, grid, bins, stats } = self;
+        let m = grid.xs.len();
+        for (above, bins) in row.above.chunks_mut(m.max(1)).zip(bins.chunks(m + 1)) {
+            let mut count = 0;
+            for (j, slot) in above.iter_mut().enumerate().rev() {
+                count += bins[j + 1];
+                *slot = count;
             }
         }
+        (row, stats)
+    }
+}
+
+impl StretchFold for RowFold<'_> {
+    fn failures(&mut self, failures: usize) {
+        self.row.failures = failures as u64;
+    }
+
+    fn disconnected(&mut self) {
+        self.row.disconnected_pairs += 1;
+    }
+
+    fn evaluated(&mut self, reconvergence: f64, fcp: Option<f64>, pr: Option<f64>) {
+        self.row.evaluated_pairs += 1;
+        self.add(0, reconvergence);
+        match fcp {
+            Some(stretch) => self.add(1, stretch),
+            None => {
+                self.row.undelivered += 1;
+                self.row.undelivered_fcp += 1;
+            }
+        }
+        match pr {
+            Some(stretch) => self.add(2, stretch),
+            None => {
+                self.row.undelivered += 1;
+                self.row.undelivered_pr += 1;
+            }
+        }
+    }
+
+    fn stats(&mut self) -> &mut SweepStats {
+        &mut self.stats
     }
 }
 
@@ -453,12 +544,13 @@ impl Grid<'_> {
 
     /// How many thresholds lie strictly below `value`: the `k` with
     /// `xs[k − 1] < value ≤ xs[k]`. The arithmetic guess only decides
-    /// where the search starts (a float-to-integer cast saturates, and
-    /// sends not-a-number to 0); the two loops settle it against the
-    /// thresholds themselves.
+    /// where the search starts (a float-to-integer cast truncates —
+    /// on an even grid one step short of `k` at most, and no `ceil`
+    /// call per sample — saturates, and sends not-a-number to 0); the
+    /// two loops settle it against the thresholds themselves.
     fn below(&self, value: f64) -> usize {
         let xs = self.xs;
-        let guess = xs.first().map_or(0.0, |first| ((value - first) * self.per_step).ceil());
+        let guess = xs.first().map_or(0.0, |first| (value - first) * self.per_step);
         let mut k = (guess as usize).min(xs.len());
         while k > 0 && xs[k - 1] >= value {
             k -= 1;
@@ -474,7 +566,9 @@ impl Grid<'_> {
 /// [`ScenarioRow`] per scenario, with row indices offset by
 /// `first_scenario` (pass a [`pr_scenarios::ScenarioSlice`] plus its
 /// start to sweep one shard of a larger family), plus the sweep's
-/// auxiliary statistics.
+/// auxiliary statistics. Each row is folded on the worker that sweeps
+/// its scenario (`RowFold`); no raw sample reaches the calling
+/// thread.
 pub fn run_rows(
     graph: &Graph,
     pr: &PrNetwork,
@@ -485,15 +579,11 @@ pub fn run_rows(
     let xs = figure2_xs();
     let mut rows: Vec<ScenarioRow> = Vec::with_capacity(family.len());
     let mut stats = SweepStats::default();
-    StretchPlan::new(graph, pr).fold(family, threads, |scenario, block| {
-        // Blocks arrive in unit order: a new scenario index opens the
-        // next row.
-        let absolute = (first_scenario + scenario) as u64;
-        if rows.last().is_none_or(|row| row.scenario != absolute) {
-            rows.push(ScenarioRow::empty(absolute, xs.len()));
-        }
-        rows.last_mut().expect("just pushed").absorb(&block, &xs);
-        stats.merge(&block.stats);
+    let start = |scenario| RowFold::new((first_scenario + scenario) as u64, &xs);
+    StretchPlan::new(graph, pr).fold(family, threads, start, |_, fold| {
+        let (row, row_stats) = fold.finish();
+        rows.push(row);
+        stats.merge(&row_stats);
     });
     (rows, stats)
 }
@@ -851,10 +941,14 @@ mod tests {
             let samples =
                 StretchSamples { reconvergence, fcp, packet_recycling, ..Default::default() };
             let block = StretchBlock { samples, ..Default::default() };
-            let mut row = ScenarioRow::empty(0, xs.len());
-            // Twice: counts accumulate across a scenario's blocks.
-            row.absorb(&block, &xs);
-            row.absorb(&block, &xs);
+            let mut fold = RowFold::new(0, &xs);
+            // Twice: counts accumulate across a scenario's units.
+            for _ in 0..2 {
+                for (i, scheme) in Scheme::ALL.iter().enumerate() {
+                    block.samples.of(*scheme).iter().for_each(|&value| fold.add(i, value));
+                }
+            }
+            let (row, _) = fold.finish();
             let once = above_by_definition(&block, &xs);
             assert_eq!(row.above, once.iter().map(|n| 2 * n).collect::<Vec<_>>(), "{xs:?}");
             let n = block.samples.reconvergence.len() as u64;

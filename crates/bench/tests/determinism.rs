@@ -2,9 +2,10 @@
 //! serial reference, regardless of thread count.
 //!
 //! `coverage::run` / `stretch::run_with_stats` / `stretch::run_rows`
-//! fan (scenario × destination) work units over a racing worker pool,
-//! use per-worker FCP route caches, fold blocks of units on the
-//! workers and merge the blocks in unit order while the pool runs;
+//! fan scenarios over a racing worker pool, use per-worker FCP route
+//! caches and single-failure mirrors, fold each scenario's units on the
+//! worker that claims it and merge the scenarios in order while the
+//! pool runs;
 //! the kit's `coverage_serial` / `stretch_serial` are the plain nested
 //! loop with the honest recompute-per-decision FCP agent, plain
 //! `walk_packet` and scratch Dijkstra — nothing of the unit kernel.
@@ -35,7 +36,7 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 /// loop: no thread, no channel).
 const POOLED_THREAD_COUNTS: [usize; 2] = [2, 4];
 /// Pool sizes the link sweeps run at: the inline loop, even and odd
-/// pools (blocks and chunks split unevenly), and more workers than
+/// pools (chunks split unevenly), and more workers than
 /// the machine has cores.
 const SWEEP_THREAD_COUNTS: [usize; 5] = [1, 2, 3, 4, 7];
 const SEEDS: [u64; 2] = [7, 2010];
@@ -155,8 +156,7 @@ fn teleglobe_stretch_parallel_equals_serial() {
 
 /// A generated ISP mesh under the identity rotation: positive genus,
 /// so the §5 guarantee is off, some connected pairs livelock, and the
-/// drop counts have to merge identically too. 24 nodes are one
-/// destination per block, like Abilene and Teleglobe.
+/// drop counts have to merge identically too.
 #[test]
 fn positive_genus_mesh_sweeps_parallel_equal_serial() {
     let Net { g, pr, .. } = Net::identity(synth("isp:24:7"));
@@ -168,8 +168,7 @@ fn positive_genus_mesh_sweeps_parallel_equal_serial() {
     assert!(undelivered > 0, "the fixture must make some connected pairs drop");
     stretch_is_deterministic_on(&g, &pr, &SampledMultiFailures::new(&g, 3, 6, 2010));
 
-    // The same family at 40 nodes, where a block folds two
-    // destinations: still the serial oracle's bits.
+    // The same family at 40 nodes: still the serial oracle's bits.
     let Net { g, pr, .. } = Net::identity(synth("isp:40:7"));
     stretch_is_deterministic_on(&g, &pr, &SingleLinkFailures::new(&g));
 }
@@ -199,12 +198,14 @@ fn synth_mesh_memoized_rows_equal_plain_rows() {
     }
 }
 
-/// The sweep's work, as counts: a single-failure unit repairs its cone
-/// once — the opener's repair, whose labels price the FCP lane — so
-/// the FCP route memo fills nothing and only the PR lane walks, once
-/// per busy unit (a unit some source's failure-free path of which
-/// crosses the failed link). Under two failures the FCP lane walks and
-/// its memo repairs on its own.
+/// The sweep's work, as counts: a single-failure unit has its cone
+/// answered once — by the opener, whose survivor labels price the FCP
+/// lane; a repair for a unit whose tree crosses the link forward, the
+/// mirror of those for one that crosses it in reverse — so the FCP
+/// route memo fills nothing, and neither lane walks: each busy unit (a
+/// unit some source's failure-free path of which crosses the failed
+/// link) is priced. Under two failures the FCP lane walks and its memo
+/// repairs on its own.
 #[test]
 fn synth_mesh_single_failure_units_repair_their_cone_once() {
     let Net { g, pr, base, .. } = Net::mesh120();
@@ -215,9 +216,19 @@ fn synth_mesh_single_failure_units_repair_their_cone_once() {
     let busy: usize = g.links().map(|l| g.nodes().filter(|&dst| on_tree(dst, l)).count()).sum();
     assert!(busy > 10_000, "{busy} busy units");
     let busy = busy as u64;
+    // Of those, the units whose tree crosses the link as its reverse
+    // dart read their cone off the forward units' mirror.
+    let reverse = |dst, link: pr_graph::LinkId| {
+        let (_, b) = g.endpoints(link);
+        base.towards(dst).next_dart(b) == Some(link.reverse())
+    };
+    let mirrored: usize = g.links().map(|l| g.nodes().filter(|&dst| reverse(dst, l)).count()).sum();
+    let mirrored = mirrored as u64;
+    assert!(0 < mirrored && mirrored < busy, "{mirrored} of {busy} units mirrored");
     for threads in [1, 4] {
         let (_, stats) = pr_bench::stretch::run_rows(&g, &pr, &singles, threads, 0);
         assert_eq!(stats.repair.repairs, busy, "{threads} threads");
+        assert_eq!(stats.repair.mirrored, mirrored, "{threads} threads");
         let routes = stats.routes;
         assert_eq!((routes.repaired, routes.cone_nodes), (0, 0), "{threads} threads");
         // Under one failure neither lane walks: every busy unit is

@@ -9,7 +9,12 @@
 //! the cost a from-scratch Dijkstra over the survivor graph gives it
 //! (`None` when the failure cut it off), and nothing for a unit no
 //! path of which crosses a failure. One opener serves every unit of a
-//! fixture, as a sweep worker's does.
+//! fixture, as a sweep worker's does — the per-unit opener and the
+//! sweep's, which under one failed link repairs only the units whose
+//! tree crosses it forward and reads the others off their mirror: an
+//! observer requires forward units, mirrored units and failure-free
+//! gathers to occur, and a proptest opens two failures' units shuffled
+//! together on graphs where ties are everywhere.
 //!
 //! **Lanes.** Every scheme a sweep asks — PR basic and DD, FCP, LFA,
 //! not-via — is a [`Lane`], opened per unit as the sweeps open it and
@@ -40,7 +45,7 @@ use pr_core::{
     PrMode, PrNetwork, WalkResult,
 };
 use pr_embedding::{CellularEmbedding, FaceStructure};
-use pr_graph::{algo, Dart, Graph, LinkSet, NodeId, SpTree};
+use pr_graph::{algo, AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, SpTree};
 use pr_testkit::fixtures;
 use pr_testkit::nets::{self, Net};
 use pr_testkit::shapes::{point_by_definition, GroupShapes};
@@ -48,7 +53,7 @@ use pr_testkit::strategies::{
     random_links, two_edge_connected, with_bridge_or_parallel, with_rotation,
 };
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 
 /// What the fixture exercised, so a vacuous pass cannot hide.
 #[derive(Default)]
@@ -56,11 +61,23 @@ struct Seen {
     empty_cones: usize,
     cut_off_sources: usize,
     disconnecting_sets: usize,
+    /// Units of one failed link `l` whose tree crosses it as
+    /// `l.forward()`: the ones the opener repairs.
+    forward_units: usize,
+    /// Units whose tree crosses it as `l.reverse()`: the ones it reads
+    /// off the forward units' mirror.
+    mirrored_units: usize,
+    /// Sources of those whose own tree, from the unit's destination,
+    /// avoids `l`: no forward unit repaired the pair, and the opener
+    /// answers the failure-free cost.
+    base_gathers: usize,
 }
 
+/// Every unit of `failed` through `opener`, a sweep opener if
+/// `mirroring` ([`ConePlan::sweep_opener`]), against its definition.
 fn check_scenario(
     plan: &ConePlan<'_>,
-    opener: &mut ConeOpener<'_>,
+    (opener, mirroring): (&mut ConeOpener<'_>, bool),
     scenario: usize,
     failed: &LinkSet,
     seen: &mut Seen,
@@ -78,10 +95,28 @@ fn check_scenario(
         let unit = SweepUnit { scenario, failed, failures: failed.len(), dst, base_tree };
         let yielded: Vec<(NodeId, Option<u64>)> = opener.open(&unit).collect();
         assert_eq!(yielded, expected, "failed {failed:?}, destination {dst}");
-        let repairs = opener.take_stats().repairs;
+        let stats = opener.take_stats();
+        let repairs = stats.repairs;
         assert_eq!(repairs, u64::from(!expected.is_empty()), "an empty cone repairs nothing");
         seen.empty_cones += usize::from(expected.is_empty());
         seen.cut_off_sources += expected.iter().filter(|(_, cost)| cost.is_none()).count();
+        // Which way the unit's tree crosses a single failed link, read
+        // off the tree: a reverse unit is the mirrored one.
+        let mut reverse = false;
+        if let [link] = failed.iter().collect::<Vec<_>>()[..] {
+            let (a, b) = g.endpoints(link);
+            reverse = base_tree.next_dart(b) == Some(link.reverse());
+            seen.forward_units += usize::from(base_tree.next_dart(a) == Some(link.forward()));
+            seen.mirrored_units += usize::from(reverse);
+            if reverse {
+                let own_tree_avoids =
+                    |src: NodeId| !plan.base().towards(src).path_crosses(g, dst, failed);
+                seen.base_gathers +=
+                    expected.iter().filter(|&&(src, _)| own_tree_avoids(src)).count();
+            }
+        }
+        let mirrored = u64::from(reverse && mirroring);
+        assert_eq!(stats.mirrored, mirrored, "failed {failed:?}, destination {dst}");
     }
 }
 
@@ -89,10 +124,11 @@ fn check_scenario(
 fn abilene_exhaustive_singles_and_pairs_open_to_their_definition() {
     let Net { g, base, .. } = Net::abilene();
     let plan = ConePlan::new(&g, &base);
-    let mut opener = plan.opener();
     let mut seen = Seen::default();
-    for (scenario, failed) in fixtures::exhaustive(&g, 1..=2).iter().enumerate() {
-        check_scenario(&plan, &mut opener, scenario, failed, &mut seen);
+    for (mut opener, mirroring) in [(plan.opener(), false), (plan.sweep_opener(), true)] {
+        for (scenario, failed) in fixtures::exhaustive(&g, 1..=2).iter().enumerate() {
+            check_scenario(&plan, (&mut opener, mirroring), scenario, failed, &mut seen);
+        }
     }
     assert!(seen.empty_cones > 0, "some unit must be untouched by its failure");
     assert!(seen.disconnecting_sets > 0, "some pair of Abilene's links is a cut");
@@ -105,14 +141,54 @@ fn positive_genus_mesh_sampled_sets_open_to_their_definition() {
     // rotation; the opener itself never sees an embedding.
     let Net { g, base, .. } = Net::identity(nets::synth("isp:24:7"));
     let plan = ConePlan::new(&g, &base);
-    let mut opener = plan.opener();
     let mut seen = Seen::default();
-    for (scenario, failed) in any_subsets(&g, 160, 2010).iter().enumerate() {
-        check_scenario(&plan, &mut opener, scenario, failed, &mut seen);
+    for (mut opener, mirroring) in [(plan.opener(), false), (plan.sweep_opener(), true)] {
+        for (scenario, failed) in any_subsets(&g, 160, 2010).iter().enumerate() {
+            check_scenario(&plan, (&mut opener, mirroring), scenario, failed, &mut seen);
+        }
     }
     assert!(seen.empty_cones > 0);
     assert!(seen.disconnecting_sets > 0, "the sample must include cuts");
     assert!(seen.cut_off_sources > 0);
+}
+
+#[test]
+fn single_failures_open_forward_mirrored_and_gathered_units_to_their_definition() {
+    // Every single failure of two meshes and of every named fixture,
+    // one sweep opener per network: a forward unit repairs its cone, a
+    // reverse unit reads it off the mirror, and a reverse unit's
+    // source whose own tree avoids the link costs its failure-free
+    // distance. Each case must occur, or the mirror went untested.
+    let nets = [Net::abilene(), Net::identity(nets::synth("isp:24:7"))];
+    let named = fixtures::TABLE.iter().map(|fixture| (fixture.net)());
+    let mut seen = Seen::default();
+    for net in nets.into_iter().chain(named) {
+        let plan = ConePlan::new(&net.g, &net.base);
+        let mut opener = plan.sweep_opener();
+        for (scenario, failed) in single_links(&net.g).iter().enumerate() {
+            check_scenario(&plan, (&mut opener, true), scenario, failed, &mut seen);
+        }
+    }
+    assert!(seen.forward_units > 0 && seen.mirrored_units > 0, "both directions must occur");
+    assert!(seen.base_gathers > 0, "some reverse pair must break its tie the other way");
+
+    // The named case: with 1–4 down on the tied hexagon, the unit
+    // towards 3 is mirrored, 0 is in its cone but 3 in no cone towards
+    // 0, and 0's survivor cost is the failure-free 3.
+    let fixture = fixtures::TABLE.iter().find(|f| f.name == "mirror-breaks-a-tie-the-other-way");
+    let net = (fixture.expect("a named fixture").net)();
+    let (g, node) = (&net.g, |name| net.g.node_by_name(name).expect("fixture node"));
+    let link = g.find_link(node("1"), node("4")).expect("fixture link");
+    let failed = LinkSet::from_links(g.link_count(), [link]);
+    let plan = ConePlan::new(g, &net.base);
+    let base_tree = plan.base().towards(node("3"));
+    assert_eq!(base_tree.next_dart(node("1")), Some(link.reverse()), "a mirrored unit");
+    assert!(base_tree.path_crosses(g, node("0"), &failed), "0 → 3 crosses 1–4");
+    assert!(!plan.base().towards(node("0")).path_crosses(g, node("3"), &failed));
+    let unit = SweepUnit { scenario: 0, failed: &failed, failures: 1, dst: node("3"), base_tree };
+    let mut opener = plan.sweep_opener();
+    assert_eq!(opener.open(&unit).survivor(node("0")), Some(3));
+    assert_eq!(opener.take_stats().mirrored, 1);
 }
 
 /// `count` subsets of 1 to 4 of `g`'s links, cuts included.
@@ -244,7 +320,7 @@ where
     R::State: std::hash::Hash + Eq,
 {
     let (g, ttl) = (plan.graph(), plan.ttl());
-    let (mut lane, mut opener) = (LaneScratch::new(plan, lane), plan.opener());
+    let (mut lane, mut opener) = (LaneScratch::new(plan, lane), plan.sweep_opener());
     let (mut seen, mut stats) = (PrSeen::default(), SweepStats::default());
     for failed in sets {
         shapes.observe(g, &net.base, reference, failed, ttl, ttl);
@@ -487,6 +563,42 @@ fn face_walk(g: &Graph, faces: &FaceStructure, out: Dart, dst: NodeId) -> (bool,
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// The mirror in any order, where ties are everywhere: weights 1
+    /// and 2, bridges and parallel links. The units of two single
+    /// failures, shuffled together, go through one opener — so a mirror
+    /// is rebuilt whenever the failed link changes, and a reverse unit
+    /// may come before every forward unit it reads — and each yields
+    /// exactly its definition: the sources whose failure-free path
+    /// crosses the link, with their from-scratch survivor costs.
+    #[test]
+    fn single_failure_cones_open_to_their_definition_in_any_order(
+        g in with_bridge_or_parallel(two_edge_connected(3..11, 0..6, 1..=2)),
+        picks in (0u32..u32::MAX, 0u32..u32::MAX),
+        seed in 0u64..u64::MAX,
+    ) {
+        let base = AllPairs::compute_all_live(&g);
+        let plan = ConePlan::new(&g, &base);
+        let mut opener = plan.sweep_opener();
+        let links = g.link_count() as u32;
+        let sets = [picks.0, picks.1]
+            .map(|pick| LinkSet::from_links(g.link_count(), [LinkId(pick % links)]));
+        let mut units: Vec<(usize, NodeId)> =
+            (0..2).flat_map(|scenario| g.nodes().map(move |dst| (scenario, dst))).collect();
+        units.shuffle(&mut StdRng::seed_from_u64(seed));
+        for (scenario, dst) in units {
+            let failed = &sets[scenario];
+            let (base_tree, live) = (base.towards(dst), SpTree::towards(&g, dst, failed));
+            let expected: Vec<(NodeId, Option<u64>)> = g
+                .nodes()
+                .filter(|&src| base_tree.path_crosses(&g, src, failed))
+                .map(|src| (src, live.cost(src)))
+                .collect();
+            let unit = SweepUnit { scenario, failed, failures: 1, dst, base_tree };
+            let yielded: Vec<(NodeId, Option<u64>)> = opener.open(&unit).collect();
+            prop_assert_eq!(yielded, expected, "failed {:?}, destination {}", failed, dst);
+        }
+    }
+
     /// The single-failure certificate (DESIGN.md §8) on any rotation of
     /// a 2-edge-connected graph: a link's episode reaches its far end
     /// exactly when the link is not one of
@@ -504,7 +616,7 @@ proptest! {
         let mode = if basic { PrMode::Basic } else { PrMode::DistanceDiscriminator };
         let net = PrNetwork::compile(&g, emb, mode, DiscriminatorKind::Hops);
         let plan = ConePlan::new(&g, net.base());
-        let (mut lane, mut opener) = (LaneScratch::new(&plan, net.agent(&g)), plan.opener());
+        let (mut lane, mut opener) = (LaneScratch::new(&plan, net.agent(&g)), plan.sweep_opener());
         for link in g.links() {
             let failed = LinkSet::from_links(g.link_count(), [link]);
             for dst in g.nodes() {
@@ -544,7 +656,7 @@ proptest! {
         let plan = ConePlan::new(&g, net.base());
         let agent = net.agent(&g);
         let (mut lane, mut opener, mut walks) =
-            (LaneScratch::new(&plan, agent), plan.opener(), FlowScratch::new());
+            (LaneScratch::new(&plan, agent), plan.sweep_opener(), FlowScratch::new());
         for failed in single_links(&g) {
             for dst in g.nodes() {
                 let base_tree = plan.base().towards(dst);

@@ -1,11 +1,11 @@
-//! The sharding contract: a sweep killed after k shards and resumed
-//! from its checkpoint merges to output **byte-identical** to a clean,
-//! uninterrupted run — at any shard count — on a shipped topology and
-//! on a synthetic ISP mesh.
+//! The sharding contract: a sweep killed after k shards — or at any
+//! write boundary of a shard — and resumed from its checkpoint merges
+//! to output **byte-identical** to a clean, uninterrupted run — at any
+//! shard count — on a shipped topology and on a synthetic ISP mesh.
 
 use std::path::PathBuf;
 
-use pr_bench::shards::{run_shards, shard_file, ShardKey, ShardOutcome};
+use pr_bench::shards::{run_shards, shard_file, ShardKey, ShardManifest, ShardOutcome};
 use pr_bench::stretch::{self, ScenarioRow};
 use pr_core::PrNetwork;
 use pr_graph::Graph;
@@ -186,4 +186,78 @@ fn resume_recovers_from_a_lost_shard_file() {
         partial => panic!("{partial:?}"),
     };
     assert_eq!(recovered, clean);
+}
+
+#[test]
+fn a_kill_at_every_write_boundary_resumes_to_the_clean_run() {
+    // `run_shards` lands a shard in four writes: the payload to
+    // `shard-NNN.tmp`, its rename to `shard-NNN.json`, the manifest
+    // listing it to `manifest.tmp`, that rename to `manifest.json`. A
+    // kill right after any of them — or halfway through a temp file —
+    // leaves the directory built here from a clean run's files, and a
+    // resume from it must merge to the clean run's rows, CSV and JSON.
+    let Net { g, pr, .. } = Net::abilene();
+    let family = SingleLinkFailures::new(&g);
+    let xs = stretch::figure2_xs();
+    let run_slice = |_shard: usize, start: usize, len: usize| {
+        let slice = ScenarioSlice::new(&family, start, len);
+        stretch::run_rows(&g, &pr, &slice, 2, start).0
+    };
+    let key = key_for(&g, &pr, &family, 3);
+    let clean_dir = scratch_dir("abilene-boundaries-clean");
+    let clean = match run_shards(&clean_dir, &key, false, None, run_slice).unwrap() {
+        ShardOutcome::Complete(rows) => rows,
+        partial => panic!("clean run stopped early: {partial:?}"),
+    };
+    let payload = |shard: usize| std::fs::read(shard_file(&clean_dir, shard)).unwrap();
+    let manifest = |done: usize| {
+        let completed = (0..done as u64).collect();
+        let manifest = ShardManifest { key: key.clone(), completed };
+        serde_json::to_string_pretty(&manifest).unwrap().into_bytes()
+    };
+    let half = |bytes: Vec<u8>| bytes[..bytes.len() / 2].to_vec();
+    let artefacts = |rows: &[ScenarioRow]| {
+        let report = serde_json::to_string_pretty(&stretch::report_from_rows(rows, &xs)).unwrap();
+        (stretch::panel_csv_from_rows(rows, &xs), report)
+    };
+
+    let mut resumed_from = 0;
+    for shard in 0..key.shards as usize {
+        let payload_tmp = format!("shard-{shard:03}.tmp");
+        let manifest_tmp = "manifest.tmp".to_string();
+        // Each boundary of this shard: how many payloads have landed,
+        // and the one file written past the earlier shards' manifest.
+        let landed = [shard, shard, shard + 1, shard + 1, shard + 1, shard + 1];
+        let written = [
+            ("payload half written", Some((payload_tmp.clone(), half(payload(shard))))),
+            ("payload written", Some((payload_tmp, payload(shard)))),
+            ("payload renamed", None),
+            ("manifest half written", Some((manifest_tmp.clone(), half(manifest(shard + 1))))),
+            ("manifest written", Some((manifest_tmp, manifest(shard + 1)))),
+            ("manifest renamed", Some(("manifest.json".to_string(), manifest(shard + 1)))),
+        ];
+        for (payloads, (boundary, file)) in landed.into_iter().zip(written) {
+            let dir =
+                scratch_dir(&format!("abilene-boundary-{shard}-{}", boundary.replace(' ', "-")));
+            std::fs::create_dir_all(&dir).unwrap();
+            for earlier in 0..payloads {
+                std::fs::write(shard_file(&dir, earlier), payload(earlier)).unwrap();
+            }
+            if shard > 0 {
+                std::fs::write(dir.join("manifest.json"), manifest(shard)).unwrap();
+            }
+            if let Some((name, contents)) = file {
+                std::fs::write(dir.join(name), contents).unwrap();
+            }
+            let at = format!("killed at shard {shard}, {boundary}");
+            let resumed = match run_shards(&dir, &key, true, None, run_slice) {
+                Ok(ShardOutcome::Complete(rows)) => rows,
+                other => panic!("{at}: {other:?}"),
+            };
+            assert_eq!(resumed, clean, "{at}: rows");
+            assert_eq!(artefacts(&resumed), artefacts(&clean), "{at}: CSV and JSON");
+            resumed_from += 1;
+        }
+    }
+    assert_eq!(resumed_from, 18, "every boundary of every shard");
 }

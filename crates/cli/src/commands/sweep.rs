@@ -201,10 +201,12 @@ pub fn sweep(args: &Args) -> CmdResult {
             if args.flag("stats") {
                 let (repair, memo) = (&stats.repair, &stats.memo);
                 let (cone, hit) = (100.0 * repair.cone_fraction(), 100.0 * repair.hit_rate());
+                // Under one failed link a reverse unit's cone is read
+                // off its link's mirror: a repair answered, not run.
                 println!(
-                    "spt repair:    {} repairs, cone {cone:.1}% of nodes (hit rate {hit:.1}%), \
-                     {} full rebuilds",
-                    repair.repairs, repair.full_rebuilds
+                    "spt repair:    {} repairs ({} mirrored), cone {cone:.1}% of nodes \
+                     (hit rate {hit:.1}%), {} full rebuilds",
+                    repair.repairs, repair.mirrored, repair.full_rebuilds
                 );
                 // Under two or more failures a PR point is priced as an
                 // episode chain where it delivers, and walked otherwise.

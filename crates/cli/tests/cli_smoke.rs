@@ -145,7 +145,7 @@ fn plain_and_sharded_sweeps_leave_the_same_artefacts_and_stats_lines() {
     let tail = "\
 affected connected pairs: 398, disconnected (excluded): 0, undelivered: 0 (fcp 0, packet-recycling 0)
 mean stretch:  reconvergence 2.274  fcp 2.590  packet-recycling 3.612
-spt repair:    180 repairs, cone 36.9% of nodes (hit rate 63.1%), 0 full rebuilds
+spt repair:    180 repairs (0 mirrored), cone 36.9% of nodes (hit rate 63.1%), 0 full rebuilds
 walk memo:     288 walks, 240 chains for 796 sources, hit rate 3.5% (27 splices / 775 lookups), spliced steps 5.2% of walk work
 fcp routes:    357 repaired (cone nodes 662)
 closed forms:  fcp 0 units priced, packet-recycling 0 units priced (0 episodes), of 180 with a cone

@@ -74,6 +74,11 @@ pub struct RepairStats {
     /// Total node slots across all repairs (`n` summed per repair) —
     /// the denominator for the cone fraction.
     pub repaired_slots: u64,
+    /// Of `repairs`, the cones whose labels a sweep read off the mirror
+    /// of another unit's repair instead of running one (a single
+    /// failed link's survivor distances are symmetric; see
+    /// `pr_bench::engine::ConeOpener`).
+    pub mirrored: u64,
 }
 
 impl RepairStats {
@@ -100,6 +105,7 @@ impl RepairStats {
         self.repairs += other.repairs;
         self.cone_nodes += other.cone_nodes;
         self.repaired_slots += other.repaired_slots;
+        self.mirrored += other.mirrored;
     }
 }
 

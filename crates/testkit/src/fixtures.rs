@@ -102,6 +102,18 @@ fn lopsided_triangle() -> Graph {
     g
 }
 
+/// The 6-cycle 0–1–4–3–2–5–0 with unit weights: 0 and 3 are three hops
+/// apart either way round. Its links are added from 0 the other way
+/// round, so the forward dart of 1–4 is 4 → 1.
+fn tied_hexagon() -> Graph {
+    let mut g = Graph::new();
+    let nodes = ["0", "1", "2", "3", "4", "5"].map(|name| g.add_node(name));
+    for (u, v) in [(0, 5), (5, 2), (2, 3), (3, 4), (4, 1), (1, 0)] {
+        g.add_link(nodes[u], nodes[v], 1).expect("fixture link");
+    }
+    g
+}
+
 /// Unit demand on every ordered pair: the flows of a case that is about
 /// paths, on a graph with no coordinates for gravity to read.
 fn every_pair(net: &Net) -> FlowSet {
@@ -181,5 +193,21 @@ pub const TABLE: &[Fixture] = &[
         flows: every_pair,
         pinned: None,
         drives: |seen| seen.point_at_cone_root && seen.dropped_point,
+    },
+    // The sweep reads a single failure's survivor distances off the
+    // reverse pair's repair (`pr_bench::engine::ConeOpener`), which
+    // must not assume the two trees break a tie the same way. With 1–4
+    // down on the tied hexagon, the tree towards 3 routes 0 → 1 → 4 → 3
+    // and crosses the link as 1 → 4, its reverse dart; the tree towards
+    // 0 routes 3 → 2 → 5 → 0 and does not cross it. So 0 is in the
+    // mirrored cone towards 3 while 3 is in no cone towards 0, and
+    // 0 → 3 keeps its failure-free cost, 3.
+    Fixture {
+        name: "mirror-breaks-a-tie-the-other-way",
+        net: || Net::identity(tied_hexagon()),
+        failed_sets: |g| links(g, &[("1", "4")]),
+        flows: every_pair,
+        pinned: None,
+        drives: |seen| seen.point_at_cone_root,
     },
 ];

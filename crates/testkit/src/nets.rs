@@ -80,8 +80,7 @@ impl Net {
     }
 
     /// The 120-node synthetic ISP mesh (seed 2010) under its geometric
-    /// rotation: deep trees, many-word bitsets, blocks of several
-    /// destinations.
+    /// rotation: deep trees, many-word bitsets.
     pub fn mesh120() -> Net {
         Net::geometric(synth("isp:120:2010"))
     }
