@@ -17,7 +17,7 @@
 //! | [`ReconvergenceAgent`] | 0 | global recompute + flooding (modelled as converged state) | full, after convergence |
 //! | [`LfaAgent`] | 0 | none (precomputed) | partial |
 //! | [`NotViaAgent`] | 160 while repairing (IP-in-IP) | none (precomputed detours) | all single failures |
-//! | `pr_core::PrAgent` | 1 + ⌈log₂ max DD⌉ (constant) | none (precomputed) | full on genus-0 embeddings |
+//! | `pr_core::PrAgent` | 1 + ⌈log₂(max DD + 1)⌉ (constant) | none (precomputed) | full on genus-0 embeddings |
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

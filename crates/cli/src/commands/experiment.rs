@@ -179,7 +179,7 @@ fn overheads(threads: usize) -> CmdResult {
     let reports = overheads::reports_for(&Isp::ALL, threads);
     print!("{}", overheads::render(&reports));
     println!(
-        "\nReading guide: PR's header is constant (1 bit basic; 1+ceil(log2(diameter)) bits in\n\
+        "\nReading guide: PR's header is constant (1 bit basic; 1+ceil(log2(diameter+1)) bits in\n\
          DD mode) while FCP grows linearly with carried failures; reconvergence and LFA use\n\
          no header bits but pay in loss-during-convergence and partial coverage respectively\n\
          (see E5/E10). pr-mem is the worst router's added state: DD column + 3-column cycle\n\

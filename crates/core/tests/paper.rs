@@ -242,8 +242,9 @@ fn figure_1c_loops_in_basic_mode() {
 }
 
 /// §6 header sizing on the Figure 1 network: hop diameter 4 (A is 4
-/// hops from F) → 3 DD bits; with the PR bit, 4 bits — exactly the
-/// DSCP pool-2 capacity the paper proposes using.
+/// hops from F) → 3 DD bits, `⌈log₂(4 + 1)⌉` (a power of two needs
+/// the extra bit `1 + ⌈log₂ d⌉` would miss); with the PR bit, 4 bits —
+/// exactly the DSCP pool-2 capacity the paper proposes using.
 #[test]
 fn figure_1_header_fits_dscp_pool2() {
     let (_, net) = build(PrMode::DistanceDiscriminator);
@@ -251,6 +252,30 @@ fn figure_1_header_fits_dscp_pool2() {
     assert_eq!(net.codec().dd_bits(), 3);
     assert_eq!(net.codec().total_bits(), 4);
     assert!(net.codec().fits_in_dscp_pool2());
+}
+
+/// §6 header sizing on the three evaluation maps, as `pr experiment
+/// overheads` prints it (DESIGN.md §13's "DD header width" and "DSCP
+/// pool-2 fit" rows): the DD field is the bit length of the largest
+/// hop label, `⌈log₂(d + 1)⌉`, plus the PR bit. The width reads the
+/// failure-free trees only, so any embedding compiles to it; the
+/// identity rotation spares the genus search.
+#[test]
+fn dd_header_width_on_the_evaluation_maps() {
+    use pr_topologies::{Isp, Weighting};
+    let pinned =
+        [(Isp::Abilene, 5, 4, true), (Isp::Teleglobe, 10, 5, false), (Isp::Geant, 12, 5, false)];
+    for (isp, diameter, bits, fits) in pinned {
+        let g = pr_topologies::load(isp, Weighting::Distance);
+        let emb = CellularEmbedding::new(&g, RotationSystem::identity(&g)).unwrap();
+        let net =
+            PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+        let d = net.routing().max_discriminator(DiscriminatorKind::Hops);
+        assert_eq!(d, diameter, "{isp}: hop diameter");
+        assert_eq!(u32::from(net.codec().dd_bits()), u64::BITS - d.leading_zeros(), "{isp}");
+        assert_eq!(net.codec().total_bits(), bits, "{isp}: 1 + ⌈log₂({d} + 1)⌉ bits");
+        assert_eq!(net.codec().fits_in_dscp_pool2(), fits, "{isp}: DSCP pool 2 holds 4 bits");
+    }
 }
 
 /// The rendered Table 1 mentions every interface of D in the paper's

@@ -49,11 +49,12 @@ impl SpTree {
     /// Computes the shortest-path tree towards `dest` using only links
     /// not present in `failed`.
     ///
-    /// Runs Dijkstra for the distance labels, then performs a canonical
-    /// parent-selection pass in increasing `(dist, node id)` order so the
-    /// resulting tree does not depend on heap internals. Because link
-    /// weights are ≥ 1, every parent has strictly smaller distance, so
-    /// the pass is well-founded.
+    /// Runs Dijkstra and picks each node's canonical parent — the
+    /// smallest `(hops + 1, parent id, dart id)` among its shortest-path
+    /// neighbours — while it relaxes, so the resulting tree does not
+    /// depend on heap internals. Because link weights are ≥ 1, every
+    /// such neighbour settles, its hop label final, before the node
+    /// does.
     ///
     /// This is the convenience entry point for one-shot callers: it
     /// pays one [`SpScratch`] worth of allocations per call. Hot loops

@@ -14,8 +14,9 @@
 //!   per-scenario failed-dart bitmask so the inner relaxation loop
 //!   tests one word instead of calling [`LinkSet::contains_dart`] per
 //!   edge.
-//! * [`SpTree::towards_with`] — the full Dijkstra, allocation-free in
-//!   the scratch (only the returned tree is allocated).
+//! * [`SpTree::towards_with`] — the full Dijkstra, one pass that picks
+//!   canonical parents as it relaxes, allocation-free in the scratch
+//!   (only the returned tree is allocated).
 //! * [`SpTree::repair_from`] — incremental repair: classify the
 //!   affected cone by a memoised `path_crosses`-style descent of the
 //!   base tree, seed Dijkstra from the intact frontier labels, and
@@ -42,13 +43,16 @@
 //! * Nodes whose canonical path does cross a failure are exactly the
 //!   repaired cone: their labels are recomputed by a Dijkstra seeded
 //!   from intact ("clean") neighbours, which sees the same distances
-//!   the full run would, and the same canonical selection pass runs
-//!   over them in the same relative order.
+//!   the full run would, and [`select_parent`] picks each one's parent
+//!   by the key the full run compares while it relaxes
+//!   ([`parent_key`]), among the same candidates.
 //!
-//! The finalisation order of a Dijkstra over ≥1 weights *is* the
-//! canonical `(dist, id)` order — every label that settles at distance
-//! `d` was pushed before the first pop at `d`, and the heap breaks
-//! distance ties by node id (a debug assertion keeps the claim honest).
+//! The repair paths' selection pass runs in finalisation order, which
+//! for a Dijkstra over ≥1 weights *is* the canonical `(dist, id)`
+//! order — every label that settles at distance `d` was pushed before
+//! the first pop at `d`, and the heap breaks distance ties by node id
+//! (a debug assertion keeps the claim honest) — so every parent is
+//! labelled before its child.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -115,10 +119,11 @@ impl RepairStats {
 /// [`SpTree::repair_from`] need, so a worker that computes thousands of
 /// trees allocates them once:
 ///
-/// * flat `u64` distance labels with a `u32` generation stamp per node
-///   (bumping the generation invalidates all labels in O(1) — no
-///   `Vec<Option<_>>` clearing between runs);
-/// * the binary heap and the finalisation-order buffer;
+/// * the binary heap, and for the repair paths flat `u64` distance
+///   labels with a `u32` generation stamp per node (bumping the
+///   generation invalidates all labels in O(1) — no `Vec<Option<_>>`
+///   clearing between runs) and the finalisation-order buffer (the
+///   full rebuild labels the tree it returns);
 /// * a tri-state affected/clean classification array (also
 ///   generation-stamped) and the descent/cone buffers of the repair
 ///   path;
@@ -338,11 +343,19 @@ impl SpScratch {
     }
 }
 
+/// The canonical key of routing a node over `dart` to `parent` (hop
+/// label `parent_hops`); the smallest among a node's shortest-path
+/// candidates wins. The one spelling of the tie-break: the full
+/// rebuild compares it while it relaxes, [`select_parent`] (the tree
+/// repair and the cone patches) over finished labels, so all agree
+/// with [`SpTree::towards`] bit for bit.
+#[inline]
+fn parent_key(parent_hops: u32, parent: NodeId, dart: Dart) -> (u32, u32, u32) {
+    (parent_hops + 1, parent.0, dart.0)
+}
+
 /// Canonical parent selection for `u`, finalised at distance `du`:
-/// the minimum `(hops(parent) + 1, parent id, dart id)` over live
-/// darts on shortest paths — the one spelling of the tie-break, shared
-/// by the full rebuild, the tree repair and the cone patches, so all
-/// three agree with the from-scratch [`SpTree::towards`] bit for bit.
+/// the minimum [`parent_key`] over live darts on shortest paths.
 /// `labels` gives a neighbour's finalised `(dist, hops)`, `None` where
 /// it has none (cut off, or not finalised yet: a parent settles before
 /// its child, so such a neighbour is no candidate).
@@ -354,7 +367,7 @@ fn select_parent(
     du: u64,
     labels: impl Fn(NodeId) -> Option<(u64, u32)>,
 ) -> (u32, Dart) {
-    let mut best: Option<(u32, u32, u32, Dart)> = None;
+    let mut best: Option<((u32, u32, u32), Dart)> = None;
     for &dart in graph.darts_from(u) {
         if scratch.dart_failed(dart) {
             continue;
@@ -364,36 +377,30 @@ fn select_parent(
         if dv + u64::from(graph.weight(dart.link())) != du {
             continue; // not on a shortest path
         }
-        let key = (hv + 1, v.0, dart.0, dart);
-        if best.is_none_or(|b| (key.0, key.1, key.2) < (b.0, b.1, b.2)) {
-            best = Some(key);
+        let key = parent_key(hv, v, dart);
+        if best.is_none_or(|(b, _)| key < b) {
+            best = Some((key, dart));
         }
     }
-    let (h, _, _, dart) = best.expect("reachable node must have a shortest-path parent");
+    let ((h, _, _), dart) = best.expect("reachable node must have a shortest-path parent");
     (h, dart)
 }
 
-/// [`select_parent`] for every node of the last run's finalisation
-/// order against the labels already written to `out`, in that order.
-fn select_parents(out: &mut SpTree, graph: &Graph, scratch: &SpScratch) {
-    for &u in &scratch.order {
-        if u == out.dest {
-            out.hops[u.index()] = 0;
-            continue;
-        }
-        let (h, dart) = select_parent(graph, scratch, u, scratch.dist[u.index()], |v| {
-            out.cost(v).zip(out.hops(v))
-        });
-        out.hops[u.index()] = h;
-        out.next[u.index()] = dart;
-    }
-}
-
 impl SpTree {
-    /// [`SpTree::towards`] computed through a reusable arena: the heap,
-    /// label arrays and ordering buffer live in `scratch`, so repeated
-    /// calls allocate only the returned tree. Output is bit-identical
-    /// to [`SpTree::towards`].
+    /// [`SpTree::towards`] computed through a reusable arena: the heap
+    /// and the failed-dart mask live in `scratch`, so repeated calls
+    /// allocate only the returned tree. Output is bit-identical to
+    /// [`SpTree::towards`].
+    ///
+    /// One pass: the tree's own columns hold the tentative labels, and
+    /// every relaxation that reaches a node at its tentative distance
+    /// also offers it a parent. A strict improvement replaces the
+    /// node's `parent_key`, an equal distance keeps the smaller one.
+    /// Because weights are ≥ 1, every neighbour a node could route
+    /// over at its final distance settles — its hop label final — and
+    /// relaxes the node before the node pops: the candidates are
+    /// exactly `select_parent`'s, so no second pass re-scans the
+    /// darts.
     pub fn towards_with(
         graph: &Graph,
         dest: NodeId,
@@ -401,22 +408,47 @@ impl SpTree {
         scratch: &mut SpScratch,
     ) -> SpTree {
         let n = graph.node_count();
-        scratch.ensure(n);
         scratch.refresh_failed_mask(graph, failed);
         scratch.stats.full_rebuilds += 1;
-        scratch.next_epoch();
         scratch.heap.clear();
-        scratch.order.clear();
-
-        scratch.relax(dest, 0);
-        scratch.drain_heap(graph, |_, _| true);
 
         let mut out =
             SpTree { dest, dist: vec![NO_DIST; n], hops: vec![NO_HOPS; n], next: vec![NO_DART; n] };
-        for &u in &scratch.order {
-            out.dist[u.index()] = scratch.dist[u.index()];
+        out.dist[dest.index()] = 0;
+        out.hops[dest.index()] = 0;
+        scratch.heap.push(Reverse((0, dest.0)));
+        while let Some(Reverse((d, u))) = scratch.heap.pop() {
+            let u = NodeId(u);
+            if out.dist[u.index()] != d {
+                continue; // stale entry
+            }
+            let hu = out.hops[u.index()];
+            for &dart in graph.darts_from(u) {
+                if scratch.dart_failed(dart) {
+                    continue;
+                }
+                let v = graph.dart_head(dart);
+                let nd = d + u64::from(graph.weight(dart.link()));
+                let dv = out.dist[v.index()];
+                if nd > dv {
+                    continue;
+                }
+                // `v` routes over the twin dart `v → u`.
+                let key = parent_key(hu, u, dart.twin());
+                if nd < dv {
+                    out.dist[v.index()] = nd;
+                    scratch.heap.push(Reverse((nd, v.0)));
+                } else {
+                    let held = out.next[v.index()];
+                    let p = graph.dart_head(held);
+                    if key >= parent_key(out.hops[p.index()], p, held) {
+                        continue;
+                    }
+                }
+                out.hops[v.index()] = key.0;
+                out.next[v.index()] = dart.twin();
+            }
         }
-        select_parents(&mut out, graph, scratch);
         out
     }
 
@@ -508,9 +540,12 @@ impl SpTree {
         }
         scratch.cone = cone;
         for &u in &scratch.order {
-            out.dist[u.index()] = scratch.dist[u.index()];
+            let du = scratch.dist[u.index()];
+            let (h, dart) = select_parent(graph, scratch, u, du, |v| out.cost(v).zip(out.hops(v)));
+            out.dist[u.index()] = du;
+            out.hops[u.index()] = h;
+            out.next[u.index()] = dart;
         }
-        select_parents(&mut out, graph, scratch);
         out
     }
 

@@ -21,6 +21,23 @@ fn graphs_with_failures() -> impl Strategy<Value = (Graph, LinkSet)> {
     with_failures(graphs(), 8, false)
 }
 
+/// A ring with chords, weights in {1, 2}, with up to six of its links
+/// doubled by parallel ones of either weight, and up to eight links
+/// failed, cuts included: equal-cost routes, equal-hop parents and
+/// parallel darts to one parent everywhere, so every clause of the
+/// canonical tie-break decides some node.
+fn tied_graphs_with_failures() -> impl Strategy<Value = (Graph, LinkSet)> {
+    let doubled = proptest::collection::vec((0u32..u32::MAX, 1u32..=2), 0..6);
+    let graphs = (two_edge_connected(3..16, 0..10, 1..=2), doubled).prop_map(|(mut g, doubled)| {
+        for (pick, weight) in doubled {
+            let (a, b) = g.endpoints(LinkId(pick % g.link_count() as u32));
+            g.add_link(a, b, weight).expect("distinct endpoints");
+        }
+        g
+    });
+    with_failures(graphs, 8, false)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -223,6 +240,24 @@ proptest! {
                 SpTree::towards(&g, dest, &failed),
                 "dest {}", dest
             );
+        }
+    }
+
+    /// The one-pass Dijkstra against the plainest reference, every
+    /// destination: Bellman–Ford distances, then parents by the
+    /// canonical key in `(dist, id)` order. Held here rather than
+    /// against a second production path, so a defect in the key both
+    /// the rebuild and the repair build cannot cancel out.
+    #[test]
+    fn towards_is_the_bellman_ford_reference((g, failed) in tied_graphs_with_failures()) {
+        for dest in g.nodes() {
+            let tree = SpTree::towards(&g, dest, &failed);
+            let reference = pr_testkit::oracle::shortest_path_tree(&g, dest, &failed);
+            for u in g.nodes() {
+                let labels = tree.cost(u).map(|c| (c, tree.hops(u).unwrap(), tree.next_dart(u)));
+                prop_assert_eq!(labels, reference[u.index()], "dest {} node {}", dest, u);
+                prop_assert_eq!(tree.hops(u).is_some(), tree.reaches(u));
+            }
         }
     }
 

@@ -6,6 +6,7 @@
 //! | `pr_core::walk_packet` (one packet, hop by hop, fresh scratch) | `FlowUnit::walk`, `recover_flow_with`, `walk_packet_spliced`, every `pr_bench::lanes::Lane` | `bench/tests/kernel.rs`, `bench/tests/memo.rs`, `traffic/tests/properties.rs` |
 //! | `pr_traffic::replay_scenario_naive` (one `walk_packet` per flow, a scratch survivor tree per destination) | `replay_scenario_bitparallel` | `traffic/tests/properties.rs`, `traffic/tests/alloc_free.rs` |
 //! | `DenseFib::affected_into` (one pass over a whole tree) | `DenseFib::roots_into` and the cones replay walks off it | `traffic/tests/properties.rs` |
+//! | [`shortest_path_tree`] (Bellman–Ford, then parents by the canonical key in `(dist, id)` order) | `SpTree::towards` (parents picked while Dijkstra relaxes) | `graph/tests/properties.rs` |
 //! | `SpTree::towards` (Dijkstra from scratch) | `ConeOpener::open` (cone enumeration + label repair), `SpTree::repair_from` | `bench/tests/kernel.rs`, `topologies/tests/spt_repair.rs` |
 //! | [`stretch_serial`] | `pr_bench::stretch::{run_with_stats, run_rows}` | `bench/tests/determinism.rs` |
 //! | [`coverage_serial`] | `pr_bench::coverage::run` | `bench/tests/determinism.rs` |
@@ -13,9 +14,10 @@
 //! | `pr_bench::ablation`'s `Oracle` (in-crate) | `pr_dd_sweep`, `genus_delivery` | `ablation::tests` |
 //! | `pr_daemon::cold_recompile` (base + live trees + FIB from scratch) | `Twin`'s incremental event apply | `daemon/tests/equivalence.rs` |
 //!
-//! The first five rungs live beside the code they check — in-crate
-//! unit tests and `benchmark/` call them, and a crate's own unit tests
-//! cannot see this kit. The two sweep references live here.
+//! Every rung but the three linked ones lives beside the code it
+//! checks — in-crate unit tests and `benchmark/` call them, and a
+//! crate's own unit tests cannot see this kit. The tree reference and
+//! the two sweep references live here.
 //!
 //! **Independence.** No oracle reads `PrNetwork::base()`: each computes
 //! failure-free trees of its own (`AllPairs::compute_all_live`), so a
@@ -27,8 +29,65 @@ use pr_bench::coverage::{self, CoverageRow};
 use pr_bench::stretch::StretchSamples;
 use pr_core::{generous_ttl, walk_packet, DiscriminatorKind, PrMode, PrNetwork};
 use pr_embedding::CellularEmbedding;
-use pr_graph::{AllPairs, Graph, LinkSet, NodeId, SpTree};
+use pr_graph::{AllPairs, Dart, Graph, LinkSet, NodeId, SpTree};
 use pr_scenarios::{ScenarioFamily, ScenarioIter};
+
+/// The destination-rooted shortest-path tree towards `dest` over the
+/// links not in `failed`, as plainly as it can be spelled: one entry
+/// per node, `None` where the node cannot reach `dest`, else its
+/// `(cost, hops, next dart)` — no dart for `dest` itself.
+///
+/// Bellman–Ford relaxes every live link `n − 1` times for the
+/// distances. Parents are then chosen in ascending `(dist, id)` order,
+/// each node taking the smallest `(hops(parent) + 1, parent id, dart
+/// id)` over its live darts on a shortest path: weights are ≥ 1, so
+/// every such parent was labelled before it. No heap, no arena, and
+/// nothing shared with `SpTree::towards`, which picks the same parents
+/// while its Dijkstra relaxes.
+pub fn shortest_path_tree(
+    graph: &Graph,
+    dest: NodeId,
+    failed: &LinkSet,
+) -> Vec<Option<(u64, u32, Option<Dart>)>> {
+    let n = graph.node_count();
+    let mut dist: Vec<Option<u64>> = vec![None; n];
+    dist[dest.index()] = Some(0);
+    for _ in 1..n {
+        for link in graph.links().filter(|&l| !failed.contains(l)) {
+            let (a, b) = graph.endpoints(link);
+            let w = u64::from(graph.weight(link));
+            for (from, to) in [(a, b), (b, a)] {
+                if let Some(d) = dist[to.index()] {
+                    if dist[from.index()].is_none_or(|old| d + w < old) {
+                        dist[from.index()] = Some(d + w);
+                    }
+                }
+            }
+        }
+    }
+    let mut order: Vec<NodeId> = graph.nodes().filter(|u| dist[u.index()].is_some()).collect();
+    order.sort_by_key(|u| (dist[u.index()], u.0));
+    let mut tree: Vec<Option<(u64, u32, Option<Dart>)>> = vec![None; n];
+    tree[dest.index()] = Some((0, 0, None));
+    for u in order.into_iter().filter(|&u| u != dest) {
+        let du = dist[u.index()].expect("reachable");
+        let mut best: Option<(u32, u32, u32)> = None;
+        for &dart in graph.darts_from(u) {
+            if failed.contains_dart(dart) {
+                continue;
+            }
+            let v = graph.dart_head(dart);
+            let Some((dv, hv, _)) = tree[v.index()] else { continue };
+            let key = (hv + 1, v.0, dart.0);
+            if dv + u64::from(graph.weight(dart.link())) == du && best.is_none_or(|b| key < b) {
+                best = Some(key);
+            }
+        }
+        let (hops, _, dart) = best.expect("a reachable node has a parent on a shortest path");
+        tree[u.index()] = Some((du, hops, Some(Dart(dart))));
+    }
+    tree
+}
 
 /// The classification every sweep conditions on, as the plainest loop:
 /// for each scenario of `family`, destination and other node `src`

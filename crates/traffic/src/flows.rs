@@ -337,6 +337,52 @@ mod tests {
         assert_eq!(snap_to_grid(quantum / 8.0, quantum), quantum);
     }
 
+    /// The whole gravity compile against the per-pair formula: one
+    /// haversine per ordered pair, the norm summed in (dst, src)
+    /// order, each demand spelled `norm · m[src] · m[dst] / friction`
+    /// and snapped to the grid. The model reads friction off a table
+    /// of unordered pairs; no flow may move a bit for it.
+    #[test]
+    fn all_pairs_gravity_demands_are_the_per_pair_formula_on_the_grid() {
+        use pr_topologies::{Isp, Weighting};
+        let graphs = [
+            pr_topologies::load(Isp::Geant, Weighting::Distance),
+            generators::synth_from_spec("isp:40:7").unwrap(),
+        ];
+        for g in graphs {
+            let n = g.node_count();
+            let mut mass = vec![0.0; n];
+            for link in g.links() {
+                let (a, b) = g.endpoints(link);
+                mass[a.index()] += f64::from(g.weight(link));
+                mass[b.index()] += f64::from(g.weight(link));
+            }
+            let mass = &mass;
+            let factor = |src: NodeId, dst: NodeId| {
+                let at = |v| g.coordinates(v).unwrap();
+                let km = at(src).haversine_km(at(dst));
+                let friction = 1.0 + (km / 1000.0) * (km / 1000.0);
+                move |norm: f64| norm * mass[src.index()] * mass[dst.index()] / friction
+            };
+            let pairs = || {
+                g.nodes()
+                    .flat_map(|dst| g.nodes().map(move |src| (src, dst)))
+                    .filter(|(src, dst)| src != dst)
+            };
+            let raw: f64 = pairs().fold(0.0, |sum, (src, dst)| sum + factor(src, dst)(1.0));
+            let norm = (n * (n - 1)) as f64 / raw;
+            let demands: Vec<f64> = pairs().map(|(src, dst)| factor(src, dst)(norm)).collect();
+            let quantum = demand_quantum(demands.iter().sum());
+            let set = FlowSet::all_pairs(&crate::GravityTraffic::new(&g));
+            assert_eq!(set.len(), demands.len());
+            for ((f, (src, dst)), want) in set.flows().iter().zip(pairs()).zip(demands) {
+                assert_eq!((f.src, f.dst), (src, dst));
+                let want = snap_to_grid(want, quantum);
+                assert_eq!(f.demand.to_bits(), want.to_bits(), "{src}->{dst}");
+            }
+        }
+    }
+
     #[test]
     fn demand_lookup_finds_every_flow_of_full_and_sparse_groups() {
         let g = generators::ring(9, 1);

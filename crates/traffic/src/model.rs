@@ -107,12 +107,21 @@ impl TrafficModel for UniformTraffic {
 /// the ISP provisioned there — the population proxy the topology
 /// carries) and distance is the great-circle distance between the
 /// PoPs' coordinates.
+///
+/// The friction term is computed once per **unordered** pair, into a
+/// lower-triangular table (1 MB at 500 nodes; the front doors drop the
+/// model once their flow set is built): n(n−1)/2 haversines instead of
+/// one per ordered pair for the norm and one more per read. Reading `(a, b)`
+/// and `(b, a)` from one entry moves no bit, because the haversine is
+/// symmetric to the bit: IEEE subtraction gives `b − a = −(a − b)`,
+/// `sin` is odd and squaring drops the sign, and the cosine product
+/// commutes.
 #[derive(Debug, Clone, Serialize)]
 pub struct GravityTraffic {
     masses: Vec<f64>,
-    /// Each PoP's position as the haversine reads it: radians and the
-    /// latitude's cosine are per node, not per pair.
-    points: Vec<SpherePoint>,
+    /// `1 + (km / 1000)²` of every pair `i > j`, row-major from row 1:
+    /// entry `i (i − 1) / 2 + j` ([`GravityTraffic::friction`]).
+    friction: Vec<f64>,
     /// Normalisation factor making the total demand `n · (n − 1)`.
     norm: f64,
 }
@@ -143,11 +152,25 @@ impl GravityTraffic {
             .nodes()
             .map(|v| graph.coordinates(v).expect("fully located").on_sphere())
             .collect();
-        let mut model = GravityTraffic { masses, points, norm: 1.0 };
+        let mut friction = Vec::with_capacity(n * (n - 1) / 2);
+        for (i, &a) in points.iter().enumerate() {
+            friction.extend(points[..i].iter().map(|&b| {
+                let km = a.haversine_km(b);
+                1.0 + (km / GRAVITY_SCALE_KM) * (km / GRAVITY_SCALE_KM)
+            }));
+        }
+        let mut model = GravityTraffic { masses, friction, norm: 1.0 };
         let raw = model.total_demand();
         assert!(raw > 0.0, "gravity masses are all zero");
         model.norm = (n * (n - 1)) as f64 / raw;
         model
+    }
+
+    /// The friction term between two distinct nodes, either order.
+    #[inline]
+    fn friction(&self, a: NodeId, b: NodeId) -> f64 {
+        let (i, j) = if a > b { (a.index(), b.index()) } else { (b.index(), a.index()) };
+        self.friction[i * (i - 1) / 2 + j]
     }
 }
 
@@ -164,9 +187,7 @@ impl TrafficModel for GravityTraffic {
         if src == dst {
             return 0.0;
         }
-        let km = self.points[src.index()].haversine_km(self.points[dst.index()]);
-        let friction = 1.0 + (km / GRAVITY_SCALE_KM) * (km / GRAVITY_SCALE_KM);
-        self.norm * self.masses[src.index()] * self.masses[dst.index()] / friction
+        self.norm * self.masses[src.index()] * self.masses[dst.index()] / self.friction(src, dst)
     }
 }
 
@@ -324,8 +345,10 @@ mod tests {
         }
         let graphs = [
             geant(),
+            pr_topologies::load(Isp::Abilene, Weighting::Distance),
             pr_topologies::load(Isp::Teleglobe, Weighting::Distance),
             pr_graph::generators::synth_from_spec("isp:40:7").unwrap(),
+            pr_graph::generators::synth_from_spec("isp:500:2010").unwrap(),
         ];
         for g in graphs {
             let m = GravityTraffic::new(&g);
@@ -349,6 +372,27 @@ mod tests {
             }
             let n = g.node_count();
             assert_eq!(m.norm.to_bits(), ((n * (n - 1)) as f64 / raw).to_bits());
+        }
+    }
+
+    /// What lets one friction entry serve both directions of a pair:
+    /// `b − a = −(a − b)` in IEEE arithmetic, `sin` is odd, squaring
+    /// drops the sign and the cosine product commutes, so the distance
+    /// is the same to the bit either way round.
+    #[test]
+    fn the_haversine_is_symmetric_to_the_bit() {
+        let shipped = Isp::ALL.map(|isp| pr_topologies::load(isp, Weighting::Distance));
+        let synth = ["isp:40:7", "isp:40:2010", "isp:500:7", "isp:500:2010"]
+            .map(|spec| pr_graph::generators::synth_from_spec(spec).unwrap());
+        for g in shipped.iter().chain(&synth) {
+            let points: Vec<SpherePoint> =
+                g.nodes().map(|v| g.coordinates(v).unwrap().on_sphere()).collect();
+            for (i, &a) in points.iter().enumerate() {
+                for (j, &b) in points.iter().enumerate() {
+                    let (ab, ba) = (a.haversine_km(b), b.haversine_km(a));
+                    assert_eq!(ab.to_bits(), ba.to_bits(), "n{i} n{j}: {ab} against {ba}");
+                }
+            }
         }
     }
 

@@ -2,9 +2,11 @@
 //! path in DESIGN.md, README.md and the verify skill resolves — as a
 //! file or directory from the repo root, or as the suffix of a file in
 //! the tree (`tests/kernel.rs`, `alloc_sweep.rs`). A brace form
-//! (`benches/{a,b}.rs`) stands for each of its expansions, a `*` for
-//! any run of characters within one path component, and a Rust item
-//! after a path (`x.rs::test_name`) is not part of it. What no checkout
+//! (`benches/{a,b}.rs`) stands for each of its expansions, and a `*` for
+//! any run of characters within one path component. A Rust item after
+//! a path (`x.rs::test_name`) must be a `fn` of the file the path
+//! names, and a bare `::test_name` — the claims ledger's continuation
+//! form — one of the last path named on its line. What no checkout
 //! holds — generated output — is in [`GENERATED`].
 
 use std::path::Path;
@@ -99,14 +101,40 @@ fn matches(pattern: &str, text: &str) -> bool {
 fn resolves(path: &str, tree: &[String]) -> bool {
     let path = path.trim_end_matches('/');
     tree.iter().any(|file| {
-        let starts = std::iter::once(0).chain(file.match_indices('/').map(|(i, _)| i + 1));
-        starts
-            .flat_map(|start| {
-                let suffix = &file[start..];
+        suffixes(file)
+            .flat_map(|suffix| {
                 let ends = suffix.match_indices('/').map(|(i, _)| i).chain([suffix.len()]);
                 ends.map(move |end| &suffix[..end])
             })
             .any(|candidate| matches(path, candidate))
+    })
+}
+
+/// Every suffix of `file` that starts at a path component, the whole
+/// path first.
+fn suffixes(file: &str) -> impl Iterator<Item = &str> {
+    let starts = std::iter::once(0).chain(file.match_indices('/').map(|(i, _)| i + 1));
+    starts.map(move |start| &file[start..])
+}
+
+/// The item a span names after a path, `x.rs::item` (`None`: no item,
+/// or not a Rust identifier). A longer item path names its last
+/// segment.
+fn as_item(span: &str) -> Option<&str> {
+    let item = span.split_once("::")?.1.rsplit("::").next()?;
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    (!item.is_empty() && item.chars().all(ident)).then_some(item)
+}
+
+/// Whether some file of `tree` that `path` names — from the root, or
+/// as a suffix starting at a component — defines `fn item`; `read`
+/// gives a file's text.
+fn defines(path: &str, item: &str, tree: &[String], read: impl Fn(&str) -> String) -> bool {
+    let spelled = format!("fn {item}");
+    tree.iter().filter(|file| suffixes(file).any(|suffix| matches(path, suffix))).any(|file| {
+        let text = read(file);
+        let mut at = text.match_indices(&spelled).map(|(i, _)| i + spelled.len());
+        at.any(|end| text[end..].starts_with(['(', '<']))
     })
 }
 
@@ -119,24 +147,44 @@ fn every_backticked_repo_path_in_the_docs_resolves() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut tree = Vec::new();
     files(root, root, &mut tree);
+    let read = |file: &str| std::fs::read_to_string(root.join(file)).expect("a readable file");
     let mut unresolved = Vec::new();
-    let mut checked = 0;
+    let (mut checked, mut items) = (0, 0);
     for doc in DOCS {
-        let text = std::fs::read_to_string(root.join(doc)).expect("a checked document");
+        let text = read(doc);
+        // The last path named on the current line, for `::item` spans.
+        let mut last: Option<(usize, String)> = None;
         for (line, span) in code_spans(&text) {
-            let Some(path) = as_path(&span) else { continue };
-            if generated(path) {
+            let path = match (as_path(&span), span.strip_prefix("::")) {
+                (Some(path), _) => path.to_string(),
+                (None, Some(_)) => match &last {
+                    Some((at, path)) if *at == line => path.clone(),
+                    _ => {
+                        unresolved.push(format!("{doc}:{line}: `{span}` continues no path"));
+                        continue;
+                    }
+                },
+                (None, None) => continue,
+            };
+            if generated(&path) {
                 continue;
             }
-            for expanded in expand(path) {
+            for expanded in expand(&path) {
                 checked += 1;
                 if !resolves(&expanded, &tree) {
                     unresolved.push(format!("{doc}:{line}: `{span}` ({expanded})"));
+                } else if let Some(item) = as_item(&span) {
+                    items += 1;
+                    if !defines(&expanded, item, &tree, read) {
+                        unresolved.push(format!("{doc}:{line}: `{span}` (no fn {item})"));
+                    }
                 }
             }
+            last = Some((line, path));
         }
     }
     assert!(checked > 100, "only {checked} paths checked: the scanner lost the docs");
+    assert!(items > 5, "only {items} test names checked: the scanner lost the ledger");
     assert!(unresolved.is_empty(), "paths that name nothing:\n{}", unresolved.join("\n"));
 }
 
@@ -157,6 +205,21 @@ fn the_resolver_tells_a_stale_path_from_a_live_one() {
     let paths: Vec<_> = spans.iter().filter_map(|(_, s)| as_path(s)).collect();
     assert_eq!(paths, ["x.rs", "crates/y"]);
     assert_eq!(as_path("kernel.rs::a_test"), Some("kernel.rs"));
+    assert_eq!(as_item("kernel.rs::a_test"), Some("a_test"));
+    assert_eq!(as_item("::a_test"), Some("a_test"));
+    assert_eq!(as_item("x.rs::tests::a_test"), Some("a_test"));
+    assert_eq!(as_item("kernel.rs"), None);
+    let read = |file: &str| match file {
+        "crates/bench/tests/kernel.rs" => "#[test]\nfn a_live_test() {}\nfn generic<T>() {}".into(),
+        _ => String::new(),
+    };
+    for live in ["a_live_test", "generic"] {
+        assert!(defines("tests/kernel.rs", live, &tree, read), "{live}");
+    }
+    for stale in ["a_stale_test", "a_live", "live_test"] {
+        assert!(!defines("tests/kernel.rs", stale, &tree, read), "{stale}");
+    }
+    assert!(!defines("benches/walks.rs", "a_live_test", &tree, read), "in another file");
     for not_a_path in ["/metrics", "--threads", ".topo", "pr_core::walk_packet", "1 / 2"] {
         assert_eq!(as_path(not_a_path), None, "{not_a_path}");
     }
