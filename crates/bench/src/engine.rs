@@ -27,11 +27,11 @@
 //!   priced, not walked: a cone has one failure point, and what either
 //!   scheme pays from there is known without a hop loop. Under two or
 //!   more, and for every other scheme, a lane walks through
-//!   `pr_core`'s flow unit, which evicts that scheme's suffix memo at
-//!   the only place it can be evicted and walks once per **failure
-//!   point** — the router where the scheme first does anything but
-//!   forward along the failure-free tree — answering every source
-//!   behind a point by arithmetic. Sources outside the cone are never
+//!   `pr_core`'s flow unit, which settles each **failure point** once
+//!   — the router where the scheme first does anything but forward
+//!   along the failure-free tree; PR's as an episode chain where one
+//!   delivers, any other with one plain hop loop — answering every
+//!   source behind a point by arithmetic. Sources outside the cone are never
 //!   asked: their shortest path survives and every scheme here
 //!   delivers along it (`pr_core`'s `fib` module has the argument).
 //! * **Work-unit parallelism** — units fan out over a hand-rolled

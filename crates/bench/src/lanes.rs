@@ -226,8 +226,8 @@ impl<L: Lane> LaneUnit<'_, L> {
         matches!(self.answer, Answer::Priced(..))
     }
 
-    /// Moves the unit's counters into `stats`: the walk memo's, if it
-    /// walked, and the scheme's own ([`Lane::count`]).
+    /// Moves the unit's counters into `stats`: the flow unit's walk
+    /// counters, if it walked, and the scheme's own ([`Lane::count`]).
     pub fn take_stats(&mut self, stats: &mut SweepStats) {
         if let Answer::Walked(walks, _) = &mut self.answer {
             stats.memo.merge(&walks.take_stats());

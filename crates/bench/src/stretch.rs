@@ -147,16 +147,19 @@ pub fn run(
 }
 
 /// Auxiliary statistics of one stretch sweep: the cone opener's repair
-/// counters, walk-memo counters (FCP and PR memos summed), the FCP
-/// route memo's, which fills under two or more failures only, and what
-/// the lanes priced instead of walking, which is every unit under one.
+/// counters, the walk counters of the lanes' flow units (FCP and PR
+/// summed), the FCP route memo's, which fills under two or more
+/// failures only, and what the lanes priced instead of walking, which
+/// is every unit under one.
 /// Integer counters, so totals are thread-count invariant. This is what
 /// `pr sweep --stats` prints.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SweepStats {
     /// Shortest-path-tree repair counters.
     pub repair: RepairStats,
-    /// Suffix-memo counters of the walk engine.
+    /// Walk counters of the lanes' flow units: walks, walked steps,
+    /// chains and shared sources. No sweep opens a suffix memo, so its
+    /// counters (`lookups`, `hits`, `spliced_steps`) stay 0.
     pub memo: MemoStats,
     /// Fill counters of the FCP route memo.
     pub routes: RouteStats,
@@ -205,8 +208,8 @@ impl LaneStats {
 /// [`run`], additionally reporting the sweep's auxiliary statistics
 /// ([`SweepStats`]): the repair cone fraction is the share of
 /// per-destination labels a scenario actually forced us to recompute,
-/// and the memo hit rate / spliced share say how much walking the
-/// suffix memo answered from cache.
+/// and the walk counters say how many failure points were walked
+/// rather than priced.
 pub fn run_with_stats(
     graph: &Graph,
     pr: &PrNetwork,
@@ -249,7 +252,7 @@ pub trait StretchFold {
 pub struct StretchBlock {
     /// Samples and conditioning counts of the block's units.
     pub samples: StretchSamples,
-    /// Repair and memo counters of the block's units.
+    /// Repair and walk counters of the block's units.
     pub stats: SweepStats,
     /// Links the block's scenario fails.
     pub failures: usize,

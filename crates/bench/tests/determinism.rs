@@ -173,27 +173,28 @@ fn positive_genus_mesh_sweeps_parallel_equal_serial() {
     stretch_is_deterministic_on(&g, &pr, &SingleLinkFailures::new(&g));
 }
 
-/// The PR 8 acceptance criterion in miniature: per-scenario aggregates
-/// from the suffix-**memoized** walk engine (`run_rows`, what `pr
-/// sweep` ships) must be bit-identical to rows aggregated from the
-/// plain `walk_packet` oracle (`stretch_serial`) at every pool size. The
+/// The sweep's acceptance criterion in miniature: per-scenario
+/// aggregates from the unit kernel (`run_rows`, what `pr sweep` ships:
+/// priced lanes, episode chains, one walk per point) must be
+/// bit-identical to rows aggregated from the plain `walk_packet`
+/// oracle (`stretch_serial`) at every pool size. The
 /// isp-1000 exhaustive sweep this gates is too slow for tier-1, so a
 /// 120-node instance of the same synthetic ISP family stands in — and
 /// of its single failures every eighth, because the oracle's honest
 /// FCP agent runs a Dijkstra per hop; the equivalence argument
 /// (DESIGN.md §6) is size-independent.
 #[test]
-fn synth_mesh_memoized_rows_equal_plain_rows() {
+fn synth_mesh_sweep_rows_equal_plain_rows() {
     let Net { g, pr, .. } = Net::mesh120();
     let singles = SingleLinkFailures::new(&g);
     let sampled: Vec<_> = (0..singles.len()).step_by(8).map(|i| singles.scenario(i)).collect();
     let reference = oracle_rows(&g, &pr, &sampled);
     assert!(reference.iter().all(|row| row.evaluated_pairs > 0 && row.undelivered == 0));
     for threads in SWEEP_THREAD_COUNTS {
-        let (memoized, _) = pr_bench::stretch::run_rows(&g, &pr, &sampled, threads, 0);
+        let (rows, _) = pr_bench::stretch::run_rows(&g, &pr, &sampled, threads, 0);
         assert_eq!(
-            memoized, reference,
-            "memoized ScenarioRows diverged from the plain walker at {threads} threads"
+            rows, reference,
+            "sweep ScenarioRows diverged from the plain walker at {threads} threads"
         );
     }
 }
@@ -233,7 +234,7 @@ fn synth_mesh_single_failure_units_repair_their_cone_once() {
         assert_eq!((routes.repaired, routes.cone_nodes), (0, 0), "{threads} threads");
         // Under one failure neither lane walks: every busy unit is
         // priced, FCP from the repaired labels and PR from one episode,
-        // and the walk memo is never opened.
+        // and no flow unit walks, chains or answers a source.
         let lanes = stats.lanes;
         let priced = (lanes.fcp_priced, lanes.pr_priced, lanes.pr_episodes);
         assert_eq!(priced, (busy, busy, busy), "{threads} threads");

@@ -195,20 +195,34 @@ impl Args {
         self.options.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Typed option, `None` when absent.
-    pub fn optional<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, ArgError> {
+    /// Typed option, `None` when absent. A float must be finite: `nan`
+    /// slips past every `x < 0.0` check behind it, and no rate, radius
+    /// or factor is infinite.
+    pub fn optional<T: std::str::FromStr + 'static>(
+        &self,
+        name: &str,
+    ) -> Result<Option<T>, ArgError> {
         let parse = |text: &str| {
-            text.parse().map_err(|_| ArgError::BadValue {
+            let bad = |expected| ArgError::BadValue {
                 name: format!("--{name}"),
                 value: text.to_string(),
-                expected: std::any::type_name::<T>(),
-            })
+                expected,
+            };
+            let value: T = text.parse().map_err(|_| bad(std::any::type_name::<T>()))?;
+            match (&value as &dyn std::any::Any).downcast_ref::<f64>() {
+                Some(x) if !x.is_finite() => Err(bad("a finite f64")),
+                _ => Ok(value),
+            }
         };
         self.option(name).map(parse).transpose()
     }
 
     /// Typed option with a default.
-    pub fn option_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
+    pub fn option_or<T: std::str::FromStr + 'static>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, ArgError> {
         Ok(self.optional(name)?.unwrap_or(default))
     }
 }
@@ -262,6 +276,18 @@ mod tests {
     fn bad_typed_value() {
         let a = args("--seed banana").unwrap();
         assert!(matches!(a.option_or("seed", 0u64), Err(ArgError::BadValue { .. })));
+    }
+
+    #[test]
+    fn a_float_option_must_be_finite() {
+        for text in ["nan", "NaN", "inf", "-inf", "infinity", "1e999"] {
+            let a = args(&format!("--radius {text}")).unwrap();
+            let err = a.optional::<f64>("radius").unwrap_err();
+            assert!(matches!(&err, ArgError::BadValue { name, .. } if name == "--radius"), "{err}");
+            assert!(err.to_string().contains("finite"), "{err}");
+        }
+        assert_eq!(args("--radius -5").unwrap().optional::<f64>("radius"), Ok(Some(-5.0)));
+        assert_eq!(args("--k 3").unwrap().optional::<usize>("k"), Ok(Some(3)));
     }
 
     #[test]

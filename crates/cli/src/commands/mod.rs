@@ -418,6 +418,9 @@ fn topological_family<'a>(
                     .into());
             }
             let radius: f64 = args.option_or("radius", 500.0)?;
+            if radius < 0.0 {
+                return Err(format!("--radius wants km >= 0, got {radius}").into());
+            }
             Box::new(SrlgFailures::new(graph, radius))
         }
         "exhaustive" => Box::new(ExhaustiveKFailures::new(graph, k)),
@@ -829,5 +832,119 @@ mod tests {
     fn walk_rejects_bad_mode_and_nodes() {
         assert!(run("walk figure1 A F --mode turbo").is_err());
         assert!(run("walk figure1 A Z").is_err());
+    }
+
+    /// The documents whose `pr …` spans must name what the table holds.
+    const DOCS: [&str; 3] = ["DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md"];
+
+    /// Spans that show a command line failing on purpose.
+    const DELIBERATE_FAILURES: &[&str] = &["pr sweep --rate 5"];
+
+    /// The `pr <sub> …` inline code spans of a Markdown text outside
+    /// fenced blocks, whitespace-normalised, with the line each starts
+    /// on.
+    fn command_spans(text: &str) -> Vec<(usize, String)> {
+        let mut prose = String::new();
+        let mut fenced = false;
+        for line in text.lines() {
+            let fence = line.trim_start().starts_with("```");
+            fenced ^= fence;
+            prose.push_str(if fenced || fence { "" } else { line });
+            prose.push('\n');
+        }
+        let mut spans = Vec::new();
+        let mut rest = prose.as_str();
+        while let Some(open) = rest.find('`') {
+            let Some(close) = rest[open + 1..].find('`') else { break };
+            let line = prose[..prose.len() - rest.len() + open].matches('\n').count() + 1;
+            let words: Vec<&str> = rest[open + 1..open + 1 + close].split_whitespace().collect();
+            if words.len() > 1 && words[0] == "pr" {
+                spans.push((line, words.join(" ")));
+            }
+            rest = &rest[open + close + 2..];
+        }
+        spans
+    }
+
+    /// What `span` (`pr <sub> …`) names that the table does not: a
+    /// subcommand, a `--flag` the subcommand's rows do not own, or an
+    /// experiment row. Among rows sharing a name, the ones whose
+    /// synopsis starts with the span's second word, else all of them.
+    fn stale_in(span: &str) -> Option<String> {
+        let words: Vec<&str> = span.split_whitespace().skip(1).collect();
+        let named: Vec<&Command> = COMMANDS.iter().filter(|c| c.name == words[0]).collect();
+        if named.is_empty() {
+            return Some(format!("no subcommand {:?}", words[0]));
+        }
+        let serves = |c: &&&Command| {
+            let actions = c.synopsis.split_whitespace().next().unwrap_or("");
+            words.get(1).is_some_and(|word| actions.split('|').any(|a| a == *word))
+        };
+        let rows: Vec<&Command> = match named.iter().filter(serves).copied().collect::<Vec<_>>() {
+            served if served.is_empty() => named,
+            served => served,
+        };
+        let owns = |flag: &str| {
+            rows.iter().flat_map(|c| c.options.iter().copied().flatten()).any(|o| o.name == flag)
+        };
+        for word in &words[1..] {
+            let Some(flag) = word.trim_start_matches(['[', '(']).strip_prefix("--") else {
+                continue;
+            };
+            let flag = flag.split(|c: char| !c.is_ascii_alphanumeric() && c != '-').next().unwrap();
+            if !owns(flag) {
+                return Some(format!("pr {} has no --{flag}", words[0]));
+            }
+        }
+        let row = words.get(1).filter(|w| words[0] == "experiment" && !w.starts_with(['<', '-']));
+        match row {
+            Some(row) if !experiment::EXPERIMENTS.iter().any(|(name, ..)| name == row) => {
+                Some(format!("no experiment row {row:?}"))
+            }
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn the_docs_name_only_commands_flags_and_rows_the_table_holds() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let (mut checked, mut deliberate, mut stale) = (0, 0, Vec::new());
+        for doc in DOCS {
+            let text = std::fs::read_to_string(root.join(doc)).expect("a readable doc");
+            for (line, span) in command_spans(&text) {
+                checked += 1;
+                match stale_in(&span) {
+                    Some(_) if DELIBERATE_FAILURES.contains(&span.as_str()) => deliberate += 1,
+                    Some(why) => stale.push(format!("{doc}:{line}: `{span}`: {why}")),
+                    None => {}
+                }
+            }
+        }
+        assert!(checked > 50, "only {checked} command spans checked: the scanner lost the docs");
+        assert_eq!(deliberate, DELIBERATE_FAILURES.len(), "an allowed failure left the docs");
+        assert!(stale.is_empty(), "doc commands the CLI does not have:\n{}", stale.join("\n"));
+    }
+
+    #[test]
+    fn a_stale_command_span_is_named_by_its_line() {
+        let doc = "Run `pr sweep geant --family\nsingle --stats`, then\n\
+                   `pr sweep geant --memo`, `pr experiment fig9`, `pr frob x`,\n\
+                   ```sh\n`pr sweep --fenced`\n```\n\
+                   `pr daemon stop --addr-file x`, `pr daemon status --format json`,\n\
+                   `pr daemon stop --format json`.";
+        let found: Vec<(usize, Option<String>)> =
+            command_spans(doc).into_iter().map(|(line, span)| (line, stale_in(&span))).collect();
+        assert_eq!(
+            found,
+            [
+                (1, None),
+                (3, Some("pr sweep has no --memo".into())),
+                (3, Some("no experiment row \"fig9\"".into())),
+                (3, Some("no subcommand \"frob\"".into())),
+                (7, None),
+                (7, None),
+                (8, Some("pr daemon has no --format".into())),
+            ]
+        );
     }
 }

@@ -199,7 +199,7 @@ pub fn sweep(args: &Args) -> CmdResult {
             );
             print_mean_stretch(report.mean);
             if args.flag("stats") {
-                let (repair, memo) = (&stats.repair, &stats.memo);
+                let (repair, walks) = (&stats.repair, &stats.memo);
                 let (cone, hit) = (100.0 * repair.cone_fraction(), 100.0 * repair.hit_rate());
                 // Under one failed link a reverse unit's cone is read
                 // off its link's mirror: a repair answered, not run.
@@ -210,11 +210,9 @@ pub fn sweep(args: &Args) -> CmdResult {
                 );
                 // Under two or more failures a PR point is priced as an
                 // episode chain where it delivers, and walked otherwise.
-                let (hit, spliced) = (100.0 * memo.hit_rate(), 100.0 * memo.spliced_share());
                 println!(
-                    "walk memo:     {} walks, {} chains for {} sources, hit rate {hit:.1}% \
-                     ({} splices / {} lookups), spliced steps {spliced:.1}% of walk work",
-                    memo.walks, memo.chained, memo.shared, memo.hits, memo.lookups
+                    "walks:         {} walks, {} chains for {} sources, {} steps walked",
+                    walks.walks, walks.chained, walks.shared, walks.walked_steps
                 );
                 let routes = &stats.routes;
                 println!(

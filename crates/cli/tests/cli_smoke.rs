@@ -26,6 +26,24 @@ fn help_prints_usage_and_exits_zero() {
 }
 
 #[test]
+fn a_closed_stdout_ends_the_process_quietly() {
+    for args in [&["help"][..], &["info", "abilene"], &["tables", "figure1", "D"]] {
+        // The read end is gone before the binary starts: its first
+        // write meets a broken pipe.
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_pr-cli"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("pr-cli binary runs");
+        let err = stderr(&out);
+        assert!(!err.contains("panicked") && err.is_empty(), "{args:?}: {err}");
+        assert_eq!(out.status.code(), Some(141), "{args:?}");
+    }
+}
+
+#[test]
 fn no_arguments_is_an_error_with_usage() {
     let out = run(&[]);
     assert_eq!(out.status.code(), Some(2));
@@ -65,6 +83,25 @@ fn bad_option_value_is_an_error() {
 }
 
 #[test]
+fn non_finite_and_negative_float_options_are_errors_not_panics() {
+    let cases: [(&[&str], &str); 6] = [
+        (&["traffic", "geant", "--model", "hotspot", "--boost", "nan"], "--boost"),
+        (&["traffic", "geant", "--model", "hotspot", "--boost", "inf"], "--boost"),
+        (&["impair", "geant", "--process", "gilbert", "--rate", "nan"], "--rate"),
+        (&["impair", "geant", "--process", "storm", "--radius", "nan"], "--radius"),
+        (&["sweep", "geant", "--family", "srlg", "--radius", "-5"], "--radius"),
+        (&["sweep", "geant", "--family", "srlg", "--radius", "nan"], "--radius"),
+    ];
+    for (args, flag) in cases {
+        let out = run(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(flag), "{args:?} must name {flag}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn info_runs_on_every_named_topology() {
     for topo in ["abilene", "teleglobe", "geant", "figure1"] {
         let out = run(&["info", topo]);
@@ -96,14 +133,17 @@ fn sweep_runs_topological_and_temporal_families() {
 }
 
 #[test]
-fn sweep_stats_reports_repair_and_walk_memo() {
+fn sweep_stats_reports_repair_and_walks() {
     let out = run(&["sweep", "figure1", "--family", "single", "--stats", "--threads", "2"]);
     assert!(out.status.success(), "sweep --stats failed: {}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("spt repair:"), "repair stats line missing:\n{text}");
-    assert!(text.contains("walk memo:"), "memo stats line missing:\n{text}");
-    assert!(text.contains("hit rate"), "memo hit rate missing:\n{text}");
-    assert!(text.contains("spliced steps"), "spliced-steps share missing:\n{text}");
+    // Single failures are priced: nothing is walked or chained.
+    assert!(
+        text.contains("walks:         0 walks, 0 chains for 0 sources, 0 steps walked"),
+        "walks line missing or a single failure was walked:\n{text}"
+    );
+    assert!(!text.contains("memo:"), "no walk memo is left to report:\n{text}");
     // Single failures: every busy unit's cone is repaired once, by the
     // opener, and the FCP lane is priced from those labels.
     assert!(
@@ -146,7 +186,7 @@ fn plain_and_sharded_sweeps_leave_the_same_artefacts_and_stats_lines() {
 affected connected pairs: 398, disconnected (excluded): 0, undelivered: 0 (fcp 0, packet-recycling 0)
 mean stretch:  reconvergence 2.274  fcp 2.590  packet-recycling 3.612
 spt repair:    180 repairs (0 mirrored), cone 36.9% of nodes (hit rate 63.1%), 0 full rebuilds
-walk memo:     288 walks, 240 chains for 796 sources, hit rate 3.5% (27 splices / 775 lookups), spliced steps 5.2% of walk work
+walks:         288 walks, 240 chains for 796 sources, 789 steps walked
 fcp routes:    357 repaired (cone nodes 662)
 closed forms:  fcp 0 units priced, packet-recycling 0 units priced (0 episodes), of 180 with a cone
 ";

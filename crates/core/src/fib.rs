@@ -22,9 +22,9 @@
 //!   along the tree, settles each point **once** — **priced, or
 //!   walked**: priced as a chain of staged episodes and tree segments
 //!   when the agent has one and the chain delivers within the budget,
-//!   else walked through the walker's one hop loop and the unit's
-//!   [`SuffixMemo`] — and answers every source behind a point by
-//!   arithmetic ([`FlowUnit::walk`], what the scenario sweeps call).
+//!   else walked once through the walker's one plain hop loop — and
+//!   answers every source behind a point by arithmetic
+//!   ([`FlowUnit::walk`], what the scenario sweeps call).
 //!   Replay settles the points itself through [`recover_flow_with`],
 //!   which also hands it the darts to load. Nothing here allocates per
 //!   flow.
@@ -44,11 +44,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use pr_graph::{AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, SpTree, TreeChildren};
 
-use crate::memo::MemoHit;
-use crate::walker::{walk_hops, Seed};
+use crate::walker::walk_hops;
 use crate::{
     DropReason, ForwardDecision, ForwardingAgent, Leg, MemoStats, Recycled, StagedEpisode,
-    SuffixMemo, WalkResult, WalkScratch,
+    WalkResult, WalkScratch,
 };
 
 /// Identity of one construction of a value that is expensive to
@@ -325,14 +324,14 @@ struct Stamped<T> {
 }
 
 /// Reusable per-worker state of one scheme's walks, replay's and the
-/// sweeps' alike: the livelock detector and the per-unit suffix memo,
-/// the dart buffer a walk stages its path in (released to a caller's
-/// `on_dart` hook only once the flow is known to deliver, so a dropped
-/// walk leaves no load behind), the unit's two node-indexed tables
-/// — where each climbed router's **point** is, and what each point's
-/// one walk came to — and the episodes of the failed set in hand,
-/// which every unit under that set chains. All of it is sized to the
-/// topology once.
+/// sweeps' alike: the livelock detector, the dart buffer a walk stages
+/// its path in (released to a caller's `on_dart` hook only once the
+/// flow is known to deliver, so a dropped walk leaves no load behind),
+/// the unit's two node-indexed tables — where each climbed router's
+/// **point** is, and what each point's one settlement came to — the
+/// episodes of the failed set in hand, which every unit under that set
+/// chains, and the walk counters. All of it is sized to the topology
+/// once.
 ///
 /// A scratch serves one agent on one topology, as a worker's does:
 /// the staged episodes are kept across units while the failed set
@@ -342,7 +341,6 @@ struct Stamped<T> {
 #[derive(Debug)]
 pub struct FlowScratch<S> {
     walk: WalkScratch<S>,
-    memo: SuffixMemo<S>,
     path: Vec<Dart>,
     /// Per router, the point the climb from it ends at.
     point: Vec<Stamped<u32>>,
@@ -350,11 +348,10 @@ pub struct FlowScratch<S> {
     outcome: Vec<Stamped<FlowWalk>>,
     /// Stamp of the open unit (starts at 1: zeroed entries are stale).
     unit: u32,
-    /// What the unit's latest delivered walk has to teach the memo. It
-    /// is planted when the unit walks again — most units have a single
-    /// point, and a memo nobody will read is not worth building.
-    unplanted: Option<Seed>,
     episodes: Episodes,
+    /// Walks, walked steps, shared sources and chains since the counters
+    /// were last taken ([`FlowUnit::take_stats`]).
+    stats: MemoStats,
 }
 
 impl<S> FlowScratch<S> {
@@ -362,13 +359,12 @@ impl<S> FlowScratch<S> {
     pub fn new() -> FlowScratch<S> {
         FlowScratch {
             walk: WalkScratch::new(),
-            memo: SuffixMemo::new(),
             path: Vec::new(),
             point: Vec::new(),
             outcome: Vec::new(),
             unit: 1,
-            unplanted: None,
             episodes: Episodes::new(),
+            stats: MemoStats::default(),
         }
     }
 
@@ -381,11 +377,11 @@ impl<S> FlowScratch<S> {
     /// Opens the work unit of flows towards `tree.dest` under `failed`,
     /// forwarded by `agent` — `tree` being the destination's
     /// failure-free tree, the one the agent forwards along while it
-    /// meets no failure. Evicts whatever the previous unit memoized
-    /// and returns the guard the flow walkers take. Memoized suffixes
-    /// and point outcomes are valid for exactly one such unit, and the
-    /// guard is the only way to walk, so the function that owns the
-    /// destination loop cannot forget the boundary.
+    /// meets no failure. Forgets the previous unit's points and returns
+    /// the guard the flow walkers take. Points and their outcomes are
+    /// valid for exactly one such unit, and the guard is the only way
+    /// to walk, so the function that owns the destination loop cannot
+    /// forget the boundary.
     pub fn unit<'a, A: ForwardingAgent<State = S>>(
         &'a mut self,
         graph: &'a Graph,
@@ -393,8 +389,6 @@ impl<S> FlowScratch<S> {
         tree: &'a SpTree,
         failed: &'a LinkSet,
     ) -> FlowUnit<'a, A> {
-        self.memo.begin_unit();
-        self.unplanted = None;
         let n = graph.node_count();
         if self.unit == u32::MAX || self.point.len() != n {
             // A new topology, or stamp wrap-around (once per 2^32
@@ -526,7 +520,7 @@ impl<S> Default for FlowScratch<S> {
 
 /// One open (failed set, destination) unit on a [`FlowScratch`]: what
 /// every flow of the unit has in common, and therefore everything the
-/// unit's suffix memo and point tables are keyed by. Obtained from
+/// unit's point tables are keyed by. Obtained from
 /// [`FlowScratch::unit`].
 ///
 /// # One walk per failure point
@@ -659,19 +653,19 @@ where
         } else if let Some(priced) = self.chain(point, ttl) {
             priced
         } else {
-            self.hop_walk(point, ttl, true).0
+            self.hop_walk(point, ttl, true)
         };
         let answer = match settled {
             FlowWalk::Recovered { cost, hops } => {
                 let (ahead_cost, ahead_hops) = self.ahead(src, point);
                 if ahead_hops as usize + hops as usize > ttl {
-                    return self.hop_walk(src, ttl, false).0;
+                    return self.hop_walk(src, ttl, false);
                 }
                 FlowWalk::Recovered { cost: ahead_cost + cost, hops: ahead_hops + hops }
             }
             dropped => dropped,
         };
-        self.scratch.memo.record_shared();
+        self.scratch.stats.shared += 1;
         answer
     }
 
@@ -742,7 +736,7 @@ where
         }
         let flow = FlowWalk::Recovered { cost, hops: hops as u32 };
         self.scratch.outcome[point.index()] = Stamped { unit: self.scratch.unit, value: flow };
-        self.scratch.memo.record_chained();
+        self.scratch.stats.chained += 1;
         Some(flow)
     }
 
@@ -768,17 +762,12 @@ where
         }
     }
 
-    /// Runs the walker's one hop loop from `src` with the unit's memo,
-    /// staging the darts it takes, and reports the flow with the
-    /// memoized tail it was spliced onto, if it was. When `src` is its
-    /// own point (`is_point`) the outcome is recorded for the sources
-    /// behind it — unless the budget ran out, which says nothing about
-    /// a larger one.
-    fn hop_walk(&mut self, src: NodeId, ttl: usize, is_point: bool) -> (FlowWalk, Option<MemoHit>) {
-        let FlowScratch { walk, memo, path, outcome, unit, unplanted, .. } = &mut *self.scratch;
-        if let Some(seed) = unplanted.take() {
-            seed.plant(self.graph, walk, memo);
-        }
+    /// Runs the walker's one hop loop from `src`, staging the darts it
+    /// takes. When `src` is its own point (`is_point`) the outcome is
+    /// recorded for the sources behind it — unless the budget ran out,
+    /// which says nothing about a larger one.
+    fn hop_walk(&mut self, src: NodeId, ttl: usize, is_point: bool) -> FlowWalk {
+        let FlowScratch { walk, path, outcome, unit, stats, .. } = &mut *self.scratch;
         path.clear();
         let hops = walk_hops(
             self.graph,
@@ -788,10 +777,11 @@ where
             self.failed,
             ttl,
             walk,
-            Some(memo),
+            None,
             |d| path.push(d),
         );
-        *unplanted = hops.seed;
+        stats.walks += 1;
+        stats.walked_steps += hops.steps as u64;
         let flow = match hops.result {
             WalkResult::Delivered => {
                 FlowWalk::Recovered { cost: hops.cost, hops: hops.steps as u32 }
@@ -801,13 +791,14 @@ where
         if is_point && flow != FlowWalk::Dropped(DropReason::TtlExpired) {
             outcome[src.index()] = Stamped { unit: *unit, value: flow };
         }
-        (flow, hops.spliced)
+        flow
     }
 
-    /// The unit memo's counters since they were last taken (see
-    /// [`SuffixMemo::take_stats`]).
+    /// The scratch's walk counters since they were last taken: `walks`,
+    /// `walked_steps`, `shared` and `chained` (a flow unit has no memo,
+    /// so the memo's counters stay 0).
     pub fn take_stats(&mut self) -> MemoStats {
-        self.scratch.memo.take_stats()
+        std::mem::take(&mut self.scratch.stats)
     }
 }
 
@@ -819,12 +810,9 @@ where
 ///
 /// A point is priced as a chain if its agent has one and it delivers
 /// within `ttl` ([`FlowUnit`], "Chains"), its darts read off the
-/// staged episodes and the tree; anything else is the walker's one hop
-/// loop with the unit's suffix memo (see
-/// [`walk_packet_spliced`](crate::walk_packet_spliced) for why a
-/// splice is exact), the darts of a spliced tail read off the memoized
-/// chain. Either way outcome, cost, hops and emitted darts are those
-/// of [`walk_packet`](crate::walk_packet) on the same flow. `on_dart`
+/// staged episodes and the tree; anything else is the walker's one
+/// plain hop loop. Either way outcome, cost, hops and emitted darts are
+/// those of [`walk_packet`](crate::walk_packet) on the same flow. `on_dart`
 /// fires for every dart of a *delivered* path, in order; a dropped
 /// walk emits nothing. When `src` is its own point
 /// ([`FlowUnit::point_of`]) the outcome is recorded as the point's, so
@@ -834,7 +822,7 @@ pub fn recover_flow_with<A: ForwardingAgent>(
     unit: &mut FlowUnit<'_, A>,
     src: NodeId,
     ttl: usize,
-    mut on_dart: impl FnMut(Dart),
+    on_dart: impl FnMut(Dart),
 ) -> FlowWalk
 where
     A::State: std::hash::Hash + Eq,
@@ -844,13 +832,9 @@ where
         unit.chained_darts(on_dart);
         return priced;
     }
-    let (flow, spliced) = unit.hop_walk(src, ttl, is_point);
+    let flow = unit.hop_walk(src, ttl, is_point);
     if flow.is_delivered() {
-        let FlowScratch { memo, path, .. } = &*unit.scratch;
-        path.iter().copied().for_each(&mut on_dart);
-        if let Some(tail) = spliced {
-            memo.tail_darts(tail).for_each(on_dart);
-        }
+        unit.scratch.path.iter().copied().for_each(on_dart);
     }
     flow
 }

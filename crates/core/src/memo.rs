@@ -1,30 +1,28 @@
-//! Per-unit suffix memoization for the packet walker.
+//! Per-unit suffix memoization for the packet walker, behind
+//! [`walk_packet_spliced`](crate::walk_packet_spliced) alone.
 //!
 //! Within one (failure set, destination) work unit the walker is a
 //! deterministic function of the visited triple
 //! `(router, ingress, header state)`: two walks that ever coincide on
-//! a triple traverse identical darts from that point on. A unit walks
-//! once per failure point ([`FlowUnit`](crate::FlowUnit)), and the
-//! trajectories of its points converge onto shared suffixes
-//! (downstream of their detours they follow the same darts toward the
-//! destination), so a unit with several points — nested failures, or
-//! FCP learning a failure at more than one router — would re-walk
-//! tails an earlier point already resolved.
+//! a triple traverse identical darts from that point on. A caller that
+//! walks many sources of one unit one by one — the `core.walk_pr_ns`
+//! and `baselines.walk_fcp_ns` probes of `benchmark/` do — would re-walk
+//! the tails an earlier source already resolved.
 //!
 //! [`SuffixMemo`] caches, per triple, the *remaining* cost and step
-//! count to delivery, plus the dart taken from the triple and the
-//! entry of the triple that dart leads to. A later walk that reaches a
-//! memoized triple splices the tail instead of re-walking it — see
-//! [`walk_packet_spliced`](crate::walk_packet_spliced) — and a caller
-//! that needs the tail's darts (traffic replay credits link loads)
-//! chases the memoized chain, one array read per dart and no agent
-//! decision. Only **delivered** suffixes are memoized: a delivered
-//! trajectory can never intersect a later walk's prefix (that would
-//! make it periodic, contradicting delivery), so a splice reproduces
-//! the plain walk dart-for-dart and the summed `u64` cost is
-//! bit-identical. Dropped walks seed nothing — their drop step and
-//! reason can legitimately differ per prefix, so they are always
-//! walked in full.
+//! count to delivery. A later walk that reaches a memoized triple
+//! splices the tail instead of re-walking it. Only **delivered**
+//! suffixes are memoized: a delivered trajectory can never intersect a
+//! later walk's prefix (that would make it periodic, contradicting
+//! delivery), so a splice reproduces the plain walk's totals and the
+//! summed `u64` cost is bit-identical. Dropped walks seed nothing —
+//! their drop step and reason can legitimately differ per prefix, so
+//! they are always walked in full.
+//!
+//! No sweep, replay or daemon path opens a memo. They settle each
+//! failure point of a unit once, as an episode chain or one plain hop
+//! loop ([`FlowUnit`](crate::FlowUnit)), and the few tails two points
+//! of a unit share are not worth a table (DESIGN.md §6).
 //!
 //! The table mirrors [`WalkScratch`](crate::WalkScratch): open
 //! addressing over packed key words with exact triple verification,
@@ -37,26 +35,29 @@ use pr_graph::{Dart, Graph, NodeId};
 
 use crate::FxHasher64;
 
-/// Counters describing how much walking a [`SuffixMemo`] saved.
+/// Walk counters: how many hop loops ran and how many darts they took,
+/// and — for a [`SuffixMemo`] — how much of that it answered instead.
 ///
-/// Accumulated inside the memo and harvested per work unit via
-/// [`SuffixMemo::take_stats`], so parallel sweeps can merge them in
+/// A [`FlowUnit`](crate::FlowUnit) counts `walks`, `walked_steps`,
+/// `shared` and `chained`; a memo counts `walks`, `walked_steps`,
+/// `lookups`, `hits` and `spliced_steps`. Both are harvested per work
+/// unit (`take_stats`), so parallel sweeps can merge them in
 /// deterministic unit order (the same discipline `RepairStats`
 /// follows).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Triples consulted in the memo (one lookup per walked hop).
+    /// Triples consulted in a memo (one lookup per walked hop).
     pub lookups: u64,
     /// Lookups that resolved to a splice (found + TTL guard passed).
     pub hits: u64,
-    /// Steps answered from the memo instead of being walked.
+    /// Steps answered from a memo instead of being walked.
     pub spliced_steps: u64,
     /// Steps physically walked (darts actually traversed).
     pub walked_steps: u64,
-    /// Walks run through the hop loop with this memo — in a sweep, one
-    /// per failure point plus the TTL fallbacks.
+    /// Walks run through the hop loop — in a sweep, one per failure
+    /// point no chain prices, plus the TTL fallbacks.
     pub walks: u64,
-    /// Sources answered from their point's one walk by arithmetic
+    /// Sources answered from their point's one settlement by arithmetic
     /// ([`FlowUnit::walk`](crate::FlowUnit::walk)), the point itself
     /// included.
     pub shared: u64,
@@ -98,8 +99,7 @@ impl MemoStats {
     }
 }
 
-/// One memoized triple with its remaining-to-delivery totals and its
-/// link in the delivered chain.
+/// One memoized triple with its remaining-to-delivery totals.
 #[derive(Debug, Clone)]
 struct MemoEntry<S> {
     node: NodeId,
@@ -110,22 +110,11 @@ struct MemoEntry<S> {
     /// Dart count of that suffix (≥ 1: the destination is never
     /// recorded as a triple).
     rem_steps: u32,
-    /// The dart the walk takes from this triple.
-    out: Dart,
-    /// Entry of the triple `out` leads to; [`DELIVERED`] when `out`
-    /// enters the destination.
-    next: u32,
 }
 
-/// Chain terminator: the previous entry's dart entered the destination.
-const DELIVERED: u32 = u32::MAX;
-
-/// A memoized triple a walk reached: where its tail's chain starts and
-/// the tail's totals.
+/// The totals of the memoized tail a walk reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MemoHit {
-    /// Head of the tail's chain, for [`SuffixMemo::tail_darts`].
-    pub(crate) entry: u32,
     /// Weighted cost from the triple to delivery.
     pub(crate) rem_cost: u64,
     /// Darts from the triple to delivery.
@@ -203,38 +192,12 @@ impl<S> SuffixMemo<S> {
         std::mem::take(&mut self.stats)
     }
 
-    /// The darts of the memoized tail that starts at `hit`, in walk
-    /// order up to and including the one entering the destination.
-    pub(crate) fn tail_darts(&self, hit: MemoHit) -> impl Iterator<Item = Dart> + '_ {
-        let mut at = hit.entry;
-        std::iter::from_fn(move || {
-            if at == DELIVERED {
-                return None;
-            }
-            let e = &self.entries[at as usize];
-            at = e.next;
-            Some(e.out)
-        })
-    }
-
     /// Accounts one finished walk and the `steps` darts it physically
     /// traversed.
     #[inline]
     pub(crate) fn record_walked(&mut self, steps: u64) {
         self.stats.walks += 1;
         self.stats.walked_steps += steps;
-    }
-
-    /// Accounts one source answered from its point's walk.
-    #[inline]
-    pub(crate) fn record_shared(&mut self) {
-        self.stats.shared += 1;
-    }
-
-    /// Accounts one point priced by an episode chain.
-    #[inline]
-    pub(crate) fn record_chained(&mut self) {
-        self.stats.chained += 1;
     }
 
     /// Accounts one splice that answered `steps` darts from the memo.
@@ -266,11 +229,7 @@ impl<S: Clone + Hash + Eq> SuffixMemo<S> {
             if self.slots[i] == key {
                 let e = &self.entries[self.slot_entry[i] as usize];
                 if e.node == node && e.ingress == ingress && e.state == *state {
-                    return Some(MemoHit {
-                        entry: self.slot_entry[i],
-                        rem_cost: e.rem_cost,
-                        rem_steps: e.rem_steps,
-                    });
+                    return Some(MemoHit { rem_cost: e.rem_cost, rem_steps: e.rem_steps });
                 }
             }
             i = (i + 1) & mask;
@@ -285,7 +244,7 @@ impl<S: Clone + Hash + Eq> SuffixMemo<S> {
     /// that dart led to: `None` for the destination itself, or the
     /// memoized triple the walk was spliced onto.
     ///
-    /// Entries are linked back to front, so each one's totals are its
+    /// Entries are made back to front, so each one's totals are its
     /// successor's plus its own dart. Values are unique per triple (the
     /// trajectory from a triple is deterministic), so insert-if-absent
     /// keeps earlier entries.
@@ -297,22 +256,19 @@ impl<S: Clone + Hash + Eq> SuffixMemo<S> {
         tail: Option<MemoHit>,
     ) {
         let mut out = last;
-        let (mut next, mut rem_cost, mut rem_steps) =
-            tail.map_or((DELIVERED, 0, 0), |t| (t.entry, t.rem_cost, t.rem_steps));
+        let (mut rem_cost, mut rem_steps) = tail.map_or((0, 0), |t| (t.rem_cost, t.rem_steps));
         for (node, ingress, state) in trail.iter().rev() {
             // Suffixes too long for the step field stay un-memoized,
             // and so do all the longer ones before them.
             let Some(steps) = rem_steps.checked_add(1) else { return };
             rem_steps = steps;
             rem_cost += u64::from(graph.weight(out.link()));
-            next = self.insert(MemoEntry {
+            self.insert(MemoEntry {
                 node: *node,
                 ingress: *ingress,
                 state: state.clone(),
                 rem_cost,
                 rem_steps,
-                out,
-                next,
             });
             if let Some(d) = *ingress {
                 out = d;
@@ -320,10 +276,9 @@ impl<S: Clone + Hash + Eq> SuffixMemo<S> {
         }
     }
 
-    /// Inserts a triple if absent and returns its entry index.
-    /// Existing entries win (their values are identical by
-    /// determinism; debug builds verify that).
-    fn insert(&mut self, entry: MemoEntry<S>) -> u32 {
+    /// Inserts a triple if absent. Existing entries win (their values
+    /// are identical by determinism; debug builds verify that).
+    fn insert(&mut self, entry: MemoEntry<S>) {
         if (self.entries.len() + 1) * 2 > self.slots.len() {
             self.grow();
         }
@@ -337,17 +292,17 @@ impl<S: Clone + Hash + Eq> SuffixMemo<S> {
                 self.slot_gen[i] = self.gen;
                 self.slot_entry[i] = idx;
                 self.entries.push(entry);
-                return idx;
+                return;
             }
             if self.slots[i] == key {
                 let e = &self.entries[self.slot_entry[i] as usize];
                 if e.node == entry.node && e.ingress == entry.ingress && e.state == entry.state {
                     debug_assert_eq!(
-                        (e.rem_cost, e.rem_steps, e.out, e.next),
-                        (entry.rem_cost, entry.rem_steps, entry.out, entry.next),
+                        (e.rem_cost, e.rem_steps),
+                        (entry.rem_cost, entry.rem_steps),
                         "deterministic trajectories memoize one value per triple"
                     );
-                    return self.slot_entry[i];
+                    return;
                 }
             }
             i = (i + 1) & mask;
@@ -435,19 +390,12 @@ mod tests {
         assert_eq!(memo.lookup(NodeId(1), Some(Dart(1)), &9), None);
         assert_eq!(memo.lookup(NodeId(1), Some(Dart(0)), &8), None);
 
-        // Every entry heads the chain of the darts that remain.
-        let head = memo.lookup(NodeId(0), None, &9).unwrap();
-        assert_eq!(memo.tail_darts(head).collect::<Vec<_>>(), [Dart(0), Dart(2), Dart(4)]);
-        let mid = memo.lookup(NodeId(2), Some(Dart(2)), &9).unwrap();
-        assert_eq!(memo.tail_darts(mid).collect::<Vec<_>>(), [Dart(4)]);
-
         // A second walk, 1 -> 2 with another header state, spliced onto
-        // the first at node 2: totals and chain continue through it.
+        // the first at node 2: its totals continue through the tail.
+        let mid = memo.lookup(NodeId(2), Some(Dart(2)), &9).unwrap();
         memo.seed(&g, &[(NodeId(1), None, 3u32)], Dart(2), Some(mid));
         assert_eq!(memo.len(), 4);
-        let joined = memo.lookup(NodeId(1), None, &3).unwrap();
-        assert_eq!((joined.rem_cost, joined.rem_steps), (9, 2));
-        assert_eq!(memo.tail_darts(joined).collect::<Vec<_>>(), [Dart(2), Dart(4)]);
+        assert_eq!(totals(&mut memo, NodeId(1), None, &3), Some((9, 2)));
     }
 
     #[test]
@@ -470,9 +418,7 @@ mod tests {
             memo.seed(&g, &[(NodeId(n), None, u64::from(n))], Dart(n % 8), None);
         }
         for n in 0..2_000u32 {
-            let hit = memo.lookup(NodeId(n), None, &u64::from(n)).expect("seeded");
-            assert_eq!((hit.rem_cost, hit.rem_steps), (3, 1));
-            assert_eq!(memo.tail_darts(hit).collect::<Vec<_>>(), [Dart(n % 8)]);
+            assert_eq!(totals(&mut memo, NodeId(n), None, &u64::from(n)), Some((3, 1)), "seeded");
         }
         // Re-seeding an existing triple with the same value is a no-op.
         memo.seed(&g, &[(NodeId(7), None, 7u64)], Dart(7), None);

@@ -134,8 +134,8 @@ impl<S> WalkScratch<S> {
 
     /// The triples recorded since the last reset, in insertion order —
     /// for a packet walk this is exactly the visitation order, so
-    /// entry `i` was recorded after `i` darts. Suffix memoization
-    /// ([`SuffixMemo`](crate::SuffixMemo)) seeds from this trail.
+    /// entry `i` was recorded after `i` darts. The walker's suffix memo
+    /// seeds from this trail.
     pub fn entries(&self) -> &[(NodeId, Option<Dart>, S)] {
         &self.entries
     }

@@ -14,21 +14,23 @@
 //! "basic mode loops under multi-failure" (§4.3's motivation) from
 //! "path is just long".
 //!
-//! There is **one hop loop**, private to this module. It is generic
-//! over an optional [`SuffixMemo`] and a dart sink; the public entry
+//! There is **one hop loop**, private to this crate. It takes a dart
+//! sink and, for one entry point only, a [`SuffixMemo`]; the entry
 //! points differ only in what they hand it and what they keep of its
 //! report:
 //!
-//! * [`walk_packet`] / [`walk_packet_with`] — no memo, darts collected
-//!   into the returned [`Walk`]'s `Path`;
-//! * [`walk_packet_spliced`] — a caller-held per-unit memo, darts
-//!   discarded (only cost and step totals are wanted);
+//! * [`walk_packet`] / [`walk_packet_with`] — darts collected into the
+//!   returned [`Walk`]'s `Path`;
 //! * [`FlowUnit`](crate::FlowUnit) behind the unit guard — the entry
-//!   of the sweeps and of replay. It runs the loop once per **point**
-//!   of a unit, not once per source, with the unit's memo, staging the
-//!   darts in the flow scratch; [`recover_flow_with`](crate::recover_flow_with)
-//!   releases them to the caller's load accounting only once the walk
-//!   has delivered.
+//!   of the sweeps and of replay. It runs the plain loop once per
+//!   **point** of a unit that no episode chain prices, not once per
+//!   source, staging the darts in the flow scratch;
+//!   [`recover_flow_with`](crate::recover_flow_with) releases them to
+//!   the caller's load accounting only once the walk has delivered;
+//! * [`walk_packet_spliced`] — a caller-held per-unit memo, darts
+//!   discarded. No product path calls it; it is the entry point the
+//!   benchmark's walk probes time, and `crates/bench/tests/memo.rs`
+//!   holds it to the plain walker.
 //!
 //! The detector state lives in a reusable [`WalkScratch`], so the
 //! steady state of every entry point but the `Path`-returning ones
@@ -36,7 +38,6 @@
 
 use pr_graph::{Dart, Graph, LinkSet, NodeId, Path};
 
-use crate::memo::MemoHit;
 use crate::{DropReason, ForwardDecision, ForwardingAgent, SuffixMemo, WalkScratch};
 
 /// Result of walking one packet.
@@ -194,10 +195,7 @@ pub fn walk_packet_spliced<A: ForwardingAgent>(
 where
     A::State: std::hash::Hash + Eq,
 {
-    let hops = walk_hops(graph, agent, src, dest, failed, ttl, scratch, Some(&mut *memo), |_| {});
-    if let Some(seed) = hops.seed {
-        seed.plant(graph, scratch, memo);
-    }
+    let hops = walk_hops(graph, agent, src, dest, failed, ttl, scratch, Some(memo), |_| {});
     SplicedWalk { result: hops.result, cost: hops.cost, steps: hops.steps }
 }
 
@@ -213,51 +211,18 @@ pub(crate) struct Traversal {
     /// Largest `header_bits` the agent reported on the hops walked (a
     /// spliced tail reports none).
     pub(crate) peak_header_bits: usize,
-    /// The memoized tail the walk was spliced onto, if it was: its
-    /// darts never reached `on_dart` and are the caller's to fetch
-    /// with [`SuffixMemo::tail_darts`] if it wants them.
-    pub(crate) spliced: Option<MemoHit>,
-    /// What a delivered walk with a memo has to teach it; the caller
-    /// decides when ([`Seed::plant`]).
-    pub(crate) seed: Option<Seed>,
-}
-
-/// The memo entries a delivered walk is worth, not yet made: the first
-/// `fresh` triples of the walk scratch's trail, the dart taken from
-/// the last of them, and the memoized tail the walk was spliced onto
-/// (`None`: that dart entered the destination). Valid until the
-/// scratch is reset — that is, until the next walk through it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Seed {
-    fresh: usize,
-    last: Dart,
-    tail: Option<MemoHit>,
-}
-
-impl Seed {
-    /// Seeds `memo` from the trail still in `scratch`.
-    pub(crate) fn plant<S: Clone + std::hash::Hash + Eq>(
-        self,
-        graph: &Graph,
-        scratch: &WalkScratch<S>,
-        memo: &mut SuffixMemo<S>,
-    ) {
-        memo.seed(graph, &scratch.entries()[..self.fresh], self.last, self.tail);
-    }
 }
 
 /// The hop loop every walk entry point runs. Walks one packet,
 /// handing every dart it traverses to `on_dart` as it goes (dropped
 /// walks included, up to the last successful hop).
 ///
-/// With a `memo`, every visited triple is looked up first; on a hit
-/// whose remaining steps the TTL still covers, the walk ends there as
-/// `Delivered` with the memoized totals added (see
-/// [`walk_packet_spliced`] for why that is exact). Every delivered
-/// walk, spliced or not, comes back with the [`Seed`] of its trail,
-/// which the caller plants in the memo before the next walk of the
-/// unit looks anything up. Opening the memo's unit is the caller's job
-/// too.
+/// With a `memo` ([`walk_packet_spliced`] only), every visited triple
+/// is looked up first; on a hit whose remaining steps the TTL still
+/// covers, the walk ends there as `Delivered` with the memoized totals
+/// added, and the darts of the spliced tail never reach `on_dart`.
+/// Every delivered walk, spliced or not, seeds the memo from its trail
+/// before returning. Opening the memo's unit is the caller's job.
 ///
 /// Inlined into each entry point, so the `memo` and `on_dart` each one
 /// does not use cost it nothing.
@@ -329,7 +294,6 @@ where
         }
     };
 
-    let mut seed = None;
     if let Some(memo) = memo {
         memo.record_walked(steps as u64);
         let mut fresh = scratch.len();
@@ -343,10 +307,10 @@ where
         // `ingress` is the dart out of the last fresh triple; a walk
         // that never left `src` has neither.
         if let (WalkResult::Delivered, Some(last)) = (&result, ingress) {
-            seed = Some(Seed { fresh, last, tail: spliced });
+            memo.seed(graph, &scratch.entries()[..fresh], last, spliced);
         }
     }
-    Traversal { result, cost, steps, peak_header_bits, spliced, seed }
+    Traversal { result, cost, steps, peak_header_bits }
 }
 
 #[cfg(test)]

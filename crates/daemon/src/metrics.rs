@@ -4,8 +4,8 @@
 //! followed by a sample per metric. Gauges are the live resilience
 //! read-outs (refreshing them replays the uniform and resident demand
 //! sets if a link event dirtied them); counters reuse the repair and
-//! walk-memo statistics the sweep engine already tracks, plus the
-//! control plane's count of connections closed for idling.
+//! walk statistics the sweep engine already tracks, plus the control
+//! plane's count of connections closed for idling.
 
 use crate::twin::Twin;
 
@@ -52,13 +52,6 @@ pub fn render(twin: &mut Twin, idle_closed: u64) -> String {
     counter("pr_repair_full_rebuilds_total", "Full Dijkstra rebuilds.", c.full_rebuilds);
     counter("pr_repair_cone_nodes_total", "Nodes re-labelled across repairs.", c.repair_cone_nodes);
     counter("pr_repair_slots_total", "Node slots across repairs.", c.repair_slots);
-    counter("pr_memo_lookups_total", "Walk-memo lookups.", c.memo_lookups);
-    counter("pr_memo_hits_total", "Walk-memo hits.", c.memo_hits);
-    counter(
-        "pr_memo_spliced_steps_total",
-        "Walk steps answered by splicing.",
-        c.memo_spliced_steps,
-    );
     counter("pr_memo_walked_steps_total", "Walk steps physically walked.", c.memo_walked_steps);
     counter(
         "pr_control_idle_closed_total",

@@ -205,13 +205,7 @@ pub struct CounterReport {
     pub repair_cone_nodes: u64,
     /// Node slots across all repairs (cone-fraction denominator).
     pub repair_slots: u64,
-    /// Walk-memo lookups across stretch queries.
-    pub memo_lookups: u64,
-    /// Walk-memo hits.
-    pub memo_hits: u64,
-    /// Walk steps answered by splicing.
-    pub memo_spliced_steps: u64,
-    /// Walk steps physically walked.
+    /// Walk steps physically walked across stretch queries.
     pub memo_walked_steps: u64,
 }
 

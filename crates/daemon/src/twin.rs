@@ -94,8 +94,8 @@ impl DemandSpec {
                         "hotspots wants a value in 1..{n} (the node count), got {hotspots}"
                     ));
                 }
-                if self.boost <= 0.0 {
-                    return Err(format!("boost wants a positive factor, got {}", self.boost));
+                if !(self.boost.is_finite() && self.boost > 0.0) {
+                    return Err(format!("boost wants a finite factor > 0, got {}", self.boost));
                 }
                 Box::new(HotspotTraffic::new(graph, hotspots, self.boost, self.seed))
             }
@@ -108,7 +108,7 @@ impl DemandSpec {
     }
 }
 
-/// Event counters that are not already tracked by the repair/memo
+/// Event counters that are not already tracked by the repair and walk
 /// stats the twin reuses.
 #[derive(Debug, Clone, Copy, Default)]
 struct EventCounters {
@@ -161,7 +161,7 @@ pub struct Twin {
     /// Replay scratch of `uniform`.
     replay_uniform: ReplayScratch<PrHeader>,
     repair: pr_graph::RepairStats,
-    memo: pr_core::MemoStats,
+    walks: pr_core::MemoStats,
     counters: EventCounters,
     gauges: Option<GaugeReport>,
 }
@@ -206,7 +206,7 @@ impl Twin {
             replay_demand: ReplayScratch::new(),
             replay_uniform: ReplayScratch::new(),
             repair: pr_graph::RepairStats::default(),
-            memo: pr_core::MemoStats::default(),
+            walks: pr_core::MemoStats::default(),
             counters: EventCounters::default(),
             gauges: None,
         })
@@ -249,7 +249,7 @@ impl Twin {
         f: impl FnOnce(&mut Twin) -> R,
     ) -> std::thread::Result<R> {
         let (failed, demand) = (self.failed.clone(), self.demand.clone());
-        let counters = (self.repair, self.memo, self.counters);
+        let counters = (self.repair, self.walks, self.counters);
         catch_unwind(AssertUnwindSafe(|| f(self))).inspect_err(|_| {
             self.flows = demand.build(&self.graph).expect("the resident spec has built before");
             (self.failed, self.demand) = (failed, demand);
@@ -257,7 +257,7 @@ impl Twin {
             self.replay_demand = ReplayScratch::new();
             self.replay_uniform = ReplayScratch::new();
             self.relabel();
-            (self.repair, self.memo, self.counters) = counters;
+            (self.repair, self.walks, self.counters) = counters;
         })
     }
 
@@ -415,7 +415,7 @@ impl Twin {
         let family = vec![self.failed.clone()];
         let (rows, stats) = stretch::run_rows(&self.graph, &self.net, &family, self.threads, 0);
         self.repair.merge(&stats.repair);
-        self.memo.merge(&stats.memo);
+        self.walks.merge(&stats.memo);
         let report = stretch::report_from_rows(&rows, &stretch::figure2_xs());
         let schemes = Scheme::ALL
             .iter()
@@ -456,7 +456,7 @@ impl Twin {
         g
     }
 
-    /// Counters since start (repair/memo stats folded in).
+    /// Counters since start (repair and walk stats folded in).
     pub fn counters(&self) -> CounterReport {
         CounterReport {
             events: self.counters.events,
@@ -468,10 +468,7 @@ impl Twin {
             full_rebuilds: self.repair.full_rebuilds,
             repair_cone_nodes: self.repair.cone_nodes,
             repair_slots: self.repair.repaired_slots,
-            memo_lookups: self.memo.lookups,
-            memo_hits: self.memo.hits,
-            memo_spliced_steps: self.memo.spliced_steps,
-            memo_walked_steps: self.memo.walked_steps,
+            memo_walked_steps: self.walks.walked_steps,
         }
     }
 

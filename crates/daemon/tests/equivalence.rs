@@ -212,3 +212,14 @@ fn strict_event_semantics_reject_noop_transitions() {
     // The rejected demand update left the resident spec in place.
     assert_eq!(twin.demand_spec().model, "gravity");
 }
+
+#[test]
+fn a_hotspot_boost_that_is_not_a_finite_positive_factor_is_refused() {
+    let graph = isp(Isp::Abilene);
+    for boost in [f64::NAN, f64::INFINITY, 0.0, -2.0] {
+        let spec = DemandSpec { boost, ..DemandSpec::named("hotspot") };
+        let err = spec.build(&graph).expect_err("refused");
+        assert!(err.contains("boost"), "{boost}: {err}");
+    }
+    assert!(DemandSpec { boost: 2.0, ..DemandSpec::named("hotspot") }.build(&graph).is_ok());
+}

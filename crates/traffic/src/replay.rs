@@ -26,8 +26,8 @@
 //!   each point **once** ([`recover_flow_with`]), **priced, or
 //!   walked**: priced as a chain of the failed set's staged episodes
 //!   and tree segments where the agent has episodes and the chain
-//!   delivers within the budget, walked through the agent otherwise —
-//!   carrying the summed demand of the sources behind it, withdrawn
+//!   delivers within the budget, walked once through the walker's plain
+//!   hop loop otherwise — carrying the summed demand of the sources behind it, withdrawn
 //!   from the tree path it no longer takes. A failure that disturbs 3 %
 //!   of the pairs costs about 3 % of a full pass, and at most one chain
 //!   or walk per failure point, not per source.
@@ -55,9 +55,8 @@
 //! failure-invariant state (base trees, the staged FIB, the compiled
 //! agent) is the caller's to hoist. **Nothing in a replay allocates in
 //! the steady state** — recovery walks included: their darts are staged
-//! in the scratch and their shared tails come out of the per-(failed
-//! set, destination) suffix memo, and a staged episode is sized to the
-//! topology once and kept for the next replay's chains
+//! in the scratch, and a staged episode is sized to the topology once
+//! and kept for the next replay's chains
 //! (`tests/alloc_free.rs` counts allocator calls;
 //! DESIGN.md, "allocator discipline", has the reason this is a rule and
 //! not a nicety). Only building a baseline may allocate, and that
@@ -149,8 +148,8 @@ enum Fate {
 /// Reusable per-worker state of a replay: the failure-free baseline of
 /// the `(DenseFib, FlowSet)` pair it last served, the two staged
 /// episodes of a single failure, the flow-walk scratch (livelock
-/// detector, per-unit suffix memo, staged-path buffer, the staged
-/// episodes the points' chains follow), the
+/// detector, staged-path buffer, the staged episodes the points'
+/// chains follow), the
 /// per-scenario survivor components, the node-indexed staging of the
 /// cone and point passes and the per-link load accumulator. Everything is reset
 /// in place — the steady state allocates nothing, and all of it is

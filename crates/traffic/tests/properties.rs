@@ -847,13 +847,13 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Unit boundaries and splice equivalence of the recovery path.
+// Unit boundaries and point sharing on the recovery path.
 //
 // A worker reuses one scratch across every (failed set, destination)
 // unit it is handed, in whatever order the queue deals them; within a
-// unit, recovery walks splice onto suffixes earlier sources resolved.
-// Neither may be observable: every flow must come out exactly as the
-// one-shot `walk_packet` prices it.
+// unit, every source behind a point is answered from that point's one
+// chain or walk. Neither may be observable: every flow must come out
+// exactly as the one-shot `walk_packet` prices it.
 // ---------------------------------------------------------------------
 
 /// Up to `cap` scenarios of every k ∈ {1, 2, 3}, evenly strided over
@@ -963,9 +963,10 @@ fn shuffled_units_through_one_scratch_equal_walk_packet_on_planar_embeddings() {
 #[test]
 fn shuffled_units_through_one_scratch_equal_walk_packet_where_walks_drop() {
     // Identity rotation on a generated ISP mesh: positive genus, so the
-    // §5 guarantee is off and some connected pairs livelock. Dropped
-    // walks must seed nothing — a later source of the unit whose walk
-    // crosses one's trail still has to be walked in full.
+    // §5 guarantee is off and some connected pairs livelock. A dropped
+    // point drops every source behind it, and a source of the unit
+    // whose walk crosses a dropped trail from elsewhere is walked in
+    // full.
     let net = Net::identity(nets::synth("isp:24:7"));
     let g = &net.g;
     assert!(net.pr.embedding().genus() > 0, "the identity rotation must not embed the mesh planar");
@@ -980,23 +981,23 @@ fn shuffled_units_through_one_scratch_equal_walk_packet_where_walks_drop() {
 }
 
 #[test]
-fn a_splice_the_ttl_cannot_cover_is_walked_hop_by_hop() {
+fn a_tail_two_sources_share_is_walked_by_each_within_its_ttl() {
     // Ring of 6, destination 0, link 1-0 down. Source 2 runs into the
     // failure at 1 and detours the long way round, 2 -> 1 -> 2 -> … -> 0
     // in 6 hops; it is not a point (1 is), so it goes through the hop
-    // loop and seeds the unit's memo. Source 3 reaches the triple of
-    // that walk at 1 two hops in, with 5 hops still to go.
+    // loop. Source 3 reaches the triple of that walk at 1 two hops in,
+    // with 5 hops still to go: the plain hop loop walks them again.
     let net = Net::identity(generators::ring(6, 1));
     let g = &net.g;
     let agent = net.pr.agent(g);
     let failed = LinkSet::from_links(g.link_count(), [g.find_link(NodeId(1), NodeId(0)).unwrap()]);
     let mut scratch = FlowScratch::new();
-    for (ttl, expected, splices) in [
-        // 6 - 2 < 5: the guard refuses the splice, the walk goes on hop
-        // by hop and runs out of budget exactly where `walk_packet` does.
-        (6, FlowWalk::Dropped(DropReason::TtlExpired), 0),
-        // 7 - 2 >= 5: spliced.
-        (7, FlowWalk::Recovered { cost: 7, hops: 7 }, 1),
+    for (ttl, expected, steps) in [
+        // 6 - 2 < 5: the walk runs out of budget exactly where
+        // `walk_packet` does.
+        (6, FlowWalk::Dropped(DropReason::TtlExpired), 6 + 6),
+        // 7 - 2 >= 5: delivered, every dart walked.
+        (7, FlowWalk::Recovered { cost: 7, hops: 7 }, 6 + 7),
     ] {
         let mut unit = scratch.unit(g, &agent, net.base.towards(NodeId(0)), &failed);
         let mut darts = Vec::new();
@@ -1004,7 +1005,8 @@ fn a_splice_the_ttl_cannot_cover_is_walked_hop_by_hop() {
         assert_eq!(first, FlowWalk::Recovered { cost: 6, hops: 6 });
         let second = recover_flow_with(&mut unit, NodeId(3), ttl, |d| darts.push(d));
         assert_eq!(second, expected, "ttl {ttl}");
-        assert_eq!(unit.take_stats().hits, splices, "ttl {ttl}");
+        let stats = unit.take_stats();
+        assert_eq!((stats.walks, stats.walked_steps), (2, steps), "ttl {ttl}");
         let reference = walk_packet(g, &agent, NodeId(3), NodeId(0), &failed, ttl);
         assert_eq!(second.is_delivered(), reference.result.is_delivered(), "ttl {ttl}");
         if second.is_delivered() {
