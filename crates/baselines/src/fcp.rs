@@ -28,8 +28,8 @@ use pr_graph::{AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, SpScratch, SpTree
 
 /// Carried failures a header holds without touching the heap. Sweeps
 /// over single and small multi-failure scenarios never carry more, so
-/// cloning a state into a walk's visited-triple trail or a suffix
-/// memo is a fixed-size copy.
+/// cloning a state into a walk's visited-triple trail or the route
+/// memo's probe key is a fixed-size copy.
 const INLINE_CARRIED: usize = 6;
 
 /// Storage of the carried list: a fixed array until it overflows, a
@@ -167,7 +167,7 @@ impl RouteStats {
 /// *is* the base tree, so patches answer every query at O(cone) build
 /// cost instead of the O(n) tree materialisation. Every route's
 /// patches live back to back in **one arena**, emptied with its
-/// capacity kept at a scenario boundary or a flush, so a warm memo
+/// capacity kept when a unit opens or at a flush, so a warm memo
 /// fills an entry without calling the allocator.
 #[derive(Debug, Clone)]
 struct RouteCache {
@@ -175,7 +175,7 @@ struct RouteCache {
     patches: Vec<Patch>,
     index: HashMap<(NodeId, FcpState), Span, BuildHasherDefault<FxHasher64>>,
     /// Lazily built child index per destination's base tree (kept
-    /// across scenarios — it depends only on the base map).
+    /// across units — it depends only on the base map).
     children: Vec<Option<Box<TreeChildren>>>,
     /// Reusable cone-enumeration buffers.
     cone: Vec<NodeId>,
@@ -299,20 +299,12 @@ impl<'a> FcpAgent<'a> {
         self.link_id_bits
     }
 
-    /// Evicts the route memo at a scenario boundary.
-    ///
-    /// Within one scenario the memo's live keys are `(dest, subset of
-    /// the scenario's failures)` — a handful of entries. Across a
-    /// sweep those keys never repeat, so an unevicted memo grows
-    /// monotonically with the scenario count. The engine's
-    /// scenario-boundary hook calls this instead; decisions are
-    /// untouched (the memo is semantically transparent), only the
-    /// recompute cost of at most one scenario's keys is re-paid.
-    /// No-op on uncached agents.
+    /// Evicts the route memo, as every flow unit does on opening
+    /// ([`ForwardingAgent::begin_unit`]). Public for the benchmark's
+    /// `baselines.walk_fcp` probe, which walks without a flow unit and
+    /// calls it between scenarios. No-op on uncached agents.
     pub fn begin_scenario(&self) {
-        if let Some((_, routes)) = &self.routes {
-            routes.borrow_mut().clear();
-        }
+        self.begin_unit();
     }
 
     /// The route memo's counters since they were last taken (all zero
@@ -436,6 +428,14 @@ impl<'a> ForwardingAgent for FcpAgent<'a> {
 
     fn header_bits(&self, state: &FcpState) -> usize {
         Self::LENGTH_FIELD_BITS + state.carried().len() * self.link_id_bits
+    }
+
+    /// The route memo lives one unit: its keys carry the destination,
+    /// and a destination has one unit per failed set.
+    fn begin_unit(&self) {
+        if let Some((_, routes)) = &self.routes {
+            routes.borrow_mut().clear();
+        }
     }
 }
 
@@ -613,6 +613,22 @@ mod tests {
         // Uncached agents take the call as a no-op.
         FcpAgent::new(&g).begin_scenario();
         assert_eq!(FcpAgent::new(&g).cached_routes(), 0);
+    }
+
+    #[test]
+    fn a_flow_unit_empties_the_route_memo() {
+        // The memo lives one unit: a walk fills it, and the next unit
+        // the flow scratch opens starts from nothing.
+        let mut g = generators::ring(8, 1);
+        g.add_link(NodeId(0), NodeId(4), 1).unwrap();
+        let base = AllPairs::compute_all_live(&g);
+        let cached = FcpAgent::cached_with_base(&g, &base);
+        let failed = LinkSet::from_links(g.link_count(), [LinkId(0), LinkId(8)]);
+        walk_packet(&g, &cached, NodeId(1), NodeId(0), &failed, generous_ttl(&g));
+        assert!(cached.cached_routes() > 0, "the walk must fill the memo");
+        let mut flows = pr_core::FlowScratch::new();
+        let _unit = flows.unit(&g, &cached, base.towards(NodeId(3)), &failed);
+        assert_eq!(cached.cached_routes(), 0);
     }
 
     #[test]

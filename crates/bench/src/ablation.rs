@@ -104,7 +104,7 @@ fn pr_dd_sweep(
     let mut merged = PrDdPartial::default();
     plan.sweep(scenarios, threads).fold(
         || (plan.sweep_opener(), LaneScratch::new(&plan, agent)),
-        |_, _| PrDdPartial::default(),
+        |_| PrDdPartial::default(),
         |(opener, lane), unit, out: &mut PrDdPartial| {
             let cone = opener.open(&unit);
             let mut dd = lane.unit(&unit, &cone);
@@ -249,7 +249,7 @@ pub fn genus_delivery(
             .collect();
         plan.sweep(&scenarios, threads).fold(
             || (plan.sweep_opener(), LaneScratch::new(&plan, agent)),
-            |_, _| (0, 0),
+            |_| (0, 0),
             |(opener, lane), unit, (evaluated, delivered): &mut (u64, u64)| {
                 let cone = opener.open(&unit);
                 let mut dd = lane.unit(&unit, &cone);

@@ -101,17 +101,7 @@ pub fn run(
                     (LaneScratch::new(&plan, &lfa), LaneScratch::new(&plan, &notvia));
                 (plan.sweep_opener(), basic, dd, LaneScratch::new(&plan, fcp), lfa, notvia)
             },
-            // Scenario boundary: the FCP memo's keys are subsets of the
-            // departing scenario — evict instead of growing the map
-            // across the sweep.
-            |(_, basic, dd, fcp, lfa, notvia), _| {
-                basic.begin_scenario();
-                dd.begin_scenario();
-                fcp.begin_scenario();
-                lfa.begin_scenario();
-                notvia.begin_scenario();
-                BlockCells::default()
-            },
+            |_| BlockCells::default(),
             |(opener, basic, dd, fcp, lfa, notvia), unit, cells: &mut BlockCells| {
                 let cone = opener.open(&unit);
                 if cone.len() == 0 {

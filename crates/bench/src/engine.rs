@@ -38,8 +38,9 @@
 //!   [`std::thread::scope`] worker pool: a chunked work queue over an
 //!   [`AtomicUsize`] cursor (the container has no crates.io access, so
 //!   no rayon). Each worker owns private scratch state (a cone opener
-//!   and its scheme lanes) created by a caller-supplied factory. A
-//!   sweep's queue item is a **block**: one whole scenario, every
+//!   and its scheme lanes) created by a caller-supplied factory, and
+//!   never told where a scenario ends (DESIGN.md §8). A sweep's queue
+//!   item is a **block**: one whole scenario, every
 //!   destination of it, so each scenario meets one worker once and its
 //!   mirror is built once.
 //! * **Ordered streaming merge** — a worker folds each block into one
@@ -486,11 +487,9 @@ impl<'a> ScenarioSweep<'a> {
     /// …) per worker thread. A queue item is a **block**: one whole
     /// scenario, so a worker meets each scenario once and whatever it
     /// builds per scenario (the cone opener's mirror) is built once.
-    /// `start` begins a block on its worker — it is where per-scenario
-    /// worker state gets evicted (e.g. the FCP route memo, whose live
-    /// keys are subsets of the current scenario — see
-    /// `FcpAgent::begin_scenario` in pr-baselines) — and returns the
-    /// block's accumulator; `work` folds each unit of the scenario into
+    /// `start` returns a block's accumulator, given its scenario index
+    /// and no worker state: what a worker keeps is keyed on the failed
+    /// set (DESIGN.md §8). `work` folds each unit of the scenario into
     /// it, destination-ascending; `sink` receives every finished block
     /// with its scenario index, on the calling thread, in scenario
     /// order, while the workers are still running. A caller that
@@ -500,7 +499,7 @@ impl<'a> ScenarioSweep<'a> {
     where
         A: Send,
         I: Fn() -> W + Sync,
-        B: Fn(&mut W, usize) -> A + Sync,
+        B: Fn(usize) -> A + Sync,
         F: Fn(&mut W, SweepUnit<'_>, &mut A) + Sync,
         S: FnMut(usize, A),
     {
@@ -511,7 +510,7 @@ impl<'a> ScenarioSweep<'a> {
             &|w, scenario| {
                 let failed = self.family.scenario(scenario);
                 let failures = failed.len();
-                let mut acc = start(w, scenario);
+                let mut acc = start(scenario);
                 for dst in self.graph.nodes() {
                     let base_tree = self.base.towards(dst);
                     let unit = SweepUnit { scenario, failed: &failed, failures, dst, base_tree };
@@ -626,16 +625,12 @@ mod tests {
     fn per_unit<W, R: Send>(
         sweep: &ScenarioSweep<'_>,
         init: impl Fn() -> W + Sync,
-        on_scenario: impl Fn(&mut W, usize) + Sync,
         work: impl Fn(&mut W, SweepUnit<'_>) -> R + Sync,
     ) -> Vec<R> {
         let mut out = Vec::new();
         sweep.fold(
             init,
-            |w, scenario| {
-                on_scenario(w, scenario);
-                Vec::new()
-            },
+            |_| Vec::new(),
             |w, unit, block: &mut Vec<R>| block.push(work(w, unit)),
             |_, block| out.extend(block),
         );
@@ -654,7 +649,7 @@ mod tests {
         for threads in [1, 2, 4] {
             let sweep = ScenarioSweep::new(&g, &scenarios, &base, threads);
             assert_eq!(sweep.unit_count(), expected.len());
-            let got = per_unit(&sweep, || (), |_, _| (), |_, u| (u.scenario, u.dst.0));
+            let got = per_unit(&sweep, || (), |_, u| (u.scenario, u.dst.0));
             assert_eq!(got, expected, "threads={threads}");
         }
     }
@@ -665,7 +660,7 @@ mod tests {
         let base = AllPairs::compute_all_live(&g);
         let scenarios = vec![LinkSet::empty(g.link_count())];
         let sweep = ScenarioSweep::new(&g, &scenarios, &base, 2);
-        let costs = per_unit(&sweep, || (), |_, _| (), |_, u| u.base_tree.cost(NodeId(0)));
+        let costs = per_unit(&sweep, || (), |_, u| u.base_tree.cost(NodeId(0)));
         for (dst, cost) in costs.into_iter().enumerate() {
             assert_eq!(cost, base.towards(NodeId(dst as u32)).cost(NodeId(0)));
         }
@@ -683,7 +678,6 @@ mod tests {
         let per_unit: Vec<usize> = per_unit(
             &sweep,
             || 0usize,
-            |_, _| (),
             |seen, _| {
                 *seen += 1;
                 *seen
@@ -697,38 +691,40 @@ mod tests {
 
     #[test]
     fn scenario_hook_fires_once_per_worker_scenario_visit() {
+        // `start` is the one scenario hook: it fires once per scenario,
+        // before that scenario's units, and the accumulator it returns
+        // is the one every unit of the scenario folds into.
         let g = generators::ring(4, 1);
         let base = AllPairs::compute_all_live(&g);
         let scenarios = vec![LinkSet::empty(g.link_count()); 6];
-        // Serial worker: contiguous units, so the hook must fire
-        // exactly once per scenario, before that scenario's units.
-        let sweep = ScenarioSweep::new(&g, &scenarios, &base, 1);
-        let log = per_unit(
-            &sweep,
-            Vec::new,
-            |seen: &mut Vec<usize>, s| seen.push(s),
-            |seen, u| (seen.clone(), u.scenario),
-        );
-        for (boundaries, scenario) in &log {
-            // Every unit has already seen its own scenario's boundary…
-            assert_eq!(boundaries.last(), Some(scenario));
-            // …and boundaries arrive in order, without repeats.
-            assert_eq!(*boundaries, (0..=*scenario).collect::<Vec<_>>());
-        }
-        // Parallel workers: each worker sees a boundary before any unit
-        // of a scenario it claims; unit order is still deterministic.
-        for threads in [2, 4] {
+        for threads in [1, 2, 4] {
             let sweep = ScenarioSweep::new(&g, &scenarios, &base, threads);
-            let got = per_unit(
-                &sweep,
-                || None,
-                |current: &mut Option<usize>, s| *current = Some(s),
-                |current, u| (*current, u.scenario),
+            let started = std::sync::Mutex::new(Vec::new());
+            let mut units = 0;
+            sweep.fold(
+                || (),
+                |scenario| {
+                    started.lock().unwrap().push(scenario);
+                    (scenario, 0)
+                },
+                |_, unit, (scenario, seen): &mut (usize, usize)| {
+                    assert_eq!(unit.scenario, *scenario, "{threads} threads");
+                    *seen += 1;
+                },
+                |scenario, (started, seen)| {
+                    assert_eq!(started, scenario, "{threads} threads");
+                    assert_eq!(seen, g.node_count(), "{threads} threads");
+                    units += seen;
+                },
             );
-            assert_eq!(got.len(), sweep.unit_count());
-            for (seen, scenario) in got {
-                assert_eq!(seen, Some(scenario), "{threads} threads");
+            assert_eq!(units, sweep.unit_count(), "{threads} threads");
+            let mut started = started.into_inner().unwrap();
+            // A serial worker meets the scenarios in order; a pool in
+            // any order, but each once.
+            if threads > 1 {
+                started.sort_unstable();
             }
+            assert_eq!(started, (0..scenarios.len()).collect::<Vec<_>>(), "{threads} threads");
         }
     }
 
@@ -795,7 +791,7 @@ mod tests {
                 let mut next = 0;
                 sweep.fold(
                     || (),
-                    |_, _| Vec::new(),
+                    |_| Vec::new(),
                     |_, unit, block: &mut Vec<(usize, usize)>| {
                         block.push((unit.scenario, unit.dst.index()))
                     },
@@ -828,7 +824,7 @@ mod tests {
                 let mut blocks = Vec::new();
                 sweep.fold(
                     || (),
-                    |_, scenario| (scenario, Vec::new()),
+                    |scenario| (scenario, Vec::new()),
                     |_, unit, (scenario, block): &mut (usize, Vec<u32>)| {
                         assert_eq!(unit.scenario, *scenario, "{threads} threads");
                         block.push(unit.dst.0);

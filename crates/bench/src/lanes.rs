@@ -21,14 +21,15 @@
 //!   drops the cone.
 //! * **Packet Re-cycling** (either mode) — what a packet does from `p`
 //!   is §4.2's detour, a function of the failed interface alone: the
-//!   **episode** of `p → far`, staged once per failed dart a lane meets
-//!   and priced per unit by `pr_core::StagedEpisode::recycle` (the
-//!   protocol's moves and its closed form are spelled in `pr-core`
-//!   only, and the replay dataplane asks the same one): up to the
-//!   destination if the destination sits on it, else the whole episode
-//!   plus `base(far)`. An episode that does not end at `far` — it comes
-//!   back to `p` when both darts of `l` lie on one face, and is empty
-//!   when `l` was `p`'s only link — prices no destination off it.
+//!   **episode** of `p → far`, staged once per failed dart on the
+//!   lane's flow scratch and priced per unit by
+//!   `pr_core::FlowScratch::detour` (the protocol's moves and its
+//!   closed form are spelled in `pr-core` only, and the replay
+//!   dataplane asks the same one): up to the destination if the
+//!   destination sits on it, else the whole episode plus `base(far)`.
+//!   An episode that does not end at `far` — it comes back to `p` when
+//!   both darts of `l` lie on one face, and is empty when `l` was `p`'s
+//!   only link — prices no destination off it.
 //! * **LFA, not-via** — none: any agent by reference is a lane whose
 //!   every unit is walked.
 //!
@@ -37,7 +38,7 @@
 use std::hash::Hash;
 
 use pr_baselines::FcpAgent;
-use pr_core::{FlowScratch, FlowUnit, ForwardingAgent, PrAgent, StagedEpisode};
+use pr_core::{FlowScratch, FlowUnit, ForwardingAgent, PrAgent};
 use pr_graph::{Dart, Graph, NodeId, SpTree};
 
 use crate::engine::{ConePlan, OpenCone, SweepUnit};
@@ -58,22 +59,19 @@ pub trait Lane {
 
     /// The closed form of a unit whose failed set is one link, `out`
     /// the tree dart crossing it (`p → far`); `None` to walk the unit.
-    /// `episode` is the worker's staging of the last episode the lane
-    /// read, kept across units. A scheme without one walks every unit.
+    /// `flows` is the worker's flow scratch of the lane, whose staged
+    /// episodes are kept across units. A scheme without one walks every
+    /// unit.
     fn detour(
         &self,
         _graph: &Graph,
         _unit: &SweepUnit<'_>,
         _out: Dart,
         _cone: &OpenCone<'_>,
-        _episode: &mut StagedEpisode,
+        _flows: &mut Flows<Self>,
     ) -> Option<Detour> {
         None
     }
-
-    /// Scenario boundary: drops what the agent remembers of the
-    /// departing scenario.
-    fn begin_scenario(&self) {}
 
     /// Adds the scheme's own counters for one unit to `stats`: whether
     /// its closed form was `asked`, and whether it `priced` the unit.
@@ -102,15 +100,11 @@ impl<'a> Lane for FcpAgent<'a> {
         unit: &SweepUnit<'_>,
         out: Dart,
         cone: &OpenCone<'_>,
-        _episode: &mut StagedEpisode,
+        _flows: &mut Flows<Self>,
     ) -> Option<Detour> {
         let p = graph.dart_tail(out);
         let base = unit.base_tree.cost(p).expect("connected");
         Some(cone.survivor(p).map(|survivor| survivor - base))
-    }
-
-    fn begin_scenario(&self) {
-        FcpAgent::begin_scenario(self);
     }
 
     fn count(&self, _asked: bool, priced: bool, stats: &mut SweepStats) {
@@ -132,17 +126,9 @@ impl<'a> Lane for PrAgent<'a> {
         unit: &SweepUnit<'_>,
         out: Dart,
         _cone: &OpenCone<'_>,
-        episode: &mut StagedEpisode,
+        flows: &mut Flows<Self>,
     ) -> Option<Detour> {
-        // Under one failed link the episode is a function of `out`
-        // alone: a staging of the same dart is the same episode.
-        if episode.out() != Some(out) {
-            self.stage_episode(out, unit.failed, episode);
-        }
-        let base = |v| unit.base_tree.cost(v).expect("connected");
-        let far = graph.dart_head(out);
-        let recycled = episode.recycle(unit.dst).filter(|r| r.resumes_at_far(graph, far))?;
-        Some(Some(recycled.cost(base(far)) - base(graph.dart_tail(out))))
+        flows.detour(graph, self, unit.base_tree, out, unit.failed).map(|(detour, _)| Some(detour))
     }
 
     fn count(&self, asked: bool, priced: bool, stats: &mut SweepStats) {
@@ -151,14 +137,16 @@ impl<'a> Lane for PrAgent<'a> {
     }
 }
 
-/// One worker's lane over a [`ConePlan`]: the scheme, the episode its
-/// closed form last staged, and the flow scratch only the units that
-/// closed form does not price reach.
+/// The flow scratch of a lane's agent.
+pub type Flows<L> = FlowScratch<<<L as Lane>::Agent as ForwardingAgent>::State>;
+
+/// One worker's lane over a [`ConePlan`]: the scheme and its flow
+/// scratch, which stages the episodes the closed form prices off and
+/// walks the units it does not price.
 pub struct LaneScratch<'a, L: Lane> {
     plan: &'a ConePlan<'a>,
     lane: L,
-    episode: StagedEpisode,
-    walks: FlowScratch<<L::Agent as ForwardingAgent>::State>,
+    walks: Flows<L>,
 }
 
 impl<'a, L: Lane> LaneScratch<'a, L> {
@@ -171,22 +159,17 @@ impl<'a, L: Lane> LaneScratch<'a, L> {
         let graph = plan.graph();
         let longest = 2 * graph.node_count().saturating_sub(1) + graph.dart_count();
         assert!(longest <= plan.ttl(), "a priced path of {longest} hops must fit the ttl");
-        LaneScratch { plan, lane, episode: StagedEpisode::new(), walks: FlowScratch::new() }
-    }
-
-    /// Scenario boundary ([`Lane::begin_scenario`]).
-    pub fn begin_scenario(&self) {
-        self.lane.begin_scenario();
+        LaneScratch { plan, lane, walks: FlowScratch::new() }
     }
 
     /// Opens the lane on `unit`, whose opened cone is `cone`: priced if
     /// its failed set is one link and the scheme's closed form covers
     /// it, walked otherwise.
     pub fn unit<'u>(&'u mut self, unit: &SweepUnit<'u>, cone: &OpenCone<'_>) -> LaneUnit<'u, L> {
-        let LaneScratch { plan, lane, episode, walks } = self;
+        let LaneScratch { plan, lane, walks } = self;
         let (graph, tree, lane) = (plan.graph(), unit.base_tree, &*lane);
         let out = unit.broken_tree_dart(graph);
-        let answer = match out.and_then(|out| lane.detour(graph, unit, out, cone, episode)) {
+        let answer = match out.and_then(|out| lane.detour(graph, unit, out, cone, walks)) {
             Some(detour) => Answer::Priced(tree, detour),
             None => Answer::Walked(walks.unit(graph, lane.agent(), tree, unit.failed), plan.ttl()),
         };

@@ -185,7 +185,7 @@ pub struct LaneStats {
     /// Units the FCP lane priced from the opener's repaired labels.
     pub fcp_priced: u64,
     /// Units the PR lane priced from their failed dart's episode
-    /// (`pr_core::StagedEpisode::recycle`).
+    /// (`pr_core::FlowScratch::detour`).
     pub pr_priced: u64,
     /// Units the PR lane asked its failed dart's episode: one per unit
     /// of one failed link (a worker stages each dart's episode once and
@@ -326,10 +326,7 @@ impl<'a> StretchPlan<'a> {
     ) {
         self.cones.sweep(family, threads).fold(
             || self.worker(),
-            |w, scenario| {
-                w.begin_scenario();
-                start(scenario)
-            },
+            start,
             |w, unit, acc| w.fold_unit(unit, acc),
             sink,
         );
@@ -345,13 +342,6 @@ pub struct StretchWorker<'a> {
 }
 
 impl StretchWorker<'_> {
-    /// Scenario boundary for both lanes: evicts the FCP route memo
-    /// (its keys are subsets of the departing scenario's failures).
-    pub fn begin_scenario(&self) {
-        self.fcp.begin_scenario();
-        self.pr.begin_scenario();
-    }
-
     /// Folds one (scenario, destination) unit — every affected source
     /// towards `unit.dst` — into `out`, samples in ascending source
     /// order. A unit no path of which crosses a failure, more than half

@@ -66,7 +66,6 @@ fn second_pass_over_a_scenario_never_calls_the_allocator() {
         let (mut evaluated, mut undelivered) = (0, 0);
         for scenario in (0..family.len()).step_by(family.len() / 12) {
             let failed = family.scenario(scenario);
-            worker.begin_scenario();
             let mut pass = |block: &mut StretchBlock| {
                 for dst in g.nodes() {
                     let base_tree = plan.base().towards(dst);
@@ -111,7 +110,6 @@ fn a_scenario_new_to_the_route_memo_never_calls_the_allocator() {
             .map(|scenario| (scenario, family.scenario(scenario)))
             .collect();
         let mut fold = |(scenario, failed): &(usize, LinkSet), block: &mut StretchBlock| {
-            worker.begin_scenario();
             for dst in g.nodes() {
                 let base_tree = plan.base().towards(dst);
                 let failures = failed.len();
@@ -119,8 +117,8 @@ fn a_scenario_new_to_the_route_memo_never_calls_the_allocator() {
                 worker.fold_unit(unit, block);
             }
         };
-        // Warm-up: each scenario once, the memo evicted in between, so
-        // every buffer, the arena and the index grow to the largest.
+        // Warm-up: each scenario once, the memo evicted at every unit,
+        // so every buffer, the arena and the index grow to the largest.
         let mut block = StretchBlock::default();
         let mut warm = Vec::new();
         for scenario in &scenarios {
@@ -128,8 +126,8 @@ fn a_scenario_new_to_the_route_memo_never_calls_the_allocator() {
             fold(scenario, &mut block);
             warm.push(block.clone());
         }
-        // Each scenario again: the memo starts empty and is refilled
-        // inside the counted region.
+        // Each scenario again: every unit's memo starts empty and is
+        // refilled inside the counted region.
         for (scenario, warm) in scenarios.iter().zip(&warm) {
             block = emptied(block);
             let calls = calls_during(|| fold(scenario, &mut block));

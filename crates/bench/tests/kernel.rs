@@ -265,7 +265,6 @@ fn check_walks(net: &Net, sets: &[LinkSet], ttl: usize) -> GroupShapes {
     for failed in sets {
         check_flow_units(net, &plan, &basic.agent(g), &mut basic_walks, failed, ttl, &mut seen);
         check_flow_units(net, &plan, &dd.agent(g), &mut dd_walks, failed, ttl, &mut seen);
-        fcp.begin_scenario();
         check_flow_units(net, &plan, &fcp, &mut fcp_walks, failed, ttl, &mut seen);
         check_flow_units(net, &plan, &lfa, &mut lfa_walks, failed, ttl, &mut seen);
         check_flow_units(net, &plan, &notvia, &mut notvia_walks, failed, ttl, &mut seen);
@@ -324,7 +323,6 @@ where
     let (mut seen, mut stats) = (PrSeen::default(), SweepStats::default());
     for failed in sets {
         shapes.observe(g, &net.base, reference, failed, ttl, ttl);
-        lane.begin_scenario();
         for dst in g.nodes() {
             let base_tree = plan.base().towards(dst);
             let unit = SweepUnit { scenario: 0, failed, failures: failed.len(), dst, base_tree };

@@ -401,8 +401,8 @@ fn topological_family<'a>(
         "single" => Box::new(SingleLinkFailures::new(graph)),
         "node" => Box::new(NodeFailures::new(graph)),
         "multi" => {
-            let samples: usize = args.option_or("samples", 100)?;
-            let fam = SampledMultiFailures::new(graph, k, samples, seed);
+            let samples = positive("samples", args.option_or("samples", 100)?)?;
+            let fam = SampledMultiFailures::new(graph, positive("k", k)?, samples, seed);
             if fam.len() < samples {
                 println!("note: only {} distinct scenarios exist (asked for {samples})", fam.len());
             }
@@ -423,7 +423,12 @@ fn topological_family<'a>(
             }
             Box::new(SrlgFailures::new(graph, radius))
         }
-        "exhaustive" => Box::new(ExhaustiveKFailures::new(graph, k)),
+        "exhaustive" if k > graph.link_count() => {
+            return Err(
+                format!("--k {k} exceeds the topology's {} links", graph.link_count()).into()
+            )
+        }
+        "exhaustive" => Box::new(ExhaustiveKFailures::new(graph, positive("k", k)?)),
         other => {
             return Err(format!(
                 "--family wants single|multi|node|srlg|exhaustive|outage|flap, got {other:?}"
@@ -431,6 +436,15 @@ fn topological_family<'a>(
             .into())
         }
     })
+}
+
+/// `count`, unless it is 0: a sweep of no failures or no scenarios
+/// would report nothing.
+fn positive(flag: &str, count: usize) -> CmdResult<usize> {
+    match count {
+        0 => Err(format!("--{flag} wants a positive count, got 0").into()),
+        _ => Ok(count),
+    }
 }
 
 /// `--format csv|json`: the artefact's extension (absent =

@@ -6,7 +6,8 @@ use pr_bench::stretch::{self, SweepStats};
 use pr_scenarios::{FlapSweep, OutageParams, OutageSweep, ScenarioSlice, TemporalFamily};
 
 use super::{
-    compile, emit, load_topology, parse_format, slug, threads, topological_family, CmdResult,
+    compile, emit, load_topology, parse_format, positive, slug, threads, topological_family,
+    CmdResult,
 };
 use crate::args::Args;
 
@@ -17,10 +18,14 @@ use crate::args::Args;
 pub fn stretch(args: &Args) -> CmdResult {
     let (graph, canonical) = load_topology(args.positional(0, "topology")?)?;
     let failures: usize = args.option_or("failures", 1)?;
+    positive("failures", failures)?;
+    if failures == 1 && args.option("samples").is_some() {
+        return Err("--samples draws multi-failure scenarios: it wants --failures 2 or more".into());
+    }
     let seed: u64 = args.option_or("seed", 2010)?;
     let threads = threads(args)?;
     let net = compile(&graph, canonical, args)?;
-    let name = if failures <= 1 { "single" } else { "multi" };
+    let name = if failures == 1 { "single" } else { "multi" };
     let family = topological_family(&graph, name, failures, seed, args)?;
     let (rows, _) = stretch::run_rows(&graph, &net, family.as_ref(), threads, 0);
     let report = stretch::report_from_rows(&rows, &stretch::figure2_xs());

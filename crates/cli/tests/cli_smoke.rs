@@ -102,6 +102,27 @@ fn non_finite_and_negative_float_options_are_errors_not_panics() {
 }
 
 #[test]
+fn degenerate_sweep_sizes_are_errors_naming_the_flag() {
+    // Abilene has 14 links. Each of these would sweep one empty
+    // scenario or none, or (`pr stretch`) ignore the flag.
+    let cases: [(&[&str], &str); 6] = [
+        (&["stretch", "abilene", "--failures", "0"], "--failures"),
+        (&["stretch", "abilene", "--samples", "5"], "--samples"),
+        (&["sweep", "abilene", "--family", "multi", "--k", "0"], "--k"),
+        (&["sweep", "abilene", "--family", "exhaustive", "--k", "0"], "--k"),
+        (&["sweep", "abilene", "--family", "multi", "--samples", "0"], "--samples"),
+        (&["traffic", "abilene", "--family", "exhaustive", "--k", "20"], "--k"),
+    ];
+    for (args, flag) in cases {
+        let out = run(args);
+        let err = stderr(&out);
+        assert!(!out.status.success(), "{args:?} must fail: {}", stdout(&out));
+        assert!(err.contains(flag), "{args:?} must name {flag}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn info_runs_on_every_named_topology() {
     for topo in ["abilene", "teleglobe", "geant", "figure1"] {
         let out = run(&["info", topo]);

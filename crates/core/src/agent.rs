@@ -17,6 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::{
     CycleFollowingTable, DiscriminatorKind, HeaderCodec, MemoryFootprint, PrHeader, RoutingTables,
+    Stamp,
 };
 
 /// Why a packet was dropped.
@@ -107,16 +108,15 @@ pub trait ForwardingAgent {
     /// PR; grows with carried failures for FCP.
     fn header_bits(&self, state: &Self::State) -> usize;
 
-    /// The scheme's **episode**, if it has one: what a packet does from
-    /// the tail of the failed dart `out` it deflects off, whatever its
-    /// destination, up to the first router whose cycle-following dart
-    /// is failed too, staged into `staged` — then `true`, and
+    /// The scheme's **episode**, for an agent with an
+    /// [`episode_stamp`](ForwardingAgent::episode_stamp): what a packet
+    /// does from the tail of the failed dart `out` it deflects off,
+    /// whatever its destination, up to the first router whose
+    /// cycle-following dart is failed too, staged into `staged`, where
     /// [`StagedEpisode::recycle`] prices any destination from it. The
-    /// default has none and returns `false`: such packets are walked.
-    /// Only [`PrAgent`] has one, §4.2's [`Episode`].
-    fn stage_episode(&self, _out: Dart, _failed: &LinkSet, _staged: &mut StagedEpisode) -> bool {
-        false
-    }
+    /// default stages nothing. Only [`PrAgent`] has one, §4.2's
+    /// [`Episode`].
+    fn stage_episode(&self, _out: Dart, _failed: &LinkSet, _staged: &mut StagedEpisode) {}
 
     /// The scheme's **episode chain** step (DESIGN.md §8, "The episode
     /// chain"), if it has one: the episode a packet towards `dest`
@@ -144,6 +144,17 @@ pub trait ForwardingAgent {
     ) -> Option<Leg> {
         None
     }
+
+    /// The identity of the agent's episodes: agents of one stamp stage
+    /// the same episode of every failed dart. `None`, the default, for
+    /// an agent without episodes, whose packets are walked.
+    fn episode_stamp(&self) -> Option<Stamp> {
+        None
+    }
+
+    /// A [`FlowUnit`](crate::FlowUnit) opens: what the agent memoised
+    /// for earlier units may go. The default keeps nothing.
+    fn begin_unit(&self) {}
 }
 
 /// One episode of a chain ([`ForwardingAgent::next_episode`]): the
@@ -295,7 +306,7 @@ impl PrNetwork {
         if let Err(why) = self.check_darts(graph) {
             panic!("tables refused: {why}");
         }
-        PrAgent { net: self, graph }
+        PrAgent { net: self, graph, stamp: Stamp::fresh() }
     }
 
     /// `Ok` if every router has a labelled route to every destination,
@@ -337,6 +348,9 @@ impl PrNetwork {
 pub struct PrAgent<'a> {
     net: &'a PrNetwork,
     graph: &'a Graph,
+    /// The episodes' stamp, fresh per [`PrNetwork::agent`] call (its
+    /// copies borrow the one network).
+    stamp: Stamp,
 }
 
 impl<'a> PrAgent<'a> {
@@ -533,29 +547,6 @@ pub enum Recycled {
     },
 }
 
-impl Recycled {
-    /// What the packet pays from `p` to its destination, `beyond` being
-    /// what it pays from the checkpoint on.
-    pub fn cost(self, beyond: u64) -> u64 {
-        match self {
-            Recycled::Inside { cost, .. } => cost,
-            Recycled::Through { cost, .. } => cost + beyond,
-        }
-    }
-
-    /// Under **one** failed link `p → far`, whether the packet is
-    /// priced: delivered inside, or through to `far`, which resumes
-    /// routing on a path that does not cross the link (DESIGN.md §8,
-    /// "The PR lane under one failure"). An episode back at `p` prices
-    /// nothing.
-    pub fn resumes_at_far(self, graph: &Graph, far: NodeId) -> bool {
-        match self {
-            Recycled::Inside { .. } => true,
-            Recycled::Through { checkpoint, .. } => graph.dart_tail(checkpoint) == far,
-        }
-    }
-}
-
 impl StagedEpisode {
     /// An empty staging; it grows to the topology on first use.
     pub fn new() -> StagedEpisode {
@@ -605,9 +596,10 @@ impl StagedEpisode {
     /// at the first dart whose head is `dest`; else the whole episode,
     /// up to its checkpoint. `None` for an empty episode — the
     /// deflecting router has no live interface, and the packet must be
-    /// walked. Under one failed link it prices a whole unit (with
-    /// [`Recycled::resumes_at_far`]); under any failed set it is each
-    /// step of an episode chain ([`FlowUnit`](crate::FlowUnit)).
+    /// walked. Under one failed link it prices a whole unit
+    /// ([`FlowScratch::detour`](crate::FlowScratch::detour)); under any
+    /// failed set it is each step of an episode chain
+    /// ([`FlowUnit`](crate::FlowUnit)).
     pub fn recycle(&self, dest: NodeId) -> Option<Recycled> {
         match self.first[dest.index()] {
             (stamp, at) if stamp == self.stamp => {
@@ -671,9 +663,12 @@ impl<'a> ForwardingAgent for PrAgent<'a> {
         usize::from(self.net.codec.total_bits())
     }
 
-    fn stage_episode(&self, out: Dart, failed: &LinkSet, staged: &mut StagedEpisode) -> bool {
+    fn stage_episode(&self, out: Dart, failed: &LinkSet, staged: &mut StagedEpisode) {
         staged.stage(self.graph, out, self.episode(out, failed));
-        true
+    }
+
+    fn episode_stamp(&self) -> Option<Stamp> {
+        Some(self.stamp)
     }
 
     /// `decide`'s two ways into an episode: a dead routing dart under a
@@ -818,7 +813,8 @@ mod tests {
         let out = g.find_dart(NodeId(1), NodeId(0)).unwrap();
         let failed = LinkSet::from_links(g.link_count(), [out.link()]);
         let mut staged = StagedEpisode::new();
-        assert!(agent.stage_episode(out, &failed, &mut staged));
+        assert!(agent.episode_stamp().is_some(), "PR has episodes");
+        agent.stage_episode(out, &failed, &mut staged);
         assert_eq!((staged.out(), staged.darts().len()), (Some(out), 4));
         // Routers 2, 3 and 4 head the episode's first three darts; node
         // 0 heads its last, and is also the far end.
@@ -826,15 +822,8 @@ mod tests {
             let recycled = staged.recycle(NodeId(dest));
             assert_eq!(recycled, Some(Recycled::Inside { at, cost: at as u64 + 1 }), "{dest}");
             let walk = crate::walk_packet(&g, &agent, NodeId(1), NodeId(dest), &failed, 10);
-            assert_eq!(walk.cost(&g), recycled.unwrap().cost(0), "{dest}");
+            assert_eq!(walk.cost(&g), at as u64 + 1, "{dest}");
         }
-        // Past the far end, the far end's failure-free path is paid on
-        // top of the whole episode; under one failure that is where a
-        // packet the episode does not deliver resumes.
-        let through = Recycled::Through { cost: 4, checkpoint: out.twin() };
-        assert_eq!(through.cost(3), 7);
-        assert!(through.resumes_at_far(&g, NodeId(0)));
-        assert!(!Recycled::Through { cost: 4, checkpoint: out }.resumes_at_far(&g, NodeId(0)));
 
         // A pendant router cut off by its only link deflects nowhere:
         // an empty episode prices no destination.

@@ -26,8 +26,9 @@
 //!   answers every source behind a point by arithmetic
 //!   ([`FlowUnit::walk`], what the scenario sweeps call).
 //!   Replay settles the points itself through [`recover_flow_with`],
-//!   which also hands it the darts to load. Nothing here allocates per
-//!   flow.
+//!   which also hands it the darts to load. A single failure's whole
+//!   cone is priced off its staged episode ([`FlowScratch::detour`]).
+//!   Nothing here allocates per flow.
 //!
 //! Delivering the unaffected flows along their tree paths without ever
 //! consulting the agent is sound for every scheme in this workspace
@@ -329,13 +330,14 @@ struct Stamped<T> {
 /// flow is known to deliver, so a dropped walk leaves no load behind),
 /// the unit's two node-indexed tables — where each climbed router's
 /// **point** is, and what each point's one settlement came to — the
-/// episodes of the failed set in hand, which every unit under that set
-/// chains, and the walk counters. All of it is sized to the topology
-/// once.
+/// episodes of the failed set in hand, and the walk counters. All of it
+/// is sized to the topology once.
 ///
-/// A scratch serves one agent on one topology, as a worker's does:
-/// the staged episodes are kept across units while the failed set
-/// stays the same, and [`FlowScratch::begin_scenario`] forgets them.
+/// A scratch serves one topology and owns what is kept per failed set:
+/// each failed dart's episode, staged once for the chains and the
+/// closed form ([`FlowScratch::detour`]) alike while the agent
+/// ([`ForwardingAgent::episode_stamp`]) and the set stay the same. What
+/// the agent memoises lives one unit ([`ForwardingAgent::begin_unit`]).
 ///
 /// Walking goes through [`FlowScratch::unit`].
 #[derive(Debug)]
@@ -368,20 +370,15 @@ impl<S> FlowScratch<S> {
         }
     }
 
-    /// Scenario boundary: forgets the staged episodes, so the next
-    /// chain stages its own whatever failed set it is under.
-    pub fn begin_scenario(&mut self) {
-        self.episodes.forget();
-    }
-
     /// Opens the work unit of flows towards `tree.dest` under `failed`,
     /// forwarded by `agent` — `tree` being the destination's
     /// failure-free tree, the one the agent forwards along while it
-    /// meets no failure. Forgets the previous unit's points and returns
-    /// the guard the flow walkers take. Points and their outcomes are
-    /// valid for exactly one such unit, and the guard is the only way
-    /// to walk, so the function that owns the destination loop cannot
-    /// forget the boundary.
+    /// meets no failure. Forgets the previous unit's points, tells the
+    /// agent ([`ForwardingAgent::begin_unit`]) and returns the guard
+    /// the flow walkers take. Points and their outcomes are valid for
+    /// exactly one such unit, and the guard is the only way to walk, so
+    /// the function that owns the destination loop cannot forget the
+    /// boundary.
     pub fn unit<'a, A: ForwardingAgent<State = S>>(
         &'a mut self,
         graph: &'a Graph,
@@ -401,21 +398,64 @@ impl<S> FlowScratch<S> {
             self.unit = 0;
         }
         self.unit += 1;
+        agent.begin_unit();
         FlowUnit { graph, agent, tree, failed, scratch: self }
+    }
+
+    /// **The single-failure closed form** (DESIGN.md §8, "The PR lane
+    /// under one failure"): under the one failed link of `failed`, what
+    /// every source routed into `tree`'s dead dart `out = p → far` pays
+    /// beyond its failure-free path, off `out`'s staged episode, with
+    /// the episode's answer. `None` — walk the unit — if the agent has
+    /// no episode, or it is empty or comes back to `p`.
+    pub fn detour<A: ForwardingAgent<State = S>>(
+        &mut self,
+        graph: &Graph,
+        agent: &A,
+        tree: &SpTree,
+        out: Dart,
+        failed: &LinkSet,
+    ) -> Option<(u64, Recycled)> {
+        debug_assert_eq!(failed.len(), 1, "the closed form is of one failed link");
+        self.episodes.open(graph, agent, failed);
+        let slot = self.episodes.slot(agent, out, failed)?;
+        let far = graph.dart_head(out);
+        let recycled = self.episodes.staged[slot].recycle(tree.dest)?;
+        let base = |v| tree.cost(v).expect("a cone's failure point reaches the destination");
+        let cost = match recycled {
+            Recycled::Inside { cost, .. } => cost,
+            // Resumed at `far`, on a path that does not cross the link.
+            Recycled::Through { cost, checkpoint } if graph.dart_tail(checkpoint) == far => {
+                cost + base(far)
+            }
+            // Back at `p`.
+            Recycled::Through { .. } => return None,
+        };
+        Some((cost - base(graph.dart_tail(out)), recycled))
+    }
+
+    /// The darts of `out`'s episode, staged under the failed set in hand
+    /// ([`FlowScratch::detour`]); panics if it is not staged.
+    pub fn staged_darts(&self, out: Dart) -> &[Dart] {
+        let slot = self.episodes.slot[out.index()];
+        assert_ne!(slot, UNSTAGED, "{out}'s episode is not staged");
+        self.episodes.staged[slot as usize].darts()
     }
 }
 
 /// A dart whose episode is not staged.
 const UNSTAGED: u32 = u32::MAX;
 
-/// The episodes of one failed set, staged on first need and shared by
-/// every unit under that set — each one is a function of its failed
-/// dart alone, whatever the destination — plus the bookkeeping of the
-/// chain in hand ([`FlowUnit`], "Chains").
+/// The episodes of one agent under one failed set, staged on first
+/// need and shared by every unit under that set — each one is a
+/// function of its failed dart alone, whatever the destination — plus
+/// the bookkeeping of the chain in hand ([`FlowUnit`], "Chains").
 #[derive(Debug)]
 struct Episodes {
     /// The failed set the staging is for.
     failed: LinkSet,
+    /// The agent's [`ForwardingAgent::episode_stamp`].
+    agent: Option<Stamp>,
     /// Per dart, the slot of its staged episode, or [`UNSTAGED`].
     slot: Vec<u32>,
     /// The staged episodes; the first `used` are live.
@@ -442,6 +482,7 @@ impl Episodes {
     fn new() -> Episodes {
         Episodes {
             failed: LinkSet::empty(0),
+            agent: None,
             slot: Vec::new(),
             staged: Vec::new(),
             used: 0,
@@ -451,26 +492,23 @@ impl Episodes {
         }
     }
 
-    /// Un-stages every staged episode.
-    fn forget(&mut self) {
-        for staged in &self.staged[..self.used] {
-            self.slot[staged.out().expect("a used slot holds an episode").index()] = UNSTAGED;
-        }
-        self.used = 0;
-    }
-
-    /// Opens a chain under `failed`: the staging is kept if it is of
+    /// Opens a chain: the staging is kept if it is `agent`'s under
     /// `failed`, and forgotten otherwise.
-    fn open(&mut self, graph: &Graph, failed: &LinkSet) {
+    fn open(&mut self, graph: &Graph, agent: &impl ForwardingAgent, failed: &LinkSet) {
         self.pieces.clear();
         if self.slot.len() != graph.dart_count() {
             self.slot.clear();
             self.slot.resize(graph.dart_count(), UNSTAGED);
             self.used = 0;
         }
-        if self.failed != *failed {
-            self.forget();
+        let stamp = agent.episode_stamp();
+        if self.failed != *failed || self.agent != stamp {
+            for staged in &self.staged[..self.used] {
+                self.slot[staged.out().expect("a used slot holds an episode").index()] = UNSTAGED;
+            }
+            self.used = 0;
             self.failed.clone_from(failed);
+            self.agent = stamp;
         }
         if self.chain == u32::MAX {
             self.entered.fill((0, 0));
@@ -479,8 +517,8 @@ impl Episodes {
         self.chain += 1;
     }
 
-    /// The slot of `out`'s episode, staged on first need; `None` if the
-    /// agent stages none.
+    /// The slot of `out`'s episode, staged on first need; `None` for an
+    /// agent without episodes.
     fn slot<A: ForwardingAgent>(
         &mut self,
         agent: &A,
@@ -491,13 +529,12 @@ impl Episodes {
         if slot != UNSTAGED {
             return Some(slot as usize);
         }
+        self.agent?;
         if self.used == self.staged.len() {
             self.staged.push(StagedEpisode::new());
             self.entered.push((0, 0));
         }
-        if !agent.stage_episode(out, failed, &mut self.staged[self.used]) {
-            return None;
-        }
+        agent.stage_episode(out, failed, &mut self.staged[self.used]);
         self.slot[out.index()] = self.used as u32;
         self.used += 1;
         Some(self.used - 1)
@@ -688,7 +725,7 @@ where
     fn chain(&mut self, point: NodeId, ttl: usize) -> Option<FlowWalk> {
         let (graph, agent, failed, dest) = (self.graph, self.agent, self.failed, self.tree.dest);
         let mut leg = agent.next_episode(point, dest, None, failed)?;
-        self.scratch.episodes.open(graph, failed);
+        self.scratch.episodes.open(graph, agent, failed);
         let (mut cost, mut hops) = (0, 0);
         loop {
             let episodes = &mut self.scratch.episodes;
@@ -1092,6 +1129,62 @@ mod tests {
             }
             assert!(seen[0] > 0 && seen[1] > 0, "walked and priced points: {seen:?}");
         }
+    }
+
+    #[test]
+    fn the_closed_form_is_the_walk_from_the_failure_point() {
+        // Every single failed link and destination whose tree crosses
+        // it, on Figure 1 under the paper's rotation and on K4 under the
+        // identity one (genus 1: some episodes come back to the
+        // deflecting router), in one scratch each: a priced detour is
+        // what `walk_packet` from the failure point `p` pays beyond its
+        // failure-free path — the episode up to the destination, or all
+        // of it plus the far end's tree path — the staged darts are the
+        // episode's, and an unpriced one is an episode back at `p`, or
+        // none.
+        let (fig1, orders) = pr_topologies::figure1();
+        let paper = RotationSystem::from_neighbor_orders(&fig1, &orders).unwrap();
+        let k4 = generators::complete(4, 1);
+        let identity = RotationSystem::identity(&k4);
+        let mut seen = [0; 3];
+        for (g, rotation) in [(fig1, paper), (k4, identity)] {
+            let emb = CellularEmbedding::new(&g, rotation).unwrap();
+            let net =
+                PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+            let agent = net.agent(&g);
+            let mut scratch = FlowScratch::new();
+            for link in g.links() {
+                let failed = LinkSet::from_links(g.link_count(), [link]);
+                for dest in g.nodes() {
+                    let tree = net.base().towards(dest);
+                    let (a, b) = g.endpoints(link);
+                    let mut tree_darts = [a, b].into_iter().filter_map(|v| tree.next_dart(v));
+                    let Some(out) = tree_darts.find(|d| d.link() == link) else { continue };
+                    let (p, far) = (g.dart_tail(out), g.dart_head(out));
+                    let label = format!("{link} {p}->{dest}");
+                    let mut episode = agent.episode(out, &failed);
+                    let darts: Vec<Dart> = episode.by_ref().collect();
+                    let Some((detour, recycled)) = scratch.detour(&g, &agent, tree, out, &failed)
+                    else {
+                        seen[0] += 1;
+                        assert!(episode.ended_by().is_none_or(|d| g.dart_tail(d) == p), "{label}");
+                        continue;
+                    };
+                    let walk = crate::walk_packet(&g, &agent, p, dest, &failed, generous_ttl(&g));
+                    assert!(walk.result.is_delivered(), "{label}");
+                    assert_eq!(walk.cost(&g), tree.cost(p).unwrap() + detour, "{label}");
+                    assert_eq!(scratch.staged_darts(out), darts, "{label}");
+                    if let Recycled::Through { cost, checkpoint } = recycled {
+                        seen[2] += 1;
+                        assert_eq!(g.dart_tail(checkpoint), far, "{label}");
+                        assert_eq!(cost + tree.cost(far).unwrap(), walk.cost(&g), "{label}");
+                    } else {
+                        seen[1] += 1;
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "unpriced, inside and through: {seen:?}");
     }
 
     #[test]

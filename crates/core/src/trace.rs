@@ -255,8 +255,9 @@ pub fn trace_packet(
 mod tests {
     use super::*;
     use crate::{generous_ttl, walk_packet, DiscriminatorKind, WalkResult};
-    use pr_embedding::{CellularEmbedding, RotationSystem};
-    use pr_graph::generators;
+    use pr_embedding::{heuristics, CellularEmbedding, RotationSystem};
+    use pr_graph::{generators, LinkId};
+    use pr_topologies::{Isp, Weighting};
 
     fn net_on_ring(mode: PrMode) -> (Graph, PrNetwork) {
         let g = generators::ring(6, 1);
@@ -266,31 +267,64 @@ mod tests {
 
     #[test]
     fn trace_agrees_with_walker() {
-        let (g, net) = net_on_ring(PrMode::DistanceDiscriminator);
-        let agent = net.agent(&g);
-        let ttl = generous_ttl(&g);
-        for l in g.links() {
-            let failed = LinkSet::from_links(g.link_count(), [l]);
-            for src in g.nodes() {
-                for dst in g.nodes() {
-                    if src == dst {
-                        continue;
-                    }
-                    let walk = walk_packet(&g, &agent, src, dst, &failed, ttl);
-                    let trace = trace_packet(&g, &net, src, dst, &failed, ttl);
-                    assert_eq!(trace.darts(), walk.path.darts());
-                    match (&walk.result, &trace.outcome) {
-                        (WalkResult::Delivered, TraceOutcome::Delivered) => {}
-                        (
-                            WalkResult::Dropped(DropReason::ForwardingLoop),
-                            TraceOutcome::Livelock,
-                        ) => {}
-                        (WalkResult::Dropped(a), TraceOutcome::Dropped(b)) => assert_eq!(a, b),
-                        other => panic!("walker/trace disagree: {other:?}"),
+        // Every pair under every one- and two-link failure set, in both
+        // modes: the 6-ring, the paper's Figure 1 under its own
+        // rotation, Abilene under a searched rotation (genus 0) and
+        // under the identity one (positive genus: walks livelock
+        // although a path survives). The trace takes the walker's darts
+        // and ends as it does.
+        let ring = generators::ring(6, 1);
+        let ring_rotation = RotationSystem::identity(&ring);
+        let (fig1, orders) = pr_topologies::figure1();
+        let paper = RotationSystem::from_neighbor_orders(&fig1, &orders).unwrap();
+        let abilene = pr_topologies::load(Isp::Abilene, Weighting::Distance);
+        let searched = heuristics::thorough(&abilene, 2010, 4, 10_000);
+        let identity = RotationSystem::identity(&abilene);
+        let embeddings = [
+            (ring, ring_rotation),
+            (fig1, paper),
+            (abilene.clone(), searched),
+            (abilene, identity),
+        ];
+        let (mut positive_genus, mut livelocks) = (false, 0);
+        for (g, rotation) in embeddings {
+            let emb = CellularEmbedding::new(&g, rotation).unwrap();
+            positive_genus |= emb.genus() > 0;
+            let links: Vec<LinkId> = g.links().collect();
+            let sets: Vec<LinkSet> = (0..links.len())
+                .flat_map(|i| (i..links.len()).map(move |j| (i, j)))
+                .map(|(i, j)| LinkSet::from_links(g.link_count(), [links[i], links[j]]))
+                .collect();
+            let ttl = generous_ttl(&g);
+            for mode in [PrMode::Basic, PrMode::DistanceDiscriminator] {
+                let net = PrNetwork::compile(&g, emb.clone(), mode, DiscriminatorKind::Hops);
+                let agent = net.agent(&g);
+                for failed in &sets {
+                    for (src, dst) in g.nodes().flat_map(|s| g.nodes().map(move |d| (s, d))) {
+                        if src == dst {
+                            continue;
+                        }
+                        let walk = walk_packet(&g, &agent, src, dst, failed, ttl);
+                        let trace = trace_packet(&g, &net, src, dst, failed, ttl);
+                        let label = format!("{mode:?} {failed:?} {src}->{dst}");
+                        assert_eq!(trace.darts(), walk.path.darts(), "{label}");
+                        match (&walk.result, &trace.outcome) {
+                            (WalkResult::Delivered, TraceOutcome::Delivered) => {}
+                            (
+                                WalkResult::Dropped(DropReason::ForwardingLoop),
+                                TraceOutcome::Livelock,
+                            ) => livelocks += 1,
+                            (WalkResult::Dropped(a), TraceOutcome::Dropped(b)) => {
+                                assert_eq!(a, b, "{label}")
+                            }
+                            other => panic!("{label}: walker/trace disagree: {other:?}"),
+                        }
                     }
                 }
             }
         }
+        assert!(positive_genus, "one embedding must be of positive genus");
+        assert!(livelocks > 0, "the sets must make some walk livelock");
     }
 
     #[test]

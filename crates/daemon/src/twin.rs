@@ -376,7 +376,6 @@ impl Twin {
         };
         self.demand = spec;
         self.flows = flows;
-        self.replay_demand.drop_baseline();
         self.gauges = None;
         self.counters.events += 1;
         self.counters.demand_updates += 1;

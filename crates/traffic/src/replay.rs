@@ -15,11 +15,11 @@
 //!   **point**, the first router that does anything else. Under **one**
 //!   failed link the point of every source of a cone is the router `p`
 //!   above the dead tree dart `p → far`, and an agent with a
-//!   single-failure closed form (Packet Re-cycling's:
-//!   [`ForwardingAgent::stage_episode`], [`StagedEpisode::recycle`])
-//!   prices the whole cone by arithmetic off the failed dart's
-//!   **episode**, staged once per scenario for every destination: no
-//!   point is climbed, withdrawn point by point or walked. Everything
+//!   single-failure closed form (Packet Re-cycling's, asked through
+//!   [`FlowScratch::detour`]) prices the whole cone by arithmetic off
+//!   the failed dart's **episode**, staged once per failed set on the
+//!   flow scratch for every destination: no point is climbed,
+//!   withdrawn point by point or walked. Everything
 //!   else — two or more failed links, an agent without a closed form,
 //!   an episode that prices nothing — finds each source's point
 //!   ([`FlowUnit::point_of`](pr_core::FlowUnit::point_of)) and settles
@@ -27,8 +27,9 @@
 //!   walked**: priced as a chain of the failed set's staged episodes
 //!   and tree segments where the agent has episodes and the chain
 //!   delivers within the budget, walked once through the walker's plain
-//!   hop loop otherwise — carrying the summed demand of the sources behind it, withdrawn
-//!   from the tree path it no longer takes. A failure that disturbs 3 %
+//!   hop loop otherwise — carrying the summed demand of the sources
+//!   behind it, withdrawn from the tree path it no longer takes. A
+//!   failure that disturbs 3 %
 //!   of the pairs costs about 3 % of a full pass, and at most one chain
 //!   or walk per failure point, not per source.
 //! * [`replay_scenario_naive`] — **the oracle.** One [`walk_packet`] per
@@ -65,7 +66,7 @@
 
 use pr_core::{
     recover_flow_with, walk_packet, DenseFib, DropReason, FlowScratch, FlowWalk, ForwardingAgent,
-    Recycled, StagedEpisode, Stamp, TreeEdge,
+    Recycled, Stamp, TreeEdge,
 };
 use pr_graph::{bits, AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, SpTree};
 use serde::{Deserialize, Serialize};
@@ -146,14 +147,13 @@ enum Fate {
 }
 
 /// Reusable per-worker state of a replay: the failure-free baseline of
-/// the `(DenseFib, FlowSet)` pair it last served, the two staged
-/// episodes of a single failure, the flow-walk scratch (livelock
-/// detector, staged-path buffer, the staged episodes the points'
-/// chains follow), the
-/// per-scenario survivor components, the node-indexed staging of the
-/// cone and point passes and the per-link load accumulator. Everything is reset
-/// in place — the steady state allocates nothing, and all of it is
-/// O(nodes + links).
+/// the `(DenseFib, FlowSet)` pair it last served, the flow-walk scratch
+/// (livelock detector, staged-path buffer, and the failed set's staged
+/// episodes, which a single failure's closed form and the points'
+/// chains both price off), the per-scenario survivor components, the
+/// node-indexed staging of the cone and point passes and the per-link
+/// load accumulator. Everything is reset in place — the steady state
+/// allocates nothing, and all of it is O(nodes + links).
 ///
 /// The baseline is keyed by the **construction stamps** of the FIB and
 /// the flow set, never by an address or a length: a flow set dropped
@@ -165,9 +165,6 @@ enum Fate {
 pub struct ReplayScratch<S> {
     walk: FlowScratch<S>,
     baseline: Option<Baseline>,
-    /// Under one failed link, the episodes of its two darts, staged
-    /// when a destination first needs one (per scenario).
-    episodes: [StagedEpisode; 2],
     /// Survivor-graph component labels, one per node (per scenario).
     comp: Vec<u32>,
     /// BFS worklist for the component labelling.
@@ -199,7 +196,6 @@ impl<S> ReplayScratch<S> {
         ReplayScratch {
             walk: FlowScratch::new(),
             baseline: None,
-            episodes: [StagedEpisode::new(), StagedEpisode::new()],
             comp: Vec::new(),
             queue: Vec::new(),
             roots: Vec::new(),
@@ -225,13 +221,6 @@ impl<S> ReplayScratch<S> {
     /// Work counters since the scratch was made or last asked.
     pub fn take_stats(&mut self) -> ReplayStats {
         std::mem::take(&mut self.stats)
-    }
-
-    /// Forgets the baseline, so the next replay builds one. The stamps
-    /// already make a stale baseline impossible; this is for the owner
-    /// of a resident flow set who replaces it and would rather say so.
-    pub fn drop_baseline(&mut self) {
-        self.baseline = None;
     }
 }
 
@@ -391,9 +380,9 @@ fn build_baseline(
 /// 3. **Priced.** Under one failed link `l`, a destination has one cone,
 ///    rooted at `p` with the dead tree dart `out = p → far`, and `p` is
 ///    the point of every source in it. If the agent has a closed form
-///    ([`ForwardingAgent::stage_episode`]), `out`'s episode is staged on
-///    first need — at most two per scenario, one per direction of `l` —
-///    and asked for the destination ([`StagedEpisode::recycle`]). One
+///    ([`FlowScratch::detour`]), `out`'s episode — staged on first
+///    need and kept on the flow scratch while the failed set is — is
+///    asked for the destination. One
 ///    gather pass over the cone sets the sources, their demands and
 ///    their sum `T`. Delivered **inside** the episode at dart `i`: `T`
 ///    comes off the tree path from `p` and onto darts `0..=i`, and the
@@ -476,7 +465,6 @@ where
     let ReplayScratch {
         walk,
         baseline,
-        episodes,
         comp,
         queue,
         roots,
@@ -505,8 +493,6 @@ where
     // prefix of any source behind it within `ttl`.
     let group_ttl = ttl - baseline.hop_diameter;
     stats.replays += 1;
-    // The episode chains of this replay stage their own failed set's.
-    walk.begin_scenario();
 
     loads.clone_from(&baseline.loads);
     let mut tally = baseline.tally;
@@ -517,14 +503,12 @@ where
     // Every node can be a point: room for all of them, once.
     points.clear();
     points.reserve(n);
-    // Under one failed link, the agent's closed form: per direction of
-    // the link, whether it has been staged, and the demand that rides
-    // its whole episode to the far end. A priced path counts no hops,
-    // so it is asked only under a budget the longest fits: a tree
-    // prefix and a tree suffix around an episode, which follows one
-    // face.
+    // Under one failed link, the agent's closed form, and per direction
+    // of the link the demand that rides its whole episode to the far
+    // end. A priced path counts no hops, so it is asked only under a
+    // budget the longest fits: a tree prefix and a tree suffix around
+    // an episode, which follows one face.
     let closed_form = failed.len() == 1 && ttl >= 2 * baseline.hop_diameter + graph.dart_count();
-    let mut staged: [Option<bool>; 2] = [None; 2];
     let mut to_far = [0.0; 2];
     let mut labelled = false;
 
@@ -545,13 +529,8 @@ where
         // episode reaches the destination or ends at `far`.
         let root = frames[cones[0].at as usize];
         let out = Dart(root.dart);
-        let side = usize::from(!out.is_forward());
-        let priced = closed_form
-            && *staged[side]
-                .get_or_insert_with(|| agent.stage_episode(out, failed, &mut episodes[side]));
-        let far = NodeId(root.parent);
-        let recycled = priced.then(|| episodes[side].recycle(dst)).flatten();
-        if let Some(recycled) = recycled.filter(|r| r.resumes_at_far(graph, far)) {
+        let priced = closed_form.then(|| walk.detour(graph, agent, base_tree, out, failed));
+        if let Some((detour, recycled)) = priced.flatten() {
             stats.priced += 1;
             let cone = &frames[cones[0].at as usize..root.end as usize];
             stats.cone_sources += cone.len() as u64;
@@ -564,29 +543,26 @@ where
                     total += d;
                 }
             }
-            let cost = |v: NodeId| base_tree.cost(v).expect("connected base graph");
-            let p = NodeId(root.node);
-            let detour = recycled.cost(cost(far)) - cost(p);
             match recycled {
                 // Off the tree path from `p`, onto the episode up to the
                 // destination.
                 Recycled::Inside { at, .. } => {
-                    let mut at_node = p;
+                    let mut at_node = NodeId(root.node);
                     while let Some(d) = base_tree.next_dart(at_node) {
                         loads[d.link().index()] -= total;
                         at_node = graph.dart_head(d);
                     }
-                    for d in &episodes[side].darts()[..=at] {
+                    for d in &walk.staged_darts(out)[..=at] {
                         loads[d.link().index()] += total;
                     }
                 }
                 // Off `p → far`, onto the whole episode; `far`'s path is
                 // the same before and after. Every destination of the
                 // episode is moved at once, after the last.
-                Recycled::Through { .. } => to_far[side] += total,
+                Recycled::Through { .. } => to_far[usize::from(!out.is_forward())] += total,
             }
             bits::for_each_set(sources, |i| {
-                let optimal = cost(NodeId(i as u32));
+                let optimal = base_tree.cost(NodeId(i as u32)).expect("connected base graph");
                 tally.clear_to_recovered(demand[i], (optimal + detour) as f64 / optimal as f64);
             });
             continue;
@@ -699,11 +675,13 @@ where
     }
 
     // The demand that rode an episode to the far end, per direction.
-    for (episode, total) in episodes.iter().zip(to_far).filter(|&(_, total)| total != 0.0) {
-        let out = episode.out().expect("priced off a staged episode");
-        loads[out.link().index()] -= total;
-        for d in episode.darts() {
-            loads[d.link().index()] += total;
+    if let Some(link) = failed.iter().next().filter(|_| closed_form) {
+        let sides = [link.forward(), link.reverse()].into_iter().zip(to_far);
+        for (out, total) in sides.filter(|&(_, total)| total != 0.0) {
+            loads[link.index()] -= total;
+            for d in walk.staged_darts(out) {
+                loads[d.link().index()] += total;
+            }
         }
     }
 

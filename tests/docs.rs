@@ -6,9 +6,14 @@
 //! any run of characters within one path component. A Rust item after
 //! a path (`x.rs::test_name`) must be a `fn` of the file the path
 //! names, and a bare `::test_name` — the claims ledger's continuation
-//! form — one of the last path named on its line. What no checkout
-//! holds — generated output — is in [`GENERATED`].
+//! form — one of the last path named on its line. A `Type::member`
+//! span (`FlowScratch::unit`, `OpenCone::survivor(p)`) must name a `fn`
+//! of an `impl` for `Type` or of `trait Type`, or a field of
+//! `struct Type`, somewhere in the tree's sources; std types are in
+//! [`STD_TYPES`]. What no checkout holds — generated output — is in
+//! [`GENERATED`].
 
+use std::collections::HashSet;
 use std::path::Path;
 
 /// The documents checked, from the repo root.
@@ -20,6 +25,10 @@ const GENERATED: &[&str] = &["results/", "target/", "manifest.json"];
 
 /// Directories the tree walk skips: build output, run output, history.
 const SKIPPED: &[&str] = &[".git", "target", "results", "out", ".bench_build"];
+
+/// Std types whose members the docs name: no source of the tree
+/// defines them.
+const STD_TYPES: &[&str] = &["Peekable"];
 
 /// Extensions that make a backticked word a file name.
 const EXTENSIONS: &[&str] = &["rs", "md", "json", "toml", "yml", "topo", "csv", "lock"];
@@ -138,6 +147,106 @@ fn defines(path: &str, item: &str, tree: &[String], read: impl Fn(&str) -> Strin
     })
 }
 
+/// The `(Type, member)` a code span names, if it names one: an
+/// upper-case type and a lower-case member, maybe behind a crate path
+/// (`pr_core::FlowUnit::walk`) and before a call's arguments.
+fn as_member(span: &str) -> Option<(&str, &str)> {
+    let name = span.split('(').next()?;
+    let ident = |s: &str| !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+    let lower = |s: &str| ident(s) && !s.starts_with(|c: char| c.is_ascii_uppercase());
+    let mut segments = name.rsplit("::");
+    let (member, ty) = (segments.next()?, segments.next()?);
+    let typed = ident(ty) && ty.starts_with(|c: char| c.is_ascii_uppercase());
+    (typed && lower(member) && segments.all(lower)).then_some((ty, member))
+}
+
+/// The type an `impl` header is for: the one after ` for `, else the
+/// one after the generics, without its own generics or path.
+fn impl_type(header: &str) -> Option<&str> {
+    let rest = header.strip_prefix("impl")?;
+    // Where the type starts: past the impl's generics and a trait.
+    let (mut depth, mut start, mut previous) = (0, 0, ' ');
+    for (i, c) in rest.char_indices() {
+        match c {
+            '<' => depth += 1,
+            '>' if previous != '-' => depth -= 1,
+            _ if depth == 0 && rest[i..].starts_with(" for ") => start = i + " for ".len(),
+            _ if depth == 0 && start == 0 && c != ' ' => start = i,
+            _ => {}
+        }
+        previous = c;
+    }
+    let target = rest[start..].trim_start().trim_start_matches(['&', ' ']);
+    let target = target.strip_prefix("dyn ").unwrap_or(target);
+    let path = target.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':'));
+    path.take(1).flat_map(|p| p.rsplit("::").next()).find(|t| !t.is_empty())
+}
+
+/// `item` without its visibility.
+fn unqualified(item: &str) -> &str {
+    let visibilities = ["pub ", "pub(crate) ", "pub(super) "];
+    visibilities.iter().find_map(|v| item.strip_prefix(v)).unwrap_or(item)
+}
+
+/// The identifier `text` starts with.
+fn leading_word(text: &str) -> &str {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).next().unwrap_or("")
+}
+
+/// Every `(Type, member)` a source defines, read off rustfmt's layout:
+/// an `impl`, `trait` or `struct` header at some indent opens a block
+/// that a `}` at that indent closes, and the block's own items — the
+/// `fn`s of an `impl` or `trait`, the fields of a `struct` — sit one
+/// indent in.
+fn members(text: &str, out: &mut HashSet<(String, String)>) {
+    let lines: Vec<&str> = text.lines().collect();
+    for (at, line) in lines.iter().enumerate() {
+        let head = unqualified(line.trim_start());
+        let is_impl = head.starts_with("impl<") || head.starts_with("impl ");
+        let named = |keyword| head.strip_prefix(keyword).map(leading_word);
+        let (trait_name, struct_name) = (named("trait "), named("struct "));
+        if !is_impl && trait_name.is_none() && struct_name.is_none() {
+            continue;
+        }
+        // The header runs to the line that opens its block; a `;`
+        // first ends an item without one.
+        let Some(open) = lines[at..].iter().position(|l| l.ends_with('{') || l.ends_with(';'))
+        else {
+            continue;
+        };
+        let header = lines[at..=at + open].join(" ");
+        let owner =
+            if is_impl { impl_type(header.trim_start()) } else { trait_name.or(struct_name) };
+        let Some(owner) = owner.filter(|o| !o.is_empty() && header.ends_with('{')) else {
+            continue;
+        };
+        let (fields, indent) = (struct_name.is_some(), line.len() - line.trim_start().len());
+        let (end, inner) = (format!("{}}}", " ".repeat(indent)), " ".repeat(indent + 4));
+        for item in lines[at + open + 1..].iter().take_while(|l| **l != end) {
+            let Some(item) = item.strip_prefix(&inner).filter(|i| !i.starts_with(' ')) else {
+                continue;
+            };
+            let item = unqualified(item);
+            let name = if fields {
+                item.split_once(':').map(|(name, _)| name)
+            } else {
+                let item = ["const ", "unsafe ", "async "]
+                    .iter()
+                    .fold(item, |item, q| item.strip_prefix(q).unwrap_or(item));
+                item.strip_prefix("fn ").map(leading_word)
+            };
+            if let Some(name) = name.filter(|n| !n.is_empty() && *n == leading_word(n)) {
+                out.insert((owner.to_string(), name.to_string()));
+            }
+        }
+    }
+}
+
+/// Whether `(ty, member)` is one of `defined`, or of a std type.
+fn resolves_member((ty, member): (&str, &str), defined: &HashSet<(String, String)>) -> bool {
+    STD_TYPES.contains(&ty) || defined.contains(&(ty.to_string(), member.to_string()))
+}
+
 fn generated(path: &str) -> bool {
     GENERATED.iter().any(|g| path == *g || (g.ends_with('/') && path.starts_with(g)))
 }
@@ -148,8 +257,12 @@ fn every_backticked_repo_path_in_the_docs_resolves() {
     let mut tree = Vec::new();
     files(root, root, &mut tree);
     let read = |file: &str| std::fs::read_to_string(root.join(file)).expect("a readable file");
+    let mut defined = HashSet::new();
+    for file in tree.iter().filter(|file| file.ends_with(".rs")) {
+        members(&read(file), &mut defined);
+    }
     let mut unresolved = Vec::new();
-    let (mut checked, mut items) = (0, 0);
+    let (mut checked, mut items, mut named) = (0, 0, 0);
     for doc in DOCS {
         let text = read(doc);
         // The last path named on the current line, for `::item` spans.
@@ -164,7 +277,15 @@ fn every_backticked_repo_path_in_the_docs_resolves() {
                         continue;
                     }
                 },
-                (None, None) => continue,
+                (None, None) => {
+                    if let Some(member) = as_member(&span) {
+                        named += 1;
+                        if !resolves_member(member, &defined) {
+                            unresolved.push(format!("{doc}:{line}: `{span}` (no such member)"));
+                        }
+                    }
+                    continue;
+                }
             };
             if generated(&path) {
                 continue;
@@ -185,6 +306,7 @@ fn every_backticked_repo_path_in_the_docs_resolves() {
     }
     assert!(checked > 100, "only {checked} paths checked: the scanner lost the docs");
     assert!(items > 5, "only {items} test names checked: the scanner lost the ledger");
+    assert!(named > 90, "only {named} members checked: the scanner lost the docs");
     assert!(unresolved.is_empty(), "paths that name nothing:\n{}", unresolved.join("\n"));
 }
 
@@ -223,4 +345,81 @@ fn the_resolver_tells_a_stale_path_from_a_live_one() {
     for not_a_path in ["/metrics", "--threads", ".topo", "pr_core::walk_packet", "1 / 2"] {
         assert_eq!(as_path(not_a_path), None, "{not_a_path}");
     }
+}
+
+#[test]
+fn the_resolver_tells_a_stale_member_from_a_live_one() {
+    let source = "\
+pub struct FlowScratch<S> {
+    walk: WalkScratch<S>,
+    pub(crate) unit: u32,
+}
+
+impl<S> FlowScratch<S> {
+    /// fn not_a_member() — a doc line.
+    pub fn unit<'a, A: ForwardingAgent<State = S>>(&'a mut self) {
+        fn nested() {}
+    }
+}
+
+impl<A: ForwardingAgent> FlowUnit<'_, A>
+where
+    A::State: std::hash::Hash + Eq,
+{
+    pub(crate) fn point_of(&mut self) {}
+}
+
+pub trait Lane {
+    fn detour(&self) -> Option<u64> {
+        None
+    }
+}
+
+impl<'a> Lane for FcpAgent<'a> {
+    fn detour(&self) -> Option<u64> {
+        None
+    }
+}
+
+mod tests {
+    impl Default for Stamp {
+        fn default() -> Stamp {
+            Stamp(0)
+        }
+    }
+}
+";
+    let mut defined = HashSet::new();
+    members(source, &mut defined);
+    let live = [
+        "FlowScratch::unit(graph, agent, tree, failed)",
+        "FlowScratch::walk",
+        "pr_core::FlowScratch::unit",
+        "FlowUnit::point_of",
+        "Lane::detour",
+        "FcpAgent::detour",
+        "Stamp::default()",
+        "Peekable::next_if",
+    ];
+    for span in live {
+        let member = as_member(span).unwrap_or_else(|| panic!("{span} names a member"));
+        assert!(resolves_member(member, &defined), "{span}");
+    }
+    let stale = [
+        "FlowScratch::begin_scenario",
+        "FcpAgent::unit",
+        "FlowScratch::nested",
+        "Lane::not_a_member",
+    ];
+    for span in stale {
+        let member = as_member(span).unwrap_or_else(|| panic!("{span} names a member"));
+        assert!(!resolves_member(member, &defined), "{span}");
+    }
+    for not_a_member in
+        ["PrMode::Basic", "x.rs::a_test", "pr_core::walk_packet", "::a_test", "Vec<u8>"]
+    {
+        assert_eq!(as_member(not_a_member), None, "{not_a_member}");
+    }
+    assert_eq!(impl_type("impl<A: ForwardingAgent<State: Hash + Eq>> Lane for &A {"), Some("A"));
+    assert_eq!(impl_type("impl<F: Fn() -> u32> pr_graph::SpTree {"), Some("SpTree"));
 }
