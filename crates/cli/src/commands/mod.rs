@@ -261,7 +261,8 @@ TRAFFIC MODELS (pr traffic / pr impair):
     hotspot     seeded hot-PoP skew (--hotspots, --boost)
 
 IMPAIRMENT PROCESSES (pr impair; repeat --process to stack decorators):
-    gilbert     Gilbert-Elliott per-link up/down process (--rate /s, --burst ms)
+    gilbert     Gilbert-Elliott per-link up/down process (--rate /s, --burst ms);
+                --rate 0 replays the bare outage family
     storm       geo-correlated flap storms around seeded epicentres
                 (--storms, --radius km, --burst ms)
     maintenance scheduled windows taking seeded link picks down (--window-ms, --links)
@@ -402,7 +403,8 @@ fn topological_family<'a>(
         "node" => Box::new(NodeFailures::new(graph)),
         "multi" => {
             let samples = positive("samples", args.option_or("samples", 100)?)?;
-            let fam = SampledMultiFailures::new(graph, positive("k", k)?, samples, seed);
+            let k = losable(graph, "k", k)?;
+            let fam = SampledMultiFailures::new(graph, k, samples, seed);
             if fam.len() < samples {
                 println!("note: only {} distinct scenarios exist (asked for {samples})", fam.len());
             }
@@ -423,12 +425,10 @@ fn topological_family<'a>(
             }
             Box::new(SrlgFailures::new(graph, radius))
         }
-        "exhaustive" if k > graph.link_count() => {
-            return Err(
-                format!("--k {k} exceeds the topology's {} links", graph.link_count()).into()
-            )
+        "exhaustive" => {
+            let k = bounded("k", k, graph.link_count(), "links of the topology")?;
+            Box::new(ExhaustiveKFailures::new(graph, k))
         }
-        "exhaustive" => Box::new(ExhaustiveKFailures::new(graph, positive("k", k)?)),
         other => {
             return Err(format!(
                 "--family wants single|multi|node|srlg|exhaustive|outage|flap, got {other:?}"
@@ -438,13 +438,27 @@ fn topological_family<'a>(
     })
 }
 
-/// `count`, unless it is 0: a sweep of no failures or no scenarios
-/// would report nothing.
-fn positive(flag: &str, count: usize) -> CmdResult<usize> {
+/// `count`, unless it is 0 — a sweep of no failures or no scenarios
+/// would report nothing, a process of none impairs nothing — or above
+/// `most`, the number of `what` there are.
+fn bounded(flag: &str, count: usize, most: usize, what: &str) -> CmdResult<usize> {
     match count {
         0 => Err(format!("--{flag} wants a positive count, got 0").into()),
+        _ if count > most => Err(format!("--{flag} {count} exceeds the {most} {what}").into()),
         _ => Ok(count),
     }
+}
+
+/// `count`, unless it is 0 ([`bounded`] without a bound).
+fn positive(flag: &str, count: usize) -> CmdResult<usize> {
+    bounded(flag, count, usize::MAX, "")
+}
+
+/// `k` failed links, unless no draw of that many can leave `graph`
+/// connected: a survivor keeps a spanning tree, `nodes − 1` links.
+fn losable(graph: &Graph, flag: &str, k: usize) -> CmdResult<usize> {
+    let most = (graph.link_count() + 1).saturating_sub(graph.node_count());
+    bounded(flag, k, most, "links a connected survivor graph can lose")
 }
 
 /// `--format csv|json`: the artefact's extension (absent =

@@ -6,7 +6,7 @@ use pr_bench::stretch::{self, SweepStats};
 use pr_scenarios::{FlapSweep, OutageParams, OutageSweep, ScenarioSlice, TemporalFamily};
 
 use super::{
-    compile, emit, load_topology, parse_format, positive, slug, threads, topological_family,
+    compile, emit, load_topology, losable, parse_format, slug, threads, topological_family,
     CmdResult,
 };
 use crate::args::Args;
@@ -18,7 +18,10 @@ use crate::args::Args;
 pub fn stretch(args: &Args) -> CmdResult {
     let (graph, canonical) = load_topology(args.positional(0, "topology")?)?;
     let failures: usize = args.option_or("failures", 1)?;
-    positive("failures", failures)?;
+    // `--failures 1` is the single family; any other count is drawn.
+    if failures != 1 {
+        losable(&graph, "failures", failures)?;
+    }
     if failures == 1 && args.option("samples").is_some() {
         return Err("--samples draws multi-failure scenarios: it wants --failures 2 or more".into());
     }

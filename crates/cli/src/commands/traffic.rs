@@ -7,8 +7,8 @@ use pr_scenarios::{
 };
 
 use super::{
-    compile, emit, load_topology, parse_failures, parse_format, slug, threads, topological_family,
-    CmdResult,
+    bounded, compile, emit, load_topology, parse_failures, parse_format, positive, slug, threads,
+    topological_family, CmdResult,
 };
 use crate::args::Args;
 
@@ -197,18 +197,21 @@ pub fn impair(args: &Args) -> CmdResult {
                     return Err(format!("--radius wants km >= 0, got {radius}").into());
                 }
                 ImpairmentProcess::FlapStorm {
-                    storms: args.option_or("storms", 1)?,
+                    storms: positive("storms", args.option_or("storms", 1)?)?,
                     radius_km: radius,
                     down_for_ns: args.option_or("burst", 20u64)?.max(1) * 1_000_000,
                 }
             }
-            "maintenance" => ImpairmentProcess::Maintenance {
-                window_ns: args.option_or("window-ms", 50u64)? * 1_000_000,
-                links: args.option_or("links", 2)?,
-            },
-            "jitter" => ImpairmentProcess::DetectionJitter {
-                max_extra_ns: args.option_or("jitter-ms", 5u64)? * 1_000_000,
-            },
+            "maintenance" => {
+                let window_ms = positive("window-ms", args.option_or("window-ms", 50)?)?;
+                let links = args.option_or("links", 2)?;
+                let links = bounded("links", links, graph.link_count(), "links of the topology")?;
+                ImpairmentProcess::Maintenance { window_ns: window_ms as u64 * 1_000_000, links }
+            }
+            "jitter" => {
+                let jitter_ms = positive("jitter-ms", args.option_or("jitter-ms", 5)?)?;
+                ImpairmentProcess::DetectionJitter { max_extra_ns: jitter_ms as u64 * 1_000_000 }
+            }
             other => {
                 return Err(format!(
                     "--process wants gilbert|storm|maintenance|jitter, got {other:?}"

@@ -103,22 +103,43 @@ fn non_finite_and_negative_float_options_are_errors_not_panics() {
 
 #[test]
 fn degenerate_sweep_sizes_are_errors_naming_the_flag() {
-    // Abilene has 14 links. Each of these would sweep one empty
-    // scenario or none, or (`pr stretch`) ignore the flag.
-    let cases: [(&[&str], &str); 6] = [
+    // Abilene has 11 nodes and 14 links, so a connected survivor graph
+    // loses 4 at most. Each of these would sweep one empty scenario or
+    // none, (`pr stretch`) ignore the flag, draw fewer failures than its
+    // label says, or (`pr impair`) replay the bare outage sweep under a
+    // decorated label or clamp `--links` to the 14 there are.
+    let cases: [(&[&str], &str); 13] = [
         (&["stretch", "abilene", "--failures", "0"], "--failures"),
         (&["stretch", "abilene", "--samples", "5"], "--samples"),
         (&["sweep", "abilene", "--family", "multi", "--k", "0"], "--k"),
         (&["sweep", "abilene", "--family", "exhaustive", "--k", "0"], "--k"),
         (&["sweep", "abilene", "--family", "multi", "--samples", "0"], "--samples"),
         (&["traffic", "abilene", "--family", "exhaustive", "--k", "20"], "--k"),
+        (&["sweep", "abilene", "--family", "multi", "--k", "5"], "--k"),
+        (&["stretch", "abilene", "--failures", "20"], "--failures"),
+        (&["impair", "abilene", "--process", "maintenance", "--links", "0"], "--links"),
+        (&["impair", "abilene", "--process", "maintenance", "--window-ms", "0"], "--window-ms"),
+        (&["impair", "abilene", "--process", "storm", "--storms", "0"], "--storms"),
+        (&["impair", "abilene", "--process", "jitter", "--jitter-ms", "0"], "--jitter-ms"),
+        (&["impair", "abilene", "--process", "maintenance", "--links", "500"], "--links"),
     ];
     for (args, flag) in cases {
         let out = run(args);
         let err = stderr(&out);
-        assert!(!out.status.success(), "{args:?} must fail: {}", stdout(&out));
+        assert_eq!(out.status.code(), Some(1), "{args:?} must fail: {}", stdout(&out));
         assert!(err.contains(flag), "{args:?} must name {flag}: {err}");
         assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+    // The bound itself is a sweep, four failures each and none short;
+    // `--rate 0` is the documented bare outage replay.
+    for args in [
+        &["sweep", "abilene", "--family", "multi", "--k", "4", "--samples", "5"][..],
+        &["stretch", "abilene", "--failures", "4", "--samples", "5"],
+        &["impair", "abilene", "--rate", "0"],
+    ] {
+        let out = run(args);
+        assert!(out.status.success(), "{args:?} failed: {}", stderr(&out));
+        assert!(!stdout(&out).contains("fell short"), "{args:?}: {}", stdout(&out));
     }
 }
 

@@ -7,14 +7,14 @@
 //! to touch nothing else:
 //!
 //! * [`DenseFib`] — every destination's failure-free tree staged as a
-//!   flat run of 16-byte [`FibFrame`]s in **DFS pre-order**, each frame
-//!   carrying the extent of its subtree. The sources whose path crosses
-//!   a failed link are the subtrees hanging below the failed tree edges
-//!   — the *cones* — and in pre-order a cone is one contiguous slice:
-//!   an index from each link to the tree edges over it names the
-//!   destinations a failed set touches and where their cones start
-//!   ([`DenseFib::roots_into`]), and everything replay does per
-//!   scenario streams over those slices.
+//!   flat run of 8-byte [`FibFrame`]s `(dart, end)` in **DFS
+//!   pre-order**, each frame carrying the extent of its subtree. The
+//!   sources whose path crosses a failed link are the subtrees hanging
+//!   below the failed tree edges — the *cones* — and in pre-order a
+//!   cone is one contiguous slice: an index from each link to the tree
+//!   edges over it, 4 bytes an entry, names the destinations a failed
+//!   set touches and where their cones start ([`DenseFib::roots_into`]),
+//!   and everything replay does per scenario streams over those slices.
 //! * [`FlowUnit`] — one open (failed set, destination) unit on a
 //!   worker's [`FlowScratch`], and the only way to walk. A unit climbs
 //!   each source's failure-free path to its **point**, the first
@@ -67,17 +67,13 @@ impl Stamp {
     }
 }
 
-/// One staged hop of a destination tree: a node, its tree parent, the
-/// dart between them and where the node's subtree ends — everything
-/// the cone passes touch, packed into 16 bytes so a subtree streams
-/// through cache linearly.
+/// One staged hop of a destination tree: the router's next dart and
+/// where its subtree ends, packed into 8 bytes so a subtree streams
+/// through cache linearly. The router and its tree parent are the
+/// dart's tail and head ([`DenseFib::node`], [`DenseFib::parent`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FibFrame {
-    /// The router this frame labels.
-    pub node: u32,
-    /// Head of the router's next dart (its tree parent).
-    pub parent: u32,
-    /// The next dart itself (`node → parent`).
+    /// The router's next dart (`node → parent`).
     pub dart: u32,
     /// One past the last frame of this router's subtree, as an index
     /// into the destination's run: the subtree is
@@ -93,8 +89,9 @@ impl FibFrame {
     }
 }
 
-/// One entry of [`DenseFib`]'s link index: the frame at `at` of
-/// `dest`'s run routes over the link — a cone's root when it fails.
+/// A frame named by destination and place: the frame at `at` of
+/// `dest`'s run — a cone's root when its link fails
+/// ([`DenseFib::roots_into`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TreeEdge {
     /// The destination whose tree holds the edge.
@@ -113,13 +110,19 @@ const NO_FRAME: u32 = u32::MAX;
 /// **DFS pre-order**, children in ascending node id: every parent
 /// appears before its children and every subtree is the contiguous
 /// slice `frames[i..frames[i].end]`. A link index in CSR form lists,
-/// per link, the [`TreeEdge`]s over it in ascending destination (a
-/// tree crosses a link in one direction: one per destination at most).
+/// per link, the frames over it as positions in the destination-major
+/// run of all frames — ascending, so in ascending destination (a tree
+/// crosses a link in one direction: one per destination at most).
 /// With these, the sources a failed set cuts off from their shortest
 /// path are enumerated in O(subtree) ([`DenseFib::roots_into`]), and
 /// one backward pass over a slice sums per-subtree demand and credits
 /// each tree dart its subtree's load — children always sit behind
 /// their parent.
+///
+/// A frame holds only its dart and extent, an index entry only its
+/// position: 12 bytes per (destination, node). What follows from those
+/// — a frame's router and parent, an entry's destination — is read off
+/// the copy of the graph's dart endpoints and the run offsets.
 ///
 /// Compiled once per topology from the network's failure-free trees
 /// and shared read-only by every replay worker.
@@ -131,10 +134,13 @@ pub struct DenseFib {
     frames: Vec<FibFrame>,
     /// `frames[offsets[d] .. offsets[d + 1]]` stages destination `d`.
     offsets: Vec<u32>,
-    /// Every frame once more, grouped by the link of its dart.
-    edges: Vec<TreeEdge>,
+    /// Every frame once more, as its position in `frames`, grouped by
+    /// the link of its dart.
+    edges: Vec<u32>,
     /// `edges[link_offsets[l] .. link_offsets[l + 1]]` cross link `l`.
     link_offsets: Vec<u32>,
+    /// Per dart, its tail — and so, at its mirror `d ^ 1`, its head.
+    tails: Vec<u32>,
     nodes: usize,
     stamp: Stamp,
 }
@@ -143,6 +149,7 @@ impl DenseFib {
     /// Stages every destination tree of `base`.
     pub fn from_base(graph: &Graph, base: &AllPairs) -> DenseFib {
         let n = graph.node_count();
+        let tails = graph.darts().map(|d| graph.dart_tail(d).0).collect();
         let mut frames = Vec::with_capacity(n.saturating_sub(1) * n);
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
@@ -161,19 +168,14 @@ impl DenseFib {
                 let at = (frames.len() - start) as u32;
                 pos[u.index()] = at;
                 // A leaf's subtree ends right behind itself.
-                frames.push(FibFrame {
-                    node: u.0,
-                    parent: graph.dart_head(d).0,
-                    dart: d.0,
-                    end: at + 1,
-                });
+                frames.push(FibFrame { dart: d.0, end: at + 1 });
                 stack.extend(children.of(u).iter().rev());
             }
             // Subtree extents, leaves first: a frame's subtree ends
             // where its last child's does.
             let run = &mut frames[start..];
             for i in (0..run.len()).rev() {
-                let p = pos[run[i].parent as usize];
+                let p = pos[graph.dart_head(Dart(run[i].dart)).index()];
                 if p != NO_FRAME {
                     run[p as usize].end = run[p as usize].end.max(run[i].end);
                 }
@@ -181,7 +183,7 @@ impl DenseFib {
             offsets.push(frames.len() as u32);
         }
 
-        // The link index, by counting sort over ascending destinations.
+        // The link index, by counting sort over ascending positions.
         let mut link_offsets = vec![0u32; graph.link_count() + 1];
         for f in &frames {
             link_offsets[f.link().index() + 1] += 1;
@@ -190,15 +192,13 @@ impl DenseFib {
             link_offsets[l + 1] += link_offsets[l];
         }
         let mut cursor = link_offsets.clone();
-        let mut edges = vec![TreeEdge { dest: 0, at: 0 }; frames.len()];
-        for (dest, run) in offsets.windows(2).enumerate() {
-            for (at, f) in frames[run[0] as usize..run[1] as usize].iter().enumerate() {
-                let slot = &mut cursor[f.link().index()];
-                edges[*slot as usize] = TreeEdge { dest: dest as u32, at: at as u32 };
-                *slot += 1;
-            }
+        let mut edges = vec![0; frames.len()];
+        for (at, f) in frames.iter().enumerate() {
+            let slot = &mut cursor[f.link().index()];
+            edges[*slot as usize] = at as u32;
+            *slot += 1;
         }
-        DenseFib { frames, offsets, edges, link_offsets, nodes: n, stamp: Stamp::fresh() }
+        DenseFib { frames, offsets, edges, link_offsets, tails, nodes: n, stamp: Stamp::fresh() }
     }
 
     /// Number of nodes (= destinations) staged.
@@ -219,11 +219,29 @@ impl DenseFib {
         &self.frames[s..e]
     }
 
-    /// The tree edges over `link`, in ascending destination.
+    /// The router `f` labels: its dart's tail.
     #[inline]
-    pub fn tree_edges(&self, link: LinkId) -> &[TreeEdge] {
+    pub fn node(&self, f: FibFrame) -> NodeId {
+        NodeId(self.tails[f.dart as usize])
+    }
+
+    /// The tree parent of `f`'s router: its dart's head.
+    #[inline]
+    pub fn parent(&self, f: FibFrame) -> NodeId {
+        NodeId(self.tails[f.dart as usize ^ 1])
+    }
+
+    /// The tree edges over `link`, in ascending destination.
+    pub fn tree_edges(&self, link: LinkId) -> impl ExactSizeIterator<Item = TreeEdge> + '_ {
         let (s, e) = (self.link_offsets[link.index()], self.link_offsets[link.index() + 1]);
-        &self.edges[s as usize..e as usize]
+        self.edges[s as usize..e as usize].iter().map(|&at| self.tree_edge(at))
+    }
+
+    /// The frame at position `at` of the destination-major run, named
+    /// by its destination and its place in that destination's run.
+    fn tree_edge(&self, at: u32) -> TreeEdge {
+        let dest = self.offsets.partition_point(|&o| o <= at) - 1;
+        TreeEdge { dest: dest as u32, at: at - self.offsets[dest] }
     }
 
     /// Finds the **cones** of every destination under `failed`: the
@@ -245,7 +263,7 @@ impl DenseFib {
         // No link has more entries than there are destinations.
         roots.reserve(failed.len() * self.nodes);
         for link in failed.iter() {
-            roots.extend_from_slice(self.tree_edges(link));
+            roots.extend(self.tree_edges(link));
         }
         if failed.len() > 1 {
             // Outermost first: pre-order puts an enclosing root before
@@ -278,9 +296,9 @@ impl DenseFib {
     /// this full pass is what the tests hold that against.
     pub fn affected_into(&self, dest: NodeId, failed: &LinkSet, affected: &mut Vec<u64>) {
         pr_graph::bits::clear_and_resize(affected, self.nodes);
-        for f in self.frames(dest) {
-            if failed.contains(f.link()) || pr_graph::bits::test(affected, f.parent as usize) {
-                pr_graph::bits::set(affected, f.node as usize);
+        for &f in self.frames(dest) {
+            if failed.contains(f.link()) || pr_graph::bits::test(affected, self.parent(f).index()) {
+                pr_graph::bits::set(affected, self.node(f).index());
             }
         }
     }
@@ -907,8 +925,8 @@ mod tests {
         for dest in g.nodes() {
             let tree = SpTree::towards_all_live(&g, dest);
             let mut staged = vec![None; g.node_count()];
-            for f in dense.frames(dest) {
-                staged[f.node as usize] = Some(Dart(f.dart));
+            for &f in dense.frames(dest) {
+                staged[dense.node(f).index()] = Some(Dart(f.dart));
             }
             for node in g.nodes() {
                 assert_eq!(staged[node.index()], net.routing().next_dart(node, dest));
@@ -941,34 +959,33 @@ mod tests {
                 assert_eq!(frames.len(), g.node_count() - 1);
                 let mut seen = vec![false; g.node_count()];
                 seen[dest.index()] = true;
-                for (i, f) in frames.iter().enumerate() {
-                    let u = NodeId(f.node);
+                for (i, &f) in frames.iter().enumerate() {
+                    let u = dense.node(f);
                     assert!(!seen[u.index()], "node staged twice");
                     seen[u.index()] = true;
-                    assert!(seen[f.parent as usize], "parent must be staged before its children");
+                    let parent = dense.parent(f);
+                    assert!(seen[parent.index()], "parent must be staged before its children");
                     assert_eq!(Some(Dart(f.dart)), tree.next_dart(u));
-                    assert_eq!(g.dart_head(Dart(f.dart)), NodeId(f.parent));
+                    assert_eq!(g.dart_tail(Dart(f.dart)), u);
+                    assert_eq!(g.dart_head(Dart(f.dart)), parent);
                     // The link index finds the frame from its link.
                     let edge = TreeEdge { dest: dest.0, at: i as u32 };
-                    assert!(dense.tree_edges(f.link()).contains(&edge));
+                    assert!(dense.tree_edges(f.link()).any(|e| e == edge));
                     // The subtree is exactly frames[i..end]: the nodes
                     // whose tree path passes through `u`.
                     let end = f.end as usize;
                     assert!(i < end && end <= frames.len());
-                    for (j, other) in frames.iter().enumerate() {
-                        let through_u = tree
-                            .path_nodes(&g, NodeId(other.node))
-                            .is_some_and(|path| path.contains(&u));
-                        assert_eq!(
-                            (i..end).contains(&j),
-                            through_u,
-                            "{dest}: {} under {u}",
-                            other.node
-                        );
+                    for (j, &other) in frames.iter().enumerate() {
+                        let other = dense.node(other);
+                        let through_u =
+                            tree.path_nodes(&g, other).is_some_and(|path| path.contains(&u));
+                        assert_eq!((i..end).contains(&j), through_u, "{dest}: {other} under {u}");
                     }
                     // Siblings ascend.
-                    if let Some(next) = frames.get(end).filter(|next| next.parent == f.parent) {
-                        assert!(next.node > f.node);
+                    if let Some(&next) =
+                        frames.get(end).filter(|&&next| dense.parent(next) == parent)
+                    {
+                        assert!(dense.node(next) > u);
                     }
                 }
                 assert!(seen.iter().all(|&s| s));
@@ -978,16 +995,20 @@ mod tests {
             let indexed: usize = g.links().map(|l| dense.tree_edges(l).len()).sum();
             assert_eq!(indexed, g.node_count() * (g.node_count() - 1));
             for link in g.links() {
-                assert!(dense.tree_edges(link).windows(2).all(|w| w[0].dest < w[1].dest));
+                let edges: Vec<TreeEdge> = dense.tree_edges(link).collect();
+                assert!(edges.windows(2).all(|w| w[0].dest < w[1].dest));
             }
         }
     }
 
-    /// Fails when padding comes back into the staged hop.
+    /// Fails when a derivable field or padding comes back into the
+    /// staged hop or the link index.
     #[test]
-    fn a_frame_is_sixteen_bytes_and_an_index_entry_eight() {
-        assert_eq!(std::mem::size_of::<FibFrame>(), 16);
-        assert_eq!(std::mem::size_of::<TreeEdge>(), 8);
+    fn a_frame_is_eight_bytes_and_an_index_entry_four() {
+        assert_eq!(std::mem::size_of::<FibFrame>(), 8);
+        let (g, _, dense) = ring_setup();
+        assert_eq!(std::mem::size_of_val(&dense.edges[0]), 4);
+        assert_eq!(dense.edges.len(), g.node_count() * (g.node_count() - 1));
     }
 
     #[test]
@@ -1043,8 +1064,8 @@ mod tests {
                             "a cone starts at a failed edge"
                         );
                         nested += frames[1..].iter().filter(|f| failed.contains(f.link())).count();
-                        for f in frames {
-                            in_cone[f.node as usize] = true;
+                        for &f in frames {
+                            in_cone[dense.node(f).index()] = true;
                         }
                     }
                     for src in g.nodes() {

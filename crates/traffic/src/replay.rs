@@ -340,11 +340,11 @@ fn build_baseline(
         for flow in group {
             subtree[flow.src.index()] = flow.demand;
         }
-        for f in dense.frames(dst).iter().rev() {
-            let sum = std::mem::take(&mut subtree[f.node as usize]);
+        for &f in dense.frames(dst).iter().rev() {
+            let sum = std::mem::take(&mut subtree[dense.node(f).index()]);
             if sum != 0.0 {
                 loads[f.link().index()] += sum;
-                subtree[f.parent as usize] += sum;
+                subtree[dense.parent(f).index()] += sum;
             }
         }
         subtree[dst.index()] = 0.0; // where the tree delivered it all
@@ -536,10 +536,11 @@ where
             stats.cone_sources += cone.len() as u64;
             // Every source's point is `p`: gather the group's demand.
             let mut total = 0.0;
-            for f in cone {
-                if let Some(d) = demand_from(flows_to, NodeId(f.node)) {
-                    bits::set(sources, f.node as usize);
-                    demand[f.node as usize] = d;
+            for &f in cone {
+                let src = dense.node(f);
+                if let Some(d) = demand_from(flows_to, src) {
+                    bits::set(sources, src.index());
+                    demand[src.index()] = d;
                     total += d;
                 }
             }
@@ -547,7 +548,7 @@ where
                 // Off the tree path from `p`, onto the episode up to the
                 // destination.
                 Recycled::Inside { at, .. } => {
-                    let mut at_node = NodeId(root.node);
+                    let mut at_node = dense.node(root);
                     while let Some(d) = base_tree.next_dart(at_node) {
                         loads[d.link().index()] -= total;
                         at_node = graph.dart_head(d);
@@ -582,8 +583,8 @@ where
         points.clear();
         for (start, end) in cones.clone() {
             stats.cone_sources += (end - start) as u64;
-            for f in &frames[start..end] {
-                let src = NodeId(f.node);
+            for &f in &frames[start..end] {
+                let src = dense.node(f);
                 if let Some(d) = demand_from(flows_to, src) {
                     bits::set(sources, src.index());
                     demand[src.index()] = d;
@@ -651,8 +652,8 @@ where
         // the point (the point's own path is withdrawn already).
         if dead_prefixes {
             for (start, end) in cones {
-                for f in frames[start..end].iter().rev() {
-                    let node = NodeId(f.node);
+                for &f in frames[start..end].iter().rev() {
+                    let node = dense.node(f);
                     let mut sum = std::mem::take(&mut subtree[node.index()]);
                     let is_source = bits::test(sources, node.index());
                     if !is_source && sum == 0.0 {
@@ -664,7 +665,7 @@ where
                     }
                     if sum != 0.0 && point != node {
                         loads[f.link().index()] -= sum;
-                        subtree[f.parent as usize] += sum;
+                        subtree[dense.parent(f).index()] += sum;
                     }
                 }
             }

@@ -103,9 +103,10 @@ where
         bits::clear_and_resize(&mut in_cone, g.node_count());
         let frames = dense.frames(dst);
         for root in roots.iter().filter(|r| r.dest == dst.0) {
-            for f in &frames[root.at as usize..frames[root.at as usize].end as usize] {
-                assert!(!bits::test(&in_cone, f.node as usize), "{label}: cones overlap");
-                bits::set(&mut in_cone, f.node as usize);
+            for &f in &frames[root.at as usize..frames[root.at as usize].end as usize] {
+                let node = dense.node(f).index();
+                assert!(!bits::test(&in_cone, node), "{label}: cones overlap");
+                bits::set(&mut in_cone, node);
             }
         }
         dense.affected_into(dst, failed, &mut affected);
