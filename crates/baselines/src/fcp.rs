@@ -77,11 +77,6 @@ impl FcpState {
             Carried::Spilled(links) => links.insert(pos, link),
         }
     }
-
-    /// `true` if the packet already carries this failure.
-    pub fn knows(&self, link: LinkId) -> bool {
-        self.carried().binary_search(&link).is_ok()
-    }
 }
 
 impl Default for FcpState {
@@ -315,12 +310,6 @@ impl<'a> FcpAgent<'a> {
         })
     }
 
-    /// Number of memoised `(dest, carried)` route entries (0 for
-    /// uncached agents) — observability for the eviction policy.
-    pub fn cached_routes(&self) -> usize {
-        self.routes.as_ref().map_or(0, |(_, r)| r.borrow().index.len())
-    }
-
     /// The effective topology the packet routes on: base map minus
     /// carried failures.
     fn effective_failures(&self, state: &FcpState) -> LinkSet {
@@ -445,6 +434,12 @@ mod tests {
     use pr_core::{generous_ttl, walk_packet, WalkResult};
     use pr_graph::generators;
 
+    /// Memoised `(dest, carried)` route entries of `agent` (0 for an
+    /// uncached one).
+    fn cached_routes(agent: &FcpAgent<'_>) -> usize {
+        agent.routes.as_ref().map_or(0, |(_, r)| r.borrow().index.len())
+    }
+
     #[test]
     fn failure_free_is_shortest_path() {
         let g = generators::ring(6, 1);
@@ -517,8 +512,8 @@ mod tests {
         s.learn(LinkId(5));
         s.learn(LinkId(3));
         assert_eq!(s.carried(), [LinkId(1), LinkId(3), LinkId(5)]);
-        assert!(s.knows(LinkId(3)));
-        assert!(!s.knows(LinkId(2)));
+        assert!(s.carried().contains(&LinkId(3)));
+        assert!(!s.carried().contains(&LinkId(2)));
 
         // Past the inline capacity the list spills to the heap and
         // keeps its meaning: order, dedup, equality and hash are over
@@ -531,7 +526,7 @@ mod tests {
             reference.insert(0, LinkId(2 * i));
             assert_eq!(big.carried(), reference);
         }
-        assert!(big.knows(LinkId(4)) && !big.knows(LinkId(5)));
+        assert!(big.carried().contains(&LinkId(4)) && !big.carried().contains(&LinkId(5)));
         let mut copy = FcpState::default();
         copy.clone_from(&big);
         assert_eq!(copy, big);
@@ -601,18 +596,18 @@ mod tests {
                     assert_eq!(w0, w1, "eviction changed a decision on l{la},l{lb} {src}->{dst}");
                 }
             }
-            peak_evicting = peak_evicting.max(evicting.cached_routes());
+            peak_evicting = peak_evicting.max(cached_routes(&evicting));
         }
         assert!(
-            evicting.cached_routes() < unbounded.cached_routes(),
+            cached_routes(&evicting) < cached_routes(&unbounded),
             "evicting agent must hold fewer live entries ({} vs {})",
-            evicting.cached_routes(),
-            unbounded.cached_routes()
+            cached_routes(&evicting),
+            cached_routes(&unbounded)
         );
-        assert!(peak_evicting <= unbounded.cached_routes());
+        assert!(peak_evicting <= cached_routes(&unbounded));
         // Uncached agents take the call as a no-op.
         FcpAgent::new(&g).begin_scenario();
-        assert_eq!(FcpAgent::new(&g).cached_routes(), 0);
+        assert_eq!(cached_routes(&FcpAgent::new(&g)), 0);
     }
 
     #[test]
@@ -625,10 +620,10 @@ mod tests {
         let cached = FcpAgent::cached_with_base(&g, &base);
         let failed = LinkSet::from_links(g.link_count(), [LinkId(0), LinkId(8)]);
         walk_packet(&g, &cached, NodeId(1), NodeId(0), &failed, generous_ttl(&g));
-        assert!(cached.cached_routes() > 0, "the walk must fill the memo");
+        assert!(cached_routes(&cached) > 0, "the walk must fill the memo");
         let mut flows = pr_core::FlowScratch::new();
         let _unit = flows.unit(&g, &cached, base.towards(NodeId(3)), &failed);
-        assert_eq!(cached.cached_routes(), 0);
+        assert_eq!(cached_routes(&cached), 0);
     }
 
     #[test]
@@ -655,7 +650,7 @@ mod tests {
             .flat_map(|a| (a + 1..m).flat_map(move |b| (b + 1..m).map(move |c| [a, b, c])))
             .flat_map(|triple| g.nodes().map(move |dest| (triple, dest)));
         let mut fill_to = |entries: usize| {
-            while cached.cached_routes() < entries {
+            while cached_routes(&cached) < entries {
                 let (triple, dest) = keys.next().expect("more keys than the bound");
                 let mut state = FcpState::default();
                 triple.into_iter().for_each(|l| state.learn(LinkId(l)));
@@ -676,7 +671,7 @@ mod tests {
         let mut state = FcpState::default();
         state.learn(spoke(4));
         cached.decide(NodeId(0), None, dest, &mut state, &LinkSet::empty(g.link_count()));
-        assert_eq!(cached.cached_routes(), 1);
+        assert_eq!(cached_routes(&cached), 1);
         walks_agree(&early, dest);
         assert!(cached.take_route_stats().repaired > ROUTE_CACHE_MAX_ENTRIES as u64);
     }

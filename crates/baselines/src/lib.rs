@@ -6,15 +6,19 @@
 //! implement **Loop-Free Alternates** (RFC 5286, the paper's reference
 //! \[2\]) as the deployed-IPFRR ablation point.
 //!
-//! All three implement the same [`pr_core::ForwardingAgent`] trait as
-//! PR itself, so every scheme runs under the identical walker and
-//! simulator — differences in the experiment outputs come from the
-//! schemes, not the machinery:
+//! The agents here implement the same [`pr_core::ForwardingAgent`]
+//! trait as PR itself, so every scheme runs under the identical walker
+//! and simulator — differences in the experiment outputs come from the
+//! schemes, not the machinery. Converged reconvergence needs no agent
+//! on a product path: its path is the survivor graph's shortest path,
+//! which the sweeps read off the repaired trees, and its timed loss is
+//! `pr-sim`'s `ReconvergingIgp`. The agent that walks it hop by hop is
+//! an oracle, `pr_testkit::oracle::ReconvergenceAgent`.
 //!
 //! | scheme | header bits | router work on failure | coverage |
 //! |---|---|---|---|
 //! | [`FcpAgent`] | grows with carried failures | shortest-path recompute per carried-failure arrival | full (proves unreachability) |
-//! | [`ReconvergenceAgent`] | 0 | global recompute + flooding (modelled as converged state) | full, after convergence |
+//! | reconvergence | 0 | global recompute + flooding (modelled as converged state) | full, after convergence |
 //! | [`LfaAgent`] | 0 | none (precomputed) | partial |
 //! | [`NotViaAgent`] | 160 while repairing (IP-in-IP) | none (precomputed detours) | all single failures |
 //! | `pr_core::PrAgent` | 1 + ⌈log₂(max DD + 1)⌉ (constant) | none (precomputed) | full on genus-0 embeddings |
@@ -25,9 +29,7 @@
 mod fcp;
 mod lfa;
 mod notvia;
-mod reconvergence;
 
 pub use fcp::{FcpAgent, FcpState, RouteStats};
 pub use lfa::LfaAgent;
 pub use notvia::{NotViaAgent, NotViaState, ENCAP_BITS};
-pub use reconvergence::ReconvergenceAgent;

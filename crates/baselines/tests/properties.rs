@@ -10,13 +10,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pr_baselines::{FcpAgent, LfaAgent, NotViaAgent, ReconvergenceAgent};
+use pr_baselines::{FcpAgent, LfaAgent, NotViaAgent};
 use pr_core::{
     generous_ttl, walk_packet, DiscriminatorKind, DropReason, ForwardingAgent, PrMode, PrNetwork,
     WalkResult,
 };
 use pr_embedding::{CellularEmbedding, RotationSystem};
 use pr_graph::{algo, generators, AllPairs, Graph, LinkId, LinkSet, NodeId, SpTree};
+use pr_testkit::oracle::ReconvergenceAgent;
 use pr_testkit::strategies::{two_edge_connected, with_failures};
 
 /// A random 2-edge-connected graph with up to five links failed that

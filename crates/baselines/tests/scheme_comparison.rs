@@ -12,10 +12,11 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use pr_baselines::{FcpAgent, LfaAgent, ReconvergenceAgent};
+use pr_baselines::{FcpAgent, LfaAgent};
 use pr_core::{generous_ttl, walk_packet, DiscriminatorKind, PrMode, PrNetwork, WalkResult};
 use pr_embedding::{planar, CellularEmbedding};
 use pr_graph::{algo, Graph, LinkId, LinkSet, SpTree};
+use pr_testkit::oracle::ReconvergenceAgent;
 
 /// Deterministic battery of planar scenarios shared by the tests.
 fn scenarios() -> Vec<(Graph, pr_embedding::RotationSystem, LinkSet)> {

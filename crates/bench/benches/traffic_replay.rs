@@ -28,10 +28,9 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use pr_core::{generous_ttl, DenseFib, DiscriminatorKind, PrMode, PrNetwork};
 use pr_scenarios::{ScenarioFamily, SingleLinkFailures};
+use pr_testkit::oracle::replay_scenario_naive;
 use pr_topologies::{Isp, Weighting};
-use pr_traffic::{
-    replay_scenario_bitparallel, replay_scenario_naive, FlowSet, GravityTraffic, ReplayScratch,
-};
+use pr_traffic::{replay_scenario_bitparallel, FlowSet, GravityTraffic, ReplayScratch};
 
 /// PR 5's recorded GÉANT batched median (BENCH_pr5.json): the hard
 /// flows/s floor for the production dataplane.

@@ -340,7 +340,7 @@ mod tests {
         // Singles, sampled triples, and a node failure: a cut, so some
         // affected sources are disconnected.
         let mut scenarios: Vec<LinkSet> = SingleLinkFailures::new(&g).scenarios().collect();
-        scenarios.extend(SampledMultiFailures::new(&g, 3, 6, 2010).into_vec());
+        scenarios.extend(SampledMultiFailures::new(&g, 3, 6, 2010).scenarios());
         scenarios.push(NodeFailures::new(&g).scenario(0));
         let expected = oracle(&g, &net, &scenarios);
         assert!(expected.affected.1 < expected.affected.0, "some walks must drop");

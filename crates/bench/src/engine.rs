@@ -477,11 +477,6 @@ impl<'a> ScenarioSweep<'a> {
         ScenarioSweep { graph, family, base, threads: threads.max(1) }
     }
 
-    /// Total number of (scenario × destination) work units.
-    pub fn unit_count(&self) -> usize {
-        self.family.len() * self.graph.node_count()
-    }
-
     /// Executes the sweep as an ordered streaming reduce. `init`
     /// builds one worker-local state (walk scratches, cached agents,
     /// …) per worker thread. A queue item is a **block**: one whole
@@ -648,7 +643,6 @@ mod tests {
             .collect();
         for threads in [1, 2, 4] {
             let sweep = ScenarioSweep::new(&g, &scenarios, &base, threads);
-            assert_eq!(sweep.unit_count(), expected.len());
             let got = per_unit(&sweep, || (), |_, u| (u.scenario, u.dst.0));
             assert_eq!(got, expected, "threads={threads}");
         }
@@ -683,10 +677,11 @@ mod tests {
                 *seen
             },
         );
-        assert_eq!(per_unit.len(), sweep.unit_count());
+        let total = scenarios.len() * g.node_count();
+        assert_eq!(per_unit.len(), total);
         // Every worker's local counter starts at 1 and never exceeds
         // the unit total.
-        assert!(per_unit.iter().all(|&c| c >= 1 && c <= sweep.unit_count()));
+        assert!(per_unit.iter().all(|&c| c >= 1 && c <= total));
     }
 
     #[test]
@@ -717,7 +712,7 @@ mod tests {
                     units += seen;
                 },
             );
-            assert_eq!(units, sweep.unit_count(), "{threads} threads");
+            assert_eq!(units, scenarios.len() * g.node_count(), "{threads} threads");
             let mut started = started.into_inner().unwrap();
             // A serial worker meets the scenarios in order; a pool in
             // any order, but each once.
@@ -804,7 +799,7 @@ mod tests {
                         }
                     },
                 );
-                assert_eq!(next, sweep.unit_count(), "{threads} threads");
+                assert_eq!(next, scenarios.len() * n, "{threads} threads");
             }
         }
     }

@@ -19,19 +19,16 @@
 //! merge in scenario order and the demand grid makes every replay sum
 //! exact, so the rows are bit-identical at any thread count.
 //!
-//! [`run_serial`] is the oracle — [`replay_scenario_naive`], one fresh
-//! `walk_packet` per flow. It must equal [`run`] row for row
+//! The oracle is the test kit's `traffic_serial`, one fresh
+//! `walk_packet` per flow. [`run`] must equal it row for row
 //! (`tests/determinism.rs`).
 
 use serde::Serialize;
 
 use pr_core::{generous_ttl, DenseFib, PrAgent, PrNetwork};
 use pr_graph::{AllPairs, Graph};
-use pr_scenarios::{ScenarioFamily, ScenarioIter};
-use pr_traffic::{
-    replay_scenario_bitparallel, replay_scenario_naive, DemandTally, FlowSet, ReplayScratch,
-    ReplayStats,
-};
+use pr_scenarios::ScenarioFamily;
+use pr_traffic::{replay_scenario_bitparallel, DemandTally, FlowSet, ReplayScratch, ReplayStats};
 
 use crate::engine::run_units;
 
@@ -147,28 +144,6 @@ pub fn run_with_stats(
     })
     .collect();
     (rows, stats)
-}
-
-/// The serial per-packet reference: every flow walked one packet at a
-/// time with fresh scratch state, no FIB, no repair, and base trees of
-/// its own ([`run`] must be bit-identical to this at every thread
-/// count, which also checks the network's trees).
-pub fn run_serial(
-    graph: &Graph,
-    pr: &PrNetwork,
-    family: &dyn ScenarioFamily,
-    flows: &FlowSet,
-) -> Vec<TrafficRow> {
-    let base = AllPairs::compute_all_live(graph);
-    let agent = pr.agent(graph);
-    let ttl = generous_ttl(graph);
-    ScenarioIter::new(family)
-        .enumerate()
-        .map(|(scenario, failed)| {
-            let traffic = replay_scenario_naive(graph, &agent, &base, flows, &failed, ttl);
-            TrafficRow { scenario, failures: failed.len(), traffic }
-        })
-        .collect()
 }
 
 /// Renders a sweep as CSV: one row per scenario.

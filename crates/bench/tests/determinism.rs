@@ -28,7 +28,7 @@ use pr_scenarios::{
 use pr_sim::SimConfig;
 use pr_testkit::fixtures::quick_outage;
 use pr_testkit::nets::{isp, synth, Net};
-use pr_testkit::oracle::{coverage_serial, stretch_serial};
+use pr_testkit::oracle::{coverage_serial, stretch_serial, traffic_serial};
 use pr_topologies::Isp;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -293,7 +293,7 @@ fn traffic_is_deterministic_on(
     // demand grid makes them exact, hence independent of how the
     // dataplane groups additions and subtractions) — at any thread
     // count.
-    let rows = pr_bench::traffic::run_serial(graph, pr, family, flows);
+    let rows = traffic_serial(graph, pr, family, flows);
     assert_eq!(rows.len(), family.len());
     let reference = (pr_bench::traffic::summarize(&rows), rows);
     let what = format!("traffic rows and summary ({}, {})", family.label(), flows.label());

@@ -382,7 +382,9 @@ fn parse_failures(graph: &Graph, args: &Args) -> Result<LinkSet, String> {
             spec.split_once('-').ok_or_else(|| format!("--fail wants A-B, got {spec:?}"))?;
         let (na, nb) = (node_by_name(graph, a)?, node_by_name(graph, b)?);
         let link = graph.find_link(na, nb).ok_or_else(|| format!("no link between {a} and {b}"))?;
-        failed.insert(link);
+        if !failed.insert(link) {
+            return Err(format!("--fail {spec} names a link already failed"));
+        }
     }
     Ok(failed)
 }
@@ -616,6 +618,10 @@ mod tests {
         assert!(parse_failures(&g, &bad).is_err());
         let missing = args("figure1 --fail A-E");
         assert!(parse_failures(&g, &missing).is_err(), "A-E is not a link of figure 1");
+        for repeated in ["figure1 --fail D-E --fail D-E", "figure1 --fail D-E --fail E-D"] {
+            let err = parse_failures(&g, &args(repeated)).unwrap_err();
+            assert!(err.contains("--fail") && err.contains("already failed"), "{err}");
+        }
     }
 
     #[test]

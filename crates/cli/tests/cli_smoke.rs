@@ -107,8 +107,10 @@ fn degenerate_sweep_sizes_are_errors_naming_the_flag() {
     // loses 4 at most. Each of these would sweep one empty scenario or
     // none, (`pr stretch`) ignore the flag, draw fewer failures than its
     // label says, or (`pr impair`) replay the bare outage sweep under a
-    // decorated label or clamp `--links` to the 14 there are.
-    let cases: [(&[&str], &str); 13] = [
+    // decorated label or clamp `--links` to the 14 there are. A link
+    // failed twice, in either orientation, would fail once under a
+    // label that names it twice.
+    let cases: [(&[&str], &str); 15] = [
         (&["stretch", "abilene", "--failures", "0"], "--failures"),
         (&["stretch", "abilene", "--samples", "5"], "--samples"),
         (&["sweep", "abilene", "--family", "multi", "--k", "0"], "--k"),
@@ -122,6 +124,20 @@ fn degenerate_sweep_sizes_are_errors_naming_the_flag() {
         (&["impair", "abilene", "--process", "storm", "--storms", "0"], "--storms"),
         (&["impair", "abilene", "--process", "jitter", "--jitter-ms", "0"], "--jitter-ms"),
         (&["impair", "abilene", "--process", "maintenance", "--links", "500"], "--links"),
+        (
+            &[
+                "walk",
+                "abilene",
+                "Seattle",
+                "Atlanta",
+                "--fail",
+                "Seattle-Denver",
+                "--fail",
+                "Denver-Seattle",
+            ],
+            "--fail",
+        ),
+        (&["traffic", "abilene", "--fail", "Seattle-Denver", "--fail", "Seattle-Denver"], "--fail"),
     ];
     for (args, flag) in cases {
         let out = run(args);
@@ -328,6 +344,33 @@ fn walk_delivers_around_a_failure_end_to_end() {
     let text = stdout(&out);
     assert!(text.contains("DELIVERED at F"), "packet must be delivered:\n{text}");
     assert!(text.contains("stretch:"), "stretch must be reported:\n{text}");
+}
+
+#[test]
+fn a_basic_mode_walk_states_the_rule_it_terminates_by() {
+    // §4.2 stamps no discriminator: basic mode ends cycle following
+    // where the failure is met again, and the trace says so rather than
+    // comparing a DD it never read.
+    let out = run(&[
+        "walk",
+        "abilene",
+        "Seattle",
+        "Atlanta",
+        "--fail",
+        "Seattle-Denver",
+        "--fail",
+        "Sunnyvale-LosAngeles",
+        "--mode",
+        "basic",
+    ]);
+    assert!(out.status.success(), "walk failed: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(
+        text.contains("Sunnyvale -> Denver [PR=0 DD=0]  termination: failure met again, clear PR"),
+        "{text}"
+    );
+    assert!(!text.contains("own DD"), "basic mode has no DD to compare:\n{text}");
+    assert!(text.contains("DELIVERED at Atlanta"), "{text}");
 }
 
 #[test]

@@ -16,8 +16,8 @@ use pr_graph::{AllPairs, Dart, Graph, LinkSet, NodeId};
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    CycleFollowingTable, DiscriminatorKind, HeaderCodec, MemoryFootprint, PrHeader, RoutingTables,
-    Stamp,
+    CycleFollowingTable, DiscriminatorKind, HeaderCodec, HopRule, MemoryFootprint, PrHeader,
+    RoutingTables, Stamp,
 };
 
 /// Why a packet was dropped.
@@ -240,11 +240,6 @@ impl PrNetwork {
         self.mode
     }
 
-    /// The discriminator function in use.
-    pub fn discriminator_kind(&self) -> DiscriminatorKind {
-        self.discriminator
-    }
-
     /// The embedding the tables were compiled from.
     pub fn embedding(&self) -> &CellularEmbedding {
         &self.embedding
@@ -418,9 +413,11 @@ impl<'a> PrAgent<'a> {
         failed_out: Dart,
         state: &mut PrHeader,
         failed: &LinkSet,
+        note: &mut impl FnMut(HopRule),
     ) -> ForwardDecision {
         state.pr = true;
         state.dd = self.stamp(at, dest);
+        note(HopRule::FailureDetected { failed: failed_out, stamped_dd: state.dd });
         self.deflect(failed_out, failed)
     }
 
@@ -442,6 +439,7 @@ impl<'a> PrAgent<'a> {
         dest: NodeId,
         state: &mut PrHeader,
         failed: &LinkSet,
+        note: &mut impl FnMut(HopRule),
     ) -> ForwardDecision {
         state.pr = false;
         state.dd = 0;
@@ -451,7 +449,57 @@ impl<'a> PrAgent<'a> {
         if !failed.contains_dart(out) {
             return ForwardDecision::Forward(out);
         }
-        self.start_episode(at, dest, out, state, failed)
+        self.start_episode(at, dest, out, state, failed, note)
+    }
+
+    /// [`ForwardingAgent::decide`], reporting to `note` the §4.2/§4.3
+    /// rule behind each step of the decision, in order:
+    /// [`trace_packet`](crate::trace_packet) records them, `decide`
+    /// passes a no-op.
+    pub(crate) fn decide_with(
+        &self,
+        at: NodeId,
+        ingress: Option<Dart>,
+        dest: NodeId,
+        state: &mut PrHeader,
+        failed: &LinkSet,
+        mut note: impl FnMut(HopRule),
+    ) -> ForwardDecision {
+        debug_assert_ne!(at, dest, "engine must deliver before consulting the agent");
+        if !state.pr {
+            // Conventional shortest-path forwarding.
+            let decision = self.resume_routing(at, dest, state, failed, &mut note);
+            if !state.pr && matches!(decision, ForwardDecision::Forward(_)) {
+                note(HopRule::ShortestPath);
+            }
+            return decision;
+        }
+
+        // Cycle-following mode: continue the face of the ingress dart.
+        let Some(ingress) = ingress else {
+            return ForwardDecision::Drop(DropReason::ProtocolViolation);
+        };
+        debug_assert_eq!(self.graph.dart_head(ingress), at, "ingress must enter this router");
+        let cf = self.net.cycle.cycle_following(ingress);
+        if !failed.contains_dart(cf) {
+            note(HopRule::CycleFollowing);
+            return ForwardDecision::Forward(cf);
+        }
+
+        // The cycle's next link is down: §4.2/§4.3 termination check.
+        let (own_dd, header_dd) = (self.stamp(at, dest), state.dd);
+        if self.keeps_cycling(at, dest, header_dd) {
+            // Keep following the boundary: deflect onto the
+            // complementary cycle of the failed interface.
+            note(HopRule::ContinueCycleFollowing { failed: cf, own_dd, header_dd });
+            self.deflect(cf, failed)
+        } else {
+            // §4.2: meeting the failure again ends cycle following;
+            // §4.3: strictly closer than the stamping router, it is
+            // safe to resume shortest-path routing.
+            note(HopRule::Terminated { own_dd, header_dd });
+            self.resume_routing(at, dest, state, failed, &mut note)
+        }
     }
 }
 
@@ -628,33 +676,7 @@ impl<'a> ForwardingAgent for PrAgent<'a> {
         state: &mut PrHeader,
         failed: &LinkSet,
     ) -> ForwardDecision {
-        debug_assert_ne!(at, dest, "engine must deliver before consulting the agent");
-        if !state.pr {
-            // Conventional shortest-path forwarding.
-            return self.resume_routing(at, dest, state, failed);
-        }
-
-        // Cycle-following mode: continue the face of the ingress dart.
-        let Some(ingress) = ingress else {
-            return ForwardDecision::Drop(DropReason::ProtocolViolation);
-        };
-        debug_assert_eq!(self.graph.dart_head(ingress), at, "ingress must enter this router");
-        let cf = self.net.cycle.cycle_following(ingress);
-        if !failed.contains_dart(cf) {
-            return ForwardDecision::Forward(cf);
-        }
-
-        // The cycle's next link is down: §4.2/§4.3 termination check.
-        if self.keeps_cycling(at, dest, state.dd) {
-            // Keep following the boundary: deflect onto the
-            // complementary cycle of the failed interface.
-            self.deflect(cf, failed)
-        } else {
-            // §4.2: meeting the failure again ends cycle following;
-            // §4.3: strictly closer than the stamping router, it is
-            // safe to resume shortest-path routing.
-            self.resume_routing(at, dest, state, failed)
-        }
+        self.decide_with(at, ingress, dest, state, failed, |_| {})
     }
 
     fn header_bits(&self, _state: &PrHeader) -> usize {

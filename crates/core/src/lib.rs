@@ -68,7 +68,7 @@ pub use agent::{
 pub use fib::{
     recover_flow_with, DenseFib, FibFrame, FlowScratch, FlowUnit, FlowWalk, Stamp, TreeEdge,
 };
-pub use header::{EncodedHeader, HeaderCodec, HeaderError, PrHeader};
+pub use header::{HeaderCodec, PrHeader};
 pub use memo::{MemoStats, SuffixMemo};
 pub use scratch::{FxHasher64, WalkScratch};
 pub use tables::{

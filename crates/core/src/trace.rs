@@ -2,9 +2,9 @@
 //!
 //! [`walk_packet`](crate::walk_packet) answers *what* a packet did;
 //! operators debugging a reroute want to know *why* — which protocol
-//! rule fired at each router. [`trace_packet`] re-runs the PR decision
-//! procedure step by step and labels every hop with the §4.2/§4.3 rule
-//! that produced it. The trace is pure data (serialisable), rendered
+//! rule fired at each router. [`trace_packet`] runs the PR agent step
+//! by step and labels every hop with the §4.2/§4.3 rule the agent
+//! reports for it. The trace is pure data (serialisable), rendered
 //! by [`PacketTrace::render`] in the style of the paper's walkthrough
 //! prose.
 
@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use pr_graph::{Dart, Graph, LinkSet, NodeId};
 
-use crate::{DropReason, ForwardDecision, ForwardingAgent, PrHeader, PrMode, PrNetwork};
+use crate::{DropReason, ForwardDecision, PrHeader, PrNetwork};
 
 /// The protocol rule that produced one hop (or drop).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -118,9 +118,14 @@ impl PacketTrace {
                     HopRule::ContinueCycleFollowing { own_dd, header_dd, .. } => format!(
                         "continuation down, own DD {own_dd} >= header {header_dd}: keep cycle following"
                     ),
-                    HopRule::Terminated { own_dd, header_dd } => format!(
+                    HopRule::Terminated { own_dd, header_dd } if own_dd < header_dd => format!(
                         "termination: own DD {own_dd} < header {header_dd}, clear PR"
                     ),
+                    // Basic mode stamps no DD: §4.2 ends cycle following
+                    // wherever the failure is met again.
+                    HopRule::Terminated { .. } => {
+                        "termination: failure met again, clear PR".to_string()
+                    }
                 });
             }
             writeln!(
@@ -151,9 +156,9 @@ impl PacketTrace {
 /// Walks one packet like [`walk_packet`](crate::walk_packet) but
 /// recording the protocol rule behind every hop.
 ///
-/// The rule labelling re-derives the agent's control flow from the
-/// same tables, so a divergence between `trace_packet` and the real
-/// agent is itself a bug; the test suite asserts they always agree.
+/// The rules are the ones the agent reports as it decides: the trace
+/// holds no second spelling of the protocol. The test suite asserts it
+/// takes the walker's darts and ends as the walker does.
 pub fn trace_packet(
     graph: &Graph,
     net: &PrNetwork,
@@ -185,59 +190,8 @@ pub fn trace_packet(
             return PacketTrace { src, dst, steps, outcome: TraceOutcome::Livelock };
         }
 
-        // Reconstruct the rule sequence the agent is about to apply.
         let mut rules = Vec::new();
-        let pre_pr = state.pr;
-        let pre_dd = state.dd;
-        if !pre_pr {
-            let o = net.routing().next_dart(at, dst);
-            match o {
-                Some(o) if !failed.contains_dart(o) => rules.push(HopRule::ShortestPath),
-                Some(o) => rules.push(HopRule::FailureDetected {
-                    failed: o,
-                    stamped_dd: match net.mode() {
-                        PrMode::Basic => 0,
-                        PrMode::DistanceDiscriminator => net.dd(at, dst),
-                    },
-                }),
-                None => {}
-            }
-        } else if let Some(ing) = ingress {
-            let cf = net.cycle_table().cycle_following(ing);
-            if !failed.contains_dart(cf) {
-                rules.push(HopRule::CycleFollowing);
-            } else {
-                let own = net.dd(at, dst);
-                let terminate = match net.mode() {
-                    PrMode::Basic => true,
-                    PrMode::DistanceDiscriminator => own < pre_dd,
-                };
-                if terminate {
-                    rules.push(HopRule::Terminated { own_dd: own, header_dd: pre_dd });
-                    // Resuming may hit a dead routing dart: that is a
-                    // fresh detection on the spot.
-                    if let Some(o) = net.routing().next_dart(at, dst) {
-                        if failed.contains_dart(o) {
-                            rules.push(HopRule::FailureDetected {
-                                failed: o,
-                                stamped_dd: match net.mode() {
-                                    PrMode::Basic => 0,
-                                    PrMode::DistanceDiscriminator => own,
-                                },
-                            });
-                        }
-                    }
-                } else {
-                    rules.push(HopRule::ContinueCycleFollowing {
-                        failed: cf,
-                        own_dd: own,
-                        header_dd: pre_dd,
-                    });
-                }
-            }
-        }
-
-        match agent.decide(at, ingress, dst, &mut state, failed) {
+        match agent.decide_with(at, ingress, dst, &mut state, failed, |rule| rules.push(rule)) {
             ForwardDecision::Forward(d) => {
                 steps.push(TraceStep { at, out: Some(d), header: state, rules });
                 at = graph.dart_head(d);
@@ -254,7 +208,7 @@ pub fn trace_packet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generous_ttl, walk_packet, DiscriminatorKind, WalkResult};
+    use crate::{generous_ttl, walk_packet, DiscriminatorKind, PrMode, WalkResult};
     use pr_embedding::{heuristics, CellularEmbedding, RotationSystem};
     use pr_graph::{generators, LinkId};
     use pr_topologies::{Isp, Weighting};
@@ -396,7 +350,23 @@ mod tests {
         );
         let trace = trace_packet(&g, &net, n("A"), n("F"), &failed, generous_ttl(&g));
         assert_eq!(trace.outcome, TraceOutcome::Livelock);
-        assert!(trace.render(&g).contains("FORWARDING LOOP"));
+        let rendered = trace.render(&g);
+        assert!(rendered.contains("FORWARDING LOOP"));
+        // B meets the failed B-C while cycle following and resumes
+        // routing: §4.2 reads no discriminator, so the rule reports own
+        // DD 0 against the unstamped header, and says why it fired.
+        let terminations: Vec<&HopRule> = trace
+            .steps
+            .iter()
+            .flat_map(|s| &s.rules)
+            .filter(|r| matches!(r, HopRule::Terminated { .. }))
+            .collect();
+        assert_eq!(terminations, [&HopRule::Terminated { own_dd: 0, header_dd: 0 }]);
+        assert!(
+            rendered.contains("B -> D           [PR=0 DD=0]  termination: failure met again"),
+            "{rendered}"
+        );
+        assert!(!rendered.contains("own DD"), "{rendered}");
     }
 
     #[test]

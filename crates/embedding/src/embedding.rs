@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use pr_graph::{Dart, Graph, LinkId, LinkSet};
+use pr_graph::{Dart, Graph, LinkId};
 
 use crate::{genus, EmbeddingError, FaceId, FaceStructure, RotationSystem};
 
@@ -102,48 +102,6 @@ impl CellularEmbedding {
     pub fn complementary_cycle(&self, d: Dart) -> FaceId {
         self.faces.complementary(d)
     }
-
-    /// Walks the full cycle-following route that a packet deflected at
-    /// `failed` would take if *only* the links in `failed_links` were
-    /// down and no termination condition ever fired, up to `max_steps`.
-    ///
-    /// This is the geometric object §5.1 reasons about: the boundary of
-    /// the region obtained by joining all cells with failed links on
-    /// their boundaries. Used by tests and the walkthrough examples;
-    /// the real protocol lives in `pr-core` with termination conditions.
-    ///
-    /// Returns the darts traversed. Stops early (returning `None`) if a
-    /// node has no live dart or `max_steps` is exceeded.
-    pub fn boundary_walk(
-        &self,
-        graph: &Graph,
-        failed: Dart,
-        failed_links: &LinkSet,
-        max_steps: usize,
-    ) -> Option<Vec<Dart>> {
-        let mut walk = Vec::new();
-        let mut out = failed;
-        loop {
-            // Rotate past failed darts at this node.
-            let mut tries = 0;
-            while failed_links.contains_dart(out) {
-                out = self.deflection(out);
-                tries += 1;
-                if tries > graph.degree(graph.dart_tail(out)) {
-                    return None; // all interfaces failed: isolated
-                }
-            }
-            walk.push(out);
-            if walk.len() > max_steps {
-                return None;
-            }
-            // Arrived at head(out); continue its face.
-            out = self.cycle_continuation(out);
-            if out == failed || walk.first() == Some(&out) {
-                return Some(walk);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -184,43 +142,6 @@ mod tests {
         for d in g.darts() {
             assert_eq!(emb.deflection(d), emb.cycle_continuation(d.twin()));
         }
-    }
-
-    #[test]
-    fn boundary_walk_on_ring_traces_the_joined_region() {
-        // Ring 0-1-2-3-0; fail link 0-1. Joining the ring's two faces
-        // across the failed link leaves a single region whose boundary
-        // traverses every surviving link once per direction (§5.1):
-        // 0 -> 3 -> 2 -> 1 -> 2 -> 3 -> 0. The *protocol* stops at node 1
-        // (far side of the failure) — that termination lives in pr-core;
-        // this helper deliberately traces the whole boundary.
-        let g = generators::ring(4, 1);
-        let emb = CellularEmbedding::new(&g, RotationSystem::identity(&g)).unwrap();
-        let d01 = g.find_dart(NodeId(0), NodeId(1)).unwrap();
-        let failed = LinkSet::from_links(g.link_count(), [d01.link()]);
-        let walk = emb.boundary_walk(&g, d01, &failed, 100).unwrap();
-        let nodes: Vec<NodeId> = walk.iter().map(|&d| g.dart_head(d)).collect();
-        assert_eq!(nodes, vec![NodeId(3), NodeId(2), NodeId(1), NodeId(2), NodeId(3), NodeId(0)]);
-        // Exactly the six surviving darts, each once.
-        assert_eq!(walk.len(), g.dart_count() - 2);
-        let mut sorted = walk.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), walk.len());
-        assert!(walk.iter().all(|&d| !failed.contains_dart(d)));
-    }
-
-    #[test]
-    fn boundary_walk_detects_isolation() {
-        // Star: all of the centre's links failed except none — fail both
-        // links of a path's middle node.
-        let g = generators::path(3, 1);
-        let emb_err = CellularEmbedding::new(&g, RotationSystem::identity(&g));
-        // A path is connected, so embedding works.
-        let emb = emb_err.unwrap();
-        let all = LinkSet::from_links(g.link_count(), [LinkId(0), LinkId(1)]);
-        let d = g.find_dart(NodeId(1), NodeId(0)).unwrap();
-        assert_eq!(emb.boundary_walk(&g, d, &all, 100), None);
     }
 
     #[test]

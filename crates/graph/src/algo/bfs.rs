@@ -41,15 +41,6 @@ pub fn hop_diameter(graph: &Graph) -> u32 {
         .unwrap_or(0)
 }
 
-/// Nodes reachable from `src` over the live links, including `src`.
-pub fn reachable_from(graph: &Graph, src: NodeId, failed: &LinkSet) -> Vec<NodeId> {
-    hop_distances(graph, src, failed)
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, d)| d.map(|_| NodeId(i as u32)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,8 +66,6 @@ mod tests {
         assert_eq!(d[1], None);
         assert_eq!(d[2], None);
         assert_eq!(d[3], Some(1));
-        let reach = reachable_from(&g, NodeId(0), &failed);
-        assert_eq!(reach, vec![NodeId(0), NodeId(3)]);
     }
 
     #[test]

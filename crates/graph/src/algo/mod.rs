@@ -6,7 +6,7 @@ mod dijkstra;
 mod paths;
 mod repair;
 
-pub use bfs::{hop_diameter, hop_distances, reachable_from};
+pub use bfs::{hop_diameter, hop_distances};
 pub use connectivity::{
     components, connected_after, cut_analysis, is_biconnected, is_connected, is_two_edge_connected,
     Components, CutAnalysis,

@@ -27,18 +27,6 @@ impl Path {
         Self::default()
     }
 
-    /// Builds a path from darts, validating contiguity against `graph`.
-    ///
-    /// Returns `None` if consecutive darts do not join up.
-    pub fn from_darts(graph: &Graph, darts: Vec<Dart>) -> Option<Self> {
-        for w in darts.windows(2) {
-            if graph.dart_head(w[0]) != graph.dart_tail(w[1]) {
-                return None;
-            }
-        }
-        Some(Self { darts })
-    }
-
     /// Appends one hop. The caller must keep contiguity (checked in
     /// debug builds).
     pub fn push(&mut self, graph: &Graph, dart: Dart) {
@@ -91,21 +79,6 @@ impl Path {
             .collect::<Vec<_>>()
             .join(" -> ")
     }
-
-    /// `true` if any node appears more than once (the walk revisits a
-    /// router). Legitimate during cycle following; a diagnostic signal
-    /// for plain shortest-path forwarding.
-    pub fn revisits_nodes(&self, graph: &Graph, start: NodeId) -> bool {
-        let nodes = self.nodes(graph, start);
-        let mut seen = vec![false; graph.node_count()];
-        for n in nodes {
-            if seen[n.index()] {
-                return true;
-            }
-            seen[n.index()] = true;
-        }
-        false
-    }
 }
 
 /// Path-cost stretch: `taken / optimal`, both as weighted costs.
@@ -132,29 +105,12 @@ mod tests {
         let g = generators::path(3, 2); // A-B-C with weight 2 each
         let d01 = g.find_dart(NodeId(0), NodeId(1)).unwrap();
         let d12 = g.find_dart(NodeId(1), NodeId(2)).unwrap();
-        let p = Path::from_darts(&g, vec![d01, d12]).unwrap();
+        let mut p = Path::empty();
+        p.push(&g, d01);
+        p.push(&g, d12);
         assert_eq!(p.hop_count(), 2);
         assert_eq!(p.cost(&g), 4);
         assert_eq!(p.nodes(&g, NodeId(0)), vec![NodeId(0), NodeId(1), NodeId(2)]);
-        assert!(!p.revisits_nodes(&g, NodeId(0)));
-    }
-
-    #[test]
-    fn rejects_discontiguous() {
-        let g = generators::path(4, 1);
-        let d01 = g.find_dart(NodeId(0), NodeId(1)).unwrap();
-        let d23 = g.find_dart(NodeId(2), NodeId(3)).unwrap();
-        assert!(Path::from_darts(&g, vec![d01, d23]).is_none());
-    }
-
-    #[test]
-    fn cycle_following_style_revisit_detected() {
-        // A -> B -> A is a legitimate cycle-following walk shape.
-        let g = generators::path(2, 1);
-        let fwd = g.find_dart(NodeId(0), NodeId(1)).unwrap();
-        let p = Path::from_darts(&g, vec![fwd, fwd.twin()]).unwrap();
-        assert!(p.revisits_nodes(&g, NodeId(0)));
-        assert_eq!(p.cost(&g), 2);
     }
 
     #[test]
@@ -163,7 +119,8 @@ mod tests {
         let a = g.add_node("Seattle");
         let b = g.add_node("Denver");
         g.add_link(a, b, 1).unwrap();
-        let p = Path::from_darts(&g, vec![g.find_dart(a, b).unwrap()]).unwrap();
+        let mut p = Path::empty();
+        p.push(&g, g.find_dart(a, b).unwrap());
         assert_eq!(p.display(&g, a), "Seattle -> Denver");
     }
 

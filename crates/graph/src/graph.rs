@@ -309,12 +309,6 @@ impl Graph {
         (self.csr_offsets[node.index() + 1] - self.csr_offsets[node.index()]) as usize
     }
 
-    /// Neighbours of a node, in interface order (with multiplicity for
-    /// parallel links).
-    pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.darts_from(node).iter().map(|&d| self.dart_head(d))
-    }
-
     /// Finds a link joining `a` and `b` (either orientation), if any.
     ///
     /// With parallel links, returns the lowest-id one.
@@ -327,11 +321,6 @@ impl Graph {
     /// With parallel links, returns the one on the lowest-id link.
     pub fn find_dart(&self, a: NodeId, b: NodeId) -> Option<Dart> {
         self.darts_from(a).iter().copied().find(|&d| self.dart_head(d) == b)
-    }
-
-    /// Sum of all link weights.
-    pub fn total_weight(&self) -> u64 {
-        self.links.iter().map(|l| u64::from(l.weight)).sum()
     }
 
     /// Validates a node id.
@@ -429,8 +418,6 @@ mod tests {
         assert_eq!(g.darts_from(b), &[ab.reverse(), bc.forward()]);
         assert_eq!(g.darts_from(c), &[bc.reverse(), ca.forward()]);
         assert_eq!(g.degree(a), 2);
-        let nbrs: Vec<_> = g.neighbors(a).collect();
-        assert_eq!(nbrs, vec![b, c]);
     }
 
     #[test]
@@ -545,11 +532,5 @@ mod tests {
         assert_eq!(g2.node_count(), 3);
         assert_eq!(g2.link_count(), 3);
         assert_eq!(g2.weight(LinkId(2)), 3);
-    }
-
-    #[test]
-    fn total_weight() {
-        let (g, _, _) = triangle();
-        assert_eq!(g.total_weight(), 6);
     }
 }

@@ -169,12 +169,6 @@ impl LinkSet {
         }
     }
 
-    /// `true` if every member of `self` is in `other`.
-    pub fn is_subset(&self, other: &LinkSet) -> bool {
-        assert_eq!(self.capacity, other.capacity, "LinkSet capacity mismatch");
-        self.words.iter().zip(&other.words).all(|(a, b)| a & !b == 0)
-    }
-
     /// Removes all members.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -228,8 +222,6 @@ mod tests {
         assert_eq!(u.iter().collect::<Vec<_>>(), vec![LinkId(1), LinkId(2), LinkId(3)]);
         let d = a.difference(&b);
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![LinkId(1)]);
-        assert!(d.is_subset(&a));
-        assert!(!a.is_subset(&b));
     }
 
     #[test]

@@ -123,11 +123,6 @@ impl<'a> SrlgFailures<'a> {
         assert!(radius_km >= 0.0, "negative SRLG radius");
         SrlgFailures { graph, radius_km }
     }
-
-    /// The epicentre node of scenario `index`.
-    pub fn epicentre(&self, index: usize) -> NodeId {
-        NodeId(index as u32)
-    }
 }
 
 impl ScenarioFamily for SrlgFailures<'_> {
@@ -395,12 +390,6 @@ impl SampledMultiFailures {
     /// `true` if every kept scenario has exactly `k` failed links.
     pub fn all_draws_complete(&self) -> bool {
         self.incomplete_draws() == 0
-    }
-
-    /// Consumes the family into its explicit scenario list (for
-    /// callers that still want a `Vec`).
-    pub fn into_vec(self) -> Vec<LinkSet> {
-        self.sets
     }
 }
 

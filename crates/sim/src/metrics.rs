@@ -91,24 +91,6 @@ impl Metrics {
             self.delivered as f64 / self.injected as f64
         }
     }
-
-    /// Mean end-to-end latency of delivered packets, in ns.
-    pub fn mean_latency_ns(&self) -> Option<f64> {
-        if self.delivered == 0 {
-            None
-        } else {
-            Some(self.latency_sum_ns as f64 / self.delivered as f64)
-        }
-    }
-
-    /// Mean hop count of delivered packets.
-    pub fn mean_hops(&self) -> Option<f64> {
-        if self.delivered == 0 {
-            None
-        } else {
-            Some(self.hops_sum as f64 / self.delivered as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -124,9 +106,9 @@ mod tests {
         assert_eq!(m.delivered, 2);
         assert_eq!(m.total_dropped(), 1);
         assert!((m.delivery_ratio() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(m.mean_latency_ns(), Some(350.0));
+        assert_eq!(m.latency_sum_ns, 700);
         assert_eq!(m.latency_max_ns, 500);
-        assert_eq!(m.mean_hops(), Some(4.0));
+        assert_eq!(m.hops_sum, 8);
         assert_eq!(m.hops_max, 5);
     }
 
@@ -134,8 +116,6 @@ mod tests {
     fn empty_run_defaults() {
         let m = Metrics::default();
         assert_eq!(m.delivery_ratio(), 1.0);
-        assert_eq!(m.mean_latency_ns(), None);
-        assert_eq!(m.mean_hops(), None);
         assert_eq!(m.total_dropped(), 0);
     }
 

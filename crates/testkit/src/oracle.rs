@@ -4,33 +4,42 @@
 //! | oracle | the production path it checks | held equal by |
 //! |---|---|---|
 //! | `pr_core::walk_packet` (one packet, hop by hop, fresh scratch) | `FlowUnit::walk`, `recover_flow_with`, `walk_packet_spliced`, every `pr_bench::lanes::Lane` | `bench/tests/kernel.rs`, `bench/tests/memo.rs`, `traffic/tests/properties.rs` |
-//! | `pr_traffic::replay_scenario_naive` (one `walk_packet` per flow, a scratch survivor tree per destination) | `replay_scenario_bitparallel` | `traffic/tests/properties.rs`, `traffic/tests/alloc_free.rs` |
+//! | [`replay_scenario_naive`] (one `walk_packet` per flow, a scratch survivor tree per destination) | `replay_scenario_bitparallel` | `traffic/tests/properties.rs`, `traffic/tests/replay.rs`, `traffic/tests/alloc_free.rs` |
 //! | `DenseFib::affected_into` (one pass over a whole tree) | `DenseFib::roots_into` and the cones replay walks off it | `traffic/tests/properties.rs` |
 //! | [`shortest_path_tree`] (Bellman–Ford, then parents by the canonical key in `(dist, id)` order) | `SpTree::towards` (parents picked while Dijkstra relaxes) | `graph/tests/properties.rs` |
 //! | `SpTree::towards` (Dijkstra from scratch) | `ConeOpener::open` (cone enumeration + label repair), `SpTree::repair_from` | `bench/tests/kernel.rs`, `topologies/tests/spt_repair.rs` |
+//! | [`ReconvergenceAgent`] (converged survivor tables per scenario) | the reconvergence lane's survivor costs | [`stretch_serial`], `baselines/tests/scheme_comparison.rs` |
 //! | [`stretch_serial`] | `pr_bench::stretch::{run_with_stats, run_rows}` | `bench/tests/determinism.rs` |
 //! | [`coverage_serial`] | `pr_bench::coverage::run` | `bench/tests/determinism.rs` |
-//! | `pr_bench::traffic::run_serial` (`replay_scenario_naive` per scenario) | `pr_bench::traffic::run` | `bench/tests/determinism.rs` |
+//! | [`traffic_serial`] ([`replay_scenario_naive`] per scenario) | `pr_bench::traffic::run` | `bench/tests/determinism.rs` |
 //! | `pr_bench::ablation`'s `Oracle` (in-crate) | `pr_dd_sweep`, `genus_delivery` | `ablation::tests` |
 //! | `pr_daemon::cold_recompile` (base + live trees + FIB from scratch) | `Twin`'s incremental event apply | `daemon/tests/equivalence.rs` |
 //!
-//! Every rung but the three linked ones lives beside the code it
-//! checks — in-crate unit tests and `benchmark/` call them, and a
-//! crate's own unit tests cannot see this kit. The tree reference and
-//! the two sweep references live here.
+//! Every oracle that only tests call lives here, so no product crate's
+//! normal dependency tree reaches one. Four rungs stay beside their
+//! code because more than a test names them: the walker, the hop loop
+//! production falls back on; `DenseFib::affected_into` and
+//! `cold_recompile`, which the benchmark and the `daemon_events` gate
+//! time; and the ablation's `Oracle`, which its in-crate unit tests
+//! need and which this kit could not lend them.
 //!
 //! **Independence.** No oracle reads `PrNetwork::base()`: each computes
 //! failure-free trees of its own (`AllPairs::compute_all_live`), so a
 //! defect in the one copy every production path borrows cannot cancel
 //! out of a comparison.
 
-use pr_baselines::{FcpAgent, LfaAgent, NotViaAgent, ReconvergenceAgent};
+use pr_baselines::{FcpAgent, LfaAgent, NotViaAgent};
 use pr_bench::coverage::{self, CoverageRow};
 use pr_bench::stretch::StretchSamples;
-use pr_core::{generous_ttl, walk_packet, DiscriminatorKind, PrMode, PrNetwork};
+use pr_bench::traffic::TrafficRow;
+use pr_core::{
+    generous_ttl, walk_packet, DiscriminatorKind, DropReason, ForwardDecision, ForwardingAgent,
+    PrMode, PrNetwork,
+};
 use pr_embedding::CellularEmbedding;
-use pr_graph::{AllPairs, Dart, Graph, LinkSet, NodeId, SpTree};
+use pr_graph::{AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, SpTree};
 use pr_scenarios::{ScenarioFamily, ScenarioIter};
+use pr_traffic::{DemandTally, FlowSet, ScenarioTraffic};
 
 /// The destination-rooted shortest-path tree towards `dest` over the
 /// links not in `failed`, as plainly as it can be spelled: one entry
@@ -213,6 +222,143 @@ pub fn coverage_serial(
                 }
             });
             row
+        })
+        .collect()
+}
+
+/// Forwarding agent for the *converged* post-failure network: full
+/// routing reconvergence, the paper's second baseline, as the oracle of
+/// the reconvergence lane. Once a link-state IGP has flooded the change
+/// and every router has recomputed, packets follow the survivor
+/// topology's shortest paths — the post-hoc optimum no scheme beats on
+/// path length. Its cost is paid in time and loss during convergence
+/// (`pr-sim`'s `ReconvergingIgp`), not in stretch.
+///
+/// Construct it **per failure scenario**
+/// ([`ReconvergenceAgent::converged_on`]): the converged tables are a
+/// function of the failed set. Decisions are O(1) lookups.
+#[derive(Debug, Clone)]
+pub struct ReconvergenceAgent {
+    tables: AllPairs,
+    failures: LinkSet,
+}
+
+impl ReconvergenceAgent {
+    /// Computes the converged routing state of `graph` under `failed`.
+    pub fn converged_on(graph: &Graph, failed: &LinkSet) -> ReconvergenceAgent {
+        ReconvergenceAgent { tables: AllPairs::compute(graph, failed), failures: failed.clone() }
+    }
+
+    /// The survivor-topology cost from `src` to `dest`, if connected.
+    pub fn converged_cost(&self, src: NodeId, dest: NodeId) -> Option<u64> {
+        self.tables.cost(src, dest)
+    }
+}
+
+impl ForwardingAgent for ReconvergenceAgent {
+    type State = ();
+
+    fn label(&self) -> &'static str {
+        "reconvergence"
+    }
+
+    fn decide(
+        &self,
+        at: NodeId,
+        _ingress: Option<Dart>,
+        dest: NodeId,
+        _state: &mut (),
+        failed: &LinkSet,
+    ) -> ForwardDecision {
+        debug_assert_eq!(
+            failed, &self.failures,
+            "reconvergence agent used with a different failure set than it converged on"
+        );
+        match self.tables.towards(dest).next_dart(at) {
+            Some(out) => ForwardDecision::Forward(out),
+            None => ForwardDecision::Drop(DropReason::Unreachable),
+        }
+    }
+
+    fn header_bits(&self, _state: &()) -> usize {
+        0 // reconvergence costs time and flooding, not header space
+    }
+}
+
+/// The per-packet reference dataplane: one `walk_packet` per flow with
+/// a fresh scratch and a from-scratch survivor tree per destination —
+/// no FIB, no baseline, no repair. Produces the identical
+/// `ScenarioTraffic` for the shortest-path-confluent schemes of the
+/// workspace; everything `replay_scenario_bitparallel` does is held
+/// against it.
+pub fn replay_scenario_naive<A: ForwardingAgent>(
+    graph: &Graph,
+    agent: &A,
+    base: &AllPairs,
+    flows: &FlowSet,
+    failed: &LinkSet,
+    ttl: usize,
+) -> ScenarioTraffic
+where
+    A::State: std::hash::Hash + Eq,
+{
+    let mut loads = vec![0.0; graph.link_count()];
+    let mut tally = DemandTally::default();
+    for (dst, group) in flows.by_destination() {
+        let base_tree = base.towards(dst);
+        let live = SpTree::towards(graph, dst, failed);
+        for flow in group {
+            let affected = base_tree.path_crosses(graph, flow.src, failed);
+            if affected && !live.reaches(flow.src) {
+                tally.record_disconnected(flow.demand);
+                continue;
+            }
+            let walk = walk_packet(graph, agent, flow.src, dst, failed, ttl);
+            if !walk.result.is_delivered() {
+                tally.record_dropped(flow.demand);
+                continue;
+            }
+            for d in walk.path.darts() {
+                loads[d.link().index()] += flow.demand;
+            }
+            if affected {
+                let optimal = base_tree.cost(flow.src).expect("connected base graph");
+                tally.record_recovered(flow.demand, walk.cost(graph) as f64 / optimal as f64);
+            } else {
+                tally.record_clear(flow.demand);
+            }
+        }
+    }
+    // The peak: the first heaviest link, none when nothing arrived.
+    let (mut max_link_load, mut peak_link) = (0.0, None);
+    if tally.delivered != 0.0 {
+        for (i, &load) in loads.iter().enumerate() {
+            if load > max_link_load {
+                (max_link_load, peak_link) = (load, Some(LinkId(i as u32)));
+            }
+        }
+    }
+    ScenarioTraffic { tally, max_link_load, peak_link }
+}
+
+/// The traffic sweep's serial reference: [`replay_scenario_naive`] per
+/// scenario, on base trees of its own. `pr_bench::traffic::run` is
+/// bit-identical to it at every thread count, which also checks the
+/// network's trees.
+pub fn traffic_serial(
+    graph: &Graph,
+    pr: &PrNetwork,
+    family: &dyn ScenarioFamily,
+    flows: &FlowSet,
+) -> Vec<TrafficRow> {
+    let base = AllPairs::compute_all_live(graph);
+    let agent = pr.agent(graph);
+    let ttl = generous_ttl(graph);
+    ScenarioIter::new(family)
+        .enumerate()
+        .map(|(scenario, failed)| {
+            let traffic = replay_scenario_naive(graph, &agent, &base, flows, &failed, ttl);
+            TrafficRow { scenario, failures: failed.len(), traffic }
         })
         .collect()
 }

@@ -24,9 +24,8 @@ use pr_scenarios::{ScenarioFamily, ScenarioSlice, SingleLinkFailures};
 use pr_testkit::alloc::{peak_during, turn, Counting};
 use pr_testkit::fixtures;
 use pr_testkit::nets::{link_name, Net};
-use pr_traffic::{
-    replay_scenario_bitparallel, replay_scenario_naive, FlowSet, ReplayScratch, UniformTraffic,
-};
+use pr_testkit::oracle::replay_scenario_naive;
+use pr_traffic::{replay_scenario_bitparallel, FlowSet, ReplayScratch, UniformTraffic};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;

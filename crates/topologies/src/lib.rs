@@ -203,17 +203,6 @@ pub fn figure1() -> (Graph, Vec<Vec<NodeId>>) {
     (g, orders)
 }
 
-/// Convenience bundle of every shipped topology (ISPs with distance
-/// weights plus the Figure 1 example), for exhaustive test sweeps.
-pub fn all_graphs() -> Vec<(String, Graph)> {
-    let mut out: Vec<(String, Graph)> = Isp::ALL
-        .iter()
-        .map(|&isp| (isp.name().to_string(), load(isp, Weighting::Distance)))
-        .collect();
-    out.push(("figure1".to_string(), figure1().0));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,13 +303,6 @@ mod tests {
         assert_eq!(Isp::Abilene.paper_multi_failure_count(), 4);
         assert_eq!(Isp::Teleglobe.paper_multi_failure_count(), 10);
         assert_eq!(Isp::Geant.paper_multi_failure_count(), 16);
-    }
-
-    #[test]
-    fn all_graphs_returns_four() {
-        let all = all_graphs();
-        assert_eq!(all.len(), 4);
-        assert!(all.iter().any(|(n, _)| n == "figure1"));
     }
 
     #[test]

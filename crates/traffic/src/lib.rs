@@ -9,8 +9,7 @@
 //!   [`UniformTraffic`] (the exact unit matrix), [`GravityTraffic`]
 //!   (masses from provisioned capacity, friction from the great-circle
 //!   distance between the shipped PoP coordinates), and
-//!   [`HotspotTraffic`] (seeded hot-PoP skew). [`TrafficMatrix`]
-//!   materialises any of them.
+//!   [`HotspotTraffic`] (seeded hot-PoP skew).
 //! * [`FlowSet`] — destination-major batches of `(src, dst, demand)`
 //!   flows: the whole matrix ([`FlowSet::all_pairs`]) or a seeded
 //!   sample drawn proportionally to demand ([`FlowSet::sampled`]).
@@ -19,7 +18,7 @@
 //!   computed once, and a scenario corrects only the subtrees that hang
 //!   below a failed tree edge — their demand withdrawn bottom-up (one
 //!   subtraction per tree dart), only their still-connected sources
-//!   walked per flow. [`replay_scenario_naive`] is the
+//!   walked per flow. The test kit's `replay_scenario_naive` is the
 //!   one-packet-at-a-time oracle; the two produce bit-identical results
 //!   because flow demands live on a power-of-two grid that makes every
 //!   replay sum and difference exact (association-free).
@@ -40,9 +39,8 @@
 //! use pr_core::{generous_ttl, DenseFib, DiscriminatorKind, PrMode, PrNetwork};
 //! use pr_embedding::{heuristics, CellularEmbedding};
 //! use pr_graph::LinkSet;
-//! use pr_traffic::{
-//!     replay_scenario_bitparallel, replay_scenario_naive, FlowSet, GravityTraffic, ReplayScratch,
-//! };
+//! use pr_testkit::oracle::replay_scenario_naive;
+//! use pr_traffic::{replay_scenario_bitparallel, FlowSet, GravityTraffic, ReplayScratch};
 //!
 //! let g = pr_topologies::load(pr_topologies::Isp::Abilene, pr_topologies::Weighting::Distance);
 //! let emb = CellularEmbedding::new(&g, heuristics::thorough(&g, 2010, 4, 10_000)).unwrap();
@@ -77,9 +75,7 @@ mod timeline;
 
 pub use flows::{Flow, FlowSet};
 pub use metrics::DemandTally;
-pub use model::{GravityTraffic, HotspotTraffic, TrafficMatrix, TrafficModel, UniformTraffic};
-pub use replay::{
-    replay_scenario_bitparallel, replay_scenario_naive, ReplayScratch, ReplayStats, ScenarioTraffic,
-};
+pub use model::{GravityTraffic, HotspotTraffic, TrafficModel, UniformTraffic};
+pub use replay::{replay_scenario_bitparallel, ReplayScratch, ReplayStats, ScenarioTraffic};
 pub use sampling::{TallySample, TallySeries};
 pub use timeline::{replay_timeline, TimelineTraffic};

@@ -3,9 +3,8 @@
 //! A [`TrafficModel`] is the demand-side analogue of a
 //! `ScenarioFamily`: a *deterministic, random-access* description of
 //! an `n × n` demand matrix — `demand(src, dst)` is pure in its
-//! arguments, so replay workers can read entries concurrently and a
-//! matrix never needs to be materialised unless a caller wants one
-//! ([`TrafficMatrix::from_model`]). Three models ship:
+//! arguments, so replay workers can read entries concurrently and no
+//! matrix is ever materialised. Three models ship:
 //!
 //! * [`UniformTraffic`] — demand exactly `1.0` on every ordered pair.
 //!   The *unit* matrix: demand-weighted metrics under it are
@@ -238,11 +237,6 @@ impl HotspotTraffic {
         let hotspots = (graph.node_count() / 8).max(1);
         HotspotTraffic::new(graph, hotspots, 8.0, seed)
     }
-
-    /// The hot nodes, in node order.
-    pub fn hot_nodes(&self) -> Vec<NodeId> {
-        (0..self.nodes as u32).map(NodeId).filter(|v| self.hot[v.index()]).collect()
-    }
 }
 
 impl TrafficModel for HotspotTraffic {
@@ -266,47 +260,6 @@ impl TrafficModel for HotspotTraffic {
             d *= self.boost;
         }
         d
-    }
-}
-
-/// A materialised (dense) traffic matrix. Itself a [`TrafficModel`],
-/// so callers that read entries many times can snapshot any model once
-/// and replay from the flat array.
-#[derive(Debug, Clone, Serialize)]
-pub struct TrafficMatrix {
-    label: String,
-    nodes: usize,
-    /// Destination-major entries: `demand[dst * n + src]` — the replay
-    /// dataplane iterates flows destination-major, so reads are
-    /// sequential.
-    demand: Vec<f64>,
-}
-
-impl TrafficMatrix {
-    /// Snapshots `model` into a dense matrix.
-    pub fn from_model(model: &dyn TrafficModel) -> TrafficMatrix {
-        let n = model.node_count();
-        let mut demand = vec![0.0; n * n];
-        for dst in 0..n as u32 {
-            for src in 0..n as u32 {
-                demand[dst as usize * n + src as usize] = model.demand(NodeId(src), NodeId(dst));
-            }
-        }
-        TrafficMatrix { label: model.label(), nodes: n, demand }
-    }
-}
-
-impl TrafficModel for TrafficMatrix {
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-
-    fn node_count(&self) -> usize {
-        self.nodes
-    }
-
-    fn demand(&self, src: NodeId, dst: NodeId) -> f64 {
-        self.demand[dst.index() * self.nodes + src.index()]
     }
 }
 
@@ -434,31 +387,19 @@ mod tests {
         let n = g.node_count();
         let m = HotspotTraffic::with_defaults(&g, 2010);
         assert!((m.total_demand() - (n * (n - 1)) as f64).abs() < 1e-6);
-        let hot = m.hot_nodes();
+        let hot_nodes = |m: &HotspotTraffic| -> Vec<NodeId> {
+            g.nodes().filter(|v| m.hot[v.index()]).collect()
+        };
+        let hot = hot_nodes(&m);
         assert_eq!(hot.len(), n / 8);
         // Same seed, same hot set; different seed, (almost surely)
         // different demand on some pair.
-        assert_eq!(HotspotTraffic::with_defaults(&g, 2010).hot_nodes(), hot);
+        assert_eq!(hot_nodes(&HotspotTraffic::with_defaults(&g, 2010)), hot);
         let other = HotspotTraffic::with_defaults(&g, 2011);
-        assert_ne!(other.hot_nodes(), hot, "seed must matter");
+        assert_ne!(hot_nodes(&other), hot, "seed must matter");
         // Hot→hot pairs carry boost² over cold→cold pairs.
         let cold: Vec<NodeId> = g.nodes().filter(|v| !hot.contains(v)).take(2).collect();
         let ratio = m.demand(hot[0], cold[0]) / m.demand(cold[0], cold[1]);
         assert!((ratio - 8.0).abs() < 1e-9, "hot endpoint boosts 8x, got {ratio}");
-    }
-
-    #[test]
-    fn matrix_snapshot_matches_model() {
-        let g = geant();
-        let m = GravityTraffic::new(&g);
-        let snap = TrafficMatrix::from_model(&m);
-        assert_eq!(snap.label(), "gravity");
-        assert_eq!(snap.node_count(), m.node_count());
-        for dst in g.nodes() {
-            for src in g.nodes() {
-                assert_eq!(snap.demand(src, dst), m.demand(src, dst));
-            }
-        }
-        assert_eq!(snap.total_demand(), m.total_demand());
     }
 }

@@ -1,40 +1,40 @@
 //! Flow replay: one [`FlowSet`] priced under one failed set.
 //!
-//! Two functions compute the same [`ScenarioTraffic`], bit for bit
-//! (tests and the determinism suite assert it — the whole load vector,
-//! not only its peak):
+//! [`replay_scenario_bitparallel`] is **the dataplane.** `pr traffic`,
+//! `pr impair` (through [`replay_timeline`](crate::replay_timeline))
+//! and the daemon twin all run it. It is a *delta*: the failure-free
+//! outcome of a `(DenseFib, FlowSet)` pair — every link's load, an
+//! all-clear tally — is computed once and kept in the scratch; a
+//! scenario starts from a copy and corrects only the **cones**, the
+//! subtrees of each destination's tree that hang below a failed
+//! edge. Inside a cone every source still follows the tree up to its
+//! **point**, the first router that does anything else. Under **one**
+//! failed link the point of every source of a cone is the router `p`
+//! above the dead tree dart `p → far`, and an agent with a
+//! single-failure closed form (Packet Re-cycling's, asked through
+//! [`FlowScratch::detour`]) prices the whole cone by arithmetic off
+//! the failed dart's **episode**, staged once per failed set on the
+//! flow scratch for every destination: no point is climbed,
+//! withdrawn point by point or walked. Everything
+//! else — two or more failed links, an agent without a closed form,
+//! an episode that prices nothing — finds each source's point
+//! ([`FlowUnit::point_of`](pr_core::FlowUnit::point_of)) and settles
+//! each point **once** ([`recover_flow_with`]), **priced, or
+//! walked**: priced as a chain of the failed set's staged episodes
+//! and tree segments where the agent has episodes and the chain
+//! delivers within the budget, walked once through the walker's plain
+//! hop loop otherwise — carrying the summed demand of the sources
+//! behind it, withdrawn from the tree path it no longer takes. A
+//! failure that disturbs 3 %
+//! of the pairs costs about 3 % of a full pass, and at most one chain
+//! or walk per failure point, not per source.
 //!
-//! * [`replay_scenario_bitparallel`] — **the dataplane.** `pr traffic`,
-//!   `pr impair` (through [`replay_timeline`](crate::replay_timeline))
-//!   and the daemon twin all run it. It is a *delta*: the failure-free
-//!   outcome of a `(DenseFib, FlowSet)` pair — every link's load, an
-//!   all-clear tally — is computed once and kept in the scratch; a
-//!   scenario starts from a copy and corrects only the **cones**, the
-//!   subtrees of each destination's tree that hang below a failed
-//!   edge. Inside a cone every source still follows the tree up to its
-//!   **point**, the first router that does anything else. Under **one**
-//!   failed link the point of every source of a cone is the router `p`
-//!   above the dead tree dart `p → far`, and an agent with a
-//!   single-failure closed form (Packet Re-cycling's, asked through
-//!   [`FlowScratch::detour`]) prices the whole cone by arithmetic off
-//!   the failed dart's **episode**, staged once per failed set on the
-//!   flow scratch for every destination: no point is climbed,
-//!   withdrawn point by point or walked. Everything
-//!   else — two or more failed links, an agent without a closed form,
-//!   an episode that prices nothing — finds each source's point
-//!   ([`FlowUnit::point_of`](pr_core::FlowUnit::point_of)) and settles
-//!   each point **once** ([`recover_flow_with`]), **priced, or
-//!   walked**: priced as a chain of the failed set's staged episodes
-//!   and tree segments where the agent has episodes and the chain
-//!   delivers within the budget, walked once through the walker's plain
-//!   hop loop otherwise — carrying the summed demand of the sources
-//!   behind it, withdrawn from the tree path it no longer takes. A
-//!   failure that disturbs 3 %
-//!   of the pairs costs about 3 % of a full pass, and at most one chain
-//!   or walk per failure point, not per source.
-//! * [`replay_scenario_naive`] — **the oracle.** One [`walk_packet`] per
-//!   flow with a fresh scratch and a from-scratch survivor tree per
-//!   destination: nothing shared, nothing staged, nothing to get wrong.
+//! It computes the same [`ScenarioTraffic`] as the test kit's oracle,
+//! `pr_testkit::oracle::replay_scenario_naive` — one `walk_packet` per
+//! flow with a fresh scratch and a from-scratch survivor tree per
+//! destination: nothing shared, nothing staged — bit for bit
+//! (`tests/replay.rs` and the determinism suite assert it, the whole
+//! load vector, not only its peak).
 //!
 //! Why a result assembled by subtraction equals one summed from
 //! nothing: flow demands live on a power-of-two grid and every
@@ -65,10 +65,10 @@
 //! per scenario.
 
 use pr_core::{
-    recover_flow_with, walk_packet, DenseFib, DropReason, FlowScratch, FlowWalk, ForwardingAgent,
-    Recycled, Stamp, TreeEdge,
+    recover_flow_with, DenseFib, DropReason, FlowScratch, FlowWalk, ForwardingAgent, Recycled,
+    Stamp, TreeEdge,
 };
-use pr_graph::{bits, AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, SpTree};
+use pr_graph::{bits, AllPairs, Dart, Graph, LinkId, LinkSet, NodeId};
 use serde::{Deserialize, Serialize};
 
 use crate::flows::demand_from;
@@ -431,9 +431,9 @@ fn build_baseline(
 ///    point either; when a destination has any, one bottom-up pass
 ///    over its cones takes those loads off.
 ///
-/// Produces the **bit-identical** [`ScenarioTraffic`] of
-/// [`replay_scenario_naive`], and the same [`ReplayScratch::link_loads`]
-/// as summing the oracle's paths: see the module docs for why
+/// Produces the **bit-identical** [`ScenarioTraffic`] of the oracle,
+/// `pr_testkit::oracle::replay_scenario_naive`, and the same
+/// [`ReplayScratch::link_loads`] as summing the oracle's paths: see the module docs for why
 /// subtracting, and adding a priced cone's demand late, is as exact as
 /// adding here; DESIGN.md §8 has the proofs that a priced path — a
 /// single failure's cone or a point's chain — is the walk's.
@@ -690,61 +690,11 @@ where
     ScenarioTraffic { tally, max_link_load, peak_link }
 }
 
-/// The per-packet reference dataplane: one [`walk_packet`] per flow
-/// with a fresh scratch and a from-scratch survivor tree per
-/// destination — no FIB, no baseline, no repair. Produces the
-/// identical [`ScenarioTraffic`] for the shortest-path-confluent
-/// schemes in this workspace; everything
-/// [`replay_scenario_bitparallel`] does is held against it.
-pub fn replay_scenario_naive<A: ForwardingAgent>(
-    graph: &Graph,
-    agent: &A,
-    base: &AllPairs,
-    flows: &FlowSet,
-    failed: &LinkSet,
-    ttl: usize,
-) -> ScenarioTraffic
-where
-    A::State: std::hash::Hash + Eq,
-{
-    let mut loads = vec![0.0; graph.link_count()];
-    let mut tally = DemandTally::default();
-    for (dst, group) in flows.by_destination() {
-        let base_tree = base.towards(dst);
-        let live = SpTree::towards(graph, dst, failed);
-        for flow in group {
-            let affected = base_tree.path_crosses(graph, flow.src, failed);
-            if affected && !live.reaches(flow.src) {
-                tally.record_disconnected(flow.demand);
-                continue;
-            }
-            let walk = walk_packet(graph, agent, flow.src, dst, failed, ttl);
-            if !walk.result.is_delivered() {
-                tally.record_dropped(flow.demand);
-                continue;
-            }
-            for d in walk.path.darts() {
-                loads[d.link().index()] += flow.demand;
-            }
-            if affected {
-                let optimal = base_tree.cost(flow.src).expect("connected base graph");
-                tally.record_recovered(flow.demand, walk.cost(graph) as f64 / optimal as f64);
-            } else {
-                tally.record_clear(flow.demand);
-            }
-        }
-    }
-    let (max_link_load, peak_link) = peak_load(&loads, tally.delivered);
-    ScenarioTraffic { tally, max_link_load, peak_link }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlowSet, GravityTraffic, UniformTraffic};
-    use pr_core::{
-        generous_ttl, DiscriminatorKind, ForwardDecision, PrAgent, PrHeader, PrMode, PrNetwork,
-    };
+    use crate::{FlowSet, UniformTraffic};
+    use pr_core::{generous_ttl, DiscriminatorKind, ForwardDecision, PrHeader, PrMode, PrNetwork};
     use pr_embedding::CellularEmbedding;
     use pr_graph::{generators, Dart};
     use pr_topologies::{Isp, Weighting};
@@ -770,10 +720,6 @@ mod tests {
             Abilene { g, net, base, dense, scratch: ReplayScratch::new() }
         }
 
-        fn agent(&self) -> PrAgent<'_> {
-            self.net.agent(&self.g)
-        }
-
         fn replay(&mut self, flows: &FlowSet, failed: &LinkSet) -> ScenarioTraffic {
             let Abilene { g, net, base, dense, scratch } = self;
             replay_scenario_bitparallel(
@@ -786,11 +732,6 @@ mod tests {
                 generous_ttl(g),
                 scratch,
             )
-        }
-
-        fn naive(&self, flows: &FlowSet, failed: &LinkSet) -> ScenarioTraffic {
-            let ttl = generous_ttl(&self.g);
-            replay_scenario_naive(&self.g, &self.agent(), &self.base, flows, failed, ttl)
         }
 
         /// Every link at a node of degree 2: its traffic row and
@@ -824,22 +765,6 @@ mod tests {
         fn header_bits(&self, _: &()) -> usize {
             0
         }
-    }
-
-    #[test]
-    fn no_failure_replay_delivers_everything_on_shortest_paths() {
-        let mut a = Abilene::new();
-        let flows = FlowSet::all_pairs(&UniformTraffic::new(&a.g));
-        let none = LinkSet::empty(a.g.link_count());
-        let out = a.replay(&flows, &none);
-        assert_eq!(out.tally.flows as usize, flows.len());
-        assert_eq!(out.tally.delivered, out.tally.offered);
-        assert_eq!(out.tally.evaluated, 0.0, "nothing affected without failures");
-        assert_eq!(out.tally.lost(), 0.0);
-        assert!(out.max_link_load > 0.0);
-        assert!(out.peak_link.is_some());
-        assert!(out.max_link_utilisation() > 0.0 && out.max_link_utilisation() < 1.0);
-        assert_eq!(out, a.naive(&flows, &none));
     }
 
     #[test]
@@ -934,42 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn bitparallel_matches_naive_on_every_single_failure() {
-        let mut a = Abilene::new();
-        let flows = FlowSet::all_pairs(&GravityTraffic::new(&a.g));
-        for link in a.g.links() {
-            let failed = LinkSet::from_links(a.g.link_count(), [link]);
-            let out = a.replay(&flows, &failed);
-            assert_eq!(out, a.naive(&flows, &failed), "link {link}");
-            assert!(out.tally.evaluated > 0.0, "every link carries some shortest path");
-            assert_eq!(out.tally.lost(), 0.0, "PR-DD delivers on genus 0 (2EC, k=1)");
-        }
-        assert_eq!(a.scratch.take_stats().baselines, 1, "one baseline serves every scenario");
-    }
-
-    #[test]
-    fn bitparallel_load_vector_matches_the_oracles_paths_on_every_single_failure() {
-        // Not just the peak: the whole load vector is that of adding
-        // up one `walk_packet` path per flow.
-        let mut a = Abilene::new();
-        let flows = FlowSet::all_pairs(&GravityTraffic::new(&a.g));
-        let ttl = generous_ttl(&a.g);
-        for link in a.g.links() {
-            let failed = LinkSet::from_links(a.g.link_count(), [link]);
-            a.replay(&flows, &failed);
-            let mut loads = vec![0.0; a.g.link_count()];
-            for flow in flows.flows() {
-                let walk = walk_packet(&a.g, &a.agent(), flow.src, flow.dst, &failed, ttl);
-                assert!(walk.result.is_delivered());
-                for d in walk.path.darts() {
-                    loads[d.link().index()] += flow.demand;
-                }
-            }
-            assert_eq!(a.scratch.link_loads(), loads, "link {link}");
-        }
-    }
-
-    #[test]
     fn disconnecting_failures_lose_exactly_the_cut_demand() {
         let mut a = Abilene::new();
         let failed = a.isolate_a_degree_two_pop();
@@ -989,60 +878,6 @@ mod tests {
         // (stale-free) loads buffer is non-empty.
         assert_eq!(peak_load(&[0.0, 0.0, 0.0], 0.0), (0.0, None));
         assert_eq!(peak_load(&[], 0.0), (0.0, None));
-    }
-
-    #[test]
-    fn bitparallel_handles_disconnection_and_no_failure_scenarios() {
-        // Through one scratch, back to back: a cut, then nothing
-        // failed (the baseline untouched by what the cut withdrew),
-        // then the cut again.
-        let mut a = Abilene::new();
-        let flows = FlowSet::all_pairs(&UniformTraffic::new(&a.g));
-        let cut = a.isolate_a_degree_two_pop();
-        let none = LinkSet::empty(a.g.link_count());
-        for failed in [&cut, &none, &cut] {
-            let out = a.replay(&flows, failed);
-            assert_eq!(out, a.naive(&flows, failed));
-            assert_eq!(out.tally.flows as usize, flows.len());
-        }
-    }
-
-    #[test]
-    fn sampled_flows_replay_and_conserve_demand() {
-        let mut a = Abilene::new();
-        let flows = FlowSet::sampled(&GravityTraffic::new(&a.g), 200, 7);
-        let failed = LinkSet::from_links(a.g.link_count(), [a.g.links().next().unwrap()]);
-        let out = a.replay(&flows, &failed);
-        assert_eq!(out.tally.flows as usize, flows.len());
-        assert!((out.tally.offered - flows.offered()).abs() < 1e-9);
-        assert_eq!(out, a.naive(&flows, &failed));
-    }
-
-    #[test]
-    fn roots_of_a_destination_without_flows_leave_the_next_group_unconsumed() {
-        // A handful of flows under every pair of failed links: most
-        // destinations the link index names have no flow group, and
-        // skipping one must not swallow the group of the next
-        // destination that has both roots and flows.
-        let mut a = Abilene::new();
-        let flows = FlowSet::sampled(&GravityTraffic::new(&a.g), 6, 2010);
-        let with_flows: Vec<NodeId> = flows.by_destination().map(|(dst, _)| dst).collect();
-        assert!(with_flows.len() < a.g.node_count() / 2, "the groups must be sparse");
-        let links: Vec<LinkId> = a.g.links().collect();
-        let (mut roots, mut met) = (Vec::new(), 0);
-        for (i, &first) in links.iter().enumerate() {
-            for &second in &links[i + 1..] {
-                let failed = LinkSet::from_links(a.g.link_count(), [first, second]);
-                assert_eq!(a.replay(&flows, &failed), a.naive(&flows, &failed), "{failed:?}");
-                // The shape: a rooted destination without a group,
-                // then a rooted destination with one.
-                a.dense.roots_into(&failed, &mut roots);
-                let has_group = |r: &TreeEdge| with_flows.contains(&NodeId(r.dest));
-                let skipped = roots.iter().position(|r| !has_group(r));
-                met += usize::from(skipped.is_some_and(|at| roots[at..].iter().any(has_group)));
-            }
-        }
-        assert!(met > 0, "no failed pair met the shape");
     }
 
     #[test]

@@ -103,11 +103,6 @@ pub struct TallySeries {
 }
 
 impl TallySeries {
-    /// Total sampled time in seconds.
-    pub fn duration_s(&self) -> f64 {
-        self.samples.iter().map(|s| s.duration_ns() as f64 * 1e-9).sum()
-    }
-
     /// `∫ offered dt` — demand-seconds offered over the window.
     pub fn offered_demand_seconds(&self) -> f64 {
         self.samples.iter().map(|s| s.tally.offered * (s.duration_ns() as f64 * 1e-9)).sum()
@@ -147,23 +142,6 @@ impl TallySeries {
     /// The worst instantaneous PR loss fraction across samples.
     pub fn peak_pr_loss_fraction(&self) -> f64 {
         self.samples.iter().map(|s| s.pr_lost_fraction()).fold(0.0, f64::max)
-    }
-
-    /// Time-weighted demand-weighted mean stretch of delivered affected
-    /// demand (`None` when no interval delivered affected demand) —
-    /// the stretch-over-time curve's integral.
-    pub fn mean_weighted_stretch_over_time(&self) -> Option<f64> {
-        let (mut num, mut den) = (0.0, 0.0);
-        for s in &self.samples {
-            let dt = s.duration_ns() as f64 * 1e-9;
-            num += s.tally.stretch_weighted_sum * dt;
-            den += s.tally.stretch_weight * dt;
-        }
-        if den == 0.0 {
-            None
-        } else {
-            Some(num / den)
-        }
     }
 }
 
@@ -227,15 +205,11 @@ mod tests {
             tally: tally(10.0, 5.0, 4.0),
         };
         let series = TallySeries { samples: vec![clean, broken] };
-        assert!((series.duration_s() - 1.0).abs() < 1e-12);
         assert!((series.offered_demand_seconds() - 10.0).abs() < 1e-12);
         // 5 units lost for 0.1s.
         assert!((series.pr_demand_seconds_lost() - 0.5).abs() < 1e-12);
         assert!((series.pr_loss_over_time() - 0.05).abs() < 1e-12);
         assert_eq!(series.peak_pr_loss_fraction(), 0.5);
-        // Only the broken interval carries stretch weight.
-        let stretch = series.mean_weighted_stretch_over_time().unwrap();
-        assert!((stretch - 1.5).abs() < 1e-12, "{stretch}");
     }
 
     #[test]
@@ -244,6 +218,5 @@ mod tests {
         assert_eq!(s.pr_loss_over_time(), 0.0);
         assert_eq!(s.igp_loss_over_time(), 0.0);
         assert_eq!(s.peak_pr_loss_fraction(), 0.0);
-        assert_eq!(s.mean_weighted_stretch_over_time(), None);
     }
 }

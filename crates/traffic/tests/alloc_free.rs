@@ -21,10 +21,9 @@ use pr_scenarios::{ExhaustiveKFailures, ScenarioFamily, SingleLinkFailures};
 use pr_testkit::alloc::{calls_during, Counting};
 use pr_testkit::fixtures;
 use pr_testkit::nets::{isp, Net};
+use pr_testkit::oracle::replay_scenario_naive;
 use pr_topologies::Isp;
-use pr_traffic::{
-    replay_scenario_bitparallel, replay_scenario_naive, FlowSet, GravityTraffic, ReplayScratch,
-};
+use pr_traffic::{replay_scenario_bitparallel, FlowSet, GravityTraffic, ReplayScratch};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;

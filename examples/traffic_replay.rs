@@ -111,7 +111,8 @@ fn main() {
     );
     let production =
         ladder("production", &mut || pr_bench::traffic::run(&graph, &net, &singles, &flows, 1));
-    let oracle =
-        ladder("oracle", &mut || pr_bench::traffic::run_serial(&graph, &net, &singles, &flows));
+    let oracle = ladder("oracle", &mut || {
+        pr_testkit::oracle::traffic_serial(&graph, &net, &singles, &flows)
+    });
     assert_eq!(production, oracle, "production rows must equal the oracle's, bit for bit");
 }

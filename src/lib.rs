@@ -47,7 +47,7 @@
 //! | [`graph`] (`pr-graph`) | half-edge multigraph, Dijkstra, connectivity, generators, parser |
 //! | [`embedding`] (`pr-embedding`) | rotation systems, face tracing, genus heuristics, planar generators |
 //! | [`core`] (`pr-core`) | PR protocol: header, tables, forwarding agent, packet walker |
-//! | [`baselines`] (`pr-baselines`) | FCP, reconvergence, LFA |
+//! | [`baselines`] (`pr-baselines`) | FCP, LFA, not-via |
 //! | [`scenarios`] (`pr-scenarios`) | streaming failure families (single/multi/node/SRLG/exhaustive-k) + temporal traces + seeded impairment decorators |
 //! | [`sim`] (`pr-sim`) | deterministic discrete-event packet simulator, temporal-scenario driver |
 //! | [`topologies`] (`pr-topologies`) | Abilene / GÉANT / Teleglobe + the Figure 1 fixture |
@@ -71,7 +71,7 @@ pub use pr_traffic as traffic;
 
 /// The items almost every user needs, importable in one line.
 pub mod prelude {
-    pub use pr_baselines::{FcpAgent, LfaAgent, ReconvergenceAgent};
+    pub use pr_baselines::{FcpAgent, LfaAgent};
     pub use pr_core::{
         generous_ttl, walk_packet, CycleFollowingTable, DiscriminatorKind, DropReason,
         ForwardDecision, ForwardingAgent, HeaderCodec, PrAgent, PrHeader, PrMode, PrNetwork,
@@ -88,7 +88,7 @@ pub mod prelude {
     pub use pr_sim::{SimConfig, SimTime, Simulator, Static, TimedForwarding};
     pub use pr_traffic::{
         replay_timeline, DemandTally, FlowSet, TallySample, TallySeries, TimelineTraffic,
-        TrafficMatrix, TrafficModel,
+        TrafficModel,
     };
 
     /// Re-exported under a named module to avoid clashing with user

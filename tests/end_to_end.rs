@@ -3,6 +3,7 @@
 //! way a downstream user would drive it (through the facade crate).
 
 use packet_recycling::prelude::*;
+use pr_testkit::oracle::ReconvergenceAgent;
 
 /// The complete production pipeline on every shipped ISP topology.
 #[test]
@@ -38,20 +39,6 @@ fn full_pipeline_on_all_isp_topologies() {
             }
         }
     }
-}
-
-/// Header encode/decode across the wire: what the agent stamps is what
-/// a downstream router decodes.
-#[test]
-fn header_roundtrip_through_codec() {
-    let (_, net) = figure1_network();
-    let codec = net.codec();
-
-    // Simulate D stamping the Figure 1(c) header.
-    let stamped = PrHeader { pr: true, dd: 2 };
-    let bytes = codec.encode(stamped).unwrap();
-    assert_eq!(bytes.len(), 1, "fits one byte on the wire");
-    assert_eq!(codec.decode(&bytes).unwrap(), stamped);
 }
 
 /// The timed simulator and the synchronous walker agree on steady-state

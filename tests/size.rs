@@ -6,30 +6,35 @@
 //! kit (`crates/testkit`) and the offline stand-ins (`crates/compat`);
 //! each `.rs` file counts up to its first `#[cfg(test)]` line, so the
 //! in-file unit tests are not product.
+//!
+//! The census beside it holds every `pub fn` of the product to a caller
+//! outside tests — product code, a bench, an example or `benchmark/` —
+//! or to a line of [`TEST_ONLY`] saying why tests alone may call it.
 
+use std::collections::HashSet;
 use std::path::Path;
 
 /// Product lines per crate directory, `src` being the facade.
 const PRODUCT: &[(&str, usize)] = &[
     ("src", 104),
-    ("crates/baselines", 836),
-    ("crates/bench", 3082),
-    ("crates/cli", 2112),
-    ("crates/core", 3250),
+    ("crates/baselines", 756),
+    ("crates/bench", 3052),
+    ("crates/cli", 2114),
+    ("crates/core", 3106),
     ("crates/daemon", 839),
-    ("crates/embedding", 1527),
-    ("crates/graph", 3045),
-    ("crates/scenarios", 1322),
-    ("crates/sim", 962),
-    ("crates/topologies", 216),
-    ("crates/traffic", 1904),
+    ("crates/embedding", 1460),
+    ("crates/graph", 2992),
+    ("crates/scenarios", 1311),
+    ("crates/sim", 944),
+    ("crates/topologies", 205),
+    ("crates/traffic", 1783),
 ];
 
 /// The sum of [`PRODUCT`], the number ROADMAP.md tracks.
-const PRODUCT_TOTAL: usize = 19_199;
+const PRODUCT_TOTAL: usize = 18_666;
 
 /// Lines of DESIGN.md.
-const DESIGN_LINES: usize = 2_607;
+const DESIGN_LINES: usize = 2_618;
 
 /// Crate directories that are not product.
 const NOT_PRODUCT: &[&str] = &["crates/testkit", "crates/compat"];
@@ -89,4 +94,214 @@ fn a_file_counts_up_to_its_first_test_module() {
     assert_eq!(product_lines("fn a() {}\n\n#[cfg(test)]\nmod tests {}\n#[cfg(test)]\n"), 2);
     assert_eq!(product_lines("    #[cfg(test)]\nfn a() {}\n"), 0);
     assert_eq!(product_lines("fn a() {}\nfn b() {}"), 2);
+}
+
+/// Product `pub fn`s that no product code, bench, example or the
+/// benchmark harness names, kept because tests need them:
+/// `(file, fn, why)`. An entry whose fn is gone, or has found a caller,
+/// fails the census as well, so the list never outlives its reasons.
+#[rustfmt::skip]
+const TEST_ONLY: &[(&str, &str, &str)] = &[
+    ("crates/baselines/src/notvia.rs", "protection_coverage", "tests read not-via's single-failure coverage off its detour table"),
+    ("crates/daemon/src/server.rs", "wait_for_addr_file", "the daemon's integration tests wait for a started daemon's addresses"),
+    ("crates/daemon/src/twin.rs", "failed_set", "test-only accessor: the equivalence tests rebuild a twin's failed set cold"),
+    ("crates/embedding/src/embedding.rs", "complementary_cycle", "the paper's Table 1 tests read each dart's complementary cycle"),
+    ("crates/embedding/src/planar.rs", "random_outerplanar", "property tests draw planar graphs from it"),
+    ("crates/embedding/src/planar.rs", "random_triangulation", "property tests draw planar graphs from it"),
+    ("crates/graph/src/algo/connectivity.rs", "same", "the kit's shape observer and tests ask if two routers share a component"),
+    ("crates/graph/src/algo/dijkstra.rs", "path_darts", "the kit's oracles and tests read a tree path"),
+    ("crates/graph/src/algo/dijkstra.rs", "path_nodes", "tests read a tree path as routers"),
+    ("crates/graph/src/generators.rs", "complete_bipartite", "tests embed K3,3, the smallest non-planar bipartite graph"),
+    ("crates/graph/src/generators.rs", "connected_er", "tests draw connected Erdős–Rényi graphs"),
+    ("crates/graph/src/generators.rs", "random_two_edge_connected", "the kit's graph strategy draws from it"),
+    ("crates/graph/src/generators.rs", "torus", "tests embed a genus-1 grid"),
+    ("crates/graph/src/generators.rs", "wheel", "tests need a hub of high degree"),
+    ("crates/graph/src/generators.rs", "with_synthetic_coordinates", "tests locate unlocated generator graphs"),
+    ("crates/graph/src/graph.rs", "find_dart", "tests name a dart by its endpoints"),
+    ("crates/graph/src/linkset.rs", "difference", "tests build expected failed sets"),
+    ("crates/graph/src/linkset.rs", "union", "tests build expected failed sets"),
+    ("crates/graph/src/linkset.rs", "union_in_place", "tests build expected failed sets"),
+    ("crates/scenarios/src/families.rs", "connected_only", "tests enumerate the connected survivor sets"),
+    ("crates/scenarios/src/impairments.rs", "is_identity", "tests check which knobs impair nothing"),
+    ("crates/sim/src/simulator.rs", "add_poisson_flow", "the simulator's tests drive Poisson flows; pr-sim waits on ROADMAP item 5"),
+    ("crates/sim/src/simulator.rs", "schedule_flapping", "the simulator's tests drive flapping links; pr-sim waits on ROADMAP item 5"),
+    ("crates/sim/src/simulator.rs", "visible_failures", "test-only accessor: the flapping tests read what the routers see"),
+    ("crates/traffic/src/metrics.rs", "record_clear", "the kit's per-flow replay oracle tallies one flow at a time"),
+    ("crates/traffic/src/metrics.rs", "record_disconnected", "the kit's per-flow replay oracle tallies one flow at a time"),
+    ("crates/traffic/src/metrics.rs", "record_dropped", "the kit's per-flow replay oracle tallies one flow at a time"),
+    ("crates/traffic/src/metrics.rs", "record_recovered", "the kit's per-flow replay oracle tallies one flow at a time"),
+    ("crates/traffic/src/replay.rs", "link_loads", "test-only accessor: the load vector is held to the oracle's, not only its peak"),
+];
+
+/// Directories whose sources are callers besides the product: the
+/// examples and the benchmark harness (each crate's `benches` too).
+const CALLERS: &[&str] = &["examples", "benchmark/src"];
+
+/// Every `.rs` file under `dir`, skipping build output.
+fn sources(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else { return };
+    for entry in entries {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            if !path.ends_with("target") && !path.ends_with("out") {
+                sources(&path, out);
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// What the census reads of a source: the text without comments,
+/// string and char literals or `use` items. A product file is read up
+/// to its first `#[cfg(test)]` at column 0, its test module; an
+/// indented one guards a single statement.
+fn census_code(text: &str, product: bool) -> String {
+    let mut kept = String::new();
+    let mut in_use = false;
+    for line in text.lines() {
+        if product && line.starts_with("#[cfg(test)]") {
+            break;
+        }
+        let trimmed = line.trim_start();
+        let trimmed =
+            trimmed.strip_prefix("pub(crate) ").or(trimmed.strip_prefix("pub ")).unwrap_or(trimmed);
+        if in_use || trimmed.starts_with("use ") {
+            in_use = !line.trim_end().ends_with(';');
+            continue;
+        }
+        kept.push_str(line);
+        kept.push('\n');
+    }
+    let mut code = String::with_capacity(kept.len());
+    let mut chars = kept.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            '/' if chars.peek() == Some(&'/') => {
+                chars.by_ref().take_while(|&c| c != '\n').for_each(drop);
+                code.push('\n');
+            }
+            '/' if chars.peek() == Some(&'*') => {
+                let mut last = ' ';
+                for c in chars.by_ref() {
+                    if last == '*' && c == '/' {
+                        break;
+                    }
+                    last = c;
+                }
+                code.push(' ');
+            }
+            '"' => {
+                let mut escaped = false;
+                for c in chars.by_ref() {
+                    match (escaped, c) {
+                        (false, '\\') => escaped = true,
+                        (false, '"') => break,
+                        _ => escaped = false,
+                    }
+                }
+                code.push_str("\"\"");
+            }
+            // A char literal ('x', '\n'); a lifetime has no closing quote.
+            '\'' => {
+                let ahead: Vec<char> = chars.clone().take(3).collect();
+                let skip = match ahead.as_slice() {
+                    ['\\', _, '\''] => 3,
+                    [_, '\'', ..] => 2,
+                    _ => 0,
+                };
+                chars.by_ref().take(skip).for_each(drop);
+                code.push(' ');
+            }
+            c => code.push(c),
+        }
+    }
+    code
+}
+
+/// The identifiers `code` names, without those a `fn` defines.
+fn named(code: &str, out: &mut HashSet<String>) {
+    let mut previous = "";
+    let words = code.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+    for word in words.filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')) {
+        if previous != "fn" {
+            out.insert(word.to_string());
+        }
+        previous = word;
+    }
+}
+
+/// The `pub fn`s a product file defines.
+fn public_fns(code: &str) -> Vec<String> {
+    code.lines()
+        .filter_map(|line| {
+            let rest = line.trim_start().strip_prefix("pub ")?;
+            let rest =
+                ["const ", "unsafe "].iter().fold(rest, |r, q| r.strip_prefix(q).unwrap_or(r));
+            let name = rest.strip_prefix("fn ")?;
+            Some(name.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).next()?.to_string())
+        })
+        .collect()
+}
+
+#[test]
+fn every_public_product_fn_has_a_caller_outside_tests() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let relative = |p: &Path| {
+        p.strip_prefix(root).expect("under the root").to_string_lossy().replace('\\', "/")
+    };
+    let mut product = Vec::new();
+    for (dir, _) in measured(root) {
+        sources(&root.join(&dir).join(if dir == "src" { "" } else { "src" }), &mut product);
+    }
+    let mut callers = Vec::new();
+    for dir in CALLERS {
+        sources(&root.join(dir), &mut callers);
+    }
+    for entry in std::fs::read_dir(root.join("crates")).expect("a crates directory") {
+        sources(&entry.expect("directory entry").path().join("benches"), &mut callers);
+    }
+    let read = |p: &Path| std::fs::read_to_string(p).expect("UTF-8 source");
+    let mut names = HashSet::new();
+    let mut defined = Vec::new();
+    for file in &product {
+        let code = census_code(&read(file), true);
+        named(&code, &mut names);
+        defined.extend(public_fns(&code).into_iter().map(|f| (relative(file), f)));
+    }
+    for file in &callers {
+        named(&census_code(&read(file), false), &mut names);
+    }
+    assert!(defined.len() > 500, "only {} pub fns: the census lost the product", defined.len());
+    let uncalled: Vec<String> = defined
+        .iter()
+        .filter(|(file, f)| {
+            !names.contains(f) && !TEST_ONLY.iter().any(|&(t, g, _)| (t, g) == (file, f))
+        })
+        .map(|(file, f)| format!("{file}: pub fn {f}"))
+        .collect();
+    assert!(uncalled.is_empty(), "pub fns only tests call, if any:\n{}", uncalled.join("\n"));
+    let stale: Vec<String> = TEST_ONLY
+        .iter()
+        .filter(|&&(file, f, _)| {
+            names.contains(f) || !defined.iter().any(|(d, g)| (d.as_str(), g.as_str()) == (file, f))
+        })
+        .map(|(file, f, _)| format!("{file}: {f}"))
+        .collect();
+    assert!(stale.is_empty(), "test-only entries gone or called now:\n{}", stale.join("\n"));
+}
+
+#[test]
+fn the_census_reads_code_not_comments_strings_or_imports() {
+    let text = "use a::{lonely,\n    also};\n/// calls docs()\nfn own() { called(\"quoted\"); } // trailing()\n\
+                let c = '\"';\npub fn kept() {}\n#[cfg(test)]\nfn tested() { own() }\n";
+    let mut names = HashSet::new();
+    named(&census_code(text, true), &mut names);
+    for seen in ["called", "c"] {
+        assert!(names.contains(seen), "{seen}");
+    }
+    for unseen in ["lonely", "also", "docs", "own", "quoted", "trailing", "kept", "tested"] {
+        assert!(!names.contains(unseen), "{unseen}");
+    }
+    assert_eq!(public_fns(&census_code(text, true)), ["kept"]);
 }
