@@ -65,7 +65,7 @@
 //! Workers only scale if a work closure leaves the allocator alone in
 //! the steady state: per-worker scratch is reset in place and the
 //! block's accumulator is the only allocation (DESIGN.md, "allocator
-//! discipline", has the measurements that made this a rule).
+//! discipline", has the lock contention that made this a rule).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -110,8 +110,8 @@ pub fn run(
 
 /// Replays `flows` through every scenario of `family` on `threads`
 /// workers, and sums what the replays looked at. Failure-invariant
-/// state is hoisted once ([`replay_plan`]); each worker owns a private
-/// [`ReplayScratch`] reused across its scenarios (and with it its own
+/// state — the staged FIB, the agent, the TTL — is hoisted once; each
+/// worker owns a private [`ReplayScratch`] reused across its scenarios (and with it its own
 /// copy of the failure-free baseline: a load vector and a tally). The
 /// counters are taken per scenario, so every one but
 /// [`ReplayStats::baselines`] — one per worker — is thread-count

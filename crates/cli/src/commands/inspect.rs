@@ -76,7 +76,7 @@ pub fn embed(args: &Args) -> CmdResult {
     println!("single-face links: {}{named}", single_face.len());
     let planar = match emb.genus() {
         0 => "yes (delivery guarantee applies)",
-        _ => "no (see DESIGN.md findings)",
+        _ => "no (see DESIGN.md §15)",
     };
     println!("planar:    {planar}");
     println!("\ncycle system:");

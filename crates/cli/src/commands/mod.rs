@@ -392,15 +392,19 @@ fn parse_failures(graph: &Graph, args: &Args) -> Result<LinkSet, String> {
 /// Builds a topological scenario family by name (shared by `pr sweep`,
 /// `pr traffic` and, with `k` from `--failures`, `pr stretch`); its
 /// [`TOPOLOGICAL`] options must already have passed
-/// [`Args::check_owned`].
+/// [`Args::check_owned`]. It needs only the graph, so callers build it
+/// before [`compile`] and refuse a bad flag before the embedding
+/// search; the notes its draws leave are returned with it, for the
+/// caller to print after the genus line.
 fn topological_family<'a>(
     graph: &'a Graph,
     name: &str,
     k: usize,
     seed: u64,
     args: &Args,
-) -> CmdResult<Box<dyn ScenarioFamily + 'a>> {
-    Ok(match name {
+) -> CmdResult<(Box<dyn ScenarioFamily + 'a>, Vec<String>)> {
+    let mut notes = Vec::new();
+    let family: Box<dyn ScenarioFamily + 'a> = match name {
         "single" => Box::new(SingleLinkFailures::new(graph)),
         "node" => Box::new(NodeFailures::new(graph)),
         "multi" => {
@@ -408,10 +412,13 @@ fn topological_family<'a>(
             let k = losable(graph, "k", k)?;
             let fam = SampledMultiFailures::new(graph, k, samples, seed);
             if fam.len() < samples {
-                println!("note: only {} distinct scenarios exist (asked for {samples})", fam.len());
+                notes.push(format!(
+                    "note: only {} distinct scenarios exist (asked for {samples})",
+                    fam.len()
+                ));
             }
             if !fam.all_draws_complete() {
-                println!("note: the graph cannot lose {k} links; draws fell short");
+                notes.push(format!("note: the graph cannot lose {k} links; draws fell short"));
             }
             Box::new(fam)
         }
@@ -437,7 +444,8 @@ fn topological_family<'a>(
             )
             .into())
         }
-    })
+    };
+    Ok((family, notes))
 }
 
 /// `count`, unless it is 0 — a sweep of no failures or no scenarios

@@ -27,9 +27,10 @@ pub fn stretch(args: &Args) -> CmdResult {
     }
     let seed: u64 = args.option_or("seed", 2010)?;
     let threads = threads(args)?;
-    let net = compile(&graph, canonical, args)?;
     let name = if failures == 1 { "single" } else { "multi" };
-    let family = topological_family(&graph, name, failures, seed, args)?;
+    let (family, notes) = topological_family(&graph, name, failures, seed, args)?;
+    let net = compile(&graph, canonical, args)?;
+    notes.iter().for_each(|note| println!("{note}"));
     let (rows, _) = stretch::run_rows(&graph, &net, family.as_ref(), threads, 0);
     let report = stretch::report_from_rows(&rows, &stretch::figure2_xs());
     println!(
@@ -98,11 +99,15 @@ pub fn sweep(args: &Args) -> CmdResult {
                 .into());
         }
     }
+    let topological = match family_name {
+        "outage" | "flap" => None,
+        name => Some(topological_family(&graph, name, args.option_or("k", 2)?, seed, args)?),
+    };
     let net = compile(&graph, canonical, args)?;
     let stem = format!("sweep_{}_{family_name}{}", slug(topo_spec), args.stem());
 
-    match family_name {
-        "outage" | "flap" => {
+    match topological {
+        None => {
             let params = OutageParams::default();
             let family: Box<dyn TemporalFamily + '_> = match family_name {
                 "outage" => Box::new(OutageSweep::new(&graph, params)),
@@ -141,9 +146,8 @@ pub fn sweep(args: &Args) -> CmdResult {
                 || serde_json::to_string_pretty(&rows).expect("serializable rows"),
             );
         }
-        topological => {
-            let k = args.option_or("k", 2)?;
-            let family = topological_family(&graph, topological, k, seed, args)?;
+        Some((family, notes)) => {
+            notes.iter().for_each(|note| println!("{note}"));
             let family = family.as_ref();
             println!(
                 "family {} ({} scenarios, streamed, {threads} threads)",

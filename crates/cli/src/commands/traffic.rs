@@ -100,15 +100,16 @@ pub fn traffic(args: &Args) -> CmdResult {
     let format = parse_format(args)?;
     let threads = threads(args)?;
     let seed: u64 = args.option_or("seed", 2010)?;
+    let (family, notes): (Box<dyn ScenarioFamily + '_>, _) = if explicit {
+        (Box::new(vec![parse_failures(&graph, args)?]), Vec::new())
+    } else {
+        topological_family(&graph, family_name, args.option_or("k", 2)?, seed, args)?
+    };
 
     let flows = demand_spec(args, model_name, seed)?.build(&graph)?;
 
     let net = compile(&graph, canonical, args)?;
-    let family: Box<dyn ScenarioFamily + '_> = if explicit {
-        Box::new(vec![parse_failures(&graph, args)?])
-    } else {
-        topological_family(&graph, family_name, args.option_or("k", 2)?, seed, args)?
-    };
+    notes.iter().for_each(|note| println!("{note}"));
     print_workload(&flows, &family.label(), &format!("{} scenarios", family.len()), threads);
 
     let (rows, stats) =

@@ -109,8 +109,10 @@ fn degenerate_sweep_sizes_are_errors_naming_the_flag() {
     // label says, or (`pr impair`) replay the bare outage sweep under a
     // decorated label or clamp `--links` to the 14 there are. A link
     // failed twice, in either orientation, would fail once under a
-    // label that names it twice.
-    let cases: [(&[&str], &str); 15] = [
+    // label that names it twice. Every one of these needs only the
+    // graph, so it is refused before the embedding search prints its
+    // genus.
+    let cases: [(&[&str], &str); 17] = [
         (&["stretch", "abilene", "--failures", "0"], "--failures"),
         (&["stretch", "abilene", "--samples", "5"], "--samples"),
         (&["sweep", "abilene", "--family", "multi", "--k", "0"], "--k"),
@@ -138,6 +140,8 @@ fn degenerate_sweep_sizes_are_errors_naming_the_flag() {
             "--fail",
         ),
         (&["traffic", "abilene", "--fail", "Seattle-Denver", "--fail", "Seattle-Denver"], "--fail"),
+        (&["traffic", "abilene", "--fail", "Seattle-Denver", "--fail", "Denver-Seattle"], "--fail"),
+        (&["sweep", "synth:isp:500", "--family", "multi", "--k", "5000"], "--k"),
     ];
     for (args, flag) in cases {
         let out = run(args);
@@ -145,6 +149,8 @@ fn degenerate_sweep_sizes_are_errors_naming_the_flag() {
         assert_eq!(out.status.code(), Some(1), "{args:?} must fail: {}", stdout(&out));
         assert!(err.contains(flag), "{args:?} must name {flag}: {err}");
         assert!(!err.contains("panicked"), "{args:?}: {err}");
+        let text = stdout(&out);
+        assert!(!text.contains("embedding genus"), "{args:?} searched first:\n{text}");
     }
     // The bound itself is a sweep, four failures each and none short;
     // `--rate 0` is the documented bare outage replay.

@@ -2,8 +2,9 @@
 //!
 //! Implements the subset this workspace's property tests use: the
 //! [`proptest!`] macro with `#![proptest_config(...)]`, range and
-//! tuple strategies, [`Strategy::prop_map`], `any::<bool>()`, and the
-//! `prop_assert!`/`prop_assert_eq!`/`prop_assume!` macros.
+//! tuple strategies, [`strategy::Strategy::prop_map`],
+//! `any::<bool>()`, and the `prop_assert!`/`prop_assert_eq!`/
+//! `prop_assume!` macros.
 //!
 //! Every case's draws are recorded on a [`strategy::Tape`]. When a case
 //! fails, the tape — not the value — is shrunk

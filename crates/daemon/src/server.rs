@@ -24,7 +24,8 @@
 //! tree-exactly. A record torn by a crash mid-write is cut off the
 //! log's tail at the next start ([`EventLog::replay`]), and a request
 //! that panics inside the twin answers an error and leaves the twin as
-//! it was ([`guarded`]).
+//! it was: both listeners reach the twin through one guard, which runs
+//! the request under `catch_unwind`.
 
 use std::collections::HashMap;
 use std::fs;

@@ -302,7 +302,7 @@ fn certifies_planarity(graph: &Graph, rot: &RotationSystem) -> bool {
 ///
 /// This is what the experiment harness uses for the paper's topologies
 /// — all three of which turn out to admit planar embeddings, the case
-/// §5's correctness argument actually covers (see DESIGN.md §Findings).
+/// §5's correctness argument actually covers (see DESIGN.md §15).
 /// Deterministic given `seed`. `restarts` anneals are run at
 /// `iterations` proposals each.
 pub fn thorough(graph: &Graph, seed: u64, restarts: u64, iterations: usize) -> RotationSystem {

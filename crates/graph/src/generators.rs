@@ -299,7 +299,7 @@ fn mesh_dims(nodes: usize) -> (usize, usize) {
 /// Guarantees, for `nodes ≥ 4` and `shortcuts == 0`:
 ///
 /// * **2-edge-connected** — every link lies on a unit-cell cycle (the
-///   dimensions from [`mesh_dims`] make the partial-row tail cases
+///   mesh's grid dimensions make the partial-row tail cases
 ///   work out; a lone last-row node is closed into a triangle by one
 ///   extra diagonal).
 /// * **Crossing-free coordinates** — the jitter keeps every node

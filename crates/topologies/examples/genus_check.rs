@@ -1,6 +1,6 @@
 //! Certifies that every shipped ISP topology admits a genus-0
 //! (planar) cellular embedding — the precondition for the paper's §5
-//! delivery guarantee (see DESIGN.md §Findings).
+//! delivery guarantee (see DESIGN.md §15).
 //!
 //! ```sh
 //! cargo run --release -p pr-topologies --example genus_check

@@ -399,10 +399,9 @@ fn build_baseline(
 /// 4. **Points.** Every other destination — two or more failed links,
 ///    no closed form, an episode that comes back to `p` or never leaves
 ///    it — is settled point by point. The **survivor components** are
-///    labelled first,
-///    one O(n + m) pass per *scenario*, and only if some destination
-///    gets here ([`survivor_components`]): whether a source can still
-///    reach a destination is a label compare. One pass over the cones,
+///    labelled first, one O(n + m) pass per *scenario*, and only if
+///    some destination gets here: whether a source can still reach a
+///    destination is a label compare. One pass over the cones,
 ///    as one [`FlowScratch::unit`] per destination, finds each source's
 ///    point ([`FlowUnit::point_of`](pr_core::FlowUnit::point_of)) and
 ///    sums each point's demand. A source's load on its tree path *up

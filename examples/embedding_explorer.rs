@@ -78,7 +78,7 @@ fn main() {
     if genus > 0 {
         println!(
             "\nNote: no genus-0 embedding found — §5's delivery guarantee does not\n\
-             apply (see DESIGN.md Findings and `ablation_genus`); PR still repairs\n\
+             apply (see DESIGN.md §15 and `ablation_genus`); PR still repairs\n\
              all single failures whose complementary cycle is failure-free."
         );
     }

@@ -12,6 +12,14 @@
 //! `struct Type`, somewhere in the tree's sources; std types are in
 //! [`STD_TYPES`]. What no checkout holds — generated output — is in
 //! [`GENERATED`].
+//!
+//! Citations into DESIGN.md resolve too: in every Rust source, README.md
+//! and the verify skill, `DESIGN.md §N` names a section that exists, a
+//! section is cited by number and never by name, and a quoted title
+//! after the citation (`DESIGN.md §8, "The episode chain"`,
+//! `DESIGN.md, "allocator discipline"`) is the bold or italic lead of
+//! a paragraph in that section, or anywhere when no section is given.
+//! DESIGN.md's own `§N, "title"` references are held to the same leads.
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -422,4 +430,211 @@ mod tests {
     }
     assert_eq!(impl_type("impl<A: ForwardingAgent<State: Hash + Eq>> Lane for &A {"), Some("A"));
     assert_eq!(impl_type("impl<F: Fn() -> u32> pr_graph::SpTree {"), Some("SpTree"));
+}
+
+/// A section of DESIGN.md: its number, its title and the bold or
+/// italic leads of its paragraphs and list items.
+struct Section {
+    number: u32,
+    title: String,
+    leads: Vec<String>,
+}
+
+/// `text` with runs of whitespace collapsed to one space.
+fn collapsed(text: &str) -> String {
+    text.split_whitespace().collect::<Vec<_>>().join(" ")
+}
+
+/// DESIGN.md's `## §N Title` sections and the leads each holds: a
+/// paragraph or list item that opens with `**lead**` or `*lead*`, the
+/// lead without its closing `.` or `:`.
+fn sections(design: &str) -> Vec<Section> {
+    let mut sections: Vec<Section> = Vec::new();
+    let mut paragraph: Vec<&str> = Vec::new();
+    let flush = |paragraph: &mut Vec<&str>, sections: &mut Vec<Section>| {
+        let text = collapsed(&paragraph.join(" "));
+        paragraph.clear();
+        let Some(section) = sections.last_mut() else { return };
+        let marker = if text.starts_with("**") { "**" } else { "*" };
+        let Some(rest) = text.strip_prefix(marker).filter(|r| !r.starts_with(' ')) else {
+            return;
+        };
+        if let Some(end) = rest.find(marker) {
+            section.leads.push(rest[..end].trim_end_matches(['.', ':']).to_string());
+        }
+    };
+    for line in design.lines() {
+        let trimmed = line.trim_start();
+        if let Some(heading) = line.strip_prefix("## §") {
+            flush(&mut paragraph, &mut sections);
+            let (number, title) = heading.split_once(' ').expect("a numbered title");
+            let number = number.parse().expect("a section number");
+            sections.push(Section { number, title: title.to_string(), leads: Vec::new() });
+            continue;
+        }
+        let item = trimmed.strip_prefix("* ").or(trimmed.strip_prefix("- ")).or_else(|| {
+            let digits = trimmed.find(|c: char| !c.is_ascii_digit())?;
+            trimmed[digits..].strip_prefix(". ").filter(|_| digits > 0)
+        });
+        if trimmed.is_empty() || item.is_some() || line.starts_with('#') {
+            flush(&mut paragraph, &mut sections);
+        }
+        if !trimmed.is_empty() && !line.starts_with('#') {
+            paragraph.push(item.unwrap_or(trimmed));
+        }
+    }
+    flush(&mut paragraph, &mut sections);
+    sections
+}
+
+/// A source's text as prose: comment markers dropped, lines joined by
+/// one space, so a citation a comment wraps reads as one phrase.
+fn prose(text: &str) -> String {
+    let lines = text.lines().map(|line| {
+        let line = line.trim();
+        ["//!", "///", "//"].iter().find_map(|m| line.strip_prefix(m)).unwrap_or(line).trim()
+    });
+    lines.collect::<Vec<_>>().join(" ")
+}
+
+/// The digits `text` starts with, as a number, and what follows them.
+fn leading_number(text: &str) -> Option<(u32, &str)> {
+    let end = text.find(|c: char| !c.is_ascii_digit()).unwrap_or(text.len());
+    Some((text[..end].parse().ok()?, &text[end..]))
+}
+
+/// The quoted title `text` starts with (`, "title"`), if it does.
+fn quoted_title(text: &str) -> Option<String> {
+    let (title, _) = text.strip_prefix(", \"")?.split_once('"')?;
+    Some(collapsed(title))
+}
+
+/// Whether `title` is a lead of `section`, or of any section.
+fn is_lead(title: &str, section: Option<&Section>, all: &[Section]) -> bool {
+    let mut leads = all.iter().filter(|s| section.is_none_or(|c| c.number == s.number));
+    leads.any(|s| s.leads.iter().any(|lead| lead.eq_ignore_ascii_case(title)))
+}
+
+/// What is wrong with the citations into DESIGN.md of `text`, a prose
+/// rendering: a section that does not exist or is named instead of
+/// numbered, and a title that is no lead of its section. With `own`
+/// set, `text` is DESIGN.md, whose `§N, "title"` references cite it.
+fn citation_errors(text: &str, all: &[Section], own: bool) -> Vec<String> {
+    let section = |n: u32| all.iter().find(|s| s.number == n);
+    let mut errors = Vec::new();
+    let check_title = |rest: &str, cited: Option<&Section>, errors: &mut Vec<String>| {
+        if let Some(title) = quoted_title(rest) {
+            if !is_lead(&title, cited, all) {
+                let place = cited.map_or("DESIGN.md".into(), |s| format!("§{}", s.number));
+                errors.push(format!("\"{title}\" is no paragraph lead of {place}"));
+            }
+        }
+    };
+    if own {
+        for (at, _) in text.match_indices('§') {
+            if let Some((n, rest)) = leading_number(&text[at + '§'.len_utf8()..]) {
+                if rest.starts_with(", \"") {
+                    check_title(rest, section(n), &mut errors);
+                }
+            }
+        }
+        return errors;
+    }
+    for (at, _) in text.match_indices("DESIGN.md") {
+        let rest = text[at + "DESIGN.md".len()..].trim_start_matches('`');
+        let Some(mut cited) = rest.trim_start().strip_prefix('§') else {
+            check_title(rest, None, &mut errors);
+            let word = rest.trim_start().split([' ', ')', ',', '.']).next().unwrap_or("");
+            let named = all.iter().find(|s| {
+                let first = s.title.split(' ').next().unwrap_or("");
+                !first.eq_ignore_ascii_case("the") && first.eq_ignore_ascii_case(word)
+            });
+            if let Some(s) = named {
+                errors.push(format!("DESIGN.md {word}: cite §{} by its number", s.number));
+            }
+            continue;
+        };
+        // A list (`§3, §6 and §10`) cites each of its sections.
+        loop {
+            let Some((n, rest)) = leading_number(cited) else {
+                let name = cited.split([' ', ')', ',', '.']).next().unwrap_or("");
+                errors.push(format!("DESIGN.md §{name}: a section is cited by its number"));
+                break;
+            };
+            match section(n) {
+                None => errors.push(format!("DESIGN.md §{n}: no such section")),
+                Some(s) => check_title(rest, Some(s), &mut errors),
+            }
+            match [", §", " and §"].iter().find_map(|sep| rest.strip_prefix(sep)) {
+                Some(next) => cited = next,
+                None => break,
+            }
+        }
+    }
+    errors
+}
+
+#[test]
+fn every_citation_into_design_md_resolves() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |file: &str| std::fs::read_to_string(root.join(file)).expect("a readable file");
+    let design = read("DESIGN.md");
+    let all = sections(&design);
+    assert_eq!(all.iter().map(|s| s.number).collect::<Vec<_>>(), (1..=17).collect::<Vec<_>>());
+    assert!(all.iter().map(|s| s.leads.len()).sum::<usize>() > 50, "the lead scanner lost them");
+    let mut tree = Vec::new();
+    files(root, root, &mut tree);
+    // This file spells bad citations on purpose, in its tests.
+    let sources = tree.iter().filter(|f| f.ends_with(".rs") && *f != "tests/docs.rs");
+    let (mut cited, mut unresolved) = (0, Vec::new());
+    for file in sources.map(String::as_str).chain(["README.md", ".claude/skills/verify/SKILL.md"]) {
+        let text = prose(&read(file));
+        cited += text.matches("DESIGN.md").count();
+        unresolved.extend(
+            citation_errors(&text, &all, false).into_iter().map(|e| format!("{file}: {e}")),
+        );
+    }
+    let own = citation_errors(&collapsed(&design), &all, true);
+    unresolved.extend(own.into_iter().map(|e| format!("DESIGN.md: {e}")));
+    assert!(cited > 30, "only {cited} citations read: the scanner lost the sources");
+    assert!(unresolved.is_empty(), "citations that resolve to nothing:\n{}", unresolved.join("\n"));
+}
+
+#[test]
+fn a_citation_names_a_section_by_number_and_a_lead_by_its_words() {
+    let design = "# D\n\n## §1 Architecture\n\n**The split.** Offline.\n\n\
+                  ## §2 The walker\n\n*The episode\nchain.* Priced.\n\n* *The TTL fallback.* x\n\
+                  1. *Climb.* y\n\n**Allocator discipline.** z\n";
+    let all = sections(design);
+    let leads: Vec<_> = all.iter().map(|s| s.leads.clone()).collect();
+    assert_eq!(
+        leads,
+        [
+            vec!["The split"],
+            vec!["The episode chain", "The TTL fallback", "Climb", "Allocator discipline"]
+        ]
+    );
+    for good in [
+        "see DESIGN.md §2, \"The episode chain\" and on",
+        "(DESIGN.md §1, §2 and §2)",
+        "DESIGN.md, \"allocator discipline\", says why",
+        "see `DESIGN.md` for the architecture",
+        "DESIGN.md §2's \"rows\" are rows",
+    ] {
+        assert_eq!(citation_errors(&prose(good), &all, false), Vec::<String>::new(), "{good}");
+    }
+    for bad in [
+        "see DESIGN.md §Findings",
+        "(see DESIGN.md architecture)",
+        "DESIGN.md §3",
+        "DESIGN.md §1, §3",
+        "DESIGN.md §1, \"The episode chain\"",
+        "DESIGN.md, \"The memo\"",
+    ] {
+        assert_eq!(citation_errors(&prose(bad), &all, false).len(), 1, "{bad}");
+    }
+    let wrapped = prose("/// (DESIGN.md §2, \"The episode\n/// chain\")");
+    assert_eq!(citation_errors(&wrapped, &all, false), Vec::<String>::new());
+    let own = collapsed("as §2, \"The episode chain\" shows, not §1, \"Climb\"; the paper's §4.2");
+    assert_eq!(citation_errors(&own, &all, true).len(), 1);
 }

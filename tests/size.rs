@@ -4,8 +4,9 @@
 //!
 //! The product is `src/` plus `crates/*/src`, without the dev-only test
 //! kit (`crates/testkit`) and the offline stand-ins (`crates/compat`);
-//! each `.rs` file counts up to its first `#[cfg(test)]` line, so the
-//! in-file unit tests are not product.
+//! each `.rs` file counts up to its first `#[cfg(test)]` at column 0,
+//! its test module, so the in-file unit tests are not product. An
+//! indented one guards a single statement and the file goes on.
 //!
 //! The census beside it holds every `pub fn` of the product to a caller
 //! outside tests — product code, a bench, an example or `benchmark/` —
@@ -19,29 +20,35 @@ const PRODUCT: &[(&str, usize)] = &[
     ("src", 104),
     ("crates/baselines", 756),
     ("crates/bench", 3052),
-    ("crates/cli", 2114),
+    ("crates/cli", 2127),
     ("crates/core", 3106),
-    ("crates/daemon", 839),
+    ("crates/daemon", 1339),
     ("crates/embedding", 1460),
     ("crates/graph", 2992),
     ("crates/scenarios", 1311),
     ("crates/sim", 944),
     ("crates/topologies", 205),
-    ("crates/traffic", 1783),
+    ("crates/traffic", 1782),
 ];
 
 /// The sum of [`PRODUCT`], the number ROADMAP.md tracks.
-const PRODUCT_TOTAL: usize = 18_666;
+const PRODUCT_TOTAL: usize = 19_178;
 
 /// Lines of DESIGN.md.
-const DESIGN_LINES: usize = 2_618;
+const DESIGN_LINES: usize = 1_495;
 
 /// Crate directories that are not product.
 const NOT_PRODUCT: &[&str] = &["crates/testkit", "crates/compat"];
 
-/// Lines of a source file before its first `#[cfg(test)]`.
+/// Lines of a source file before its test module, the first
+/// `#[cfg(test)]` at column 0 — the line the census stops at too.
 fn product_lines(text: &str) -> usize {
-    text.lines().take_while(|line| !line.trim_start().starts_with("#[cfg(test)]")).count()
+    text.lines().take_while(|line| !test_module(line)).count()
+}
+
+/// Whether `line` opens a product file's test module.
+fn test_module(line: &str) -> bool {
+    line.starts_with("#[cfg(test)]")
 }
 
 /// Product lines of every `.rs` file under `dir`.
@@ -92,7 +99,7 @@ fn the_product_and_design_md_are_the_size_the_table_says() {
 #[test]
 fn a_file_counts_up_to_its_first_test_module() {
     assert_eq!(product_lines("fn a() {}\n\n#[cfg(test)]\nmod tests {}\n#[cfg(test)]\n"), 2);
-    assert_eq!(product_lines("    #[cfg(test)]\nfn a() {}\n"), 0);
+    assert_eq!(product_lines("    #[cfg(test)]\nfn a() {}\n"), 2);
     assert_eq!(product_lines("fn a() {}\nfn b() {}"), 2);
 }
 
@@ -154,13 +161,12 @@ fn sources(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
 
 /// What the census reads of a source: the text without comments,
 /// string and char literals or `use` items. A product file is read up
-/// to its first `#[cfg(test)]` at column 0, its test module; an
-/// indented one guards a single statement.
+/// to its test module, as [`product_lines`] counts it.
 fn census_code(text: &str, product: bool) -> String {
     let mut kept = String::new();
     let mut in_use = false;
     for line in text.lines() {
-        if product && line.starts_with("#[cfg(test)]") {
+        if product && test_module(line) {
             break;
         }
         let trimmed = line.trim_start();
