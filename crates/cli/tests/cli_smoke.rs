@@ -44,6 +44,23 @@ fn a_closed_stdout_ends_the_process_quietly() {
 }
 
 #[test]
+fn a_closed_stderr_ends_the_process_quietly() {
+    // `pr 2>&1 | head -1` and the like: the usage or the error is
+    // written to a pipe whose reader is gone.
+    for args in [&[][..], &["traffic", "abilene", "--seed", "-1"]] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_pr-cli"))
+            .args(args)
+            .stderr(writer)
+            .output()
+            .expect("pr-cli binary runs");
+        assert!(out.stdout.is_empty(), "{args:?}: {}", stdout(&out));
+        assert_eq!(out.status.code(), Some(141), "{args:?}");
+    }
+}
+
+#[test]
 fn no_arguments_is_an_error_with_usage() {
     let out = run(&[]);
     assert_eq!(out.status.code(), Some(2));

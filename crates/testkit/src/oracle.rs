@@ -307,7 +307,7 @@ where
     for (dst, group) in flows.by_destination() {
         let base_tree = base.towards(dst);
         let live = SpTree::towards(graph, dst, failed);
-        for flow in group {
+        for flow in group.iter() {
             let affected = base_tree.path_crosses(graph, flow.src, failed);
             if affected && !live.reaches(flow.src) {
                 tally.record_disconnected(flow.demand);

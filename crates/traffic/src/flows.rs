@@ -6,6 +6,10 @@
 //! tree, the walk scratch) over a whole group — the same grouping the
 //! sweep engine uses for its `(scenario × destination)` units.
 //!
+//! The set stores one `f64` demand per flow. A group's destination is
+//! its key, and a group that holds every other node implies its
+//! sources (the `i`-th is `i + (i ≥ dst)`); only the others keep theirs.
+//!
 //! Two compilations:
 //!
 //! * [`FlowSet::all_pairs`] — one flow per ordered pair with positive
@@ -22,7 +26,6 @@
 use pr_core::Stamp;
 use pr_graph::NodeId;
 use pr_scenarios::scenario_seed;
-use serde::Serialize;
 
 use crate::TrafficModel;
 
@@ -65,8 +68,9 @@ fn snap_to_grid(demand: f64, quantum: f64) -> f64 {
     }
 }
 
-/// One flow: a demand between an ordered pair of nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+/// One flow: a demand between an ordered pair of nodes. A value the
+/// groups of a [`FlowSet`] yield; the set stores its demand alone.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Flow {
     /// Source node.
     pub src: NodeId,
@@ -76,14 +80,29 @@ pub struct Flow {
     pub demand: f64,
 }
 
+/// One destination's flows: `demands[start..end]`.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    dst: NodeId,
+    start: usize,
+    end: usize,
+    /// Where the group's sources start in [`FlowSet::sources`]; `None`
+    /// when the group holds every other node and they are implied.
+    sources: Option<usize>,
+}
+
 /// A destination-major batch of flows compiled from a traffic model.
 #[derive(Debug, Clone)]
 pub struct FlowSet {
     label: String,
-    flows: Vec<Flow>,
-    /// One `(dst, start..end)` range into `flows` per destination with
-    /// at least one flow, in destination order.
-    groups: Vec<(NodeId, usize, usize)>,
+    /// Every flow's demand, destination-major, sources ascending
+    /// within a destination.
+    demands: Vec<f64>,
+    /// The sources of the groups that lack some node, group by group.
+    sources: Vec<NodeId>,
+    /// One group per destination with at least one flow, in
+    /// destination order.
+    groups: Vec<Group>,
     offered: f64,
     stamp: Stamp,
 }
@@ -94,16 +113,19 @@ impl FlowSet {
     /// destination.
     pub fn all_pairs(model: &dyn TrafficModel) -> FlowSet {
         let n = model.node_count();
-        let mut flows = Vec::with_capacity(n * n.saturating_sub(1));
-        for dst in 0..n as u32 {
-            for src in 0..n as u32 {
-                let demand = model.demand(NodeId(src), NodeId(dst));
-                if demand > 0.0 {
-                    flows.push(Flow { src: NodeId(src), dst: NodeId(dst), demand });
+        let mut set =
+            FlowSet::empty(format!("{}/all-pairs", model.label()), n * n.saturating_sub(1));
+        for dst in (0..n as u32).map(NodeId) {
+            set.open(dst);
+            for src in (0..n as u32).map(NodeId) {
+                let demand = model.demand(src, dst);
+                if src != dst && demand > 0.0 {
+                    set.push(src, demand);
                 }
             }
+            set.close(n);
         }
-        FlowSet::from_sorted(format!("{}/all-pairs", model.label()), flows)
+        set.snapped()
     }
 
     /// `samples` flows drawn from the matrix proportionally to demand
@@ -134,7 +156,7 @@ impl FlowSet {
         for dst in 0..n as u32 {
             for src in 0..n as u32 {
                 let demand = model.demand(NodeId(src), NodeId(dst));
-                if demand > 0.0 {
+                if src != dst && demand > 0.0 {
                     total += demand;
                     pairs.push(dst * n as u32 + src);
                     cumulative.push(total);
@@ -156,41 +178,73 @@ impl FlowSet {
         }
 
         let per_draw = total / samples as f64;
-        let mut flows = Vec::new();
-        for (i, &count) in hits.iter().enumerate() {
-            if count > 0 {
-                let pair = pairs[i] as usize;
-                let (dst, src) = ((pair / n) as u32, (pair % n) as u32);
-                flows.push(Flow {
-                    src: NodeId(src),
-                    dst: NodeId(dst),
-                    demand: f64::from(count) * per_draw,
-                });
+        let carried = hits.iter().filter(|&&count| count > 0).count();
+        let label = format!("{}/sampled({samples}, seed={seed})", model.label());
+        let mut set = FlowSet::empty(label, carried);
+        for (&count, &pair) in hits.iter().zip(&pairs).filter(|(&count, _)| count > 0) {
+            let (dst, src) = (NodeId(pair / n as u32), NodeId(pair % n as u32));
+            if set.groups.last().is_none_or(|group| group.dst != dst) {
+                set.close(n);
+                set.open(dst);
             }
+            set.push(src, f64::from(count) * per_draw);
         }
-        FlowSet::from_sorted(format!("{}/sampled({samples}, seed={seed})", model.label()), flows)
+        set.close(n);
+        set.snapped()
     }
 
-    /// Builds the grouped representation from destination-major flows,
-    /// snapping every demand onto the set's demand grid (see
-    /// [`demand_quantum`]) so replay sums are association-free.
-    fn from_sorted(label: String, mut flows: Vec<Flow>) -> FlowSet {
-        let raw_total: f64 = flows.iter().map(|f| f.demand).sum();
+    /// An empty set with room for `capacity` flows. Flows go in
+    /// destination-major, sources ascending and never the destination:
+    /// a group is `open`ed, `push`ed to and `close`d in turn.
+    fn empty(label: String, capacity: usize) -> FlowSet {
+        FlowSet {
+            label,
+            demands: Vec::with_capacity(capacity),
+            sources: Vec::new(),
+            groups: Vec::new(),
+            offered: 0.0,
+            stamp: Stamp::fresh(),
+        }
+    }
+
+    fn open(&mut self, dst: NodeId) {
+        let (start, from) = (self.demands.len(), self.sources.len());
+        self.groups.push(Group { dst, start, end: start, sources: Some(from) });
+    }
+
+    fn push(&mut self, src: NodeId, demand: f64) {
+        self.demands.push(demand);
+        self.sources.push(src);
+    }
+
+    /// Ends the open group of a set over `nodes` nodes at the last
+    /// demand: an empty group is dropped, and one that holds every
+    /// other node forgets its sources.
+    fn close(&mut self, nodes: usize) {
+        let Some(group) = self.groups.last_mut() else { return };
+        group.end = self.demands.len();
+        if group.end == group.start {
+            self.groups.pop();
+        } else if group.end - group.start == nodes - 1 {
+            self.sources.truncate(group.sources.take().expect("an open group lists its sources"));
+        }
+    }
+
+    /// Snaps every demand onto the set's demand grid (see
+    /// [`demand_quantum`]), so replay sums are association-free.
+    fn snapped(mut self) -> FlowSet {
+        let raw_total: f64 = self.demands.iter().sum();
         if raw_total > 0.0 {
             let quantum = demand_quantum(raw_total);
-            for f in &mut flows {
-                f.demand = snap_to_grid(f.demand, quantum);
+            for demand in &mut self.demands {
+                *demand = snap_to_grid(*demand, quantum);
             }
         }
-        let mut groups: Vec<(NodeId, usize, usize)> = Vec::new();
-        for (i, f) in flows.iter().enumerate() {
-            match groups.last_mut() {
-                Some((dst, _, end)) if *dst == f.dst => *end = i + 1,
-                _ => groups.push((f.dst, i, i + 1)),
-            }
-        }
-        let offered = flows.iter().map(|f| f.demand).sum();
-        FlowSet { label, flows, groups, offered, stamp: Stamp::fresh() }
+        self.offered = self.demands.iter().sum();
+        self.demands.shrink_to_fit();
+        self.sources.shrink_to_fit();
+        self.groups.shrink_to_fit();
+        self
     }
 
     /// Human-readable provenance (`model/all-pairs`, `model/sampled(…)`).
@@ -200,27 +254,17 @@ impl FlowSet {
 
     /// Number of flows in the set.
     pub fn len(&self) -> usize {
-        self.flows.len()
+        self.demands.len()
     }
 
     /// `true` if the set holds no flows.
     pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
+        self.demands.is_empty()
     }
 
     /// Total demand offered by the set.
     pub fn offered(&self) -> f64 {
         self.offered
-    }
-
-    /// All flows, destination-major.
-    pub fn flows(&self) -> &[Flow] {
-        &self.flows
-    }
-
-    /// The `i`-th flow.
-    pub fn flow(&self, i: usize) -> &Flow {
-        &self.flows[i]
     }
 
     /// The stamp of this compilation: differs between any two sets
@@ -232,24 +276,50 @@ impl FlowSet {
     /// Iterates `(destination, flows-towards-it)` groups in
     /// destination order, sources ascending within a group — the
     /// replay dataplane's batching axis.
-    pub fn by_destination(&self) -> impl Iterator<Item = (NodeId, &[Flow])> {
-        self.groups.iter().map(move |&(dst, start, end)| (dst, &self.flows[start..end]))
+    pub fn by_destination(&self) -> impl Iterator<Item = (NodeId, FlowGroup<'_>)> {
+        self.groups.iter().map(move |&Group { dst, start, end, sources }| {
+            let demands = &self.demands[start..end];
+            let sources = sources.map(|from| &self.sources[from..from + demands.len()]);
+            (dst, FlowGroup { dst, demands, sources })
+        })
     }
 }
 
-/// The demand `src` sends in `group`, one destination's flows as
-/// [`FlowSet::by_destination`] yields them (`None`: no such flow). A
-/// group that holds every other node — any all-pairs matrix — has the
-/// flow at the source's own rank, so the search is only ever run on
-/// sparse groups.
-pub(crate) fn demand_from(group: &[Flow], src: NodeId) -> Option<f64> {
-    let dst = group.first()?.dst;
-    let rank = src.index() - usize::from(src > dst);
-    let flow = match group.get(rank) {
-        Some(flow) if flow.src == src => flow,
-        _ => &group[group.binary_search_by_key(&src, |f| f.src).ok()?],
-    };
-    Some(flow.demand)
+/// The flows towards one destination, sources ascending, as
+/// [`FlowSet::by_destination`] yields them.
+#[derive(Debug, Clone, Copy)]
+pub struct FlowGroup<'a> {
+    dst: NodeId,
+    demands: &'a [f64],
+    /// `None` when the group holds every other node: its `i`-th source
+    /// is then `i + (i ≥ dst)`.
+    sources: Option<&'a [NodeId]>,
+}
+
+impl<'a> FlowGroup<'a> {
+    /// The group's flows, sources ascending.
+    pub fn iter(self) -> impl Iterator<Item = Flow> + 'a {
+        let FlowGroup { dst, demands, sources } = self;
+        demands.iter().enumerate().map(move |(i, &demand)| {
+            let src = match sources {
+                Some(sources) => sources[i],
+                None => NodeId((i + usize::from(i >= dst.index())) as u32),
+            };
+            Flow { src, dst, demand }
+        })
+    }
+
+    /// The demand `src` sends towards the group's destination (`None`:
+    /// no such flow) — at the source's own rank in a group that holds
+    /// every other node, by binary search in any other.
+    pub(crate) fn demand_from(&self, src: NodeId) -> Option<f64> {
+        let i = match self.sources {
+            None if src == self.dst => return None,
+            None => src.index() - usize::from(src > self.dst),
+            Some(sources) => sources.binary_search(&src).ok()?,
+        };
+        self.demands.get(i).copied()
+    }
 }
 
 #[cfg(test)]
@@ -257,6 +327,11 @@ mod tests {
     use super::*;
     use crate::UniformTraffic;
     use pr_graph::generators;
+
+    /// Every flow of `set`, destination-major.
+    fn flows(set: &FlowSet) -> Vec<Flow> {
+        set.by_destination().flat_map(|(_, group)| group.iter()).collect()
+    }
 
     #[test]
     fn all_pairs_is_destination_major_and_complete() {
@@ -268,9 +343,10 @@ mod tests {
         assert!(set.label().starts_with("uniform/all-pairs"));
         // Destination-major, sources ascending within a destination.
         let mut expected = 0;
-        for (dst, flows) in set.by_destination() {
+        for (dst, group) in set.by_destination() {
             assert_eq!(dst, NodeId(expected));
             expected += 1;
+            let flows: Vec<Flow> = group.iter().collect();
             assert_eq!(flows.len(), 4);
             for w in flows.windows(2) {
                 assert!(w[0].src.0 < w[1].src.0);
@@ -278,7 +354,8 @@ mod tests {
             assert!(flows.iter().all(|f| f.dst == dst && f.src != dst && f.demand == 1.0));
         }
         assert_eq!(expected, 5);
-        assert_eq!(set.flow(0).dst, NodeId(0));
+        // Every group holds every other node: no source is stored.
+        assert!(set.sources.is_empty() && set.groups.iter().all(|g| g.sources.is_none()));
     }
 
     #[test]
@@ -287,20 +364,20 @@ mod tests {
         let m = UniformTraffic::new(&g);
         let a = FlowSet::sampled(&m, 100, 42);
         let b = FlowSet::sampled(&m, 100, 42);
-        assert_eq!(a.flows(), b.flows(), "same seed, same draws");
+        assert_eq!(flows(&a), flows(&b), "same seed, same draws");
         let c = FlowSet::sampled(&m, 100, 43);
-        assert_ne!(a.flows(), c.flows(), "different seed, different draws");
+        assert_ne!(flows(&a), flows(&c), "different seed, different draws");
         // Total demand is conserved exactly up to float association.
         assert!((a.offered() - m.total_demand()).abs() < 1e-9);
         // Grouped destination-major with coalesced duplicates.
         let mut seen = std::collections::BTreeSet::new();
         let mut last_dst = None;
-        for (dst, flows) in a.by_destination() {
+        for (dst, group) in a.by_destination() {
             if let Some(prev) = last_dst {
                 assert!(dst.0 > prev, "destinations ascend");
             }
             last_dst = Some(dst.0);
-            for f in flows {
+            for f in group.iter() {
                 assert!(seen.insert((f.src.0, f.dst.0)), "pairs are coalesced");
                 assert!(f.demand > 0.0);
             }
@@ -324,7 +401,7 @@ mod tests {
         }
         let quantum = demand_quantum(raw);
         assert!(quantum > 0.0 && quantum.log2().fract() == 0.0, "quantum is a power of two");
-        for f in set.flows() {
+        for f in flows(&set) {
             // Every demand is an exact multiple of the quantum…
             assert_eq!((f.demand / quantum).fract(), 0.0, "{} off grid", f.demand);
             // …within half a quantum of the raw model demand.
@@ -375,7 +452,7 @@ mod tests {
             let quantum = demand_quantum(demands.iter().sum());
             let set = FlowSet::all_pairs(&crate::GravityTraffic::new(&g));
             assert_eq!(set.len(), demands.len());
-            for ((f, (src, dst)), want) in set.flows().iter().zip(pairs()).zip(demands) {
+            for ((f, (src, dst)), want) in flows(&set).into_iter().zip(pairs()).zip(demands) {
                 assert_eq!((f.src, f.dst), (src, dst));
                 let want = snap_to_grid(want, quantum);
                 assert_eq!(f.demand.to_bits(), want.to_bits(), "{src}->{dst}");
@@ -383,24 +460,47 @@ mod tests {
         }
     }
 
+    /// Every group kind the lookup and the implied sources meet: an
+    /// all-pairs set (every group full), a handful of draws (every
+    /// group sparse), and draws enough that the hot destinations'
+    /// groups fill while the cold ones do not.
     #[test]
     fn demand_lookup_finds_every_flow_of_full_and_sparse_groups() {
         let g = generators::ring(9, 1);
         let hot = crate::HotspotTraffic::new(&g, 2, 8.0, 5);
         let full = FlowSet::all_pairs(&hot);
         let sparse = FlowSet::sampled(&hot, 12, 5);
-        assert!(sparse.by_destination().any(|(_, group)| group.len() < 8));
-        for set in [&full, &sparse] {
+        let mixed = FlowSet::sampled(&hot, 400, 5);
+        let kinds = |set: &FlowSet| {
+            let stored = set.groups.iter().filter(|g| g.sources.is_some()).count();
+            (set.groups.len() - stored, stored)
+        };
+        assert_eq!(kinds(&full), (9, 0));
+        assert_eq!(kinds(&sparse).0, 0);
+        let (filled, unfilled) = kinds(&mixed);
+        assert!(filled > 0 && unfilled > 0, "{filled} full groups, {unfilled} sparse");
+        for set in [&full, &sparse, &mixed] {
             assert_ne!(set.stamp(), FlowSet::all_pairs(&hot).stamp());
             assert_eq!(set.stamp(), set.clone().stamp());
+            // The sources stored are exactly the sparse groups'.
+            let stored: usize =
+                set.groups.iter().filter(|g| g.sources.is_some()).map(|g| g.end - g.start).sum();
+            assert_eq!(set.sources.len(), stored);
             for (dst, group) in set.by_destination() {
-                for src in g.nodes() {
-                    let listed = group.iter().find(|f| f.src == src).map(|f| f.demand);
-                    assert_eq!(demand_from(group, src), listed, "{src}->{dst}");
+                let listed: Vec<Flow> = group.iter().collect();
+                assert!(listed.windows(2).all(|w| w[0].src < w[1].src), "sources ascend");
+                assert!(listed.iter().all(|f| f.dst == dst && f.src != dst));
+                for src in g.nodes().chain([NodeId(9)]) {
+                    let want = listed.iter().find(|f| f.src == src).map(|f| f.demand);
+                    assert_eq!(group.demand_from(src), want, "{src}->{dst}");
                 }
             }
         }
-        assert_eq!(demand_from(&[], NodeId(0)), None);
+        // The implied sources are the ones the model would list.
+        for (dst, group) in mixed.by_destination() {
+            let drawn: Vec<NodeId> = group.iter().map(|f| f.src).collect();
+            assert!(drawn.iter().all(|&src| hot.demand(src, dst) > 0.0));
+        }
     }
 
     #[test]

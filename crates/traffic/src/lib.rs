@@ -73,7 +73,7 @@ mod replay;
 mod sampling;
 mod timeline;
 
-pub use flows::{Flow, FlowSet};
+pub use flows::{Flow, FlowGroup, FlowSet};
 pub use metrics::DemandTally;
 pub use model::{GravityTraffic, HotspotTraffic, TrafficModel, UniformTraffic};
 pub use replay::{replay_scenario_bitparallel, ReplayScratch, ReplayStats, ScenarioTraffic};

@@ -71,7 +71,6 @@ use pr_core::{
 use pr_graph::{bits, AllPairs, Dart, Graph, LinkId, LinkSet, NodeId};
 use serde::{Deserialize, Serialize};
 
-use crate::flows::demand_from;
 use crate::{DemandTally, FlowSet};
 
 /// How much of the network a scratch's replays had to look at — the
@@ -337,7 +336,7 @@ fn build_baseline(
     subtree.clear();
     subtree.resize(dense.node_count(), 0.0);
     for (dst, group) in flows.by_destination() {
-        for flow in group {
+        for flow in group.iter() {
             subtree[flow.src.index()] = flow.demand;
         }
         for &f in dense.frames(dst).iter().rev() {
@@ -537,7 +536,7 @@ where
             let mut total = 0.0;
             for &f in cone {
                 let src = dense.node(f);
-                if let Some(d) = demand_from(flows_to, src) {
+                if let Some(d) = flows_to.demand_from(src) {
                     bits::set(sources, src.index());
                     demand[src.index()] = d;
                     total += d;
@@ -584,7 +583,7 @@ where
             stats.cone_sources += (end - start) as u64;
             for &f in &frames[start..end] {
                 let src = dense.node(f);
-                if let Some(d) = demand_from(flows_to, src) {
+                if let Some(d) = flows_to.demand_from(src) {
                     bits::set(sources, src.index());
                     demand[src.index()] = d;
                     let point = unit.point_of(src);

@@ -12,24 +12,31 @@
 //! that grows a fresh `Vec` per flow makes every worker thread queue
 //! on one glibc arena lock (DESIGN.md, "allocator discipline").
 //!
-//! The counter is per thread, so the test harness's own threads cannot
-//! disturb it.
+//! A flow set holds what the replay reads of it: one `f64` per flow,
+//! and a source only for a group that lacks some node. Its heap is
+//! pinned here too, as retained bytes and as the compile's peak.
+//!
+//! The call counter is per thread and the byte gauge is process-wide,
+//! so the tests take turns.
 
 use pr_core::{generous_ttl, DenseFib};
 use pr_graph::LinkSet;
 use pr_scenarios::{ExhaustiveKFailures, ScenarioFamily, SingleLinkFailures};
-use pr_testkit::alloc::{calls_during, Counting};
+use pr_testkit::alloc::{calls_during, live_bytes, peak_during, turn, Counting};
 use pr_testkit::fixtures;
-use pr_testkit::nets::{isp, Net};
+use pr_testkit::nets::{isp, synth, Net};
 use pr_testkit::oracle::replay_scenario_naive;
 use pr_topologies::Isp;
-use pr_traffic::{replay_scenario_bitparallel, FlowSet, GravityTraffic, ReplayScratch};
+use pr_traffic::{
+    replay_scenario_bitparallel, FlowSet, GravityTraffic, HotspotTraffic, ReplayScratch,
+};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
 #[test]
 fn second_pass_over_geant_single_failures_never_calls_the_allocator() {
+    let _turn = turn();
     // A planar embedding (every recovery walk delivers) and the
     // identity rotation (positive genus: some walks drop).
     for (label, net) in [("planar", Net::geant()), ("identity", Net::identity(isp(Isp::Geant)))] {
@@ -76,6 +83,7 @@ fn second_pass_over_geant_single_failures_never_calls_the_allocator() {
 
 #[test]
 fn a_warm_scratch_replays_scenarios_it_has_not_seen_without_the_allocator() {
+    let _turn = turn();
     // Not a second pass: single and double failures the scratch meets
     // for the first time. The cone roots of a scenario are gathered
     // into a list the scratch sized when it first replayed as many
@@ -113,6 +121,7 @@ fn a_warm_scratch_replays_scenarios_it_has_not_seen_without_the_allocator() {
 
 #[test]
 fn a_warm_multi_failure_replay_never_calls_the_allocator() {
+    let _turn = turn();
     // Two to six links down at once: on the planar embedding every
     // connected point is priced as an episode chain, on the identity
     // rotation some chains livelock and fall back to the hop loop. A
@@ -146,4 +155,39 @@ fn a_warm_multi_failure_replay_never_calls_the_allocator() {
             "{label}: a warm multi-failure replay called the allocator {calls} times"
         );
     }
+}
+
+#[test]
+fn an_all_pairs_set_keeps_eight_bytes_per_flow_and_builds_no_wider_record() {
+    let _turn = turn();
+    // Every group holds every other node, so no source is stored. The
+    // model's friction table is live before the compile and after it;
+    // the compile itself may add no more than the demands it returns
+    // and the per-destination groups.
+    let g = synth("isp:200");
+    let n = g.node_count();
+    let gravity = GravityTraffic::new(&g);
+    let before = live_bytes();
+    let (set, peak) = peak_during(|| FlowSet::all_pairs(&gravity));
+    let retained = live_bytes() - before;
+    assert_eq!(set.len(), n * (n - 1));
+    let bound = 8 * set.len() + 64 * n + 1024;
+    assert!(retained <= bound, "retains {retained} B for {} flows (bound {bound} B)", set.len());
+    assert!(peak <= bound, "peaked at {peak} B for {} flows (bound {bound} B)", set.len());
+}
+
+#[test]
+fn a_sparse_sampled_set_keeps_twelve_bytes_per_flow() {
+    let _turn = turn();
+    // A few thousand draws over 39 800 pairs: no group fills, so every
+    // flow keeps its source beside its demand.
+    let g = synth("isp:200");
+    let hotspot = HotspotTraffic::new(&g, 8, 8.0, 2010);
+    let before = live_bytes();
+    let set = FlowSet::sampled(&hotspot, 3000, 2010);
+    let retained = live_bytes() - before;
+    let groups = set.by_destination().count();
+    assert!(set.by_destination().all(|(_, group)| group.iter().count() < g.node_count() - 1));
+    let bound = 12 * set.len() + 64 * groups + 1024;
+    assert!(retained <= bound, "retains {retained} B for {} flows (bound {bound} B)", set.len());
 }

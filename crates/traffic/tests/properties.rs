@@ -29,7 +29,7 @@ use pr_testkit::oracle::{affected_pairs, replay_scenario_naive};
 use pr_testkit::shapes::{point_by_definition, GroupShapes};
 use pr_testkit::strategies;
 use pr_traffic::{
-    replay_scenario_bitparallel, FlowSet, GravityTraffic, HotspotTraffic, ReplayScratch,
+    replay_scenario_bitparallel, Flow, FlowSet, GravityTraffic, HotspotTraffic, ReplayScratch,
     ReplayStats, ScenarioTraffic, TrafficModel, UniformTraffic,
 };
 
@@ -86,7 +86,7 @@ where
     assert_eq!(out, replay_scenario_naive(g, agent, base, flows, failed, ttl), "{label}");
 
     let mut loads = vec![0.0; g.link_count()];
-    for flow in flows.flows() {
+    for flow in flows.by_destination().flat_map(|(_, group)| group.iter()) {
         let walk = walk_packet(g, agent, flow.src, flow.dst, failed, ttl);
         if walk.result.is_delivered() {
             for d in walk.path.darts() {
@@ -228,7 +228,26 @@ fn production_equals_the_oracle_on_every_small_failure_set_of_the_paper_topologi
         assert!(sparse_flows.by_destination().count() < net.g.node_count());
         assert!(sparse_flows
             .by_destination()
-            .any(|(_, group)| group.len() < net.g.node_count() - 1));
+            .any(|(_, group)| group.iter().count() < net.g.node_count() - 1));
+    }
+}
+
+/// A sampled set stores the sources of a group that lacks some node
+/// and implies those of a group that holds every other node. Drawn
+/// often enough, the hot destinations' groups fill and the cold ones
+/// do not: one replay meets both kinds, destination after destination.
+#[test]
+fn production_equals_the_oracle_on_a_sampled_set_with_full_and_sparse_groups() {
+    let net = Net::abilene();
+    let n = net.g.node_count();
+    let flows = FlowSet::sampled(&net.hotspot(2010), 4 * n * (n - 1), 2010);
+    let sizes: Vec<usize> = flows.by_destination().map(|(_, group)| group.iter().count()).collect();
+    assert!(sizes.contains(&(n - 1)), "no group filled: {sizes:?}");
+    assert!(sizes.iter().any(|&len| len < n - 1), "every group filled: {sizes:?}");
+    let ttl = generous_ttl(&net.g);
+    let mut scratch = ReplayScratch::new();
+    for failed in &fixtures::exhaustive(&net.g, 1..=2) {
+        check(&net, &flows, failed, ttl, &mut scratch);
     }
 }
 
@@ -278,8 +297,12 @@ fn disconnecting_sets_are_priced_like_the_oracle_prices_them() {
     let victim = g.nodes().find(|&v| g.degree(v) == 2).expect("Abilene has degree-2 PoPs");
     let cut = LinkSet::from_links(g.link_count(), g.darts_from(victim).iter().map(|d| d.link()));
     let out = check(&net, &flows, &cut, ttl, &mut scratch);
-    let lost: f64 =
-        flows.flows().iter().filter(|f| f.src == victim || f.dst == victim).map(|f| f.demand).sum();
+    let lost: f64 = flows
+        .by_destination()
+        .flat_map(|(_, group)| group.iter())
+        .filter(|f| f.src == victim || f.dst == victim)
+        .map(|f| f.demand)
+        .sum();
     assert_eq!(out.tally.disconnected, lost);
     assert_eq!(out.tally.dropped, 0.0);
 
@@ -758,7 +781,7 @@ proptest! {
                 net.dense.affected_into(dst, &failed, &mut affected);
                 let live = SpTree::towards(g, dst, &failed);
                 let mut unit = walk.unit(g, &agent, base_tree, &failed);
-                for flow in group {
+                for flow in group.iter() {
                     let hit = bits::test(&affected, flow.src.index());
                     prop_assert_eq!(
                         hit,
@@ -835,9 +858,12 @@ proptest! {
         prop_assert!((set.offered() - model.total_demand()).abs() < 1e-6);
         prop_assert!(set.len() <= samples.min(n * (n - 1)));
         let again = FlowSet::sampled(&model, samples, seed);
-        prop_assert_eq!(set.flows(), again.flows());
+        let flows = |set: &FlowSet| -> Vec<Flow> {
+            set.by_destination().flat_map(|(_, group)| group.iter()).collect()
+        };
+        prop_assert_eq!(flows(&set), flows(&again));
         // Every flow's endpoints are distinct and demand positive.
-        for f in set.flows() {
+        for f in flows(&set) {
             prop_assert!(f.src != f.dst);
             prop_assert!(f.demand > 0.0);
         }

@@ -100,7 +100,7 @@ fn bitparallel_load_vector_matches_the_oracles_paths_on_every_single_failure() {
         let failed = LinkSet::from_links(a.g.link_count(), [link]);
         a.replay(&flows, &failed);
         let mut loads = vec![0.0; a.g.link_count()];
-        for flow in flows.flows() {
+        for flow in flows.by_destination().flat_map(|(_, group)| group.iter()) {
             let walk = walk_packet(&a.g, &a.agent(), flow.src, flow.dst, &failed, ttl);
             assert!(walk.result.is_delivered());
             for d in walk.path.darts() {

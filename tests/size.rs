@@ -20,7 +20,7 @@ const PRODUCT: &[(&str, usize)] = &[
     ("src", 104),
     ("crates/baselines", 756),
     ("crates/bench", 3052),
-    ("crates/cli", 2127),
+    ("crates/cli", 2129),
     ("crates/core", 3106),
     ("crates/daemon", 1339),
     ("crates/embedding", 1460),
@@ -28,14 +28,14 @@ const PRODUCT: &[(&str, usize)] = &[
     ("crates/scenarios", 1311),
     ("crates/sim", 944),
     ("crates/topologies", 205),
-    ("crates/traffic", 1782),
+    ("crates/traffic", 1851),
 ];
 
 /// The sum of [`PRODUCT`], the number ROADMAP.md tracks.
-const PRODUCT_TOTAL: usize = 19_178;
+const PRODUCT_TOTAL: usize = 19_249;
 
 /// Lines of DESIGN.md.
-const DESIGN_LINES: usize = 1_495;
+const DESIGN_LINES: usize = 1_500;
 
 /// Crate directories that are not product.
 const NOT_PRODUCT: &[&str] = &["crates/testkit", "crates/compat"];
