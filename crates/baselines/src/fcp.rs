@@ -20,16 +20,14 @@
 //!   dropped (FCP can *prove* unreachability, unlike PR).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 
-use pr_core::{DropReason, ForwardDecision, ForwardingAgent, FxHasher64};
+use pr_core::{DropReason, ForwardDecision, ForwardingAgent};
 use pr_graph::{AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, SpScratch, SpTree, TreeChildren};
 
 /// Carried failures a header holds without touching the heap. Sweeps
 /// over single and small multi-failure scenarios never carry more, so
-/// cloning a state into a walk's visited-triple trail or the route
-/// memo's probe key is a fixed-size copy.
+/// cloning a state into a walk's visited-triple trail or a route
+/// memo entry is a fixed-size copy.
 const INLINE_CARRIED: usize = 6;
 
 /// Storage of the carried list: a fixed array until it overflows, a
@@ -42,6 +40,7 @@ enum Carried {
 
 /// Per-packet FCP header: the sorted list of link failures the packet
 /// has learnt about. Equality and hashing are over that list.
+#[derive(Clone)]
 pub struct FcpState {
     carried: Carried,
 }
@@ -82,21 +81,6 @@ impl FcpState {
 impl Default for FcpState {
     fn default() -> FcpState {
         FcpState { carried: Carried::Inline { len: 0, links: [LinkId(0); INLINE_CARRIED] } }
-    }
-}
-
-impl Clone for FcpState {
-    fn clone(&self) -> FcpState {
-        FcpState { carried: self.carried.clone() }
-    }
-
-    /// Keeps a spilled destination's buffer, so the route cache's
-    /// probe keys stay allocation-free past the inline capacity too.
-    fn clone_from(&mut self, source: &FcpState) {
-        match (&mut self.carried, &source.carried) {
-            (Carried::Spilled(mine), Carried::Spilled(theirs)) => mine.clone_from(theirs),
-            _ => *self = source.clone(),
-        }
     }
 }
 
@@ -146,43 +130,41 @@ impl RouteStats {
     }
 }
 
-/// Memoised shortest-path trees keyed by `(destination, carried
-/// failure list)`, shared by every decision an agent makes.
+/// Memoised shortest-path routes of one flow unit, keyed by
+/// `(destination, carried failure list)`.
 ///
 /// FCP's routing function depends *only* on that key, so the memo
-/// changes constants, never decisions: a hit returns the identical
-/// tree a recompute would produce. The probe key and the failure
-/// bitset are reusable buffers (`clone_from` keeps allocations), so
-/// cache hits allocate nothing; misses fill via incremental repair
-/// from the hoisted base trees (bit-identical to the recompute) using
-/// the cache's private Dijkstra arena.
+/// changes constants, never decisions: a hit returns the route a
+/// recompute would produce. A memoised route is its sorted `(node,
+/// next dart)` patch list over the hoisted base tree: outside the
+/// affected cone the repaired tree *is* the base tree, so patches
+/// answer every query at O(cone) build cost (cone repair, bit-identical
+/// to the recompute) instead of an O(n) tree. Every route's patches
+/// live back to back in **one arena**, and the keys in one short list
+/// searched newest first, so the consecutive hops of one walk find
+/// their key at the first entry. Both are emptied with their capacity
+/// kept when a unit opens, so a warm memo fills an entry without
+/// calling the allocator.
 ///
-/// A memoised route is its sorted `(node, next dart)` patch list over
-/// the hoisted base tree: outside the affected cone the repaired tree
-/// *is* the base tree, so patches answer every query at O(cone) build
-/// cost instead of the O(n) tree materialisation. Every route's
-/// patches live back to back in **one arena**, emptied with its
-/// capacity kept when a unit opens or at a flush, so a warm memo
-/// fills an entry without calling the allocator.
+/// The list needs no bound. A unit is one destination under one failed
+/// set of k links, and a source's walk meets one key per carried list
+/// it routes on: the empty list (the base tree answers it, past the
+/// memo) and one more each time the list grows, at most k times. A
+/// unit therefore meets at most n·(k + 1) keys, and every caller opens
+/// a unit, or calls [`FcpAgent::begin_scenario`], between failed sets.
 #[derive(Debug, Clone)]
 struct RouteCache {
-    /// The patch arena; `index` maps a key to its span.
+    /// The patch arena.
     patches: Vec<Patch>,
-    index: HashMap<(NodeId, FcpState), Span, BuildHasherDefault<FxHasher64>>,
+    /// `(destination, carried list, patch span)` per memoised route,
+    /// oldest first.
+    routes: Vec<(NodeId, FcpState, Span)>,
     /// Lazily built child index per destination's base tree (kept
     /// across units — it depends only on the base map).
     children: Vec<Option<Box<TreeChildren>>>,
     /// Reusable cone-enumeration buffers.
     cone: Vec<NodeId>,
     stack: Vec<NodeId>,
-    /// Key of the most recent decision: consecutive hops of one walk
-    /// share their `(dest, carried)` key, so this single-entry fast
-    /// path answers them with one short slice compare — no hashing,
-    /// no key clone.
-    last_key: (NodeId, FcpState),
-    last: Option<Span>,
-    /// Reusable lookup key for `index`.
-    probe: (NodeId, FcpState),
     /// Reusable `G \ carried` bitset for miss recomputes.
     failed_buf: LinkSet,
     /// Reusable Dijkstra arena for miss recomputes.
@@ -190,62 +172,49 @@ struct RouteCache {
     stats: RouteStats,
 }
 
-impl Default for RouteCache {
-    fn default() -> Self {
+impl RouteCache {
+    fn new(graph: &Graph) -> RouteCache {
         RouteCache {
             patches: Vec::new(),
-            index: HashMap::default(),
-            children: Vec::new(),
+            routes: Vec::new(),
+            children: vec![None; graph.node_count()],
             cone: Vec::new(),
             stack: Vec::new(),
-            last_key: (NodeId(0), FcpState::default()),
-            last: None,
-            probe: (NodeId(0), FcpState::default()),
-            failed_buf: LinkSet::empty(0),
+            failed_buf: LinkSet::empty(graph.link_count()),
             scratch: SpScratch::new(),
             stats: RouteStats::default(),
         }
     }
-}
 
-impl RouteCache {
-    /// Drops every entry; arena and index keep their capacity.
-    fn clear(&mut self) {
-        self.patches.clear();
-        self.index.clear();
-        self.last = None;
-    }
-
-    /// The miss path: appends to the arena the patches of the key in
-    /// `probe` — `tree` being the base tree towards its destination —
-    /// by cone repair (O(cone): [`SpTree::repair_cone_labels`], then
+    /// The patches of `(tree.dest, state)`: its entry, or on a miss a
+    /// new one, appended by cone repair of `tree`, the base tree towards
+    /// the key's destination ([`SpTree::repair_cone_labels`], then
     /// [`SpTree::cone_routes`]), bit-identical to the full recompute.
-    fn repair(&mut self, graph: &Graph, tree: &SpTree) {
-        let RouteCache { patches, children, cone, stack, probe, failed_buf, scratch, .. } = self;
-        // Rebuild the carried-failure bitset in place.
-        if failed_buf.capacity() != graph.link_count() {
-            *failed_buf = LinkSet::empty(graph.link_count());
-        } else {
-            failed_buf.clear();
-        }
-        for &l in probe.1.carried() {
-            failed_buf.insert(l);
-        }
-        if children.is_empty() {
-            children.resize(graph.node_count(), None);
-        }
-        let kids = children[probe.0.index()]
-            .get_or_insert_with(|| Box::new(TreeChildren::build(graph, tree)));
-        tree.affected_cone(graph, kids, failed_buf, cone, stack);
-        tree.repair_cone_labels(graph, failed_buf, cone, scratch);
-        tree.cone_routes(graph, cone, scratch, patches);
+    fn route(&mut self, graph: &Graph, tree: &SpTree, state: &FcpState) -> &[Patch] {
+        let dest = tree.dest;
+        let span = match self.routes.iter().rev().find(|(d, key, _)| *d == dest && key == state) {
+            Some((_, _, span)) => span.clone(),
+            None => {
+                let RouteCache { patches, children, cone, stack, failed_buf, scratch, .. } = self;
+                failed_buf.clear();
+                for &l in state.carried() {
+                    failed_buf.insert(l);
+                }
+                let kids = children[dest.index()]
+                    .get_or_insert_with(|| Box::new(TreeChildren::build(graph, tree)));
+                tree.affected_cone(graph, kids, failed_buf, cone, stack);
+                tree.repair_cone_labels(graph, failed_buf, cone, scratch);
+                let start = patches.len();
+                tree.cone_routes(graph, cone, scratch, patches);
+                self.stats.repaired += 1;
+                self.stats.cone_nodes += cone.len() as u64;
+                self.routes.push((dest, state.clone(), start..patches.len()));
+                start..patches.len()
+            }
+        };
+        &self.patches[span]
     }
 }
-
-/// Entry bound after which a [`RouteCache`] is flushed wholesale. The
-/// keys reachable in one sweep are subsets of small failure sets, so
-/// this is a backstop for adversarial workloads, not a tuning knob.
-const ROUTE_CACHE_MAX_ENTRIES: usize = 1 << 16;
 
 /// The FCP forwarding agent.
 ///
@@ -286,7 +255,8 @@ impl<'a> FcpAgent<'a> {
     /// by cone repair of the precomputed failure-free trees — the
     /// scenario engine hoists exactly these).
     pub fn cached_with_base(graph: &'a Graph, base: &'a AllPairs) -> FcpAgent<'a> {
-        FcpAgent { routes: Some((base, RefCell::default())), ..FcpAgent::new(graph) }
+        let routes = RefCell::new(RouteCache::new(graph));
+        FcpAgent { routes: Some((base, routes)), ..FcpAgent::new(graph) }
     }
 
     /// Bits one carried link id occupies in the header.
@@ -296,7 +266,7 @@ impl<'a> FcpAgent<'a> {
 
     /// Evicts the route memo, as every flow unit does on opening
     /// ([`ForwardingAgent::begin_unit`]). Public for the benchmark's
-    /// `baselines.walk_fcp` probe, which walks without a flow unit and
+    /// `baselines.walk_fcp` timing, which walks without a flow unit and
     /// calls it between scenarios. No-op on uncached agents.
     pub fn begin_scenario(&self) {
         self.begin_unit();
@@ -310,60 +280,22 @@ impl<'a> FcpAgent<'a> {
         })
     }
 
-    /// The effective topology the packet routes on: base map minus
-    /// carried failures.
-    fn effective_failures(&self, state: &FcpState) -> LinkSet {
-        LinkSet::from_links(self.graph.link_count(), state.carried().iter().copied())
-    }
-
     /// The routing decision FCP's shortest-path computation yields at
     /// `at` for this `(dest, carried)` key: the next dart and whether
     /// `at` reaches `dest` at all in `G \ carried`.
     fn route(&self, at: NodeId, dest: NodeId, state: &FcpState) -> (Option<Dart>, bool) {
         let Some((base, routes)) = &self.routes else {
-            let tree = SpTree::towards(self.graph, dest, &self.effective_failures(state));
+            let carried =
+                LinkSet::from_links(self.graph.link_count(), state.carried().iter().copied());
+            let tree = SpTree::towards(self.graph, dest, &carried);
             return (tree.next_dart(at), tree.reaches(at));
         };
         let tree = base.towards(dest);
         if state.carried().is_empty() {
             return (tree.next_dart(at), tree.reaches(at));
         }
-        let cache = &mut *routes.borrow_mut();
-        let span = match &cache.last {
-            // Single-entry fast path: same key as the previous
-            // decision (the common case: consecutive hops of one
-            // walk).
-            Some(span) if cache.last_key.0 == dest && cache.last_key.1 == *state => span.clone(),
-            _ => {
-                // Keyed lookup without allocating: the probe key is a
-                // buffer refilled in place; a fresh key is cloned only
-                // on a miss.
-                cache.probe.0 = dest;
-                cache.probe.1.clone_from(state);
-                let span = match cache.index.get(&cache.probe) {
-                    Some(span) => span.clone(),
-                    None => {
-                        // The wholesale flush, when the memo is at its
-                        // bound; then the arena's tail is the entry.
-                        if cache.index.len() >= ROUTE_CACHE_MAX_ENTRIES {
-                            cache.clear();
-                        }
-                        let start = cache.patches.len();
-                        cache.repair(self.graph, tree);
-                        cache.stats.repaired += 1;
-                        cache.stats.cone_nodes += cache.cone.len() as u64;
-                        let span = start..cache.patches.len();
-                        cache.index.insert(cache.probe.clone(), span.clone());
-                        span
-                    }
-                };
-                cache.last_key.0 = dest;
-                cache.last_key.1.clone_from(state);
-                cache.last = Some(span.clone());
-                span
-            }
-        };
-        let patches = &cache.patches[span];
+        let mut routes = routes.borrow_mut();
+        let patches = routes.route(self.graph, tree, state);
         match patches.binary_search_by_key(&at, |p| p.0) {
             Ok(i) => (patches[i].1, patches[i].1.is_some()),
             Err(_) => (tree.next_dart(at), tree.reaches(at)),
@@ -393,26 +325,20 @@ impl<'a> ForwardingAgent for FcpAgent<'a> {
                 state.learn(d.link());
             }
         }
-        loop {
-            let (next, reaches) = self.route(at, dest, state);
-            let Some(out) = next else {
-                return if reaches {
-                    // at == dest is handled by the engine; reaching here
-                    // with no next dart means the tree is degenerate.
-                    ForwardDecision::Drop(DropReason::ProtocolViolation)
-                } else {
-                    ForwardDecision::Drop(DropReason::Unreachable)
-                };
+        // So no tree of `G \ carried` routes `at` onto a failed dart:
+        // a remote failure is learnt where it is met, never ahead.
+        let (next, reaches) = self.route(at, dest, state);
+        let Some(out) = next else {
+            return if reaches {
+                // at == dest is handled by the engine; reaching here
+                // with no next dart means the tree is degenerate.
+                ForwardDecision::Drop(DropReason::ProtocolViolation)
+            } else {
+                ForwardDecision::Drop(DropReason::Unreachable)
             };
-            if failed.contains_dart(out) {
-                // The freshly failed link was not in the carried list
-                // (e.g. a remote link we only discover on arrival):
-                // learn it and recompute — the defining FCP step.
-                state.learn(out.link());
-                continue;
-            }
-            return ForwardDecision::Forward(out);
-        }
+        };
+        debug_assert!(!failed.contains_dart(out), "{at} routed onto a failed dart it knows");
+        ForwardDecision::Forward(out)
     }
 
     fn header_bits(&self, state: &FcpState) -> usize {
@@ -423,7 +349,9 @@ impl<'a> ForwardingAgent for FcpAgent<'a> {
     /// and a destination has one unit per failed set.
     fn begin_unit(&self) {
         if let Some((_, routes)) = &self.routes {
-            routes.borrow_mut().clear();
+            let routes = &mut *routes.borrow_mut();
+            routes.patches.clear();
+            routes.routes.clear();
         }
     }
 }
@@ -437,7 +365,7 @@ mod tests {
     /// Memoised `(dest, carried)` route entries of `agent` (0 for an
     /// uncached one).
     fn cached_routes(agent: &FcpAgent<'_>) -> usize {
-        agent.routes.as_ref().map_or(0, |(_, r)| r.borrow().index.len())
+        agent.routes.as_ref().map_or(0, |(_, r)| r.borrow().routes.len())
     }
 
     #[test]
@@ -535,7 +463,7 @@ mod tests {
         assert_ne!(copy, big);
         let hash = |state: &FcpState| {
             use std::hash::{Hash, Hasher};
-            let mut h = FxHasher64::default();
+            let mut h = std::collections::hash_map::DefaultHasher::new();
             state.hash(&mut h);
             h.finish()
         };
@@ -627,53 +555,31 @@ mod tests {
     }
 
     #[test]
-    fn the_wholesale_flush_keeps_decisions_identical() {
-        // K12: 66 links, so triples of links × 12 destinations give
-        // several times more distinct keys than the bound.
+    fn a_unit_meets_at_most_one_key_per_carried_list_growth() {
+        // K12 under three failed spokes of one destination: every
+        // source's walk learns them one by one, so the unit fills many
+        // keys, never more than n·(k + 1), with every decision the
+        // honest agent's.
         let g = generators::complete(12, 1);
         let base = AllPairs::compute_all_live(&g);
         let honest = FcpAgent::new(&g);
         let cached = FcpAgent::cached_with_base(&g, &base);
         let ttl = generous_ttl(&g);
-        let walks_agree = |failed: &LinkSet, dest: NodeId| {
-            for src in g.nodes() {
-                assert_eq!(
-                    walk_packet(&g, &cached, src, dest, failed, ttl),
-                    walk_packet(&g, &honest, src, dest, failed, ttl),
-                    "{failed:?} {src}->{dest}"
-                );
-            }
-        };
-        // Asks for the key `(dest, {a, b, c})`: one miss each.
-        let m = g.link_count() as u32;
-        let mut keys = (0..m)
-            .flat_map(|a| (a + 1..m).flat_map(move |b| (b + 1..m).map(move |c| [a, b, c])))
-            .flat_map(|triple| g.nodes().map(move |dest| (triple, dest)));
-        let mut fill_to = |entries: usize| {
-            while cached_routes(&cached) < entries {
-                let (triple, dest) = keys.next().expect("more keys than the bound");
-                let mut state = FcpState::default();
-                triple.into_iter().for_each(|l| state.learn(LinkId(l)));
-                let at = g.nodes().find(|&at| at != dest).unwrap();
-                cached.decide(at, None, dest, &mut state, &LinkSet::empty(g.link_count()));
-            }
-        };
-
-        // An early key is flushed with everything else and comes back
-        // through the miss path, the same.
         let dest = NodeId(1);
-        let spoke = |v| g.find_link(dest, NodeId(v)).unwrap();
-        let early = LinkSet::from_links(g.link_count(), [spoke(2), spoke(3)]);
-        walks_agree(&early, dest);
-        fill_to(ROUTE_CACHE_MAX_ENTRIES);
-
-        // A miss on the full memo flushes it and is the one entry left.
-        let mut state = FcpState::default();
-        state.learn(spoke(4));
-        cached.decide(NodeId(0), None, dest, &mut state, &LinkSet::empty(g.link_count()));
-        assert_eq!(cached_routes(&cached), 1);
-        walks_agree(&early, dest);
-        assert!(cached.take_route_stats().repaired > ROUTE_CACHE_MAX_ENTRIES as u64);
+        let spokes = [2, 3, 4].map(|v| g.find_link(dest, NodeId(v)).unwrap());
+        let failed = LinkSet::from_links(g.link_count(), spokes);
+        let mut flows = pr_core::FlowScratch::new();
+        let _unit = flows.unit(&g, &cached, base.towards(dest), &failed);
+        for src in g.nodes() {
+            assert_eq!(
+                walk_packet(&g, &cached, src, dest, &failed, ttl),
+                walk_packet(&g, &honest, src, dest, &failed, ttl),
+                "{src}->{dest}"
+            );
+        }
+        let keys = cached_routes(&cached);
+        assert!(keys > 1 && keys <= g.node_count() * (spokes.len() + 1), "{keys} keys");
+        assert_eq!(cached.take_route_stats().repaired, keys as u64, "one repair per key");
     }
 
     #[test]

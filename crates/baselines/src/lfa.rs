@@ -15,36 +15,36 @@
 use pr_core::{DropReason, ForwardDecision, ForwardingAgent};
 use pr_graph::{AllPairs, Dart, Graph, LinkSet, NodeId};
 
-/// Precomputed LFA state: primary next hops plus the best loop-free
-/// alternate per (node, destination).
+/// Precomputed LFA state: the best loop-free alternate per (node,
+/// destination), over the failure-free trees it is handed, whose next
+/// darts are the primaries.
 #[derive(Debug, Clone)]
-pub struct LfaAgent {
-    /// `primary[dest][node]`, `None` at dest.
-    primary: Vec<Vec<Option<Dart>>>,
+pub struct LfaAgent<'a> {
+    /// The failure-free trees: `base.towards(dest).next_dart(node)` is
+    /// the primary next hop.
+    base: &'a AllPairs,
     /// `alternate[dest][node]`: best LFA dart, if any neighbour
     /// satisfies the loop-free condition.
     alternate: Vec<Vec<Option<Dart>>>,
 }
 
-impl LfaAgent {
-    /// Precomputes primaries and alternates from the failure-free map.
+impl<'a> LfaAgent<'a> {
+    /// Precomputes the alternates over `base`, the failure-free trees
+    /// of `graph`.
     ///
     /// Among qualifying neighbours the one with the smallest
     /// `dist(N, D)` wins (standard tie-break), with dart id as the
     /// deterministic final tie-break.
-    pub fn compute(graph: &Graph) -> LfaAgent {
-        let ap = AllPairs::compute_all_live(graph);
+    pub fn compute(graph: &Graph, base: &'a AllPairs) -> LfaAgent<'a> {
         let n = graph.node_count();
-        let mut primary = vec![vec![None; n]; n];
         let mut alternate = vec![vec![None; n]; n];
         for dest in graph.nodes() {
-            let tree = ap.towards(dest);
+            let tree = base.towards(dest);
             for node in graph.nodes() {
                 if node == dest {
                     continue;
                 }
                 let prim = tree.next_dart(node).expect("connected base graph");
-                primary[dest.index()][node.index()] = Some(prim);
                 let d_s_d = tree.cost(node).expect("reachable");
                 let mut best: Option<(u64, u32, Dart)> = None;
                 for &cand in graph.darts_from(node) {
@@ -61,7 +61,7 @@ impl LfaAgent {
                         continue;
                     }
                     let d_n_d = tree.cost(nbr).expect("reachable");
-                    let d_n_s = ap.cost(nbr, node).expect("reachable");
+                    let d_n_s = base.cost(nbr, node).expect("reachable");
                     // RFC 5286 inequality 1: N's path to D does not
                     // traverse S.
                     if d_n_d < d_n_s + d_s_d {
@@ -74,7 +74,7 @@ impl LfaAgent {
                 alternate[dest.index()][node.index()] = best.map(|(_, _, d)| d);
             }
         }
-        LfaAgent { primary, alternate }
+        LfaAgent { base, alternate }
     }
 
     /// The fraction of (node, destination) pairs that have an
@@ -101,7 +101,7 @@ impl LfaAgent {
     }
 }
 
-impl ForwardingAgent for LfaAgent {
+impl ForwardingAgent for LfaAgent<'_> {
     type State = ();
 
     fn label(&self) -> &'static str {
@@ -116,7 +116,7 @@ impl ForwardingAgent for LfaAgent {
         _state: &mut (),
         failed: &LinkSet,
     ) -> ForwardDecision {
-        let prim = self.primary[dest.index()][at.index()].expect("engine delivers at dest");
+        let prim = self.base.towards(dest).next_dart(at).expect("engine delivers at dest");
         if !failed.contains_dart(prim) {
             return ForwardDecision::Forward(prim);
         }
@@ -140,7 +140,8 @@ mod tests {
     #[test]
     fn full_mesh_has_full_coverage() {
         let g = generators::complete(5, 1);
-        let lfa = LfaAgent::compute(&g);
+        let base = AllPairs::compute_all_live(&g);
+        let lfa = LfaAgent::compute(&g, &base);
         assert_eq!(lfa.coverage(), 1.0, "K5: every neighbour is an LFA");
         // And it actually repairs: fail the direct link 0-1.
         let l = g.find_link(NodeId(0), NodeId(1)).unwrap();
@@ -156,7 +157,8 @@ mod tests {
         // shortest path to the destination often comes back through
         // us, so many pairs have no LFA; coverage is partial.
         let g = generators::ring(6, 1);
-        let lfa = LfaAgent::compute(&g);
+        let base = AllPairs::compute_all_live(&g);
+        let lfa = LfaAgent::compute(&g, &base);
         assert!(lfa.coverage() < 1.0, "even rings cannot be fully LFA-protected");
         // Concretely: 1 -> 0 with the direct link failed has no LFA at
         // node 1 (its other neighbour 2 is *farther* from 0 via 1).
@@ -169,7 +171,8 @@ mod tests {
     #[test]
     fn failure_free_follows_primary() {
         let g = generators::ring(5, 1);
-        let lfa = LfaAgent::compute(&g);
+        let base = AllPairs::compute_all_live(&g);
+        let lfa = LfaAgent::compute(&g, &base);
         let none = LinkSet::empty(g.link_count());
         let walk = walk_packet(&g, &lfa, NodeId(2), NodeId(0), &none, generous_ttl(&g));
         assert!(walk.result.is_delivered());
@@ -180,13 +183,14 @@ mod tests {
     #[test]
     fn alternate_avoids_primary_link() {
         let g = generators::complete(4, 1);
-        let lfa = LfaAgent::compute(&g);
+        let base = AllPairs::compute_all_live(&g);
+        let lfa = LfaAgent::compute(&g, &base);
         for dest in g.nodes() {
             for node in g.nodes() {
                 if node == dest {
                     continue;
                 }
-                let p = lfa.primary[dest.index()][node.index()].unwrap();
+                let p = base.towards(dest).next_dart(node).unwrap();
                 if let Some(a) = lfa.alternate[dest.index()][node.index()] {
                     assert_ne!(p.link(), a.link());
                     assert_eq!(g.dart_tail(a), node);

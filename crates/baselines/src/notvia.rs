@@ -16,7 +16,7 @@
 //! combinations are *not* protected: a failed detour drops the packet.
 
 use pr_core::{DropReason, ForwardDecision, ForwardingAgent};
-use pr_graph::{Dart, Graph, LinkId, LinkSet, NodeId, SpTree};
+use pr_graph::{AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, SpTree};
 
 /// Per-packet state: the tunnel the packet currently rides, if any.
 ///
@@ -30,9 +30,10 @@ pub struct NotViaState {
 
 /// The Not-via forwarding agent.
 #[derive(Debug, Clone)]
-pub struct NotViaAgent {
-    /// Primary next hops: `primary[dest][node]`.
-    primary: Vec<Vec<Option<Dart>>>,
+pub struct NotViaAgent<'a> {
+    /// The failure-free trees: `base.towards(dest).next_dart(node)` is
+    /// the primary next hop.
+    base: &'a AllPairs,
     /// Detour trees: for each link and direction, the tree towards the
     /// far endpoint in `G − link`. `detour[link][0]` protects the
     /// forward dart (tree towards `endpoints(link).1`),
@@ -44,21 +45,12 @@ pub struct NotViaAgent {
 /// packet rides a tunnel (20-byte outer header).
 pub const ENCAP_BITS: usize = 160;
 
-impl NotViaAgent {
-    /// Precomputes primary paths and all per-link detours from the
-    /// failure-free map (one shared Dijkstra arena across the
-    /// `2 · links + nodes` tree builds).
-    pub fn compute(graph: &Graph) -> NotViaAgent {
+impl<'a> NotViaAgent<'a> {
+    /// Precomputes every per-link detour of `graph` (one shared
+    /// Dijkstra arena across the `2 · links` tree builds); the primary
+    /// paths are `base`'s, the failure-free trees of `graph`.
+    pub fn compute(graph: &Graph, base: &'a AllPairs) -> NotViaAgent<'a> {
         let mut scratch = pr_graph::SpScratch::new();
-        let none = LinkSet::empty(graph.link_count());
-        let n = graph.node_count();
-        let mut primary = vec![vec![None; n]; n];
-        for dest in graph.nodes() {
-            let tree = SpTree::towards_with(graph, dest, &none, &mut scratch);
-            for node in graph.nodes() {
-                primary[dest.index()][node.index()] = tree.next_dart(node);
-            }
-        }
         let detour = graph
             .links()
             .map(|l| {
@@ -70,7 +62,7 @@ impl NotViaAgent {
                 ]
             })
             .collect();
-        NotViaAgent { primary, detour }
+        NotViaAgent { base, detour }
     }
 
     /// The detour tree protecting `dart`.
@@ -93,7 +85,7 @@ impl NotViaAgent {
     }
 }
 
-impl ForwardingAgent for NotViaAgent {
+impl ForwardingAgent for NotViaAgent<'_> {
     type State = NotViaState;
 
     fn label(&self) -> &'static str {
@@ -127,7 +119,7 @@ impl ForwardingAgent for NotViaAgent {
             }
         }
 
-        let Some(prim) = self.primary[dest.index()][at.index()] else {
+        let Some(prim) = self.base.towards(dest).next_dart(at) else {
             return ForwardDecision::Drop(DropReason::NoRoute);
         };
         if !failed.contains_dart(prim) {
@@ -165,7 +157,8 @@ mod tests {
     #[test]
     fn protects_every_single_failure_on_2ec_graphs() {
         let g = generators::ring(6, 1);
-        let agent = NotViaAgent::compute(&g);
+        let base = AllPairs::compute_all_live(&g);
+        let agent = NotViaAgent::compute(&g, &base);
         assert_eq!(agent.protection_coverage(&g), 1.0);
         let ttl = generous_ttl(&g);
         for l in g.links() {
@@ -185,7 +178,8 @@ mod tests {
     #[test]
     fn tunnel_costs_encapsulation_bits() {
         let g = generators::ring(6, 1);
-        let agent = NotViaAgent::compute(&g);
+        let base = AllPairs::compute_all_live(&g);
+        let agent = NotViaAgent::compute(&g, &base);
         let l = g.find_link(NodeId(1), NodeId(0)).unwrap();
         let failed = LinkSet::from_links(g.link_count(), [l]);
         let w = walk_packet(&g, &agent, NodeId(1), NodeId(0), &failed, generous_ttl(&g));
@@ -200,7 +194,8 @@ mod tests {
     #[test]
     fn detour_avoids_the_protected_link() {
         let g = generators::complete(5, 1);
-        let agent = NotViaAgent::compute(&g);
+        let base = AllPairs::compute_all_live(&g);
+        let agent = NotViaAgent::compute(&g, &base);
         let l = g.find_link(NodeId(0), NodeId(1)).unwrap();
         let failed = LinkSet::from_links(g.link_count(), [l]);
         let w = walk_packet(&g, &agent, NodeId(0), NodeId(1), &failed, generous_ttl(&g));
@@ -214,7 +209,8 @@ mod tests {
         // Ring: failing the primary and its detour's first hop strands
         // the packet — expected for a single-failure mechanism.
         let g = generators::ring(5, 1);
-        let agent = NotViaAgent::compute(&g);
+        let base = AllPairs::compute_all_live(&g);
+        let agent = NotViaAgent::compute(&g, &base);
         let l10 = g.find_link(NodeId(1), NodeId(0)).unwrap();
         let l12 = g.find_link(NodeId(1), NodeId(2)).unwrap();
         let failed = LinkSet::from_links(g.link_count(), [l10, l12]);
@@ -225,7 +221,8 @@ mod tests {
     #[test]
     fn bridge_links_are_unprotectable() {
         let g = generators::path(3, 1);
-        let agent = NotViaAgent::compute(&g);
+        let base = AllPairs::compute_all_live(&g);
+        let agent = NotViaAgent::compute(&g, &base);
         assert!(agent.protection_coverage(&g) < 1.0);
         let l = g.find_link(NodeId(0), NodeId(1)).unwrap();
         let failed = LinkSet::from_links(g.link_count(), [l]);

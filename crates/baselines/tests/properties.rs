@@ -171,8 +171,8 @@ proptest! {
         ignores_the_ingress_of_an_unmarked_packet(&g, &FcpAgent::new(&g), &failed)?;
         let cached = FcpAgent::cached_with_base(&g, &base);
         ignores_the_ingress_of_an_unmarked_packet(&g, &cached, &failed)?;
-        ignores_the_ingress_of_an_unmarked_packet(&g, &LfaAgent::compute(&g), &failed)?;
-        let notvia = NotViaAgent::compute(&g);
+        ignores_the_ingress_of_an_unmarked_packet(&g, &LfaAgent::compute(&g, &base), &failed)?;
+        let notvia = NotViaAgent::compute(&g, &base);
         ignores_the_ingress_of_an_unmarked_packet(&g, &notvia, &failed)?;
         let reconverged = ReconvergenceAgent::converged_on(&g, &failed);
         ignores_the_ingress_of_an_unmarked_packet(&g, &reconverged, &failed)?;
@@ -278,8 +278,9 @@ proptest! {
     /// repairs are one-shot and tunnel-scoped respectively.
     #[test]
     fn single_shot_schemes_never_loop((g, failed) in graphs_with_failures()) {
-        let lfa = LfaAgent::compute(&g);
-        let notvia = NotViaAgent::compute(&g);
+        let base = AllPairs::compute_all_live(&g);
+        let lfa = LfaAgent::compute(&g, &base);
+        let notvia = NotViaAgent::compute(&g, &base);
         let ttl = generous_ttl(&g);
         for src in g.nodes() {
             for dst in g.nodes() {
@@ -306,7 +307,8 @@ proptest! {
     /// (like PR basic, at 160 bits instead of 1).
     #[test]
     fn notvia_covers_single_failures(g in two_edge_connected(3..14, 0..8, 1..=5)) {
-        let agent = NotViaAgent::compute(&g);
+        let base = AllPairs::compute_all_live(&g);
+        let agent = NotViaAgent::compute(&g, &base);
         prop_assert_eq!(agent.protection_coverage(&g), 1.0);
         let ttl = generous_ttl(&g);
         for l in g.links() {

@@ -88,7 +88,7 @@ fn header_accounting_ordering() {
         let pr_agent = pr.agent(&g);
         let fcp = FcpAgent::new(&g);
         let reconv = ReconvergenceAgent::converged_on(&g, &failed);
-        let lfa = LfaAgent::compute(&g);
+        let lfa = LfaAgent::compute(&g, pr.base());
         let ttl = generous_ttl(&g);
 
         let pr_bits = usize::from(pr.codec().total_bits());
@@ -135,7 +135,7 @@ fn lfa_never_beats_full_coverage_schemes() {
             PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
         let pr_agent = pr.agent(&g);
         let fcp = FcpAgent::new(&g);
-        let lfa = LfaAgent::compute(&g);
+        let lfa = LfaAgent::compute(&g, pr.base());
         let ttl = generous_ttl(&g);
 
         let mut lfa_ok = 0usize;

@@ -27,7 +27,7 @@ fn bench_forwarding(c: &mut Criterion) {
         PrNetwork::compile(&graph, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
     let pr = net.agent(&graph);
     let fcp = FcpAgent::new(&graph);
-    let lfa = LfaAgent::compute(&graph);
+    let lfa = LfaAgent::compute(&graph, net.base());
 
     let none = LinkSet::empty(graph.link_count());
     let src = NodeId(0);

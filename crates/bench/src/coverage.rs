@@ -84,9 +84,11 @@ pub fn run(
     let compile =
         |mode| PrNetwork::compile(graph, embedding.clone(), mode, DiscriminatorKind::Hops);
     let (basic, dd) = (compile(PrMode::Basic), compile(PrMode::DistanceDiscriminator));
-    let (lfa, notvia) = (LfaAgent::compute(graph), NotViaAgent::compute(graph));
-    // Both PR networks route on equal trees; the plan reads the DD's.
+    // Both PR networks route on equal trees; the plan, LFA and not-via
+    // read the DD's.
     let plan = ConePlan::new(graph, dd.base());
+    let (lfa, notvia) =
+        (LfaAgent::compute(graph, plan.base()), NotViaAgent::compute(graph, plan.base()));
     let (basic, dd) = (basic.agent(graph), dd.agent(graph));
 
     let mut rows = Vec::new();

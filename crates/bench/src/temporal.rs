@@ -16,17 +16,15 @@
 //! scenario loop (`tests/determinism.rs` asserts this for both
 //! shipped families at 1/2/4 threads).
 //!
-//! **Hoisting.** The compiled PR network, its agent and the
-//! failure-free all-pairs trees (the reconverging IGP's *stale* view)
-//! are scenario-invariant and built once per sweep; each unit builds
-//! only its own scenario and the IGP's post-failure tables.
+//! **Hoisting.** The compiled PR network and its agent are
+//! scenario-invariant and built once per sweep, and the network's
+//! failure-free trees are the reconverging IGP's *stale* view; each
+//! unit builds only its own scenario and the IGP's post-failure tables.
 
 use serde::Serialize;
 
-use std::sync::Arc;
-
 use pr_core::PrNetwork;
-use pr_graph::{AllPairs, Graph, SpScratch};
+use pr_graph::{Graph, SpScratch};
 use pr_scenarios::TemporalFamily;
 use pr_sim::{igp_for, run_scenario, Metrics, SimConfig, Static};
 
@@ -56,7 +54,6 @@ pub fn run(
     threads: usize,
 ) -> Vec<TemporalRow> {
     let agent = Static(net.agent(graph));
-    let stale = Arc::new(AllPairs::compute_all_live(graph));
     engine::run_units(
         family.len(),
         threads.max(1),
@@ -66,7 +63,7 @@ pub fn run(
         |scratch, i| {
             let scenario = family.scenario(i);
             let pr = run_scenario(graph, &agent, &scenario, config);
-            let igp_agent = igp_for(graph, &scenario, &stale, scratch);
+            let igp_agent = igp_for(graph, &scenario, net.base(), scratch);
             let igp = run_scenario(graph, &igp_agent, &scenario, config);
             TemporalRow { scenario: i, label: scenario.label, pr, igp }
         },

@@ -257,7 +257,7 @@ fn check_walks(net: &Net, sets: &[LinkSet], ttl: usize) -> GroupShapes {
         PrNetwork::compile(g, dd.embedding().clone(), PrMode::Basic, DiscriminatorKind::Hops);
     let plan = ConePlan::new(g, dd.base());
     let fcp = FcpAgent::cached_with_base(g, plan.base());
-    let (lfa, notvia) = (LfaAgent::compute(g), NotViaAgent::compute(g));
+    let (lfa, notvia) = (LfaAgent::compute(g, plan.base()), NotViaAgent::compute(g, plan.base()));
     let (mut basic_walks, mut dd_walks) = (FlowScratch::new(), FlowScratch::new());
     let (mut fcp_walks, mut lfa_walks, mut notvia_walks) =
         (FlowScratch::new(), FlowScratch::new(), FlowScratch::new());
@@ -419,7 +419,7 @@ fn check_lanes(net: &Net, sets: &[LinkSet]) -> LanesSeen {
     let walked = sets.iter().any(|failed| failed.len() > 1);
     assert_eq!(stats.routes.repaired > 0, walked, "{:?}", stats.routes);
     (seen.fcp, seen.routes) = (fcp, stats.routes);
-    let (lfa, notvia) = (LfaAgent::compute(g), NotViaAgent::compute(g));
+    let (lfa, notvia) = (LfaAgent::compute(g, plan.base()), NotViaAgent::compute(g, plan.base()));
     for (walked, _) in [
         check_lane(net, &plan, &lfa, &lfa, sets, shapes),
         check_lane(net, &plan, &notvia, &notvia, sets, shapes),

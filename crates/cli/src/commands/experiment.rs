@@ -4,13 +4,11 @@
 //! constant the published numbers were taken at; only `--threads`
 //! varies, and never the bytes written under `results/`.
 
-use std::sync::Arc;
-
 use pr_bench::{ablation, coverage, impair, overheads, stretch};
 use pr_bench::{paper_topology, paper_topology_with, write_result, EXPERIMENT_SEED};
 use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
 use pr_embedding::CellularEmbedding;
-use pr_graph::{generators, AllPairs, Graph, LinkId, SpScratch};
+use pr_graph::{generators, Graph, LinkId, SpScratch};
 use pr_scenarios::ImpairmentProcess::{FlapStorm, GilbertElliott};
 use pr_scenarios::{
     Impaired, OutageParams, OutageSweep, SampledMultiFailures, ScenarioFamily, SingleLinkFailures,
@@ -244,8 +242,7 @@ fn run_oc192(g: &Graph, scenario: &TemporalScenario, seed: u64) -> [(&'static st
     let net = PrNetwork::compile(g, emb, PrMode::Basic, DiscriminatorKind::Hops);
     let config =
         SimConfig { bandwidth_bps: OC192_BPS, queue_capacity: 1024, ..SimConfig::default() };
-    let stale = Arc::new(AllPairs::compute_all_live(g));
-    let igp = igp_for(g, scenario, &stale, &mut SpScratch::new());
+    let igp = igp_for(g, scenario, net.base(), &mut SpScratch::new());
     [
         ("pr", run_scenario(g, &Static(net.agent(g)), scenario, &config)),
         ("reconvergence", run_scenario(g, &igp, scenario, &config)),

@@ -235,11 +235,6 @@ impl PrNetwork {
         PrNetwork { mode, discriminator, embedding, routing, cycle, codec }
     }
 
-    /// The protocol variant this network runs.
-    pub fn mode(&self) -> PrMode {
-        self.mode
-    }
-
     /// The embedding the tables were compiled from.
     pub fn embedding(&self) -> &CellularEmbedding {
         &self.embedding

@@ -332,11 +332,6 @@ impl Graph {
         }
     }
 
-    /// Returns a compact one-line summary, e.g. `"abilene: 11 nodes, 14 links"`.
-    pub fn summary(&self, label: &str) -> String {
-        format!("{label}: {} nodes, {} links", self.node_count(), self.link_count())
-    }
-
     /// A stable structural fingerprint of the graph: FNV-1a over node
     /// names, link endpoints, weights, and coordinates (as bit
     /// patterns).

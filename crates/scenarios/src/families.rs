@@ -233,11 +233,6 @@ impl ExhaustiveKFailures {
         ExhaustiveKFailures { ranks: Some(ranks), ..unfiltered }
     }
 
-    /// Number of failed links per scenario.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Decodes combinatorial rank `rank` into `out` (cleared first).
     ///
     /// Colex unranking: the last element is the largest `c` with

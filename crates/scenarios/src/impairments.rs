@@ -208,11 +208,6 @@ impl<'g, F: TemporalFamily> Impaired<'g, F> {
         Impaired { graph, inner, process, seed }
     }
 
-    /// The wrapped family.
-    pub fn inner(&self) -> &F {
-        &self.inner
-    }
-
     /// The injected process.
     pub fn process(&self) -> &ImpairmentProcess {
         &self.process

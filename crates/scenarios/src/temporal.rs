@@ -185,11 +185,6 @@ impl<'a> OutageSweep<'a> {
     pub fn new(graph: &'a Graph, params: OutageParams) -> OutageSweep<'a> {
         OutageSweep { graph, params }
     }
-
-    /// The timing/traffic parameters.
-    pub fn params(&self) -> &OutageParams {
-        &self.params
-    }
 }
 
 /// Label helper: `"<prefix>:<A>-<B>"` for a link's endpoints.

@@ -54,25 +54,24 @@ pub fn run_scenario<T: TimedForwarding>(
 }
 
 /// Builds the reconverging-IGP baseline for `scenario` from its
-/// steady-state failure view, sharing caller-hoisted pre-failure
+/// steady-state failure view, borrowing caller-hoisted pre-failure
 /// tables (`stale`) — those are failure-invariant, so a sweep computes
-/// them once and each scenario pays one `Arc` bump, never an all-pairs
-/// copy. The post-failure tables are incrementally repaired from
+/// them once and no scenario copies them. The post-failure tables are incrementally repaired from
 /// `stale` through the caller-held Dijkstra arena (bit-identical to a
 /// full recompute), so a temporal sweep worker builds one IGP per
 /// scenario at affected-cone cost with zero arena allocations.
 ///
 /// `stale` must be the failure-free base map (as sweeps hoist it) —
 /// the repair precondition of [`pr_graph::SpTree::repair_from`].
-pub fn igp_for(
+pub fn igp_for<'a>(
     graph: &Graph,
     scenario: &TemporalScenario,
-    stale: &std::sync::Arc<pr_graph::AllPairs>,
+    stale: &'a pr_graph::AllPairs,
     scratch: &mut pr_graph::SpScratch,
-) -> ReconvergingIgp {
+) -> ReconvergingIgp<'a> {
     let failed = LinkSet::from_links(graph.link_count(), scenario.igp_failed.iter().copied());
     ReconvergingIgp::with_stale_repaired(
-        std::sync::Arc::clone(stale),
+        stale,
         graph,
         &failed,
         SimTime(scenario.igp_converged_at_ns),
@@ -106,7 +105,7 @@ mod tests {
         // packets + in-flight).
         assert!(pr.delivery_ratio() > 0.99, "PR delivered {}", pr.delivery_ratio());
 
-        let stale = std::sync::Arc::new(AllPairs::compute_all_live(&g));
+        let stale = AllPairs::compute_all_live(&g);
         let igp = igp_for(&g, &sc, &stale, &mut SpScratch::new());
         let m = run_scenario(&g, &igp, &sc, &config);
         assert_eq!(m.injected, pr.injected, "same CBR schedule");

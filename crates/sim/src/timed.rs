@@ -15,8 +15,6 @@
 //!   In between, packets aimed at the failed link are lost — the §1
 //!   quarter-million-packets story.
 
-use std::sync::Arc;
-
 use pr_core::{DropReason, ForwardDecision, ForwardingAgent};
 use pr_graph::{AllPairs, Dart, Graph, LinkSet, NodeId, SpScratch};
 
@@ -82,16 +80,15 @@ impl<A: ForwardingAgent> TimedForwarding for Static<A> {
 /// shortest paths — straight into the failure — and afterwards on the
 /// survivor shortest paths.
 #[derive(Debug, Clone)]
-pub struct ReconvergingIgp {
-    /// Pre-failure tables, failure-invariant — shared (`Arc`) so a
-    /// sweep over many scenarios hoists them once and each scenario's
-    /// agent costs one pointer copy, not an all-pairs copy.
-    stale: Arc<AllPairs>,
+pub struct ReconvergingIgp<'a> {
+    /// Pre-failure tables, failure-invariant and borrowed: a sweep over
+    /// many scenarios hoists them once.
+    stale: &'a AllPairs,
     converged: AllPairs,
     converged_at: SimTime,
 }
 
-impl ReconvergingIgp {
+impl<'a> ReconvergingIgp<'a> {
     /// Builds the two routing states around a failure event: `failed`
     /// is the post-failure link set; `converged_at` is when the new
     /// tables take effect network-wide (failure time + detection +
@@ -99,8 +96,8 @@ impl ReconvergingIgp {
     /// the paper's reconvergence discussion).
     ///
     /// The pre-failure tables are failure-invariant, so a sweep over
-    /// many scenarios computes them once and shares them here at one
-    /// `Arc` bump per scenario. The converged (post-failure) tables
+    /// many scenarios computes them once and lends them to every
+    /// scenario's agent. The converged (post-failure) tables
     /// are produced by **incremental repair** of the stale trees
     /// through the caller-held Dijkstra arena — bit-identical to the
     /// full `AllPairs::compute`, but touching only the cones the
@@ -110,23 +107,18 @@ impl ReconvergingIgp {
     /// `stale` must have been computed over a *subset* of `failed` —
     /// in practice the failure-free base map.
     pub fn with_stale_repaired(
-        stale: Arc<AllPairs>,
+        stale: &'a AllPairs,
         graph: &Graph,
         failed: &LinkSet,
         converged_at: SimTime,
         scratch: &mut SpScratch,
-    ) -> ReconvergingIgp {
+    ) -> ReconvergingIgp<'a> {
         let converged = stale.repair_from(graph, failed, scratch);
         ReconvergingIgp { stale, converged, converged_at }
     }
-
-    /// The instant the survivor tables take effect.
-    pub fn converged_at(&self) -> SimTime {
-        self.converged_at
-    }
 }
 
-impl TimedForwarding for ReconvergingIgp {
+impl TimedForwarding for ReconvergingIgp<'_> {
     type State = ();
 
     fn label(&self) -> &'static str {
@@ -142,7 +134,7 @@ impl TimedForwarding for ReconvergingIgp {
         _state: &mut (),
         _visible_failed: &LinkSet,
     ) -> ForwardDecision {
-        let tables = if now < self.converged_at { &self.stale } else { &self.converged };
+        let tables = if now < self.converged_at { self.stale } else { &self.converged };
         match tables.towards(dest).next_dart(at) {
             // Note: before convergence this may point into the failed
             // link; the simulator will count the loss.
@@ -161,8 +153,12 @@ mod tests {
     use super::*;
     use pr_graph::generators;
 
-    fn igp(g: &Graph, failed: &LinkSet, converged_at: SimTime) -> ReconvergingIgp {
-        let stale = Arc::new(AllPairs::compute_all_live(g));
+    fn igp<'a>(
+        g: &Graph,
+        stale: &'a AllPairs,
+        failed: &LinkSet,
+        converged_at: SimTime,
+    ) -> ReconvergingIgp<'a> {
         ReconvergingIgp::with_stale_repaired(stale, g, failed, converged_at, &mut SpScratch::new())
     }
 
@@ -187,7 +183,8 @@ mod tests {
         let g = generators::ring(5, 1);
         let direct = g.find_link(NodeId(1), NodeId(0)).unwrap();
         let failed = LinkSet::from_links(g.link_count(), [direct]);
-        let igp = igp(&g, &failed, SimTime::from_millis(500));
+        let stale = AllPairs::compute_all_live(&g);
+        let igp = igp(&g, &stale, &failed, SimTime::from_millis(500));
 
         let before =
             igp.decide_at(SimTime::from_millis(100), NodeId(1), None, NodeId(0), &mut (), &failed);
@@ -213,7 +210,8 @@ mod tests {
         let l01 = g.find_link(NodeId(0), NodeId(1)).unwrap();
         let l30 = g.find_link(NodeId(3), NodeId(0)).unwrap();
         let failed = LinkSet::from_links(g.link_count(), [l01, l30]);
-        let igp = igp(&g, &failed, SimTime::ZERO);
+        let stale = AllPairs::compute_all_live(&g);
+        let igp = igp(&g, &stale, &failed, SimTime::ZERO);
         let d = igp.decide_at(SimTime(1), NodeId(2), None, NodeId(0), &mut (), &failed);
         assert_eq!(d, ForwardDecision::Drop(DropReason::Unreachable));
     }

@@ -191,8 +191,13 @@ pub fn coverage_serial(
         |mode| PrNetwork::compile(graph, embedding.clone(), mode, DiscriminatorKind::Hops);
     let (basic_net, dd_net) = (compile(PrMode::Basic), compile(PrMode::DistanceDiscriminator));
     let (basic, dd) = (basic_net.agent(graph), dd_net.agent(graph));
-    let (fcp, lfa, notvia) =
-        (FcpAgent::new(graph), LfaAgent::compute(graph), NotViaAgent::compute(graph));
+    // The failure-free schemes' trees, the oracle's own.
+    let trees = AllPairs::compute_all_live(graph);
+    let (fcp, lfa, notvia) = (
+        FcpAgent::new(graph),
+        LfaAgent::compute(graph, &trees),
+        NotViaAgent::compute(graph, &trees),
+    );
     let ttl = generous_ttl(graph);
     (1..=max_failures)
         .map(|k| {

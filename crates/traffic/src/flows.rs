@@ -141,53 +141,54 @@ impl FlowSet {
     pub fn sampled(model: &dyn TrafficModel, samples: usize, seed: u64) -> FlowSet {
         assert!(samples > 0, "cannot sample an empty flow set");
         let n = model.node_count();
-        // Compact inverse CDF: cumulative demand over the
-        // positive-demand pairs only, destination-major. Zero-demand
-        // pairs add `0.0` to the running total — which leaves it
-        // bit-unchanged — so the compact CDF ends at the same total a
-        // dense one would, and because `partition_point` steps past
-        // equal entries every target lands on the same pair a dense
-        // scan would pick. Compacting removes both the diagonal and
-        // any sparse structure from the per-draw binary search, and
-        // makes the hit tally proportional to carried pairs, not n².
-        let mut pairs: Vec<u32> = Vec::new();
-        let mut cumulative: Vec<f64> = Vec::new();
-        let mut total = 0.0;
-        for dst in 0..n as u32 {
-            for src in 0..n as u32 {
-                let demand = model.demand(NodeId(src), NodeId(dst));
-                if src != dst && demand > 0.0 {
-                    total += demand;
-                    pairs.push(dst * n as u32 + src);
-                    cumulative.push(total);
-                }
+        // Inverse-CDF sampling over the positive-demand pairs,
+        // destination-major, with the CDF never stored: one pass sums
+        // the total, and the second recomputes the same running sums in
+        // the same order, so bit for bit, handing each pair the sorted
+        // targets below its sum — the first pair whose sum exceeds a
+        // target takes it. The heap is O(samples).
+        let positive = |src: u32, dst: u32| {
+            let demand = model.demand(NodeId(src), NodeId(dst));
+            (src != dst && demand > 0.0).then_some(demand)
+        };
+        let pairs = || (0..n as u32).flat_map(move |dst| (0..n as u32).map(move |src| (dst, src)));
+        let (mut total, mut positives, mut last) = (0.0, 0, (0, 0));
+        for (dst, src) in pairs() {
+            if let Some(demand) = positive(src, dst) {
+                (total, positives, last) = (total + demand, positives + 1, (dst, src));
             }
         }
         assert!(total > 0.0, "traffic model offers no demand");
-
-        let mut hits = vec![0u32; pairs.len()];
-        for draw in 0..samples {
-            // 53 uniform mantissa bits in [0, 1), scaled to the total.
-            let unit = (scenario_seed(seed, draw) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-            let target = unit * total;
-            // `unit * total` can round up to exactly `total`; the
-            // clamp keeps that corner on the last carried pair, so a
-            // self-flow can never be drawn.
-            let hit = cumulative.partition_point(|&c| c <= target).min(pairs.len() - 1);
-            hits[hit] += 1;
-        }
+        let mut targets: Vec<f64> = (0..samples)
+            .map(|draw| {
+                // 53 uniform mantissa bits in [0, 1), scaled to the total.
+                let unit = (scenario_seed(seed, draw) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                unit * total
+            })
+            .collect();
+        targets.sort_unstable_by(f64::total_cmp);
 
         let per_draw = total / samples as f64;
-        let carried = hits.iter().filter(|&&count| count > 0).count();
         let label = format!("{}/sampled({samples}, seed={seed})", model.label());
-        let mut set = FlowSet::empty(label, carried);
-        for (&count, &pair) in hits.iter().zip(&pairs).filter(|(&count, _)| count > 0) {
-            let (dst, src) = (NodeId(pair / n as u32), NodeId(pair % n as u32));
-            if set.groups.last().is_none_or(|group| group.dst != dst) {
-                set.close(n);
-                set.open(dst);
+        let mut set = FlowSet::empty(label, samples.min(positives));
+        let (mut running, mut next) = (0.0, 0);
+        for (dst, src) in pairs() {
+            let Some(demand) = positive(src, dst) else { continue };
+            running += demand;
+            let from = next;
+            // `unit * total` can round up to exactly `total`: the last
+            // positive pair keeps those targets, so a self-flow can
+            // never be drawn.
+            while next < samples && (targets[next] < running || (dst, src) == last) {
+                next += 1;
             }
-            set.push(src, f64::from(count) * per_draw);
+            if next > from {
+                if set.groups.last().is_none_or(|group| group.dst.0 != dst) {
+                    set.close(n);
+                    set.open(NodeId(dst));
+                }
+                set.push(NodeId(src), (next - from) as f64 * per_draw);
+            }
         }
         set.close(n);
         set.snapped()
@@ -500,6 +501,68 @@ mod tests {
         for (dst, group) in mixed.by_destination() {
             let drawn: Vec<NodeId> = group.iter().map(|f| f.src).collect();
             assert!(drawn.iter().all(|&src| hot.demand(src, dst) > 0.0));
+        }
+    }
+
+    /// The sampled set a dense inverse CDF draws: cumulative demand over
+    /// all n² `(dst, src)` entries, the diagonal and zero-demand pairs
+    /// adding nothing, each target on the first entry past it, and the
+    /// targets past the total on the last positive pair.
+    fn dense_sampled(model: &dyn TrafficModel, samples: usize, seed: u64) -> FlowSet {
+        let n = model.node_count();
+        let mut cumulative = Vec::with_capacity(n * n);
+        let (mut total, mut last_positive) = (0.0, 0);
+        for (i, (dst, src)) in (0..n).flat_map(|d| (0..n).map(move |s| (d, s))).enumerate() {
+            let demand = model.demand(NodeId(src as u32), NodeId(dst as u32));
+            if src != dst && demand > 0.0 {
+                total += demand;
+                last_positive = i;
+            }
+            cumulative.push(total);
+        }
+        let mut hits = vec![0u32; n * n];
+        for draw in 0..samples {
+            let unit = (scenario_seed(seed, draw) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+            let hit = cumulative.partition_point(|&c| c <= unit * total);
+            hits[hit.min(last_positive)] += 1;
+        }
+        let label = format!("{}/sampled({samples}, seed={seed})", model.label());
+        let mut set = FlowSet::empty(label, samples);
+        for dst in 0..n {
+            set.open(NodeId(dst as u32));
+            for src in 0..n {
+                let count = hits[dst * n + src];
+                if count > 0 {
+                    set.push(NodeId(src as u32), f64::from(count) * (total / samples as f64));
+                }
+            }
+            set.close(n);
+        }
+        set.snapped()
+    }
+
+    #[test]
+    fn sampling_draws_what_a_dense_inverse_cdf_draws() {
+        let g = generators::synth_from_spec("isp:40:7").unwrap();
+        let models: [Box<dyn TrafficModel>; 3] = [
+            Box::new(UniformTraffic::new(&g)),
+            Box::new(crate::GravityTraffic::new(&g)),
+            Box::new(crate::HotspotTraffic::new(&g, 4, 8.0, 2010)),
+        ];
+        for model in &models {
+            for (samples, seed) in [(1, 3), (50, 2010), (3000, 7), (20_000, 11)] {
+                let (set, reference) = (
+                    FlowSet::sampled(model.as_ref(), samples, seed),
+                    dense_sampled(model.as_ref(), samples, seed),
+                );
+                let bits = |set: &FlowSet| -> Vec<(NodeId, NodeId, u64)> {
+                    flows(set).iter().map(|f| (f.dst, f.src, f.demand.to_bits())).collect()
+                };
+                let what = format!("{} at {samples} draws, seed {seed}", model.label());
+                assert_eq!(bits(&set), bits(&reference), "{what}");
+                assert_eq!(set.offered().to_bits(), reference.offered().to_bits(), "{what}");
+                assert_eq!(set.label(), reference.label());
+            }
         }
     }
 

@@ -14,7 +14,8 @@
 //!
 //! A flow set holds what the replay reads of it: one `f64` per flow,
 //! and a source only for a group that lacks some node. Its heap is
-//! pinned here too, as retained bytes and as the compile's peak.
+//! pinned here too, as retained bytes and as the compile's peak; a
+//! sampled set's compile peaks at its draws, not at the matrix.
 //!
 //! The call counter is per thread and the byte gauge is process-wide,
 //! so the tests take turns.
@@ -180,14 +181,18 @@ fn an_all_pairs_set_keeps_eight_bytes_per_flow_and_builds_no_wider_record() {
 fn a_sparse_sampled_set_keeps_twelve_bytes_per_flow() {
     let _turn = turn();
     // A few thousand draws over 39 800 pairs: no group fills, so every
-    // flow keeps its source beside its demand.
+    // flow keeps its source beside its demand. The compile holds the
+    // sorted draws and the flows it keeps, never a table over the pairs
+    // the draws are taken from.
     let g = synth("isp:200");
     let hotspot = HotspotTraffic::new(&g, 8, 8.0, 2010);
     let before = live_bytes();
-    let set = FlowSet::sampled(&hotspot, 3000, 2010);
+    let (set, peak) = peak_during(|| FlowSet::sampled(&hotspot, 3000, 2010));
     let retained = live_bytes() - before;
     let groups = set.by_destination().count();
     assert!(set.by_destination().all(|(_, group)| group.iter().count() < g.node_count() - 1));
     let bound = 12 * set.len() + 64 * groups + 1024;
     assert!(retained <= bound, "retains {retained} B for {} flows (bound {bound} B)", set.len());
+    let draws = 32 * 3000 + 64 * groups + 1024;
+    assert!(peak <= draws, "peaked at {peak} B for 3000 draws (bound {draws} B)");
 }

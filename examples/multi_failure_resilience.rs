@@ -22,7 +22,7 @@ fn main() {
     let net =
         PrNetwork::compile(&graph, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
     let pr = net.agent(&graph);
-    let lfa = LfaAgent::compute(&graph);
+    let lfa = LfaAgent::compute(&graph, net.base());
     let ttl = generous_ttl(&graph);
 
     // Kill links one at a time (never disconnecting), measuring

@@ -98,7 +98,7 @@ fn scheme_comparison_through_facade() {
         PrNetwork::compile(&graph, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
     let pr = net.agent(&graph);
     let fcp = FcpAgent::new(&graph);
-    let lfa = LfaAgent::compute(&graph);
+    let lfa = LfaAgent::compute(&graph, net.base());
     let ttl = generous_ttl(&graph);
 
     let link = graph.links().next().unwrap();

@@ -18,21 +18,21 @@ use std::path::Path;
 /// Product lines per crate directory, `src` being the facade.
 const PRODUCT: &[(&str, usize)] = &[
     ("src", 104),
-    ("crates/baselines", 756),
-    ("crates/bench", 3052),
-    ("crates/cli", 2129),
-    ("crates/core", 3106),
+    ("crates/baselines", 680),
+    ("crates/bench", 3051),
+    ("crates/cli", 2126),
+    ("crates/core", 3101),
     ("crates/daemon", 1339),
     ("crates/embedding", 1460),
-    ("crates/graph", 2992),
-    ("crates/scenarios", 1311),
-    ("crates/sim", 944),
+    ("crates/graph", 2987),
+    ("crates/scenarios", 1296),
+    ("crates/sim", 935),
     ("crates/topologies", 205),
-    ("crates/traffic", 1851),
+    ("crates/traffic", 1852),
 ];
 
 /// The sum of [`PRODUCT`], the number ROADMAP.md tracks.
-const PRODUCT_TOTAL: usize = 19_249;
+const PRODUCT_TOTAL: usize = 19_136;
 
 /// Lines of DESIGN.md.
 const DESIGN_LINES: usize = 1_500;
@@ -109,10 +109,13 @@ fn a_file_counts_up_to_its_first_test_module() {
 /// fails the census as well, so the list never outlives its reasons.
 #[rustfmt::skip]
 const TEST_ONLY: &[(&str, &str, &str)] = &[
+    ("crates/baselines/src/lfa.rs", "coverage", "tests read RFC 5286's coverage metric off LFA's alternate table"),
     ("crates/baselines/src/notvia.rs", "protection_coverage", "tests read not-via's single-failure coverage off its detour table"),
     ("crates/daemon/src/server.rs", "wait_for_addr_file", "the daemon's integration tests wait for a started daemon's addresses"),
     ("crates/daemon/src/twin.rs", "failed_set", "test-only accessor: the equivalence tests rebuild a twin's failed set cold"),
+    ("crates/daemon/src/twin.rs", "uniform", "the daemon's tests start twins on unit demand, which works on any graph"),
     ("crates/embedding/src/embedding.rs", "complementary_cycle", "the paper's Table 1 tests read each dart's complementary cycle"),
+    ("crates/embedding/src/heuristics.rs", "exhaustive", "the exact reference the heuristics' tests compare their genus against"),
     ("crates/embedding/src/planar.rs", "random_outerplanar", "property tests draw planar graphs from it"),
     ("crates/embedding/src/planar.rs", "random_triangulation", "property tests draw planar graphs from it"),
     ("crates/graph/src/algo/connectivity.rs", "same", "the kit's shape observer and tests ask if two routers share a component"),
@@ -120,12 +123,14 @@ const TEST_ONLY: &[(&str, &str, &str)] = &[
     ("crates/graph/src/algo/dijkstra.rs", "path_nodes", "tests read a tree path as routers"),
     ("crates/graph/src/generators.rs", "complete_bipartite", "tests embed K3,3, the smallest non-planar bipartite graph"),
     ("crates/graph/src/generators.rs", "connected_er", "tests draw connected Erdős–Rényi graphs"),
+    ("crates/graph/src/generators.rs", "grid", "tests embed a small planar grid"),
     ("crates/graph/src/generators.rs", "random_two_edge_connected", "the kit's graph strategy draws from it"),
     ("crates/graph/src/generators.rs", "torus", "tests embed a genus-1 grid"),
     ("crates/graph/src/generators.rs", "wheel", "tests need a hub of high degree"),
     ("crates/graph/src/generators.rs", "with_synthetic_coordinates", "tests locate unlocated generator graphs"),
     ("crates/graph/src/graph.rs", "find_dart", "tests name a dart by its endpoints"),
     ("crates/graph/src/linkset.rs", "difference", "tests build expected failed sets"),
+    ("crates/graph/src/linkset.rs", "full", "tests fail every link at once and check the tail word's mask"),
     ("crates/graph/src/linkset.rs", "union", "tests build expected failed sets"),
     ("crates/graph/src/linkset.rs", "union_in_place", "tests build expected failed sets"),
     ("crates/scenarios/src/families.rs", "connected_only", "tests enumerate the connected survivor sets"),
@@ -225,15 +230,27 @@ fn census_code(text: &str, product: bool) -> String {
     code
 }
 
-/// The identifiers `code` names, without those a `fn` defines.
+/// The identifiers `code` names in call or path position — `name(`,
+/// `name::<` or `::name`, so a method call `.name(` too — without those
+/// a `fn` defines. A name seen only as a binding, a type or a field is
+/// not a call: `let exhaustive = ..` and `self.k` call no `exhaustive`
+/// and no `k`.
 fn named(code: &str, out: &mut HashSet<String>) {
     let mut previous = "";
-    let words = code.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
-    for word in words.filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')) {
-        if previous != "fn" {
+    let mut rest = code;
+    while let Some(start) = rest.find(|c: char| c.is_ascii_alphabetic() || c == '_') {
+        let before = rest[..start].trim_end();
+        let word_len = rest[start..]
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .unwrap_or(rest.len() - start);
+        let word = &rest[start..start + word_len];
+        let after = rest[start + word_len..].trim_start();
+        let called = after.starts_with('(') || after.starts_with("::<") || before.ends_with("::");
+        if called && previous != "fn" {
             out.insert(word.to_string());
         }
         previous = word;
+        rest = &rest[start + word_len..];
     }
 }
 
@@ -278,7 +295,7 @@ fn every_public_product_fn_has_a_caller_outside_tests() {
     for file in &callers {
         named(&census_code(&read(file), false), &mut names);
     }
-    assert!(defined.len() > 500, "only {} pub fns: the census lost the product", defined.len());
+    assert!(defined.len() > 450, "only {} pub fns: the census lost the product", defined.len());
     let uncalled: Vec<String> = defined
         .iter()
         .filter(|(file, f)| {
@@ -300,13 +317,18 @@ fn every_public_product_fn_has_a_caller_outside_tests() {
 #[test]
 fn the_census_reads_code_not_comments_strings_or_imports() {
     let text = "use a::{lonely,\n    also};\n/// calls docs()\nfn own() { called(\"quoted\"); } // trailing()\n\
-                let c = '\"';\npub fn kept() {}\n#[cfg(test)]\nfn tested() { own() }\n";
+                let c = '\"'; after();\npub fn kept() {}\n\
+                let exhaustive = Exhaustive::new(x.field, y.method(), z::path, t::<u8>, g::<u8>());\n\
+                #[cfg(test)]\nfn tested() { own() }\n";
     let mut names = HashSet::new();
     named(&census_code(text, true), &mut names);
-    for seen in ["called", "c"] {
+    for seen in ["called", "after", "new", "method", "path", "t", "g"] {
         assert!(names.contains(seen), "{seen}");
     }
-    for unseen in ["lonely", "also", "docs", "own", "quoted", "trailing", "kept", "tested"] {
+    let unseen = ["lonely", "also", "docs", "own", "quoted", "trailing", "kept", "tested", "c"];
+    for unseen in
+        unseen.into_iter().chain(["exhaustive", "Exhaustive", "field", "x", "y", "z", "u8"])
+    {
         assert!(!names.contains(unseen), "{unseen}");
     }
     assert_eq!(public_fns(&census_code(text, true)), ["kept"]);
