@@ -105,7 +105,8 @@ pub fn default_threads() -> usize {
 /// `init`, with results merged back in unit order (bit-identical to
 /// the serial loop `(0..count).map(...)` at any thread count).
 ///
-/// Temporal and traffic sweeps use it with one unit per scenario;
+/// Temporal sweeps use it with one unit per scenario; the traffic and
+/// impairment sweeps take [`run_ordered`]'s sink instead, and
 /// [`ScenarioSweep::fold`] is the form for `(scenario × destination)`
 /// link sweeps, whose units are too many to keep one result each.
 pub fn run_units<W, R, I, F>(count: usize, threads: usize, init: I, work: F) -> Vec<R>
@@ -522,7 +523,9 @@ impl<'a> ScenarioSweep<'a> {
 /// indices `0..count` on `threads` workers with private `init()`
 /// state, and `sink` receives every result on the calling thread, in
 /// index order, while the pool is still running. One worker is the
-/// plain inline loop: no thread, no channel.
+/// plain inline loop: no thread, no channel. [`run_units`] collects
+/// what the sink is handed; the row sweeps (`traffic::stream`,
+/// `impair::stream`) fold and render each result there and drop it.
 ///
 /// Workers claim contiguous chunks off an atomic cursor and send each
 /// finished chunk to the calling thread, which parks out-of-order
@@ -531,7 +534,7 @@ impl<'a> ScenarioSweep<'a> {
 /// chunks when items cost alike; at worst (the first item outlasts all
 /// the others) every other result, which is what collecting them all
 /// before merging always held.
-fn run_ordered<W, R>(
+pub fn run_ordered<W, R>(
     count: usize,
     threads: usize,
     init: &(dyn Fn() -> W + Sync),

@@ -13,10 +13,18 @@
 //! **Determinism.** An impaired family's timeline is pure in
 //! `(scenario index, seed)`; the timeline replay is exact on the
 //! demand grid; units merge in scenario order through
-//! [`engine::run_units`]. [`run`] is therefore bit-identical at any
-//! thread count — one thread being the plain scenario loop — and
-//! across runs (`tests/determinism.rs`; `tests/golden_impair.rs` pins
-//! the bytes independently).
+//! [`engine::run_ordered`]. [`stream`] therefore hands over the same
+//! rows in the same order at any thread count — one thread being the
+//! plain scenario loop — and across runs (`tests/determinism.rs`;
+//! `tests/golden_impair.rs` pins the bytes independently).
+//!
+//! **Memory.** A row carries one `TallySample` per sampled interval.
+//! The front doors take each row at the engine's sink, fold it into an
+//! [`ImpairSummary`] ([`ImpairSummary::add`]), render it into the
+//! artefact ([`crate::artefact::RowWriter`]) and drop it; only [`run`],
+//! the library form, keeps them all.
+
+use std::io::{self, Write};
 
 use serde::Serialize;
 
@@ -25,6 +33,7 @@ use pr_graph::Graph;
 use pr_scenarios::TemporalFamily;
 use pr_traffic::{replay_timeline, FlowSet, ReplayScratch, ReplayStats, TimelineTraffic};
 
+use crate::artefact::{self, CsvRow, Format};
 use crate::engine;
 use crate::traffic::replay_plan;
 
@@ -42,7 +51,7 @@ pub struct ImpairRow {
 }
 
 /// Replays `flows` through every scenario timeline of `family` on
-/// `threads` workers ([`run_with_stats`] without the counters).
+/// `threads` workers and collects the rows ([`stream`] into a `Vec`).
 pub fn run(
     graph: &Graph,
     pr: &PrNetwork,
@@ -50,31 +59,35 @@ pub fn run(
     flows: &FlowSet,
     threads: usize,
 ) -> Vec<ImpairRow> {
-    run_with_stats(graph, pr, family, flows, threads).0
+    let mut rows = Vec::with_capacity(family.len());
+    stream(graph, pr, family, flows, threads, |row| rows.push(row));
+    rows
 }
 
 /// Replays `flows` through every scenario timeline of `family` on
-/// `threads` workers, and sums what the replays looked at.
-/// Failure-invariant state — the network's own base trees, the FIB
-/// staged from them, compiled agent, TTL — is hoisted once; each worker
-/// owns a private [`ReplayScratch`] reused across its scenarios. The
-/// counters are taken per timeline, so every one but
-/// [`ReplayStats::baselines`] — one per worker — is thread-count
-/// invariant. This is what `pr impair --stats` prints.
-pub fn run_with_stats(
+/// `threads` workers, hands each row to `sink` in scenario order, and
+/// sums what the replays looked at. Failure-invariant state — the
+/// network's own base trees, the FIB staged from them, compiled agent,
+/// TTL — is hoisted once; each worker owns a private [`ReplayScratch`]
+/// reused across its scenarios. The counters are taken per timeline, so
+/// every one but [`ReplayStats::baselines`] — one per worker — is
+/// thread-count invariant. This is what `pr impair` runs, and what
+/// `--stats` prints.
+pub fn stream(
     graph: &Graph,
     pr: &PrNetwork,
     family: &dyn TemporalFamily,
     flows: &FlowSet,
     threads: usize,
-) -> (Vec<ImpairRow>, ReplayStats) {
+    mut sink: impl FnMut(ImpairRow),
+) -> ReplayStats {
     let (base, dense, agent, ttl) = replay_plan(graph, pr);
     let mut stats = ReplayStats::default();
-    let rows = engine::run_units(
+    engine::run_ordered(
         family.len(),
-        threads.max(1),
-        ReplayScratch::new,
-        |scratch: &mut ReplayScratch<pr_core::PrHeader>, i| {
+        threads,
+        &ReplayScratch::new,
+        &|scratch: &mut ReplayScratch<pr_core::PrHeader>, i| {
             let scenario = family.scenario(i);
             let traffic =
                 replay_timeline(graph, &agent, &dense, base, flows, &scenario, ttl, scratch);
@@ -84,14 +97,12 @@ pub fn run_with_stats(
                 scratch.take_stats(),
             )
         },
-    )
-    .into_iter()
-    .map(|(row, timeline)| {
-        stats.merge(&timeline);
-        row
-    })
-    .collect();
-    (rows, stats)
+        &mut |(row, timeline)| {
+            stats.merge(&timeline);
+            sink(row);
+        },
+    );
+    stats
 }
 
 /// Aggregate of an impairment sweep: time integrals folded over every
@@ -117,6 +128,22 @@ pub struct ImpairSummary {
 }
 
 impl ImpairSummary {
+    /// Folds in the next row; rows come in scenario order.
+    pub fn add(&mut self, row: &ImpairRow) {
+        let series = &row.traffic.series;
+        self.scenarios += 1;
+        self.events += row.events;
+        self.offered_demand_seconds += series.offered_demand_seconds();
+        self.pr_demand_seconds_lost += series.pr_demand_seconds_lost();
+        self.igp_demand_seconds_lost += series.igp_demand_seconds_lost();
+        let peak = series.peak_pr_loss_fraction();
+        if peak > self.peak_pr_loss_fraction {
+            self.peak_pr_loss_fraction = peak;
+            self.peak_scenario = Some(row.scenario);
+        }
+        self.max_link_load = self.max_link_load.max(row.traffic.max_link_load);
+    }
+
     /// Sweep-wide time-weighted PR loss fraction.
     pub fn pr_loss_over_time(&self) -> f64 {
         if self.offered_demand_seconds == 0.0 {
@@ -138,35 +165,25 @@ impl ImpairSummary {
 
 /// Folds a sweep's rows in scenario order.
 pub fn summarize(rows: &[ImpairRow]) -> ImpairSummary {
-    let mut s = ImpairSummary { scenarios: rows.len(), ..Default::default() };
-    for r in rows {
-        s.events += r.events;
-        s.offered_demand_seconds += r.traffic.series.offered_demand_seconds();
-        s.pr_demand_seconds_lost += r.traffic.series.pr_demand_seconds_lost();
-        s.igp_demand_seconds_lost += r.traffic.series.igp_demand_seconds_lost();
-        let peak = r.traffic.series.peak_pr_loss_fraction();
-        if peak > s.peak_pr_loss_fraction {
-            s.peak_pr_loss_fraction = peak;
-            s.peak_scenario = Some(r.scenario);
-        }
-        s.max_link_load = s.max_link_load.max(r.traffic.max_link_load);
-    }
+    let mut s = ImpairSummary::default();
+    rows.iter().for_each(|row| s.add(row));
     s
 }
 
-/// Renders a sweep as CSV: one row per **sampled interval**, so the
-/// artefact is the loss-over-time curve itself, not just its integral.
-pub fn rows_csv(rows: &[ImpairRow]) -> String {
-    let mut out = String::from(
+/// One line per **sampled interval**, so the artefact is the
+/// loss-over-time curve itself, not just its integral.
+impl CsvRow for ImpairRow {
+    const CSV_HEADER: &'static str =
         "scenario,label,from_ms,to_ms,links_down,offered,pr_lost,igp_lost,\
-         pr_loss_fraction,igp_loss_fraction,weighted_coverage,mean_stretch\n",
-    );
-    for r in rows {
-        for s in &r.traffic.series.samples {
-            out.push_str(&format!(
-                "{},{},{:.3},{:.3},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6}\n",
-                r.scenario,
-                r.label,
+         pr_loss_fraction,igp_loss_fraction,weighted_coverage,mean_stretch\n";
+
+    fn write_csv(&self, out: &mut dyn Write) -> io::Result<()> {
+        for s in &self.traffic.series.samples {
+            writeln!(
+                out,
+                "{},{},{:.3},{:.3},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6}",
+                self.scenario,
+                self.label,
                 s.from_ns as f64 * 1e-6,
                 s.to_ns as f64 * 1e-6,
                 s.links_down,
@@ -177,10 +194,15 @@ pub fn rows_csv(rows: &[ImpairRow]) -> String {
                 s.igp_lost_fraction(),
                 s.tally.weighted_coverage(),
                 s.tally.mean_weighted_stretch().unwrap_or(1.0),
-            ));
+            )?;
         }
+        Ok(())
     }
-    out
+}
+
+/// Renders a sweep as CSV ([`CsvRow`]'s lines for every row).
+pub fn rows_csv(rows: &[ImpairRow]) -> String {
+    artefact::render(rows, Format::Csv)
 }
 
 #[cfg(test)]

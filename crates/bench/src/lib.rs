@@ -28,12 +28,14 @@
 //! default [`engine::default_threads`]).
 //!
 //! The rows print a human-readable summary to stdout and write
-//! machine-readable CSV/JSON under `results/` (created on demand).
+//! machine-readable CSV/JSON under `results/` (created on demand,
+//! through [`artefact`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod ablation;
+pub mod artefact;
 pub mod coverage;
 pub mod engine;
 pub mod impair;
@@ -44,6 +46,7 @@ pub mod stretch;
 pub mod temporal;
 pub mod traffic;
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use pr_embedding::CellularEmbedding;
@@ -78,12 +81,13 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Writes a result artefact and echoes its path.
+/// Writes a result artefact in one chunk and echoes its path.
 pub fn write_result(name: &str, contents: &str) -> PathBuf {
-    let path = results_dir().join(name);
-    std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    println!("  wrote {}", path.display());
-    path
+    let written = artefact::Artefact::create(name).and_then(|mut file| {
+        file.write_all(contents.as_bytes())?;
+        file.finish()
+    });
+    written.unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@
 //! fraction of the **traffic** still delivers, and how hot does the
 //! hottest link run while it detours"*.
 //!
-//! [`run`] is the production path: one work unit per scenario, fanned
-//! over [`crate::engine::run_units`]; each unit replays the whole
+//! [`stream`] is the production path: one work unit per scenario, fanned
+//! over [`crate::engine::run_ordered`]; each unit replays the whole
 //! [`FlowSet`] through `pr-traffic`'s dataplane
 //! ([`replay_scenario_bitparallel`]: a worker's [`ReplayScratch`]
 //! prices the failure-free network once, and every scenario after that
@@ -17,20 +17,25 @@
 //! failed set and its row are the only allocations), which is what lets
 //! the workers scale: see DESIGN.md, "allocator discipline". Units
 //! merge in scenario order and the demand grid makes every replay sum
-//! exact, so the rows are bit-identical at any thread count.
+//! exact, so the rows are bit-identical at any thread count. `pr traffic`
+//! folds each row into the [`TrafficSummary`] and renders it into the
+//! artefact at the engine's sink; [`run`] collects them.
 //!
 //! The oracle is the test kit's `traffic_serial`, one fresh
 //! `walk_packet` per flow. [`run`] must equal it row for row
 //! (`tests/determinism.rs`).
 
+use std::io::{self, Write};
+
 use serde::Serialize;
 
 use pr_core::{generous_ttl, DenseFib, PrAgent, PrNetwork};
-use pr_graph::{AllPairs, Graph};
+use pr_graph::{AllPairs, Graph, LinkId};
 use pr_scenarios::ScenarioFamily;
 use pr_traffic::{replay_scenario_bitparallel, DemandTally, FlowSet, ReplayScratch, ReplayStats};
 
-use crate::engine::run_units;
+use crate::artefact::{self, CsvRow, Format};
+use crate::engine::run_ordered;
 
 /// One scenario's demand-weighted outcome.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -57,9 +62,23 @@ pub struct TrafficSummary {
     /// Scenario index of the utilisation peak (`None` for an empty
     /// sweep or when nothing was delivered anywhere).
     pub peak_scenario: Option<usize>,
+    /// The link carrying that peak.
+    pub peak_link: Option<LinkId>,
 }
 
 impl TrafficSummary {
+    /// Folds in the next row; rows come in scenario order.
+    pub fn add(&mut self, row: &TrafficRow) {
+        self.scenarios += 1;
+        self.tally.absorb(&row.traffic.tally);
+        let util = row.traffic.max_link_utilisation();
+        if util > self.max_link_utilisation {
+            self.max_link_utilisation = util;
+            self.peak_scenario = Some(row.scenario);
+            self.peak_link = row.traffic.peak_link;
+        }
+    }
+
     /// Traffic-weighted coverage over the whole sweep.
     pub fn weighted_coverage(&self) -> f64 {
         self.tally.weighted_coverage()
@@ -73,15 +92,8 @@ impl TrafficSummary {
 
 /// Sums a sweep's rows in scenario order.
 pub fn summarize(rows: &[TrafficRow]) -> TrafficSummary {
-    let mut s = TrafficSummary { scenarios: rows.len(), ..Default::default() };
-    for r in rows {
-        s.tally.absorb(&r.traffic.tally);
-        let util = r.traffic.max_link_utilisation();
-        if util > s.max_link_utilisation {
-            s.max_link_utilisation = util;
-            s.peak_scenario = Some(r.scenario);
-        }
-    }
+    let mut s = TrafficSummary::default();
+    rows.iter().for_each(|row| s.add(row));
     s
 }
 
@@ -97,7 +109,7 @@ pub(crate) fn replay_plan<'a>(
 }
 
 /// Replays `flows` through every scenario of `family` on `threads`
-/// workers ([`run_with_stats`] without the counters).
+/// workers and collects the rows ([`stream`] into a `Vec`).
 pub fn run(
     graph: &Graph,
     pr: &PrNetwork,
@@ -105,70 +117,77 @@ pub fn run(
     flows: &FlowSet,
     threads: usize,
 ) -> Vec<TrafficRow> {
-    run_with_stats(graph, pr, family, flows, threads).0
+    let mut rows = Vec::with_capacity(family.len());
+    stream(graph, pr, family, flows, threads, |row| rows.push(row));
+    rows
 }
 
 /// Replays `flows` through every scenario of `family` on `threads`
-/// workers, and sums what the replays looked at. Failure-invariant
-/// state — the staged FIB, the agent, the TTL — is hoisted once; each
-/// worker owns a private [`ReplayScratch`] reused across its scenarios (and with it its own
+/// workers, hands each row to `sink` in scenario order, and sums what
+/// the replays looked at. Failure-invariant state — the staged FIB, the
+/// agent, the TTL — is hoisted once; each worker owns a private
+/// [`ReplayScratch`] reused across its scenarios (and with it its own
 /// copy of the failure-free baseline: a load vector and a tally). The
 /// counters are taken per scenario, so every one but
 /// [`ReplayStats::baselines`] — one per worker — is thread-count
-/// invariant. This is what `pr traffic --stats` prints.
-pub fn run_with_stats(
+/// invariant. This is what `pr traffic` runs, and what `--stats` prints.
+pub fn stream(
     graph: &Graph,
     pr: &PrNetwork,
     family: &dyn ScenarioFamily,
     flows: &FlowSet,
     threads: usize,
-) -> (Vec<TrafficRow>, ReplayStats) {
+    mut sink: impl FnMut(TrafficRow),
+) -> ReplayStats {
     let (base, dense, agent, ttl) = replay_plan(graph, pr);
     let mut stats = ReplayStats::default();
-    let rows = run_units(
+    run_ordered(
         family.len(),
         threads,
-        ReplayScratch::new,
-        |scratch: &mut ReplayScratch<pr_core::PrHeader>, scenario| {
+        &ReplayScratch::new,
+        &|scratch: &mut ReplayScratch<pr_core::PrHeader>, scenario| {
             let failed = family.scenario(scenario);
             let traffic = replay_scenario_bitparallel(
                 graph, &agent, &dense, base, flows, &failed, ttl, scratch,
             );
             (TrafficRow { scenario, failures: failed.len(), traffic }, scratch.take_stats())
         },
-    )
-    .into_iter()
-    .map(|(row, scenario)| {
-        stats.merge(&scenario);
-        row
-    })
-    .collect();
-    (rows, stats)
+        &mut |(row, scenario)| {
+            stats.merge(&scenario);
+            sink(row);
+        },
+    );
+    stats
 }
 
-/// Renders a sweep as CSV: one row per scenario.
-pub fn rows_csv(rows: &[TrafficRow]) -> String {
-    let mut out = String::from(
+/// One line per scenario.
+impl CsvRow for TrafficRow {
+    const CSV_HEADER: &'static str =
         "scenario,failures,flows,offered,delivered,lost,weighted_coverage,\
-         demand_lost_fraction,max_link_load,max_link_utilisation\n",
-    );
-    for r in rows {
-        let t = &r.traffic.tally;
-        out.push_str(&format!(
-            "{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6}\n",
-            r.scenario,
-            r.failures,
+         demand_lost_fraction,max_link_load,max_link_utilisation\n";
+
+    fn write_csv(&self, out: &mut dyn Write) -> io::Result<()> {
+        let t = &self.traffic.tally;
+        writeln!(
+            out,
+            "{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6}",
+            self.scenario,
+            self.failures,
             t.flows,
             t.offered,
             t.delivered,
             t.lost(),
             t.weighted_coverage(),
             t.demand_lost_fraction(),
-            r.traffic.max_link_load,
-            r.traffic.max_link_utilisation(),
-        ));
+            self.traffic.max_link_load,
+            self.traffic.max_link_utilisation(),
+        )
     }
-    out
+}
+
+/// Renders a sweep as CSV: one row per scenario.
+pub fn rows_csv(rows: &[TrafficRow]) -> String {
+    artefact::render(rows, Format::Csv)
 }
 
 #[cfg(test)]
@@ -189,7 +208,8 @@ mod tests {
         );
         let flows = FlowSet::all_pairs(&GravityTraffic::new(&g));
         let singles = SingleLinkFailures::new(&g);
-        let (rows, stats) = run_with_stats(&g, &pr, &singles, &flows, 2);
+        let mut rows = Vec::new();
+        let stats = stream(&g, &pr, &singles, &flows, 2, |row| rows.push(row));
         assert_eq!(rows, run(&g, &pr, &singles, &flows, 1));
         assert_eq!(rows.len(), g.link_count());
         // Every busy destination priced off its episode, none walked.

@@ -4,6 +4,7 @@
 //! constant the published numbers were taken at; only `--threads`
 //! varies, and never the bytes written under `results/`.
 
+use pr_bench::artefact::{Artefact, Format, RowWriter};
 use pr_bench::{ablation, coverage, impair, overheads, stretch};
 use pr_bench::{paper_topology, paper_topology_with, write_result, EXPERIMENT_SEED};
 use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
@@ -308,8 +309,13 @@ fn impair_loss(threads: usize) -> CmdResult {
         ] {
             let outages = OutageSweep::new(&g, OutageParams::default());
             let family = Impaired::new(&g, outages, process, EXPERIMENT_SEED);
-            let rows = impair::run(&g, &net, &family, &flows, threads);
-            let s = impair::summarize(&rows);
+            let mut rows =
+                RowWriter::new(Artefact::create(&format!("impair_{slug}_{tag}.csv"))?, Format::Csv);
+            let mut s = impair::ImpairSummary::default();
+            impair::stream(&g, &net, &family, &flows, threads, |row| {
+                s.add(&row);
+                rows.row(&row);
+            });
             let (scenarios, events, offered) = (s.scenarios, s.events, s.offered_demand_seconds);
             let (pr, igp) = (s.pr_demand_seconds_lost, s.igp_demand_seconds_lost);
             let (pr_rate, igp_rate) = (s.pr_loss_over_time(), s.igp_loss_over_time());
@@ -317,7 +323,7 @@ fn impair_loss(threads: usize) -> CmdResult {
                 "{slug}/{tag}: {scenarios} scenarios, {events} events, PR loses {pr:.6} demand-s \
                  vs IGP {igp:.6} (loss-over-time {pr_rate:.6} vs {igp_rate:.6})"
             );
-            write_result(&format!("impair_{slug}_{tag}.csv"), &impair::rows_csv(&rows));
+            rows.finish()?.finish()?;
             table.push_str(&format!(
                 "{slug},{tag},{scenarios},{events},{offered:.6},{pr:.6},{igp:.6},{pr_rate:.6},\
                  {igp_rate:.6},{:.6}\n",

@@ -8,6 +8,7 @@ mod inspect;
 mod sweep;
 mod traffic;
 
+use pr_bench::artefact::{Artefact, CsvRow, Format, RowWriter};
 use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
 use pr_embedding::{heuristics, CellularEmbedding, RotationSystem};
 use pr_graph::{Graph, LinkSet, NodeId};
@@ -231,8 +232,15 @@ fn find(raw: &[String]) -> Result<&'static Command, Usage> {
 
 /// Runs one `pr` command line (without the program name): the single
 /// way into a subcommand body, for `main`, the experiment rows that
-/// compose other subcommands, and the tests.
+/// compose other subcommands, and the tests. `help`, and `--help` or
+/// `-h` anywhere on the line, print the usage to stdout instead.
 pub fn invoke(raw: Vec<String>) -> CmdResult {
+    if raw.first().is_some_and(|name| name == "help")
+        || raw.iter().any(|a| a == "--help" || a == "-h")
+    {
+        println!("{}", usage());
+        return Ok(());
+    }
     let cmd = find(&raw)?;
     let args =
         Args::parse(raw.into_iter().skip(1), cmd.options).map_err(|e| Usage(e.to_string()))?;
@@ -471,27 +479,39 @@ fn losable(graph: &Graph, flag: &str, k: usize) -> CmdResult<usize> {
     bounded(flag, k, most, "links a connected survivor graph can lose")
 }
 
-/// `--format csv|json`: the artefact's extension (absent =
-/// human-readable stdout only).
-fn parse_format(args: &Args) -> Result<Option<&str>, String> {
+/// `--format csv|json` (absent = human-readable stdout only).
+fn parse_format(args: &Args) -> Result<Option<Format>, String> {
     match args.option("format") {
-        None | Some("csv" | "json") => Ok(args.option("format")),
+        None => Ok(None),
+        Some("csv") => Ok(Some(Format::Csv)),
+        Some("json") => Ok(Some(Format::Json)),
         Some(other) => Err(format!("--format wants csv|json, got {other:?}")),
     }
 }
 
-/// Writes the `--format` artefact, if one was asked for, under
-/// `results/` and echoes its path.
+/// Writes the `--format` artefact of a sweep that returns one result,
+/// if one was asked for, under `results/` and echoes its path.
 fn emit(
-    format: Option<&str>,
+    format: Option<Format>,
     stem: &str,
     csv: impl FnOnce() -> String,
     json: impl FnOnce() -> String,
 ) {
-    if let Some(ext) = format {
-        let contents = if ext == "csv" { csv() } else { json() };
-        pr_bench::write_result(&format!("{stem}.{ext}"), &contents);
+    if let Some(format) = format {
+        let contents = if format == Format::Csv { csv() } else { json() };
+        pr_bench::write_result(&format!("{stem}.{}", format.ext()), &contents);
     }
+}
+
+/// The `--format` artefact of a row sweep, if one was asked for:
+/// `results/<stem>.<ext>`, written row by row at the engine's sink.
+fn row_artefact<R: CsvRow>(
+    format: Option<Format>,
+    stem: &str,
+) -> std::io::Result<Option<RowWriter<Artefact, R>>> {
+    let Some(format) = format else { return Ok(None) };
+    let file = Artefact::create(&format!("{stem}.{}", format.ext()))?;
+    Ok(Some(RowWriter::new(file, format)))
 }
 
 #[cfg(test)]
@@ -568,6 +588,20 @@ mod tests {
         }
         let err = run("experiment overheads --thread 4").unwrap_err().to_string();
         assert!(err.contains("unknown option --thread"), "{err}");
+    }
+
+    #[test]
+    fn help_after_any_subcommand_is_no_error() {
+        // `--help` is no option of any row: it must not be parsed as
+        // one that wants a value.
+        for c in COMMANDS {
+            for help in ["--help", "-h"] {
+                let line = format!("{} {help}", c.name);
+                assert!(run(&line).is_ok(), "{line:?}");
+            }
+        }
+        assert!(run("impair geant --process gilbert --help").is_ok());
+        assert!(run("help").is_ok());
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //! impaired timelines, and the demand workload both (and the daemon)
 //! are given on the command line.
 
+use pr_bench::impair::ImpairSummary;
+use pr_bench::traffic::TrafficSummary;
 use pr_scenarios::{
     Impaired, ImpairmentProcess, OutageParams, OutageSweep, ScenarioFamily, TemporalFamily,
 };
 
 use super::{
-    bounded, compile, emit, load_topology, parse_failures, parse_format, positive, slug, threads,
-    topological_family, CmdResult,
+    bounded, compile, load_topology, parse_failures, parse_format, positive, row_artefact, slug,
+    threads, topological_family, CmdResult,
 };
 use crate::args::Args;
 
@@ -112,9 +114,15 @@ pub fn traffic(args: &Args) -> CmdResult {
     notes.iter().for_each(|note| println!("{note}"));
     print_workload(&flows, &family.label(), &format!("{} scenarios", family.len()), threads);
 
-    let (rows, stats) =
-        pr_bench::traffic::run_with_stats(&graph, &net, family.as_ref(), &flows, threads);
-    let s = pr_bench::traffic::summarize(&rows);
+    let stem = format!("traffic_{}_{model_name}_{family_name}{}", slug(topo_spec), args.stem());
+    let mut artefact = row_artefact(format, &stem)?;
+    let mut s = TrafficSummary::default();
+    let stats = pr_bench::traffic::stream(&graph, &net, family.as_ref(), &flows, threads, |row| {
+        s.add(&row);
+        if let Some(rows) = &mut artefact {
+            rows.row(&row);
+        }
+    });
     let (coverage, lost_pct) = (s.weighted_coverage(), 100.0 * s.demand_lost_fraction());
     println!(
         "weighted coverage:     {coverage:.6} (delivered share of affected, connected demand)"
@@ -125,7 +133,7 @@ pub fn traffic(args: &Args) -> CmdResult {
         s.tally.offered
     );
     print!("max link utilisation:  {:.4}", s.max_link_utilisation);
-    match s.peak_scenario.and_then(|i| rows[i].traffic.peak_link.map(|l| (i, l))) {
+    match s.peak_scenario.zip(s.peak_link) {
         Some((scenario, link)) => {
             let (a, b) = graph.endpoints(link);
             println!(" (scenario {scenario}, link {}-{})", graph.node_name(a), graph.node_name(b));
@@ -138,12 +146,9 @@ pub fn traffic(args: &Args) -> CmdResult {
     if args.flag("stats") {
         print_replay_stats(&stats);
     }
-    emit(
-        format,
-        &format!("traffic_{}_{model_name}_{family_name}{}", slug(topo_spec), args.stem()),
-        || pr_bench::traffic::rows_csv(&rows),
-        || serde_json::to_string_pretty(&rows).expect("serializable rows"),
-    );
+    if let Some(rows) = artefact {
+        rows.finish()?.finish()?;
+    }
     Ok(())
 }
 
@@ -226,9 +231,16 @@ pub fn impair(args: &Args) -> CmdResult {
     let net = compile(&graph, canonical, args)?;
     print_workload(&flows, &family.label(), &format!("{} timed scenarios", family.len()), threads);
 
-    let (rows, stats) =
-        pr_bench::impair::run_with_stats(&graph, &net, family.as_ref(), &flows, threads);
-    let s = pr_bench::impair::summarize(&rows);
+    let stem =
+        format!("impair_{}_{}_{model_name}{}", slug(topo_spec), processes.join("-"), args.stem());
+    let mut artefact = row_artefact(format, &stem)?;
+    let mut s = ImpairSummary::default();
+    let stats = pr_bench::impair::stream(&graph, &net, family.as_ref(), &flows, threads, |row| {
+        s.add(&row);
+        if let Some(rows) = &mut artefact {
+            rows.row(&row);
+        }
+    });
     println!("link events:           {} across {} timelines", s.events, s.scenarios);
     println!("offered demand:        {:.3} demand-seconds", s.offered_demand_seconds);
     println!(
@@ -247,11 +259,8 @@ pub fn impair(args: &Args) -> CmdResult {
     if args.flag("stats") {
         print_replay_stats(&stats);
     }
-    emit(
-        format,
-        &format!("impair_{}_{}_{model_name}{}", slug(topo_spec), processes.join("-"), args.stem()),
-        || pr_bench::impair::rows_csv(&rows),
-        || serde_json::to_string_pretty(&rows).expect("serializable rows"),
-    );
+    if let Some(rows) = artefact {
+        rows.finish()?.finish()?;
+    }
     Ok(())
 }

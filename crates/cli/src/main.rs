@@ -13,7 +13,6 @@ fn main() {
             eprintln!("{}", commands::usage());
             std::process::exit(2);
         }
-        Some("help" | "--help" | "-h") => println!("{}", commands::usage()),
         Some(_) => {
             if let Err(e) = commands::invoke(raw) {
                 eprintln!("error: {e}\n\n{}", commands::usage());

@@ -17,11 +17,20 @@ fn stderr(output: &Output) -> String {
 
 #[test]
 fn help_prints_usage_and_exits_zero() {
-    for flag in ["--help", "-h", "help"] {
-        let out = run(&[flag]);
-        assert!(out.status.success(), "{flag} must exit 0");
-        assert!(stdout(&out).contains("USAGE"), "{flag} must print usage");
-        assert!(stdout(&out).contains("pr info"), "{flag} must list subcommands");
+    let lines: [&[&str]; 6] = [
+        &["--help"],
+        &["-h"],
+        &["help"],
+        &["impair", "--help"],
+        &["daemon", "-h"],
+        &["sweep", "-h"],
+    ];
+    for line in lines {
+        let out = run(line);
+        assert!(out.status.success(), "{line:?} must exit 0");
+        assert!(stdout(&out).contains("USAGE"), "{line:?} must print usage");
+        assert!(stdout(&out).contains("pr info"), "{line:?} must list subcommands");
+        assert!(stderr(&out).is_empty(), "{line:?}: {}", stderr(&out));
     }
 }
 

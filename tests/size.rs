@@ -19,8 +19,8 @@ use std::path::Path;
 const PRODUCT: &[(&str, usize)] = &[
     ("src", 104),
     ("crates/baselines", 680),
-    ("crates/bench", 3051),
-    ("crates/cli", 2126),
+    ("crates/bench", 3277),
+    ("crates/cli", 2160),
     ("crates/core", 3101),
     ("crates/daemon", 1339),
     ("crates/embedding", 1460),
@@ -32,7 +32,7 @@ const PRODUCT: &[(&str, usize)] = &[
 ];
 
 /// The sum of [`PRODUCT`], the number ROADMAP.md tracks.
-const PRODUCT_TOTAL: usize = 19_136;
+const PRODUCT_TOTAL: usize = 19_396;
 
 /// Lines of DESIGN.md.
 const DESIGN_LINES: usize = 1_500;
