@@ -1,7 +1,7 @@
 //! The counting allocator against known allocations. One test, so no
 //! other thread of the binary moves the process-wide gauge.
 
-use pr_testkit::alloc::{calls_during, live_bytes, peak_during, Counting};
+use pr_testkit::alloc::{calls_during, live_bytes, own_heap_during, peak_during, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -34,4 +34,20 @@ fn a_known_vec_growth_is_counted_exactly_and_the_gauge_comes_back() {
     assert_eq!(len, 3 << 20);
     assert!((3 << 20..4 << 20).contains(&peak), "peak {peak} B for a 3 MiB buffer");
     assert_eq!(live_bytes(), before, "everything allocated inside was freed");
+
+    // The per-thread gauge sees this thread's buffer and none of the
+    // thousand boxes another thread holds while it is measured.
+    let (kept, retained, peak) = own_heap_during(|| {
+        let kept: Vec<u8> = Vec::with_capacity(1 << 20);
+        let boxes = || (0..1000).map(Box::new).collect::<Vec<Box<u64>>>();
+        let held = std::thread::scope(|s| s.spawn(boxes).join()).expect("joins");
+        drop(Vec::<u8>::with_capacity(2 << 20));
+        (kept, held)
+    });
+    assert_eq!(kept.0.capacity(), 1 << 20);
+    assert!(
+        (1 << 20..(1 << 20) + 4096).contains(&retained),
+        "retains {retained} B of a 1 MiB buffer"
+    );
+    assert!((3 << 20..(3 << 20) + 8192).contains(&peak), "peak {peak} B for 1 + 2 MiB buffers");
 }

@@ -12,19 +12,26 @@
 //! that grows a fresh `Vec` per flow makes every worker thread queue
 //! on one glibc arena lock (DESIGN.md, "allocator discipline").
 //!
-//! The call counter is per thread, so these tests may run side by
-//! side. What a flow set keeps on the heap is read off the process-wide
-//! byte gauge instead, in a binary of its own (`alloc_bytes.rs`).
+//! A flow set holds what the replay reads of it: one `f64` per flow,
+//! and a source only for a group that lacks some node. Its heap is
+//! pinned here too, as retained bytes and as the compile's peak; a
+//! sampled set's compile peaks at its draws, not at the matrix.
+//!
+//! The call counter and the byte gauge read here are both per thread,
+//! so these tests may run side by side: a harness thread that starts or
+//! ends while one measures is not counted.
 
 use pr_core::{generous_ttl, DenseFib};
 use pr_graph::LinkSet;
 use pr_scenarios::{ExhaustiveKFailures, ScenarioFamily, SingleLinkFailures};
-use pr_testkit::alloc::{calls_during, Counting};
+use pr_testkit::alloc::{calls_during, own_heap_during, Counting};
 use pr_testkit::fixtures;
-use pr_testkit::nets::{isp, Net};
+use pr_testkit::nets::{isp, synth, Net};
 use pr_testkit::oracle::replay_scenario_naive;
 use pr_topologies::Isp;
-use pr_traffic::{replay_scenario_bitparallel, FlowSet, GravityTraffic, ReplayScratch};
+use pr_traffic::{
+    replay_scenario_bitparallel, FlowSet, GravityTraffic, HotspotTraffic, ReplayScratch,
+};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -147,4 +154,37 @@ fn a_warm_multi_failure_replay_never_calls_the_allocator() {
             "{label}: a warm multi-failure replay called the allocator {calls} times"
         );
     }
+}
+
+#[test]
+fn an_all_pairs_set_keeps_eight_bytes_per_flow_and_builds_no_wider_record() {
+    // Every group holds every other node, so no source is stored. The
+    // model's friction table is live before the compile and after it;
+    // the compile itself may add no more than the demands it returns
+    // and the per-destination groups.
+    let g = synth("isp:200");
+    let n = g.node_count();
+    let gravity = GravityTraffic::new(&g);
+    let (set, retained, peak) = own_heap_during(|| FlowSet::all_pairs(&gravity));
+    assert_eq!(set.len(), n * (n - 1));
+    let bound = 8 * set.len() + 64 * n + 1024;
+    assert!(retained <= bound, "retains {retained} B for {} flows (bound {bound} B)", set.len());
+    assert!(peak <= bound, "peaked at {peak} B for {} flows (bound {bound} B)", set.len());
+}
+
+#[test]
+fn a_sparse_sampled_set_keeps_twelve_bytes_per_flow() {
+    // A few thousand draws over 39 800 pairs: no group fills, so every
+    // flow keeps its source beside its demand. The compile holds the
+    // sorted draws and the flows it keeps, never a table over the pairs
+    // the draws are taken from.
+    let g = synth("isp:200");
+    let hotspot = HotspotTraffic::new(&g, 8, 8.0, 2010);
+    let (set, retained, peak) = own_heap_during(|| FlowSet::sampled(&hotspot, 3000, 2010));
+    let groups = set.by_destination().count();
+    assert!(set.by_destination().all(|(_, group)| group.iter().count() < g.node_count() - 1));
+    let bound = 12 * set.len() + 64 * groups + 1024;
+    assert!(retained <= bound, "retains {retained} B for {} flows (bound {bound} B)", set.len());
+    let draws = 32 * 3000 + 64 * groups + 1024;
+    assert!(peak <= draws, "peaked at {peak} B for 3000 draws (bound {draws} B)");
 }
