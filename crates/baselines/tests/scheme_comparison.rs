@@ -170,10 +170,10 @@ fn fcp_paths_match_incremental_knowledge_not_global() {
     // when it meets them. Construct the canonical case: a path that
     // walks up to a failure and must back-track.
     let mut g = Graph::new();
-    let a = g.add_node("A");
-    let b = g.add_node("B");
-    let c = g.add_node("C");
-    let d = g.add_node("D");
+    let a = g.add_node("A").unwrap();
+    let b = g.add_node("B").unwrap();
+    let c = g.add_node("C").unwrap();
+    let d = g.add_node("D").unwrap();
     // A-B-C cheap chain, C-A expensive back edge, plus B-D-C detour.
     g.add_link(a, b, 1).unwrap();
     g.add_link(b, c, 1).unwrap();

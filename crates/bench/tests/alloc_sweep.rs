@@ -22,14 +22,23 @@
 //!   partial result per (scenario, destination) unit — and `run_rows`
 //!   holds the blocks in flight and O(1) per scenario.
 //!
+//! And one of the plan it folds over: **the hoisted trees cost what
+//! their values need.** The failure-free labels take 10 bytes per
+//! (destination, node) and the child index 4, which is all that
+//! compiling a network and hoisting a sweep's plan may keep per pair.
+//!
 //! The call counter is per thread and the byte gauge is process-wide,
-//! so the tests take turns.
+//! so the tests that read the latter take turns; the per-thread gauge
+//! needs none.
+
+use std::mem::size_of;
 
 use pr_bench::engine::SweepUnit;
 use pr_bench::stretch::{self, StretchBlock, StretchPlan, StretchSamples};
-use pr_graph::LinkSet;
+use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
+use pr_graph::{LinkSet, SpTree, TreeChildren};
 use pr_scenarios::{ExhaustiveKFailures, ScenarioFamily, SingleLinkFailures};
-use pr_testkit::alloc::{calls_during, peak_during, turn, Counting};
+use pr_testkit::alloc::{calls_during, own_heap_during, peak_during, turn, Counting};
 use pr_testkit::nets::Net;
 
 #[global_allocator]
@@ -184,4 +193,28 @@ fn run_with_stats_holds_its_result_and_the_blocks_in_flight() {
              for {returned} B of samples"
         );
     }
+}
+
+#[test]
+fn the_compiled_trees_and_the_child_index_keep_fourteen_bytes_per_pair() {
+    let Net { g, pr, .. } = Net::mesh120();
+    let embedding = pr.embedding().clone();
+    let (compiled, in_network, _) = own_heap_during(|| {
+        PrNetwork::compile(&g, embedding, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops)
+    });
+    let (plan, in_plan, _) = own_heap_during(|| StretchPlan::new(&g, &compiled));
+    drop(plan);
+    // Per pair: 10 B of labels and 4 B of child index. Per tree: its
+    // `SpTree` and `TreeChildren` headers. Per dart: the cycle
+    // following table's row, with room to spare. Widening any one
+    // column by two bytes per pair (28 800 B here) breaks the bound.
+    let (n, darts) = (g.node_count(), g.dart_count());
+    let headers = size_of::<SpTree>() + size_of::<TreeChildren>();
+    let bound = 14 * n * n + headers * n + 16 * darts;
+    let held = in_network + in_plan;
+    assert!(
+        held <= bound,
+        "the network holds {in_network} B and the plan {in_plan} B on {n} nodes and {darts} \
+         darts: {held} B against a bound of {bound} B"
+    );
 }

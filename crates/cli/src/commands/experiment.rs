@@ -197,7 +197,7 @@ const OC192_BPS: u64 = 9_953_280_000;
 /// genuinely differ. Returns the graph and the primary link `P-D`.
 fn diamond() -> (Graph, LinkId) {
     let mut g = Graph::new();
-    let [s, p, b, d] = ["S", "P", "B", "D"].map(|name| g.add_node(name));
+    let [s, p, b, d] = ["S", "P", "B", "D"].map(|name| g.add_node(name).expect("four nodes"));
     g.add_link(s, p, 1).expect("distinct nodes");
     let primary = g.add_link(p, d, 1).expect("distinct nodes");
     g.add_link(s, b, 2).expect("distinct nodes");

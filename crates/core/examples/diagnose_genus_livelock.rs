@@ -13,7 +13,7 @@ use pr_graph::{Dart, Graph, LinkSet, NodeId};
 fn main() {
     let mut g = Graph::new();
     for i in 0..5 {
-        g.add_node(format!("{i}"));
+        g.add_node(format!("{i}")).unwrap();
     }
     let links = [
         (3, 4, 2),

@@ -845,7 +845,7 @@ mod tests {
         // A pendant router cut off by its only link deflects nowhere:
         // an empty episode prices no destination.
         let mut g = generators::ring(5, 1);
-        let pendant = g.add_node("5");
+        let pendant = g.add_node("5").unwrap();
         g.add_link(NodeId(0), pendant, 3).unwrap();
         let emb = CellularEmbedding::new(&g, RotationSystem::identity(&g)).unwrap();
         let net = PrNetwork::compile(&g, emb, PrMode::Basic, DiscriminatorKind::Hops);

@@ -162,14 +162,14 @@ impl DenseFib {
             pos.fill(NO_FRAME);
             // Children are pushed in descending id so they pop — and
             // are staged — in ascending id.
-            stack.extend(children.of(dest).iter().rev());
+            stack.extend(children.of(dest).rev());
             while let Some(u) = stack.pop() {
                 let d = tree.next_dart(u).expect("a tree child routes towards the destination");
                 let at = (frames.len() - start) as u32;
                 pos[u.index()] = at;
                 // A leaf's subtree ends right behind itself.
                 frames.push(FibFrame { dart: d.0, end: at + 1 });
-                stack.extend(children.of(u).iter().rev());
+                stack.extend(children.of(u).rev());
             }
             // Subtree extents, leaves first: a frame's subtree ends
             // where its last child's does.

@@ -371,7 +371,7 @@ mod tests {
         // link weights 5, 7, 2 (total 14); link `i` joins `i` and
         // `i + 1`, its forward dart is `Dart(2 * i)`.
         let mut g = Graph::new();
-        let nodes: Vec<NodeId> = (0..4).map(|i| g.add_node(format!("n{i}"))).collect();
+        let nodes: Vec<NodeId> = (0..4).map(|i| g.add_node(format!("n{i}")).unwrap()).collect();
         for (i, w) in [5, 7, 2].into_iter().enumerate() {
             g.add_link(nodes[i], nodes[i + 1], w).unwrap();
         }

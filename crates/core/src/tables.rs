@@ -308,8 +308,8 @@ mod tests {
     #[should_panic(expected = "connected")]
     fn compile_panics_on_disconnected() {
         let mut g = Graph::new();
-        g.add_node("a");
-        g.add_node("b");
+        g.add_node("a").unwrap();
+        g.add_node("b").unwrap();
         let ap = AllPairs::compute(&g, &LinkSet::empty(0));
         let _ = RoutingTables::compile(&g, ap);
     }

@@ -272,7 +272,7 @@ proptest! {
 fn k5_genus_one_counterexample_livelocks() {
     let mut g = Graph::new();
     for i in 0..5 {
-        g.add_node(format!("{i}"));
+        g.add_node(format!("{i}")).unwrap();
     }
     let links = [
         (3, 4, 2),

@@ -112,9 +112,9 @@ mod tests {
     #[test]
     fn construction_validates_connectivity() {
         let mut g = pr_graph::Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
-        g.add_node("isolated");
+        let a = g.add_node("A").unwrap();
+        let b = g.add_node("B").unwrap();
+        g.add_node("isolated").unwrap();
         g.add_link(a, b, 1).unwrap();
         let rot = RotationSystem::identity(&g);
         assert!(matches!(CellularEmbedding::new(&g, rot), Err(EmbeddingError::NotConnected)));

@@ -216,10 +216,10 @@ mod tests {
     #[test]
     fn genus_none_for_disconnected() {
         let mut g = pr_graph::Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
-        let c = g.add_node("C");
-        let d = g.add_node("D");
+        let a = g.add_node("A").unwrap();
+        let b = g.add_node("B").unwrap();
+        let c = g.add_node("C").unwrap();
+        let d = g.add_node("D").unwrap();
         g.add_link(a, b, 1).unwrap();
         g.add_link(c, d, 1).unwrap();
         let rot = RotationSystem::identity(&g);
@@ -230,9 +230,9 @@ mod tests {
     #[test]
     fn display_face_is_readable() {
         let mut g = pr_graph::Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
-        let c = g.add_node("C");
+        let a = g.add_node("A").unwrap();
+        let b = g.add_node("B").unwrap();
+        let c = g.add_node("C").unwrap();
         g.add_link(a, b, 1).unwrap();
         g.add_link(b, c, 1).unwrap();
         g.add_link(c, a, 1).unwrap();

@@ -38,9 +38,9 @@ pub fn random_triangulation(
     rng: &mut impl Rng,
 ) -> (Graph, RotationSystem) {
     let mut g = Graph::new();
-    let a = g.add_node("0");
-    let b = g.add_node("1");
-    let c = g.add_node("2");
+    let a = g.add_node("0").unwrap();
+    let b = g.add_node("1").unwrap();
+    let c = g.add_node("2").unwrap();
     let w = move |rng: &mut dyn rand::RngCore| -> u32 {
         if weights.start() == weights.end() {
             *weights.start()
@@ -68,7 +68,7 @@ pub fn random_triangulation(
         let face_idx = rng.gen_range(0..faces.len());
         let [d1, d2, d3] = faces.swap_remove(face_idx);
         let (x, y, z) = (g.dart_tail(d1), g.dart_tail(d2), g.dart_tail(d3));
-        let v = g.add_node(g.node_count().to_string());
+        let v = g.add_node(g.node_count().to_string()).unwrap();
         orders.push(Vec::new());
         let vx = g.add_link(v, x, w(rng)).unwrap();
         let vy = g.add_link(v, y, w(rng)).unwrap();
@@ -121,7 +121,7 @@ pub fn random_outerplanar(
     let mut g = Graph::new();
     for i in 0..n {
         let angle = 2.0 * std::f64::consts::PI * i as f64 / n as f64;
-        let id = g.add_node(i.to_string());
+        let id = g.add_node(i.to_string()).unwrap();
         g.set_coordinates(id, pr_graph::Coordinates { lon: angle.cos(), lat: angle.sin() });
     }
     let w = move |rng: &mut dyn rand::RngCore| -> u32 {

@@ -378,9 +378,9 @@ mod tests {
     #[test]
     fn from_neighbor_orders_matches_figure_style_input() {
         let mut g = pr_graph::Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
-        let c = g.add_node("C");
+        let a = g.add_node("A").unwrap();
+        let b = g.add_node("B").unwrap();
+        let c = g.add_node("C").unwrap();
         g.add_link(a, b, 1).unwrap();
         g.add_link(b, c, 1).unwrap();
         g.add_link(c, a, 1).unwrap();
@@ -396,9 +396,9 @@ mod tests {
     #[test]
     fn neighbor_orders_reject_non_adjacent() {
         let mut g = pr_graph::Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
-        let c = g.add_node("C");
+        let a = g.add_node("A").unwrap();
+        let b = g.add_node("B").unwrap();
+        let c = g.add_node("C").unwrap();
         g.add_link(a, b, 1).unwrap();
         g.add_link(b, c, 1).unwrap();
         let err =
@@ -409,8 +409,8 @@ mod tests {
     #[test]
     fn neighbor_orders_reject_parallel_links() {
         let mut g = pr_graph::Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
+        let a = g.add_node("A").unwrap();
+        let b = g.add_node("B").unwrap();
         g.add_link(a, b, 1).unwrap();
         g.add_link(a, b, 1).unwrap();
         let err = RotationSystem::from_neighbor_orders(&g, &[vec![b, b], vec![a, a]]).unwrap_err();

@@ -220,7 +220,7 @@ mod tests {
         let mut g = generators::complete(3, 1);
         let offset = g.node_count() as u32;
         for i in 0..3 {
-            g.add_node(format!("R{i}"));
+            g.add_node(format!("R{i}")).unwrap();
         }
         for (x, y) in [(0, 1), (1, 2), (2, 0)] {
             g.add_link(NodeId(offset + x), NodeId(offset + y), 1).unwrap();
@@ -234,8 +234,8 @@ mod tests {
     #[test]
     fn parallel_links_are_not_bridges() {
         let mut g = Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
+        let a = g.add_node("A").unwrap();
+        let b = g.add_node("B").unwrap();
         g.add_link(a, b, 1).unwrap();
         g.add_link(a, b, 1).unwrap();
         let cuts = cut_analysis(&g, &no_failures(&g));
@@ -246,8 +246,8 @@ mod tests {
     #[test]
     fn single_link_is_a_bridge() {
         let mut g = Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
+        let a = g.add_node("A").unwrap();
+        let b = g.add_node("B").unwrap();
         let l = g.add_link(a, b, 1).unwrap();
         let cuts = cut_analysis(&g, &no_failures(&g));
         assert_eq!(cuts.bridges, vec![l]);
@@ -285,7 +285,7 @@ mod tests {
         let g = Graph::new();
         assert!(is_connected(&g, &LinkSet::empty(0)));
         let mut g1 = Graph::new();
-        g1.add_node("only");
+        g1.add_node("only").unwrap();
         assert!(is_connected(&g1, &LinkSet::empty(0)));
         assert!(!is_two_edge_connected(&g1, &LinkSet::empty(0)));
         assert!(!is_biconnected(&g1, &LinkSet::empty(0)));
@@ -295,7 +295,7 @@ mod tests {
     fn disconnected_graph_components() {
         let mut g = Graph::new();
         for i in 0..4 {
-            g.add_node(format!("{i}"));
+            g.add_node(format!("{i}")).unwrap();
         }
         g.add_link(NodeId(0), NodeId(1), 1).unwrap();
         g.add_link(NodeId(2), NodeId(3), 1).unwrap();

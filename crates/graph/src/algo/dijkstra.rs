@@ -18,9 +18,20 @@ use crate::{Dart, Graph, LinkSet, NodeId};
 
 /// The labels of a node that cannot reach the destination (`NO_DART`
 /// also that of the destination itself, which has no parent).
-pub(crate) const NO_DIST: u64 = u64::MAX;
-pub(crate) const NO_HOPS: u32 = u32::MAX;
+pub(crate) const NO_DIST: u32 = u32::MAX;
+pub(crate) const NO_HOPS: u16 = u16::MAX;
 pub(crate) const NO_DART: Dart = Dart(u32::MAX);
+
+/// A label computed in the arithmetic's width, narrowed to its column.
+/// The graph's limits make every label fit below its sentinel: a hop
+/// count is below `n`, which is at most [`Graph::MAX_NODES`], and the
+/// cost of a simple path, tentative or final, at most the total link
+/// weight, which stays below `u32::MAX` ([`Graph::add_link`]). A label
+/// that did not fit would be a broken limit, never a truncated label.
+#[inline]
+pub(crate) fn narrow<T: TryFrom<u64>>(label: impl Into<u64>) -> T {
+    T::try_from(label.into()).unwrap_or_else(|_| panic!("a label outgrew its column"))
+}
 
 /// A destination-rooted shortest-path tree over the live links.
 ///
@@ -31,17 +42,21 @@ pub(crate) const NO_DART: Dart = Dart(u32::MAX);
 ///   canonical tie-broken one), which strictly decreases hop by hop;
 /// * `next[u]` — the dart `u → parent` to follow towards `dest`.
 ///
-/// The labels are **three packed columns**, 16 bytes per node: an
-/// unreachable node holds the sentinels `u64::MAX` / `u32::MAX` /
-/// `Dart(u32::MAX)`, not an `Option`'s tag and padding, the destination
-/// `0`, `0` and the dart sentinel. One record per node was measured and
-/// is slower (DESIGN.md §3): a climb reads `next` alone.
+/// The labels are **three packed columns**, 10 bytes per node: `dist`
+/// is a `u32`, `hops` a `u16` and `next` a [`Dart`], each as wide as the
+/// graph's limits let its values be ([`Graph::MAX_NODES`],
+/// [`Graph::add_link`]). An unreachable node holds the sentinels
+/// `u32::MAX` / `u16::MAX` / `Dart(u32::MAX)`, not an `Option`'s tag
+/// and padding, the destination `0`, `0` and the dart sentinel. Every
+/// computation on them runs in `u64`/`u32`; a label is narrowed only
+/// where it is stored. One record per node was measured and is slower
+/// (DESIGN.md §3): a climb reads `next` alone.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpTree {
     /// The destination this tree routes towards.
     pub dest: NodeId,
-    pub(crate) dist: Vec<u64>,
-    pub(crate) hops: Vec<u32>,
+    pub(crate) dist: Vec<u32>,
+    pub(crate) hops: Vec<u16>,
     pub(crate) next: Vec<Dart>,
 }
 
@@ -74,14 +89,14 @@ impl SpTree {
     /// Weighted cost from `node` to the destination, if reachable.
     #[inline]
     pub fn cost(&self, node: NodeId) -> Option<u64> {
-        Some(self.dist[node.index()]).filter(|&d| d != NO_DIST)
+        Some(self.dist[node.index()]).filter(|&d| d != NO_DIST).map(u64::from)
     }
 
     /// Hop count from `node` to the destination along the selected
     /// shortest path, if reachable.
     #[inline]
     pub fn hops(&self, node: NodeId) -> Option<u32> {
-        Some(self.hops[node.index()]).filter(|&h| h != NO_HOPS)
+        Some(self.hops[node.index()]).filter(|&h| h != NO_HOPS).map(u32::from)
     }
 
     /// The dart `node → parent` towards the destination. `None` for the
@@ -144,7 +159,7 @@ impl SpTree {
 /// Shortest-path trees towards *every* destination over the live links.
 ///
 /// This is the all-pairs view a link-state IGP would converge to, held
-/// densely: 16 bytes per (destination, node), 4 MB on 500 nodes. A
+/// densely: 10 bytes per (destination, node), 2.5 MB on 500 nodes. A
 /// process keeps **one** failure-free map, `pr_core::PrNetwork::base`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AllPairs {
@@ -213,14 +228,14 @@ impl AllPairs {
     /// DD field needs `ceil(log2(diameter + 1))` bits (§6).
     pub fn hop_diameter(&self) -> u32 {
         let hops = self.trees.iter().flat_map(|t| t.hops.iter().copied());
-        hops.filter(|&h| h != NO_HOPS).max().unwrap_or(0)
+        hops.filter(|&h| h != NO_HOPS).max().map_or(0, u32::from)
     }
 
     /// Maximum weighted cost over all connected `(src, dst)` pairs: the
     /// bound of the weighted-cost distance discriminator.
     pub fn cost_diameter(&self) -> u64 {
         let costs = self.trees.iter().flat_map(|t| t.dist.iter().copied());
-        costs.filter(|&d| d != NO_DIST).max().unwrap_or(0)
+        costs.filter(|&d| d != NO_DIST).max().map_or(0, u64::from)
     }
 
     /// `Ok` if this is the map of an `n`-node graph (`n` trees, the
@@ -240,13 +255,19 @@ impl AllPairs {
     }
 
     /// `Ok` if every tree routes every other node of `graph` over a dart
-    /// that leaves it, with both labels — what a router forwards by —
-    /// or the first tree and node that does not. The map is of
+    /// that leaves it, with labels that add up along it — what a router
+    /// forwards by — or the first tree and node that does not. A node's
+    /// hop label is its parent's plus one and its cost its parent's plus
+    /// the weight of the link between them, and the destination's are
+    /// `0`, so every route climbs to the destination. The map is of
     /// `graph`'s shape ([`AllPairs::check_shape`]).
     pub fn check_routes(&self, graph: &Graph) -> Result<(), String> {
         let darts = graph.dart_count();
         for (d, t) in self.trees.iter().enumerate() {
             let dest = t.dest;
+            if (t.dist[dest.index()], t.hops[dest.index()]) != (0, 0) {
+                return Err(format!("tree {d} towards {dest} does not label {dest} itself 0"));
+            }
             let labels = t.next.iter().zip(&t.dist).zip(&t.hops);
             for (u, ((&next, &dist), &hops)) in labels.enumerate() {
                 let node = NodeId(u as u32);
@@ -259,6 +280,15 @@ impl AllPairs {
                 if next.index() >= darts || graph.dart_tail(next) != node {
                     return Err(format!(
                         "tree {d} towards {dest} routes {node} over dart {next}, which does not leave it"
+                    ));
+                }
+                let parent = graph.dart_head(next);
+                let weight = u64::from(graph.weight(next.link()));
+                let (dp, hp) = (u64::from(t.dist[parent.index()]), t.hops[parent.index()]);
+                if u32::from(hops) != u32::from(hp) + 1 || u64::from(dist) != dp + weight {
+                    return Err(format!(
+                        "tree {d} towards {dest} labels {node} ({dist}, {hops} hops) off its \
+                         parent {parent} ({dp}, {hp} hops) over a link of weight {weight}"
                     ));
                 }
             }
@@ -277,7 +307,7 @@ mod tests {
     fn figure1_like() -> (Graph, Vec<NodeId>) {
         let mut g = Graph::new();
         let ids: Vec<NodeId> =
-            ["A", "B", "C", "D", "E", "F"].iter().map(|n| g.add_node(*n)).collect();
+            ["A", "B", "C", "D", "E", "F"].iter().map(|n| g.add_node(*n).unwrap()).collect();
         let (a, b, c, d, e, f) = (ids[0], ids[1], ids[2], ids[3], ids[4], ids[5]);
         for (x, y) in [(a, b), (a, c), (b, c), (b, d), (c, e), (d, e), (d, f), (e, f)] {
             g.add_link(x, y, 1).unwrap();
@@ -303,10 +333,10 @@ mod tests {
         // A connects to D via B (id 1) or C (id 2), equal cost: the
         // canonical tree must pick B.
         let mut g = Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
-        let c = g.add_node("C");
-        let d = g.add_node("D");
+        let a = g.add_node("A").unwrap();
+        let b = g.add_node("B").unwrap();
+        let c = g.add_node("C").unwrap();
+        let d = g.add_node("D").unwrap();
         g.add_link(a, b, 1).unwrap();
         g.add_link(a, c, 1).unwrap();
         g.add_link(b, d, 1).unwrap();
@@ -319,9 +349,9 @@ mod tests {
     #[test]
     fn weights_respected() {
         let mut g = Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
-        let c = g.add_node("C");
+        let a = g.add_node("A").unwrap();
+        let b = g.add_node("B").unwrap();
+        let c = g.add_node("C").unwrap();
         g.add_link(a, b, 10).unwrap();
         g.add_link(a, c, 1).unwrap();
         g.add_link(c, b, 1).unwrap();
@@ -348,9 +378,9 @@ mod tests {
     #[test]
     fn disconnection_yields_none() {
         let mut g = Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
-        let c = g.add_node("C");
+        let a = g.add_node("A").unwrap();
+        let b = g.add_node("B").unwrap();
+        let c = g.add_node("C").unwrap();
         let ab = g.add_link(a, b, 1).unwrap();
         let _ = c;
         let failed = LinkSet::from_links(g.link_count(), [ab]);
@@ -361,15 +391,15 @@ mod tests {
         assert!(t.reaches(b));
     }
 
-    /// Fails when padding comes back: an `Option` column would read 32
-    /// bytes per node here.
+    /// Fails when a column widens or padding comes back: `u64` costs
+    /// read 16 bytes per node here, an `Option` column 32.
     #[test]
-    fn labels_cost_sixteen_bytes_per_node() {
+    fn labels_cost_ten_bytes_per_node() {
         use std::mem::size_of_val;
         let (g, ids) = figure1_like();
         let t = SpTree::towards_all_live(&g, ids[5]);
         let bytes = size_of_val(&t.dist[..]) + size_of_val(&t.hops[..]) + size_of_val(&t.next[..]);
-        assert_eq!(bytes, 16 * g.node_count());
+        assert_eq!(bytes, 10 * g.node_count());
     }
 
     #[test]
@@ -401,8 +431,8 @@ mod tests {
     #[test]
     fn parallel_links_take_cheapest() {
         let mut g = Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
+        let a = g.add_node("A").unwrap();
+        let b = g.add_node("B").unwrap();
         let heavy = g.add_link(a, b, 10).unwrap();
         let light = g.add_link(a, b, 2).unwrap();
         let t = SpTree::towards_all_live(&g, b);
@@ -434,8 +464,8 @@ mod tests {
     #[test]
     fn path_crosses_is_false_for_unreachable_sources() {
         let mut g = Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
+        let a = g.add_node("A").unwrap();
+        let b = g.add_node("B").unwrap();
         let ab = g.add_link(a, b, 1).unwrap();
         let failed = LinkSet::from_links(g.link_count(), [ab]);
         let t = SpTree::towards(&g, b, &failed);

@@ -116,8 +116,8 @@ mod tests {
     #[test]
     fn display_uses_names() {
         let mut g = Graph::new();
-        let a = g.add_node("Seattle");
-        let b = g.add_node("Denver");
+        let a = g.add_node("Seattle").unwrap();
+        let b = g.add_node("Denver").unwrap();
         g.add_link(a, b, 1).unwrap();
         let mut p = Path::empty();
         p.push(&g, g.find_dart(a, b).unwrap());

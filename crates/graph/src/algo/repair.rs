@@ -59,7 +59,7 @@ use std::collections::BinaryHeap;
 
 use serde::Serialize;
 
-use super::dijkstra::{SpTree, NO_DART, NO_DIST, NO_HOPS};
+use super::dijkstra::{narrow, SpTree, NO_DART, NO_DIST, NO_HOPS};
 use crate::{Dart, Graph, LinkSet, NodeId};
 
 /// Counters accumulated by a [`SpScratch`] across its lifetime, so
@@ -419,33 +419,33 @@ impl SpTree {
         scratch.heap.push(Reverse((0, dest.0)));
         while let Some(Reverse((d, u))) = scratch.heap.pop() {
             let u = NodeId(u);
-            if out.dist[u.index()] != d {
+            if u64::from(out.dist[u.index()]) != d {
                 continue; // stale entry
             }
-            let hu = out.hops[u.index()];
+            let hu = u32::from(out.hops[u.index()]);
             for &dart in graph.darts_from(u) {
                 if scratch.dart_failed(dart) {
                     continue;
                 }
                 let v = graph.dart_head(dart);
                 let nd = d + u64::from(graph.weight(dart.link()));
-                let dv = out.dist[v.index()];
+                let dv = u64::from(out.dist[v.index()]);
                 if nd > dv {
                     continue;
                 }
                 // `v` routes over the twin dart `v → u`.
                 let key = parent_key(hu, u, dart.twin());
                 if nd < dv {
-                    out.dist[v.index()] = nd;
+                    out.dist[v.index()] = narrow(nd);
                     scratch.heap.push(Reverse((nd, v.0)));
                 } else {
                     let held = out.next[v.index()];
                     let p = graph.dart_head(held);
-                    if key >= parent_key(out.hops[p.index()], p, held) {
+                    if key >= parent_key(out.hops[p.index()].into(), p, held) {
                         continue;
                     }
                 }
-                out.hops[v.index()] = key.0;
+                out.hops[v.index()] = narrow(key.0);
                 out.next[v.index()] = dart.twin();
             }
         }
@@ -542,8 +542,8 @@ impl SpTree {
         for &u in &scratch.order {
             let du = scratch.dist[u.index()];
             let (h, dart) = select_parent(graph, scratch, u, du, |v| out.cost(v).zip(out.hops(v)));
-            out.dist[u.index()] = du;
-            out.hops[u.index()] = h;
+            out.dist[u.index()] = narrow(du);
+            out.hops[u.index()] = narrow(h);
             out.next[u.index()] = dart;
         }
         out
@@ -580,7 +580,7 @@ impl SpTree {
         }
         while let Some(u) = stack.pop() {
             out.push(u);
-            stack.extend_from_slice(children.of(u));
+            stack.extend(children.of(u));
         }
         // Nested failed tree edges visit their inner subtree once per
         // enclosing root; failure sets are small, so dedup after a
@@ -676,11 +676,15 @@ impl SpTree {
 /// sweep workers can enumerate the subtree below a failed tree edge in
 /// O(subtree) (see [`SpTree::affected_cone`]) instead of classifying
 /// all `n` nodes per work unit.
+///
+/// Offsets and children are `u16`, **4 bytes per node**: a tree has
+/// fewer than `n` children and a node id is below `n`, and a graph has
+/// at most [`Graph::MAX_NODES`] nodes.
 #[derive(Debug, Clone)]
 pub struct TreeChildren {
     /// CSR offsets: node `u`'s children sit at `kids[start[u]..start[u + 1]]`.
-    start: Vec<u32>,
-    kids: Vec<NodeId>,
+    start: Vec<u16>,
+    kids: Vec<u16>,
 }
 
 impl TreeChildren {
@@ -688,7 +692,7 @@ impl TreeChildren {
     /// pointers. Children appear in ascending node id per parent.
     pub fn build(graph: &Graph, tree: &SpTree) -> TreeChildren {
         let n = graph.node_count();
-        let mut start = vec![0u32; n + 1];
+        let mut start = vec![0u16; n + 1];
         for u in graph.nodes() {
             if let Some(d) = tree.next_dart(u) {
                 start[graph.dart_head(d).index() + 1] += 1;
@@ -698,11 +702,11 @@ impl TreeChildren {
             start[i + 1] += start[i];
         }
         let mut cursor = start.clone();
-        let mut kids = vec![NodeId(0); start[n] as usize];
+        let mut kids = vec![0u16; usize::from(start[n])];
         for u in graph.nodes() {
             if let Some(d) = tree.next_dart(u) {
                 let p = graph.dart_head(d).index();
-                kids[cursor[p] as usize] = u;
+                kids[usize::from(cursor[p])] = narrow(u.0);
                 cursor[p] += 1;
             }
         }
@@ -711,8 +715,9 @@ impl TreeChildren {
 
     /// The children of `u` in the tree, ascending by node id.
     #[inline]
-    pub fn of(&self, u: NodeId) -> &[NodeId] {
-        &self.kids[self.start[u.index()] as usize..self.start[u.index() + 1] as usize]
+    pub fn of(&self, u: NodeId) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
+        let (from, to) = (self.start[u.index()], self.start[u.index() + 1]);
+        self.kids[usize::from(from)..usize::from(to)].iter().map(|&k| NodeId(k.into()))
     }
 }
 
@@ -880,14 +885,26 @@ mod tests {
         let children = TreeChildren::build(&g, &base);
         let mut seen = 0;
         for p in g.nodes() {
-            let kids = children.of(p);
+            let kids: Vec<NodeId> = children.of(p).collect();
             assert!(kids.windows(2).all(|w| w[0] < w[1]), "ascending per parent");
-            for &c in kids {
+            assert!(children.of(p).rev().eq(kids.iter().rev().copied()), "double-ended");
+            for c in kids {
                 assert_eq!(base.next_dart(c).map(|d| g.dart_head(d)), Some(p));
                 seen += 1;
             }
         }
         assert_eq!(seen, g.node_count() - 1, "every non-root appears exactly once");
+    }
+
+    /// Fails when a column widens: `u32` offsets and node ids read 8
+    /// bytes per node here.
+    #[test]
+    fn tree_children_cost_four_bytes_per_node() {
+        use std::mem::size_of_val;
+        let g = generators::complete(6, 1);
+        let children = TreeChildren::build(&g, &SpTree::towards_all_live(&g, NodeId(3)));
+        let bytes = size_of_val(&children.start[..]) + size_of_val(&children.kids[..]);
+        assert_eq!(bytes, 4 * g.node_count());
     }
 
     #[test]

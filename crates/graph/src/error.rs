@@ -1,6 +1,6 @@
 //! Error types for graph construction and parsing.
 
-use crate::{LinkId, NodeId};
+use crate::{Graph, LinkId, NodeId};
 
 /// Errors arising from graph construction or queries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,7 +33,14 @@ pub enum GraphError {
         /// The duplicated name.
         name: String,
     },
-    /// Graph exceeded the maximum representable size (`u32` ids).
+    /// A node past [`Graph::MAX_NODES`].
+    TooManyNodes,
+    /// A link that would take the total link weight to `u32::MAX`.
+    TooHeavy {
+        /// The total link weight with the refused link.
+        total: u64,
+    },
+    /// A link whose darts would outgrow `u32` ids.
     TooLarge,
 }
 
@@ -53,7 +60,11 @@ impl std::fmt::Display for GraphError {
             GraphError::DuplicateNodeName { name } => {
                 write!(f, "duplicate node name {name:?}")
             }
-            GraphError::TooLarge => write!(f, "graph exceeds u32 id space"),
+            GraphError::TooManyNodes => write!(f, "graph exceeds {} nodes", Graph::MAX_NODES),
+            GraphError::TooHeavy { total } => {
+                write!(f, "total link weight {total} is not below u32::MAX")
+            }
+            GraphError::TooLarge => write!(f, "graph exceeds the u32 dart id space"),
         }
     }
 }

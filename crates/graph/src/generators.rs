@@ -111,7 +111,7 @@ pub fn petersen(weight: u32) -> Graph {
 pub fn wheel(n: usize, weight: u32) -> Graph {
     assert!(n >= 4, "a wheel needs at least 4 nodes");
     let mut g = ring(n - 1, weight);
-    let hub = g.add_node("hub");
+    let hub = g.add_node("hub").unwrap();
     for i in 0..(n - 1) as u32 {
         g.add_link(hub, NodeId(i), weight).unwrap();
     }
@@ -333,7 +333,7 @@ pub fn isp_mesh(params: &MeshParams) -> Graph {
             if !exists(x, y) {
                 continue;
             }
-            let node = g.add_node(format!("p{x}x{y}"));
+            let node = g.add_node(format!("p{x}x{y}")).unwrap();
             let (jx, jy): (f64, f64) = (rng.gen_range(-0.2..=0.2), rng.gen_range(-0.2..=0.2));
             g.set_coordinates(
                 node,
@@ -469,7 +469,7 @@ pub fn two_tier(params: &TierParams) -> Graph {
     let mut g = Graph::new();
     // Core ring nodes, then regions round-robin over the remainder.
     for i in 0..c {
-        let node = g.add_node(format!("c{i}"));
+        let node = g.add_node(format!("c{i}")).unwrap();
         place(&mut g, node, R1, i as f64 * sector);
     }
     let spare = n - c;
@@ -479,7 +479,7 @@ pub fn two_tier(params: &TierParams) -> Graph {
         let m = region_size(i);
         let mut members = Vec::with_capacity(m);
         for j in 0..m {
-            let node = g.add_node(format!("r{i}_{j}"));
+            let node = g.add_node(format!("r{i}_{j}")).unwrap();
             // Strictly increasing angles inside ±0.35 of the sector.
             let frac = (j as f64 + 0.5) / m as f64;
             let angle = i as f64 * sector + sector * (0.7 * frac - 0.35);
@@ -556,6 +556,9 @@ pub fn synth_from_spec(spec: &str) -> Result<Graph, String> {
     };
     if let Some(extra) = parts.next() {
         return Err(format!("synthetic spec {spec:?}: unexpected trailing field {extra:?}"));
+    }
+    if nodes > Graph::MAX_NODES {
+        return Err(format!("synthetic spec {spec:?}: at most {} nodes", Graph::MAX_NODES));
     }
     match family {
         "isp" | "mesh" => {
@@ -838,6 +841,7 @@ mod tests {
         assert!(synth_from_spec("isp:abc").is_err());
         assert!(synth_from_spec("isp:24:x").is_err());
         assert!(synth_from_spec("isp:24:7:9").is_err());
+        assert!(synth_from_spec("isp:65536").is_err());
         assert!(synth_from_spec("waxman:24").is_err());
         assert!(synth_from_spec("isp:2").is_err());
         assert!(synth_from_spec("tier:5").is_err());

@@ -84,6 +84,10 @@ struct LinkRecord {
 ///   integers keeps shortest-path costs and the paper's *distance
 ///   discriminator* exact, so the strict-decrease termination condition
 ///   of §4.3 never suffers from floating-point ties.
+/// * Two limits size every per-pair table to the network: at most
+///   [`Graph::MAX_NODES`] nodes, so a node id or a hop count fits a
+///   `u16`, and a total link weight below `u32::MAX`, so the cost of
+///   any simple path fits a `u32` (see [`SpTree`](crate::SpTree)).
 ///
 /// # Example
 ///
@@ -91,8 +95,8 @@ struct LinkRecord {
 /// use pr_graph::Graph;
 ///
 /// let mut g = Graph::new();
-/// let a = g.add_node("A");
-/// let b = g.add_node("B");
+/// let a = g.add_node("A").unwrap();
+/// let b = g.add_node("B").unwrap();
 /// let l = g.add_link(a, b, 10).unwrap();
 /// assert_eq!(g.endpoints(l), (a, b));
 /// assert_eq!(g.dart_tail(l.forward()), a);
@@ -115,6 +119,8 @@ pub struct Graph {
     /// `node_count + 1` offsets into `csr_darts` (last entry is the
     /// total dart count).
     csr_offsets: Vec<u32>,
+    /// The sum of every link's weight, below `u32::MAX`.
+    total_weight: u64,
 }
 
 impl Default for Graph {
@@ -124,6 +130,12 @@ impl Default for Graph {
 }
 
 impl Graph {
+    /// The most nodes a graph may have: a node id and a hop count fit a
+    /// `u16` below its sentinel. An all-pairs map of one more node
+    /// would take more than 40 GB, so the limit refuses nothing that
+    /// could run.
+    pub const MAX_NODES: usize = u16::MAX as usize;
+
     /// Creates an empty graph.
     pub fn new() -> Self {
         Graph {
@@ -133,14 +145,19 @@ impl Graph {
             csr_darts: Vec::new(),
             // CSR invariant: `node_count + 1` offsets, starting at 0.
             csr_offsets: vec![0],
+            total_weight: 0,
         }
     }
 
     /// Creates a graph with `n` anonymous nodes named `"0"`, `"1"`, ….
+    ///
+    /// # Panics
+    ///
+    /// If `n` exceeds [`Graph::MAX_NODES`].
     pub fn with_nodes(n: usize) -> Self {
         let mut g = Self::new();
         for i in 0..n {
-            g.add_node(i.to_string());
+            g.add_node(i.to_string()).expect("with_nodes within Graph::MAX_NODES");
         }
         g
     }
@@ -149,13 +166,21 @@ impl Graph {
     ///
     /// Names are labels for humans; they are not required to be unique
     /// here (the topology parser enforces uniqueness at its level).
-    pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
-        let id = NodeId(u32::try_from(self.names.len()).expect("graph exceeds u32 id space"));
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::TooManyNodes`] if the graph already has
+    /// [`Graph::MAX_NODES`] nodes.
+    pub fn add_node(&mut self, name: impl Into<String>) -> Result<NodeId, GraphError> {
+        if self.names.len() >= Self::MAX_NODES {
+            return Err(GraphError::TooManyNodes);
+        }
+        let id = NodeId(self.names.len() as u32);
         self.names.push(name.into());
         self.coords.push(None);
         // New node: empty interface segment at the end of the CSR.
         self.csr_offsets.push(*self.csr_offsets.last().expect("CSR has an initial offset"));
-        id
+        Ok(id)
     }
 
     /// Adds an undirected link between `a` and `b` with the given weight.
@@ -164,7 +189,10 @@ impl Graph {
     ///
     /// * [`GraphError::SelfLoop`] if `a == b`;
     /// * [`GraphError::ZeroWeight`] if `weight == 0`;
-    /// * [`GraphError::NodeOutOfRange`] if either endpoint is unknown.
+    /// * [`GraphError::NodeOutOfRange`] if either endpoint is unknown;
+    /// * [`GraphError::TooHeavy`] if the total link weight would reach
+    ///   `u32::MAX`;
+    /// * [`GraphError::TooLarge`] if the darts would outgrow `u32` ids.
     pub fn add_link(&mut self, a: NodeId, b: NodeId, weight: u32) -> Result<LinkId, GraphError> {
         self.check_node(a)?;
         self.check_node(b)?;
@@ -174,8 +202,15 @@ impl Graph {
         if weight == 0 {
             return Err(GraphError::ZeroWeight);
         }
-        let id = LinkId(u32::try_from(self.links.len()).map_err(|_| GraphError::TooLarge)?);
+        let total = self.total_weight + u64::from(weight);
+        if total >= u64::from(u32::MAX) {
+            return Err(GraphError::TooHeavy { total });
+        }
+        // Both darts of the link need an id below the `u32::MAX` sentinel.
+        let id = u32::try_from(self.links.len()).ok().filter(|&l| l < u32::MAX / 2);
+        let id = LinkId(id.ok_or(GraphError::TooLarge)?);
         self.links.push(LinkRecord { a, b, weight });
+        self.total_weight = total;
         self.csr_insert(a, id.forward());
         self.csr_insert(b, id.reverse());
         Ok(id)
@@ -380,9 +415,9 @@ mod tests {
 
     fn triangle() -> (Graph, [NodeId; 3], [LinkId; 3]) {
         let mut g = Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
-        let c = g.add_node("C");
+        let a = g.add_node("A").unwrap();
+        let b = g.add_node("B").unwrap();
+        let c = g.add_node("C").unwrap();
         let ab = g.add_link(a, b, 1).unwrap();
         let bc = g.add_link(b, c, 2).unwrap();
         let ca = g.add_link(c, a, 3).unwrap();
@@ -423,23 +458,42 @@ mod tests {
         assert_eq!(g.find_dart(b, c), Some(bc.forward()));
         assert_eq!(g.find_dart(c, b), Some(bc.reverse()));
         let mut g2 = g.clone();
-        let d = g2.add_node("D");
+        let d = g2.add_node("D").unwrap();
         assert_eq!(g2.find_link(a, d), None);
     }
 
     #[test]
     fn rejects_self_loop_and_zero_weight() {
         let mut g = Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
+        let a = g.add_node("A").unwrap();
+        let b = g.add_node("B").unwrap();
         assert_eq!(g.add_link(a, a, 1), Err(GraphError::SelfLoop { node: a }));
         assert_eq!(g.add_link(a, b, 0), Err(GraphError::ZeroWeight));
+    }
+
+    /// Both limits at their edges: the last node and the last unit of
+    /// weight that fit, and one more of each.
+    #[test]
+    fn refuses_a_node_or_a_weight_past_its_limit() {
+        let mut g = Graph::with_nodes(Graph::MAX_NODES);
+        assert_eq!(g.node_count(), Graph::MAX_NODES);
+        assert_eq!(g.add_node("one too many"), Err(GraphError::TooManyNodes));
+        assert_eq!(g.node_count(), Graph::MAX_NODES);
+
+        let mut g = Graph::with_nodes(3);
+        let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
+        g.add_link(a, b, u32::MAX - 2).unwrap();
+        g.add_link(b, c, 1).unwrap();
+        let total = u64::from(u32::MAX);
+        assert_eq!(g.add_link(a, c, 1), Err(GraphError::TooHeavy { total }));
+        assert_eq!(g.link_count(), 2);
+        assert!(GraphError::TooManyNodes.to_string().contains("65535 nodes"));
     }
 
     #[test]
     fn rejects_unknown_endpoint() {
         let mut g = Graph::new();
-        let a = g.add_node("A");
+        let a = g.add_node("A").unwrap();
         let ghost = NodeId(42);
         assert!(matches!(g.add_link(a, ghost, 1), Err(GraphError::NodeOutOfRange { .. })));
     }
@@ -447,8 +501,8 @@ mod tests {
     #[test]
     fn parallel_links_are_distinct() {
         let mut g = Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
+        let a = g.add_node("A").unwrap();
+        let b = g.add_node("B").unwrap();
         let l1 = g.add_link(a, b, 1).unwrap();
         let l2 = g.add_link(a, b, 5).unwrap();
         assert_ne!(l1, l2);
@@ -465,7 +519,7 @@ mod tests {
         // tie-breaking (and hence every routing table in the
         // workspace) depends on this order.
         let mut g = Graph::new();
-        let nodes: Vec<NodeId> = (0..7).map(|i| g.add_node(format!("n{i}"))).collect();
+        let nodes: Vec<NodeId> = (0..7).map(|i| g.add_node(format!("n{i}")).unwrap()).collect();
         // Deterministic but scrambled construction, incl. a parallel
         // link and interleaved add_node/add_link calls.
         let mut reference: Vec<Vec<Dart>> = vec![Vec::new(); nodes.len()];
@@ -476,7 +530,7 @@ mod tests {
             reference[a].push(l.forward());
             reference[b].push(l.reverse());
         }
-        let late = g.add_node("late");
+        let late = g.add_node("late").unwrap();
         let l = g.add_link(late, nodes[6], 2).unwrap();
         reference.push(vec![l.forward()]);
         reference[6].push(l.reverse());

@@ -14,9 +14,10 @@
 //! Node names may not contain whitespace. Links may appear only after
 //! both endpoints were declared.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::{Coordinates, Graph, ParseError};
+use crate::{Coordinates, Graph, NodeId, ParseError};
 
 /// Parses a topology from the plain-text format.
 ///
@@ -24,9 +25,13 @@ use crate::{Coordinates, Graph, ParseError};
 ///
 /// Returns a [`ParseError`] pinpointing the offending line for unknown
 /// directives, malformed arguments, undeclared node names, duplicate
-/// node names, and graph-level violations (self-loops, zero weights).
+/// node names, and graph-level violations (self-loops, zero weights,
+/// the graph's node and weight limits).
 pub fn parse(text: &str) -> Result<Graph, ParseError> {
     let mut g = Graph::new();
+    // Names to ids in O(log n) a line: a scan of the graph's names
+    // would make a file near `Graph::MAX_NODES` nodes quadratic.
+    let mut ids: BTreeMap<&str, NodeId> = BTreeMap::new();
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
         let content = raw.split('#').next().unwrap_or("").trim();
@@ -40,13 +45,14 @@ pub fn parse(text: &str) -> Result<Graph, ParseError> {
                 let Some(name) = tokens.next() else {
                     return Err(ParseError::BadArguments { line, expected: "node NAME [LON LAT]" });
                 };
-                if g.node_by_name(name).is_some() {
+                if ids.contains_key(name) {
                     return Err(ParseError::Graph {
                         line,
                         source: crate::GraphError::DuplicateNodeName { name: name.to_string() },
                     });
                 }
-                let id = g.add_node(name);
+                let id = g.add_node(name).map_err(|source| ParseError::Graph { line, source })?;
+                ids.insert(name, id);
                 match (tokens.next(), tokens.next()) {
                     (None, _) => {}
                     (Some(lon), Some(lat)) => {
@@ -87,12 +93,12 @@ pub fn parse(text: &str) -> Result<Graph, ParseError> {
                         expected: "link A B WEIGHT (no trailing tokens)",
                     });
                 }
-                let na = g
-                    .node_by_name(a)
-                    .ok_or_else(|| ParseError::UnknownNode { line, name: a.to_string() })?;
-                let nb = g
-                    .node_by_name(b)
-                    .ok_or_else(|| ParseError::UnknownNode { line, name: b.to_string() })?;
+                let node = |name: &str| {
+                    ids.get(name)
+                        .copied()
+                        .ok_or_else(|| ParseError::UnknownNode { line, name: name.to_string() })
+                };
+                let (na, nb) = (node(a)?, node(b)?);
                 let weight: u32 = w.parse().map_err(|_| ParseError::BadArguments {
                     line,
                     expected: "link A B WEIGHT with integer weight >= 1",
@@ -227,6 +233,21 @@ link C A 3
             err,
             ParseError::Graph { line: 2, source: crate::GraphError::SelfLoop { .. } }
         ));
+    }
+
+    /// The weight limit at its edge: the heaviest path that fits costs
+    /// exactly its weight, and one more unit is refused on its line.
+    #[test]
+    fn the_weight_limit_is_refused_with_its_line() {
+        let heaviest = u32::MAX - 1;
+        let path = format!("node A\nnode B\nnode C\nlink A B {}\nlink B C 1\n", heaviest - 1);
+        let g = parse(&path).unwrap();
+        let tree = crate::SpTree::towards_all_live(&g, g.node_by_name("C").unwrap());
+        assert_eq!(tree.cost(g.node_by_name("A").unwrap()), Some(u64::from(heaviest)));
+        let err = parse(&format!("{path}link A C 1\n")).unwrap_err();
+        let source = crate::GraphError::TooHeavy { total: u64::from(u32::MAX) };
+        assert_eq!(err, ParseError::Graph { line: 6, source });
+        assert!(err.to_string().starts_with("line 6"), "{err}");
     }
 
     #[test]

@@ -301,10 +301,10 @@ fn canonical_tree_is_heap_order_independent() {
     // Diamond with two equal-cost branches declared in both orders.
     for flip in [false, true] {
         let mut g = Graph::new();
-        let a = g.add_node("A");
-        let b = g.add_node("B");
-        let c = g.add_node("C");
-        let d = g.add_node("D");
+        let a = g.add_node("A").unwrap();
+        let b = g.add_node("B").unwrap();
+        let c = g.add_node("C").unwrap();
+        let d = g.add_node("D").unwrap();
         if flip {
             g.add_link(a, c, 1).unwrap();
             g.add_link(a, b, 1).unwrap();

@@ -95,7 +95,7 @@ fn links(g: &Graph, names: &[(&str, &str)]) -> Vec<LinkSet> {
 /// Three routers, the direct link A–C five times either leg of A–B–C.
 fn lopsided_triangle() -> Graph {
     let mut g = Graph::new();
-    let [a, b, c] = ["A", "B", "C"].map(|name| g.add_node(name));
+    let [a, b, c] = ["A", "B", "C"].map(|name| g.add_node(name).unwrap());
     for (u, v, weight) in [(a, b, 1), (b, c, 1), (a, c, 5)] {
         g.add_link(u, v, weight).expect("fixture link");
     }
@@ -107,7 +107,7 @@ fn lopsided_triangle() -> Graph {
 /// round, so the forward dart of 1–4 is 4 → 1.
 fn tied_hexagon() -> Graph {
     let mut g = Graph::new();
-    let nodes = ["0", "1", "2", "3", "4", "5"].map(|name| g.add_node(name));
+    let nodes = ["0", "1", "2", "3", "4", "5"].map(|name| g.add_node(name).unwrap());
     for (u, v) in [(0, 5), (5, 2), (2, 3), (3, 4), (4, 1), (1, 0)] {
         g.add_link(nodes[u], nodes[v], 1).expect("fixture link");
     }

@@ -45,7 +45,7 @@ pub fn with_bridge_or_parallel(
             }
             if bridge {
                 let at = pr_graph::NodeId(pick % g.node_count() as u32);
-                let pendant = g.add_node("pendant");
+                let pendant = g.add_node("pendant").unwrap();
                 g.add_link(at, pendant, 1 + pick % 9).expect("distinct endpoints");
             }
             g

@@ -19,7 +19,7 @@ use pr_bench::stretch::{self, ScenarioRow};
 use pr_core::{generous_ttl, PrNetwork};
 use pr_daemon::protocol::{decode, encode};
 use pr_daemon::{DemandSpec, EventLog, Request, Twin};
-use pr_graph::{parser, LinkSet};
+use pr_graph::{parser, Graph, LinkSet};
 use pr_scenarios::{ScenarioFamily, ScenarioSlice, SingleLinkFailures};
 use pr_testkit::alloc::{peak_during, turn, Counting};
 use pr_testkit::fixtures;
@@ -104,7 +104,13 @@ fn head(input: &str) -> &str {
 fn the_topo_parser_refuses_with_a_line() {
     let _turn = turn();
     let valid = parser::write(&Net::abilene().g);
-    for input in mutants(&valid).iter().chain([&"node A nan 0".into(), &"node A 0 inf".into()]) {
+    // One node past the node limit, one unit of weight past the weight
+    // limit: both are refused on the line that crosses it.
+    let crowded: String = (0..=Graph::MAX_NODES).map(|i| format!("node n{i}\n")).collect();
+    let heavy = format!("node A\nnode B\nlink A B {}\nlink B A 1", u32::MAX - 1);
+    let limits = [crowded, heavy];
+    let extra = [&"node A nan 0".into(), &"node A 0 inf".into(), &limits[0], &limits[1]];
+    for input in mutants(&valid).iter().chain(extra) {
         match bounded("topo", input, || parser::parse(input)) {
             Ok(g) => assert!(g.node_count() <= input.lines().count()),
             Err(e) => {
@@ -114,6 +120,10 @@ fn the_topo_parser_refuses_with_a_line() {
         }
     }
     assert!(parser::parse("node A nan 0").is_err() && parser::parse("node A 0 inf").is_err());
+    for (input, line) in limits.iter().zip([Graph::MAX_NODES + 1, 4]) {
+        let message = parser::parse(input).expect_err("a limit is refused").to_string();
+        assert!(message.starts_with(&format!("line {line}: ")), "{message}");
+    }
 }
 
 #[test]
@@ -197,6 +207,32 @@ fn a_network_binds_and_replays_as_the_oracle_or_is_refused_where_it_is_bound() {
     }
     std::panic::set_hook(hook);
     assert!(bound > 1 && refused[0] > 0 && refused[1] > 0, "{bound} bound, {refused:?} refused");
+}
+
+#[test]
+fn a_network_whose_costs_do_not_add_up_is_refused_where_it_is_bound() {
+    // Every label present and in range, and every dart leaving its
+    // router: only the cost of B towards A is one too high.
+    let _turn = turn();
+    let net = Net::figure1();
+    let valid = serde_json::to_string(&net.pr).expect("serialises");
+    let column = "\"dist\":[";
+    let at = valid.find(column).expect("tree 0's cost column") + column.len();
+    let (own, rest) = valid[at..].split_once(',').expect("a cost per node");
+    let (cost, tail) = rest.split_once(',').expect("a cost per node");
+    let cost: u64 = cost.parse().expect("B's cost");
+    let off = format!("{}{own},{},{tail}", &valid[..at], cost + 1);
+    let hostile: PrNetwork = serde_json::from_str(&off).expect("still a network");
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let payload = std::panic::catch_unwind(|| hostile.agent(&net.g)).err();
+    std::panic::set_hook(hook);
+    let payload = payload.expect("refused where it is bound");
+    let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+    let node = |name| net.g.node_by_name(name).expect("a figure-1 router");
+    let (a, b) = (node("A"), node("B"));
+    let names = format!("tables refused: tree 0 towards {a} labels {b} ({}, 1 hops)", cost + 1);
+    assert!(message.starts_with(&names), "{message}");
 }
 
 #[test]

@@ -126,7 +126,7 @@ fn reweight(graph: &Graph, weighting: Weighting) -> Graph {
         Weighting::Distance => {
             let mut g = Graph::new();
             for node in graph.nodes() {
-                let id = g.add_node(graph.node_name(node));
+                let id = g.add_node(graph.node_name(node)).expect("reweighting preserves validity");
                 if let Some(c) = graph.coordinates(node) {
                     g.set_coordinates(id, c);
                 }
@@ -170,12 +170,8 @@ pub fn load(isp: Isp, weighting: Weighting) -> Graph {
 /// routes via `B`.
 pub fn figure1() -> (Graph, Vec<Vec<NodeId>>) {
     let mut g = Graph::new();
-    let a = g.add_node("A");
-    let b = g.add_node("B");
-    let c = g.add_node("C");
-    let d = g.add_node("D");
-    let e = g.add_node("E");
-    let f = g.add_node("F");
+    let [a, b, c, d, e, f] = ["A", "B", "C", "D", "E", "F"]
+        .map(|name| g.add_node(name).expect("figure-1 construction is static"));
     for (x, y, w) in [
         (a, b, 1),
         (a, c, 2),

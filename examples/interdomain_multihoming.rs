@@ -25,7 +25,7 @@ fn main() {
     // three egress PoPs: Seattle, LosAngeles and NewYork. Model it as
     // a virtual node; the "links" are the egress adjacencies, weighted
     // like local exits.
-    let prefix = graph.add_node("prefix:198.51.100.0/24");
+    let prefix = graph.add_node("prefix:198.51.100.0/24").expect("room for a node");
     for egress in ["Seattle", "LosAngeles", "NewYork"] {
         let pop = graph.node_by_name(egress).expect("PoP exists");
         graph.add_link(pop, prefix, 1).expect("egress adjacency");

@@ -24,15 +24,15 @@ const PRODUCT: &[(&str, usize)] = &[
     ("crates/core", 3101),
     ("crates/daemon", 1339),
     ("crates/embedding", 1460),
-    ("crates/graph", 2987),
+    ("crates/graph", 3077),
     ("crates/scenarios", 1296),
     ("crates/sim", 935),
-    ("crates/topologies", 205),
+    ("crates/topologies", 201),
     ("crates/traffic", 1852),
 ];
 
 /// The sum of [`PRODUCT`], the number ROADMAP.md tracks.
-const PRODUCT_TOTAL: usize = 19_396;
+const PRODUCT_TOTAL: usize = 19_482;
 
 /// Lines of DESIGN.md.
 const DESIGN_LINES: usize = 1_500;
