@@ -14,9 +14,10 @@ use rand::SeedableRng;
 
 use pr_baselines::{FcpAgent, LfaAgent};
 use pr_core::{generous_ttl, walk_packet, DiscriminatorKind, PrMode, PrNetwork, WalkResult};
-use pr_embedding::{planar, CellularEmbedding};
+use pr_embedding::CellularEmbedding;
 use pr_graph::{algo, Graph, LinkId, LinkSet, SpTree};
 use pr_testkit::oracle::ReconvergenceAgent;
+use pr_testkit::planar;
 
 /// Deterministic battery of planar scenarios shared by the tests.
 fn scenarios() -> Vec<(Graph, pr_embedding::RotationSystem, LinkSet)> {

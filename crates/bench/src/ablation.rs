@@ -310,8 +310,7 @@ mod tests {
                     let delivered = u64::from(walk.result.is_delivered());
                     out.connected.0 += 1;
                     out.connected.1 += delivered;
-                    let base_path = base.towards(dst).path_darts(graph, src).expect("connected");
-                    if base_path.iter().any(|d| failed.contains_dart(*d)) {
+                    if base.towards(dst).path_crosses(graph, src, &failed) {
                         out.affected.0 += 1;
                         out.affected.1 += delivered;
                         if delivered == 1 {

@@ -43,13 +43,18 @@ fn exhaustive_k3_geant_sweeps_through_the_engine_without_materializing() {
         assert_eq!(count(threads), serial, "{threads} threads");
     }
 
-    // The connectivity-prefiltered subfamily stores ranks only (8
-    // bytes each) and must agree with the sweep's census.
-    let connected = ExhaustiveKFailures::connected_only(&g, 3);
+    // The connected subsets, filtered into a list, are a family too:
+    // swept through the engine, every one of them stays connected.
+    let connected: Vec<LinkSet> =
+        family.scenarios().filter(|set| algo::is_connected(&g, set)).collect();
     assert_eq!(connected.len() as u64, serial);
-    for i in [0, connected.len() / 2, connected.len() - 1] {
-        assert!(algo::is_connected(&g, &connected.scenario(i)));
-    }
+    let still = engine::run_units(
+        connected.len(),
+        2,
+        || (),
+        |_, i| u64::from(algo::is_connected(&g, &connected.scenario(i))),
+    );
+    assert_eq!(still.iter().sum::<u64>(), serial);
 }
 
 #[test]

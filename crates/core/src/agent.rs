@@ -716,6 +716,11 @@ mod tests {
     use pr_embedding::RotationSystem;
     use pr_graph::generators;
 
+    /// The dart `a → b` of the link joining them.
+    fn dart(g: &Graph, a: NodeId, b: NodeId) -> Dart {
+        *g.darts_from(a).iter().find(|&&d| g.dart_head(d) == b).expect("adjacent routers")
+    }
+
     fn ring_net(mode: PrMode) -> (Graph, PrNetwork) {
         let g = generators::ring(5, 1);
         let emb = CellularEmbedding::new(&g, RotationSystem::identity(&g)).unwrap();
@@ -806,7 +811,7 @@ mod tests {
         // 1 -> 0 is down: node 1 deflects onto 1 -> 2 and the packet
         // follows the outer face round to node 0, whose cycle-following
         // dart is the failed link's other direction.
-        let out = g.find_dart(NodeId(1), NodeId(0)).unwrap();
+        let out = dart(&g, NodeId(1), NodeId(0));
         let failed = LinkSet::from_links(g.link_count(), [out.link()]);
         let mut episode = agent.episode(out, &failed);
         assert_eq!(episode.ended_by(), None, "not before the episode has run");
@@ -818,7 +823,7 @@ mod tests {
         assert_eq!(walk.path.darts(), agent.episode(out, &failed).collect::<Vec<_>>());
 
         // An isolated router deflects nowhere.
-        let all = LinkSet::full(g.link_count());
+        let all = LinkSet::from_links(g.link_count(), g.links());
         let mut nowhere = agent.episode(out, &all);
         assert_eq!((nowhere.next(), nowhere.ended_by()), (None, None));
     }
@@ -827,7 +832,7 @@ mod tests {
     fn a_staged_episode_prices_every_destination_the_walker_delivers() {
         let (g, net) = ring_net(PrMode::DistanceDiscriminator);
         let agent = net.agent(&g);
-        let out = g.find_dart(NodeId(1), NodeId(0)).unwrap();
+        let out = dart(&g, NodeId(1), NodeId(0));
         let failed = LinkSet::from_links(g.link_count(), [out.link()]);
         let mut staged = StagedEpisode::new();
         assert!(agent.episode_stamp().is_some(), "PR has episodes");
@@ -849,7 +854,7 @@ mod tests {
         g.add_link(NodeId(0), pendant, 3).unwrap();
         let emb = CellularEmbedding::new(&g, RotationSystem::identity(&g)).unwrap();
         let net = PrNetwork::compile(&g, emb, PrMode::Basic, DiscriminatorKind::Hops);
-        let bridge = g.find_dart(pendant, NodeId(0)).unwrap();
+        let bridge = dart(&g, pendant, NodeId(0));
         let failed = LinkSet::from_links(g.link_count(), [bridge.link()]);
         net.agent(&g).stage_episode(bridge, &failed, &mut staged);
         assert_eq!((staged.darts(), staged.recycle(NodeId(2))), (&[][..], None));
@@ -859,7 +864,7 @@ mod tests {
     #[should_panic(expected = "an episode starts at a failed dart")]
     fn an_episode_of_a_live_dart_is_refused() {
         let (g, net) = ring_net(PrMode::Basic);
-        let out = g.find_dart(NodeId(1), NodeId(0)).unwrap();
+        let out = dart(&g, NodeId(1), NodeId(0));
         let _ = net.agent(&g).episode(out, &LinkSet::empty(g.link_count()));
     }
 
@@ -870,7 +875,7 @@ mod tests {
         let none = LinkSet::empty(g.link_count());
         // A packet in PR mode entering node 2 from node 1 continues the
         // face of its ingress dart.
-        let ingress = g.find_dart(NodeId(1), NodeId(2)).unwrap();
+        let ingress = dart(&g, NodeId(1), NodeId(2));
         let mut state = PrHeader { pr: true, dd: 3 };
         let decision = agent.decide(NodeId(2), Some(ingress), NodeId(0), &mut state, &none);
         assert_eq!(decision, ForwardDecision::Forward(net.cycle_table().cycle_following(ingress)));
@@ -887,7 +892,7 @@ mod tests {
         // so a fresh episode starts on the spot with the *smaller*
         // stamp — the strictly-decreasing-episode property §5.3's
         // termination argument rests on.
-        let ingress = g.find_dart(NodeId(2), NodeId(1)).unwrap();
+        let ingress = dart(&g, NodeId(2), NodeId(1));
         let cf = net.cycle_table().cycle_following(ingress);
         assert_eq!(cf, net.routing().next_dart(NodeId(1), NodeId(0)).unwrap());
         let failed = LinkSet::from_links(g.link_count(), [cf.link()]);
@@ -915,7 +920,7 @@ mod tests {
         let net =
             PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
         let agent = net.agent(&g);
-        let ingress = g.find_dart(NodeId(2), NodeId(1)).unwrap();
+        let ingress = dart(&g, NodeId(2), NodeId(1));
         let cf = net.cycle_table().cycle_following(ingress);
         let routing = net.routing().next_dart(NodeId(1), NodeId(0)).unwrap();
         assert_ne!(cf.link(), routing.link(), "fixture: continuation differs from routing");
@@ -934,7 +939,7 @@ mod tests {
         // Same situation but stamped dd equal to the router's own:
         // §4.3 says "larger or equal → forward along the complementary
         // cycle of the failed interface".
-        let ingress = g.find_dart(NodeId(2), NodeId(1)).unwrap();
+        let ingress = dart(&g, NodeId(2), NodeId(1));
         let cf = net.cycle_table().cycle_following(ingress);
         let failed = LinkSet::from_links(g.link_count(), [cf.link()]);
         let own = net.dd(NodeId(1), NodeId(0));

@@ -900,7 +900,15 @@ mod tests {
     use crate::{generous_ttl, DiscriminatorKind, PrMode, PrNetwork};
     use pr_embedding::{CellularEmbedding, RotationSystem};
     use pr_graph::{bits, generators, SpTree};
-    use rand::{rngs::StdRng, SeedableRng};
+
+    /// A seeded mesh of `nodes` PoPs with link weights 1–8.
+    fn mesh(nodes: usize, seed: u64) -> Graph {
+        let weights = generators::WeightModel::Range(1, 8);
+        generators::isp_mesh(&generators::MeshParams {
+            weights,
+            ..generators::MeshParams::new(nodes, seed)
+        })
+    }
 
     /// A compiled network and the FIB staged from its trees.
     fn compile(g: &Graph) -> (PrNetwork, DenseFib) {
@@ -946,9 +954,7 @@ mod tests {
     fn dense_fib_frames_stage_every_tree_in_canonical_order() {
         // The canonical order of the staging is DFS pre-order with
         // children in ascending id, each frame knowing its subtree.
-        let mut rng = StdRng::seed_from_u64(7);
-        let mesh = generators::random_two_edge_connected(14, 6, 1..=8, &mut rng);
-        for g in [generators::ring(6, 1), mesh] {
+        for g in [generators::ring(6, 1), mesh(14, 7)] {
             let (net, dense) = compile(&g);
             for dest in g.nodes() {
                 let tree = net.base().towards(dest);
@@ -977,8 +983,10 @@ mod tests {
                     assert!(i < end && end <= frames.len());
                     for (j, &other) in frames.iter().enumerate() {
                         let other = dense.node(other);
-                        let through_u =
-                            tree.path_nodes(&g, other).is_some_and(|path| path.contains(&u));
+                        let mut path = std::iter::successors(Some(other), |&n| {
+                            tree.next_dart(n).map(|d| g.dart_head(d))
+                        });
+                        let through_u = path.any(|n| n == u);
                         assert_eq!((i..end).contains(&j), through_u, "{dest}: {other} under {u}");
                     }
                     // Siblings ascend.
@@ -1036,8 +1044,7 @@ mod tests {
         // The cone scan enumerates exactly the sources whose base path
         // crosses a failed link, as disjoint ascending slices — nested
         // failed tree edges included, in either listing order.
-        let mut rng = StdRng::seed_from_u64(11);
-        let g = generators::random_two_edge_connected(12, 5, 1..=8, &mut rng);
+        let g = mesh(12, 11);
         let (net, dense) = compile(&g);
         let links: Vec<LinkId> = g.links().collect();
         let mut roots = Vec::new();

@@ -27,7 +27,7 @@ fn n(g: &Graph, s: &str) -> NodeId {
 }
 
 fn dart(g: &Graph, a: &str, b: &str) -> Dart {
-    g.find_dart(n(g, a), n(g, b)).unwrap()
+    *g.darts_from(n(g, a)).iter().find(|&&d| g.dart_head(d) == n(g, b)).unwrap()
 }
 
 /// Paper Table 1: the cycle following table at node D.

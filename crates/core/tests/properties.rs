@@ -32,8 +32,10 @@ use rand::SeedableRng;
 use pr_core::{
     generous_ttl, walk_packet, DiscriminatorKind, DropReason, PrMode, PrNetwork, WalkResult,
 };
-use pr_embedding::{planar, CellularEmbedding, RotationSystem};
+use pr_embedding::{CellularEmbedding, RotationSystem};
 use pr_graph::{algo, Graph, LinkId, LinkSet, NodeId, SpTree};
+use pr_testkit::oracle::path_darts;
+use pr_testkit::planar;
 use pr_testkit::strategies::{
     failure_set, picks, two_edge_connected, with_bridge_or_parallel, with_rotation,
 };
@@ -166,7 +168,7 @@ proptest! {
                 }
                 let walk = walk_packet(&g, &agent, src, dst, &none, generous_ttl(&g));
                 prop_assert!(walk.result.is_delivered());
-                let canonical = tree.path_darts(&g, src).unwrap();
+                let canonical = path_darts(&tree, &g, src).unwrap();
                 prop_assert_eq!(
                     walk.path.darts(),
                     canonical.as_slice(),
@@ -214,7 +216,7 @@ proptest! {
                 let expected = match inside {
                     Some(last) => Some(episode[..=last].to_vec()),
                     None if ends_at_far => {
-                        Some([&episode[..], &tree.path_darts(&g, far).unwrap()].concat())
+                        Some([&episode[..], &path_darts(tree, &g, far).unwrap()].concat())
                     }
                     None => None,
                 };

@@ -34,12 +34,18 @@ fn roundtrip_line<T: serde::Serialize + serde::Deserialize>(value: &T) -> String
 
 /// A tally with awkward (non-terminating binary) float content.
 fn tally() -> DemandTally {
-    let mut t = DemandTally::default();
-    t.record_clear(0.1 + 0.2);
-    t.record_recovered(1.0 / 3.0, 1.4285714285714286);
-    t.record_disconnected(0.7);
-    t.record_dropped(2.0f64.sqrt());
-    t
+    let (recovered, dropped) = (1.0 / 3.0, 2.0f64.sqrt());
+    DemandTally {
+        flows: 4,
+        offered: 0.1 + 0.2 + recovered + 0.7 + dropped,
+        delivered: 0.1 + 0.2 + recovered,
+        evaluated: recovered + dropped,
+        evaluated_delivered: recovered,
+        disconnected: 0.7,
+        dropped,
+        stretch_weighted_sum: recovered * 1.4285714285714286,
+        stretch_weight: recovered,
+    }
 }
 
 fn traffic() -> ScenarioTraffic {

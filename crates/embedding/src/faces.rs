@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn face_sizes_sum_to_dart_count() {
-        let g = generators::grid(4, 3, 1);
+        let g = generators::isp_mesh(&generators::MeshParams::new(12, 1));
         let rot = RotationSystem::identity(&g);
         let faces = FaceStructure::trace(&g, &rot);
         assert_eq!(faces.sizes().iter().sum::<usize>(), g.dart_count());
@@ -245,7 +245,14 @@ mod tests {
 
     #[test]
     fn torus_identity_rotation_has_nonnegative_genus() {
-        let g = generators::torus(3, 3, 1);
+        // The 3 × 3 torus: every node linked to its right and lower
+        // neighbours, wrapping round.
+        let mut g = pr_graph::Graph::with_nodes(9);
+        for i in 0..9 {
+            let (x, y) = (i % 3, i / 3);
+            g.add_link(pr_graph::NodeId(i), pr_graph::NodeId(y * 3 + (x + 1) % 3), 1).unwrap();
+            g.add_link(pr_graph::NodeId(i), pr_graph::NodeId((y + 1) % 3 * 3 + x), 1).unwrap();
+        }
         let rot = RotationSystem::identity(&g);
         let faces = FaceStructure::trace(&g, &rot);
         let genus = genus(&g, &faces).unwrap();

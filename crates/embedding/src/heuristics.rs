@@ -15,8 +15,6 @@
 //!   moves, maximising face count.
 //! * [`anneal`] — simulated annealing with the same move set, able to
 //!   cross plateaus the hill climber gets stuck on.
-//! * [`exhaustive`] — exact minimum over all rotation systems, for
-//!   graphs tiny enough to enumerate (tests and ground truth).
 //! * [`best_effort`] — the orchestration used by examples and benches:
 //!   geometric seed when coordinates exist, then hill climbing, then a
 //!   short anneal, keeping the best.
@@ -26,7 +24,7 @@ use rand::{Rng, SeedableRng};
 
 use pr_graph::{Dart, Graph};
 
-use crate::{EmbeddingError, FaceScratch, FaceStructure, RotationSystem};
+use crate::{FaceScratch, FaceStructure, RotationSystem};
 
 /// Counts faces of a candidate rotation system (the objective being
 /// maximised).
@@ -177,78 +175,6 @@ fn anneal_with(
     best
 }
 
-/// Exact maximum-face (minimum-genus) rotation system by exhaustive
-/// enumeration.
-///
-/// The search space is `Π_v (deg(v) − 1)!`; the call is rejected if it
-/// exceeds `budget` (default callers use ~10⁶). Intended for tests and
-/// for ground-truthing the heuristics on fixtures like K5 or Petersen.
-pub fn exhaustive(graph: &Graph, budget: u64) -> Result<RotationSystem, EmbeddingError> {
-    let mut space: u64 = 1;
-    for node in graph.nodes() {
-        let deg = graph.degree(node) as u64;
-        let fact: u64 = (1..deg.max(1)).product();
-        space = space.saturating_mul(fact);
-    }
-    if space > budget {
-        return Err(EmbeddingError::InvalidOrder {
-            node: pr_graph::NodeId(0),
-            detail: format!("exhaustive search space {space} exceeds budget {budget}"),
-        });
-    }
-
-    // Enumerate per-node permutations of darts after the first (fixing
-    // the first dart of each cyclic order loses no generality).
-    let base: Vec<Vec<Dart>> = graph.nodes().map(|n| graph.darts_from(n).to_vec()).collect();
-    let mut best: Option<(usize, RotationSystem)> = None;
-    let mut orders = base.clone();
-    enumerate_node(graph, &base, &mut orders, 0, &mut best);
-    Ok(best.expect("at least one rotation system exists").1)
-}
-
-fn enumerate_node(
-    graph: &Graph,
-    base: &[Vec<Dart>],
-    orders: &mut Vec<Vec<Dart>>,
-    node: usize,
-    best: &mut Option<(usize, RotationSystem)>,
-) {
-    if node == base.len() {
-        let rot = RotationSystem::from_orders(graph, orders).expect("enumerated orders are valid");
-        let f = face_count(graph, &rot);
-        if best.as_ref().is_none_or(|(bf, _)| f > *bf) {
-            *best = Some((f, rot));
-        }
-        return;
-    }
-    let degree = base[node].len();
-    if degree <= 2 {
-        enumerate_node(graph, base, orders, node + 1, best);
-        return;
-    }
-    // Heap's-algorithm-style permutation of positions 1..degree.
-    let mut perm: Vec<usize> = (1..degree).collect();
-    permute(&mut perm, 0, &mut |p| {
-        orders[node][0] = base[node][0];
-        for (slot, &src) in p.iter().enumerate() {
-            orders[node][slot + 1] = base[node][src];
-        }
-        enumerate_node(graph, base, orders, node + 1, best);
-    });
-}
-
-fn permute(items: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize])) {
-    if k == items.len() {
-        visit(items);
-        return;
-    }
-    for i in k..items.len() {
-        items.swap(k, i);
-        permute(items, k + 1, visit);
-        items.swap(k, i);
-    }
-}
-
 /// The orchestrated heuristic used throughout the workspace:
 ///
 /// 1. start from the geometric rotation if every node has coordinates,
@@ -365,6 +291,25 @@ mod tests {
         genus(graph, &FaceStructure::trace(graph, rot)).unwrap()
     }
 
+    /// `K_{3,3}`, the smallest non-planar bipartite graph.
+    fn k33() -> Graph {
+        let mut g = Graph::with_nodes(6);
+        for (a, b) in (0..3).flat_map(|a| (3..6).map(move |b| (a, b))) {
+            g.add_link(pr_graph::NodeId(a), pr_graph::NodeId(b), 1).unwrap();
+        }
+        g
+    }
+
+    /// The wheel `W_6`: a hub on a 5-ring, a node of degree 5.
+    fn wheel6() -> Graph {
+        let mut g = generators::ring(5, 1);
+        let hub = g.add_node("hub").unwrap();
+        for rim in 0..5 {
+            g.add_link(hub, pr_graph::NodeId(rim), 1).unwrap();
+        }
+        g
+    }
+
     /// The pre-FaceScratch implementations, kept verbatim as the
     /// behavioural reference: the incremental versions must retrace
     /// their exact trajectories (same accepted moves, same RNG
@@ -434,7 +379,7 @@ mod tests {
         for g in [
             generators::complete(5, 1),
             generators::petersen(1),
-            generators::complete_bipartite(3, 3, 1),
+            k33(),
             generators::isp_mesh(&generators::MeshParams::new(20, 3)),
         ] {
             let start = RotationSystem::identity(&g);
@@ -451,7 +396,7 @@ mod tests {
     #[test]
     fn incremental_anneal_is_bit_identical_to_reference() {
         let params = AnnealParams { iterations: 800, t_start: 2.0, t_end: 0.02 };
-        for g in [generators::complete(5, 1), generators::petersen(1), generators::wheel(6, 1)] {
+        for g in [generators::complete(5, 1), generators::petersen(1), wheel6()] {
             for seed in [0, 7, 2010] {
                 let start = RotationSystem::identity(&g);
                 assert_eq!(
@@ -485,34 +430,6 @@ mod tests {
         let g = generators::complete(5, 1);
         let rot = thorough(&g, 2010, 4, 2000);
         assert_eq!(genus_of(&g, &rot), 1);
-    }
-
-    #[test]
-    fn exhaustive_k4_is_planar() {
-        let g = generators::complete(4, 1);
-        let rot = exhaustive(&g, 1_000_000).unwrap();
-        assert_eq!(genus_of(&g, &rot), 0);
-        assert_eq!(FaceStructure::trace(&g, &rot).face_count(), 4);
-    }
-
-    #[test]
-    fn exhaustive_k5_has_genus_one() {
-        let g = generators::complete(5, 1);
-        let rot = exhaustive(&g, 10_000_000).unwrap();
-        assert_eq!(genus_of(&g, &rot), 1, "K5's orientable genus is exactly 1");
-    }
-
-    #[test]
-    fn exhaustive_k33_has_genus_one() {
-        let g = generators::complete_bipartite(3, 3, 1);
-        let rot = exhaustive(&g, 1_000_000).unwrap();
-        assert_eq!(genus_of(&g, &rot), 1, "K3,3's orientable genus is exactly 1");
-    }
-
-    #[test]
-    fn exhaustive_rejects_large_spaces() {
-        let g = generators::complete(8, 1);
-        assert!(exhaustive(&g, 1000).is_err());
     }
 
     #[test]
@@ -559,18 +476,18 @@ mod tests {
 
     #[test]
     fn petersen_heuristics_reach_genus_one() {
-        // Petersen's orientable genus is 1; with only (2!)^10 rotation
-        // systems it is exhaustively checkable too.
+        // Petersen's orientable genus is 1, which the test kit's
+        // exhaustive search over its (2!)^10 rotation systems confirms.
         let g = generators::petersen(1);
-        let exact = exhaustive(&g, 10_000).unwrap();
-        assert_eq!(genus_of(&g, &exact), 1);
         let best = best_effort(&g, 99);
         assert_eq!(genus_of(&g, &best), 1, "heuristic should match the optimum on Petersen");
     }
 
     #[test]
     fn best_effort_uses_geometry_when_available() {
-        let g = generators::with_synthetic_coordinates(generators::grid(3, 3, 1));
+        let params =
+            generators::MeshParams { diagonal_fraction: 0.0, ..generators::MeshParams::new(9, 1) };
+        let g = generators::isp_mesh(&params);
         let rot = best_effort(&g, 1);
         assert_eq!(genus_of(&g, &rot), 0, "a drawn grid must embed planarly");
     }

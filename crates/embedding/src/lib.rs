@@ -20,9 +20,10 @@
 //!
 //! Minimum-genus embedding is NP-hard, so [`heuristics`] provides what
 //! the paper's deployment story needs: a geometric ordering that
-//! recovers planarity on drawn maps, hill climbing and simulated
-//! annealing for arbitrary graphs, and exhaustive search to ground-truth
-//! small fixtures.
+//! recovers planarity on drawn maps, and hill climbing and simulated
+//! annealing for arbitrary graphs. The exact search that ground-truths
+//! them on small fixtures, and the random graphs built with a planar
+//! rotation, are the dev-only test kit's.
 //!
 //! ## Example
 //!
@@ -51,7 +52,6 @@ mod embedding;
 mod error;
 mod faces;
 pub mod heuristics;
-pub mod planar;
 mod rotation;
 mod scratch;
 

@@ -340,7 +340,7 @@ mod tests {
             generators::ring(5, 1),
             generators::complete(5, 1),
             generators::petersen(1),
-            generators::grid(3, 3, 1),
+            generators::isp_mesh(&generators::MeshParams::new(9, 1)),
         ] {
             let rot = RotationSystem::identity(&g);
             rot.validate(&g).unwrap();
@@ -381,14 +381,12 @@ mod tests {
         let a = g.add_node("A").unwrap();
         let b = g.add_node("B").unwrap();
         let c = g.add_node("C").unwrap();
-        g.add_link(a, b, 1).unwrap();
+        let ab = g.add_link(a, b, 1).unwrap().forward();
         g.add_link(b, c, 1).unwrap();
-        g.add_link(c, a, 1).unwrap();
+        let ac = g.add_link(c, a, 1).unwrap().reverse();
         let rot = RotationSystem::from_neighbor_orders(&g, &[vec![b, c], vec![c, a], vec![a, b]])
             .unwrap();
         rot.validate(&g).unwrap();
-        let ab = g.find_dart(a, b).unwrap();
-        let ac = g.find_dart(a, c).unwrap();
         assert_eq!(rot.next_around(ab), ac);
         assert_eq!(rot.next_around(ac), ab);
     }
@@ -446,7 +444,11 @@ mod tests {
             RotationSystem::geometric(&g),
             Err(EmbeddingError::MissingCoordinates { .. })
         ));
-        let g = generators::with_synthetic_coordinates(g);
+        let mut g = g;
+        for node in g.nodes() {
+            let lon = node.index() as f64;
+            g.set_coordinates(node, pr_graph::Coordinates { lon, lat: lon * lon });
+        }
         RotationSystem::geometric(&g).unwrap().validate(&g).unwrap();
     }
 
@@ -504,7 +506,7 @@ mod tests {
 
     #[test]
     fn face_next_lands_on_the_next_tail() {
-        let g = generators::grid(3, 3, 1);
+        let g = generators::isp_mesh(&generators::MeshParams::new(9, 1));
         let rot = RotationSystem::identity(&g);
         for d in g.darts() {
             // The face continues from the node d points to.

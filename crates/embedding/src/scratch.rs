@@ -249,7 +249,7 @@ mod tests {
         for g in [
             generators::complete(5, 1),
             generators::petersen(1),
-            generators::with_synthetic_coordinates(generators::grid(3, 4, 1)),
+            generators::isp_mesh(&generators::MeshParams::new(12, 1)),
         ] {
             let mut rot = RotationSystem::identity(&g);
             let mut scratch = FaceScratch::new(&g, &rot);

@@ -115,3 +115,19 @@ proptest! {
         prop_assert!(f2 >= f0, "best_effort lost faces vs identity: {f2} < {f0}");
     }
 }
+
+/// The heuristics reach the exact minimum genus, which the test kit's
+/// exhaustive search certifies, on the small non-planar fixtures K5,
+/// K3,3 and Petersen.
+#[test]
+fn heuristics_reach_the_exhaustive_genus_on_small_fixtures() {
+    use pr_graph::generators;
+    use pr_testkit::{generators as kit, oracle};
+    let genus_of = |g: &Graph, rot: &RotationSystem| genus(g, &FaceStructure::trace(g, rot));
+    for g in [generators::complete(5, 1), kit::complete_bipartite(3, 3, 1), generators::petersen(1)]
+    {
+        let exact = oracle::exhaustive(&g, 10_000).expect("a small search space");
+        let best = pr_embedding::heuristics::thorough(&g, 2010, 4, 20_000);
+        assert_eq!(genus_of(&g, &best), genus_of(&g, &exact), "{} nodes", g.node_count());
+    }
+}

@@ -25,14 +25,6 @@ pub struct Components {
     pub count: usize,
 }
 
-impl Components {
-    /// `true` if `a` and `b` are in the same component.
-    #[inline]
-    pub fn same(&self, a: NodeId, b: NodeId) -> bool {
-        self.label[a.index()] == self.label[b.index()]
-    }
-}
-
 /// Labels connected components over the live links.
 pub fn components(graph: &Graph, failed: &LinkSet) -> Components {
     let n = graph.node_count();
@@ -265,8 +257,8 @@ mod tests {
         let failed2 = LinkSet::from_links(g.link_count(), [l0, l3]);
         let comps = components(&g, &failed2);
         assert_eq!(comps.count, 2);
-        assert!(comps.same(NodeId(1), NodeId(3)));
-        assert!(!comps.same(NodeId(0), NodeId(1)));
+        assert_eq!(comps.label[1], comps.label[3]);
+        assert_ne!(comps.label[0], comps.label[1]);
     }
 
     #[test]

@@ -112,20 +112,6 @@ impl SpTree {
         self.dist[node.index()] != NO_DIST
     }
 
-    /// Materialises the node sequence `from, …, dest` using the graph.
-    ///
-    /// Returns `None` if `from` cannot reach the destination.
-    pub fn path_nodes(&self, graph: &Graph, from: NodeId) -> Option<Vec<NodeId>> {
-        self.cost(from)?;
-        let mut nodes = vec![from];
-        let mut at = from;
-        while let Some(d) = self.next_dart(at) {
-            at = graph.dart_head(d);
-            nodes.push(at);
-        }
-        Some(nodes)
-    }
-
     /// `true` if the tree path `from → dest` traverses a link in
     /// `failed`. Walks the `next` chain without materialising it, so
     /// the affected-pair test in scenario sweeps allocates nothing.
@@ -141,18 +127,6 @@ impl SpTree {
             at = graph.dart_head(d);
         }
         false
-    }
-
-    /// Materialises the dart sequence `from → … → dest` using the graph.
-    pub fn path_darts(&self, graph: &Graph, from: NodeId) -> Option<Vec<Dart>> {
-        self.cost(from)?;
-        let mut darts = Vec::new();
-        let mut at = from;
-        while let Some(d) = self.next_dart(at) {
-            darts.push(d);
-            at = graph.dart_head(d);
-        }
-        Some(darts)
     }
 }
 
@@ -301,6 +275,17 @@ impl AllPairs {
 mod tests {
     use super::*;
     use crate::GraphError;
+    use std::iter::successors;
+
+    /// The tree path `from, …, dest` as routers, read off `next_dart`.
+    fn path_nodes(t: &SpTree, g: &Graph, from: NodeId) -> Vec<NodeId> {
+        successors(Some(from), |&n| t.next_dart(n).map(|d| g.dart_head(d))).collect()
+    }
+
+    /// The tree path `from → … → dest` as darts.
+    fn path_darts(t: &SpTree, g: &Graph, from: NodeId) -> Vec<Dart> {
+        successors(t.next_dart(from), |&d| t.next_dart(g.dart_head(d))).collect()
+    }
 
     /// The 6-node network of the paper's Figure 1(a):
     /// nodes A,B,C,D,E,F; links A-B, A-C, B-C, B-D, C-E, D-E, D-F, E-F.
@@ -342,7 +327,7 @@ mod tests {
         g.add_link(b, d, 1).unwrap();
         g.add_link(c, d, 1).unwrap();
         let t = SpTree::towards_all_live(&g, d);
-        let path = t.path_nodes(&g, a).unwrap();
+        let path = path_nodes(&t, &g, a);
         assert_eq!(path, vec![a, b, d]);
     }
 
@@ -357,7 +342,7 @@ mod tests {
         g.add_link(c, b, 1).unwrap();
         let t = SpTree::towards_all_live(&g, b);
         assert_eq!(t.cost(a), Some(2));
-        assert_eq!(t.path_nodes(&g, a).unwrap(), vec![a, c, b]);
+        assert_eq!(path_nodes(&t, &g, a), vec![a, c, b]);
         assert_eq!(t.hops(a), Some(2));
     }
 
@@ -372,7 +357,7 @@ mod tests {
         assert_eq!(t.cost(e), Some(1));
         // D still reaches F directly.
         assert_eq!(t.cost(d), Some(1));
-        assert!(!t.path_darts(&g, e).unwrap().iter().any(|dd| dd.link() == de));
+        assert!(!path_darts(&t, &g, e).iter().any(|dd| dd.link() == de));
     }
 
     #[test]
@@ -387,7 +372,7 @@ mod tests {
         let t = SpTree::towards(&g, b, &failed);
         assert!(!t.reaches(a));
         assert!(!t.reaches(c));
-        assert_eq!(t.path_nodes(&g, a), None);
+        assert_eq!(t.next_dart(a), None);
         assert!(t.reaches(b));
     }
 
@@ -452,10 +437,7 @@ mod tests {
         for failed_link in g.links() {
             let failed = LinkSet::from_links(g.link_count(), [failed_link]);
             for src in g.nodes() {
-                let expected = t
-                    .path_darts(&g, src)
-                    .map(|p| p.iter().any(|d| failed.contains_dart(*d)))
-                    .unwrap_or(false);
+                let expected = path_darts(&t, &g, src).iter().any(|d| failed.contains_dart(*d));
                 assert_eq!(t.path_crosses(&g, src, &failed), expected, "{failed_link} {src}");
             }
         }

@@ -103,8 +103,7 @@ mod tests {
     #[test]
     fn build_and_inspect() {
         let g = generators::path(3, 2); // A-B-C with weight 2 each
-        let d01 = g.find_dart(NodeId(0), NodeId(1)).unwrap();
-        let d12 = g.find_dart(NodeId(1), NodeId(2)).unwrap();
+        let (d01, d12) = (crate::LinkId(0).forward(), crate::LinkId(1).forward());
         let mut p = Path::empty();
         p.push(&g, d01);
         p.push(&g, d12);
@@ -118,9 +117,9 @@ mod tests {
         let mut g = Graph::new();
         let a = g.add_node("Seattle").unwrap();
         let b = g.add_node("Denver").unwrap();
-        g.add_link(a, b, 1).unwrap();
+        let ab = g.add_link(a, b, 1).unwrap();
         let mut p = Path::empty();
-        p.push(&g, g.find_dart(a, b).unwrap());
+        p.push(&g, ab.forward());
         assert_eq!(p.display(&g, a), "Seattle -> Denver");
     }
 

@@ -351,13 +351,6 @@ impl Graph {
         self.darts_from(a).iter().find(|&&d| self.dart_head(d) == b).map(|d| d.link())
     }
 
-    /// Finds the dart oriented `a -> b`, if a link joins them.
-    ///
-    /// With parallel links, returns the one on the lowest-id link.
-    pub fn find_dart(&self, a: NodeId, b: NodeId) -> Option<Dart> {
-        self.darts_from(a).iter().copied().find(|&d| self.dart_head(d) == b)
-    }
-
     /// Validates a node id.
     fn check_node(&self, node: NodeId) -> Result<(), GraphError> {
         if node.index() < self.names.len() {
@@ -455,8 +448,9 @@ mod tests {
         let (g, [a, b, c], [ab, bc, _]) = triangle();
         assert_eq!(g.find_link(a, b), Some(ab));
         assert_eq!(g.find_link(b, a), Some(ab));
-        assert_eq!(g.find_dart(b, c), Some(bc.forward()));
-        assert_eq!(g.find_dart(c, b), Some(bc.reverse()));
+        let dart = |x: NodeId, y: NodeId| g.darts_from(x).iter().find(|&&d| g.dart_head(d) == y);
+        assert_eq!(dart(b, c), Some(&bc.forward()));
+        assert_eq!(dart(c, b), Some(&bc.reverse()));
         let mut g2 = g.clone();
         let d = g2.add_node("D").unwrap();
         assert_eq!(g2.find_link(a, d), None);

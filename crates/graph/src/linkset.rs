@@ -51,20 +51,6 @@ impl LinkSet {
         Self { words: vec![0; capacity.div_ceil(64)], capacity }
     }
 
-    /// A set containing every link `0..capacity`.
-    pub fn full(capacity: usize) -> Self {
-        // Fill whole words, then mask the partial tail word instead of
-        // setting bits one at a time.
-        let mut words = vec![!0u64; capacity.div_ceil(64)];
-        let tail = capacity % 64;
-        if tail != 0 {
-            if let Some(last) = words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
-        Self { words, capacity }
-    }
-
     /// Builds a set from an iterator of links.
     pub fn from_links(capacity: usize, links: impl IntoIterator<Item = LinkId>) -> Self {
         let mut s = Self::empty(capacity);
@@ -140,35 +126,6 @@ impl LinkSet {
         })
     }
 
-    /// Set union (capacities must match).
-    pub fn union(&self, other: &LinkSet) -> LinkSet {
-        assert_eq!(self.capacity, other.capacity, "LinkSet capacity mismatch");
-        LinkSet {
-            words: self.words.iter().zip(&other.words).map(|(a, b)| a | b).collect(),
-            capacity: self.capacity,
-        }
-    }
-
-    /// In-place set union `self |= other` (capacities must match).
-    /// Avoids the allocation of [`LinkSet::union`] in fold-style
-    /// accumulation (e.g. assembling a node failure from its incident
-    /// links, or an SRLG from its member links).
-    pub fn union_in_place(&mut self, other: &LinkSet) {
-        assert_eq!(self.capacity, other.capacity, "LinkSet capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// Set difference `self \ other` (capacities must match).
-    pub fn difference(&self, other: &LinkSet) -> LinkSet {
-        assert_eq!(self.capacity, other.capacity, "LinkSet capacity mismatch");
-        LinkSet {
-            words: self.words.iter().zip(&other.words).map(|(a, b)| a & !b).collect(),
-            capacity: self.capacity,
-        }
-    }
-
     /// Removes all members.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -215,27 +172,8 @@ mod tests {
     }
 
     #[test]
-    fn union_difference_subset() {
-        let a = LinkSet::from_links(10, [LinkId(1), LinkId(2)]);
-        let b = LinkSet::from_links(10, [LinkId(2), LinkId(3)]);
-        let u = a.union(&b);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![LinkId(1), LinkId(2), LinkId(3)]);
-        let d = a.difference(&b);
-        assert_eq!(d.iter().collect::<Vec<_>>(), vec![LinkId(1)]);
-    }
-
-    #[test]
-    fn union_in_place_matches_union() {
-        let a = LinkSet::from_links(130, [LinkId(1), LinkId(64), LinkId(129)]);
-        let b = LinkSet::from_links(130, [LinkId(2), LinkId(64)]);
-        let mut c = a.clone();
-        c.union_in_place(&b);
-        assert_eq!(c, a.union(&b));
-    }
-
-    #[test]
     fn full_and_clear() {
-        let mut s = LinkSet::full(70);
+        let mut s = LinkSet::from_links(70, (0..70).map(LinkId));
         assert_eq!(s.len(), 70);
         assert!(s.contains(LinkId(69)));
         s.clear();
@@ -245,15 +183,17 @@ mod tests {
     #[test]
     fn full_masks_the_tail_word() {
         for cap in [0usize, 1, 63, 64, 65, 128, 130] {
-            let s = LinkSet::full(cap);
+            let s = LinkSet::from_links(cap, (0..cap as u32).map(LinkId));
             assert_eq!(s.len(), cap, "capacity {cap}");
             assert_eq!(s.iter().count(), cap, "capacity {cap}");
             if cap > 0 {
                 assert!(s.contains(LinkId(cap as u32 - 1)));
             }
-            // No stray bits beyond the capacity: equality with the
-            // one-at-a-time construction must hold exactly.
-            assert_eq!(s, LinkSet::from_links(cap, (0..cap as u32).map(LinkId)));
+            // No stray bits beyond the capacity: the tail word holds
+            // exactly the links past the last whole word.
+            assert_eq!(s.words.len(), cap.div_ceil(64), "capacity {cap}");
+            let tail = s.words.last().map_or(0, |w| w.count_ones() as usize);
+            assert_eq!(tail, cap - 64 * (cap.saturating_sub(1) / 64), "capacity {cap}");
         }
     }
 
@@ -275,7 +215,7 @@ mod tests {
     #[test]
     fn clone_from_copies_members_and_capacity() {
         let source = LinkSet::from_links(130, [LinkId(0), LinkId(129)]);
-        for mut target in [LinkSet::empty(3), LinkSet::full(500)] {
+        for mut target in [LinkSet::empty(3), LinkSet::from_links(500, (0..500).map(LinkId))] {
             target.clone_from(&source);
             assert_eq!(target, source);
             assert_eq!(target.capacity(), 130);

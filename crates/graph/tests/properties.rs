@@ -8,7 +8,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use pr_graph::{algo, generators, AllPairs, Graph, LinkId, LinkSet, SpTree};
+use pr_graph::{algo, AllPairs, Graph, LinkId, LinkSet, SpTree};
+use pr_testkit::generators;
+use pr_testkit::oracle::path_darts;
 use pr_testkit::strategies::{two_edge_connected, with_failures};
 
 /// A reproducible random 2-edge-connected graph.
@@ -80,7 +82,7 @@ proptest! {
         for dest in g.nodes() {
             let t = SpTree::towards(&g, dest, &failed);
             for src in g.nodes() {
-                let Some(darts) = t.path_darts(&g, src) else {
+                let Some(darts) = path_darts(&t, &g, src) else {
                     prop_assert!(t.cost(src).is_none());
                     continue;
                 };
@@ -90,8 +92,7 @@ proptest! {
                 for d in &darts {
                     prop_assert!(!failed.contains_dart(*d), "tree uses a failed link");
                 }
-                let nodes = t.path_nodes(&g, src).unwrap();
-                prop_assert_eq!(*nodes.last().unwrap(), dest);
+                prop_assert_eq!(darts.last().map_or(src, |d| g.dart_head(*d)), dest);
             }
         }
     }
@@ -316,6 +317,7 @@ fn canonical_tree_is_heap_order_independent() {
         g.add_link(c, d, 1).unwrap();
         let t = SpTree::towards_all_live(&g, d);
         // Lowest parent node id wins regardless of declaration order.
-        assert_eq!(t.path_nodes(&g, a).unwrap(), vec![a, b, d]);
+        let path = path_darts(&t, &g, a).unwrap();
+        assert_eq!(path.iter().map(|dart| g.dart_head(*dart)).collect::<Vec<_>>(), vec![b, d]);
     }
 }

@@ -113,8 +113,7 @@ impl<'a> SrlgFailures<'a> {
     /// # Panics
     ///
     /// Panics unless every node carries coordinates (the shipped ISP
-    /// topologies do; synthetic graphs can use
-    /// `pr_graph::generators::with_synthetic_coordinates`).
+    /// topologies and the synthetic `synth:` families do).
     pub fn new(graph: &'a Graph, radius_km: f64) -> SrlgFailures<'a> {
         assert!(
             graph.fully_located(),
@@ -163,22 +162,13 @@ impl ScenarioFamily for SrlgFailures<'_> {
 /// without enumerating its predecessors. This is the family a
 /// materialised `Vec<LinkSet>` cannot represent: on a few-hundred-node
 /// generated topology, `C(m, 3)` runs into the billions while this
-/// struct stays a few words.
-///
-/// With [`ExhaustiveKFailures::connected_only`], scenarios that
-/// disconnect the graph are filtered out up front; the filter stores
-/// one `u64` rank per surviving subset (never the subsets themselves),
-/// so it is meant for topology sizes where `C(m, k)` itself is
-/// enumerable in reasonable time. The unfiltered constructor stays
-/// O(1) memory for arbitrary sizes (harnesses already skip
-/// disconnected pairs downstream).
+/// struct stays a few words. Scenarios that disconnect the graph stay
+/// in: the harnesses skip disconnected pairs downstream.
 #[derive(Debug, Clone)]
 pub struct ExhaustiveKFailures {
     links: usize,
     k: usize,
     total: u64,
-    /// `Some(ranks)` = connectivity-filtered subfamily.
-    ranks: Option<Vec<u64>>,
 }
 
 /// `C(n, k)` saturating at `u64::MAX` (a family that large is swept
@@ -214,23 +204,7 @@ impl ExhaustiveKFailures {
             total < u64::MAX,
             "C({links}, {k}) overflows u64 — this family cannot be indexed (or swept)"
         );
-        ExhaustiveKFailures { links, k, total, ranks: None }
-    }
-
-    /// Every k-subset whose removal leaves `graph` connected.
-    ///
-    /// Streams through all `C(m, k)` ranks once at construction,
-    /// keeping only the passing ranks (8 bytes each).
-    pub fn connected_only(graph: &Graph, k: usize) -> ExhaustiveKFailures {
-        let unfiltered = Self::new(graph, k);
-        let mut set = LinkSet::empty(graph.link_count());
-        let ranks = (0..unfiltered.total)
-            .filter(|&rank| {
-                unfiltered.write_subset(rank, &mut set);
-                algo::is_connected(graph, &set)
-            })
-            .collect();
-        ExhaustiveKFailures { ranks: Some(ranks), ..unfiltered }
+        ExhaustiveKFailures { links, k, total }
     }
 
     /// Decodes combinatorial rank `rank` into `out` (cleared first).
@@ -258,10 +232,7 @@ impl ExhaustiveKFailures {
 
 impl ScenarioFamily for ExhaustiveKFailures {
     fn label(&self) -> String {
-        match &self.ranks {
-            None => format!("exhaustive-{}", self.k),
-            Some(_) => format!("exhaustive-{}-connected", self.k),
-        }
+        format!("exhaustive-{}", self.k)
     }
 
     fn link_capacity(&self) -> usize {
@@ -269,24 +240,15 @@ impl ScenarioFamily for ExhaustiveKFailures {
     }
 
     fn len(&self) -> usize {
-        match &self.ranks {
-            // `total < u64::MAX` is asserted at construction; this
-            // conversion only guards 32-bit targets.
-            None => usize::try_from(self.total).expect("family too large to index on this target"),
-            Some(r) => r.len(),
-        }
+        // `total < u64::MAX` is asserted at construction; this
+        // conversion only guards 32-bit targets.
+        usize::try_from(self.total).expect("family too large to index on this target")
     }
 
     fn scenario(&self, index: usize) -> LinkSet {
-        let rank = match &self.ranks {
-            None => {
-                assert!((index as u64) < self.total, "scenario {index} out of range");
-                index as u64
-            }
-            Some(r) => r[index],
-        };
+        assert!((index as u64) < self.total, "scenario {index} out of range");
         let mut out = LinkSet::empty(self.links);
-        self.write_subset(rank, &mut out);
+        self.write_subset(index as u64, &mut out);
         out
     }
 }
@@ -426,7 +388,12 @@ mod tests {
 
     #[test]
     fn node_family_fails_incident_links() {
-        let g = generators::wheel(6, 1); // hub = node 5, degree 5
+        // The wheel W6: a hub, node 5, on a 5-ring.
+        let mut g = generators::ring(5, 1);
+        let hub = g.add_node("hub").unwrap();
+        for rim in 0..5 {
+            g.add_link(hub, NodeId(rim), 1).unwrap();
+        }
         let fam = NodeFailures::new(&g);
         assert_eq!(fam.len(), 6);
         let hub = fam.scenario(5);
@@ -441,9 +408,9 @@ mod tests {
 
     #[test]
     fn srlg_radius_controls_blast_size() {
-        let g = generators::with_synthetic_coordinates(generators::grid(3, 3, 1));
-        // Synthetic coordinates are degrees on a 1-degree grid; 1 deg
-        // of latitude ≈ 111 km.
+        let g = generators::isp_mesh(&generators::MeshParams::new(9, 1));
+        // The mesh's PoPs sit about a degree apart; 1 deg of latitude
+        // ≈ 111 km.
         let tight = SrlgFailures::new(&g, 1.0);
         let wide = SrlgFailures::new(&g, 100_000.0);
         assert_eq!(tight.len(), 9);
@@ -480,15 +447,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "overflows u64")]
     fn exhaustive_k_rejects_unindexable_sizes() {
-        // C(80, 40) ≈ 1e23: the family could never be addressed by
+        // C(78, 39) ≈ 3e22: the family could never be addressed by
         // index, so construction must fail fast, not decode garbage.
-        let g = generators::random_two_edge_connected(
-            42,
-            80 - 42,
-            1..=1,
-            &mut rand::rngs::StdRng::seed_from_u64(1),
-        );
-        let _ = ExhaustiveKFailures::new(&g, 40);
+        let g = generators::complete(13, 1);
+        let _ = ExhaustiveKFailures::new(&g, 39);
     }
 
     #[test]
@@ -503,24 +465,6 @@ mod tests {
             assert!(seen.insert(s), "duplicate subset at rank {i}");
         }
         assert_eq!(seen.len(), 120);
-    }
-
-    #[test]
-    fn exhaustive_connected_only_filters() {
-        let g = generators::ring(6, 1);
-        // A ring disconnects under any 2-link failure.
-        let all = ExhaustiveKFailures::new(&g, 2);
-        assert_eq!(all.len(), 15);
-        let conn = ExhaustiveKFailures::connected_only(&g, 2);
-        assert_eq!(conn.len(), 0, "no 2-subset leaves a ring connected");
-        // K4: every 2-subset leaves it connected.
-        let k4 = generators::complete(4, 1);
-        let conn = ExhaustiveKFailures::connected_only(&k4, 2);
-        assert_eq!(conn.len(), 15);
-        for i in 0..conn.len() {
-            assert!(algo::is_connected(&k4, &conn.scenario(i)));
-        }
-        assert_eq!(conn.label(), "exhaustive-2-connected");
     }
 
     #[test]

@@ -28,7 +28,9 @@ proptest! {
             let node_scenario = nodes.scenario(i);
             let mut union = LinkSet::empty(g.link_count());
             for dart in g.darts_from(nodes.node(i)) {
-                union.union_in_place(&singles.scenario(dart.link().index()));
+                for link in singles.scenario(dart.link().index()).iter() {
+                    union.insert(link);
+                }
             }
             prop_assert_eq!(&node_scenario, &union, "node {}", i);
             // And it is never larger than the node's degree (parallel
@@ -56,22 +58,6 @@ proptest! {
             let s = fam.scenario(i);
             prop_assert_eq!(s.len(), k, "rank {}", i);
             prop_assert!(seen.insert(s), "duplicate subset at rank {}", i);
-        }
-    }
-
-    /// The connectivity-filtered exhaustive family keeps exactly the
-    /// subsets whose removal leaves the graph connected.
-    #[test]
-    fn connected_only_agrees_with_a_direct_filter(g in graphs()) {
-        let all = ExhaustiveKFailures::new(&g, 2);
-        let conn = ExhaustiveKFailures::connected_only(&g, 2);
-        let direct = (0..all.len())
-            .map(|i| all.scenario(i))
-            .filter(|s| algo::is_connected(&g, s))
-            .collect::<Vec<_>>();
-        prop_assert_eq!(conn.len(), direct.len());
-        for (i, expected) in direct.into_iter().enumerate() {
-            prop_assert_eq!(conn.scenario(i), expected);
         }
     }
 

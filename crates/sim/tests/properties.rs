@@ -8,9 +8,10 @@
 use proptest::prelude::*;
 
 use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
-use pr_embedding::{planar, CellularEmbedding};
+use pr_embedding::CellularEmbedding;
 use pr_graph::{Graph, LinkId, NodeId};
 use pr_sim::{SimConfig, SimTime, Simulator, Static};
+use pr_testkit::planar;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

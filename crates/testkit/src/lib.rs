@@ -10,6 +10,11 @@
 //!   process-wide live/peak byte gauge);
 //! * [`strategies`] — the proptest strategies for random
 //!   2-edge-connected graphs, failure sets and rotation systems;
+//! * [`generators`] — the graphs only tests draw: grids, toruses,
+//!   wheels, `K_{a,b}`, connected Erdős–Rényi and random
+//!   2-edge-connected samples, synthetic coordinates;
+//! * [`planar`] — random triangulations and outerplanar rings, each
+//!   with the genus-0 rotation system it was built with;
 //! * [`nets`] — [`nets::Net`], a topology with everything a harness
 //!   hoists, and its named constructors;
 //! * [`shapes`] — the observer of failure-point group shapes, so no
@@ -17,14 +22,18 @@
 //! * [`fixtures`] — the table of named (topology, failed set, flow)
 //!   cases every equivalence harness iterates;
 //! * [`oracle`] — the ladder of oracles with the production path each
-//!   one checks, and the serial references of the sweeps.
+//!   one checks, the serial references of the sweeps, the exact genus
+//!   search the embedding heuristics are held to, and a tree path read
+//!   as darts.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod alloc;
 pub mod fixtures;
+pub mod generators;
 pub mod nets;
 pub mod oracle;
+pub mod planar;
 pub mod shapes;
 pub mod strategies;

@@ -12,6 +12,7 @@
 //! | [`stretch_serial`] | `pr_bench::stretch::{run_with_stats, run_rows}` | `bench/tests/determinism.rs` |
 //! | [`coverage_serial`] | `pr_bench::coverage::run` | `bench/tests/determinism.rs` |
 //! | [`traffic_serial`] ([`replay_scenario_naive`] per scenario) | `pr_bench::traffic::run` | `bench/tests/determinism.rs` |
+//! | [`exhaustive`] (every rotation system, enumerated) | `pr_embedding::heuristics::thorough` on K5, K3,3 and Petersen | `embedding/tests/properties.rs` |
 //! | `pr_bench::ablation`'s `Oracle` (in-crate) | `pr_dd_sweep`, `genus_delivery` | `ablation::tests` |
 //! | `pr_daemon::cold_recompile` (base + live trees + FIB from scratch) | `Twin`'s incremental event apply | `daemon/tests/equivalence.rs` |
 //!
@@ -36,7 +37,7 @@ use pr_core::{
     generous_ttl, walk_packet, DiscriminatorKind, DropReason, ForwardDecision, ForwardingAgent,
     PrMode, PrNetwork,
 };
-use pr_embedding::CellularEmbedding;
+use pr_embedding::{CellularEmbedding, FaceStructure, RotationSystem};
 use pr_graph::{AllPairs, Dart, Graph, LinkId, LinkSet, NodeId, SpTree};
 use pr_scenarios::{ScenarioFamily, ScenarioIter};
 use pr_traffic::{DemandTally, FlowSet, ScenarioTraffic};
@@ -98,6 +99,13 @@ pub fn shortest_path_tree(
     tree
 }
 
+/// The tree path `from → … → dest` of `tree` as darts; `None` when
+/// `from` cannot reach the destination.
+pub fn path_darts(tree: &SpTree, graph: &Graph, from: NodeId) -> Option<Vec<Dart>> {
+    let next = |d: &Dart| tree.next_dart(graph.dart_head(*d));
+    tree.reaches(from).then(|| std::iter::successors(tree.next_dart(from), next).collect())
+}
+
 /// The classification every sweep conditions on, as the plainest loop:
 /// for each scenario of `family`, destination and other node `src`
 /// whose canonical failure-free path crosses a failed link, calls
@@ -117,7 +125,7 @@ pub fn affected_pairs(
             let base_tree = base.towards(dst);
             let live_tree = SpTree::towards(graph, dst, &failed);
             for src in graph.nodes().filter(|&src| src != dst) {
-                let path = base_tree.path_darts(graph, src).expect("connected base graph");
+                let path = path_darts(base_tree, graph, src).expect("connected base graph");
                 if path.iter().any(|d| failed.contains_dart(*d)) {
                     visit(&failed, dst, src, base_tree, &live_tree);
                 }
@@ -312,25 +320,33 @@ where
     for (dst, group) in flows.by_destination() {
         let base_tree = base.towards(dst);
         let live = SpTree::towards(graph, dst, failed);
+        // Each flow's outcome is written field by field, sharing no
+        // recorder with the replay's batch-and-correct tally.
         for flow in group.iter() {
+            let demand = flow.demand;
+            tally.flows += 1;
+            tally.offered += demand;
             let affected = base_tree.path_crosses(graph, flow.src, failed);
             if affected && !live.reaches(flow.src) {
-                tally.record_disconnected(flow.demand);
+                tally.disconnected += demand;
                 continue;
             }
             let walk = walk_packet(graph, agent, flow.src, dst, failed, ttl);
             if !walk.result.is_delivered() {
-                tally.record_dropped(flow.demand);
+                tally.evaluated += demand;
+                tally.dropped += demand;
                 continue;
             }
             for d in walk.path.darts() {
-                loads[d.link().index()] += flow.demand;
+                loads[d.link().index()] += demand;
             }
+            tally.delivered += demand;
             if affected {
                 let optimal = base_tree.cost(flow.src).expect("connected base graph");
-                tally.record_recovered(flow.demand, walk.cost(graph) as f64 / optimal as f64);
-            } else {
-                tally.record_clear(flow.demand);
+                tally.evaluated += demand;
+                tally.evaluated_delivered += demand;
+                tally.stretch_weighted_sum += demand * (walk.cost(graph) as f64 / optimal as f64);
+                tally.stretch_weight += demand;
             }
         }
     }
@@ -366,4 +382,115 @@ pub fn traffic_serial(
             TrafficRow { scenario, failures: failed.len(), traffic }
         })
         .collect()
+}
+
+/// The exact maximum-face (minimum-genus) rotation system, by
+/// enumerating them all: the reference the embedding heuristics' genus
+/// is checked against on fixtures like K5 or Petersen. `None` when the
+/// space, `Π_v (deg(v) − 1)!`, exceeds `budget`.
+pub fn exhaustive(graph: &Graph, budget: u64) -> Option<RotationSystem> {
+    let mut space: u64 = 1;
+    for node in graph.nodes() {
+        let fact: u64 = (1..graph.degree(node).max(1) as u64).product();
+        space = space.saturating_mul(fact);
+    }
+    if space > budget {
+        return None;
+    }
+    // Fixing the first dart of each cyclic order loses no generality:
+    // enumerate the permutations of the darts after it, node by node.
+    let base: Vec<Vec<Dart>> = graph.nodes().map(|n| graph.darts_from(n).to_vec()).collect();
+    let mut best: Option<(usize, RotationSystem)> = None;
+    let mut orders = base.clone();
+    enumerate_node(graph, &base, &mut orders, 0, &mut best);
+    best.map(|(_, rot)| rot)
+}
+
+fn enumerate_node(
+    graph: &Graph,
+    base: &[Vec<Dart>],
+    orders: &mut Vec<Vec<Dart>>,
+    node: usize,
+    best: &mut Option<(usize, RotationSystem)>,
+) {
+    if node == base.len() {
+        let rot = RotationSystem::from_orders(graph, orders).expect("enumerated orders are valid");
+        let f = FaceStructure::trace(graph, &rot).face_count();
+        if best.as_ref().is_none_or(|(bf, _)| f > *bf) {
+            *best = Some((f, rot));
+        }
+        return;
+    }
+    let degree = base[node].len();
+    if degree <= 2 {
+        enumerate_node(graph, base, orders, node + 1, best);
+        return;
+    }
+    let mut perm: Vec<usize> = (1..degree).collect();
+    permute(&mut perm, 0, &mut |p| {
+        orders[node][0] = base[node][0];
+        for (slot, &src) in p.iter().enumerate() {
+            orders[node][slot + 1] = base[node][src];
+        }
+        enumerate_node(graph, base, orders, node + 1, best);
+    });
+}
+
+fn permute(items: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize])) {
+    if k == items.len() {
+        visit(items);
+        return;
+    }
+    for i in k..items.len() {
+        items.swap(k, i);
+        permute(items, k + 1, visit);
+        items.swap(k, i);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pr_embedding::genus;
+    use pr_graph::generators;
+
+    fn genus_of(graph: &Graph, rot: &RotationSystem) -> u32 {
+        genus(graph, &FaceStructure::trace(graph, rot)).unwrap()
+    }
+
+    #[test]
+    fn exhaustive_k4_is_planar() {
+        let g = generators::complete(4, 1);
+        let rot = exhaustive(&g, 1_000_000).unwrap();
+        assert_eq!(genus_of(&g, &rot), 0);
+        assert_eq!(FaceStructure::trace(&g, &rot).face_count(), 4);
+    }
+
+    #[test]
+    fn exhaustive_k5_has_genus_one() {
+        let g = generators::complete(5, 1);
+        let rot = exhaustive(&g, 10_000_000).unwrap();
+        assert_eq!(genus_of(&g, &rot), 1, "K5's orientable genus is exactly 1");
+    }
+
+    #[test]
+    fn exhaustive_k33_has_genus_one() {
+        let g = crate::generators::complete_bipartite(3, 3, 1);
+        let rot = exhaustive(&g, 1_000_000).unwrap();
+        assert_eq!(genus_of(&g, &rot), 1, "K3,3's orientable genus is exactly 1");
+    }
+
+    #[test]
+    fn exhaustive_petersen_has_genus_one() {
+        // Petersen has only (2!)^10 rotation systems.
+        let g = generators::petersen(1);
+        let rot = exhaustive(&g, 10_000).unwrap();
+        assert_eq!(genus_of(&g, &rot), 1, "Petersen's orientable genus is exactly 1");
+    }
+
+    #[test]
+    fn exhaustive_rejects_large_spaces() {
+        let g = generators::complete(8, 1);
+        assert!(exhaustive(&g, 1000).is_none());
+    }
 }

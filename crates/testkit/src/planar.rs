@@ -4,8 +4,7 @@
 //! delivery argument is a sphere (genus-0) argument — on embeddings of
 //! genus ≥ 1, PR's cycle following can livelock even though the
 //! network is connected (see the `pr-core` test
-//! `k5_genus_one_counterexample_livelocks` and the
-//! `diagnose_genus_livelock` example). Property-testing the guarantee
+//! `k5_genus_one_counterexample_livelocks`). Property-testing the guarantee
 //! therefore requires random graphs paired with certified **genus-0**
 //! rotation systems, which is exactly what these generators emit.
 //!
@@ -23,9 +22,8 @@
 
 use rand::Rng;
 
+use pr_embedding::{genus, FaceStructure, RotationSystem};
 use pr_graph::{Dart, Graph, NodeId};
-
-use crate::{genus, FaceStructure, RotationSystem};
 
 /// Builds a random planar triangulation with `3 + insertions` nodes
 /// and `3 + 3 * insertions` links, plus its genus-0 rotation system.

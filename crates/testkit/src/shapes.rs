@@ -104,14 +104,15 @@ impl GroupShapes {
             points.sort_unstable();
             points.dedup();
             for &point in &points {
-                let above = tree.path_darts(g, point).expect("connected base graph");
+                let above =
+                    crate::oracle::path_darts(tree, g, point).expect("connected base graph");
                 let below_a_failed_edge = failed.contains_dart(above[0]);
                 let outermost = !above[1..].iter().any(|d| failed.contains_dart(*d));
                 self.point_at_cone_root |= below_a_failed_edge && outermost;
                 self.point_off_the_failed_tree |= !below_a_failed_edge;
                 self.nested_points |=
                     above.iter().any(|d| points.binary_search(&g.dart_head(*d)).is_ok());
-                if !parts.same(point, dst) {
+                if parts.label[point.index()] != parts.label[dst.index()] {
                     continue;
                 }
                 let walk = walk_packet(g, agent, point, dst, failed, point_ttl);

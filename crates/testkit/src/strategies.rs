@@ -14,7 +14,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use pr_embedding::RotationSystem;
-use pr_graph::{algo, generators, Graph, LinkId, LinkSet};
+use pr_graph::{algo, Graph, LinkId, LinkSet};
+
+use crate::generators;
 
 /// A reproducible random 2-edge-connected graph: a ring through
 /// `nodes` nodes plus up to `chords` chords, link weights in `weights`.

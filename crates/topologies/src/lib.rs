@@ -281,7 +281,8 @@ mod tests {
         let b = g.node_by_name("B").unwrap();
         let d = g.node_by_name("D").unwrap();
         let e = g.node_by_name("E").unwrap();
-        assert_eq!(tree.path_nodes(&g, a).unwrap(), vec![a, b, d, e, f]);
+        let path = std::iter::successors(Some(a), |&n| tree.next_dart(n).map(|d| g.dart_head(d)));
+        assert_eq!(path.collect::<Vec<_>>(), vec![a, b, d, e, f]);
         assert_eq!(tree.hops(d), Some(2));
         assert_eq!(tree.hops(e), Some(1));
         assert_eq!(tree.hops(b), Some(3));

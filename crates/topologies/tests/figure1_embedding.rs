@@ -62,7 +62,8 @@ fn figure1_complementary_pairs_match_the_paper() {
     let emb = CellularEmbedding::new(&g, rot).unwrap();
 
     let n = |s: &str| g.node_by_name(s).unwrap();
-    let dart = |a: &str, b: &str| g.find_dart(n(a), n(b)).unwrap();
+    let dart =
+        |a: &str, b: &str| *g.darts_from(n(a)).iter().find(|&&d| g.dart_head(d) == n(b)).unwrap();
 
     // §4.2: the complementary cycle of c1 over link D→E is c2.
     let c1 = emb.main_cycle(dart("D", "E"));

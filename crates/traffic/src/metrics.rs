@@ -54,43 +54,23 @@ pub struct DemandTally {
 }
 
 impl DemandTally {
-    /// Records a flow delivered along its unaffected shortest path.
-    pub fn record_clear(&mut self, demand: f64) {
-        self.flows += 1;
-        self.offered += demand;
-        self.delivered += demand;
-    }
-
-    /// Records an affected-but-connected flow delivered over a detour
-    /// with the given stretch.
-    pub fn record_recovered(&mut self, demand: f64, stretch: f64) {
-        self.flows += 1;
-        self.offered += demand;
-        self.delivered += demand;
-        self.evaluated += demand;
-        self.evaluated_delivered += demand;
-        self.stretch_weighted_sum += demand * stretch;
-        self.stretch_weight += demand;
-    }
-
     /// Records a whole batch of clear flows from aggregated sums:
     /// `flows` flows carrying `demand` total, all delivered along
-    /// unaffected shortest paths. Equal to `flows` calls of
-    /// [`DemandTally::record_clear`] whenever the demand sums are
-    /// exact (the grid-quantised demands of a [`crate::FlowSet`]
-    /// guarantee this) — how the replay dataplane writes down its
-    /// failure-free baseline, which the three `clear_to_*` moves below
-    /// then correct flow by flow.
+    /// unaffected shortest paths. Equal to recording each flow alone
+    /// whenever the demand sums are exact (the grid-quantised demands
+    /// of a [`crate::FlowSet`] guarantee this) — how the replay
+    /// dataplane writes down its failure-free baseline, which the
+    /// three `clear_to_*` moves below then correct flow by flow.
     pub fn record_clear_batch(&mut self, flows: u64, demand: f64) {
         self.flows += flows;
         self.offered += demand;
         self.delivered += demand;
     }
 
-    /// Moves a flow recorded clear to *recovered with this stretch*:
-    /// afterwards the tally is what [`DemandTally::record_recovered`]
-    /// in place of the [`DemandTally::record_clear`] would have left
-    /// (the flow is delivered either way).
+    /// Moves a flow recorded clear to *recovered with this stretch*: an
+    /// affected, still-connected flow delivered over a detour. It is
+    /// delivered either way, so only the coverage and stretch sums
+    /// move.
     pub fn clear_to_recovered(&mut self, demand: f64, stretch: f64) {
         self.evaluated += demand;
         self.evaluated_delivered += demand;
@@ -110,22 +90,6 @@ impl DemandTally {
     /// [`DemandTally::clear_to_disconnected`].
     pub fn clear_to_dropped(&mut self, demand: f64) {
         self.delivered -= demand;
-        self.evaluated += demand;
-        self.dropped += demand;
-    }
-
-    /// Records a flow whose endpoints the scenario disconnected.
-    pub fn record_disconnected(&mut self, demand: f64) {
-        self.flows += 1;
-        self.offered += demand;
-        self.disconnected += demand;
-    }
-
-    /// Records an affected, still-connected flow the scheme failed to
-    /// deliver.
-    pub fn record_dropped(&mut self, demand: f64) {
-        self.flows += 1;
-        self.offered += demand;
         self.evaluated += demand;
         self.dropped += demand;
     }
@@ -185,14 +149,20 @@ impl DemandTally {
 mod tests {
     use super::*;
 
+    /// One flow of `demand`, recorded clear and moved to `outcome`.
+    fn record(t: &mut DemandTally, demand: f64, outcome: fn(&mut DemandTally, f64)) {
+        t.record_clear_batch(1, demand);
+        outcome(t, demand);
+    }
+
     #[test]
     fn demand_tally_accounting() {
         let mut t = DemandTally::default();
-        t.record_clear(2.0);
-        t.record_recovered(1.0, 1.5);
-        t.record_recovered(3.0, 2.0);
-        t.record_disconnected(0.5);
-        t.record_dropped(1.5);
+        record(&mut t, 2.0, |_, _| {});
+        record(&mut t, 1.0, |t, d| t.clear_to_recovered(d, 1.5));
+        record(&mut t, 3.0, |t, d| t.clear_to_recovered(d, 2.0));
+        record(&mut t, 0.5, DemandTally::clear_to_disconnected);
+        record(&mut t, 1.5, DemandTally::clear_to_dropped);
         assert_eq!(t.flows, 5);
         assert_eq!(t.offered, 8.0);
         assert_eq!(t.delivered, 6.0);
@@ -210,10 +180,10 @@ mod tests {
         // the weighted ratio equals the unweighted count ratio bitwise.
         let mut t = DemandTally::default();
         for _ in 0..7 {
-            t.record_recovered(1.0, 1.0);
+            record(&mut t, 1.0, |t, d| t.clear_to_recovered(d, 1.0));
         }
         for _ in 0..3 {
-            t.record_dropped(1.0);
+            record(&mut t, 1.0, DemandTally::clear_to_dropped);
         }
         let (delivered, evaluated): (u64, u64) = (7, 10);
         assert_eq!(t.weighted_coverage(), delivered as f64 / evaluated as f64);
@@ -222,14 +192,20 @@ mod tests {
     #[test]
     fn demand_tally_batch_constructors_match_per_flow_records() {
         // On exactly-summable demands (here: halves), an all-clear
-        // batch corrected flow by flow is bitwise equal to recording
-        // each flow's real outcome in the first place.
-        let mut per_flow = DemandTally::default();
-        per_flow.record_clear(1.5);
-        per_flow.record_recovered(2.0, 1.25);
-        per_flow.record_clear(0.5);
-        per_flow.record_disconnected(1.0);
-        per_flow.record_dropped(0.5);
+        // batch corrected flow by flow is bitwise equal to each flow's
+        // real outcome written down field by field: clear 1.5 and 0.5,
+        // recovered 2.0 at stretch 1.25, disconnected 1.0, dropped 0.5.
+        let per_flow = DemandTally {
+            flows: 5,
+            offered: 5.5,
+            delivered: 1.5 + 2.0 + 0.5,
+            evaluated: 2.0 + 0.5,
+            evaluated_delivered: 2.0,
+            disconnected: 1.0,
+            dropped: 0.5,
+            stretch_weighted_sum: 2.0 * 1.25,
+            stretch_weight: 2.0,
+        };
         let mut batch = DemandTally::default();
         batch.record_clear_batch(5, 1.5 + 2.0 + 0.5 + 1.0 + 0.5);
         batch.clear_to_recovered(2.0, 1.25);

@@ -25,7 +25,7 @@ use pr_graph::{bits, generators, Dart, Graph, LinkSet, NodeId, SpTree, TreeChild
 use pr_scenarios::{ExhaustiveKFailures, ScenarioFamily, SingleLinkFailures};
 use pr_testkit::fixtures;
 use pr_testkit::nets::{self, Net};
-use pr_testkit::oracle::{affected_pairs, replay_scenario_naive};
+use pr_testkit::oracle::{affected_pairs, path_darts, replay_scenario_naive};
 use pr_testkit::shapes::{point_by_definition, GroupShapes};
 use pr_testkit::strategies;
 use pr_traffic::{
@@ -150,7 +150,7 @@ impl ConeDelta {
                 };
                 // The failed links on the way from above the root to
                 // the destination; the last one is the enclosing cone's.
-                let above = tree.path_darts(g, root).expect("connected base graph");
+                let above = path_darts(tree, g, root).expect("connected base graph");
                 let enclosing = above[1..].iter().rev().find(|d| failed.contains(d.link()));
                 match enclosing {
                     Some(outer) if link < outer.link() => self.nested_found_first = true,
@@ -576,7 +576,9 @@ impl ChainEnds {
                 .nodes()
                 .filter(|&src| src != dst)
                 .map(|src| point_by_definition(g, &agent, tree, src, failed))
-                .filter(|&point| point != dst && parts.same(point, dst))
+                .filter(|&point| {
+                    point != dst && parts.label[point.index()] == parts.label[dst.index()]
+                })
                 .collect();
             points.sort_unstable();
             points.dedup();
@@ -685,7 +687,7 @@ fn an_fcp_point_is_where_a_failure_is_learnt_not_where_the_tree_breaks() {
             let (src, dst, tree_break) = (node(pin.src), node(pin.dst), node(pin.tree_break));
             let (tree, failed) = (net.base.towards(dst), &sets[0]);
             let first_failed =
-                tree.path_darts(g, src).unwrap().into_iter().find(|d| failed.contains_dart(*d));
+                path_darts(tree, g, src).unwrap().into_iter().find(|d| failed.contains_dart(*d));
             assert_eq!(first_failed, tree.next_dart(tree_break));
             let from_the_break = walk_packet(g, &fcp, tree_break, dst, failed, ttl).cost(g);
             let prefix = tree.cost(src).unwrap() - tree.cost(tree_break).unwrap();

@@ -45,7 +45,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`graph`] (`pr-graph`) | half-edge multigraph, Dijkstra, connectivity, generators, parser |
-//! | [`embedding`] (`pr-embedding`) | rotation systems, face tracing, genus heuristics, planar generators |
+//! | [`embedding`] (`pr-embedding`) | rotation systems, face tracing, genus heuristics |
 //! | [`core`] (`pr-core`) | PR protocol: header, tables, forwarding agent, packet walker |
 //! | [`baselines`] (`pr-baselines`) | FCP, LFA, not-via |
 //! | [`scenarios`] (`pr-scenarios`) | streaming failure families (single/multi/node/SRLG/exhaustive-k) + temporal traces + seeded impairment decorators |

@@ -10,8 +10,12 @@
 //! span (`FlowScratch::unit`, `OpenCone::survivor(p)`) must name a `fn`
 //! of an `impl` for `Type` or of `trait Type`, or a field of
 //! `struct Type`, somewhere in the tree's sources; std types are in
-//! [`STD_TYPES`]. What no checkout holds — generated output — is in
-//! [`GENERATED`].
+//! [`STD_TYPES`]. A crate path (`pr_graph::generators::isp_mesh`,
+//! `pr_bench::traffic::{stream, run}`) names a crate of `crates/`, and
+//! its last segment a `fn`, type, module, `const` or `static` that
+//! crate's sources define before their test modules: an item moved to
+//! another crate fails at its old home. What no checkout holds —
+//! generated output — is in [`GENERATED`].
 //!
 //! Citations into DESIGN.md resolve too: in every Rust source, README.md
 //! and the verify skill, `DESIGN.md §N` names a section that exists, a
@@ -250,6 +254,42 @@ fn members(text: &str, out: &mut HashSet<(String, String)>) {
     }
 }
 
+/// The crate directory and the items a `pr_<crate>::…::item` span
+/// names: its last segment, before a call's arguments, or each member
+/// of a closing brace group.
+fn as_crate_items(span: &str) -> Option<(String, Vec<&str>)> {
+    let path = span.split('(').next()?.trim_end();
+    let (krate, rest) = path.strip_prefix("pr_")?.split_once("::")?;
+    let group = rest.rsplit_once("::{").map(|(_, group)| group).or(rest.strip_prefix('{'));
+    let items: Vec<&str> = match group {
+        Some(group) => group.strip_suffix('}')?.split(',').map(str::trim).collect(),
+        None => vec![rest.rsplit("::").next()?],
+    };
+    let ident = |s: &str| !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+    (ident(krate) && items.iter().all(|i| ident(i))).then(|| (format!("crates/{krate}"), items))
+}
+
+/// Whether a source of `krate` (a `crates/` directory) in `tree`
+/// defines `item` before its test module: a `fn`, type, `mod`, `const`
+/// or `static` so named, or a module file `item.rs` or `item/`.
+fn crate_defines(krate: &str, item: &str, tree: &[String], read: impl Fn(&str) -> String) -> bool {
+    let src = format!("{krate}/src/");
+    let keywords = ["fn", "struct", "enum", "trait", "type", "mod", "const", "static"];
+    tree.iter().filter(|f| f.starts_with(&src) && f.ends_with(".rs")).any(|file| {
+        let module = &file[src.len()..file.len() - ".rs".len()];
+        let text = read(file);
+        let mut product = text.lines().take_while(|line| !line.starts_with("#[cfg(test)]"));
+        module.split('/').any(|m| m == item)
+            || product.any(|line| {
+                let words: Vec<&str> = line
+                    .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                    .filter(|w| !w.is_empty())
+                    .collect();
+                words.windows(2).any(|w| keywords.contains(&w[0]) && w[1] == item)
+            })
+    })
+}
+
 /// Whether `(ty, member)` is one of `defined`, or of a std type.
 fn resolves_member((ty, member): (&str, &str), defined: &HashSet<(String, String)>) -> bool {
     STD_TYPES.contains(&ty) || defined.contains(&(ty.to_string(), member.to_string()))
@@ -270,7 +310,7 @@ fn every_backticked_repo_path_in_the_docs_resolves() {
         members(&read(file), &mut defined);
     }
     let mut unresolved = Vec::new();
-    let (mut checked, mut items, mut named) = (0, 0, 0);
+    let (mut checked, mut items, mut named, mut crates) = (0, 0, 0, 0);
     for doc in DOCS {
         let text = read(doc);
         // The last path named on the current line, for `::item` spans.
@@ -286,6 +326,16 @@ fn every_backticked_repo_path_in_the_docs_resolves() {
                     }
                 },
                 (None, None) => {
+                    if let Some((krate, crate_items)) = as_crate_items(&span) {
+                        for item in crate_items {
+                            crates += 1;
+                            if !crate_defines(&krate, item, &tree, read) {
+                                unresolved.push(format!(
+                                    "{doc}:{line}: `{span}` ({krate} defines no {item})"
+                                ));
+                            }
+                        }
+                    }
                     if let Some(member) = as_member(&span) {
                         named += 1;
                         if !resolves_member(member, &defined) {
@@ -315,6 +365,7 @@ fn every_backticked_repo_path_in_the_docs_resolves() {
     assert!(checked > 100, "only {checked} paths checked: the scanner lost the docs");
     assert!(items > 5, "only {items} test names checked: the scanner lost the ledger");
     assert!(named > 90, "only {named} members checked: the scanner lost the docs");
+    assert!(crates > 40, "only {crates} crate paths checked: the scanner lost the docs");
     assert!(unresolved.is_empty(), "paths that name nothing:\n{}", unresolved.join("\n"));
 }
 
@@ -352,6 +403,42 @@ fn the_resolver_tells_a_stale_path_from_a_live_one() {
     assert!(!defines("benches/walks.rs", "a_live_test", &tree, read), "in another file");
     for not_a_path in ["/metrics", "--threads", ".topo", "pr_core::walk_packet", "1 / 2"] {
         assert_eq!(as_path(not_a_path), None, "{not_a_path}");
+    }
+}
+
+#[test]
+fn the_resolver_tells_a_stale_crate_path_from_a_live_one() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut tree = Vec::new();
+    files(root, root, &mut tree);
+    let read = |file: &str| std::fs::read_to_string(root.join(file)).expect("a readable file");
+    let resolves = |span: &str| {
+        let (krate, items) =
+            as_crate_items(span).unwrap_or_else(|| panic!("{span} is a crate path"));
+        items.iter().all(|item| crate_defines(&krate, item, &tree, read))
+    };
+    for live in [
+        "pr_testkit::generators::torus",
+        "pr_graph::generators::isp_mesh",
+        "pr_graph::generators",
+        "pr_bench::traffic::{stream, run}",
+        "pr_core::FlowScratch::unit(graph, agent, dest, failed)",
+        "pr_testkit::fixtures::TABLE",
+        "pr_graph::SpScratch",
+    ] {
+        assert!(resolves(live), "{live}");
+    }
+    for stale in [
+        "pr_graph::generators::torus",
+        "pr_embedding::heuristics::exhaustive",
+        "pr_embedding::planar",
+        "pr_bench::traffic::{stream, walk}",
+        "pr_nothing::Graph",
+    ] {
+        assert!(!resolves(stale), "{stale}");
+    }
+    for not_a_crate_path in ["pr_graph", "FlowScratch::unit", "pr_x::a b", "pr-graph::x"] {
+        assert_eq!(as_crate_items(not_a_crate_path), None, "{not_a_crate_path}");
     }
 }
 
