@@ -218,7 +218,9 @@ fn oc192_scenario(
 ) -> TemporalScenario {
     let params = OutageParams {
         packet_bytes: 1024,
-        interval_ns: (1024.0 * 8.0 * 1e9 / (load * OC192_BPS as f64)) as u64,
+        // Rounded up: a gap a nanosecond short of a packet's serialisation
+        // time would offer more than line rate.
+        interval_ns: (1024.0 * 8.0 * 1e9 / (load * OC192_BPS as f64)).ceil() as u64,
         fail_at_ns: 500_000_000,
         down_for_ns: outage_ns,
         detection_delay_ns: 1_000_000,
@@ -469,7 +471,7 @@ mod tests {
         // Exactly what the hand-wired simulator runs this scenario
         // replaced returned for it, counter for counter.
         let pin = |delivered, blackholed, latency_sum_ns, hops_sum| Metrics {
-            injected: 243_014,
+            injected: 242_940,
             delivered,
             drops: [
                 ("egress interface down".to_string(), blackholed),
@@ -481,8 +483,8 @@ mod tests {
             hops_sum,
             hops_max: 4,
         };
-        assert_eq!(pr, pin(242_695, 304, 30_794_922_656, 546_144));
-        assert_eq!(igp, pin(212_622, 30_377, 27_691_134_144, 425_276));
+        assert_eq!(pr, pin(242_621, 304, 30_785_384_224, 545_976));
+        assert_eq!(igp, pin(212_557, 30_368, 27_682_524_491, 425_144));
     }
 
     #[test]
