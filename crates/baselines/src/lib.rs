@@ -8,7 +8,7 @@
 //!
 //! The agents here implement the same [`pr_core::ForwardingAgent`]
 //! trait as PR itself, so every scheme runs under the identical walker
-//! and simulator — differences in the experiment outputs come from the
+//! and timed pricer — differences in the experiment outputs come from the
 //! schemes, not the machinery. LFA and not-via borrow the failure-free
 //! trees they are handed — a sweep lends them `PrNetwork::base`, the
 //! process's one tree set — so their primaries are those trees' next
@@ -16,7 +16,7 @@
 //! alternates, not-via its detour trees. Converged reconvergence needs
 //! no agent on a product path: its path is the survivor graph's
 //! shortest path, which the sweeps read off the repaired trees, and its
-//! timed loss is `pr-sim`'s `ReconvergingIgp`. The agent that walks it
+//! timed loss is `pr_bench::timed::ReconvergingIgp`'s. The agent that walks it
 //! hop by hop is an oracle, `pr_testkit::oracle::ReconvergenceAgent`.
 //!
 //! | scheme | header bits | router work on failure | coverage |

@@ -1,8 +1,8 @@
 //! The impairment experiment: demand-weighted loss-over-time under a
 //! stochastic fault process.
 //!
-//! A temporal sweep ([`crate::temporal`]) prices each scenario with
-//! the packet simulator; this experiment prices each scenario's whole
+//! A temporal sweep ([`crate::temporal`]) prices each scenario's one
+//! flow packet by packet; this experiment prices each scenario's whole
 //! **timeline** with the traffic dataplane instead: one work unit per
 //! scenario of a (typically [`Impaired`](pr_scenarios::Impaired))
 //! [`TemporalFamily`], each unit replaying the [`FlowSet`] through

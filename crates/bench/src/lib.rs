@@ -12,7 +12,7 @@
 //! | Figure 2(a)–(f) stretch CCDFs | `fig2` | [`stretch`] |
 //! | §4.2/§4.3 coverage claims (E5) | `coverage` | [`coverage`] |
 //! | §6 header/memory overheads (E8) | `overheads` | [`overheads`] |
-//! | §1 OC-192 loss arithmetic (E10) | `oc192` | (`pr_sim::run_scenario`) |
+//! | §1 OC-192 loss arithmetic (E10) | `oc192` | [`temporal`], [`timed`] |
 //! | impaired loss-over-time (E13) | `impair-loss` | [`impair`] |
 //! | embedding-heuristic ablation (E6) | `ablation-embedding` | [`ablation`] |
 //! | discriminator ablation (E7) | `ablation-dd` | [`ablation`] |
@@ -20,7 +20,8 @@
 //!
 //! The criterion harnesses under `benches/` are experiment E9
 //! (forwarding decision latency) and the regression gates; the serial
-//! oracles the sweeps are held to live in `pr-testkit`.
+//! oracles the sweeps are held to, and the packet simulator the
+//! temporal pricer is held to, live in `pr-testkit`.
 //!
 //! Every scenario sweep routes through [`engine`] — the shared
 //! work-unit decomposition, hoisting and worker-pool layer — and takes
@@ -40,10 +41,12 @@ pub mod coverage;
 pub mod engine;
 pub mod impair;
 pub mod lanes;
+pub mod metrics;
 pub mod overheads;
 pub mod shards;
 pub mod stretch;
 pub mod temporal;
+pub mod timed;
 pub mod traffic;
 
 use std::io::Write;

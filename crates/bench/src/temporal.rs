@@ -1,34 +1,21 @@
-//! Temporal (discrete-event) experiment sweeps through the parallel
-//! engine.
-//!
-//! PR 2 gave the *topological* experiments (coverage, stretch) the
-//! work-unit engine; this module ports the *temporal* ones — §1's
-//! OC-192 outage arithmetic and §7 link flapping — onto the same
-//! machinery. A [`TemporalFamily`] enumerates
-//! timed scenarios by index; each index is one engine work unit that
-//! replays the scenario through `pr_sim` under two schemes (PR and a
-//! reconverging IGP) and returns their [`Metrics`].
-//!
-//! **Determinism.** Scenario `i` is pure data replayed with no shared
-//! state (its CBR flow draws nothing from the simulator's RNG), and
-//! the engine merges results in unit order. [`run`] is therefore
-//! bit-identical at any thread count, one thread being the plain
-//! scenario loop (`tests/determinism.rs` asserts this for both
-//! shipped families at 1/2/4 threads).
-//!
-//! **Hoisting.** The compiled PR network and its agent are
-//! scenario-invariant and built once per sweep, and the network's
-//! failure-free trees are the reconverging IGP's *stale* view; each
-//! unit builds only its own scenario and the IGP's post-failure tables.
+//! Temporal sweeps through the parallel engine (§1's outage
+//! arithmetic, §7's link flapping), and the §1 OC-192 scenario. Each
+//! index of a [`TemporalFamily`] is one work unit that prices its
+//! scenario's flow under PR and a reconverging IGP. A unit is pure
+//! data priced with no shared state, and the engine merges units in
+//! order, so [`run`] is bit-identical at any thread count
+//! (`tests/determinism.rs`). The PR agent is built once per sweep, and
+//! the network's failure-free trees are the IGP's stale view.
 
 use serde::Serialize;
 
 use pr_core::PrNetwork;
-use pr_graph::{Graph, SpScratch};
-use pr_scenarios::TemporalFamily;
-use pr_sim::{igp_for, run_scenario, Metrics, SimConfig, Static};
+use pr_graph::{Graph, LinkId, SpScratch};
+use pr_scenarios::{OutageParams, OutageSweep, TemporalFamily, TemporalScenario};
 
 use crate::engine;
+use crate::metrics::Metrics;
+use crate::timed::{igp_for, price, SimConfig};
 
 /// Outcome of one timed scenario under both schemes.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -44,16 +31,20 @@ pub struct TemporalRow {
 }
 
 /// Sweeps every scenario of `family` on `threads` workers. One work
-/// unit replays scenario `i` under PR and under the reconverging IGP
+/// unit prices scenario `i` under PR and under the reconverging IGP
 /// (tables repaired from the stale trees through the worker's arena).
+///
+/// # Errors
+///
+/// The first scenario whose flow [`price`] refuses.
 pub fn run(
     graph: &Graph,
     net: &PrNetwork,
     family: &dyn TemporalFamily,
     config: &SimConfig,
     threads: usize,
-) -> Vec<TemporalRow> {
-    let agent = Static(net.agent(graph));
+) -> Result<Vec<TemporalRow>, String> {
+    let agent = net.agent(graph);
     engine::run_units(
         family.len(),
         threads.max(1),
@@ -62,12 +53,14 @@ pub fn run(
         SpScratch::new,
         |scratch, i| {
             let scenario = family.scenario(i);
-            let pr = run_scenario(graph, &agent, &scenario, config);
+            let pr = price(graph, &agent, &scenario, config)?;
             let igp_agent = igp_for(graph, &scenario, net.base(), scratch);
-            let igp = run_scenario(graph, &igp_agent, &scenario, config);
-            TemporalRow { scenario: i, label: scenario.label, pr, igp }
+            let igp = price(graph, &igp_agent, &scenario, config)?;
+            Ok(TemporalRow { scenario: i, label: scenario.label, pr, igp })
         },
     )
+    .into_iter()
+    .collect()
 }
 
 /// Aggregate of a temporal sweep for reports: totals across scenarios.
@@ -119,6 +112,53 @@ pub fn rows_csv(rows: &[TemporalRow]) -> String {
     out
 }
 
+/// OC-192 line rate in bits per second.
+pub const OC192_BPS: u64 = 9_953_280_000;
+
+/// The 4-node diamond of the §1 outage: `S` reaches `D` over a short
+/// primary path through `P` and a longer backup through `B` — the
+/// minimal topology where local reroute and global reconvergence
+/// genuinely differ. Returns the graph and the primary link `P-D`.
+pub fn diamond() -> (Graph, LinkId) {
+    let mut g = Graph::new();
+    let [s, p, b, d] = ["S", "P", "B", "D"].map(|name| g.add_node(name).expect("four nodes"));
+    g.add_link(s, p, 1).expect("distinct nodes");
+    let primary = g.add_link(p, d, 1).expect("distinct nodes");
+    g.add_link(s, b, 2).expect("distinct nodes");
+    g.add_link(b, d, 2).expect("distinct nodes");
+    (g, primary)
+}
+
+/// The §1 outage as a temporal scenario: the primary link of the
+/// diamond fails at 500 ms for `outage_ns` (the IGP converging as it
+/// comes back, PR detecting within 1 ms) under `duration_ns` of 1 kB
+/// packets from `S` to `D` at `load` × OC-192.
+pub fn oc192_scenario(
+    g: &Graph,
+    primary: LinkId,
+    load: f64,
+    outage_ns: u64,
+    duration_ns: u64,
+) -> TemporalScenario {
+    let params = OutageParams {
+        packet_bytes: 1024,
+        // Rounded up: a gap a nanosecond short of a packet's serialisation
+        // time would offer more than line rate.
+        interval_ns: (1024.0 * 8.0 * 1e9 / (load * OC192_BPS as f64)).ceil() as u64,
+        fail_at_ns: 500_000_000,
+        down_for_ns: outage_ns,
+        detection_delay_ns: 1_000_000,
+        igp_convergence_ns: outage_ns,
+        duration_ns,
+    };
+    // The family observes the failed link's own endpoints; §1 is about
+    // the traffic crossing it end to end.
+    let mut scenario = OutageSweep::new(g, params).scenario(primary.index());
+    scenario.flow.src = g.node_by_name("S").expect("diamond node");
+    scenario.flow.dst = g.node_by_name("D").expect("diamond node");
+    scenario
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,7 +179,7 @@ mod tests {
     fn outage_sweep_shows_pr_beating_reconvergence_on_every_link() {
         let (g, net) = ring_net(5);
         let fam = OutageSweep::new(&g, OutageParams::default());
-        let rows = run(&g, &net, &fam, &SimConfig::default(), 2);
+        let rows = run(&g, &net, &fam, &SimConfig::default(), 2).unwrap();
         assert_eq!(rows.len(), 5);
         for r in &rows {
             assert_eq!(r.pr.injected, r.igp.injected, "same CBR schedule");
@@ -161,9 +201,13 @@ mod tests {
         let (g, net) = ring_net(4);
         let fam = OutageSweep::new(&g, OutageParams::default());
         let config = SimConfig::default();
-        let reference = run(&g, &net, &fam, &config, 1);
+        let reference = run(&g, &net, &fam, &config, 1).unwrap();
         for threads in [2, 4] {
-            assert_eq!(run(&g, &net, &fam, &config, threads), reference, "{threads} threads");
+            assert_eq!(
+                run(&g, &net, &fam, &config, threads).unwrap(),
+                reference,
+                "{threads} threads"
+            );
         }
     }
 }

@@ -9,8 +9,8 @@
 //! the kit's `coverage_serial` / `stretch_serial` are the plain nested
 //! loop with the honest recompute-per-decision FCP agent, plain
 //! `walk_packet` and scratch Dijkstra — nothing of the unit kernel.
-//! `temporal::run` fans one discrete-event simulation pair per timed
-//! scenario; it and `impair::run` are
+//! `temporal::run` fans one pair of priced flows per timed scenario;
+//! it and `impair::run` are
 //! held against their own one-thread run, which is the plain inline
 //! loop (`tests/golden_impair.rs` pins the impaired bytes
 //! independently). Any divergence — a
@@ -18,6 +18,7 @@
 //! a lost unit — fails these tests exactly.
 
 use pr_bench::stretch::{ScenarioRow, StretchSamples};
+use pr_bench::timed::SimConfig;
 use pr_core::PrNetwork;
 use pr_embedding::CellularEmbedding;
 use pr_graph::Graph;
@@ -25,7 +26,6 @@ use pr_scenarios::{
     FlapSweep, NodeFailures, OutageSweep, SampledMultiFailures, ScenarioFamily, SingleLinkFailures,
     TemporalFamily,
 };
-use pr_sim::SimConfig;
 use pr_testkit::fixtures::quick_outage;
 use pr_testkit::nets::{isp, synth, Net};
 use pr_testkit::oracle::{coverage_serial, stretch_serial, traffic_serial};
@@ -256,11 +256,11 @@ fn synth_mesh_single_failure_units_repair_their_cone_once() {
 
 fn temporal_is_deterministic_on(graph: &Graph, pr: &PrNetwork, family: &dyn TemporalFamily) {
     let config = SimConfig::default();
-    let reference = pr_bench::temporal::run(graph, pr, family, &config, 1);
+    let reference = pr_bench::temporal::run(graph, pr, family, &config, 1).unwrap();
     assert_eq!(reference.len(), family.len());
     let what = format!("temporal rows ({})", family.label());
     same_at_every_pool_size(&what, &reference, &POOLED_THREAD_COUNTS, |threads| {
-        pr_bench::temporal::run(graph, pr, family, &config, threads)
+        pr_bench::temporal::run(graph, pr, family, &config, threads).unwrap()
     });
 }
 

@@ -260,7 +260,7 @@ FAMILIES (pr sweep / pr traffic):
     node        every node failure (all incident links)
     srlg        geographically-correlated failures around each PoP (--radius km)
     exhaustive  every k-subset of links, streamed by unranking (--k)
-    outage      timed outage of each link through the packet simulator (sweep only)
+    outage      timed outage of each link, priced packet by packet (sweep only)
     flap        timed flap trace on each link (--holddown-ms; sweep only)
 
 TRAFFIC MODELS (pr traffic / pr impair):

@@ -65,8 +65,7 @@ fn print_mean_stretch(mean: [f64; 3]) {
 /// families run the walker-based stretch/delivery sweep, folded into
 /// one row per scenario (checkpointed shard by shard on request) and
 /// from there into the report and the CSV/JSON artefact; temporal ones
-/// replay each timed scenario through the discrete-event simulator
-/// under PR and a reconverging IGP.
+/// price each timed scenario's flow under PR and a reconverging IGP.
 pub fn sweep(args: &Args) -> CmdResult {
     let topo_spec = args.positional(0, "topology")?;
     let (graph, canonical) = load_topology(topo_spec)?;
@@ -116,8 +115,8 @@ pub fn sweep(args: &Args) -> CmdResult {
                     Box::new(FlapSweep::new(&graph, params).with_holddown(holddown_ms * 1_000_000))
                 }
             };
-            let config = pr_sim::SimConfig::default();
-            let rows = pr_bench::temporal::run(&graph, &net, family.as_ref(), &config, threads);
+            let config = pr_bench::timed::SimConfig::default();
+            let rows = pr_bench::temporal::run(&graph, &net, family.as_ref(), &config, threads)?;
             let s = pr_bench::temporal::summarize(&rows);
             println!(
                 "family {} ({} timed scenarios, {threads} threads)",

@@ -3,8 +3,8 @@
 //! A [`ForwardingAgent`] is a line card: a pure decision function from
 //! *(current router, ingress interface, destination, per-packet header
 //! state, set of failed links)* to *forward-on-this-dart / drop*. The
-//! walker (`crate::walker`) and the event simulator (`pr-sim`) execute
-//! agents; the baselines crate implements the same trait for FCP,
+//! walker (`crate::walker`) and the timed pricer (`pr_bench::timed`)
+//! execute agents; the baselines crate implements the same trait for FCP,
 //! reconvergence and LFA, so every scheme runs under identical
 //! machinery.
 //!
@@ -67,7 +67,7 @@ pub enum ForwardDecision {
     Drop(DropReason),
 }
 
-/// A forwarding scheme, usable by the walker and the event simulator.
+/// A forwarding scheme, usable by the walker and the timed pricer.
 ///
 /// Implementations must be deterministic: same inputs, same decision.
 /// `State` is the scheme's per-packet header (e.g. [`PrHeader`] for PR,

@@ -29,7 +29,7 @@
 //! The [`ForwardingAgent`] trait is deliberately scheme-agnostic: the
 //! baselines the paper compares against (FCP, reconvergence — see
 //! `pr-baselines`) implement the same trait and run under the same
-//! walker and simulator.
+//! walker and timed pricer.
 //!
 //! ## Example: recover from a failure the routing table cannot see
 //!

@@ -4,8 +4,8 @@
 //! Stretch — the paper's evaluation metric — is purely topological: it
 //! depends on which links a packet traverses, not on queueing or
 //! timing. The walker is therefore the workhorse of the experiment
-//! harness (the timed discrete-event simulator in `pr-sim` is used for
-//! the loss experiments, where time *does* matter).
+//! harness (the loss experiments, where time *does* matter, walk the
+//! same agents hop by hop on a clock in `pr_bench::timed`).
 //!
 //! Besides a hop budget (TTL), the walker performs **exact livelock
 //! detection**: agents are deterministic functions of

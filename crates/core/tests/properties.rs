@@ -5,7 +5,7 @@
 //! about curves crossing region boundaries "once going in, once going
 //! out". That is Jordan-curve reasoning: it is valid on the **sphere**
 //! (genus-0 embeddings). Exhaustive search over every rotation system
-//! of K5 (see `examples/diagnose_genus_livelock.rs`) shows the claim
+//! of K5 (see `crates/core/examples/diagnose_genus_livelock.rs`) shows the claim
 //! is *not* embedding-independent: on genus ≥ 1 embeddings PR can
 //! livelock even though source and destination stay connected — even
 //! with only a single failed link in basic mode. All three topologies

@@ -3,7 +3,7 @@
 //! The evaluation (§6) is expressed entirely in terms of *stretch*: "the
 //! ratio between the total path cost while cycle following and the path
 //! cost of the normal shortest path". Forwarding traces produced by the
-//! simulator are [`Path`]s; [`stretch`] divides their cost by the
+//! walker are [`Path`]s; [`stretch`] divides their cost by the
 //! failure-free optimum.
 
 use serde::{Deserialize, Serialize};

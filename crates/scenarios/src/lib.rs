@@ -13,7 +13,7 @@
 //!   matter how large the topology.
 //! * [`TemporalFamily`] — the analogous enumeration of **timed**
 //!   scenarios ([`TemporalScenario`]: a link-event trace plus the flow
-//!   it disturbs) for the discrete-event simulator, pure in the
+//!   it disturbs) for the timed pricer and replay, pure in the
 //!   scenario index ([`scenario_seed`] where a family draws), so
 //!   parallel temporal sweeps are bit-identical to serial at any
 //!   thread count.

@@ -1,5 +1,5 @@
-//! Temporal (timed) scenario families for the discrete-event
-//! simulator: link-event traces, the flows they disturb, and the
+//! Temporal (timed) scenario families for the timed pricer and the
+//! replay: link-event traces, the flows they disturb, and the
 //! per-scenario seeding discipline that keeps parallel temporal sweeps
 //! bit-identical to serial.
 
@@ -44,14 +44,14 @@ pub struct TemporalScenario {
     pub label: String,
     /// The flow the scenario observes.
     pub flow: FlowSpec,
-    /// Timed link transitions, any order (the simulator's event queue
-    /// orders them).
+    /// Timed link transitions, any order (simultaneous ones take effect
+    /// in this order).
     pub events: Vec<LinkEvent>,
     /// Local failure-detection delay (loss-of-light / BFD window).
     pub detection_delay_ns: u64,
     /// Flap-dampening hold-down applied to repairs (§7).
     pub up_holddown_ns: u64,
-    /// Simulation horizon: run until this instant.
+    /// Horizon: nothing after this instant is counted.
     pub horizon_ns: u64,
     /// The failure set a reconverging IGP ends up routing around
     /// (steady-state view of the trace).

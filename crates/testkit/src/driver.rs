@@ -1,39 +1,29 @@
-//! The scenario driver: replaying a [`TemporalScenario`] from
-//! `pr-scenarios` through the simulator.
-//!
-//! This is the bridge the parallel temporal sweeps stand on: a
-//! scenario is pure data (events + flow + timing knobs), the agent is
-//! compiled once per sweep, and this module turns `(scenario, agent)`
-//! into [`Metrics`] with no hidden state — so a sweep engine can
-//! replay scenario `i` on any worker thread and get the bytes a serial
-//! loop would have produced.
+//! The scenario driver: replaying a [`TemporalScenario`] through the
+//! packet simulator, the oracle run [`pr_bench::timed::price`] is held
+//! to.
 
-use pr_graph::{Graph, LinkSet};
+use pr_bench::metrics::Metrics;
+use pr_bench::timed::{SimConfig, TimedForwarding};
+use pr_graph::Graph;
 use pr_scenarios::TemporalScenario;
 
-use crate::{Metrics, ReconvergingIgp, SimConfig, SimTime, Simulator, TimedForwarding};
+use crate::simulator::Simulator;
+use crate::time::SimTime;
 
 /// Replays `scenario` against `agent` and returns the run's metrics.
 ///
-/// `config` supplies the physical-layer parameters (bandwidth, delays,
-/// queue sizes); the scenario's own control-plane timing
-/// (`detection_delay_ns`, `up_holddown_ns`) overrides the
-/// corresponding `config` fields, because those knobs are part of what
-/// a temporal family varies.
+/// `config` supplies the physical layer (bandwidth, delays, hop
+/// budget); the scenario supplies the control plane's timing.
 pub fn run_scenario<T: TimedForwarding>(
     graph: &Graph,
     agent: &T,
     scenario: &TemporalScenario,
     config: &SimConfig,
 ) -> Metrics {
-    let config = SimConfig {
-        detection_delay_ns: scenario.detection_delay_ns,
-        up_holddown_ns: scenario.up_holddown_ns,
-        ..config.clone()
-    };
     // The simulator's RNG draws Poisson gaps only; a scenario's flow is
     // CBR and never reads it, so the seed is a constant.
-    let mut sim = Simulator::new(graph, agent, config, 0);
+    let mut sim = Simulator::new(graph, agent, config.clone(), 0)
+        .detect_after(scenario.detection_delay_ns, scenario.up_holddown_ns);
     let f = &scenario.flow;
     sim.add_cbr_flow(
         f.src,
@@ -53,36 +43,10 @@ pub fn run_scenario<T: TimedForwarding>(
     sim.run_until(SimTime(scenario.horizon_ns)).clone()
 }
 
-/// Builds the reconverging-IGP baseline for `scenario` from its
-/// steady-state failure view, borrowing caller-hoisted pre-failure
-/// tables (`stale`) — those are failure-invariant, so a sweep computes
-/// them once and no scenario copies them. The post-failure tables are incrementally repaired from
-/// `stale` through the caller-held Dijkstra arena (bit-identical to a
-/// full recompute), so a temporal sweep worker builds one IGP per
-/// scenario at affected-cone cost with zero arena allocations.
-///
-/// `stale` must be the failure-free base map (as sweeps hoist it) —
-/// the repair precondition of [`pr_graph::SpTree::repair_from`].
-pub fn igp_for<'a>(
-    graph: &Graph,
-    scenario: &TemporalScenario,
-    stale: &'a pr_graph::AllPairs,
-    scratch: &mut pr_graph::SpScratch,
-) -> ReconvergingIgp<'a> {
-    let failed = LinkSet::from_links(graph.link_count(), scenario.igp_failed.iter().copied());
-    ReconvergingIgp::with_stale_repaired(
-        stale,
-        graph,
-        &failed,
-        SimTime(scenario.igp_converged_at_ns),
-        scratch,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Static;
+    use pr_bench::timed::igp_for;
     use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
     use pr_embedding::{CellularEmbedding, RotationSystem};
     use pr_graph::{generators, AllPairs, SpScratch};
@@ -94,7 +58,7 @@ mod tests {
         let emb = CellularEmbedding::new(&g, RotationSystem::identity(&g)).unwrap();
         let net =
             PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
-        let agent = Static(net.agent(&g));
+        let agent = net.agent(&g);
         let fam = OutageSweep::new(&g, OutageParams::default());
         let sc = fam.scenario(0);
         let config = SimConfig::default();
@@ -121,7 +85,7 @@ mod tests {
         let emb = CellularEmbedding::new(&g, RotationSystem::identity(&g)).unwrap();
         let net =
             PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
-        let agent = Static(net.agent(&g));
+        let agent = net.agent(&g);
         let fam = OutageSweep::new(&g, OutageParams::default());
         let sc = fam.scenario(1);
         let config = SimConfig::default();

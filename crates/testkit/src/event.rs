@@ -8,7 +8,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::SimTime;
+use crate::time::SimTime;
 
 /// A time-ordered queue of `E` events with deterministic tie-breaking.
 #[derive(Debug)]

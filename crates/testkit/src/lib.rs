@@ -24,16 +24,24 @@
 //! * [`oracle`] — the ladder of oracles with the production path each
 //!   one checks, the serial references of the sweeps, the exact genus
 //!   search the embedding heuristics are held to, and a tree path read
-//!   as darts.
+//!   as darts;
+//! * [`simulator`] — the discrete-event packet simulator, with its
+//!   [`event`] queue, its [`time`] and the [`driver`] that replays a
+//!   temporal scenario through it: the timed oracle of
+//!   `pr_bench::timed::price`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod alloc;
+pub mod driver;
+pub mod event;
 pub mod fixtures;
 pub mod generators;
 pub mod nets;
 pub mod oracle;
 pub mod planar;
 pub mod shapes;
+pub mod simulator;
 pub mod strategies;
+pub mod time;

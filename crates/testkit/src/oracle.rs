@@ -245,7 +245,7 @@ pub fn coverage_serial(
 /// and every router has recomputed, packets follow the survivor
 /// topology's shortest paths — the post-hoc optimum no scheme beats on
 /// path length. Its cost is paid in time and loss during convergence
-/// (`pr-sim`'s `ReconvergingIgp`), not in stretch.
+/// (`pr_bench::timed::ReconvergingIgp`), not in stretch.
 ///
 /// Construct it **per failure scenario**
 /// ([`ReconvergenceAgent::converged_on`]): the converged tables are a

@@ -1,13 +1,11 @@
-//! The discrete-event packet simulator.
+//! The discrete-event packet simulator, the timed oracle of
+//! [`pr_bench::timed::price`].
 //!
-//! Store-and-forward, per-link FIFO queues, finite buffers, link
-//! serialization and propagation delays, link failure/repair events
+//! Store-and-forward, per-link FIFO queues without a bound, link
+//! serialisation and propagation delays, link failure/repair events
 //! with a configurable **detection delay** (the window in which the
 //! data plane still believes a dead link is alive), and traffic
 //! generators. Deterministic: same inputs and seed, same trace.
-//!
-//! Model notes (kept deliberately simple, in smoltcp's
-//! simplicity-over-cleverness spirit):
 //!
 //! * a packet *in flight or queued* on a link when it fails is lost
 //!   (fibre-cut semantics), implemented with per-link epochs;
@@ -15,55 +13,41 @@
 //!   yet *detected* is lost at the interface — this is precisely the
 //!   §1 loss window that motivates fast reroute;
 //! * control-plane visibility (what agents see) lags physical state by
-//!   [`SimConfig::detection_delay_ns`].
+//!   [`Simulator::detect_after`].
+//!
+//! Where no packet waits in a queue, its counts are the pricer's; the
+//! queueing delay is what it adds (DESIGN.md §11).
+//!
+//! ```
+//! use pr_bench::timed::SimConfig;
+//! use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
+//! use pr_embedding::{CellularEmbedding, RotationSystem};
+//! use pr_graph::{generators, NodeId};
+//! use pr_testkit::{simulator::Simulator, time::SimTime};
+//!
+//! let g = generators::ring(5, 1);
+//! let emb = CellularEmbedding::new(&g, RotationSystem::identity(&g)).unwrap();
+//! let net = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
+//! let agent = net.agent(&g);
+//!
+//! let mut sim = Simulator::new(&g, &agent, SimConfig::default(), 7);
+//! sim.add_cbr_flow(NodeId(0), NodeId(2), 1024, 1_000_000, SimTime::ZERO, SimTime::from_millis(10));
+//! sim.schedule_link_down(g.find_link(NodeId(0), NodeId(1)).unwrap(), SimTime::from_micros(5500));
+//! let metrics = sim.run_until(SimTime::from_secs(1));
+//! assert_eq!(metrics.injected, 11);
+//! assert_eq!(metrics.delivered, 11); // PR reroutes instantly at detection
+//! ```
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use pr_bench::metrics::{LossCause, Metrics};
+use pr_bench::timed::{transmission_nanos, SimConfig, TimedForwarding};
 use pr_core::ForwardDecision;
 use pr_graph::{Dart, Graph, LinkId, LinkSet, NodeId};
 
-use crate::{transmission_nanos, EventQueue, Metrics, SimDropReason, SimTime, TimedForwarding};
-
-/// Global simulation parameters.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Link bandwidth in bits per second (uniform across links).
-    pub bandwidth_bps: u64,
-    /// Propagation delay per unit of link weight, in ns (weights are
-    /// ~10 km in the shipped topologies; 50 µs ≈ 10 km of fibre).
-    pub prop_delay_ns_per_weight: u64,
-    /// Floor for propagation delay, in ns.
-    pub min_prop_delay_ns: u64,
-    /// Egress queue capacity, in packets, per link direction.
-    pub queue_capacity: usize,
-    /// How long after a physical failure the control plane learns of
-    /// it (and symmetrically for repair).
-    pub detection_delay_ns: u64,
-    /// Flap dampening (§7 of the paper): a recovered link is not made
-    /// visible to the control plane until it has stayed up this long,
-    /// "to ensure that packets that encountered the link in its failed
-    /// state do not encounter it again in its normal state while cycle
-    /// following".
-    pub up_holddown_ns: u64,
-    /// Per-packet hop budget (kills livelocks inside the timed
-    /// simulator).
-    pub hop_budget: u32,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            bandwidth_bps: 10_000_000_000,
-            prop_delay_ns_per_weight: 50_000,
-            min_prop_delay_ns: 1_000,
-            queue_capacity: 64,
-            detection_delay_ns: 0,
-            up_holddown_ns: 0,
-            hop_budget: 255,
-        }
-    }
-}
+use crate::event::EventQueue;
+use crate::time::SimTime;
 
 /// A packet in the simulator.
 #[derive(Debug, Clone)]
@@ -121,21 +105,15 @@ enum Event<S> {
     VisibleUp(LinkId, u64),
 }
 
-/// Per-dart (directional) transmission state.
-#[derive(Debug, Clone, Default)]
-struct TxState {
-    /// When the current transmission (if any) finishes.
-    busy_until: SimTime,
-    /// Scheduled transmission start times of queued packets; entries
-    /// `<= now` have left the queue.
-    starts: std::collections::VecDeque<SimTime>,
-}
-
 /// The simulator, generic over the forwarding scheme.
 pub struct Simulator<'a, T: TimedForwarding> {
     graph: &'a Graph,
     agent: &'a T,
     config: SimConfig,
+    /// How long after a physical transition the control plane detects
+    /// it, and the §7 hold-down a repair waits out besides.
+    detection_delay_ns: u64,
+    up_holddown_ns: u64,
     events: EventQueue<Event<T::State>>,
     now: SimTime,
     /// Physical link state (true = down) and failure epoch counter.
@@ -143,7 +121,8 @@ pub struct Simulator<'a, T: TimedForwarding> {
     epoch: Vec<u64>,
     /// What the control plane currently believes.
     visible_failed: LinkSet,
-    tx: Vec<TxState>,
+    /// Per dart, when its current transmission (if any) finishes.
+    busy_until: Vec<SimTime>,
     flows: Vec<Flow>,
     rng: StdRng,
     metrics: Metrics,
@@ -156,16 +135,29 @@ impl<'a, T: TimedForwarding> Simulator<'a, T> {
             graph,
             agent,
             config,
+            detection_delay_ns: 0,
+            up_holddown_ns: 0,
             events: EventQueue::new(),
             now: SimTime::ZERO,
             phys_down: vec![false; graph.link_count()],
             epoch: vec![0; graph.link_count()],
             visible_failed: LinkSet::empty(graph.link_count()),
-            tx: vec![TxState::default(); graph.dart_count()],
+            busy_until: vec![SimTime::ZERO; graph.dart_count()],
             flows: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             metrics: Metrics::default(),
         }
+    }
+
+    /// Delays detection: the control plane learns of a failure
+    /// `detection_delay_ns` after it (instantly by default), and of a
+    /// repair `up_holddown_ns` later still (flap dampening, §7: "to
+    /// ensure that packets that encountered the link in its failed
+    /// state do not encounter it again in its normal state while cycle
+    /// following").
+    pub fn detect_after(mut self, detection_delay_ns: u64, up_holddown_ns: u64) -> Self {
+        (self.detection_delay_ns, self.up_holddown_ns) = (detection_delay_ns, up_holddown_ns);
+        self
     }
 
     /// Schedules a physical link failure. The control plane learns of
@@ -266,7 +258,7 @@ impl<'a, T: TimedForwarding> Simulator<'a, T> {
                 if self.epoch[via.link().index()] != epoch {
                     // The link failed (or flapped) while the packet was
                     // queued or in flight.
-                    self.metrics.record_drop(SimDropReason::LostInFlight);
+                    self.metrics.lose(1, LossCause::LostInFlight);
                     return;
                 }
                 let at = self.graph.dart_head(via);
@@ -278,7 +270,7 @@ impl<'a, T: TimedForwarding> Simulator<'a, T> {
                     self.epoch[l.index()] += 1;
                     let epoch = self.epoch[l.index()];
                     self.events.push(
-                        self.now.after(self.config.detection_delay_ns),
+                        self.now.after(self.detection_delay_ns),
                         Event::VisibleDown(l, epoch),
                     );
                 }
@@ -289,9 +281,7 @@ impl<'a, T: TimedForwarding> Simulator<'a, T> {
                     self.epoch[l.index()] += 1;
                     let epoch = self.epoch[l.index()];
                     self.events.push(
-                        self.now
-                            .after(self.config.detection_delay_ns)
-                            .after(self.config.up_holddown_ns),
+                        self.now.after(self.detection_delay_ns).after(self.up_holddown_ns),
                         Event::VisibleUp(l, epoch),
                     );
                 }
@@ -342,15 +332,15 @@ impl<'a, T: TimedForwarding> Simulator<'a, T> {
 
     fn process_at_node(&mut self, at: NodeId, ingress: Option<Dart>, mut packet: Packet<T::State>) {
         if at == packet.dst {
-            self.metrics.record_delivery(packet.sent, self.now, packet.hops);
+            self.metrics.deliver(1, self.now.as_nanos() - packet.sent.as_nanos(), packet.hops);
             return;
         }
         if packet.hops >= self.config.hop_budget {
-            self.metrics.record_drop(SimDropReason::HopBudget);
+            self.metrics.lose(1, LossCause::HopBudget);
             return;
         }
         let decision = self.agent.decide_at(
-            self.now,
+            self.now.as_nanos(),
             at,
             ingress,
             packet.dst,
@@ -359,14 +349,14 @@ impl<'a, T: TimedForwarding> Simulator<'a, T> {
         );
         match decision {
             ForwardDecision::Drop(reason) => {
-                self.metrics.record_drop(SimDropReason::Agent(reason));
+                self.metrics.lose(1, LossCause::Agent(reason));
             }
             ForwardDecision::Forward(out) => {
                 debug_assert_eq!(self.graph.dart_tail(out), at, "agent must forward from {at}");
                 if self.phys_down[out.link().index()] {
                     // Physically dead egress (whether or not the agent
                     // could know): the loss window.
-                    self.metrics.record_drop(SimDropReason::InterfaceDown);
+                    self.metrics.lose(1, LossCause::InterfaceDown);
                     return;
                 }
                 self.transmit(out, packet);
@@ -375,25 +365,10 @@ impl<'a, T: TimedForwarding> Simulator<'a, T> {
     }
 
     fn transmit(&mut self, out: Dart, mut packet: Packet<T::State>) {
-        let tx = &mut self.tx[out.index()];
-        // Retire queue entries that have already started transmission.
-        while tx.starts.front().is_some_and(|&s| s <= self.now) {
-            tx.starts.pop_front();
-        }
-        if tx.starts.len() >= self.config.queue_capacity {
-            self.metrics.record_drop(SimDropReason::QueueOverflow);
-            return;
-        }
-        let start = tx.busy_until.max(self.now);
-        let tx_time = transmission_nanos(packet.size, self.config.bandwidth_bps);
-        let done = start.after(tx_time);
-        tx.busy_until = done;
-        if start > self.now {
-            tx.starts.push_back(start);
-        }
-        let weight = u64::from(self.graph.weight(out.link()));
-        let prop =
-            (weight * self.config.prop_delay_ns_per_weight).max(self.config.min_prop_delay_ns);
+        let start = self.busy_until[out.index()].max(self.now);
+        let done = start.after(transmission_nanos(packet.size, self.config.bandwidth_bps));
+        self.busy_until[out.index()] = done;
+        let prop = self.config.prop_ns(self.graph, out.link());
         packet.hops += 1;
         let epoch = self.epoch[out.link().index()];
         self.events.push(done.after(prop), Event::Arrive { packet, via: out, epoch });
@@ -403,7 +378,6 @@ impl<'a, T: TimedForwarding> Simulator<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Static;
     use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
     use pr_embedding::{CellularEmbedding, RotationSystem};
     use pr_graph::generators;
@@ -417,7 +391,7 @@ mod tests {
     fn cbr_flow_delivers_everything_without_failures() {
         let g = generators::ring(4, 1);
         let net = pr_net(&g);
-        let agent = Static(net.agent(&g));
+        let agent = net.agent(&g);
         let mut sim = Simulator::new(&g, &agent, SimConfig::default(), 1);
         sim.add_cbr_flow(
             NodeId(0),
@@ -440,7 +414,7 @@ mod tests {
     fn instant_detection_pr_loses_nothing_on_failure() {
         let g = generators::ring(5, 1);
         let net = pr_net(&g);
-        let agent = Static(net.agent(&g));
+        let agent = net.agent(&g);
         let mut sim = Simulator::new(&g, &agent, SimConfig::default(), 2);
         sim.add_cbr_flow(
             NodeId(1),
@@ -467,12 +441,10 @@ mod tests {
     fn detection_delay_creates_the_loss_window() {
         let g = generators::ring(5, 1);
         let net = pr_net(&g);
-        let agent = Static(net.agent(&g));
-        let config = SimConfig {
-            detection_delay_ns: 10_000_000, // 10 ms blind window
-            ..Default::default()
-        };
-        let mut sim = Simulator::new(&g, &agent, config, 3);
+        let agent = net.agent(&g);
+        // A 10 ms blind window.
+        let mut sim =
+            Simulator::new(&g, &agent, SimConfig::default(), 3).detect_after(10_000_000, 0);
         sim.add_cbr_flow(
             NodeId(1),
             NodeId(0),
@@ -495,18 +467,17 @@ mod tests {
     }
 
     #[test]
-    fn queue_overflow_under_congestion() {
-        // Two flows at line rate into the same 1-link bottleneck.
+    fn congestion_queues_behind_the_bottleneck() {
+        // 2000 pkt/s offered into a 1000 pkt/s link: the queue has no
+        // bound, so every packet arrives, packet i after waiting i/2 ms.
         let g = generators::path(2, 1);
         let net = pr_net(&g);
-        let agent = Static(net.agent(&g));
+        let agent = net.agent(&g);
         let config = SimConfig {
             bandwidth_bps: 8_192_000, // 1000 pkt/s at 1024 B
-            queue_capacity: 4,
             ..Default::default()
         };
         let mut sim = Simulator::new(&g, &agent, config, 4);
-        // 2000 pkt/s offered into a 1000 pkt/s link.
         sim.add_cbr_flow(
             NodeId(0),
             NodeId(1),
@@ -516,15 +487,17 @@ mod tests {
             SimTime::from_millis(500),
         );
         let m = sim.run_until(SimTime::from_secs(2));
-        assert!(m.drops.get("egress queue overflow").copied().unwrap_or(0) > 100);
-        assert!(m.delivered > 400, "the bottleneck still drains at its rate");
+        assert_eq!((m.injected, m.delivered), (1_001, 1_001));
+        // The last packet, sent at 500 ms, leaves the wire at 1 001 ms
+        // and crosses 50 µs of fibre.
+        assert_eq!(m.latency_max_ns, 501_050_000);
     }
 
     #[test]
     fn flapping_links_lose_in_flight_packets_each_cycle() {
         let g = generators::ring(4, 1);
         let net = pr_net(&g);
-        let agent = Static(net.agent(&g));
+        let agent = net.agent(&g);
         let mut sim = Simulator::new(&g, &agent, SimConfig::default(), 5);
         sim.add_cbr_flow(
             NodeId(0),
@@ -546,7 +519,7 @@ mod tests {
     fn determinism_same_seed_same_metrics() {
         let g = generators::ring(6, 1);
         let net = pr_net(&g);
-        let agent = Static(net.agent(&g));
+        let agent = net.agent(&g);
         let run = |seed| {
             let mut sim = Simulator::new(&g, &agent, SimConfig::default(), seed);
             sim.add_poisson_flow(
@@ -576,7 +549,7 @@ mod tests {
         let rot = RotationSystem::from_neighbor_orders(&g, &orders).unwrap();
         let emb = CellularEmbedding::new(&g, rot).unwrap();
         let net = PrNetwork::compile(&g, emb, PrMode::Basic, DiscriminatorKind::Hops);
-        let agent = Static(net.agent(&g));
+        let agent = net.agent(&g);
         let config = SimConfig { hop_budget: 64, ..Default::default() };
         let mut sim = Simulator::new(&g, &agent, config, 6);
         let a = g.node_by_name("A").unwrap();

@@ -4,13 +4,8 @@
 //! bit-identically across platforms — float time accumulates rounding
 //! differences that break deterministic regression tests.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, in nanoseconds from simulation start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {
@@ -61,17 +56,10 @@ impl std::fmt::Display for SimTime {
     }
 }
 
-/// Transmission (serialization) time of `bytes` at `bits_per_sec`, in
-/// nanoseconds, rounded up so a packet never finishes early.
-pub fn transmission_nanos(bytes: u32, bits_per_sec: u64) -> u64 {
-    let bits = u128::from(bytes) * 8;
-    let nanos = (bits * 1_000_000_000).div_ceil(u128::from(bits_per_sec.max(1)));
-    u64::try_from(nanos).unwrap_or(u64::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pr_bench::timed::transmission_nanos;
 
     #[test]
     fn constructors_agree() {

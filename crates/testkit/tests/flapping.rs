@@ -4,12 +4,13 @@
 //! possibility of link flapping. This can be done simply by ensuring
 //! that link state transitions only happen after the link has been
 //! idle for long enough…" — these tests exercise exactly that knob
-//! ([`SimConfig::up_holddown_ns`]).
+//! (the hold-down of [`Simulator::detect_after`]).
 
+use pr_bench::timed::SimConfig;
 use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
 use pr_embedding::{CellularEmbedding, RotationSystem};
 use pr_graph::{generators, NodeId};
-use pr_sim::{SimConfig, SimTime, Simulator, Static};
+use pr_testkit::{simulator::Simulator, time::SimTime};
 
 fn pr_ring() -> (pr_graph::Graph, PrNetwork) {
     let g = generators::ring(5, 1);
@@ -27,13 +28,10 @@ fn pr_ring() -> (pr_graph::Graph, PrNetwork) {
 fn holddown_suppresses_flap_losses() {
     let run = |holddown_ns: u64| {
         let (g, net) = pr_ring();
-        let agent = Static(net.agent(&g));
-        let config = SimConfig {
-            detection_delay_ns: 100_000, // 0.1 ms detection
-            up_holddown_ns: holddown_ns,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::new(&g, &agent, config, 11);
+        let agent = net.agent(&g);
+        // 0.1 ms detection.
+        let mut sim =
+            Simulator::new(&g, &agent, SimConfig::default(), 11).detect_after(100_000, holddown_ns);
         // Steady flow 1 -> 0 whose direct link flaps every 2 ms.
         sim.add_cbr_flow(
             NodeId(1),
@@ -74,13 +72,10 @@ fn holddown_suppresses_flap_losses() {
 #[test]
 fn visibility_follows_holddown_rules() {
     let (g, net) = pr_ring();
-    let agent = Static(net.agent(&g));
-    let config = SimConfig {
-        detection_delay_ns: 1_000_000, // 1 ms
-        up_holddown_ns: 10_000_000,    // 10 ms
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(&g, &agent, config, 3);
+    let agent = net.agent(&g);
+    // 1 ms detection, 10 ms hold-down.
+    let mut sim =
+        Simulator::new(&g, &agent, SimConfig::default(), 3).detect_after(1_000_000, 10_000_000);
     let link = g.find_link(NodeId(0), NodeId(1)).unwrap();
 
     sim.schedule_link_down(link, SimTime::from_millis(10));
@@ -113,13 +108,9 @@ fn visibility_follows_holddown_rules() {
 fn flapping_runs_are_deterministic() {
     let run = || {
         let (g, net) = pr_ring();
-        let agent = Static(net.agent(&g));
-        let config = SimConfig {
-            detection_delay_ns: 200_000,
-            up_holddown_ns: 3_000_000,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::new(&g, &agent, config, 9);
+        let agent = net.agent(&g);
+        let mut sim =
+            Simulator::new(&g, &agent, SimConfig::default(), 9).detect_after(200_000, 3_000_000);
         sim.add_poisson_flow(
             NodeId(2),
             NodeId(0),

@@ -7,11 +7,12 @@
 
 use proptest::prelude::*;
 
+use pr_bench::timed::SimConfig;
 use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
 use pr_embedding::CellularEmbedding;
 use pr_graph::{Graph, LinkId, NodeId};
-use pr_sim::{SimConfig, SimTime, Simulator, Static};
 use pr_testkit::planar;
+use pr_testkit::{simulator::Simulator, time::SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -34,9 +35,9 @@ proptest! {
     #[test]
     fn packets_are_conserved((g, emb, seed) in arb_setup()) {
         let net = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
-        let agent = Static(net.agent(&g));
-        let config = SimConfig { detection_delay_ns: (seed % 3) * 500_000, ..Default::default() };
-        let mut sim = Simulator::new(&g, &agent, config, seed);
+        let agent = net.agent(&g);
+        let mut sim = Simulator::new(&g, &agent, SimConfig::default(), seed)
+            .detect_after((seed % 3) * 500_000, 0);
 
         let n = g.node_count() as u32;
         sim.add_cbr_flow(
@@ -81,7 +82,7 @@ proptest! {
     #[test]
     fn failure_free_light_load_is_lossless((g, emb, seed) in arb_setup()) {
         let net = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
-        let agent = Static(net.agent(&g));
+        let agent = net.agent(&g);
         let mut sim = Simulator::new(&g, &agent, SimConfig::default(), seed);
         let n = g.node_count() as u32;
         let src = NodeId(seed as u32 % n);
@@ -105,14 +106,10 @@ proptest! {
     #[test]
     fn identical_runs_identical_metrics((g, emb, seed) in arb_setup()) {
         let net = PrNetwork::compile(&g, emb, PrMode::DistanceDiscriminator, DiscriminatorKind::Hops);
-        let agent = Static(net.agent(&g));
+        let agent = net.agent(&g);
         let run = || {
-            let config = SimConfig {
-                detection_delay_ns: 300_000,
-                up_holddown_ns: 2_000_000,
-                ..Default::default()
-            };
-            let mut sim = Simulator::new(&g, &agent, config, seed);
+            let mut sim = Simulator::new(&g, &agent, SimConfig::default(), seed)
+                .detect_after(300_000, 2_000_000);
             let n = g.node_count() as u32;
             sim.add_poisson_flow(
                 NodeId(seed as u32 % n),

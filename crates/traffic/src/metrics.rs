@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Demand-weighted tally of flow outcomes — the flow-level analogue of
-/// the packet simulator's `Metrics`.
+/// the timed pricer's `Metrics`.
 ///
 /// Where `Metrics` counts packets, a `DemandTally` weighs each flow
 /// by its traffic-matrix demand, so a dead link carrying 40% of an

@@ -1,6 +1,6 @@
 //! The scenario subsystem in one tour: streaming failure families,
-//! the parallel work-unit engine, and a temporal sweep through the
-//! discrete-event simulator — all on GÉANT.
+//! the parallel work-unit engine, and a temporal sweep priced packet by
+//! packet — all on GÉANT.
 //!
 //! ```sh
 //! cargo run --release --example scenario_sweep [threads]
@@ -10,6 +10,7 @@ use packet_recycling::prelude::*;
 use packet_recycling::scenarios::{
     ExhaustiveKFailures, NodeFailures, OutageParams, OutageSweep, SingleLinkFailures, SrlgFailures,
 };
+use pr_bench::timed::SimConfig;
 
 fn main() {
     let threads: usize = std::env::args()
@@ -51,7 +52,8 @@ fn main() {
 
     // --- A temporal family: timed outage of every link --------------
     let outages = OutageSweep::new(&graph, OutageParams::default());
-    let rows = pr_bench::temporal::run(&graph, &net, &outages, &SimConfig::default(), threads);
+    let rows = pr_bench::temporal::run(&graph, &net, &outages, &SimConfig::default(), threads)
+        .expect("the default flow leaves the wire idle between packets");
     let s = pr_bench::temporal::summarize(&rows);
     println!(
         "\ntimed outages ({} scenarios): PR lost {} of {} packets; \

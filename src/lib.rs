@@ -3,9 +3,9 @@
 //! *"Packet Re-cycling: Eliminating Packet Losses due to Network
 //! Failures"*, S. S. Lor, R. Landa, M. Rio — HotNets-IX, 2010 —
 //! rebuilt as a Rust workspace: protocol, cellular-embedding engine,
-//! baselines (FCP, reconvergence, LFA), a deterministic packet-level
-//! simulator, the paper's evaluation topologies, and an experiment
-//! harness regenerating every table and figure.
+//! baselines (FCP, reconvergence, LFA), the paper's evaluation
+//! topologies, and an experiment harness regenerating every table and
+//! figure, its temporal rows priced packet by packet.
 //!
 //! This crate is the facade: it re-exports the sub-crates under one
 //! roof and hosts the runnable examples and cross-crate integration
@@ -49,13 +49,12 @@
 //! | [`core`] (`pr-core`) | PR protocol: header, tables, forwarding agent, packet walker |
 //! | [`baselines`] (`pr-baselines`) | FCP, LFA, not-via |
 //! | [`scenarios`] (`pr-scenarios`) | streaming failure families (single/multi/node/SRLG/exhaustive-k) + temporal traces + seeded impairment decorators |
-//! | [`sim`] (`pr-sim`) | deterministic discrete-event packet simulator, temporal-scenario driver |
 //! | [`topologies`] (`pr-topologies`) | Abilene / GÉANT / Teleglobe + the Figure 1 fixture |
 //! | [`traffic`] (`pr-traffic`) | gravity/uniform/hot-spot matrices, flow sets, cone-delta replay, timeline replay, demand tallies |
 //!
-//! The experiment library (`pr-bench`) is not re-exported; `pr-cli`
-//! runs it (`pr experiment <name>`, see `DESIGN.md` §13 for the
-//! experiment-to-command map).
+//! The experiment library (`pr-bench`), which holds the temporal
+//! pricer, is not re-exported; `pr-cli` runs it (`pr experiment
+//! <name>`, see `DESIGN.md` §13 for the experiment-to-command map).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -65,7 +64,6 @@ pub use pr_core as core;
 pub use pr_embedding as embedding;
 pub use pr_graph as graph;
 pub use pr_scenarios as scenarios;
-pub use pr_sim as sim;
 pub use pr_topologies as topologies;
 pub use pr_traffic as traffic;
 
@@ -85,7 +83,6 @@ pub mod prelude {
     pub use pr_scenarios::{
         Impaired, ImpairmentProcess, ScenarioFamily, ScenarioIter, TemporalFamily, TemporalScenario,
     };
-    pub use pr_sim::{SimConfig, SimTime, Simulator, Static, TimedForwarding};
     pub use pr_traffic::{
         replay_timeline, DemandTally, FlowSet, TallySample, TallySeries, TimelineTraffic,
         TrafficModel,

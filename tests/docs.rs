@@ -24,6 +24,10 @@
 //! `DESIGN.md, "allocator discipline"`) is the bold or italic lead of
 //! a paragraph in that section, or anywhere when no section is given.
 //! DESIGN.md's own `§N, "title"` references are held to the same leads.
+//!
+//! So do the examples a Rust comment names: a path ending in
+//! `examples/<name>.rs` is a file from the repo root, and `--example
+//! <name>` an example of the root package or of a crate of `crates/`.
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -659,6 +663,98 @@ fn citation_errors(text: &str, all: &[Section], own: bool) -> Vec<String> {
         }
     }
     errors
+}
+
+/// The comments of a Rust source, markers dropped, each run of comment
+/// lines joined into one line, so a name a comment wraps reads whole.
+fn comments(text: &str) -> Vec<String> {
+    let mut runs = vec![String::new()];
+    for line in text.lines().map(str::trim) {
+        match ["//!", "///", "//"].iter().find_map(|m| line.strip_prefix(m)) {
+            Some(comment) => {
+                runs.last_mut().expect("a run").push_str(&format!("{} ", comment.trim()))
+            }
+            None if runs.last().is_some_and(|run| !run.is_empty()) => runs.push(String::new()),
+            None => {}
+        }
+    }
+    runs.retain(|run| !run.is_empty());
+    runs
+}
+
+/// The examples `comment` names that the tree does not hold: a path
+/// `…examples/<name>.rs` read from the repo root, and `--example
+/// <name>`, which the root package or a crate of `crates/` must have.
+fn stale_examples(comment: &str, tree: &[String]) -> Vec<String> {
+    let name_char = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let path_char = |c: char| name_char(c) || "-/".contains(c);
+    let name_at =
+        |tail: &str| tail[..tail.find(|c| !name_char(c)).unwrap_or(tail.len())].to_string();
+    let mut stale = Vec::new();
+    for (at, _) in comment.match_indices("examples/") {
+        let name = name_at(&comment[at + "examples/".len()..]);
+        let end = at + "examples/".len() + name.len();
+        if name.is_empty() || !comment[end..].starts_with(".rs") {
+            continue;
+        }
+        let start = comment[..at].rfind(|c| !path_char(c)).map_or(0, |i| i + 1);
+        let path = &comment[start..end + ".rs".len()];
+        if !tree.iter().any(|f| f == path) {
+            stale.push(path.to_string());
+        }
+    }
+    for (at, _) in comment.match_indices("--example ") {
+        let name = name_at(comment[at + "--example ".len()..].trim_start());
+        let example = format!("examples/{name}.rs");
+        let in_a_crate = |f: &String| {
+            f.strip_prefix("crates/")
+                .and_then(|f| f.split_once('/'))
+                .is_some_and(|(_, f)| f == example)
+        };
+        if !tree.iter().any(|f| *f == example || in_a_crate(f)) {
+            stale.push(format!("--example {name}"));
+        }
+    }
+    stale
+}
+
+#[test]
+fn every_example_a_rust_comment_names_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut tree = Vec::new();
+    files(root, root, &mut tree);
+    // This file names stale examples on purpose, in its tests.
+    let sources = tree.iter().filter(|f| f.ends_with(".rs") && *f != "tests/docs.rs");
+    let (mut named, mut stale) = (0, Vec::new());
+    for file in sources {
+        let text = std::fs::read_to_string(root.join(file)).expect("a readable file");
+        for comment in comments(&text) {
+            named += comment.matches("examples/").count() + comment.matches("--example ").count();
+            stale.extend(
+                stale_examples(&comment, &tree).into_iter().map(|e| format!("{file}: {e}")),
+            );
+        }
+    }
+    assert!(named > 10, "only {named} examples named: the scanner lost the comments");
+    assert!(stale.is_empty(), "examples that do not exist:\n{}", stale.join("\n"));
+}
+
+#[test]
+fn the_example_scanner_tells_a_stale_name_from_a_live_one() {
+    let tree: Vec<String> =
+        ["examples/quickstart.rs", "crates/core/examples/diagnose.rs"].map(String::from).into();
+    let stale = |text: &str| -> Vec<String> {
+        comments(text).iter().flat_map(|c| stale_examples(c, &tree)).collect()
+    };
+    let live = "//! See `examples/quickstart.rs` and `crates/core/examples/diagnose.rs`;\n\
+                //! run `cargo run -p pr-core --example\n/// diagnose` or `--example quickstart`.";
+    assert_eq!(stale(live), Vec::<String>::new());
+    // A crate's example named from the root's `examples/` is stale.
+    assert_eq!(stale("// see `examples/diagnose.rs`"), ["examples/diagnose.rs"]);
+    let planted = "/// run `cargo run --example\n/// diagnose_genus` or see `crates/x/examples/quickstart.rs`";
+    assert_eq!(stale(planted), ["crates/x/examples/quickstart.rs", "--example diagnose_genus"]);
+    assert_eq!(stale("let s = \"--example gone\"; // code, not a comment"), Vec::<String>::new());
+    assert_eq!(stale("// the --example flag, and examples/ at large"), ["--example flag"]);
 }
 
 #[test]

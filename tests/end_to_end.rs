@@ -3,7 +3,9 @@
 //! way a downstream user would drive it (through the facade crate).
 
 use packet_recycling::prelude::*;
+use pr_bench::timed::SimConfig;
 use pr_testkit::oracle::ReconvergenceAgent;
+use pr_testkit::{simulator::Simulator, time::SimTime};
 
 /// The complete production pipeline on every shipped ISP topology.
 #[test]
@@ -67,8 +69,7 @@ fn simulator_and_walker_agree_on_delivery() {
 
             // Timed simulation of the same pair under a pre-existing
             // failure (failure at t=0, instant detection).
-            let timed = Static(agent);
-            let mut sim = Simulator::new(&graph, &timed, SimConfig::default(), 1);
+            let mut sim = Simulator::new(&graph, &agent, SimConfig::default(), 1);
             sim.schedule_link_down(link, SimTime::ZERO);
             sim.add_cbr_flow(
                 src,
