@@ -20,6 +20,19 @@ pub fn run_scenario<T: TimedForwarding>(
     scenario: &TemporalScenario,
     config: &SimConfig,
 ) -> Metrics {
+    scenario_simulator(graph, agent, scenario, config)
+        .run_until(SimTime(scenario.horizon_ns))
+        .clone()
+}
+
+/// The simulator [`run_scenario`] runs: `scenario`'s flow and link
+/// events scheduled, nothing run yet.
+pub fn scenario_simulator<'a, T: TimedForwarding>(
+    graph: &'a Graph,
+    agent: &'a T,
+    scenario: &TemporalScenario,
+    config: &SimConfig,
+) -> Simulator<'a, T> {
     // The simulator's RNG draws Poisson gaps only; a scenario's flow is
     // CBR and never reads it, so the seed is a constant.
     let mut sim = Simulator::new(graph, agent, config.clone(), 0)
@@ -40,7 +53,7 @@ pub fn run_scenario<T: TimedForwarding>(
             sim.schedule_link_down(e.link, SimTime(e.at_ns));
         }
     }
-    sim.run_until(SimTime(scenario.horizon_ns)).clone()
+    sim
 }
 
 #[cfg(test)]

@@ -123,6 +123,9 @@ pub struct Simulator<'a, T: TimedForwarding> {
     visible_failed: LinkSet,
     /// Per dart, when its current transmission (if any) finishes.
     busy_until: Vec<SimTime>,
+    /// Transmissions that waited for the wire: where this is zero, the
+    /// run is queue-free and the pricer's counts are its counts.
+    waited: u64,
     flows: Vec<Flow>,
     rng: StdRng,
     metrics: Metrics,
@@ -143,6 +146,7 @@ impl<'a, T: TimedForwarding> Simulator<'a, T> {
             epoch: vec![0; graph.link_count()],
             visible_failed: LinkSet::empty(graph.link_count()),
             busy_until: vec![SimTime::ZERO; graph.dart_count()],
+            waited: 0,
             flows: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             metrics: Metrics::default(),
@@ -244,6 +248,11 @@ impl<'a, T: TimedForwarding> Simulator<'a, T> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// Transmissions so far that waited in an egress queue.
+    pub fn waited(&self) -> u64 {
+        self.waited
     }
 
     /// The control plane's current failure view.
@@ -366,6 +375,7 @@ impl<'a, T: TimedForwarding> Simulator<'a, T> {
 
     fn transmit(&mut self, out: Dart, mut packet: Packet<T::State>) {
         let start = self.busy_until[out.index()].max(self.now);
+        self.waited += u64::from(start > self.now);
         let done = start.after(transmission_nanos(packet.size, self.config.bandwidth_bps));
         self.busy_until[out.index()] = done;
         let prop = self.config.prop_ns(self.graph, out.link());

@@ -5,7 +5,9 @@
 //! timed walk; the kit's packet simulator runs the same flow through
 //! queues and an event loop. Where no packet queues they agree on every
 //! field (DESIGN.md §11), and on the outages of the paper's networks
-//! none does: the first two tests hold them equal field for field.
+//! none does: the first two tests hold them equal field for field, and
+//! the third on random timelines whose events fall on the instants
+//! packets reach, wherever the simulator queued nothing.
 //!
 //! `pr impair` integrates demand over `pr_traffic::replay_timeline`'s
 //! intervals instead, and the last test meets it on one flow. Each
@@ -31,36 +33,46 @@ use pr_bench::timed::{igp_for, price, transmission_nanos, SimConfig, TimedForwar
 use pr_bench::EXPERIMENT_SEED;
 use pr_core::{generous_ttl, DiscriminatorKind, PrMode, PrNetwork};
 use pr_embedding::CellularEmbedding;
-use pr_graph::{Graph, NodeId, SpScratch};
+use pr_graph::{Graph, LinkId, NodeId, SpScratch};
 use pr_scenarios::{
-    FlapSweep, FlowSpec, OutageParams, OutageSweep, TemporalFamily, TemporalScenario,
+    FlapSweep, FlowSpec, LinkEvent, OutageParams, OutageSweep, TemporalFamily, TemporalScenario,
 };
-use pr_testkit::driver::run_scenario;
+use pr_testkit::driver::{run_scenario, scenario_simulator};
 use pr_testkit::fixtures::quick_outage;
 use pr_testkit::nets::Net;
+use pr_testkit::planar;
+use pr_testkit::time::SimTime;
 use pr_traffic::{replay_timeline, FlowSet, ReplayScratch, TallySample, TrafficModel};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// One engine pair's run of a scenario: the scheme, its priced and
+/// simulated metrics, and the simulator's transmissions that waited in
+/// a queue.
+type Run = (&'static str, Metrics, Metrics, u64);
 
 /// `scenario` under PR and under its reconverging IGP, priced and
-/// simulated: `[(scheme, priced, simulated); 2]`.
+/// simulated.
 fn both_engines(
     g: &Graph,
     pr: &PrNetwork,
     scenario: &TemporalScenario,
     config: &SimConfig,
-) -> [(&'static str, Metrics, Metrics); 2] {
+) -> [Run; 2] {
     fn run<T: TimedForwarding>(
+        scheme: &'static str,
         g: &Graph,
         agent: &T,
         scenario: &TemporalScenario,
         config: &SimConfig,
-    ) -> (Metrics, Metrics) {
+    ) -> Run {
         let priced = price(g, agent, scenario, config).expect("a queue-free flow");
-        (priced, run_scenario(g, agent, scenario, config))
+        let mut sim = scenario_simulator(g, agent, scenario, config);
+        let simulated = sim.run_until(SimTime(scenario.horizon_ns)).clone();
+        (scheme, priced, simulated, sim.waited())
     }
-    let (pr_priced, pr_simulated) = run(g, &pr.agent(g), scenario, config);
     let igp = igp_for(g, scenario, pr.base(), &mut SpScratch::new());
-    let (igp_priced, igp_simulated) = run(g, &igp, scenario, config);
-    [("pr", pr_priced, pr_simulated), ("igp", igp_priced, igp_simulated)]
+    [run("pr", g, &pr.agent(g), scenario, config), run("igp", g, &igp, scenario, config)]
 }
 
 #[test]
@@ -73,9 +85,11 @@ fn the_pricer_is_the_simulator_on_every_field_of_the_sweeps() {
             let mut lost = 0;
             for i in 0..family.len() {
                 let scenario = family.scenario(i);
-                for (scheme, priced, simulated) in both_engines(&net.g, &net.pr, &scenario, &config)
+                for (scheme, priced, simulated, waited) in
+                    both_engines(&net.g, &net.pr, &scenario, &config)
                 {
                     let what = format!("{name} {} under {scheme}", scenario.label);
+                    assert_eq!(waited, 0, "{what}: the premise, no packet queues");
                     assert_eq!(priced, simulated, "{what}");
                     lost += priced.total_dropped();
                 }
@@ -104,7 +118,7 @@ fn the_pricer_is_the_simulator_on_every_field_oc192_prints() {
         // from 10 ms before it.
         let mut scenario = oc192_scenario(&g, primary, load, 20_000_000, 600_000_000);
         scenario.flow.start_ns = 490_000_000;
-        for (scheme, priced, simulated) in both_engines(&g, &net, &scenario, &config) {
+        for (scheme, priced, simulated, _) in both_engines(&g, &net, &scenario, &config) {
             let what = format!("load {load} under {scheme}");
             assert_eq!(printed(&priced), printed(&simulated), "{what}");
             assert!(priced.total_dropped() > 0, "{what}: the outage costs packets");
@@ -119,7 +133,7 @@ fn the_pricer_is_the_simulator_on_every_field_oc192_prints() {
     // The quarter-million test's scenario, simulated: its latency is
     // the queueing the pricer leaves out.
     let scenario = oc192_scenario(&g, primary, 0.25, 100_000_000, 800_000_000);
-    let [_, (_, priced, simulated)] = both_engines(&g, &net, &scenario, &config);
+    let [_, (_, priced, simulated, _)] = both_engines(&g, &net, &scenario, &config);
     assert_eq!(printed(&priced), printed(&simulated));
     assert_eq!(simulated.latency_sum_ns, 27_682_524_491);
     assert!(priced.latency_sum_ns < simulated.latency_sum_ns);
@@ -161,6 +175,105 @@ fn sent_during(flow: &FlowSpec, sample: &TallySample) -> u64 {
     let before = |t: u64| t.saturating_sub(flow.start_ns).div_ceil(flow.interval_ns);
     let to = sample.to_ns + u64::from(sample.to_ns == flow.end_ns);
     before(to) - before(sample.from_ns)
+}
+
+/// An instant a packet of the flow can reach: a send instant plus whole
+/// hops of 50 µs of fibre (weight 1) and of serialisation.
+fn reachable_instant(rng: &mut StdRng, interval_ns: u64, packets: u64, tx_ns: u64) -> u64 {
+    interval_ns * rng.gen_range(0..packets)
+        + 50_000 * rng.gen_range(0..6u64)
+        + tx_ns * rng.gen_range(0..6u64)
+}
+
+/// A random timeline on `g`: one CBR flow, up to eight link transitions
+/// (repeats and no-ops among them) at instants its packets reach, a
+/// detection delay and hold-down from the same grid or off it, the IGP
+/// converging at such an instant, and sometimes a horizon mid-flow.
+fn random_scenario(g: &Graph, rng: &mut StdRng) -> TemporalScenario {
+    let nodes = g.node_count() as u32;
+    let src = NodeId(rng.gen_range(0..nodes));
+    let dst = NodeId((src.0 + rng.gen_range(1..nodes)) % nodes);
+    let packet_bytes = [64, 512, 1500][rng.gen_range(0..3usize)];
+    let tx_ns = transmission_nanos(packet_bytes, SimConfig::default().bandwidth_bps);
+    let interval_ns = [tx_ns, 10_000, 50_000 + tx_ns, 100_000][rng.gen_range(0..4usize)];
+    let packets = rng.gen_range(20..1_500u64);
+    let end_ns = interval_ns * (packets - 1);
+    let knob = |rng: &mut StdRng| match rng.gen_range(0..5u32) {
+        0 => 0,
+        1 => interval_ns,
+        2 => reachable_instant(rng, interval_ns, 3, tx_ns),
+        _ => rng.gen_range(0..300_000u64),
+    };
+    let (detection_delay_ns, up_holddown_ns) = (knob(rng), knob(rng));
+    let link = |rng: &mut StdRng| LinkId(rng.gen_range(0..g.link_count() as u32));
+    let mut events: Vec<LinkEvent> = (0..rng.gen_range(1..7usize))
+        .map(|_| LinkEvent {
+            // Now and then at the first packet's instant, which the
+            // simulator scheduled before any transition.
+            at_ns: match rng.gen_bool(0.2) {
+                true => 0,
+                false => reachable_instant(rng, interval_ns, packets, tx_ns),
+            },
+            link: link(rng),
+            up: rng.gen_bool(0.4),
+        })
+        .collect();
+    if rng.gen_bool(0.3) {
+        // A flap whose repair lands on its failure's own detection.
+        let (at_ns, link) = (reachable_instant(rng, interval_ns, packets, tx_ns), link(rng));
+        events.push(LinkEvent { at_ns, link, up: false });
+        events.push(LinkEvent { at_ns: at_ns + detection_delay_ns, link, up: true });
+    }
+    let mut igp_failed: Vec<LinkId> = events.iter().filter(|e| !e.up).map(|e| e.link).collect();
+    igp_failed.sort();
+    igp_failed.dedup();
+    let horizon_ns = if rng.gen_bool(0.3) {
+        reachable_instant(rng, interval_ns, packets, tx_ns)
+    } else {
+        end_ns + 1_000_000_000
+    };
+    TemporalScenario {
+        label: format!("random:{src}->{dst}"),
+        flow: FlowSpec { src, dst, packet_bytes, interval_ns, start_ns: 0, end_ns },
+        events,
+        detection_delay_ns,
+        up_holddown_ns,
+        horizon_ns,
+        igp_failed,
+        igp_converged_at_ns: reachable_instant(rng, interval_ns, packets, tx_ns),
+    }
+}
+
+#[test]
+fn the_pricer_is_the_simulator_on_random_timelines_wherever_nothing_queues() {
+    let config = SimConfig::default();
+    let (mut compared, mut ties, mut causes) = (0, 0, std::collections::BTreeSet::new());
+    for seed in 0..300 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nodes = rng.gen_range(4..9usize);
+        let (g, rotation) = planar::random_outerplanar(nodes, 0.5, 1..=3, &mut rng);
+        let emb = CellularEmbedding::new(&g, rotation).expect("a connected ring");
+        let mode = if rng.gen_bool(0.3) { PrMode::Basic } else { PrMode::DistanceDiscriminator };
+        let net = PrNetwork::compile(&g, emb, mode, DiscriminatorKind::Hops);
+        let scenario = random_scenario(&g, &mut rng);
+        let interval = scenario.flow.interval_ns;
+        ties += scenario.events.iter().filter(|e| e.at_ns % interval == 0).count();
+        for (scheme, priced, simulated, waited) in both_engines(&g, &net, &scenario, &config) {
+            if waited == 0 {
+                assert_eq!(priced, simulated, "seed {seed} under {scheme}: {scenario:?}");
+                causes.extend(priced.drops.keys().cloned());
+                compared += 1;
+            }
+        }
+    }
+    assert!(compared >= 450, "only {compared} of 600 runs were queue-free");
+    assert!(ties >= 100, "only {ties} transitions fell on a send instant");
+    let seen: Vec<&str> = causes.iter().map(String::as_str).collect();
+    for cause in ["egress interface down", "lost in flight on failed link", "hop budget exhausted"]
+    {
+        assert!(seen.contains(&cause), "no queue-free run lost a packet to {cause}: {seen:?}");
+    }
+    assert!(seen.iter().any(|c| c.starts_with("agent: ")), "no agent drop: {seen:?}");
 }
 
 #[test]

@@ -37,7 +37,7 @@ const PRODUCT_TOTAL: usize = 18_446;
 
 /// Lines of the dev-only test kit's sources (`crates/testkit/src`),
 /// counted by the product's rule.
-const KIT: usize = 2_070;
+const KIT: usize = 2_093;
 
 /// Lines of DESIGN.md.
 const DESIGN_LINES: usize = 1_500;
