@@ -18,8 +18,9 @@
 //!   cost (`None`: the failure disconnected it). That is the unit's
 //!   one cone repair — distance labels only — or, under one failed
 //!   link, its **mirror**: survivor distances are symmetric, so only
-//!   the units whose tree crosses the link one way run a repair, and
-//!   the others read theirs off those. The opened cone answers for any
+//!   the units whose tree crosses the link one way run a repair, keep
+//!   their pairs at 8 bytes each, and the others find theirs in those by
+//!   binary search, with no transpose. The opened cone answers for any
 //!   of its nodes ([`OpenCone::survivor`]). Then the
 //!   sweep opens each scheme's lane on the unit and asks it the cost
 //!   of every connected source — one shape for every scheme
@@ -54,7 +55,8 @@
 //!   regardless of thread count (`tests/determinism.rs` enforces
 //!   this), and nothing of size O(units) is ever held: memory is the
 //!   caller's own result plus the blocks in flight, which the stretch
-//!   sweep folds into a per-scenario row on the worker.
+//!   sweep folds into a per-scenario row on the worker, and its front
+//!   doors into one running total as the rows arrive.
 //!
 //! The engine takes its thread count as an argument. `pr-cli` reads it
 //! from `--threads N` on every subcommand that sweeps and falls back
@@ -230,6 +232,21 @@ impl<'a> ConePlan<'a> {
 /// cut it off from the destination.
 type Survivor = (NodeId, Option<u64>);
 
+/// A [`Survivor`] as the opener keeps it, in 8 bytes: the cost of a
+/// simple path is below `u32::MAX` (the graph's weight limit), so
+/// `CUT_OFF` marks a source the failure cut off.
+type Pair = (NodeId, u32);
+
+const CUT_OFF: u32 = u32::MAX;
+
+fn pack(survivor: Option<u64>) -> u32 {
+    survivor.map_or(CUT_OFF, |cost| u32::try_from(cost).expect("a simple path's cost"))
+}
+
+fn unpack((src, cost): Pair) -> Survivor {
+    (src, (cost != CUT_OFF).then_some(u64::from(cost)))
+}
+
 /// Per-worker state of the unit kernel's first step: the affected
 /// sources of the current unit, the arena their survivor distances are
 /// repaired in, and a sweep's mirror of the last single failed link.
@@ -241,7 +258,7 @@ pub struct ConeOpener<'a> {
     stack: Vec<NodeId>,
     labels: SpScratch,
     /// The current unit's pairs, where the mirror does not hold them.
-    opened: Vec<Survivor>,
+    opened: Vec<Pair>,
     /// A sweep opener's mirror ([`ConePlan::sweep_opener`]).
     mirror: Option<Mirror>,
     /// Counted per unit opened, never per mirror built: what a unit
@@ -264,13 +281,12 @@ impl ConeOpener<'_> {
     /// under **one** failed link `l` only for the units whose tree
     /// crosses `l` as `l.forward()`, all of them when it first meets
     /// `l`; a unit whose tree crosses it as `l.reverse()` is read off
-    /// their transpose (`Mirror`). A warm opener does not call the
-    /// allocator.
+    /// theirs (`Mirror`). A warm opener does not call the allocator.
     pub fn open<'o>(&'o mut self, unit: &SweepUnit<'o>) -> OpenCone<'o> {
         let ConeOpener { plan, cone, stack, labels, opened, mirror, stats } = self;
         let (graph, tree) = (plan.graph, unit.base_tree);
         let children = &plan.children[unit.dst.index()];
-        let pairs: &[Survivor] = match (unit.broken_tree_dart(graph), mirror) {
+        let pairs: &[Pair] = match (unit.broken_tree_dart(graph), mirror) {
             (Some(out), Some(mirror)) => {
                 mirror.build(plan, out.link(), unit.failed, cone, stack, labels);
                 if out.is_forward() {
@@ -289,7 +305,7 @@ impl ConeOpener<'_> {
                 opened.clear();
                 if !cone.is_empty() {
                     tree.repair_cone_labels(graph, unit.failed, cone, labels);
-                    opened.extend(cone.iter().map(|&src| (src, labels.cone_cost(src))));
+                    opened.extend(cone.iter().map(|&src| (src, pack(labels.cone_cost(src)))));
                 }
                 opened
             }
@@ -310,13 +326,13 @@ impl ConeOpener<'_> {
 }
 
 /// The repaired cones of one failed link `l`'s **forward units** — the
-/// destinations whose tree crosses `l` as `l.forward()` — and their
-/// transpose, which answers every **reverse unit**. Link weights are
-/// undirected, so `dist_{G−l}(x, d) = dist_{G−l}(d, x)`; and for a
-/// source `x` of reverse unit `d`, either forward unit `x` holds `d` as
-/// a source, or `x`'s tree path from `d` avoids `l` and survives, so
-/// the distance is the failure-free one (DESIGN.md §8 has the proof).
-/// O(the link's forward affected pairs); a warm rebuild does not call
+/// destinations whose tree crosses `l` as `l.forward()` — which answer
+/// every **reverse unit** too. Link weights are undirected, so
+/// `dist_{G−l}(x, d) = dist_{G−l}(d, x)`; and for a source `x` of
+/// reverse unit `d`, either forward unit `x` holds `d` as a source, or
+/// `x`'s tree path from `d` avoids `l` and survives, so the distance is
+/// the failure-free one (DESIGN.md §8 has the proof). O(the link's
+/// forward affected pairs), 8 bytes each; a warm rebuild does not call
 /// the allocator.
 #[derive(Default)]
 struct Mirror {
@@ -324,19 +340,14 @@ struct Mirror {
     link: Option<LinkId>,
     /// Forward unit `d`'s pairs, ascending source, at
     /// `cones[cone_start[d]..cone_start[d + 1]]`.
-    cones: Vec<Survivor>,
+    cones: Vec<Pair>,
     cone_start: Vec<usize>,
-    /// The transpose: source `s`'s `(destination, survivor)` pairs,
-    /// one per forward unit whose cone holds `s`, ascending destination,
-    /// at `rows[row_start[s]..row_start[s + 1]]`.
-    rows: Vec<Survivor>,
-    row_start: Vec<usize>,
 }
 
 impl Mirror {
     /// Mirrors `link`, the one link of `failed`: repairs each of its
-    /// forward units once, in destination order, and transposes them.
-    /// Nothing to do if `link` is mirrored already.
+    /// forward units once, in destination order. Nothing to do if
+    /// `link` is mirrored already.
     fn build(
         &mut self,
         plan: &ConePlan<'_>,
@@ -350,64 +361,42 @@ impl Mirror {
             return;
         }
         let (graph, forward) = (plan.graph, link.forward());
-        let (n, tail) = (graph.node_count(), graph.dart_tail(forward));
-        let Mirror { cones, cone_start, rows, row_start, .. } = self;
+        let tail = graph.dart_tail(forward);
+        let Mirror { cones, cone_start, .. } = self;
         cones.clear();
         cone_start.clear();
         cone_start.push(0);
-        row_start.clear();
-        row_start.resize(n + 1, 0);
         for dst in graph.nodes() {
             let tree = plan.base.towards(dst);
             if tree.next_dart(tail) == Some(forward) {
                 tree.affected_cone(graph, &plan.children[dst.index()], failed, cone, stack);
                 tree.repair_cone_labels(graph, failed, cone, labels);
-                for &src in cone.iter() {
-                    cones.push((src, labels.cone_cost(src)));
-                    row_start[src.index() + 1] += 1;
-                }
+                cones.extend(cone.iter().map(|&src| (src, pack(labels.cone_cost(src)))));
             }
             cone_start.push(cones.len());
         }
-        // A counting sort by source. The prefix sums are the rows'
-        // starts; filling moves each to its row's end, which is the
-        // next row's start, so one shift restores them. Destinations
-        // are dealt in ascending order, so every row is ascending.
-        for s in 1..=n {
-            row_start[s] += row_start[s - 1];
-        }
-        rows.resize(cones.len(), (NodeId(0), None));
-        for dst in graph.nodes() {
-            for &(src, survivor) in &cones[cone_start[dst.index()]..cone_start[dst.index() + 1]] {
-                let at = &mut row_start[src.index()];
-                rows[*at] = (dst, survivor);
-                *at += 1;
-            }
-        }
-        row_start.copy_within(0..n, 1);
-        row_start[0] = 0;
         self.link = Some(link);
     }
 
-    /// Forward unit `dst`'s pairs.
-    fn cone_of(&self, dst: NodeId) -> &[Survivor] {
+    /// Forward unit `dst`'s pairs (none if `dst` is no forward unit).
+    fn cone_of(&self, dst: NodeId) -> &[Pair] {
         &self.cones[self.cone_start[dst.index()]..self.cone_start[dst.index() + 1]]
     }
 
     /// Reverse unit `tree.dest`'s pairs into `out`, for its `cone`
-    /// (ascending), merged with `tree.dest`'s row: source `x` costs
-    /// what forward unit `x` repaired for source `tree.dest`. A source
-    /// the row lacks is one whose own tree path from `tree.dest` avoids
-    /// the link, and costs its failure-free distance.
-    fn gather(&self, tree: &SpTree, cone: &[NodeId], out: &mut Vec<Survivor>) {
-        let d = tree.dest.index();
-        let mut row = self.rows[self.row_start[d]..self.row_start[d + 1]].iter().peekable();
+    /// (ascending): source `x` costs what forward unit `x` repaired for
+    /// source `tree.dest`, found by binary search in `x`'s cone. A
+    /// source that cone lacks is one whose own tree path from
+    /// `tree.dest` avoids the link, and costs its failure-free
+    /// distance.
+    fn gather(&self, tree: &SpTree, cone: &[NodeId], out: &mut Vec<Pair>) {
+        let d = tree.dest;
         out.clear();
         out.extend(cone.iter().map(|&x| {
-            while row.next_if(|&&(y, _)| y < x).is_some() {}
-            match row.next_if(|&&(y, _)| y == x) {
-                Some(&(_, survivor)) => (x, survivor),
-                None => (x, tree.cost(x)),
+            let forward = self.cone_of(x);
+            match forward.binary_search_by_key(&d, |&(src, _)| src) {
+                Ok(at) => (x, forward[at].1),
+                Err(_) => (x, pack(tree.cost(x))),
             }
         }));
     }
@@ -419,8 +408,8 @@ impl Mirror {
 #[derive(Clone)]
 pub struct OpenCone<'a> {
     /// Every pair of the unit, ascending source.
-    cone: &'a [Survivor],
-    pairs: std::slice::Iter<'a, Survivor>,
+    cone: &'a [Pair],
+    pairs: std::slice::Iter<'a, Pair>,
 }
 
 impl OpenCone<'_> {
@@ -428,7 +417,7 @@ impl OpenCone<'_> {
     /// the iterator yields beside it.
     pub fn survivor(&self, node: NodeId) -> Option<u64> {
         let at = self.cone.binary_search_by_key(&node, |&(src, _)| src);
-        self.cone[at.expect("a node of the cone")].1
+        unpack(self.cone[at.expect("a node of the cone")]).1
     }
 }
 
@@ -436,7 +425,7 @@ impl Iterator for OpenCone<'_> {
     type Item = Survivor;
 
     fn next(&mut self) -> Option<Survivor> {
-        self.pairs.next().copied()
+        self.pairs.next().copied().map(unpack)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

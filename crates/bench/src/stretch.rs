@@ -19,15 +19,19 @@
 //! while the pool runs.
 //!
 //! The **result form** is the per-scenario [`ScenarioRow`]:
-//! [`run_rows`] has each worker fold its scenario's samples into the
+//! [`stream_rows`] has each worker fold its scenario's samples into the
 //! scenario's row as the units produce them (`RowFold`), so no raw
-//! sample leaves a worker and the sweep holds O(1) per scenario; every
-//! front door (`pr sweep`, `pr stretch`, the daemon's `query stretch`,
-//! shard checkpoints) reads rows through [`report_from_rows`] /
-//! [`panel_csv_from_rows`]. Raw samples are the **library and oracle
-//! form**: [`run_with_stats`] folds each scenario into a
-//! [`StretchBlock`] and appends it to a [`StretchSamples`] panel, so
-//! [`run`] is bit-identical to the
+//! sample leaves a worker, and hands the rows over in scenario order.
+//! The front doors (`pr sweep`, `pr stretch`, the daemon's `query
+//! stretch`) fold each into one running [`RowTotals`] as it arrives
+//! ([`run_totals`]), so a sweep holds O(1) rows whatever its length;
+//! the shard path collects a shard's rows ([`run_rows`]) to checkpoint
+//! them and folds them the same way ([`RowTotals::of`]). The fold sums
+//! the stretch sums in row order and the CCDF numerators as integers,
+//! so streamed and held rows report the same bits. Raw samples are
+//! the **library and oracle form**: [`run_with_stats`] folds each
+//! scenario into a [`StretchBlock`] and appends it to a
+//! [`StretchSamples`] panel, so [`run`] is bit-identical to the
 //! independent oracle (`pr_testkit::oracle::stretch_serial`: plain
 //! `walk_packet`, scratch Dijkstra, all n sources classified) at any
 //! thread count (enforced by `tests/determinism.rs`). Quantiles need it
@@ -232,7 +236,7 @@ pub fn run_with_stats(
 
 /// What a worker folds a unit's pairs into, one at a time: a block of
 /// raw samples ([`StretchBlock`], the library and oracle form) or a
-/// scenario's growing row (`RowFold`, what [`run_rows`] ships).
+/// scenario's growing row (`RowFold`, what [`stream_rows`] ships).
 pub trait StretchFold {
     /// Records that the unit's scenario fails `failures` links.
     fn failures(&mut self, failures: usize);
@@ -419,6 +423,26 @@ pub struct ScenarioRow {
     pub above: Vec<u64>,
 }
 
+impl ScenarioRow {
+    /// The row of scenario `scenario` with nothing in it, at `xs`
+    /// thresholds.
+    fn empty(scenario: u64, xs: usize) -> ScenarioRow {
+        ScenarioRow {
+            scenario,
+            failures: 0,
+            evaluated_pairs: 0,
+            disconnected_pairs: 0,
+            undelivered: 0,
+            undelivered_fcp: 0,
+            undelivered_pr: 0,
+            samples: [0; 3],
+            sum: [0.0; 3],
+            max: [0.0; 3],
+            above: vec![0; 3 * xs],
+        }
+    }
+}
+
 /// A scenario's [`ScenarioRow`], folded on the worker that sweeps the
 /// scenario, sample by sample as the units produce them: per scheme
 /// the count, the sum in sample order and the maximum, and a histogram
@@ -438,21 +462,8 @@ impl<'x> RowFold<'x> {
     /// The empty row of scenario `scenario`, at the ascending CCDF
     /// thresholds `xs`.
     fn new(scenario: u64, xs: &'x [f64]) -> RowFold<'x> {
-        let row = ScenarioRow {
-            scenario,
-            failures: 0,
-            evaluated_pairs: 0,
-            disconnected_pairs: 0,
-            undelivered: 0,
-            undelivered_fcp: 0,
-            undelivered_pr: 0,
-            samples: [0; 3],
-            sum: [0.0; 3],
-            max: [0.0; 3],
-            above: vec![0; 3 * xs.len()],
-        };
         RowFold {
-            row,
+            row: ScenarioRow::empty(scenario, xs.len()),
             grid: Grid::of(xs),
             bins: vec![0; 3 * (xs.len() + 1)],
             stats: SweepStats::default(),
@@ -555,13 +566,49 @@ impl Grid<'_> {
     }
 }
 
-/// Runs the stretch sweep over `family` and folds it into one
-/// [`ScenarioRow`] per scenario, with row indices offset by
-/// `first_scenario` (pass a [`pr_scenarios::ScenarioSlice`] plus its
-/// start to sweep one shard of a larger family), plus the sweep's
-/// auxiliary statistics. Each row is folded on the worker that sweeps
-/// its scenario (`RowFold`); no raw sample reaches the calling
-/// thread.
+/// Runs the stretch sweep over `family` and hands `sink` one
+/// [`ScenarioRow`] per scenario, in scenario order, with row indices
+/// offset by `first_scenario` (pass a [`pr_scenarios::ScenarioSlice`]
+/// plus its start to sweep one shard of a larger family); returns the
+/// sweep's auxiliary statistics. Each row is folded on the worker that
+/// sweeps its scenario (`RowFold`); no raw sample reaches the calling
+/// thread, and a sink that folds each row into a [`RowTotals`] holds
+/// O(1) for the whole sweep.
+pub fn stream_rows(
+    graph: &Graph,
+    pr: &PrNetwork,
+    family: &dyn ScenarioFamily,
+    threads: usize,
+    first_scenario: usize,
+    mut sink: impl FnMut(ScenarioRow),
+) -> SweepStats {
+    let xs = figure2_xs();
+    let mut stats = SweepStats::default();
+    let start = |scenario| RowFold::new((first_scenario + scenario) as u64, &xs);
+    StretchPlan::new(graph, pr).fold(family, threads, start, |_, fold| {
+        let (row, row_stats) = fold.finish();
+        sink(row);
+        stats.merge(&row_stats);
+    });
+    stats
+}
+
+/// [`stream_rows`] folded into one running [`RowTotals`] as the rows
+/// arrive: what `pr sweep`, `pr stretch` and the daemon's `query
+/// stretch` run. It holds one row's worth of totals, whatever the
+/// family's length.
+pub fn run_totals(
+    graph: &Graph,
+    pr: &PrNetwork,
+    family: &dyn ScenarioFamily,
+    threads: usize,
+) -> (RowTotals, SweepStats) {
+    let mut totals = RowTotals::new(&figure2_xs());
+    let stats = stream_rows(graph, pr, family, threads, 0, |row| totals.add(&row));
+    (totals, stats)
+}
+
+/// [`stream_rows`], collected: what a shard checkpoints.
 pub fn run_rows(
     graph: &Graph,
     pr: &PrNetwork,
@@ -569,47 +616,102 @@ pub fn run_rows(
     threads: usize,
     first_scenario: usize,
 ) -> (Vec<ScenarioRow>, SweepStats) {
-    let xs = figure2_xs();
-    let mut rows: Vec<ScenarioRow> = Vec::with_capacity(family.len());
-    let mut stats = SweepStats::default();
-    let start = |scenario| RowFold::new((first_scenario + scenario) as u64, &xs);
-    StretchPlan::new(graph, pr).fold(family, threads, start, |_, fold| {
-        let (row, row_stats) = fold.finish();
-        rows.push(row);
-        stats.merge(&row_stats);
-    });
+    let mut rows = Vec::with_capacity(family.len());
+    let stats = stream_rows(graph, pr, family, threads, first_scenario, |row| rows.push(row));
     (rows, stats)
 }
 
-/// [`panel_csv`] reconstructed from per-scenario rows: byte-identical
-/// to the raw-sample rendering, because the CCDF numerators are exact
-/// integer sums over rows and the denominators are the exact totals.
-/// `xs` must be the thresholds the rows were aggregated at
-/// ([`figure2_xs`]).
-pub fn panel_csv_from_rows(rows: &[ScenarioRow], xs: &[f64]) -> String {
-    assert!(
-        rows.iter().all(|r| r.above.len() == 3 * xs.len()),
-        "rows were aggregated at a different threshold set"
-    );
-    let mut totals = [0u64; 3];
-    for row in rows {
-        for (total, &n) in totals.iter_mut().zip(&row.samples) {
-            *total += n;
+/// The running total of a sweep's rows, folded in scenario order: the
+/// counts and CCDF numerators summed as integers, the stretch sums
+/// added in row order and the maxima taken, so what it reports is the
+/// same bits whether the rows streamed past it or were held. Both
+/// artefacts come from it: [`RowTotals::report`] and
+/// [`RowTotals::panel_csv`].
+#[derive(Debug, Clone)]
+pub struct RowTotals {
+    xs: Vec<f64>,
+    scenarios: u64,
+    /// Every row added, summed (`max` the largest of each scheme's).
+    total: ScenarioRow,
+}
+
+impl RowTotals {
+    /// No rows yet, at the CCDF thresholds `xs` the rows were
+    /// aggregated at ([`figure2_xs`]).
+    pub fn new(xs: &[f64]) -> RowTotals {
+        RowTotals { xs: xs.to_vec(), scenarios: 0, total: ScenarioRow::empty(0, xs.len()) }
+    }
+
+    /// `rows`, in scenario order, folded.
+    pub fn of(rows: &[ScenarioRow], xs: &[f64]) -> RowTotals {
+        let mut totals = RowTotals::new(xs);
+        rows.iter().for_each(|row| totals.add(row));
+        totals
+    }
+
+    /// Folds the next row in.
+    pub fn add(&mut self, row: &ScenarioRow) {
+        let total = &mut self.total;
+        assert_eq!(
+            row.above.len(),
+            total.above.len(),
+            "rows were aggregated at a different threshold set"
+        );
+        self.scenarios += 1;
+        total.evaluated_pairs += row.evaluated_pairs;
+        total.disconnected_pairs += row.disconnected_pairs;
+        total.undelivered += row.undelivered;
+        total.undelivered_fcp += row.undelivered_fcp;
+        total.undelivered_pr += row.undelivered_pr;
+        #[allow(clippy::needless_range_loop)]
+        for s in 0..3 {
+            total.samples[s] += row.samples[s];
+            total.sum[s] += row.sum[s];
+            total.max[s] = total.max[s].max(row.max[s]);
+        }
+        for (above, n) in total.above.iter_mut().zip(&row.above) {
+            *above += n;
         }
     }
-    let mut out = String::from("stretch,reconvergence,fcp,packet-recycling\n");
-    for (i, &x) in xs.iter().enumerate() {
-        let p = |s: usize| {
-            if totals[s] == 0 {
-                0.0
-            } else {
-                let above: u64 = rows.iter().map(|r| r.above[s * xs.len() + i]).sum();
-                above as f64 / totals[s] as f64
-            }
-        };
-        out.push_str(&format!("{},{:.6},{:.6},{:.6}\n", x, p(0), p(1), p(2)));
+
+    /// `P(stretch > xs[i])` for scheme `s`: 0 when it has no samples.
+    fn ccdf(&self, s: usize, i: usize) -> f64 {
+        match self.total.samples[s] {
+            0 => 0.0,
+            samples => self.total.above[s * self.xs.len() + i] as f64 / samples as f64,
+        }
     }
-    out
+
+    /// The [`SweepReport`] of the rows added.
+    pub fn report(&self) -> SweepReport {
+        let total = &self.total;
+        let or_nan = |s: usize, value: f64| if total.samples[s] > 0 { value } else { f64::NAN };
+        SweepReport {
+            scenarios: self.scenarios,
+            evaluated_pairs: total.evaluated_pairs,
+            disconnected_pairs: total.disconnected_pairs,
+            undelivered: total.undelivered,
+            undelivered_fcp: total.undelivered_fcp,
+            undelivered_pr: total.undelivered_pr,
+            samples: total.samples,
+            mean: std::array::from_fn(|s| or_nan(s, total.sum[s] / total.samples[s] as f64)),
+            max: std::array::from_fn(|s| or_nan(s, total.max[s])),
+            xs: self.xs.clone(),
+            ccdf: std::array::from_fn(|s| (0..self.xs.len()).map(|i| self.ccdf(s, i)).collect()),
+        }
+    }
+
+    /// The CSV panel of the rows added: byte-identical to [`panel_csv`]
+    /// of their raw samples, because the CCDF numerators are exact
+    /// integer sums and the denominators the exact totals.
+    pub fn panel_csv(&self) -> String {
+        let mut out = String::from("stretch,reconvergence,fcp,packet-recycling\n");
+        for (i, &x) in self.xs.iter().enumerate() {
+            let p = |s| self.ccdf(s, i);
+            out.push_str(&format!("{},{:.6},{:.6},{:.6}\n", x, p(0), p(1), p(2)));
+        }
+        out
+    }
 }
 
 /// The merged result of a sweep: totals, per-scheme means and maxima,
@@ -642,58 +744,6 @@ pub struct SweepReport {
     pub xs: Vec<f64>,
     /// `P(stretch > x)` per scheme at each threshold.
     pub ccdf: [Vec<f64>; 3],
-}
-
-/// Folds merged rows (in scenario order) into a [`SweepReport`].
-pub fn report_from_rows(rows: &[ScenarioRow], xs: &[f64]) -> SweepReport {
-    assert!(
-        rows.iter().all(|r| r.above.len() == 3 * xs.len()),
-        "rows were aggregated at a different threshold set"
-    );
-    let mut report = SweepReport {
-        scenarios: rows.len() as u64,
-        evaluated_pairs: 0,
-        disconnected_pairs: 0,
-        undelivered: 0,
-        undelivered_fcp: 0,
-        undelivered_pr: 0,
-        samples: [0; 3],
-        mean: [f64::NAN; 3],
-        max: [f64::NAN; 3],
-        xs: xs.to_vec(),
-        ccdf: [Vec::new(), Vec::new(), Vec::new()],
-    };
-    let mut sum = [0.0f64; 3];
-    for row in rows {
-        report.evaluated_pairs += row.evaluated_pairs;
-        report.disconnected_pairs += row.disconnected_pairs;
-        report.undelivered += row.undelivered;
-        report.undelivered_fcp += row.undelivered_fcp;
-        report.undelivered_pr += row.undelivered_pr;
-        #[allow(clippy::needless_range_loop)]
-        for s in 0..3 {
-            report.samples[s] += row.samples[s];
-            sum[s] += row.sum[s];
-        }
-    }
-    #[allow(clippy::needless_range_loop)]
-    for s in 0..3 {
-        if report.samples[s] > 0 {
-            report.mean[s] = sum[s] / report.samples[s] as f64;
-            report.max[s] = rows.iter().map(|r| r.max[s]).fold(0.0, f64::max);
-        }
-        report.ccdf[s] = (0..xs.len())
-            .map(|i| {
-                if report.samples[s] == 0 {
-                    0.0
-                } else {
-                    let above: u64 = rows.iter().map(|r| r.above[s * xs.len() + i]).sum();
-                    above as f64 / report.samples[s] as f64
-                }
-            })
-            .collect();
-    }
-    report
 }
 
 /// The mean of `samples`, summed in order; not-a-number when there are
@@ -882,9 +932,9 @@ mod tests {
         // The CSV artefact reconstructed from rows is byte-identical to
         // the raw-sample rendering (integer CCDF numerators, exact
         // totals).
-        assert_eq!(panel_csv_from_rows(&rows, &xs), panel_csv(&samples, &xs));
+        assert_eq!(RowTotals::of(&rows, &xs).panel_csv(), panel_csv(&samples, &xs));
         // Totals line up with the folded panel.
-        let report = report_from_rows(&rows, &xs);
+        let report = RowTotals::of(&rows, &xs).report();
         assert_eq!(report.evaluated_pairs, samples.evaluated_pairs as u64);
         assert_eq!(report.samples[0], samples.reconvergence.len() as u64);
         assert_eq!(report.undelivered, samples.undelivered as u64);
@@ -969,11 +1019,11 @@ mod tests {
     #[test]
     fn report_of_empty_rows_is_well_formed() {
         let xs = figure2_xs();
-        let report = report_from_rows(&[], &xs);
+        let report = RowTotals::of(&[], &xs).report();
         assert_eq!(report.scenarios, 0);
         assert!(report.mean[0].is_nan());
         assert!(report.ccdf[1].iter().all(|&p| p == 0.0));
-        let csv = panel_csv_from_rows(&[], &xs);
+        let csv = RowTotals::of(&[], &xs).panel_csv();
         assert_eq!(csv.lines().count(), xs.len() + 1);
     }
 

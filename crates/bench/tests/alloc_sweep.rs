@@ -19,8 +19,10 @@
 //!   busy unit, freed at the next scenario).
 //! * **Memory is the result, not the units.** `run_with_stats` holds
 //!   the panel it returns plus the blocks in flight — never one
-//!   partial result per (scenario, destination) unit — and `run_rows`
-//!   holds the blocks in flight and O(1) per scenario.
+//!   partial result per (scenario, destination) unit — `run_rows`
+//!   holds the blocks in flight and O(1) per scenario, and the row
+//!   fold the front doors run (`run_totals`) one running total instead
+//!   of the rows. A sweep worker's mirror keeps 8 bytes per pair.
 //!
 //! And one of the plan it folds over: **the hoisted trees cost what
 //! their values need.** The failure-free labels take 10 bytes per
@@ -31,12 +33,12 @@
 //! so the tests that read the latter take turns; the per-thread gauge
 //! needs none.
 
-use std::mem::size_of;
+use std::mem::{size_of, size_of_val};
 
-use pr_bench::engine::SweepUnit;
-use pr_bench::stretch::{self, StretchBlock, StretchPlan, StretchSamples};
+use pr_bench::engine::{ConePlan, SweepUnit};
+use pr_bench::stretch::{self, ScenarioRow, StretchBlock, StretchPlan, StretchSamples};
 use pr_core::{DiscriminatorKind, PrMode, PrNetwork};
-use pr_graph::{LinkSet, SpTree, TreeChildren};
+use pr_graph::{LinkSet, NodeId, SpTree, TreeChildren};
 use pr_scenarios::{ExhaustiveKFailures, ScenarioFamily, SingleLinkFailures};
 use pr_testkit::alloc::{calls_during, own_heap_during, peak_during, turn, Counting};
 use pr_testkit::nets::Net;
@@ -174,7 +176,7 @@ fn run_with_stats_holds_its_result_and_the_blocks_in_flight() {
              (bound {bound} B)"
         );
 
-        // The row fold — what every front door runs — returns O(1) per
+        // The row fold — what the shard path collects — returns O(1) per
         // scenario and holds nothing O(pairs): its peak sits below the
         // panel's by at least the samples the panel returns. Held at
         // one thread, where both peaks are deterministic: with more,
@@ -216,5 +218,91 @@ fn the_compiled_trees_and_the_child_index_keep_fourteen_bytes_per_pair() {
         held <= bound,
         "the network holds {in_network} B and the plan {in_plan} B on {n} nodes and {darts} \
          darts: {held} B against a bound of {bound} B"
+    );
+}
+
+/// The front doors' row fold against `run_rows`, one thread: the fold
+/// peaks below the collecting run by every row that run returns, but
+/// for the two it holds itself at its peak — its running total and the
+/// row in hand (the last row run_rows returns is live then too).
+#[test]
+fn the_row_fold_holds_one_total_instead_of_the_rows() {
+    let _turn = turn();
+    let Net { g, pr: net, .. } = Net::mesh120();
+    let family = SingleLinkFailures::new(&g);
+    let xs = stretch::figure2_xs();
+    let ((rows, _), rows_peak) = peak_during(|| stretch::run_rows(&g, &net, &family, 1, 0));
+    let returned: usize =
+        rows.iter().map(|row| size_of::<ScenarioRow>() + size_of_val(&row.above[..])).sum();
+    let in_hand = size_of_val(&rows[0].above[..]);
+    let held = stretch::RowTotals::of(&rows, &xs).report();
+    drop(rows);
+    // What the front doors run: `stream_rows` into a running total.
+    let ((totals, _), streamed_peak) = peak_during(|| stretch::run_totals(&g, &net, &family, 1));
+    assert_eq!(totals.report(), held, "streamed and held rows must report the same");
+    let (_, total, _) = own_heap_during(|| stretch::RowTotals::new(&xs));
+    assert!(
+        streamed_peak + returned <= rows_peak + total + in_hand,
+        "the row fold peaked at {streamed_peak} B, run_rows at {rows_peak} B for {returned} B \
+         of rows (the fold's total {total} B, a row in hand {in_hand} B)"
+    );
+}
+
+/// The first forward unit of a link the mirror gauge below picked.
+fn mirrored_unit<'a>(net: &'a PrNetwork, picked: &'a (usize, LinkSet, NodeId)) -> SweepUnit<'a> {
+    let (_, failed, dst) = picked;
+    SweepUnit { scenario: 0, failed, failures: 1, dst: *dst, base_tree: net.base().towards(*dst) }
+}
+
+#[test]
+fn a_sweep_workers_mirror_keeps_eight_bytes_per_forward_pair() {
+    // Read per thread, but what it allocates moves the process-wide
+    // gauge the other tests read.
+    let _turn = turn();
+    let Net { g, pr: net, .. } = Net::mesh120();
+    let plan = ConePlan::new(&g, net.base());
+    // Per link, its forward pairs: the cones of the destinations whose
+    // tree crosses it forward, which its mirror holds.
+    let (mut cone, mut stack) = (Vec::new(), Vec::new());
+    let mirrored: Vec<(usize, LinkSet, NodeId)> = g
+        .links()
+        .filter_map(|link| {
+            let failed = LinkSet::from_links(g.link_count(), [link]);
+            let forward = link.forward();
+            let units: Vec<NodeId> = g
+                .nodes()
+                .filter(|&dst| {
+                    net.base().towards(dst).next_dart(g.dart_tail(forward)) == Some(forward)
+                })
+                .collect();
+            let mut pairs = 0;
+            for &dst in &units {
+                let tree = net.base().towards(dst);
+                let children = TreeChildren::build(&g, tree);
+                tree.affected_cone(&g, &children, &failed, &mut cone, &mut stack);
+                pairs += cone.len();
+            }
+            Some((pairs, failed, *units.first()?))
+        })
+        .collect();
+    let lightest = mirrored.iter().min_by_key(|m| m.0).expect("a mirrored link");
+    let heaviest = mirrored.iter().max_by_key(|m| m.0).expect("a mirrored link");
+    let pairs = heaviest.0;
+    assert!(pairs > 1_000, "the heaviest link must be big enough to tell: {pairs} pairs");
+    // Warmed on the lightest link, the worker's node- and dart-indexed
+    // buffers have their size: what opening the heaviest keeps on top
+    // is its mirror, with a `Vec`'s doubling of slack, and the repairs'
+    // cone-sized scratch (labels, heap, order and cone-local arcs),
+    // which the node and dart terms cover. Pairs of 12 bytes (a
+    // `(u32, Option<u32>)`), or 8-byte pairs kept twice, break it.
+    let mut opener = plan.sweep_opener();
+    assert!(opener.open(&mirrored_unit(&net, lightest)).count() > 0);
+    let (opened, kept, _) = own_heap_during(|| opener.open(&mirrored_unit(&net, heaviest)).count());
+    assert!(opened > 0);
+    let (n, darts) = (g.node_count(), g.dart_count());
+    let bound = 2 * 8 * pairs + 32 * n + 8 * darts;
+    assert!(
+        kept <= bound,
+        "mirroring {pairs} forward pairs kept {kept} B against a bound of {bound} B"
     );
 }

@@ -53,7 +53,7 @@ fn kill_and_resume_is_byte_identical(Net { g: graph, pr, .. }: &Net, name: &str)
         partial => panic!("clean run stopped early: {partial:?}"),
     };
     assert_eq!(
-        stretch::panel_csv_from_rows(&clean, &xs),
+        stretch::RowTotals::of(&clean, &xs).panel_csv(),
         plain_csv,
         "sharded CSV must equal the plain unsharded artefact byte for byte"
     );
@@ -74,10 +74,10 @@ fn kill_and_resume_is_byte_identical(Net { g: graph, pr, .. }: &Net, name: &str)
     };
     assert_eq!(resumed, clean, "resumed rows must equal the clean run's");
     let report = |rows: &[ScenarioRow]| {
-        serde_json::to_string_pretty(&stretch::report_from_rows(rows, &xs)).unwrap()
+        serde_json::to_string_pretty(&stretch::RowTotals::of(rows, &xs).report()).unwrap()
     };
     assert_eq!(report(&resumed), report(&clean), "JSON report byte-identical");
-    assert_eq!(stretch::panel_csv_from_rows(&resumed, &xs), plain_csv);
+    assert_eq!(stretch::RowTotals::of(&resumed, &xs).panel_csv(), plain_csv);
 
     // Resuming an already-complete checkpoint recomputes nothing and
     // merges identically.
@@ -217,8 +217,9 @@ fn a_kill_at_every_write_boundary_resumes_to_the_clean_run() {
     };
     let half = |bytes: Vec<u8>| bytes[..bytes.len() / 2].to_vec();
     let artefacts = |rows: &[ScenarioRow]| {
-        let report = serde_json::to_string_pretty(&stretch::report_from_rows(rows, &xs)).unwrap();
-        (stretch::panel_csv_from_rows(rows, &xs), report)
+        let report =
+            serde_json::to_string_pretty(&stretch::RowTotals::of(rows, &xs).report()).unwrap();
+        (stretch::RowTotals::of(rows, &xs).panel_csv(), report)
     };
 
     let mut resumed_from = 0;

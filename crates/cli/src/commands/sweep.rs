@@ -2,7 +2,7 @@
 //! checkpointed on request.
 
 use pr_bench::shards::{ShardKey, ShardOutcome};
-use pr_bench::stretch::{self, SweepStats};
+use pr_bench::stretch::{self, RowTotals, SweepStats};
 use pr_scenarios::{FlapSweep, OutageParams, OutageSweep, ScenarioSlice, TemporalFamily};
 
 use super::{
@@ -31,8 +31,7 @@ pub fn stretch(args: &Args) -> CmdResult {
     let (family, notes) = topological_family(&graph, name, failures, seed, args)?;
     let net = compile(&graph, canonical, args)?;
     notes.iter().for_each(|note| println!("{note}"));
-    let (rows, _) = stretch::run_rows(&graph, &net, family.as_ref(), threads, 0);
-    let report = stretch::report_from_rows(&rows, &stretch::figure2_xs());
+    let report = stretch::run_totals(&graph, &net, family.as_ref(), threads).0.report();
     println!(
         "affected pairs: {} ({} scenarios, {failures} failures each, {threads} threads), \
          undelivered: {}",
@@ -153,7 +152,7 @@ pub fn sweep(args: &Args) -> CmdResult {
                 family.label(),
                 family.len()
             );
-            let (rows, stats) = if sharded {
+            let (totals, stats) = if sharded {
                 // Splits the scenario range into `--shards` chunks
                 // (default 8) and persists each finished chunk under
                 // `results/<stem>/`: resumable after a kill with
@@ -192,13 +191,14 @@ pub fn sweep(args: &Args) -> CmdResult {
                     }
                     // `--stats` was refused above: checkpoints do not
                     // record the counters.
-                    ShardOutcome::Complete(rows) => (rows, SweepStats::default()),
+                    ShardOutcome::Complete(rows) => {
+                        (RowTotals::of(&rows, &stretch::figure2_xs()), SweepStats::default())
+                    }
                 }
             } else {
-                stretch::run_rows(&graph, &net, family, threads, 0)
+                stretch::run_totals(&graph, &net, family, threads)
             };
-            let xs = stretch::figure2_xs();
-            let report = stretch::report_from_rows(&rows, &xs);
+            let report = totals.report();
             println!(
                 "affected connected pairs: {}, disconnected (excluded): {}, \
                  undelivered: {} (fcp {}, packet-recycling {})",
@@ -242,7 +242,7 @@ pub fn sweep(args: &Args) -> CmdResult {
             emit(
                 format,
                 &stem,
-                || stretch::panel_csv_from_rows(&rows, &xs),
+                || totals.panel_csv(),
                 || serde_json::to_string_pretty(&report).expect("serializable report"),
             );
         }

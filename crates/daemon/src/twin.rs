@@ -14,7 +14,7 @@
 //! repair contract (the base is computed over the empty failed set, a
 //! subset of every event state). Queries ride the same primitives the
 //! batch harness uses (`replay_scenario_bitparallel`,
-//! `pr_bench::stretch::run_rows`) with the same hoisted inputs,
+//! `pr_bench::stretch::run_totals`) with the same hoisted inputs,
 //! so every answer is bit-identical to a cold batch run on the same
 //! failed set and demand model — the equivalence suite enforces this
 //! at 1, 2 and 4 worker threads.
@@ -412,10 +412,10 @@ impl Twin {
 
     fn query_stretch(&mut self) -> StretchReport {
         let family = vec![self.failed.clone()];
-        let (rows, stats) = stretch::run_rows(&self.graph, &self.net, &family, self.threads, 0);
+        let (totals, stats) = stretch::run_totals(&self.graph, &self.net, &family, self.threads);
         self.repair.merge(&stats.repair);
         self.walks.merge(&stats.memo);
-        let report = stretch::report_from_rows(&rows, &stretch::figure2_xs());
+        let report = totals.report();
         let schemes = Scheme::ALL
             .iter()
             .enumerate()

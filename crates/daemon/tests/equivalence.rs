@@ -91,7 +91,7 @@ fn assert_equivalent(
     // floats compare by bits) — and, one row being summed in sample
     // order, == the mean of the raw-sample oracle form.
     let (rows, _) = stretch::run_rows(graph, net, &family, threads, 0);
-    let report = stretch::report_from_rows(&rows, &stretch::figure2_xs());
+    let report = stretch::RowTotals::of(&rows, &stretch::figure2_xs()).report();
     let samples = stretch::run(graph, net, &family, threads);
     let warm = twin.handle(&Request::Query { what: QueryKind::Stretch });
     match &warm {

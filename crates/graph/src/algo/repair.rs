@@ -8,19 +8,27 @@
 //! distance discriminators assume — so recomputing from scratch wastes
 //! almost all of the work. This module provides:
 //!
-//! * [`SpScratch`] — a reusable arena: flat `u64`/`u32` label arrays
-//!   invalidated by a generation stamp (no clearing between runs), a
-//!   reusable binary heap and finalisation-order buffer, and a
-//!   per-scenario failed-dart bitmask so the inner relaxation loop
-//!   tests one word instead of calling [`LinkSet::contains_dart`] per
-//!   edge.
+//! * [`SpScratch`] — a reusable arena: a generation-stamped
+//!   affected/clean classification (no clearing between runs), a
+//!   reusable binary heap and finalisation-order buffer, the cone-local
+//!   labels and arcs of the one cone kernel, and a per-scenario
+//!   failed-dart bitmask so the inner loops test one word instead of
+//!   calling [`LinkSet::contains_dart`] per edge.
 //! * [`SpTree::towards_with`] — the full Dijkstra, one pass that picks
 //!   canonical parents as it relaxes, allocation-free in the scratch
 //!   (only the returned tree is allocated).
 //! * [`SpTree::repair_from`] — incremental repair: classify the
 //!   affected cone by a memoised `path_crosses`-style descent of the
-//!   base tree, seed Dijkstra from the intact frontier labels, and
-//!   re-run it over the cone only.
+//!   base tree, then run the cone kernel: one pass over the cone's
+//!   darts seeds each cone node from its intact neighbours and keeps
+//!   its arcs to other cone nodes, and Dijkstra runs over those arcs
+//!   alone. [`SpTree::repair_cone_labels`] (and through it
+//!   [`SpTree::cone_routes`]) runs the same kernel on a given cone.
+//!
+//! Every heap here pops packed `u64` keys, `(dist << 32) | index`.
+//! That is exact: a label that enters the heap is the cost of a simple
+//! path, which the graph's total-weight limit keeps below `u32::MAX`
+//! (the conversion is checked, and panics rather than wraps).
 //!
 //! # Bit-for-bit equivalence
 //!
@@ -50,9 +58,9 @@
 //! The repair paths' selection pass runs in finalisation order, which
 //! for a Dijkstra over ≥1 weights *is* the canonical `(dist, id)`
 //! order — every label that settles at distance `d` was pushed before
-//! the first pop at `d`, and the heap breaks distance ties by node id
-//! (a debug assertion keeps the claim honest) — so every parent is
-//! labelled before its child.
+//! the first pop at `d`, and the heap breaks distance ties by cone
+//! index, which ascends with node id (a debug assertion keeps the
+//! claim honest) — so every parent is labelled before its child.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -119,41 +127,48 @@ impl RepairStats {
 /// [`SpTree::repair_from`] need, so a worker that computes thousands of
 /// trees allocates them once:
 ///
-/// * the binary heap, and for the repair paths flat `u64` distance
-///   labels with a `u32` generation stamp per node (bumping the
-///   generation invalidates all labels in O(1) — no `Vec<Option<_>>`
-///   clearing between runs) and the finalisation-order buffer (the
-///   full rebuild labels the tree it returns);
-/// * a tri-state affected/clean classification array (also
-///   generation-stamped) and the descent/cone buffers of the repair
-///   path;
+/// * the binary heap of packed `(dist << 32) | index` keys and the
+///   finalisation-order buffer (the full rebuild labels the tree it
+///   returns);
+/// * a tri-state affected/clean classification array
+///   (generation-stamped) with each affected node's index in the
+///   current cone, and the descent/cone buffers of the repair path;
+/// * the cone-local labels and arcs the cone kernel runs over (see
+///   `label_cone`), sized to the cone, not to the graph;
 /// * a failed-**dart** bitmask rebuilt only when the failure set
 ///   changes (once per worker scenario-cache rebuild), so the inner
 ///   relaxation loop indexes one word per dart instead of mapping
 ///   dart → link per edge.
 #[derive(Debug, Clone)]
 pub struct SpScratch {
-    /// Tentative distance labels; valid only where `stamp == epoch`.
-    dist: Vec<u64>,
-    stamp: Vec<u32>,
-    epoch: u32,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Non-stale pop order of the last run — the canonical
+    /// Min-heap of `heap_key`s.
+    heap: BinaryHeap<Reverse<u64>>,
+    /// Non-stale pop order of the last cone run — the canonical
     /// `(dist, id)` order (see module docs).
     order: Vec<NodeId>,
     /// Affected/clean classification: `class >> 1 == class_epoch`
     /// means known this repair, low bit set means affected.
     class: Vec<u32>,
     class_epoch: u32,
+    /// Node → its index in the current cone; valid where the node is
+    /// classified affected this class epoch.
+    local: Vec<u32>,
     /// Descent stack of the cone classification.
     chain: Vec<NodeId>,
     /// The affected cone of the current repair, in node-id order.
     cone: Vec<NodeId>,
+    /// Cone-local survivor distances, by cone index: `NO_DIST` while
+    /// (or if for good) unreached.
+    label: Vec<u32>,
+    /// Cone node `i`'s live darts to other cone nodes, as `(cone
+    /// index of the head, weight)`, at `arcs[arc_start[i]..arc_start[i + 1]]`.
+    arcs: Vec<(u32, u32)>,
+    arc_start: Vec<u32>,
     /// One bit per dart; rebuilt only when `failed_key` changes.
     failed_darts: Vec<u64>,
     failed_key: LinkSet,
     /// Repaired hop/parent labels of the cone-restricted selection
-    /// pass ([`SpTree::cone_routes`]); valid where `stamp == epoch`.
+    /// pass ([`SpTree::cone_routes`]), by cone index.
     hops_patch: Vec<u32>,
     next_patch: Vec<Dart>,
     stats: RepairStats,
@@ -165,19 +180,34 @@ impl Default for SpScratch {
     }
 }
 
+/// A heap key that orders as `(dist, index)` does: distances are
+/// simple-path costs, below `u32::MAX` by the graph's weight limit, and
+/// indices are node ids or cone positions, below `u32::MAX` too.
+#[inline]
+fn heap_key(dist: u32, index: u32) -> Reverse<u64> {
+    Reverse((u64::from(dist) << 32) | u64::from(index))
+}
+
+/// The `(dist, index)` a [`heap_key`] packs.
+#[inline]
+fn unpack_key(Reverse(key): Reverse<u64>) -> (u32, u32) {
+    ((key >> 32) as u32, key as u32)
+}
+
 impl SpScratch {
     /// An empty scratch; buffers grow to fit the first graph used.
     pub fn new() -> SpScratch {
         SpScratch {
-            dist: Vec::new(),
-            stamp: Vec::new(),
-            epoch: 0,
             heap: BinaryHeap::new(),
             order: Vec::new(),
             class: Vec::new(),
             class_epoch: 0,
+            local: Vec::new(),
             chain: Vec::new(),
             cone: Vec::new(),
+            label: Vec::new(),
+            arcs: Vec::new(),
+            arc_start: Vec::new(),
             failed_darts: Vec::new(),
             failed_key: LinkSet::empty(0),
             hops_patch: Vec::new(),
@@ -200,31 +230,29 @@ impl SpScratch {
     /// Repaired distance of `u` after the last
     /// [`SpTree::repair_cone_labels`] call: `Some(dist)` if the cone
     /// node reconnects under the failure, `None` if it is cut off.
-    /// Only meaningful for nodes of that call's cone.
+    /// Only meaningful for nodes of that call's cone; `None` for any
+    /// other.
     #[inline]
     pub fn cone_cost(&self, u: NodeId) -> Option<u64> {
-        (self.stamp[u.index()] == self.epoch).then(|| self.dist[u.index()])
+        self.cone_label(u).map(u64::from)
+    }
+
+    /// The cone-local label of `u`, if `u` is in the current cone and
+    /// reached.
+    #[inline]
+    fn cone_label(&self, u: NodeId) -> Option<u32> {
+        if !self.class_affected(u) {
+            return None;
+        }
+        Some(self.label[self.local[u.index()] as usize]).filter(|&d| d != NO_DIST)
     }
 
     /// Sizes the node-indexed arrays for `n` nodes. New slots carry
-    /// stamp/class 0, which no live epoch matches.
+    /// class 0, which no live epoch matches.
     fn ensure(&mut self, n: usize) {
-        if self.dist.len() < n {
-            self.dist.resize(n, 0);
-            self.stamp.resize(n, 0);
+        if self.class.len() < n {
             self.class.resize(n, 0);
-            self.hops_patch.resize(n, 0);
-            self.next_patch.resize(n, Dart(0));
-        }
-    }
-
-    /// Invalidates all distance labels.
-    fn next_epoch(&mut self) {
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
+            self.local.resize(n, 0);
         }
     }
 
@@ -264,16 +292,6 @@ impl SpScratch {
         self.failed_darts[dart.index() >> 6] & (1 << (dart.index() & 63)) != 0
     }
 
-    /// Dijkstra relaxation against the arena labels.
-    #[inline]
-    fn relax(&mut self, v: NodeId, nd: u64) {
-        if self.stamp[v.index()] != self.epoch || nd < self.dist[v.index()] {
-            self.dist[v.index()] = nd;
-            self.stamp[v.index()] = self.epoch;
-            self.heap.push(Reverse((nd, v.0)));
-        }
-    }
-
     #[inline]
     fn class_known(&self, u: NodeId) -> bool {
         self.class[u.index()] >> 1 == self.class_epoch
@@ -289,57 +307,77 @@ impl SpScratch {
         self.class[u.index()] = (self.class_epoch << 1) | u32::from(affected);
     }
 
-    /// Runs the heap to exhaustion, relaxing only nodes accepted by
-    /// `admit`, and records the non-stale pop order in `self.order`.
-    fn drain_heap(&mut self, graph: &Graph, admit: impl Fn(&SpScratch, NodeId) -> bool) {
-        while let Some(Reverse((d, u))) = self.heap.pop() {
-            let u = NodeId(u);
-            if self.dist[u.index()] != d {
+    /// The one cone kernel: labels `cone` — ascending, its nodes
+    /// classified affected this class epoch — with survivor distances
+    /// by a Dijkstra over arcs local to the cone, seeded from the
+    /// intact frontier, and records the pop order in `self.order`.
+    ///
+    /// One pass over the cone's live darts gives each cone node its
+    /// best label through a clean, `base`-reachable neighbour (clean
+    /// labels are already exact under the failure, so they act as
+    /// settled sources) and its arcs to other cone nodes (link removal
+    /// cannot shorten a clean node's already-exact path, so nothing
+    /// outside the cone is relaxed). The heap then pops [`heap_key`]s of
+    /// cone indices, and as the cone ascends, `(dist, index)` order is
+    /// the canonical `(dist, id)` order.
+    fn label_cone(&mut self, graph: &Graph, base: &SpTree, cone: &[NodeId]) {
+        for (i, &u) in cone.iter().enumerate() {
+            self.local[u.index()] = narrow(i as u64);
+        }
+        let mut seeds = std::mem::take(&mut self.heap).into_vec();
+        seeds.clear();
+        self.label.clear();
+        self.arcs.clear();
+        self.arc_start.clear();
+        self.arc_start.push(0);
+        for (i, &u) in cone.iter().enumerate() {
+            let mut best = u64::MAX;
+            for &dart in graph.darts_from(u) {
+                if self.dart_failed(dart) {
+                    continue;
+                }
+                let (v, weight) = (graph.dart_head(dart), graph.weight(dart.link()));
+                if self.class_affected(v) {
+                    self.arcs.push((self.local[v.index()], weight));
+                } else if let Some(dv) = base.cost(v) {
+                    best = best.min(dv + u64::from(weight));
+                }
+            }
+            // A clean neighbour's path avoids `u` (else `u` would lie
+            // on it, and it would be affected), so `best` is the cost
+            // of a simple path: below `u32::MAX`.
+            let seeded = if best == u64::MAX { NO_DIST } else { narrow(best) };
+            if seeded != NO_DIST {
+                seeds.push(heap_key(seeded, narrow(i as u64)));
+            }
+            self.label.push(seeded);
+            self.arc_start.push(narrow(self.arcs.len() as u64));
+        }
+        self.heap = BinaryHeap::from(seeds);
+        self.order.clear();
+        let SpScratch { heap, order, local, label, arcs, arc_start, .. } = self;
+        while let Some(key) = heap.pop() {
+            let (d, i) = unpack_key(key);
+            if label[i as usize] != d {
                 continue; // stale entry
             }
+            let u = cone[i as usize];
             debug_assert!(
-                self.order.last().is_none_or(|&p| (self.dist[p.index()], p.0) < (d, u.0)),
+                order.last().is_none_or(|&p| (label[local[p.index()] as usize], p.0) < (d, u.0)),
                 "heap finalisation order must be the canonical (dist, id) order"
             );
-            self.order.push(u);
-            for &dart in graph.darts_from(u) {
-                if self.dart_failed(dart) {
-                    continue;
+            order.push(u);
+            let (from, to) = (arc_start[i as usize] as usize, arc_start[i as usize + 1] as usize);
+            for &(j, weight) in &arcs[from..to] {
+                // `j` is unsettled only if `u`'s path avoids it, so a
+                // label that improves it is a simple path's cost.
+                let nd = u64::from(d) + u64::from(weight);
+                if nd < u64::from(label[j as usize]) {
+                    label[j as usize] = narrow(nd);
+                    heap.push(heap_key(narrow(nd), j));
                 }
-                let v = graph.dart_head(dart);
-                if !admit(self, v) {
-                    continue;
-                }
-                self.relax(v, d + u64::from(graph.weight(dart.link())));
             }
         }
-    }
-
-    /// Re-labels `cone` — the nodes classified affected this class
-    /// epoch — by a Dijkstra seeded from the intact frontier: every
-    /// live dart from a cone node to a clean, `base`-reachable
-    /// neighbour yields a tentative label (clean labels are already
-    /// exact under the failure, so they act as settled sources), and
-    /// the run admits cone nodes only (link removal cannot shorten a
-    /// clean node's already-exact path).
-    fn relabel_cone(&mut self, graph: &Graph, base: &SpTree, cone: &[NodeId]) {
-        self.next_epoch();
-        self.heap.clear();
-        self.order.clear();
-        for &u in cone {
-            for &dart in graph.darts_from(u) {
-                if self.dart_failed(dart) {
-                    continue;
-                }
-                let v = graph.dart_head(dart);
-                if self.class_affected(v) {
-                    continue;
-                }
-                let Some(dv) = base.cost(v) else { continue };
-                self.relax(u, dv + u64::from(graph.weight(dart.link())));
-            }
-        }
-        self.drain_heap(graph, |s, v| s.class_affected(v));
     }
 }
 
@@ -416,12 +454,14 @@ impl SpTree {
             SpTree { dest, dist: vec![NO_DIST; n], hops: vec![NO_HOPS; n], next: vec![NO_DART; n] };
         out.dist[dest.index()] = 0;
         out.hops[dest.index()] = 0;
-        scratch.heap.push(Reverse((0, dest.0)));
-        while let Some(Reverse((d, u))) = scratch.heap.pop() {
+        scratch.heap.push(heap_key(0, dest.0));
+        while let Some(key) = scratch.heap.pop() {
+            let (d, u) = unpack_key(key);
             let u = NodeId(u);
-            if u64::from(out.dist[u.index()]) != d {
+            if out.dist[u.index()] != d {
                 continue; // stale entry
             }
+            let d = u64::from(d);
             let hu = u32::from(out.hops[u.index()]);
             for &dart in graph.darts_from(u) {
                 if scratch.dart_failed(dart) {
@@ -437,7 +477,7 @@ impl SpTree {
                 let key = parent_key(hu, u, dart.twin());
                 if nd < dv {
                     out.dist[v.index()] = narrow(nd);
-                    scratch.heap.push(Reverse((nd, v.0)));
+                    scratch.heap.push(heap_key(narrow(nd), v.0));
                 } else {
                     let held = out.next[v.index()];
                     let p = graph.dart_head(held);
@@ -528,7 +568,7 @@ impl SpTree {
 
         // 2. Re-label the cone from its intact frontier.
         let cone = std::mem::take(&mut scratch.cone);
-        scratch.relabel_cone(graph, base, &cone);
+        scratch.label_cone(graph, base, &cone);
 
         // 3. Write back: cone labels reset, reached cone nodes
         //    re-labelled and re-parented in canonical (dist, id) order
@@ -540,7 +580,7 @@ impl SpTree {
         }
         scratch.cone = cone;
         for &u in &scratch.order {
-            let du = scratch.dist[u.index()];
+            let du = u64::from(scratch.label[scratch.local[u.index()] as usize]);
             let (h, dart) = select_parent(graph, scratch, u, du, |v| out.cost(v).zip(out.hops(v)));
             out.dist[u.index()] = narrow(du);
             out.hops[u.index()] = narrow(h);
@@ -621,7 +661,7 @@ impl SpTree {
         for &u in cone {
             scratch.set_class(u, true);
         }
-        scratch.relabel_cone(graph, self, cone);
+        scratch.label_cone(graph, self, cone);
     }
 
     /// The canonical parent selection over the labels the last
@@ -647,28 +687,33 @@ impl SpTree {
         scratch: &mut SpScratch,
         out: &mut Vec<(NodeId, Option<Dart>)>,
     ) {
+        scratch.hops_patch.resize(cone.len(), 0);
+        scratch.next_patch.resize(cone.len(), NO_DART);
         for i in 0..scratch.order.len() {
             let u = scratch.order[i];
+            let at = scratch.local[u.index()] as usize;
             // A cone neighbour's labels live in the scratch (its
             // parent settles first: dv < du keeps the pass
             // well-founded; cut off, it is no candidate); a clean
             // neighbour keeps its base labels under `failed`.
-            let (h, dart) = select_parent(graph, scratch, u, scratch.dist[u.index()], |v| {
+            let du = u64::from(scratch.label[at]);
+            let (h, dart) = select_parent(graph, scratch, u, du, |v| {
                 if scratch.class_affected(v) {
-                    (scratch.stamp[v.index()] == scratch.epoch)
-                        .then(|| (scratch.dist[v.index()], scratch.hops_patch[v.index()]))
+                    let j = scratch.local[v.index()] as usize;
+                    scratch.cone_label(v).map(|dv| (u64::from(dv), scratch.hops_patch[j]))
                 } else {
                     self.cost(v).zip(self.hops(v))
                 }
             });
-            scratch.hops_patch[u.index()] = h;
-            scratch.next_patch[u.index()] = dart;
+            scratch.hops_patch[at] = h;
+            scratch.next_patch[at] = dart;
         }
-        out.extend(cone.iter().map(|&u| {
-            let next =
-                (scratch.stamp[u.index()] == scratch.epoch).then(|| scratch.next_patch[u.index()]);
-            (u, next)
-        }));
+        out.extend(
+            cone.iter()
+                .zip(&scratch.label)
+                .zip(&scratch.next_patch)
+                .map(|((&u, &d), &next)| (u, (d != NO_DIST).then_some(next))),
+        );
     }
 }
 

@@ -276,6 +276,65 @@ proptest! {
     }
 }
 
+/// The repair kernels at the edge of their packed heap key, `(dist <<
+/// 32) | index`: a ring whose one heavy link takes the total weight to
+/// `u32::MAX − 1`, the most a graph admits, with unit chords, so a
+/// failure that forces traffic over the heavy link leaves survivor
+/// costs just below `u32::MAX`. Under every single, double and triple
+/// failure — nested failed tree edges and cut-off nodes among them —
+/// and toward every destination, the cone labels, the cone's routes
+/// plus the base, and the full repair are `SpTree::towards`.
+#[test]
+fn repairs_hold_at_survivor_costs_just_below_the_weight_limit() {
+    let mut g = Graph::new();
+    let n = 7;
+    let nodes: Vec<_> = (0..n).map(|i| g.add_node(format!("n{i}")).unwrap()).collect();
+    for i in 0..n - 1 {
+        g.add_link(nodes[i], nodes[i + 1], 1).unwrap();
+    }
+    g.add_link(nodes[1], nodes[3], 1).unwrap();
+    g.add_link(nodes[2], nodes[5], 1).unwrap();
+    let light = g.link_count() as u32;
+    g.add_link(nodes[n - 1], nodes[0], u32::MAX - 1 - light).unwrap();
+    let heavy = g.add_link(nodes[n - 1], nodes[0], 1).map(|_| ());
+    assert!(heavy.is_err(), "the graph's total weight must sit at the limit");
+
+    let none = LinkSet::empty(g.link_count());
+    let links: Vec<LinkId> = g.links().collect();
+    let mut sets = Vec::new();
+    for (i, &a) in links.iter().enumerate() {
+        sets.push(vec![a]);
+        for (j, &b) in links.iter().enumerate().skip(i + 1) {
+            sets.push(vec![a, b]);
+            sets.extend(links[j + 1..].iter().map(|&c| vec![a, b, c]));
+        }
+    }
+    let mut scratch = pr_graph::SpScratch::new();
+    let (mut cone, mut stack, mut patches) = (Vec::new(), Vec::new(), Vec::new());
+    let mut highest = 0;
+    for dest in g.nodes() {
+        let base = SpTree::towards(&g, dest, &none);
+        let children = pr_graph::TreeChildren::build(&g, &base);
+        for set in &sets {
+            let failed = LinkSet::from_links(g.link_count(), set.iter().copied());
+            let fresh = SpTree::towards(&g, dest, &failed);
+            base.affected_cone(&g, &children, &failed, &mut cone, &mut stack);
+            base.repair_cone_labels(&g, &failed, &cone, &mut scratch);
+            patches.clear();
+            base.cone_routes(&g, &cone, &mut scratch, &mut patches);
+            for (&u, &(at, next)) in cone.iter().zip(&patches) {
+                assert_eq!(at, u);
+                assert_eq!(scratch.cone_cost(u), fresh.cost(u), "dest {dest} {set:?} node {u}");
+                assert_eq!(next, fresh.next_dart(u), "dest {dest} {set:?} node {u}");
+                highest = highest.max(fresh.cost(u).unwrap_or(0));
+            }
+            let repaired = SpTree::repair_from(&base, &g, dest, &failed, &mut scratch);
+            assert_eq!(repaired, fresh, "dest {dest} {set:?}");
+        }
+    }
+    assert!(highest >= u64::from(u32::MAX) - 8, "the survivors must reach the edge: {highest}");
+}
+
 /// Non-proptest determinism check: two identical runs produce identical
 /// trees (guards the canonical tie-breaking contract).
 #[test]

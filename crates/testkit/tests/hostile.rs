@@ -269,7 +269,7 @@ fn the_shard_checkpoint_refuses_with_its_file_and_a_position() {
                 // Whatever loads must be usable: a report renders.
                 Ok(ShardOutcome::Complete(rows)) => {
                     assert_eq!(rows.len(), clean.len());
-                    stretch::report_from_rows(&rows, &xs);
+                    stretch::RowTotals::of(&rows, &xs).report();
                 }
                 Ok(partial) => panic!("{partial:?} for {:?}", head(input)),
                 Err(message) => {

@@ -21,19 +21,19 @@ use std::path::Path;
 const PRODUCT: &[(&str, usize)] = &[
     ("src", 101),
     ("crates/baselines", 680),
-    ("crates/bench", 3756),
+    ("crates/bench", 3795),
     ("crates/cli", 2118),
     ("crates/core", 3101),
     ("crates/daemon", 1339),
     ("crates/embedding", 1224),
-    ("crates/graph", 2852),
+    ("crates/graph", 2897),
     ("crates/scenarios", 1258),
     ("crates/topologies", 201),
     ("crates/traffic", 1816),
 ];
 
 /// The sum of [`PRODUCT`], the number ROADMAP.md tracks.
-const PRODUCT_TOTAL: usize = 18_446;
+const PRODUCT_TOTAL: usize = 18_530;
 
 /// Lines of the dev-only test kit's sources (`crates/testkit/src`),
 /// counted by the product's rule.
